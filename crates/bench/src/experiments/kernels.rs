@@ -99,9 +99,10 @@ pub fn run(quick: bool) -> Report {
         }
         let measure_secs = start.elapsed().as_secs_f64();
 
-        // Secondary: the full pipelines, from cached sample to CF-ready
-        // report.  The byte route re-materialises owned rows every time —
-        // exactly what `estimate_materialized` used to do.
+        // Secondary: the full pipelines, from held sample to CF-ready
+        // report.  The byte route decodes owned rows, builds from them and
+        // runs the real codecs (the differential oracle's route); the
+        // kernel route is what `measure_sample` does.
         let start = Instant::now();
         for _ in 0..iters {
             let rows = sample.rows().expect("decoding the sample succeeds");

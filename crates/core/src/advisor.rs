@@ -12,10 +12,9 @@
 //!
 //! 1. **Group** candidates through a [`SampleCache`] keyed by (table
 //!    source, sampler kind + fraction, seed): the first candidate of a
-//!    group draws one
-//!    [`MaterializedSample`](samplecf_sampling::MaterializedSample), so a
-//!    disk-resident table pays its block I/O exactly once per group
-//!    (accounted by a [`CountingSource`](samplecf_storage::CountingSource)
+//!    group draws one [`MaterializedSample`], so a disk-resident table
+//!    pays its block I/O exactly once per group (accounted by a
+//!    [`CountingSource`](samplecf_storage::CountingSource)
 //!    and reported in the plan); every later candidate is a cache hit.
 //! 2. **Fan out** candidate evaluation across threads — each candidate
 //!    builds and compresses an index over the shared in-memory sample, plus
@@ -29,13 +28,14 @@
 //! plan-level accounting (samples drawn, pages read, wall-clock, and the
 //! estimated page cost a naive re-sample-per-candidate run would have paid).
 
-use crate::cache::{CachedSample, SampleCache};
+use crate::cache::SampleCache;
 use crate::error::{CoreError, CoreResult};
-use crate::estimator::measure_rows;
+use crate::estimator::measure_sample;
 use samplecf_compression::CompressionScheme;
 use samplecf_index::{IndexBuilder, IndexSizeModel, IndexSpec};
 use samplecf_obs::{Counter, Histogram, MetricsRegistry};
-use samplecf_sampling::{SampledRow, SamplerKind};
+use samplecf_parallel::parallel_indexed_map;
+use samplecf_sampling::{MaterializedSample, SamplerKind};
 use samplecf_storage::{SharedSource, TableSource};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -412,9 +412,15 @@ impl CompressionAdvisor {
         let cache_ref = &cache;
         let group_of_ref = &group_of;
         let mut recommendations = Vec::with_capacity(candidates.len());
-        for r in crate::parallel::parallel_indexed_map(candidates.len(), self.config.threads, |i| {
-            let gi = group_of_ref[i];
-            evaluate(&candidates[i], gi, cache_ref.entry(gi))
+        for r in parallel_indexed_map(candidates.len(), self.config.threads, |i| {
+            let (c, gi) = (&candidates[i], group_of_ref[i]);
+            evaluate_shared(
+                c.source.as_ref(),
+                c.spec,
+                c.scheme,
+                cache_ref.entry(gi).sample(),
+                gi,
+            )
         }) {
             recommendations.push(r?);
         }
@@ -434,7 +440,7 @@ impl CompressionAdvisor {
                 sampler: e.kind().label(),
                 seed: e.seed(),
                 candidates: e.uses(),
-                sample_rows: e.rows().len(),
+                sample_rows: e.sample().len(),
                 pages_read: e.pages_read(),
                 sample_elapsed: e.draw_elapsed(),
             })
@@ -451,53 +457,29 @@ impl CompressionAdvisor {
     }
 }
 
-/// Evaluate one candidate from its group's shared sample: analytic
-/// uncompressed size (no I/O) + SampleCF estimate over the sample rows.
-fn evaluate(
-    candidate: &Candidate<'_>,
-    group: usize,
-    entry: &CachedSample,
-) -> CoreResult<Recommendation> {
-    evaluate_shared(
-        &candidate.source,
-        candidate.spec,
-        candidate.scheme,
-        entry.rows(),
-        entry.kind().label(),
-        group,
-    )
-}
-
 /// Evaluate one candidate index against an already-drawn shared sample,
 /// with `compress` left `false` pending [`decide`].
 ///
 /// This is the advisor's per-candidate kernel, exposed so that other
 /// shared-sample hosts (the `samplecfd` server evaluating an `advise`
 /// request against its concurrent cache) produce [`Recommendation`]s that
-/// are byte-identical to [`CompressionAdvisor::plan`] for the same rows:
+/// are byte-identical to [`CompressionAdvisor::plan`] for the same sample:
 /// the uncompressed size comes from the analytic [`IndexSizeModel`] (no
-/// I/O), the compressed size from a SampleCF measurement over `rows`.
+/// I/O), the compressed size from [`measure_sample`] — so a candidate's
+/// `estimated_cf` equals [`SampleCf::estimate`](crate::SampleCf::estimate)
+/// for the sample's `(sampler, seed)`, stratified draws included.
 pub fn evaluate_shared(
     source: &dyn TableSource,
     spec: &IndexSpec,
     scheme: &dyn CompressionScheme,
-    rows: &[SampledRow],
-    sampler_label: String,
+    sample: &MaterializedSample,
     group: usize,
 ) -> CoreResult<Recommendation> {
-    let schema = source.schema();
     let uncompressed = IndexSizeModel::new()
-        .estimate(schema, spec, source.num_rows())?
+        .estimate(source.schema(), spec, source.num_rows())?
         .leaf_bytes();
 
-    let measurement = measure_rows(
-        schema,
-        rows,
-        spec,
-        scheme,
-        &IndexBuilder::new(),
-        sampler_label,
-    )?;
+    let measurement = measure_sample(sample, spec, scheme, &IndexBuilder::new())?;
     let leaf_cf = measurement.cf_with_pointers.min(1.0);
     let estimated_compressed = (uncompressed as f64 * leaf_cf).ceil() as usize;
 
@@ -508,7 +490,7 @@ pub fn evaluate_shared(
         uncompressed_bytes: uncompressed,
         estimated_compressed_bytes: estimated_compressed,
         estimated_cf: measurement.cf,
-        sample_rows: rows.len(),
+        sample_rows: sample.len(),
         group,
         compress: false,
     })
@@ -768,6 +750,49 @@ mod tests {
             .unwrap();
         assert_eq!(plan.recommendations[0].estimated_cf, direct.cf);
         assert_eq!(plan.recommendations[0].sample_rows, direct.data.rows);
+    }
+
+    #[test]
+    fn stratified_plans_report_the_weighted_estimate_not_the_pooled_one() {
+        // Value-clustered data, where the pooled ratio of a stratified
+        // sample and the weighted per-stratum combination really differ.
+        let t = presets::clustered_variable_table("clustered", 6_000, 32, 12, 5)
+            .generate()
+            .unwrap()
+            .table
+            .into_shared();
+        let spec = IndexSpec::nonclustered("idx", ["a"]).unwrap();
+        for alloc in [
+            samplecf_sampling::Allocation::Proportional,
+            samplecf_sampling::Allocation::Neyman,
+        ] {
+            let sampler = SamplerKind::Stratified {
+                fraction: 0.1,
+                strata: 6,
+                alloc,
+                mode: samplecf_sampling::StrataMode::EquiWidth,
+            };
+            let config = AdvisorConfig {
+                sampler,
+                seed: 11,
+                ..Default::default()
+            };
+            for scheme_name in ["rle", "dictionary-paged", "null-suppression"] {
+                let scheme = samplecf_compression::scheme_by_name(scheme_name).unwrap();
+                let plan = CompressionAdvisor::new(config)
+                    .unwrap()
+                    .plan(&[Candidate::new(&t, &spec, scheme.as_ref())])
+                    .unwrap();
+                let direct = SampleCf::new(sampler)
+                    .seed(11)
+                    .estimate(&t, &spec, scheme.as_ref())
+                    .unwrap();
+                assert_eq!(
+                    plan.recommendations[0].estimated_cf, direct.cf,
+                    "{alloc:?}/{scheme_name}"
+                );
+            }
+        }
     }
 
     #[test]

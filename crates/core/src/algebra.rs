@@ -3,9 +3,9 @@
 //! Nirkhiwale et al.'s *sampling algebra* observes that the estimators
 //! arising from composed sampling plans form a closed family ("generalised
 //! uniform sampling"), whose second moments compose **mechanically**: the
-//! variance of a stratified or unioned estimator is a fixed arithmetic
-//! function of its children's moments.  This module implements the three
-//! node shapes the SampleCF pipeline needs:
+//! variance of a stratified estimator is a fixed arithmetic function of its
+//! children's moments.  This module implements the two node shapes the
+//! SampleCF pipeline needs:
 //!
 //! * [`VarianceNode::Uniform`] — a uniform with-replacement draw estimating
 //!   a population mean by the sample mean: `Var = s²/r`.
@@ -13,9 +13,6 @@
 //!   disjoint strata, combined as `Σ W_s·x̄_s`:
 //!   `Var = Σ W_s²·s_s²/r_s`.  This is the closed form that replaces the
 //!   grouped jackknife for stratified draws — no leave-one-out rebuilds.
-//! * [`VarianceNode::WeightedUnion`] — a weighted sum of *independent*
-//!   sub-estimators (e.g. per-partition estimates of a union table):
-//!   `Var = Σ w_i²·Var_i`.
 //!
 //! ## What the moments are moments *of*
 //!
@@ -154,9 +151,6 @@ pub enum VarianceNode {
         /// Per-stratum observation sketches, aligned with `weights`.
         strata: Vec<MomentSketch>,
     },
-    /// A weighted sum of independent sub-estimators, `Σ wᵢ·Eᵢ`
-    /// (weights renormalised over the children that can estimate).
-    WeightedUnion(Vec<(f64, VarianceNode)>),
 }
 
 impl VarianceNode {
@@ -178,7 +172,6 @@ impl VarianceNode {
             VarianceNode::StratifiedConcat { strata, .. } => {
                 strata.iter().map(MomentSketch::count).sum()
             }
-            VarianceNode::WeightedUnion(children) => children.iter().map(|(_, c)| c.count()).sum(),
         }
     }
 
@@ -191,11 +184,6 @@ impl VarianceNode {
                 let means: Vec<Option<f64>> = strata.iter().map(MomentSketch::mean).collect();
                 weighted_combine(weights, &means)
             }
-            VarianceNode::WeightedUnion(children) => {
-                let weights: Vec<f64> = children.iter().map(|(w, _)| *w).collect();
-                let values: Vec<Option<f64>> = children.iter().map(|(_, c)| c.estimate()).collect();
-                weighted_combine(&weights, &values)
-            }
         }
     }
 
@@ -204,7 +192,7 @@ impl VarianceNode {
     /// `None` when any contributing part cannot yet report a variance — a
     /// uniform node below two observations, a *sampled* stratum below two
     /// observations (an unsampled stratum is excluded by renormalisation,
-    /// matching [`estimate`](Self::estimate)), or an empty union.  Callers
+    /// matching [`estimate`](Self::estimate)).  Callers
     /// treat `None` exactly like a missing jackknife: no confidence
     /// interval yet, keep drawing.
     #[must_use]
@@ -228,25 +216,6 @@ impl VarianceNode {
                     }
                     let w = w / live_weight;
                     var += w * w * m.sample_variance()? / m.count() as f64;
-                }
-                Some(var)
-            }
-            VarianceNode::WeightedUnion(children) => {
-                let live_weight: f64 = children
-                    .iter()
-                    .filter(|(_, c)| c.count() > 0)
-                    .map(|(w, _)| w)
-                    .sum();
-                if live_weight <= 0.0 {
-                    return None;
-                }
-                let mut var = 0.0;
-                for (w, c) in children {
-                    if c.count() == 0 {
-                        continue;
-                    }
-                    let w = w / live_weight;
-                    var += w * w * c.variance()?;
                 }
                 Some(var)
             }
@@ -398,24 +367,6 @@ mod tests {
         let empty = VarianceNode::stratified(vec![1.0], vec![MomentSketch::new()]);
         assert_eq!(empty.estimate(), None);
         assert_eq!(empty.variance(), None);
-    }
-
-    #[test]
-    fn weighted_union_composes_independent_estimators() {
-        let a = VarianceNode::Uniform(sketch(&[0.2, 0.4, 0.3]));
-        let b = VarianceNode::stratified(
-            vec![0.5, 0.5],
-            vec![sketch(&[0.7, 0.9]), sketch(&[0.1, 0.2])],
-        );
-        let union = VarianceNode::WeightedUnion(vec![(0.25, a.clone()), (0.75, b.clone())]);
-        let est = 0.25 * a.estimate().unwrap() + 0.75 * b.estimate().unwrap();
-        assert!((union.estimate().unwrap() - est).abs() < 1e-12);
-        let var = 0.25 * 0.25 * a.variance().unwrap() + 0.75 * 0.75 * b.variance().unwrap();
-        assert!((union.variance().unwrap() - var).abs() < 1e-12);
-        assert_eq!(union.count(), a.count() + b.count());
-        // An empty union has neither estimate nor variance.
-        assert_eq!(VarianceNode::WeightedUnion(Vec::new()).estimate(), None);
-        assert_eq!(VarianceNode::WeightedUnion(Vec::new()).variance(), None);
     }
 
     #[test]

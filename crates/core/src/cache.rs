@@ -22,8 +22,9 @@
 use crate::error::CoreResult;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use samplecf_sampling::{BatchSchedule, MaterializedSample, SampleStream, SampledRow, SamplerKind};
-use samplecf_storage::{CountingSource, SharedSource, TableSource};
+use samplecf_parallel::parallel_indexed_map;
+use samplecf_sampling::{BatchSchedule, MaterializedSample, SampleStream, SamplerKind};
+use samplecf_storage::{CountingSource, Rid, SharedSource, TableSource};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -38,12 +39,10 @@ fn source_key(source: &SharedSource) -> usize {
 
 /// One cached sample plus its cost accounting.
 ///
-/// The entry keeps the sample in both of its useful forms: the owned
-/// in-memory [`Table`](samplecf_storage::Table) (via
-/// [`sample`](Self::sample)) and the `(Rid, Row)` pairs decoded once at
-/// draw time (via [`rows`](Self::rows)), so consumers get either without
-/// re-decoding.  Samples are small by construction (`f·n` rows), so
-/// holding both is a deliberate CPU-for-memory trade.
+/// The entry holds the sample in its one form — a [`MaterializedSample`]
+/// (heap pages + source rids + stratum tags) behind an [`Arc`], so
+/// concurrent consumers can keep an immutable snapshot and measure it with
+/// [`measure_sample`](crate::estimator::measure_sample) outside any lock.
 ///
 /// Entries can be created directly — [`draw`](Self::draw) /
 /// [`draw_streaming`](Self::draw_streaming) — and
@@ -54,11 +53,10 @@ pub struct CachedSample {
     source: SharedSource,
     kind: SamplerKind,
     seed: u64,
-    sample: MaterializedSample,
-    /// The decoded rows, behind an [`Arc`] so concurrent consumers can hold
-    /// an immutable snapshot that survives a later [`deepen`](Self::deepen)
-    /// (deepening replaces the `Arc`, it never mutates the shared vector).
-    rows: Arc<Vec<SampledRow>>,
+    /// Behind an [`Arc`] so a snapshot handed out earlier survives a later
+    /// [`deepen`](Self::deepen): deepening extends in place when the entry
+    /// is the only holder and copies the pages first when it is not.
+    sample: Arc<MaterializedSample>,
     pages_read: u64,
     draw_elapsed: Duration,
     uses: usize,
@@ -81,13 +79,11 @@ impl CachedSample {
         let sample = MaterializedSample::draw(&counting, kind, seed)?;
         let draw_elapsed = started.elapsed();
         let pages_read = counting.pages_read();
-        let rows = Arc::new(sample.rows()?);
         Ok(CachedSample {
             source: Arc::clone(source),
             kind,
             seed,
-            sample,
-            rows,
+            sample: Arc::new(sample),
             pages_read,
             draw_elapsed,
             uses: 1,
@@ -116,13 +112,11 @@ impl CachedSample {
         let sample = MaterializedSample::from_stream(&counting, stream.as_mut(), &mut rng, seed)?;
         let draw_elapsed = started.elapsed();
         let pages_read = counting.pages_read();
-        let rows = Arc::new(sample.rows()?);
         Ok(CachedSample {
             source: Arc::clone(source),
             kind,
             seed,
-            sample,
-            rows,
+            sample: Arc::new(sample),
             pages_read,
             draw_elapsed,
             uses: 1,
@@ -167,12 +161,10 @@ impl CachedSample {
         }
         let counting = CountingSource::new(self.source.as_ref());
         let started = Instant::now();
-        self.sample
-            .extend_from_stream(&counting, stream.as_mut(), rng)?;
+        Arc::make_mut(&mut self.sample).extend_from_stream(&counting, stream.as_mut(), rng)?;
         self.draw_elapsed += started.elapsed();
         let delta = counting.pages_read();
         self.pages_read += delta;
-        self.rows = Arc::new(self.sample.rows()?);
         self.kind = kind;
         Ok(Some(delta))
     }
@@ -206,25 +198,13 @@ impl CachedSample {
         self.seed
     }
 
-    /// The materialized sample itself.
+    /// The materialized sample itself.  Clone the handle to keep a
+    /// snapshot: it is immutable, so holders keep reading exactly the rows
+    /// of the fraction they asked for through any later
+    /// [`deepen`](Self::deepen).
     #[must_use]
-    pub fn sample(&self) -> &MaterializedSample {
+    pub fn sample(&self) -> &Arc<MaterializedSample> {
         &self.sample
-    }
-
-    /// The drawn `(Rid, Row)` pairs, decoded once at draw time and shared
-    /// by every consumer.
-    #[must_use]
-    pub fn rows(&self) -> &[SampledRow] {
-        &self.rows
-    }
-
-    /// A shared handle to the drawn rows.  The snapshot is immutable: a
-    /// later [`deepen`](Self::deepen) swaps in a new vector, so holders keep
-    /// reading exactly the rows of the fraction they asked for.
-    #[must_use]
-    pub fn rows_arc(&self) -> Arc<Vec<SampledRow>> {
-        Arc::clone(&self.rows)
     }
 
     /// Physical pages read from the source to draw (and deepen) this sample.
@@ -245,22 +225,21 @@ impl CachedSample {
         self.uses
     }
 
-    /// Deterministic estimate of this entry's resident size in bytes: the
-    /// materialized sample's heap pages, the decoded row snapshot (priced
-    /// at the schema's fixed record width), and any state the live stream
-    /// retains for deepening (rid frame, cached decoded pages, a held
-    /// reservoir).  This is the unit the server cache's byte budget evicts
-    /// against; [`seal`](Self::seal)ing releases the stream's share.
+    /// This entry's resident size in bytes — exactly what it retains: the
+    /// sample's heap pages, its source-rid vector and stratum tags, and any
+    /// state the live stream holds for deepening (rid frame, cached decoded
+    /// pages, a held reservoir).  This is the unit the server cache's byte
+    /// budget evicts against; [`seal`](Self::seal)ing releases the stream's
+    /// share.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
         let table = self.sample.table();
-        let row_bytes = table.codec().record_size();
         table.num_pages() * table.page_size()
-            + self.rows.len() * (std::mem::size_of::<SampledRow>() + row_bytes)
-            + self
-                .stream
-                .as_ref()
-                .map_or(0, |(stream, _)| stream.approx_retained_bytes(row_bytes))
+            + self.sample.len() * std::mem::size_of::<Rid>()
+            + std::mem::size_of_val(self.sample.row_strata())
+            + self.stream.as_ref().map_or(0, |(stream, _)| {
+                stream.approx_retained_bytes(table.codec().record_size())
+            })
     }
 }
 
@@ -270,7 +249,7 @@ impl std::fmt::Debug for CachedSample {
             .field("source", &self.source.name())
             .field("kind", &self.kind)
             .field("seed", &self.seed)
-            .field("rows", &self.rows.len())
+            .field("rows", &self.sample.len())
             .field("pages_read", &self.pages_read)
             .field("uses", &self.uses)
             .field("streaming", &self.stream.is_some())
@@ -431,7 +410,7 @@ impl SampleCache {
 
         let pending_ref = &pending;
         let mut drawn = Vec::with_capacity(pending.len());
-        for result in crate::parallel::parallel_indexed_map(pending.len(), threads, |i| {
+        for result in parallel_indexed_map(pending.len(), threads, |i| {
             let (source, kind, seed) = &pending_ref[i];
             CachedSample::draw(source, *kind, *seed).map(|mut e| {
                 e.uses = 0;
@@ -586,7 +565,7 @@ mod tests {
             assert_eq!(batch.len(), serial.len());
             for (be, se) in batch.entries().iter().zip(serial.entries()) {
                 assert_eq!(be.uses(), se.uses());
-                assert_eq!(be.rows(), se.rows());
+                assert_eq!(be.sample().rows().unwrap(), se.sample().rows().unwrap());
                 assert_eq!(be.pages_read(), se.pages_read());
             }
             // Resolving the same batch again is all hits: nothing new drawn.
@@ -633,9 +612,10 @@ mod tests {
             shallow_pages,
             (num_pages as f64 * 0.1).round().max(1.0) as u64
         );
-        // A consumer holding the shallow row snapshot keeps it through the
+        // A consumer holding the shallow snapshot keeps it through the
         // deepening below.
-        let shallow_rows = cache.entry(id).rows_arc();
+        let shallow = Arc::clone(cache.entry(id).sample());
+        let shallow_rows = shallow.rows().unwrap();
         // Deeper request with the same family and seed: same entry id,
         // extended in place, paying only the delta.
         let deep = cache.get_or_deepen(&t, SamplerKind::Block(0.3), 4).unwrap();
@@ -649,13 +629,16 @@ mod tests {
             "cumulative cost equals one fresh draw at the deep fraction"
         );
         assert_eq!(entry.uses(), 2);
-        assert!(
-            shallow_rows.len() < entry.rows().len(),
+        assert_eq!(
+            shallow.rows().unwrap(),
+            shallow_rows,
             "the shallow snapshot is unchanged by deepening"
         );
+        assert_eq!(shallow.kind(), SamplerKind::Block(0.1));
+        assert!(shallow.len() < entry.sample().len());
         // The deepened rows are exactly a fresh deep draw's rows.
         let fresh = MaterializedSample::draw(&t, SamplerKind::Block(0.3), 4).unwrap();
-        let mut a: Vec<_> = entry.rows().to_vec();
+        let mut a = entry.sample().rows().unwrap();
         let mut b = fresh.rows().unwrap();
         a.sort_by_key(|(rid, _)| *rid);
         b.sort_by_key(|(rid, _)| *rid);
@@ -723,8 +706,7 @@ mod tests {
         assert_eq!(entry.pages_read(), expected_pages);
         assert_eq!(cache.pages_read(), expected_pages);
         assert_eq!(cache.naive_pages_read(), expected_pages * 4);
-        assert!(!entry.rows().is_empty());
-        assert_eq!(entry.rows().len(), entry.sample().len());
+        assert!(!entry.sample().is_empty());
         assert_eq!(entry.kind(), kind);
         assert_eq!(entry.seed(), 5);
         assert!(entry.approx_bytes() > 0);
@@ -747,8 +729,8 @@ mod tests {
         assert_eq!(entry.kind(), deep);
         // Cumulative rows equal a fresh deep draw's rows (as multisets).
         let fresh = CachedSample::draw(&t, deep, 9).unwrap();
-        let mut a = entry.rows().to_vec();
-        let mut b = fresh.rows().to_vec();
+        let mut a = entry.sample().rows().unwrap();
+        let mut b = fresh.sample().rows().unwrap();
         a.sort_by_key(|(rid, _)| *rid);
         b.sort_by_key(|(rid, _)| *rid);
         assert_eq!(a, b);
@@ -770,6 +752,24 @@ mod tests {
                 .unwrap(),
             None
         );
-        assert_eq!(entry.rows().len(), fresh.rows().len());
+        assert_eq!(entry.sample().len(), fresh.sample().len());
+    }
+
+    #[test]
+    fn a_sealed_entry_prices_exactly_its_pages_and_rids() {
+        // No per-row decoded term: a sealed, unstratified entry retains its
+        // heap pages and one source rid per row, nothing else.
+        let t = table("t", 37);
+        let mut entry = CachedSample::draw_streaming(&t, SamplerKind::Block(0.2), 5).unwrap();
+        entry.seal();
+        let sample = entry.sample();
+        assert_eq!(
+            entry.approx_bytes(),
+            sample.table().num_pages() * sample.table().page_size()
+                + sample.len() * std::mem::size_of::<Rid>()
+        );
+        // A non-streaming draw never held stream state to begin with.
+        let plain = CachedSample::draw(&t, SamplerKind::Block(0.2), 5).unwrap();
+        assert_eq!(plain.approx_bytes(), entry.approx_bytes());
     }
 }

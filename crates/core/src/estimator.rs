@@ -12,15 +12,18 @@
 //! and 3 reuse exactly the same index-build and compression code paths as the
 //! exact computation, just over the sample instead of the full table.
 
+use crate::algebra::weighted_combine;
 use crate::error::{CoreError, CoreResult};
 use crate::metrics::ratio_error;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use samplecf_compression::CompressionScheme;
 use samplecf_index::{measure_index, CompressedIndexReport, IndexBuilder, IndexSpec};
+use samplecf_parallel::parallel_indexed_map;
 use samplecf_sampling::{MaterializedSample, RowSampler, SamplerKind};
-use samplecf_storage::{decode_cell, Rid, RowCodec, Schema, TableSource, Value};
-use std::collections::HashSet;
+use samplecf_storage::{decode_cell, Rid, Schema, TableSource, Value};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 /// Statistics about the sample (or full table) the compression fraction was
@@ -145,10 +148,11 @@ impl CfMeasurement {
     }
 }
 
-/// Build and compress an index over an explicit row set and report its CF.
-/// The shared kernel behind [`ExactCf`], [`SampleCf::estimate`], the
-/// advisor's shared-sample evaluation, and the `samplecfd` server's
-/// cache-backed `estimate` endpoint.  For rows drawn with a given
+/// Build and compress an index over an explicit decoded row set and report
+/// its CF: the entry for callers that hold owned rows — [`ExactCf`] (a full
+/// scan), the [`RowSampler`] trial path ([`SampleCf::estimate_with`]) and
+/// the differential oracle.  A held sample is measured by
+/// [`measure_sample`] instead.  For rows drawn with a given
 /// `(sampler, seed)`, the measurement is byte-identical to
 /// [`SampleCf::estimate`] with that configuration (the rows *are* the
 /// estimate; building and compressing them is deterministic).
@@ -184,30 +188,36 @@ pub fn measure_rows(
     })
 }
 
-/// Zero-copy twin of [`measure_rows`]: the same measurement taken over
-/// *borrowed* encoded heap records instead of decoded rows.
+/// Measure one held sample: build the index on it, size it under `scheme`,
+/// and report the sample's CF — steps 2–4 of SampleCF over an already-drawn
+/// `T'`.
 ///
 /// The index is bulk-loaded by slicing sort keys and stored cells straight
-/// out of each record
+/// out of the sample's heap records
 /// ([`IndexBuilder::build_from_records`](samplecf_index::IndexBuilder::build_from_records))
 /// and sized by the batch measure kernels ([`measure_index`]), so the hot
 /// path never materialises a decoded [`Row`](samplecf_storage::Row) or a
 /// compressed byte.  Only the first key column's cells are decoded — one
-/// [`Value`] per record — to produce the same [`DataStats`] the row path
-/// reports.  `codec` must be the [`RowCodec`] the records were encoded
-/// with; results are byte-identical to [`measure_rows`] over the decoded
-/// equivalents (pinned by the differential suite).
-pub fn measure_records(
-    schema: &Schema,
-    codec: &RowCodec,
-    records: &[(Rid, &[u8])],
+/// [`Value`] per distinct cell — for the [`DataStats`].
+///
+/// A sample that carries stratum tags is measured as the weighted
+/// per-stratum combination `Σ W_s·CF_s` — each stratum's sub-index built and
+/// sized on its own, combined with [`weighted_combine`] over the population
+/// weights; the pooled report and stats are kept for their per-column
+/// detail.  Either way the measurement is bit-identical to
+/// [`SampleCf::estimate`] with the sample's `(sampler, seed)`, and — pooled —
+/// to [`measure_rows`] over the decoded rows (pinned by the differential
+/// suite).
+pub fn measure_sample(
+    sample: &MaterializedSample,
     spec: &IndexSpec,
     scheme: &dyn CompressionScheme,
     builder: &IndexBuilder,
-    sampler_label: String,
 ) -> CoreResult<CfMeasurement> {
+    let schema = sample.table().schema();
+    let records = sample.records()?;
     let start = Instant::now();
-    let index = builder.build_from_records(schema, records, spec)?;
+    let index = builder.build_from_records(schema, &records, spec)?;
     let report = measure_index(&index, scheme)?;
     let elapsed = start.elapsed();
 
@@ -216,151 +226,40 @@ pub fn measure_records(
         .first()
         .copied()
         .ok_or_else(|| CoreError::InvalidConfig("index has no key columns".to_string()))?;
+    // Cells are fixed-width encodings, so each distinct byte pattern is
+    // decoded once and its logical length remembered: the stats equal a
+    // decode of every record without paying one per duplicate.
     let datatype = schema.column_at(first_key).datatype;
-    let offset = codec.cell_offset(first_key);
+    let offset = sample.table().codec().cell_offset(first_key);
     let width = datatype.uncompressed_width();
-    let mut acc = DataStatsAccumulator::new();
-    for (_, record) in records {
-        let is_null = record[first_key / 8] & (1 << (first_key % 8)) != 0;
-        let value = if is_null {
-            Value::Null
-        } else {
-            decode_cell(&record[offset..offset + width], &datatype)?
+    let mut lens: HashMap<&[u8], usize> = HashMap::new();
+    let mut distinct: HashSet<Value> = HashSet::new();
+    let (mut sum, mut nulls) = (0usize, 0usize);
+    for (_, record) in &records {
+        if record[first_key / 8] & (1 << (first_key % 8)) != 0 {
+            nulls += 1;
+            continue;
+        }
+        let cell = &record[offset..offset + width];
+        sum += match lens.entry(cell) {
+            Entry::Occupied(seen) => *seen.get(),
+            Entry::Vacant(new) => {
+                let value = decode_cell(cell, &datatype)?;
+                let len = *new.insert(value.logical_len());
+                distinct.insert(value);
+                len
+            }
         };
-        acc.observe(&value);
     }
+    let data = DataStats {
+        rows: records.len(),
+        distinct_first_key: distinct.len(),
+        sum_logical_len_first_key: sum,
+        null_first_key: nulls,
+    };
 
-    Ok(CfMeasurement {
-        cf: report.cf(),
-        cf_with_pointers: report.cf_with_pointers(),
-        cf_pages: report.cf_pages(),
-        scheme: report.scheme.clone(),
-        sampler: sampler_label,
-        data: acc.snapshot(),
-        elapsed,
-        report,
-    })
-}
-
-/// Per-row stratum assignment for [`measure_rows_stratified`]: which stratum
-/// each sampled row belongs to, plus the population weight of every stratum.
-#[derive(Debug, Clone, Copy)]
-pub struct StrataAssignment<'a> {
-    /// Stratum index of each sampled row, aligned with the row slice.
-    pub tags: &'a [u32],
-    /// Population weight `W_s` of each stratum, indexed by tag value.
-    pub weights: &'a [f64],
-}
-
-/// Stratified variant of [`measure_rows`]: the CF triple is the weighted
-/// per-stratum combination `Σ W_s·CF_s` instead of the pooled ratio.
-///
-/// Each stratum's rows (selected by the assignment's tags, one per row,
-/// aligned) are built and compressed as their own sub-index; the resulting
-/// per-stratum CFs are combined with
-/// [`weighted_combine`](crate::algebra::weighted_combine) using the
-/// population weights (renormalised over sampled strata).  This is the same
-/// arithmetic [`ProgressiveCf`](crate::progressive::ProgressiveCf) applies at
-/// its checkpoints, so a measurement taken from cached stratified rows (the
-/// `samplecfd` `estimate` path) is bit-identical to [`SampleCf::estimate`]
-/// with the same `(sampler, seed)`.  The pooled report and [`DataStats`] are
-/// kept for their per-column detail.
-pub fn measure_rows_stratified(
-    schema: &Schema,
-    rows: &[(samplecf_storage::Rid, samplecf_storage::Row)],
-    strata: StrataAssignment<'_>,
-    spec: &IndexSpec,
-    scheme: &dyn CompressionScheme,
-    builder: &IndexBuilder,
-    sampler_label: String,
-) -> CoreResult<CfMeasurement> {
-    let StrataAssignment { tags, weights } = strata;
-    if tags.len() != rows.len() {
-        return Err(CoreError::InvalidConfig(format!(
-            "stratum tags ({}) must align with rows ({})",
-            tags.len(),
-            rows.len()
-        )));
-    }
-    let mut measurement = measure_rows(schema, rows, spec, scheme, builder, sampler_label)?;
-    let k = weights.len();
-    // Per-stratum sub-indexes are independent: fan them over the builder's
-    // worker pool (each stratum builds serially so strata × sort workers
-    // cannot oversubscribe) and reassemble in stratum order, keeping the
-    // weighted combination thread-count independent.
-    let inner = builder.threads(1);
-    let per_stratum = crate::parallel::parallel_indexed_map(k, builder.thread_count(), |s| {
-        // Rows are cloned into the group because `build_from_rows` needs a
-        // contiguous slice of owned pairs; the zero-copy twin
-        // (`measure_records_stratified`) copies only fat pointers.
-        let group: Vec<_> = rows
-            .iter()
-            .zip(tags)
-            .filter(|(_, &t)| t as usize == s)
-            .map(|(r, _)| r.clone())
-            .collect();
-        if group.is_empty() {
-            return Ok(None);
-        }
-        let index = inner.build_from_rows(schema, &group, spec)?;
-        let report = measure_index(&index, scheme)?;
-        Ok::<_, CoreError>(Some((
-            report.cf(),
-            report.cf_with_pointers(),
-            report.cf_pages(),
-        )))
-    });
-    let mut cfs = vec![None; k];
-    let mut cfwps = vec![None; k];
-    let mut cfps = vec![None; k];
-    for (s, result) in per_stratum.into_iter().enumerate() {
-        if let Some((cf, cfwp, cfp)) = result? {
-            cfs[s] = Some(cf);
-            cfwps[s] = Some(cfwp);
-            cfps[s] = Some(cfp);
-        }
-    }
-    if let Some(cf) = crate::algebra::weighted_combine(weights, &cfs) {
-        measurement.cf = cf;
-    }
-    if let Some(cfwp) = crate::algebra::weighted_combine(weights, &cfwps) {
-        measurement.cf_with_pointers = cfwp;
-    }
-    if let Some(cfp) = crate::algebra::weighted_combine(weights, &cfps) {
-        measurement.cf_pages = cfp;
-    }
-    Ok(measurement)
-}
-
-/// Zero-copy twin of [`measure_rows_stratified`], over borrowed encoded
-/// records (see [`measure_records`]).  Per-stratum groups copy only the
-/// `(Rid, &[u8])` fat pointers, never the record bytes.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_records_stratified(
-    schema: &Schema,
-    codec: &RowCodec,
-    records: &[(Rid, &[u8])],
-    strata: StrataAssignment<'_>,
-    spec: &IndexSpec,
-    scheme: &dyn CompressionScheme,
-    builder: &IndexBuilder,
-    sampler_label: String,
-) -> CoreResult<CfMeasurement> {
-    let StrataAssignment { tags, weights } = strata;
-    if tags.len() != records.len() {
-        return Err(CoreError::InvalidConfig(format!(
-            "stratum tags ({}) must align with records ({})",
-            tags.len(),
-            records.len()
-        )));
-    }
-    let mut measurement =
-        measure_records(schema, codec, records, spec, scheme, builder, sampler_label)?;
-    let k = weights.len();
-    // Same fan-out as the rows path: independent strata across the pool,
-    // serial builds within each, results reassembled in stratum order.
-    let inner = builder.threads(1);
-    let per_stratum = crate::parallel::parallel_indexed_map(k, builder.thread_count(), |s| {
+    let tags = sample.row_strata();
+    let stratified = weighted_strata_cf(sample.strata_weights(), builder, |s, inner| {
         let group: Vec<(Rid, &[u8])> = records
             .iter()
             .zip(tags)
@@ -371,33 +270,63 @@ pub fn measure_records_stratified(
             return Ok(None);
         }
         let index = inner.build_from_records(schema, &group, spec)?;
-        let report = measure_index(&index, scheme)?;
-        Ok::<_, CoreError>(Some((
-            report.cf(),
-            report.cf_with_pointers(),
-            report.cf_pages(),
-        )))
-    });
+        Ok(Some(measure_index(&index, scheme)?))
+    })?;
+    let (cf, cf_with_pointers, cf_pages) =
+        stratified.unwrap_or_else(|| (report.cf(), report.cf_with_pointers(), report.cf_pages()));
+
+    Ok(CfMeasurement {
+        cf,
+        cf_with_pointers,
+        cf_pages,
+        scheme: report.scheme.clone(),
+        sampler: sample.kind().label(),
+        data,
+        elapsed,
+        report,
+    })
+}
+
+/// The stratified CF triple `(cf, cf_with_pointers, cf_pages)`: each
+/// stratum's sub-index is built and sized on its own by `measure_stratum`
+/// (`None` for a stratum with no sampled rows), and the per-stratum CFs are
+/// combined as `Σ W_s·CF_s` with
+/// [`weighted_combine`](crate::algebra::weighted_combine) over the population
+/// `weights` (renormalised over sampled strata).  `None` when no stratum has
+/// rows — including the unstratified case of no weights at all.
+///
+/// Strata are independent, so they fan out over `builder`'s worker pool;
+/// `measure_stratum` receives a serial builder so strata × sort workers
+/// cannot oversubscribe, and results are reassembled in stratum order, which
+/// keeps the combination thread-count independent.  This is the one place
+/// the arithmetic lives: [`measure_sample`] and the progressive estimator's
+/// checkpoints both come here, so a cached stratified sample and
+/// [`SampleCf::estimate`] agree bit for bit.
+pub(crate) fn weighted_strata_cf(
+    weights: &[f64],
+    builder: &IndexBuilder,
+    measure_stratum: impl Fn(usize, &IndexBuilder) -> CoreResult<Option<CompressedIndexReport>> + Sync,
+) -> CoreResult<Option<(f64, f64, f64)>> {
+    let k = weights.len();
+    let inner = builder.threads(1);
+    let per_stratum =
+        parallel_indexed_map(k, builder.thread_count(), |s| measure_stratum(s, &inner));
     let mut cfs = vec![None; k];
     let mut cfwps = vec![None; k];
     let mut cfps = vec![None; k];
-    for (s, result) in per_stratum.into_iter().enumerate() {
-        if let Some((cf, cfwp, cfp)) = result? {
-            cfs[s] = Some(cf);
-            cfwps[s] = Some(cfwp);
-            cfps[s] = Some(cfp);
+    for (s, report) in per_stratum.into_iter().enumerate() {
+        if let Some(report) = report? {
+            cfs[s] = Some(report.cf());
+            cfwps[s] = Some(report.cf_with_pointers());
+            cfps[s] = Some(report.cf_pages());
         }
     }
-    if let Some(cf) = crate::algebra::weighted_combine(weights, &cfs) {
-        measurement.cf = cf;
-    }
-    if let Some(cfwp) = crate::algebra::weighted_combine(weights, &cfwps) {
-        measurement.cf_with_pointers = cfwp;
-    }
-    if let Some(cfp) = crate::algebra::weighted_combine(weights, &cfps) {
-        measurement.cf_pages = cfp;
-    }
-    Ok(measurement)
+    // The three vectors share one live set, so the combinations are all
+    // `Some` or all `None`.
+    Ok(weighted_combine(weights, &cfs)
+        .zip(weighted_combine(weights, &cfwps))
+        .zip(weighted_combine(weights, &cfps))
+        .map(|((cf, cfwp), cfp)| (cf, cfwp, cfp)))
 }
 
 /// Exact computation of the compression fraction: build and compress the full
@@ -567,54 +496,6 @@ impl SampleCf {
         )?;
         m.elapsed += sampling_time;
         Ok(m)
-    }
-
-    /// Run the estimator over an already-drawn [`MaterializedSample`]
-    /// instead of sampling afresh.
-    ///
-    /// This is the batch-estimation entry point: draw one sample (paying its
-    /// I/O once), then estimate any number of (index spec × compression
-    /// scheme) candidates from it.  For a sample drawn with the same
-    /// `(sampler kind, seed)` as this estimator would use, the measurement
-    /// is identical to [`estimate`](Self::estimate) — same rows, same CF —
-    /// except that `elapsed` excludes the (already paid) sampling time.
-    ///
-    /// Internally this runs the zero-copy path: the cached rows are read as
-    /// borrowed encoded records ([`MaterializedSample::records`]) and fed to
-    /// [`measure_records`] / [`measure_records_stratified`], so re-measuring
-    /// a cached sample never re-materialises its `(Rid, Row)` pairs.
-    pub fn estimate_materialized(
-        &self,
-        sample: &MaterializedSample,
-        spec: &IndexSpec,
-        scheme: &dyn CompressionScheme,
-    ) -> CoreResult<CfMeasurement> {
-        let records = sample.records()?;
-        let codec = sample.table().codec();
-        if !sample.row_strata().is_empty() {
-            return measure_records_stratified(
-                sample.table().schema(),
-                codec,
-                &records,
-                StrataAssignment {
-                    tags: sample.row_strata(),
-                    weights: sample.strata_weights(),
-                },
-                spec,
-                scheme,
-                &self.builder,
-                sample.kind().label(),
-            );
-        }
-        measure_records(
-            sample.table().schema(),
-            codec,
-            &records,
-            spec,
-            scheme,
-            &self.builder,
-            sample.kind().label(),
-        )
     }
 }
 
@@ -791,9 +672,9 @@ mod tests {
                     .seed(42)
                     .estimate(&t, &spec(), scheme.as_ref())
                     .unwrap();
-                let shared = SampleCf::new(kind)
-                    .estimate_materialized(&sample, &spec(), scheme.as_ref())
-                    .unwrap();
+                let shared =
+                    measure_sample(&sample, &spec(), scheme.as_ref(), &IndexBuilder::new())
+                        .unwrap();
                 assert_eq!(shared.cf, direct.cf, "{kind:?}/{scheme_name}");
                 assert_eq!(shared.cf_with_pointers, direct.cf_with_pointers);
                 assert_eq!(shared.cf_pages, direct.cf_pages);

@@ -62,7 +62,6 @@ pub mod distinct;
 pub mod error;
 pub mod estimator;
 pub mod metrics;
-mod parallel;
 pub mod progressive;
 pub mod theory;
 pub mod trials;
@@ -80,8 +79,7 @@ pub use distinct::{
 };
 pub use error::{CoreError, CoreResult};
 pub use estimator::{
-    measure_records, measure_records_stratified, measure_rows, measure_rows_stratified,
-    CfMeasurement, DataStats, DataStatsAccumulator, ExactCf, SampleCf, StrataAssignment,
+    measure_rows, measure_sample, CfMeasurement, DataStats, DataStatsAccumulator, ExactCf, SampleCf,
 };
 pub use metrics::{
     absolute_error, grouped_jackknife_variance, ratio_error, relative_error, SummaryStats,

@@ -27,7 +27,7 @@
 
 use crate::algebra::{self, MomentSketch, VarianceNode};
 use crate::error::{CoreError, CoreResult};
-use crate::estimator::{CfMeasurement, DataStatsAccumulator};
+use crate::estimator::{weighted_strata_cf, CfMeasurement, DataStatsAccumulator};
 use crate::metrics::grouped_jackknife_variance;
 use crate::theory;
 use rand::rngs::StdRng;
@@ -35,6 +35,7 @@ use rand::SeedableRng;
 use samplecf_compression::CompressionScheme;
 use samplecf_index::{measure_index, CompressedIndexReport, IndexBuilder, IndexSpec, SortedRun};
 use samplecf_obs::{Counter, Histogram, MetricsRegistry, Timer};
+use samplecf_parallel::parallel_indexed_map;
 use samplecf_sampling::{BatchSchedule, SamplerKind};
 use samplecf_storage::{CountingSource, TableSource};
 use std::time::Instant;
@@ -432,48 +433,19 @@ impl ProgressiveCf {
             let index = self.builder.build_from_sorted_run(&schema, spec, &merged)?;
             let report = measure_index(&index, scheme)?;
 
-            // Stratified draws estimate CF as Σ W_s·CF_s: each stratum's
-            // sub-index is built and compressed on its own, then combined
-            // with the population weights (renormalised over sampled
-            // strata) — the same weighted_combine the server-side
-            // measurement uses, so the two paths agree bit-for-bit.
-            let (cf, cf_with_pointers, cf_pages) = if is_stratified {
-                let k = strata_weights.len();
-                // Independent per-stratum sub-indexes fan out over the
-                // builder's pool (serial builds inside each job so strata ×
-                // sort workers cannot oversubscribe); results come back in
-                // stratum order, so the combination is thread-count
-                // independent.
-                let inner = self.builder.threads(1);
-                let per_stratum =
-                    crate::parallel::parallel_indexed_map(k, self.builder.thread_count(), |s| {
-                        if strata_rows[s] == 0 {
-                            return Ok(None);
-                        }
-                        let idx = inner.build_from_sorted_run(&schema, spec, &strata_runs[s])?;
-                        let rep = measure_index(&idx, scheme)?;
-                        Ok::<_, CoreError>(Some((rep.cf(), rep.cf_with_pointers(), rep.cf_pages())))
-                    });
-                let mut cfs = vec![None; k];
-                let mut cfwps = vec![None; k];
-                let mut cfps = vec![None; k];
-                for (s, result) in per_stratum.into_iter().enumerate() {
-                    if let Some((cf_s, cfwp_s, cfp_s)) = result? {
-                        cfs[s] = Some(cf_s);
-                        cfwps[s] = Some(cfwp_s);
-                        cfps[s] = Some(cfp_s);
-                    }
+            // Stratified draws estimate CF as Σ W_s·CF_s over per-stratum
+            // sub-indexes — the same `weighted_strata_cf` a cached sample is
+            // measured with, so the two paths agree bit-for-bit.  Unstratified
+            // draws have no weights, hence no strata to combine.
+            let stratified = weighted_strata_cf(&strata_weights, &self.builder, |s, inner| {
+                if strata_rows[s] == 0 {
+                    return Ok(None);
                 }
-                (
-                    algebra::weighted_combine(&strata_weights, &cfs).unwrap_or_else(|| report.cf()),
-                    algebra::weighted_combine(&strata_weights, &cfwps)
-                        .unwrap_or_else(|| report.cf_with_pointers()),
-                    algebra::weighted_combine(&strata_weights, &cfps)
-                        .unwrap_or_else(|| report.cf_pages()),
-                )
-            } else {
-                (report.cf(), report.cf_with_pointers(), report.cf_pages())
-            };
+                let idx = inner.build_from_sorted_run(&schema, spec, &strata_runs[s])?;
+                Ok(Some(measure_index(&idx, scheme)?))
+            })?;
+            let (cf, cf_with_pointers, cf_pages) = stratified
+                .unwrap_or_else(|| (report.cf(), report.cf_with_pointers(), report.cf_pages()));
 
             // Estimator variance: closed-form algebra for stratified draws,
             // grouped jackknife over batches otherwise.
@@ -484,10 +456,8 @@ impl ProgressiveCf {
                 // leave-one-out merges and measures over the pool and
                 // reassemble in skip order.
                 let inner = self.builder.threads(1);
-                let results = crate::parallel::parallel_indexed_map(
-                    batch_runs.len(),
-                    self.builder.thread_count(),
-                    |skip| {
+                let results =
+                    parallel_indexed_map(batch_runs.len(), self.builder.thread_count(), |skip| {
                         let partial = SortedRun::merge_all(
                             batch_runs
                                 .iter()
@@ -497,8 +467,7 @@ impl ProgressiveCf {
                         );
                         let idx = inner.build_from_sorted_run(&schema, spec, &partial)?;
                         Ok::<_, CoreError>(measure_index(&idx, scheme)?.cf())
-                    },
-                );
+                    });
                 let leave_one_out = results.into_iter().collect::<CoreResult<Vec<f64>>>()?;
                 grouped_jackknife_variance(cf, &leave_one_out, &batch_sizes)
             } else {

@@ -14,6 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use samplecf_compression::CompressionScheme;
 use samplecf_index::IndexSpec;
+use samplecf_parallel::parallel_indexed_map;
 use samplecf_sampling::SamplerKind;
 use samplecf_storage::TableSource;
 
@@ -187,7 +188,7 @@ impl TrialRunner {
     ) -> CoreResult<Vec<f64>> {
         let estimator = SampleCf::new(sampler);
         let base_seed = self.config.base_seed;
-        crate::parallel::parallel_indexed_map(self.config.trials, self.config.threads, |trial| {
+        parallel_indexed_map(self.config.trials, self.config.threads, |trial| {
             let seed = base_seed.wrapping_add(trial as u64);
             let mut rng = StdRng::seed_from_u64(seed);
             sampler

@@ -16,8 +16,9 @@
 //! variable-length rows via proptest.
 
 use proptest::prelude::*;
+use samplecf_compression::CompressionScheme;
 use samplecf_compression::{scheme_by_name, scheme_names};
-use samplecf_core::{measure_records, measure_records_stratified, measure_rows, StrataAssignment};
+use samplecf_core::{measure_rows, measure_sample, weighted_combine, CfMeasurement};
 use samplecf_index::{compress_index, measure_index, IndexBuilder, IndexSpec};
 use samplecf_sampling::{Allocation, MaterializedSample, SamplerKind, Strata, StrataMode};
 use samplecf_storage::{
@@ -67,16 +68,56 @@ fn samplers() -> [SamplerKind; 3] {
     ]
 }
 
+/// The decoded-row oracle for [`measure_sample`], composed from public
+/// pieces only: the pooled [`measure_rows`] over the sample's decoded rows
+/// and — when the sample carries stratum tags — the CF triple replaced by
+/// `Σ W_s·CF_s` over a [`measure_rows`] of each stratum's rows, combined
+/// with [`weighted_combine`].
+fn oracle_measure(
+    sample: &MaterializedSample,
+    rows: &[(Rid, Row)],
+    spec: &IndexSpec,
+    scheme: &dyn CompressionScheme,
+) -> CfMeasurement {
+    let schema = sample.table().schema();
+    let builder = IndexBuilder::new();
+    let measure = |rows: &[(Rid, Row)]| {
+        measure_rows(schema, rows, spec, scheme, &builder, sample.kind().label()).unwrap()
+    };
+    let mut pooled = measure(rows);
+    let weights = sample.strata_weights();
+    let per_stratum: Vec<Option<CfMeasurement>> = (0..weights.len())
+        .map(|s| {
+            let group: Vec<(Rid, Row)> = rows
+                .iter()
+                .zip(sample.row_strata())
+                .filter(|(_, &tag)| tag as usize == s)
+                .map(|(row, _)| row.clone())
+                .collect();
+            (!group.is_empty()).then(|| measure(&group))
+        })
+        .collect();
+    let combine = |field: fn(&CfMeasurement) -> f64| {
+        let values: Vec<Option<f64>> = per_stratum.iter().map(|m| m.as_ref().map(field)).collect();
+        weighted_combine(weights, &values)
+    };
+    if let Some(cf) = combine(|m| m.cf) {
+        pooled.cf = cf;
+        pooled.cf_with_pointers = combine(|m| m.cf_with_pointers).unwrap();
+        pooled.cf_pages = combine(|m| m.cf_pages).unwrap();
+    }
+    pooled
+}
+
 /// Assert the batch kernels agree with the byte-producing oracle on one
 /// drawn sample, at both layers: identical compression reports from the
-/// two index-build paths, and identical `CfMeasurement`s from the
-/// row-based and record-based estimator kernels.
+/// two index-build paths, and a `measure_sample` `CfMeasurement` identical
+/// to the decoded-row oracle's.
 fn assert_differential(source: &dyn TableSource, kind: SamplerKind, tag: &str) {
     let sample = MaterializedSample::draw(source, kind, 97).unwrap();
     let rows = sample.rows().unwrap();
     let records = sample.records().unwrap();
     let schema = sample.table().schema();
-    let codec = sample.table().codec();
     let builder = IndexBuilder::new();
     for spec in [
         IndexSpec::nonclustered("idx", ["a"]).unwrap(),
@@ -92,60 +133,10 @@ fn assert_differential(source: &dyn TableSource, kind: SamplerKind, tag: &str) {
             let measured = measure_index(&from_records, scheme.as_ref()).unwrap();
             assert_eq!(measured, oracle, "{tag}/{name}/{}", spec.name());
 
-            // Layer 2: the estimator kernels agree end to end.  Each
-            // record-based kernel is compared against the row-based kernel
-            // that takes the same combination path.
-            let (via_rows, via_records) = if sample.row_strata().is_empty() {
-                (
-                    measure_rows(
-                        schema,
-                        &rows,
-                        &spec,
-                        scheme.as_ref(),
-                        &builder,
-                        kind.label(),
-                    )
-                    .unwrap(),
-                    measure_records(
-                        schema,
-                        codec,
-                        &records,
-                        &spec,
-                        scheme.as_ref(),
-                        &builder,
-                        kind.label(),
-                    )
-                    .unwrap(),
-                )
-            } else {
-                let assignment = StrataAssignment {
-                    tags: sample.row_strata(),
-                    weights: sample.strata_weights(),
-                };
-                (
-                    samplecf_core::measure_rows_stratified(
-                        schema,
-                        &rows,
-                        assignment,
-                        &spec,
-                        scheme.as_ref(),
-                        &builder,
-                        kind.label(),
-                    )
-                    .unwrap(),
-                    measure_records_stratified(
-                        schema,
-                        codec,
-                        &records,
-                        assignment,
-                        &spec,
-                        scheme.as_ref(),
-                        &builder,
-                        kind.label(),
-                    )
-                    .unwrap(),
-                )
-            };
+            // Layer 2: the sample measure agrees end to end with the
+            // decoded-row oracle taking the same combination path.
+            let via_rows = oracle_measure(&sample, &rows, &spec, scheme.as_ref());
+            let via_records = measure_sample(&sample, &spec, scheme.as_ref(), &builder).unwrap();
             assert_eq!(via_records.cf, via_rows.cf, "{tag}/{name} pooled cf");
             assert_eq!(
                 via_records.cf_with_pointers, via_rows.cf_with_pointers,
@@ -211,42 +202,23 @@ fn thread_counts_do_not_change_a_single_byte() {
                 }
             }
 
-            // The stratified estimator kernel fans strata over the same
-            // pool; its combined measurement must not move either.
-            if !sample.row_strata().is_empty() {
-                let assignment = StrataAssignment {
-                    tags: sample.row_strata(),
-                    weights: sample.strata_weights(),
-                };
-                let scheme = scheme_by_name("dictionary-paged").unwrap();
-                let baseline = samplecf_core::measure_rows_stratified(
-                    schema,
-                    &rows,
-                    assignment,
-                    &spec,
-                    scheme.as_ref(),
-                    &serial,
-                    kind.label(),
-                )
-                .unwrap();
-                for threads in [2usize, 8, 0] {
-                    let threaded = IndexBuilder::new().threads(threads);
-                    let parallel = samplecf_core::measure_rows_stratified(
-                        schema,
-                        &rows,
-                        assignment,
-                        &spec,
-                        scheme.as_ref(),
-                        &threaded,
-                        kind.label(),
-                    )
-                    .unwrap();
-                    assert_eq!(parallel.cf, baseline.cf, "threads={threads} stratified cf");
-                    assert_eq!(parallel.cf_with_pointers, baseline.cf_with_pointers);
-                    assert_eq!(parallel.cf_pages, baseline.cf_pages);
-                    assert_eq!(parallel.data, baseline.data);
-                    assert_eq!(parallel.report, baseline.report);
-                }
+            // The sample measure fans strata over the same pool; its
+            // combined measurement must not move either, and stays equal to
+            // the serial decoded-row oracle.
+            let scheme = scheme_by_name("dictionary-paged").unwrap();
+            let baseline = measure_sample(&sample, &spec, scheme.as_ref(), &serial).unwrap();
+            let oracle = oracle_measure(&sample, &rows, &spec, scheme.as_ref());
+            assert_eq!(baseline.cf, oracle.cf, "{kind:?} oracle cf");
+            assert_eq!(baseline.cf_with_pointers, oracle.cf_with_pointers);
+            assert_eq!(baseline.cf_pages, oracle.cf_pages);
+            for threads in [2usize, 8, 0] {
+                let threaded = IndexBuilder::new().threads(threads);
+                let parallel = measure_sample(&sample, &spec, scheme.as_ref(), &threaded).unwrap();
+                assert_eq!(parallel.cf, baseline.cf, "threads={threads} {kind:?} cf");
+                assert_eq!(parallel.cf_with_pointers, baseline.cf_with_pointers);
+                assert_eq!(parallel.cf_pages, baseline.cf_pages);
+                assert_eq!(parallel.data, baseline.data);
+                assert_eq!(parallel.report, baseline.report);
             }
         }
     }

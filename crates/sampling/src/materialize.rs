@@ -6,18 +6,22 @@
 //! multiplies that cost for no statistical benefit when the candidates share
 //! a (sampler, fraction, seed) configuration.  A [`MaterializedSample`] pays
 //! the I/O exactly once: it draws through any [`TableSource`] and keeps the
-//! sampled rows as an owned in-memory [`Table`], so every later consumer
-//! (one per candidate index × compression scheme) works from memory.
+//! sampled rows as encoded heap pages (an owned in-memory [`Table`]), so
+//! every later consumer (one per candidate index × compression scheme) works
+//! from memory.
 //!
-//! Exactness matters more than convenience here: the advisor promises
-//! estimates that are byte-identical to re-running the sampler with the same
-//! seed.  The sample therefore remembers the RID each row came from, and
-//! [`rows`](MaterializedSample::rows) reconstructs the exact `(Rid, Row)`
-//! sequence the sampler produced — same rows, same order, same duplicates.
+//! This is the **only** form a held sample takes: heap pages, the RID each
+//! row came from, and — for stratified draws — each row's stratum tag plus
+//! the population weights.  Consumers measure it through
+//! [`records`](MaterializedSample::records), borrowed slices into those
+//! pages; [`rows`](MaterializedSample::rows) decodes the exact `(Rid, Row)`
+//! sequence the sampler produced — same rows, same order, same duplicates —
+//! for oracles and tests that need owned rows.
 
 use crate::error::SamplingResult;
-use crate::kind::SamplerKind;
+use crate::kind::{SamplerKind, StrataMode};
 use crate::sampler::SampledRow;
+use crate::strata::Strata;
 use crate::stream::SampleStream;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -59,50 +63,24 @@ impl MaterializedSample {
     ) -> SamplingResult<MaterializedSample> {
         let sampler = kind.build()?;
         let mut rng = StdRng::seed_from_u64(seed);
-        let sampled = sampler.sample(source, &mut rng)?;
-
-        let mut table = Table::with_page_size(
-            format!("{}#sample", source.name()),
-            source.schema().clone(),
-            source.page_size(),
-        )?;
-        let mut source_rids = Vec::with_capacity(sampled.len());
-        for (rid, row) in &sampled {
-            table.insert(row)?;
-            source_rids.push(*rid);
-        }
+        let mut sample = Self::empty(source, kind, seed)?;
+        sample.append(&sampler.sample(source, &mut rng)?)?;
         // A stratified draw's tags and weights are recomputable from
         // metadata alone: the partition is a pure function of
         // (frame, page count, k, mode), and a row's stratum of its page.
-        let (row_strata, strata_weights) =
-            if let SamplerKind::Stratified { strata, mode, .. } = kind {
-                let partition = match mode {
-                    crate::kind::StrataMode::EquiWidth => {
-                        crate::strata::Strata::equi_width(source, strata)?
-                    }
-                    crate::kind::StrataMode::EquiDepth => {
-                        crate::strata::Strata::equi_depth(source, strata)?
-                    }
-                };
-                let tags = source_rids
-                    .iter()
-                    .map(|rid| partition.stratum_of_page(rid.page) as u32)
-                    .collect();
-                (tags, partition.weights())
-            } else {
-                (Vec::new(), Vec::new())
+        if let SamplerKind::Stratified { strata, mode, .. } = kind {
+            let partition = match mode {
+                StrataMode::EquiWidth => Strata::equi_width(source, strata)?,
+                StrataMode::EquiDepth => Strata::equi_depth(source, strata)?,
             };
-        Ok(MaterializedSample {
-            table,
-            source_rids,
-            source_name: source.name().to_string(),
-            source_rows: source.num_rows(),
-            source_pages: source.num_pages(),
-            kind,
-            seed,
-            row_strata,
-            strata_weights,
-        })
+            sample.row_strata = sample
+                .source_rids
+                .iter()
+                .map(|rid| partition.stratum_of_page(rid.page) as u32)
+                .collect();
+            sample.strata_weights = partition.weights();
+        }
+        Ok(sample)
     }
 
     /// Materialize an empty sample shell for `source`, ready to be filled
@@ -166,10 +144,7 @@ impl MaterializedSample {
             if batch.is_empty() {
                 break;
             }
-            for (rid, row) in &batch {
-                self.table.insert(row)?;
-                self.source_rids.push(*rid);
-            }
+            self.append(&batch)?;
             if let Some(tags) = stream.batch_strata() {
                 self.row_strata.extend_from_slice(tags);
             }
@@ -181,6 +156,16 @@ impl MaterializedSample {
         Ok(self.source_rids.len() - before)
     }
 
+    /// Encode `rows` onto the sample's heap pages, remembering their source
+    /// rids.
+    fn append(&mut self, rows: &[SampledRow]) -> SamplingResult<()> {
+        for (rid, row) in rows {
+            self.table.insert(row)?;
+            self.source_rids.push(*rid);
+        }
+        Ok(())
+    }
+
     /// The sampled rows as an owned in-memory table (named
     /// `<source>#sample`).  Because [`Table`] implements [`TableSource`],
     /// the sample itself can feed any consumer that reads tables.
@@ -189,12 +174,10 @@ impl MaterializedSample {
         &self.table
     }
 
-    /// Reconstruct the exact `(Rid, Row)` pairs the sampler produced, in
-    /// draw order, with each row's RID in the *source* table.
-    ///
-    /// This is what makes sharing lossless: feeding these rows to the
-    /// estimator yields byte-identical results to sampling directly with the
-    /// same seed.
+    /// Decode the exact `(Rid, Row)` pairs the sampler produced, in draw
+    /// order, with each row's RID in the *source* table — the owned-row view
+    /// for oracles and tests; measurement goes through
+    /// [`records`](Self::records).
     pub fn rows(&self) -> SamplingResult<Vec<SampledRow>> {
         // `draw` inserts exactly one table row per recorded rid and the
         // struct is immutable afterwards, so the two sides always align.
@@ -210,22 +193,21 @@ impl MaterializedSample {
     /// The sampled rows as *borrowed* encoded heap records, in draw order,
     /// each tagged with its RID in the source table.
     ///
-    /// This is the zero-copy twin of [`rows`](Self::rows): the slices point
-    /// straight into the sample's in-page storage, so a consumer that works
-    /// on encoded records (index bulk-load, the batch measure kernels) can
-    /// run without decoding a single cell or cloning a single row.  The
+    /// The slices point straight into the sample's in-page storage, so a
+    /// consumer that works on encoded records (index bulk-load, the batch
+    /// measure kernels) runs without decoding a cell or cloning a row.  The
     /// record layout is the table's
     /// [`RowCodec`](samplecf_storage::RowCodec) layout — fixed cell widths
     /// behind a null bitmap — available via
     /// [`table().codec()`](samplecf_storage::Table::codec).
     pub fn records(&self) -> SamplingResult<Vec<(Rid, &[u8])>> {
         debug_assert_eq!(self.table.num_rows(), self.source_rids.len());
-        let heap = self.table.heap();
-        self.source_rids
+        Ok(self
+            .source_rids
             .iter()
-            .zip(self.table.rids())
-            .map(|(&source_rid, local)| Ok((source_rid, heap.get(local)?)))
-            .collect()
+            .zip(self.table.heap().scan())
+            .map(|(&source_rid, (_, record))| (source_rid, record))
+            .collect())
     }
 
     /// Number of sampled rows (duplicates counted, as drawn).

@@ -4,7 +4,7 @@
 //! seed)* group, shared by every request that asks for that configuration:
 //!
 //! * **Hits are lock-light and zero-I/O** — a request that finds its group
-//!   `Ready` leaves with an [`Arc`] snapshot of the drawn rows; the
+//!   `Ready` leaves with an [`Arc`] snapshot of the drawn sample; the
 //!   estimator then works entirely outside the cache lock.
 //! * **Duplicate in-flight requests coalesce** — the first miss marks the
 //!   group `InFlight` and draws *outside* the lock; concurrent requests for
@@ -16,7 +16,8 @@
 //!   of an existing group's family extends the cached sample through its
 //!   live stream ([`CachedSample::deepen`]), paying only the delta's I/O.
 //!   The shallow key retires; snapshots handed out earlier are immutable
-//!   and unaffected.
+//!   and unaffected (a deepen copies the sample's pages first only while
+//!   some request still holds the shallower snapshot).
 //! * **A byte budget bounds residency** — every entry is priced by
 //!   [`CachedSample::approx_bytes`]; when a shard's total exceeds its
 //!   budget the least-recently-used `Ready` entries *of that shard* are
@@ -43,7 +44,7 @@
 use crate::protocol::CacheDisposition;
 use samplecf_core::{CachedSample, CoreError, CoreResult};
 use samplecf_obs::{Counter, Gauge, MetricsRegistry};
-use samplecf_sampling::{SampledRow, SamplerKind};
+use samplecf_sampling::{MaterializedSample, SamplerKind};
 use samplecf_storage::SharedSource;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -106,11 +107,11 @@ impl CacheStats {
 }
 
 /// What a request leaves the cache with: an immutable snapshot of the drawn
-/// rows plus this acquisition's accounting.
+/// sample plus this acquisition's accounting.
 #[derive(Clone)]
 pub struct AcquiredSample {
-    /// The drawn `(Rid, Row)` pairs at exactly the requested configuration.
-    pub rows: Arc<Vec<SampledRow>>,
+    /// The drawn sample at exactly the requested configuration.
+    pub sample: Arc<MaterializedSample>,
     /// The configuration served.
     pub kind: SamplerKind,
     /// The seed served.
@@ -127,13 +128,12 @@ pub struct AcquiredSample {
 }
 
 struct ReadyGroup {
-    /// The live entry, locked only while deepening (readers use `rows`).
-    live: Arc<Mutex<CachedSample>>,
-    /// Immutable snapshot of the entry's rows at its current fraction.
-    rows: Arc<Vec<SampledRow>>,
-    kind: SamplerKind,
+    /// The live entry.  Readers leave with a clone of its sample handle; a
+    /// deepener takes the whole group out of the shard first, so the entry
+    /// is only ever mutated by its exclusive owner.
+    entry: CachedSample,
+    /// `entry.approx_bytes()` as charged against the shard budget.
     bytes: usize,
-    pages_total: u64,
     last_used: u64,
 }
 
@@ -336,11 +336,11 @@ impl Shard {
                     };
                     group.last_used = now;
                     let acquired = AcquiredSample {
-                        rows: Arc::clone(&group.rows),
+                        sample: Arc::clone(group.entry.sample()),
                         kind,
                         seed,
                         pages_read: 0,
-                        entry_pages_total: group.pages_total,
+                        entry_pages_total: group.entry.pages_read(),
                         disposition: CacheDisposition::Hit,
                     };
                     state.metrics.hits.inc();
@@ -375,10 +375,22 @@ impl Shard {
 
         state.metrics.misses.inc();
         drop(state);
+        self.draw_into(key, source, kind, seed)
+    }
+
+    /// Draw a fresh entry outside the shard lock and publish it under `key`
+    /// (already marked in-flight), or clear the marker if the draw fails.
+    fn draw_into(
+        &self,
+        key: GroupKey,
+        source: &SharedSource,
+        kind: SamplerKind,
+        seed: u64,
+    ) -> CoreResult<AcquiredSample> {
         match CachedSample::draw_streaming(source, kind, seed) {
             Ok(entry) => {
                 let pages = entry.pages_read();
-                Ok(self.publish(key, entry, pages, pages, CacheDisposition::Miss))
+                Ok(self.publish(key, entry, pages, CacheDisposition::Miss))
             }
             Err(e) => Err(self.abort_inflight(&key, e)),
         }
@@ -403,17 +415,10 @@ impl Shard {
             if candidate_key.0 != source_id || candidate_key.2 != seed {
                 continue;
             }
-            let deepenable = {
-                let live = group
-                    .live
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                live.deepenable_to(kind)
-            };
-            if !deepenable {
+            if !group.entry.deepenable_to(kind) {
                 continue;
             }
-            let fraction = group.kind.fraction().unwrap_or(0.0);
+            let fraction = group.entry.kind().fraction().unwrap_or(0.0);
             if best.as_ref().is_none_or(|(_, f)| fraction > *f) {
                 best = Some((candidate_key.clone(), fraction));
             }
@@ -436,88 +441,45 @@ impl Shard {
         kind: SamplerKind,
         seed: u64,
     ) -> CoreResult<AcquiredSample> {
-        let deepen_result = {
-            let mut live = base
-                .live
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            match live.deepen(kind) {
-                Ok(Some(delta)) => Ok(Some((delta, live.rows_arc(), live.pages_read()))),
-                Ok(None) => Ok(None),
-                Err(e) => Err(e),
-            }
-        };
-        match deepen_result {
-            Ok(Some((delta, rows, pages_total))) => {
-                let bytes = {
-                    let live = base
-                        .live
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    live.approx_bytes()
-                };
-                let mut state = lock_state(&self.state);
-                state.metrics.deepened.inc();
-                state.metrics.pages_read.add(delta);
-                state.clock += 1;
-                let last_used = state.clock;
-                state.total_bytes += bytes;
-                state.slots.insert(
-                    key.clone(),
-                    Slot::Ready(ReadyGroup {
-                        live: base.live,
-                        rows: Arc::clone(&rows),
-                        kind,
-                        bytes,
-                        pages_total,
-                        last_used,
-                    }),
-                );
-                self.evict_over_budget(&mut state, &key);
-                state.sync_gauges();
-                drop(state);
-                self.ready.notify_all();
-                Ok(AcquiredSample {
-                    rows,
-                    kind,
-                    seed,
-                    pages_read: delta,
-                    entry_pages_total: pages_total,
-                    disposition: CacheDisposition::Deepened,
-                })
-            }
+        // The entry extends its sample in place unless a request still reads
+        // the shallow snapshot, in which case it copies the pages first.
+        let mut entry = base.entry;
+        match entry.deepen(kind) {
+            Ok(Some(delta)) => Ok(self.publish(key, entry, delta, CacheDisposition::Deepened)),
             Ok(None) => {
                 // The stream refused (e.g. sealed between check and use —
                 // cannot happen today, but cheap to stay correct about):
                 // draw fresh under the in-flight marker we already hold.
                 lock_state(&self.state).metrics.misses.inc();
-                match CachedSample::draw_streaming(source, kind, seed) {
-                    Ok(entry) => {
-                        let pages = entry.pages_read();
-                        Ok(self.publish(key, entry, pages, pages, CacheDisposition::Miss))
-                    }
-                    Err(e) => Err(self.abort_inflight(&key, e)),
-                }
+                self.draw_into(key, source, kind, seed)
             }
             Err(e) => Err(self.abort_inflight(&key, e)),
         }
     }
 
-    /// Publish a finished entry under its in-flight key, account it, evict
-    /// as needed, and wake coalesced waiters of this shard.
+    /// Publish a finished (drawn or deepened) entry under its in-flight key,
+    /// account the pages this acquisition read, evict as needed, and wake
+    /// coalesced waiters of this shard.
     fn publish(
         &self,
         key: GroupKey,
         entry: CachedSample,
         acquisition_pages: u64,
-        entry_pages_total: u64,
         disposition: CacheDisposition,
     ) -> AcquiredSample {
-        let rows = entry.rows_arc();
+        let acquired = AcquiredSample {
+            sample: Arc::clone(entry.sample()),
+            kind: entry.kind(),
+            seed: entry.seed(),
+            pages_read: acquisition_pages,
+            entry_pages_total: entry.pages_read(),
+            disposition,
+        };
         let bytes = entry.approx_bytes();
-        let kind = entry.kind();
-        let seed = entry.seed();
         let mut state = lock_state(&self.state);
+        if disposition == CacheDisposition::Deepened {
+            state.metrics.deepened.inc();
+        }
         state.metrics.pages_read.add(acquisition_pages);
         state.clock += 1;
         let last_used = state.clock;
@@ -525,11 +487,8 @@ impl Shard {
         state.slots.insert(
             key.clone(),
             Slot::Ready(ReadyGroup {
-                live: Arc::new(Mutex::new(entry)),
-                rows: Arc::clone(&rows),
-                kind,
+                entry,
                 bytes,
-                pages_total: entry_pages_total,
                 last_used,
             }),
         );
@@ -537,14 +496,7 @@ impl Shard {
         state.sync_gauges();
         drop(state);
         self.ready.notify_all();
-        AcquiredSample {
-            rows,
-            kind,
-            seed,
-            pages_read: acquisition_pages,
-            entry_pages_total,
-            disposition,
-        }
+        acquired
     }
 
     /// Remove the in-flight marker after a failed draw and wake waiters so
@@ -660,8 +612,9 @@ mod tests {
         // One page-read pass for the whole stampede, physically measured.
         assert_eq!(counting.pages_read(), expected_pages);
         // Every thread sees byte-identical rows, equal to the serial draw.
+        let serial_rows = serial.sample().rows().unwrap();
         for acquired in &results {
-            assert_eq!(acquired.rows.as_slice(), serial.rows());
+            assert_eq!(acquired.sample.rows().unwrap(), serial_rows);
             assert_eq!(acquired.entry_pages_total, expected_pages);
         }
         // Exactly one miss paid the pages; the rest were hits, and each
@@ -697,7 +650,7 @@ mod tests {
         assert_eq!(shallow.disposition, CacheDisposition::Miss);
         let shallow_pages = (num_pages as f64 * 0.1).round().max(1.0) as u64;
         assert_eq!(shallow.pages_read, shallow_pages);
-        let shallow_rows = Arc::clone(&shallow.rows);
+        let shallow_rows = shallow.sample.rows().unwrap();
 
         let deep = cache.acquire(&shared, SamplerKind::Block(0.3), 9).unwrap();
         assert_eq!(deep.disposition, CacheDisposition::Deepened);
@@ -710,12 +663,13 @@ mod tests {
             "total I/O = one deep draw"
         );
         // The shallow snapshot handed out earlier is untouched.
-        assert_eq!(shallow_rows.len(), shallow.rows.len());
-        assert!(shallow_rows.len() < deep.rows.len());
+        assert_eq!(shallow.sample.rows().unwrap(), shallow_rows);
+        assert_eq!(shallow.sample.kind(), SamplerKind::Block(0.1));
+        assert!(shallow.sample.len() < deep.sample.len());
         // The deepened rows equal a fresh deep draw as a multiset.
         let fresh = CachedSample::draw(&shared, SamplerKind::Block(0.3), 9).unwrap();
-        let mut a = deep.rows.as_slice().to_vec();
-        let mut b = fresh.rows().to_vec();
+        let mut a = deep.sample.rows().unwrap();
+        let mut b = fresh.sample().rows().unwrap();
         a.sort_by_key(|(rid, _)| *rid);
         b.sort_by_key(|(rid, _)| *rid);
         assert_eq!(a, b);
@@ -727,13 +681,11 @@ mod tests {
             .seed(9)
             .estimate(&shared, &spec, &scheme)
             .unwrap();
-        let from_cache = samplecf_core::measure_rows(
-            shared.schema(),
-            &deep.rows,
+        let from_cache = samplecf_core::measure_sample(
+            &deep.sample,
             &spec,
             &scheme,
             &samplecf_index::IndexBuilder::new(),
-            SamplerKind::Block(0.3).label(),
         )
         .unwrap();
         assert_eq!(from_cache.cf, direct.cf);

@@ -21,14 +21,13 @@ use crate::protocol::{
 };
 use samplecf_compression::scheme_by_name;
 use samplecf_core::{
-    decide, evaluate_shared, measure_rows, measure_rows_stratified, ProgressiveCf,
-    ProgressiveConfig, Recommendation, StrataAssignment,
+    decide, evaluate_shared, measure_sample, ProgressiveCf, ProgressiveConfig, Recommendation,
 };
 use samplecf_index::{IndexBuilder, IndexSpec};
 use samplecf_obs::{
     Counter, Gauge, Histogram, HwmGauge, MetricsRegistry, Span, Stage, StageTimings,
 };
-use samplecf_sampling::{BatchSchedule, SamplerKind, Strata, StrataMode};
+use samplecf_sampling::BatchSchedule;
 use samplecf_storage::{CountingSource, TableSource};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -650,45 +649,15 @@ impl ServiceState {
             .cache
             .acquire(&setup.entry.shared, setup.kind, setup.seed)
             .map_err(|e| ApiError::new(codes::ESTIMATE_FAILED, e.to_string()))?;
-        // Stratified samples are measured as the weighted per-stratum
-        // combination, matching `SampleCf::estimate` bit-for-bit.  The
-        // stratum of each cached row is a pure function of its page (the
-        // partition is metadata-only), so nothing extra needs to live in
-        // the cache.
-        let measurement = if let SamplerKind::Stratified { strata, mode, .. } = setup.kind {
-            let partition = match mode {
-                StrataMode::EquiWidth => Strata::equi_width(setup.entry.shared.as_ref(), strata),
-                StrataMode::EquiDepth => Strata::equi_depth(setup.entry.shared.as_ref(), strata),
-            }
-            .map_err(|e| ApiError::new(codes::ESTIMATE_FAILED, e.to_string()))?;
-            #[allow(clippy::cast_possible_truncation)]
-            let tags: Vec<u32> = acquired
-                .rows
-                .iter()
-                .map(|(rid, _)| partition.stratum_of_page(rid.page) as u32)
-                .collect();
-            measure_rows_stratified(
-                setup.entry.shared.schema(),
-                &acquired.rows,
-                StrataAssignment {
-                    tags: &tags,
-                    weights: &partition.weights(),
-                },
-                &index.spec,
-                index.scheme.as_ref(),
-                &builder,
-                setup.kind.label(),
-            )
-        } else {
-            measure_rows(
-                setup.entry.shared.schema(),
-                &acquired.rows,
-                &index.spec,
-                index.scheme.as_ref(),
-                &builder,
-                setup.kind.label(),
-            )
-        }
+        // A stratified sample carries its tags and weights, so this is the
+        // weighted per-stratum combination there and the pooled CF
+        // otherwise — `SampleCf::estimate` bit-for-bit either way.
+        let measurement = measure_sample(
+            &acquired.sample,
+            &index.spec,
+            index.scheme.as_ref(),
+            &builder,
+        )
         .map_err(|e| ApiError::new(codes::ESTIMATE_FAILED, e.to_string()))?;
         let result = Json::obj()
             .field("table", Json::str(setup.entry.shared.name()))
@@ -718,7 +687,7 @@ impl ServiceState {
                 accounting(
                     acquired.pages_read,
                     acquired.disposition,
-                    Some(acquired.rows.len()),
+                    Some(acquired.sample.len()),
                 ),
             ),
         ))
@@ -869,8 +838,7 @@ impl ServiceState {
                 setup.entry.shared.as_ref(),
                 spec,
                 scheme.as_ref(),
-                &acquired.rows,
-                setup.kind.label(),
+                &acquired.sample,
                 0,
             )
         });
@@ -932,7 +900,7 @@ impl ServiceState {
                 accounting(
                     acquired.pages_read,
                     acquired.disposition,
-                    Some(acquired.rows.len()),
+                    Some(acquired.sample.len()),
                 )
                 .field("naive_pages_read", Json::uint(naive_pages)),
             ),
@@ -1412,6 +1380,79 @@ mod tests {
             ),
             codes::BAD_REQUEST
         );
+    }
+
+    #[test]
+    fn advise_and_estimate_agree_on_a_stratified_sample() {
+        // Both ops measure the one cached sample the one way: a stratified
+        // `advise` reports the weighted per-stratum CF `estimate` (and the
+        // in-process `SampleCf::estimate`) report, not the pooled ratio.
+        let path = std::env::temp_dir().join(format!(
+            "samplecf_service_stratified_advise_{}.scf",
+            std::process::id()
+        ));
+        let table = presets::clustered_variable_table("svc_strat_adv", 6_000, 32, 12, 5)
+            .generate()
+            .unwrap()
+            .table;
+        DiskTable::materialize(&path, &table).unwrap();
+        let _cleanup = Cleanup(path.clone());
+        let path = path.to_string_lossy().into_owned();
+        let state = ServiceState::new(DEFAULT_CACHE_BUDGET_BYTES);
+        ok(&state, &format!(r#"{{"op":"register","path":"{path}"}}"#));
+
+        let disk = DiskTable::open(&path).unwrap();
+        let spec = IndexSpec::nonclustered("idx", ["a"]).unwrap();
+        for (alloc_name, alloc) in [
+            ("prop", samplecf_sampling::Allocation::Proportional),
+            ("neyman", samplecf_sampling::Allocation::Neyman),
+        ] {
+            let kind = SamplerKind::Stratified {
+                fraction: 0.1,
+                strata: 6,
+                alloc,
+                mode: samplecf_sampling::StrataMode::EquiWidth,
+            };
+            let sampler = format!(
+                r#""table":"svc_strat_adv","sampler":"stratified","fraction":0.1,"strata":6,"alloc":"{alloc_name}","seed":11"#
+            );
+            let advise = ok(
+                &state,
+                &format!(
+                    r#"{{"op":"advise",{sampler},"candidates":[{{"index":"i_rle","scheme":"rle"}},{{"index":"i_dict","scheme":"dictionary-paged"}},{{"index":"i_ns","scheme":"null-suppression"}}]}}"#
+                ),
+            );
+            let recs = advise
+                .get("result")
+                .unwrap()
+                .get("recommendations")
+                .and_then(Json::as_array)
+                .unwrap();
+            for (rec, scheme_name) in
+                recs.iter()
+                    .zip(["rle", "dictionary-paged", "null-suppression"])
+            {
+                let estimate = ok(
+                    &state,
+                    &format!(r#"{{"op":"estimate",{sampler},"scheme":"{scheme_name}"}}"#),
+                );
+                let direct = SampleCf::new(kind)
+                    .seed(11)
+                    .estimate(&disk, &spec, scheme_by_name(scheme_name).unwrap().as_ref())
+                    .unwrap();
+                let advised = rec.get("estimated_cf").and_then(Json::as_f64);
+                assert_eq!(advised, Some(direct.cf), "{alloc_name}/{scheme_name}");
+                assert_eq!(
+                    advised,
+                    estimate
+                        .get("result")
+                        .unwrap()
+                        .get("cf")
+                        .and_then(Json::as_f64),
+                    "{alloc_name}/{scheme_name}"
+                );
+            }
+        }
     }
 
     #[test]

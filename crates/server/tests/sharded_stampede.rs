@@ -42,8 +42,9 @@ fn a_cross_table_stampede_draws_once_per_group_and_matches_serial() {
         .map(|&(t, seed)| {
             CachedSample::draw(&tables[t].1, kind, seed)
                 .expect("serial draw")
+                .sample()
                 .rows()
-                .to_vec()
+                .expect("sample decodes")
         })
         .collect();
     let expected_pages_per_table: Vec<u64> = tables
@@ -90,8 +91,8 @@ fn a_cross_table_stampede_draws_once_per_group_and_matches_serial() {
     for per_thread in &acquired {
         for (g, sample) in per_thread {
             assert_eq!(
-                sample.rows.as_slice(),
-                serial_rows[*g].as_slice(),
+                sample.sample.rows().expect("sample decodes"),
+                serial_rows[*g],
                 "group {g} diverged from the serial draw"
             );
         }
@@ -132,13 +133,11 @@ fn a_cross_table_stampede_draws_once_per_group_and_matches_serial() {
         .estimate(shared, &spec, &scheme)
         .expect("direct estimate");
     let handle = cache.acquire(shared, kind, SEEDS[0]).expect("cached");
-    let from_cache = samplecf_core::measure_rows(
-        shared.schema(),
-        &handle.rows,
+    let from_cache = samplecf_core::measure_sample(
+        &handle.sample,
         &spec,
         &scheme,
         &samplecf_index::IndexBuilder::new(),
-        kind.label(),
     )
     .expect("measure succeeds");
     assert_eq!(from_cache.cf, direct.cf);

@@ -267,6 +267,67 @@ fn advise_json_is_valid_and_accounts_shared_sample_io() {
 }
 
 #[test]
+fn advise_and_estimate_report_the_same_cf_for_a_stratified_sample() {
+    // One (table, sampler, seed, index, scheme) has one SampleCF estimate:
+    // `advise` must report the weighted per-stratum CF `estimate` documents
+    // for stratified draws, not the pooled ratio of the same rows.
+    let dir = TempDir::new("stratadvise");
+    let table = dir.path("demo.scf");
+    samplecf(&[
+        "gen",
+        "--out",
+        &table,
+        "--rows",
+        "60000",
+        "--distinct",
+        "600",
+        "--seed",
+        "3",
+    ]);
+    let schemes = ["rle", "dictionary-paged", "null-suppression"];
+    let cands = dir.path("candidates.txt");
+    std::fs::write(&cands, schemes.map(|s| format!("idx_{s} a {s}\n")).concat()).unwrap();
+    for alloc in ["prop", "neyman"] {
+        let sampler = [
+            "--sampler",
+            "stratified",
+            "--alloc",
+            alloc,
+            "--fraction",
+            "0.05",
+            "--seed",
+            "7",
+            "--json",
+        ];
+        let advise = samplecf(
+            &[
+                &["advise", "--table", &table, "--candidates", &cands],
+                &sampler[..],
+            ]
+            .concat(),
+        );
+        let advise = Json::parse(&advise).expect("advise --json emits valid JSON");
+        let recs = advise.key("recommendations").arr();
+        assert_eq!(recs.len(), schemes.len());
+        for (rec, scheme) in recs.iter().zip(schemes) {
+            let estimate = samplecf(
+                &[
+                    &["estimate", "--table", &table, "--scheme", scheme],
+                    &sampler[..],
+                ]
+                .concat(),
+            );
+            let estimate = Json::parse(&estimate).expect("estimate --json emits valid JSON");
+            assert_eq!(
+                rec.key("estimated_cf").num(),
+                estimate.key("cf").num(),
+                "{alloc}/{scheme}"
+            );
+        }
+    }
+}
+
+#[test]
 fn estimate_json_reports_the_seed_actually_used() {
     let dir = TempDir::new("estjson");
     let table = dir.path("demo.scf");
