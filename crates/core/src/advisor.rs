@@ -33,62 +33,11 @@ use crate::error::{CoreError, CoreResult};
 use crate::estimator::measure_sample;
 use samplecf_compression::CompressionScheme;
 use samplecf_index::{IndexBuilder, IndexSizeModel, IndexSpec};
-use samplecf_obs::{Counter, Histogram, MetricsRegistry};
 use samplecf_parallel::parallel_indexed_map;
 use samplecf_sampling::{MaterializedSample, SamplerKind};
 use samplecf_storage::{SharedSource, TableSource};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Registry-backed per-group shared-sample accounting for advisor plans.
-/// Default-constructed handles are disabled no-ops; attach live ones with
-/// [`CompressionAdvisor::metrics`].  Names are catalogued in
-/// `docs/OBSERVABILITY.md`.
-#[derive(Debug, Clone, Default)]
-pub struct AdvisorMetrics {
-    /// Plans produced (`samplecf_advisor_plans_total`).
-    plans: Counter,
-    /// Candidates evaluated (`samplecf_advisor_candidates_total`).
-    candidates: Counter,
-    /// Shared sample groups drawn (`samplecf_advisor_groups_total`).
-    groups: Counter,
-    /// Physical pages read drawing the shared samples
-    /// (`samplecf_advisor_pages_read_total`).
-    pages_read: Counter,
-    /// Pages saved versus re-sampling per candidate
-    /// (`samplecf_advisor_pages_saved_total`).
-    pages_saved: Counter,
-    /// Per-group draw wall time (`samplecf_advisor_sample_draw_ns`).
-    sample_draw_ns: Histogram,
-}
-
-impl AdvisorMetrics {
-    /// Register the advisor instrument set in `registry`.
-    #[must_use]
-    pub fn register_in(registry: &MetricsRegistry) -> Self {
-        AdvisorMetrics {
-            plans: registry.counter("samplecf_advisor_plans_total"),
-            candidates: registry.counter("samplecf_advisor_candidates_total"),
-            groups: registry.counter("samplecf_advisor_groups_total"),
-            pages_read: registry.counter("samplecf_advisor_pages_read_total"),
-            pages_saved: registry.counter("samplecf_advisor_pages_saved_total"),
-            sample_draw_ns: registry.histogram("samplecf_advisor_sample_draw_ns"),
-        }
-    }
-
-    /// Record one finished plan's accounting.
-    fn observe_plan(&self, plan: &AdvisorPlan) {
-        self.plans.inc();
-        self.candidates.add(plan.recommendations.len() as u64);
-        self.groups.add(plan.groups.len() as u64);
-        self.pages_read.add(plan.pages_read());
-        self.pages_saved.add(plan.pages_saved_vs_naive());
-        for group in &plan.groups {
-            self.sample_draw_ns
-                .record(u64::try_from(group.sample_elapsed.as_nanos()).unwrap_or(u64::MAX));
-        }
-    }
-}
 
 /// A candidate index the advisor reasons about: where the data lives, the
 /// index to (potentially) build compressed, and the compression scheme under
@@ -223,8 +172,6 @@ pub struct SampleGroup {
     pub sample_rows: usize,
     /// Physical pages read from the source to draw the sample.
     pub pages_read: u64,
-    /// Wall-clock time spent drawing and materializing the sample.
-    pub sample_elapsed: Duration,
 }
 
 /// The advisor's overall output: recommendations plus the cost accounting of
@@ -290,12 +237,6 @@ impl AdvisorPlan {
             .map(|g| g.pages_read * g.candidates as u64)
             .sum()
     }
-
-    /// Pages saved versus the naive re-sample-per-candidate baseline.
-    #[must_use]
-    pub fn pages_saved_vs_naive(&self) -> u64 {
-        self.naive_pages_read().saturating_sub(self.pages_read())
-    }
 }
 
 /// Configuration of the advisor.
@@ -343,38 +284,32 @@ impl AdvisorConfig {
     }
 }
 
+impl AdvisorConfig {
+    /// Check the configuration without drawing anything: the sampler's
+    /// parameters (e.g. fraction in (0, 1]) and the saving threshold.
+    pub fn validate(&self) -> CoreResult<()> {
+        self.sampler.build()?;
+        if !(0.0..=1.0).contains(&self.min_saving_fraction) {
+            return Err(CoreError::InvalidConfig(format!(
+                "min saving fraction must be in [0, 1], got {}",
+                self.min_saving_fraction
+            )));
+        }
+        Ok(())
+    }
+}
+
 /// The compression advisor.
 #[derive(Debug, Clone)]
 pub struct CompressionAdvisor {
     config: AdvisorConfig,
-    metrics: AdvisorMetrics,
 }
 
 impl CompressionAdvisor {
-    /// Create an advisor with the given configuration.
+    /// Create an advisor with the given (validated) configuration.
     pub fn new(config: AdvisorConfig) -> CoreResult<Self> {
-        // Building the sampler validates its parameters (e.g. fraction in
-        // (0, 1]) without drawing anything.
-        config.sampler.build()?;
-        if !(0.0..=1.0).contains(&config.min_saving_fraction) {
-            return Err(CoreError::InvalidConfig(format!(
-                "min saving fraction must be in [0, 1], got {}",
-                config.min_saving_fraction
-            )));
-        }
-        Ok(CompressionAdvisor {
-            config,
-            metrics: AdvisorMetrics::default(),
-        })
-    }
-
-    /// Record plan accounting into `metrics` (see
-    /// [`AdvisorMetrics::register_in`]).  Plans are byte-identical with or
-    /// without live instruments.
-    #[must_use]
-    pub fn metrics(mut self, metrics: AdvisorMetrics) -> Self {
-        self.metrics = metrics;
-        self
+        config.validate()?;
+        Ok(CompressionAdvisor { config })
     }
 
     /// Produce a plan for a set of candidate indexes.
@@ -425,13 +360,6 @@ impl CompressionAdvisor {
             recommendations.push(r?);
         }
 
-        // Phase 3: decide what to compress.
-        decide(
-            &mut recommendations,
-            self.config.min_saving_fraction,
-            self.config.budget_bytes,
-        );
-
         let groups = cache
             .entries()
             .iter()
@@ -442,33 +370,70 @@ impl CompressionAdvisor {
                 candidates: e.uses(),
                 sample_rows: e.sample().len(),
                 pages_read: e.pages_read(),
-                sample_elapsed: e.draw_elapsed(),
             })
             .collect();
+        Ok(self.decide(recommendations, groups, started))
+    }
 
-        let plan = AdvisorPlan {
+    /// Plan `candidates` against one sample the caller already holds — the
+    /// entry for hosts that own their sample cache (the `samplecfd` service
+    /// serving `advise` from its concurrent cache).  `sample` must be the
+    /// draw of this advisor's `(sampler, seed)` over `source`, and
+    /// `draw_pages` what that draw cost; the result is the one-group plan
+    /// [`plan`](Self::plan) returns for the same candidates, recommendation
+    /// for recommendation.
+    pub fn plan_shared_sample(
+        &self,
+        source: &dyn TableSource,
+        candidates: &[(IndexSpec, Box<dyn CompressionScheme>)],
+        sample: &MaterializedSample,
+        draw_pages: u64,
+    ) -> CoreResult<AdvisorPlan> {
+        let started = Instant::now();
+        let mut recommendations = Vec::with_capacity(candidates.len());
+        for r in parallel_indexed_map(candidates.len(), self.config.threads, |i| {
+            let (spec, scheme) = &candidates[i];
+            evaluate_shared(source, spec, scheme.as_ref(), sample, 0)
+        }) {
+            recommendations.push(r?);
+        }
+        let group = SampleGroup {
+            table: source.name().to_string(),
+            sampler: self.config.sampler.label(),
+            seed: self.config.seed,
+            candidates: candidates.len(),
+            sample_rows: sample.len(),
+            pages_read: draw_pages,
+        };
+        Ok(self.decide(recommendations, vec![group], started))
+    }
+
+    /// Phase 3: the saving threshold first, then the greedy budget pass.
+    fn decide(
+        &self,
+        mut recommendations: Vec<Recommendation>,
+        groups: Vec<SampleGroup>,
+        started: Instant,
+    ) -> AdvisorPlan {
+        apply_saving_threshold(&mut recommendations, self.config.min_saving_fraction);
+        apply_budget(&mut recommendations, self.config.budget_bytes);
+        AdvisorPlan {
             recommendations,
             groups,
             budget_bytes: self.config.budget_bytes,
             elapsed: started.elapsed(),
-        };
-        self.metrics.observe_plan(&plan);
-        Ok(plan)
+        }
     }
 }
 
 /// Evaluate one candidate index against an already-drawn shared sample,
-/// with `compress` left `false` pending [`decide`].
+/// with `compress` left `false` pending the decision pass.
 ///
-/// This is the advisor's per-candidate kernel, exposed so that other
-/// shared-sample hosts (the `samplecfd` server evaluating an `advise`
-/// request against its concurrent cache) produce [`Recommendation`]s that
-/// are byte-identical to [`CompressionAdvisor::plan`] for the same sample:
-/// the uncompressed size comes from the analytic [`IndexSizeModel`] (no
+/// The uncompressed size comes from the analytic [`IndexSizeModel`] (no
 /// I/O), the compressed size from [`measure_sample`] — so a candidate's
 /// `estimated_cf` equals [`SampleCf::estimate`](crate::SampleCf::estimate)
 /// for the sample's `(sampler, seed)`, stratified draws included.
-pub fn evaluate_shared(
+fn evaluate_shared(
     source: &dyn TableSource,
     spec: &IndexSpec,
     scheme: &dyn CompressionScheme,
@@ -494,19 +459,6 @@ pub fn evaluate_shared(
         group,
         compress: false,
     })
-}
-
-/// Decide what to compress: the saving threshold first, then the greedy
-/// budget pass.  This is phase 3 of [`CompressionAdvisor::plan`], exposed
-/// for hosts that evaluate candidates through [`evaluate_shared`] and need
-/// the identical selection policy.
-pub fn decide(
-    recommendations: &mut [Recommendation],
-    min_saving_fraction: f64,
-    budget_bytes: Option<usize>,
-) {
-    apply_saving_threshold(recommendations, min_saving_fraction);
-    apply_budget(recommendations, budget_bytes);
 }
 
 /// Pass 1: compress whatever clears the saving threshold.

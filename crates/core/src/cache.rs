@@ -27,7 +27,6 @@ use samplecf_sampling::{BatchSchedule, MaterializedSample, SampleStream, Sampler
 use samplecf_storage::{CountingSource, Rid, SharedSource, TableSource};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Identity of a source handle.  Two requests share a cache entry only when
 /// their handles point at the *same* allocation (clones of one
@@ -58,7 +57,6 @@ pub struct CachedSample {
     /// is the only holder and copies the pages first when it is not.
     sample: Arc<MaterializedSample>,
     pages_read: u64,
-    draw_elapsed: Duration,
     uses: usize,
     /// Live draw state for streaming entries: keeping the stream and its
     /// RNG is what allows the entry to be deepened later at only the
@@ -67,7 +65,7 @@ pub struct CachedSample {
 }
 
 impl CachedSample {
-    /// Draw and materialize one sample, accounting its I/O and wall-clock.
+    /// Draw and materialize one sample, accounting its I/O.
     ///
     /// The draw goes through a [`CountingSource`], so
     /// [`pages_read`](Self::pages_read) records exactly how many physical
@@ -75,9 +73,7 @@ impl CachedSample {
     /// at this exact configuration but cannot be deepened.
     pub fn draw(source: &SharedSource, kind: SamplerKind, seed: u64) -> CoreResult<CachedSample> {
         let counting = CountingSource::new(source.as_ref());
-        let started = Instant::now();
         let sample = MaterializedSample::draw(&counting, kind, seed)?;
-        let draw_elapsed = started.elapsed();
         let pages_read = counting.pages_read();
         Ok(CachedSample {
             source: Arc::clone(source),
@@ -85,7 +81,6 @@ impl CachedSample {
             seed,
             sample: Arc::new(sample),
             pages_read,
-            draw_elapsed,
             uses: 1,
             stream: None,
         })
@@ -106,11 +101,9 @@ impl CachedSample {
             return Self::draw(source, kind, seed);
         }
         let counting = CountingSource::new(source.as_ref());
-        let started = Instant::now();
         let mut stream = kind.stream(BatchSchedule::one_shot())?;
         let mut rng = StdRng::seed_from_u64(seed);
         let sample = MaterializedSample::from_stream(&counting, stream.as_mut(), &mut rng, seed)?;
-        let draw_elapsed = started.elapsed();
         let pages_read = counting.pages_read();
         Ok(CachedSample {
             source: Arc::clone(source),
@@ -118,7 +111,6 @@ impl CachedSample {
             seed,
             sample: Arc::new(sample),
             pages_read,
-            draw_elapsed,
             uses: 1,
             stream: Some((stream, rng)),
         })
@@ -160,9 +152,7 @@ impl CachedSample {
             return Ok(None);
         }
         let counting = CountingSource::new(self.source.as_ref());
-        let started = Instant::now();
         Arc::make_mut(&mut self.sample).extend_from_stream(&counting, stream.as_mut(), rng)?;
-        self.draw_elapsed += started.elapsed();
         let delta = counting.pages_read();
         self.pages_read += delta;
         self.kind = kind;
@@ -211,12 +201,6 @@ impl CachedSample {
     #[must_use]
     pub fn pages_read(&self) -> u64 {
         self.pages_read
-    }
-
-    /// Wall-clock time spent drawing and materializing the sample.
-    #[must_use]
-    pub fn draw_elapsed(&self) -> Duration {
-        self.draw_elapsed
     }
 
     /// How many times this entry was requested (1 = drawn, never reused).

@@ -67,8 +67,7 @@ pub mod theory;
 pub mod trials;
 
 pub use advisor::{
-    decide, evaluate_shared, AdvisorConfig, AdvisorMetrics, AdvisorPlan, Candidate,
-    CompressionAdvisor, Recommendation, SampleGroup,
+    AdvisorConfig, AdvisorPlan, Candidate, CompressionAdvisor, Recommendation, SampleGroup,
 };
 pub use algebra::{ns_row_statistic, weighted_combine, MomentSketch, VarianceNode};
 pub use cache::{CachedSample, SampleCache};

@@ -35,6 +35,27 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// The JSON form of the scalars responses are built from.
+macro_rules! json_from {
+    ($($from:ty => |$v:ident| $json:expr;)*) => {
+        $(impl From<$from> for Json {
+            fn from($v: $from) -> Json {
+                $json
+            }
+        })*
+    };
+}
+
+json_from! {
+    u64 => |n| Json::uint(n);
+    usize => |n| Json::uint(n as u64);
+    f64 => |n| Json::Num(n);
+    bool => |b| Json::Bool(b);
+    &str => |s| Json::str(s);
+    &String => |s| Json::str(s);
+    Option<f64> => |n| n.map_or(Json::Null, Json::Num);
+}
+
 impl Json {
     /// A string value.
     #[must_use]
@@ -57,11 +78,12 @@ impl Json {
     }
 
     /// Append a member to an object (panics when `self` is not an object —
-    /// a builder misuse, not a data error).
+    /// a builder misuse, not a data error).  The value is anything with a
+    /// JSON form: a `Json`, a count, a float, a flag, a string.
     #[must_use]
-    pub fn field(mut self, key: impl Into<String>, value: Json) -> Json {
+    pub fn field(mut self, key: impl Into<String>, value: impl Into<Json>) -> Json {
         match &mut self {
-            Json::Obj(members) => members.push((key.into(), value)),
+            Json::Obj(members) => members.push((key.into(), value.into())),
             other => panic!("field() on non-object {other:?}"),
         }
         self

@@ -49,16 +49,21 @@
 
 pub mod cache;
 pub mod catalog;
+mod execute;
 pub mod json;
 pub mod poll;
 pub mod protocol;
+pub mod response;
 pub mod server;
 pub mod service;
 
 pub use cache::{AcquiredSample, CacheStats, ConcurrentSampleCache, DEFAULT_CACHE_BUDGET_BYTES};
 pub use catalog::{CatalogEntry, TableCatalog};
 pub use json::Json;
-pub use protocol::{table_info_json, ApiError, CacheDisposition};
+pub use protocol::{
+    ApiError, CacheDisposition, IndexChoice, Request, RequestKind, SampleSpec, StoppingSpec,
+};
+pub use response::{Accounting, Response};
 pub use samplecf_obs::{MetricsRegistry, RegistrySnapshot, Stage, StageTimings};
 pub use server::{Server, ServerConfig, ServerHandle};
-pub use service::{RequestKind, ServiceState};
+pub use service::{Instruments, ServiceState};

@@ -34,8 +34,9 @@
 use crate::cache::{DEFAULT_CACHE_BUDGET_BYTES, DEFAULT_CACHE_SHARDS};
 use crate::json::Json;
 use crate::poll::{Event, Interest, Poller, Waker};
+use crate::protocol::RequestKind;
 use crate::protocol::{codes, error_response, ApiError};
-use crate::service::{RequestKind, ServiceState};
+use crate::service::ServiceState;
 use samplecf_obs::{Stage, StageTimings};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -340,7 +341,7 @@ impl EventLoop {
         }
         if self.open >= self.config.max_connections {
             // Over the limit: tell the client why, best-effort, and close.
-            self.state.gauges.connection_rejected();
+            self.state.gauges.connections_rejected.inc();
             let mut line = busy_line("connection limit reached, retry later").into_bytes();
             line.push(b'\n');
             let _ = (&stream).write(&line);
@@ -370,7 +371,8 @@ impl EventLoop {
             interest: Interest::READ,
         });
         self.open += 1;
-        self.state.gauges.connection_opened();
+        self.state.gauges.connections_accepted.inc();
+        self.state.gauges.open_connections.add(1);
     }
 
     fn conn_ready(&mut self, event: &Event) {
@@ -468,7 +470,7 @@ impl EventLoop {
                             conn.inflight = true;
                         }
                         Err(_job) => {
-                            self.state.gauges.busy_rejected();
+                            self.state.gauges.busy_rejections.inc();
                             conn.push_response(&busy_line("request queue is full, retry later"));
                         }
                     }
@@ -520,7 +522,7 @@ impl EventLoop {
             drop(conn);
             self.free.push(idx);
             self.open -= 1;
-            self.state.gauges.connection_closed();
+            self.state.gauges.open_connections.sub(1);
         }
     }
 
@@ -551,7 +553,7 @@ impl EventLoop {
         if threshold_ns == 0 || total_ns < threshold_ns {
             return;
         }
-        self.state.note_slow_request();
+        self.state.gauges.slow_requests.inc();
         let mut stages = Json::obj();
         for (stage, nanos) in completion.timings.recorded() {
             stages = stages.field(stage.name(), Json::uint(nanos));
@@ -618,9 +620,9 @@ impl Server {
             ServiceState::with_shards(config.cache_budget_bytes, config.cache_shards)
                 .with_estimator_threads(config.estimator_threads),
         );
-        state
-            .gauges
-            .set_limits(config.max_connections, config.queue_depth);
+        let gauges = &state.gauges;
+        gauges.max_connections.set(config.max_connections as u64);
+        gauges.queue_capacity.set(config.queue_depth as u64);
 
         let poller = Poller::new()?;
         poller.register(&listener, LISTENER_TOKEN, Interest::READ)?;

@@ -1,175 +1,99 @@
-//! Request dispatch: one parsed protocol request in, one response out.
+//! The shared state of one service instance, and its line-level front.
 //!
-//! [`ServiceState`] is everything the daemon shares across connections —
-//! the table catalog, the concurrent sample cache, request counters and
-//! the shutdown flag — and [`ServiceState::handle_line`] is the whole
-//! protocol state machine, independent of any transport.  The TCP layer
-//! ([`crate::server`]) feeds it lines; tests and the throughput experiment
-//! can call it directly.
-//!
-//! Every data-touching op reports per-request accounting (`pages_read`,
-//! how the cache served it, sample rows), so a client can audit exactly
-//! what its request cost — the paper's "estimation is cheap" claim made
-//! observable per call.
+//! [`ServiceState`] is everything a `samplecfd` shares across connections —
+//! the table catalog, the concurrent sample cache, the one instrument set
+//! and the shutdown flag.  [`ServiceState::handle_line`] is the whole
+//! protocol state machine, independent of any transport: parse the line
+//! into a typed [`Request`], [`execute`](ServiceState::execute) it, render
+//! the typed [`Response`](crate::Response).  The TCP layer
+//! ([`crate::server`]) feeds it lines; the `samplecf` CLI calls `execute`
+//! on a private instance, so a one-shot and a served answer are one value.
 
 use crate::cache::ConcurrentSampleCache;
 use crate::catalog::TableCatalog;
 use crate::json::Json;
-use crate::protocol::{
-    accounting, codes, error_response, ok_response, opt_bool, opt_f64, opt_str, opt_string_array,
-    opt_u64, req_str, sampler_by_name, table_info_json, ApiError, CacheDisposition,
-};
-use samplecf_compression::scheme_by_name;
-use samplecf_core::{
-    decide, evaluate_shared, measure_sample, ProgressiveCf, ProgressiveConfig, Recommendation,
-};
-use samplecf_index::{IndexBuilder, IndexSpec};
+use crate::protocol::{codes, error_response, ApiError, Request, RequestKind};
 use samplecf_obs::{
     Counter, Gauge, Histogram, HwmGauge, MetricsRegistry, Span, Stage, StageTimings,
 };
-use samplecf_sampling::BatchSchedule;
-use samplecf_storage::{CountingSource, TableSource};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-/// The kind of one request, as classified by the dispatcher — the label
-/// axis of the per-request latency histograms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RequestKind {
-    /// A `register` request.
-    Register,
-    /// An `info` request.
-    Info,
-    /// An `estimate` request.
-    Estimate,
-    /// An `estimate_progressive` request.
-    EstimateProgressive,
-    /// An `advise` request.
-    Advise,
-    /// A `stats` request.
-    Stats,
-    /// A `metrics` request.
-    Metrics,
-    /// A `shutdown` request.
-    Shutdown,
-    /// A line that failed to parse or named an unknown op.
-    Invalid,
-}
-
-impl RequestKind {
-    /// Every kind, in protocol order.
-    pub const ALL: [RequestKind; 9] = [
-        RequestKind::Register,
-        RequestKind::Info,
-        RequestKind::Estimate,
-        RequestKind::EstimateProgressive,
-        RequestKind::Advise,
-        RequestKind::Stats,
-        RequestKind::Metrics,
-        RequestKind::Shutdown,
-        RequestKind::Invalid,
-    ];
-
-    /// The op string (or `"invalid"`), used as the `op` label.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            RequestKind::Register => "register",
-            RequestKind::Info => "info",
-            RequestKind::Estimate => "estimate",
-            RequestKind::EstimateProgressive => "estimate_progressive",
-            RequestKind::Advise => "advise",
-            RequestKind::Stats => "stats",
-            RequestKind::Metrics => "metrics",
-            RequestKind::Shutdown => "shutdown",
-            RequestKind::Invalid => "invalid",
-        }
-    }
-
-    #[inline]
-    fn index(self) -> usize {
-        self as usize
-    }
-}
-
-/// Per-op request counters, reported by the `stats` op and exposed as
-/// `samplecf_requests_total{op="..."}` (errors under
-/// `samplecf_request_errors_total`).
+/// The service's one instrument set: every handle is a cell of the
+/// daemon-wide [`MetricsRegistry`] (names in `docs/OBSERVABILITY.md`), so
+/// the `stats` op, the `metrics` exposition and an in-process harness all
+/// read the same numbers.  Per-kind and per-stage instruments are arrays
+/// indexed by [`RequestKind`] / [`Stage`].
 #[derive(Debug)]
-pub struct RequestCounters {
-    register: Counter,
-    info: Counter,
-    estimate: Counter,
-    estimate_progressive: Counter,
-    advise: Counter,
-    stats: Counter,
-    metrics: Counter,
-    shutdown: Counter,
+pub struct Instruments {
+    /// Requests dispatched per kind (`samplecf_requests_total{op="..."}`).
+    /// `invalid` lines never reach dispatch, so that slot is detached.
+    requests: [Counter; RequestKind::ALL.len()],
+    /// Requests answered with an error (`samplecf_request_errors_total`).
     errors: Counter,
-}
-
-impl RequestCounters {
-    fn register_in(registry: &MetricsRegistry) -> Self {
-        let op = |o: &str| registry.counter(&format!("samplecf_requests_total{{op=\"{o}\"}}"));
-        RequestCounters {
-            register: op("register"),
-            info: op("info"),
-            estimate: op("estimate"),
-            estimate_progressive: op("estimate_progressive"),
-            advise: op("advise"),
-            stats: op("stats"),
-            metrics: op("metrics"),
-            shutdown: op("shutdown"),
-            errors: registry.counter("samplecf_request_errors_total"),
-        }
-    }
-
-    fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("register", self.register.get()),
-            ("info", self.info.get()),
-            ("estimate", self.estimate.get()),
-            ("estimate_progressive", self.estimate_progressive.get()),
-            ("advise", self.advise.get()),
-            ("stats", self.stats.get()),
-            ("metrics", self.metrics.get()),
-            ("shutdown", self.shutdown.get()),
-        ]
-    }
-}
-
-/// Transport-level gauges the event loop maintains and the `stats` op
-/// reports: connection and backpressure health.  Registry-backed — the
-/// same cells surface in the `metrics` exposition under
-/// `samplecf_connections_*` / `samplecf_queue_*` names.
-///
-/// The queue depth is a [`HwmGauge`]: it is written from both the event
-/// loop (enqueue) and the worker drain path, and a plain last-write-wins
-/// gauge silently erased depth spikes that happened between two `stats`
-/// snapshots.  The watermark keeps the max since the last snapshot.
-#[derive(Debug)]
-pub struct ServerGauges {
-    open_connections: Gauge,
-    connections_accepted: Counter,
-    connections_rejected: Counter,
-    busy_rejections: Counter,
+    /// End-to-end latency per request kind
+    /// (`samplecf_request_duration_ns{op="..."}`).
+    request_duration: [Histogram; RequestKind::ALL.len()],
+    /// Wall time per stage, summed over requests
+    /// (`samplecf_stage_duration_ns{stage="..."}`).
+    stage_duration: [Histogram; Stage::ALL.len()],
+    /// Requests slower than the configured threshold
+    /// (`samplecf_slow_requests_total`).
+    pub(crate) slow_requests: Counter,
+    /// Pages-read distribution of progressive runs
+    /// (`samplecf_source_pages_read{source="progressive"}`).
+    pub(crate) progressive_pages: Histogram,
+    /// Progressive estimator instruments, shared with the core crate.
+    pub(crate) progressive: samplecf_core::ProgressiveMetrics,
+    /// Shared-sample accounting of `advise` requests: pages actually read.
+    pub(crate) advisor_pages_read: Counter,
+    /// Pages a naive per-candidate redraw would have read.
+    pub(crate) advisor_naive_pages: Counter,
+    /// Candidates evaluated by `advise` requests.
+    pub(crate) advisor_candidates: Counter,
+    // The connection plane, maintained by the event loop.
+    pub(crate) open_connections: Gauge,
+    pub(crate) connections_accepted: Counter,
+    pub(crate) connections_rejected: Counter,
+    pub(crate) busy_rejections: Counter,
+    /// A high-watermark gauge: the depth is written from both the event
+    /// loop (enqueue) and the worker drain path, and a last-write-wins
+    /// gauge silently erased spikes between two `stats` snapshots.
     queue_depth: HwmGauge,
-    queue_capacity: Gauge,
-    max_connections: Gauge,
+    pub(crate) queue_capacity: Gauge,
+    pub(crate) max_connections: Gauge,
 }
 
-impl Default for ServerGauges {
-    fn default() -> Self {
-        Self::with_registry(&MetricsRegistry::new())
-    }
-}
-
-impl ServerGauges {
-    /// Gauges registered in `registry` (see `docs/OBSERVABILITY.md` for the
-    /// metric names).
-    #[must_use]
-    pub fn with_registry(registry: &MetricsRegistry) -> Self {
-        ServerGauges {
+impl Instruments {
+    fn register_in(registry: &MetricsRegistry) -> Self {
+        Instruments {
+            requests: RequestKind::ALL.map(|kind| match kind {
+                RequestKind::Invalid => Counter::disabled(),
+                kind => registry.counter(&format!(
+                    "samplecf_requests_total{{op=\"{}\"}}",
+                    kind.name()
+                )),
+            }),
+            errors: registry.counter("samplecf_request_errors_total"),
+            request_duration: RequestKind::ALL.map(|kind| {
+                registry.histogram(&format!(
+                    "samplecf_request_duration_ns{{op=\"{}\"}}",
+                    kind.name()
+                ))
+            }),
+            stage_duration: Stage::ALL.map(|stage| {
+                registry.histogram(&format!(
+                    "samplecf_stage_duration_ns{{stage=\"{}\"}}",
+                    stage.name()
+                ))
+            }),
+            slow_requests: registry.counter("samplecf_slow_requests_total"),
+            progressive_pages: registry
+                .histogram("samplecf_source_pages_read{source=\"progressive\"}"),
+            progressive: samplecf_core::ProgressiveMetrics::register_in(registry),
+            advisor_pages_read: registry.counter("samplecf_advisor_shared_pages_read_total"),
+            advisor_naive_pages: registry.counter("samplecf_advisor_naive_pages_total"),
+            advisor_candidates: registry.counter("samplecf_advisor_evaluated_candidates_total"),
             open_connections: registry.gauge("samplecf_connections_open"),
             connections_accepted: registry.counter("samplecf_connections_accepted_total"),
             connections_rejected: registry.counter("samplecf_connections_rejected_total"),
@@ -178,33 +102,6 @@ impl ServerGauges {
             queue_capacity: registry.gauge("samplecf_queue_capacity"),
             max_connections: registry.gauge("samplecf_max_connections"),
         }
-    }
-
-    /// Record the configured limits (once, at bind time).
-    pub fn set_limits(&self, max_connections: usize, queue_capacity: usize) {
-        self.max_connections.set(max_connections as u64);
-        self.queue_capacity.set(queue_capacity as u64);
-    }
-
-    /// A connection was accepted and occupies a slot.
-    pub fn connection_opened(&self) {
-        self.connections_accepted.inc();
-        self.open_connections.add(1);
-    }
-
-    /// A connection's slot was released.
-    pub fn connection_closed(&self) {
-        self.open_connections.sub(1);
-    }
-
-    /// A connection was turned away at the `max_connections` limit.
-    pub fn connection_rejected(&self) {
-        self.connections_rejected.inc();
-    }
-
-    /// A request was answered `busy` because the request queue was full.
-    pub fn busy_rejected(&self) {
-        self.busy_rejections.inc();
     }
 
     /// The request queue's current depth (set by enqueue/dequeue sites;
@@ -236,91 +133,6 @@ impl ServerGauges {
     pub fn busy_rejections(&self) -> u64 {
         self.busy_rejections.get()
     }
-
-    /// Requests currently queued for the worker pool.
-    #[must_use]
-    pub fn queue_depth(&self) -> u64 {
-        self.queue_depth.current()
-    }
-
-    /// The deepest the queue has been since the watermark was last taken
-    /// (non-destructive; `stats` uses the destructive
-    /// [`Self::take_queue_depth_max`]).
-    #[must_use]
-    pub fn queue_depth_max(&self) -> u64 {
-        self.queue_depth.max()
-    }
-
-    /// The deepest the queue has been since the last call, resetting the
-    /// watermark to the current depth.
-    #[must_use]
-    pub fn take_queue_depth_max(&self) -> u64 {
-        self.queue_depth.take_max()
-    }
-
-    /// The configured queue capacity.
-    #[must_use]
-    pub fn queue_capacity(&self) -> u64 {
-        self.queue_capacity.get()
-    }
-
-    /// The configured connection limit.
-    #[must_use]
-    pub fn max_connections(&self) -> u64 {
-        self.max_connections.get()
-    }
-}
-
-/// The service's own instruments: per-kind request latency, per-stage
-/// latency, and the slow-request counter.
-#[derive(Debug)]
-struct ServiceInstruments {
-    /// End-to-end latency per request kind
-    /// (`samplecf_request_duration_ns{op="..."}`).
-    request_duration: [Histogram; RequestKind::ALL.len()],
-    /// Wall time per stage, summed over requests
-    /// (`samplecf_stage_duration_ns{stage="..."}`).
-    stage_duration: [Histogram; Stage::ALL.len()],
-    /// Requests slower than the configured threshold
-    /// (`samplecf_slow_requests_total`).
-    slow_requests: Counter,
-    /// Pages-read distribution of progressive runs
-    /// (`samplecf_source_pages_read{source="progressive"}`).
-    progressive_pages: Histogram,
-    /// Progressive estimator instruments, shared with the core crate.
-    progressive: samplecf_core::ProgressiveMetrics,
-    /// Shared-sample accounting of `advise` requests: pages actually read.
-    advisor_pages_read: Counter,
-    /// Pages a naive per-candidate redraw would have read.
-    advisor_naive_pages: Counter,
-    /// Candidates evaluated by `advise` requests.
-    advisor_candidates: Counter,
-}
-
-impl ServiceInstruments {
-    fn register_in(registry: &MetricsRegistry) -> Self {
-        ServiceInstruments {
-            request_duration: RequestKind::ALL.map(|kind| {
-                registry.histogram(&format!(
-                    "samplecf_request_duration_ns{{op=\"{}\"}}",
-                    kind.name()
-                ))
-            }),
-            stage_duration: Stage::ALL.map(|stage| {
-                registry.histogram(&format!(
-                    "samplecf_stage_duration_ns{{stage=\"{}\"}}",
-                    stage.name()
-                ))
-            }),
-            slow_requests: registry.counter("samplecf_slow_requests_total"),
-            progressive_pages: registry
-                .histogram("samplecf_source_pages_read{source=\"progressive\"}"),
-            progressive: samplecf_core::ProgressiveMetrics::register_in(registry),
-            advisor_pages_read: registry.counter("samplecf_advisor_shared_pages_read_total"),
-            advisor_naive_pages: registry.counter("samplecf_advisor_naive_pages_total"),
-            advisor_candidates: registry.counter("samplecf_advisor_evaluated_candidates_total"),
-        }
-    }
 }
 
 /// The shared state of one running `samplecfd` instance.
@@ -329,13 +141,14 @@ pub struct ServiceState {
     pub catalog: TableCatalog,
     /// The shared, evicting sample cache.
     pub cache: ConcurrentSampleCache,
-    /// Transport gauges (connections, backpressure) for the `stats` op.
-    pub gauges: ServerGauges,
+    /// The service's instruments: request counters and latency, the
+    /// estimator's, and the transport gauges the event loop maintains.
+    pub gauges: Instruments,
     /// The daemon-wide metrics registry.  Every layer's instruments —
-    /// catalog, cache shards, transport gauges, request/stage latency, the
-    /// progressive estimator — registers here, and the `metrics` op
-    /// renders it as text exposition.  `Arc`-shared under the hood, so an
-    /// in-process load harness can clone the handle and assert on it.
+    /// catalog, cache shards, [`Instruments`] — registers here, and the
+    /// `metrics` op renders it as text exposition.  `Arc`-shared under the
+    /// hood, so an in-process load harness can clone the handle and assert
+    /// on it.
     pub metrics: MetricsRegistry,
     /// Default inner parallelism of one estimation request (0 = all
     /// cores); a request's `"threads"` field overrides it.  The daemon
@@ -343,8 +156,6 @@ pub struct ServiceState {
     /// parallel axis — `workers` requests run concurrently, and fanning
     /// each of them over every core would oversubscribe the machine.
     estimator_threads: usize,
-    counters: RequestCounters,
-    instruments: ServiceInstruments,
     started: Instant,
     shutdown: AtomicBool,
 }
@@ -357,21 +168,11 @@ impl ServiceState {
         Self::with_shards(cache_budget_bytes, crate::cache::DEFAULT_CACHE_SHARDS)
     }
 
-    /// Fresh state with an explicit cache shard count.  Builds its own
-    /// [`MetricsRegistry`] and threads it through every layer; pass one in
-    /// with [`Self::with_registry`] to share it more widely.
+    /// Fresh state with an explicit cache shard count.  Builds the
+    /// [`MetricsRegistry`] every layer's instruments feed.
     #[must_use]
     pub fn with_shards(cache_budget_bytes: usize, cache_shards: usize) -> Self {
-        Self::with_registry(cache_budget_bytes, cache_shards, MetricsRegistry::new())
-    }
-
-    /// Fresh state whose instruments all feed `registry`.
-    #[must_use]
-    pub fn with_registry(
-        cache_budget_bytes: usize,
-        cache_shards: usize,
-        registry: MetricsRegistry,
-    ) -> Self {
+        let registry = MetricsRegistry::new();
         ServiceState {
             catalog: TableCatalog::with_registry(crate::catalog::DEFAULT_CATALOG_SHARDS, &registry),
             cache: ConcurrentSampleCache::with_registry(
@@ -379,10 +180,8 @@ impl ServiceState {
                 cache_shards,
                 &registry,
             ),
-            gauges: ServerGauges::with_registry(&registry),
+            gauges: Instruments::register_in(&registry),
             estimator_threads: 1,
-            counters: RequestCounters::register_in(&registry),
-            instruments: ServiceInstruments::register_in(&registry),
             metrics: registry,
             started: Instant::now(),
             shutdown: AtomicBool::new(false),
@@ -402,13 +201,6 @@ impl ServiceState {
     #[must_use]
     pub fn estimator_threads(&self) -> usize {
         self.estimator_threads
-    }
-
-    /// The effective thread count of one request: its optional `"threads"`
-    /// field, falling back to the daemon-wide default.
-    fn request_threads(&self, request: &Json) -> Result<usize, ApiError> {
-        #[allow(clippy::cast_possible_truncation)]
-        Ok(opt_u64(request, "threads", self.estimator_threads as u64)? as usize)
     }
 
     /// Whether a `shutdown` request has been accepted.
@@ -437,48 +229,54 @@ impl ServiceState {
         response
     }
 
-    /// Handle one request line, attributing parse/execute/serialize wall
-    /// time to `timings`, and returning the response line plus the
-    /// request's classified kind.  Does **not** record into the registry —
-    /// the caller observes the finished timings via
-    /// [`Self::observe_request`] once the request's life is over.
+    /// Handle one request line — parse, [`execute`](Self::execute), render
+    /// — attributing each step's wall time to `timings`, and returning the
+    /// response line plus the request's classified kind.  Does **not**
+    /// record into the registry — the caller observes the finished timings
+    /// via [`Self::observe_request`] once the request's life is over.
     pub fn handle_line_traced(
         &self,
         line: &str,
         timings: &mut StageTimings,
     ) -> (String, RequestKind) {
-        let parsed = {
+        let (kind, request) = {
             let _parse = Span::enter(timings, Stage::Parse);
-            Json::parse(line.trim())
+            self.parse_line(line)
         };
-        let (kind, response) = match parsed {
-            Ok(request) => {
-                let _execute = Span::enter(timings, Stage::Execute);
-                let (kind, result) = self.dispatch(&request);
-                match result {
-                    Ok(body) => (kind, body),
-                    Err(e) => {
-                        self.counters.errors.inc();
-                        (kind, error_response(&e))
-                    }
-                }
-            }
+        let response = {
+            let _execute = Span::enter(timings, Stage::Execute);
+            request.and_then(|request| self.execute(&request))
+        };
+        let _serialize = Span::enter(timings, Stage::Serialize);
+        let line = match response {
+            Ok(response) => response.to_json(),
             Err(e) => {
-                self.counters.errors.inc();
-                (
-                    RequestKind::Invalid,
-                    error_response(&ApiError::new(
-                        codes::PARSE_ERROR,
-                        format!("invalid JSON: {e}"),
-                    )),
-                )
+                self.gauges.errors.inc();
+                error_response(&e)
+            }
+        }
+        .to_line();
+        (line, kind)
+    }
+
+    /// Parse one line into a typed request, counting it under its kind as
+    /// soon as the `"op"` is known (so a malformed `estimate` still counts
+    /// as an `estimate`).
+    fn parse_line(&self, line: &str) -> (RequestKind, Result<Request, ApiError>) {
+        let json = match Json::parse(line.trim()) {
+            Ok(json) => json,
+            Err(e) => {
+                let error = ApiError::new(codes::PARSE_ERROR, format!("invalid JSON: {e}"));
+                return (RequestKind::Invalid, Err(error));
             }
         };
-        let line = {
-            let _serialize = Span::enter(timings, Stage::Serialize);
-            response.to_line()
-        };
-        (line, kind)
+        match RequestKind::of(&json) {
+            Ok(kind) => {
+                self.gauges.requests[kind.index()].inc();
+                (kind, Request::parse_as(kind, &json))
+            }
+            Err(e) => (RequestKind::Invalid, Err(e)),
+        }
     }
 
     /// Record one finished request into the per-kind and per-stage latency
@@ -487,10 +285,10 @@ impl ServiceState {
     /// threshold.
     pub fn observe_request(&self, kind: RequestKind, timings: &StageTimings) -> u64 {
         let total = timings.total_nanos();
-        self.instruments.request_duration[kind.index()].record(total);
+        self.gauges.request_duration[kind.index()].record(total);
         let mut staged = 0u64;
         for (stage, nanos) in timings.recorded() {
-            self.instruments.stage_duration[stage.index()].record(nanos);
+            self.gauges.stage_duration[stage.index()].record(nanos);
             staged = staged.saturating_add(nanos);
         }
         // Whatever the request clock saw that no explicit span claimed is
@@ -499,532 +297,80 @@ impl ServiceState {
         // it a real stage keeps per-request stage sums exactly equal to
         // the end-to-end total, so per-stage histograms fully account for
         // tail latency instead of explaining only part of it.
-        self.instruments.stage_duration[Stage::Drain.index()].record(total.saturating_sub(staged));
+        self.gauges.stage_duration[Stage::Drain.index()].record(total.saturating_sub(staged));
         total
     }
 
     /// Record one stage observation outside any per-request timings (e.g.
     /// the event loop's accept and write stages).
     pub fn observe_stage(&self, stage: Stage, d: std::time::Duration) {
-        self.instruments.stage_duration[stage.index()].record_duration(d);
+        self.gauges.stage_duration[stage.index()].record_duration(d);
     }
 
-    /// Count one request that exceeded the slow-request threshold.
-    pub fn note_slow_request(&self) {
-        self.instruments.slow_requests.inc();
-    }
-
-    fn dispatch(&self, request: &Json) -> (RequestKind, Result<Json, ApiError>) {
-        let op = match req_str(request, "op") {
-            Ok(op) => op,
-            Err(e) => return (RequestKind::Invalid, Err(e)),
-        };
-        match op {
-            "register" => {
-                self.counters.register.inc();
-                (RequestKind::Register, self.op_register(request))
-            }
-            "info" => {
-                self.counters.info.inc();
-                (RequestKind::Info, self.op_info(request))
-            }
-            "estimate" => {
-                self.counters.estimate.inc();
-                (RequestKind::Estimate, self.op_estimate(request))
-            }
-            "estimate_progressive" => {
-                self.counters.estimate_progressive.inc();
-                (
-                    RequestKind::EstimateProgressive,
-                    self.op_estimate_progressive(request),
-                )
-            }
-            "advise" => {
-                self.counters.advise.inc();
-                (RequestKind::Advise, self.op_advise(request))
-            }
-            "stats" => {
-                self.counters.stats.inc();
-                (RequestKind::Stats, Ok(self.op_stats()))
-            }
-            "metrics" => {
-                self.counters.metrics.inc();
-                (RequestKind::Metrics, Ok(self.op_metrics()))
-            }
-            "shutdown" => {
-                self.counters.shutdown.inc();
-                self.request_shutdown();
-                (
-                    RequestKind::Shutdown,
-                    Ok(ok_response("shutdown", Json::obj())),
-                )
-            }
-            other => (
-                RequestKind::Invalid,
-                Err(ApiError::new(
-                    codes::UNKNOWN_OP,
-                    format!(
-                        "unknown op {other:?} (register, info, estimate, estimate_progressive, \
-                         advise, stats, metrics, shutdown)"
-                    ),
-                )),
-            ),
-        }
-    }
-
-    fn op_register(&self, request: &Json) -> Result<Json, ApiError> {
-        let path = req_str(request, "path")?;
-        let name = opt_str(request, "name")?;
-        let entry = self.catalog.register(path, name)?;
-        Ok(ok_response(
-            "register",
-            Json::obj()
-                .field("table", table_info_json(&entry.table, &entry.path))
-                .field("accounting", accounting(0, CacheDisposition::None, None)),
-        ))
-    }
-
-    fn op_info(&self, request: &Json) -> Result<Json, ApiError> {
-        let name = req_str(request, "table")?;
-        let entry = self.catalog.get(name)?;
-        Ok(ok_response(
-            "info",
-            Json::obj()
-                .field("table", table_info_json(&entry.table, &entry.path))
-                .field("accounting", accounting(0, CacheDisposition::None, None)),
-        ))
-    }
-
-    /// Parse the (table, sampler, seed) block shared by every sampling op.
-    /// Per-candidate concerns (scheme, index columns) are parsed separately
-    /// by [`index_setup`](Self::index_setup), because `advise` takes them
-    /// inside its `candidates` array, not at the top level.
-    fn sampler_setup(
-        &self,
-        request: &Json,
-        default_sampler: &str,
-        default_fraction: f64,
-    ) -> Result<SamplerSetup, ApiError> {
-        let entry = self.catalog.get(req_str(request, "table")?)?;
-        let sampler_name = opt_str(request, "sampler")?
-            .unwrap_or(default_sampler)
-            .to_string();
-        let fraction = opt_f64(request, "fraction", default_fraction)?;
-        #[allow(clippy::cast_possible_truncation)]
-        let size = opt_u64(request, "size", 1_000)? as usize;
-        #[allow(clippy::cast_possible_truncation)]
-        let strata = opt_u64(request, "strata", 8)? as usize;
-        let alloc = opt_str(request, "alloc")?.unwrap_or("prop").to_string();
-        let strata_mode = opt_str(request, "strata_mode")?
-            .unwrap_or("equi-width")
-            .to_string();
-        let kind = sampler_by_name(&sampler_name, fraction, size, strata, &alloc, &strata_mode)
-            .map_err(ApiError::bad_request)?;
-        let seed = opt_u64(request, "seed", 0)?;
-        Ok(SamplerSetup { entry, kind, seed })
-    }
-
-    /// Parse the top-level scheme + index-column block of the single-index
-    /// ops (`estimate`, `estimate_progressive`).
-    fn index_setup(&self, request: &Json, setup: &SamplerSetup) -> Result<IndexSetup, ApiError> {
-        let scheme_name = opt_str(request, "scheme")?
-            .unwrap_or("null-suppression")
-            .to_string();
-        let scheme =
-            scheme_by_name(&scheme_name).map_err(|e| ApiError::bad_request(e.to_string()))?;
-        let columns = match opt_string_array(request, "columns")? {
-            Some(columns) => columns,
-            None => vec![setup.entry.shared.schema().columns()[0].name.clone()],
-        };
-        let spec = IndexSpec::nonclustered("idx", columns)
-            .map_err(|e| ApiError::bad_request(e.to_string()))?;
-        Ok(IndexSetup { scheme, spec })
-    }
-
-    fn op_estimate(&self, request: &Json) -> Result<Json, ApiError> {
-        let setup = self.sampler_setup(request, "uniform", 0.01)?;
-        let index = self.index_setup(request, &setup)?;
-        let builder = IndexBuilder::new().threads(self.request_threads(request)?);
-        let acquired = self
-            .cache
-            .acquire(&setup.entry.shared, setup.kind, setup.seed)
-            .map_err(|e| ApiError::new(codes::ESTIMATE_FAILED, e.to_string()))?;
-        // A stratified sample carries its tags and weights, so this is the
-        // weighted per-stratum combination there and the pooled CF
-        // otherwise — `SampleCf::estimate` bit-for-bit either way.
-        let measurement = measure_sample(
-            &acquired.sample,
-            &index.spec,
-            index.scheme.as_ref(),
-            &builder,
-        )
-        .map_err(|e| ApiError::new(codes::ESTIMATE_FAILED, e.to_string()))?;
-        let result = Json::obj()
-            .field("table", Json::str(setup.entry.shared.name()))
-            .field("sampler", Json::str(setup.kind.label()))
-            .field("scheme", Json::str(index.scheme.name()))
-            .field("seed", Json::uint(setup.seed))
-            .field("cf", Json::Num(measurement.cf))
-            .field("cf_with_pointers", Json::Num(measurement.cf_with_pointers))
-            .field("cf_pages", Json::Num(measurement.cf_pages))
-            .field("rows", Json::uint(measurement.data.rows as u64))
-            .field(
-                "distinct_first_key",
-                Json::uint(measurement.data.distinct_first_key as u64),
-            )
-            .field(
-                "source_rows",
-                Json::uint(setup.entry.shared.num_rows() as u64),
-            )
-            .field(
-                "source_pages",
-                Json::uint(setup.entry.shared.num_pages() as u64),
-            );
-        Ok(ok_response(
-            "estimate",
-            Json::obj().field("result", result).field(
-                "accounting",
-                accounting(
-                    acquired.pages_read,
-                    acquired.disposition,
-                    Some(acquired.sample.len()),
-                ),
-            ),
-        ))
-    }
-
-    fn op_estimate_progressive(&self, request: &Json) -> Result<Json, ApiError> {
-        // `fraction` is the cap here, mirroring `--max-fraction`.
-        let setup = self.sampler_setup(request, "uniform", 0.1)?;
-        let index = self.index_setup(request, &setup)?;
-        let target_error = request
-            .get("target_error")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| ApiError::bad_request("missing numeric field \"target_error\""))?;
-        let confidence = opt_f64(request, "confidence", 0.95)?;
-        let initial_fraction = opt_f64(request, "initial_fraction", 0.01)?;
-        let growth = opt_f64(request, "growth", 2.0)?;
-        let schedule = BatchSchedule::new(initial_fraction, growth)
-            .map_err(|e| ApiError::bad_request(e.to_string()))?;
-        let config = ProgressiveConfig {
-            target_error,
-            confidence,
-            schedule,
-        };
-        // Progressive runs stream their own pages and bypass the sample
-        // cache: their stopping point depends on the data, not on a fixed
-        // fraction a later request could share.
-        let counting = CountingSource::observed(
-            setup.entry.shared.as_ref(),
-            self.instruments.progressive_pages.clone(),
-        );
-        let report = ProgressiveCf::new(setup.kind, config)
-            .seed(setup.seed)
-            .threads(self.request_threads(request)?)
-            .metrics(self.instruments.progressive.clone())
-            .run(&counting, &index.spec, index.scheme.as_ref())
-            .map_err(|e| ApiError::new(codes::ESTIMATE_FAILED, e.to_string()))?;
-
-        let opt_num = |v: Option<f64>| v.map_or(Json::Null, Json::Num);
-        let checkpoints: Vec<Json> = report
-            .checkpoints
-            .iter()
-            .map(|c| {
-                Json::obj()
-                    .field("batch", Json::uint(c.batch as u64))
-                    .field("rows", Json::uint(c.rows as u64))
-                    .field("fraction", Json::Num(c.fraction))
-                    .field("cf", Json::Num(c.cf))
-                    .field("std_error", opt_num(c.std_error))
-                    .field("half_width", opt_num(c.half_width))
-                    .field("ci_low", opt_num(c.ci_low))
-                    .field("ci_high", opt_num(c.ci_high))
-                    .field("pages_read", Json::uint(c.pages_read))
-                    .field(
-                        "variance_source",
-                        c.variance_source.map_or(Json::Null, Json::str),
-                    )
-                    .field(
-                        "strata_rows",
-                        c.strata_rows.as_ref().map_or(Json::Null, |rows| {
-                            Json::Arr(rows.iter().map(|&r| Json::uint(r as u64)).collect())
-                        }),
-                    )
-            })
-            .collect();
-        let (ci_low, ci_high) = report
-            .ci()
-            .map_or((None, None), |(a, b)| (Some(a), Some(b)));
-        let result = Json::obj()
-            .field("table", Json::str(setup.entry.shared.name()))
-            .field("sampler", Json::str(setup.kind.label()))
-            .field("scheme", Json::str(index.scheme.name()))
-            .field("seed", Json::uint(setup.seed))
-            .field("target_error", Json::Num(report.target_error))
-            .field("confidence", Json::Num(report.confidence))
-            .field("cf", Json::Num(report.measurement.cf))
-            .field("ci_low", opt_num(ci_low))
-            .field("ci_high", opt_num(ci_high))
-            .field("rows", Json::uint(report.measurement.data.rows as u64))
-            .field("source_rows", Json::uint(report.source_rows as u64))
-            .field("stopped_early", Json::Bool(report.stopped_early))
-            .field("target_met", Json::Bool(report.target_met))
-            .field("pages_read", Json::uint(report.pages_read))
-            .field("source_pages", Json::uint(report.source_pages as u64))
-            .field("checkpoints", Json::Arr(checkpoints));
-        let rows = report.measurement.data.rows;
-        Ok(ok_response(
-            "estimate_progressive",
-            Json::obj().field("result", result).field(
-                "accounting",
-                accounting(report.pages_read, CacheDisposition::Bypass, Some(rows)),
-            ),
-        ))
-    }
-
-    fn op_advise(&self, request: &Json) -> Result<Json, ApiError> {
-        let setup = self.sampler_setup(request, "block", 0.01)?;
-        let min_saving = opt_f64(request, "min_saving", 0.1)?;
-        let budget = match request.get("budget") {
-            None | Some(Json::Null) => None,
-            Some(value) => Some(value.as_u64().ok_or_else(|| {
-                ApiError::bad_request("field \"budget\" must be a non-negative integer")
-            })? as usize),
-        };
-        let candidate_specs = request
-            .get("candidates")
-            .and_then(Json::as_array)
-            .ok_or_else(|| ApiError::bad_request("missing array field \"candidates\""))?;
-        if candidate_specs.is_empty() {
-            return Err(ApiError::bad_request("\"candidates\" must not be empty"));
-        }
-        let mut specs = Vec::with_capacity(candidate_specs.len());
-        for (i, c) in candidate_specs.iter().enumerate() {
-            let index = req_str(c, "index")
-                .map_err(|e| ApiError::bad_request(format!("candidate {i}: {}", e.message)))?;
-            let scheme_name = req_str(c, "scheme")
-                .map_err(|e| ApiError::bad_request(format!("candidate {i}: {}", e.message)))?;
-            let scheme = scheme_by_name(scheme_name)
-                .map_err(|e| ApiError::bad_request(format!("candidate {i}: {e}")))?;
-            let columns = match opt_string_array(c, "columns")? {
-                Some(columns) => columns,
-                None => vec![setup.entry.shared.schema().columns()[0].name.clone()],
-            };
-            let clustered = opt_bool(c, "clustered", false)?;
-            let spec = if clustered {
-                IndexSpec::clustered(index, columns)
-            } else {
-                IndexSpec::nonclustered(index, columns)
-            }
-            .map_err(|e| ApiError::bad_request(format!("candidate {i}: {e}")))?;
-            specs.push((spec, scheme));
-        }
-
-        // One shared sample serves every candidate of the request — and,
-        // through the concurrent cache, every other request with the same
-        // (table, sampler, fraction, seed) group.
-        let acquired = self
-            .cache
-            .acquire(&setup.entry.shared, setup.kind, setup.seed)
-            .map_err(|e| ApiError::new(codes::ESTIMATE_FAILED, e.to_string()))?;
-        // Candidates are independent given the shared sample, so they fan
-        // out over the request's thread budget; reassembly by job index
-        // keeps the recommendation order (and the response bytes)
-        // identical to the serial loop.
-        let threads = self.request_threads(request)?;
-        let evaluated = samplecf_parallel::parallel_indexed_map(specs.len(), threads, |i| {
-            let (spec, scheme) = &specs[i];
-            evaluate_shared(
-                setup.entry.shared.as_ref(),
-                spec,
-                scheme.as_ref(),
-                &acquired.sample,
-                0,
-            )
-        });
-        let mut recommendations: Vec<Recommendation> = Vec::with_capacity(specs.len());
-        for result in evaluated {
-            recommendations
-                .push(result.map_err(|e| ApiError::new(codes::ESTIMATE_FAILED, e.to_string()))?);
-        }
-        decide(&mut recommendations, min_saving, budget);
-
-        let total_uncompressed: usize = recommendations.iter().map(|r| r.uncompressed_bytes).sum();
-        let total_chosen: usize = recommendations
-            .iter()
-            .map(Recommendation::chosen_bytes)
-            .sum();
-        let fits = budget.is_none_or(|b| total_chosen <= b);
-        let recommendation_json: Vec<Json> = recommendations
-            .iter()
-            .map(|r| {
-                Json::obj()
-                    .field("index", Json::str(&r.index))
-                    .field("scheme", Json::str(&r.scheme))
-                    .field(
-                        "uncompressed_bytes",
-                        Json::uint(r.uncompressed_bytes as u64),
-                    )
-                    .field(
-                        "estimated_compressed_bytes",
-                        Json::uint(r.estimated_compressed_bytes as u64),
-                    )
-                    .field("estimated_cf", Json::Num(r.estimated_cf))
-                    .field("sample_rows", Json::uint(r.sample_rows as u64))
-                    .field("compress", Json::Bool(r.compress))
-            })
-            .collect();
-        let result = Json::obj()
-            .field("table", Json::str(setup.entry.shared.name()))
-            .field("sampler", Json::str(setup.kind.label()))
-            .field("seed", Json::uint(setup.seed))
-            .field(
-                "budget_bytes",
-                budget.map_or(Json::Null, |b| Json::uint(b as u64)),
-            )
-            .field("fits_budget", Json::Bool(fits))
-            .field(
-                "total_uncompressed_bytes",
-                Json::uint(total_uncompressed as u64),
-            )
-            .field("total_chosen_bytes", Json::uint(total_chosen as u64))
-            .field("recommendations", Json::Arr(recommendation_json));
-        let naive_pages = acquired.entry_pages_total * specs.len() as u64;
-        self.instruments.advisor_pages_read.add(acquired.pages_read);
-        self.instruments.advisor_naive_pages.add(naive_pages);
-        self.instruments.advisor_candidates.add(specs.len() as u64);
-        Ok(ok_response(
-            "advise",
-            Json::obj().field("result", result).field(
-                "accounting",
-                accounting(
-                    acquired.pages_read,
-                    acquired.disposition,
-                    Some(acquired.sample.len()),
-                )
-                .field("naive_pages_read", Json::uint(naive_pages)),
-            ),
-        ))
-    }
-
-    fn op_stats(&self) -> Json {
+    /// The `stats` object: a snapshot of the catalog, the cache and the
+    /// instrument set.
+    pub(crate) fn stats_json(&self) -> Json {
         let cache = self.cache.stats();
-        let shards = Json::Arr(
-            self.cache
-                .per_shard_stats()
-                .into_iter()
-                .map(|s| {
-                    Json::obj()
-                        .field("entries", Json::uint(s.entries as u64))
-                        .field("bytes", Json::uint(s.bytes as u64))
-                        .field("hits", Json::uint(s.hits))
-                        .field("misses", Json::uint(s.misses))
-                        .field("evictions", Json::uint(s.evictions))
-                })
-                .collect(),
-        );
+        let shards = self.cache.per_shard_stats().into_iter().map(|s| {
+            Json::obj()
+                .field("entries", s.entries)
+                .field("bytes", s.bytes)
+                .field("hits", s.hits)
+                .field("misses", s.misses)
+                .field("evictions", s.evictions)
+        });
+        let g = &self.gauges;
         let server = Json::obj()
-            .field(
-                "open_connections",
-                Json::uint(self.gauges.open_connections()),
-            )
-            .field(
-                "connections_accepted",
-                Json::uint(self.gauges.connections_accepted()),
-            )
-            .field(
-                "connections_rejected",
-                Json::uint(self.gauges.connections_rejected()),
-            )
-            .field("busy_rejections", Json::uint(self.gauges.busy_rejections()))
-            .field("queue_depth", Json::uint(self.gauges.queue_depth()))
-            .field(
-                "queue_depth_max",
-                Json::uint(self.gauges.take_queue_depth_max()),
-            )
-            .field("queue_capacity", Json::uint(self.gauges.queue_capacity()))
-            .field("max_connections", Json::uint(self.gauges.max_connections()));
-        let mut requests = Json::obj();
-        let mut total = 0u64;
-        for (name, count) in self.counters.snapshot() {
-            requests = requests.field(name, Json::uint(count));
-            total += count;
-        }
-        requests = requests.field("total", Json::uint(total));
-        let stats = Json::obj()
-            .field(
-                "uptime_seconds",
-                Json::Num(self.started.elapsed().as_secs_f64()),
-            )
-            .field(
-                "tables",
-                Json::Arr(self.catalog.names().into_iter().map(Json::Str).collect()),
-            )
-            .field("requests", requests)
-            .field("errors", Json::uint(self.counters.errors.get()))
-            .field(
-                "cache",
-                Json::obj()
-                    .field("entries", Json::uint(cache.entries as u64))
-                    .field("bytes", Json::uint(cache.bytes as u64))
-                    .field("budget_bytes", Json::uint(cache.budget_bytes as u64))
-                    .field("hits", Json::uint(cache.hits))
-                    .field("misses", Json::uint(cache.misses))
-                    .field("deepened", Json::uint(cache.deepened))
-                    .field("evictions", Json::uint(cache.evictions))
-                    .field("coalesced_waits", Json::uint(cache.coalesced_waits))
-                    .field("pages_read", Json::uint(cache.pages_read))
-                    .field("shards", shards),
-            )
-            .field("server", server)
-            .field("latency", self.latency_json());
-        ok_response("stats", Json::obj().field("stats", stats))
-    }
-
-    /// Per-kind latency quantiles (nanoseconds) from the request-duration
-    /// histograms.  Kinds that have seen no requests are omitted so the
-    /// object stays small on a fresh server.
-    fn latency_json(&self) -> Json {
-        let mut latency = Json::obj();
+            .field("open_connections", g.open_connections.get())
+            .field("connections_accepted", g.connections_accepted.get())
+            .field("connections_rejected", g.connections_rejected.get())
+            .field("busy_rejections", g.busy_rejections.get())
+            .field("queue_depth", g.queue_depth.current())
+            // Destructive: each snapshot resets the watermark to the
+            // current depth.
+            .field("queue_depth_max", g.queue_depth.take_max())
+            .field("queue_capacity", g.queue_capacity.get())
+            .field("max_connections", g.max_connections.get());
+        let (mut requests, mut total, mut latency) = (Json::obj(), 0u64, Json::obj());
         for kind in RequestKind::ALL {
-            let snap = self.instruments.request_duration[kind.index()].snapshot();
-            if snap.count == 0 {
-                continue;
+            if kind != RequestKind::Invalid {
+                let count = g.requests[kind.index()].get();
+                requests = requests.field(kind.name(), count);
+                total += count;
             }
-            let q = |p: f64| Json::uint(snap.quantile(p) as u64);
-            latency = latency.field(
-                kind.name(),
-                Json::obj()
-                    .field("count", Json::uint(snap.count))
-                    .field("p50_ns", q(0.50))
-                    .field("p95_ns", q(0.95))
-                    .field("p99_ns", q(0.99)),
-            );
+            // Kinds that have seen no requests are omitted so the object
+            // stays small on a fresh server.
+            let snap = g.request_duration[kind.index()].snapshot();
+            if snap.count > 0 {
+                let quantiles = Json::obj()
+                    .field("count", snap.count)
+                    .field("p50_ns", snap.quantile(0.50) as u64)
+                    .field("p95_ns", snap.quantile(0.95) as u64)
+                    .field("p99_ns", snap.quantile(0.99) as u64);
+                latency = latency.field(kind.name(), quantiles);
+            }
         }
-        latency
+        let cache = Json::obj()
+            .field("entries", cache.entries)
+            .field("bytes", cache.bytes)
+            .field("budget_bytes", cache.budget_bytes)
+            .field("hits", cache.hits)
+            .field("misses", cache.misses)
+            .field("deepened", cache.deepened)
+            .field("evictions", cache.evictions)
+            .field("coalesced_waits", cache.coalesced_waits)
+            .field("pages_read", cache.pages_read)
+            .field("shards", Json::Arr(shards.collect()));
+        let tables = self.catalog.names().into_iter().map(Json::Str);
+        Json::obj()
+            .field("uptime_seconds", self.started.elapsed().as_secs_f64())
+            .field("tables", Json::Arr(tables.collect()))
+            .field("requests", requests.field("total", total))
+            .field("errors", g.errors.get())
+            .field("cache", cache)
+            .field("server", server)
+            .field("latency", latency)
     }
-
-    /// The `metrics` op: the full registry in Prometheus-style text
-    /// exposition, wrapped in the protocol's JSON envelope.
-    fn op_metrics(&self) -> Json {
-        ok_response(
-            "metrics",
-            Json::obj().field("exposition", Json::str(self.metrics.expose())),
-        )
-    }
-}
-
-/// The parsed (table, sampler, seed) block every sampling op shares.
-struct SamplerSetup {
-    entry: crate::catalog::CatalogEntry,
-    kind: samplecf_sampling::SamplerKind,
-    seed: u64,
-}
-
-/// The parsed top-level scheme + index spec of the single-index ops.
-struct IndexSetup {
-    scheme: Box<dyn samplecf_compression::CompressionScheme>,
-    spec: IndexSpec,
 }
 
 impl std::fmt::Debug for ServiceState {
@@ -1041,10 +387,12 @@ impl std::fmt::Debug for ServiceState {
 mod tests {
     use super::*;
     use crate::cache::DEFAULT_CACHE_BUDGET_BYTES;
+    use samplecf_compression::scheme_by_name;
     use samplecf_core::SampleCf;
     use samplecf_datagen::presets;
+    use samplecf_index::IndexSpec;
     use samplecf_sampling::SamplerKind;
-    use samplecf_storage::DiskTable;
+    use samplecf_storage::{DiskTable, TableSource};
     use std::path::PathBuf;
 
     struct Cleanup(PathBuf);
@@ -1637,7 +985,7 @@ mod tests {
                 &state,
                 r#"{"op":"estimate","table":"svc_t","fraction":5.0}"#
             ),
-            codes::ESTIMATE_FAILED
+            codes::BAD_REQUEST
         );
         assert_eq!(
             err_code(&state, r#"{"op":"advise","table":"svc_t","candidates":[]}"#),

@@ -52,8 +52,6 @@ pub enum StorageError {
     PageCorruption(String),
     /// The requested table does not exist in the catalog.
     UnknownTable(String),
-    /// A table with the same name is already registered in the catalog.
-    DuplicateTable(String),
     /// Raw byte decoding failed.
     Decode(String),
     /// An on-disk file did not match the expected format (bad magic,
@@ -105,7 +103,6 @@ impl fmt::Display for StorageError {
             StorageError::InvalidSchema(msg) => write!(f, "invalid schema: {msg}"),
             StorageError::PageCorruption(msg) => write!(f, "page corruption: {msg}"),
             StorageError::UnknownTable(name) => write!(f, "unknown table `{name}`"),
-            StorageError::DuplicateTable(name) => write!(f, "table `{name}` already exists"),
             StorageError::Decode(msg) => write!(f, "decode error: {msg}"),
             StorageError::InvalidFormat(msg) => write!(f, "invalid file format: {msg}"),
             StorageError::Io(msg) => write!(f, "i/o error: {msg}"),

@@ -26,9 +26,7 @@
 //!   the CLI, the server, the advisor and the experiments report,
 //! * [`disk`] — the persistent counterpart: checksummed page files,
 //!   [`DiskHeapFile`] and [`DiskTable`], where block sampling's "read only
-//!   the selected pages" is physically true,
-//! * [`Catalog`] — a registry used by the physical-design and
-//!   capacity-planning applications.
+//!   the selected pages" is physically true.
 //!
 //! Everything is deterministic: a table materialised to disk has the same
 //! page layout (and therefore the same sampling frame) as its in-memory
@@ -56,7 +54,6 @@
 //! # Ok::<(), samplecf_storage::StorageError>(())
 //! ```
 
-pub mod catalog;
 pub mod cell;
 pub mod counting;
 pub mod datatype;
@@ -72,7 +69,6 @@ pub mod source;
 pub mod table;
 pub mod value;
 
-pub use catalog::Catalog;
 pub use cell::{CellRef, RowRef};
 pub use counting::{CountingSource, SharedCountingSource};
 pub use datatype::DataType;

@@ -10,43 +10,32 @@
 use samplecf::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // A catalog with a few tables of different shapes.
-    let catalog = Catalog::new();
-    catalog.register(
-        presets::orders_table("orders", 40_000, 11)
-            .generate()?
-            .table,
-    )?;
-    catalog.register(
-        presets::variable_length_table("eventlog", 60_000, 120, 30_000, 10, 90, 12)
-            .generate()?
-            .table,
-    )?;
-    catalog.register(
-        presets::single_char_table("dimensions", 5_000, 32, 50, 12, 13)
-            .generate()?
-            .table,
-    )?;
-
-    let orders = catalog.get("orders")?;
-    let eventlog = catalog.get("eventlog")?;
-    let dimensions = catalog.get("dimensions")?;
+    // A few tables of different shapes.
+    let orders = presets::orders_table("orders", 40_000, 11)
+        .generate()?
+        .table;
+    let eventlog = presets::variable_length_table("eventlog", 60_000, 120, 30_000, 10, 90, 12)
+        .generate()?
+        .table;
+    let dimensions = presets::single_char_table("dimensions", 5_000, 32, 50, 12, 13)
+        .generate()?
+        .table;
 
     let objects = vec![
         PlannedObject {
-            table: orders.as_ref(),
+            table: &orders,
             spec: IndexSpec::clustered("orders_pk", ["order_id"])?,
         },
         PlannedObject {
-            table: orders.as_ref(),
+            table: &orders,
             spec: IndexSpec::nonclustered("orders_by_customer", ["customer"])?,
         },
         PlannedObject {
-            table: eventlog.as_ref(),
+            table: &eventlog,
             spec: IndexSpec::clustered("eventlog_pk", ["a"])?,
         },
         PlannedObject {
-            table: dimensions.as_ref(),
+            table: &dimensions,
             spec: IndexSpec::nonclustered("dimensions_by_a", ["a"])?,
         },
     ];

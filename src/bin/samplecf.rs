@@ -1,15 +1,17 @@
 //! `samplecf` — the command-line front end of the SampleCF reproduction.
 //!
-//! Five subcommands cover the gen → estimate → exact → advise loop over
+//! Subcommands cover the gen → estimate → exact → advise loop over
 //! disk-resident tables:
 //!
 //! * `gen` writes a seeded synthetic table to a `.scf` file,
-//! * `estimate` runs the SampleCF estimator over it, reporting the CF
-//!   estimate *and* the number of pages physically read,
+//! * `estimate`, `advise` and `info` are front ends to the service that
+//!   `samplecfd` serves: their flags spell a protocol [`Request`] (flag
+//!   `--strata-mode` is field `strata_mode`, parsed and validated by the
+//!   service's one request grammar), which runs on an in-process
+//!   [`ServiceState`] — no socket, no thread — and comes back as the typed
+//!   [`Response`] the text reports read; `--json` prints the service's own
+//!   response object,
 //! * `exact` computes the ground-truth CF (a full scan),
-//! * `advise` runs the shared-sample physical design advisor over a set of
-//!   candidate indexes (text or JSON report),
-//! * `info` prints the file header without touching data pages,
 //! * `client` sends one protocol request to a running `samplecfd` daemon
 //!   and pretty-prints the JSON reply,
 //! * `top` polls a daemon's `stats` endpoint and renders a live terminal
@@ -19,15 +21,24 @@
 //! Argument parsing is hand-rolled (the workspace builds offline, without
 //! clap); every flag is `--name value`.
 
-use samplecf::prelude::*;
-use samplecf_sampling::CountingSource;
-use samplecf_server::{table_info_json, Json};
-use samplecf_storage::{DiskTable, IntoShared, TableSource};
+use samplecf::prelude::{
+    presets, CountingSource, ExactCf, SummaryStats, TableSource, TrialConfig, TrialRunner,
+};
+use samplecf_server::protocol::{flag_help, index_choice_from_flags, request_from_cli};
+use samplecf_server::{
+    CatalogEntry, IndexChoice, Json, Request, RequestKind, Response, ServiceState,
+    DEFAULT_CACHE_BUDGET_BYTES,
+};
+use samplecf_storage::DiskTable;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::process::ExitCode;
 use std::time::Instant;
 
-const HELP: &str = "samplecf — estimate index compression fractions by sampling (ICDE 2010)
+/// `--help`: the request-flag sections are rendered from the service's
+/// field table, so the defaults shown are the defaults applied.
+fn help() -> String {
+    format!(
+        "samplecf — estimate index compression fractions by sampling (ICDE 2010)
 
 USAGE:
   samplecf gen --out FILE [options]       write a synthetic table to a file
@@ -37,6 +48,12 @@ USAGE:
   samplecf info --table FILE [--json]     print the file header and schema
   samplecf client ADDR REQUEST            send one request to a samplecfd
   samplecf top ADDR [options]             live view of a running samplecfd
+
+`estimate`, `advise` and `info` run the same request a samplecfd would be
+sent (docs/API.md) on an in-process service: flag --strata-mode is request
+field strata_mode, with the same defaults and the same checks.  --json
+prints the service's response object, byte for byte what the daemon
+answers; `--threads` defaults to all cores here.
 
 GEN OPTIONS:
   --out FILE          output path (required)
@@ -50,35 +67,13 @@ GEN OPTIONS:
   --seed S            RNG seed                           [default: 42]
 
 ESTIMATE OPTIONS:
-  --table FILE        table file written by `gen` (required)
-  --sampler NAME      block | uniform | uniform-wor | bernoulli |
-                      systematic | reservoir | stratified [default: uniform]
-  --fraction F        sampling fraction in (0, 1]        [default: 0.01]
-  --size R            reservoir size (reservoir sampler) [default: 1000]
-  --strata K          page strata (stratified sampler)   [default: 8]
-  --alloc A           prop | neyman — per-stratum budget split
-                      (stratified sampler)               [default: prop]
-  --strata-mode M     equi-width | equi-depth — how page ranges are cut
-                      (stratified sampler)               [default: equi-width]
-  --scheme NAME       none | null-suppression | dictionary-paged |
-                      dictionary-global | rle | prefix   [default: null-suppression]
-  --column COLS       comma-separated index key columns  [default: first column]
-  --trials T          independent estimator runs         [default: 1]
-  --threads W         worker threads (0 = all); fans out trials, strata
-                      and the bulk-load sort; the report is byte-identical
-                      at any thread count                [default: 0]
-  --seed S            base RNG seed                      [default: 0]
-  --json              emit the report as JSON (includes the seed used)
+  --table FILE          table file written by `gen` (required)
+{estimate}  --trials T            independent estimator runs (text report only) [default: 1]
+  --json                print the response object instead of the text report
 
-PROGRESSIVE ESTIMATION (adds to ESTIMATE; requires a streaming sampler —
-uniform, block, reservoir or stratified):
-  --target-error E    stop when the CI half-width is <= E x the estimate;
-                      enables the progressive (stream-then-stop) mode
-  --confidence C      confidence level 1 - delta of the CI  [default: 0.95]
-  --max-fraction F    sampling-fraction cap (page budget)   [default: --fraction]
-  --initial-fraction F  first checkpoint fraction           [default: 0.01]
-  --growth G          geometric checkpoint growth factor    [default: 2.0]
-
+PROGRESSIVE ESTIMATION (`estimate --target-error E` runs the
+estimate_progressive request instead):
+{progressive}
 The sample grows in geometric batches; after each batch the CF is
 re-measured from the accumulated sorted run and its variance jackknifed
 over the batches.  The run stops when the Chebyshev CI at the requested
@@ -90,30 +85,15 @@ variance algebra instead of the jackknife, and --alloc neyman re-splits
 the remaining budget toward high-variance strata after every checkpoint.
 
 EXACT OPTIONS:
-  --table FILE        table file (required)
-  --scheme NAME       compression scheme                 [default: null-suppression]
-  --column COLS       comma-separated index key columns  [default: first column]
+  --table FILE          table file (required)
+  --scheme S, --column S  as for `estimate`
 
 ADVISE OPTIONS:
-  --table FILE        table file (required)
-  --candidates FILE   candidate spec file (see below); without it, one
-                      candidate is built from --column/--scheme
-  --column COLS       key columns of the inline candidate [default: first column]
-  --scheme NAME       scheme of the inline candidate     [default: null-suppression]
-  --sampler NAME      block | uniform | uniform-wor | bernoulli |
-                      systematic | reservoir | stratified [default: block]
-  --fraction F        sampling fraction in (0, 1]        [default: 0.01]
-  --size R            reservoir size (reservoir sampler) [default: 1000]
-  --strata K          page strata (stratified sampler)   [default: 8]
-  --alloc A           prop | neyman (stratified sampler) [default: prop]
-  --strata-mode M     equi-width | equi-depth (stratified
-                      sampler)                           [default: equi-width]
-  --seed S            RNG seed for the shared sample     [default: 0]
-  --min-saving F      compress only if saving >= F of the
-                      uncompressed size                  [default: 0.1]
-  --budget BYTES      storage budget (greedy compression until it fits)
-  --threads W         worker threads (0 = all); results do not depend on it
-  --json              emit the plan as JSON instead of text
+  --table FILE          table file (required)
+  --candidates FILE     candidate spec file (see below); without it, one
+                        candidate is built from --column/--scheme as for
+                        `estimate`
+{advise}  --json                print the response object instead of the text report
 
 CANDIDATE SPEC FILE (for `advise --candidates`): one candidate per line,
 `#` starts a comment.  Fields are whitespace-separated:
@@ -128,8 +108,8 @@ configuration, so k candidates cost the same source I/O as one.
 
 INFO OPTIONS:
   --table FILE        table file (required)
-  --json              emit the header as JSON — the same table-metadata
-                      shape the samplecfd `info` endpoint returns
+  --json              print the response object — what the samplecfd
+                      `info` endpoint returns for a registered table
 
 CLIENT USAGE:
   samplecf client ADDR REQUEST [--raw]
@@ -137,14 +117,14 @@ CLIENT USAGE:
   ADDR is a samplecfd address (e.g. 127.0.0.1:7878); REQUEST is one JSON
   protocol object (see docs/API.md), or `-` to read it from stdin.  The
   reply is pretty-printed (--raw prints the single reply line verbatim).
-  Exits non-zero when the server answers {\"ok\": false}.
+  Exits non-zero when the server answers {{\"ok\": false}}.
 
-  e.g.  samplecf client 127.0.0.1:7878 '{\"op\":\"stats\"}'
+  e.g.  samplecf client 127.0.0.1:7878 '{{\"op\":\"stats\"}}'
 
 TOP OPTIONS:
   samplecf top ADDR [--interval-ms MS] [--iterations N] [--plain]
 
-  Polls {\"op\":\"stats\"} every --interval-ms [default: 1000] and renders
+  Polls {{\"op\":\"stats\"}} every --interval-ms [default: 1000] and renders
   request throughput, per-op p50/p95/p99 latency, the cache hit ratio and
   queue depth.  --iterations N stops after N frames (0 = forever); --plain
   appends frames without clearing the screen (for logs and CI).
@@ -152,7 +132,30 @@ TOP OPTIONS:
 The estimate report includes `pages read`: with `--sampler block` this is
 round(fraction x pages) physical page reads, while row samplers pay roughly
 one page read per sampled row — the I/O gap the paper's Section II-C is
-about.";
+about.",
+        estimate = flag_help(RequestKind::Estimate),
+        progressive = flag_help(RequestKind::EstimateProgressive),
+        advise = flag_help(RequestKind::Advise),
+    )
+}
+
+/// The one place the CLI writes its reports.  `println!` panics when
+/// stdout is a closed pipe (`samplecf … | head`); this ends the process
+/// quietly instead.
+fn emit(text: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(text) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("samplecf: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+macro_rules! outln {
+    () => { emit(format_args!("\n")) };
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
 
 /// A `--flag value` argument list.
 struct Args {
@@ -160,10 +163,6 @@ struct Args {
 }
 
 impl Args {
-    fn new(argv: Vec<String>) -> Self {
-        Args { argv }
-    }
-
     /// Remove and return the value of `--name`, if present.
     fn opt(&mut self, name: &str) -> Result<Option<String>, String> {
         let flag = format!("--{name}");
@@ -218,11 +217,11 @@ impl Args {
 fn main() -> ExitCode {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.iter().any(|a| a == "--help" || a == "-h") || argv.is_empty() {
-        println!("{HELP}");
+        outln!("{}", help());
         return ExitCode::SUCCESS;
     }
     let command = argv.remove(0);
-    let args = Args::new(argv);
+    let args = Args { argv };
     let result = match command.as_str() {
         "gen" => cmd_gen(args),
         "estimate" => cmd_estimate(args),
@@ -273,405 +272,256 @@ fn cmd_gen(mut args: Args) -> Result<(), String> {
     let disk = DiskTable::materialize(&out, &generated.table).map_err(|e| e.to_string())?;
     let stats = generated.stats_for("a").map_err(|e| e.to_string())?;
 
-    println!("wrote          {out}");
-    println!("table          {name}");
-    println!("rows           {}", disk.num_rows());
-    println!("distinct (d)   {}", stats.distinct_values);
-    println!("pages          {}", disk.num_pages());
-    println!("page size      {} B", disk.page_size());
-    println!("file size      {} B", disk.file_len());
-    println!("elapsed        {:.3} s", started.elapsed().as_secs_f64());
+    outln!("wrote          {out}");
+    outln!("table          {name}");
+    outln!("rows           {}", disk.num_rows());
+    outln!("distinct (d)   {}", stats.distinct_values);
+    outln!("pages          {}", disk.num_pages());
+    outln!("page size      {} B", disk.page_size());
+    outln!("file size      {} B", disk.file_len());
+    outln!("elapsed        {:.3} s", started.elapsed().as_secs_f64());
     Ok(())
 }
 
-fn parse_sampler(
-    name: &str,
-    fraction: f64,
-    size: usize,
-    strata: usize,
-    alloc: &str,
-    strata_mode: &str,
-) -> Result<SamplerKind, String> {
-    Ok(match name {
-        "uniform" | "uniform-wr" => SamplerKind::UniformWithReplacement(fraction),
-        "uniform-wor" => SamplerKind::UniformWithoutReplacement(fraction),
-        "bernoulli" => SamplerKind::Bernoulli(fraction),
-        "systematic" => SamplerKind::Systematic(fraction),
-        "reservoir" => SamplerKind::Reservoir(size),
-        "block" => SamplerKind::Block(fraction),
-        "stratified" => SamplerKind::Stratified {
-            fraction,
-            strata,
-            alloc: samplecf_sampling::Allocation::by_name(alloc)?,
-            mode: samplecf_sampling::StrataMode::by_name(strata_mode)?,
-        },
-        other => {
-            return Err(format!(
-                "unknown sampler {other:?} (block, uniform, uniform-wor, bernoulli, systematic, reservoir, stratified)"
-            ))
-        }
-    })
+/// An in-process service with the table file at `path` registered — what
+/// a `samplecfd --table PATH` holds, without the sockets and threads.
+/// Requests run on all cores unless they say otherwise.
+fn local_service(path: &str) -> Result<(ServiceState, CatalogEntry), String> {
+    let state = ServiceState::new(DEFAULT_CACHE_BUDGET_BYTES).with_estimator_threads(0);
+    let entry = state
+        .catalog
+        .register(path, None)
+        .map_err(|e| e.to_string())?;
+    Ok((state, entry))
 }
 
-fn open_table(path: &str) -> Result<DiskTable, String> {
-    DiskTable::open(path).map_err(|e| format!("cannot open {path}: {e}"))
-}
-
-fn index_spec(args: &mut Args, table: &DiskTable) -> Result<IndexSpec, String> {
-    let columns = match args.opt("column")? {
-        Some(raw) => raw.split(',').map(str::to_string).collect(),
-        None => vec![table.schema().columns()[0].name.clone()],
-    };
-    IndexSpec::nonclustered("idx", columns).map_err(|e| e.to_string())
-}
-
-/// Render an `Option<f64>` as JSON (null when absent or non-finite — JSON
-/// has no token for an infinite CI bound, e.g. at `--confidence 1.0`).
-fn json_opt(v: Option<f64>) -> String {
-    v.filter(|x| x.is_finite())
-        .map_or("null".to_string(), |x| format!("{x:.6}"))
-}
-
-/// The identifying fields shared by every estimate JSON report.
-struct ReportContext<'a> {
-    table: &'a str,
-    path: &'a str,
-    scheme: &'a str,
-    sampler: &'a str,
+/// The table/sampler/scheme/seed header of the estimate text reports.
+fn print_estimate_header(
+    entry: &CatalogEntry,
+    sampler: &str,
+    scheme: &str,
+    index: &IndexChoice,
     seed: u64,
-}
-
-impl ReportContext<'_> {
-    /// The opening JSON fields common to both report shapes.
-    fn json_header(&self) -> String {
-        format!(
-            "{{\n  \"table\": \"{}\",\n  \"file\": \"{}\",\n  \"sampler\": \"{}\",\n  \
-             \"scheme\": \"{}\",\n  \"seed\": {},\n",
-            json_escape(self.table),
-            json_escape(self.path),
-            json_escape(self.sampler),
-            json_escape(self.scheme),
-            self.seed,
-        )
-    }
-}
-
-fn progressive_to_json(ctx: &ReportContext<'_>, report: &ProgressiveReport) -> String {
-    let mut s = ctx.json_header();
-    s.push_str(&format!("  \"target_error\": {},\n", report.target_error));
-    s.push_str(&format!("  \"confidence\": {},\n", report.confidence));
-    s.push_str(&format!("  \"cf\": {:.6},\n", report.measurement.cf));
-    let (lo, hi) = report
-        .ci()
-        .map_or((None, None), |(a, b)| (Some(a), Some(b)));
-    s.push_str(&format!("  \"ci_low\": {},\n", json_opt(lo)));
-    s.push_str(&format!("  \"ci_high\": {},\n", json_opt(hi)));
-    s.push_str(&format!("  \"rows\": {},\n", report.measurement.data.rows));
-    s.push_str(&format!("  \"source_rows\": {},\n", report.source_rows));
-    s.push_str(&format!("  \"stopped_early\": {},\n", report.stopped_early));
-    s.push_str(&format!("  \"target_met\": {},\n", report.target_met));
-    s.push_str(&format!("  \"pages_read\": {},\n", report.pages_read));
-    s.push_str(&format!("  \"source_pages\": {},\n", report.source_pages));
-    s.push_str("  \"checkpoints\": [\n");
-    for (i, c) in report.checkpoints.iter().enumerate() {
-        let variance_source = c
-            .variance_source
-            .map_or("null".to_string(), |v| format!("\"{v}\""));
-        let strata_rows = c.strata_rows.as_ref().map_or("null".to_string(), |rows| {
-            let inner: Vec<String> = rows.iter().map(ToString::to_string).collect();
-            format!("[{}]", inner.join(", "))
-        });
-        s.push_str(&format!(
-            "    {{\"batch\": {}, \"rows\": {}, \"fraction\": {:.6}, \"cf\": {:.6}, \
-             \"std_error\": {}, \"half_width\": {}, \"ci_low\": {}, \"ci_high\": {}, \
-             \"pages_read\": {}, \"variance_source\": {}, \"strata_rows\": {}}}{}\n",
-            c.batch,
-            c.rows,
-            c.fraction,
-            c.cf,
-            json_opt(c.std_error),
-            json_opt(c.half_width),
-            json_opt(c.ci_low),
-            json_opt(c.ci_high),
-            c.pages_read,
-            variance_source,
-            strata_rows,
-            if i + 1 < report.checkpoints.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    s.push_str("  ]\n}");
-    s
-}
-
-fn estimate_to_json(
-    ctx: &ReportContext<'_>,
-    est: &CfMeasurement,
-    pages_read: u64,
-    num_pages: usize,
-) -> String {
-    let mut s = ctx.json_header();
-    s.push_str(&format!("  \"cf\": {:.6},\n", est.cf));
-    s.push_str(&format!(
-        "  \"cf_with_pointers\": {:.6},\n",
-        est.cf_with_pointers
-    ));
-    s.push_str(&format!("  \"cf_pages\": {:.6},\n", est.cf_pages));
-    s.push_str(&format!("  \"rows\": {},\n", est.data.rows));
-    s.push_str(&format!(
-        "  \"distinct_first_key\": {},\n",
-        est.data.distinct_first_key
-    ));
-    s.push_str(&format!("  \"pages_read\": {pages_read},\n"));
-    s.push_str(&format!("  \"source_pages\": {num_pages}\n"));
-    s.push('}');
-    s
+) {
+    let table = &entry.table;
+    outln!("table          {} ({})", entry.shared.name(), entry.path);
+    outln!(
+        "rows           {} on {} pages",
+        table.num_rows(),
+        table.num_pages()
+    );
+    outln!("sampler        {sampler}");
+    outln!("scheme         {scheme}");
+    outln!(
+        "index key      {}",
+        index.key_columns(table.schema()).join(", ")
+    );
+    outln!("seed           {seed}");
 }
 
 fn cmd_estimate(mut args: Args) -> Result<(), String> {
     let path = args.require("table")?;
-    let sampler_name: String = args.parse("sampler", "uniform".to_string())?;
-    let fraction: f64 = args.parse("fraction", 0.01)?;
-    let size: usize = args.parse("size", 1_000)?;
-    let strata: usize = args.parse("strata", 8)?;
-    let alloc: String = args.parse("alloc", "prop".to_string())?;
-    let strata_mode: String = args.parse("strata-mode", "equi-width".to_string())?;
-    let scheme_name: String = args.parse("scheme", "null-suppression".to_string())?;
-    let trials: usize = args.parse("trials", 1)?;
-    let threads: usize = args.parse("threads", 0)?;
-    let seed: u64 = args.parse("seed", 0)?;
-    let target_error: Option<f64> = args
-        .opt("target-error")?
-        .map(|v| v.parse())
-        .transpose()
-        .map_err(|e| format!("invalid value for --target-error: {e}"))?;
-    let confidence: f64 = args.parse("confidence", 0.95)?;
-    let max_fraction: f64 = args.parse("max-fraction", fraction)?;
-    let initial_fraction: f64 = args.parse("initial-fraction", 0.01)?;
-    let growth: f64 = args.parse("growth", 2.0)?;
     let json = args.flag("json");
-    let table = open_table(&path)?;
-    let spec = index_spec(&mut args, &table)?;
-    args.finish()?;
-
-    let scheme = scheme_by_name(&scheme_name).map_err(|e| e.to_string())?;
-    let counting = CountingSource::new(&table);
-    let num_pages = table.num_pages();
-    let table_name = TableSource::name(&table).to_string();
-
-    // The shared table/sampler/scheme/seed header of every text report.
-    let print_header = |sampler_label: &str| {
-        println!("table          {table_name} ({path})");
-        println!("rows           {} on {num_pages} pages", table.num_rows());
-        println!("sampler        {sampler_label}");
-        println!("scheme         {}", scheme.name());
-        println!("index key      {}", spec.key_columns().join(", "));
-        println!("seed           {seed}");
+    let trials: usize = args.parse("trials", 1)?;
+    let kind = if args.argv.iter().any(|a| a == "--target-error") {
+        RequestKind::EstimateProgressive
+    } else {
+        RequestKind::Estimate
     };
+    let (state, entry) = local_service(&path)?;
+    let request =
+        request_from_cli(kind, entry.shared.name(), &[], &args.argv).map_err(|e| e.to_string())?;
+    if trials > 1 {
+        return run_trials(&entry, &request, trials, json);
+    }
 
-    if let Some(target) = target_error {
-        // Progressive mode: stream batches, measure at checkpoints, stop at
-        // the error target or the fraction cap.
-        if trials > 1 {
-            return Err(
-                "--trials conflicts with --target-error: a progressive run is a single \
-                 adaptive estimate (drop one of the two flags)"
-                    .to_string(),
-            );
-        }
-        let sampler = parse_sampler(
-            &sampler_name,
-            max_fraction,
-            size,
-            strata,
-            &alloc,
-            &strata_mode,
-        )?;
-        let schedule = BatchSchedule::new(initial_fraction, growth).map_err(|e| e.to_string())?;
-        let config = ProgressiveConfig {
-            target_error: target,
-            confidence,
-            schedule,
-        };
-        let report = ProgressiveCf::new(sampler, config)
-            .seed(seed)
-            .threads(threads)
-            .run(&counting, &spec, scheme.as_ref())
-            .map_err(|e| e.to_string())?;
-        if json {
-            let ctx = ReportContext {
-                table: &table_name,
-                path: &path,
-                scheme: scheme.name(),
-                sampler: &sampler.label(),
-                seed,
-            };
-            println!("{}", progressive_to_json(&ctx, &report));
-            return Ok(());
-        }
-        print_header(&format!("{} (progressive)", sampler.label()));
-        println!(
-            "target         half-width <= {:.1}% of CF at {:.0}% confidence",
-            100.0 * target,
-            100.0 * confidence
-        );
-        println!();
-        println!(
-            "{:>5} {:>9} {:>9} {:>9} {:>11} {:>11} {:>7}",
-            "batch", "rows", "f", "CF", "ci_low", "ci_high", "pages"
-        );
-        for c in &report.checkpoints {
-            println!(
-                "{:>5} {:>9} {:>9.4} {:>9.4} {:>11} {:>11} {:>7}",
-                c.batch,
-                c.rows,
-                c.fraction,
-                c.cf,
-                c.ci_low.map_or("—".to_string(), |v| format!("{v:.4}")),
-                c.ci_high.map_or("—".to_string(), |v| format!("{v:.4}")),
-                c.pages_read,
-            );
-        }
-        println!();
-        println!("estimated CF   {:.4}", report.measurement.cf);
-        if let Some((lo, hi)) = report.ci() {
-            println!(
-                "  95%-style CI [{lo:.4}, {hi:.4}] (Chebyshev at {:.0}%)",
-                100.0 * confidence
-            );
-        }
-        println!(
-            "stopped        {} ({})",
-            if report.stopped_early {
-                "early"
-            } else {
-                "at the fraction cap"
-            },
-            if report.target_met {
-                "target met"
-            } else {
-                "target not met"
-            }
-        );
-        println!(
-            "pages read     {} of {num_pages} ({:.1}%; fixed f = {max_fraction} would read up to {})",
-            report.pages_read,
-            100.0 * report.pages_read as f64 / num_pages.max(1) as f64,
-            (num_pages as f64 * max_fraction).round() as u64
-        );
-        println!(
-            "elapsed        {:.3} s",
-            report.measurement.elapsed.as_secs_f64()
-        );
+    let started = Instant::now();
+    let response = state.execute(&request).map_err(|e| e.to_string())?;
+    if json {
+        outln!("{}", response.to_json().pretty());
         return Ok(());
     }
-
-    let sampler = parse_sampler(&sampler_name, fraction, size, strata, &alloc, &strata_mode)?;
-    let started = Instant::now();
-    if trials <= 1 {
-        let est = SampleCf::new(sampler)
-            .seed(seed)
-            .threads(threads)
-            .estimate(&counting, &spec, scheme.as_ref())
-            .map_err(|e| e.to_string())?;
-        if json {
-            println!(
-                "{}",
-                estimate_to_json(
-                    &ReportContext {
-                        table: &table_name,
-                        path: &path,
-                        scheme: scheme.name(),
-                        sampler: &sampler.label(),
-                        seed,
-                    },
-                    &est,
-                    counting.pages_read(),
-                    num_pages,
-                )
+    let num_pages = entry.table.num_pages();
+    match (&request, &response) {
+        (
+            Request::Estimate { sample, index },
+            Response::Estimate {
+                scheme,
+                measurement,
+                accounting,
+                ..
+            },
+        ) => {
+            print_estimate_header(&entry, &sample.sampler.label(), scheme, index, sample.seed);
+            outln!(
+                "sampled rows   {} (d' = {})",
+                measurement.data.rows,
+                measurement.data.distinct_first_key
             );
-            return Ok(());
+            outln!("estimated CF   {:.4}", measurement.cf);
+            outln!("  with ptrs    {:.4}", measurement.cf_with_pointers);
+            outln!("  page-level   {:.4}", measurement.cf_pages);
+            outln!(
+                "pages read     {} of {num_pages} ({:.1}% per trial)",
+                accounting.pages_read,
+                100.0 * accounting.pages_read as f64 / num_pages.max(1) as f64
+            );
+            outln!("elapsed        {:.3} s", started.elapsed().as_secs_f64());
         }
-        print_header(&sampler.label());
-        println!(
-            "sampled rows   {} (d' = {})",
-            est.data.rows, est.data.distinct_first_key
-        );
-        println!("estimated CF   {:.4}", est.cf);
-        println!("  with ptrs    {:.4}", est.cf_with_pointers);
-        println!("  page-level   {:.4}", est.cf_pages);
-    } else {
-        if json {
-            return Err(
-                "--json supports single runs (drop --trials or use --target-error)".to_string(),
+        (
+            Request::EstimateProgressive { sample, index, .. },
+            Response::EstimateProgressive { scheme, report, .. },
+        ) => {
+            let label = format!("{} (progressive)", sample.sampler.label());
+            print_estimate_header(&entry, &label, scheme, index, sample.seed);
+            outln!(
+                "target         half-width <= {:.1}% of CF at {:.0}% confidence",
+                100.0 * report.target_error,
+                100.0 * report.confidence
+            );
+            outln!();
+            outln!(
+                "{:>5} {:>9} {:>9} {:>9} {:>11} {:>11} {:>7}",
+                "batch",
+                "rows",
+                "f",
+                "CF",
+                "ci_low",
+                "ci_high",
+                "pages"
+            );
+            for c in &report.checkpoints {
+                outln!(
+                    "{:>5} {:>9} {:>9.4} {:>9.4} {:>11} {:>11} {:>7}",
+                    c.batch,
+                    c.rows,
+                    c.fraction,
+                    c.cf,
+                    c.ci_low.map_or("—".to_string(), |v| format!("{v:.4}")),
+                    c.ci_high.map_or("—".to_string(), |v| format!("{v:.4}")),
+                    c.pages_read,
+                );
+            }
+            outln!();
+            outln!("estimated CF   {:.4}", report.measurement.cf);
+            if let Some((lo, hi)) = report.ci() {
+                outln!(
+                    "  95%-style CI [{lo:.4}, {hi:.4}] (Chebyshev at {:.0}%)",
+                    100.0 * report.confidence
+                );
+            }
+            outln!(
+                "stopped        {} ({})",
+                if report.stopped_early {
+                    "early"
+                } else {
+                    "at the fraction cap"
+                },
+                if report.target_met {
+                    "target met"
+                } else {
+                    "target not met"
+                }
+            );
+            outln!(
+                "pages read     {} of {num_pages} ({:.1}%)",
+                report.pages_read,
+                100.0 * report.pages_read as f64 / num_pages.max(1) as f64
+            );
+            outln!(
+                "elapsed        {:.3} s",
+                report.measurement.elapsed.as_secs_f64()
             );
         }
-        print_header(&sampler.label());
-        let estimates = TrialRunner::new(TrialConfig::new(trials).base_seed(seed).threads(threads))
-            .run_estimates(&counting, &spec, scheme.as_ref(), sampler)
-            .map_err(|e| e.to_string())?;
-        let stats = SummaryStats::from_values(&estimates)
-            .ok_or_else(|| "no estimates produced".to_string())?;
-        println!("trials         {trials}");
-        println!("estimated CF   {:.4} (mean)", stats.mean);
-        println!("  std dev      {:.4}", stats.std_dev);
-        println!("  min / max    {:.4} / {:.4}", stats.min, stats.max);
+        (_, other) => return Err(format!("unexpected answer: {other:?}")),
     }
-    let pages_read = counting.pages_read();
-    let per_trial = pages_read as f64 / trials.max(1) as f64;
-    println!(
-        "pages read     {pages_read} of {num_pages} ({:.1}% per trial)",
+    Ok(())
+}
+
+/// `estimate --trials T`: the spread of T independent estimates of the
+/// request's (sampler, index, scheme), seeds derived from its seed.
+fn run_trials(
+    entry: &CatalogEntry,
+    request: &Request,
+    trials: usize,
+    json: bool,
+) -> Result<(), String> {
+    let Request::Estimate { sample, index } = request else {
+        return Err(
+            "--trials conflicts with --target-error: a progressive run is a single \
+             adaptive estimate (drop one of the two flags)"
+                .to_string(),
+        );
+    };
+    if json {
+        return Err("--json supports single runs (drop --trials)".to_string());
+    }
+    let (spec, scheme) = index
+        .resolve(entry.table.schema())
+        .map_err(|e| e.to_string())?;
+    let counting = CountingSource::new(entry.table.as_ref());
+    let started = Instant::now();
+    let label = sample.sampler.label();
+    print_estimate_header(entry, &label, scheme.name(), index, sample.seed);
+    let config = TrialConfig::new(trials)
+        .base_seed(sample.seed)
+        .threads(sample.threads.unwrap_or(0));
+    let estimates = TrialRunner::new(config)
+        .run_estimates(&counting, &spec, scheme.as_ref(), sample.sampler)
+        .map_err(|e| e.to_string())?;
+    let stats =
+        SummaryStats::from_values(&estimates).ok_or_else(|| "no estimates produced".to_string())?;
+    outln!("trials         {trials}");
+    outln!("estimated CF   {:.4} (mean)", stats.mean);
+    outln!("  std dev      {:.4}", stats.std_dev);
+    outln!("  min / max    {:.4} / {:.4}", stats.min, stats.max);
+    let num_pages = entry.table.num_pages();
+    let per_trial = counting.pages_read() as f64 / trials as f64;
+    outln!(
+        "pages read     {} of {num_pages} ({:.1}% per trial)",
+        counting.pages_read(),
         100.0 * per_trial / num_pages.max(1) as f64
     );
-    println!("elapsed        {:.3} s", started.elapsed().as_secs_f64());
+    outln!("elapsed        {:.3} s", started.elapsed().as_secs_f64());
     Ok(())
 }
 
 fn cmd_exact(mut args: Args) -> Result<(), String> {
     let path = args.require("table")?;
-    let scheme_name: String = args.parse("scheme", "null-suppression".to_string())?;
-    let table = open_table(&path)?;
-    let spec = index_spec(&mut args, &table)?;
-    args.finish()?;
+    let table = DiskTable::open(&path).map_err(|e| format!("cannot open {path}: {e}"))?;
+    let (spec, scheme) = index_choice_from_flags(&args.argv)
+        .and_then(|index| index.resolve(table.schema()))
+        .map_err(|e| e.to_string())?;
 
-    let scheme = scheme_by_name(&scheme_name).map_err(|e| e.to_string())?;
     let counting = CountingSource::new(&table);
     let started = Instant::now();
     let exact = ExactCf::new()
         .compute(&counting, &spec, scheme.as_ref())
         .map_err(|e| e.to_string())?;
 
-    println!("table          {} ({path})", TableSource::name(&table));
-    println!(
+    outln!("table          {} ({path})", TableSource::name(&table));
+    outln!(
         "rows           {} (d = {})",
-        exact.data.rows, exact.data.distinct_first_key
+        exact.data.rows,
+        exact.data.distinct_first_key
     );
-    println!("scheme         {}", scheme.name());
-    println!("index key      {}", spec.key_columns().join(", "));
-    println!("exact CF       {:.4}", exact.cf);
-    println!("  with ptrs    {:.4}", exact.cf_with_pointers);
-    println!("  page-level   {:.4}", exact.cf_pages);
-    println!(
+    outln!("scheme         {}", scheme.name());
+    outln!("index key      {}", spec.key_columns().join(", "));
+    outln!("exact CF       {:.4}", exact.cf);
+    outln!("  with ptrs    {:.4}", exact.cf_with_pointers);
+    outln!("  page-level   {:.4}", exact.cf_pages);
+    outln!(
         "pages read     {} of {}",
         counting.pages_read(),
         table.num_pages()
     );
-    println!("elapsed        {:.3} s", started.elapsed().as_secs_f64());
+    outln!("elapsed        {:.3} s", started.elapsed().as_secs_f64());
     Ok(())
-}
-
-/// One parsed candidate line: index name, key columns, scheme, kind.
-struct CandidateSpec {
-    spec: IndexSpec,
-    scheme: Box<dyn CompressionScheme>,
 }
 
 /// Parse a candidate spec file: `<name> <col[,col...]> <scheme> [clustered]`
 /// per line, `#` comments and blank lines ignored.
-fn parse_candidates_file(path: &str) -> Result<Vec<CandidateSpec>, String> {
+fn parse_candidates_file(path: &str) -> Result<Vec<IndexChoice>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut out = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -686,7 +536,6 @@ fn parse_candidates_file(path: &str) -> Result<Vec<CandidateSpec>, String> {
                 lineno + 1
             ));
         }
-        let columns: Vec<String> = fields[1].split(',').map(str::to_string).collect();
         let clustered = match fields.get(3) {
             None => false,
             Some(&"clustered") => true,
@@ -697,15 +546,12 @@ fn parse_candidates_file(path: &str) -> Result<Vec<CandidateSpec>, String> {
                 ))
             }
         };
-        let spec = if clustered {
-            IndexSpec::clustered(fields[0], columns)
-        } else {
-            IndexSpec::nonclustered(fields[0], columns)
-        }
-        .map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
-        let scheme =
-            scheme_by_name(fields[2]).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
-        out.push(CandidateSpec { spec, scheme });
+        out.push(IndexChoice {
+            index: fields[0].to_string(),
+            columns: Some(fields[1].split(',').map(str::to_string).collect()),
+            clustered,
+            scheme: fields[2].to_string(),
+        });
     }
     if out.is_empty() {
         return Err(format!("{path}: no candidates found"));
@@ -713,165 +559,64 @@ fn parse_candidates_file(path: &str) -> Result<Vec<CandidateSpec>, String> {
     Ok(out)
 }
 
-/// Escape a string for JSON output.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn plan_to_json(table: &str, path: &str, plan: &AdvisorPlan) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"table\": \"{}\",\n", json_escape(table)));
-    s.push_str(&format!("  \"file\": \"{}\",\n", json_escape(path)));
-    s.push_str(&format!(
-        "  \"budget_bytes\": {},\n",
-        plan.budget_bytes
-            .map_or("null".to_string(), |b| b.to_string())
-    ));
-    s.push_str(&format!("  \"fits_budget\": {},\n", plan.fits_budget()));
-    s.push_str(&format!(
-        "  \"total_uncompressed_bytes\": {},\n",
-        plan.total_uncompressed_bytes()
-    ));
-    s.push_str(&format!(
-        "  \"total_chosen_bytes\": {},\n",
-        plan.total_chosen_bytes()
-    ));
-    s.push_str(&format!("  \"samples_drawn\": {},\n", plan.samples_drawn()));
-    s.push_str(&format!("  \"pages_read\": {},\n", plan.pages_read()));
-    s.push_str(&format!(
-        "  \"naive_pages_read\": {},\n",
-        plan.naive_pages_read()
-    ));
-    s.push_str(&format!(
-        "  \"elapsed_seconds\": {:.6},\n",
-        plan.elapsed.as_secs_f64()
-    ));
-    s.push_str("  \"groups\": [\n");
-    for (i, g) in plan.groups.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"table\": \"{}\", \"sampler\": \"{}\", \"seed\": {}, \"candidates\": {}, \
-             \"sample_rows\": {}, \"pages_read\": {}}}{}\n",
-            json_escape(&g.table),
-            json_escape(&g.sampler),
-            g.seed,
-            g.candidates,
-            g.sample_rows,
-            g.pages_read,
-            if i + 1 < plan.groups.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"recommendations\": [\n");
-    for (i, r) in plan.recommendations.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"index\": \"{}\", \"scheme\": \"{}\", \"uncompressed_bytes\": {}, \
-             \"estimated_compressed_bytes\": {}, \"estimated_cf\": {:.6}, \
-             \"sample_rows\": {}, \"group\": {}, \"compress\": {}}}{}\n",
-            json_escape(&r.index),
-            json_escape(&r.scheme),
-            r.uncompressed_bytes,
-            r.estimated_compressed_bytes,
-            r.estimated_cf,
-            r.sample_rows,
-            r.group,
-            r.compress,
-            if i + 1 < plan.recommendations.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    s.push_str("  ]\n}");
-    s
-}
-
 fn cmd_advise(mut args: Args) -> Result<(), String> {
     let path = args.require("table")?;
-    let candidates_path = args.opt("candidates")?;
-    let sampler_name: String = args.parse("sampler", "block".to_string())?;
-    let fraction: f64 = args.parse("fraction", 0.01)?;
-    let size: usize = args.parse("size", 1_000)?;
-    let strata: usize = args.parse("strata", 8)?;
-    let alloc: String = args.parse("alloc", "prop".to_string())?;
-    let strata_mode: String = args.parse("strata-mode", "equi-width".to_string())?;
-    let seed: u64 = args.parse("seed", 0)?;
-    let min_saving: f64 = args.parse("min-saving", 0.1)?;
-    let budget: Option<usize> = args
-        .opt("budget")?
-        .map(|b| {
-            b.parse::<usize>()
-                .map_err(|e| format!("invalid value {b:?} for --budget: {e}"))
-        })
-        .transpose()?;
-    let threads: usize = args.parse("threads", 0)?;
     let json = args.flag("json");
-    let table = open_table(&path)?;
-
-    let candidate_specs: Vec<CandidateSpec> = match candidates_path {
-        Some(file) => {
-            args.finish()?;
-            parse_candidates_file(&file)?
-        }
+    let candidates = match args.opt("candidates")? {
+        Some(file) => parse_candidates_file(&file)?,
         None => {
-            let scheme_name: String = args.parse("scheme", "null-suppression".to_string())?;
-            let spec = index_spec(&mut args, &table)?;
-            args.finish()?;
-            vec![CandidateSpec {
-                spec,
-                scheme: scheme_by_name(&scheme_name).map_err(|e| e.to_string())?,
-            }]
+            // One inline candidate: the index `estimate` would measure.
+            let mut inline = Vec::new();
+            for flag in ["scheme", "column"] {
+                if let Some(value) = args.opt(flag)? {
+                    inline.extend([format!("--{flag}"), value]);
+                }
+            }
+            vec![index_choice_from_flags(&inline).map_err(|e| e.to_string())?]
         }
     };
-
-    let sampler = parse_sampler(&sampler_name, fraction, size, strata, &alloc, &strata_mode)?;
-    let advisor = CompressionAdvisor::new(AdvisorConfig {
-        sampler,
-        seed,
-        min_saving_fraction: min_saving,
-        budget_bytes: budget,
-        threads,
-    })
+    let (state, entry) = local_service(&path)?;
+    let request = request_from_cli(
+        RequestKind::Advise,
+        entry.shared.name(),
+        &candidates,
+        &args.argv,
+    )
     .map_err(|e| e.to_string())?;
-
-    let table_name = TableSource::name(&table).to_string();
-    let num_rows = table.num_rows();
-    let num_pages = table.num_pages();
-    let shared = table.into_shared();
-    let candidates: Vec<Candidate<'_>> = candidate_specs
-        .iter()
-        .map(|c| Candidate::new(&shared, &c.spec, c.scheme.as_ref()))
-        .collect();
-    let plan = advisor.plan(&candidates).map_err(|e| e.to_string())?;
+    let response = state.execute(&request).map_err(|e| e.to_string())?;
     if json {
-        println!("{}", plan_to_json(&table_name, &path, &plan));
+        outln!("{}", response.to_json().pretty());
         return Ok(());
     }
+    let Response::Advise {
+        sample,
+        plan,
+        accounting,
+    } = &response
+    else {
+        return Err(format!("unexpected answer: {response:?}"));
+    };
 
-    println!("table          {table_name} ({path})");
-    println!("rows           {num_rows} on {num_pages} pages");
-    println!("sampler        {}", sampler.label());
-    println!("candidates     {}", plan.recommendations.len());
-    println!();
-    println!(
+    let num_pages = entry.table.num_pages();
+    outln!("table          {} ({})", entry.shared.name(), entry.path);
+    outln!(
+        "rows           {} on {num_pages} pages",
+        entry.table.num_rows()
+    );
+    outln!("sampler        {}", sample.sampler.label());
+    outln!("candidates     {}", plan.recommendations.len());
+    outln!();
+    outln!(
         "{:<20} {:<18} {:>14} {:>16} {:>8} {:>10}",
-        "index", "scheme", "uncompressed", "est. compressed", "CF", "compress?"
+        "index",
+        "scheme",
+        "uncompressed",
+        "est. compressed",
+        "CF",
+        "compress?"
     );
     for r in &plan.recommendations {
-        println!(
+        outln!(
             "{:<20} {:<18} {:>14} {:>16} {:>8.4} {:>10}",
             r.index,
             r.scheme,
@@ -881,8 +626,8 @@ fn cmd_advise(mut args: Args) -> Result<(), String> {
             if r.compress { "yes" } else { "no" }
         );
     }
-    println!();
-    println!(
+    outln!();
+    outln!(
         "total          {} B uncompressed -> {} B chosen{}",
         plan.total_uncompressed_bytes(),
         plan.total_chosen_bytes(),
@@ -891,17 +636,17 @@ fn cmd_advise(mut args: Args) -> Result<(), String> {
             if plan.fits_budget() { "yes" } else { "no" }
         ))
     );
-    println!(
+    outln!(
         "samples drawn  {} ({} rows total)",
         plan.samples_drawn(),
         plan.groups.iter().map(|g| g.sample_rows).sum::<usize>()
     );
-    println!(
+    outln!(
         "pages read     {} of {num_pages} (naive re-sample-per-candidate: {})",
-        plan.pages_read(),
+        accounting.pages_read,
         plan.naive_pages_read()
     );
-    println!("elapsed        {:.3} s", plan.elapsed.as_secs_f64());
+    outln!("elapsed        {:.3} s", plan.elapsed.as_secs_f64());
     Ok(())
 }
 
@@ -932,24 +677,11 @@ fn cmd_client(mut args: Args) -> Result<(), String> {
         .map_err(|e| format!("request is not valid JSON: {e}"))?
         .to_line();
 
-    let mut stream = std::net::TcpStream::connect(&addr)
-        .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    stream
-        .write_all(request.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
-        .map_err(|e| format!("cannot send request: {e}"))?;
-    let mut reply = String::new();
-    BufReader::new(stream)
-        .read_line(&mut reply)
-        .map_err(|e| format!("cannot read reply: {e}"))?;
-    if reply.trim().is_empty() {
-        return Err("connection closed without a reply".to_string());
-    }
-    let parsed = Json::parse(reply.trim()).map_err(|e| format!("server sent invalid JSON: {e}"))?;
+    let (reply, parsed) = round_trip(&addr, &request)?;
     if raw {
-        println!("{}", reply.trim());
+        outln!("{reply}");
     } else {
-        println!("{}", parsed.pretty());
+        outln!("{}", parsed.pretty());
     }
     match parsed.get("ok").and_then(Json::as_bool) {
         Some(true) => Ok(()),
@@ -957,25 +689,33 @@ fn cmd_client(mut args: Args) -> Result<(), String> {
     }
 }
 
-/// One round trip: send `{"op":"stats"}`, return the `stats` object.
-fn fetch_stats(addr: &str) -> Result<Json, String> {
+/// One round trip to a daemon: send `request` (one line), return the reply
+/// line and its parse.
+fn round_trip(addr: &str, request: &str) -> Result<(String, Json), String> {
     let mut stream =
         std::net::TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
     stream
-        .write_all(b"{\"op\":\"stats\"}\n")
-        .map_err(|e| format!("cannot send stats request: {e}"))?;
+        .write_all(format!("{request}\n").as_bytes())
+        .map_err(|e| format!("cannot send request: {e}"))?;
     let mut reply = String::new();
     BufReader::new(stream)
         .read_line(&mut reply)
-        .map_err(|e| format!("cannot read stats reply: {e}"))?;
-    let parsed = Json::parse(reply.trim()).map_err(|e| format!("server sent invalid JSON: {e}"))?;
-    if parsed.get("ok").and_then(Json::as_bool) != Some(true) {
-        return Err(format!("server reported an error: {}", reply.trim()));
+        .map_err(|e| format!("cannot read reply: {e}"))?;
+    let reply = reply.trim().to_string();
+    if reply.is_empty() {
+        return Err("connection closed without a reply".to_string());
     }
-    parsed
-        .get("stats")
-        .cloned()
-        .ok_or_else(|| "stats reply has no \"stats\" object".to_string())
+    let parsed = Json::parse(&reply).map_err(|e| format!("server sent invalid JSON: {e}"))?;
+    Ok((reply, parsed))
+}
+
+/// Fetch a daemon's `stats` object.
+fn fetch_stats(addr: &str) -> Result<Json, String> {
+    let (reply, parsed) = round_trip(addr, r#"{"op":"stats"}"#)?;
+    match parsed.get("stats") {
+        Some(stats) if parsed.get("ok").and_then(Json::as_bool) == Some(true) => Ok(stats.clone()),
+        _ => Err(format!("server reported an error: {reply}")),
+    }
 }
 
 fn top_u64(stats: &Json, path: &[&str]) -> u64 {
@@ -1021,14 +761,14 @@ fn cmd_top(mut args: Args) -> Result<(), String> {
 
         if !plain {
             // Clear the screen and home the cursor, terminal-agnostic.
-            print!("\x1b[2J\x1b[H");
+            emit(format_args!("\x1b[2J\x1b[H"));
         }
-        println!("samplecf top — {addr}   uptime {uptime:.1}s");
+        outln!("samplecf top — {addr}   uptime {uptime:.1}s");
         let tables = stats
             .get("tables")
             .and_then(Json::as_array)
             .map_or(0, <[Json]>::len);
-        println!(
+        outln!(
             "requests  {total} total   {rps:7.1} req/s   errors {}   tables {tables}",
             top_u64(&stats, &["errors"]),
         );
@@ -1041,13 +781,13 @@ fn cmd_top(mut args: Args) -> Result<(), String> {
         } else {
             hits as f64 / lookups as f64 * 100.0
         };
-        println!(
+        outln!(
             "cache     {hit_ratio:5.1}% hit ({hits}/{lookups})   {} B in {} entries   {} evictions",
             top_u64(&stats, &["cache", "bytes"]),
             top_u64(&stats, &["cache", "entries"]),
             top_u64(&stats, &["cache", "evictions"]),
         );
-        println!(
+        outln!(
             "queue     depth {} (max {} / cap {})   conns {} open / {} accepted / {} busy-rejected",
             top_u64(&stats, &["server", "queue_depth"]),
             top_u64(&stats, &["server", "queue_depth_max"]),
@@ -1057,11 +797,11 @@ fn cmd_top(mut args: Args) -> Result<(), String> {
             top_u64(&stats, &["server", "busy_rejections"]),
         );
 
-        println!("latency             count      p50      p95      p99");
+        outln!("latency             count      p50      p95      p99");
         if let Some(Json::Obj(kinds)) = stats.get("latency") {
             for (op, quantiles) in kinds {
                 let ms = |key: &str| top_u64(quantiles, &[key]) as f64 / 1e6;
-                println!(
+                outln!(
                     "  {op:<18}{count:>6}{p50:>8.2}ms{p95:>8.2}ms{p99:>8.2}ms",
                     count = top_u64(quantiles, &["count"]),
                     p50 = ms("p50_ns"),
@@ -1071,7 +811,7 @@ fn cmd_top(mut args: Args) -> Result<(), String> {
             }
         }
         if plain {
-            println!();
+            outln!();
         }
 
         frame += 1;
@@ -1086,27 +826,32 @@ fn cmd_info(mut args: Args) -> Result<(), String> {
     let path = args.require("table")?;
     let json = args.flag("json");
     args.finish()?;
-    let table = open_table(&path)?;
+    let (state, entry) = local_service(&path)?;
     if json {
-        // The exact table-metadata shape samplecfd's `info` endpoint
-        // returns, so local files and cataloged tables read the same.
-        println!("{}", table_info_json(&table, &path).pretty());
+        // What samplecfd's `info` endpoint answers, so local files and
+        // cataloged tables read the same.
+        let info = Request::Info {
+            table: entry.shared.name().to_string(),
+        };
+        let response = state.execute(&info).map_err(|e| e.to_string())?;
+        outln!("{}", response.to_json().pretty());
         return Ok(());
     }
-    println!("file           {path}");
-    println!(
+    let table = &entry.table;
+    outln!("file           {path}");
+    outln!(
         "format         SCF1 v{}",
         samplecf_storage::disk::FORMAT_VERSION
     );
-    println!("table          {}", TableSource::name(&table));
-    println!("rows           {}", table.num_rows());
-    println!("pages          {}", table.num_pages());
-    println!("page size      {} B", table.page_size());
-    println!("rows per page  {}", table.rows_per_page());
-    println!("file size      {} B", table.file_len());
-    println!("schema:");
+    outln!("table          {}", entry.shared.name());
+    outln!("rows           {}", table.num_rows());
+    outln!("pages          {}", table.num_pages());
+    outln!("page size      {} B", table.page_size());
+    outln!("rows per page  {}", table.rows_per_page());
+    outln!("file size      {} B", table.file_len());
+    outln!("schema:");
     for col in table.schema().columns() {
-        println!("  {col}");
+        outln!("  {col}");
     }
     Ok(())
 }

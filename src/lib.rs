@@ -85,8 +85,8 @@ pub mod prelude {
         UniformWithReplacement,
     };
     pub use samplecf_storage::{
-        Catalog, Column, DataType, DiskTable, IntoShared, Row, Schema, SharedCountingSource,
-        SharedSource, Table, TableBuilder, TableSource, Value,
+        Column, DataType, DiskTable, IntoShared, Row, Schema, SharedCountingSource, SharedSource,
+        Table, TableBuilder, TableSource, Value,
     };
 }
 

@@ -1,7 +1,8 @@
 //! Integration tests that shell out to the `samplecf` binary: the full
 //! gen → info → estimate → exact → advise loop on a temp directory, checking
-//! the reported fields for estimate/exact parity and that `advise --json`
-//! emits valid, well-formed JSON.
+//! the reported fields for estimate/exact parity, that `--json` prints the
+//! response object a `samplecfd` serves for the same request, and that both
+//! ends reject the same malformed requests the same way.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -213,25 +214,22 @@ fn advise_json_is_valid_and_accounts_shared_sample_io() {
     ]);
     let json = Json::parse(&out).expect("advise --json emits valid JSON");
 
-    // Structure and accounting.
-    assert_eq!(json.key("table"), &Json::Str("t".to_string()));
-    assert_eq!(json.key("fits_budget"), &Json::Bool(true));
-    assert_eq!(json.key("budget_bytes"), &Json::Null);
-    assert_eq!(json.key("samples_drawn").num() as u64, 1);
+    // `--json` prints the service's response object: structure and
+    // accounting.
+    let (result, acc) = (json.key("result"), json.key("accounting"));
+    assert_eq!(result.key("table"), &Json::Str("t".to_string()));
+    assert_eq!(result.key("fits_budget"), &Json::Bool(true));
+    assert_eq!(result.key("budget_bytes"), &Json::Null);
+    assert_eq!(acc.key("cache"), &Json::Str("miss".to_string()));
     let expected_pages = ((pages as f64) * fraction).round().max(1.0) as u64;
-    assert_eq!(json.key("pages_read").num() as u64, expected_pages);
+    assert_eq!(acc.key("pages_read").num() as u64, expected_pages);
     assert_eq!(
-        json.key("naive_pages_read").num() as u64,
+        acc.key("naive_pages_read").num() as u64,
         expected_pages * 4,
         "naive baseline pays the sample once per candidate"
     );
 
-    let groups = json.key("groups").arr();
-    assert_eq!(groups.len(), 1);
-    assert_eq!(groups[0].key("candidates").num() as u64, 4);
-    assert_eq!(groups[0].key("pages_read").num() as u64, expected_pages);
-
-    let recs = json.key("recommendations").arr();
+    let recs = result.key("recommendations").arr();
     assert_eq!(recs.len(), 4);
     let mut total_uncompressed = 0.0;
     for r in recs {
@@ -243,11 +241,10 @@ fn advise_json_is_valid_and_accounts_shared_sample_io() {
     }
     assert_eq!(
         total_uncompressed,
-        json.key("total_uncompressed_bytes").num()
+        result.key("total_uncompressed_bytes").num()
     );
 
-    // Determinism: the same invocation produces byte-identical
-    // recommendations (elapsed_seconds is the only varying field).
+    // Determinism: the same invocation produces the identical response.
     let out2 = samplecf(&[
         "advise",
         "--table",
@@ -262,8 +259,7 @@ fn advise_json_is_valid_and_accounts_shared_sample_io() {
         "7",
         "--json",
     ]);
-    let json2 = Json::parse(&out2).expect("valid JSON");
-    assert_eq!(json.key("recommendations"), json2.key("recommendations"));
+    assert_eq!(json, Json::parse(&out2).expect("valid JSON"));
 }
 
 #[test]
@@ -307,7 +303,7 @@ fn advise_and_estimate_report_the_same_cf_for_a_stratified_sample() {
             .concat(),
         );
         let advise = Json::parse(&advise).expect("advise --json emits valid JSON");
-        let recs = advise.key("recommendations").arr();
+        let recs = advise.key("result").key("recommendations").arr();
         assert_eq!(recs.len(), schemes.len());
         for (rec, scheme) in recs.iter().zip(schemes) {
             let estimate = samplecf(
@@ -320,7 +316,7 @@ fn advise_and_estimate_report_the_same_cf_for_a_stratified_sample() {
             let estimate = Json::parse(&estimate).expect("estimate --json emits valid JSON");
             assert_eq!(
                 rec.key("estimated_cf").num(),
-                estimate.key("cf").num(),
+                estimate.key("result").key("cf").num(),
                 "{alloc}/{scheme}"
             );
         }
@@ -357,14 +353,14 @@ fn estimate_json_reports_the_seed_actually_used() {
     let json = Json::parse(&out).expect("estimate --json emits valid JSON");
     // The seed is the one the run actually used — the field that makes a
     // report reproducible on its own.
-    assert_eq!(json.key("seed").num() as u64, 31);
-    let cf = json.key("cf").num();
+    assert_eq!(json.key("result").key("seed").num() as u64, 31);
+    let cf = json.key("result").key("cf").num();
     assert!(cf > 0.0 && cf < 1.5, "cf {cf}");
-    assert!(json.key("pages_read").num() > 0.0);
+    assert!(json.key("accounting").key("pages_read").num() > 0.0);
     // A defaulted seed shows up as 0 rather than being omitted.
     let out = samplecf(&["estimate", "--table", &table, "--json"]);
     let json = Json::parse(&out).expect("valid JSON");
-    assert_eq!(json.key("seed").num() as u64, 0);
+    assert_eq!(json.key("result").key("seed").num() as u64, 0);
 }
 
 #[test]
@@ -405,6 +401,7 @@ fn progressive_estimate_stops_early_and_reports_a_ci() {
         "--json",
     ]);
     let json = Json::parse(&out).expect("progressive --json emits valid JSON");
+    let json = json.key("result");
     assert_eq!(json.key("seed").num() as u64, 5);
     assert_eq!(json.key("target_met"), &Json::Bool(true));
     assert_eq!(json.key("stopped_early"), &Json::Bool(true));
@@ -461,8 +458,13 @@ fn info_json_matches_the_server_table_shape() {
 
     let out = samplecf(&["info", "--table", &table, "--json"]);
     let json = Json::parse(&out).expect("info --json emits valid JSON");
+    let json = json.key("table");
     assert_eq!(json.key("name"), &Json::Str("t".to_string()));
-    assert_eq!(json.key("path"), &Json::Str(table.clone()));
+    let canonical = std::fs::canonicalize(&table).expect("the table file exists");
+    assert_eq!(
+        json.key("path"),
+        &Json::Str(canonical.to_string_lossy().into_owned())
+    );
     assert_eq!(json.key("rows").num() as u64, 5_000);
     assert_eq!(json.key("pages").num() as u64, pages);
     assert!(json.key("rows_per_page").num() > 0.0);
@@ -550,38 +552,116 @@ fn daemon_register_estimate_stats_loop_matches_the_oneshot_cli() {
         let registered = client(&addr, &format!(r#"{{"op":"register","path":"{table}"}}"#));
         assert_eq!(registered.key("table").key("rows").num() as u64, 16_000);
 
-        let request = r#"{"op":"estimate","table":"t","sampler":"block","fraction":0.1,"scheme":"dictionary-global","seed":6}"#;
-        let served = client(&addr, request);
-        let result = served.key("result");
-        let served_cf = result.key("cf").num();
-        let acc = served.key("accounting");
-        assert_eq!(acc.key("cache"), &Json::Str("miss".to_string()));
-        let served_pages = acc.key("pages_read").num() as u64;
+        // One control path: for every request shape, the one-shot CLI's
+        // `--json` prints the very response the daemon serves — the whole
+        // `result` object at full f64 precision, and the same page cost on
+        // a cold cache.
+        let cands = dir.path("candidates.txt");
+        std::fs::write(
+            &cands,
+            "idx_dict a dictionary-global\nidx_ns a null-suppression\n\
+             idx_rle a rle\npk_all a prefix clustered\n",
+        )
+        .unwrap();
+        let candidates = r#"[{"index":"idx_dict","columns":["a"],"scheme":"dictionary-global"},
+            {"index":"idx_ns","columns":["a"],"scheme":"null-suppression"},
+            {"index":"idx_rle","columns":["a"],"scheme":"rle"},
+            {"index":"pk_all","columns":["a"],"scheme":"prefix","clustered":true}]"#;
+        let shapes: [(&str, String, Vec<&str>); 5] = [
+            (
+                "estimate",
+                r#""sampler":"block","fraction":0.1,"scheme":"dictionary-global","seed":6"#.into(),
+                vec![
+                    "--sampler",
+                    "block",
+                    "--fraction",
+                    "0.1",
+                    "--scheme",
+                    "dictionary-global",
+                    "--seed",
+                    "6",
+                ],
+            ),
+            (
+                "estimate",
+                r#""sampler":"uniform","fraction":0.02,"scheme":"rle","seed":7"#.into(),
+                vec![
+                    "--sampler",
+                    "uniform",
+                    "--fraction",
+                    "0.02",
+                    "--scheme",
+                    "rle",
+                    "--seed",
+                    "7",
+                ],
+            ),
+            (
+                "estimate",
+                r#""sampler":"stratified","alloc":"neyman","strata":6,"fraction":0.05,"seed":8"#
+                    .into(),
+                vec![
+                    "--sampler",
+                    "stratified",
+                    "--alloc",
+                    "neyman",
+                    "--strata",
+                    "6",
+                    "--fraction",
+                    "0.05",
+                    "--seed",
+                    "8",
+                ],
+            ),
+            (
+                "estimate_progressive",
+                r#""sampler":"block","target_error":0.05,"fraction":0.3,"seed":9"#.into(),
+                vec![
+                    "--sampler",
+                    "block",
+                    "--target-error",
+                    "0.05",
+                    "--max-fraction",
+                    "0.3",
+                    "--seed",
+                    "9",
+                ],
+            ),
+            (
+                "advise",
+                format!(r#""sampler":"block","fraction":0.05,"seed":10,"candidates":{candidates}"#),
+                vec![
+                    "--candidates",
+                    &cands,
+                    "--sampler",
+                    "block",
+                    "--fraction",
+                    "0.05",
+                    "--seed",
+                    "10",
+                ],
+            ),
+        ];
+        for (op, fields, flags) in &shapes {
+            let served = client(&addr, &format!(r#"{{"op":"{op}","table":"t",{fields}}}"#));
+            let command = if *op == "advise" {
+                "advise"
+            } else {
+                "estimate"
+            };
+            let oneshot = samplecf(&[&[command, "--table", &table, "--json"], &flags[..]].concat());
+            let oneshot = Json::parse(&oneshot).expect("valid JSON");
+            assert_eq!(oneshot.key("op"), served.key("op"), "{op} {fields}");
+            assert_eq!(oneshot.key("result"), served.key("result"), "{op} {fields}");
+            assert_eq!(
+                oneshot.key("accounting").key("pages_read"),
+                served.key("accounting").key("pages_read"),
+                "{op} {fields}"
+            );
+        }
 
-        // The daemon's estimate equals `samplecf estimate` seed-for-seed
-        // (the CLI rounds to 6 decimals; compare at that precision).
-        let oneshot = samplecf(&[
-            "estimate",
-            "--table",
-            &table,
-            "--sampler",
-            "block",
-            "--fraction",
-            "0.1",
-            "--scheme",
-            "dictionary-global",
-            "--seed",
-            "6",
-            "--json",
-        ]);
-        let oneshot = Json::parse(&oneshot).expect("valid JSON");
-        assert_eq!(
-            format!("{:.6}", served_cf),
-            format!("{:.6}", oneshot.key("cf").num()),
-            "daemon and one-shot CLI disagree"
-        );
-        assert_eq!(result.key("rows").num(), oneshot.key("rows").num());
-        assert_eq!(served_pages, oneshot.key("pages_read").num() as u64);
+        let request = r#"{"op":"estimate","table":"t","sampler":"block","fraction":0.1,"scheme":"dictionary-global","seed":6}"#;
+        let result = &client(&addr, request).key("result").clone();
 
         // A repeat of the same request is a cache hit with zero I/O.
         let again = client(&addr, request);
@@ -596,8 +676,8 @@ fn daemon_register_estimate_stats_loop_matches_the_oneshot_cli() {
         // matches `samplecf info --json` byte for byte (same shape).
         let stats = client(&addr, r#"{"op":"stats"}"#);
         let cache = stats.key("stats").key("cache");
-        assert_eq!(cache.key("misses").num() as u64, 1);
-        assert_eq!(cache.key("hits").num() as u64, 1);
+        assert_eq!(cache.key("misses").num() as u64, 4, "one per sampled shape");
+        assert_eq!(cache.key("hits").num() as u64, 2);
         let daemon_info = client(&addr, r#"{"op":"info","table":"t"}"#);
         let local_info = samplecf(&["info", "--table", &table, "--json"]);
         let local_info = Json::parse(&local_info).expect("valid JSON");
@@ -613,7 +693,7 @@ fn daemon_register_estimate_stats_loop_matches_the_oneshot_cli() {
         ] {
             assert_eq!(
                 daemon_info.key("table").key(key),
-                local_info.key(key),
+                local_info.key("table").key(key),
                 "{key}"
             );
         }
@@ -650,4 +730,156 @@ fn cli_rejects_bad_input_with_nonzero_exit() {
         .output()
         .expect("binary runs");
     assert!(!out.status.success());
+}
+
+/// Run the samplecf binary expecting failure; returns its stderr.
+fn samplecf_fails(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_samplecf"))
+        .args(args)
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success(), "samplecf {args:?} should fail");
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn both_ends_reject_the_same_malformed_specs_before_touching_the_cache() {
+    use samplecf_server::ServiceState;
+    let dir = TempDir::new("validator");
+    let table = dir.path("t.scf");
+    samplecf(&["gen", "--out", &table, "--rows", "2000", "--distinct", "40"]);
+    let state = ServiceState::new(16 << 20);
+    state.catalog.register(&table, None).expect("registers");
+
+    // (op, the malformed fields as JSON, the same as CLI flags).
+    let cases: [(&str, &str, &[&str]); 17] = [
+        ("estimate", r#""fraction":5"#, &["--fraction", "5"]),
+        ("estimate", r#""fraction":0"#, &["--fraction", "0"]),
+        (
+            "estimate",
+            r#""sampler":"stratified","strata":0"#,
+            &["--sampler", "stratified", "--strata", "0"],
+        ),
+        (
+            "estimate",
+            r#""sampler":"reservoir","size":0"#,
+            &["--sampler", "reservoir", "--size", "0"],
+        ),
+        (
+            "estimate",
+            r#""sampler":"warp-drive""#,
+            &["--sampler", "warp-drive"],
+        ),
+        (
+            "estimate",
+            r#""sampler":"stratified","alloc":"bogus""#,
+            &["--sampler", "stratified", "--alloc", "bogus"],
+        ),
+        (
+            "estimate",
+            r#""sampler":"stratified","strata_mode":"sideways""#,
+            &["--sampler", "stratified", "--strata-mode", "sideways"],
+        ),
+        ("estimate", r#""scheme":"zip""#, &["--scheme", "zip"]),
+        ("estimate", r#""columns":["nope"]"#, &["--column", "nope"]),
+        ("estimate", r#""fracton":0.5"#, &["--fracton", "0.5"]),
+        (
+            "estimate_progressive",
+            r#""target_error":0.1,"confidence":0"#,
+            &["--target-error", "0.1", "--confidence", "0"],
+        ),
+        (
+            "estimate_progressive",
+            r#""target_error":-1"#,
+            &["--target-error", "-1"],
+        ),
+        (
+            "estimate_progressive",
+            r#""target_error":0.1,"growth":1"#,
+            &["--target-error", "0.1", "--growth", "1"],
+        ),
+        (
+            "estimate_progressive",
+            r#""target_error":0.1,"sampler":"bernoulli""#,
+            &["--target-error", "0.1", "--sampler", "bernoulli"],
+        ),
+        (
+            "advise",
+            r#""min_saving":5,"candidates":[{"index":"idx","scheme":"rle"}]"#,
+            &["--scheme", "rle", "--min-saving", "5"],
+        ),
+        (
+            "advise",
+            r#""candidates":[{"index":"idx","scheme":"zip"}]"#,
+            &["--scheme", "zip"],
+        ),
+        (
+            "advise",
+            r#""fraction":2,"candidates":[{"index":"idx","scheme":"rle"}]"#,
+            &["--scheme", "rle", "--fraction", "2"],
+        ),
+    ];
+    for (op, fields, flags) in cases {
+        let reply = state.handle_line(&format!(r#"{{"op":"{op}","table":"t",{fields}}}"#));
+        let reply = Json::parse(&reply).expect("structured reply");
+        let error = reply.key("error");
+        assert_eq!(
+            error.key("code"),
+            &Json::Str("bad_request".to_string()),
+            "{op} {fields}: {reply}"
+        );
+        let Json::Str(message) = error.key("message") else {
+            panic!("message is a string: {reply}");
+        };
+        // The CLI front end refuses the same spec with the same message
+        // (candidate-level messages carry the candidate's position on
+        // both ends).
+        let command = if op == "advise" { "advise" } else { "estimate" };
+        let stderr = samplecf_fails(&[&[command, "--table", &table], flags].concat());
+        let shared = message.split(" (flag").next().unwrap_or(message);
+        let shared = shared.split(" (accepted").next().unwrap_or(shared);
+        assert!(
+            stderr.contains(shared),
+            "{op} {fields}: daemon said {message:?}, CLI said {stderr:?}"
+        );
+    }
+    assert!(state
+        .handle_line(r#"{"op":"advise","table":"t","candidates":[]}"#)
+        .contains("bad_request"));
+
+    // Every rejection came before the catalog entry's cache shard was
+    // touched: no draw was attempted, no page read.
+    let cache = state.cache.stats();
+    assert_eq!((cache.misses, cache.hits, cache.pages_read), (0, 0, 0));
+}
+
+#[test]
+fn a_closed_stdout_pipe_ends_the_report_quietly() {
+    let dir = TempDir::new("epipe");
+    let table = dir.path("t.scf");
+    samplecf(&[
+        "gen",
+        "--out",
+        &table,
+        "--rows",
+        "20000",
+        "--distinct",
+        "200",
+    ]);
+    // `samplecf … | head`, at its worst: the reader is gone before the
+    // report is written (the estimate takes far longer than the drop).
+    let mut child = Command::new(env!("CARGO_BIN_EXE_samplecf"))
+        .args(["estimate", "--table", &table, "--fraction", "0.2", "--json"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("child exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !stderr.contains("panicked"),
+        "samplecf panicked on a closed pipe:\n{stderr}"
+    );
+    assert!(out.status.success(), "{stderr}");
 }

@@ -176,39 +176,6 @@ fn advisor_and_capacity_planner_agree_on_sizes() {
     assert!(p.estimated_cf < 0.6);
 }
 
-#[test]
-fn catalog_supports_the_full_workflow() {
-    let catalog = Catalog::new();
-    catalog
-        .register(
-            presets::single_char_table("a", 1_000, 16, 20, 6, 1)
-                .generate()
-                .unwrap()
-                .table,
-        )
-        .unwrap();
-    catalog
-        .register(
-            presets::single_char_table("b", 2_000, 16, 2_000, 12, 2)
-                .generate()
-                .unwrap()
-                .table,
-        )
-        .unwrap();
-    assert_eq!(catalog.table_names(), vec!["a", "b"]);
-
-    let table = catalog.get("a").unwrap();
-    let spec = IndexSpec::nonclustered("i", ["a"]).unwrap();
-    let est = SampleCf::with_fraction(0.1)
-        .estimate(table.as_ref(), &spec, &DictionaryCompression::default())
-        .unwrap();
-    assert!(
-        est.cf < 0.7,
-        "low-cardinality table should compress, cf = {}",
-        est.cf
-    );
-}
-
 /// A unique temp path for disk-backed tests, removed on drop.
 struct TempTableFile(std::path::PathBuf);
 
