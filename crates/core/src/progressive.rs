@@ -17,6 +17,16 @@
 //! 4. the run stops as soon as the CI's relative half-width drops below
 //!    `target_error` — or when the sampler's fraction cap is reached.
 //!
+//! A delete-one-batch estimate is formed by *exclusion*: the pooled run
+//! minus batch `i`'s own sorted run is exactly the merge of the other
+//! batches, so one walk of the pooled run that skips batch `i`'s entries
+//! hands the leaf packer borrowed entries
+//! ([`IndexBuilder::build_from_sorted_run_excluding`]).  A checkpoint with
+//! `B` batches therefore costs one pooled merge (moving the run, cloning
+//! only the new batch), one pooled pack + measure, and `B − 1` packs +
+//! measures over borrowed entries — zero re-merges, no entry cloned.  The
+//! delete-*last*-batch estimate is free: it is the previous checkpoint's CF.
+//!
 //! On low-variance data the stop comes after a tiny fraction of the pages a
 //! fixed-`f` run would read; on adversarial data the run simply continues
 //! to the cap and returns exactly the fixed-`f` answer, with honest error
@@ -390,7 +400,7 @@ impl ProgressiveCf {
                 stats.observe(row.value(first_key));
             }
             let run = SortedRun::from_rows(&schema, &batch, spec)?;
-            merged = merged.merge(&run);
+            merged = merged.into_merged(&run);
             batch_sizes.push(batch.len());
             batch_runs.push(run);
 
@@ -404,27 +414,23 @@ impl ProgressiveCf {
                     strata_sketches = vec![MomentSketch::new(); k];
                     strata_rows = vec![0; k];
                 }
-                for s in 0..strata_weights.len() {
-                    // Cloned because `SortedRun::from_rows` encodes from a
-                    // contiguous slice of owned pairs; batches are small
-                    // (one schedule step), so this is off the hot path.
-                    let group: Vec<_> = batch
-                        .iter()
-                        .zip(&tags)
-                        .filter(|(_, &t)| t as usize == s)
-                        .map(|(r, _)| r.clone())
-                        .collect();
+                // The pooled run and the stats are done with the batch, so
+                // its rows move — in draw order — into their strata.
+                let mut groups: Vec<Vec<_>> = vec![Vec::new(); strata_weights.len()];
+                for (row, &t) in batch.into_iter().zip(&tags) {
+                    groups[t as usize].push(row);
+                }
+                for (s, group) in groups.iter().enumerate() {
                     if group.is_empty() {
                         continue;
                     }
-                    for (_, row) in &group {
+                    for (_, row) in group {
                         strata_sketches[s]
                             .observe(algebra::ns_row_statistic(row.value(first_key), key_width));
                     }
                     strata_rows[s] += group.len();
-                    let run_s = SortedRun::from_rows(&schema, &group, spec)?;
-                    let prev = std::mem::replace(&mut strata_runs[s], SortedRun::new());
-                    strata_runs[s] = prev.merge(&run_s);
+                    let run_s = SortedRun::from_rows(&schema, group, spec)?;
+                    strata_runs[s] = std::mem::take(&mut strata_runs[s]).into_merged(&run_s);
                 }
             }
 
@@ -451,24 +457,26 @@ impl ProgressiveCf {
             // grouped jackknife over batches otherwise.
             let variance = if is_stratified {
                 VarianceNode::stratified(strata_weights.clone(), strata_sketches.clone()).variance()
-            } else if batch_runs.len() >= 2 {
-                // Each delete-one-batch re-estimate is independent; fan the
-                // leave-one-out merges and measures over the pool and
-                // reassemble in skip order.
+            } else if let Some(previous) = checkpoints.last() {
+                // Deleting batch i leaves the pooled run minus batch i's own
+                // run: one walk of `merged` that skips those entries, nothing
+                // merged or cloned.  Deleting the newest batch leaves the
+                // previous checkpoint's sample, whose CF is already measured.
+                // The re-estimates are independent; fan them over the pool
+                // and reassemble in skip order.
                 let inner = self.builder.threads(1);
-                let results =
-                    parallel_indexed_map(batch_runs.len(), self.builder.thread_count(), |skip| {
-                        let partial = SortedRun::merge_all(
-                            batch_runs
-                                .iter()
-                                .enumerate()
-                                .filter(|(i, _)| *i != skip)
-                                .map(|(_, r)| r),
-                        );
-                        let idx = inner.build_from_sorted_run(&schema, spec, &partial)?;
-                        Ok::<_, CoreError>(measure_index(&idx, scheme)?.cf())
-                    });
-                let leave_one_out = results.into_iter().collect::<CoreResult<Vec<f64>>>()?;
+                let older = batch_runs.len() - 1;
+                let results = parallel_indexed_map(older, self.builder.thread_count(), |skip| {
+                    let idx = inner.build_from_sorted_run_excluding(
+                        &schema,
+                        spec,
+                        &merged,
+                        &batch_runs[skip],
+                    )?;
+                    Ok::<_, CoreError>(measure_index(&idx, scheme)?.cf())
+                });
+                let mut leave_one_out = results.into_iter().collect::<CoreResult<Vec<f64>>>()?;
+                leave_one_out.push(previous.cf);
                 grouped_jackknife_variance(cf, &leave_one_out, &batch_sizes)
             } else {
                 None

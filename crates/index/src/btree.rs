@@ -20,6 +20,10 @@ use samplecf_storage::{
     decode_cell, encode_cell, Page, Rid, Row, Schema, Table, Value, DEFAULT_PAGE_SIZE,
     PAGE_HEADER_SIZE, SLOT_SIZE,
 };
+use std::borrow::Borrow;
+
+/// One encoded `(sort key, leaf record)` pair.
+type EncodedEntry = (Vec<u8>, Vec<u8>);
 
 /// One decoded leaf entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,9 +181,9 @@ impl IndexBuilder {
     /// plus slot directory) past the fill target; a record that cannot fit
     /// in an empty page is an error.  `target_fill <= usable`, so the fill
     /// check subsumes the serial loop's physical `fits` check.
-    fn pack_leaves_parallel(
+    fn pack_leaves_parallel<E: Borrow<EncodedEntry> + Sync>(
         &self,
-        entries: &[(Vec<u8>, Vec<u8>)],
+        entries: &[E],
         usable: usize,
         target_fill: usize,
     ) -> IndexResult<Vec<Page>> {
@@ -192,7 +196,8 @@ impl IndexBuilder {
         let mut starts: Vec<usize> = vec![0];
         let mut used = 0usize;
         let mut count = 0usize;
-        for (i, (_, record)) in entries.iter().enumerate() {
+        for (i, entry) in entries.iter().enumerate() {
+            let record = &entry.borrow().1;
             let needed = record.len() + SLOT_SIZE;
             if needed > usable {
                 return Err(oversized(record.len()));
@@ -211,7 +216,8 @@ impl IndexBuilder {
             let lo = starts[p];
             let hi = starts.get(p + 1).copied().unwrap_or(entries.len());
             let mut page = Page::new(p as u32, self.page_size)?;
-            for (_, record) in &entries[lo..hi] {
+            for entry in &entries[lo..hi] {
+                let record = &entry.borrow().1;
                 page.insert(record)?
                     .ok_or_else(|| oversized(record.len()))?;
             }
@@ -292,11 +298,51 @@ impl IndexBuilder {
         self.build_from_sorted_entries(schema, spec, &run.entries)
     }
 
-    fn build_from_sorted_entries(
+    /// Build an index over `run` minus (as a multiset) `excluded` — how the
+    /// progressive jackknife forms a delete-one-batch estimate.
+    ///
+    /// `excluded` must be a sorted sub-multiset of `run`, as one batch's
+    /// run is of the pooled run it was merged into.  One linear walk of
+    /// `run` with a cursor over `excluded` keeps every entry the cursor
+    /// does not match, *by reference*: nothing is merged, and no entry is
+    /// cloned.  Entries with equal sort keys are fully equal (the RID is
+    /// part of the key), so which of several equal entries the cursor
+    /// consumes cannot show: the tree is byte-identical to
+    /// [`build_from_sorted_run`](Self::build_from_sorted_run) over a merge
+    /// of the other batches' runs.
+    ///
+    /// Entries left on the cursor after the walk mean `excluded` was not
+    /// drawn from `run`; that is [`IndexError::ExclusionMismatch`], never a
+    /// silently wrong tree.
+    pub fn build_from_sorted_run_excluding(
         &self,
         schema: &Schema,
         spec: &IndexSpec,
-        entries: &[(Vec<u8>, Vec<u8>)],
+        run: &SortedRun,
+        excluded: &SortedRun,
+    ) -> IndexResult<BTreeIndex> {
+        let mut cursor = excluded.entries.iter().peekable();
+        let mut kept: Vec<&EncodedEntry> =
+            Vec::with_capacity(run.len().saturating_sub(excluded.len()));
+        for entry in &run.entries {
+            if cursor.next_if(|x| x.0 == entry.0).is_none() {
+                kept.push(entry);
+            }
+        }
+        let left_over = cursor.count();
+        if left_over > 0 {
+            return Err(IndexError::ExclusionMismatch { left_over });
+        }
+        self.build_from_sorted_entries(schema, spec, &kept)
+    }
+
+    /// Pack sorted entries — owned, or borrowed out of a [`SortedRun`] — into
+    /// leaf pages and build the internal levels over them.
+    fn build_from_sorted_entries<E: Borrow<EncodedEntry> + Sync>(
+        &self,
+        schema: &Schema,
+        spec: &IndexSpec,
+        entries: &[E],
     ) -> IndexResult<BTreeIndex> {
         if !(self.fill_factor > 0.0 && self.fill_factor <= 1.0) {
             return Err(IndexError::InvalidSpec(format!(
@@ -316,7 +362,8 @@ impl IndexBuilder {
             let mut leaf_pages: Vec<Page> = Vec::new();
             let mut current = Page::new(0, self.page_size)?;
             let mut current_used = 0usize;
-            for (_, record) in entries {
+            for entry in entries {
+                let record = &entry.borrow().1;
                 let needed = record.len() + SLOT_SIZE;
                 let over_fill = current_used + needed > target_fill && current.slot_count() > 0;
                 if over_fill || !current.fits(record.len()) {
@@ -350,7 +397,7 @@ impl IndexBuilder {
             let mut idx = 0usize;
             for page in &leaf_pages {
                 if page.slot_count() > 0 {
-                    child_keys.push(entries[idx].0.as_slice());
+                    child_keys.push(entries[idx].borrow().0.as_slice());
                     idx += usize::from(page.slot_count());
                 } else {
                     child_keys.push(&[]);
@@ -490,12 +537,19 @@ fn encode_entries_from_records(
 /// checkpoint; rebuilding the index from scratch would re-sort all prior
 /// batches each time.  A `SortedRun` keeps the entries of the batches seen
 /// so far in sorted order: each new batch is encoded and sorted on its own
-/// (`O(b log b)` for `b` new rows) and then [`merge`](Self::merge)d into the
-/// accumulated run in linear time.  Feeding the run to
+/// (`O(b log b)` for `b` new rows) and then merged into the accumulated run
+/// in linear time — [`into_merged`](Self::into_merged) moves the accumulated
+/// entries and clones only the new batch's.  Feeding the run to
 /// [`IndexBuilder::build_from_sorted_run`] produces a tree byte-identical
 /// to a from-scratch [`IndexBuilder::build_from_rows`] over the same rows —
 /// the entry order is fully determined by the `(key bytes, RID)` sort key,
 /// so how the rows arrived cannot show in the output.
+///
+/// The same determinism runs backwards: the pooled run minus one batch's
+/// own run *is* the merge of the other batches, so a delete-one-batch tree
+/// is built by skipping that batch's entries in the pooled run
+/// ([`IndexBuilder::build_from_sorted_run_excluding`]) — no run is ever
+/// merged a second time.
 #[derive(Debug, Clone, Default)]
 pub struct SortedRun {
     entries: Vec<(Vec<u8>, Vec<u8>)>,
@@ -527,48 +581,27 @@ impl SortedRun {
         self.entries.is_empty()
     }
 
-    /// Merge two sorted runs into one, in linear time.
+    /// Merge two sorted runs into one, in linear time, leaving both intact.
     #[must_use]
     pub fn merge(&self, other: &SortedRun) -> SortedRun {
-        // Entries are cloned, not drained: the jackknife's delete-one-batch
-        // re-estimates merge the same batch runs repeatedly, so merge must
-        // leave both inputs intact.
-        let mut out = Vec::with_capacity(self.len() + other.len());
-        let (mut a, mut b) = (self.entries.iter(), other.entries.iter());
-        let (mut next_a, mut next_b) = (a.next(), b.next());
-        loop {
-            match (next_a, next_b) {
-                (Some(ea), Some(eb)) => {
-                    if ea.0 <= eb.0 {
-                        out.push(ea.clone());
-                        next_a = a.next();
-                    } else {
-                        out.push(eb.clone());
-                        next_b = b.next();
-                    }
-                }
-                (Some(ea), None) => {
-                    out.push(ea.clone());
-                    out.extend(a.cloned());
-                    break;
-                }
-                (None, Some(eb)) => {
-                    out.push(eb.clone());
-                    out.extend(b.cloned());
-                    break;
-                }
-                (None, None) => break,
-            }
-        }
-        SortedRun { entries: out }
+        self.clone().into_merged(other)
     }
 
-    /// Merge a whole set of runs (used by the jackknife's delete-one-batch
-    /// re-estimates).
+    /// Merge `other` into this run, in linear time: this run's entries are
+    /// moved, only `other`'s are cloned.  On equal keys this run's entry
+    /// comes first.
     #[must_use]
-    pub fn merge_all<'a>(runs: impl IntoIterator<Item = &'a SortedRun>) -> SortedRun {
-        runs.into_iter()
-            .fold(SortedRun::new(), |acc, run| acc.merge(run))
+    pub fn into_merged(self, other: &SortedRun) -> SortedRun {
+        let mut out = Vec::with_capacity(self.len() + other.len());
+        let mut incoming = other.entries.iter().peekable();
+        for entry in self.entries {
+            while let Some(before) = incoming.next_if(|x| x.0 < entry.0) {
+                out.push(before.clone());
+            }
+            out.push(entry);
+        }
+        out.extend(incoming.cloned());
+        SortedRun { entries: out }
     }
 }
 
@@ -806,6 +839,7 @@ impl BTreeIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use samplecf_storage::{Column, DataType, TableBuilder};
 
     fn schema() -> Schema {
@@ -1074,8 +1108,22 @@ mod tests {
         assert_trees_identical(&from_scratch, &incremental);
     }
 
+    /// The route the jackknife used to take, kept as the oracle: a left fold
+    /// of pairwise merges that clones every entry at every step.
+    fn fold_merge<'a>(runs: impl IntoIterator<Item = &'a SortedRun>) -> SortedRun {
+        runs.into_iter()
+            .fold(SortedRun::new(), |acc, run| acc.merge(run))
+    }
+
+    fn all_but(runs: &[SortedRun], skip: usize) -> impl Iterator<Item = &SortedRun> {
+        runs.iter()
+            .enumerate()
+            .filter(move |(i, _)| *i != skip)
+            .map(|(_, r)| r)
+    }
+
     #[test]
-    fn merge_all_combines_batch_runs_in_any_grouping() {
+    fn excluding_a_batch_equals_a_fold_merge_of_the_others() {
         let t = table(900);
         let spec = IndexSpec::nonclustered("i", ["name", "id"]).unwrap();
         let rows: Vec<(Rid, Row)> = t.scan().collect();
@@ -1083,29 +1131,120 @@ mod tests {
             .chunks(250)
             .map(|c| SortedRun::from_rows(t.schema(), c, &spec).unwrap())
             .collect();
-        let all = SortedRun::merge_all(&batches);
-        // Delete-one-batch merges (the jackknife's re-estimates) still
-        // build valid trees with the right entry counts.
+        let all = fold_merge(&batches);
+        let builder = IndexBuilder::new().page_size(512);
         for skip in 0..batches.len() {
-            let partial = SortedRun::merge_all(
-                batches
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| *i != skip)
-                    .map(|(_, r)| r),
-            );
+            let partial = fold_merge(all_but(&batches, skip));
             assert_eq!(partial.len(), all.len() - batches[skip].len());
-            let tree = IndexBuilder::new()
+            let merged = builder
                 .build_from_sorted_run(t.schema(), &spec, &partial)
                 .unwrap();
-            assert_eq!(tree.num_entries(), partial.len());
+            let excluded = builder
+                .build_from_sorted_run_excluding(t.schema(), &spec, &all, &batches[skip])
+                .unwrap();
+            assert_eq!(excluded.num_entries(), partial.len());
+            assert_trees_identical(&merged, &excluded);
         }
-        // An empty run builds the empty single-leaf tree.
-        let empty = IndexBuilder::new()
+        // An empty run builds the empty single-leaf tree, and so does a run
+        // with everything excluded; excluding nothing changes nothing.
+        let empty = builder
             .build_from_sorted_run(t.schema(), &spec, &SortedRun::new())
             .unwrap();
         assert_eq!(empty.num_entries(), 0);
         assert!(SortedRun::new().is_empty());
+        let nothing_left = builder
+            .build_from_sorted_run_excluding(t.schema(), &spec, &all, &all)
+            .unwrap();
+        assert_trees_identical(&empty, &nothing_left);
+        let whole = builder
+            .build_from_sorted_run(t.schema(), &spec, &all)
+            .unwrap();
+        let nothing_excluded = builder
+            .build_from_sorted_run_excluding(t.schema(), &spec, &all, &SortedRun::new())
+            .unwrap();
+        assert_trees_identical(&whole, &nothing_excluded);
+    }
+
+    #[test]
+    fn excluding_a_run_that_is_not_part_of_the_run_is_a_typed_error() {
+        let t = table(600);
+        let spec = IndexSpec::nonclustered("i", ["name"]).unwrap();
+        let rows: Vec<(Rid, Row)> = t.scan().collect();
+        let run = |rows: &[(Rid, Row)]| SortedRun::from_rows(t.schema(), rows, &spec).unwrap();
+        let (first, second) = (run(&rows[..200]), run(&rows[200..400]));
+        let pooled = first.merge(&second);
+        let builder = IndexBuilder::new();
+        let exclude = |excluded: &SortedRun| {
+            builder
+                .build_from_sorted_run_excluding(t.schema(), &spec, &pooled, excluded)
+                .map(|tree| tree.num_entries())
+        };
+        assert_eq!(exclude(&first), Ok(200));
+        // A foreign run: none of its entries is in the pooled run.
+        let foreign = run(&rows[400..]);
+        assert_eq!(
+            exclude(&foreign),
+            Err(IndexError::ExclusionMismatch { left_over: 200 })
+        );
+        // A run that overlaps the pooled run only in part: the walk stalls
+        // on its first entry without a counterpart.
+        assert!(matches!(
+            exclude(&run(&rows[300..450])),
+            Err(IndexError::ExclusionMismatch {
+                left_over: 50..=150
+            })
+        ));
+        // A batch excluded twice: the pooled run holds each entry once, so
+        // the walk stalls on the twin of the first entry it consumed.
+        assert_eq!(
+            exclude(&first.merge(&first)),
+            Err(IndexError::ExclusionMismatch { left_over: 399 })
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The jackknife's contract: for any split of a sample into batches
+        /// — rows drawn with replacement, so the same `(key, RID)` entry
+        /// turns up in several batches and several times in one — skipping
+        /// batch `i` in the pooled run gives, byte for byte, the tree built
+        /// from a merge of the other batches.
+        #[test]
+        fn excluding_any_batch_is_byte_identical_to_merging_the_others(
+            batches in 2usize..=8,
+            draws in proptest::collection::vec((0usize..150, 0usize..8), 2..500),
+            page_size in prop_oneof![Just(256usize), Just(512), Just(4096)],
+        ) {
+            let t = table(150);
+            let source: Vec<(Rid, Row)> = t.scan().collect();
+            let mut batch_rows: Vec<Vec<(Rid, Row)>> = vec![Vec::new(); batches];
+            for (row, owner) in draws {
+                batch_rows[owner % batches].push(source[row].clone());
+            }
+            for spec in [
+                IndexSpec::nonclustered("i", ["name"]).unwrap(),
+                IndexSpec::clustered("i", ["id"]).unwrap(),
+            ] {
+                let runs: Vec<SortedRun> = batch_rows
+                    .iter()
+                    .map(|rows| SortedRun::from_rows(t.schema(), rows, &spec).unwrap())
+                    .collect();
+                let pooled = fold_merge(&runs);
+                let serial = IndexBuilder::new().page_size(page_size);
+                for skip in 0..batches {
+                    let expected = serial
+                        .build_from_sorted_run(t.schema(), &spec, &fold_merge(all_but(&runs, skip)))
+                        .unwrap();
+                    for builder in [serial, serial.threads(2)] {
+                        let actual = builder
+                            .build_from_sorted_run_excluding(t.schema(), &spec, &pooled, &runs[skip])
+                            .unwrap();
+                        assert_trees_identical(&expected, &actual);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
