@@ -162,10 +162,10 @@ impl CachedSample {
     /// Drop the live stream state, fixing the entry's fraction for good.
     ///
     /// A streaming entry keeps its stream (and, for uniform draws, the
-    /// stream's page cache — the decoded rows of every page the draw
-    /// touched) so that a later, deeper request costs only the delta.  When
-    /// no deeper fraction is coming, sealing releases that memory; the
-    /// materialized sample itself is untouched and keeps serving hits.
+    /// stream's page cache — every page the draw touched) so that a later,
+    /// deeper request costs only the delta.  When no deeper fraction is
+    /// coming, sealing releases that memory; the materialized sample itself
+    /// is untouched and keeps serving hits.
     pub fn seal(&mut self) {
         self.stream = None;
     }
@@ -211,10 +211,9 @@ impl CachedSample {
 
     /// This entry's resident size in bytes — exactly what it retains: the
     /// sample's heap pages, its source-rid vector and stratum tags, and any
-    /// state the live stream holds for deepening (rid frame, cached decoded
-    /// pages, a held reservoir).  This is the unit the server cache's byte
-    /// budget evicts against; [`seal`](Self::seal)ing releases the stream's
-    /// share.
+    /// state the live stream holds for deepening (rid frame, cached pages,
+    /// a held reservoir).  This is the unit the server cache's byte budget
+    /// evicts against; [`seal`](Self::seal)ing releases the stream's share.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
         let table = self.sample.table();
@@ -719,15 +718,14 @@ mod tests {
         b.sort_by_key(|(rid, _)| *rid);
         assert_eq!(a, b);
         assert_eq!(entry.pages_read(), fresh.pages_read());
-        // The live stream's retained state (rid frame + page cache for a
-        // uniform draw) is priced into the entry; sealing releases it.
+        // The live stream's retained state is priced into the entry at what
+        // it holds — the rid frame plus one source page per physical read —
+        // and sealing releases exactly that.
         let bytes_with_stream = entry.approx_bytes();
         entry.seal();
-        assert!(
-            entry.approx_bytes() < bytes_with_stream,
-            "sealing must shrink the priced size ({} -> {})",
-            bytes_with_stream,
-            entry.approx_bytes()
+        assert_eq!(
+            bytes_with_stream - entry.approx_bytes(),
+            t.num_rows() * std::mem::size_of::<Rid>() + entry.pages_read() as usize * t.page_size()
         );
         assert!(!entry.deepenable_to(SamplerKind::UniformWithReplacement(0.2)));
         assert_eq!(

@@ -316,12 +316,12 @@ impl SampleStream for StratifiedStream {
         }
     }
 
-    fn approx_retained_bytes(&self, row_bytes: usize) -> usize {
+    fn approx_retained_bytes(&self, _row_bytes: usize) -> usize {
         let frame = self
             .frame
             .as_ref()
             .map_or(0, |f| f.rids.len() * std::mem::size_of::<Rid>());
-        frame + self.cache.rows_cached() * (std::mem::size_of::<SampledRow>() + row_bytes)
+        frame + self.cache.bytes_cached()
     }
 }
 

@@ -15,9 +15,10 @@
 //!
 //! * **Uniform with replacement** draws row positions one RNG call at a
 //!   time, so any prefix of the position sequence is itself a uniform draw.
-//!   Fetches are page-coalesced through a per-stream [page cache], so the
-//!   pages physically read are the distinct pages of the rows drawn so far —
-//!   independent of how the draw was split into batches.
+//!   Fetches are page-coalesced through a per-stream [`PageCache`], which
+//!   holds each verified page it read and decodes only the drawn slots, so
+//!   the pages physically read are the distinct pages of the rows drawn so
+//!   far — independent of how the draw was split into batches.
 //! * **Block sampling** selects pages by partial Fisher–Yates, which
 //!   consumes exactly one RNG call per selected page; the first `k` pages
 //!   of a longer selection equal a selection of `k` pages
@@ -39,7 +40,8 @@ use crate::kind::SamplerKind;
 use crate::reservoir::ReservoirSampler;
 use crate::sampler::{target_page_count, target_size, validate_fraction, RowSampler, SampledRow};
 use rand::{Rng, RngCore};
-use samplecf_storage::{PageId, Rid, TableSource};
+use samplecf_storage::{Page, PageId, Rid, TableSource};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// The geometric batch schedule of a stream: the first batch targets
@@ -148,11 +150,11 @@ pub trait SampleStream: Send + Sync {
     fn extend_cap(&mut self, kind: SamplerKind) -> bool;
 
     /// Approximate bytes of state this stream retains between batches
-    /// (rid frames, cached decoded pages, a held-back reservoir), priced
-    /// at `row_bytes` per retained row.  Holders with a memory budget (the
-    /// server's sample cache) charge this against the entry; dropping the
-    /// stream releases it.  The default is for streams that retain nothing
-    /// worth counting.
+    /// (rid frames, cached pages, a held-back reservoir); `row_bytes` is
+    /// the price of one decoded row a stream holds.  Holders with a memory
+    /// budget (the server's sample cache) charge this against the entry;
+    /// dropping the stream releases it.  The default is for streams that
+    /// retain nothing worth counting.
     fn approx_retained_bytes(&self, row_bytes: usize) -> usize {
         let _ = row_bytes;
         0
@@ -267,17 +269,19 @@ impl SamplerKind {
     }
 }
 
-/// A per-stream cache of decoded pages, keyed by page id.
+/// A per-stream cache of verified pages, keyed by page id.
 ///
 /// Row fetches coalesce through it: the first row needed from a page pays
-/// one physical [`page_rows`](TableSource::page_rows) read, every later row
-/// on that page is free.  Holding decoded rows trades memory (bounded by
-/// the distinct pages the sample touches) for schedule-independent I/O —
-/// the poor man's buffer pool that makes the pages-read count of a draw
-/// depend only on *which* rows were drawn, not on how the draw was batched.
+/// one physical [`read_page_ref`](TableSource::read_page_ref), every later
+/// row on that page is a slot lookup plus one record decode.  Only the
+/// drawn slots are ever decoded, so a draw costs what the sample keeps.
+/// Holding pages trades memory (`page_size` per distinct page the sample
+/// touches) for schedule-independent I/O — the poor man's buffer pool that
+/// makes the pages-read count of a draw depend only on *which* rows were
+/// drawn, not on how the draw was batched.
 #[derive(Debug, Default)]
 pub struct PageCache {
-    pages: HashMap<PageId, Vec<SampledRow>>,
+    pages: HashMap<PageId, Page>,
 }
 
 impl PageCache {
@@ -293,29 +297,21 @@ impl PageCache {
         self.pages.len()
     }
 
-    /// Total decoded rows held across all cached pages — the unit a
-    /// memory-budgeted holder prices this cache in.
+    /// Total page bytes held — the unit a memory-budgeted holder prices
+    /// this cache in.
     #[must_use]
-    pub fn rows_cached(&self) -> usize {
-        self.pages.values().map(Vec::len).sum()
+    pub fn bytes_cached(&self) -> usize {
+        self.pages.values().map(Page::page_size).sum()
     }
 
     /// Fetch the row at `rid`, reading (and caching) its page on first use.
+    /// A failed read caches nothing, so a retry reads the page again.
     pub fn get(&mut self, source: &dyn TableSource, rid: Rid) -> SamplingResult<SampledRow> {
-        if let std::collections::hash_map::Entry::Vacant(slot) = self.pages.entry(rid.page) {
-            slot.insert(source.page_rows(rid.page)?);
-        }
-        let rows = &self.pages[&rid.page];
-        let row = rows
-            .iter()
-            .find(|(r, _)| *r == rid)
-            .map(|(_, row)| row.clone())
-            .ok_or_else(|| {
-                SamplingError::Storage(samplecf_storage::StorageError::InvalidFormat(format!(
-                    "rid {rid} not found on its page"
-                )))
-            })?;
-        Ok((rid, row))
+        let page = match self.pages.entry(rid.page) {
+            Entry::Occupied(cached) => cached.into_mut(),
+            Entry::Vacant(slot) => slot.insert(source.read_page_ref(rid.page)?.into_owned()),
+        };
+        Ok((rid, source.codec().decode(page.get(rid.slot)?)?))
     }
 }
 
@@ -436,13 +432,13 @@ impl SampleStream for UniformWrStream {
         true
     }
 
-    fn approx_retained_bytes(&self, row_bytes: usize) -> usize {
-        // The rid frame plus every decoded row the page cache holds.
+    fn approx_retained_bytes(&self, _row_bytes: usize) -> usize {
+        // The rid frame plus every page the page cache holds.
         let frame = self
             .frame
             .as_ref()
             .map_or(0, |(rids, _)| rids.len() * std::mem::size_of::<Rid>());
-        frame + self.cache.rows_cached() * (std::mem::size_of::<SampledRow>() + row_bytes)
+        frame + self.cache.bytes_cached()
     }
 }
 

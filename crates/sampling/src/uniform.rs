@@ -6,7 +6,7 @@ use crate::stream::{fetch_positions_coalesced, PageCache};
 use rand::seq::index;
 use rand::Rng;
 use rand::RngCore;
-use samplecf_storage::{PageId, TableSource};
+use samplecf_storage::{PageId, Rid, TableSource};
 
 /// Uniform random sampling of rows *with replacement* — the procedure the
 /// paper's analysis assumes (Section II-C).
@@ -101,6 +101,26 @@ impl RowSampler for UniformWithoutReplacement {
     }
 }
 
+/// One scan of the source that decodes only the rows `keep` selects.
+/// `keep` is asked once per row, in storage order; each page is read once
+/// and the records of unselected slots are never decoded.
+fn scan_keeping(
+    source: &dyn TableSource,
+    mut keep: impl FnMut() -> bool,
+) -> SamplingResult<Vec<SampledRow>> {
+    let codec = source.codec();
+    let mut out = Vec::new();
+    for pid in 0..source.num_pages() as PageId {
+        let page = source.read_page_ref(pid)?;
+        for slot in 0..page.slot_count() {
+            if keep() {
+                out.push((Rid::new(pid, slot), codec.decode(page.get(slot)?)?));
+            }
+        }
+    }
+    Ok(out)
+}
+
 /// Bernoulli sampling: every row is included independently with probability
 /// `fraction`, so the sample size itself is random.
 #[derive(Debug, Clone, Copy)]
@@ -127,16 +147,8 @@ impl RowSampler for BernoulliSampler {
         source: &dyn TableSource,
         rng: &mut dyn RngCore,
     ) -> SamplingResult<Vec<SampledRow>> {
-        // Stream page by page; only the sample accumulates in memory.
-        let mut out = Vec::new();
-        for pid in 0..source.num_pages() {
-            for (rid, row) in source.page_rows(pid as PageId)? {
-                if rng.gen::<f64>() < self.fraction {
-                    out.push((rid, row));
-                }
-            }
-        }
-        Ok(out)
+        // One RNG call per row, in storage order.
+        scan_keeping(source, || rng.gen::<f64>() < self.fraction)
     }
 
     fn expected_sample_size(&self, n: usize) -> usize {
@@ -177,18 +189,13 @@ impl RowSampler for SystematicSampler {
         }
         let step = (1.0 / self.fraction).round().max(1.0) as usize;
         let start = rng.gen_range(0..step.min(n));
-        // Stream page by page; only every `step`-th row is kept.
-        let mut out = Vec::new();
+        // Only every `step`-th row from `start` on is kept.
         let mut i = 0usize;
-        for pid in 0..source.num_pages() {
-            for pair in source.page_rows(pid as PageId)? {
-                if i >= start && (i - start) % step == 0 {
-                    out.push(pair);
-                }
-                i += 1;
-            }
-        }
-        Ok(out)
+        scan_keeping(source, || {
+            let kept = i >= start && (i - start) % step == 0;
+            i += 1;
+            kept
+        })
     }
 
     fn expected_sample_size(&self, n: usize) -> usize {
@@ -259,6 +266,39 @@ mod tests {
             .collect();
         for w in ids.windows(2) {
             assert_eq!(w[1] - w[0], 100);
+        }
+    }
+
+    #[test]
+    fn scan_samplers_match_a_decode_then_filter_scan_seed_for_seed() {
+        // The reference decodes every row of every page and filters after;
+        // the samplers select by slot first and decode only what they keep.
+        let t = table(3_000);
+        let all_rows = t.scan_rows().unwrap();
+        for seed in [0u64, 1, 42] {
+            for f in [0.01, 0.3, 1.0] {
+                let mut r = rng(seed);
+                let reference: Vec<SampledRow> = all_rows
+                    .iter()
+                    .filter(|_| r.gen::<f64>() < f)
+                    .cloned()
+                    .collect();
+                let sample = BernoulliSampler::new(f)
+                    .unwrap()
+                    .sample(&t, &mut rng(seed))
+                    .unwrap();
+                assert_eq!(sample, reference, "bernoulli f={f} seed={seed}");
+
+                let step = (1.0 / f).round().max(1.0) as usize;
+                let start = rng(seed).gen_range(0..step.min(all_rows.len()));
+                let reference: Vec<SampledRow> =
+                    all_rows.iter().skip(start).step_by(step).cloned().collect();
+                let sample = SystematicSampler::new(f)
+                    .unwrap()
+                    .sample(&t, &mut rng(seed))
+                    .unwrap();
+                assert_eq!(sample, reference, "systematic f={f} seed={seed}");
+            }
         }
     }
 

@@ -1,0 +1,254 @@
+//! What a row-level draw yields and what it costs.
+//!
+//! The uniform and stratified streams fetch through a [`PageCache`] that
+//! holds verified pages and decodes only the drawn slots.  These tests pin
+//! the two halves of that contract: the draw is unchanged (every yielded
+//! `(rid, row)` is `source.get(rid)`, RID-sorted within a batch, one
+//! physical read per distinct page, stream == one-shot sampler
+//! seed-for-seed, over `Table` and `DiskTable` alike), and the decode is
+//! lazy (a malformed record only fails the draw that asks for its slot, a
+//! bad rid or a failed read comes back as the storage layer's typed error).
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use samplecf_sampling::{
+    fetch_positions_coalesced, Allocation, BatchSchedule, CountingSource, PageCache, SampledRow,
+    SamplerKind, SamplingError, StrataMode,
+};
+use samplecf_storage::{
+    DiskTable, Page, PageId, Rid, Row, RowCodec, Schema, StorageError, StorageResult, Table,
+    TableBuilder, TableSource, Value,
+};
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+fn row(i: usize) -> Row {
+    Row::new(vec![Value::str(format!("v{i:06}"))])
+}
+
+fn table(n: usize) -> Table {
+    TableBuilder::new("t", Schema::single_char("a", 32))
+        .page_size(512)
+        .build_with_rows((0..n).map(row))
+        .unwrap()
+}
+
+/// Removes the table file when the test ends, pass or fail.
+struct TempFile(std::path::PathBuf);
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+fn drain_batches(
+    kind: SamplerKind,
+    schedule: BatchSchedule,
+    source: &dyn TableSource,
+    seed: u64,
+) -> Vec<Vec<SampledRow>> {
+    let mut stream = kind.stream(schedule).unwrap();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut batches = Vec::new();
+    loop {
+        let batch = stream.next_batch(source, &mut rng).unwrap();
+        if batch.is_empty() {
+            return batches;
+        }
+        batches.push(batch);
+    }
+}
+
+fn sorted(mut rows: Vec<SampledRow>) -> Vec<SampledRow> {
+    rows.sort_by_key(|(rid, _)| *rid);
+    rows
+}
+
+#[test]
+fn draws_are_identical_and_decodes_are_lazy() {
+    let memory = table(3_000);
+    let file = TempFile(
+        std::env::temp_dir().join(format!("samplecf_row_draws_{}.scf", std::process::id())),
+    );
+    let disk = DiskTable::materialize(&file.0, &memory).unwrap();
+    let sources: [&dyn TableSource; 2] = [&memory, &disk];
+    let kinds = [
+        SamplerKind::UniformWithReplacement(0.05),
+        SamplerKind::Stratified {
+            fraction: 0.05,
+            strata: 4,
+            alloc: Allocation::Proportional,
+            mode: StrataMode::EquiWidth,
+        },
+    ];
+    let schedules = [
+        BatchSchedule::one_shot(),
+        BatchSchedule::default(),
+        BatchSchedule::new(0.001, 1.3).unwrap(),
+        BatchSchedule::new(0.02, 4.0).unwrap(),
+    ];
+    for source in sources {
+        for kind in kinds {
+            let oneshot = kind
+                .build()
+                .unwrap()
+                .sample(source, &mut StdRng::seed_from_u64(11))
+                .unwrap();
+            assert_eq!(oneshot.len(), 150);
+            for schedule in schedules {
+                let counting = CountingSource::new(source);
+                let batches = drain_batches(kind, schedule, &counting, 11);
+                for batch in &batches {
+                    // RID-sorted, duplicates adjacent.
+                    assert!(batch.windows(2).all(|w| w[0].0 <= w[1].0));
+                    for (rid, row) in batch {
+                        assert_eq!(row, &source.get(*rid).unwrap(), "{rid}");
+                    }
+                }
+                let drawn: Vec<SampledRow> = batches.concat();
+                let distinct_pages: BTreeSet<PageId> =
+                    drawn.iter().map(|(rid, _)| rid.page).collect();
+                assert_eq!(counting.pages_read(), distinct_pages.len() as u64);
+                if schedule == BatchSchedule::one_shot() {
+                    assert_eq!(drawn, oneshot, "one batch is the one-shot draw, in order");
+                } else {
+                    assert!(batches.len() > 1);
+                    assert_eq!(sorted(drawn), sorted(oneshot.clone()));
+                }
+            }
+        }
+    }
+}
+
+/// A source over hand-built pages, so a test can plant a malformed record
+/// or make the next physical read fail.
+struct PagesSource {
+    codec: RowCodec,
+    pages: Vec<Page>,
+    fail_next_read: AtomicBool,
+    reads: AtomicU64,
+}
+
+impl PagesSource {
+    /// Two pages of five good rows each; page 1 additionally carries a
+    /// record of the wrong length in slot 5.
+    fn with_a_malformed_record() -> Self {
+        let codec = RowCodec::new(Schema::single_char("a", 32));
+        let pages = (0..2u32)
+            .map(|pid| {
+                let mut page = Page::new(pid, 512).unwrap();
+                for i in 0..5 {
+                    let record = codec.encode(&row(pid as usize * 5 + i)).unwrap();
+                    page.insert(&record).unwrap().unwrap();
+                }
+                page
+            })
+            .collect::<Vec<_>>();
+        let mut source = PagesSource {
+            codec,
+            pages,
+            fail_next_read: AtomicBool::new(false),
+            reads: AtomicU64::new(0),
+        };
+        source.pages[1].insert(b"torn").unwrap().unwrap();
+        source
+    }
+}
+
+impl TableSource for PagesSource {
+    fn name(&self) -> &str {
+        "pages"
+    }
+
+    fn schema(&self) -> &Schema {
+        self.codec.schema()
+    }
+
+    fn codec(&self) -> &RowCodec {
+        &self.codec
+    }
+
+    fn num_rows(&self) -> usize {
+        self.pages.iter().map(|p| usize::from(p.slot_count())).sum()
+    }
+
+    fn num_pages(&self) -> usize {
+        self.pages.len()
+    }
+
+    fn page_size(&self) -> usize {
+        512
+    }
+
+    fn read_page(&self, id: PageId) -> StorageResult<Page> {
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        if self.fail_next_read.swap(false, Ordering::Relaxed) {
+            return Err(StorageError::Io(format!("reading page {id}: injected")));
+        }
+        self.pages
+            .get(id as usize)
+            .cloned()
+            .ok_or(StorageError::InvalidRid { page: id, slot: 0 })
+    }
+}
+
+#[test]
+fn a_malformed_record_only_fails_the_draw_that_asks_for_it() {
+    let source = PagesSource::with_a_malformed_record();
+    let rids = source.rids().unwrap();
+    assert_eq!(rids.len(), 11);
+    let reads_before = source.reads.load(Ordering::Relaxed);
+    let mut cache = PageCache::new();
+    // Positions 5..10 are the good rows of the page holding the torn record.
+    let rows = fetch_positions_coalesced(&source, &rids, &[9, 0, 5, 9], &mut cache).unwrap();
+    let expected: Vec<SampledRow> = [0usize, 5, 9, 9]
+        .iter()
+        .map(|&i| (rids[i], row(i)))
+        .collect();
+    assert_eq!(rows, expected);
+    // Drawing the torn slot itself is the codec's error, not a panic.
+    let err = fetch_positions_coalesced(&source, &rids, &[5, 10], &mut cache).unwrap_err();
+    assert!(
+        matches!(err, SamplingError::Storage(StorageError::Decode(_))),
+        "{err:?}"
+    );
+    assert_eq!(cache.pages_cached(), 2);
+    assert_eq!(source.reads.load(Ordering::Relaxed) - reads_before, 2);
+}
+
+#[test]
+fn a_slot_past_the_page_is_the_storage_layers_invalid_rid() {
+    let t = table(100);
+    let mut cache = PageCache::new();
+    let slots = t.read_page_ref(0).unwrap().slot_count();
+    assert!(cache.get(&t, Rid::new(0, slots - 1)).is_ok());
+    let err = cache.get(&t, Rid::new(0, slots)).unwrap_err();
+    assert_eq!(
+        err,
+        SamplingError::Storage(StorageError::InvalidRid {
+            page: 0,
+            slot: slots
+        })
+    );
+}
+
+#[test]
+fn a_failed_page_read_is_not_cached_so_a_retry_reads_again() {
+    let source = PagesSource::with_a_malformed_record();
+    let mut cache = PageCache::new();
+    source.fail_next_read.store(true, Ordering::Relaxed);
+    let err = cache.get(&source, Rid::new(0, 2)).unwrap_err();
+    assert!(
+        matches!(err, SamplingError::Storage(StorageError::Io(_))),
+        "{err:?}"
+    );
+    assert_eq!(cache.pages_cached(), 0);
+    assert_eq!(cache.bytes_cached(), 0);
+    // The retry pays a second physical read and succeeds; a third fetch
+    // from the same page is served from the cache.
+    assert_eq!(cache.get(&source, Rid::new(0, 2)).unwrap().1, row(2));
+    assert_eq!(cache.get(&source, Rid::new(0, 4)).unwrap().1, row(4));
+    assert_eq!(source.reads.load(Ordering::Relaxed), 2);
+    assert_eq!(cache.bytes_cached(), 512);
+}

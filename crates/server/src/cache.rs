@@ -706,8 +706,18 @@ mod tests {
 
     #[test]
     fn lru_eviction_respects_the_byte_budget() {
+        // A block entry is priced by its sample alone; a live uniform entry
+        // also by the rid frame and the pages its stream holds for deepening.
+        for kind in [
+            SamplerKind::Block(0.1),
+            SamplerKind::UniformWithReplacement(0.1),
+        ] {
+            lru_eviction_respects_the_byte_budget_for(kind);
+        }
+    }
+
+    fn lru_eviction_respects_the_byte_budget_for(kind: SamplerKind) {
         let (_counting, shared) = counted_table(4_000, 11);
-        let kind = SamplerKind::Block(0.1);
         // Price the three entries the test will draw (per-seed sizes vary
         // by up to a tail page), then budget for exactly two of them: A+B
         // and A+C fit, A+B+C overflows.  One shard, so all three seeds
