@@ -6,24 +6,44 @@
 //! fill factors are all measurable.  Internal levels store separator keys and
 //! child page numbers.
 //!
-//! Leaf record layout (stored column order comes from
-//! [`IndexSpec::stored_column_indexes`]):
+//! # An entry is bytes
+//!
+//! Every cell is a fixed-width, order-preserving encoding, so for one
+//! `(schema, IndexSpec)` the sort-key and leaf-record lengths are constants.
+//! What encoding produces and what a [`SortedRun`] holds is therefore one
+//! `Vec<u8>` arena of `n × (key_len + record_len)` bytes, entry `i` at
+//! `i × stride` (stored columns per [`IndexSpec::stored_column_indexes`]):
 //!
 //! ```text
-//! [null bitmap][fixed-width stored cells][RID (non-clustered only)]
+//! [ key cells ][     RID      ][ null bitmap ][ stored cells ][ RID (non-clustered) ]
+//! |<--- sort key, key_len --->|<---------- leaf record, record_len ----------->|
 //! ```
+//!
+//! No entry owns an allocation: encoding appends to the arena, sorting
+//! permutes entry numbers, merging copies stride-sized chunks, and the leaf
+//! packer inserts `entry[key_len..]` into its page.
+//!
+//! # Why the prefix sort is order-exact
+//!
+//! Entries are ordered by key bytes (the RID is part of the key, so entries
+//! of one input with equal keys are fully equal).  The sort orders `(u64
+//! big-endian key prefix, u32 entry number)` pairs.  All keys of an arena
+//! have one length, so comparing their zero-padded first eight bytes as
+//! integers *is* comparing those bytes lexicographically; prefix ties fall
+//! through to a slice compare of the rest of the key, full-key ties to the
+//! entry number — the order of a stable sort on the whole key, for keys
+//! shorter or longer than the prefix alike.
 
 use crate::error::{IndexError, IndexResult};
+use crate::size::{leaf_record_bytes, IndexSizeModel};
 use crate::spec::{IndexKind, IndexSpec};
 use samplecf_parallel::{parallel_indexed_map, resolve_threads};
 use samplecf_storage::{
-    decode_cell, encode_cell, Page, Rid, Row, Schema, Table, Value, DEFAULT_PAGE_SIZE,
-    PAGE_HEADER_SIZE, SLOT_SIZE,
+    decode_cell, encode_cell, Page, Rid, Row, RowCodec, RowRef, Schema, Table, Value,
+    DEFAULT_PAGE_SIZE,
 };
-use std::borrow::Borrow;
-
-/// One encoded `(sort key, leaf record)` pair.
-type EncodedEntry = (Vec<u8>, Vec<u8>);
+use std::ops::Range;
+use std::sync::Mutex;
 
 /// One decoded leaf entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,7 +70,8 @@ pub struct BTreeIndex {
 }
 
 /// Builder configuring page size, fill factor and worker threads for bulk
-/// loads.
+/// loads: encode entries into one arena, sort them by key, pack their records
+/// into leaf pages (see the [module docs](self)).
 #[derive(Debug, Clone, Copy)]
 pub struct IndexBuilder {
     page_size: usize,
@@ -69,8 +90,16 @@ impl Default for IndexBuilder {
 }
 
 impl IndexBuilder {
+    /// Entries a bulk load must hold per worker thread before it fans out.
+    ///
+    /// Each of a load's three stages starts and joins its workers; with
+    /// less work than this per worker that costs more than the split saves.
+    /// (This crate's unit tests fan out at any size, so that small inputs
+    /// exercise every stage's split.)
+    pub const MIN_ENTRIES_PER_WORKER: usize = if cfg!(test) { 1 } else { 16_384 };
+
     /// Create a builder with the default page size, a 100% fill factor and
-    /// the serial (single-threaded) build path.
+    /// one worker (everything runs on the calling thread).
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -91,14 +120,14 @@ impl IndexBuilder {
     }
 
     /// Number of worker threads for bulk loads (0 = all available
-    /// parallelism, 1 = the serial oracle path; the default).
+    /// parallelism, 1 = the calling thread only; the default).
     ///
-    /// The parallel path radix-partitions entries on the leading sort-key
-    /// byte (partitions are disjoint key ranges, so per-partition sorts
-    /// concatenate into a globally sorted run with no merge step) and fans
-    /// both the per-partition sorts and the leaf packing over a strided
-    /// worker pool.  The resulting tree is byte-identical to the serial
-    /// build for every thread count.
+    /// Workers split what one thread does — input chunks to encode, the
+    /// sort's key-range buckets, leaf pages to fill — and the resulting tree
+    /// is byte-identical for every thread count.  A load is given at most
+    /// one worker per [`MIN_ENTRIES_PER_WORKER`](Self::MIN_ENTRIES_PER_WORKER)
+    /// entries, so a build too small to repay starting threads runs on the
+    /// calling thread.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -111,119 +140,52 @@ impl IndexBuilder {
         self.threads
     }
 
-    /// Workers the builder will actually use for `jobs` units of work
-    /// (resolves 0 to the machine's parallelism, clamps to the job count).
-    fn effective_workers(&self, jobs: usize) -> usize {
-        resolve_threads(self.threads, jobs)
+    /// Workers for a load of `entries` entries — one count for its encode,
+    /// sort and pack stages alike.
+    fn workers(&self, entries: usize) -> usize {
+        resolve_threads(self.threads, entries / Self::MIN_ENTRIES_PER_WORKER)
     }
 
-    /// The parallel sort pipeline: encode contiguous row chunks in parallel,
-    /// radix-partition the encoded entries on the leading sort-key byte,
-    /// sort each partition in parallel, and concatenate.
-    ///
-    /// Why concatenation needs no merge: every sort key starts with the
-    /// first byte of an order-preserving cell encoding (or of the RID
-    /// tie-break for zero-key specs), so the 256 partitions are disjoint
-    /// key ranges and per-partition sorted runs laid out in byte order
-    /// already form a globally sorted run.  Byte-identity to the serial
-    /// path holds because entries with equal sort keys are fully equal —
-    /// the RID tie-break is part of the key and, for one input set, a
-    /// `(key, RID)` pair determines the leaf record — so even an unstable
-    /// per-partition sort cannot produce a byte-different tree.
-    fn encode_and_sort_parallel<E>(
+    /// The entry layout and, by the size model's fill rule, the entries per
+    /// leaf page — page size, fill factor and record length are checked here.
+    fn plan<'a>(
         &self,
+        schema: &'a Schema,
+        spec: &IndexSpec,
+    ) -> IndexResult<(EntryLayout<'a>, usize)> {
+        let model = IndexSizeModel::new()
+            .page_size(self.page_size)
+            .fill_factor(self.fill_factor);
+        let per_leaf = model.estimate(schema, spec, 0)?.entries_per_leaf;
+        Ok((EntryLayout::new(schema, spec)?, per_leaf))
+    }
+
+    /// Encode `len` inputs into one arena (a contiguous chunk per worker),
+    /// order it by key, and pack the leaves *through* the permutation.
+    fn build_encoded(
+        &self,
+        schema: &Schema,
+        spec: &IndexSpec,
         len: usize,
-        encode_chunk: E,
-    ) -> IndexResult<Vec<(Vec<u8>, Vec<u8>)>>
-    where
-        E: Fn(std::ops::Range<usize>) -> IndexResult<Vec<(Vec<u8>, Vec<u8>)>> + Sync,
-    {
-        use std::sync::Mutex;
-        type Bucket = Vec<(Vec<u8>, Vec<u8>)>;
-        let workers = self.effective_workers(len);
-        let chunk = len.div_ceil(workers).max(1);
-        let chunks = len.div_ceil(chunk);
-        let encoded = parallel_indexed_map(chunks, workers, |i| {
-            encode_chunk(i * chunk..((i + 1) * chunk).min(len))
-        });
-
-        // Serial O(n) radix partition on the leading sort-key byte.
-        let mut buckets: Vec<Bucket> = (0..256).map(|_| Vec::new()).collect();
-        for part in encoded {
-            for entry in part? {
-                buckets[usize::from(entry.0[0])].push(entry);
-            }
-        }
-
-        // Per-partition parallel sorts.  The mutexes exist only so each
-        // strided sort job can take ownership of its bucket; there is no
-        // contention — every bucket is locked exactly once.
-        let buckets: Vec<Mutex<Bucket>> = buckets.into_iter().map(Mutex::new).collect();
-        let sorted = parallel_indexed_map(buckets.len(), workers, |b| {
-            let mut bucket = std::mem::take(&mut *buckets[b].lock().expect("bucket lock poisoned"));
-            bucket.sort_unstable_by(|x, y| x.0.cmp(&y.0));
-            bucket
-        });
-
-        let mut entries = Vec::with_capacity(len);
-        for bucket in sorted {
-            entries.extend(bucket);
-        }
-        Ok(entries)
-    }
-
-    /// Parallel leaf packing: compute page breaks serially (pure arithmetic
-    /// mirroring the serial loop's fill rule), then build each page's slots
-    /// independently on the worker pool.
-    ///
-    /// The mirrored rule: a new page starts when the page already holds an
-    /// entry and adding the next record would push the used bytes (records
-    /// plus slot directory) past the fill target; a record that cannot fit
-    /// in an empty page is an error.  `target_fill <= usable`, so the fill
-    /// check subsumes the serial loop's physical `fits` check.
-    fn pack_leaves_parallel<E: Borrow<EncodedEntry> + Sync>(
-        &self,
-        entries: &[E],
-        usable: usize,
-        target_fill: usize,
-    ) -> IndexResult<Vec<Page>> {
-        let oversized = |len: usize| {
-            IndexError::InvalidSpec(format!(
-                "index entry of {len} bytes does not fit in a {}-byte page",
-                self.page_size
-            ))
+        encode_chunk: impl Fn(&EntryLayout, Range<usize>, &mut Vec<u8>) -> IndexResult<()> + Sync,
+    ) -> IndexResult<BTreeIndex> {
+        let (layout, per_leaf) = self.plan(schema, spec)?;
+        let stride = layout.stride();
+        let workers = self.workers(len);
+        let mut parts = parallel_indexed_map(workers, workers, |w| {
+            let range = w * len / workers..(w + 1) * len / workers;
+            let mut part = Vec::with_capacity(range.len() * stride);
+            encode_chunk(&layout, range, &mut part).map(|()| part)
+        })
+        .into_iter()
+        .collect::<IndexResult<Vec<Vec<u8>>>>()?;
+        let arena = match parts.len() {
+            1 => parts.swap_remove(0),
+            _ => parts.concat(),
         };
-        let mut starts: Vec<usize> = vec![0];
-        let mut used = 0usize;
-        let mut count = 0usize;
-        for (i, entry) in entries.iter().enumerate() {
-            let record = &entry.borrow().1;
-            let needed = record.len() + SLOT_SIZE;
-            if needed > usable {
-                return Err(oversized(record.len()));
-            }
-            if count > 0 && used + needed > target_fill {
-                starts.push(i);
-                used = 0;
-                count = 0;
-            }
-            used += needed;
-            count += 1;
-        }
-
-        let workers = self.effective_workers(starts.len());
-        let pages = parallel_indexed_map(starts.len(), workers, |p| -> IndexResult<Page> {
-            let lo = starts[p];
-            let hi = starts.get(p + 1).copied().unwrap_or(entries.len());
-            let mut page = Page::new(p as u32, self.page_size)?;
-            for entry in &entries[lo..hi] {
-                let record = &entry.borrow().1;
-                page.insert(record)?
-                    .ok_or_else(|| oversized(record.len()))?;
-            }
-            Ok(page)
-        });
-        pages.into_iter().collect()
+        let order = key_order(&arena, &layout, workers)?;
+        let entry = |i: usize| &arena[order[i].1 as usize * stride..][..stride];
+        self.pack(spec, layout, per_leaf, len, entry)
     }
 
     /// Build an index over all rows of a table.
@@ -234,50 +196,48 @@ impl IndexBuilder {
 
     /// Build an index over an explicit set of `(rid, row)` pairs — this is how
     /// SampleCF builds the index on a sample.
+    ///
+    /// # Errors
+    /// Checked before any row is read, so for an empty input too: a page
+    /// size outside storage's supported range is [`IndexError::Storage`]
+    /// (`PageCorruption`); a fill factor outside `(0, 1]` or a leaf record
+    /// that does not fit the page is [`IndexError::InvalidSpec`], at every
+    /// thread count.  While loading: a row that does not match the schema
+    /// is [`IndexError::Storage`]; more than `u32::MAX` entries, or a page
+    /// so small that an internal page holds a single separator key, is
+    /// `InvalidSpec`.
     pub fn build_from_rows(
         &self,
         schema: &Schema,
         rows: &[(Rid, Row)],
         spec: &IndexSpec,
     ) -> IndexResult<BTreeIndex> {
-        let entries = if self.effective_workers(rows.len()) > 1 {
-            self.encode_and_sort_parallel(rows.len(), |range| {
-                encode_entries(schema, &rows[range], spec)
-            })?
-        } else {
-            let mut entries = encode_entries(schema, rows, spec)?;
-            entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            entries
-        };
-        self.build_from_sorted_entries(schema, spec, &entries)
+        self.build_encoded(schema, spec, rows.len(), |layout, range, out| {
+            layout.encode_rows(&rows[range], out)
+        })
     }
 
     /// Build an index from borrowed, already-encoded heap records — the
     /// zero-copy counterpart of [`build_from_rows`](Self::build_from_rows).
     ///
-    /// Heap records keep every cell in the same canonical fixed-width
-    /// encoding an index entry uses (NULL cells included: both sides
-    /// materialise them as all-zero placeholders, with the null bitmap
-    /// authoritative), so sort keys and leaf records can be assembled by
-    /// pure byte slicing — no [`Value`] is decoded or re-encoded.  The
-    /// resulting tree is byte-identical to `build_from_rows` over the
-    /// decoded rows.
+    /// Heap records keep every cell in the canonical fixed-width encoding an
+    /// index entry uses (NULL cells too: all-zero placeholders on both
+    /// sides, the null bitmap authoritative), so entries are byte-sliced
+    /// straight into the arena — no [`Value`] is decoded or re-encoded — and
+    /// the tree is byte-identical to `build_from_rows` over the decoded rows.
+    ///
+    /// # Errors
+    /// As [`build_from_rows`](Self::build_from_rows); a record that is not
+    /// the schema's record size is [`IndexError::Storage`] (`Decode`).
     pub fn build_from_records(
         &self,
         schema: &Schema,
         records: &[(Rid, &[u8])],
         spec: &IndexSpec,
     ) -> IndexResult<BTreeIndex> {
-        let entries = if self.effective_workers(records.len()) > 1 {
-            self.encode_and_sort_parallel(records.len(), |range| {
-                encode_entries_from_records(schema, &records[range], spec)
-            })?
-        } else {
-            let mut entries = encode_entries_from_records(schema, records, spec)?;
-            entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            entries
-        };
-        self.build_from_sorted_entries(schema, spec, &entries)
+        self.build_encoded(schema, spec, records.len(), |layout, range, out| {
+            layout.encode_records(&records[range], out)
+        })
     }
 
     /// Build an index from an already-sorted run of encoded entries — the
@@ -285,35 +245,45 @@ impl IndexBuilder {
     ///
     /// A [`SortedRun`] accumulated over several sample batches is merged
     /// (linear time), never re-sorted, so re-measuring the CF after each
-    /// batch costs `O(r)` per checkpoint instead of `O(r log r)`.  The
-    /// resulting tree is byte-identical to
-    /// [`build_from_rows`](Self::build_from_rows) over the concatenation of
-    /// the batches.
+    /// batch costs `O(r)` per checkpoint instead of `O(r log r)`.  The tree
+    /// is byte-identical to [`build_from_rows`](Self::build_from_rows) over
+    /// the concatenation of the batches.
+    ///
+    /// # Errors
+    /// A non-empty run whose key or record length is not what `(schema,
+    /// spec)` implies was encoded for something else:
+    /// [`IndexError::InvalidSpec`].  The check is on the two entry lengths
+    /// only: a run encoded for other columns of the same widths passes it.
     pub fn build_from_sorted_run(
         &self,
         schema: &Schema,
         spec: &IndexSpec,
         run: &SortedRun,
     ) -> IndexResult<BTreeIndex> {
-        self.build_from_sorted_entries(schema, spec, &run.entries)
+        let (layout, per_leaf) = self.plan(schema, spec)?;
+        layout.admit(run)?;
+        let entry = |i: usize| &run.arena[i * run.stride()..][..run.stride()];
+        self.pack(spec, layout, per_leaf, run.len(), entry)
     }
 
     /// Build an index over `run` minus (as a multiset) `excluded` — how the
     /// progressive jackknife forms a delete-one-batch estimate.
     ///
-    /// `excluded` must be a sorted sub-multiset of `run`, as one batch's
-    /// run is of the pooled run it was merged into.  One linear walk of
-    /// `run` with a cursor over `excluded` keeps every entry the cursor
-    /// does not match, *by reference*: nothing is merged, and no entry is
-    /// cloned.  Entries with equal sort keys are fully equal (the RID is
-    /// part of the key), so which of several equal entries the cursor
-    /// consumes cannot show: the tree is byte-identical to
+    /// `excluded` must be a sorted sub-multiset of `run`, as a batch's run
+    /// is of the pooled run it was merged into.  One walk of `run` with a
+    /// cursor over `excluded` keeps every entry the cursor does not match,
+    /// as a `&[u8]` slice of `run`'s arena: nothing is merged, no entry
+    /// copied before it lands in its leaf page.  Entries with equal keys are
+    /// fully equal (the RID is part of the key), so which of several the
+    /// cursor consumes cannot show: the tree is byte-identical to
     /// [`build_from_sorted_run`](Self::build_from_sorted_run) over a merge
     /// of the other batches' runs.
     ///
-    /// Entries left on the cursor after the walk mean `excluded` was not
-    /// drawn from `run`; that is [`IndexError::ExclusionMismatch`], never a
-    /// silently wrong tree.
+    /// # Errors
+    /// Entries left on the cursor mean `excluded` was not drawn from `run`:
+    /// [`IndexError::ExclusionMismatch`], never a silently wrong tree.  A
+    /// run whose entry lengths are not those of `(schema, spec)` is
+    /// [`IndexError::InvalidSpec`].
     pub fn build_from_sorted_run_excluding(
         &self,
         schema: &Schema,
@@ -321,91 +291,69 @@ impl IndexBuilder {
         run: &SortedRun,
         excluded: &SortedRun,
     ) -> IndexResult<BTreeIndex> {
-        let mut cursor = excluded.entries.iter().peekable();
-        let mut kept: Vec<&EncodedEntry> =
-            Vec::with_capacity(run.len().saturating_sub(excluded.len()));
-        for entry in &run.entries {
-            if cursor.next_if(|x| x.0 == entry.0).is_none() {
-                kept.push(entry);
-            }
-        }
+        let (layout, per_leaf) = self.plan(schema, spec)?;
+        layout.admit(run)?;
+        layout.admit(excluded)?;
+        let key_len = layout.key_len;
+        let mut cursor = excluded.entries().map(|x| &x[..key_len]).peekable();
+        let kept: Vec<&[u8]> = run
+            .entries()
+            .filter(|entry| cursor.next_if_eq(&&entry[..key_len]).is_none())
+            .collect();
         let left_over = cursor.count();
         if left_over > 0 {
             return Err(IndexError::ExclusionMismatch { left_over });
         }
-        self.build_from_sorted_entries(schema, spec, &kept)
+        self.pack(spec, layout, per_leaf, kept.len(), |i| kept[i])
     }
 
-    /// Pack sorted entries — owned, or borrowed out of a [`SortedRun`] — into
-    /// leaf pages and build the internal levels over them.
-    fn build_from_sorted_entries<E: Borrow<EncodedEntry> + Sync>(
+    /// Pack `n` sorted entries — `entry(i)` is a slice of some arena — into
+    /// leaf pages and build the internal levels over them.  Records are one
+    /// length, so the fill rule is arithmetic: page `p` holds entries
+    /// `p × per_leaf ..`, an empty build one empty leaf; pages fill independently.
+    fn pack<'a>(
         &self,
-        schema: &Schema,
         spec: &IndexSpec,
-        entries: &[E],
+        layout: EntryLayout<'_>,
+        per_leaf: usize,
+        n: usize,
+        entry: impl Fn(usize) -> &'a [u8] + Sync,
     ) -> IndexResult<BTreeIndex> {
-        if !(self.fill_factor > 0.0 && self.fill_factor <= 1.0) {
-            return Err(IndexError::InvalidSpec(format!(
-                "fill factor must be in (0, 1], got {}",
-                self.fill_factor
-            )));
-        }
-        let key_indexes = spec.key_indexes(schema)?;
-        let stored_indexes = spec.stored_column_indexes(schema)?;
-
-        // Pack leaf pages respecting the fill factor.
-        let usable = self.page_size - PAGE_HEADER_SIZE;
-        let target_fill = (usable as f64 * self.fill_factor) as usize;
-        let leaf_pages: Vec<Page> = if self.effective_workers(entries.len()) > 1 {
-            self.pack_leaves_parallel(entries, usable, target_fill)?
-        } else {
-            let mut leaf_pages: Vec<Page> = Vec::new();
-            let mut current = Page::new(0, self.page_size)?;
-            let mut current_used = 0usize;
-            for entry in entries {
-                let record = &entry.borrow().1;
-                let needed = record.len() + SLOT_SIZE;
-                let over_fill = current_used + needed > target_fill && current.slot_count() > 0;
-                if over_fill || !current.fits(record.len()) {
-                    leaf_pages.push(current);
-                    current = Page::new(leaf_pages.len() as u32, self.page_size)?;
-                    current_used = 0;
-                }
-                current.insert(record)?.ok_or_else(|| {
-                    IndexError::InvalidSpec(format!(
-                        "index entry of {} bytes does not fit in a {}-byte page",
-                        record.len(),
-                        self.page_size
-                    ))
-                })?;
-                current_used += needed;
+        let key_len = layout.key_len;
+        let pages = n.div_ceil(per_leaf).max(1);
+        let workers = self.workers(n);
+        let leaf_pages = parallel_indexed_map(pages, workers, |p| -> IndexResult<Page> {
+            let mut page = Page::new(p as u32, self.page_size)?;
+            for i in p * per_leaf..((p + 1) * per_leaf).min(n) {
+                page.insert(&entry(i)[key_len..])?
+                    .expect("the fill rule admits only what fits");
             }
-            if current.slot_count() > 0 || leaf_pages.is_empty() {
-                leaf_pages.push(current);
-            }
-            leaf_pages
-        };
+            Ok(page)
+        })
+        .into_iter()
+        .collect::<IndexResult<Vec<Page>>>()?;
 
-        // Build internal levels bottom-up.  Each internal entry is
-        // [2-byte key length][separator key bytes][4-byte child page number].
+        // Separator keys are borrowed; only the internal records copy them.
+        let first_keys = (0..pages.min(n)).map(|p| &entry(p * per_leaf)[..key_len]);
+        let internal_levels = self.internal_levels(first_keys.collect())?;
+
+        Ok(BTreeIndex {
+            spec: spec.clone(),
+            table_schema: layout.schema.clone(),
+            key_count: layout.key_indexes.len(),
+            stored_indexes: layout.stored_indexes,
+            page_size: self.page_size,
+            leaf_pages,
+            internal_levels,
+            num_entries: n,
+        })
+    }
+
+    /// Build the internal levels bottom-up over the leaf pages' first keys,
+    /// each entry `[2-byte key length][separator key][4-byte child page]`.
+    fn internal_levels(&self, first_keys: Vec<&[u8]>) -> IndexResult<Vec<Vec<Page>>> {
         let mut internal_levels: Vec<Vec<Page>> = Vec::new();
-        // First key of each leaf page, borrowed straight from the sorted
-        // entries — separator keys are only ever copied into the internal
-        // records themselves, never cloned as scratch.
-        let mut child_keys: Vec<&[u8]> = Vec::with_capacity(leaf_pages.len());
-        {
-            let mut idx = 0usize;
-            for page in &leaf_pages {
-                if page.slot_count() > 0 {
-                    child_keys.push(entries[idx].borrow().0.as_slice());
-                    idx += usize::from(page.slot_count());
-                } else {
-                    child_keys.push(&[]);
-                }
-            }
-        }
-
-        let mut level_children: Vec<(&[u8], u32)> = child_keys
+        let mut level_children: Vec<(&[u8], u32)> = first_keys
             .into_iter()
             .enumerate()
             .map(|(i, k)| (k, i as u32))
@@ -431,132 +379,202 @@ impl IndexBuilder {
             }
             next_children.push((first_key_of_page.unwrap_or(&[]), pages.len() as u32));
             pages.push(page);
+            if pages.len() == level_children.len() {
+                let why = "an internal page holds one separator key: no level can narrow";
+                return Err(IndexError::InvalidSpec(why.into()));
+            }
             internal_levels.push(pages);
             level_children = next_children;
         }
+        Ok(internal_levels)
+    }
+}
 
-        Ok(BTreeIndex {
-            spec: spec.clone(),
-            table_schema: schema.clone(),
+/// What `(schema, spec)` fixes about every entry: which cells make up the
+/// sort key and the leaf record, and the two constant lengths.
+struct EntryLayout<'a> {
+    schema: &'a Schema,
+    key_indexes: Vec<usize>,
+    /// Key columns first: a record's first cells copy its entry's key cells.
+    stored_indexes: Vec<usize>,
+    /// Whether leaf records end in the RID (non-clustered indexes).
+    rid_in_record: bool,
+    /// Key cells plus the RID tie-break that makes the load deterministic.
+    key_len: usize,
+    /// Null bitmap, stored cells and (non-clustered) the RID.
+    record_len: usize,
+}
+
+impl<'a> EntryLayout<'a> {
+    fn new(schema: &'a Schema, spec: &IndexSpec) -> IndexResult<Self> {
+        let key_indexes = spec.key_indexes(schema)?;
+        let stored_indexes = spec.stored_column_indexes(schema)?;
+        assert!(stored_indexes.starts_with(&key_indexes));
+        let key_cells = key_indexes
+            .iter()
+            .map(|&i| schema.column_at(i).datatype.uncompressed_width());
+        Ok(EntryLayout {
+            schema,
+            key_len: key_cells.sum::<usize>() + Rid::ENCODED_LEN,
+            record_len: leaf_record_bytes(schema, spec)?,
+            rid_in_record: spec.kind() == IndexKind::NonClustered,
+            key_indexes,
             stored_indexes,
-            key_count: key_indexes.len(),
-            page_size: self.page_size,
-            leaf_pages,
-            internal_levels,
-            num_entries: entries.len(),
         })
     }
-}
 
-/// Encode rows into `(sort key, leaf record)` pairs, unsorted.
-fn encode_entries(
-    schema: &Schema,
-    rows: &[(Rid, Row)],
-    spec: &IndexSpec,
-) -> IndexResult<Vec<(Vec<u8>, Vec<u8>)>> {
-    let key_indexes = spec.key_indexes(schema)?;
-    let stored_indexes = spec.stored_column_indexes(schema)?;
-    let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(rows.len());
-    for (rid, row) in rows {
-        schema.validate_row(row.values())?;
-        let mut sort_key = Vec::new();
-        for &i in &key_indexes {
-            encode_cell(row.value(i), &schema.column_at(i).datatype, &mut sort_key)?;
-        }
-        // Tie-break equal keys by RID so the load is deterministic.
-        sort_key.extend_from_slice(&rid.encode());
-        let record = encode_leaf_record(schema, &stored_indexes, row, *rid, spec.kind())?;
-        entries.push((sort_key, record));
+    fn stride(&self) -> usize {
+        self.key_len + self.record_len
     }
-    Ok(entries)
-}
 
-/// Encode borrowed heap records into `(sort key, leaf record)` pairs by byte
-/// slicing, unsorted.  Mirrors [`encode_entries`] exactly: cells already sit
-/// in their order-preserving fixed-width encoding inside the record, so the
-/// sort key is a concatenation of cell subslices and the leaf record is the
-/// remapped null bitmap plus stored-cell subslices (plus the RID for
-/// non-clustered indexes).
-fn encode_entries_from_records(
-    schema: &Schema,
-    records: &[(Rid, &[u8])],
-    spec: &IndexSpec,
-) -> IndexResult<Vec<(Vec<u8>, Vec<u8>)>> {
-    let key_indexes = spec.key_indexes(schema)?;
-    let stored_indexes = spec.stored_column_indexes(schema)?;
-    let arity = schema.arity();
-    let heap_bitmap_len = arity.div_ceil(8);
-
-    // Fixed offset and width of each cell within a heap record.
-    let mut offsets = Vec::with_capacity(arity);
-    let mut widths = Vec::with_capacity(arity);
-    let mut off = heap_bitmap_len;
-    for i in 0..arity {
-        let w = schema.column_at(i).datatype.uncompressed_width();
-        offsets.push(off);
-        widths.push(w);
-        off += w;
+    /// A run handed in beside `(schema, spec)` has its entry lengths, or is
+    /// empty (lengths only: same-width columns are indistinguishable here).
+    fn admit(&self, run: &SortedRun) -> IndexResult<()> {
+        if run.is_empty() || (run.key_len, run.record_len) == (self.key_len, self.record_len) {
+            return Ok(());
+        }
+        Err(IndexError::InvalidSpec(format!(
+            "sorted run holds {} + {}-byte entries, this schema and spec imply {} + {}",
+            run.key_len, run.record_len, self.key_len, self.record_len
+        )))
     }
-    let record_size = off;
-    let leaf_bitmap_len = stored_indexes.len().div_ceil(8);
 
-    let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(records.len());
-    for (rid, rec) in records {
-        if rec.len() != record_size {
-            return Err(IndexError::InvalidSpec(format!(
-                "heap record of {} bytes does not match schema record size {record_size}",
-                rec.len()
-            )));
+    /// Append one `[key | record]` entry to `out` — the one writer of the
+    /// layout.  `cell(i, out)` appends column `i`'s fixed-width encoding.
+    fn encode_entry(
+        &self,
+        rid: Rid,
+        is_null: impl Fn(usize) -> bool,
+        mut cell: impl FnMut(usize, &mut Vec<u8>) -> IndexResult<()>,
+        out: &mut Vec<u8>,
+    ) -> IndexResult<()> {
+        let key_at = out.len();
+        for &i in &self.key_indexes {
+            cell(i, out)?;
         }
-        let mut sort_key = Vec::new();
-        for &i in &key_indexes {
-            sort_key.extend_from_slice(&rec[offsets[i]..offsets[i] + widths[i]]);
-        }
-        sort_key.extend_from_slice(&rid.encode());
-
-        let mut record = vec![0u8; leaf_bitmap_len];
-        for (pos, &i) in stored_indexes.iter().enumerate() {
-            if rec[i / 8] & (1 << (i % 8)) != 0 {
-                record[pos / 8] |= 1 << (pos % 8);
+        out.extend_from_slice(&rid.encode());
+        let bitmap_at = out.len();
+        out.resize(bitmap_at + self.stored_indexes.len().div_ceil(8), 0);
+        for (pos, &i) in self.stored_indexes.iter().enumerate() {
+            if is_null(i) {
+                out[bitmap_at + pos / 8] |= 1 << (pos % 8);
             }
         }
-        for &i in &stored_indexes {
-            record.extend_from_slice(&rec[offsets[i]..offsets[i] + widths[i]]);
+        out.extend_from_within(key_at..bitmap_at - Rid::ENCODED_LEN);
+        for &i in &self.stored_indexes[self.key_indexes.len()..] {
+            cell(i, out)?;
         }
-        if spec.kind() == IndexKind::NonClustered {
-            record.extend_from_slice(&rid.encode());
+        if self.rid_in_record {
+            out.extend_from_slice(&rid.encode());
         }
-        entries.push((sort_key, record));
+        Ok(())
     }
-    Ok(entries)
+
+    /// Append one entry per row to `out`.
+    fn encode_rows(&self, rows: &[(Rid, Row)], out: &mut Vec<u8>) -> IndexResult<()> {
+        let start = out.len();
+        let datatype = |i: usize| &self.schema.column_at(i).datatype;
+        for (rid, row) in rows {
+            self.schema.validate_row(row.values())?;
+            let cell = |i, out: &mut Vec<u8>| Ok(encode_cell(row.value(i), datatype(i), out)?);
+            self.encode_entry(*rid, |i| row.value(i).is_null(), cell, out)?;
+        }
+        // Were a cell ever not its declared width, all stride arithmetic breaks.
+        assert_eq!(out.len() - start, rows.len() * self.stride());
+        Ok(())
+    }
+
+    /// Append one entry per borrowed heap record to `out`: cells already
+    /// sit in their fixed-width encoding inside the record, so they are
+    /// sliced, not decoded.
+    fn encode_records(&self, records: &[(Rid, &[u8])], out: &mut Vec<u8>) -> IndexResult<()> {
+        let codec = RowCodec::new(self.schema.clone());
+        for (rid, record) in records {
+            let row = RowRef::new(&codec, record)?;
+            let cell = |i, out: &mut Vec<u8>| {
+                out.extend_from_slice(row.cell(i).bytes());
+                Ok(())
+            };
+            self.encode_entry(*rid, |i| row.is_null(i), cell, out)?;
+        }
+        Ok(())
+    }
 }
 
-/// A sorted run of encoded index entries, accumulated batch by batch.
+/// The key order of an arena of `layout`'s entries, as sorted `(key prefix,
+/// entry number)` pairs (order-exact: see the [module docs](self)); callers
+/// read the untouched arena through it, or gather it once.  Pairs are
+/// counting-sorted by leading key byte into buckets — disjoint key ranges
+/// in byte order — and each bucket is then sorted on its own, over `workers`
+/// threads; a total order, so the same permutation for every worker count.
+fn key_order(arena: &[u8], layout: &EntryLayout, workers: usize) -> IndexResult<Vec<(u64, u32)>> {
+    let (key_len, stride) = (layout.key_len, layout.stride());
+    let n = u32::try_from(arena.len() / stride).map_err(|_| {
+        IndexError::InvalidSpec("more entries than one bulk load sorts (2^32 - 1)".into())
+    })?;
+    let head = key_len.min(8);
+    let key = |i: u32| &arena[i as usize * stride..][..key_len];
+    let mut next = [0usize; 257];
+    for i in 0..n {
+        next[usize::from(key(i)[0]) + 1] += 1;
+    }
+    for b in 1..next.len() {
+        next[b] += next[b - 1];
+    }
+    let mut order = vec![(0u64, 0u32); n as usize];
+    for i in 0..n {
+        let mut prefix = [0u8; 8];
+        prefix[..head].copy_from_slice(&key(i)[..head]);
+        let slot = &mut next[usize::from(prefix[0])];
+        order[*slot] = (u64::from_be_bytes(prefix), i);
+        *slot += 1;
+    }
+    // The mutexes only hand each job its `&mut` bucket; each is locked once.
+    let buckets: Vec<Mutex<&mut [(u64, u32)]>> = order
+        .chunk_by_mut(|a, b| a.0 >> 56 == b.0 >> 56)
+        .map(Mutex::new)
+        .collect();
+    parallel_indexed_map(buckets.len(), workers, |b| {
+        let mut bucket = buckets[b].lock().expect("no job panics holding a bucket");
+        bucket.sort_unstable_by(|a, b| {
+            a.0.cmp(&b.0)
+                .then_with(|| key(a.1)[head..].cmp(&key(b.1)[head..]))
+                .then_with(|| a.1.cmp(&b.1))
+        });
+    });
+    drop(buckets);
+    Ok(order)
+}
+
+/// A sorted run of encoded index entries, accumulated batch by batch: one
+/// arena of fixed-stride `[key | record]` entries in key order (layout in
+/// the [module docs](self)) plus the two lengths it was encoded with — so a
+/// run knows what it was built for.
 ///
 /// Progressive estimation re-measures the CF of a growing sample at every
-/// checkpoint; rebuilding the index from scratch would re-sort all prior
-/// batches each time.  A `SortedRun` keeps the entries of the batches seen
-/// so far in sorted order: each new batch is encoded and sorted on its own
-/// (`O(b log b)` for `b` new rows) and then merged into the accumulated run
-/// in linear time — [`into_merged`](Self::into_merged) moves the accumulated
-/// entries and clones only the new batch's.  Feeding the run to
-/// [`IndexBuilder::build_from_sorted_run`] produces a tree byte-identical
-/// to a from-scratch [`IndexBuilder::build_from_rows`] over the same rows —
-/// the entry order is fully determined by the `(key bytes, RID)` sort key,
-/// so how the rows arrived cannot show in the output.
-///
-/// The same determinism runs backwards: the pooled run minus one batch's
-/// own run *is* the merge of the other batches, so a delete-one-batch tree
-/// is built by skipping that batch's entries in the pooled run
-/// ([`IndexBuilder::build_from_sorted_run_excluding`]) — no run is ever
-/// merged a second time.
+/// checkpoint; a from-scratch rebuild would re-sort all prior batches each
+/// time.  Instead each new batch is encoded and sorted on its own
+/// (`O(b log b)` for `b` new rows) and merged in, in linear time.  Merging
+/// copies chunks, it never clones entries: a two-cursor walk appends
+/// stride-sized slices of either arena to one new arena, and merging with
+/// an empty run is a move or a single `memcpy`.
+/// [`IndexBuilder::build_from_sorted_run`] over the run gives a tree
+/// byte-identical to [`IndexBuilder::build_from_rows`] over the same rows:
+/// the `(key bytes, RID)` sort key fully determines the entry order, so how
+/// the rows arrived cannot show.  Read backwards, the pooled run minus one
+/// batch's run *is* the merge of the others — how
+/// [`IndexBuilder::build_from_sorted_run_excluding`] builds a
+/// delete-one-batch tree without merging any run twice.
 #[derive(Debug, Clone, Default)]
 pub struct SortedRun {
-    entries: Vec<(Vec<u8>, Vec<u8>)>,
+    /// `len × (key_len + record_len)` bytes, entries in key order.
+    arena: Vec<u8>,
+    key_len: usize,
+    record_len: usize,
 }
 
 impl SortedRun {
-    /// An empty run.
+    /// An empty run; without lengths yet, it merges and builds as any run.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -564,68 +582,85 @@ impl SortedRun {
 
     /// Encode one batch of rows into a sorted run of its own.
     pub fn from_rows(schema: &Schema, rows: &[(Rid, Row)], spec: &IndexSpec) -> IndexResult<Self> {
-        let mut entries = encode_entries(schema, rows, spec)?;
-        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        Ok(SortedRun { entries })
+        let layout = EntryLayout::new(schema, spec)?;
+        let stride = layout.stride();
+        let mut unsorted = Vec::with_capacity(rows.len() * stride);
+        layout.encode_rows(rows, &mut unsorted)?;
+        let mut arena = Vec::with_capacity(unsorted.len());
+        for (_, i) in key_order(&unsorted, &layout, 1)? {
+            arena.extend_from_slice(&unsorted[i as usize * stride..][..stride]);
+        }
+        Ok(SortedRun {
+            arena,
+            key_len: layout.key_len,
+            record_len: layout.record_len,
+        })
     }
 
     /// Number of entries in the run.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.arena.len() / self.stride()
     }
 
     /// Whether the run holds no entries.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.arena.is_empty()
     }
 
-    /// Merge two sorted runs into one, in linear time, leaving both intact.
+    /// Bytes per entry (1 for a run without lengths, whose empty arena then
+    /// still divides and chunks into zero entries).
+    fn stride(&self) -> usize {
+        (self.key_len + self.record_len).max(1)
+    }
+
+    fn entries(&self) -> std::slice::ChunksExact<'_, u8> {
+        self.arena.chunks_exact(self.stride())
+    }
+
+    /// Merge two sorted runs into one, in linear time, leaving both intact:
+    /// a two-cursor walk that copies stride-sized chunks of either arena
+    /// into a new one.  On equal keys this run's entry comes first.
+    ///
+    /// # Panics
+    /// If both runs are non-empty and were encoded with different key or
+    /// record lengths (for different specs): no arena can hold such a merge.
     #[must_use]
     pub fn merge(&self, other: &SortedRun) -> SortedRun {
-        self.clone().into_merged(other)
+        let lengths = if self.is_empty() { other } else { self };
+        assert!(
+            other.is_empty()
+                || (lengths.key_len, lengths.record_len) == (other.key_len, other.record_len),
+            "merged runs must share one (key, record) entry layout"
+        );
+        let (key_len, stride) = (lengths.key_len, lengths.stride());
+        let mut arena = Vec::with_capacity(self.arena.len() + other.arena.len());
+        // Each of this run's entries follows the stretch of `other` (from
+        // byte `copied` on) that sorts before it.
+        let mut copied = 0;
+        for entry in self.entries() {
+            let before = other.arena[copied..]
+                .chunks_exact(stride)
+                .take_while(|x| x[..key_len] < entry[..key_len])
+                .count();
+            arena.extend_from_slice(&other.arena[copied..][..before * stride]);
+            arena.extend_from_slice(entry);
+            copied += before * stride;
+        }
+        arena.extend_from_slice(&other.arena[copied..]);
+        SortedRun { arena, ..*lengths }
     }
 
-    /// Merge `other` into this run, in linear time: this run's entries are
-    /// moved, only `other`'s are cloned.  On equal keys this run's entry
-    /// comes first.
+    /// [`merge`](Self::merge) — its panic included — for an accumulator done
+    /// with its old value: when `other` is empty this run is moved, not copied.
     #[must_use]
     pub fn into_merged(self, other: &SortedRun) -> SortedRun {
-        let mut out = Vec::with_capacity(self.len() + other.len());
-        let mut incoming = other.entries.iter().peekable();
-        for entry in self.entries {
-            while let Some(before) = incoming.next_if(|x| x.0 < entry.0) {
-                out.push(before.clone());
-            }
-            out.push(entry);
+        if other.is_empty() {
+            return self;
         }
-        out.extend(incoming.cloned());
-        SortedRun { entries: out }
+        self.merge(other)
     }
-}
-
-fn encode_leaf_record(
-    schema: &Schema,
-    stored_indexes: &[usize],
-    row: &Row,
-    rid: Rid,
-    kind: IndexKind,
-) -> IndexResult<Vec<u8>> {
-    let bitmap_len = stored_indexes.len().div_ceil(8);
-    let mut out = vec![0u8; bitmap_len];
-    for (pos, &i) in stored_indexes.iter().enumerate() {
-        if row.value(i).is_null() {
-            out[pos / 8] |= 1 << (pos % 8);
-        }
-    }
-    for &i in stored_indexes {
-        encode_cell(row.value(i), &schema.column_at(i).datatype, &mut out)?;
-    }
-    if kind == IndexKind::NonClustered {
-        out.extend_from_slice(&rid.encode());
-    }
-    Ok(out)
 }
 
 fn encode_internal_record(key: &[u8], child: u32) -> Vec<u8> {
@@ -1245,6 +1280,362 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The representation this module replaced, kept as the oracle: one
+    /// `(sort key, leaf record)` pair of `Vec`s per entry, a stable
+    /// comparison sort on the key `Vec`s, and the serial fill loop that
+    /// walked the sorted pairs carrying the fill rule with it.  Only the
+    /// internal levels go through the builder — they are built from the
+    /// oracle's own leaves and first keys.
+    mod oracle {
+        use super::super::*;
+        use samplecf_storage::{PAGE_HEADER_SIZE, SLOT_SIZE};
+
+        pub type Pair = (Vec<u8>, Vec<u8>);
+
+        pub fn encode_rows(schema: &Schema, rows: &[(Rid, Row)], spec: &IndexSpec) -> Vec<Pair> {
+            let key_indexes = spec.key_indexes(schema).unwrap();
+            let stored_indexes = spec.stored_column_indexes(schema).unwrap();
+            rows.iter()
+                .map(|(rid, row)| {
+                    let mut sort_key = Vec::new();
+                    for &i in &key_indexes {
+                        encode_cell(row.value(i), &schema.column_at(i).datatype, &mut sort_key)
+                            .unwrap();
+                    }
+                    sort_key.extend_from_slice(&rid.encode());
+                    let mut record = vec![0u8; stored_indexes.len().div_ceil(8)];
+                    for (pos, &i) in stored_indexes.iter().enumerate() {
+                        if row.value(i).is_null() {
+                            record[pos / 8] |= 1 << (pos % 8);
+                        }
+                    }
+                    for &i in &stored_indexes {
+                        encode_cell(row.value(i), &schema.column_at(i).datatype, &mut record)
+                            .unwrap();
+                    }
+                    if spec.kind() == IndexKind::NonClustered {
+                        record.extend_from_slice(&rid.encode());
+                    }
+                    (sort_key, record)
+                })
+                .collect()
+        }
+
+        pub fn tree(
+            builder: &IndexBuilder,
+            schema: &Schema,
+            spec: &IndexSpec,
+            mut entries: Vec<Pair>,
+        ) -> BTreeIndex {
+            entries.sort_by(|a, b| a.0.cmp(&b.0));
+            let usable = builder.page_size - PAGE_HEADER_SIZE;
+            let target_fill = (usable as f64 * builder.fill_factor) as usize;
+            let mut leaf_pages: Vec<Page> = Vec::new();
+            let mut first_keys: Vec<&[u8]> = Vec::new();
+            let mut current = Page::new(0, builder.page_size).unwrap();
+            let mut current_used = 0usize;
+            for (key, record) in &entries {
+                let needed = record.len() + SLOT_SIZE;
+                let over_fill = current_used + needed > target_fill && current.slot_count() > 0;
+                if over_fill || !current.fits(record.len()) {
+                    leaf_pages.push(current);
+                    current = Page::new(leaf_pages.len() as u32, builder.page_size).unwrap();
+                    current_used = 0;
+                }
+                if current.slot_count() == 0 {
+                    first_keys.push(key);
+                }
+                current.insert(record).unwrap().expect("the record fits");
+                current_used += needed;
+            }
+            if current.slot_count() > 0 || leaf_pages.is_empty() {
+                leaf_pages.push(current);
+            }
+            first_keys.resize(leaf_pages.len(), &[]);
+            BTreeIndex {
+                spec: spec.clone(),
+                table_schema: schema.clone(),
+                stored_indexes: spec.stored_column_indexes(schema).unwrap(),
+                key_count: spec.key_indexes(schema).unwrap().len(),
+                page_size: builder.page_size,
+                internal_levels: builder.internal_levels(first_keys).unwrap(),
+                leaf_pages,
+                num_entries: entries.len(),
+            }
+        }
+    }
+
+    /// A table whose columns give the sort every shape of key it could
+    /// order differently from a comparison of key `Vec`s: a key shorter
+    /// than the 8-byte prefix even with its RID (`Bool`), the prefix ending
+    /// inside the RID (`Int32`, `Char(3)`), exactly at the cell (`Int64`),
+    /// inside a cell whose values share their first 14 bytes (`Char(24)`),
+    /// NULL cells, and one value everywhere (so the RID alone orders).
+    fn shaped_table(n: usize, seed: u64) -> Table {
+        let schema = Schema::new(vec![
+            Column::new("flag", DataType::Bool),
+            Column::new("i32", DataType::Int32),
+            Column::new("i64", DataType::Int64),
+            Column::new("c3", DataType::Char(3)),
+            Column::new("c24", DataType::Char(24)),
+            Column::nullable("n6", DataType::Char(6)),
+            Column::new("same", DataType::Char(4)),
+        ])
+        .unwrap();
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        TableBuilder::new("t", schema)
+            .build_with_rows((0..n).map(|_| {
+                let r = next();
+                Row::new(vec![
+                    Value::Bool(r & 1 == 1),
+                    Value::int((((r >> 8) % 7) as i64 - 3) * i64::from(i32::MAX / 4)),
+                    Value::int((next() as i64) >> (r % 60)),
+                    Value::str(format!("{}", (r >> 16) % 40)),
+                    Value::str(format!("shared-prefix-{:x}", next() % 4096)),
+                    if r % 5 == 0 {
+                        Value::Null
+                    } else {
+                        Value::str(format!("n{}", (r >> 24) % 9))
+                    },
+                    Value::str("same"),
+                ])
+            }))
+            .unwrap()
+    }
+
+    const SHAPED_KEYS: [&[&str]; 8] = [
+        &["flag"],
+        &["i32"],
+        &["i64"],
+        &["c3"],
+        &["c24"],
+        &["c3", "i32"],
+        &["n6"],
+        &["same"],
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Byte identity against the old representation, where the new sort
+        /// could differ: every key shape × clustered / non-clustered, rows
+        /// drawn with replacement (so `(key, RID)` duplicates exist) into
+        /// random batches, every build route — every leaf and internal page
+        /// byte equals the pair-of-`Vec`s oracle's tree.
+        #[test]
+        fn every_build_route_is_byte_identical_to_the_pair_of_vecs_oracle(
+            seed in any::<u64>(),
+            table_rows in 1usize..120,
+            draws in proptest::collection::vec((0usize..120, 0usize..4), 0..400),
+            page_size in prop_oneof![Just(256usize), Just(512), Just(4096)],
+            fill_factor in prop_oneof![Just(0.5f64), Just(1.0)],
+            threads in prop_oneof![Just(1usize), Just(2), Just(0)],
+        ) {
+            use samplecf_storage::RowCodec;
+            let t = shaped_table(table_rows, seed);
+            let schema = t.schema();
+            let source: Vec<(Rid, Row)> = t.scan().collect();
+            let mut batches: Vec<Vec<(Rid, Row)>> = vec![Vec::new(); 4];
+            for (row, batch) in draws {
+                batches[batch].push(source[row % table_rows].clone());
+            }
+            let rows = batches.concat();
+            let codec = RowCodec::new(schema.clone());
+            let encoded: Vec<Vec<u8>> =
+                rows.iter().map(|(_, row)| codec.encode(row).unwrap()).collect();
+            let records: Vec<(Rid, &[u8])> =
+                rows.iter().zip(&encoded).map(|((rid, _), bytes)| (*rid, &bytes[..])).collect();
+            let builder = IndexBuilder::new()
+                .page_size(page_size)
+                .fill_factor(fill_factor)
+                .threads(threads);
+
+            for keys in SHAPED_KEYS {
+                for spec in [
+                    IndexSpec::nonclustered("i", keys.iter().copied()).unwrap(),
+                    IndexSpec::clustered("i", keys.iter().copied()).unwrap(),
+                ] {
+                    let expected =
+                        oracle::tree(&builder, schema, &spec, oracle::encode_rows(schema, &rows, &spec));
+                    assert_trees_identical(
+                        &expected,
+                        &builder.build_from_rows(schema, &rows, &spec).unwrap(),
+                    );
+                    assert_trees_identical(
+                        &expected,
+                        &builder.build_from_records(schema, &records, &spec).unwrap(),
+                    );
+                    let runs: Vec<SortedRun> = batches
+                        .iter()
+                        .map(|batch| SortedRun::from_rows(schema, batch, &spec).unwrap())
+                        .collect();
+                    let pooled = runs
+                        .iter()
+                        .fold(SortedRun::new(), |pooled, run| pooled.into_merged(run));
+                    assert_trees_identical(
+                        &expected,
+                        &builder.build_from_sorted_run(schema, &spec, &pooled).unwrap(),
+                    );
+                    let without_first = oracle::tree(
+                        &builder,
+                        schema,
+                        &spec,
+                        oracle::encode_rows(schema, &batches[1..].concat(), &spec),
+                    );
+                    assert_trees_identical(
+                        &without_first,
+                        &builder
+                            .build_from_sorted_run_excluding(schema, &spec, &pooled, &runs[0])
+                            .unwrap(),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_page_size_outside_the_supported_range_is_a_typed_error() {
+        use samplecf_storage::{StorageError, MAX_PAGE_SIZE};
+        let t = table(10);
+        let rows: Vec<(Rid, Row)> = t.scan().collect();
+        let spec = IndexSpec::nonclustered("i", ["name"]).unwrap();
+        let run = SortedRun::from_rows(t.schema(), &rows, &spec).unwrap();
+        for page_size in [0, 8, 63, MAX_PAGE_SIZE + 1] {
+            let builder = IndexBuilder::new().page_size(page_size);
+            let out_of_range = |result: IndexResult<BTreeIndex>| {
+                assert!(
+                    matches!(
+                        &result,
+                        Err(IndexError::Storage(StorageError::PageCorruption(msg)))
+                            if msg.contains("outside supported range [64, 32768]")
+                    ),
+                    "page size {page_size}: {result:?}"
+                );
+            };
+            out_of_range(builder.build_from_table(&t, &spec));
+            out_of_range(builder.build_from_rows(t.schema(), &[], &spec));
+            out_of_range(builder.build_from_sorted_run(t.schema(), &spec, &run));
+            out_of_range(builder.build_from_sorted_run_excluding(t.schema(), &spec, &run, &run));
+        }
+    }
+
+    #[test]
+    fn a_record_too_large_for_the_page_is_a_typed_error() {
+        // A clustered record of `table` is 21 bytes + a 4-byte slot: one fits
+        // the 48 usable bytes of a 64-byte page, two do not.
+        let spec = IndexSpec::clustered("i", ["name"]).unwrap();
+        let tiny = IndexBuilder::new().page_size(64);
+        let one = tiny.build_from_table(&table(1), &spec).unwrap();
+        assert_eq!((one.num_leaf_pages(), one.height()), (1, 1));
+        // Two leaves need a root, and a 64-byte internal page holds a single
+        // 18-byte separator: levels would never narrow.
+        assert!(matches!(
+            tiny.build_from_table(&table(2), &spec),
+            Err(IndexError::InvalidSpec(msg)) if msg.contains("one separator key")
+        ));
+        let wide = Schema::new(vec![Column::new("w", DataType::Char(60))]).unwrap();
+        let rows = [(Rid::new(0, 0), Row::new(vec![Value::str("w")]))];
+        let spec = IndexSpec::nonclustered("i", ["w"]).unwrap();
+        // The same variant at every thread count, and with no rows at all:
+        // the layout is checked before any input is read.
+        for (threads, rows) in [(1, &rows[..]), (2, &rows[..]), (1, &[][..])] {
+            let result = tiny.threads(threads).build_from_rows(&wide, rows, &spec);
+            assert!(
+                matches!(&result, Err(IndexError::InvalidSpec(msg))
+                    if msg.contains("does not fit in a 64-byte page")),
+                "threads {threads}, {} rows: {result:?}",
+                rows.len()
+            );
+        }
+    }
+
+    #[test]
+    fn a_heap_record_of_the_wrong_length_is_a_typed_error() {
+        use samplecf_storage::{RowCodec, StorageError};
+        let t = table(3);
+        let codec = RowCodec::new(t.schema().clone());
+        let spec = IndexSpec::nonclustered("i", ["name"]).unwrap();
+        let good = codec
+            .encode(&Row::new(vec![Value::str("a"), Value::int(1)]))
+            .unwrap();
+        for bad in [&good[..good.len() - 1], &[good.as_slice(), &[0]].concat()] {
+            let records = [(Rid::new(0, 0), good.as_slice()), (Rid::new(0, 1), bad)];
+            for threads in [1, 2] {
+                let result = IndexBuilder::new().threads(threads).build_from_records(
+                    t.schema(),
+                    &records,
+                    &spec,
+                );
+                assert!(
+                    matches!(&result, Err(IndexError::Storage(StorageError::Decode(msg)))
+                        if msg.contains("does not match schema record size")),
+                    "{result:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_built_for_another_spec_is_refused_not_mislabelled() {
+        let t = table(300);
+        let rows: Vec<(Rid, Row)> = t.scan().collect();
+        let by_name = IndexSpec::nonclustered("i", ["name"]).unwrap();
+        let by_id = IndexSpec::nonclustered("i", ["id"]).unwrap();
+        let run = SortedRun::from_rows(t.schema(), &rows, &by_name).unwrap();
+        let builder = IndexBuilder::new();
+        let refused = |result: IndexResult<BTreeIndex>| {
+            assert!(
+                matches!(&result, Err(IndexError::InvalidSpec(msg)) if msg.contains("sorted run")),
+                "{result:?}"
+            );
+        };
+        refused(builder.build_from_sorted_run(t.schema(), &by_id, &run));
+        // Same key columns, other kind: the keys agree, the records do not.
+        let clustered = IndexSpec::clustered("i", ["name"]).unwrap();
+        refused(builder.build_from_sorted_run(t.schema(), &clustered, &run));
+        // Either side of an exclusion is checked.
+        let other = SortedRun::from_rows(t.schema(), &rows[..10], &by_id).unwrap();
+        refused(builder.build_from_sorted_run_excluding(t.schema(), &by_name, &run, &other));
+        refused(builder.build_from_sorted_run_excluding(t.schema(), &by_id, &run, &other));
+        // An empty run was built for nothing in particular: it matches any
+        // spec, whether it was never filled or encoded from no rows.
+        for empty in [
+            SortedRun::new(),
+            SortedRun::from_rows(t.schema(), &[], &by_name).unwrap(),
+        ] {
+            let tree = builder
+                .build_from_sorted_run(t.schema(), &by_id, &empty)
+                .unwrap();
+            assert_eq!(tree.num_entries(), 0);
+            let whole = builder
+                .build_from_sorted_run_excluding(t.schema(), &by_name, &run, &empty)
+                .unwrap();
+            assert_eq!(whole.num_entries(), 300);
+            // ... and merges with any run, as a copy or a move of the other.
+            assert_eq!(empty.merge(&run).len(), 300);
+            assert_eq!(run.merge(&empty).len(), 300);
+            assert_eq!(empty.into_merged(&run).len(), 300);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one (key, record) entry layout")]
+    fn merging_runs_of_different_layouts_panics() {
+        let t = table(20);
+        let rows: Vec<(Rid, Row)> = t.scan().collect();
+        let by_name = IndexSpec::nonclustered("i", ["name"]).unwrap();
+        let by_id = IndexSpec::nonclustered("i", ["id"]).unwrap();
+        let _ = SortedRun::from_rows(t.schema(), &rows, &by_name)
+            .unwrap()
+            .merge(&SortedRun::from_rows(t.schema(), &rows, &by_id).unwrap());
     }
 
     #[test]

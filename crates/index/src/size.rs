@@ -7,8 +7,8 @@
 //! price the *uncompressed* side of every candidate for free (the paper's
 //! point is that only the compressed side needs sampling).  Leaf records are
 //! fixed-width (null bitmap + fixed cells + optional RID), and the bulk
-//! loader packs them deterministically, so the model is exact: it predicts
-//! the same leaf page count the builder produces.
+//! loader fills pages by asking this model — the leaf-fill rule is stated
+//! once, in [`IndexSizeModel::estimate`] — so the model is exact.
 
 use crate::btree::BTreeIndex;
 use crate::error::{IndexError, IndexResult};
@@ -109,8 +109,8 @@ impl IndexSizeReport {
 
 /// Width in bytes of one uncompressed leaf record for an index described by
 /// `spec` over `schema`: null bitmap + fixed-width stored cells + the RID
-/// pointer (non-clustered only).  Mirrors the bulk loader's
-/// `encode_leaf_record` exactly.
+/// pointer (non-clustered only) — the record half of the bulk loader's
+/// `[key | record]` entries.
 pub fn leaf_record_bytes(schema: &Schema, spec: &IndexSpec) -> IndexResult<usize> {
     let stored = spec.stored_column_indexes(schema)?;
     let bitmap = stored.len().div_ceil(8);
@@ -197,8 +197,8 @@ impl IndexSizeModel {
     /// Predict the leaf-level size of an index over `num_rows` rows.
     ///
     /// # Errors
-    /// Fails if the spec does not resolve against the schema, the fill
-    /// factor is out of range, or one record cannot fit a page at all.
+    /// Fails if the spec does not resolve against the schema, the page size
+    /// or fill factor is out of range, or one record cannot fit a page at all.
     pub fn estimate(
         &self,
         schema: &Schema,
@@ -212,7 +212,7 @@ impl IndexSizeModel {
             )));
         }
         let entry_bytes = leaf_record_bytes(schema, spec)?;
-        let usable = self.page_size.saturating_sub(PAGE_HEADER_SIZE);
+        let usable = samplecf_storage::page::validate_page_size(self.page_size)? - PAGE_HEADER_SIZE;
         let needed = entry_bytes + SLOT_SIZE;
         if needed > usable {
             return Err(IndexError::InvalidSpec(format!(
@@ -220,8 +220,8 @@ impl IndexSizeModel {
                 self.page_size
             )));
         }
-        // The loader admits entries while used + needed <= fill-limited
-        // usable space, and always places at least one per page.
+        // The leaf-fill rule (the loader fills pages by this count): admit
+        // entries while used + needed <= fill-limited usable space, at least one.
         let target_fill = (usable as f64 * self.fill_factor) as usize;
         let entries_per_leaf = (target_fill / needed).max(1);
         // An empty build still produces one (empty) leaf page.
