@@ -61,7 +61,7 @@ pub use dictionary::{
     DictionaryCompression, DictionaryConfig, GlobalDictionaryCompression, PointerWidth,
 };
 pub use error::{CompressionError, CompressionResult};
-pub use measure::{measure_cells, ns_cell_size_raw, CellChunk};
+pub use measure::{measure_cells, ns_cell_size_raw, CellChunk, CellCosts};
 pub use none::Uncompressed;
 pub use null_suppression::NullSuppression;
 pub use prefix::PrefixCompression;

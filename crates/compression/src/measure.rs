@@ -108,6 +108,30 @@ pub fn ns_cell_size_raw(cell: CellRef<'_>, dt: &DataType) -> usize {
     }
 }
 
+/// What a *cell-additive* scheme declares through
+/// [`CompressionScheme::cell_costs`]: its chunk size is
+/// `chunk_header(len) + Σ cell(cᵢ)`, each cell's cost the same on whatever
+/// page the cell lands — so a column's size over any set of rows needs the
+/// rows' cell costs summed once and the page lengths, not the pages.
+#[derive(Debug, Clone, Copy)]
+pub struct CellCosts {
+    /// Bytes a chunk of `len` cells costs before any cell's own.
+    pub chunk_header: fn(len: usize) -> usize,
+    /// Bytes one cell adds to the chunk that holds it.
+    pub cell: fn(cell: CellRef<'_>, datatype: &DataType) -> usize,
+}
+
+impl CellCosts {
+    /// Exact compressed size of one chunk — the declaring scheme's
+    /// [`measure_chunk`](CompressionScheme::measure_chunk).
+    #[must_use]
+    pub fn chunk_bytes(&self, chunk: &CellChunk<'_>) -> usize {
+        let dt = chunk.datatype();
+        let cells = chunk.cells().iter().map(|c| (self.cell)(*c, &dt));
+        (self.chunk_header)(chunk.len()) + cells.sum::<usize>()
+    }
+}
+
 /// Measure a column of borrowed chunks and report its sizes — the zero-copy
 /// counterpart of [`measure_column`](crate::measure_column).
 pub fn measure_cells(
@@ -191,12 +215,23 @@ mod tests {
             // Per-chunk kernels agree with the byte-producing oracle too
             // (global dictionary's per-chunk API degenerates to paged).
             for (cc, vc) in cell_chunks.iter().zip(&value_chunks) {
+                let codec_bytes = scheme.compress_chunk(vc).unwrap().compressed_bytes();
                 assert_eq!(
                     scheme.measure_chunk(cc).unwrap(),
-                    scheme.compress_chunk(vc).unwrap().compressed_bytes(),
+                    codec_bytes,
                     "scheme {} per-chunk size",
                     scheme.name()
                 );
+                // A declared per-cell cost is the codec's, cell by cell.
+                if let Some(costs) = scheme.cell_costs() {
+                    let cells = cc.cells().iter().map(|c| (costs.cell)(*c, &dt));
+                    assert_eq!(
+                        (costs.chunk_header)(cc.len()) + cells.sum::<usize>(),
+                        codec_bytes,
+                        "scheme {} header + cell costs",
+                        scheme.name()
+                    );
+                }
             }
         }
     }
@@ -276,6 +311,16 @@ mod tests {
             Value::Null,
         ]];
         assert_measures_match(DataType::Int32, &pages);
+    }
+
+    #[test]
+    fn only_schemes_whose_cells_cost_the_same_on_any_page_declare_cell_costs() {
+        let declaring: Vec<&str> = schemes()
+            .iter()
+            .filter(|s| s.cell_costs().is_some())
+            .map(|s| s.name())
+            .collect();
+        assert_eq!(declaring, ["none", "null-suppression"]);
     }
 
     #[test]

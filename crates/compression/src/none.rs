@@ -3,7 +3,7 @@
 
 use crate::chunk::{ColumnChunk, CompressedChunk};
 use crate::error::{CompressionError, CompressionResult};
-use crate::measure::CellChunk;
+use crate::measure::CellCosts;
 use crate::scheme::CompressionScheme;
 use samplecf_storage::{encode_cell, DataType, Value};
 
@@ -36,9 +36,11 @@ impl CompressionScheme for Uncompressed {
     }
 
     /// Closed form: count + null bitmap + every cell at full width.
-    fn measure_chunk(&self, chunk: &CellChunk<'_>) -> CompressionResult<usize> {
-        let n = chunk.len();
-        Ok(2 + n.div_ceil(8) + n * chunk.datatype().uncompressed_width())
+    fn cell_costs(&self) -> Option<CellCosts> {
+        Some(CellCosts {
+            chunk_header: |len| 2 + len.div_ceil(8),
+            cell: |_cell, dt| dt.uncompressed_width(),
+        })
     }
 
     fn decompress_chunk(

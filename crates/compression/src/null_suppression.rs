@@ -9,7 +9,7 @@
 use crate::chunk::{ColumnChunk, CompressedChunk};
 use crate::encoding::{ns_cell_size, read_ns_cell, write_ns_cell};
 use crate::error::{CompressionError, CompressionResult};
-use crate::measure::{ns_cell_size_raw, CellChunk};
+use crate::measure::{ns_cell_size_raw, CellCosts};
 use crate::scheme::CompressionScheme;
 use samplecf_storage::DataType;
 #[cfg(test)]
@@ -50,13 +50,11 @@ impl CompressionScheme for NullSuppression {
 
     /// Closed form: count + per-cell marker-plus-payload sizes, taken from
     /// the raw cell bytes without building a single payload.
-    fn measure_chunk(&self, chunk: &CellChunk<'_>) -> CompressionResult<usize> {
-        let dt = chunk.datatype();
-        Ok(2 + chunk
-            .cells()
-            .iter()
-            .map(|c| ns_cell_size_raw(*c, &dt))
-            .sum::<usize>())
+    fn cell_costs(&self) -> Option<CellCosts> {
+        Some(CellCosts {
+            chunk_header: |_len| 2,
+            cell: |cell, dt| ns_cell_size_raw(cell, dt),
+        })
     }
 
     fn decompress_chunk(

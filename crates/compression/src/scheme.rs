@@ -10,7 +10,7 @@
 
 use crate::chunk::{ColumnChunk, CompressedChunk, CompressedColumn};
 use crate::error::{CompressionError, CompressionResult};
-use crate::measure::CellChunk;
+use crate::measure::{CellChunk, CellCosts};
 use samplecf_storage::DataType;
 
 /// A column compression algorithm.
@@ -45,16 +45,45 @@ pub trait CompressionScheme: Send + Sync {
         Ok(CompressedColumn::from_chunks(compressed))
     }
 
+    /// The scheme's per-cell costs, if it is *cell-additive*: a chunk's size
+    /// is a header that depends only on how many cells the chunk holds, plus
+    /// a cost per cell that is the same on whatever page the cell lands —
+    /// whichever cells share the page, in whatever order.  The default,
+    /// `None`, claims nothing.
+    ///
+    /// A declaring scheme writes its size formula here and nowhere else:
+    /// the default [`measure_chunk`](Self::measure_chunk) is derived from
+    /// it.  It also makes the size of any *subset* of measured rows
+    /// arithmetic — the rows' cell costs summed once, plus one header per
+    /// page of the subset — which is how the progressive jackknife prices a
+    /// delete-one-batch sample without walking it.
+    ///
+    /// [`NullSuppression`](crate::NullSuppression) (`2 + Σ (marker +
+    /// payload)`) and [`Uncompressed`](crate::Uncompressed) (`2 + ⌈len/8⌉ +
+    /// len·width`) declare theirs.  The other built-in schemes cannot: a
+    /// dictionary charges a value's bytes only where the page (or column)
+    /// first meets it and sizes its pointers by the page's distinct count,
+    /// RLE charges a cell only where it differs from its predecessor, and
+    /// prefix compression charges each cell less the prefix the whole page
+    /// shares — move a row to another page and its cost changes.
+    fn cell_costs(&self) -> Option<CellCosts> {
+        None
+    }
+
     /// Exact compressed size in bytes of one chunk of borrowed cells,
     /// computed without materialising the compressed byte stream.
     ///
-    /// The default decodes the cells and runs the byte-producing
-    /// [`compress_chunk`](Self::compress_chunk) — correct for any scheme, and
-    /// the oracle the batch kernels are verified against.  Every built-in
-    /// scheme overrides this with a closed-form size computation over the
-    /// raw cell bytes.
+    /// The default reads it off the declared [`cell_costs`](Self::cell_costs);
+    /// for a scheme that declares none it decodes the cells and runs the
+    /// byte-producing [`compress_chunk`](Self::compress_chunk) — correct for
+    /// any scheme, and the oracle the batch kernels are verified against.
+    /// Every other built-in scheme overrides this with a closed-form size
+    /// computation over the raw cell bytes.
     fn measure_chunk(&self, chunk: &CellChunk<'_>) -> CompressionResult<usize> {
-        Ok(self.compress_chunk(&chunk.decode()?)?.compressed_bytes())
+        match self.cell_costs() {
+            Some(costs) => Ok(costs.chunk_bytes(chunk)),
+            None => Ok(self.compress_chunk(&chunk.decode()?)?.compressed_bytes()),
+        }
     }
 
     /// Exact compressed size in bytes of a whole column segment of borrowed

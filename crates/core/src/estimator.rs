@@ -259,7 +259,8 @@ pub fn measure_sample(
     };
 
     let tags = sample.row_strata();
-    let stratified = weighted_strata_cf(sample.strata_weights(), builder, |s, inner| {
+    let weights = sample.strata_weights();
+    let stratified = weighted_strata_cf(weights, records.len(), builder, |s, inner| {
         let group: Vec<(Rid, &[u8])> = records
             .iter()
             .zip(tags)
@@ -295,7 +296,10 @@ pub fn measure_sample(
 /// `weights` (renormalised over sampled strata).  `None` when no stratum has
 /// rows — including the unstratified case of no weights at all.
 ///
-/// Strata are independent, so they fan out over `builder`'s worker pool;
+/// Strata are independent, so they fan out over `builder`'s worker pool —
+/// one worker per [`IndexBuilder::MIN_ENTRIES_PER_WORKER`] of the `entries`
+/// the strata hold between them, as a bulk load would get, so sample-sized
+/// strata are measured on the calling thread at any thread count;
 /// `measure_stratum` receives a serial builder so strata × sort workers
 /// cannot oversubscribe, and results are reassembled in stratum order, which
 /// keeps the combination thread-count independent.  This is the one place
@@ -304,13 +308,14 @@ pub fn measure_sample(
 /// [`SampleCf::estimate`] agree bit for bit.
 pub(crate) fn weighted_strata_cf(
     weights: &[f64],
+    entries: usize,
     builder: &IndexBuilder,
     measure_stratum: impl Fn(usize, &IndexBuilder) -> CoreResult<Option<CompressedIndexReport>> + Sync,
 ) -> CoreResult<Option<(f64, f64, f64)>> {
     let k = weights.len();
     let inner = builder.threads(1);
     let per_stratum =
-        parallel_indexed_map(k, builder.thread_count(), |s| measure_stratum(s, &inner));
+        parallel_indexed_map(k, builder.workers(entries), |s| measure_stratum(s, &inner));
     let mut cfs = vec![None; k];
     let mut cfwps = vec![None; k];
     let mut cfps = vec![None; k];

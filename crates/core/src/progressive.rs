@@ -17,15 +17,28 @@
 //! 4. the run stops as soon as the CI's relative half-width drops below
 //!    `target_error` — or when the sampler's fraction cap is reached.
 //!
-//! A delete-one-batch estimate is formed by *exclusion*: the pooled run
+//! A delete-one-batch estimate is a *size*, never a tree.  The pooled run
 //! minus batch `i`'s own sorted run is exactly the merge of the other
-//! batches, so one walk of the pooled run that skips batch `i`'s entries
-//! hands the leaf packer borrowed entries
-//! ([`IndexBuilder::build_from_sorted_run_excluding`]).  A checkpoint with
-//! `B` batches therefore costs one pooled merge (moving the run, cloning
-//! only the new batch), one pooled pack + measure, and `B − 1` packs +
-//! measures over borrowed entries — zero re-merges, no entry cloned.  The
-//! delete-*last*-batch estimate is free: it is the previous checkpoint's CF.
+//! batches, and leaf `p` of the index over it holds kept entries
+//! `p × entries_per_leaf ..`, so a [`RunSizer`] prices that index without
+//! building it.  A checkpoint with `B` batches costs one pooled merge
+//! (moving the run, cloning only the new batch), one pooled pack + measure,
+//! and then, by what the scheme declares:
+//!
+//! * a scheme with [`cell_costs`](CompressionScheme::cell_costs) (null
+//!   suppression, none) — `O(B)` arithmetic: each batch's per-column cell
+//!   costs are summed once from its own run, and a leave-one-out is the
+//!   pooled sum minus the batch's plus one chunk header per leaf
+//!   ([`RunSizer::outcome_excluding`]);
+//! * any other scheme — `B − 1` size-only walks of the pooled run that skip
+//!   batch `i`'s entries and cut the rest into per-leaf chunks of borrowed
+//!   cells ([`RunSizer::measure_excluding`]), fanned over the worker pool
+//!   once there is a worker's worth of entries to walk.
+//!
+//! Both are bit-identical to packing and measuring the delete-one-batch
+//! tree.  The delete-*last*-batch estimate is free: it is the previous
+//! checkpoint's CF.  Nothing of this runs before a second checkpoint asks
+//! for a variance, so a one-checkpoint run pays for none of it.
 //!
 //! On low-variance data the stop comes after a tiny fraction of the pages a
 //! fixed-`f` run would read; on adversarial data the run simply continues
@@ -43,7 +56,10 @@ use crate::theory;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use samplecf_compression::CompressionScheme;
-use samplecf_index::{measure_index, CompressedIndexReport, IndexBuilder, IndexSpec, SortedRun};
+use samplecf_index::{
+    measure_index, CompressedIndexReport, IndexBuilder, IndexSpec, RunCellCosts, RunSizer,
+    SortedRun,
+};
 use samplecf_obs::{Counter, Histogram, MetricsRegistry, Timer};
 use samplecf_parallel::parallel_indexed_map;
 use samplecf_sampling::{BatchSchedule, SamplerKind};
@@ -78,6 +94,16 @@ pub struct ProgressiveMetrics {
     /// Checkpoints whose variance came from the closed-form stratified
     /// algebra (`samplecf_progressive_variance_total{source="algebra"}`).
     variance_algebra: Counter,
+    /// Per-checkpoint wall time producing the variance, jackknife or
+    /// algebra — a part of the `measure_ns` interval
+    /// (`samplecf_progressive_variance_ns`).
+    variance_ns: Histogram,
+    /// Delete-one-batch estimates priced by arithmetic on per-batch cell
+    /// costs (`samplecf_progressive_leave_one_out_total{route="closed_form"}`).
+    leave_one_out_closed_form: Counter,
+    /// Delete-one-batch estimates priced by a size-only walk of the pooled
+    /// run (`samplecf_progressive_leave_one_out_total{route="walk"}`).
+    leave_one_out_walk: Counter,
 }
 
 impl ProgressiveMetrics {
@@ -95,6 +121,11 @@ impl ProgressiveMetrics {
                 .counter("samplecf_progressive_variance_total{source=\"jackknife\"}"),
             variance_algebra: registry
                 .counter("samplecf_progressive_variance_total{source=\"algebra\"}"),
+            variance_ns: registry.histogram("samplecf_progressive_variance_ns"),
+            leave_one_out_closed_form: registry
+                .counter("samplecf_progressive_leave_one_out_total{route=\"closed_form\"}"),
+            leave_one_out_walk: registry
+                .counter("samplecf_progressive_leave_one_out_total{route=\"walk\"}"),
         }
     }
 }
@@ -299,8 +330,11 @@ impl ProgressiveCf {
     /// Worker threads for the checkpoint kernels (0 = all available
     /// parallelism, 1 = serial; the default).  Configures the index
     /// builder's thread count; the per-stratum sub-index builds and the
-    /// jackknife's leave-one-out re-measures fan out over the same pool.
-    /// Reports are byte-identical for every thread count.
+    /// jackknife's size-only walks fan out over the same pool, by the same
+    /// rule as a bulk load — one worker per
+    /// [`IndexBuilder::MIN_ENTRIES_PER_WORKER`] entries they cover — so a
+    /// sample-sized checkpoint stays on the calling thread.  Reports are
+    /// byte-identical for every thread count.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.builder = self.builder.threads(threads);
@@ -364,6 +398,10 @@ impl ProgressiveCf {
         let mut merged = SortedRun::new();
         let mut batch_runs: Vec<SortedRun> = Vec::new();
         let mut batch_sizes: Vec<usize> = Vec::new();
+        // The jackknife's pricing of delete-one-batch samples; per-batch
+        // cell costs are summed when a first variance needs them.
+        let sizer = self.builder.sizer(&schema, spec)?;
+        let mut batch_costs: Vec<RunCellCosts> = Vec::new();
         let mut checkpoints: Vec<CfCheckpoint> = Vec::new();
         let mut last_report: Option<CompressedIndexReport> = None;
         // The stratified estimator's triple from the last checkpoint
@@ -443,39 +481,28 @@ impl ProgressiveCf {
             // sub-indexes — the same `weighted_strata_cf` a cached sample is
             // measured with, so the two paths agree bit-for-bit.  Unstratified
             // draws have no weights, hence no strata to combine.
-            let stratified = weighted_strata_cf(&strata_weights, &self.builder, |s, inner| {
-                if strata_rows[s] == 0 {
-                    return Ok(None);
-                }
-                let idx = inner.build_from_sorted_run(&schema, spec, &strata_runs[s])?;
-                Ok(Some(measure_index(&idx, scheme)?))
-            })?;
+            let stratified =
+                weighted_strata_cf(&strata_weights, merged.len(), &self.builder, |s, inner| {
+                    if strata_rows[s] == 0 {
+                        return Ok(None);
+                    }
+                    let idx = inner.build_from_sorted_run(&schema, spec, &strata_runs[s])?;
+                    Ok(Some(measure_index(&idx, scheme)?))
+                })?;
             let (cf, cf_with_pointers, cf_pages) = stratified
                 .unwrap_or_else(|| (report.cf(), report.cf_with_pointers(), report.cf_pages()));
 
             // Estimator variance: closed-form algebra for stratified draws,
             // grouped jackknife over batches otherwise.
             let variance = if is_stratified {
+                let _variance = Timer::start(&self.metrics.variance_ns);
                 VarianceNode::stratified(strata_weights.clone(), strata_sketches.clone()).variance()
             } else if let Some(previous) = checkpoints.last() {
-                // Deleting batch i leaves the pooled run minus batch i's own
-                // run: one walk of `merged` that skips those entries, nothing
-                // merged or cloned.  Deleting the newest batch leaves the
-                // previous checkpoint's sample, whose CF is already measured.
-                // The re-estimates are independent; fan them over the pool
-                // and reassemble in skip order.
-                let inner = self.builder.threads(1);
-                let older = batch_runs.len() - 1;
-                let results = parallel_indexed_map(older, self.builder.thread_count(), |skip| {
-                    let idx = inner.build_from_sorted_run_excluding(
-                        &schema,
-                        spec,
-                        &merged,
-                        &batch_runs[skip],
-                    )?;
-                    Ok::<_, CoreError>(measure_index(&idx, scheme)?.cf())
-                });
-                let mut leave_one_out = results.into_iter().collect::<CoreResult<Vec<f64>>>()?;
+                let _variance = Timer::start(&self.metrics.variance_ns);
+                // Deleting the newest batch leaves the previous checkpoint's
+                // sample, whose CF is already measured.
+                let mut leave_one_out =
+                    self.leave_one_out(&sizer, scheme, &merged, &batch_runs, &mut batch_costs)?;
                 leave_one_out.push(previous.cf);
                 grouped_jackknife_variance(cf, &leave_one_out, &batch_sizes)
             } else {
@@ -584,6 +611,54 @@ impl ProgressiveCf {
             source_rows: source.num_rows(),
             source_pages: source.num_pages(),
         })
+    }
+
+    /// The CFs of the samples that leave out one of the older batches
+    /// (every batch but the newest), in batch order: the CF of the index
+    /// over `merged` minus `batch_runs[i]`, priced without building it.
+    ///
+    /// Which way depends only on what `scheme` declares.  With
+    /// [`cell_costs`](CompressionScheme::cell_costs) it is arithmetic on
+    /// per-batch sums, `batch_costs`, extended here by the batches not yet
+    /// summed; otherwise one size-only walk of `merged` per left-out batch,
+    /// independent of each other, so fanned over the pool — given a worker's
+    /// worth of entries to walk each — and reassembled in batch order.
+    fn leave_one_out(
+        &self,
+        sizer: &RunSizer<'_>,
+        scheme: &dyn CompressionScheme,
+        merged: &SortedRun,
+        batch_runs: &[SortedRun],
+        batch_costs: &mut Vec<RunCellCosts>,
+    ) -> CoreResult<Vec<f64>> {
+        let older = batch_runs.len() - 1;
+        let Some(costs) = scheme.cell_costs() else {
+            self.metrics.leave_one_out_walk.add(older as u64);
+            let workers = self.builder.workers(older * merged.len());
+            let walk = |skip: usize| {
+                let outcome = sizer.measure_excluding(merged, &batch_runs[skip], scheme)?;
+                Ok(outcome.compression_fraction())
+            };
+            return parallel_indexed_map(older, workers, walk)
+                .into_iter()
+                .collect();
+        };
+        self.metrics.leave_one_out_closed_form.add(older as u64);
+        for run in &batch_runs[batch_costs.len()..] {
+            batch_costs.push(sizer.cell_costs(run, &costs)?);
+        }
+        let mut pooled = batch_costs[0].clone();
+        for batch in &batch_costs[1..] {
+            pooled.merge(batch);
+        }
+        Ok(batch_costs[..older]
+            .iter()
+            .map(|batch| {
+                sizer
+                    .outcome_excluding(&costs, &pooled, batch)
+                    .compression_fraction()
+            })
+            .collect())
     }
 }
 
@@ -854,6 +929,133 @@ mod tests {
         assert_eq!(strat.measurement.cf, uni.measurement.cf);
         assert_eq!(strat.measurement.data, uni.measurement.data);
         assert_eq!(strat.pages_read, uni.pages_read);
+    }
+
+    /// One capped run (so every batch is drawn) with live instruments:
+    /// the report, the two leave-one-out route counters (closed form, walk)
+    /// and the variance clock.
+    fn instrumented(
+        estimator: ProgressiveCf,
+        table: &Table,
+        scheme: &dyn CompressionScheme,
+    ) -> (
+        ProgressiveReport,
+        (u64, u64),
+        samplecf_obs::HistogramSnapshot,
+    ) {
+        let metrics = ProgressiveMetrics::register_in(&MetricsRegistry::new());
+        let report = estimator
+            .metrics(metrics.clone())
+            .run(table, &spec(), scheme)
+            .unwrap();
+        let routes = (
+            metrics.leave_one_out_closed_form.get(),
+            metrics.leave_one_out_walk.get(),
+        );
+        (report, routes, metrics.variance_ns.snapshot())
+    }
+
+    #[test]
+    fn the_variance_clock_and_route_counters_say_what_priced_a_checkpoint() {
+        use samplecf_compression::DictionaryCompression;
+        let t = spread_table(8_000);
+        let capped = |kind| {
+            let config = ProgressiveConfig {
+                target_error: 0.0,
+                ..ProgressiveConfig::default()
+            };
+            ProgressiveCf::new(kind, config).seed(7)
+        };
+        let block = || capped(SamplerKind::Block(0.1));
+        // B batches: checkpoint b > 1 prices b − 1 leave-one-outs.
+        let jackknifed = |report: &ProgressiveReport| {
+            let b = report.checkpoints.len() as u64;
+            assert!(b > 2);
+            (b - 1, b * (b - 1) / 2)
+        };
+
+        // What the scheme declares picks the route, nothing else.
+        let (report, routes, clock) = instrumented(block(), &t, &NullSuppression);
+        let (variances, leave_one_outs) = jackknifed(&report);
+        assert_eq!(routes, (leave_one_outs, 0));
+        assert_eq!(clock.count, variances);
+        let (report, routes, clock) = instrumented(block(), &t, &DictionaryCompression::default());
+        let (variances, leave_one_outs) = jackknifed(&report);
+        assert_eq!(routes, (0, leave_one_outs));
+        assert_eq!(clock.count, variances);
+
+        // The stratified algebra prices no delete-one-batch sample, and a
+        // variance at every checkpoint.
+        let stratified = capped(SamplerKind::Stratified {
+            fraction: 0.1,
+            strata: 4,
+            alloc: samplecf_sampling::Allocation::Proportional,
+            mode: samplecf_sampling::StrataMode::EquiWidth,
+        });
+        let (report, routes, clock) = instrumented(stratified, &t, &NullSuppression);
+        assert_eq!(routes, (0, 0));
+        assert_eq!(clock.count, report.checkpoints.len() as u64);
+
+        // One checkpoint asks for no variance: no leave-one-out is priced
+        // and no cell cost summed, so a one-shot estimate pays for neither.
+        let one_shot = ProgressiveCf::one_checkpoint(SamplerKind::Block(0.1)).seed(7);
+        let (report, routes, clock) = instrumented(one_shot, &t, &NullSuppression);
+        assert_eq!(report.checkpoints.len(), 1);
+        assert_eq!((routes, clock.count), ((0, 0), 0));
+
+        // The default set is disabled — every record one branch on a `None`
+        // handle — and the report does not depend on which set is carried.
+        let disabled = ProgressiveMetrics::default();
+        assert!(!disabled.variance_ns.is_enabled());
+        let plain = block()
+            .metrics(disabled.clone())
+            .run(&t, &spec(), &NullSuppression)
+            .unwrap();
+        let (live, _, _) = instrumented(block(), &t, &NullSuppression);
+        assert_eq!(plain.checkpoints, live.checkpoints);
+        assert_eq!(disabled.leave_one_out_closed_form.get(), 0);
+        assert_eq!(disabled.variance_ns.snapshot().count, 0);
+    }
+
+    #[test]
+    fn fan_outs_go_by_the_entries_they_cover_and_reports_do_not_move() {
+        use samplecf_compression::RunLengthEncoding;
+        type Work = fn(&CfCheckpoint) -> usize;
+        // Runs big enough that their last checkpoints split: the older
+        // batches' walks of the pooled run, and the strata's builds, cover
+        // at least two workers' worth of entries.
+        let t = spread_table(40_000);
+        let cases: [(SamplerKind, Work); 2] = [
+            (SamplerKind::Block(0.2), |last| (last.batch - 1) * last.rows),
+            (
+                SamplerKind::Stratified {
+                    fraction: 0.9,
+                    strata: 4,
+                    alloc: samplecf_sampling::Allocation::Neyman,
+                    mode: samplecf_sampling::StrataMode::EquiWidth,
+                },
+                |last| last.rows,
+            ),
+        ];
+        for (kind, work) in cases {
+            let run = |threads: usize| {
+                let config = ProgressiveConfig {
+                    target_error: 0.0,
+                    ..ProgressiveConfig::default()
+                };
+                ProgressiveCf::new(kind, config)
+                    .seed(3)
+                    .threads(threads)
+                    .run(&t, &spec(), &RunLengthEncoding)
+                    .unwrap()
+            };
+            let serial = run(1);
+            let covered = work(serial.final_checkpoint().unwrap());
+            assert!(covered >= 2 * IndexBuilder::MIN_ENTRIES_PER_WORKER);
+            for threads in [2, 0] {
+                assert_eq!(run(threads).checkpoints, serial.checkpoints, "{kind:?}");
+            }
+        }
     }
 
     #[test]

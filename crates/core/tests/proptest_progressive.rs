@@ -11,13 +11,15 @@
 //!
 //! The variance side has its own oracle: every checkpoint's interval must
 //! equal, bit for bit, a jackknife recomputed the slow way — a from-scratch
-//! index over the rows of the other batches for every deleted batch — and
+//! index over the rows of the other batches for every deleted batch, packed
+//! and measured — under every scheme, whichever way the run priced its
+//! leave-one-outs (arithmetic on per-cell costs or a size-only walk), and
 //! must not depend on the thread count.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use samplecf_compression::scheme_by_name;
+use samplecf_compression::{scheme_by_name, scheme_names};
 use samplecf_core::{
     grouped_jackknife_variance, theory, ProgressiveCf, ProgressiveConfig, SampleCf,
 };
@@ -208,21 +210,33 @@ proptest! {
         distinct in 1usize..200,
         seed in 0u64..1000,
         fraction_pct in 5u32..30,
-        scheme_name in prop_oneof![
-            Just("null-suppression"),
-            Just("dictionary-global"),
-            Just("rle"),
-        ],
         initial_permille in 5u32..50,
         growth_tenths in 13u32..30,
     ) {
         let fraction = f64::from(fraction_pct) / 100.0;
-        let table = presets::variable_length_table("t", rows, 24, distinct, 4, 20, seed)
+        let narrow = presets::variable_length_table("t", rows, 24, distinct, 4, 20, seed)
             .generate()
             .expect("generation succeeds")
             .table;
-        let spec = IndexSpec::nonclustered("idx_a", ["a"]).expect("valid spec");
-        let scheme = scheme_by_name(scheme_name).expect("known scheme");
+        let wide = presets::orders_table("o", rows, seed)
+            .generate()
+            .expect("generation succeeds")
+            .table;
+        let setups = [
+            (
+                &narrow,
+                IndexSpec::nonclustered("idx_a", ["a"]).expect("valid spec"),
+                IndexBuilder::new(),
+            ),
+            // Two key columns, four stored ones — the last nullable — and two
+            // or three 125-byte records a leaf: many leaves, a short last
+            // one, per-column sums that differ.
+            (
+                &wide,
+                IndexSpec::clustered("pk", ["status", "customer"]).expect("valid spec"),
+                IndexBuilder::new().page_size(512).fill_factor(0.7),
+            ),
+        ];
         let schedule = BatchSchedule::new(
             f64::from(initial_permille) / 1000.0,
             f64::from(growth_tenths) / 10.0,
@@ -234,83 +248,91 @@ proptest! {
             schedule,
         };
         let z = theory::chebyshev_z(config.confidence);
-        // The CF of a from-scratch index over the given batches' rows.
-        let cf_of = |batches: &[&Vec<_>]| {
-            let rows: Vec<_> = batches.iter().flat_map(|b| b.iter().cloned()).collect();
-            let index = IndexBuilder::new()
-                .build_from_rows(table.schema(), &rows, &spec)
-                .expect("build succeeds");
-            measure_index(&index, scheme.as_ref()).expect("measure succeeds").cf()
-        };
 
-        for kind in [
-            SamplerKind::UniformWithReplacement(fraction),
-            SamplerKind::Block(fraction),
-            SamplerKind::Reservoir((rows / 10).max(5)),
-        ] {
-            let run = |threads: usize| {
-                ProgressiveCf::new(kind, config)
-                    .seed(seed)
-                    .threads(threads)
-                    .run(&table, &spec, scheme.as_ref())
-                    .expect("progressive run succeeds")
+        for ((table, spec, builder), scheme_name) in setups
+            .iter()
+            .flat_map(|setup| scheme_names().into_iter().map(move |name| (setup, name)))
+        {
+            let scheme = scheme_by_name(scheme_name).expect("known scheme");
+            // The CF of a from-scratch index over the given batches' rows.
+            let cf_of = |batches: &[&Vec<_>]| {
+                let rows: Vec<_> = batches.iter().flat_map(|b| b.iter().cloned()).collect();
+                let index = builder
+                    .build_from_rows(table.schema(), &rows, spec)
+                    .expect("build succeeds");
+                measure_index(&index, scheme.as_ref()).expect("measure succeeds").cf()
             };
-            let report = run(1);
 
-            // The batches the run drew: same stream, same seed.
-            let mut stream = kind.stream(schedule).expect("streaming kind");
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut batches = Vec::new();
-            loop {
-                let batch = stream.next_batch(&table, &mut rng).expect("draw succeeds");
-                if batch.is_empty() {
-                    break;
+            for kind in [
+                SamplerKind::UniformWithReplacement(fraction),
+                SamplerKind::Block(fraction),
+                SamplerKind::Reservoir((rows / 10).max(5)),
+            ] {
+                let run = |threads: usize| {
+                    ProgressiveCf::new(kind, config)
+                        .builder(*builder)
+                        .seed(seed)
+                        .threads(threads)
+                        .run(*table, spec, scheme.as_ref())
+                        .expect("progressive run succeeds")
+                };
+                let report = run(1);
+
+                // The batches the run drew: same stream, same seed.
+                let mut stream = kind.stream(schedule).expect("streaming kind");
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut batches = Vec::new();
+                loop {
+                    let batch = stream.next_batch(*table, &mut rng).expect("draw succeeds");
+                    if batch.is_empty() {
+                        break;
+                    }
+                    batches.push(batch);
                 }
-                batches.push(batch);
-            }
-            prop_assert_eq!(batches.len(), report.checkpoints.len(), "{:?}", kind);
+                prop_assert_eq!(batches.len(), report.checkpoints.len(), "{:?}", kind);
 
-            for (c, cp) in report.checkpoints.iter().enumerate() {
-                let tag = format!("{kind:?}/{scheme_name} checkpoint {c}");
-                let drawn: Vec<&Vec<_>> = batches[..=c].iter().collect();
-                prop_assert_eq!(cp.cf.to_bits(), cf_of(&drawn).to_bits(), "cf: {}", &tag);
-                let leave_one_out: Vec<f64> = (0..=c)
-                    .map(|skip| {
-                        let mut others = drawn.clone();
-                        others.remove(skip);
-                        cf_of(&others)
-                    })
-                    .collect();
-                let sizes: Vec<usize> = drawn.iter().map(|b| b.len()).collect();
-                let std_error =
-                    grouped_jackknife_variance(cp.cf, &leave_one_out, &sizes).map(f64::sqrt);
-                let half_width = std_error.map(|se| z * se);
-                let bits = |x: Option<f64>| x.map(f64::to_bits);
-                prop_assert_eq!(std_error.is_some(), c > 0, "{}", &tag);
-                prop_assert_eq!(bits(cp.std_error), bits(std_error), "std_error: {}", &tag);
-                prop_assert_eq!(bits(cp.half_width), bits(half_width), "half_width: {}", &tag);
-                prop_assert_eq!(
-                    bits(cp.ci_low),
-                    bits(half_width.map(|hw| (cp.cf - hw).max(0.0))),
-                    "ci_low: {}",
-                    &tag
-                );
-                prop_assert_eq!(
-                    bits(cp.ci_high),
-                    bits(half_width.map(|hw| cp.cf + hw)),
-                    "ci_high: {}",
-                    &tag
-                );
-            }
+                for (c, cp) in report.checkpoints.iter().enumerate() {
+                    let tag = format!("{}/{kind:?}/{scheme_name} checkpoint {c}", spec.name());
+                    let drawn: Vec<&Vec<_>> = batches[..=c].iter().collect();
+                    prop_assert_eq!(cp.cf.to_bits(), cf_of(&drawn).to_bits(), "cf: {}", &tag);
+                    let leave_one_out: Vec<f64> = (0..=c)
+                        .map(|skip| {
+                            let mut others = drawn.clone();
+                            others.remove(skip);
+                            cf_of(&others)
+                        })
+                        .collect();
+                    let sizes: Vec<usize> = drawn.iter().map(|b| b.len()).collect();
+                    let std_error =
+                        grouped_jackknife_variance(cp.cf, &leave_one_out, &sizes).map(f64::sqrt);
+                    let half_width = std_error.map(|se| z * se);
+                    let bits = |x: Option<f64>| x.map(f64::to_bits);
+                    prop_assert_eq!(std_error.is_some(), c > 0, "{}", &tag);
+                    prop_assert_eq!(bits(cp.std_error), bits(std_error), "std_error: {}", &tag);
+                    prop_assert_eq!(bits(cp.half_width), bits(half_width), "half_width: {}", &tag);
+                    prop_assert_eq!(
+                        bits(cp.ci_low),
+                        bits(half_width.map(|hw| (cp.cf - hw).max(0.0))),
+                        "ci_low: {}",
+                        &tag
+                    );
+                    prop_assert_eq!(
+                        bits(cp.ci_high),
+                        bits(half_width.map(|hw| cp.cf + hw)),
+                        "ci_high: {}",
+                        &tag
+                    );
+                }
 
-            for threads in [2, 0] {
-                prop_assert_eq!(
-                    &run(threads).checkpoints,
-                    &report.checkpoints,
-                    "{:?} at threads {}",
-                    kind,
-                    threads
-                );
+                for threads in [2, 0] {
+                    prop_assert_eq!(
+                        &run(threads).checkpoints,
+                        &report.checkpoints,
+                        "{:?} at threads {}",
+                        kind,
+                        threads
+                    );
+                }
             }
         }
     }

@@ -34,6 +34,7 @@
 //! entry number — the order of a stable sort on the whole key, for keys
 //! shorter or longer than the prefix alike.
 
+use crate::compress::RunSizer;
 use crate::error::{IndexError, IndexResult};
 use crate::size::{leaf_record_bytes, IndexSizeModel};
 use crate::spec::{IndexKind, IndexSpec};
@@ -141,8 +142,11 @@ impl IndexBuilder {
     }
 
     /// Workers for a load of `entries` entries — one count for its encode,
-    /// sort and pack stages alike.
-    fn workers(&self, entries: usize) -> usize {
+    /// sort and pack stages alike, and the count for any other fan-out that
+    /// covers `entries` entries of comparable per-entry work (an estimator's
+    /// per-stratum builds, the jackknife's size-only walks).
+    #[must_use]
+    pub fn workers(&self, entries: usize) -> usize {
         resolve_threads(self.threads, entries / Self::MIN_ENTRIES_PER_WORKER)
     }
 
@@ -266,45 +270,15 @@ impl IndexBuilder {
         self.pack(spec, layout, per_leaf, run.len(), entry)
     }
 
-    /// Build an index over `run` minus (as a multiset) `excluded` — how the
-    /// progressive jackknife forms a delete-one-batch estimate.
-    ///
-    /// `excluded` must be a sorted sub-multiset of `run`, as a batch's run
-    /// is of the pooled run it was merged into.  One walk of `run` with a
-    /// cursor over `excluded` keeps every entry the cursor does not match,
-    /// as a `&[u8]` slice of `run`'s arena: nothing is merged, no entry
-    /// copied before it lands in its leaf page.  Entries with equal keys are
-    /// fully equal (the RID is part of the key), so which of several the
-    /// cursor consumes cannot show: the tree is byte-identical to
-    /// [`build_from_sorted_run`](Self::build_from_sorted_run) over a merge
-    /// of the other batches' runs.
+    /// What sizes a sorted run as the index this builder would load from it,
+    /// without loading it (see [`RunSizer`]).
     ///
     /// # Errors
-    /// Entries left on the cursor mean `excluded` was not drawn from `run`:
-    /// [`IndexError::ExclusionMismatch`], never a silently wrong tree.  A
-    /// run whose entry lengths are not those of `(schema, spec)` is
-    /// [`IndexError::InvalidSpec`].
-    pub fn build_from_sorted_run_excluding(
-        &self,
-        schema: &Schema,
-        spec: &IndexSpec,
-        run: &SortedRun,
-        excluded: &SortedRun,
-    ) -> IndexResult<BTreeIndex> {
+    /// As [`build_from_rows`](Self::build_from_rows) before any row is read:
+    /// page size, fill factor and record length are checked here.
+    pub fn sizer<'a>(&self, schema: &'a Schema, spec: &IndexSpec) -> IndexResult<RunSizer<'a>> {
         let (layout, per_leaf) = self.plan(schema, spec)?;
-        layout.admit(run)?;
-        layout.admit(excluded)?;
-        let key_len = layout.key_len;
-        let mut cursor = excluded.entries().map(|x| &x[..key_len]).peekable();
-        let kept: Vec<&[u8]> = run
-            .entries()
-            .filter(|entry| cursor.next_if_eq(&&entry[..key_len]).is_none())
-            .collect();
-        let left_over = cursor.count();
-        if left_over > 0 {
-            return Err(IndexError::ExclusionMismatch { left_over });
-        }
-        self.pack(spec, layout, per_leaf, kept.len(), |i| kept[i])
+        Ok(RunSizer::new(layout, per_leaf))
     }
 
     /// Pack `n` sorted entries — `entry(i)` is a slice of some arena — into
@@ -392,15 +366,15 @@ impl IndexBuilder {
 
 /// What `(schema, spec)` fixes about every entry: which cells make up the
 /// sort key and the leaf record, and the two constant lengths.
-struct EntryLayout<'a> {
-    schema: &'a Schema,
+pub(crate) struct EntryLayout<'a> {
+    pub(crate) schema: &'a Schema,
     key_indexes: Vec<usize>,
     /// Key columns first: a record's first cells copy its entry's key cells.
-    stored_indexes: Vec<usize>,
+    pub(crate) stored_indexes: Vec<usize>,
     /// Whether leaf records end in the RID (non-clustered indexes).
     rid_in_record: bool,
     /// Key cells plus the RID tie-break that makes the load deterministic.
-    key_len: usize,
+    pub(crate) key_len: usize,
     /// Null bitmap, stored cells and (non-clustered) the RID.
     record_len: usize,
 }
@@ -429,7 +403,7 @@ impl<'a> EntryLayout<'a> {
 
     /// A run handed in beside `(schema, spec)` has its entry lengths, or is
     /// empty (lengths only: same-width columns are indistinguishable here).
-    fn admit(&self, run: &SortedRun) -> IndexResult<()> {
+    pub(crate) fn admit(&self, run: &SortedRun) -> IndexResult<()> {
         if run.is_empty() || (run.key_len, run.record_len) == (self.key_len, self.record_len) {
             return Ok(());
         }
@@ -562,9 +536,9 @@ fn key_order(arena: &[u8], layout: &EntryLayout, workers: usize) -> IndexResult<
 /// byte-identical to [`IndexBuilder::build_from_rows`] over the same rows:
 /// the `(key bytes, RID)` sort key fully determines the entry order, so how
 /// the rows arrived cannot show.  Read backwards, the pooled run minus one
-/// batch's run *is* the merge of the others — how
-/// [`IndexBuilder::build_from_sorted_run_excluding`] builds a
-/// delete-one-batch tree without merging any run twice.
+/// batch's run *is* the merge of the others — how a
+/// [`RunSizer`] prices a delete-one-batch index without merging any run
+/// twice, or building anything.
 #[derive(Debug, Clone, Default)]
 pub struct SortedRun {
     /// `len × (key_len + record_len)` bytes, entries in key order.
@@ -615,7 +589,7 @@ impl SortedRun {
         (self.key_len + self.record_len).max(1)
     }
 
-    fn entries(&self) -> std::slice::ChunksExact<'_, u8> {
+    pub(crate) fn entries(&self) -> std::slice::ChunksExact<'_, u8> {
         self.arena.chunks_exact(self.stride())
     }
 
@@ -874,7 +848,11 @@ impl BTreeIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compress::measure_index;
     use proptest::prelude::*;
+    use samplecf_compression::{
+        scheme_by_name, scheme_names, CompressionScheme, NullSuppression, Uncompressed,
+    };
     use samplecf_storage::{Column, DataType, TableBuilder};
 
     fn schema() -> Schema {
@@ -1157,6 +1135,32 @@ mod tests {
             .map(|(_, r)| r)
     }
 
+    /// Both size-only routes against the route they replaced, kept as the
+    /// oracle: pack `kept` — a merge of the batches `pooled` holds besides
+    /// `excluded` — into a tree and measure it.  Every scheme is walked;
+    /// those that declare cell costs are also priced by arithmetic.
+    fn assert_sized_as_packed(
+        builder: &IndexBuilder,
+        schema: &Schema,
+        spec: &IndexSpec,
+        (pooled, excluded): (&SortedRun, &SortedRun),
+        kept: &BTreeIndex,
+    ) {
+        let sizer = builder.sizer(schema, spec).unwrap();
+        for name in scheme_names() {
+            let scheme = scheme_by_name(name).unwrap();
+            let packed = measure_index(kept, scheme.as_ref()).unwrap().outcome();
+            let walked = sizer.measure_excluding(pooled, excluded, scheme.as_ref());
+            assert_eq!(walked, Ok(packed), "{name}: walk of {}", spec.name());
+            if let Some(costs) = scheme.cell_costs() {
+                let pooled = sizer.cell_costs(pooled, &costs).unwrap();
+                let excluded = sizer.cell_costs(excluded, &costs).unwrap();
+                let closed = sizer.outcome_excluding(&costs, &pooled, &excluded);
+                assert_eq!(closed, packed, "{name}: closed form of {}", spec.name());
+            }
+        }
+    }
+
     #[test]
     fn excluding_a_batch_equals_a_fold_merge_of_the_others() {
         let t = table(900);
@@ -1168,36 +1172,24 @@ mod tests {
             .collect();
         let all = fold_merge(&batches);
         let builder = IndexBuilder::new().page_size(512);
+        let build = |run: &SortedRun| {
+            builder
+                .build_from_sorted_run(t.schema(), &spec, run)
+                .unwrap()
+        };
         for skip in 0..batches.len() {
             let partial = fold_merge(all_but(&batches, skip));
             assert_eq!(partial.len(), all.len() - batches[skip].len());
-            let merged = builder
-                .build_from_sorted_run(t.schema(), &spec, &partial)
-                .unwrap();
-            let excluded = builder
-                .build_from_sorted_run_excluding(t.schema(), &spec, &all, &batches[skip])
-                .unwrap();
-            assert_eq!(excluded.num_entries(), partial.len());
-            assert_trees_identical(&merged, &excluded);
+            let pair = (&all, &batches[skip]);
+            assert_sized_as_packed(&builder, t.schema(), &spec, pair, &build(&partial));
         }
-        // An empty run builds the empty single-leaf tree, and so does a run
-        // with everything excluded; excluding nothing changes nothing.
-        let empty = builder
-            .build_from_sorted_run(t.schema(), &spec, &SortedRun::new())
-            .unwrap();
-        assert_eq!(empty.num_entries(), 0);
-        assert!(SortedRun::new().is_empty());
-        let nothing_left = builder
-            .build_from_sorted_run_excluding(t.schema(), &spec, &all, &all)
-            .unwrap();
-        assert_trees_identical(&empty, &nothing_left);
-        let whole = builder
-            .build_from_sorted_run(t.schema(), &spec, &all)
-            .unwrap();
-        let nothing_excluded = builder
-            .build_from_sorted_run_excluding(t.schema(), &spec, &all, &SortedRun::new())
-            .unwrap();
-        assert_trees_identical(&whole, &nothing_excluded);
+        // A run with everything excluded is sized as the empty single-leaf
+        // tree an empty run builds; excluding nothing changes nothing.
+        let empty = build(&SortedRun::new());
+        assert_eq!((empty.num_entries(), empty.num_leaf_pages()), (0, 1));
+        assert_sized_as_packed(&builder, t.schema(), &spec, (&all, &all), &empty);
+        let nothing = (&all, &SortedRun::new());
+        assert_sized_as_packed(&builder, t.schema(), &spec, nothing, &build(&all));
     }
 
     #[test]
@@ -1208,11 +1200,12 @@ mod tests {
         let run = |rows: &[(Rid, Row)]| SortedRun::from_rows(t.schema(), rows, &spec).unwrap();
         let (first, second) = (run(&rows[..200]), run(&rows[200..400]));
         let pooled = first.merge(&second);
-        let builder = IndexBuilder::new();
+        let sizer = IndexBuilder::new().sizer(t.schema(), &spec).unwrap();
+        // Entries kept: the one stored column, `name`, is twelve bytes wide.
         let exclude = |excluded: &SortedRun| {
-            builder
-                .build_from_sorted_run_excluding(t.schema(), &spec, &pooled, excluded)
-                .map(|tree| tree.num_entries())
+            sizer
+                .measure_excluding(&pooled, excluded, &Uncompressed)
+                .map(|kept| kept.uncompressed_bytes / 12)
         };
         assert_eq!(exclude(&first), Ok(200));
         // A foreign run: none of its entries is in the pooled run.
@@ -1243,8 +1236,8 @@ mod tests {
         /// The jackknife's contract: for any split of a sample into batches
         /// — rows drawn with replacement, so the same `(key, RID)` entry
         /// turns up in several batches and several times in one — skipping
-        /// batch `i` in the pooled run gives, byte for byte, the tree built
-        /// from a merge of the other batches.
+        /// batch `i` in the pooled run sizes, to the byte and under every
+        /// scheme, the tree built from a merge of the other batches.
         #[test]
         fn excluding_any_batch_is_byte_identical_to_merging_the_others(
             batches in 2usize..=8,
@@ -1266,17 +1259,12 @@ mod tests {
                     .map(|rows| SortedRun::from_rows(t.schema(), rows, &spec).unwrap())
                     .collect();
                 let pooled = fold_merge(&runs);
-                let serial = IndexBuilder::new().page_size(page_size);
+                let builder = IndexBuilder::new().page_size(page_size);
                 for skip in 0..batches {
-                    let expected = serial
+                    let expected = builder
                         .build_from_sorted_run(t.schema(), &spec, &fold_merge(all_but(&runs, skip)))
                         .unwrap();
-                    for builder in [serial, serial.threads(2)] {
-                        let actual = builder
-                            .build_from_sorted_run_excluding(t.schema(), &spec, &pooled, &runs[skip])
-                            .unwrap();
-                        assert_trees_identical(&expected, &actual);
-                    }
+                    assert_sized_as_packed(&builder, t.schema(), &spec, (&pooled, &runs[skip]), &expected);
                 }
             }
         }
@@ -1484,18 +1472,14 @@ mod tests {
                         &expected,
                         &builder.build_from_sorted_run(schema, &spec, &pooled).unwrap(),
                     );
-                    let without_first = oracle::tree(
-                        &builder,
-                        schema,
-                        &spec,
-                        oracle::encode_rows(schema, &batches[1..].concat(), &spec),
-                    );
-                    assert_trees_identical(
-                        &without_first,
-                        &builder
-                            .build_from_sorted_run_excluding(schema, &spec, &pooled, &runs[0])
-                            .unwrap(),
-                    );
+                    // Sizing the pooled run minus any one batch is sizing the
+                    // oracle's tree over the other batches' rows.
+                    for skip in 0..batches.len() {
+                        let others = [&batches[..skip], &batches[skip + 1..]].concat().concat();
+                        let kept =
+                            oracle::tree(&builder, schema, &spec, oracle::encode_rows(schema, &others, &spec));
+                        assert_sized_as_packed(&builder, schema, &spec, (&pooled, &runs[skip]), &kept);
+                    }
                 }
             }
         }
@@ -1510,7 +1494,7 @@ mod tests {
         let run = SortedRun::from_rows(t.schema(), &rows, &spec).unwrap();
         for page_size in [0, 8, 63, MAX_PAGE_SIZE + 1] {
             let builder = IndexBuilder::new().page_size(page_size);
-            let out_of_range = |result: IndexResult<BTreeIndex>| {
+            let out_of_range = |result: IndexResult<()>| {
                 assert!(
                     matches!(
                         &result,
@@ -1520,10 +1504,14 @@ mod tests {
                     "page size {page_size}: {result:?}"
                 );
             };
-            out_of_range(builder.build_from_table(&t, &spec));
-            out_of_range(builder.build_from_rows(t.schema(), &[], &spec));
-            out_of_range(builder.build_from_sorted_run(t.schema(), &spec, &run));
-            out_of_range(builder.build_from_sorted_run_excluding(t.schema(), &spec, &run, &run));
+            out_of_range(builder.build_from_table(&t, &spec).map(drop));
+            out_of_range(builder.build_from_rows(t.schema(), &[], &spec).map(drop));
+            out_of_range(
+                builder
+                    .build_from_sorted_run(t.schema(), &spec, &run)
+                    .map(drop),
+            );
+            out_of_range(builder.sizer(t.schema(), &spec).map(drop));
         }
     }
 
@@ -1591,34 +1579,46 @@ mod tests {
         let by_id = IndexSpec::nonclustered("i", ["id"]).unwrap();
         let run = SortedRun::from_rows(t.schema(), &rows, &by_name).unwrap();
         let builder = IndexBuilder::new();
-        let refused = |result: IndexResult<BTreeIndex>| {
+        let refused = |result: IndexResult<()>| {
             assert!(
                 matches!(&result, Err(IndexError::InvalidSpec(msg)) if msg.contains("sorted run")),
                 "{result:?}"
             );
         };
-        refused(builder.build_from_sorted_run(t.schema(), &by_id, &run));
+        let build = |spec: &IndexSpec, run: &SortedRun| {
+            builder.build_from_sorted_run(t.schema(), spec, run)
+        };
+        refused(build(&by_id, &run).map(drop));
         // Same key columns, other kind: the keys agree, the records do not.
         let clustered = IndexSpec::clustered("i", ["name"]).unwrap();
-        refused(builder.build_from_sorted_run(t.schema(), &clustered, &run));
-        // Either side of an exclusion is checked.
+        refused(build(&clustered, &run).map(drop));
+        // Either side of an exclusion is checked, and so is a run whose cell
+        // costs are asked for.
         let other = SortedRun::from_rows(t.schema(), &rows[..10], &by_id).unwrap();
-        refused(builder.build_from_sorted_run_excluding(t.schema(), &by_name, &run, &other));
-        refused(builder.build_from_sorted_run_excluding(t.schema(), &by_id, &run, &other));
+        let costs = NullSuppression.cell_costs().unwrap();
+        for (spec, wrong) in [(&by_name, &other), (&by_id, &run)] {
+            let sizer = builder.sizer(t.schema(), spec).unwrap();
+            refused(
+                sizer
+                    .measure_excluding(&run, &other, &NullSuppression)
+                    .map(drop),
+            );
+            refused(sizer.cell_costs(wrong, &costs).map(drop));
+        }
         // An empty run was built for nothing in particular: it matches any
         // spec, whether it was never filled or encoded from no rows.
         for empty in [
             SortedRun::new(),
             SortedRun::from_rows(t.schema(), &[], &by_name).unwrap(),
         ] {
-            let tree = builder
-                .build_from_sorted_run(t.schema(), &by_id, &empty)
-                .unwrap();
-            assert_eq!(tree.num_entries(), 0);
-            let whole = builder
-                .build_from_sorted_run_excluding(t.schema(), &by_name, &run, &empty)
-                .unwrap();
-            assert_eq!(whole.num_entries(), 300);
+            assert_eq!(build(&by_id, &empty).unwrap().num_entries(), 0);
+            let sizer = builder.sizer(t.schema(), &by_name).unwrap();
+            let whole = sizer.measure_excluding(&run, &empty, &Uncompressed);
+            assert_eq!(whole.unwrap().uncompressed_bytes, 300 * 12);
+            let of_run = sizer.cell_costs(&run, &costs).unwrap();
+            let mut both = of_run.clone();
+            both.merge(&sizer.cell_costs(&empty, &costs).unwrap());
+            assert_eq!(both, of_run);
             // ... and merges with any run, as a copy or a move of the other.
             assert_eq!(empty.merge(&run).len(), 300);
             assert_eq!(run.merge(&empty).len(), 300);

@@ -4,11 +4,14 @@
 //! (paper Figure 2).  Columns are compressed independently, per leaf page,
 //! which matches how the paper describes commercial implementations.
 
-use crate::btree::BTreeIndex;
-use crate::error::IndexResult;
+use crate::btree::{BTreeIndex, EntryLayout, SortedRun};
+use crate::error::{IndexError, IndexResult};
 use crate::spec::IndexKind;
-use samplecf_compression::{CellChunk, ColumnChunk, CompressionOutcome, CompressionScheme};
-use samplecf_storage::{CellRef, Rid, PAGE_HEADER_SIZE, SLOT_SIZE};
+use samplecf_compression::{
+    CellChunk, CellCosts, ColumnChunk, CompressionOutcome, CompressionScheme,
+};
+use samplecf_storage::{CellRef, DataType, Rid, Schema, PAGE_HEADER_SIZE, SLOT_SIZE};
+use std::ops::Range;
 
 /// Per-column compression statistics.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -196,33 +199,18 @@ pub fn measure_index(
     let schema = index.table_schema();
     let stored = index.stored_column_indexes();
     let bitmap_len = stored.len().div_ceil(8);
-
-    // Fixed offset and width of each stored cell within a leaf record.
-    let widths: Vec<usize> = stored
-        .iter()
-        .map(|&i| schema.column_at(i).datatype.uncompressed_width())
-        .collect();
-    let mut offsets = Vec::with_capacity(stored.len());
-    let mut off = bitmap_len;
-    for w in &widths {
-        offsets.push(off);
-        off += w;
-    }
+    let cells = stored_cells(schema, stored);
 
     let mut per_column = Vec::with_capacity(stored.len());
-    for (pos, &col_idx) in stored.iter().enumerate() {
+    for (cell, &col_idx) in cells.iter().zip(stored) {
         let column = schema.column_at(col_idx);
         let mut chunks = Vec::with_capacity(index.num_leaf_pages());
         for page in index.leaf_pages() {
-            let mut cells = Vec::with_capacity(usize::from(page.slot_count()));
+            let mut page_cells = Vec::with_capacity(usize::from(page.slot_count()));
             for record in page.records() {
-                let is_null = record[pos / 8] & (1 << (pos % 8)) != 0;
-                cells.push(CellRef::new(
-                    is_null,
-                    &record[offsets[pos]..offsets[pos] + widths[pos]],
-                ));
+                page_cells.push(cell.of(record));
             }
-            chunks.push(CellChunk::new(column.datatype, cells)?);
+            chunks.push(CellChunk::new(column.datatype, page_cells)?);
         }
         let uncompressed_bytes: usize = chunks.iter().map(CellChunk::uncompressed_bytes).sum();
         let compressed_bytes = scheme.measure_chunks(&chunks)?;
@@ -251,6 +239,221 @@ pub fn measure_index(
         bitmap_bytes,
         internal_bytes: index.num_internal_pages() * index.page_size(),
     })
+}
+
+/// Where one stored column's cell sits in every leaf record, and its type.
+struct StoredCell {
+    datatype: DataType,
+    /// Its bit of the record's null bitmap: its place among the stored cells.
+    null_bit: usize,
+    bytes: Range<usize>,
+}
+
+impl StoredCell {
+    /// This column's cell of `record`, borrowed in place.
+    fn of<'r>(&self, record: &'r [u8]) -> CellRef<'r> {
+        let is_null = record[self.null_bit / 8] & (1 << (self.null_bit % 8)) != 0;
+        CellRef::new(is_null, &record[self.bytes.clone()])
+    }
+}
+
+/// The stored cells of a leaf record — null bitmap first, then every cell at
+/// its fixed, schema-determined offset — in stored-column order.
+fn stored_cells(schema: &Schema, stored: &[usize]) -> Vec<StoredCell> {
+    let mut offset = stored.len().div_ceil(8);
+    let cell_at = |(null_bit, &i): (usize, &usize)| {
+        let datatype = schema.column_at(i).datatype;
+        let bytes = offset..offset + datatype.uncompressed_width();
+        offset = bytes.end;
+        StoredCell {
+            datatype,
+            null_bit,
+            bytes,
+        }
+    };
+    stored.iter().enumerate().map(cell_at).collect()
+}
+
+/// Sizes a [`SortedRun`] as the leaf level
+/// [`IndexBuilder::build_from_sorted_run`](crate::IndexBuilder::build_from_sorted_run)
+/// would pack from it and [`measure_index`] would report — without the tree.
+///
+/// The progressive jackknife reads one number off each delete-one-batch
+/// index, so none is built.  Leaf records are one length and the fill rule
+/// is arithmetic: leaf `p` holds entries `p × entries_per_leaf ..` of the
+/// kept entries, whichever they are.  [`measure_excluding`](Self::measure_excluding)
+/// therefore cuts the kept entries of one walk into per-page chunks of cells
+/// borrowed from the run's arena — no page, slot directory or internal level
+/// — for any scheme; and for a scheme that declares
+/// [`cell_costs`](CompressionScheme::cell_costs) the size is arithmetic on
+/// per-run sums ([`cell_costs`](Self::cell_costs),
+/// [`outcome_excluding`](Self::outcome_excluding)).  Either way the
+/// [`CompressionOutcome`] equals, byte count for byte count, the
+/// [`outcome`](CompressedIndexReport::outcome) of the packed and measured tree.
+///
+/// Made by [`IndexBuilder::sizer`](crate::IndexBuilder::sizer).
+pub struct RunSizer<'a> {
+    layout: EntryLayout<'a>,
+    entries_per_leaf: usize,
+    cells: Vec<StoredCell>,
+}
+
+/// Per stored column, a cell-additive scheme's [`CellCosts::cell`] summed
+/// over the entries of a run ([`RunSizer::cell_costs`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunCellCosts {
+    entries: usize,
+    per_column: Vec<usize>,
+}
+
+impl RunCellCosts {
+    /// Add `other`'s entries: the costs of the two runs merged.
+    ///
+    /// # Panics
+    /// If the two were summed for different stored columns (by sizers of
+    /// different specs).
+    pub fn merge(&mut self, other: &RunCellCosts) {
+        assert_eq!(self.per_column.len(), other.per_column.len());
+        self.entries += other.entries;
+        for (sum, cost) in self.per_column.iter_mut().zip(&other.per_column) {
+            *sum += cost;
+        }
+    }
+}
+
+impl<'a> RunSizer<'a> {
+    pub(crate) fn new(layout: EntryLayout<'a>, entries_per_leaf: usize) -> Self {
+        RunSizer {
+            cells: stored_cells(layout.schema, &layout.stored_indexes),
+            layout,
+            entries_per_leaf,
+        }
+    }
+
+    /// The size of the index over `run` minus (as a multiset) `excluded` —
+    /// how the progressive jackknife prices a delete-one-batch sample under
+    /// any scheme.
+    ///
+    /// `excluded` must be a sorted sub-multiset of `run`, as a batch's run
+    /// is of the pooled run it was merged into.  One walk of `run` with a
+    /// cursor over `excluded` keeps every entry the cursor does not match.
+    /// Entries with equal keys are fully equal (the RID is part of the key),
+    /// so which of several the cursor consumes cannot show: the kept entries
+    /// are, byte for byte, a merge of the other batches' runs, and every
+    /// `entries_per_leaf` of them are one leaf's worth of cells for
+    /// [`measure_chunks`](CompressionScheme::measure_chunks).
+    ///
+    /// # Errors
+    /// Entries left on the cursor mean `excluded` was not drawn from `run`:
+    /// [`IndexError::ExclusionMismatch`], never a silently wrong size.  A
+    /// run whose entry lengths are not those of `(schema, spec)` is
+    /// [`IndexError::InvalidSpec`].
+    pub fn measure_excluding(
+        &self,
+        run: &SortedRun,
+        excluded: &SortedRun,
+        scheme: &dyn CompressionScheme,
+    ) -> IndexResult<CompressionOutcome> {
+        self.layout.admit(run)?;
+        self.layout.admit(excluded)?;
+        let key_len = self.layout.key_len;
+        let per_leaf = self.entries_per_leaf;
+        // What the walk keeps if `excluded` is what it must be; sizes the
+        // buffers only.
+        let expected = run.len().saturating_sub(excluded.len());
+        let pages = expected.div_ceil(per_leaf).max(1);
+        // Per stored column: the leaves cut so far and the leaf being filled.
+        let mut columns: Vec<(Vec<CellChunk>, Vec<CellRef>)> = (self.cells.iter())
+            .map(|_| (Vec::with_capacity(pages), Vec::new()))
+            .collect();
+        let mut kept = 0;
+        let mut cursor = excluded.entries().map(|x| &x[..key_len]).peekable();
+        for entry in run.entries() {
+            if cursor.next_if_eq(&&entry[..key_len]).is_some() {
+                continue;
+            }
+            // A full leaf is cut when the entry that starts the next arrives.
+            let starts_leaf = kept % per_leaf == 0;
+            for (cell, (chunks, leaf)) in self.cells.iter().zip(&mut columns) {
+                if starts_leaf {
+                    let room = per_leaf.min(expected.saturating_sub(kept));
+                    let full = std::mem::replace(leaf, Vec::with_capacity(room));
+                    if kept > 0 {
+                        chunks.push(CellChunk::new(cell.datatype, full)?);
+                    }
+                }
+                leaf.push(cell.of(&entry[key_len..]));
+            }
+            kept += 1;
+        }
+        let left_over = cursor.count();
+        if left_over > 0 {
+            return Err(IndexError::ExclusionMismatch { left_over });
+        }
+        let mut outcome = CompressionOutcome::new(0, 0);
+        for (cell, (mut chunks, leaf)) in self.cells.iter().zip(columns) {
+            // The last leaf — or, with nothing kept, the one empty leaf of
+            // an empty tree.
+            chunks.push(CellChunk::new(cell.datatype, leaf)?);
+            outcome.uncompressed_bytes += kept * cell.datatype.uncompressed_width();
+            outcome.compressed_bytes += scheme.measure_chunks(&chunks)?;
+        }
+        Ok(outcome)
+    }
+
+    /// Sum `costs.cell` over `run`'s entries, per stored column — once per
+    /// batch, whatever the number of samples the batch is later left out of.
+    ///
+    /// # Errors
+    /// [`IndexError::InvalidSpec`] for a run of another layout.
+    pub fn cell_costs(&self, run: &SortedRun, costs: &CellCosts) -> IndexResult<RunCellCosts> {
+        self.layout.admit(run)?;
+        let mut per_column = vec![0; self.cells.len()];
+        for entry in run.entries() {
+            let record = &entry[self.layout.key_len..];
+            for (cell, sum) in self.cells.iter().zip(&mut per_column) {
+                *sum += (costs.cell)(cell.of(record), &cell.datatype);
+            }
+        }
+        Ok(RunCellCosts {
+            entries: run.len(),
+            per_column,
+        })
+    }
+
+    /// [`measure_excluding`](Self::measure_excluding) for the scheme that
+    /// declared `costs`, as arithmetic: `pooled` are the summed costs of a
+    /// run, `excluded` those of a batch merged into it.  A column of the
+    /// kept entries costs their cells' costs — the pooled sum minus the
+    /// batch's — plus one chunk header per leaf, and the fill rule gives the
+    /// leaves' lengths without a walk.
+    ///
+    /// # Panics
+    /// If `excluded` holds more than `pooled` does.  Sums cannot show a
+    /// foreign batch the way the walk's cursor does: `pooled` must be a
+    /// [`merge`](RunCellCosts::merge) that `excluded` went into.
+    #[must_use]
+    pub fn outcome_excluding(
+        &self,
+        costs: &CellCosts,
+        pooled: &RunCellCosts,
+        excluded: &RunCellCosts,
+    ) -> CompressionOutcome {
+        let part_of = "`excluded` was merged into `pooled`";
+        let kept = pooled.entries.checked_sub(excluded.entries).expect(part_of);
+        let (full, rest) = (kept / self.entries_per_leaf, kept % self.entries_per_leaf);
+        let mut headers = full * (costs.chunk_header)(self.entries_per_leaf);
+        if rest > 0 || full == 0 {
+            headers += (costs.chunk_header)(rest);
+        }
+        let mut outcome = CompressionOutcome::new(0, 0);
+        for (pos, cell) in self.cells.iter().enumerate() {
+            outcome.uncompressed_bytes += kept * cell.datatype.uncompressed_width();
+            let cell_costs = pooled.per_column[pos].checked_sub(excluded.per_column[pos]);
+            outcome.compressed_bytes += headers + cell_costs.expect(part_of);
+        }
+        outcome
+    }
 }
 
 #[cfg(test)]

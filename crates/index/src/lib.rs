@@ -19,7 +19,12 @@
 //!   resulting compression fraction,
 //! * [`measure_index`] — the zero-copy hot path: the same report computed by
 //!   the batch measure kernels over cells borrowed in place from the leaf
-//!   pages, without materialising a single compressed byte.
+//!   pages, without materialising a single compressed byte,
+//! * [`RunSizer`] — the same sizes without the tree, for the index over a
+//!   [`SortedRun`] minus one of the batches merged into it: a size-only walk
+//!   for any scheme, arithmetic on per-batch [`RunCellCosts`] for a
+//!   cell-additive one (what the progressive jackknife's delete-one-batch
+//!   estimates cost).
 //!
 //! ## Quickstart
 //!
@@ -53,7 +58,10 @@ pub mod size;
 pub mod spec;
 
 pub use btree::{BTreeIndex, IndexBuilder, IndexEntry, SortedRun};
-pub use compress::{compress_index, measure_index, ColumnCompressionStat, CompressedIndexReport};
+pub use compress::{
+    compress_index, measure_index, ColumnCompressionStat, CompressedIndexReport, RunCellCosts,
+    RunSizer,
+};
 pub use error::{IndexError, IndexResult};
 pub use size::{leaf_record_bytes, IndexSizeEstimate, IndexSizeModel, IndexSizeReport};
 pub use spec::{IndexKind, IndexSpec};

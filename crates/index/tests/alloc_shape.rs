@@ -2,12 +2,15 @@
 //!
 //! An index entry is bytes in one arena, not two `Vec`s: encoding, sorting
 //! and merging a run cost a handful of allocations however many rows there
-//! are, and a delete-one-batch build allocates per leaf page, not per
-//! entry.  A counting `#[global_allocator]` (this test binary only) holds
-//! that shape in place — a per-entry `Vec` coming back shows up here as
-//! tens of thousands of allocations, long before it shows up as a slowdown.
+//! are, a delete-one-batch sample is sized by a walk that allocates per
+//! leaf page, not per entry, and — for a cell-additive scheme — by
+//! arithmetic that allocates nothing but its result.  A counting
+//! `#[global_allocator]` (this test binary only) holds that shape in place
+//! — a per-entry `Vec` coming back shows up here as tens of thousands of
+//! allocations, long before it shows up as a slowdown.
 
-use samplecf_index::{BTreeIndex, IndexBuilder, IndexSpec, SortedRun};
+use samplecf_compression::{CompressionScheme, NullSuppression, RunLengthEncoding};
+use samplecf_index::{measure_index, BTreeIndex, IndexBuilder, IndexSpec, RunCellCosts, SortedRun};
 use samplecf_storage::{Column, DataType, Rid, Row, Schema, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -115,32 +118,84 @@ fn merging_runs_allocates_the_merged_arena_and_nothing_per_entry() {
 }
 
 #[test]
-fn a_delete_one_batch_build_allocates_per_leaf_page_not_per_entry() {
+fn a_delete_one_batch_walk_allocates_per_leaf_page_not_per_entry() {
     let (schema, rows) = (schema(), rows());
-    let spec = IndexSpec::nonclustered("i", ["name"]).unwrap();
+    let spec = IndexSpec::clustered("i", ["name"]).unwrap();
     let batch = SortedRun::from_rows(&schema, &rows[..ROWS / 10], &spec).unwrap();
     let rest = SortedRun::from_rows(&schema, &rows[ROWS / 10..], &spec).unwrap();
     let pooled = batch.merge(&rest);
     let builder = IndexBuilder::new().page_size(1024);
+    let sizer = builder.sizer(&schema, &spec).unwrap();
+    // RLE sizes a chunk without allocating, so the counts are the walk's.
+    let scheme = RunLengthEncoding;
 
-    let (count, tree) = allocations(|| {
-        builder
-            .build_from_sorted_run_excluding(&schema, &spec, &pooled, &batch)
-            .unwrap()
+    // The route the walk replaced: pack the kept entries, measure the tree.
+    let (packing, packed) = allocations(|| {
+        let tree = builder
+            .build_from_sorted_run(&schema, &spec, &rest)
+            .unwrap();
+        measure_index(&tree, &scheme).unwrap()
     });
-    assert_eq!(tree.num_entries(), ROWS - ROWS / 10);
-    let pages = tree.num_leaf_pages() + tree.num_internal_pages();
+    let (count, walked) =
+        allocations(|| sizer.measure_excluding(&pooled, &batch, &scheme).unwrap());
+    assert_eq!(walked, packed.outcome());
     assert!(
-        pages * 20 < tree.num_entries(),
+        packed.leaf_pages * 20 < packed.num_entries,
         "the bound below must separate pages from entries"
     );
-    // Per page: its buffer, its separator record, amortised `Vec` growth of
-    // the level it sits on.  Per build: the kept slices, layout, metadata.
+    // Per stored column: one buffer of cells per leaf, plus the list of them.
+    let columns = packed.per_column.len();
+    assert_eq!(columns, 2);
     assert!(
-        count <= 3 * pages + 48,
-        "excluding build of {} entries on {pages} pages: {count} allocations",
-        tree.num_entries()
+        count <= columns * (packed.leaf_pages + 2),
+        "walk of {} entries on {} pages: {count} allocations",
+        packed.num_entries,
+        packed.leaf_pages
     );
+    assert!(count < packing, "walk {count}, pack and measure {packing}");
+}
+
+#[test]
+fn closed_form_leave_one_outs_allocate_only_their_output() {
+    let (schema, rows) = (schema(), rows());
+    let spec = IndexSpec::clustered("i", ["name"]).unwrap();
+    let sizer = IndexBuilder::new()
+        .page_size(1024)
+        .sizer(&schema, &spec)
+        .unwrap();
+    let batches: Vec<SortedRun> = rows
+        .chunks(ROWS / 8)
+        .map(|batch| SortedRun::from_rows(&schema, batch, &spec).unwrap())
+        .collect();
+    let pooled_run = batches
+        .iter()
+        .fold(SortedRun::new(), |pooled, batch| pooled.into_merged(batch));
+    let costs = NullSuppression.cell_costs().expect("cell-additive");
+
+    // Summing a batch's cell costs allocates the sums, nothing per entry.
+    let batch_costs: Vec<RunCellCosts> = batches
+        .iter()
+        .map(|batch| {
+            let (count, sums) = allocations(|| sizer.cell_costs(batch, &costs).unwrap());
+            assert_eq!(count, 1, "cell costs of {} entries", batch.len());
+            sums
+        })
+        .collect();
+    let mut pooled = batch_costs[0].clone();
+    for batch in &batch_costs[1..] {
+        pooled.merge(batch);
+    }
+    assert_eq!(pooled, sizer.cell_costs(&pooled_run, &costs).unwrap());
+
+    let (count, sizes) = allocations(|| {
+        let leave_one_out = |batch| sizer.outcome_excluding(&costs, &pooled, batch);
+        batch_costs.iter().map(leave_one_out).collect::<Vec<_>>()
+    });
+    assert_eq!(count, 1, "{} leave-one-outs", sizes.len());
+    for (size, batch) in sizes.iter().zip(&batches) {
+        let walked = sizer.measure_excluding(&pooled_run, batch, &NullSuppression);
+        assert_eq!(walked.as_ref(), Ok(size));
+    }
 }
 
 #[test]
