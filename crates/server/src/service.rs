@@ -66,6 +66,14 @@ pub struct Instruments {
 
 impl Instruments {
     fn register_in(registry: &MetricsRegistry) -> Self {
+        // A constant of the host, not a measurement: which checksum kernel
+        // every page read of this process runs.
+        registry
+            .gauge(&format!(
+                "samplecf_storage_crc32_kernel{{kernel=\"{}\"}}",
+                samplecf_storage::disk::crc32_kernel()
+            ))
+            .set(1);
         Instruments {
             requests: RequestKind::ALL.map(|kind| match kind {
                 RequestKind::Invalid => Counter::disabled(),
@@ -1156,6 +1164,11 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
+        let kernel = format!(
+            "samplecf_storage_crc32_kernel{{kernel=\"{}\"}} 1\n",
+            samplecf_storage::disk::crc32_kernel()
+        );
+        assert!(text.contains(&kernel), "missing {kernel:?} in:\n{text}");
         // The registry handed to the server is the one the service uses:
         // an in-process harness can clone it and assert directly.
         let snap = state.metrics.snapshot();

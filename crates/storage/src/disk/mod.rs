@@ -9,6 +9,10 @@
 //! * [`format`](mod@format) — the binary file layout: CRC-32-protected file header and
 //!   table metadata, and per-page blocks whose checksums catch any
 //!   single-byte corruption (specified in `docs/FORMAT.md`),
+//! * [`crc32`] — that checksum: one value from two kernels, slice-by-8
+//!   tables everywhere and carry-less-multiply folding on x86-64 CPUs that
+//!   have `pclmulqdq`, picked per call ([`crc32_kernel`] names the one this
+//!   host runs); every line of it lives in the private `crc` module,
 //! * [`DiskHeapFile`] — create/open/append/read-page over one file, with an
 //!   in-memory tail page for appends and *no* buffer pool for reads,
 //! * [`DiskTable`] — a named, schema-carrying table over a `DiskHeapFile`
@@ -36,10 +40,12 @@
 //! # Ok::<(), samplecf_storage::StorageError>(())
 //! ```
 
+mod crc;
 pub mod file;
 pub mod format;
 pub mod table;
 
+pub use crc::{crc32, crc32_kernel};
 pub use file::DiskHeapFile;
-pub use format::{crc32, FileHeader, DISK_PAGE_HEADER_SIZE, FILE_HEADER_SIZE, FORMAT_VERSION};
+pub use format::{FileHeader, DISK_PAGE_HEADER_SIZE, FILE_HEADER_SIZE, FORMAT_VERSION};
 pub use table::DiskTable;

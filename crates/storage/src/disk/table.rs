@@ -9,7 +9,7 @@
 
 use crate::disk::file::DiskHeapFile;
 use crate::disk::format;
-use crate::error::StorageResult;
+use crate::error::{StorageError, StorageResult};
 use crate::page::{Page, PAGE_HEADER_SIZE, SLOT_SIZE};
 use crate::rid::{PageId, Rid};
 use crate::row::{Row, RowCodec};
@@ -45,14 +45,36 @@ impl DiskTable {
 
     /// Open an existing table file, restoring its name and schema from the
     /// file's metadata region.
+    ///
+    /// # Errors
+    /// Everything [`DiskHeapFile::open`] rejects, an undecodable table meta
+    /// block, and — as [`StorageError::InvalidFormat`] — a header whose row
+    /// count its page count cannot hold: records are fixed-width, so
+    /// `num_pages` pages of [`rows_per_page`](DiskTable::rows_per_page) rows
+    /// hold more than `(num_pages − 1) · rows_per_page` rows and at most
+    /// `num_pages · rows_per_page` (no pages, no rows).  The sampling frame
+    /// ([`rids`](TableSource::rids)) is computed from these two counts alone.
     pub fn open(path: impl AsRef<Path>) -> StorageResult<DiskTable> {
         let heap = DiskHeapFile::open(path)?;
         let (name, schema) = format::decode_table_meta(heap.meta())?;
-        Ok(DiskTable {
+        let table = DiskTable {
             name,
             codec: RowCodec::new(schema),
             heap,
-        })
+        };
+        let (rows, pages, per_page) = (table.num_rows(), table.num_pages(), table.rows_per_page());
+        let fewest = match pages.checked_sub(1) {
+            None => 0,
+            Some(full_pages) => full_pages.saturating_mul(per_page).saturating_add(1),
+        };
+        let most = pages.saturating_mul(per_page);
+        if rows < fewest || rows > most {
+            return Err(StorageError::InvalidFormat(format!(
+                "header records {rows} rows, but {pages} pages of {per_page} rows each hold \
+                 {fewest} to {most}"
+            )));
+        }
+        Ok(table)
     }
 
     /// Write an in-memory table out to `path`, returning the disk table.
@@ -153,21 +175,15 @@ impl TableSource for DiskTable {
     /// [`rows_per_page`](DiskTable::rows_per_page) rows.
     fn rids(&self) -> StorageResult<Vec<Rid>> {
         let n = self.num_rows();
-        let mut out = Vec::with_capacity(n);
-        if n == 0 {
-            return Ok(out);
-        }
         let per_page = self.rows_per_page();
-        debug_assert!(per_page > 0, "a stored row always fits some page");
-        let full_pages = self.num_pages() - 1;
-        for pid in 0..full_pages {
-            for slot in 0..per_page {
-                out.push(Rid::new(pid as PageId, slot as u16));
-            }
-        }
-        let tail_rows = n - full_pages * per_page;
-        for slot in 0..tail_rows {
-            out.push(Rid::new(full_pages as PageId, slot as u16));
+        let pages = self.num_pages();
+        // `open` has checked that the counts agree; taking each page's share
+        // as "what is still owed, at most a page's worth" keeps this loop
+        // bounded by them whatever they are.
+        let mut out = Vec::with_capacity(n.min(pages.saturating_mul(per_page)));
+        for pid in 0..pages {
+            let on_page = per_page.min(n - out.len());
+            out.extend((0..on_page).map(|slot| Rid::new(pid as PageId, slot as u16)));
         }
         Ok(out)
     }
@@ -292,6 +308,79 @@ mod tests {
         assert_eq!(t.num_pages(), 0);
         assert!(t.rids().unwrap().is_empty());
         assert!(t.scan_rows().unwrap().is_empty());
+    }
+
+    /// Rewrite the header's `num_rows` in place and re-seal the metadata
+    /// CRC, so the row count is the only lie in the file.
+    fn forge_num_rows(path: &Path, num_rows: usize) {
+        let mut bytes = std::fs::read(path).unwrap();
+        let header = format::decode_file_header(&bytes).unwrap();
+        let meta = &bytes[format::FILE_HEADER_SIZE..][..header.meta_len];
+        let forged = format::FileHeader { num_rows, ..header };
+        let region = format::encode_metadata(&forged, meta);
+        bytes[..region.len()].copy_from_slice(&region);
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    /// 100 rows on pages of 512 bytes, synced; returns (pages, rows per page).
+    fn hundred_rows(path: &Path) -> (usize, usize) {
+        let mut t = DiskTable::create(path, "t", schema(), 512).unwrap();
+        for row in rows(100) {
+            t.insert(&row).unwrap();
+        }
+        t.sync().unwrap();
+        assert!(t.num_pages() > 2);
+        (t.num_pages(), t.rows_per_page())
+    }
+
+    #[test]
+    fn open_rejects_a_row_count_its_pages_cannot_hold() {
+        let path = temp_path("lying_rows");
+        let _cleanup = Cleanup(path.clone());
+        let (pages, per_page) = hundred_rows(&path);
+        // Never `rids()` on a forged file: before the check existed that
+        // was an unbounded allocation, not a failure.
+        for (what, forged) in [
+            ("too few", 1),
+            (
+                "one short of reaching the last page",
+                (pages - 1) * per_page,
+            ),
+            ("too many", pages * per_page + 1),
+            ("absurdly many", usize::MAX),
+            ("zero with pages", 0),
+        ] {
+            forge_num_rows(&path, forged);
+            match DiskTable::open(&path) {
+                Err(StorageError::InvalidFormat(msg)) => {
+                    assert!(msg.contains("rows"), "{what}: {msg}");
+                }
+                other => panic!("{what} ({forged} rows): expected InvalidFormat, got {other:?}"),
+            }
+        }
+        // The honest count — and any count the pages can hold — opens.
+        for honest in [100, (pages - 1) * per_page + 1, pages * per_page] {
+            forge_num_rows(&path, honest);
+            let t = DiskTable::open(&path).unwrap();
+            assert_eq!(t.rids().unwrap().len(), honest);
+        }
+    }
+
+    #[test]
+    fn rids_stay_bounded_on_a_heap_whose_counts_disagree() {
+        let path = temp_path("lying_heap");
+        let _cleanup = Cleanup(path.clone());
+        let (pages, per_page) = hundred_rows(&path);
+        // Hand `rids()` the heap `open` would have refused.
+        let unchecked = |path: &Path| DiskTable {
+            name: "t".to_string(),
+            codec: RowCodec::new(schema()),
+            heap: DiskHeapFile::open(path).unwrap(),
+        };
+        forge_num_rows(&path, 1);
+        assert_eq!(unchecked(&path).rids().unwrap(), vec![Rid::new(0, 0)]);
+        forge_num_rows(&path, usize::MAX);
+        assert_eq!(unchecked(&path).rids().unwrap().len(), pages * per_page);
     }
 
     #[test]

@@ -54,6 +54,11 @@
 //! # Ok::<(), samplecf_storage::StorageError>(())
 //! ```
 
+// One module is exempt: the carry-less-multiply CRC kernel
+// (`disk::crc::clmul`) re-allows the first lint for itself alone.
+#![deny(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
+
 pub mod cell;
 pub mod counting;
 pub mod datatype;

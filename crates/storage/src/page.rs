@@ -97,13 +97,13 @@ impl Page {
             data,
         };
         let free_ptr = page.free_ptr();
+        let slot_count = page.slot_count();
         let dir_start = page
             .page_size()
-            .checked_sub(usize::from(page.slot_count()) * SLOT_SIZE)
+            .checked_sub(usize::from(slot_count) * SLOT_SIZE)
             .ok_or_else(|| {
                 StorageError::PageCorruption(format!(
-                    "slot directory of {} entries exceeds the page",
-                    page.slot_count()
+                    "slot directory of {slot_count} entries exceeds the page"
                 ))
             })?;
         if free_ptr < PAGE_HEADER_SIZE || free_ptr > dir_start {
@@ -111,8 +111,11 @@ impl Page {
                 "free pointer {free_ptr} outside the valid range [{PAGE_HEADER_SIZE}, {dir_start}]"
             )));
         }
-        for slot in 0..page.slot_count() {
-            let (offset, len) = page.slot(slot).expect("slot below slot_count");
+        // The directory grows backward from the end of the page, so slot 0
+        // is its last entry: one reverse walk of one slice.
+        for (slot, entry) in page.data[dir_start..].rchunks_exact(SLOT_SIZE).enumerate() {
+            let offset = usize::from(u16::from_be_bytes([entry[0], entry[1]]));
+            let len = usize::from(u16::from_be_bytes([entry[2], entry[3]]));
             if offset < PAGE_HEADER_SIZE || offset + len > free_ptr {
                 return Err(StorageError::PageCorruption(format!(
                     "slot {slot} spans [{offset}, {}) outside the record area",
