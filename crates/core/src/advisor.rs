@@ -16,23 +16,29 @@
 //!    pays its block I/O exactly once per group (accounted by a
 //!    [`CountingSource`](samplecf_storage::CountingSource)
 //!    and reported in the plan); every later candidate is a cache hit.
-//! 2. **Fan out** candidate evaluation across threads — each candidate
-//!    builds and compresses an index over the shared in-memory sample, plus
-//!    an analytic (I/O-free) uncompressed size from [`IndexSizeModel`].
-//!    Results are deterministic whatever the thread count.
+//! 2. **Fan out** candidate evaluation across threads, a *key shape* at a
+//!    time: candidates on one sample whose indexes agree in kind and key
+//!    columns (whatever their names) order that sample's entries the same
+//!    way, so they share one sort and one walk that sizes every one of
+//!    their schemes ([`measure_sample_schemes`]) — cost per (index,
+//!    compression) pair, not per sort, is what bounds a design search.
+//!    Each candidate adds an analytic (I/O-free) uncompressed size from
+//!    [`IndexSizeModel`].  Results are deterministic whatever the thread
+//!    count.
 //! 3. **Choose** what to compress: a saving threshold first, then a greedy
 //!    budget pass (largest estimated saving first) if a storage budget is
 //!    set.
 //!
 //! The output is an [`AdvisorPlan`]: per-candidate [`Recommendation`]s plus
-//! plan-level accounting (samples drawn, pages read, wall-clock, and the
-//! estimated page cost a naive re-sample-per-candidate run would have paid).
+//! plan-level accounting (samples drawn, pages read, key orders sorted,
+//! wall-clock, and the estimated page cost a naive re-sample-per-candidate
+//! run would have paid).
 
 use crate::cache::SampleCache;
 use crate::error::{CoreError, CoreResult};
-use crate::estimator::measure_sample;
+use crate::estimator::measure_sample_schemes;
 use samplecf_compression::CompressionScheme;
-use samplecf_index::{IndexBuilder, IndexSizeModel, IndexSpec};
+use samplecf_index::{IndexBuilder, IndexKind, IndexSizeModel, IndexSpec};
 use samplecf_parallel::parallel_indexed_map;
 use samplecf_sampling::{MaterializedSample, SamplerKind};
 use samplecf_storage::{SharedSource, TableSource};
@@ -184,6 +190,12 @@ pub struct AdvisorPlan {
     pub groups: Vec<SampleGroup>,
     /// The storage budget that was targeted, if any.
     pub budget_bytes: Option<usize>,
+    /// Key orders computed: one sort of a sample per distinct (sample group,
+    /// index kind, key columns) among the candidates — the CPU twin of
+    /// [`pages_read`](Self::pages_read) against
+    /// [`naive_pages_read`](Self::naive_pages_read), whose naive count is
+    /// one per candidate.
+    pub key_sorts: usize,
     /// Total wall-clock time for the whole plan.
     pub elapsed: Duration,
 }
@@ -341,24 +353,20 @@ impl CompressionAdvisor {
         let mut cache = SampleCache::new();
         let group_of = cache.get_or_draw_batch(&requests, self.config.threads)?;
 
-        // Phase 2: evaluate every candidate against its group's shared
-        // sample, fanned out across strided workers; evaluation is pure, so
-        // the outcome does not depend on the thread count.
-        let cache_ref = &cache;
-        let group_of_ref = &group_of;
-        let mut recommendations = Vec::with_capacity(candidates.len());
-        for r in parallel_indexed_map(candidates.len(), self.config.threads, |i| {
-            let (c, gi) = (&candidates[i], group_of_ref[i]);
-            evaluate_shared(
-                c.source.as_ref(),
-                c.spec,
-                c.scheme,
-                cache_ref.entry(gi).sample(),
-                gi,
-            )
-        }) {
-            recommendations.push(r?);
-        }
+        // Phase 2: evaluate the candidates against their groups' shared
+        // samples, a key shape at a time; evaluation is pure, so the outcome
+        // does not depend on the thread count.
+        let evaluated: Vec<Evaluated<'_>> = (candidates.iter().zip(&group_of))
+            .map(|(c, &group)| Evaluated {
+                source: c.source.as_ref(),
+                group,
+                spec: c.spec,
+                scheme: c.scheme,
+            })
+            .collect();
+        let samples: Vec<&MaterializedSample> =
+            cache.entries().iter().map(|e| &**e.sample()).collect();
+        let (recommendations, key_sorts) = self.evaluate(&evaluated, &samples)?;
 
         let groups = cache
             .entries()
@@ -372,7 +380,7 @@ impl CompressionAdvisor {
                 pages_read: e.pages_read(),
             })
             .collect();
-        Ok(self.decide(recommendations, groups, started))
+        Ok(self.decide(recommendations, groups, key_sorts, started))
     }
 
     /// Plan `candidates` against one sample the caller already holds — the
@@ -390,13 +398,15 @@ impl CompressionAdvisor {
         draw_pages: u64,
     ) -> CoreResult<AdvisorPlan> {
         let started = Instant::now();
-        let mut recommendations = Vec::with_capacity(candidates.len());
-        for r in parallel_indexed_map(candidates.len(), self.config.threads, |i| {
-            let (spec, scheme) = &candidates[i];
-            evaluate_shared(source, spec, scheme.as_ref(), sample, 0)
-        }) {
-            recommendations.push(r?);
-        }
+        let evaluated: Vec<Evaluated<'_>> = (candidates.iter())
+            .map(|(spec, scheme)| Evaluated {
+                source,
+                group: 0,
+                spec,
+                scheme: scheme.as_ref(),
+            })
+            .collect();
+        let (recommendations, key_sorts) = self.evaluate(&evaluated, &[sample])?;
         let group = SampleGroup {
             table: source.name().to_string(),
             sampler: self.config.sampler.label(),
@@ -405,7 +415,45 @@ impl CompressionAdvisor {
             sample_rows: sample.len(),
             pages_read: draw_pages,
         };
-        Ok(self.decide(recommendations, vec![group], started))
+        Ok(self.decide(recommendations, vec![group], key_sorts, started))
+    }
+
+    /// Evaluate `candidates`, each against the one of `samples` its group
+    /// names: recommendations in `candidates`' order, and the number of key
+    /// orders that took.
+    ///
+    /// Candidates are grouped by what decides the order of a sample's
+    /// entries — the sample, the index kind and the key columns; *not* the
+    /// whole [`IndexSpec`], whose name orders nothing — and each such shape
+    /// is one [`evaluate_shared`] call, the shapes fanned across strided
+    /// workers.
+    fn evaluate(
+        &self,
+        candidates: &[Evaluated<'_>],
+        samples: &[&MaterializedSample],
+    ) -> CoreResult<(Vec<Recommendation>, usize)> {
+        type Shape<'c> = (usize, IndexKind, &'c [String]);
+        let mut shapes: Vec<(Shape<'_>, Vec<usize>)> = Vec::new();
+        for (i, c) in candidates.iter().enumerate() {
+            let shape = (c.group, c.spec.kind(), c.spec.key_columns());
+            match shapes.iter_mut().find(|(known, _)| *known == shape) {
+                Some((_, members)) => members.push(i),
+                None => shapes.push((shape, vec![i])),
+            }
+        }
+        let per_shape = parallel_indexed_map(shapes.len(), self.config.threads, |g| {
+            let ((group, ..), members) = &shapes[g];
+            let members: Vec<Evaluated<'_>> = members.iter().map(|&i| candidates[i]).collect();
+            evaluate_shared(samples[*group], &members)
+        });
+        let mut recommendations = vec![None; candidates.len()];
+        for ((_, members), evaluated) in shapes.iter().zip(per_shape) {
+            for (&i, recommendation) in members.iter().zip(evaluated?) {
+                recommendations[i] = Some(recommendation);
+            }
+        }
+        let in_request_order = recommendations.into_iter().flatten().collect();
+        Ok((in_request_order, shapes.len()))
     }
 
     /// Phase 3: the saving threshold first, then the greedy budget pass.
@@ -413,6 +461,7 @@ impl CompressionAdvisor {
         &self,
         mut recommendations: Vec<Recommendation>,
         groups: Vec<SampleGroup>,
+        key_sorts: usize,
         started: Instant,
     ) -> AdvisorPlan {
         apply_saving_threshold(&mut recommendations, self.config.min_saving_fraction);
@@ -421,44 +470,60 @@ impl CompressionAdvisor {
             recommendations,
             groups,
             budget_bytes: self.config.budget_bytes,
+            key_sorts,
             elapsed: started.elapsed(),
         }
     }
 }
 
-/// Evaluate one candidate index against an already-drawn shared sample,
-/// with `compress` left `false` pending the decision pass.
-///
-/// The uncompressed size comes from the analytic [`IndexSizeModel`] (no
-/// I/O), the compressed size from [`measure_sample`] — so a candidate's
-/// `estimated_cf` equals [`SampleCf::estimate`](crate::SampleCf::estimate)
-/// for the sample's `(sampler, seed)`, stratified draws included.
-fn evaluate_shared(
-    source: &dyn TableSource,
-    spec: &IndexSpec,
-    scheme: &dyn CompressionScheme,
-    sample: &MaterializedSample,
+/// One candidate as the evaluation sees it, from either planning entry.
+#[derive(Clone, Copy)]
+struct Evaluated<'c> {
+    source: &'c dyn TableSource,
+    /// Number of the candidate's sample group.
     group: usize,
-) -> CoreResult<Recommendation> {
-    let uncompressed = IndexSizeModel::new()
-        .estimate(source.schema(), spec, source.num_rows())?
-        .leaf_bytes();
+    spec: &'c IndexSpec,
+    scheme: &'c dyn CompressionScheme,
+}
 
-    let measurement = measure_sample(sample, spec, scheme, &IndexBuilder::new())?;
-    let leaf_cf = measurement.cf_with_pointers.min(1.0);
-    let estimated_compressed = (uncompressed as f64 * leaf_cf).ceil() as usize;
-
-    Ok(Recommendation {
-        table: source.name().to_string(),
-        index: spec.name().to_string(),
-        scheme: scheme.name().to_string(),
-        uncompressed_bytes: uncompressed,
-        estimated_compressed_bytes: estimated_compressed,
-        estimated_cf: measurement.cf,
-        sample_rows: sample.len(),
-        group,
-        compress: false,
-    })
+/// Evaluate candidates of one key shape — one sample group, indexes of one
+/// kind over the same key columns — against that group's already-drawn
+/// `sample`, in order, with `compress` left `false` pending the decision
+/// pass.
+///
+/// Each uncompressed size comes from the analytic [`IndexSizeModel`] (no
+/// I/O); the compressed sizes all come from one [`measure_sample_schemes`]
+/// call — one sort of the sample, one walk sizing every candidate's scheme —
+/// so a candidate's `estimated_cf` equals
+/// [`SampleCf::estimate`](crate::SampleCf::estimate) for the sample's
+/// `(sampler, seed)`, stratified draws included, and what a
+/// [`measure_sample`](crate::measure_sample) of its own would report.
+fn evaluate_shared(
+    sample: &MaterializedSample,
+    candidates: &[Evaluated<'_>],
+) -> CoreResult<Vec<Recommendation>> {
+    let shape = candidates[0].spec;
+    let schemes: Vec<&dyn CompressionScheme> = candidates.iter().map(|c| c.scheme).collect();
+    let measurements = measure_sample_schemes(sample, shape, &schemes, &IndexBuilder::new())?;
+    (candidates.iter().zip(measurements))
+        .map(|(c, measurement)| {
+            let uncompressed = IndexSizeModel::new()
+                .estimate(c.source.schema(), c.spec, c.source.num_rows())?
+                .leaf_bytes();
+            let leaf_cf = measurement.cf_with_pointers.min(1.0);
+            Ok(Recommendation {
+                table: c.source.name().to_string(),
+                index: c.spec.name().to_string(),
+                scheme: c.scheme.name().to_string(),
+                uncompressed_bytes: uncompressed,
+                estimated_compressed_bytes: (uncompressed as f64 * leaf_cf).ceil() as usize,
+                estimated_cf: measurement.cf,
+                sample_rows: sample.len(),
+                group: c.group,
+                compress: false,
+            })
+        })
+        .collect()
 }
 
 /// Pass 1: compress whatever clears the saving threshold.
@@ -745,6 +810,123 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Today's grouped evaluation against yesterday's, kept here as the
+    /// oracle: every candidate evaluated alone — one sort, one one-scheme
+    /// [`measure_sample`](crate::measure_sample), each.
+    fn per_candidate_plan(
+        advisor: &CompressionAdvisor,
+        source: &SharedSource,
+        candidates: &[(IndexSpec, Box<dyn CompressionScheme>)],
+        sample: &MaterializedSample,
+    ) -> Vec<Recommendation> {
+        let alone = |(spec, scheme): &(IndexSpec, Box<dyn CompressionScheme>)| {
+            let candidate = Evaluated {
+                source: source.as_ref(),
+                group: 0,
+                spec,
+                scheme: scheme.as_ref(),
+            };
+            evaluate_shared(sample, &[candidate]).unwrap().remove(0)
+        };
+        let mut recommendations: Vec<Recommendation> = candidates.iter().map(alone).collect();
+        apply_saving_threshold(&mut recommendations, advisor.config.min_saving_fraction);
+        apply_budget(&mut recommendations, advisor.config.budget_bytes);
+        recommendations
+    }
+
+    #[test]
+    fn grouped_advice_is_per_candidate_advice_in_request_order() {
+        let t = presets::orders_table("orders", 4_000, 13)
+            .generate()
+            .unwrap()
+            .table
+            .into_shared();
+        // Two key shapes × three schemes, interleaved; every candidate
+        // under a name of its own, and one of them listed twice.
+        let by_status = |name: &str| IndexSpec::nonclustered(name, ["status"]).unwrap();
+        let by_customer = |name: &str| IndexSpec::clustered(name, ["customer", "status"]).unwrap();
+        let scheme = |name| samplecf_compression::scheme_by_name(name).unwrap();
+        let candidates: Vec<(IndexSpec, Box<dyn CompressionScheme>)> = vec![
+            (by_status("s_dict"), scheme("dictionary-global")),
+            (by_customer("c_rle"), scheme("rle")),
+            (by_status("s_ns"), scheme("null-suppression")),
+            (by_customer("c_dict"), scheme("dictionary-global")),
+            (by_status("s_rle"), scheme("rle")),
+            (by_customer("c_ns"), scheme("null-suppression")),
+            (by_status("s_ns"), scheme("null-suppression")),
+        ];
+        let borrowed: Vec<Candidate<'_>> = candidates
+            .iter()
+            .map(|(spec, scheme)| Candidate::new(&t, spec, scheme.as_ref()))
+            .collect();
+        for sampler in [
+            SamplerKind::Block(0.1),
+            SamplerKind::Stratified {
+                fraction: 0.1,
+                strata: 4,
+                alloc: samplecf_sampling::Allocation::Proportional,
+                mode: samplecf_sampling::StrataMode::EquiWidth,
+            },
+        ] {
+            let sample = MaterializedSample::draw(t.as_ref(), sampler, 3).unwrap();
+            for threads in [1, 2, 4] {
+                let advisor = CompressionAdvisor::new(AdvisorConfig {
+                    sampler,
+                    seed: 3,
+                    threads,
+                    // Null suppression saves too little on either key; the
+                    // budget then forces it onto the larger index.
+                    min_saving_fraction: 0.55,
+                    budget_bytes: Some(1_000_000),
+                })
+                .unwrap();
+                let oracle = per_candidate_plan(&advisor, &t, &candidates, &sample);
+                let names: Vec<&str> = oracle.iter().map(|r| r.index.as_str()).collect();
+                assert_eq!(
+                    names,
+                    ["s_dict", "c_rle", "s_ns", "c_dict", "s_rle", "c_ns", "s_ns"]
+                );
+                assert_eq!(oracle[2], oracle[6], "the candidate listed twice");
+                let compressed: Vec<bool> = oracle.iter().map(|r| r.compress).collect();
+                assert_eq!(compressed, [true, true, false, true, true, true, false]);
+
+                let planned = advisor.plan(&borrowed).unwrap();
+                let shared = advisor
+                    .plan_shared_sample(t.as_ref(), &candidates, &sample, 0)
+                    .unwrap();
+                for plan in [&planned, &shared] {
+                    assert_eq!(
+                        plan.recommendations, oracle,
+                        "{sampler:?}, {threads} threads"
+                    );
+                    assert_eq!((plan.key_sorts, plan.samples_drawn()), (2, 1));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn key_orders_are_counted_per_sample_group_and_key_shape() {
+        let t = compressible_table(5);
+        let other = incompressible_table(6);
+        let plain = IndexSpec::nonclustered("plain", ["a"]).unwrap();
+        let renamed = IndexSpec::nonclustered("renamed", ["a"]).unwrap();
+        let clustered = IndexSpec::clustered("clustered", ["a"]).unwrap();
+        let (dict, ns) = (DictionaryCompression::default(), NullSuppression);
+        let candidates = vec![
+            Candidate::new(&t, &plain, &dict),
+            // Another name and scheme on the same key: the same order.
+            Candidate::new(&t, &renamed, &ns),
+            // Another kind, another sample, another table: three more.
+            Candidate::new(&t, &clustered, &dict),
+            Candidate::new(&t, &plain, &dict).seed(99),
+            Candidate::new(&other, &plain, &dict),
+        ];
+        let plan = advisor(0.05).plan(&candidates).unwrap();
+        assert_eq!((plan.samples_drawn(), plan.key_sorts), (3, 4));
+        assert_eq!(advisor(0.05).plan(&[]).unwrap().key_sorts, 0);
     }
 
     #[test]

@@ -21,9 +21,8 @@ use samplecf_compression::CompressionScheme;
 use samplecf_index::{measure_index, CompressedIndexReport, IndexBuilder, IndexSpec};
 use samplecf_parallel::parallel_indexed_map;
 use samplecf_sampling::{MaterializedSample, RowSampler, SamplerKind};
-use samplecf_storage::{decode_cell, Rid, Schema, TableSource, Value};
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use samplecf_storage::{Schema, TableSource, Value};
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 /// Statistics about the sample (or full table) the compression fraction was
@@ -188,113 +187,95 @@ pub fn measure_rows(
     })
 }
 
-/// Measure one held sample: build the index on it, size it under `scheme`,
-/// and report the sample's CF — steps 2–4 of SampleCF over an already-drawn
-/// `T'`.
-///
-/// The index is bulk-loaded by slicing sort keys and stored cells straight
-/// out of the sample's heap records
-/// ([`IndexBuilder::build_from_records`](samplecf_index::IndexBuilder::build_from_records))
-/// and sized by the batch measure kernels ([`measure_index`]), so the hot
-/// path never materialises a decoded [`Row`](samplecf_storage::Row) or a
-/// compressed byte.  Only the first key column's cells are decoded — one
-/// [`Value`] per distinct cell — for the [`DataStats`].
-///
-/// A sample that carries stratum tags is measured as the weighted
-/// per-stratum combination `Σ W_s·CF_s` — each stratum's sub-index built and
-/// sized on its own, combined with [`weighted_combine`] over the population
-/// weights; the pooled report and stats are kept for their per-column
-/// detail.  Either way the measurement is bit-identical to
-/// [`SampleCf::estimate`] with the sample's `(sampler, seed)`, and — pooled —
-/// to [`measure_rows`] over the decoded rows (pinned by the differential
-/// suite).
+/// Measure one held sample under one scheme — steps 2–4 of SampleCF over an
+/// already-drawn `T'`: the one-scheme call of [`measure_sample_schemes`].
 pub fn measure_sample(
     sample: &MaterializedSample,
     spec: &IndexSpec,
     scheme: &dyn CompressionScheme,
     builder: &IndexBuilder,
 ) -> CoreResult<CfMeasurement> {
+    let mut measured = measure_sample_schemes(sample, spec, &[scheme], builder)?;
+    Ok(measured.pop().expect("one measurement per scheme"))
+}
+
+/// Measure one held sample under every one of `schemes`: one encode, one key
+/// order, one walk of the entries through that order — one measurement per
+/// scheme, in `schemes`' order.
+///
+/// Sort keys and stored cells are sliced straight out of the sample's heap
+/// records and ordered once
+/// ([`IndexBuilder::order_records`](samplecf_index::IndexBuilder::order_records));
+/// no tree is packed.  One walk through the order cuts each leaf's cells
+/// once and sizes them under every scheme with the batch measure kernels,
+/// leaf and internal page counts coming from the size model, and reads the
+/// [`DataStats`] off the same pass — equal first-key cells are adjacent in
+/// key order, so no [`Value`] is decoded and nothing is hashed.  The order
+/// depends on `spec`'s kind and key columns alone, not on its name:
+/// candidates that share those share this call.
+///
+/// A sample that carries stratum tags is measured as the weighted
+/// per-stratum combination `Σ W_s·CF_s` — each stratum's sub-index is the
+/// same order filtered by tag (a subsequence of a sorted sequence is
+/// sorted), sized on its own under every scheme and combined with
+/// [`weighted_combine`] over the population weights; the pooled report and
+/// stats are kept for their per-column detail.  Either way each measurement
+/// is bit-identical to [`SampleCf::estimate`] with the sample's `(sampler,
+/// seed)`, and — pooled — to [`measure_rows`] over the decoded rows, whose
+/// packed tree stays the oracle (pinned by the differential suite).
+pub fn measure_sample_schemes(
+    sample: &MaterializedSample,
+    spec: &IndexSpec,
+    schemes: &[&dyn CompressionScheme],
+    builder: &IndexBuilder,
+) -> CoreResult<Vec<CfMeasurement>> {
     let schema = sample.table().schema();
     let records = sample.records()?;
     let start = Instant::now();
-    let index = builder.build_from_records(schema, &records, spec)?;
-    let report = measure_index(&index, scheme)?;
+    let ordered = builder.order_records(schema, &records, spec)?;
+    let (reports, first_key) = ordered.measure(schemes)?;
     let elapsed = start.elapsed();
-
-    let first_key = spec
-        .key_indexes(schema)?
-        .first()
-        .copied()
-        .ok_or_else(|| CoreError::InvalidConfig("index has no key columns".to_string()))?;
-    // Cells are fixed-width encodings, so each distinct byte pattern is
-    // decoded once and its logical length remembered: the stats equal a
-    // decode of every record without paying one per duplicate.
-    let datatype = schema.column_at(first_key).datatype;
-    let offset = sample.table().codec().cell_offset(first_key);
-    let width = datatype.uncompressed_width();
-    let mut lens: HashMap<&[u8], usize> = HashMap::new();
-    let mut distinct: HashSet<Value> = HashSet::new();
-    let (mut sum, mut nulls) = (0usize, 0usize);
-    for (_, record) in &records {
-        if record[first_key / 8] & (1 << (first_key % 8)) != 0 {
-            nulls += 1;
-            continue;
-        }
-        let cell = &record[offset..offset + width];
-        sum += match lens.entry(cell) {
-            Entry::Occupied(seen) => *seen.get(),
-            Entry::Vacant(new) => {
-                let value = decode_cell(cell, &datatype)?;
-                let len = *new.insert(value.logical_len());
-                distinct.insert(value);
-                len
-            }
-        };
-    }
     let data = DataStats {
         rows: records.len(),
-        distinct_first_key: distinct.len(),
-        sum_logical_len_first_key: sum,
-        null_first_key: nulls,
+        distinct_first_key: first_key.distinct,
+        sum_logical_len_first_key: first_key.logical_len_sum,
+        null_first_key: first_key.nulls,
     };
 
+    // One walk per stratum serves every scheme; strata are independent, so
+    // they fan out as `weighted_strata_cf` fans them.
     let tags = sample.row_strata();
     let weights = sample.strata_weights();
-    let stratified = weighted_strata_cf(weights, records.len(), builder, |s, inner| {
-        let group: Vec<(Rid, &[u8])> = records
-            .iter()
-            .zip(tags)
-            .filter(|(_, &t)| t as usize == s)
-            .map(|(&r, _)| r)
-            .collect();
-        if group.is_empty() {
-            return Ok(None);
-        }
-        let index = inner.build_from_records(schema, &group, spec)?;
-        Ok(Some(measure_index(&index, scheme)?))
-    })?;
-    let (cf, cf_with_pointers, cf_pages) =
-        stratified.unwrap_or_else(|| (report.cf(), report.cf_with_pointers(), report.cf_pages()));
-
-    Ok(CfMeasurement {
-        cf,
-        cf_with_pointers,
-        cf_pages,
-        scheme: report.scheme.clone(),
-        sampler: sample.kind().label(),
-        data,
-        elapsed,
-        report,
+    let strata = parallel_indexed_map(weights.len(), builder.workers(records.len()), |s| {
+        let (reports, _) = ordered.measure_where(|i| tags[i] as usize == s, schemes)?;
+        Ok(reports)
     })
+    .into_iter()
+    .collect::<CoreResult<Vec<_>>>()?;
+
+    let measure = |(j, report): (usize, CompressedIndexReport)| {
+        let per_stratum = (strata.iter())
+            .map(|reports| Some(&reports[j]).filter(|stratum| stratum.num_entries > 0));
+        let (cf, cf_with_pointers, cf_pages) = combine_strata(weights, per_stratum)
+            .unwrap_or_else(|| (report.cf(), report.cf_with_pointers(), report.cf_pages()));
+        CfMeasurement {
+            cf,
+            cf_with_pointers,
+            cf_pages,
+            scheme: report.scheme.clone(),
+            sampler: sample.kind().label(),
+            data: data.clone(),
+            elapsed,
+            report,
+        }
+    };
+    Ok(reports.into_iter().enumerate().map(measure).collect())
 }
 
 /// The stratified CF triple `(cf, cf_with_pointers, cf_pages)`: each
 /// stratum's sub-index is built and sized on its own by `measure_stratum`
 /// (`None` for a stratum with no sampled rows), and the per-stratum CFs are
-/// combined as `Σ W_s·CF_s` with
-/// [`weighted_combine`](crate::algebra::weighted_combine) over the population
-/// `weights` (renormalised over sampled strata).  `None` when no stratum has
-/// rows — including the unstratified case of no weights at all.
+/// combined by [`combine_strata`].
 ///
 /// Strata are independent, so they fan out over `builder`'s worker pool —
 /// one worker per [`IndexBuilder::MIN_ENTRIES_PER_WORKER`] of the `entries`
@@ -302,25 +283,45 @@ pub fn measure_sample(
 /// strata are measured on the calling thread at any thread count;
 /// `measure_stratum` receives a serial builder so strata × sort workers
 /// cannot oversubscribe, and results are reassembled in stratum order, which
-/// keeps the combination thread-count independent.  This is the one place
-/// the arithmetic lives: [`measure_sample`] and the progressive estimator's
-/// checkpoints both come here, so a cached stratified sample and
-/// [`SampleCf::estimate`] agree bit for bit.
+/// keeps the combination thread-count independent.
 pub(crate) fn weighted_strata_cf(
     weights: &[f64],
     entries: usize,
     builder: &IndexBuilder,
     measure_stratum: impl Fn(usize, &IndexBuilder) -> CoreResult<Option<CompressedIndexReport>> + Sync,
 ) -> CoreResult<Option<(f64, f64, f64)>> {
-    let k = weights.len();
     let inner = builder.threads(1);
-    let per_stratum =
-        parallel_indexed_map(k, builder.workers(entries), |s| measure_stratum(s, &inner));
+    let per_stratum = parallel_indexed_map(weights.len(), builder.workers(entries), |s| {
+        measure_stratum(s, &inner)
+    })
+    .into_iter()
+    .collect::<CoreResult<Vec<_>>>()?;
+    Ok(combine_strata(
+        weights,
+        per_stratum.iter().map(Option::as_ref),
+    ))
+}
+
+/// `Σ W_s·CF_s` over per-stratum reports, in tag order (`None` for a stratum
+/// with no sampled rows), for each member of the CF triple:
+/// [`weighted_combine`](crate::algebra::weighted_combine) over the population
+/// `weights`, renormalised over sampled strata.  `None` when no stratum has
+/// rows — including the unstratified case of no weights at all.
+///
+/// This is the one place the arithmetic lives: [`measure_sample_schemes`]
+/// and the progressive estimator's checkpoints (through
+/// [`weighted_strata_cf`]) both come here, so a cached stratified sample and
+/// [`SampleCf::estimate`] agree bit for bit.
+fn combine_strata<'r>(
+    weights: &[f64],
+    per_stratum: impl Iterator<Item = Option<&'r CompressedIndexReport>>,
+) -> Option<(f64, f64, f64)> {
+    let k = weights.len();
     let mut cfs = vec![None; k];
     let mut cfwps = vec![None; k];
     let mut cfps = vec![None; k];
-    for (s, report) in per_stratum.into_iter().enumerate() {
-        if let Some(report) = report? {
+    for (s, report) in per_stratum.enumerate() {
+        if let Some(report) = report {
             cfs[s] = Some(report.cf());
             cfwps[s] = Some(report.cf_with_pointers());
             cfps[s] = Some(report.cf_pages());
@@ -328,10 +329,10 @@ pub(crate) fn weighted_strata_cf(
     }
     // The three vectors share one live set, so the combinations are all
     // `Some` or all `None`.
-    Ok(weighted_combine(weights, &cfs)
+    weighted_combine(weights, &cfs)
         .zip(weighted_combine(weights, &cfwps))
         .zip(weighted_combine(weights, &cfps))
-        .map(|((cf, cfwp), cfp)| (cf, cfwp, cfp)))
+        .map(|((cf, cfwp), cfp)| (cf, cfwp, cfp))
 }
 
 /// Exact computation of the compression fraction: build and compress the full

@@ -14,11 +14,19 @@
 //! every registered scheme × {uniform, block, stratified} samplers ×
 //! {in-memory, on-disk} sources, and fuzzes the kernels with NULL-heavy,
 //! variable-length rows via proptest.
+//!
+//! A held sample takes a third route — [`measure_sample`] orders the
+//! sample's entries once and walks them, packing no tree and decoding no
+//! value — so its whole [`CfMeasurement`], page counts and first-key
+//! statistics included, is pinned here against the packed, decoded-row
+//! oracle too, over random schemas and key shapes.
 
 use proptest::prelude::*;
 use samplecf_compression::CompressionScheme;
 use samplecf_compression::{scheme_by_name, scheme_names};
-use samplecf_core::{measure_rows, measure_sample, weighted_combine, CfMeasurement};
+use samplecf_core::{
+    measure_rows, measure_sample, measure_sample_schemes, weighted_combine, CfMeasurement,
+};
 use samplecf_index::{compress_index, measure_index, IndexBuilder, IndexSpec};
 use samplecf_sampling::{Allocation, MaterializedSample, SamplerKind, Strata, StrataMode};
 use samplecf_storage::{
@@ -78,11 +86,11 @@ fn oracle_measure(
     rows: &[(Rid, Row)],
     spec: &IndexSpec,
     scheme: &dyn CompressionScheme,
+    builder: &IndexBuilder,
 ) -> CfMeasurement {
     let schema = sample.table().schema();
-    let builder = IndexBuilder::new();
     let measure = |rows: &[(Rid, Row)]| {
-        measure_rows(schema, rows, spec, scheme, &builder, sample.kind().label()).unwrap()
+        measure_rows(schema, rows, spec, scheme, builder, sample.kind().label()).unwrap()
     };
     let mut pooled = measure(rows);
     let weights = sample.strata_weights();
@@ -135,23 +143,50 @@ fn assert_differential(source: &dyn TableSource, kind: SamplerKind, tag: &str) {
 
             // Layer 2: the sample measure agrees end to end with the
             // decoded-row oracle taking the same combination path.
-            let via_rows = oracle_measure(&sample, &rows, &spec, scheme.as_ref());
+            let via_rows = oracle_measure(&sample, &rows, &spec, scheme.as_ref(), &builder);
             let via_records = measure_sample(&sample, &spec, scheme.as_ref(), &builder).unwrap();
-            assert_eq!(via_records.cf, via_rows.cf, "{tag}/{name} pooled cf");
-            assert_eq!(
-                via_records.cf_with_pointers, via_rows.cf_with_pointers,
-                "{tag}/{name} cf with pointers"
-            );
-            assert_eq!(
-                via_records.cf_pages, via_rows.cf_pages,
-                "{tag}/{name} page-granular cf"
-            );
-            assert_eq!(via_records.data, via_rows.data, "{tag}/{name} stats");
-            assert_eq!(
-                via_records.report, via_rows.report,
-                "{tag}/{name} full report"
-            );
+            assert_same_measurement(&via_records, &via_rows, &format!("{tag}/{name}"));
         }
+    }
+}
+
+/// Every field of two measurements but the wall clock.
+fn assert_same_measurement(measured: &CfMeasurement, oracle: &CfMeasurement, tag: &str) {
+    assert_eq!(measured.cf, oracle.cf, "{tag} pooled cf");
+    assert_eq!(
+        measured.cf_with_pointers, oracle.cf_with_pointers,
+        "{tag} cf with pointers"
+    );
+    assert_eq!(measured.cf_pages, oracle.cf_pages, "{tag} page-granular cf");
+    assert_eq!(measured.scheme, oracle.scheme, "{tag} scheme");
+    assert_eq!(measured.sampler, oracle.sampler, "{tag} sampler");
+    assert_eq!(measured.data, oracle.data, "{tag} stats");
+    assert_eq!(measured.report, oracle.report, "{tag} full report");
+}
+
+/// The held-sample route against the packed one, on one sample and index:
+/// under every scheme — each on its own and all six in one walk —
+/// `measure_sample`'s whole measurement (`leaf_pages`, `internal_bytes`
+/// and the first-key statistics included) is the decoded-row oracle's.
+fn assert_walk_equals_packed_route(
+    sample: &MaterializedSample,
+    spec: &IndexSpec,
+    builder: &IndexBuilder,
+    tag: &str,
+) {
+    let rows = sample.rows().unwrap();
+    let schemes: Vec<Box<dyn CompressionScheme>> = (scheme_names().iter())
+        .map(|name| scheme_by_name(name).unwrap())
+        .collect();
+    let schemes: Vec<&dyn CompressionScheme> = schemes.iter().map(AsRef::as_ref).collect();
+    let together = measure_sample_schemes(sample, spec, &schemes, builder).unwrap();
+    assert_eq!(together.len(), schemes.len());
+    for (scheme, together) in schemes.into_iter().zip(&together) {
+        let tag = format!("{tag}/{}", scheme.name());
+        let packed = oracle_measure(sample, &rows, spec, scheme, builder);
+        let alone = measure_sample(sample, spec, scheme, builder).unwrap();
+        assert_same_measurement(&alone, &packed, &tag);
+        assert_same_measurement(together, &alone, &format!("{tag}, in one walk"));
     }
 }
 
@@ -207,7 +242,7 @@ fn thread_counts_do_not_change_a_single_byte() {
             // the serial decoded-row oracle.
             let scheme = scheme_by_name("dictionary-paged").unwrap();
             let baseline = measure_sample(&sample, &spec, scheme.as_ref(), &serial).unwrap();
-            let oracle = oracle_measure(&sample, &rows, &spec, scheme.as_ref());
+            let oracle = oracle_measure(&sample, &rows, &spec, scheme.as_ref(), &serial);
             assert_eq!(baseline.cf, oracle.cf, "{kind:?} oracle cf");
             assert_eq!(baseline.cf_with_pointers, oracle.cf_with_pointers);
             assert_eq!(baseline.cf_pages, oracle.cf_pages);
@@ -265,6 +300,146 @@ fn equi_depth_stratified_samples_are_differential_too() {
     for ((rid, _), &tag) in sample.rows().unwrap().iter().zip(sample.row_strata()) {
         assert_eq!(partition.stratum_of_page(rid.page) as u32, tag);
     }
+}
+
+/// Trap one of reading statistics off the key order.  A NULL cell is stored
+/// as zeros, and so is `Int32`'s `i32::MIN` (`cell.rs`): the two share
+/// their key bytes and interleave by RID, so the cell before an `i32::MIN`
+/// is as often a NULL as the same value.  "A change of cell" must mean a
+/// change against the previous *non-NULL* cell — or every NULL between two
+/// `i32::MIN`s would count a new distinct value.
+#[test]
+fn a_null_first_key_shares_its_key_bytes_with_i32_min_and_interleaves_with_it() {
+    let schema = Schema::new(vec![
+        Column::new("id", DataType::Int64),
+        Column::nullable("k", DataType::Int32),
+    ])
+    .unwrap();
+    let min = i64::from(i32::MIN);
+    let keys = [
+        Some(min),
+        None,
+        Some(min),
+        None,
+        None,
+        Some(min),
+        Some(7),
+        None,
+    ];
+    let t = TableBuilder::new("t", schema)
+        .page_size(256)
+        .build_with_rows((0..64).map(|i| {
+            Row::new(vec![
+                Value::Int(i),
+                keys[i as usize % 8].map_or(Value::Null, Value::Int),
+            ])
+        }))
+        .unwrap();
+    let sample = MaterializedSample::draw(&t, SamplerKind::Block(1.0), 5).unwrap();
+    for spec in [
+        IndexSpec::nonclustered("i", ["k"]).unwrap(),
+        IndexSpec::clustered("i", ["k", "id"]).unwrap(),
+    ] {
+        let measured = measure_sample(
+            &sample,
+            &spec,
+            &samplecf_compression::NullSuppression,
+            &IndexBuilder::new(),
+        );
+        let data = measured.unwrap().data;
+        assert_eq!(
+            (data.rows, data.null_first_key, data.distinct_first_key),
+            (64, 32, 2)
+        );
+        assert_eq!(data.sum_logical_len_first_key, 32 * 8);
+        let builder = IndexBuilder::new().page_size(256);
+        assert_walk_equals_packed_route(&sample, &spec, &builder, spec.name());
+    }
+}
+
+/// Trap two.  The null bitmap of a heap record has a bit per *table* column
+/// — the first key's is bit `first_key` — but an entry's leaf record has one
+/// per *stored* column, key columns first: there the first key's is bit 0.
+/// Here the first key is table column 9 (second bitmap byte of the heap
+/// record), and column 0, whose heap bit *is* bit 0, is NULL exactly where
+/// the key is not.
+#[test]
+fn the_first_keys_null_bit_is_bit_zero_of_the_leaf_record_not_its_heap_bit() {
+    let mut columns: Vec<Column> = (0..9)
+        .map(|i| Column::nullable(format!("c{i}"), DataType::Bool))
+        .collect();
+    columns.push(Column::nullable("k", DataType::VarChar(4)));
+    let t = TableBuilder::new("t", Schema::new(columns).unwrap())
+        .page_size(256)
+        .build_with_rows((0..90).map(|i| {
+            let key_is_null = i % 3 == 0;
+            let mut values = vec![Value::Bool(i % 2 == 0); 9];
+            if !key_is_null {
+                values[0] = Value::Null;
+            }
+            values.push(if key_is_null {
+                Value::Null
+            } else {
+                Value::str(format!("k{}", i % 5))
+            });
+            Row::new(values)
+        }))
+        .unwrap();
+    let sample = MaterializedSample::draw(&t, SamplerKind::UniformWithReplacement(1.0), 5).unwrap();
+    let builder = IndexBuilder::new().page_size(256);
+    for spec in [
+        IndexSpec::nonclustered("i", ["k"]).unwrap(),
+        IndexSpec::clustered("i", ["k", "c0"]).unwrap(),
+    ] {
+        assert_walk_equals_packed_route(&sample, &spec, &builder, spec.name());
+    }
+}
+
+/// A random table for the held-sample route: between two and ten columns
+/// of random types, all nullable, with values chosen to collide — a
+/// two-letter alphabet, values that end in spaces (insignificant, so equal
+/// to their trimmed twins), `MIN` (whose `Int32` key bytes are a NULL's),
+/// and a few rows to many.  Returns the table and its column count.
+fn held_sample_table() -> impl Strategy<Value = (Table, usize)> {
+    let table = |kinds: Vec<u8>| {
+        let regex = |pattern| proptest::string::string_regex(pattern).unwrap();
+        let columns = kinds.iter().enumerate().map(|(i, kind)| {
+            let datatype = match kind {
+                0 => DataType::Char(6),
+                1 => DataType::VarChar(5),
+                2 => DataType::Int32,
+                3 => DataType::Int64,
+                _ => DataType::Bool,
+            };
+            Column::nullable(format!("c{i}"), datatype)
+        });
+        let schema = Schema::new(columns.collect()).unwrap();
+        let cells: Vec<BoxedStrategy<Value>> = kinds
+            .iter()
+            .map(|kind| match kind {
+                0 | 1 => regex("[ab]{0,3} {0,2}").prop_map(Value::str).boxed(),
+                2 => prop_oneof![
+                    Just(i64::from(i32::MIN)),
+                    -2i64..3,
+                    any::<i32>().prop_map(i64::from)
+                ]
+                .prop_map(Value::Int)
+                .boxed(),
+                3 => prop_oneof![Just(i64::MIN), -2i64..3, any::<i64>()]
+                    .prop_map(Value::Int)
+                    .boxed(),
+                _ => any::<bool>().prop_map(Value::Bool).boxed(),
+            })
+            .map(|value| prop_oneof![1 => Just(Value::Null), 3 => value].boxed())
+            .collect();
+        let rows = proptest::collection::vec(cells.prop_map(Row::new), 0..120);
+        let page_size = prop_oneof![Just(256usize), Just(1024)];
+        (rows, page_size).prop_map(move |(rows, page_size)| {
+            let table = TableBuilder::new("held", schema.clone()).page_size(page_size);
+            (table.build_with_rows(rows).unwrap(), schema.arity())
+        })
+    };
+    proptest::collection::vec(0u8..5, 2..11).prop_flat_map(table)
 }
 
 /// Strategy for one row of a NULL-heavy, variable-length fuzz schema:
@@ -336,6 +511,47 @@ proptest! {
             let measured = measure_index(&from_records, scheme.as_ref()).unwrap();
             prop_assert_eq!(measured, oracle, "scheme {}", name);
         }
+    }
+
+    /// The held-sample route — ordered and walked, nothing packed, no value
+    /// decoded — against the packed, decoded-row one: random schemas and
+    /// rows, clustered and not, one- and two-column keys whose first key is
+    /// never table column 0, every sampler family (with-replacement
+    /// duplicates; the per-stratum filter), the empty sample and the sample
+    /// of one row included.
+    #[test]
+    fn a_held_sample_measures_as_its_packed_tree_and_decoded_rows(
+        (table, arity) in held_sample_table(),
+        (first, second) in (1usize..64, 0usize..64),
+        clustered in any::<bool>(),
+        sampler in 0u8..3,
+        threads in prop_oneof![Just(1usize), Just(2)],
+    ) {
+        let first = 1 + first % (arity - 1);
+        let second = second % (arity + 1);
+        let mut key = vec![format!("c{first}")];
+        if second < arity && second != first {
+            key.push(format!("c{second}"));
+        }
+        let spec = if clustered {
+            IndexSpec::clustered("held", key).unwrap()
+        } else {
+            IndexSpec::nonclustered("held", key).unwrap()
+        };
+        let kind = match sampler {
+            0 => SamplerKind::UniformWithReplacement(1.0),
+            1 => SamplerKind::Block(0.6),
+            _ => SamplerKind::Stratified {
+                fraction: 1.0,
+                strata: 3,
+                alloc: Allocation::Proportional,
+                mode: StrataMode::EquiWidth,
+            },
+        };
+        let sample = MaterializedSample::draw(&table, kind, 11).unwrap();
+        let builder = IndexBuilder::new().page_size(table.page_size()).threads(threads);
+        let tag = format!("{} rows, {}, {kind:?}", sample.len(), spec);
+        assert_walk_equals_packed_route(&sample, &spec, &builder, &tag);
     }
 
     /// An arbitrary thread count never changes the built tree: the radix

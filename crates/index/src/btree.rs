@@ -34,9 +34,9 @@
 //! entry number — the order of a stable sort on the whole key, for keys
 //! shorter or longer than the prefix alike.
 
-use crate::compress::RunSizer;
+use crate::compress::{OrderedEntries, RunSizer};
 use crate::error::{IndexError, IndexResult};
-use crate::size::{leaf_record_bytes, IndexSizeModel};
+use crate::size::{leaf_record_bytes, IndexSizeEstimate, IndexSizeModel};
 use crate::spec::{IndexKind, IndexSpec};
 use samplecf_parallel::{parallel_indexed_map, resolve_threads};
 use samplecf_storage::{
@@ -150,36 +150,35 @@ impl IndexBuilder {
         resolve_threads(self.threads, entries / Self::MIN_ENTRIES_PER_WORKER)
     }
 
-    /// The entry layout and, by the size model's fill rule, the entries per
-    /// leaf page — page size, fill factor and record length are checked here.
+    /// The entry layout and, by the size model, the shape of any tree this
+    /// builder loads from such entries (its fill rule gives the entries per
+    /// leaf page) — page size, fill factor and record length are checked here.
     fn plan<'a>(
         &self,
         schema: &'a Schema,
         spec: &IndexSpec,
-    ) -> IndexResult<(EntryLayout<'a>, usize)> {
+    ) -> IndexResult<(EntryLayout<'a>, IndexSizeEstimate)> {
         let model = IndexSizeModel::new()
             .page_size(self.page_size)
             .fill_factor(self.fill_factor);
-        let per_leaf = model.estimate(schema, spec, 0)?.entries_per_leaf;
-        Ok((EntryLayout::new(schema, spec)?, per_leaf))
+        let shape = model.estimate(schema, spec, 0)?;
+        Ok((EntryLayout::new(schema, spec)?, shape))
     }
 
-    /// Encode `len` inputs into one arena (a contiguous chunk per worker),
-    /// order it by key, and pack the leaves *through* the permutation.
-    fn build_encoded(
+    /// Encode `len` inputs into one arena (a contiguous chunk per worker)
+    /// and order it by key.
+    fn order_encoded(
         &self,
-        schema: &Schema,
-        spec: &IndexSpec,
+        layout: &EntryLayout,
         len: usize,
         encode_chunk: impl Fn(&EntryLayout, Range<usize>, &mut Vec<u8>) -> IndexResult<()> + Sync,
-    ) -> IndexResult<BTreeIndex> {
-        let (layout, per_leaf) = self.plan(schema, spec)?;
+    ) -> IndexResult<(Vec<u8>, KeyOrder)> {
         let stride = layout.stride();
         let workers = self.workers(len);
         let mut parts = parallel_indexed_map(workers, workers, |w| {
             let range = w * len / workers..(w + 1) * len / workers;
             let mut part = Vec::with_capacity(range.len() * stride);
-            encode_chunk(&layout, range, &mut part).map(|()| part)
+            encode_chunk(layout, range, &mut part).map(|()| part)
         })
         .into_iter()
         .collect::<IndexResult<Vec<Vec<u8>>>>()?;
@@ -187,9 +186,24 @@ impl IndexBuilder {
             1 => parts.swap_remove(0),
             _ => parts.concat(),
         };
-        let order = key_order(&arena, &layout, workers)?;
+        let order = key_order(&arena, layout, workers)?;
+        Ok((arena, order))
+    }
+
+    /// [`order_encoded`](Self::order_encoded), then pack the leaves
+    /// *through* the permutation.
+    fn build_encoded(
+        &self,
+        schema: &Schema,
+        spec: &IndexSpec,
+        len: usize,
+        encode_chunk: impl Fn(&EntryLayout, Range<usize>, &mut Vec<u8>) -> IndexResult<()> + Sync,
+    ) -> IndexResult<BTreeIndex> {
+        let (layout, shape) = self.plan(schema, spec)?;
+        let (arena, order) = self.order_encoded(&layout, len, encode_chunk)?;
+        let stride = layout.stride();
         let entry = |i: usize| &arena[order[i].1 as usize * stride..][..stride];
-        self.pack(spec, layout, per_leaf, len, entry)
+        self.pack(spec, layout, shape.entries_per_leaf, len, entry)
     }
 
     /// Build an index over all rows of a table.
@@ -264,10 +278,38 @@ impl IndexBuilder {
         spec: &IndexSpec,
         run: &SortedRun,
     ) -> IndexResult<BTreeIndex> {
-        let (layout, per_leaf) = self.plan(schema, spec)?;
+        let (layout, shape) = self.plan(schema, spec)?;
         layout.admit(run)?;
         let entry = |i: usize| &run.arena[i * run.stride()..][..run.stride()];
-        self.pack(spec, layout, per_leaf, run.len(), entry)
+        self.pack(spec, layout, shape.entries_per_leaf, run.len(), entry)
+    }
+
+    /// Encode borrowed heap records as
+    /// [`build_from_records`](Self::build_from_records) does and order them
+    /// by key — and stop there: the [`OrderedEntries`] sizes the index over
+    /// them, under any number of schemes, without packing it.
+    ///
+    /// # Errors
+    /// As [`build_from_records`](Self::build_from_records), less what only
+    /// packing meets: page size, fill factor and record length are checked
+    /// before any record is read; a record of the wrong length is
+    /// [`IndexError::Storage`] (`Decode`); more than `u32::MAX` records is
+    /// [`IndexError::InvalidSpec`].
+    pub fn order_records<'a>(
+        &self,
+        schema: &'a Schema,
+        records: &[(Rid, &[u8])],
+        spec: &IndexSpec,
+    ) -> IndexResult<OrderedEntries<'a>> {
+        let (layout, shape) = self.plan(schema, spec)?;
+        let (arena, order) = self.order_encoded(&layout, records.len(), |layout, range, out| {
+            layout.encode_records(&records[range], out)
+        })?;
+        Ok(OrderedEntries::new(
+            RunSizer::new(layout, shape),
+            arena,
+            order,
+        ))
     }
 
     /// What sizes a sorted run as the index this builder would load from it,
@@ -277,8 +319,8 @@ impl IndexBuilder {
     /// As [`build_from_rows`](Self::build_from_rows) before any row is read:
     /// page size, fill factor and record length are checked here.
     pub fn sizer<'a>(&self, schema: &'a Schema, spec: &IndexSpec) -> IndexResult<RunSizer<'a>> {
-        let (layout, per_leaf) = self.plan(schema, spec)?;
-        Ok(RunSizer::new(layout, per_leaf))
+        let (layout, shape) = self.plan(schema, spec)?;
+        Ok(RunSizer::new(layout, shape))
     }
 
     /// Pack `n` sorted entries — `entry(i)` is a slice of some arena — into
@@ -372,7 +414,7 @@ pub(crate) struct EntryLayout<'a> {
     /// Key columns first: a record's first cells copy its entry's key cells.
     pub(crate) stored_indexes: Vec<usize>,
     /// Whether leaf records end in the RID (non-clustered indexes).
-    rid_in_record: bool,
+    pub(crate) rid_in_record: bool,
     /// Key cells plus the RID tie-break that makes the load deterministic.
     pub(crate) key_len: usize,
     /// Null bitmap, stored cells and (non-clustered) the RID.
@@ -397,7 +439,7 @@ impl<'a> EntryLayout<'a> {
         })
     }
 
-    fn stride(&self) -> usize {
+    pub(crate) fn stride(&self) -> usize {
         self.key_len + self.record_len
     }
 
@@ -475,13 +517,16 @@ impl<'a> EntryLayout<'a> {
     }
 }
 
+/// An arena's entry numbers in key order, each behind its key's prefix.
+pub(crate) type KeyOrder = Vec<(u64, u32)>;
+
 /// The key order of an arena of `layout`'s entries, as sorted `(key prefix,
 /// entry number)` pairs (order-exact: see the [module docs](self)); callers
 /// read the untouched arena through it, or gather it once.  Pairs are
 /// counting-sorted by leading key byte into buckets — disjoint key ranges
 /// in byte order — and each bucket is then sorted on its own, over `workers`
 /// threads; a total order, so the same permutation for every worker count.
-fn key_order(arena: &[u8], layout: &EntryLayout, workers: usize) -> IndexResult<Vec<(u64, u32)>> {
+fn key_order(arena: &[u8], layout: &EntryLayout, workers: usize) -> IndexResult<KeyOrder> {
     let (key_len, stride) = (layout.key_len, layout.stride());
     let n = u32::try_from(arena.len() / stride).map_err(|_| {
         IndexError::InvalidSpec("more entries than one bulk load sorts (2^32 - 1)".into())
@@ -848,12 +893,13 @@ impl BTreeIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compress::measure_index;
+    use crate::compress::{measure_index, FirstKeyStats};
     use proptest::prelude::*;
     use samplecf_compression::{
         scheme_by_name, scheme_names, CompressionScheme, NullSuppression, Uncompressed,
     };
-    use samplecf_storage::{Column, DataType, TableBuilder};
+    use samplecf_storage::{Column, DataType, StorageError, TableBuilder};
+    use std::collections::HashSet;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -1161,6 +1207,25 @@ mod tests {
         }
     }
 
+    /// The held-sample route against the packed one: the entries of
+    /// `ordered` that `keep` admits, walked under all schemes at once, give
+    /// each scheme the whole report of `packed` — the tree over those entries.
+    fn assert_walked_as_packed(
+        ordered: &OrderedEntries<'_>,
+        keep: impl Fn(usize) -> bool,
+        packed: &BTreeIndex,
+    ) {
+        let schemes: Vec<Box<dyn CompressionScheme>> = (scheme_names().iter())
+            .map(|name| scheme_by_name(name).unwrap())
+            .collect();
+        let schemes: Vec<&dyn CompressionScheme> = schemes.iter().map(AsRef::as_ref).collect();
+        let (reports, _) = ordered.measure_where(keep, &schemes).unwrap();
+        assert_eq!(reports.len(), schemes.len());
+        for (report, scheme) in reports.iter().zip(schemes) {
+            assert_eq!(report, &measure_index(packed, scheme).unwrap());
+        }
+    }
+
     #[test]
     fn excluding_a_batch_equals_a_fold_merge_of_the_others() {
         let t = table(900);
@@ -1461,6 +1526,19 @@ mod tests {
                         &expected,
                         &builder.build_from_records(schema, &records, &spec).unwrap(),
                     );
+                    // The records ordered and walked, no tree packed: every
+                    // scheme's whole report, and the first key's statistics
+                    // against a decode of every row.
+                    let ordered = builder.order_records(schema, &records, &spec).unwrap();
+                    assert_walked_as_packed(&ordered, |_| true, &expected);
+                    let first_key = spec.key_indexes(schema).unwrap()[0];
+                    let values = || rows.iter().map(|(_, row)| row.value(first_key));
+                    let stats = FirstKeyStats {
+                        nulls: values().filter(|v| v.is_null()).count(),
+                        distinct: values().filter(|v| !v.is_null()).collect::<HashSet<_>>().len(),
+                        logical_len_sum: values().map(Value::logical_len).sum(),
+                    };
+                    assert_eq!(ordered.measure(&[]).unwrap().1, stats, "{keys:?}");
                     let runs: Vec<SortedRun> = batches
                         .iter()
                         .map(|batch| SortedRun::from_rows(schema, batch, &spec).unwrap())
@@ -1479,6 +1557,10 @@ mod tests {
                         let kept =
                             oracle::tree(&builder, schema, &spec, oracle::encode_rows(schema, &others, &spec));
                         assert_sized_as_packed(&builder, schema, &spec, (&pooled, &runs[skip]), &kept);
+                        // ... and so is walking the one order filtered to them.
+                        let skipped = batches[..skip].iter().map(Vec::len).sum::<usize>();
+                        let skipped = skipped..skipped + batches[skip].len();
+                        assert_walked_as_packed(&ordered, |i| !skipped.contains(&i), &kept);
                     }
                 }
             }
@@ -1487,7 +1569,7 @@ mod tests {
 
     #[test]
     fn a_page_size_outside_the_supported_range_is_a_typed_error() {
-        use samplecf_storage::{StorageError, MAX_PAGE_SIZE};
+        use samplecf_storage::MAX_PAGE_SIZE;
         let t = table(10);
         let rows: Vec<(Rid, Row)> = t.scan().collect();
         let spec = IndexSpec::nonclustered("i", ["name"]).unwrap();
@@ -1512,6 +1594,7 @@ mod tests {
                     .map(drop),
             );
             out_of_range(builder.sizer(t.schema(), &spec).map(drop));
+            out_of_range(builder.order_records(t.schema(), &[], &spec).map(drop));
         }
     }
 
@@ -1529,25 +1612,55 @@ mod tests {
             tiny.build_from_table(&table(2), &spec),
             Err(IndexError::InvalidSpec(msg)) if msg.contains("one separator key")
         ));
+        // The walk packs no internal page, and reports the same.
+        let (schema, rows) = (schema(), table(2).scan().collect::<Vec<_>>());
+        with_heap_records(&schema, &rows, |records| {
+            let ordered = |n: usize| tiny.order_records(&schema, &records[..n], &spec).unwrap();
+            assert_walked_as_packed(&ordered(1), |_| true, &one);
+            assert_eq!(
+                ordered(2).measure(&[&Uncompressed]).map(drop),
+                tiny.build_from_table(&table(2), &spec).map(drop)
+            );
+        });
         let wide = Schema::new(vec![Column::new("w", DataType::Char(60))]).unwrap();
         let rows = [(Rid::new(0, 0), Row::new(vec![Value::str("w")]))];
         let spec = IndexSpec::nonclustered("i", ["w"]).unwrap();
         // The same variant at every thread count, and with no rows at all:
         // the layout is checked before any input is read.
         for (threads, rows) in [(1, &rows[..]), (2, &rows[..]), (1, &[][..])] {
-            let result = tiny.threads(threads).build_from_rows(&wide, rows, &spec);
-            assert!(
-                matches!(&result, Err(IndexError::InvalidSpec(msg))
-                    if msg.contains("does not fit in a 64-byte page")),
-                "threads {threads}, {} rows: {result:?}",
-                rows.len()
-            );
+            let tiny = tiny.threads(threads);
+            let ordered = with_heap_records(&wide, rows, |records| {
+                tiny.order_records(&wide, records, &spec).map(drop)
+            });
+            for result in [tiny.build_from_rows(&wide, rows, &spec).map(drop), ordered] {
+                assert!(
+                    matches!(&result, Err(IndexError::InvalidSpec(msg))
+                        if msg.contains("does not fit in a 64-byte page")),
+                    "threads {threads}, {} rows: {result:?}",
+                    rows.len()
+                );
+            }
         }
+    }
+
+    /// `f` over `rows` as a heap holds them: each RID beside its encoded record.
+    fn with_heap_records<T>(
+        schema: &Schema,
+        rows: &[(Rid, Row)],
+        f: impl FnOnce(&[(Rid, &[u8])]) -> T,
+    ) -> T {
+        let codec = RowCodec::new(schema.clone());
+        let encoded: Vec<Vec<u8>> = (rows.iter())
+            .map(|(_, row)| codec.encode(row).unwrap())
+            .collect();
+        let records: Vec<(Rid, &[u8])> = (rows.iter().zip(&encoded))
+            .map(|((rid, _), record)| (*rid, &record[..]))
+            .collect();
+        f(&records)
     }
 
     #[test]
     fn a_heap_record_of_the_wrong_length_is_a_typed_error() {
-        use samplecf_storage::{RowCodec, StorageError};
         let t = table(3);
         let codec = RowCodec::new(t.schema().clone());
         let spec = IndexSpec::nonclustered("i", ["name"]).unwrap();
@@ -1557,18 +1670,51 @@ mod tests {
         for bad in [&good[..good.len() - 1], &[good.as_slice(), &[0]].concat()] {
             let records = [(Rid::new(0, 0), good.as_slice()), (Rid::new(0, 1), bad)];
             for threads in [1, 2] {
-                let result = IndexBuilder::new().threads(threads).build_from_records(
-                    t.schema(),
-                    &records,
-                    &spec,
-                );
-                assert!(
-                    matches!(&result, Err(IndexError::Storage(StorageError::Decode(msg)))
-                        if msg.contains("does not match schema record size")),
-                    "{result:?}"
-                );
+                let builder = IndexBuilder::new().threads(threads);
+                for result in [
+                    builder
+                        .build_from_records(t.schema(), &records, &spec)
+                        .map(drop),
+                    builder.order_records(t.schema(), &records, &spec).map(drop),
+                ] {
+                    assert!(
+                        matches!(&result, Err(IndexError::Storage(StorageError::Decode(msg)))
+                            if msg.contains("does not match schema record size")),
+                        "{result:?}"
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn a_first_key_cell_that_does_not_decode_is_the_same_storage_error() {
+        let schema = schema();
+        let codec = RowCodec::new(schema.clone());
+        let spec = IndexSpec::nonclustered("i", ["name"]).unwrap();
+        let mut record = codec
+            .encode(&Row::new(vec![Value::str("a"), Value::int(1)]))
+            .unwrap();
+        // Not UTF-8 before the padding: the cell follows the one-byte bitmap.
+        record[1..3].copy_from_slice(&[0xC3, 0x28]);
+        let builder = IndexBuilder::new();
+        let records = [(Rid::new(0, 0), record.as_slice())];
+        // Sizing never decodes a cell, the statistics read the value's length.
+        let tree = builder.build_from_records(&schema, &records, &spec);
+        assert!(measure_index(&tree.unwrap(), &Uncompressed).is_ok());
+        let undecodable = decode_cell(&record[1..13], &DataType::Char(12)).unwrap_err();
+        assert!(matches!(&undecodable, StorageError::Decode(msg) if msg.contains("utf8")));
+        let ordered = builder.order_records(&schema, &records, &spec).unwrap();
+        assert_eq!(
+            ordered.measure(&[&Uncompressed]).map(drop),
+            Err(IndexError::Storage(undecodable))
+        );
+        // A NULL cell is not a value: its bytes are never read.
+        record[0] |= 1;
+        let records = [(Rid::new(0, 0), record.as_slice())];
+        let ordered = builder.order_records(&schema, &records, &spec).unwrap();
+        let (_, first_key) = ordered.measure(&[]).unwrap();
+        assert_eq!((first_key.nulls, first_key.distinct), (1, 0));
     }
 
     #[test]

@@ -4,13 +4,16 @@
 //! (paper Figure 2).  Columns are compressed independently, per leaf page,
 //! which matches how the paper describes commercial implementations.
 
-use crate::btree::{BTreeIndex, EntryLayout, SortedRun};
+use crate::btree::{BTreeIndex, EntryLayout, KeyOrder, SortedRun};
 use crate::error::{IndexError, IndexResult};
+use crate::size::IndexSizeEstimate;
 use crate::spec::IndexKind;
 use samplecf_compression::{
     CellChunk, CellCosts, ColumnChunk, CompressionOutcome, CompressionScheme,
 };
-use samplecf_storage::{CellRef, DataType, Rid, Schema, PAGE_HEADER_SIZE, SLOT_SIZE};
+use samplecf_storage::{
+    cell_logical_len, CellRef, DataType, Rid, Schema, PAGE_HEADER_SIZE, SLOT_SIZE,
+};
 use std::ops::Range;
 
 /// Per-column compression statistics.
@@ -274,28 +277,50 @@ fn stored_cells(schema: &Schema, stored: &[usize]) -> Vec<StoredCell> {
     stored.iter().enumerate().map(cell_at).collect()
 }
 
-/// Sizes a [`SortedRun`] as the leaf level
-/// [`IndexBuilder::build_from_sorted_run`](crate::IndexBuilder::build_from_sorted_run)
-/// would pack from it and [`measure_index`] would report — without the tree.
+/// Sizes entries in key order as the tree [`IndexBuilder`](crate::IndexBuilder)
+/// would pack from them and [`measure_index`] would report — without the tree.
 ///
-/// The progressive jackknife reads one number off each delete-one-batch
-/// index, so none is built.  Leaf records are one length and the fill rule
-/// is arithmetic: leaf `p` holds entries `p × entries_per_leaf ..` of the
-/// kept entries, whichever they are.  [`measure_excluding`](Self::measure_excluding)
-/// therefore cuts the kept entries of one walk into per-page chunks of cells
-/// borrowed from the run's arena — no page, slot directory or internal level
-/// — for any scheme; and for a scheme that declares
-/// [`cell_costs`](CompressionScheme::cell_costs) the size is arithmetic on
-/// per-run sums ([`cell_costs`](Self::cell_costs),
-/// [`outcome_excluding`](Self::outcome_excluding)).  Either way the
-/// [`CompressionOutcome`] equals, byte count for byte count, the
-/// [`outcome`](CompressedIndexReport::outcome) of the packed and measured tree.
+/// Leaf records are one length and the fill rule is arithmetic: leaf `p`
+/// holds entries `p × entries_per_leaf ..` of the sequence, whichever they
+/// are, and the levels above are [`IndexSizeEstimate::internal_pages`].  So
+/// one walk of the entries cuts each leaf's cells — borrowed from the
+/// entries' arena; no page, slot directory or separator — once, prices them
+/// under any number of schemes, and reads the first key column's statistics
+/// off the order on the way (the private `walk`).  It serves two callers:
+///
+/// * the held-sample measure — an [`OrderedEntries`] walks all its entries,
+///   or those of one stratum, for a slice of schemes, one whole
+///   [`CompressedIndexReport`] each;
+/// * the progressive jackknife, which reads one number off each
+///   delete-one-batch index — [`measure_excluding`](Self::measure_excluding)
+///   walks a [`SortedRun`] minus one batch; for a scheme that declares
+///   [`cell_costs`](CompressionScheme::cell_costs) the size is arithmetic on
+///   per-run sums instead ([`cell_costs`](Self::cell_costs),
+///   [`outcome_excluding`](Self::outcome_excluding)).
+///
+/// Either way every size equals, byte count for byte count, that of the
+/// packed and measured tree.
 ///
 /// Made by [`IndexBuilder::sizer`](crate::IndexBuilder::sizer).
 pub struct RunSizer<'a> {
     layout: EntryLayout<'a>,
-    entries_per_leaf: usize,
+    /// The tree's shape by the size model, whatever the entry count.
+    shape: IndexSizeEstimate,
     cells: Vec<StoredCell>,
+}
+
+/// The first key column over the entries of one walk: the inputs of the
+/// paper's analysis (`d'`, `Σ ℓᵢ`), which a key order holds for free — equal
+/// first-key cells are adjacent.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FirstKeyStats {
+    /// Entries whose first key cell is NULL.
+    pub nulls: usize,
+    /// Distinct non-NULL values.
+    pub distinct: usize,
+    /// Sum over the non-NULL cells of their values' logical lengths
+    /// ([`Value::logical_len`](samplecf_storage::Value::logical_len)).
+    pub logical_len_sum: usize,
 }
 
 /// Per stored column, a cell-additive scheme's [`CellCosts::cell`] summed
@@ -322,12 +347,116 @@ impl RunCellCosts {
 }
 
 impl<'a> RunSizer<'a> {
-    pub(crate) fn new(layout: EntryLayout<'a>, entries_per_leaf: usize) -> Self {
+    pub(crate) fn new(layout: EntryLayout<'a>, shape: IndexSizeEstimate) -> Self {
         RunSizer {
             cells: stored_cells(layout.schema, &layout.stored_indexes),
             layout,
-            entries_per_leaf,
+            shape,
         }
+    }
+
+    /// Size `entries` — `[key | record]` slices of this layout, in key order,
+    /// at most `at_most` of them (the count sizes buffers only) — under
+    /// every one of `schemes`: the reports [`measure_index`] would give on
+    /// the tree packed from them, in `schemes`' order, and the first key
+    /// column's statistics.
+    ///
+    /// Every `entries_per_leaf` entries are one leaf's worth of cells for
+    /// [`measure_chunks`](CompressionScheme::measure_chunks), cut once for
+    /// all schemes.  The statistics come off the same pass: among non-NULL
+    /// entries a change of first-key cell is a new distinct value, whose
+    /// logical length [`cell_logical_len`] reads from the cell bytes.  A NULL
+    /// cell's all-zero placeholder equals the key bytes of a real value
+    /// (`Int32`'s `i32::MIN`), so NULL entries interleave with that value's
+    /// by RID: "changed" is against the previous *non-NULL* cell.
+    ///
+    /// # Errors
+    /// A first-key cell [`decode_cell`](samplecf_storage::decode_cell) would
+    /// reject is that [`IndexError::Storage`] error; the internal levels'
+    /// are [`IndexSizeEstimate::internal_pages`]'s.
+    fn walk<'e>(
+        &self,
+        at_most: usize,
+        entries: impl Iterator<Item = &'e [u8]>,
+        schemes: &[&dyn CompressionScheme],
+    ) -> IndexResult<(Vec<CompressedIndexReport>, FirstKeyStats)> {
+        let key_len = self.layout.key_len;
+        let per_leaf = self.shape.entries_per_leaf;
+        let pages = at_most.div_ceil(per_leaf).max(1);
+        // Per stored column, the leaves cut so far.
+        let mut columns: Vec<Vec<CellChunk>> = (self.cells.iter())
+            .map(|_| Vec::with_capacity(pages))
+            .collect();
+        // Key columns are stored first: the first key cell is the record's
+        // first cell, its null bit bit 0 of the record's bitmap.
+        let first_key = &self.cells[0];
+        let mut stats = FirstKeyStats::default();
+        let (mut value, mut value_len): (Option<&[u8]>, usize) = (None, 0);
+        let mut records = entries.map(|entry| &entry[key_len..]);
+        // The records of the leaf being cut.
+        let mut leaf: Vec<&[u8]> = Vec::with_capacity(per_leaf.min(at_most));
+        let mut kept = 0;
+        loop {
+            leaf.clear();
+            leaf.extend(records.by_ref().take(per_leaf));
+            // No entries at all are still one leaf, the empty tree's.
+            if leaf.is_empty() && kept > 0 {
+                break;
+            }
+            for record in &leaf {
+                let cell = first_key.of(record);
+                if cell.is_null() {
+                    stats.nulls += 1;
+                    continue;
+                }
+                if value != Some(cell.bytes()) {
+                    value = Some(cell.bytes());
+                    value_len = cell_logical_len(cell.bytes(), &first_key.datatype)?;
+                    stats.distinct += 1;
+                }
+                stats.logical_len_sum += value_len;
+            }
+            for (cell, chunks) in self.cells.iter().zip(&mut columns) {
+                let cells = leaf.iter().map(|record| cell.of(record)).collect();
+                chunks.push(CellChunk::new(cell.datatype, cells)?);
+            }
+            kept += leaf.len();
+            if leaf.len() < per_leaf {
+                break;
+            }
+        }
+
+        let shape = self.shape.with_entries(kept);
+        let internal_bytes = shape.internal_pages()? * shape.page_size;
+        let rid_bytes = if self.layout.rid_in_record {
+            kept * Rid::ENCODED_LEN
+        } else {
+            0
+        };
+        let mut reports: Vec<CompressedIndexReport> = (schemes.iter())
+            .map(|scheme| CompressedIndexReport {
+                scheme: scheme.name().to_string(),
+                num_entries: kept,
+                leaf_pages: shape.leaf_pages,
+                page_size: shape.page_size,
+                per_column: Vec::with_capacity(self.cells.len()),
+                rid_bytes,
+                bitmap_bytes: kept * self.cells.len().div_ceil(8),
+                internal_bytes,
+            })
+            .collect();
+        let names =
+            (self.layout.stored_indexes.iter()).map(|&i| &self.layout.schema.column_at(i).name);
+        for ((cell, chunks), name) in self.cells.iter().zip(&columns).zip(names) {
+            for (scheme, report) in schemes.iter().zip(&mut reports) {
+                report.per_column.push(ColumnCompressionStat {
+                    column: name.clone(),
+                    uncompressed_bytes: kept * cell.datatype.uncompressed_width(),
+                    compressed_bytes: scheme.measure_chunks(chunks)?,
+                });
+            }
+        }
+        Ok((reports, stats))
     }
 
     /// The size of the index over `run` minus (as a multiset) `excluded` —
@@ -339,9 +468,7 @@ impl<'a> RunSizer<'a> {
     /// cursor over `excluded` keeps every entry the cursor does not match.
     /// Entries with equal keys are fully equal (the RID is part of the key),
     /// so which of several the cursor consumes cannot show: the kept entries
-    /// are, byte for byte, a merge of the other batches' runs, and every
-    /// `entries_per_leaf` of them are one leaf's worth of cells for
-    /// [`measure_chunks`](CompressionScheme::measure_chunks).
+    /// are, byte for byte, a merge of the other batches' runs.
     ///
     /// # Errors
     /// Entries left on the cursor mean `excluded` was not drawn from `run`:
@@ -357,48 +484,16 @@ impl<'a> RunSizer<'a> {
         self.layout.admit(run)?;
         self.layout.admit(excluded)?;
         let key_len = self.layout.key_len;
-        let per_leaf = self.entries_per_leaf;
-        // What the walk keeps if `excluded` is what it must be; sizes the
-        // buffers only.
-        let expected = run.len().saturating_sub(excluded.len());
-        let pages = expected.div_ceil(per_leaf).max(1);
-        // Per stored column: the leaves cut so far and the leaf being filled.
-        let mut columns: Vec<(Vec<CellChunk>, Vec<CellRef>)> = (self.cells.iter())
-            .map(|_| (Vec::with_capacity(pages), Vec::new()))
-            .collect();
-        let mut kept = 0;
         let mut cursor = excluded.entries().map(|x| &x[..key_len]).peekable();
-        for entry in run.entries() {
-            if cursor.next_if_eq(&&entry[..key_len]).is_some() {
-                continue;
-            }
-            // A full leaf is cut when the entry that starts the next arrives.
-            let starts_leaf = kept % per_leaf == 0;
-            for (cell, (chunks, leaf)) in self.cells.iter().zip(&mut columns) {
-                if starts_leaf {
-                    let room = per_leaf.min(expected.saturating_sub(kept));
-                    let full = std::mem::replace(leaf, Vec::with_capacity(room));
-                    if kept > 0 {
-                        chunks.push(CellChunk::new(cell.datatype, full)?);
-                    }
-                }
-                leaf.push(cell.of(&entry[key_len..]));
-            }
-            kept += 1;
-        }
+        let kept = (run.entries()).filter(|entry| cursor.next_if_eq(&&entry[..key_len]).is_none());
+        // What the walk keeps if `excluded` is what it must be.
+        let expected = run.len().saturating_sub(excluded.len());
+        let (reports, _) = self.walk(expected, kept, &[scheme])?;
         let left_over = cursor.count();
         if left_over > 0 {
             return Err(IndexError::ExclusionMismatch { left_over });
         }
-        let mut outcome = CompressionOutcome::new(0, 0);
-        for (cell, (mut chunks, leaf)) in self.cells.iter().zip(columns) {
-            // The last leaf — or, with nothing kept, the one empty leaf of
-            // an empty tree.
-            chunks.push(CellChunk::new(cell.datatype, leaf)?);
-            outcome.uncompressed_bytes += kept * cell.datatype.uncompressed_width();
-            outcome.compressed_bytes += scheme.measure_chunks(&chunks)?;
-        }
-        Ok(outcome)
+        Ok(reports[0].outcome())
     }
 
     /// Sum `costs.cell` over `run`'s entries, per stored column — once per
@@ -441,8 +536,9 @@ impl<'a> RunSizer<'a> {
     ) -> CompressionOutcome {
         let part_of = "`excluded` was merged into `pooled`";
         let kept = pooled.entries.checked_sub(excluded.entries).expect(part_of);
-        let (full, rest) = (kept / self.entries_per_leaf, kept % self.entries_per_leaf);
-        let mut headers = full * (costs.chunk_header)(self.entries_per_leaf);
+        let per_leaf = self.shape.entries_per_leaf;
+        let (full, rest) = (kept / per_leaf, kept % per_leaf);
+        let mut headers = full * (costs.chunk_header)(per_leaf);
         if rest > 0 || full == 0 {
             headers += (costs.chunk_header)(rest);
         }
@@ -453,6 +549,76 @@ impl<'a> RunSizer<'a> {
             outcome.compressed_bytes += headers + cell_costs.expect(part_of);
         }
         outcome
+    }
+}
+
+/// One input's entries — a held sample's records — encoded once and ordered
+/// once by key: every scheme's size, every stratum's and the first key
+/// column's statistics are walks through this one order, and no tree is
+/// packed for any of them (see [`RunSizer`]).
+///
+/// Made by [`IndexBuilder::order_records`](crate::IndexBuilder::order_records).
+/// The order depends on the index kind and key columns alone, so it serves
+/// every candidate index of that shape, whatever its name.
+pub struct OrderedEntries<'a> {
+    sizer: RunSizer<'a>,
+    /// The entries as encoded: entry `i` is input `i`.
+    arena: Vec<u8>,
+    /// `arena`'s entry numbers, sorted by key.
+    order: KeyOrder,
+}
+
+impl<'a> OrderedEntries<'a> {
+    pub(crate) fn new(sizer: RunSizer<'a>, arena: Vec<u8>, order: KeyOrder) -> Self {
+        OrderedEntries {
+            sizer,
+            arena,
+            order,
+        }
+    }
+
+    /// Number of entries.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Whether there are no entries.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.order.is_empty()
+    }
+
+    /// Size the index over all entries under every one of `schemes`, in one
+    /// walk: per scheme, in `schemes`' order, the report [`measure_index`]
+    /// gives on the tree built from the same input — field for field,
+    /// `leaf_pages` and `internal_bytes` included — and the first key
+    /// column's statistics.
+    ///
+    /// # Errors
+    /// A first-key cell [`decode_cell`](samplecf_storage::decode_cell)
+    /// rejects is that [`IndexError::Storage`] error; a page so small that
+    /// an internal page holds a single separator key is
+    /// [`IndexError::InvalidSpec`], as when building.
+    pub fn measure(
+        &self,
+        schemes: &[&dyn CompressionScheme],
+    ) -> IndexResult<(Vec<CompressedIndexReport>, FirstKeyStats)> {
+        self.measure_where(|_| true, schemes)
+    }
+
+    /// [`measure`](Self::measure) over the entries whose input number `keep`
+    /// admits — one stratum of a stratified sample, say.  A subsequence of a
+    /// sorted sequence is sorted: nothing is sorted again.
+    pub fn measure_where(
+        &self,
+        keep: impl Fn(usize) -> bool,
+        schemes: &[&dyn CompressionScheme],
+    ) -> IndexResult<(Vec<CompressedIndexReport>, FirstKeyStats)> {
+        let stride = self.sizer.layout.stride();
+        let kept = self.order.iter().filter(|(_, i)| keep(*i as usize));
+        let entries = kept.map(|(_, i)| &self.arena[*i as usize * stride..][..stride]);
+        self.sizer.walk(self.len(), entries, schemes)
     }
 }
 

@@ -20,11 +20,13 @@
 //! * [`measure_index`] — the zero-copy hot path: the same report computed by
 //!   the batch measure kernels over cells borrowed in place from the leaf
 //!   pages, without materialising a single compressed byte,
-//! * [`RunSizer`] — the same sizes without the tree, for the index over a
-//!   [`SortedRun`] minus one of the batches merged into it: a size-only walk
-//!   for any scheme, arithmetic on per-batch [`RunCellCosts`] for a
-//!   cell-additive one (what the progressive jackknife's delete-one-batch
-//!   estimates cost).
+//! * [`OrderedEntries`] / [`RunSizer`] — the same reports without the tree:
+//!   one walk of entries in key order sizes them under any number of schemes
+//!   and reads the first key column's [`FirstKeyStats`] off the order.  A
+//!   held sample is ordered once ([`IndexBuilder::order_records`]) and walked
+//!   — whole, or a stratum at a time; the progressive jackknife walks a
+//!   [`SortedRun`] minus one of the batches merged into it, or, for a
+//!   cell-additive scheme, does arithmetic on per-batch [`RunCellCosts`].
 //!
 //! ## Quickstart
 //!
@@ -59,8 +61,8 @@ pub mod spec;
 
 pub use btree::{BTreeIndex, IndexBuilder, IndexEntry, SortedRun};
 pub use compress::{
-    compress_index, measure_index, ColumnCompressionStat, CompressedIndexReport, RunCellCosts,
-    RunSizer,
+    compress_index, measure_index, ColumnCompressionStat, CompressedIndexReport, FirstKeyStats,
+    OrderedEntries, RunCellCosts, RunSizer,
 };
 pub use error::{IndexError, IndexResult};
 pub use size::{leaf_record_bytes, IndexSizeEstimate, IndexSizeModel, IndexSizeReport};

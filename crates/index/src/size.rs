@@ -8,12 +8,18 @@
 //! point is that only the compressed side needs sampling).  Leaf records are
 //! fixed-width (null bitmap + fixed cells + optional RID), and the bulk
 //! loader fills pages by asking this model — the leaf-fill rule is stated
-//! once, in [`IndexSizeModel::estimate`] — so the model is exact.
+//! once, in [`IndexSizeModel::estimate`] — so the model is exact.  Separator
+//! records are one length too, so the internal levels above those leaves are
+//! arithmetic as well ([`IndexSizeEstimate::internal_pages`]): what lets a
+//! size-only walk report a whole tree's page counts without building one.
 
 use crate::btree::BTreeIndex;
 use crate::error::{IndexError, IndexResult};
 use crate::spec::{IndexKind, IndexSpec};
-use samplecf_storage::{Page, Rid, Schema, DEFAULT_PAGE_SIZE, PAGE_HEADER_SIZE, SLOT_SIZE};
+use samplecf_storage::page::max_record_len;
+use samplecf_storage::{
+    Page, Rid, Schema, StorageError, DEFAULT_PAGE_SIZE, PAGE_HEADER_SIZE, SLOT_SIZE,
+};
 
 /// A breakdown of where an (uncompressed) index's bytes go.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,7 +132,7 @@ pub fn leaf_record_bytes(schema: &Schema, spec: &IndexSpec) -> IndexResult<usize
     Ok(bitmap + cells + rid)
 }
 
-/// Analytic leaf-level size estimate (see [`IndexSizeModel::estimate`]).
+/// Analytic size estimate (see [`IndexSizeModel::estimate`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexSizeEstimate {
     /// Number of leaf entries (one per row).
@@ -139,6 +145,9 @@ pub struct IndexSizeEstimate {
     pub leaf_pages: usize,
     /// Page size in bytes.
     pub page_size: usize,
+    /// Width of one internal-level record in bytes: `[2-byte key length]
+    /// [separator key = key cells + RID][4-byte child page]`.
+    pub separator_bytes: usize,
 }
 
 impl IndexSizeEstimate {
@@ -147,6 +156,51 @@ impl IndexSizeEstimate {
     #[must_use]
     pub fn leaf_bytes(&self) -> usize {
         self.leaf_pages * self.page_size
+    }
+
+    /// The same index over `num_entries` entries instead: the leaf-fill rule
+    /// applied to another count (an empty build is one empty leaf page).
+    #[must_use]
+    pub fn with_entries(self, num_entries: usize) -> Self {
+        IndexSizeEstimate {
+            num_entries,
+            leaf_pages: num_entries.div_ceil(self.entries_per_leaf).max(1),
+            ..self
+        }
+    }
+
+    /// Predicted number of internal pages, all levels — what
+    /// [`BTreeIndex::num_internal_pages`] counts on a built tree.
+    ///
+    /// The loader fills internal pages to capacity with separator records of
+    /// one length, a level per pass until a single root is left; so each
+    /// level is the one below ceil-divided by the separators
+    /// [`Page::fits`] admits to an empty page.
+    ///
+    /// # Errors
+    /// The loader's, when more than one leaf needs a level above it: a
+    /// separator that fits no page is [`IndexError::Storage`]
+    /// (`RecordTooLarge`); a page that holds a single separator is
+    /// [`IndexError::InvalidSpec`] — no level can narrow.
+    pub fn internal_pages(&self) -> IndexResult<usize> {
+        let per_page = (self.page_size - PAGE_HEADER_SIZE) / (self.separator_bytes + SLOT_SIZE);
+        if self.leaf_pages > 1 && per_page < 2 {
+            return Err(if per_page == 0 {
+                IndexError::Storage(StorageError::RecordTooLarge {
+                    record_len: self.separator_bytes,
+                    max_payload: max_record_len(self.page_size),
+                })
+            } else {
+                let why = "an internal page holds one separator key: no level can narrow";
+                IndexError::InvalidSpec(why.into())
+            });
+        }
+        let (mut level, mut internal) = (self.leaf_pages, 0);
+        while level > 1 {
+            level = level.div_ceil(per_page);
+            internal += level;
+        }
+        Ok(internal)
     }
 }
 
@@ -194,7 +248,8 @@ impl IndexSizeModel {
         self
     }
 
-    /// Predict the leaf-level size of an index over `num_rows` rows.
+    /// Predict the size of an index over `num_rows` rows: its leaf level
+    /// here, its internal levels by [`IndexSizeEstimate::internal_pages`].
     ///
     /// # Errors
     /// Fails if the spec does not resolve against the schema, the page size
@@ -212,6 +267,10 @@ impl IndexSizeModel {
             )));
         }
         let entry_bytes = leaf_record_bytes(schema, spec)?;
+        let key_cells = spec.key_indexes(schema)?.into_iter();
+        let key_bytes: usize = key_cells
+            .map(|i| schema.column_at(i).datatype.uncompressed_width())
+            .sum();
         let usable = samplecf_storage::page::validate_page_size(self.page_size)? - PAGE_HEADER_SIZE;
         let needed = entry_bytes + SLOT_SIZE;
         if needed > usable {
@@ -224,15 +283,15 @@ impl IndexSizeModel {
         // entries while used + needed <= fill-limited usable space, at least one.
         let target_fill = (usable as f64 * self.fill_factor) as usize;
         let entries_per_leaf = (target_fill / needed).max(1);
-        // An empty build still produces one (empty) leaf page.
-        let leaf_pages = num_rows.div_ceil(entries_per_leaf).max(1);
-        Ok(IndexSizeEstimate {
-            num_entries: num_rows,
+        let shape = IndexSizeEstimate {
+            num_entries: 0,
             entry_bytes,
             entries_per_leaf,
-            leaf_pages,
+            leaf_pages: 1,
             page_size: self.page_size,
-        })
+            separator_bytes: 2 + key_bytes + Rid::ENCODED_LEN + 4,
+        };
+        Ok(shape.with_entries(num_rows))
     }
 }
 
@@ -329,7 +388,8 @@ mod tests {
             IndexSpec::clustered("cl", ["b"]).unwrap(),
         ];
         for spec in &specs {
-            for page_size in [512usize, 1024, 8192] {
+            // (128 bytes: three separators a page, seven levels at 1999 rows.)
+            for page_size in [128usize, 512, 1024, 8192] {
                 for fill in [1.0, 0.7, 0.5] {
                     for n in [0usize, 1, 7, 500, 1999] {
                         let rows: Vec<_> = table.scan().take(n).collect();
@@ -352,6 +412,7 @@ mod tests {
                         );
                         assert_eq!(model.leaf_bytes(), measured.leaf_bytes());
                         assert_eq!(model.num_entries, measured.num_entries);
+                        assert_eq!(model.internal_pages(), Ok(measured.internal_pages));
                     }
                 }
             }
@@ -374,6 +435,34 @@ mod tests {
         // Unknown column.
         let bad = IndexSpec::nonclustered("i", ["missing"]).unwrap();
         assert!(IndexSizeModel::new().estimate(&schema, &bad, 10).is_err());
+    }
+
+    #[test]
+    fn the_internal_levels_fail_as_the_loader_does() {
+        // 48 usable bytes.  A `char(13)` clustered record (14 + 4-byte slot)
+        // fits twice, its separator (2 + 13 + 6 + 4, + slot) once: levels
+        // would never narrow.  A `char(34)` non-clustered record (41 + 4)
+        // fits, its 46-byte separator does not fit an empty page.
+        for (width, kind) in [(13, IndexKind::Clustered), (34, IndexKind::NonClustered)] {
+            let schema = Schema::single_char("a", width);
+            let spec = IndexSpec::new("i", kind, ["a"]).unwrap();
+            let builder = IndexBuilder::new().page_size(64);
+            let model = IndexSizeModel::new().page_size(64);
+            let per_leaf = model.estimate(&schema, &spec, 0).unwrap().entries_per_leaf;
+            for n in [0, per_leaf, per_leaf + 1, 5 * per_leaf] {
+                let rows: Vec<(Rid, Row)> = (0..n)
+                    .map(|i| (Rid::new(0, i as u16), Row::new(vec![Value::str("v")])))
+                    .collect();
+                let built = builder.build_from_rows(&schema, &rows, &spec);
+                let model = model.estimate(&schema, &spec, n).unwrap().internal_pages();
+                assert_eq!(
+                    model,
+                    built.map(|tree| tree.num_internal_pages()),
+                    "{n} rows"
+                );
+                assert_eq!(model.is_err(), n > per_leaf, "{kind}: {n} rows, {model:?}");
+            }
+        }
     }
 
     #[test]

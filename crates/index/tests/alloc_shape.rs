@@ -2,8 +2,10 @@
 //!
 //! An index entry is bytes in one arena, not two `Vec`s: encoding, sorting
 //! and merging a run cost a handful of allocations however many rows there
-//! are, a delete-one-batch sample is sized by a walk that allocates per
-//! leaf page, not per entry, and — for a cell-additive scheme — by
+//! are; entries in key order — a held sample's, or a pooled run's minus one
+//! batch — are sized by a walk that allocates per leaf page, not per entry
+//! or per distinct value, whatever the number of schemes; and a
+//! delete-one-batch sample under a cell-additive scheme is sized by
 //! arithmetic that allocates nothing but its result.  A counting
 //! `#[global_allocator]` (this test binary only) holds that shape in place
 //! — a per-entry `Vec` coming back shows up here as tens of thousands of
@@ -11,7 +13,7 @@
 
 use samplecf_compression::{CompressionScheme, NullSuppression, RunLengthEncoding};
 use samplecf_index::{measure_index, BTreeIndex, IndexBuilder, IndexSpec, RunCellCosts, SortedRun};
-use samplecf_storage::{Column, DataType, Rid, Row, Schema, Value};
+use samplecf_storage::{Column, DataType, Rid, Row, RowCodec, Schema, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -66,15 +68,31 @@ fn schema() -> Schema {
 }
 
 fn rows() -> Vec<(Rid, Row)> {
+    rows_of(997)
+}
+
+/// `ROWS` rows over `distinct` names.
+fn rows_of(distinct: usize) -> Vec<(Rid, Row)> {
     (0..ROWS)
         .map(|i| {
             let row = Row::new(vec![
-                Value::str(format!("name{:04}", (i * 7919) % 997)),
+                Value::str(format!("name{:04}", (i * 7919) % distinct)),
                 Value::int(i as i64),
             ]);
             (Rid::new((i / 100) as u32, (i % 100) as u16), row)
         })
         .collect()
+}
+
+/// What a walk over `leaf_pages` leaves of `columns` stored columns may
+/// allocate for `schemes` schemes that size a chunk without allocating.  Per
+/// stored column: one buffer of cells per leaf, plus the list of them (and
+/// one spare for the list of columns).  Per report: itself, its scheme's
+/// name, its column list and a name per column.  A `Page` per leaf — or
+/// anything per entry, or per distinct value — does not fit under it.
+fn walk_allowance(leaf_pages: usize, columns: usize, schemes: usize) -> usize {
+    assert!(leaf_pages >= 100, "the allowance must separate leaves");
+    columns * (leaf_pages + 2) + schemes * (columns + 3)
 }
 
 #[test]
@@ -143,16 +161,52 @@ fn a_delete_one_batch_walk_allocates_per_leaf_page_not_per_entry() {
         packed.leaf_pages * 20 < packed.num_entries,
         "the bound below must separate pages from entries"
     );
-    // Per stored column: one buffer of cells per leaf, plus the list of them.
     let columns = packed.per_column.len();
     assert_eq!(columns, 2);
     assert!(
-        count <= columns * (packed.leaf_pages + 2),
+        count <= walk_allowance(packed.leaf_pages, columns, 1),
         "walk of {} entries on {} pages: {count} allocations",
         packed.num_entries,
         packed.leaf_pages
     );
     assert!(count < packing, "walk {count}, pack and measure {packing}");
+}
+
+#[test]
+fn sizing_a_held_sample_allocates_per_leaf_page_whatever_the_schemes_and_distinct_values() {
+    let schema = schema();
+    let codec = RowCodec::new(schema.clone());
+    let spec = IndexSpec::clustered("i", ["name"]).unwrap();
+    let builder = IndexBuilder::new().page_size(1024);
+    // Neither sizes a chunk by allocating, so the counts are the walk's.
+    let schemes: [&dyn CompressionScheme; 2] = [&RunLengthEncoding, &NullSuppression];
+    let walk_of = |distinct: usize| {
+        let rows = rows_of(distinct);
+        let encoded: Vec<Vec<u8>> = (rows.iter())
+            .map(|(_, row)| codec.encode(row).unwrap())
+            .collect();
+        let records: Vec<(Rid, &[u8])> = (rows.iter().zip(&encoded))
+            .map(|((rid, _), record)| (*rid, &record[..]))
+            .collect();
+        let ordered = builder.order_records(&schema, &records, &spec).unwrap();
+        let (count, (reports, first_key)) = allocations(|| ordered.measure(&schemes).unwrap());
+        assert_eq!((first_key.distinct, first_key.nulls), (distinct, 0));
+        // The packed route, which builds a `Page` per leaf, is the oracle.
+        let tree = builder.build_from_records(&schema, &records, &spec);
+        for (report, scheme) in reports.iter().zip(schemes) {
+            assert_eq!(
+                report,
+                &measure_index(tree.as_ref().unwrap(), scheme).unwrap()
+            );
+        }
+        assert!(
+            count <= walk_allowance(reports[0].leaf_pages, 2, schemes.len()),
+            "{ROWS} entries, {distinct} distinct, on {} pages: {count} allocations",
+            reports[0].leaf_pages
+        );
+        count
+    };
+    assert_eq!(walk_of(997), walk_of(9_973));
 }
 
 #[test]

@@ -156,6 +156,7 @@ impl ServiceState {
         self.gauges
             .advisor_candidates
             .add(plan.recommendations.len() as u64);
+        self.gauges.advisor_key_sorts.add(plan.key_sorts as u64);
         Ok(Response::Advise {
             sample: measured(&entry, sample),
             plan,

@@ -51,6 +51,8 @@ pub struct Instruments {
     pub(crate) advisor_naive_pages: Counter,
     /// Candidates evaluated by `advise` requests.
     pub(crate) advisor_candidates: Counter,
+    /// Key orders those evaluations sorted: one per key shape per request.
+    pub(crate) advisor_key_sorts: Counter,
     // The connection plane, maintained by the event loop.
     pub(crate) open_connections: Gauge,
     pub(crate) connections_accepted: Counter,
@@ -102,6 +104,7 @@ impl Instruments {
             advisor_pages_read: registry.counter("samplecf_advisor_shared_pages_read_total"),
             advisor_naive_pages: registry.counter("samplecf_advisor_naive_pages_total"),
             advisor_candidates: registry.counter("samplecf_advisor_evaluated_candidates_total"),
+            advisor_key_sorts: registry.counter("samplecf_advisor_key_sorts_total"),
             open_connections: registry.gauge("samplecf_connections_open"),
             connections_accepted: registry.counter("samplecf_connections_accepted_total"),
             connections_rejected: registry.counter("samplecf_connections_rejected_total"),

@@ -54,6 +54,13 @@ fn roundtrip_raw(addr: std::net::SocketAddr, line: &str) -> Json {
     Json::parse(reply.trim()).unwrap_or_else(|e| panic!("bad reply {reply:?}: {e}"))
 }
 
+fn counter(registry: &MetricsRegistry, name: &str) -> u64 {
+    match registry.snapshot().get(name) {
+        Some(samplecf_obs::MetricValue::Counter(n)) => *n,
+        other => panic!("{name} is not a counter: {other:?}"),
+    }
+}
+
 fn histogram_sum(registry: &MetricsRegistry, name: &str) -> u64 {
     match registry.snapshot().get(name) {
         Some(samplecf_obs::MetricValue::Histogram(h)) => h.sum,
@@ -87,7 +94,7 @@ fn every_request_kind_is_observable_and_stage_sums_stay_under_totals() {
             .to_string(),
         r#"{"op":"estimate_progressive","table":"t","sampler":"uniform","fraction":0.2,"target_error":0.25,"scheme":"rle","seed":2}"#
             .to_string(),
-        r#"{"op":"advise","table":"t","sampler":"block","fraction":0.05,"seed":3,"candidates":[{"index":"i1","scheme":"rle"},{"index":"i2","scheme":"dictionary-global"}]}"#
+        r#"{"op":"advise","table":"t","sampler":"block","fraction":0.05,"seed":3,"candidates":[{"index":"i1","scheme":"rle"},{"index":"i2","scheme":"dictionary-global"},{"index":"i3","scheme":"null-suppression"}]}"#
             .to_string(),
         r#"{"op":"stats"}"#.to_string(),
         r#"{"op":"metrics"}"#.to_string(),
@@ -130,6 +137,14 @@ fn every_request_kind_is_observable_and_stage_sums_stay_under_totals() {
             "missing {duration} in exposition"
         );
     }
+
+    // The one `advise` named three candidates on one key: three
+    // evaluations off a single sort of the shared sample.
+    let advised = |name: &str| counter(&state.metrics, &format!("samplecf_advisor_{name}_total"));
+    assert_eq!(
+        (advised("evaluated_candidates"), advised("key_sorts")),
+        (3, 1)
+    );
 
     // Every socket-driven request was observed exactly once, through the
     // same path the daemon uses (queue → worker → completion drain).

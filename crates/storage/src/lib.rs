@@ -85,7 +85,7 @@ pub use page::{
 };
 pub use pool::{PageLease, PagePool, DEFAULT_POOL_CAPACITY};
 pub use rid::{PageId, Rid};
-pub use row::{decode_cell, encode_cell, Row, RowCodec, CHAR_PAD};
+pub use row::{cell_logical_len, decode_cell, encode_cell, Row, RowCodec, CHAR_PAD};
 pub use schema::{Column, Schema};
 pub use source::{IntoShared, PageRead, SharedSource, TableSource};
 pub use table::{Table, TableBuilder};

@@ -120,28 +120,43 @@ pub fn encode_cell(value: &Value, dt: &DataType, out: &mut Vec<u8>) -> StorageRe
     Ok(())
 }
 
+/// The first `dt.uncompressed_width()` bytes of `bytes`: one cell, or a
+/// `Decode` error for a slice too short to hold it.
+fn cell_bytes<'a>(bytes: &'a [u8], dt: &DataType) -> StorageResult<&'a [u8]> {
+    let w = dt.uncompressed_width();
+    bytes.get(..w).ok_or_else(|| {
+        StorageError::Decode(format!(
+            "cell truncated: need {w} bytes, have {}",
+            bytes.len()
+        ))
+    })
+}
+
+/// A `CHAR` / `VARCHAR` cell less its trailing pad bytes (SQL `CHAR`
+/// semantics: trailing spaces are not significant).
+fn unpadded(cell: &[u8]) -> &[u8] {
+    let end = cell
+        .iter()
+        .rposition(|&b| b != CHAR_PAD)
+        .map_or(0, |p| p + 1);
+    &cell[..end]
+}
+
+/// The characters of an [`unpadded`] cell, checked to be UTF-8.
+fn characters(unpadded: &[u8]) -> StorageResult<&str> {
+    std::str::from_utf8(unpadded)
+        .map_err(|e| StorageError::Decode(format!("invalid utf8 in char cell: {e}")))
+}
+
 /// Decode a single cell from its fixed-width representation.
 ///
 /// Character values have trailing pad bytes trimmed (SQL `CHAR` semantics:
 /// trailing spaces are not significant).
 pub fn decode_cell(bytes: &[u8], dt: &DataType) -> StorageResult<Value> {
-    let w = dt.uncompressed_width();
-    if bytes.len() < w {
-        return Err(StorageError::Decode(format!(
-            "cell truncated: need {w} bytes, have {}",
-            bytes.len()
-        )));
-    }
-    let bytes = &bytes[..w];
+    let bytes = cell_bytes(bytes, dt)?;
     match dt {
         DataType::Char(_) | DataType::VarChar(_) => {
-            let end = bytes
-                .iter()
-                .rposition(|&b| b != CHAR_PAD)
-                .map_or(0, |p| p + 1);
-            let s = std::str::from_utf8(&bytes[..end])
-                .map_err(|e| StorageError::Decode(format!("invalid utf8 in char cell: {e}")))?;
-            Ok(Value::Str(s.to_string()))
+            Ok(Value::Str(characters(unpadded(bytes))?.to_string()))
         }
         DataType::Int32 => {
             let mut buf = [0u8; 4];
@@ -157,6 +172,28 @@ pub fn decode_cell(bytes: &[u8], dt: &DataType) -> StorageResult<Value> {
         }
         DataType::Bool => Ok(Value::Bool(bytes[0] != 0)),
     }
+}
+
+/// [`Value::logical_len`] of the value a non-null cell decodes to, read off
+/// the cell's bytes: `decode_cell(bytes, dt)?.logical_len()` without the
+/// [`Value`].
+///
+/// # Errors
+/// Exactly [`decode_cell`]'s: a truncated cell, or a character cell whose
+/// bytes before the padding are not UTF-8.
+pub fn cell_logical_len(bytes: &[u8], dt: &DataType) -> StorageResult<usize> {
+    let bytes = cell_bytes(bytes, dt)?;
+    Ok(match dt {
+        DataType::Char(_) | DataType::VarChar(_) => match unpadded(bytes) {
+            // ASCII is UTF-8: the common cell needs no decoder's check.
+            ascii if ascii.is_ascii() => ascii.len(),
+            other => characters(other)?.len(),
+        },
+        // An integer's logical length is that of `Value::Int`'s `i64`,
+        // whichever column width stores it.
+        DataType::Int32 | DataType::Int64 => 8,
+        DataType::Bool => 1,
+    })
 }
 
 /// Codec translating [`Row`]s to and from the uncompressed heap record format.

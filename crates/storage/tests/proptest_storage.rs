@@ -83,6 +83,31 @@ proptest! {
         prop_assert_eq!(ea.cmp(&eb), a.cmp(&b));
     }
 
+    /// The length rule the held-sample statistics read off cell bytes is
+    /// `decode_cell`'s: over arbitrary bytes — valid cells, trailing spaces,
+    /// embedded NULs, broken UTF-8 before or inside the padding, truncated
+    /// cells — the same length, or the same error.
+    #[test]
+    fn cell_logical_len_is_the_decoded_values_and_errs_where_decoding_errs(
+        kind in 0u8..5,
+        width in 0u16..20,
+        bytes in proptest::collection::vec(
+            prop_oneof![Just(b' '), Just(b'a'), Just(0u8), Just(0xC3u8), Just(0xA9u8), any::<u8>()],
+            0..24,
+        ),
+    ) {
+        let dt = match kind {
+            0 => DataType::Char(width),
+            1 => DataType::VarChar(width),
+            2 => DataType::Int32,
+            3 => DataType::Int64,
+            _ => DataType::Bool,
+        };
+        let decoded = samplecf_storage::decode_cell(&bytes, &dt);
+        let len = samplecf_storage::cell_logical_len(&bytes, &dt);
+        prop_assert_eq!(len, decoded.map(|value| value.logical_len()));
+    }
+
     #[test]
     fn page_accounting_is_conserved(
         page_size in MIN_PAGE_SIZE..4096usize,
