@@ -15,17 +15,7 @@ fn main() {
         ("dc_regimes", experiments::dc_regimes::run),
         ("paged_vs_global", experiments::paged_vs_global::run),
         ("block_sampling", experiments::block_sampling::run),
-        ("disk_block_io", experiments::disk_block_io::run),
-        (
-            "progressive_stopping",
-            experiments::progressive_stopping::run,
-        ),
-        ("stratified_stopping", experiments::stratified_stopping::run),
-        ("advisor_scaling", experiments::advisor_scaling::run),
-        ("server_throughput", experiments::server_throughput::run),
         ("dv_baselines", experiments::dv_baselines::run),
-        ("kernels", experiments::kernels::run),
-        ("timing", experiments::timing::run),
     ];
     for (name, run) in runs {
         eprintln!("=== running experiment `{name}` (quick = {quick}) ===");

@@ -1,30 +1,47 @@
-//! The reproduction experiments, one module per table/figure in
-//! `DESIGN.md` §5.  Each module exposes `run(quick) -> Report`; the
-//! `exp_*` binaries are thin wrappers and `run_all` executes every
-//! experiment in sequence.
+//! The reproduction experiments, one module per table/figure in the
+//! experiment-to-paper table of `crates/bench/README.md`.  Each module
+//! exposes `run(quick) -> Report`; the `exp_*` binaries are thin wrappers
+//! and `run_all` executes every experiment in sequence.
 
-pub mod advisor_scaling;
 pub mod block_sampling;
 pub mod dc_distinct_sweep;
 pub mod dc_regimes;
-pub mod disk_block_io;
 pub mod dv_baselines;
-pub mod kernels;
 pub mod ns_fraction_sweep;
 pub mod paged_vs_global;
-pub mod progressive_stopping;
-pub mod server_throughput;
-pub mod stratified_stopping;
 pub mod table2;
 pub mod theorem1;
-pub mod timing;
 
 /// Whether quick mode is requested (smaller tables, fewer trials) — set the
 /// `SAMPLECF_QUICK` environment variable or pass `--quick` to a binary.
+///
+/// `--quick` is the only argument the binaries take: on anything else this
+/// prints a usage line to stderr and exits the process with status 2.
 #[must_use]
 pub fn quick_mode() -> bool {
-    std::env::var("SAMPLECF_QUICK").is_ok_and(|v| v != "0")
-        || std::env::args().any(|a| a == "--quick")
+    let mut args = std::env::args();
+    let program = args.next().unwrap_or_default();
+    match quick_flag(args) {
+        Ok(flag) => flag || std::env::var("SAMPLECF_QUICK").is_ok_and(|v| v != "0"),
+        Err(unexpected) => {
+            eprintln!("usage: {program} [--quick]  (unexpected argument `{unexpected}`)");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Whether `--quick` is among a binary's arguments (program name already
+/// stripped); `Err` carries the first argument that is anything else, so a
+/// typo such as `--qiuck` cannot silently start the minutes-long full mode.
+fn quick_flag(args: impl IntoIterator<Item = String>) -> Result<bool, String> {
+    let mut quick = false;
+    for arg in args {
+        if arg != "--quick" {
+            return Err(arg);
+        }
+        quick = true;
+    }
+    Ok(quick)
 }
 
 /// Scale a size parameter down in quick mode.
@@ -37,19 +54,19 @@ pub fn scaled(full: usize, quick: usize, quick_mode: bool) -> usize {
     }
 }
 
-/// Optional worker-thread override for experiments with a parallel section:
-/// `--threads N` on a binary or the `SAMPLECF_THREADS` environment variable
-/// (0 = all cores, mirroring the library's `threads` knob).
-#[must_use]
-pub fn thread_override() -> Option<usize> {
-    if let Ok(v) = std::env::var("SAMPLECF_THREADS") {
-        return v.parse().ok();
+#[cfg(test)]
+mod tests {
+    use super::quick_flag;
+
+    #[test]
+    fn any_argument_but_quick_is_rejected() {
+        let args = |list: &[&str]| list.iter().map(ToString::to_string).collect::<Vec<_>>();
+        assert_eq!(quick_flag(args(&[])), Ok(false));
+        assert_eq!(quick_flag(args(&["--quick"])), Ok(true));
+        assert_eq!(quick_flag(args(&["--qiuck"])), Err("--qiuck".to_string()));
+        assert_eq!(
+            quick_flag(args(&["--quick", "--threads", "2"])),
+            Err("--threads".to_string())
+        );
     }
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--threads" {
-            return args.next().and_then(|v| v.parse().ok());
-        }
-    }
-    None
 }

@@ -1,9 +1,9 @@
 //! # samplecf-bench
 //!
-//! Experiment harness shared by the reproduction binaries (`src/bin/exp_*`)
-//! and the criterion benchmarks.  Each binary regenerates one table or
-//! figure from the paper, prints a markdown table, and (via [`Report`])
-//! writes it under `results/`.  See `crates/bench/README.md` for the full
+//! Experiment harness shared by the reproduction binaries
+//! (`src/bin/exp_*`).  Each binary regenerates one table or figure from
+//! the paper, prints a markdown table, and (via [`Report`]) writes it
+//! under `results/`.  See `crates/bench/README.md` for the full
 //! experiment-to-paper mapping.
 //!
 //! ## Quickstart
@@ -26,10 +26,8 @@
 //! ```
 
 pub mod experiments;
-pub mod load;
 pub mod report;
 pub mod workloads;
 
-pub use load::{run_load, LoadConfig, LoadOutcome};
 pub use report::{Report, Table};
 pub use workloads::{paper_table, PaperWorkload};

@@ -282,76 +282,6 @@ impl SampleCache {
         Ok(id)
     }
 
-    /// Like [`get_or_draw`](Self::get_or_draw), but willing to **deepen** an
-    /// existing entry: if the cache already holds a sample for the same
-    /// (source, sampler family, seed) at a *shallower* fraction — and that
-    /// entry still has its live stream — the cached sample is extended in
-    /// place to the requested fraction, paying only the delta's I/O.
-    ///
-    /// Prefix-stable streams make deepening lossless: the extended sample
-    /// holds exactly the rows a fresh draw at the deeper fraction with the
-    /// same seed would hold (as a multiset — batches arrive rid-sorted per
-    /// chunk).  The entry keeps its id; the shallow configuration's key is
-    /// retired, since the entry now answers for the deeper one.
-    ///
-    /// Non-streaming sampler kinds fall back to plain
-    /// [`get_or_draw`](Self::get_or_draw) behaviour.
-    pub fn get_or_deepen(
-        &mut self,
-        source: &SharedSource,
-        kind: SamplerKind,
-        seed: u64,
-    ) -> CoreResult<usize> {
-        let key = (source_key(source), kind.label(), seed);
-        if let Some(&id) = self.index.get(&key) {
-            self.entries[id].uses += 1;
-            return Ok(id);
-        }
-        if !kind.supports_streaming() {
-            return self.get_or_draw(source, kind, seed);
-        }
-        // Look for the deepest extendable entry of the same family.
-        let candidate = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| {
-                source_key(&e.source) == source_key(source)
-                    && e.seed == seed
-                    && e.deepenable_to(kind)
-            })
-            .max_by(|(_, a), (_, b)| {
-                a.kind
-                    .fraction()
-                    .partial_cmp(&b.kind.fraction())
-                    .expect("fractions are finite")
-            })
-            .map(|(id, _)| id);
-        if let Some(id) = candidate {
-            let old_key = (source_key(source), self.entries[id].kind.label(), seed);
-            if self.entries[id].deepen(kind)?.is_some() {
-                self.entries[id].uses += 1;
-                self.index.remove(&old_key);
-                self.index.insert(key, id);
-                return Ok(id);
-            }
-        }
-        // No extendable entry: draw fresh, keeping the stream for later
-        // deepening.
-        let id = self.entries.len();
-        self.entries
-            .push(CachedSample::draw_streaming(source, kind, seed)?);
-        self.index.insert(key, id);
-        Ok(id)
-    }
-
-    /// Drop the live stream state of the entry with the given id, fixing
-    /// its fraction for good (see [`CachedSample::seal`]).  A sealed entry
-    /// can no longer be deepened — a deeper request draws afresh.
-    pub fn seal(&mut self, id: usize) {
-        self.entries[id].seal();
-    }
-
     /// Resolve a whole batch of requests at once, drawing every cache miss
     /// concurrently (`threads` workers; 0 = all available parallelism).
     ///
@@ -581,97 +511,6 @@ mod tests {
         // The rolled-back keys can be requested again cleanly.
         let id = cache.get_or_draw(&t, good, 1).unwrap();
         assert_eq!(id, 1);
-    }
-
-    #[test]
-    fn deepening_extends_a_cached_sample_at_delta_cost() {
-        let t = table("t", 21);
-        let num_pages = t.num_pages() as u64;
-        let mut cache = SampleCache::new();
-        // First request: a shallow block sample, drawn through a stream.
-        let id = cache.get_or_deepen(&t, SamplerKind::Block(0.1), 4).unwrap();
-        let shallow_pages = cache.entry(id).pages_read();
-        assert_eq!(
-            shallow_pages,
-            (num_pages as f64 * 0.1).round().max(1.0) as u64
-        );
-        // A consumer holding the shallow snapshot keeps it through the
-        // deepening below.
-        let shallow = Arc::clone(cache.entry(id).sample());
-        let shallow_rows = shallow.rows().unwrap();
-        // Deeper request with the same family and seed: same entry id,
-        // extended in place, paying only the delta.
-        let deep = cache.get_or_deepen(&t, SamplerKind::Block(0.3), 4).unwrap();
-        assert_eq!(deep, id, "deepening keeps the entry id");
-        assert_eq!(cache.len(), 1, "no second sample was drawn");
-        let entry = cache.entry(id);
-        assert_eq!(entry.kind(), SamplerKind::Block(0.3));
-        assert_eq!(
-            entry.pages_read(),
-            (num_pages as f64 * 0.3).round().max(1.0) as u64,
-            "cumulative cost equals one fresh draw at the deep fraction"
-        );
-        assert_eq!(entry.uses(), 2);
-        assert_eq!(
-            shallow.rows().unwrap(),
-            shallow_rows,
-            "the shallow snapshot is unchanged by deepening"
-        );
-        assert_eq!(shallow.kind(), SamplerKind::Block(0.1));
-        assert!(shallow.len() < entry.sample().len());
-        // The deepened rows are exactly a fresh deep draw's rows.
-        let fresh = MaterializedSample::draw(&t, SamplerKind::Block(0.3), 4).unwrap();
-        let mut a = entry.sample().rows().unwrap();
-        let mut b = fresh.rows().unwrap();
-        a.sort_by_key(|(rid, _)| *rid);
-        b.sort_by_key(|(rid, _)| *rid);
-        assert_eq!(a, b);
-        // A later request at the deep fraction is a plain hit; the retired
-        // shallow key draws afresh if ever requested again.
-        assert_eq!(
-            cache.get_or_deepen(&t, SamplerKind::Block(0.3), 4).unwrap(),
-            id
-        );
-        let shallow_again = cache.get_or_deepen(&t, SamplerKind::Block(0.1), 4).unwrap();
-        assert_ne!(shallow_again, id);
-    }
-
-    #[test]
-    fn sealed_entries_keep_serving_hits_but_stop_deepening() {
-        let t = table("t", 23);
-        let mut cache = SampleCache::new();
-        let kind = SamplerKind::Block(0.1);
-        let id = cache.get_or_deepen(&t, kind, 6).unwrap();
-        cache.seal(id);
-        // Exact requests still hit the sealed entry.
-        assert_eq!(cache.get_or_deepen(&t, kind, 6).unwrap(), id);
-        assert_eq!(cache.entry(id).uses(), 2);
-        // A deeper request can no longer extend it: fresh entry instead.
-        let deeper = cache.get_or_deepen(&t, SamplerKind::Block(0.2), 6).unwrap();
-        assert_ne!(deeper, id);
-        assert_eq!(cache.entry(id).kind(), kind, "sealed entry is unchanged");
-    }
-
-    #[test]
-    fn deepening_requires_matching_family_and_seed() {
-        let t = table("t", 22);
-        let mut cache = SampleCache::new();
-        let id = cache
-            .get_or_deepen(&t, SamplerKind::UniformWithReplacement(0.05), 1)
-            .unwrap();
-        // Different seed or family: a fresh draw, not an extension.
-        let other_seed = cache
-            .get_or_deepen(&t, SamplerKind::UniformWithReplacement(0.1), 2)
-            .unwrap();
-        assert_ne!(other_seed, id);
-        let other_family = cache.get_or_deepen(&t, SamplerKind::Block(0.1), 1).unwrap();
-        assert_ne!(other_family, id);
-        assert_eq!(cache.len(), 3);
-        // Non-streaming kinds fall back to plain draws.
-        let bernoulli = cache
-            .get_or_deepen(&t, SamplerKind::Bernoulli(0.1), 1)
-            .unwrap();
-        assert_eq!(cache.entry(bernoulli).kind(), SamplerKind::Bernoulli(0.1));
     }
 
     #[test]

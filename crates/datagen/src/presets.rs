@@ -148,8 +148,8 @@ pub fn clustered_table(
 /// page holds rows of (nearly) one length while the table as a whole spans
 /// the full `[4, width]` range.  A uniform draw sees the full cross-table
 /// length variance at every sample size; a stratified draw over contiguous
-/// page ranges sees almost none within a stratum — the table
-/// `exp_stratified_stopping` makes its case on.
+/// page ranges sees almost none within a stratum — the table the
+/// stratified stopping claim is pinned on (`tests/end_to_end.rs`).
 #[must_use]
 pub fn clustered_variable_table(
     name: &str,

@@ -12,8 +12,7 @@
 //!   lock-free** (relaxed atomics on pre-registered `Arc` handles), and a
 //!   registry constructed with [`MetricsRegistry::disabled`] hands out
 //!   no-op handles behind the *same* API so instrumented code pays a single
-//!   branch when telemetry is off — the property the kernel overhead guard
-//!   in `exp_kernels` measures.
+//!   branch when telemetry is off.
 //! * Snapshots — [`HistogramSnapshot`] and [`RegistrySnapshot`] are plain
 //!   data: mergeable (element-wise, associative), quantile-queryable
 //!   (within-bucket linear interpolation), and renderable as

@@ -9,8 +9,9 @@
 //! Because the sampler draws through [`TableSource`], the I/O claim is
 //! literal for disk-backed tables: `sample` issues exactly one
 //! [`read_page`](TableSource::read_page) per selected page and touches
-//! nothing else in the file.  The `exp_disk_block_io` experiment and the
-//! `samplecf estimate --sampler block` CLI path measure this directly.
+//! nothing else in the file.  `tests/end_to_end.rs` asserts the page count
+//! on a disk table and the `samplecf estimate --sampler block` CLI path
+//! reports it.
 
 use crate::error::SamplingResult;
 use crate::sampler::{target_page_count, target_size, validate_fraction, RowSampler, SampledRow};

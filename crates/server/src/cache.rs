@@ -398,8 +398,8 @@ impl Shard {
 
     /// Under the shard lock: find, remove and return the deepest `Ready`
     /// entry this request may extend.  Removing it up front gives the
-    /// deepener exclusive ownership — later requests for the retired
-    /// shallow key redraw it, exactly like `SampleCache::get_or_deepen`.
+    /// deepener exclusive ownership; later requests for the retired
+    /// shallow key redraw it.
     /// Every fraction of one *(source, seed)* hashes to the same shard, so
     /// a shard-local search sees every possible victim.
     fn pick_deepen_victim(
@@ -699,9 +699,18 @@ mod tests {
         assert_eq!(hit.pages_read, 0);
         let shallow_again = cache.acquire(&shared, SamplerKind::Block(0.1), 9).unwrap();
         assert_eq!(shallow_again.disposition, CacheDisposition::Miss);
+        // Only the same family and seed extends an entry: a deeper request
+        // under another seed or sampler family draws afresh.
+        for (kind, seed) in [
+            (SamplerKind::Block(0.5), 10),
+            (SamplerKind::UniformWithReplacement(0.5), 9),
+        ] {
+            let fresh = cache.acquire(&shared, kind, seed).unwrap();
+            assert_eq!(fresh.disposition, CacheDisposition::Miss, "{kind:?}/{seed}");
+        }
         let stats = cache.stats();
         assert_eq!(stats.deepened, 1);
-        assert_eq!(stats.misses, 2);
+        assert_eq!(stats.misses, 4);
     }
 
     #[test]

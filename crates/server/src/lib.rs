@@ -19,8 +19,10 @@
 //!   materialized sample per *(table, sampler, fraction, seed)* group,
 //!   with duplicate in-flight requests coalesced onto one draw,
 //!   progressive deepening of shallow samples
-//!   (`SampleCache::get_or_deepen` semantics under concurrency), and LRU
-//!   eviction against a byte budget, and
+//!   ([`CachedSample::deepen`](samplecf_core::CachedSample::deepen) under
+//!   concurrency: the deepest extendable entry of the same source, family
+//!   and seed is extended at the delta's I/O cost), and LRU eviction
+//!   against a byte budget, and
 //! * one [`MetricsRegistry`] per server, threaded through every layer:
 //!   request/error counters, per-kind and per-stage latency histograms
 //!   (accept → parse → queue-wait → execute → serialize → drain → write), cache
@@ -51,7 +53,7 @@ pub mod cache;
 pub mod catalog;
 mod execute;
 pub mod json;
-pub mod poll;
+mod poll;
 pub mod protocol;
 pub mod response;
 pub mod server;

@@ -1,11 +1,11 @@
 //! A minimal readiness-polling abstraction over the OS selector.
 //!
-//! `samplecfd`'s event loop (and the bench load generator) need exactly
-//! four operations — register a socket for read/write interest, modify
-//! that interest, deregister, and block until something is ready — and the
-//! repo's no-new-runtime-deps rule says std only.  std does not expose the
-//! selector, but every Rust binary already links the platform libc, so
-//! this module declares the handful of syscall wrappers it needs directly:
+//! `samplecfd`'s event loop needs exactly four operations — register a
+//! socket for read/write interest, modify that interest, deregister, and
+//! block until something is ready — and the repo's no-new-runtime-deps
+//! rule says std only.  std does not expose the selector, but every Rust
+//! binary already links the platform libc, so this module declares the
+//! handful of syscall wrappers it needs directly:
 //!
 //! * **Linux** — `epoll` (level-triggered), the production path.
 //! * **other unix** — `kqueue`, same level-triggered semantics.
@@ -26,8 +26,8 @@ use std::io;
 use std::time::Duration;
 
 /// The token the internal waker registers under; user tokens must stay
-/// below it (the event loop uses small slab indices, the load generator
-/// small connection ids, so this never bites in practice).
+/// below it (the event loop uses small slab indices, so this never bites
+/// in practice).
 const WAKE_TOKEN: usize = usize::MAX;
 
 /// What a registration wants to hear about.
@@ -45,16 +45,6 @@ impl Interest {
         readable: true,
         writable: false,
     };
-    /// Write-only interest.
-    pub const WRITE: Interest = Interest {
-        readable: false,
-        writable: true,
-    };
-    /// Both directions.
-    pub const BOTH: Interest = Interest {
-        readable: true,
-        writable: true,
-    };
 }
 
 /// One readiness notification.
@@ -64,7 +54,9 @@ pub struct Event {
     pub token: usize,
     /// Reading (or accepting) will make progress.
     pub readable: bool,
-    /// Writing will make progress.
+    /// Writing will make progress.  The event loop flushes a connection on
+    /// any event it gets, so only this module's tests read the flag.
+    #[cfg_attr(not(test), allow(dead_code))]
     pub writable: bool,
     /// The peer hung up or the socket is in an error state; the owner
     /// should read to EOF / observe the error and close.
@@ -787,7 +779,11 @@ mod tests {
         assert!(saw_readable, "poller never reported the written bytes");
 
         // Write interest on a fresh socket reports writable immediately.
-        poller.modify(&server, T_CLIENT, Interest::BOTH).unwrap();
+        let both = Interest {
+            readable: true,
+            writable: true,
+        };
+        poller.modify(&server, T_CLIENT, both).unwrap();
         let mut saw_writable = false;
         for _ in 0..100 {
             poller

@@ -2,7 +2,7 @@
 //!
 //! `samplecfd` is a std-only **event-driven** server.  One event-loop
 //! thread owns the listener and every connection through the
-//! [`poll`](crate::poll) readiness abstraction (epoll/kqueue, no async
+//! crate-private `poll` readiness abstraction (epoll/kqueue, no async
 //! runtime); `workers` threads own the CPU-and-I/O-heavy protocol work
 //! (sampling, estimation) behind a **bounded request queue**.  The
 //! division of labor:
@@ -12,7 +12,7 @@
 //!   descriptors and buffers, not threads;
 //! * a worker pops one framed request, runs
 //!   [`ServiceState::handle_line`], and posts the response line back to
-//!   the loop through a completion queue + [`crate::poll::Waker`].
+//!   the loop through a completion queue + the poller's `Waker`.
 //!
 //! Backpressure is explicit at both ends: a connection beyond
 //! `max_connections` is answered `busy` and closed at accept, and a

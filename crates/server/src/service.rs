@@ -1073,9 +1073,8 @@ mod tests {
     }
 
     /// Pins the `stats.server` object shape: these names are consumed by
-    /// the committed BENCH_server.json validation, the CI python gate, and
-    /// `samplecf top` — additions go at the end of this list, renames are
-    /// breaking.
+    /// `samplecf top` and the `perfbench/` harness — additions go at the
+    /// end of this list, renames are breaking.
     #[test]
     fn stats_server_object_shape_is_pinned() {
         let state = ServiceState::new(DEFAULT_CACHE_BUDGET_BYTES);

@@ -8,6 +8,11 @@
 //!   all requests can never exceed the sum of end-to-end time, because
 //!   each request's stages are measured inside its own total clock.
 //!
+//! A second test holds 200 connections open at once and checks the
+//! connection plane's claims: no pipelined line is lost, the registry's
+//! counts equal the clients', and the five per-request stages sum to the
+//! end-to-end time exactly.
+//!
 //! The assertions read the server's in-process [`MetricsRegistry`] — the
 //! same Arc the socket-visible `metrics` op serializes — which is exactly
 //! how the issue intends load harnesses to use it.
@@ -204,5 +209,107 @@ fn every_request_kind_is_observable_and_stage_sums_stay_under_totals() {
             "samplecf_stage_duration_ns{stage=\"write\"}",
         ) > 0,
         "response flushes were timed"
+    );
+}
+
+#[test]
+fn held_open_connections_lose_no_line_and_the_registry_agrees_with_the_clients() {
+    const CONNECTIONS: usize = 200;
+    const LINES_PER_CONNECTION: usize = 4;
+
+    // A queue shallower than the burst, so some lines may be answered
+    // `busy` by the event loop without ever reaching a worker.
+    let handle = spawn_server(ServerConfig {
+        workers: 2,
+        queue_depth: 64,
+        ..ServerConfig::default()
+    });
+    handle
+        .state()
+        .catalog
+        .register(&table_path().to_string_lossy(), Some("t"))
+        .expect("register succeeds");
+    let addr = handle.addr();
+
+    // Every connection is open before the first byte is sent and stays open
+    // until the last reply is read; the server spends descriptors on them,
+    // not threads.
+    let mut conns: Vec<(TcpStream, BufReader<TcpStream>)> = (0..CONNECTIONS)
+        .map(|_| {
+            let stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(60)))
+                .expect("timeout");
+            let writer = stream.try_clone().expect("clone");
+            (writer, BufReader::new(stream))
+        })
+        .collect();
+    for (i, (writer, _)) in conns.iter_mut().enumerate() {
+        // Estimates share four (sampler, fraction, seed) cache groups.
+        let estimate = format!(
+            r#"{{"op":"estimate","table":"t","sampler":"block","fraction":0.02,"scheme":"null-suppression","seed":{}}}"#,
+            i % 4
+        );
+        let pipelined = format!("{estimate}\n{{\"op\":\"stats\"}}\n{estimate}\n{estimate}\n");
+        writer.write_all(pipelined.as_bytes()).expect("send");
+    }
+    let (mut ok, mut busy) = (0u64, 0u64);
+    for (_, reader) in &mut conns {
+        for _ in 0..LINES_PER_CONNECTION {
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("receive");
+            let reply = Json::parse(reply.trim()).unwrap_or_else(|e| panic!("{reply:?}: {e}"));
+            if reply.get("ok").and_then(Json::as_bool) == Some(true) {
+                ok += 1;
+            } else {
+                let code = reply.get("error").and_then(|e| e.get("code"));
+                assert_eq!(code.and_then(Json::as_str), Some("busy"), "{reply}");
+                busy += 1;
+            }
+        }
+    }
+    assert_eq!(ok + busy, (CONNECTIONS * LINES_PER_CONNECTION) as u64);
+    assert!(ok > 0);
+    drop(conns);
+
+    let state = std::sync::Arc::clone(handle.state());
+    handle.shutdown();
+    assert!(state.gauges.connections_accepted() >= CONNECTIONS as u64);
+
+    // A `busy` line is never dispatched, so the server's own request
+    // counters and end-to-end histograms must both agree with the clients'
+    // `ok` tally.
+    let (mut dispatched, mut observed, mut total_ns, mut staged_ns) = (0u64, 0u64, 0u64, 0u64);
+    let request_stages = ["parse", "queue_wait", "execute", "serialize", "drain"]
+        .map(|stage| format!("samplecf_stage_duration_ns{{stage=\"{stage}\"}}"));
+    for entry in &state.metrics.snapshot().entries {
+        match &entry.value {
+            samplecf_obs::MetricValue::Counter(n)
+                if entry.name.starts_with("samplecf_requests_total{") =>
+            {
+                dispatched += n;
+            }
+            samplecf_obs::MetricValue::Histogram(h)
+                if entry.name.starts_with("samplecf_request_duration_ns{") =>
+            {
+                observed += h.count;
+                total_ns += h.sum;
+            }
+            samplecf_obs::MetricValue::Histogram(h) if request_stages.contains(&entry.name) => {
+                staged_ns += h.sum;
+            }
+            _ => {}
+        }
+    }
+    assert_eq!((dispatched, observed), (ok, ok));
+
+    // The five per-request stages are spans inside each request's own
+    // clock, `drain` being whatever no other span claimed, so together they
+    // account for the end-to-end time exactly — never more, and (up to
+    // saturation) never less.
+    let coverage = staged_ns as f64 / total_ns as f64;
+    assert!(
+        (0.999..=1.0).contains(&coverage),
+        "stages explain {coverage:.4} of end-to-end time ({staged_ns} / {total_ns} ns)"
     );
 }

@@ -7,8 +7,8 @@
 //! quantity the paper's block-sampling argument (Section II-C) is about.
 //! Wrapping a [`DiskTable`](crate::disk::DiskTable) makes "block sampling at
 //! fraction `f` reads ≈ `f·N` pages" a measurable assertion; the `samplecf`
-//! CLI, the advisor's plan report and the `exp_disk_block_io` /
-//! `exp_advisor_scaling` experiments all report it from this wrapper.
+//! CLI, the advisor's plan report and the page-count tests of
+//! `tests/end_to_end.rs` all read it from this wrapper.
 //!
 //! The sampling frame ([`rids`](TableSource::rids)) and the size metadata
 //! are delegated to the wrapped source uncounted: a real engine answers

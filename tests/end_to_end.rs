@@ -389,3 +389,92 @@ fn trial_runner_parallelism_is_deterministic_over_disk_tables() {
         .unwrap();
     assert_eq!(single, in_memory);
 }
+
+#[test]
+fn stopping_rules_on_a_disk_table_stop_early_only_with_an_honest_interval() {
+    use samplecf::sampling::{Allocation, StrataMode};
+
+    let spec = IndexSpec::nonclustered("idx_a", ["a"]).unwrap();
+    let config = ProgressiveConfig {
+        target_error: 0.1,
+        confidence: 0.95,
+        schedule: BatchSchedule::new(0.002, 3.0).unwrap(),
+    };
+    let run = |table: &DiskTable, kind: SamplerKind| {
+        ProgressiveCf::new(kind, config)
+            .seed(2)
+            .run(table, &spec, &NullSuppression)
+            .unwrap()
+    };
+    // Pages a fixed-fraction block draw at the same seed costs, and its CF.
+    let one_shot = |table: &DiskTable, fraction: f64| {
+        let counting = CountingSource::new(table);
+        let estimate = SampleCf::new(SamplerKind::Block(fraction))
+            .seed(2)
+            .estimate(&counting, &spec, &NullSuppression)
+            .unwrap();
+        (estimate.cf, counting.pages_read())
+    };
+
+    // (a) Value-clustered variable-length rows.  Strata aligned with the
+    // value runs leave almost no within-stratum variance and the closed-form
+    // algebra prices it at the first checkpoint; uniform rows see the whole
+    // between-run spread and have no variance before the second.  Small
+    // pages keep the page count well above the sampled row count, so
+    // pages-to-target tracks rows-to-target instead of saturating the table.
+    let clustered = presets::clustered_variable_table("strat_clustered", 24_000, 64, 8, 9);
+    let file = TempTableFile::new("stopping_small_pages");
+    let small_pages = clustered.clone().page_size(1024).generate().unwrap().table;
+    let disk = DiskTable::materialize(&file.0, &small_pages).unwrap();
+    let exact = ExactCf::new()
+        .compute(&disk, &spec, &NullSuppression)
+        .unwrap();
+    let neyman = run(
+        &disk,
+        SamplerKind::Stratified {
+            fraction: 0.2,
+            strata: 16,
+            alloc: Allocation::Neyman,
+            mode: StrataMode::EquiWidth,
+        },
+    );
+    let uniform = run(&disk, SamplerKind::UniformWithReplacement(0.2));
+    assert!(neyman.target_met && uniform.target_met);
+    assert!(ratio_error(neyman.measurement.cf, exact.cf) < 1.1);
+    assert!(
+        neyman.pages_read * 2 <= uniform.pages_read,
+        "stratified+Neyman must need at most half of uniform's pages: {} vs {}",
+        neyman.pages_read,
+        uniform.pages_read
+    );
+
+    // (b) The same rows on default-size pages, each inside one value run:
+    // block batches disagree, the interval never tightens, the run spends
+    // its whole cap — and a fully consumed prefix-stable stream is the
+    // one-shot draw, reported with an honest "target not met".
+    let file = TempTableFile::new("stopping_clustered");
+    let disk = DiskTable::materialize(&file.0, &clustered.generate().unwrap().table).unwrap();
+    let block = run(&disk, SamplerKind::Block(0.2));
+    assert!(!block.target_met && !block.stopped_early);
+    assert_eq!(
+        (block.measurement.cf, block.pages_read),
+        one_shot(&disk, 0.2)
+    );
+
+    // (c) On all-equal rows the same rule stops long before a fixed
+    // f = 0.1 draw would.
+    let constant = presets::constant_table("const", 24_000, 24, 8, 41)
+        .generate()
+        .unwrap()
+        .table;
+    let file = TempTableFile::new("stopping_constant");
+    let disk = DiskTable::materialize(&file.0, &constant).unwrap();
+    let adaptive = run(&disk, SamplerKind::Block(0.1));
+    let (_, fixed_pages) = one_shot(&disk, 0.1);
+    assert!(adaptive.target_met);
+    assert!(
+        adaptive.pages_read < fixed_pages,
+        "adaptive read {} pages, the fixed draw {fixed_pages}",
+        adaptive.pages_read
+    );
+}
