@@ -17,7 +17,7 @@ use samplecf_core::{
     all_estimators, ratio_error, ExactCf, FrequencyHistogram, SampleCf, SummaryStats,
 };
 use samplecf_index::IndexSpec;
-use samplecf_sampling::{RowSampler, UniformWithReplacement};
+use samplecf_sampling::{BatchSchedule, SamplerKind};
 use samplecf_storage::Value;
 
 /// Run the experiment.
@@ -63,9 +63,11 @@ pub fn run(quick: bool) -> Report {
             samplecf_errors.push(ratio_error(est.cf, exact.cf));
 
             // Distinct-value baselines work directly off a row sample.
-            let sampler = UniformWithReplacement::new(f).expect("valid fraction");
             let mut rng = StdRng::seed_from_u64(10_000 + trial as u64);
-            let sample = sampler.sample(table, &mut rng).expect("sampling succeeds");
+            let sample = SamplerKind::UniformWithReplacement(f)
+                .stream(BatchSchedule::one_shot())
+                .and_then(|mut stream| stream.drain(table, &mut rng))
+                .expect("sampling succeeds");
             let values: Vec<Value> = sample.iter().map(|(_, row)| row.value(0).clone()).collect();
             let hist = FrequencyHistogram::from_values(&values);
             for (i, estimator) in all_estimators().iter().enumerate() {

@@ -300,7 +300,7 @@ impl AdvisorConfig {
     /// Check the configuration without drawing anything: the sampler's
     /// parameters (e.g. fraction in (0, 1]) and the saving threshold.
     pub fn validate(&self) -> CoreResult<()> {
-        self.sampler.build()?;
+        self.sampler.validate()?;
         if !(0.0..=1.0).contains(&self.min_saving_fraction) {
             return Err(CoreError::InvalidConfig(format!(
                 "min saving fraction must be in [0, 1], got {}",
@@ -343,7 +343,7 @@ impl CompressionAdvisor {
             let kind = c.sampler.unwrap_or(self.config.sampler);
             // Validate per-candidate overrides the same way `new` validates
             // the default.
-            kind.build()?;
+            kind.validate()?;
             requests.push((
                 Arc::clone(&c.source),
                 kind,
@@ -755,6 +755,7 @@ mod tests {
         let dict = DictionaryCompression::default();
         let config = AdvisorConfig {
             seed: 21,
+            min_saving_fraction: 0.0,
             ..AdvisorConfig::with_fraction(0.05)
         };
         let plan = CompressionAdvisor::new(config)
@@ -765,8 +766,22 @@ mod tests {
             .seed(21)
             .estimate(&t, &spec, &dict)
             .unwrap();
-        assert_eq!(plan.recommendations[0].estimated_cf, direct.cf);
-        assert_eq!(plan.recommendations[0].sample_rows, direct.data.rows);
+        let advised = &plan.recommendations[0];
+        assert_eq!(advised.estimated_cf, direct.cf);
+        assert_eq!(advised.sample_rows, direct.data.rows);
+        // The sizes are a capacity plan's: the analytic leaf bytes, scaled
+        // by the direct estimate's leaf-level CF — and with nothing held
+        // back by a saving threshold, the plan's totals are the footprint.
+        let uncompressed = IndexSizeModel::new()
+            .estimate(t.schema(), &spec, t.num_rows())
+            .unwrap()
+            .leaf_bytes();
+        let compressed = (uncompressed as f64 * direct.cf_with_pointers.min(1.0)).ceil() as usize;
+        assert_eq!(advised.uncompressed_bytes, uncompressed);
+        assert_eq!(advised.estimated_compressed_bytes, compressed);
+        assert!(advised.compress && compressed < uncompressed);
+        assert_eq!(plan.total_uncompressed_bytes(), uncompressed);
+        assert_eq!(plan.total_chosen_bytes(), compressed);
     }
 
     #[test]

@@ -43,8 +43,7 @@ fn source_key(source: &SharedSource) -> usize {
 /// concurrent consumers can keep an immutable snapshot and measure it with
 /// [`measure_sample`](crate::estimator::measure_sample) outside any lock.
 ///
-/// Entries can be created directly — [`draw`](Self::draw) /
-/// [`draw_streaming`](Self::draw_streaming) — and
+/// Entries can be created directly — [`draw`](Self::draw) — and
 /// [`deepen`](Self::deepen)ed in place; [`SampleCache`] builds its keyed,
 /// dense-id bookkeeping on top of these, and the server's concurrent cache
 /// wraps the same type under its own locking and eviction policy.
@@ -58,9 +57,10 @@ pub struct CachedSample {
     sample: Arc<MaterializedSample>,
     pages_read: u64,
     uses: usize,
-    /// Live draw state for streaming entries: keeping the stream and its
-    /// RNG is what allows the entry to be deepened later at only the
-    /// delta's I/O cost.
+    /// Live draw state, held only while the stream can still be extended
+    /// ([`SampleStream::extendable`]): keeping the stream and its RNG is
+    /// what allows the entry to be deepened later at only the delta's I/O
+    /// cost.
     stream: Option<(Box<dyn SampleStream>, StdRng)>,
 }
 
@@ -69,37 +69,12 @@ impl CachedSample {
     ///
     /// The draw goes through a [`CountingSource`], so
     /// [`pages_read`](Self::pages_read) records exactly how many physical
-    /// pages it cost.  No stream state is retained: the entry serves hits
-    /// at this exact configuration but cannot be deepened.
+    /// pages it cost.  The live stream is kept in the entry while it can
+    /// still be extended, so a later request for a *deeper* fraction of the
+    /// same (source, family, seed) can [`deepen`](Self::deepen) the draw
+    /// instead of redrawing; a scan sampler's stream is finished after its
+    /// one scan and is dropped here, with the rows it held.
     pub fn draw(source: &SharedSource, kind: SamplerKind, seed: u64) -> CoreResult<CachedSample> {
-        let counting = CountingSource::new(source.as_ref());
-        let sample = MaterializedSample::draw(&counting, kind, seed)?;
-        let pages_read = counting.pages_read();
-        Ok(CachedSample {
-            source: Arc::clone(source),
-            kind,
-            seed,
-            sample: Arc::new(sample),
-            pages_read,
-            uses: 1,
-            stream: None,
-        })
-    }
-
-    /// Like [`draw`](Self::draw), but through a [`SampleStream`] whose live
-    /// state is kept in the entry, so a later request for a *deeper*
-    /// fraction of the same (source, family, seed) can
-    /// [`deepen`](Self::deepen) the draw instead of redrawing.  Falls back
-    /// to a plain [`draw`](Self::draw) for sampler kinds without a
-    /// streaming implementation.
-    pub fn draw_streaming(
-        source: &SharedSource,
-        kind: SamplerKind,
-        seed: u64,
-    ) -> CoreResult<CachedSample> {
-        if !kind.supports_streaming() {
-            return Self::draw(source, kind, seed);
-        }
         let counting = CountingSource::new(source.as_ref());
         let mut stream = kind.stream(BatchSchedule::one_shot())?;
         let mut rng = StdRng::seed_from_u64(seed);
@@ -112,7 +87,7 @@ impl CachedSample {
             sample: Arc::new(sample),
             pages_read,
             uses: 1,
-            stream: Some((stream, rng)),
+            stream: stream.extendable().then_some((stream, rng)),
         })
     }
 
@@ -122,7 +97,6 @@ impl CachedSample {
     #[must_use]
     pub fn deepenable_to(&self, kind: SamplerKind) -> bool {
         self.stream.is_some()
-            && kind.supports_streaming()
             && self.kind.family() == kind.family()
             && matches!(
                 (self.kind.fraction(), kind.fraction()),
@@ -161,7 +135,7 @@ impl CachedSample {
 
     /// Drop the live stream state, fixing the entry's fraction for good.
     ///
-    /// A streaming entry keeps its stream (and, for uniform draws, the
+    /// An extendable entry keeps its stream (and, for uniform draws, the
     /// stream's page cache — every page the draw touched) so that a later,
     /// deeper request costs only the delta.  When no deeper fraction is
     /// coming, sealing releases that memory; the materialized sample itself
@@ -211,8 +185,8 @@ impl CachedSample {
 
     /// This entry's resident size in bytes — exactly what it retains: the
     /// sample's heap pages, its source-rid vector and stratum tags, and any
-    /// state the live stream holds for deepening (rid frame, cached pages,
-    /// a held reservoir).  This is the unit the server cache's byte budget
+    /// state the live stream holds for deepening (rid frame, cached
+    /// pages).  This is the unit the server cache's byte budget
     /// evicts against; [`seal`](Self::seal)ing releases the stream's share.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
@@ -235,7 +209,7 @@ impl std::fmt::Debug for CachedSample {
             .field("rows", &self.sample.len())
             .field("pages_read", &self.pages_read)
             .field("uses", &self.uses)
-            .field("streaming", &self.stream.is_some())
+            .field("extendable", &self.stream.is_some())
             .finish()
     }
 }
@@ -277,7 +251,7 @@ impl SampleCache {
             return Ok(id);
         }
         let id = self.entries.len();
-        self.entries.push(CachedSample::draw(source, kind, seed)?);
+        self.entries.push(Self::draw_sealed(source, kind, seed)?);
         self.index.insert(key, id);
         Ok(id)
     }
@@ -325,7 +299,7 @@ impl SampleCache {
         let mut drawn = Vec::with_capacity(pending.len());
         for result in parallel_indexed_map(pending.len(), threads, |i| {
             let (source, kind, seed) = &pending_ref[i];
-            CachedSample::draw(source, *kind, *seed).map(|mut e| {
+            Self::draw_sealed(source, *kind, *seed).map(|mut e| {
                 e.uses = 0;
                 e
             })
@@ -348,6 +322,17 @@ impl SampleCache {
             self.entries[id].uses += uses;
         }
         Ok(ids)
+    }
+
+    /// This cache never deepens an entry, so it keeps no stream state.
+    fn draw_sealed(
+        source: &SharedSource,
+        kind: SamplerKind,
+        seed: u64,
+    ) -> CoreResult<CachedSample> {
+        let mut entry = CachedSample::draw(source, kind, seed)?;
+        entry.seal();
+        Ok(entry)
     }
 
     /// The cached entry with the given id.
@@ -539,41 +524,49 @@ mod tests {
         // The server's concurrent cache builds directly on CachedSample;
         // this pins the standalone contract it relies on.
         let t = table("t", 31);
-        let shallow = SamplerKind::UniformWithReplacement(0.02);
-        let deep = SamplerKind::UniformWithReplacement(0.08);
-        let mut entry = CachedSample::draw_streaming(&t, shallow, 9).unwrap();
-        assert!(entry.deepenable_to(deep));
-        assert!(!entry.deepenable_to(shallow), "not strictly deeper");
-        assert!(!entry.deepenable_to(SamplerKind::Block(0.5)), "family");
-        let before = entry.pages_read();
-        let delta = entry.deepen(deep).unwrap().expect("deepenable");
-        assert_eq!(entry.pages_read(), before + delta);
-        assert_eq!(entry.kind(), deep);
-        // Cumulative rows equal a fresh deep draw's rows (as multisets).
-        let fresh = CachedSample::draw(&t, deep, 9).unwrap();
-        let mut a = entry.sample().rows().unwrap();
-        let mut b = fresh.sample().rows().unwrap();
-        a.sort_by_key(|(rid, _)| *rid);
-        b.sort_by_key(|(rid, _)| *rid);
-        assert_eq!(a, b);
-        assert_eq!(entry.pages_read(), fresh.pages_read());
-        // The live stream's retained state is priced into the entry at what
-        // it holds — the rid frame plus one source page per physical read —
-        // and sealing releases exactly that.
-        let bytes_with_stream = entry.approx_bytes();
-        entry.seal();
-        assert_eq!(
-            bytes_with_stream - entry.approx_bytes(),
-            t.num_rows() * std::mem::size_of::<Rid>() + entry.pages_read() as usize * t.page_size()
-        );
-        assert!(!entry.deepenable_to(SamplerKind::UniformWithReplacement(0.2)));
-        assert_eq!(
-            entry
-                .deepen(SamplerKind::UniformWithReplacement(0.2))
-                .unwrap(),
-            None
-        );
-        assert_eq!(entry.sample().len(), fresh.sample().len());
+        // (family, bytes its live stream holds per drawn row: the
+        // without-replacement shuffle's displaced slots)
+        type Family = fn(f64) -> SamplerKind;
+        let families: [(Family, usize); 2] = [
+            (SamplerKind::UniformWithReplacement, 0),
+            (
+                SamplerKind::UniformWithoutReplacement,
+                2 * std::mem::size_of::<usize>(),
+            ),
+        ];
+        for (family, shuffle_bytes_per_row) in families {
+            let (shallow, deep) = (family(0.02), family(0.08));
+            let mut entry = CachedSample::draw(&t, shallow, 9).unwrap();
+            assert!(entry.deepenable_to(deep));
+            assert!(!entry.deepenable_to(shallow), "not strictly deeper");
+            assert!(!entry.deepenable_to(SamplerKind::Block(0.5)), "family");
+            let before = entry.pages_read();
+            let delta = entry.deepen(deep).unwrap().expect("deepenable");
+            assert_eq!(entry.pages_read(), before + delta);
+            assert_eq!(entry.kind(), deep);
+            // Cumulative rows equal a fresh deep draw's rows (as multisets).
+            let fresh = CachedSample::draw(&t, deep, 9).unwrap();
+            let mut a = entry.sample().rows().unwrap();
+            let mut b = fresh.sample().rows().unwrap();
+            a.sort_by_key(|(rid, _)| *rid);
+            b.sort_by_key(|(rid, _)| *rid);
+            assert_eq!(a, b, "{deep:?}");
+            assert_eq!(entry.pages_read(), fresh.pages_read());
+            // The live stream's retained state is priced into the entry at
+            // what it holds — the rid frame plus one source page per physical
+            // read — and sealing releases exactly that.
+            let bytes_with_stream = entry.approx_bytes();
+            entry.seal();
+            assert_eq!(
+                bytes_with_stream - entry.approx_bytes(),
+                t.num_rows() * std::mem::size_of::<Rid>()
+                    + entry.pages_read() as usize * t.page_size()
+                    + entry.sample().len() * shuffle_bytes_per_row
+            );
+            assert!(!entry.deepenable_to(family(0.2)));
+            assert_eq!(entry.deepen(family(0.2)).unwrap(), None);
+            assert_eq!(entry.sample().len(), fresh.sample().len());
+        }
     }
 
     #[test]
@@ -581,16 +574,27 @@ mod tests {
         // No per-row decoded term: a sealed, unstratified entry retains its
         // heap pages and one source rid per row, nothing else.
         let t = table("t", 37);
-        let mut entry = CachedSample::draw_streaming(&t, SamplerKind::Block(0.2), 5).unwrap();
-        entry.seal();
-        let sample = entry.sample();
-        assert_eq!(
-            entry.approx_bytes(),
+        let pages_and_rids = |entry: &CachedSample| {
+            let sample = entry.sample();
             sample.table().num_pages() * sample.table().page_size()
                 + sample.len() * std::mem::size_of::<Rid>()
-        );
-        // A non-streaming draw never held stream state to begin with.
-        let plain = CachedSample::draw(&t, SamplerKind::Block(0.2), 5).unwrap();
-        assert_eq!(plain.approx_bytes(), entry.approx_bytes());
+        };
+        let mut entry = CachedSample::draw(&t, SamplerKind::Block(0.2), 5).unwrap();
+        assert!(entry.approx_bytes() > pages_and_rids(&entry), "live stream");
+        entry.seal();
+        assert_eq!(entry.approx_bytes(), pages_and_rids(&entry));
+        // A scan sampler's stream is finished by its one scan: the entry
+        // never keeps it — nor the decoded rows it held — and can never be
+        // picked to deepen.
+        for (kind, deeper) in [
+            (SamplerKind::Reservoir(100), SamplerKind::Reservoir(400)),
+            (SamplerKind::Bernoulli(0.05), SamplerKind::Bernoulli(0.1)),
+            (SamplerKind::Systematic(0.05), SamplerKind::Systematic(0.1)),
+        ] {
+            let mut drawn = CachedSample::draw(&t, kind, 5).unwrap();
+            assert_eq!(drawn.approx_bytes(), pages_and_rids(&drawn), "{kind:?}");
+            assert!(!drawn.deepenable_to(deeper), "{kind:?}");
+            assert_eq!(drawn.deepen(deeper).unwrap(), None);
+        }
     }
 }

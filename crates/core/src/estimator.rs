@@ -15,12 +15,10 @@
 use crate::algebra::weighted_combine;
 use crate::error::{CoreError, CoreResult};
 use crate::metrics::ratio_error;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use samplecf_compression::CompressionScheme;
 use samplecf_index::{measure_index, CompressedIndexReport, IndexBuilder, IndexSpec};
 use samplecf_parallel::parallel_indexed_map;
-use samplecf_sampling::{MaterializedSample, RowSampler, SamplerKind};
+use samplecf_sampling::{MaterializedSample, SamplerKind};
 use samplecf_storage::{Schema, TableSource, Value};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -149,8 +147,7 @@ impl CfMeasurement {
 
 /// Build and compress an index over an explicit decoded row set and report
 /// its CF: the entry for callers that hold owned rows — [`ExactCf`] (a full
-/// scan), the [`RowSampler`] trial path ([`SampleCf::estimate_with`]) and
-/// the differential oracle.  A held sample is measured by
+/// scan) and the differential oracle.  A held sample is measured by
 /// [`measure_sample`] instead.  For rows drawn with a given
 /// `(sampler, seed)`, the measurement is byte-identical to
 /// [`SampleCf::estimate`] with that configuration (the rows *are* the
@@ -454,54 +451,24 @@ impl SampleCf {
     /// [`DiskTable`](samplecf_storage::DiskTable) with a block sampler, only
     /// the sampled pages are physically read.
     ///
-    /// For sampler kinds with a streaming implementation (uniform-wr, block,
-    /// reservoir) this is a thin wrapper over
+    /// Every sampler kind is a stream, so this is
     /// [`ProgressiveCf`](crate::progressive::ProgressiveCf) with a single
     /// checkpoint at the configured fraction — same rows, same CF, same
     /// [`DataStats`], same pages read as the progressive path stopped at
-    /// that fraction (the parity the proptests pin).  Kinds without a
-    /// stream keep the direct draw-then-measure path.
+    /// that fraction (the parity the proptests pin).  The trial runner, the
+    /// advisor and the daemon all come through here or measure a held sample
+    /// that is bit-identical to it.
     pub fn estimate(
         &self,
         source: &dyn TableSource,
         spec: &IndexSpec,
         scheme: &dyn CompressionScheme,
     ) -> CoreResult<CfMeasurement> {
-        if self.sampler.supports_streaming() {
-            let report = crate::progressive::ProgressiveCf::one_checkpoint(self.sampler)
-                .seed(self.seed)
-                .builder(self.builder)
-                .run(source, spec, scheme)?;
-            return Ok(report.measurement);
-        }
-        let sampler = self.sampler.build()?;
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        self.estimate_with(source, spec, scheme, sampler.as_ref(), &mut rng)
-    }
-
-    /// Run the estimator with an explicit sampler instance and RNG (used by
-    /// the trial runner to control seeds per trial).
-    pub fn estimate_with(
-        &self,
-        source: &dyn TableSource,
-        spec: &IndexSpec,
-        scheme: &dyn CompressionScheme,
-        sampler: &dyn RowSampler,
-        rng: &mut dyn rand::RngCore,
-    ) -> CoreResult<CfMeasurement> {
-        let sample_start = Instant::now();
-        let sample = sampler.sample(source, rng)?;
-        let sampling_time = sample_start.elapsed();
-        let mut m = measure_rows(
-            source.schema(),
-            &sample,
-            spec,
-            scheme,
-            &self.builder,
-            self.sampler.label(),
-        )?;
-        m.elapsed += sampling_time;
-        Ok(m)
+        let report = crate::progressive::ProgressiveCf::one_checkpoint(self.sampler)
+            .seed(self.seed)
+            .builder(self.builder)
+            .run(source, spec, scheme)?;
+        Ok(report.measurement)
     }
 }
 
@@ -662,8 +629,11 @@ mod tests {
         let t = table(8_000, 400, 12);
         for kind in [
             SamplerKind::UniformWithReplacement(0.05),
-            SamplerKind::Block(0.05),
+            SamplerKind::UniformWithoutReplacement(0.05),
+            SamplerKind::Bernoulli(0.05),
             SamplerKind::Systematic(0.05),
+            SamplerKind::Reservoir(400),
+            SamplerKind::Block(0.05),
             SamplerKind::Stratified {
                 fraction: 0.05,
                 strata: 4,

@@ -23,12 +23,13 @@
 //! * [`distinct`] — classical distinct-value estimators (GEE, Chao84,
 //!   Shlosser, naive scale-up) used as baselines against SampleCF for
 //!   dictionary compression,
-//! * [`advisor`] / [`capacity`] — the two applications the paper motivates:
-//!   compression-aware physical design and capacity planning.  The advisor
-//!   is a batch planner built on [`cache::SampleCache`]: candidates grouped
-//!   by (table, sampler, seed) share one materialized sample, so a
-//!   disk-resident table pays its sampling I/O once per group however many
-//!   candidates are evaluated.
+//! * [`advisor`] — the two applications the paper motivates,
+//!   compression-aware physical design and capacity planning, in one batch
+//!   planner built on [`cache::SampleCache`]: candidates grouped by (table,
+//!   sampler, seed) share one materialized sample, so a disk-resident table
+//!   pays its sampling I/O once per group however many candidates are
+//!   evaluated, and the plan's totals are the compressed footprint a
+//!   capacity plan asks for.
 //!
 //! ## Quickstart
 //!
@@ -57,7 +58,6 @@
 pub mod advisor;
 pub mod algebra;
 pub mod cache;
-pub mod capacity;
 pub mod distinct;
 pub mod error;
 pub mod estimator;
@@ -71,7 +71,6 @@ pub use advisor::{
 };
 pub use algebra::{ns_row_statistic, weighted_combine, MomentSketch, VarianceNode};
 pub use cache::{CachedSample, SampleCache};
-pub use capacity::{CapacityPlan, CapacityPlanner, ObjectEstimate, PlannedObject};
 pub use distinct::{
     all_estimators, Chao84, DistinctEstimator, FrequencyHistogram, GuaranteedErrorEstimator,
     NaiveScaleUp, SampleDistinct, Shlosser,

@@ -289,8 +289,8 @@ impl ProgressiveCf {
 
     /// The degenerate single-checkpoint configuration: one batch at the
     /// sampler's full fraction, no early stopping.  This is what
-    /// [`SampleCf::estimate`](crate::estimator::SampleCf::estimate)
-    /// delegates to for streaming sampler kinds.
+    /// [`SampleCf::estimate`](crate::estimator::SampleCf::estimate) is, for
+    /// every sampler kind.
     #[must_use]
     pub fn one_checkpoint(sampler: SamplerKind) -> Self {
         ProgressiveCf::new(
@@ -359,11 +359,37 @@ impl ProgressiveCf {
         self.config
     }
 
+    /// Whether checkpoints short of the cap are supported for `sampler` —
+    /// the one place that tells sampler kinds apart.  Every kind streams,
+    /// but the interval and stopping rule of a checkpoint have been
+    /// validated only for the four kinds progressive estimation has always
+    /// run.  A Bernoulli or systematic prefix is the head of a storage-order
+    /// scan, not a sample, and no interval has been validated for
+    /// uniform-wor (the coverage matrix of ROADMAP item 2 decides that);
+    /// those run to their cap in one checkpoint
+    /// ([`one_checkpoint`](Self::one_checkpoint)) or not at all.
+    pub fn supports_checkpoints(sampler: SamplerKind) -> CoreResult<()> {
+        match sampler {
+            SamplerKind::UniformWithReplacement(_)
+            | SamplerKind::Block(_)
+            | SamplerKind::Reservoir(_)
+            | SamplerKind::Stratified { .. } => Ok(()),
+            SamplerKind::UniformWithoutReplacement(_)
+            | SamplerKind::Bernoulli(_)
+            | SamplerKind::Systematic(_) => Err(CoreError::InvalidConfig(format!(
+                "no confidence interval has been validated for sampler {} \
+                 (progressive estimation supports uniform-wr, block, reservoir \
+                 and stratified)",
+                sampler.label()
+            ))),
+        }
+    }
+
     /// Run the progressive estimation loop over `source`.
     ///
-    /// Requires a streaming sampler kind (uniform-with-replacement, block,
-    /// reservoir or stratified); other kinds return an error, since they
-    /// have no prefix-stable incremental draw.
+    /// A schedule of more than one batch requires a sampler kind that
+    /// [`supports_checkpoints`](Self::supports_checkpoints); under
+    /// [`BatchSchedule::one_shot`] every kind runs.
     ///
     /// For a stratified sampler the checkpoint machinery changes in three
     /// ways: the CF estimate is the weighted per-stratum combination
@@ -380,6 +406,9 @@ impl ProgressiveCf {
         scheme: &dyn CompressionScheme,
     ) -> CoreResult<ProgressiveReport> {
         self.config.validate()?;
+        if self.config.schedule != BatchSchedule::one_shot() {
+            Self::supports_checkpoints(self.sampler)?;
+        }
         let schema = source.schema().clone();
         let first_key = spec
             .key_indexes(&schema)?
@@ -1061,10 +1090,30 @@ mod tests {
     #[test]
     fn non_streaming_kinds_and_bad_configs_are_rejected() {
         let t = spread_table(1_000);
-        let err = ProgressiveCf::new(SamplerKind::Bernoulli(0.1), ProgressiveConfig::default())
-            .run(&t, &spec(), &NullSuppression)
-            .unwrap_err();
-        assert!(err.to_string().contains("streaming"), "{err}");
+        for kind in [
+            SamplerKind::UniformWithoutReplacement(0.1),
+            SamplerKind::Bernoulli(0.1),
+            SamplerKind::Systematic(0.1),
+        ] {
+            // Checkpoints short of the cap are refused...
+            let err = ProgressiveCf::new(kind, ProgressiveConfig::default())
+                .run(&t, &spec(), &NullSuppression)
+                .unwrap_err();
+            assert!(err.to_string().contains("no confidence interval"), "{err}");
+            assert_eq!(ProgressiveCf::supports_checkpoints(kind), Err(err));
+            // ...the one checkpoint at the cap is `SampleCf::estimate`.
+            let report = ProgressiveCf::one_checkpoint(kind)
+                .run(&t, &spec(), &NullSuppression)
+                .unwrap();
+            assert_eq!(report.checkpoints.len(), 1);
+        }
+        for kind in [
+            SamplerKind::UniformWithReplacement(0.1),
+            SamplerKind::Block(0.1),
+            SamplerKind::Reservoir(50),
+        ] {
+            assert_eq!(ProgressiveCf::supports_checkpoints(kind), Ok(()));
+        }
         for bad in [
             ProgressiveConfig {
                 confidence: 0.0,

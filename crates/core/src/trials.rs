@@ -10,8 +10,6 @@
 use crate::error::{CoreError, CoreResult};
 use crate::estimator::{CfMeasurement, ExactCf, SampleCf};
 use crate::metrics::{ratio_error, SummaryStats};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use samplecf_compression::CompressionScheme;
 use samplecf_index::IndexSpec;
 use samplecf_parallel::parallel_indexed_map;
@@ -173,7 +171,9 @@ impl TrialRunner {
     }
 
     /// Run only the estimator trials (no exact baseline), returning the raw
-    /// estimates in trial order.
+    /// estimates in trial order: trial `i` is
+    /// `SampleCf::new(sampler).seed(base_seed + i).estimate(..)`, nothing
+    /// else.
     ///
     /// Trials fan out across `std::thread::scope` workers; each trial derives
     /// its own RNG seed from the base seed, so the estimates are identical
@@ -186,15 +186,11 @@ impl TrialRunner {
         scheme: &dyn CompressionScheme,
         sampler: SamplerKind,
     ) -> CoreResult<Vec<f64>> {
-        let estimator = SampleCf::new(sampler);
         let base_seed = self.config.base_seed;
         parallel_indexed_map(self.config.trials, self.config.threads, |trial| {
-            let seed = base_seed.wrapping_add(trial as u64);
-            let mut rng = StdRng::seed_from_u64(seed);
-            sampler
-                .build()
-                .map_err(CoreError::from)
-                .and_then(|s| estimator.estimate_with(source, spec, scheme, s.as_ref(), &mut rng))
+            SampleCf::new(sampler)
+                .seed(base_seed.wrapping_add(trial as u64))
+                .estimate(source, spec, scheme)
                 .map(|m| m.cf)
         })
         .into_iter()
@@ -295,6 +291,42 @@ mod tests {
             )
             .unwrap();
         assert_eq!(single, multi);
+    }
+
+    #[test]
+    fn trials_run_the_estimator() {
+        // Trial `i` is `SampleCf::estimate` at seed `base_seed + i`, bit for
+        // bit, for every sampler kind and thread count: the test that fails
+        // if the trial runner grows a draw or measure route of its own.
+        let t = table(3_000, 300, 9);
+        let scheme = GlobalDictionaryCompression::default();
+        for kind in [
+            SamplerKind::UniformWithReplacement(0.05),
+            SamplerKind::UniformWithoutReplacement(0.05),
+            SamplerKind::Bernoulli(0.05),
+            SamplerKind::Systematic(0.05),
+            SamplerKind::Reservoir(150),
+            SamplerKind::Block(0.05),
+            SamplerKind::Stratified {
+                fraction: 0.05,
+                strata: 4,
+                alloc: samplecf_sampling::Allocation::Neyman,
+                mode: samplecf_sampling::StrataMode::EquiWidth,
+            },
+        ] {
+            let estimates: Vec<f64> = (0..5)
+                .map(|i| {
+                    let estimator = SampleCf::new(kind).seed(40 + i);
+                    estimator.estimate(&t, &spec(), &scheme).unwrap().cf
+                })
+                .collect();
+            for threads in [1, 4] {
+                let trials = TrialRunner::new(TrialConfig::new(5).base_seed(40).threads(threads))
+                    .run_estimates(&t, &spec(), &scheme, kind)
+                    .unwrap();
+                assert_eq!(trials, estimates, "{kind:?} at {threads} threads");
+            }
+        }
     }
 
     #[test]

@@ -6,94 +6,113 @@
 //! terms but correlates the sampled rows with their physical placement, which
 //! the paper flags as future work for the accuracy analysis.
 //!
-//! Because the sampler draws through [`TableSource`], the I/O claim is
-//! literal for disk-backed tables: `sample` issues exactly one
-//! [`read_page`](TableSource::read_page) per selected page and touches
-//! nothing else in the file.  `tests/end_to_end.rs` asserts the page count
-//! on a disk table and the `samplecf estimate --sampler block` CLI path
-//! reports it.
+//! Because the stream draws through [`TableSource`], the I/O claim is
+//! literal for disk-backed tables: a draw issues exactly one
+//! [`read_page_ref`](TableSource::read_page_ref) per selected page and
+//! touches nothing else in the file.  `tests/end_to_end.rs` asserts the page
+//! count on a disk table and the `samplecf estimate --sampler block` CLI
+//! path reports it.
 
 use crate::error::SamplingResult;
-use crate::sampler::{target_page_count, target_size, validate_fraction, RowSampler, SampledRow};
-use rand::seq::index;
+use crate::kind::SamplerKind;
+use crate::sampler::{target_page_count, validate_fraction, SampledRow};
+use crate::stream::{BatchPlan, BatchSchedule, IncrementalFisherYates, SampleStream};
 use rand::RngCore;
 use samplecf_storage::{PageId, TableSource};
 
-/// Page-level sampler: selects `max(1, round(fraction · num_pages))` pages
-/// without replacement and returns every row stored on them.
-#[derive(Debug, Clone, Copy)]
-pub struct BlockSampler {
+/// The block (page) sampler: selects `max(1, round(fraction · num_pages))`
+/// pages without replacement and yields every row stored on them.  Pages
+/// come out of an [`IncrementalFisherYates`] permutation, so the page set
+/// after `k` draws equals a one-shot selection of `k` pages with the same
+/// seed.  Each batch reads its new pages in ascending page order.
+pub struct BlockStream {
     fraction: f64,
+    schedule: BatchSchedule,
+    /// Bound on first use: the shuffle over pages and the page targets.
+    state: Option<(IncrementalFisherYates, BatchPlan)>,
+    rows_drawn: usize,
 }
 
-impl BlockSampler {
-    /// Create a block sampler with the given page fraction.
-    pub fn new(fraction: f64) -> SamplingResult<Self> {
-        Ok(BlockSampler {
-            fraction: validate_fraction(fraction)?,
-        })
-    }
-
-    /// The page sampling fraction.
-    #[must_use]
-    pub fn fraction(&self) -> f64 {
-        self.fraction
-    }
-
-    /// Select which pages to read (exposed for tests and diagnostics).
-    ///
-    /// Uses only [`TableSource::num_pages`] — no page is touched until the
-    /// sample is actually drawn.
-    pub fn sample_page_ids(&self, source: &dyn TableSource, rng: &mut dyn RngCore) -> Vec<PageId> {
-        let num_pages = source.num_pages();
-        let count = target_page_count(num_pages, self.fraction);
-        if count == 0 {
-            return Vec::new();
+impl BlockStream {
+    pub(crate) fn new(fraction: f64, schedule: BatchSchedule) -> Self {
+        BlockStream {
+            fraction,
+            schedule,
+            state: None,
+            rows_drawn: 0,
         }
-        let mut ids: Vec<PageId> = index::sample(rng, num_pages, count)
-            .into_iter()
-            .map(|i| i as PageId)
-            .collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Number of pages a sample from a source with `num_pages` pages reads.
-    #[must_use]
-    pub fn expected_pages_read(&self, num_pages: usize) -> usize {
-        target_page_count(num_pages, self.fraction)
     }
 }
 
-impl RowSampler for BlockSampler {
-    fn name(&self) -> &'static str {
-        "block"
+impl SampleStream for BlockStream {
+    fn kind(&self) -> SamplerKind {
+        SamplerKind::Block(self.fraction)
     }
 
-    fn sample(
-        &self,
+    fn next_batch(
+        &mut self,
         source: &dyn TableSource,
         rng: &mut dyn RngCore,
     ) -> SamplingResult<Vec<SampledRow>> {
-        let pages = self.sample_page_ids(source, rng);
-        let mut out = Vec::new();
-        for pid in pages {
-            out.extend(source.page_rows(pid)?);
+        let (fy, plan) = self.state.get_or_insert_with(|| {
+            let num_pages = source.num_pages();
+            let max_pages = target_page_count(num_pages, self.fraction);
+            (
+                IncrementalFisherYates::new(num_pages),
+                BatchPlan::new(self.schedule, num_pages, max_pages),
+            )
+        });
+        let Some(target) = plan.next_target() else {
+            return Ok(Vec::new());
+        };
+        let mut page_ids: Vec<PageId> = Vec::with_capacity(target - fy.drawn());
+        while fy.drawn() < target {
+            let p = fy.next(rng).expect("targets never exceed the page count");
+            page_ids.push(p as PageId);
         }
-        Ok(out)
+        page_ids.sort_unstable();
+        let mut batch = Vec::new();
+        for pid in page_ids {
+            batch.extend(source.page_rows(pid)?);
+        }
+        self.rows_drawn += batch.len();
+        plan.advance();
+        Ok(batch)
     }
 
-    fn expected_sample_size(&self, n: usize) -> usize {
-        target_size(n, self.fraction)
+    fn rows_drawn(&self) -> usize {
+        self.rows_drawn
+    }
+
+    fn exhausted(&self) -> bool {
+        (self.state.as_ref()).is_some_and(|(_, plan)| plan.exhausted())
+    }
+
+    fn extend_cap(&mut self, kind: SamplerKind) -> bool {
+        let SamplerKind::Block(f) = kind else {
+            return false;
+        };
+        if f < self.fraction || validate_fraction(f).is_err() {
+            return false;
+        }
+        self.fraction = f;
+        if let Some((fy, plan)) = self.state.as_mut() {
+            plan.raise_cap(target_page_count(fy.length(), f), fy.drawn());
+        }
+        true
+    }
+
+    fn approx_retained_bytes(&self, _row_bytes: usize) -> usize {
+        // Only the displaced-slot map of the partial shuffle.
+        (self.state.as_ref()).map_or(0, |(fy, _)| fy.retained_bytes())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use samplecf_storage::{Row, Schema, Table, TableBuilder, Value};
+    use crate::stream::tests::draw;
+    use samplecf_storage::{CountingSource, Row, Schema, Table, TableBuilder, Value};
     use std::collections::HashSet;
 
     fn table(n: usize) -> Table {
@@ -103,16 +122,17 @@ mod tests {
             .unwrap()
     }
 
+    fn pages_of(sample: &[SampledRow]) -> HashSet<PageId> {
+        sample.iter().map(|(rid, _)| rid.page).collect()
+    }
+
     #[test]
     fn sample_contains_whole_pages() {
         let t = table(2000);
-        let s = BlockSampler::new(0.1).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        let sample = s.sample(&t, &mut rng).unwrap();
+        let sample = draw(SamplerKind::Block(0.1), &t, 1);
         assert!(!sample.is_empty());
         // Every sampled page contributes all of its rows.
-        let pages: HashSet<_> = sample.iter().map(|(rid, _)| rid.page).collect();
-        let rows_on_pages: usize = pages
+        let rows_on_pages: usize = pages_of(&sample)
             .iter()
             .map(|&p| usize::from(t.heap().page(p).unwrap().slot_count()))
             .sum();
@@ -122,25 +142,15 @@ mod tests {
     #[test]
     fn page_count_tracks_fraction() {
         let t = table(5000);
-        let s = BlockSampler::new(0.2).unwrap();
-        let ids = s.sample_page_ids(&t, &mut StdRng::seed_from_u64(2));
+        let counting = CountingSource::new(&t);
+        let sample = draw(SamplerKind::Block(0.2), &counting, 2);
         let expected = (t.num_pages() as f64 * 0.2).round() as usize;
-        assert_eq!(ids.len(), expected);
-        assert_eq!(s.expected_pages_read(t.num_pages()), expected);
-        // Distinct and within range.
-        let distinct: HashSet<_> = ids.iter().collect();
-        assert_eq!(distinct.len(), ids.len());
-        assert!(ids.iter().all(|&p| (p as usize) < t.num_pages()));
-    }
-
-    #[test]
-    fn expected_sample_size_matches_the_shared_target() {
-        let s = BlockSampler::new(0.01).unwrap();
-        assert_eq!(s.expected_sample_size(100_000), 1000);
-        // Unified edge behaviour with the row samplers: empty → 0, tiny
-        // fraction on a non-empty table → at least 1.
-        assert_eq!(s.expected_sample_size(0), 0);
-        assert_eq!(s.expected_sample_size(10), 1);
+        // Distinct (one read each) and within range.
+        assert_eq!(pages_of(&sample).len(), expected);
+        assert_eq!(counting.pages_read() as usize, expected);
+        assert!(sample
+            .iter()
+            .all(|(rid, _)| (rid.page as usize) < t.num_pages()));
     }
 
     #[test]
@@ -148,35 +158,26 @@ mod tests {
         let t = TableBuilder::new("t", Schema::single_char("a", 8))
             .build()
             .unwrap();
-        let s = BlockSampler::new(0.5).unwrap();
         // Regression: with zero pages the old `max(1, …)` sizing would have
         // requested one page from an empty frame.
-        assert!(s
-            .sample_page_ids(&t, &mut StdRng::seed_from_u64(3))
-            .is_empty());
-        assert_eq!(s.expected_pages_read(0), 0);
-        assert!(s
-            .sample(&t, &mut StdRng::seed_from_u64(3))
-            .unwrap()
-            .is_empty());
+        let counting = CountingSource::new(&t);
+        assert!(draw(SamplerKind::Block(0.5), &counting, 3).is_empty());
+        assert_eq!(counting.pages_read(), 0);
     }
 
     #[test]
     fn full_fraction_selects_every_page() {
         let t = table(900);
-        let s = BlockSampler::new(1.0).unwrap();
-        let ids = s.sample_page_ids(&t, &mut StdRng::seed_from_u64(9));
-        assert_eq!(ids.len(), t.num_pages());
-        let sample = s.sample(&t, &mut StdRng::seed_from_u64(9)).unwrap();
+        let sample = draw(SamplerKind::Block(1.0), &t, 9);
+        assert_eq!(pages_of(&sample).len(), t.num_pages());
         assert_eq!(sample.len(), t.num_rows());
     }
 
     #[test]
     fn tiny_fraction_still_reads_one_page() {
         let t = table(500);
-        let s = BlockSampler::new(0.0001).unwrap();
-        let ids = s.sample_page_ids(&t, &mut StdRng::seed_from_u64(4));
-        assert_eq!(ids.len(), 1);
+        let sample = draw(SamplerKind::Block(0.0001), &t, 4);
+        assert_eq!(pages_of(&sample).len(), 1);
     }
 
     #[test]
@@ -190,25 +191,20 @@ mod tests {
             .page_size(512)
             .build_with_rows(rows)
             .unwrap();
-        let block = BlockSampler::new(0.05).unwrap();
-        let block_sample = block.sample(&t, &mut StdRng::seed_from_u64(5)).unwrap();
-        let block_distinct: HashSet<_> = block_sample
-            .iter()
-            .map(|(_, r)| r.value(0).clone())
-            .collect();
-
-        let row = crate::uniform::UniformWithoutReplacement::new(
-            block_sample.len() as f64 / t.num_rows() as f64,
-        )
-        .unwrap();
-        let row_sample = row.sample(&t, &mut StdRng::seed_from_u64(5)).unwrap();
-        let row_distinct: HashSet<_> = row_sample.iter().map(|(_, r)| r.value(0).clone()).collect();
-
+        let distinct = |sample: &[SampledRow]| {
+            (sample.iter())
+                .map(|(_, r)| r.value(0).clone())
+                .collect::<HashSet<_>>()
+                .len()
+        };
+        let block_sample = draw(SamplerKind::Block(0.05), &t, 5);
+        let row_fraction = block_sample.len() as f64 / t.num_rows() as f64;
+        let row_sample = draw(SamplerKind::UniformWithoutReplacement(row_fraction), &t, 5);
         assert!(
-            block_distinct.len() * 2 < row_distinct.len(),
+            distinct(&block_sample) * 2 < distinct(&row_sample),
             "block sample saw {} groups, row sample saw {}",
-            block_distinct.len(),
-            row_distinct.len()
+            distinct(&block_sample),
+            distinct(&row_sample)
         );
     }
 }

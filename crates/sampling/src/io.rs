@@ -6,19 +6,17 @@
 //! reads without a dependency on this crate.  It is re-exported here because
 //! the sampling crate is where the counter earns its keep: the tests below
 //! pin down the I/O cost of each sampling procedure (block sampling reads
-//! exactly the selected pages; row sampling pays one page read per drawn
-//! row), which is the paper's Section II-C argument made measurable.
+//! exactly the selected pages; row sampling pays one page read per distinct
+//! page its rows land on), which is the paper's Section II-C argument made
+//! measurable.
 
 pub use samplecf_storage::CountingSource;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::BlockSampler;
-    use crate::sampler::RowSampler;
-    use crate::uniform::UniformWithReplacement;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::stream::tests::draw;
+    use crate::SamplerKind;
     use samplecf_storage::{Row, Schema, Table, TableBuilder, TableSource, Value};
     use std::collections::HashSet;
 
@@ -33,20 +31,21 @@ mod tests {
     fn block_sampling_reads_exactly_the_selected_pages() {
         let t = table(3000);
         let counting = CountingSource::new(&t);
-        let s = BlockSampler::new(0.1).unwrap();
-        let ids = s.sample_page_ids(&counting, &mut StdRng::seed_from_u64(1));
-        assert_eq!(counting.pages_read(), 0, "selection itself reads nothing");
-        let sample = s.sample(&counting, &mut StdRng::seed_from_u64(1)).unwrap();
+        let sample = draw(SamplerKind::Block(0.1), &counting, 1);
         assert!(!sample.is_empty());
-        assert_eq!(counting.pages_read(), ids.len() as u64);
+        let selected: HashSet<_> = sample.iter().map(|(rid, _)| rid.page).collect();
+        assert_eq!(
+            selected.len(),
+            (t.num_pages() as f64 * 0.1).round() as usize
+        );
+        assert_eq!(counting.pages_read(), selected.len() as u64);
     }
 
     #[test]
     fn uniform_sampling_pays_one_page_per_distinct_page_touched() {
         let t = table(3000);
         let counting = CountingSource::new(&t);
-        let s = UniformWithReplacement::new(0.05).unwrap();
-        let sample = s.sample(&counting, &mut StdRng::seed_from_u64(2)).unwrap();
+        let sample = draw(SamplerKind::UniformWithReplacement(0.05), &counting, 2);
         // Fetches are page-coalesced: one physical read per *distinct* page
         // the drawn rids land on, not one per drawn row.  Duplicate draws
         // and same-page neighbours share a read.
@@ -69,8 +68,7 @@ mod tests {
         // touches every page, and each page is read exactly once.
         let t = table(800);
         let counting = CountingSource::new(&t);
-        let s = UniformWithReplacement::new(1.0).unwrap();
-        let sample = s.sample(&counting, &mut StdRng::seed_from_u64(4)).unwrap();
+        let sample = draw(SamplerKind::UniformWithReplacement(1.0), &counting, 4);
         assert_eq!(sample.len(), 800);
         assert!(counting.pages_read() <= t.num_pages() as u64);
     }

@@ -1,13 +1,7 @@
 //! Configuration-friendly sampler selection.
 
-use crate::block::BlockSampler;
-use crate::error::SamplingResult;
-use crate::reservoir::ReservoirSampler;
-use crate::sampler::RowSampler;
-use crate::stratified::StratifiedSampler;
-use crate::uniform::{
-    BernoulliSampler, SystematicSampler, UniformWithReplacement, UniformWithoutReplacement,
-};
+use crate::error::{SamplingError, SamplingResult};
+use crate::sampler::validate_fraction;
 
 /// How a stratified sampler splits its row budget across strata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,24 +109,53 @@ pub enum SamplerKind {
 }
 
 impl SamplerKind {
-    /// Instantiate the sampler this kind describes.
-    pub fn build(&self) -> SamplingResult<Box<dyn RowSampler>> {
-        Ok(match *self {
-            SamplerKind::UniformWithReplacement(f) => Box::new(UniformWithReplacement::new(f)?),
-            SamplerKind::UniformWithoutReplacement(f) => {
-                Box::new(UniformWithoutReplacement::new(f)?)
-            }
-            SamplerKind::Bernoulli(f) => Box::new(BernoulliSampler::new(f)?),
-            SamplerKind::Systematic(f) => Box::new(SystematicSampler::new(f)?),
-            SamplerKind::Reservoir(size) => Box::new(ReservoirSampler::new(size)?),
-            SamplerKind::Block(f) => Box::new(BlockSampler::new(f)?),
-            SamplerKind::Stratified {
-                fraction,
-                strata,
-                alloc,
-                mode,
-            } => Box::new(StratifiedSampler::new(fraction, strata, alloc, mode)?),
-        })
+    /// Check the parameters without drawing anything: a fraction in
+    /// (0, 1], a reservoir of at least one row, at least one stratum.  The
+    /// one range check every layer that accepts a sampler from outside (the
+    /// wire protocol, the advisor, the caches) runs before it touches a
+    /// table; [`stream`](Self::stream) runs it too.
+    pub fn validate(&self) -> SamplingResult<()> {
+        if let Some(fraction) = self.fraction() {
+            validate_fraction(fraction)?;
+        }
+        match *self {
+            SamplerKind::Reservoir(0) => Err(SamplingError::InvalidSize(
+                "reservoir size must be at least 1".to_string(),
+            )),
+            SamplerKind::Stratified { strata: 0, .. } => Err(SamplingError::InvalidSize(
+                "stratum count must be at least 1".to_string(),
+            )),
+            _ => Ok(()),
+        }
+    }
+
+    /// The sampler family name, without parameters — the part of the
+    /// identity that survives deepening.
+    #[must_use]
+    pub fn family(&self) -> &'static str {
+        match self {
+            SamplerKind::UniformWithReplacement(_) => "uniform-wr",
+            SamplerKind::UniformWithoutReplacement(_) => "uniform-wor",
+            SamplerKind::Bernoulli(_) => "bernoulli",
+            SamplerKind::Systematic(_) => "systematic",
+            SamplerKind::Reservoir(_) => "reservoir",
+            SamplerKind::Block(_) => "block",
+            SamplerKind::Stratified { .. } => "stratified",
+        }
+    }
+
+    /// The sampling fraction, for fraction-parameterised kinds.
+    #[must_use]
+    pub fn fraction(&self) -> Option<f64> {
+        match *self {
+            SamplerKind::UniformWithReplacement(f)
+            | SamplerKind::UniformWithoutReplacement(f)
+            | SamplerKind::Bernoulli(f)
+            | SamplerKind::Systematic(f)
+            | SamplerKind::Block(f)
+            | SamplerKind::Stratified { fraction: f, .. } => Some(f),
+            SamplerKind::Reservoir(_) => None,
+        }
     }
 
     /// A short label for reports.
@@ -175,15 +198,11 @@ mod tests {
 
     #[test]
     fn every_kind_builds_its_sampler() {
+        // A kind's sampler is its stream, and the stream says which kind
+        // it draws for.
         let cases = [
-            (
-                SamplerKind::UniformWithReplacement(0.1),
-                "uniform-with-replacement",
-            ),
-            (
-                SamplerKind::UniformWithoutReplacement(0.1),
-                "uniform-without-replacement",
-            ),
+            (SamplerKind::UniformWithReplacement(0.1), "uniform-wr"),
+            (SamplerKind::UniformWithoutReplacement(0.1), "uniform-wor"),
             (SamplerKind::Bernoulli(0.1), "bernoulli"),
             (SamplerKind::Systematic(0.1), "systematic"),
             (SamplerKind::Reservoir(10), "reservoir"),
@@ -198,33 +217,39 @@ mod tests {
                 "stratified",
             ),
         ];
-        for (kind, expected) in cases {
-            assert_eq!(kind.build().unwrap().name(), expected);
-            assert!(!kind.label().is_empty());
+        for (kind, family) in cases {
+            let stream = kind.stream(crate::BatchSchedule::default()).unwrap();
+            assert_eq!(stream.kind(), kind);
+            assert_eq!(kind.family(), family);
+            assert!(kind.label().starts_with(family), "{}", kind.label());
         }
     }
 
     #[test]
     fn invalid_parameters_propagate() {
-        assert!(SamplerKind::UniformWithReplacement(0.0).build().is_err());
-        assert!(SamplerKind::Reservoir(0).build().is_err());
-        assert!(SamplerKind::Block(1.5).build().is_err());
-        assert!(SamplerKind::Stratified {
-            fraction: 0.0,
-            strata: 4,
+        let stratified = |fraction, strata| SamplerKind::Stratified {
+            fraction,
+            strata,
             alloc: Allocation::Neyman,
             mode: StrataMode::EquiWidth,
+        };
+        for kind in [
+            SamplerKind::UniformWithReplacement(0.0),
+            SamplerKind::UniformWithoutReplacement(f64::NAN),
+            SamplerKind::Bernoulli(-0.1),
+            SamplerKind::Systematic(2.0),
+            SamplerKind::Reservoir(0),
+            SamplerKind::Block(1.5),
+            stratified(0.0, 4),
+            stratified(0.1, 0),
+        ] {
+            let refused = kind.validate().unwrap_err();
+            // The stream constructor refuses the same way.
+            let from_stream = kind.stream(crate::BatchSchedule::default()).unwrap_err();
+            assert_eq!(from_stream, refused, "{kind:?}");
         }
-        .build()
-        .is_err());
-        assert!(SamplerKind::Stratified {
-            fraction: 0.1,
-            strata: 0,
-            alloc: Allocation::Neyman,
-            mode: StrataMode::EquiWidth,
-        }
-        .build()
-        .is_err());
+        assert!(SamplerKind::Reservoir(1).validate().is_ok());
+        assert!(stratified(1.0, 1).validate().is_ok());
     }
 
     #[test]

@@ -3,13 +3,21 @@
 //! Sampling procedures for the SampleCF reproduction.
 //!
 //! The paper's estimator assumes **uniform row sampling with replacement**
-//! ([`UniformWithReplacement`]); commercial systems typically use
-//! **block-level sampling** ([`BlockSampler`]), which the paper leaves to
-//! future work.  Both — plus without-replacement, Bernoulli, systematic and
-//! reservoir variants — are provided behind the [`RowSampler`] trait so the
-//! estimator and the benchmark harness can swap them freely.
+//! ([`SamplerKind::UniformWithReplacement`]); commercial systems typically
+//! use **block-level sampling** ([`SamplerKind::Block`]), which the paper
+//! leaves to future work.  Both — plus without-replacement, Bernoulli,
+//! systematic, reservoir and stratified variants — are one family of draw
+//! over one frame: every [`SamplerKind`] is a [`SampleStream`]
+//! ([`SamplerKind::stream`]), so the estimator and the experiment harness
+//! swap them freely and there is one way to draw a sample.
 //!
-//! Samplers draw through the
+//! A stream's draw is prefix-stable and arrives in geometrically growing
+//! batches (see [`BatchSchedule`]), so a consumer can measure after every
+//! batch and stop as soon as its error target is met; a one-shot draw is the
+//! same stream under [`BatchSchedule::one_shot`], run to its cap with
+//! [`SampleStream::drain`].
+//!
+//! Streams draw through the
 //! [`TableSource`](samplecf_storage::TableSource) abstraction, so they run
 //! unchanged over in-memory tables and disk-resident
 //! [`DiskTable`](samplecf_storage::DiskTable)s — where a block sample
@@ -17,21 +25,15 @@
 //! [`CountingSource`] to measure exactly how many pages a sampling
 //! procedure touches, and draw through [`MaterializedSample`] to pay that
 //! I/O once and share the sample across many consumers (the advisor's
-//! batch-estimation trick).
-//!
-//! For **progressive estimation**, the uniform-with-replacement, block,
-//! reservoir and stratified samplers also come as [`SampleStream`]s: prefix-stable draws
-//! that arrive in geometrically growing batches (see [`BatchSchedule`]), so
-//! a consumer can measure after every batch and stop as soon as its error
-//! target is met — and a [`MaterializedSample`] can be *deepened* in place
-//! via [`MaterializedSample::extend_from_stream`] instead of redrawn.
+//! batch-estimation trick) — or *deepen* it in place via
+//! [`MaterializedSample::extend_from_stream`] instead of redrawing.
 //!
 //! ## Quickstart
 //!
 //! ```
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
-//! use samplecf_sampling::SamplerKind;
+//! use samplecf_sampling::{BatchSchedule, SamplerKind};
 //! use samplecf_storage::{Column, DataType, Row, Schema, TableBuilder, Value};
 //!
 //! let schema = Schema::new(vec![Column::new("a", DataType::Int64)])?;
@@ -39,9 +41,9 @@
 //! let table = TableBuilder::new("t", schema).build_with_rows(rows)?;
 //!
 //! // Draw a 10% uniform-with-replacement sample, as the paper's estimator does.
-//! let sampler = SamplerKind::UniformWithReplacement(0.1).build()?;
+//! let mut stream = SamplerKind::UniformWithReplacement(0.1).stream(BatchSchedule::one_shot())?;
 //! let mut rng = StdRng::seed_from_u64(7);
-//! let sample = sampler.sample(&table, &mut rng)?;
+//! let sample = stream.drain(&table, &mut rng)?;
 //!
 //! assert_eq!(sample.len(), 100);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -59,19 +61,12 @@ pub mod stratified;
 pub mod stream;
 pub mod uniform;
 
-pub use block::BlockSampler;
 pub use error::{SamplingError, SamplingResult};
 pub use io::CountingSource;
 pub use kind::{Allocation, SamplerKind, StrataMode};
 pub use materialize::MaterializedSample;
-pub use reservoir::ReservoirSampler;
-pub use sampler::{target_page_count, target_size, validate_fraction, RowSampler, SampledRow};
+pub use sampler::{target_page_count, target_size, validate_fraction, SampledRow};
 pub use strata::Strata;
-pub use stratified::{StratifiedSampler, StratifiedStream};
 pub use stream::{
-    fetch_positions_coalesced, BatchSchedule, BlockStream, IncrementalFisherYates, PageCache,
-    ReservoirStream, SampleStream, UniformWrStream,
-};
-pub use uniform::{
-    BernoulliSampler, SystematicSampler, UniformWithReplacement, UniformWithoutReplacement,
+    fetch_positions_coalesced, BatchSchedule, IncrementalFisherYates, PageCache, SampleStream,
 };

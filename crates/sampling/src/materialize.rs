@@ -19,10 +19,9 @@
 //! for oracles and tests that need owned rows.
 
 use crate::error::SamplingResult;
-use crate::kind::{SamplerKind, StrataMode};
+use crate::kind::SamplerKind;
 use crate::sampler::SampledRow;
-use crate::strata::Strata;
-use crate::stream::SampleStream;
+use crate::stream::{BatchSchedule, SampleStream};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use samplecf_storage::{Rid, Table, TableSource};
@@ -48,7 +47,8 @@ pub struct MaterializedSample {
 
 impl MaterializedSample {
     /// Draw a sample from `source` with the given sampler and seed, and
-    /// materialize it in memory.
+    /// materialize it in memory: [`from_stream`](Self::from_stream) over
+    /// the kind's stream under the one-shot schedule.
     ///
     /// The RNG is seeded exactly like
     /// `SampleCf::estimate` (`StdRng::seed_from_u64(seed)`), so a
@@ -61,26 +61,9 @@ impl MaterializedSample {
         kind: SamplerKind,
         seed: u64,
     ) -> SamplingResult<MaterializedSample> {
-        let sampler = kind.build()?;
+        let mut stream = kind.stream(BatchSchedule::one_shot())?;
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut sample = Self::empty(source, kind, seed)?;
-        sample.append(&sampler.sample(source, &mut rng)?)?;
-        // A stratified draw's tags and weights are recomputable from
-        // metadata alone: the partition is a pure function of
-        // (frame, page count, k, mode), and a row's stratum of its page.
-        if let SamplerKind::Stratified { strata, mode, .. } = kind {
-            let partition = match mode {
-                StrataMode::EquiWidth => Strata::equi_width(source, strata)?,
-                StrataMode::EquiDepth => Strata::equi_depth(source, strata)?,
-            };
-            sample.row_strata = sample
-                .source_rids
-                .iter()
-                .map(|rid| partition.stratum_of_page(rid.page) as u32)
-                .collect();
-            sample.strata_weights = partition.weights();
-        }
-        Ok(sample)
+        Self::from_stream(source, stream.as_mut(), &mut rng, seed)
     }
 
     /// Materialize an empty sample shell for `source`, ready to be filled
@@ -179,8 +162,8 @@ impl MaterializedSample {
     /// for oracles and tests; measurement goes through
     /// [`records`](Self::records).
     pub fn rows(&self) -> SamplingResult<Vec<SampledRow>> {
-        // `draw` inserts exactly one table row per recorded rid and the
-        // struct is immutable afterwards, so the two sides always align.
+        // `append` inserts exactly one table row per recorded rid, so the
+        // two sides always align.
         debug_assert_eq!(self.table.num_rows(), self.source_rids.len());
         Ok(self
             .source_rids
@@ -289,11 +272,17 @@ mod tests {
             SamplerKind::Systematic(0.05),
             SamplerKind::Reservoir(97),
             SamplerKind::Block(0.05),
+            SamplerKind::Stratified {
+                fraction: 0.05,
+                strata: 3,
+                alloc: crate::kind::Allocation::Neyman,
+                mode: crate::kind::StrataMode::EquiDepth,
+            },
         ] {
             let direct = kind
-                .build()
+                .stream(BatchSchedule::one_shot())
                 .unwrap()
-                .sample(&t, &mut StdRng::seed_from_u64(42))
+                .drain(&t, &mut StdRng::seed_from_u64(42))
                 .unwrap();
             let sample = MaterializedSample::draw(&t, kind, 42).unwrap();
             assert_eq!(sample.rows().unwrap(), direct, "{kind:?}");
@@ -348,10 +337,12 @@ mod tests {
 
     #[test]
     fn a_finished_stream_materializes_losslessly() {
-        use crate::stream::BatchSchedule;
         let t = table(2_000);
         for kind in [
             SamplerKind::UniformWithReplacement(0.08),
+            SamplerKind::UniformWithoutReplacement(0.08),
+            SamplerKind::Bernoulli(0.08),
+            SamplerKind::Systematic(0.08),
             SamplerKind::Block(0.1),
             SamplerKind::Reservoir(130),
         ] {
@@ -375,7 +366,6 @@ mod tests {
 
     #[test]
     fn extending_from_a_deepened_stream_matches_a_fresh_deeper_draw() {
-        use crate::stream::BatchSchedule;
         let t = table(2_000);
         let shallow = SamplerKind::Block(0.05);
         let deep = SamplerKind::Block(0.2);
@@ -403,7 +393,6 @@ mod tests {
     #[test]
     fn stratified_samples_carry_tags_and_weights_on_both_paths() {
         use crate::kind::Allocation;
-        use crate::stream::BatchSchedule;
         let t = table(2_000);
         let kind = SamplerKind::Stratified {
             fraction: 0.1,
@@ -411,11 +400,16 @@ mod tests {
             alloc: Allocation::Proportional,
             mode: crate::kind::StrataMode::EquiWidth,
         };
-        // Path 1: one-shot draw, tags recomputed from metadata.
+        // Path 1: the one-shot draw; its tags and weights are the
+        // partition's, recomputable from metadata alone.
         let direct = MaterializedSample::draw(&t, kind, 33).unwrap();
-        assert_eq!(direct.row_strata().len(), direct.len());
-        assert_eq!(direct.strata_weights().len(), 4);
-        // Path 2: streamed, tags carried batch by batch.
+        let partition = crate::strata::Strata::equi_width(&t, 4).unwrap();
+        assert_eq!(direct.strata_weights(), partition.weights());
+        let tags = (direct.rows().unwrap().iter())
+            .map(|(rid, _)| partition.stratum_of_page(rid.page) as u32)
+            .collect::<Vec<_>>();
+        assert_eq!(direct.row_strata(), tags);
+        // Path 2: many batches, tags carried batch by batch.
         let mut stream = kind.stream(BatchSchedule::default()).unwrap();
         let mut rng = StdRng::seed_from_u64(33);
         let streamed = MaterializedSample::from_stream(&t, stream.as_mut(), &mut rng, 33).unwrap();

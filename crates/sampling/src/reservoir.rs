@@ -3,81 +3,32 @@
 //! Draws a fixed-size uniform sample without replacement in a single pass
 //! over the table, without knowing the number of rows in advance — the
 //! classical technique referenced by the paper (\[5\] J.S. Vitter, "Random
-//! Sampling with a Reservoir").
+//! Sampling with a Reservoir").  It runs as the
+//! [`KeepRule::Reservoir`](crate::uniform::KeepRule::Reservoir) of a
+//! [`ScanStream`](crate::uniform::ScanStream): memory stays O(reservoir +
+//! one page), which is the whole point of reservoir sampling on large
+//! (disk-resident) tables, and only the rows that enter the reservoir are
+//! ever decoded.
 
-use crate::error::{SamplingError, SamplingResult};
-use crate::sampler::{RowSampler, SampledRow};
-use rand::Rng;
-use rand::RngCore;
-use samplecf_storage::{PageId, TableSource};
+use rand::{Rng, RngCore};
 
-/// Fixed-size single-pass reservoir sampler.
-#[derive(Debug, Clone, Copy)]
-pub struct ReservoirSampler {
-    size: usize,
-}
-
-impl ReservoirSampler {
-    /// Create a reservoir sampler that keeps exactly `size` rows (or every
-    /// row, if the table is smaller).
-    pub fn new(size: usize) -> SamplingResult<Self> {
-        if size == 0 {
-            return Err(SamplingError::InvalidSize(
-                "reservoir size must be at least 1".to_string(),
-            ));
-        }
-        Ok(ReservoirSampler { size })
+/// Algorithm R's decision for the next scanned row: which slot of a
+/// reservoir of `size` rows it takes, given that `seen` rows came before
+/// it.  The first `size` rows fill the reservoir in order; row `seen` then
+/// replaces a uniformly chosen slot with probability `size / (seen + 1)` —
+/// one `gen_range(0..=seen)` per such row.
+pub(crate) fn slot_for(size: usize, seen: usize, rng: &mut dyn RngCore) -> Option<usize> {
+    if seen < size {
+        return Some(seen);
     }
-
-    /// The reservoir capacity.
-    #[must_use]
-    pub fn size(&self) -> usize {
-        self.size
-    }
-}
-
-impl RowSampler for ReservoirSampler {
-    fn name(&self) -> &'static str {
-        "reservoir"
-    }
-
-    fn sample(
-        &self,
-        source: &dyn TableSource,
-        rng: &mut dyn RngCore,
-    ) -> SamplingResult<Vec<SampledRow>> {
-        // Stream page by page: memory stays O(reservoir + one page), which
-        // is the whole point of reservoir sampling on large (disk-resident)
-        // tables.
-        let mut reservoir: Vec<SampledRow> = Vec::with_capacity(self.size);
-        let mut seen = 0usize;
-        for pid in 0..source.num_pages() {
-            for (rid, row) in source.page_rows(pid as PageId)? {
-                if reservoir.len() < self.size {
-                    reservoir.push((rid, row));
-                } else {
-                    let j = rng.gen_range(0..=seen);
-                    if j < self.size {
-                        reservoir[j] = (rid, row);
-                    }
-                }
-                seen += 1;
-            }
-        }
-        Ok(reservoir)
-    }
-
-    fn expected_sample_size(&self, n: usize) -> usize {
-        self.size.min(n)
-    }
+    Some(rng.gen_range(0..=seen)).filter(|&j| j < size)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use samplecf_storage::{Row, Schema, Table, TableBuilder, Value};
+    use crate::stream::tests::draw;
+    use crate::{BatchSchedule, SamplerKind};
+    use samplecf_storage::{Row, Schema, Table, TableBuilder, TableSource, Value};
     use std::collections::HashSet;
 
     fn table(n: usize) -> Table {
@@ -89,8 +40,7 @@ mod tests {
     #[test]
     fn keeps_exactly_the_requested_size() {
         let t = table(1000);
-        let s = ReservoirSampler::new(37).unwrap();
-        let sample = s.sample(&t, &mut StdRng::seed_from_u64(1)).unwrap();
+        let sample = draw(SamplerKind::Reservoir(37), &t, 1);
         assert_eq!(sample.len(), 37);
         let distinct: HashSet<_> = sample.iter().map(|(rid, _)| *rid).collect();
         assert_eq!(
@@ -103,39 +53,32 @@ mod tests {
     #[test]
     fn small_tables_are_returned_whole() {
         let t = table(5);
-        let s = ReservoirSampler::new(50).unwrap();
-        let sample = s.sample(&t, &mut StdRng::seed_from_u64(2)).unwrap();
-        assert_eq!(sample.len(), 5);
-        assert_eq!(s.expected_sample_size(5), 5);
+        let sample = draw(SamplerKind::Reservoir(50), &t, 2);
+        assert_eq!(sample, t.scan_rows().unwrap());
     }
 
     #[test]
     fn zero_size_is_rejected() {
-        assert!(ReservoirSampler::new(0).is_err());
+        assert!(SamplerKind::Reservoir(0)
+            .stream(BatchSchedule::one_shot())
+            .is_err());
     }
 
     #[test]
     fn empty_table_yields_empty_reservoir() {
         // Unified edge behaviour with the fraction-based samplers.
         let t = table(0);
-        let s = ReservoirSampler::new(10).unwrap();
-        assert!(s
-            .sample(&t, &mut StdRng::seed_from_u64(9))
-            .unwrap()
-            .is_empty());
-        assert_eq!(s.expected_sample_size(0), 0);
+        assert!(draw(SamplerKind::Reservoir(10), &t, 9).is_empty());
     }
 
     #[test]
     fn inclusion_is_roughly_uniform_across_positions() {
         // Early rows must not be favoured over late rows.
         let t = table(200);
-        let s = ReservoirSampler::new(20).unwrap();
         let mut first_half = 0usize;
         let mut second_half = 0usize;
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..300 {
-            for (_, row) in s.sample(&t, &mut rng).unwrap() {
+        for seed in 0..300 {
+            for (_, row) in draw(SamplerKind::Reservoir(20), &t, seed) {
                 let id: usize = row.value(0).as_str().unwrap()[1..].parse().unwrap();
                 if id < 100 {
                     first_half += 1;

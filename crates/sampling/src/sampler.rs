@@ -1,43 +1,10 @@
-//! The [`RowSampler`] trait and shared helpers.
+//! The sampled-row type and the size rules every sampler shares.
 
 use crate::error::{SamplingError, SamplingResult};
-use rand::RngCore;
-use samplecf_storage::{Rid, Row, TableSource};
+use samplecf_storage::{Rid, Row};
 
 /// A sampled row: its identifier in the base table plus the row itself.
 pub type SampledRow = (Rid, Row);
-
-/// A procedure for drawing a random sample of rows from a table source.
-///
-/// Samplers are deterministic given the RNG they are handed, which is what
-/// makes the estimator's trial runner reproducible.  They draw through the
-/// [`TableSource`] abstraction, so the same sampler runs over an in-memory
-/// [`Table`](samplecf_storage::Table) or a file-backed
-/// [`DiskTable`](samplecf_storage::DiskTable) — in the latter case touching
-/// only the pages it actually needs.
-pub trait RowSampler: Send + Sync {
-    /// Short stable name (used in experiment reports).
-    fn name(&self) -> &'static str;
-
-    /// Draw a sample from the source.
-    ///
-    /// Duplicates are allowed (and expected for with-replacement samplers);
-    /// the SampleCF estimator treats the result as a bag of rows.
-    fn sample(
-        &self,
-        source: &dyn TableSource,
-        rng: &mut dyn RngCore,
-    ) -> SamplingResult<Vec<SampledRow>>;
-
-    /// Expected number of sampled rows for a table of `n` rows.
-    fn expected_sample_size(&self, n: usize) -> usize;
-}
-
-impl std::fmt::Debug for dyn RowSampler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "RowSampler({})", self.name())
-    }
-}
 
 /// Validate a sampling fraction, which must lie in (0, 1].
 pub fn validate_fraction(fraction: f64) -> SamplingResult<f64> {
@@ -68,25 +35,6 @@ pub fn target_size(n: usize, fraction: f64) -> usize {
 #[must_use]
 pub fn target_page_count(num_pages: usize, fraction: f64) -> usize {
     target_size(num_pages, fraction)
-}
-
-/// Fetch the rows at the given positions of the source's RID frame.
-///
-/// Each fetch goes through [`TableSource::get`], which for disk-backed
-/// sources reads the row's containing page — the real cost of scattered row
-/// retrieval the paper's I/O argument (Section II-C) is about.
-pub fn fetch_positions(
-    source: &dyn TableSource,
-    rids: &[Rid],
-    positions: &[usize],
-) -> SamplingResult<Vec<SampledRow>> {
-    positions
-        .iter()
-        .map(|&p| {
-            let rid = rids[p];
-            Ok((rid, source.get(rid)?))
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -17,8 +17,8 @@
 //! total target grows, and — for a fixed weight vector — depend only on the
 //! cumulative total, not on batch boundaries.  Together with per-stratum
 //! prefix stability this makes the whole stream prefix-stable: draining it
-//! under any batch schedule yields the same multiset of rows as a one-shot
-//! draw, and [`extend_cap`](crate::SampleStream::extend_cap) deepening
+//! under any batch schedule yields the same multiset of rows as under the
+//! one-shot schedule, and [`extend_cap`](crate::SampleStream::extend_cap) deepening
 //! continues the same draw.  (Feeding variance estimates back via
 //! [`update_stratum_variances`](crate::SampleStream::update_stratum_variances)
 //! deliberately breaks schedule independence — adapting the allocation to
@@ -28,15 +28,15 @@
 //! **Degenerate single-stratum case:** with one stratum there is nothing to
 //! allocate, so the stream draws positions directly from the shared RNG —
 //! exactly the call sequence of
-//! [`UniformWrStream`](crate::UniformWrStream) — making `stratified(k=1)`
-//! byte-identical to `uniform-wr` seed-for-seed (pinned by the proptest
-//! suite).
+//! [`UniformStream`](crate::uniform::UniformStream) with replacement —
+//! making `stratified(k=1)` byte-identical to `uniform-wr` seed-for-seed
+//! (pinned by the proptest suite).
 
 use crate::error::SamplingResult;
 use crate::kind::{Allocation, SamplerKind, StrataMode};
-use crate::sampler::{target_size, validate_fraction, RowSampler, SampledRow};
+use crate::sampler::{target_size, validate_fraction, SampledRow};
 use crate::strata::Strata;
-use crate::stream::{fetch_positions_coalesced, BatchSchedule, PageCache, SampleStream};
+use crate::stream::{fetch_positions_coalesced, BatchPlan, BatchSchedule, PageCache, SampleStream};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use samplecf_storage::{Rid, TableSource};
@@ -51,7 +51,7 @@ struct BoundFrame {
     rids: Vec<Rid>,
     strata: Strata,
     /// Cumulative row targets from the batch schedule.
-    targets: Vec<usize>,
+    plan: BatchPlan,
     /// Per-stratum RNGs (empty in the single-stratum degenerate case,
     /// which draws from the shared RNG directly).
     rngs: Vec<StdRng>,
@@ -118,7 +118,6 @@ pub struct StratifiedStream {
     mode: StrataMode,
     schedule: BatchSchedule,
     frame: Option<BoundFrame>,
-    next_target: usize,
     drawn: usize,
     cache: PageCache,
     /// Stratum tag of each row of the batch most recently returned.
@@ -126,45 +125,26 @@ pub struct StratifiedStream {
 }
 
 impl StratifiedStream {
-    /// Create a stream drawing up to `round(fraction·n)` rows across
-    /// `strata` contiguous page-range strata, cut per `mode`.
-    pub fn new(
+    /// A stream drawing up to `round(fraction·n)` rows across `strata`
+    /// contiguous page-range strata, cut per `mode`.
+    pub(crate) fn new(
         fraction: f64,
         strata: usize,
         alloc: Allocation,
         mode: StrataMode,
         schedule: BatchSchedule,
-    ) -> SamplingResult<Self> {
-        let fraction = validate_fraction(fraction)?;
-        if strata == 0 {
-            return Err(crate::error::SamplingError::InvalidSize(
-                "stratum count must be at least 1".to_string(),
-            ));
-        }
-        Ok(StratifiedStream {
+    ) -> Self {
+        StratifiedStream {
             fraction,
             requested_strata: strata,
             alloc,
             mode,
             schedule,
             frame: None,
-            next_target: 0,
             drawn: 0,
             cache: PageCache::new(),
             last_tags: Vec::new(),
-        })
-    }
-
-    /// Physical pages read so far (the page cache's size).
-    #[must_use]
-    pub fn pages_read(&self) -> usize {
-        self.cache.pages_cached()
-    }
-
-    /// Rows drawn per stratum so far (empty before the first batch).
-    #[must_use]
-    pub fn stratum_counts(&self) -> Vec<usize> {
-        self.frame.as_ref().map_or(Vec::new(), |f| f.counts.clone())
+        }
     }
 
     fn bind(&mut self, source: &dyn TableSource, rng: &mut dyn RngCore) -> SamplingResult<()> {
@@ -181,12 +161,12 @@ impl StratifiedStream {
             }
         };
         let max_rows = target_size(rids.len(), self.fraction);
-        let targets = self.schedule.cumulative_targets(rids.len(), max_rows);
+        let plan = BatchPlan::new(self.schedule, rids.len(), max_rows);
         // Multi-stratum draws get independent per-stratum RNGs, derived
         // from the shared RNG in stratum order at bind time: one next_u64
         // each, so the derivation itself is part of the deterministic
         // prefix.  The single-stratum case derives nothing and consumes
-        // the shared RNG exactly like UniformWrStream.
+        // the shared RNG exactly like a with-replacement UniformStream.
         let rngs: Vec<StdRng> = if strata.len() > 1 {
             (0..strata.len())
                 .map(|_| StdRng::seed_from_u64(rng.next_u64()))
@@ -198,7 +178,7 @@ impl StratifiedStream {
         self.frame = Some(BoundFrame {
             rids,
             strata,
-            targets,
+            plan,
             rngs,
             counts: vec![0; count],
             sds: vec![1.0; count],
@@ -225,7 +205,7 @@ impl SampleStream for StratifiedStream {
         self.bind(source, rng)?;
         let alloc = self.alloc;
         let frame = self.frame.as_mut().expect("frame bound above");
-        let Some(&target) = frame.targets.get(self.next_target) else {
+        let Some(target) = frame.plan.next_target() else {
             self.last_tags.clear();
             return Ok(Vec::new());
         };
@@ -240,7 +220,7 @@ impl SampleStream for StratifiedStream {
             let span = range.len();
             let positions: Vec<usize> = if frame.rngs.is_empty() {
                 // Degenerate single stratum: the shared RNG, exactly like
-                // UniformWrStream.
+                // a with-replacement UniformStream.
                 (0..extra).map(|_| rng.gen_range(0..span)).collect()
             } else {
                 let stratum_rng = &mut frame.rngs[s];
@@ -255,7 +235,7 @@ impl SampleStream for StratifiedStream {
             frame.counts[s] += extra;
         }
         self.drawn = target;
-        self.next_target += 1;
+        frame.plan.advance();
         Ok(batch)
     }
 
@@ -264,9 +244,7 @@ impl SampleStream for StratifiedStream {
     }
 
     fn exhausted(&self) -> bool {
-        self.frame
-            .as_ref()
-            .is_some_and(|f| self.next_target >= f.targets.len())
+        (self.frame.as_ref()).is_some_and(|frame| frame.plan.exhausted())
     }
 
     fn extend_cap(&mut self, kind: SamplerKind) -> bool {
@@ -290,10 +268,7 @@ impl SampleStream for StratifiedStream {
         self.fraction = fraction;
         if let Some(frame) = self.frame.as_mut() {
             let max_rows = target_size(frame.rids.len(), fraction);
-            frame.targets.truncate(self.next_target);
-            if max_rows > self.drawn {
-                frame.targets.push(max_rows);
-            }
+            frame.plan.raise_cap(max_rows, self.drawn);
         }
         true
     }
@@ -325,73 +300,10 @@ impl SampleStream for StratifiedStream {
     }
 }
 
-/// One-shot stratified sampler: drains a [`StratifiedStream`] under the
-/// single-batch schedule, so [`RowSampler::sample`] and a one-shot stream
-/// drain are the same draw by construction.
-#[derive(Debug, Clone, Copy)]
-pub struct StratifiedSampler {
-    fraction: f64,
-    strata: usize,
-    alloc: Allocation,
-    mode: StrataMode,
-}
-
-impl StratifiedSampler {
-    /// Create a sampler drawing `round(fraction·n)` rows across `strata`
-    /// contiguous page-range strata, cut per `mode`.
-    pub fn new(
-        fraction: f64,
-        strata: usize,
-        alloc: Allocation,
-        mode: StrataMode,
-    ) -> SamplingResult<Self> {
-        // Validate eagerly, exactly like the stream.
-        let _ = StratifiedStream::new(fraction, strata, alloc, mode, BatchSchedule::one_shot())?;
-        Ok(StratifiedSampler {
-            fraction,
-            strata,
-            alloc,
-            mode,
-        })
-    }
-}
-
-impl RowSampler for StratifiedSampler {
-    fn name(&self) -> &'static str {
-        "stratified"
-    }
-
-    fn sample(
-        &self,
-        source: &dyn TableSource,
-        rng: &mut dyn RngCore,
-    ) -> SamplingResult<Vec<SampledRow>> {
-        let mut stream = StratifiedStream::new(
-            self.fraction,
-            self.strata,
-            self.alloc,
-            self.mode,
-            BatchSchedule::one_shot(),
-        )?;
-        let mut out = Vec::new();
-        loop {
-            let batch = stream.next_batch(source, rng)?;
-            if batch.is_empty() {
-                return Ok(out);
-            }
-            out.extend(batch);
-        }
-    }
-
-    fn expected_sample_size(&self, n: usize) -> usize {
-        target_size(n, self.fraction)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::uniform::UniformWithReplacement;
+    use crate::stream::tests::draw;
     use samplecf_storage::{CountingSource, Row, Schema, Table, TableBuilder, Value};
 
     fn table(n: usize) -> Table {
@@ -401,19 +313,12 @@ mod tests {
             .unwrap()
     }
 
-    fn drain(
-        stream: &mut dyn SampleStream,
-        source: &dyn TableSource,
-        rng: &mut StdRng,
-    ) -> Vec<SampledRow> {
-        let mut rows = Vec::new();
-        loop {
-            let b = stream.next_batch(source, rng).unwrap();
-            if b.is_empty() {
-                return rows;
-            }
-            rows.extend(b);
-        }
+    /// Rows drawn per stratum so far.
+    fn stratum_counts(stream: &StratifiedStream) -> Vec<usize> {
+        stream
+            .frame
+            .as_ref()
+            .map_or(Vec::new(), |f| f.counts.clone())
     }
 
     fn sorted(mut rows: Vec<SampledRow>) -> Vec<SampledRow> {
@@ -434,15 +339,8 @@ mod tests {
     fn single_stratum_is_byte_identical_to_uniform_wr() {
         let t = table(2_000);
         for seed in [0u64, 7, 99] {
-            let uniform = UniformWithReplacement::new(0.1)
-                .unwrap()
-                .sample(&t, &mut StdRng::seed_from_u64(seed))
-                .unwrap();
-            let stratified =
-                StratifiedSampler::new(0.1, 1, Allocation::Neyman, StrataMode::EquiWidth)
-                    .unwrap()
-                    .sample(&t, &mut StdRng::seed_from_u64(seed))
-                    .unwrap();
+            let uniform = draw(SamplerKind::UniformWithReplacement(0.1), &t, seed);
+            let stratified = draw(kind(0.1, 1, Allocation::Neyman), &t, seed);
             assert_eq!(stratified, uniform, "seed {seed}");
         }
     }
@@ -451,15 +349,14 @@ mod tests {
     fn stream_drains_to_the_one_shot_multiset() {
         let t = table(3_000);
         for alloc in [Allocation::Proportional, Allocation::Neyman] {
-            let oneshot = StratifiedSampler::new(0.08, 5, alloc, StrataMode::EquiWidth)
-                .unwrap()
-                .sample(&t, &mut StdRng::seed_from_u64(13))
-                .unwrap();
+            let oneshot = draw(kind(0.08, 5, alloc), &t, 13);
             let mut stream = kind(0.08, 5, alloc)
                 .stream(BatchSchedule::default())
                 .unwrap();
             let mut rng = StdRng::seed_from_u64(13);
-            let drained = drain(stream.as_mut(), &t, &mut rng);
+            let mut drained = stream.next_batch(&t, &mut rng).unwrap();
+            assert!(!stream.exhausted(), "expected several geometric batches");
+            drained.extend(stream.drain(&t, &mut rng).unwrap());
             assert_eq!(drained.len(), 240);
             assert!(stream.exhausted());
             assert_eq!(sorted(drained), sorted(oneshot), "{alloc:?}");
@@ -499,12 +396,10 @@ mod tests {
             Allocation::Proportional,
             StrataMode::EquiWidth,
             BatchSchedule::one_shot(),
-        )
-        .unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        let rows = drain(&mut stream, &t, &mut rng);
+        );
+        let rows = stream.drain(&t, &mut StdRng::seed_from_u64(1)).unwrap();
         assert_eq!(rows.len(), 400);
-        let counts = stream.stratum_counts();
+        let counts = stratum_counts(&stream);
         assert_eq!(counts.iter().sum::<usize>(), 400);
         for (s, &c) in counts.iter().enumerate() {
             assert!(
@@ -523,23 +418,15 @@ mod tests {
             Allocation::Neyman,
             StrataMode::EquiWidth,
             BatchSchedule::new(0.02, 2.0).unwrap(),
-        )
-        .unwrap();
+        );
         let mut rng = StdRng::seed_from_u64(3);
         // First batch under equal sds: proportional split.
         let first = stream.next_batch(&t, &mut rng).unwrap();
         assert!(!first.is_empty());
         // Declare stratum 2 wildly more variable than the rest.
         stream.update_stratum_variances(&[0.0, 0.0, 10.0, 0.0]);
-        let mut rest = Vec::new();
-        loop {
-            let b = stream.next_batch(&t, &mut rng).unwrap();
-            if b.is_empty() {
-                break;
-            }
-            rest.extend(b);
-        }
-        let counts = stream.stratum_counts();
+        stream.drain(&t, &mut rng).unwrap();
+        let counts = stratum_counts(&stream);
         assert_eq!(counts.iter().sum::<usize>(), 400);
         // Nearly the whole remaining budget goes to the noisy stratum.
         assert!(
@@ -555,15 +442,12 @@ mod tests {
         let deep = kind(0.2, 3, Allocation::Proportional);
         let mut stream = shallow.stream(BatchSchedule::one_shot()).unwrap();
         let mut rng = StdRng::seed_from_u64(17);
-        let mut rows = drain(stream.as_mut(), &t, &mut rng);
+        let mut rows = stream.drain(&t, &mut rng).unwrap();
         assert_eq!(rows.len(), 100);
         assert!(stream.extend_cap(deep));
         assert_eq!(stream.kind(), deep);
-        rows.extend(drain(stream.as_mut(), &t, &mut rng));
-        let fresh = StratifiedSampler::new(0.2, 3, Allocation::Proportional, StrataMode::EquiWidth)
-            .unwrap()
-            .sample(&t, &mut StdRng::seed_from_u64(17))
-            .unwrap();
+        rows.extend(stream.drain(&t, &mut rng).unwrap());
+        let fresh = draw(deep, &t, 17);
         assert_eq!(
             sorted(rows),
             sorted(fresh),
@@ -626,8 +510,9 @@ mod tests {
             let mut stream = kind(0.05, 4, Allocation::Proportional)
                 .stream(schedule)
                 .unwrap();
-            let mut rng = StdRng::seed_from_u64(3);
-            drain(stream.as_mut(), &counting, &mut rng);
+            stream
+                .drain(&counting, &mut StdRng::seed_from_u64(3))
+                .unwrap();
             pages.push(counting.pages_read());
         }
         assert_eq!(pages[0], pages[1], "page cache must erase batch boundaries");

@@ -1,32 +1,40 @@
-//! Streaming samplers: batch-extendable draws for progressive estimation.
+//! Sample streams: the one way a sample is drawn.
 //!
-//! A one-shot [`RowSampler`] answers "draw a
-//! sample of fraction `f`" — the caller must guess `f` up front.  A
-//! [`SampleStream`] inverts that: it yields the *same* draw in growing
-//! batches, so a consumer can measure after every batch and stop as soon as
-//! its accuracy target is met (the sequential-estimation workflow of
-//! Nirkhiwale et al.'s sampling algebra).  The contract that makes this
-//! lossless is **prefix stability**: stopping a stream after it has drawn
-//! `r` rows yields exactly the rows (and, for page-coalesced draws, exactly
-//! the physical page reads) of a one-shot draw of `r` rows with the same
-//! seed.  The estimator's fixed-fraction parity tests pin this bit-for-bit.
+//! A [`SampleStream`] yields one draw in growing batches, so a consumer can
+//! measure after every batch and stop as soon as its accuracy target is met
+//! (the sequential-estimation workflow of Nirkhiwale et al.'s sampling
+//! algebra).  A one-shot draw of fraction `f` is the same stream under the
+//! single-batch schedule, run to its cap:
+//! `kind.stream(BatchSchedule::one_shot())?.drain(source, rng)`.  The
+//! contract that makes the two interchangeable is **prefix stability**:
+//! stopping a stream after it has drawn `r` rows yields exactly the rows
+//! (and, for page-coalesced draws, exactly the physical page reads) of a
+//! one-shot draw of `r` rows with the same seed.  The estimator's
+//! fixed-fraction parity tests pin this bit-for-bit.
 //!
 //! Prefix stability holds per sampler for different reasons:
 //!
-//! * **Uniform with replacement** draws row positions one RNG call at a
-//!   time, so any prefix of the position sequence is itself a uniform draw.
+//! * **Uniform row draws** ([`UniformStream`]) generate row positions one
+//!   RNG call at a time — `gen_range(0..n)` with replacement, the next
+//!   element of an [`IncrementalFisherYates`] shuffle of the frame without
+//!   — so any prefix of the position sequence is itself a uniform draw.
 //!   Fetches are page-coalesced through a per-stream [`PageCache`], which
 //!   holds each verified page it read and decodes only the drawn slots, so
 //!   the pages physically read are the distinct pages of the rows drawn so
 //!   far — independent of how the draw was split into batches.
-//! * **Block sampling** selects pages by partial Fisher–Yates, which
-//!   consumes exactly one RNG call per selected page; the first `k` pages
-//!   of a longer selection equal a selection of `k` pages
-//!   ([`IncrementalFisherYates`] replays the same sequence incrementally).
-//! * **Reservoir sampling** needs the full scan before its sample is final,
-//!   so the stream pays the whole scan on the first batch and then emits
-//!   reservoir slices; progressive stopping saves no I/O for scan-based
-//!   samplers, only wall-clock on the measurement side.
+//! * **Block sampling** ([`BlockStream`]) selects pages by partial
+//!   Fisher–Yates, which consumes exactly one RNG call per selected page;
+//!   the first `k` pages of a longer selection equal a selection of `k`
+//!   pages ([`IncrementalFisherYates`] replays the same sequence
+//!   incrementally).
+//! * **Scan samplers** — Bernoulli, systematic, reservoir ([`ScanStream`]) —
+//!   need the full scan before their sample is final, so the stream pays
+//!   the whole scan on the first batch and then emits slices of what it
+//!   kept; progressive stopping saves no I/O for them, only wall-clock on
+//!   the measurement side.
+//! * **Stratified draws** ([`StratifiedStream`]) are one
+//!   uniform-with-replacement substream per stratum under a house-monotone
+//!   budget split (see [`stratified`](crate::stratified)).
 //!
 //! Batch boundaries come from a [`BatchSchedule`] fixed at construction:
 //! geometrically growing row targets capped at the sampler's fraction (or
@@ -35,10 +43,12 @@
 //! is what lets `SampleCf::estimate` (one checkpoint) and `ProgressiveCf`
 //! (many checkpoints) share one code path and still agree byte-for-byte.
 
+use crate::block::BlockStream;
 use crate::error::{SamplingError, SamplingResult};
 use crate::kind::SamplerKind;
-use crate::reservoir::ReservoirSampler;
-use crate::sampler::{target_page_count, target_size, validate_fraction, RowSampler, SampledRow};
+use crate::sampler::{target_size, validate_fraction, SampledRow};
+use crate::stratified::StratifiedStream;
+use crate::uniform::{KeepRule, ScanStream, UniformStream};
 use rand::{Rng, RngCore};
 use samplecf_storage::{Page, PageId, Rid, TableSource};
 use std::collections::hash_map::Entry;
@@ -84,8 +94,8 @@ impl BatchSchedule {
         })
     }
 
-    /// A schedule whose first batch already covers the whole cap — the
-    /// degenerate single-batch case `SampleCf::estimate` uses.
+    /// A schedule whose first batch already covers the whole cap: the
+    /// one-shot draw, and what `SampleCf::estimate` runs.
     #[must_use]
     pub fn one_shot() -> Self {
         BatchSchedule {
@@ -115,6 +125,48 @@ impl BatchSchedule {
     }
 }
 
+/// A bound stream's cumulative batch targets and its place among them — the
+/// bookkeeping every stream shares once it has seen its source.
+#[derive(Debug)]
+pub(crate) struct BatchPlan {
+    targets: Vec<usize>,
+    next: usize,
+}
+
+impl BatchPlan {
+    /// The plan of `schedule` over a frame of `n` units capped at `cap`.
+    pub(crate) fn new(schedule: BatchSchedule, n: usize, cap: usize) -> Self {
+        BatchPlan {
+            targets: schedule.cumulative_targets(n, cap),
+            next: 0,
+        }
+    }
+
+    /// The cumulative target of the next batch; `None` at the cap.
+    pub(crate) fn next_target(&self) -> Option<usize> {
+        self.targets.get(self.next).copied()
+    }
+
+    /// The batch up to [`next_target`](Self::next_target) has been drawn.
+    pub(crate) fn advance(&mut self) {
+        self.next += 1;
+    }
+
+    /// Whether every planned batch has been drawn.
+    pub(crate) fn exhausted(&self) -> bool {
+        self.next >= self.targets.len()
+    }
+
+    /// Re-plan after a deepening: one batch from the `drawn` units to the
+    /// new `cap`.
+    pub(crate) fn raise_cap(&mut self, cap: usize, drawn: usize) {
+        self.targets.truncate(self.next);
+        if cap > drawn {
+            self.targets.push(cap);
+        }
+    }
+}
+
 /// A batch-extendable sample draw (see the module docs for the prefix
 /// stability contract).
 ///
@@ -134,6 +186,23 @@ pub trait SampleStream: Send + Sync {
         rng: &mut dyn RngCore,
     ) -> SamplingResult<Vec<SampledRow>>;
 
+    /// Draw every remaining batch and return the rows, in batch order.
+    /// Under [`BatchSchedule::one_shot`] this is the one-shot sample.
+    fn drain(
+        &mut self,
+        source: &dyn TableSource,
+        rng: &mut dyn RngCore,
+    ) -> SamplingResult<Vec<SampledRow>> {
+        let mut rows = Vec::new();
+        loop {
+            let batch = self.next_batch(source, rng)?;
+            if batch.is_empty() {
+                return Ok(rows);
+            }
+            rows.extend(batch);
+        }
+    }
+
     /// Total rows drawn so far (duplicates counted).
     fn rows_drawn(&self) -> usize;
 
@@ -146,11 +215,18 @@ pub trait SampleStream: Send + Sync {
     /// sampler family, so further `next_batch` calls extend the existing
     /// draw instead of redrawing.  Returns `false` when the stream cannot
     /// be deepened (different family, shallower target, or a scan-based
-    /// sampler whose draw is already complete).
+    /// sampler, whose draw is complete after its one scan).
     fn extend_cap(&mut self, kind: SamplerKind) -> bool;
 
-    /// Approximate bytes of state this stream retains between batches
-    /// (rid frames, cached pages, a held-back reservoir); `row_bytes` is
+    /// Whether [`extend_cap`](Self::extend_cap) can ever succeed on this
+    /// stream.  A holder that keeps a finished stream only to deepen it
+    /// later drops one that says `false`.
+    fn extendable(&self) -> bool {
+        true
+    }
+
+    /// Approximate bytes of state this stream retains between batches (rid
+    /// frames, cached pages, scanned rows not yet emitted); `row_bytes` is
     /// the price of one decoded row a stream holds.  Holders with a memory
     /// budget (the server's sample cache) charge this against the entry;
     /// dropping the stream releases it.  The default is for streams that
@@ -197,75 +273,38 @@ impl std::fmt::Debug for dyn SampleStream + '_ {
 }
 
 impl SamplerKind {
-    /// Whether this sampler kind has a [`SampleStream`] implementation.
-    #[must_use]
-    pub fn supports_streaming(&self) -> bool {
-        matches!(
-            self,
-            SamplerKind::UniformWithReplacement(_)
-                | SamplerKind::Block(_)
-                | SamplerKind::Reservoir(_)
-                | SamplerKind::Stratified { .. }
-        )
-    }
-
-    /// The sampler family name, without parameters — the part of the
-    /// identity that survives deepening.
-    #[must_use]
-    pub fn family(&self) -> &'static str {
-        match self {
-            SamplerKind::UniformWithReplacement(_) => "uniform-wr",
-            SamplerKind::UniformWithoutReplacement(_) => "uniform-wor",
-            SamplerKind::Bernoulli(_) => "bernoulli",
-            SamplerKind::Systematic(_) => "systematic",
-            SamplerKind::Reservoir(_) => "reservoir",
-            SamplerKind::Block(_) => "block",
-            SamplerKind::Stratified { .. } => "stratified",
-        }
-    }
-
-    /// The sampling fraction, for fraction-parameterised kinds.
-    #[must_use]
-    pub fn fraction(&self) -> Option<f64> {
-        match *self {
-            SamplerKind::UniformWithReplacement(f)
-            | SamplerKind::UniformWithoutReplacement(f)
-            | SamplerKind::Bernoulli(f)
-            | SamplerKind::Systematic(f)
-            | SamplerKind::Block(f)
-            | SamplerKind::Stratified { fraction: f, .. } => Some(f),
-            SamplerKind::Reservoir(_) => None,
-        }
-    }
-
-    /// Create a streaming draw for this sampler kind with the given batch
-    /// schedule.
-    ///
-    /// Supported kinds are uniform-with-replacement, block and reservoir;
-    /// the others have no prefix-stable incremental form and return an
-    /// error.
+    /// The draw this sampler kind describes, arriving in the batches of
+    /// `schedule`.  Every kind is a stream, and this is the only way to
+    /// draw one; the only error is a parameter
+    /// [`validate`](Self::validate) rejects.
     pub fn stream(&self, schedule: BatchSchedule) -> SamplingResult<Box<dyn SampleStream>> {
-        match *self {
+        self.validate()?;
+        Ok(match *self {
             SamplerKind::UniformWithReplacement(f) => {
-                Ok(Box::new(UniformWrStream::new(f, schedule)?))
+                Box::new(UniformStream::new(f, true, schedule))
             }
-            SamplerKind::Block(f) => Ok(Box::new(BlockStream::new(f, schedule)?)),
-            SamplerKind::Reservoir(size) => Ok(Box::new(ReservoirStream::new(size, schedule)?)),
+            SamplerKind::UniformWithoutReplacement(f) => {
+                Box::new(UniformStream::new(f, false, schedule))
+            }
+            SamplerKind::Bernoulli(p) => {
+                Box::new(ScanStream::new(KeepRule::Bernoulli(p), schedule))
+            }
+            SamplerKind::Systematic(f) => {
+                Box::new(ScanStream::new(KeepRule::Systematic(f), schedule))
+            }
+            SamplerKind::Reservoir(size) => {
+                Box::new(ScanStream::new(KeepRule::Reservoir(size), schedule))
+            }
+            SamplerKind::Block(f) => Box::new(BlockStream::new(f, schedule)),
             SamplerKind::Stratified {
                 fraction,
                 strata,
                 alloc,
                 mode,
-            } => Ok(Box::new(crate::stratified::StratifiedStream::new(
+            } => Box::new(StratifiedStream::new(
                 fraction, strata, alloc, mode, schedule,
-            )?)),
-            other => Err(SamplingError::InvalidSize(format!(
-                "sampler {} has no streaming implementation \
-                 (progressive estimation supports uniform-wr, block, reservoir \
-                 and stratified)",
-                other.label()
-            ))),
-        }
+            )),
+        })
     }
 }
 
@@ -318,11 +357,10 @@ impl PageCache {
 /// Fetch the rows at the given positions of the RID frame, sorted by RID
 /// and page-coalesced through `cache`.
 ///
-/// Compared with [`fetch_positions`](crate::sampler::fetch_positions), the
-/// returned rows are in RID order (duplicates adjacent) rather than draw
-/// order — an order change the estimator is insensitive to, since the index
-/// bulk load re-sorts by key anyway — and each distinct page costs exactly
-/// one physical read instead of one read per drawn row.
+/// The rows come back in RID order (duplicates adjacent) rather than draw
+/// order — an order the estimator is insensitive to, since the index bulk
+/// load re-sorts by key anyway — and each distinct page costs exactly one
+/// physical read, however many drawn rows land on it.
 pub fn fetch_positions_coalesced(
     source: &dyn TableSource,
     rids: &[Rid],
@@ -337,122 +375,14 @@ pub fn fetch_positions_coalesced(
         .collect()
 }
 
-// ---------------------------------------------------------------------------
-// Uniform with replacement
-// ---------------------------------------------------------------------------
-
-/// Streaming uniform-with-replacement draw: row positions are generated one
-/// RNG call at a time (the same sequence the one-shot sampler consumes) and
-/// fetched page-coalesced through a persistent [`PageCache`].
-pub struct UniformWrStream {
-    fraction: f64,
-    schedule: BatchSchedule,
-    /// Bound on first use: (frame, cumulative row targets).
-    frame: Option<(Vec<Rid>, Vec<usize>)>,
-    next_target: usize,
-    drawn: usize,
-    cache: PageCache,
-}
-
-impl UniformWrStream {
-    /// Create a stream drawing up to `round(fraction · n)` rows.
-    pub fn new(fraction: f64, schedule: BatchSchedule) -> SamplingResult<Self> {
-        Ok(UniformWrStream {
-            fraction: validate_fraction(fraction)?,
-            schedule,
-            frame: None,
-            next_target: 0,
-            drawn: 0,
-            cache: PageCache::new(),
-        })
-    }
-
-    /// Physical pages read so far (the page cache's size).
-    #[must_use]
-    pub fn pages_read(&self) -> usize {
-        self.cache.pages_cached()
-    }
-}
-
-impl SampleStream for UniformWrStream {
-    fn kind(&self) -> SamplerKind {
-        SamplerKind::UniformWithReplacement(self.fraction)
-    }
-
-    fn next_batch(
-        &mut self,
-        source: &dyn TableSource,
-        rng: &mut dyn RngCore,
-    ) -> SamplingResult<Vec<SampledRow>> {
-        if self.frame.is_none() {
-            let rids = source.rids()?;
-            let max_rows = target_size(rids.len(), self.fraction);
-            let targets = self.schedule.cumulative_targets(rids.len(), max_rows);
-            self.frame = Some((rids, targets));
-        }
-        let (rids, targets) = self.frame.as_ref().expect("frame bound above");
-        let n = rids.len();
-        let Some(&target) = targets.get(self.next_target) else {
-            return Ok(Vec::new());
-        };
-        let batch_rows = target - self.drawn;
-        let positions: Vec<usize> = (0..batch_rows).map(|_| rng.gen_range(0..n)).collect();
-        let batch = fetch_positions_coalesced(source, rids, &positions, &mut self.cache)?;
-        self.drawn = target;
-        self.next_target += 1;
-        Ok(batch)
-    }
-
-    fn rows_drawn(&self) -> usize {
-        self.drawn
-    }
-
-    fn exhausted(&self) -> bool {
-        self.frame
-            .as_ref()
-            .is_some_and(|(_, targets)| self.next_target >= targets.len())
-    }
-
-    fn extend_cap(&mut self, kind: SamplerKind) -> bool {
-        let SamplerKind::UniformWithReplacement(f) = kind else {
-            return false;
-        };
-        if f < self.fraction || validate_fraction(f).is_err() {
-            return false;
-        }
-        self.fraction = f;
-        if let Some((rids, targets)) = self.frame.as_mut() {
-            let max_rows = target_size(rids.len(), f);
-            // Re-plan from the rows already drawn: one batch to the new cap.
-            targets.truncate(self.next_target);
-            if max_rows > self.drawn {
-                targets.push(max_rows);
-            }
-        }
-        true
-    }
-
-    fn approx_retained_bytes(&self, _row_bytes: usize) -> usize {
-        // The rid frame plus every page the page cache holds.
-        let frame = self
-            .frame
-            .as_ref()
-            .map_or(0, |(rids, _)| rids.len() * std::mem::size_of::<Rid>());
-        frame + self.cache.bytes_cached()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Block sampling
-// ---------------------------------------------------------------------------
-
 /// An incremental partial Fisher–Yates shuffle over `0..length`.
 ///
 /// [`next`](Self::next) consumes exactly one `gen_range(i..length)` call per
 /// element, and the sequence it produces is identical to
 /// `rand::seq::index::sample(rng, length, amount)` for every `amount` — the
-/// prefix-stability property block streaming relies on.  Only displaced
-/// slots are tracked, so memory is proportional to the elements drawn.
+/// prefix-stability property block and without-replacement streaming rely
+/// on.  Only displaced slots are tracked, so memory is proportional to the
+/// elements drawn.
 #[derive(Debug)]
 pub struct IncrementalFisherYates {
     length: usize,
@@ -471,10 +401,23 @@ impl IncrementalFisherYates {
         }
     }
 
+    /// The number of elements the shuffle ranges over.
+    #[must_use]
+    pub fn length(&self) -> usize {
+        self.length
+    }
+
     /// Elements drawn so far.
     #[must_use]
     pub fn drawn(&self) -> usize {
         self.next_index
+    }
+
+    /// What the displaced-slot map is priced at: two words per element
+    /// drawn so far.
+    #[must_use]
+    pub fn retained_bytes(&self) -> usize {
+        self.next_index * 2 * std::mem::size_of::<usize>()
     }
 
     /// Draw the next element of the shuffle; `None` once all `length`
@@ -493,201 +436,10 @@ impl IncrementalFisherYates {
     }
 }
 
-/// Streaming block (page) sampler: pages come out of an
-/// [`IncrementalFisherYates`] permutation, so the page set after `k` draws
-/// equals a one-shot selection of `k` pages with the same seed.  Each batch
-/// reads its new pages in ascending page order.
-pub struct BlockStream {
-    fraction: f64,
-    schedule: BatchSchedule,
-    /// Bound on first use: (shuffle over pages, cumulative page targets).
-    state: Option<(IncrementalFisherYates, Vec<usize>)>,
-    next_target: usize,
-    rows_drawn: usize,
-}
-
-impl BlockStream {
-    /// Create a stream selecting up to `round(fraction · num_pages)` pages.
-    pub fn new(fraction: f64, schedule: BatchSchedule) -> SamplingResult<Self> {
-        Ok(BlockStream {
-            fraction: validate_fraction(fraction)?,
-            schedule,
-            state: None,
-            next_target: 0,
-            rows_drawn: 0,
-        })
-    }
-
-    /// Pages selected so far.
-    #[must_use]
-    pub fn pages_selected(&self) -> usize {
-        self.state.as_ref().map_or(0, |(fy, _)| fy.drawn())
-    }
-}
-
-impl SampleStream for BlockStream {
-    fn kind(&self) -> SamplerKind {
-        SamplerKind::Block(self.fraction)
-    }
-
-    fn next_batch(
-        &mut self,
-        source: &dyn TableSource,
-        rng: &mut dyn RngCore,
-    ) -> SamplingResult<Vec<SampledRow>> {
-        if self.state.is_none() {
-            let num_pages = source.num_pages();
-            let max_pages = target_page_count(num_pages, self.fraction);
-            let targets = self.schedule.cumulative_targets(num_pages, max_pages);
-            self.state = Some((IncrementalFisherYates::new(num_pages), targets));
-        }
-        let (fy, targets) = self.state.as_mut().expect("state bound above");
-        let Some(&target) = targets.get(self.next_target) else {
-            return Ok(Vec::new());
-        };
-        let mut page_ids: Vec<PageId> = Vec::with_capacity(target - fy.drawn());
-        while fy.drawn() < target {
-            let p = fy.next(rng).expect("targets never exceed the page count");
-            page_ids.push(p as PageId);
-        }
-        page_ids.sort_unstable();
-        let mut batch = Vec::new();
-        for pid in page_ids {
-            batch.extend(source.page_rows(pid)?);
-        }
-        self.rows_drawn += batch.len();
-        self.next_target += 1;
-        Ok(batch)
-    }
-
-    fn rows_drawn(&self) -> usize {
-        self.rows_drawn
-    }
-
-    fn exhausted(&self) -> bool {
-        self.state
-            .as_ref()
-            .is_some_and(|(_, targets)| self.next_target >= targets.len())
-    }
-
-    fn extend_cap(&mut self, kind: SamplerKind) -> bool {
-        let SamplerKind::Block(f) = kind else {
-            return false;
-        };
-        if f < self.fraction || validate_fraction(f).is_err() {
-            return false;
-        }
-        self.fraction = f;
-        if let Some((fy, targets)) = self.state.as_mut() {
-            let max_pages = target_page_count(fy.length, f);
-            targets.truncate(self.next_target);
-            if max_pages > fy.drawn() {
-                targets.push(max_pages);
-            }
-        }
-        true
-    }
-
-    fn approx_retained_bytes(&self, _row_bytes: usize) -> usize {
-        // Only the displaced-slot map of the partial shuffle: two words per
-        // page drawn so far.
-        self.pages_selected() * 2 * std::mem::size_of::<usize>()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Reservoir sampling
-// ---------------------------------------------------------------------------
-
-/// Streaming reservoir draw.  Reservoir sampling needs the complete scan
-/// before any row's membership is final, so the first batch runs the
-/// one-shot sampler (paying the full-scan I/O) and later batches emit
-/// slices of the finished reservoir on the stream's schedule.  Progressive
-/// consumers still get growing sub-samples to measure on, but no I/O is
-/// saved by stopping early — the honest cost model of scan-based samplers.
-pub struct ReservoirStream {
-    size: usize,
-    schedule: BatchSchedule,
-    /// Bound on first use: (finished reservoir, cumulative row targets).
-    reservoir: Option<(Vec<SampledRow>, Vec<usize>)>,
-    next_target: usize,
-    emitted: usize,
-}
-
-impl ReservoirStream {
-    /// Create a stream for a reservoir of `size` rows.
-    pub fn new(size: usize, schedule: BatchSchedule) -> SamplingResult<Self> {
-        // Validate eagerly, exactly like the one-shot sampler.
-        let _ = ReservoirSampler::new(size)?;
-        Ok(ReservoirStream {
-            size,
-            schedule,
-            reservoir: None,
-            next_target: 0,
-            emitted: 0,
-        })
-    }
-}
-
-impl SampleStream for ReservoirStream {
-    fn kind(&self) -> SamplerKind {
-        SamplerKind::Reservoir(self.size)
-    }
-
-    fn next_batch(
-        &mut self,
-        source: &dyn TableSource,
-        rng: &mut dyn RngCore,
-    ) -> SamplingResult<Vec<SampledRow>> {
-        if self.reservoir.is_none() {
-            let rows = ReservoirSampler::new(self.size)?.sample(source, rng)?;
-            // Slice targets follow the same row schedule as the other
-            // streams, capped at the reservoir's actual size.
-            let max_rows = rows.len();
-            let targets = self
-                .schedule
-                .cumulative_targets(source.num_rows(), max_rows);
-            self.reservoir = Some((rows, targets));
-        }
-        let (rows, targets) = self.reservoir.as_ref().expect("reservoir bound above");
-        let Some(&target) = targets.get(self.next_target) else {
-            return Ok(Vec::new());
-        };
-        let batch = rows[self.emitted..target].to_vec();
-        self.emitted = target;
-        self.next_target += 1;
-        Ok(batch)
-    }
-
-    fn rows_drawn(&self) -> usize {
-        self.emitted
-    }
-
-    fn exhausted(&self) -> bool {
-        self.reservoir
-            .as_ref()
-            .is_some_and(|(_, targets)| self.next_target >= targets.len())
-    }
-
-    fn extend_cap(&mut self, _kind: SamplerKind) -> bool {
-        // A finished reservoir cannot grow losslessly: rows evicted during
-        // the scan are gone.  Callers must redraw at the larger capacity.
-        false
-    }
-
-    fn approx_retained_bytes(&self, row_bytes: usize) -> usize {
-        // The whole scanned reservoir is held until sliced out.
-        self.reservoir.as_ref().map_or(0, |(rows, _)| {
-            rows.len() * (std::mem::size_of::<SampledRow>() + row_bytes)
-        })
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::block::BlockSampler;
-    use crate::uniform::UniformWithReplacement;
+    use crate::kind::{Allocation, StrataMode};
     use rand::rngs::StdRng;
     use rand::seq::index;
     use rand::SeedableRng;
@@ -700,25 +452,48 @@ mod tests {
             .unwrap()
     }
 
-    fn drain(
-        stream: &mut dyn SampleStream,
-        source: &dyn TableSource,
-        rng: &mut StdRng,
-    ) -> Vec<Vec<SampledRow>> {
-        let mut batches = Vec::new();
-        loop {
-            let b = stream.next_batch(source, rng).unwrap();
-            if b.is_empty() {
-                break;
-            }
-            batches.push(b);
-        }
-        batches
+    fn rng(seed: u64) -> StdRng {
+        StdRng::seed_from_u64(seed)
+    }
+
+    /// The one-shot draw of `kind` at `seed` — what every sampler test
+    /// module draws with.
+    pub(crate) fn draw(kind: SamplerKind, source: &dyn TableSource, seed: u64) -> Vec<SampledRow> {
+        kind.stream(BatchSchedule::one_shot())
+            .unwrap()
+            .drain(source, &mut rng(seed))
+            .unwrap()
     }
 
     fn sorted(mut rows: Vec<SampledRow>) -> Vec<SampledRow> {
         rows.sort_by_key(|(rid, _)| *rid);
         rows
+    }
+
+    /// The rows at `positions` of `source`'s rid frame, one
+    /// [`TableSource::get`] each.
+    fn rows_at(source: &dyn TableSource, positions: &[usize]) -> Vec<SampledRow> {
+        let rids = source.rids().unwrap();
+        (positions.iter())
+            .map(|&p| (rids[p], source.get(rids[p]).unwrap()))
+            .collect()
+    }
+
+    fn all_kinds() -> [SamplerKind; 7] {
+        [
+            SamplerKind::UniformWithReplacement(0.1),
+            SamplerKind::UniformWithoutReplacement(0.1),
+            SamplerKind::Bernoulli(0.1),
+            SamplerKind::Systematic(0.1),
+            SamplerKind::Reservoir(5),
+            SamplerKind::Block(0.1),
+            SamplerKind::Stratified {
+                fraction: 0.1,
+                strata: 4,
+                alloc: Allocation::Neyman,
+                mode: StrataMode::EquiWidth,
+            },
+        ]
     }
 
     #[test]
@@ -745,15 +520,14 @@ mod tests {
 
     #[test]
     fn incremental_fisher_yates_matches_vendor_index_sample_prefixes() {
-        // The property the block stream's parity rests on: for any amount,
-        // index::sample equals the first `amount` draws of the incremental
-        // shuffle with the same seed.
+        // The property the block and without-replacement streams' parity
+        // rests on: for any amount, index::sample equals the first `amount`
+        // draws of the incremental shuffle with the same seed.
         for length in [10usize, 100, 1000] {
             for amount in [1usize, 3, 7, length / 2, length] {
-                let oneshot =
-                    index::sample(&mut StdRng::seed_from_u64(9), length, amount).into_vec();
+                let oneshot = index::sample(&mut rng(9), length, amount).into_vec();
                 let mut fy = IncrementalFisherYates::new(length);
-                let mut rng = StdRng::seed_from_u64(9);
+                let mut rng = rng(9);
                 let incremental: Vec<usize> =
                     (0..amount).map(|_| fy.next(&mut rng).unwrap()).collect();
                 assert_eq!(incremental, oneshot, "length={length} amount={amount}");
@@ -764,154 +538,175 @@ mod tests {
     #[test]
     fn uniform_stream_drains_to_the_one_shot_multiset() {
         let t = table(2_000);
-        let kind = SamplerKind::UniformWithReplacement(0.1);
-        let oneshot = UniformWithReplacement::new(0.1)
-            .unwrap()
-            .sample(&t, &mut StdRng::seed_from_u64(5))
-            .unwrap();
-        let mut stream = kind.stream(BatchSchedule::default()).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let batches = drain(stream.as_mut(), &t, &mut rng);
-        assert!(batches.len() > 1, "expected several geometric batches");
-        let drained: Vec<SampledRow> = batches.into_iter().flatten().collect();
-        assert_eq!(drained.len(), 200);
-        assert_eq!(stream.rows_drawn(), 200);
-        assert!(stream.exhausted());
-        assert_eq!(sorted(drained), sorted(oneshot));
-        // A drained stream keeps returning empty batches.
-        assert!(stream.next_batch(&t, &mut rng).unwrap().is_empty());
+        // The references: one `gen_range(0..n)` per row with replacement,
+        // `index::sample` without.
+        let with: Vec<usize> = {
+            let mut rng = rng(5);
+            (0..200).map(|_| rng.gen_range(0..2_000)).collect()
+        };
+        let without = index::sample(&mut rng(5), 2_000, 200).into_vec();
+        for (kind, positions) in [
+            (SamplerKind::UniformWithReplacement(0.1), with),
+            (SamplerKind::UniformWithoutReplacement(0.1), without),
+        ] {
+            let mut stream = kind.stream(BatchSchedule::default()).unwrap();
+            let mut rng = rng(5);
+            let mut drained = stream.next_batch(&t, &mut rng).unwrap();
+            assert!(!stream.exhausted(), "expected several geometric batches");
+            drained.extend(stream.drain(&t, &mut rng).unwrap());
+            assert_eq!(drained.len(), 200);
+            assert_eq!(stream.rows_drawn(), 200);
+            assert!(stream.exhausted());
+            assert_eq!(sorted(drained), sorted(rows_at(&t, &positions)), "{kind:?}");
+            // A drained stream keeps returning empty batches.
+            assert!(stream.next_batch(&t, &mut rng).unwrap().is_empty());
+        }
     }
 
     #[test]
     fn uniform_stream_page_reads_are_schedule_independent() {
         let t = table(3_000);
-        let mut pages = Vec::new();
-        for schedule in [
-            BatchSchedule::one_shot(),
-            BatchSchedule::default(),
-            BatchSchedule::new(0.001, 1.3).unwrap(),
+        for kind in [
+            SamplerKind::UniformWithReplacement(0.05),
+            SamplerKind::UniformWithoutReplacement(0.05),
         ] {
-            let counting = CountingSource::new(&t);
-            let mut stream = SamplerKind::UniformWithReplacement(0.05)
-                .stream(schedule)
-                .unwrap();
-            let mut rng = StdRng::seed_from_u64(3);
-            drain(stream.as_mut(), &counting, &mut rng);
-            pages.push(counting.pages_read());
+            let mut pages = Vec::new();
+            for schedule in [
+                BatchSchedule::one_shot(),
+                BatchSchedule::default(),
+                BatchSchedule::new(0.001, 1.3).unwrap(),
+            ] {
+                let counting = CountingSource::new(&t);
+                let mut stream = kind.stream(schedule).unwrap();
+                stream.drain(&counting, &mut rng(3)).unwrap();
+                pages.push(counting.pages_read());
+            }
+            assert_eq!(pages[0], pages[1], "page cache must erase batch boundaries");
+            assert_eq!(pages[0], pages[2]);
         }
-        assert_eq!(pages[0], pages[1], "page cache must erase batch boundaries");
-        assert_eq!(pages[0], pages[2]);
     }
 
     #[test]
     fn block_stream_selects_the_one_shot_page_set() {
         let t = table(4_000);
-        let kind = SamplerKind::Block(0.25);
-        let oneshot_ids = BlockSampler::new(0.25)
-            .unwrap()
-            .sample_page_ids(&t, &mut StdRng::seed_from_u64(11));
-        let counting = CountingSource::new(&t);
-        let mut stream = kind.stream(BatchSchedule::default()).unwrap();
-        let mut rng = StdRng::seed_from_u64(11);
-        let batches = drain(stream.as_mut(), &counting, &mut rng);
-        assert!(batches.len() > 1);
-        let mut pages: Vec<PageId> = batches
-            .iter()
-            .flatten()
-            .map(|(rid, _)| rid.page)
-            .collect::<std::collections::BTreeSet<_>>()
+        // The reference: `index::sample` over the page ids, every row of
+        // each selected page.
+        let count = (t.num_pages() as f64 * 0.25).round() as usize;
+        let mut oneshot_ids: Vec<PageId> = index::sample(&mut rng(11), t.num_pages(), count)
             .into_iter()
+            .map(|p| p as PageId)
             .collect();
-        pages.sort_unstable();
-        assert_eq!(pages, oneshot_ids);
+        oneshot_ids.sort_unstable();
+        let oneshot: Vec<SampledRow> = (oneshot_ids.iter())
+            .flat_map(|&p| t.page_rows(p).unwrap())
+            .collect();
+
+        let counting = CountingSource::new(&t);
+        let mut stream = SamplerKind::Block(0.25)
+            .stream(BatchSchedule::default())
+            .unwrap();
+        let mut rng = rng(11);
+        let mut drained = stream.next_batch(&counting, &mut rng).unwrap();
+        assert!(!stream.exhausted(), "expected several geometric batches");
+        drained.extend(stream.drain(&counting, &mut rng).unwrap());
+        assert_eq!(sorted(drained), oneshot);
         assert_eq!(counting.pages_read() as usize, oneshot_ids.len());
     }
 
     #[test]
     fn reservoir_stream_emits_the_one_shot_reservoir_in_slices() {
         let t = table(1_500);
-        let oneshot = ReservoirSampler::new(120)
-            .unwrap()
-            .sample(&t, &mut StdRng::seed_from_u64(2))
-            .unwrap();
+        // The reference: Algorithm R over a decoded scan.
+        let mut reference: Vec<SampledRow> = Vec::new();
+        let mut r = rng(2);
+        for (seen, row) in t.scan_rows().unwrap().into_iter().enumerate() {
+            if reference.len() < 120 {
+                reference.push(row);
+            } else {
+                let j = r.gen_range(0..=seen);
+                if j < 120 {
+                    reference[j] = row;
+                }
+            }
+        }
         let counting = CountingSource::new(&t);
         let mut stream = SamplerKind::Reservoir(120)
             .stream(BatchSchedule::default())
             .unwrap();
-        let mut rng = StdRng::seed_from_u64(2);
-        let batches = drain(stream.as_mut(), &counting, &mut rng);
-        let drained: Vec<SampledRow> = batches.into_iter().flatten().collect();
-        assert_eq!(drained, oneshot, "slices concatenate to the reservoir");
+        let mut rng = rng(2);
+        let mut drained = stream.next_batch(&counting, &mut rng).unwrap();
+        assert!(drained.len() < 120, "the reservoir arrives in slices");
         // The scan was paid once, on the first batch.
         assert_eq!(counting.pages_read() as usize, t.num_pages());
+        drained.extend(stream.drain(&counting, &mut rng).unwrap());
+        assert_eq!(drained, reference, "slices concatenate to the reservoir");
+        assert_eq!(counting.pages_read() as usize, t.num_pages());
+        assert!(!stream.extendable());
         assert!(!stream.extend_cap(SamplerKind::Reservoir(500)));
     }
 
     #[test]
     fn extending_the_cap_continues_the_draw_prefix() {
         let t = table(2_000);
-        // Stream A: draw at 5%, then deepen to 15% and drain.
-        let mut a = SamplerKind::UniformWithReplacement(0.05)
+        type Family = fn(f64) -> SamplerKind;
+        let families: [Family; 2] = [
+            SamplerKind::UniformWithReplacement,
+            SamplerKind::UniformWithoutReplacement,
+        ];
+        for family in families {
+            // Stream A: draw at 5%, then deepen to 15% and drain.
+            let mut a = family(0.05).stream(BatchSchedule::one_shot()).unwrap();
+            let mut rng_a = rng(7);
+            let mut rows_a = a.drain(&t, &mut rng_a).unwrap();
+            assert_eq!(rows_a.len(), 100);
+            assert!(a.extendable());
+            assert!(a.extend_cap(family(0.15)));
+            assert_eq!(a.kind(), family(0.15));
+            rows_a.extend(a.drain(&t, &mut rng_a).unwrap());
+            // Stream B: a fresh draw straight at 15%.
+            let rows_b = draw(family(0.15), &t, 7);
+            assert_eq!(rows_a.len(), rows_b.len());
+            assert_eq!(
+                sorted(rows_a),
+                sorted(rows_b),
+                "deepening == fresh deeper draw"
+            );
+            // Deepening rejects a different family or a shallower fraction.
+            assert!(!a.extend_cap(SamplerKind::Block(0.5)));
+            assert!(!a.extend_cap(family(0.01)));
+        }
+        // With and without replacement are different families.
+        let mut wr = SamplerKind::UniformWithReplacement(0.05)
             .stream(BatchSchedule::one_shot())
             .unwrap();
-        let mut rng_a = StdRng::seed_from_u64(7);
-        let mut rows_a: Vec<SampledRow> = drain(a.as_mut(), &t, &mut rng_a).concat();
-        assert_eq!(rows_a.len(), 100);
-        assert!(a.extend_cap(SamplerKind::UniformWithReplacement(0.15)));
-        assert_eq!(a.kind(), SamplerKind::UniformWithReplacement(0.15));
-        rows_a.extend(drain(a.as_mut(), &t, &mut rng_a).concat());
-        // Stream B: a fresh draw straight at 15%.
-        let rows_b = UniformWithReplacement::new(0.15)
-            .unwrap()
-            .sample(&t, &mut StdRng::seed_from_u64(7))
-            .unwrap();
-        assert_eq!(rows_a.len(), rows_b.len());
-        assert_eq!(
-            sorted(rows_a),
-            sorted(rows_b),
-            "deepening == fresh deeper draw"
-        );
-        // Deepening rejects a different family or a shallower fraction.
-        assert!(!a.extend_cap(SamplerKind::Block(0.5)));
-        assert!(!a.extend_cap(SamplerKind::UniformWithReplacement(0.01)));
+        assert!(!wr.extend_cap(SamplerKind::UniformWithoutReplacement(0.5)));
     }
 
     #[test]
-    fn non_streaming_kinds_report_a_clear_error() {
-        for kind in [
-            SamplerKind::Bernoulli(0.1),
-            SamplerKind::Systematic(0.1),
-            SamplerKind::UniformWithoutReplacement(0.1),
-        ] {
-            assert!(!kind.supports_streaming());
-            let err = kind.stream(BatchSchedule::default()).unwrap_err();
-            assert!(err.to_string().contains("streaming"), "{err}");
-        }
-        for kind in [
-            SamplerKind::UniformWithReplacement(0.1),
-            SamplerKind::Block(0.1),
-            SamplerKind::Reservoir(5),
-            SamplerKind::Stratified {
-                fraction: 0.1,
-                strata: 4,
-                alloc: crate::kind::Allocation::Neyman,
-                mode: crate::kind::StrataMode::EquiWidth,
-            },
-        ] {
-            assert!(kind.supports_streaming());
+    fn every_kind_streams() {
+        let t = table(600);
+        for kind in all_kinds() {
+            let mut stream = kind.stream(BatchSchedule::default()).unwrap();
+            assert_eq!(stream.kind(), kind);
+            let rows = stream.drain(&t, &mut rng(1)).unwrap();
+            assert!(!rows.is_empty(), "{kind:?}");
+            assert_eq!(stream.rows_drawn(), rows.len());
+            assert!(stream.exhausted());
+            // Only a scan sampler's draw is final after its one scan.
+            let scans = matches!(
+                kind,
+                SamplerKind::Bernoulli(_) | SamplerKind::Systematic(_) | SamplerKind::Reservoir(_)
+            );
+            assert_eq!(stream.extendable(), !scans, "{kind:?}");
         }
     }
 
     #[test]
     fn empty_table_streams_are_immediately_exhausted() {
         let t = table(0);
-        for kind in [
-            SamplerKind::UniformWithReplacement(0.5),
-            SamplerKind::Block(0.5),
-            SamplerKind::Reservoir(5),
-        ] {
+        for kind in all_kinds() {
             let mut stream = kind.stream(BatchSchedule::default()).unwrap();
-            let mut rng = StdRng::seed_from_u64(1);
+            let mut rng = rng(1);
             assert!(stream.next_batch(&t, &mut rng).unwrap().is_empty());
             assert!(stream.exhausted(), "{kind:?}");
             assert_eq!(stream.rows_drawn(), 0);

@@ -1,212 +1,311 @@
-//! Row-level uniform samplers.
+//! Row-level samplers: uniform position draws and single-scan keep-rules.
+//!
+//! Two streams cover the five row-level kinds.  A [`UniformStream`] draws
+//! *positions* of the RID frame — with replacement (the procedure the
+//! paper's analysis assumes, Section II-C) or without — and fetches them
+//! page-coalesced.  A [`ScanStream`] reads the table once and keeps what a
+//! [`KeepRule`] selects: Bernoulli, systematic or reservoir.
 
 use crate::error::SamplingResult;
-use crate::sampler::{fetch_positions, target_size, validate_fraction, RowSampler, SampledRow};
-use crate::stream::{fetch_positions_coalesced, PageCache};
-use rand::seq::index;
-use rand::Rng;
-use rand::RngCore;
+use crate::kind::SamplerKind;
+use crate::reservoir;
+use crate::sampler::{target_size, validate_fraction, SampledRow};
+use crate::stream::{
+    fetch_positions_coalesced, BatchPlan, BatchSchedule, IncrementalFisherYates, PageCache,
+    SampleStream,
+};
+use rand::{Rng, RngCore};
 use samplecf_storage::{PageId, Rid, TableSource};
 
-/// Uniform random sampling of rows *with replacement* — the procedure the
-/// paper's analysis assumes (Section II-C).
-#[derive(Debug, Clone, Copy)]
-pub struct UniformWithReplacement {
+/// What a [`UniformStream`] binds on first use.
+struct Frame {
+    rids: Vec<Rid>,
+    plan: BatchPlan,
+    /// The shuffle positions come out of when drawing without replacement.
+    shuffle: Option<IncrementalFisherYates>,
+}
+
+/// Uniform random sampling of `round(fraction · n)` rows, with or without
+/// replacement: one position stream with two position sources.  Positions
+/// are generated one RNG call at a time — `gen_range(0..n)` with
+/// replacement, the next element of an [`IncrementalFisherYates`] shuffle
+/// of the frame (≡ `rand::seq::index::sample` for every prefix) without —
+/// and fetched page-coalesced through a persistent [`PageCache`], so every
+/// distinct page is read exactly once however many drawn rows land on it
+/// and however the draw is batched.
+pub struct UniformStream {
     fraction: f64,
+    with_replacement: bool,
+    schedule: BatchSchedule,
+    frame: Option<Frame>,
+    drawn: usize,
+    cache: PageCache,
 }
 
-impl UniformWithReplacement {
-    /// Create a sampler drawing `round(fraction · n)` rows with replacement.
-    pub fn new(fraction: f64) -> SamplingResult<Self> {
-        Ok(UniformWithReplacement {
-            fraction: validate_fraction(fraction)?,
-        })
+impl UniformStream {
+    pub(crate) fn new(fraction: f64, with_replacement: bool, schedule: BatchSchedule) -> Self {
+        UniformStream {
+            fraction,
+            with_replacement,
+            schedule,
+            frame: None,
+            drawn: 0,
+            cache: PageCache::new(),
+        }
     }
 
-    /// The sampling fraction.
-    #[must_use]
-    pub fn fraction(&self) -> f64 {
-        self.fraction
+    fn kind_at(&self, fraction: f64) -> SamplerKind {
+        if self.with_replacement {
+            SamplerKind::UniformWithReplacement(fraction)
+        } else {
+            SamplerKind::UniformWithoutReplacement(fraction)
+        }
     }
 }
 
-impl RowSampler for UniformWithReplacement {
-    fn name(&self) -> &'static str {
-        "uniform-with-replacement"
+impl SampleStream for UniformStream {
+    fn kind(&self) -> SamplerKind {
+        self.kind_at(self.fraction)
     }
 
-    fn sample(
-        &self,
+    fn next_batch(
+        &mut self,
         source: &dyn TableSource,
         rng: &mut dyn RngCore,
     ) -> SamplingResult<Vec<SampledRow>> {
-        let rids = source.rids()?;
-        let n = rids.len();
-        let r = target_size(n, self.fraction);
-        if r == 0 {
-            return Ok(Vec::new());
+        if self.frame.is_none() {
+            let rids = source.rids()?;
+            let n = rids.len();
+            self.frame = Some(Frame {
+                plan: BatchPlan::new(self.schedule, n, target_size(n, self.fraction)),
+                shuffle: (!self.with_replacement).then(|| IncrementalFisherYates::new(n)),
+                rids,
+            });
         }
-        let positions: Vec<usize> = (0..r).map(|_| rng.gen_range(0..n)).collect();
-        // Page-coalesced fetch: the drawn rids are sorted so that every
-        // distinct page is read exactly once, however many drawn rows (or
-        // with-replacement duplicates) land on it.  The estimator is
-        // insensitive to the resulting rid order — the index bulk load
-        // re-sorts by key — and the I/O drops from one page read per drawn
-        // row to one per distinct page.
-        fetch_positions_coalesced(source, &rids, &positions, &mut PageCache::new())
-    }
-
-    fn expected_sample_size(&self, n: usize) -> usize {
-        target_size(n, self.fraction)
-    }
-}
-
-/// Uniform random sampling of rows *without replacement*.
-#[derive(Debug, Clone, Copy)]
-pub struct UniformWithoutReplacement {
-    fraction: f64,
-}
-
-impl UniformWithoutReplacement {
-    /// Create a sampler drawing `round(fraction · n)` distinct rows.
-    pub fn new(fraction: f64) -> SamplingResult<Self> {
-        Ok(UniformWithoutReplacement {
-            fraction: validate_fraction(fraction)?,
-        })
-    }
-}
-
-impl RowSampler for UniformWithoutReplacement {
-    fn name(&self) -> &'static str {
-        "uniform-without-replacement"
-    }
-
-    fn sample(
-        &self,
-        source: &dyn TableSource,
-        rng: &mut dyn RngCore,
-    ) -> SamplingResult<Vec<SampledRow>> {
-        let rids = source.rids()?;
-        let n = rids.len();
-        let r = target_size(n, self.fraction);
-        if r == 0 {
+        let frame = self.frame.as_mut().expect("frame bound above");
+        let Some(target) = frame.plan.next_target() else {
             return Ok(Vec::new());
-        }
-        let positions = index::sample(rng, n, r).into_vec();
-        fetch_positions(source, &rids, &positions)
+        };
+        let n = frame.rids.len();
+        let positions: Vec<usize> = (self.drawn..target)
+            .map(|_| match frame.shuffle.as_mut() {
+                Some(shuffle) => shuffle.next(rng).expect("targets never exceed the frame"),
+                None => rng.gen_range(0..n),
+            })
+            .collect();
+        let batch = fetch_positions_coalesced(source, &frame.rids, &positions, &mut self.cache)?;
+        self.drawn = target;
+        frame.plan.advance();
+        Ok(batch)
     }
 
-    fn expected_sample_size(&self, n: usize) -> usize {
-        target_size(n, self.fraction)
+    fn rows_drawn(&self) -> usize {
+        self.drawn
+    }
+
+    fn exhausted(&self) -> bool {
+        (self.frame.as_ref()).is_some_and(|frame| frame.plan.exhausted())
+    }
+
+    fn extend_cap(&mut self, kind: SamplerKind) -> bool {
+        let Some(f) = kind.fraction() else {
+            return false;
+        };
+        if kind != self.kind_at(f) || f < self.fraction || validate_fraction(f).is_err() {
+            return false;
+        }
+        self.fraction = f;
+        if let Some(frame) = self.frame.as_mut() {
+            // Re-plan from the rows already drawn: one batch to the new cap.
+            let max_rows = target_size(frame.rids.len(), f);
+            frame.plan.raise_cap(max_rows, self.drawn);
+        }
+        true
+    }
+
+    fn approx_retained_bytes(&self, _row_bytes: usize) -> usize {
+        // The rid frame, the shuffle's displaced slots and every page the
+        // page cache holds.
+        let frame = self.frame.as_ref().map_or(0, |frame| {
+            frame.rids.len() * std::mem::size_of::<Rid>()
+                + (frame.shuffle.as_ref()).map_or(0, IncrementalFisherYates::retained_bytes)
+        });
+        frame + self.cache.bytes_cached()
     }
 }
 
-/// One scan of the source that decodes only the rows `keep` selects.
-/// `keep` is asked once per row, in storage order; each page is read once
-/// and the records of unselected slots are never decoded.
+/// One scan of the source that decodes only the rows `slot_for` places.
+///
+/// `slot_for` is asked once per row, in storage order, with the number of
+/// rows kept so far, and answers where the row goes in the output: `None`
+/// to skip it, `Some(kept)` to append it, a smaller index to replace the
+/// row held there.  Each page is read once and the records of skipped slots
+/// are never decoded.
 fn scan_keeping(
     source: &dyn TableSource,
-    mut keep: impl FnMut() -> bool,
+    mut slot_for: impl FnMut(usize) -> Option<usize>,
 ) -> SamplingResult<Vec<SampledRow>> {
     let codec = source.codec();
     let mut out = Vec::new();
     for pid in 0..source.num_pages() as PageId {
         let page = source.read_page_ref(pid)?;
         for slot in 0..page.slot_count() {
-            if keep() {
-                out.push((Rid::new(pid, slot), codec.decode(page.get(slot)?)?));
+            let Some(at) = slot_for(out.len()) else {
+                continue;
+            };
+            let row = (Rid::new(pid, slot), codec.decode(page.get(slot)?)?);
+            if at == out.len() {
+                out.push(row);
+            } else {
+                out[at] = row;
             }
         }
     }
     Ok(out)
 }
 
-/// Bernoulli sampling: every row is included independently with probability
-/// `fraction`, so the sample size itself is random.
-#[derive(Debug, Clone, Copy)]
-pub struct BernoulliSampler {
-    fraction: f64,
+/// Which rows a [`ScanStream`]'s single scan keeps.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum KeepRule {
+    /// Every row independently with this probability, so the sample size
+    /// itself is random: one `gen::<f64>()` per row, in storage order.
+    Bernoulli(f64),
+    /// A random starting offset, then every `round(1/fraction)`-th row.
+    /// Cheap to execute but sensitive to periodic data; a baseline for the
+    /// block-sampling experiments.
+    Systematic(f64),
+    /// A fixed-size uniform sample without replacement (Vitter's Algorithm
+    /// R, see [`reservoir`]).
+    Reservoir(usize),
 }
 
-impl BernoulliSampler {
-    /// Create a Bernoulli sampler with the given inclusion probability.
-    pub fn new(fraction: f64) -> SamplingResult<Self> {
-        Ok(BernoulliSampler {
-            fraction: validate_fraction(fraction)?,
-        })
-    }
-}
-
-impl RowSampler for BernoulliSampler {
-    fn name(&self) -> &'static str {
-        "bernoulli"
-    }
-
-    fn sample(
-        &self,
-        source: &dyn TableSource,
-        rng: &mut dyn RngCore,
-    ) -> SamplingResult<Vec<SampledRow>> {
-        // One RNG call per row, in storage order.
-        scan_keeping(source, || rng.gen::<f64>() < self.fraction)
-    }
-
-    fn expected_sample_size(&self, n: usize) -> usize {
-        (n as f64 * self.fraction).round() as usize
-    }
-}
-
-/// Systematic sampling: a random starting offset followed by every
-/// `⌈1/fraction⌉`-th row.  Cheap to execute but sensitive to periodic data;
-/// included as a baseline sampler for the block-sampling experiments.
-#[derive(Debug, Clone, Copy)]
-pub struct SystematicSampler {
-    fraction: f64,
-}
-
-impl SystematicSampler {
-    /// Create a systematic sampler with the given target fraction.
-    pub fn new(fraction: f64) -> SamplingResult<Self> {
-        Ok(SystematicSampler {
-            fraction: validate_fraction(fraction)?,
-        })
-    }
-}
-
-impl RowSampler for SystematicSampler {
-    fn name(&self) -> &'static str {
-        "systematic"
-    }
-
-    fn sample(
-        &self,
-        source: &dyn TableSource,
-        rng: &mut dyn RngCore,
-    ) -> SamplingResult<Vec<SampledRow>> {
-        let n = source.num_rows();
-        if n == 0 {
-            return Ok(Vec::new());
+impl KeepRule {
+    fn kind(self) -> SamplerKind {
+        match self {
+            KeepRule::Bernoulli(p) => SamplerKind::Bernoulli(p),
+            KeepRule::Systematic(f) => SamplerKind::Systematic(f),
+            KeepRule::Reservoir(size) => SamplerKind::Reservoir(size),
         }
-        let step = (1.0 / self.fraction).round().max(1.0) as usize;
-        let start = rng.gen_range(0..step.min(n));
-        // Only every `step`-th row from `start` on is kept.
-        let mut i = 0usize;
-        scan_keeping(source, || {
-            let kept = i >= start && (i - start) % step == 0;
-            i += 1;
-            kept
-        })
     }
 
-    fn expected_sample_size(&self, n: usize) -> usize {
-        let step = (1.0 / self.fraction).round().max(1.0) as usize;
-        n.div_ceil(step)
+    /// Scan `source` once, keeping what the rule selects.
+    fn scan(
+        self,
+        source: &dyn TableSource,
+        rng: &mut dyn RngCore,
+    ) -> SamplingResult<Vec<SampledRow>> {
+        match self {
+            KeepRule::Bernoulli(p) => {
+                scan_keeping(source, |kept| (rng.gen::<f64>() < p).then_some(kept))
+            }
+            KeepRule::Systematic(f) => {
+                let n = source.num_rows();
+                if n == 0 {
+                    return Ok(Vec::new());
+                }
+                let step = (1.0 / f).round().max(1.0) as usize;
+                let start = rng.gen_range(0..step.min(n));
+                let mut i = 0usize;
+                scan_keeping(source, |kept| {
+                    let keep = i >= start && (i - start) % step == 0;
+                    i += 1;
+                    keep.then_some(kept)
+                })
+            }
+            KeepRule::Reservoir(size) => {
+                let mut seen = 0usize;
+                scan_keeping(source, |_| {
+                    let slot = reservoir::slot_for(size, seen, rng);
+                    seen += 1;
+                    slot
+                })
+            }
+        }
+    }
+}
+
+/// The scan samplers' stream.  A scan sampler needs the complete scan
+/// before any row's membership is final, so the first batch runs the scan
+/// (paying the full-scan I/O) and later batches emit slices of what it kept
+/// on the stream's schedule.  Progressive consumers still get growing
+/// sub-samples to measure on, but no I/O is saved by stopping early — the
+/// honest cost model of scan-based samplers — and the draw cannot be
+/// deepened: rows the scan skipped or evicted are gone.
+pub struct ScanStream {
+    rule: KeepRule,
+    schedule: BatchSchedule,
+    /// Bound by the first batch: the kept rows not yet emitted, and the
+    /// slice targets.
+    scanned: Option<(std::vec::IntoIter<SampledRow>, BatchPlan)>,
+    emitted: usize,
+}
+
+impl ScanStream {
+    pub(crate) fn new(rule: KeepRule, schedule: BatchSchedule) -> Self {
+        ScanStream {
+            rule,
+            schedule,
+            scanned: None,
+            emitted: 0,
+        }
+    }
+}
+
+impl SampleStream for ScanStream {
+    fn kind(&self) -> SamplerKind {
+        self.rule.kind()
+    }
+
+    fn next_batch(
+        &mut self,
+        source: &dyn TableSource,
+        rng: &mut dyn RngCore,
+    ) -> SamplingResult<Vec<SampledRow>> {
+        if self.scanned.is_none() {
+            let rows = self.rule.scan(source, rng)?;
+            // Slice targets follow the same row schedule as the other
+            // streams, capped at what the scan kept.
+            let plan = BatchPlan::new(self.schedule, source.num_rows(), rows.len());
+            self.scanned = Some((rows.into_iter(), plan));
+        }
+        let (rows, plan) = self.scanned.as_mut().expect("scanned above");
+        let Some(target) = plan.next_target() else {
+            return Ok(Vec::new());
+        };
+        let batch = rows.by_ref().take(target - self.emitted).collect();
+        self.emitted = target;
+        plan.advance();
+        Ok(batch)
+    }
+
+    fn rows_drawn(&self) -> usize {
+        self.emitted
+    }
+
+    fn exhausted(&self) -> bool {
+        (self.scanned.as_ref()).is_some_and(|(_, plan)| plan.exhausted())
+    }
+
+    fn extend_cap(&mut self, _kind: SamplerKind) -> bool {
+        false
+    }
+
+    fn extendable(&self) -> bool {
+        false
+    }
+
+    fn approx_retained_bytes(&self, row_bytes: usize) -> usize {
+        // The scanned rows not yet sliced out.
+        self.scanned.as_ref().map_or(0, |(rows, _)| {
+            rows.len() * (std::mem::size_of::<SampledRow>() + row_bytes)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::tests::draw;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use samplecf_storage::{Row, Schema, Table, TableBuilder, Value};
@@ -222,42 +321,39 @@ mod tests {
         StdRng::seed_from_u64(seed)
     }
 
+    fn distinct_rids(sample: &[SampledRow]) -> usize {
+        let distinct: HashSet<_> = sample.iter().map(|(rid, _)| *rid).collect();
+        distinct.len()
+    }
+
     #[test]
     fn with_replacement_draws_exact_count_and_allows_duplicates() {
         let t = table(200);
-        let s = UniformWithReplacement::new(0.5).unwrap();
-        let sample = s.sample(&t, &mut rng(1)).unwrap();
+        let sample = draw(SamplerKind::UniformWithReplacement(0.5), &t, 1);
         assert_eq!(sample.len(), 100);
-        assert_eq!(s.expected_sample_size(200), 100);
         // With 100 draws from 200 rows, duplicates are essentially certain.
-        let distinct: HashSet<_> = sample.iter().map(|(rid, _)| *rid).collect();
-        assert!(distinct.len() < sample.len());
+        assert!(distinct_rids(&sample) < sample.len());
     }
 
     #[test]
     fn without_replacement_draws_distinct_rows() {
         let t = table(200);
-        let s = UniformWithoutReplacement::new(0.25).unwrap();
-        let sample = s.sample(&t, &mut rng(2)).unwrap();
+        let sample = draw(SamplerKind::UniformWithoutReplacement(0.25), &t, 2);
         assert_eq!(sample.len(), 50);
-        let distinct: HashSet<_> = sample.iter().map(|(rid, _)| *rid).collect();
-        assert_eq!(distinct.len(), 50);
+        assert_eq!(distinct_rids(&sample), 50);
     }
 
     #[test]
     fn bernoulli_sample_size_is_near_expectation() {
         let t = table(5000);
-        let s = BernoulliSampler::new(0.1).unwrap();
-        let sample = s.sample(&t, &mut rng(3)).unwrap();
-        let expected = s.expected_sample_size(5000) as f64;
-        assert!((sample.len() as f64 - expected).abs() < 5.0 * (5000.0f64 * 0.1 * 0.9).sqrt());
+        let sample = draw(SamplerKind::Bernoulli(0.1), &t, 3);
+        assert!((sample.len() as f64 - 500.0).abs() < 5.0 * (5000.0f64 * 0.1 * 0.9).sqrt());
     }
 
     #[test]
     fn systematic_sampler_covers_the_table_evenly() {
         let t = table(1000);
-        let s = SystematicSampler::new(0.01).unwrap();
-        let sample = s.sample(&t, &mut rng(4)).unwrap();
+        let sample = draw(SamplerKind::Systematic(0.01), &t, 4);
         assert!((sample.len() as i64 - 10).abs() <= 1);
         // Consecutive picks are exactly 100 apart.
         let ids: Vec<i64> = sample
@@ -272,7 +368,7 @@ mod tests {
     #[test]
     fn scan_samplers_match_a_decode_then_filter_scan_seed_for_seed() {
         // The reference decodes every row of every page and filters after;
-        // the samplers select by slot first and decode only what they keep.
+        // the streams select by slot first and decode only what they keep.
         let t = table(3_000);
         let all_rows = t.scan_rows().unwrap();
         for seed in [0u64, 1, 42] {
@@ -283,20 +379,14 @@ mod tests {
                     .filter(|_| r.gen::<f64>() < f)
                     .cloned()
                     .collect();
-                let sample = BernoulliSampler::new(f)
-                    .unwrap()
-                    .sample(&t, &mut rng(seed))
-                    .unwrap();
+                let sample = draw(SamplerKind::Bernoulli(f), &t, seed);
                 assert_eq!(sample, reference, "bernoulli f={f} seed={seed}");
 
                 let step = (1.0 / f).round().max(1.0) as usize;
                 let start = rng(seed).gen_range(0..step.min(all_rows.len()));
                 let reference: Vec<SampledRow> =
                     all_rows.iter().skip(start).step_by(step).cloned().collect();
-                let sample = SystematicSampler::new(f)
-                    .unwrap()
-                    .sample(&t, &mut rng(seed))
-                    .unwrap();
+                let sample = draw(SamplerKind::Systematic(f), &t, seed);
                 assert_eq!(sample, reference, "systematic f={f} seed={seed}");
             }
         }
@@ -305,95 +395,63 @@ mod tests {
     #[test]
     fn small_fractions_still_return_at_least_one_row() {
         let t = table(50);
-        let s = UniformWithReplacement::new(0.001).unwrap();
-        assert_eq!(s.sample(&t, &mut rng(5)).unwrap().len(), 1);
-        let s = UniformWithoutReplacement::new(0.001).unwrap();
-        assert_eq!(s.sample(&t, &mut rng(5)).unwrap().len(), 1);
+        for kind in [
+            SamplerKind::UniformWithReplacement(0.001),
+            SamplerKind::UniformWithoutReplacement(0.001),
+        ] {
+            assert_eq!(draw(kind, &t, 5).len(), 1);
+        }
     }
 
     #[test]
     fn empty_table_yields_empty_samples() {
         let t = table(0);
-        assert!(UniformWithReplacement::new(0.1)
-            .unwrap()
-            .sample(&t, &mut rng(6))
-            .unwrap()
-            .is_empty());
-        assert!(UniformWithoutReplacement::new(0.1)
-            .unwrap()
-            .sample(&t, &mut rng(6))
-            .unwrap()
-            .is_empty());
-        assert!(BernoulliSampler::new(0.1)
-            .unwrap()
-            .sample(&t, &mut rng(6))
-            .unwrap()
-            .is_empty());
-        assert!(SystematicSampler::new(0.1)
-            .unwrap()
-            .sample(&t, &mut rng(6))
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
-    fn empty_table_expected_sizes_are_zero() {
-        // Unified edge behaviour: every sampler expects 0 rows from 0 rows.
-        assert_eq!(
-            UniformWithReplacement::new(0.1)
-                .unwrap()
-                .expected_sample_size(0),
-            0
-        );
-        assert_eq!(
-            UniformWithoutReplacement::new(1.0)
-                .unwrap()
-                .expected_sample_size(0),
-            0
-        );
-        assert_eq!(
-            BernoulliSampler::new(0.5).unwrap().expected_sample_size(0),
-            0
-        );
-        assert_eq!(
-            SystematicSampler::new(0.5).unwrap().expected_sample_size(0),
-            0
-        );
+        for kind in [
+            SamplerKind::UniformWithReplacement(0.1),
+            SamplerKind::UniformWithoutReplacement(0.1),
+            SamplerKind::Bernoulli(0.1),
+            SamplerKind::Systematic(0.1),
+        ] {
+            assert!(draw(kind, &t, 6).is_empty(), "{kind:?}");
+        }
     }
 
     #[test]
     fn full_fraction_returns_the_whole_table() {
         // Unified edge behaviour: fraction == 1.0 covers every row.
         let t = table(120);
-        let s = UniformWithoutReplacement::new(1.0).unwrap();
-        let sample = s.sample(&t, &mut rng(8)).unwrap();
+        let sample = draw(SamplerKind::UniformWithoutReplacement(1.0), &t, 8);
         assert_eq!(sample.len(), 120);
-        let distinct: HashSet<_> = sample.iter().map(|(rid, _)| *rid).collect();
-        assert_eq!(distinct.len(), 120);
-
-        let s = UniformWithReplacement::new(1.0).unwrap();
-        assert_eq!(s.sample(&t, &mut rng(8)).unwrap().len(), 120);
-
-        let s = SystematicSampler::new(1.0).unwrap();
-        assert_eq!(s.sample(&t, &mut rng(8)).unwrap().len(), 120);
+        assert_eq!(distinct_rids(&sample), 120);
+        for kind in [
+            SamplerKind::UniformWithReplacement(1.0),
+            SamplerKind::Systematic(1.0),
+            SamplerKind::Bernoulli(1.0),
+        ] {
+            assert_eq!(draw(kind, &t, 8).len(), 120, "{kind:?}");
+        }
     }
 
     #[test]
     fn invalid_fractions_rejected() {
-        assert!(UniformWithReplacement::new(0.0).is_err());
-        assert!(UniformWithoutReplacement::new(2.0).is_err());
-        assert!(BernoulliSampler::new(-1.0).is_err());
-        assert!(SystematicSampler::new(f64::INFINITY).is_err());
+        for kind in [
+            SamplerKind::UniformWithReplacement(0.0),
+            SamplerKind::UniformWithoutReplacement(2.0),
+            SamplerKind::Bernoulli(-1.0),
+            SamplerKind::Systematic(f64::INFINITY),
+        ] {
+            assert!(kind.stream(BatchSchedule::one_shot()).is_err(), "{kind:?}");
+        }
     }
 
     #[test]
     fn sampling_is_reproducible_for_a_fixed_seed() {
         let t = table(300);
-        let s = UniformWithReplacement::new(0.1).unwrap();
-        let a = s.sample(&t, &mut rng(42)).unwrap();
-        let b = s.sample(&t, &mut rng(42)).unwrap();
+        let kind = SamplerKind::UniformWithReplacement(0.1);
+        let a = draw(kind, &t, 42);
+        let b = draw(kind, &t, 42);
         assert_eq!(a, b);
-        let c = s.sample(&t, &mut rng(43)).unwrap();
+        let c = draw(kind, &t, 43);
         assert_ne!(a, c);
     }
 
@@ -402,11 +460,9 @@ mod tests {
         // Draw many with-replacement samples and check that every row is hit
         // a comparable number of times (loose 3x band).
         let t = table(50);
-        let s = UniformWithReplacement::new(1.0).unwrap();
         let mut counts = vec![0usize; 50];
-        let mut r = rng(7);
-        for _ in 0..200 {
-            for (_, row) in s.sample(&t, &mut r).unwrap() {
+        for seed in 0..200 {
+            for (_, row) in draw(SamplerKind::UniformWithReplacement(1.0), &t, seed) {
                 let id: usize = row.value(0).as_str().unwrap()[1..].parse().unwrap();
                 counts[id] += 1;
             }

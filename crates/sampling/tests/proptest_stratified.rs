@@ -18,8 +18,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use samplecf_sampling::{
-    Allocation, BatchSchedule, CountingSource, SampleStream, SampledRow, SamplerKind, Strata,
-    StrataMode, StratifiedStream, UniformWrStream,
+    Allocation, BatchSchedule, CountingSource, SampledRow, SamplerKind, Strata, StrataMode,
 };
 use samplecf_storage::{Row, Schema, Table, TableBuilder, TableSource, Value};
 
@@ -33,21 +32,6 @@ fn table(rows: usize, page_size: usize) -> Table {
             Row::new(vec![Value::str(format!("{i:0len$}"))])
         }))
         .unwrap()
-}
-
-fn drain(
-    stream: &mut dyn SampleStream,
-    source: &dyn TableSource,
-    rng: &mut StdRng,
-) -> Vec<SampledRow> {
-    let mut rows = Vec::new();
-    loop {
-        let b = stream.next_batch(source, rng).unwrap();
-        if b.is_empty() {
-            return rows;
-        }
-        rows.extend(b);
-    }
 }
 
 fn sorted(mut rows: Vec<SampledRow>) -> Vec<SampledRow> {
@@ -152,13 +136,18 @@ proptest! {
         for alloc in [Allocation::Proportional, Allocation::Neyman] {
             for mode in [StrataMode::EquiWidth, StrataMode::EquiDepth] {
                 let uni_counting = CountingSource::new(&t);
-                let mut uni = UniformWrStream::new(fraction, schedule).unwrap();
-                let uni_rows = drain(&mut uni, &uni_counting, &mut StdRng::seed_from_u64(seed));
+                let uni_rows = SamplerKind::UniformWithReplacement(fraction)
+                    .stream(schedule)
+                    .unwrap()
+                    .drain(&uni_counting, &mut StdRng::seed_from_u64(seed))
+                    .unwrap();
 
                 let strat_counting = CountingSource::new(&t);
-                let mut strat = StratifiedStream::new(fraction, 1, alloc, mode, schedule).unwrap();
-                let strat_rows =
-                    drain(&mut strat, &strat_counting, &mut StdRng::seed_from_u64(seed));
+                let strat_rows = stratified_kind(fraction, 1, alloc, mode)
+                    .stream(schedule)
+                    .unwrap()
+                    .drain(&strat_counting, &mut StdRng::seed_from_u64(seed))
+                    .unwrap();
 
                 // Byte-identical: same rows in the same order, same page reads.
                 prop_assert_eq!(&strat_rows, &uni_rows, "alloc {:?} mode {:?}", alloc, mode);
@@ -190,21 +179,19 @@ proptest! {
 
         // Stop at f1 (under an arbitrary schedule), then resume to f2.
         let resumed_counting = CountingSource::new(&t);
-        let mut stream = StratifiedStream::new(f1, strata, alloc, mode, schedule).unwrap();
+        let mut stream = stratified_kind(f1, strata, alloc, mode).stream(schedule).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut rows_drawn = drain(&mut stream, &resumed_counting, &mut rng);
+        let mut rows_drawn = stream.drain(&resumed_counting, &mut rng).unwrap();
         prop_assert!(stream.extend_cap(stratified_kind(f2, strata, alloc, mode)));
-        rows_drawn.extend(drain(&mut stream, &resumed_counting, &mut rng));
+        rows_drawn.extend(stream.drain(&resumed_counting, &mut rng).unwrap());
 
         // One-shot draw at f2 with the same seed.
         let oneshot_counting = CountingSource::new(&t);
-        let mut oneshot =
-            StratifiedStream::new(f2, strata, alloc, mode, BatchSchedule::one_shot()).unwrap();
-        let oneshot_rows = drain(
-            &mut oneshot,
-            &oneshot_counting,
-            &mut StdRng::seed_from_u64(seed),
-        );
+        let oneshot_rows = stratified_kind(f2, strata, alloc, mode)
+            .stream(BatchSchedule::one_shot())
+            .unwrap()
+            .drain(&oneshot_counting, &mut StdRng::seed_from_u64(seed))
+            .unwrap();
 
         prop_assert_eq!(sorted(rows_drawn), sorted(oneshot_rows));
         prop_assert_eq!(resumed_counting.pages_read(), oneshot_counting.pages_read());

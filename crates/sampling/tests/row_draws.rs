@@ -2,15 +2,17 @@
 //!
 //! The uniform and stratified streams fetch through a [`PageCache`] that
 //! holds verified pages and decodes only the drawn slots.  These tests pin
-//! the two halves of that contract: the draw is unchanged (every yielded
-//! `(rid, row)` is `source.get(rid)`, RID-sorted within a batch, one
-//! physical read per distinct page, stream == one-shot sampler
-//! seed-for-seed, over `Table` and `DiskTable` alike), and the decode is
+//! the two halves of that contract: the draw is what its position sequence
+//! says (every yielded `(rid, row)` is `source.get(rid)`, RID-sorted within
+//! a batch, one physical read per distinct page, the rows at the positions
+//! a plain `gen_range` loop / `index::sample` names, seed-for-seed, over
+//! `Table` and `DiskTable` alike), and the decode is
 //! lazy (a malformed record only fails the draw that asks for its slot, a
 //! bad rid or a failed read comes back as the storage layer's typed error).
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::seq::index;
+use rand::{Rng, SeedableRng};
 use samplecf_sampling::{
     fetch_positions_coalesced, Allocation, BatchSchedule, CountingSource, PageCache, SampledRow,
     SamplerKind, SamplingError, StrataMode,
@@ -60,6 +62,16 @@ fn drain_batches(
     }
 }
 
+/// The rows at `positions` of the rid frame, in position order, one
+/// `source.get` each — what a coalesced fetch of them must return.
+fn rows_at(source: &dyn TableSource, mut positions: Vec<usize>) -> Vec<SampledRow> {
+    let rids = source.rids().unwrap();
+    positions.sort_unstable();
+    (positions.iter())
+        .map(|&p| (rids[p], source.get(rids[p]).unwrap()))
+        .collect()
+}
+
 fn sorted(mut rows: Vec<SampledRow>) -> Vec<SampledRow> {
     rows.sort_by_key(|(rid, _)| *rid);
     rows
@@ -73,14 +85,30 @@ fn draws_are_identical_and_decodes_are_lazy() {
     );
     let disk = DiskTable::materialize(&file.0, &memory).unwrap();
     let sources: [&dyn TableSource; 2] = [&memory, &disk];
+    // Each kind with the positions its one-shot draw names: a `gen_range`
+    // loop with replacement, `index::sample` without; the stratified draw's
+    // oracle is its own one-batch drain (the proptests pin k = 1 to
+    // uniform-wr).
+    let with_replacement: Vec<usize> = {
+        let mut rng = StdRng::seed_from_u64(11);
+        (0..150).map(|_| rng.gen_range(0..3_000)).collect()
+    };
+    let without = index::sample(&mut StdRng::seed_from_u64(11), 3_000, 150).into_vec();
     let kinds = [
-        SamplerKind::UniformWithReplacement(0.05),
-        SamplerKind::Stratified {
-            fraction: 0.05,
-            strata: 4,
-            alloc: Allocation::Proportional,
-            mode: StrataMode::EquiWidth,
-        },
+        (
+            SamplerKind::UniformWithReplacement(0.05),
+            Some(with_replacement),
+        ),
+        (SamplerKind::UniformWithoutReplacement(0.05), Some(without)),
+        (
+            SamplerKind::Stratified {
+                fraction: 0.05,
+                strata: 4,
+                alloc: Allocation::Proportional,
+                mode: StrataMode::EquiWidth,
+            },
+            None,
+        ),
     ];
     let schedules = [
         BatchSchedule::one_shot(),
@@ -89,12 +117,12 @@ fn draws_are_identical_and_decodes_are_lazy() {
         BatchSchedule::new(0.02, 4.0).unwrap(),
     ];
     for source in sources {
-        for kind in kinds {
-            let oneshot = kind
-                .build()
-                .unwrap()
-                .sample(source, &mut StdRng::seed_from_u64(11))
-                .unwrap();
+        for (kind, positions) in &kinds {
+            let kind = *kind;
+            let oneshot = match positions {
+                Some(positions) => rows_at(source, positions.clone()),
+                None => drain_batches(kind, BatchSchedule::one_shot(), source, 11).concat(),
+            };
             assert_eq!(oneshot.len(), 150);
             for schedule in schedules {
                 let counting = CountingSource::new(source);

@@ -293,7 +293,7 @@ impl ConcurrentSampleCache {
     ) -> CoreResult<AcquiredSample> {
         // Validate the sampler before touching shared state, so a malformed
         // request can never leave an in-flight marker behind.
-        kind.build()?;
+        kind.validate()?;
         let shard = &self.shards[self.shard_of(source, seed)];
         shard.acquire(source, kind, seed)
     }
@@ -360,11 +360,7 @@ impl Shard {
         // Miss.  Prefer deepening the deepest extendable entry of the same
         // (source, family, seed); otherwise draw fresh.  Either way the key
         // goes in-flight so concurrent requests coalesce onto this one.
-        let deepen_from = if kind.supports_streaming() {
-            Self::pick_deepen_victim(&mut state, &key, kind, seed)
-        } else {
-            None
-        };
+        let deepen_from = Self::pick_deepen_victim(&mut state, &key, kind, seed);
         state.slots.insert(key.clone(), Slot::InFlight);
 
         if let Some(base) = deepen_from {
@@ -387,7 +383,7 @@ impl Shard {
         kind: SamplerKind,
         seed: u64,
     ) -> CoreResult<AcquiredSample> {
-        match CachedSample::draw_streaming(source, kind, seed) {
+        match CachedSample::draw(source, kind, seed) {
             Ok(entry) => {
                 let pages = entry.pages_read();
                 Ok(self.publish(key, entry, pages, CacheDisposition::Miss))
@@ -714,6 +710,27 @@ mod tests {
     }
 
     #[test]
+    fn a_scan_sample_is_never_taken_to_deepen() {
+        // A scan sampler's entry holds no stream, so a deeper request of its
+        // family must not remove it as a deepening victim only to be refused
+        // and redraw: the deeper draw is a plain miss and both stay resident.
+        let (_counting, shared) = counted_table(4_000, 19);
+        let cache = ConcurrentSampleCache::new(DEFAULT_CACHE_BUDGET_BYTES);
+        let (shallow, deep) = (SamplerKind::Bernoulli(0.05), SamplerKind::Bernoulli(0.1));
+        let drawn = cache.acquire(&shared, shallow, 3).unwrap();
+        assert_eq!(drawn.disposition, CacheDisposition::Miss);
+        let deeper = cache.acquire(&shared, deep, 3).unwrap();
+        assert_eq!(deeper.disposition, CacheDisposition::Miss);
+        assert_eq!(deeper.sample.kind(), deep);
+        for kind in [shallow, deep] {
+            let again = cache.acquire(&shared, kind, 3).unwrap();
+            assert_eq!(again.disposition, CacheDisposition::Hit, "{kind:?}");
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.misses, stats.deepened), (2, 2, 0));
+    }
+
+    #[test]
     fn lru_eviction_respects_the_byte_budget() {
         // A block entry is priced by its sample alone; a live uniform entry
         // also by the rid frame and the pages its stream holds for deepening.
@@ -732,7 +749,7 @@ mod tests {
         // and A+C fit, A+B+C overflows.  One shard, so all three seeds
         // compete for one LRU list regardless of how they hash.
         let bytes_of = |seed: u64| {
-            CachedSample::draw_streaming(&shared, kind, seed)
+            CachedSample::draw(&shared, kind, seed)
                 .unwrap()
                 .approx_bytes()
         };

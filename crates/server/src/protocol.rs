@@ -14,7 +14,7 @@
 
 use crate::json::Json;
 use samplecf_compression::{scheme_by_name, CompressionScheme};
-use samplecf_core::{AdvisorConfig, CompressionAdvisor, ProgressiveConfig};
+use samplecf_core::{AdvisorConfig, CompressionAdvisor, ProgressiveCf, ProgressiveConfig};
 use samplecf_index::IndexSpec;
 use samplecf_sampling::{Allocation, BatchSchedule, SamplerKind, StrataMode};
 use samplecf_storage::Schema;
@@ -379,7 +379,7 @@ mod fields {
     pub const ESTIMATE: &[Field] = &[TABLE, SAMPLER, FRACTION, SIZE, STRATA, ALLOC, STRATA_MODE, SCHEME, COLUMNS, SEED, THREADS];
     pub const PROGRESSIVE: &[Field] = &[
         TABLE,
-        Field { doc: "a streaming sampler: uniform, block, reservoir or stratified", ..SAMPLER },
+        Field { doc: "a sampler with a validated interval: uniform, block, reservoir or stratified", ..SAMPLER },
         Field { default: Value("0.1"), alias: "max-fraction", doc: "sampling-fraction cap (the page budget), in (0, 1]", ..FRACTION },
         SIZE, STRATA, ALLOC, STRATA_MODE, TARGET_ERROR, CONFIDENCE, INITIAL_FRACTION, GROWTH, SCHEME, COLUMNS, SEED, THREADS,
     ];
@@ -534,7 +534,7 @@ impl Request {
     /// Parse and validate a request object already classified as `kind`
     /// ([`RequestKind::of`]).  Everything that can be checked without the
     /// table is checked here; the range rules themselves live with the
-    /// layer that owns them (the sampler's constructor, the progressive
+    /// layer that owns them (`SamplerKind::validate`, the progressive
     /// configuration, the advisor) and are only invoked.
     #[allow(clippy::cast_possible_truncation)]
     pub fn parse_as(kind: RequestKind, request: &Json) -> Result<Request, ApiError> {
@@ -550,7 +550,7 @@ impl Request {
             },
             RequestKind::Estimate => {
                 let sample = f.sample_spec()?;
-                sample.sampler.build().map_err(bad)?;
+                sample.sampler.validate().map_err(bad)?;
                 Request::Estimate {
                     sample,
                     index: f.index_choice(),
@@ -565,7 +565,8 @@ impl Request {
                         .map_err(bad)?,
                 };
                 stopping.validate().map_err(bad)?;
-                sample.sampler.stream(stopping.schedule).map_err(bad)?;
+                sample.sampler.validate().map_err(bad)?;
+                ProgressiveCf::supports_checkpoints(sample.sampler).map_err(bad)?;
                 Request::EstimateProgressive {
                     sample,
                     index: f.index_choice(),

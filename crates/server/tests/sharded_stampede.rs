@@ -175,7 +175,7 @@ fn eviction_pressure_in_one_shard_leaves_the_others_untouched() {
     let entry_bytes = [by_shard[cold][0], by_shard[cold][1], by_shard[hot][0]]
         .iter()
         .map(|&seed| {
-            CachedSample::draw_streaming(shared, kind, seed)
+            CachedSample::draw(shared, kind, seed)
                 .expect("probe draw")
                 .approx_bytes()
         })
@@ -225,7 +225,7 @@ fn a_tight_budget_stampede_stays_within_shard_budgets_and_never_wedges() {
     const THREADS: usize = 16;
     let tables = counted_tables(4, 2_000);
     let kind = SamplerKind::Block(0.2);
-    let entry_bytes = CachedSample::draw_streaming(&tables[0].1, kind, 0)
+    let entry_bytes = CachedSample::draw(&tables[0].1, kind, 0)
         .expect("probe draw")
         .approx_bytes();
     // Roughly three entries per shard — constant eviction churn.

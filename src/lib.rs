@@ -64,10 +64,9 @@ pub mod prelude {
     };
     pub use samplecf_core::{
         absolute_error, all_estimators, ratio_error, relative_error, theory, AdvisorConfig,
-        AdvisorPlan, Candidate, CapacityPlanner, CfCheckpoint, CfMeasurement, CompressionAdvisor,
-        DistinctEstimator, ExactCf, FrequencyHistogram, PlannedObject, ProgressiveCf,
-        ProgressiveConfig, ProgressiveReport, Recommendation, SampleCache, SampleCf, SampleGroup,
-        SummaryStats, TrialConfig, TrialRunner,
+        AdvisorPlan, Candidate, CfCheckpoint, CfMeasurement, CompressionAdvisor, DistinctEstimator,
+        ExactCf, FrequencyHistogram, ProgressiveCf, ProgressiveConfig, ProgressiveReport,
+        Recommendation, SampleCache, SampleCf, SampleGroup, SummaryStats, TrialConfig, TrialRunner,
     };
     pub use samplecf_datagen::{
         presets, ColumnSpec, FrequencyDistribution, LengthDistribution, RowLayout, TableSpec,
@@ -81,8 +80,7 @@ pub mod prelude {
         StageTimings, Timer,
     };
     pub use samplecf_sampling::{
-        BatchSchedule, CountingSource, MaterializedSample, RowSampler, SampleStream, SamplerKind,
-        UniformWithReplacement,
+        BatchSchedule, CountingSource, MaterializedSample, SampleStream, SamplerKind,
     };
     pub use samplecf_storage::{
         Column, DataType, DiskTable, IntoShared, Row, Schema, SharedCountingSource, SharedSource,

@@ -129,53 +129,6 @@ fn estimator_handles_tiny_tables_and_full_sampling() {
     assert!(est.data.rows >= 1);
 }
 
-#[test]
-fn advisor_and_capacity_planner_agree_on_sizes() {
-    let table = presets::variable_length_table("wide", 5_000, 50, 100, 4, 12, 6)
-        .generate()
-        .unwrap()
-        .table
-        .into_shared();
-    let spec = IndexSpec::nonclustered("idx", ["a"]).unwrap();
-    let scheme = NullSuppression;
-
-    let advisor = CompressionAdvisor::new(AdvisorConfig {
-        min_saving_fraction: 0.1,
-        seed: 1,
-        ..AdvisorConfig::with_fraction(0.05)
-    })
-    .unwrap();
-    let advice = advisor
-        .plan(&[Candidate::new(&table, &spec, &scheme)])
-        .unwrap();
-
-    let plan = CapacityPlanner::new(0.05)
-        .plan(
-            &[PlannedObject {
-                table: &table,
-                spec: spec.clone(),
-            }],
-            &scheme,
-        )
-        .unwrap();
-
-    let a = &advice.recommendations[0];
-    let p = &plan.objects[0];
-    assert_eq!(a.uncompressed_bytes, p.uncompressed_bytes);
-    // Both derive their compressed sizes from SampleCF estimates; they use
-    // independent samples so allow a modest tolerance.
-    let ratio = a.estimated_compressed_bytes as f64 / p.estimated_compressed_bytes as f64;
-    assert!(
-        (0.8..1.25).contains(&ratio),
-        "advisor {} vs planner {}",
-        a.estimated_compressed_bytes,
-        p.estimated_compressed_bytes
-    );
-    // This table pads heavily, so both should want to compress it.
-    assert!(a.compress);
-    assert!(p.estimated_cf < 0.6);
-}
-
 /// A unique temp path for disk-backed tests, removed on drop.
 struct TempTableFile(std::path::PathBuf);
 
