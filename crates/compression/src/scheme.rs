@@ -53,10 +53,11 @@ pub trait CompressionScheme: Send + Sync {
     ///
     /// A declaring scheme writes its size formula here and nowhere else:
     /// the default [`measure_chunk`](Self::measure_chunk) is derived from
-    /// it.  It also makes the size of any *subset* of measured rows
-    /// arithmetic — the rows' cell costs summed once, plus one header per
-    /// page of the subset — which is how the progressive jackknife prices a
-    /// delete-one-batch sample without walking it.
+    /// it.  It also makes the size of any set of rows arithmetic, in any
+    /// order — the rows' cell costs summed once, plus one header per page of
+    /// the set — which is how the progressive estimator prices its pooled
+    /// sample, its strata and its delete-one-batch samples without sorting,
+    /// packing or walking any of them.
     ///
     /// [`NullSuppression`](crate::NullSuppression) (`2 + Σ (marker +
     /// payload)`) and [`Uncompressed`](crate::Uncompressed) (`2 + ⌈len/8⌉ +

@@ -130,7 +130,10 @@ pub struct CfMeasurement {
     pub sampler: String,
     /// Statistics of the rows the measurement was taken over.
     pub data: DataStats,
-    /// Wall-clock time spent building and compressing the index.
+    /// Wall-clock time of the measurement: building and compressing the
+    /// index (sizing it, for a held sample); for
+    /// [`SampleCf::estimate`] and a progressive run, the whole run — draw
+    /// included — whichever way its checkpoints were priced.
     pub elapsed: Duration,
     /// The full per-column compression report.
     pub report: CompressedIndexReport,

@@ -8,37 +8,41 @@
 //!
 //! 1. the sample arrives in geometrically growing batches from a
 //!    [`SampleStream`](samplecf_sampling::SampleStream),
-//! 2. after each batch the CF is re-measured from an accumulated
-//!    [`SortedRun`] (merged, never re-sorted) and the running
-//!    [`DataStatsAccumulator`] is updated,
+//! 2. after each batch the CF of the sample so far is re-priced and the
+//!    running [`DataStatsAccumulator`] is updated,
 //! 3. the estimate's variance is jackknifed over the batches
 //!    ([`grouped_jackknife_variance`]), giving a distribution-free
 //!    Chebyshev confidence interval ([`theory::chebyshev_z`]),
 //! 4. the run stops as soon as the CI's relative half-width drops below
 //!    `target_error` — or when the sampler's fraction cap is reached.
 //!
-//! A delete-one-batch estimate is a *size*, never a tree.  The pooled run
-//! minus batch `i`'s own sorted run is exactly the merge of the other
-//! batches, and leaf `p` of the index over it holds kept entries
-//! `p × entries_per_leaf ..`, so a [`RunSizer`] prices that index without
-//! building it.  A checkpoint with `B` batches costs one pooled merge
-//! (moving the run, cloning only the new batch), one pooled pack + measure,
-//! and then, by what the scheme declares:
+//! Every size a checkpoint takes — the pooled sample's, each stratum's,
+//! each delete-one-batch sample's — goes the one route the scheme's own
+//! declaration picks; no knob decides it:
 //!
-//! * a scheme with [`cell_costs`](CompressionScheme::cell_costs) (null
-//!   suppression, none) — `O(B)` arithmetic: each batch's per-column cell
-//!   costs are summed once from its own run, and a leave-one-out is the
-//!   pooled sum minus the batch's plus one chunk header per leaf
-//!   ([`RunSizer::outcome_excluding`]);
-//! * any other scheme — `B − 1` size-only walks of the pooled run that skip
-//!   batch `i`'s entries and cut the rest into per-leaf chunks of borrowed
-//!   cells ([`RunSizer::measure_excluding`]), fanned over the worker pool
-//!   once there is a worker's worth of entries to walk.
+//! * **cell sums**, for a scheme with
+//!   [`cell_costs`](CompressionScheme::cell_costs) (null suppression, none).
+//!   Its size over any rows is one header per leaf plus the rows' cell
+//!   costs — the per-row sums `Σ(ℓᵢ + marker)` Theorem 1 analyses — so key
+//!   order cannot show.  Each batch's rows are encoded once, unsorted, into
+//!   per-column cost sums (by stratum tag for a stratified draw), and a
+//!   checkpoint with `B` batches costs `O(B + strata)` arithmetic: the
+//!   pooled report, each stratum's and each leave-one-out (pooled sums less
+//!   the batch's) come from [`RunSizer::price`].  No run, merge, tree or
+//!   walk.
+//! * **tree**, for any other scheme.  Each batch is encoded and sorted into
+//!   a [`SortedRun`] and merged (never re-sorted) into the pooled run and
+//!   its strata's runs; a checkpoint packs and measures the pooled tree and
+//!   each stratum's, and prices the `B − 1` older leave-one-outs by
+//!   size-only walks of the pooled run that skip batch `i`'s entries
+//!   ([`RunSizer::measure_excluding`]) — the pooled run minus a batch's run
+//!   is exactly the merge of the others — fanned over the worker pool once
+//!   there is a worker's worth of entries to walk.
 //!
-//! Both are bit-identical to packing and measuring the delete-one-batch
-//! tree.  The delete-*last*-batch estimate is free: it is the previous
-//! checkpoint's CF.  Nothing of this runs before a second checkpoint asks
-//! for a variance, so a one-checkpoint run pays for none of it.
+//! Both are bit-identical to packing and measuring every tree from the
+//! rows.  The delete-*last*-batch estimate is free: it is the previous
+//! checkpoint's CF.  No leave-one-out is priced before a second checkpoint
+//! asks for a variance, so a one-checkpoint run pays for none.
 //!
 //! On low-variance data the stop comes after a tiny fraction of the pages a
 //! fixed-`f` run would read; on adversarial data the run simply continues
@@ -55,7 +59,7 @@ use crate::metrics::grouped_jackknife_variance;
 use crate::theory;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use samplecf_compression::CompressionScheme;
+use samplecf_compression::{CellCosts, CompressionScheme};
 use samplecf_index::{
     measure_index, CompressedIndexReport, IndexBuilder, IndexSpec, RunCellCosts, RunSizer,
     SortedRun,
@@ -63,7 +67,7 @@ use samplecf_index::{
 use samplecf_obs::{Counter, Histogram, MetricsRegistry, Timer};
 use samplecf_parallel::parallel_indexed_map;
 use samplecf_sampling::{BatchSchedule, SamplerKind};
-use samplecf_storage::{CountingSource, TableSource};
+use samplecf_storage::{CountingSource, Rid, Row, Schema, TableSource};
 use std::time::Instant;
 
 /// Registry-backed instruments for progressive runs.  A default-constructed
@@ -84,9 +88,10 @@ pub struct ProgressiveMetrics {
     /// Per-checkpoint batch-draw wall time
     /// (`samplecf_progressive_draw_ns`).
     draw_ns: Histogram,
-    /// Per-checkpoint measure wall time — index build, compression
-    /// measurement and the variance estimate
-    /// (`samplecf_progressive_measure_ns`).
+    /// Per-checkpoint measure wall time — taking in the batch and pricing
+    /// the sample, its strata and the variance estimate: cell-cost sums and
+    /// arithmetic for a cell-additive scheme, sorted runs, packed trees and
+    /// walks for any other (`samplecf_progressive_measure_ns`).
     measure_ns: Histogram,
     /// Checkpoints whose variance came from the grouped jackknife
     /// (`samplecf_progressive_variance_total{source="jackknife"}`).
@@ -104,6 +109,12 @@ pub struct ProgressiveMetrics {
     /// Delete-one-batch estimates priced by a size-only walk of the pooled
     /// run (`samplecf_progressive_leave_one_out_total{route="walk"}`).
     leave_one_out_walk: Counter,
+    /// Checkpoints priced from per-column cell-cost sums
+    /// (`samplecf_progressive_pricing_total{route="cell_sums"}`).
+    pricing_cell_sums: Counter,
+    /// Checkpoints priced by packing and measuring trees
+    /// (`samplecf_progressive_pricing_total{route="tree"}`).
+    pricing_tree: Counter,
 }
 
 impl ProgressiveMetrics {
@@ -126,6 +137,9 @@ impl ProgressiveMetrics {
                 .counter("samplecf_progressive_leave_one_out_total{route=\"closed_form\"}"),
             leave_one_out_walk: registry
                 .counter("samplecf_progressive_leave_one_out_total{route=\"walk\"}"),
+            pricing_cell_sums: registry
+                .counter("samplecf_progressive_pricing_total{route=\"cell_sums\"}"),
+            pricing_tree: registry.counter("samplecf_progressive_pricing_total{route=\"tree\"}"),
         }
     }
 }
@@ -328,13 +342,15 @@ impl ProgressiveCf {
     }
 
     /// Worker threads for the checkpoint kernels (0 = all available
-    /// parallelism, 1 = serial; the default).  Configures the index
-    /// builder's thread count; the per-stratum sub-index builds and the
-    /// jackknife's size-only walks fan out over the same pool, by the same
-    /// rule as a bulk load — one worker per
-    /// [`IndexBuilder::MIN_ENTRIES_PER_WORKER`] entries they cover — so a
-    /// sample-sized checkpoint stays on the calling thread.  Reports are
-    /// byte-identical for every thread count.
+    /// parallelism, 1 = serial; the default).  Only the tree route has
+    /// kernels to split: this configures the index builder's thread count,
+    /// and the per-stratum sub-index builds and the jackknife's size-only
+    /// walks fan out over the same pool, by the same rule as a bulk load —
+    /// one worker per [`IndexBuilder::MIN_ENTRIES_PER_WORKER`] entries they
+    /// cover — so a sample-sized checkpoint stays on the calling thread.  A
+    /// checkpoint priced from cell sums is one pass over the batch plus
+    /// arithmetic, always on the calling thread.  Reports are byte-identical
+    /// for every thread count.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.builder = self.builder.threads(threads);
@@ -424,30 +440,29 @@ impl ProgressiveCf {
 
         let started = Instant::now();
         let mut stats = DataStatsAccumulator::new();
-        let mut merged = SortedRun::new();
-        let mut batch_runs: Vec<SortedRun> = Vec::new();
         let mut batch_sizes: Vec<usize> = Vec::new();
-        // The jackknife's pricing of delete-one-batch samples; per-batch
-        // cell costs are summed when a first variance needs them.
-        let sizer = self.builder.sizer(&schema, spec)?;
-        let mut batch_costs: Vec<RunCellCosts> = Vec::new();
+        let mut pooled = Pooled::new(&self.builder, &schema, spec, scheme)?;
+        // One count per checkpoint, under the route the scheme picked.
+        let priced = match pooled.route {
+            Route::CellSums { .. } => &self.metrics.pricing_cell_sums,
+            Route::Tree { .. } => &self.metrics.pricing_tree,
+        };
         let mut checkpoints: Vec<CfCheckpoint> = Vec::new();
         let mut last_report: Option<CompressedIndexReport> = None;
         // The stratified estimator's triple from the last checkpoint
         // (weighted across strata; the pooled report alone can't supply it).
         let mut last_cf_triple: Option<(f64, f64, f64)> = None;
         let mut target_met = false;
-        // Stratified bookkeeping, bound on the first batch: per-stratum
-        // merged runs, moment sketches of the per-row NS statistic (the
-        // algebra's input and Neyman's feedback signal), and draw counts.
+        // Stratified bookkeeping, bound on the first batch: moment sketches
+        // of the per-row NS statistic (the algebra's input and Neyman's
+        // feedback signal) and draw counts.
         let mut strata_weights: Vec<f64> = Vec::new();
-        let mut strata_runs: Vec<SortedRun> = Vec::new();
         let mut strata_sketches: Vec<MomentSketch> = Vec::new();
         let mut strata_rows: Vec<usize> = Vec::new();
 
         self.metrics.runs.inc();
         loop {
-            let batch = {
+            let mut batch = {
                 let _draw = Timer::start(&self.metrics.draw_ns);
                 stream.next_batch(&counting, &mut rng)?
             };
@@ -455,69 +470,53 @@ impl ProgressiveCf {
                 break;
             }
             let measure_timer = Timer::start(&self.metrics.measure_ns);
-            let tags: Vec<u32> = if is_stratified {
+            let tags: &[u32] = if is_stratified {
                 stream
                     .batch_strata()
                     .expect("stratified streams tag their batches")
-                    .to_vec()
             } else {
-                Vec::new()
+                &[]
             };
             for (_, row) in &batch {
                 stats.observe(row.value(first_key));
             }
-            let run = SortedRun::from_rows(&schema, &batch, spec)?;
-            merged = merged.into_merged(&run);
             batch_sizes.push(batch.len());
-            batch_runs.push(run);
-
             if is_stratified {
                 if strata_weights.is_empty() {
                     strata_weights = stream
                         .strata_weights()
                         .expect("a stratified stream that drew rows is bound");
                     let k = strata_weights.len();
-                    strata_runs = (0..k).map(|_| SortedRun::new()).collect();
                     strata_sketches = vec![MomentSketch::new(); k];
                     strata_rows = vec![0; k];
                 }
-                // The pooled run and the stats are done with the batch, so
-                // its rows move — in draw order — into their strata.
-                let mut groups: Vec<Vec<_>> = vec![Vec::new(); strata_weights.len()];
-                for (row, &t) in batch.into_iter().zip(&tags) {
-                    groups[t as usize].push(row);
-                }
-                for (s, group) in groups.iter().enumerate() {
-                    if group.is_empty() {
-                        continue;
-                    }
-                    for (_, row) in group {
-                        strata_sketches[s]
-                            .observe(algebra::ns_row_statistic(row.value(first_key), key_width));
-                    }
-                    strata_rows[s] += group.len();
-                    let run_s = SortedRun::from_rows(&schema, group, spec)?;
-                    strata_runs[s] = std::mem::take(&mut strata_runs[s]).into_merged(&run_s);
+                // Each stratum's sketch sees its rows in draw order.
+                for ((_, row), &t) in batch.iter().zip(tags) {
+                    let statistic = algebra::ns_row_statistic(row.value(first_key), key_width);
+                    strata_sketches[t as usize].observe(statistic);
+                    strata_rows[t as usize] += 1;
                 }
             }
+            pooled.add(&mut batch, tags, strata_weights.len())?;
 
-            // Measure the checkpoint from the accumulated (never re-sorted)
-            // run.
-            let index = self.builder.build_from_sorted_run(&schema, spec, &merged)?;
-            let report = measure_index(&index, scheme)?;
+            let report = pooled.report()?;
+            priced.inc();
 
             // Stratified draws estimate CF as Σ W_s·CF_s over per-stratum
             // sub-indexes — the same `weighted_strata_cf` a cached sample is
             // measured with, so the two paths agree bit-for-bit.  Unstratified
             // draws have no weights, hence no strata to combine.
-            let stratified =
-                weighted_strata_cf(&strata_weights, merged.len(), &self.builder, |s, inner| {
+            let stratified = weighted_strata_cf(
+                &strata_weights,
+                pooled.to_pack(),
+                &self.builder,
+                |s, inner| {
                     if strata_rows[s] == 0 {
                         return Ok(None);
                     }
-                    let idx = inner.build_from_sorted_run(&schema, spec, &strata_runs[s])?;
-                    Ok(Some(measure_index(&idx, scheme)?))
-                })?;
+                    Ok(Some(pooled.stratum_report(s, inner)?))
+                },
+            )?;
             let (cf, cf_with_pointers, cf_pages) = stratified
                 .unwrap_or_else(|| (report.cf(), report.cf_with_pointers(), report.cf_pages()));
 
@@ -530,8 +529,7 @@ impl ProgressiveCf {
                 let _variance = Timer::start(&self.metrics.variance_ns);
                 // Deleting the newest batch leaves the previous checkpoint's
                 // sample, whose CF is already measured.
-                let mut leave_one_out =
-                    self.leave_one_out(&sizer, scheme, &merged, &batch_runs, &mut batch_costs)?;
+                let mut leave_one_out = pooled.leave_one_out(&self.metrics)?;
                 leave_one_out.push(previous.cf);
                 grouped_jackknife_variance(cf, &leave_one_out, &batch_sizes)
             } else {
@@ -555,7 +553,7 @@ impl ProgressiveCf {
 
             let rows = stats.rows();
             let checkpoint = CfCheckpoint {
-                batch: batch_runs.len(),
+                batch: batch_sizes.len(),
                 rows,
                 fraction: if source.num_rows() == 0 {
                     0.0
@@ -601,12 +599,7 @@ impl ProgressiveCf {
         // sample, exactly like the one-shot path.
         let report = match last_report {
             Some(r) => r,
-            None => {
-                let index = self
-                    .builder
-                    .build_from_sorted_run(&schema, spec, &SortedRun::new())?;
-                measure_index(&index, scheme)?
-            }
+            None => pooled.report()?,
         };
         let stopped_early = !stream.exhausted() && !checkpoints.is_empty();
         self.metrics.pages_read.add(counting.pages_read());
@@ -641,53 +634,210 @@ impl ProgressiveCf {
             source_pages: source.num_pages(),
         })
     }
+}
+
+/// A run's sample as its checkpoints price it: what is kept of the batches
+/// drawn so far — pooled, per batch (unstratified runs, for the jackknife)
+/// and per stratum — by the route the scheme's own declaration picks (see
+/// the [module docs](self)).
+struct Pooled<'a> {
+    builder: &'a IndexBuilder,
+    schema: &'a Schema,
+    spec: &'a IndexSpec,
+    scheme: &'a dyn CompressionScheme,
+    sizer: RunSizer<'a>,
+    route: Route,
+}
+
+/// What [`Pooled`] keeps of the batches.
+enum Route {
+    /// A scheme with [`cell_costs`](CompressionScheme::cell_costs): the
+    /// rows' cell costs, summed unsorted.  No entry is kept.
+    CellSums {
+        costs: CellCosts,
+        pooled: RunCellCosts,
+        batches: Vec<RunCellCosts>,
+        strata: Vec<RunCellCosts>,
+    },
+    /// Any other scheme: sorted runs — the pooled one merged, never
+    /// re-sorted — packed into trees and measured.
+    Tree {
+        merged: SortedRun,
+        batches: Vec<SortedRun>,
+        strata: Vec<SortedRun>,
+    },
+}
+
+impl<'a> Pooled<'a> {
+    fn new(
+        builder: &'a IndexBuilder,
+        schema: &'a Schema,
+        spec: &'a IndexSpec,
+        scheme: &'a dyn CompressionScheme,
+    ) -> CoreResult<Self> {
+        let sizer = builder.sizer(schema, spec)?;
+        let route = match scheme.cell_costs() {
+            Some(costs) => Route::CellSums {
+                costs,
+                pooled: sizer.empty_cell_costs(),
+                batches: Vec::new(),
+                strata: Vec::new(),
+            },
+            None => Route::Tree {
+                merged: SortedRun::new(),
+                batches: Vec::new(),
+                strata: Vec::new(),
+            },
+        };
+        Ok(Pooled {
+            builder,
+            schema,
+            spec,
+            scheme,
+            sizer,
+            route,
+        })
+    }
+
+    /// Take in one batch: `tags` are its rows' strata, of `strata` — both
+    /// empty for an unstratified run.  Only a stratified run on the tree
+    /// route moves the rows out of `batch` (into its strata); otherwise the
+    /// caller keeps them until the checkpoint is priced, as the tree route
+    /// always has.  (Freeing them before the tree is packed lets the
+    /// dictionary kernels' long-lived scratch table land in their hole rather
+    /// than atop the heap, and glibc then trims and re-faults ~2 MB per
+    /// tree checkpoint.)
+    fn add(&mut self, batch: &mut Vec<(Rid, Row)>, tags: &[u32], strata: usize) -> CoreResult<()> {
+        let (schema, spec, sizer) = (self.schema, self.spec, &self.sizer);
+        match &mut self.route {
+            Route::CellSums {
+                costs,
+                pooled,
+                batches,
+                strata: sums,
+            } => {
+                if tags.is_empty() {
+                    let mut sum = sizer.empty_cell_costs();
+                    sizer.add_cell_costs(batch, costs, std::slice::from_mut(&mut sum), |_| 0)?;
+                    pooled.merge(&sum);
+                    batches.push(sum);
+                } else {
+                    sums.resize(strata, sizer.empty_cell_costs());
+                    sizer.add_cell_costs(batch, costs, sums, |i| tags[i] as usize)?;
+                    *pooled = sizer.empty_cell_costs();
+                    sums.iter().for_each(|sum| pooled.merge(sum));
+                }
+            }
+            Route::Tree {
+                merged,
+                batches,
+                strata: runs,
+            } => {
+                let run = SortedRun::from_rows(schema, batch, spec)?;
+                *merged = std::mem::take(merged).into_merged(&run);
+                if tags.is_empty() {
+                    batches.push(run);
+                    return Ok(());
+                }
+                runs.resize_with(strata, SortedRun::new);
+                // The pooled run is done with the batch, so its rows move —
+                // in draw order — into their strata.
+                let mut groups: Vec<Vec<_>> = vec![Vec::new(); strata];
+                for (row, &t) in std::mem::take(batch).into_iter().zip(tags) {
+                    groups[t as usize].push(row);
+                }
+                for (run_s, group) in runs.iter_mut().zip(&groups) {
+                    if !group.is_empty() {
+                        let batch_s = SortedRun::from_rows(schema, group, spec)?;
+                        *run_s = std::mem::take(run_s).into_merged(&batch_s);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The report of the index over the pooled sample.
+    fn report(&self) -> CoreResult<CompressedIndexReport> {
+        match &self.route {
+            Route::CellSums { costs, pooled, .. } => {
+                Ok(self.sizer.price(self.scheme, costs, pooled, None)?)
+            }
+            Route::Tree { merged, .. } => self.measure(self.builder, merged),
+        }
+    }
+
+    /// The report of the index over stratum `s`'s rows; a tree is packed by
+    /// `builder`.
+    fn stratum_report(
+        &self,
+        s: usize,
+        builder: &IndexBuilder,
+    ) -> CoreResult<CompressedIndexReport> {
+        match &self.route {
+            Route::CellSums { costs, strata, .. } => {
+                Ok(self.sizer.price(self.scheme, costs, &strata[s], None)?)
+            }
+            Route::Tree { strata, .. } => self.measure(builder, &strata[s]),
+        }
+    }
+
+    fn measure(
+        &self,
+        builder: &IndexBuilder,
+        run: &SortedRun,
+    ) -> CoreResult<CompressedIndexReport> {
+        let index = builder.build_from_sorted_run(self.schema, self.spec, run)?;
+        Ok(measure_index(&index, self.scheme)?)
+    }
+
+    /// Entries the strata's trees pack between them — what a fan-out over
+    /// the strata covers; none when they are priced from sums.
+    fn to_pack(&self) -> usize {
+        match &self.route {
+            Route::CellSums { .. } => 0,
+            Route::Tree { merged, .. } => merged.len(),
+        }
+    }
 
     /// The CFs of the samples that leave out one of the older batches
-    /// (every batch but the newest), in batch order: the CF of the index
-    /// over `merged` minus `batch_runs[i]`, priced without building it.
+    /// (every batch but the newest), in batch order, priced without
+    /// building their trees.
     ///
-    /// Which way depends only on what `scheme` declares.  With
-    /// [`cell_costs`](CompressionScheme::cell_costs) it is arithmetic on
-    /// per-batch sums, `batch_costs`, extended here by the batches not yet
-    /// summed; otherwise one size-only walk of `merged` per left-out batch,
-    /// independent of each other, so fanned over the pool — given a worker's
-    /// worth of entries to walk each — and reassembled in batch order.
-    fn leave_one_out(
-        &self,
-        sizer: &RunSizer<'_>,
-        scheme: &dyn CompressionScheme,
-        merged: &SortedRun,
-        batch_runs: &[SortedRun],
-        batch_costs: &mut Vec<RunCellCosts>,
-    ) -> CoreResult<Vec<f64>> {
-        let older = batch_runs.len() - 1;
-        let Some(costs) = scheme.cell_costs() else {
-            self.metrics.leave_one_out_walk.add(older as u64);
-            let workers = self.builder.workers(older * merged.len());
-            let walk = |skip: usize| {
-                let outcome = sizer.measure_excluding(merged, &batch_runs[skip], scheme)?;
-                Ok(outcome.compression_fraction())
-            };
-            return parallel_indexed_map(older, workers, walk)
-                .into_iter()
-                .collect();
-        };
-        self.metrics.leave_one_out_closed_form.add(older as u64);
-        for run in &batch_runs[batch_costs.len()..] {
-            batch_costs.push(sizer.cell_costs(run, &costs)?);
+    /// From cell sums each is [`RunSizer::price`] of the pooled sums minus
+    /// the batch's.  On the tree route, one size-only walk of the pooled run
+    /// per left-out batch ([`RunSizer::measure_excluding`]), independent of
+    /// each other, so fanned over the pool — given a worker's worth of
+    /// entries to walk each — and reassembled in batch order.
+    fn leave_one_out(&self, metrics: &ProgressiveMetrics) -> CoreResult<Vec<f64>> {
+        match &self.route {
+            Route::CellSums {
+                costs,
+                pooled,
+                batches,
+                ..
+            } => {
+                let older = &batches[..batches.len() - 1];
+                metrics.leave_one_out_closed_form.add(older.len() as u64);
+                let price = |batch| self.sizer.price(self.scheme, costs, pooled, Some(batch));
+                (older.iter()).map(|batch| Ok(price(batch)?.cf())).collect()
+            }
+            Route::Tree {
+                merged, batches, ..
+            } => {
+                let older = batches.len() - 1;
+                metrics.leave_one_out_walk.add(older as u64);
+                let workers = self.builder.workers(older * merged.len());
+                let walk = |skip: usize| {
+                    let outcome =
+                        (self.sizer).measure_excluding(merged, &batches[skip], self.scheme)?;
+                    Ok(outcome.compression_fraction())
+                };
+                parallel_indexed_map(older, workers, walk)
+                    .into_iter()
+                    .collect()
+            }
         }
-        let mut pooled = batch_costs[0].clone();
-        for batch in &batch_costs[1..] {
-            pooled.merge(batch);
-        }
-        Ok(batch_costs[..older]
-            .iter()
-            .map(|batch| {
-                sizer
-                    .outcome_excluding(&costs, &pooled, batch)
-                    .compression_fraction()
-            })
-            .collect())
     }
 }
 
@@ -961,8 +1111,9 @@ mod tests {
     }
 
     /// One capped run (so every batch is drawn) with live instruments:
-    /// the report, the two leave-one-out route counters (closed form, walk)
-    /// and the variance clock.
+    /// the report, the two leave-one-out route counters (closed form, walk),
+    /// the variance clock and the two checkpoint pricing route counters
+    /// (cell sums, tree).
     fn instrumented(
         estimator: ProgressiveCf,
         table: &Table,
@@ -971,6 +1122,7 @@ mod tests {
         ProgressiveReport,
         (u64, u64),
         samplecf_obs::HistogramSnapshot,
+        (u64, u64),
     ) {
         let metrics = ProgressiveMetrics::register_in(&MetricsRegistry::new());
         let report = estimator
@@ -981,7 +1133,8 @@ mod tests {
             metrics.leave_one_out_closed_form.get(),
             metrics.leave_one_out_walk.get(),
         );
-        (report, routes, metrics.variance_ns.snapshot())
+        let pricing = (metrics.pricing_cell_sums.get(), metrics.pricing_tree.get());
+        (report, routes, metrics.variance_ns.snapshot(), pricing)
     }
 
     #[test]
@@ -1003,34 +1156,45 @@ mod tests {
             (b - 1, b * (b - 1) / 2)
         };
 
-        // What the scheme declares picks the route, nothing else.
-        let (report, routes, clock) = instrumented(block(), &t, &NullSuppression);
+        // What the scheme declares picks the route of every checkpoint and
+        // every leave-one-out, nothing else.
+        let (report, routes, clock, pricing) = instrumented(block(), &t, &NullSuppression);
         let (variances, leave_one_outs) = jackknifed(&report);
         assert_eq!(routes, (leave_one_outs, 0));
         assert_eq!(clock.count, variances);
-        let (report, routes, clock) = instrumented(block(), &t, &DictionaryCompression::default());
+        assert_eq!(pricing, (variances + 1, 0));
+        let dictionary = DictionaryCompression::default();
+        let (report, routes, clock, pricing) = instrumented(block(), &t, &dictionary);
         let (variances, leave_one_outs) = jackknifed(&report);
         assert_eq!(routes, (0, leave_one_outs));
         assert_eq!(clock.count, variances);
+        assert_eq!(pricing, (0, variances + 1));
 
         // The stratified algebra prices no delete-one-batch sample, and a
-        // variance at every checkpoint.
-        let stratified = capped(SamplerKind::Stratified {
-            fraction: 0.1,
-            strata: 4,
-            alloc: samplecf_sampling::Allocation::Proportional,
-            mode: samplecf_sampling::StrataMode::EquiWidth,
-        });
-        let (report, routes, clock) = instrumented(stratified, &t, &NullSuppression);
+        // variance at every checkpoint; the strata are priced as the pooled
+        // sample is.
+        let stratified = || {
+            capped(SamplerKind::Stratified {
+                fraction: 0.1,
+                strata: 4,
+                alloc: samplecf_sampling::Allocation::Proportional,
+                mode: samplecf_sampling::StrataMode::EquiWidth,
+            })
+        };
+        let (report, routes, clock, pricing) = instrumented(stratified(), &t, &NullSuppression);
+        let checkpoints = report.checkpoints.len() as u64;
         assert_eq!(routes, (0, 0));
-        assert_eq!(clock.count, report.checkpoints.len() as u64);
+        assert_eq!(clock.count, checkpoints);
+        assert_eq!(pricing, (checkpoints, 0));
+        let (report, _, _, pricing) = instrumented(stratified(), &t, &dictionary);
+        assert_eq!(pricing, (0, report.checkpoints.len() as u64));
 
-        // One checkpoint asks for no variance: no leave-one-out is priced
-        // and no cell cost summed, so a one-shot estimate pays for neither.
+        // One checkpoint asks for no variance: no leave-one-out is priced,
+        // so a one-shot estimate pays only for its one checkpoint.
         let one_shot = ProgressiveCf::one_checkpoint(SamplerKind::Block(0.1)).seed(7);
-        let (report, routes, clock) = instrumented(one_shot, &t, &NullSuppression);
+        let (report, routes, clock, pricing) = instrumented(one_shot, &t, &NullSuppression);
         assert_eq!(report.checkpoints.len(), 1);
-        assert_eq!((routes, clock.count), ((0, 0), 0));
+        assert_eq!((routes, clock.count, pricing), ((0, 0), 0, (1, 0)));
 
         // The default set is disabled — every record one branch on a `None`
         // handle — and the report does not depend on which set is carried.
@@ -1040,9 +1204,10 @@ mod tests {
             .metrics(disabled.clone())
             .run(&t, &spec(), &NullSuppression)
             .unwrap();
-        let (live, _, _) = instrumented(block(), &t, &NullSuppression);
+        let (live, _, _, _) = instrumented(block(), &t, &NullSuppression);
         assert_eq!(plain.checkpoints, live.checkpoints);
         assert_eq!(disabled.leave_one_out_closed_form.get(), 0);
+        assert_eq!(disabled.pricing_cell_sums.get(), 0);
         assert_eq!(disabled.variance_ns.snapshot().count, 0);
     }
 

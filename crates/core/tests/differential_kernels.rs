@@ -19,11 +19,14 @@
 //! sample's entries once and walks them, packing no tree and decoding no
 //! value — so its whole [`CfMeasurement`], page counts and first-key
 //! statistics included, is pinned here against the packed, decoded-row
-//! oracle too, over random schemas and key shapes.
+//! oracle too, over random schemas and key shapes.  So is the fourth, the
+//! progressive estimator's for a cell-additive scheme: rows summed unsorted
+//! into cell costs and priced by arithmetic
+//! ([`RunSizer::price`](samplecf_index::RunSizer::price)).
 
 use proptest::prelude::*;
-use samplecf_compression::CompressionScheme;
 use samplecf_compression::{scheme_by_name, scheme_names};
+use samplecf_compression::{CompressionScheme, NullSuppression, Uncompressed};
 use samplecf_core::{
     measure_rows, measure_sample, measure_sample_schemes, weighted_combine, CfMeasurement,
 };
@@ -395,43 +398,53 @@ fn the_first_keys_null_bit_is_bit_zero_of_the_leaf_record_not_its_heap_bit() {
     }
 }
 
-/// A random table for the held-sample route: between two and ten columns
-/// of random types, all nullable, with values chosen to collide — a
-/// two-letter alphabet, values that end in spaces (insignificant, so equal
-/// to their trimmed twins), `MIN` (whose `Int32` key bytes are a NULL's),
-/// and a few rows to many.  Returns the table and its column count.
-fn held_sample_table() -> impl Strategy<Value = (Table, usize)> {
-    let table = |kinds: Vec<u8>| {
-        let regex = |pattern| proptest::string::string_regex(pattern).unwrap();
-        let columns = kinds.iter().enumerate().map(|(i, kind)| {
-            let datatype = match kind {
-                0 => DataType::Char(6),
-                1 => DataType::VarChar(5),
-                2 => DataType::Int32,
-                3 => DataType::Int64,
-                _ => DataType::Bool,
-            };
-            Column::nullable(format!("c{i}"), datatype)
-        });
-        let schema = Schema::new(columns.collect()).unwrap();
-        let cells: Vec<BoxedStrategy<Value>> = kinds
-            .iter()
-            .map(|kind| match kind {
-                0 | 1 => regex("[ab]{0,3} {0,2}").prop_map(Value::str).boxed(),
-                2 => prop_oneof![
-                    Just(i64::from(i32::MIN)),
-                    -2i64..3,
-                    any::<i32>().prop_map(i64::from)
-                ]
+/// Column `c{i}` of random type `kind`, nullable, and a strategy for its
+/// cells, chosen to collide — a two-letter alphabet, values that end in
+/// spaces (insignificant, so equal to their trimmed twins), `MIN` (whose
+/// `Int32` key bytes are a NULL's).
+fn random_column(i: usize, kind: u8) -> (Column, BoxedStrategy<Value>) {
+    let regex = |pattern| proptest::string::string_regex(pattern).unwrap();
+    let (datatype, value) = match kind {
+        0 => (
+            DataType::Char(6),
+            regex("[ab]{0,3} {0,2}").prop_map(Value::str).boxed(),
+        ),
+        1 => (
+            DataType::VarChar(5),
+            regex("[ab]{0,3} {0,2}").prop_map(Value::str).boxed(),
+        ),
+        2 => (
+            DataType::Int32,
+            prop_oneof![
+                Just(i64::from(i32::MIN)),
+                -2i64..3,
+                any::<i32>().prop_map(i64::from)
+            ]
+            .prop_map(Value::Int)
+            .boxed(),
+        ),
+        3 => (
+            DataType::Int64,
+            prop_oneof![Just(i64::MIN), -2i64..3, any::<i64>()]
                 .prop_map(Value::Int)
                 .boxed(),
-                3 => prop_oneof![Just(i64::MIN), -2i64..3, any::<i64>()]
-                    .prop_map(Value::Int)
-                    .boxed(),
-                _ => any::<bool>().prop_map(Value::Bool).boxed(),
-            })
-            .map(|value| prop_oneof![1 => Just(Value::Null), 3 => value].boxed())
-            .collect();
+        ),
+        _ => (DataType::Bool, any::<bool>().prop_map(Value::Bool).boxed()),
+    };
+    let cell = prop_oneof![1 => Just(Value::Null), 3 => value].boxed();
+    (Column::nullable(format!("c{i}"), datatype), cell)
+}
+
+/// A random table for the held-sample route: between two and ten
+/// [`random_column`]s and a few rows to many.  Returns the table and its
+/// column count.
+fn held_sample_table() -> impl Strategy<Value = (Table, usize)> {
+    let table = |kinds: Vec<u8>| {
+        let (columns, cells): (Vec<Column>, Vec<BoxedStrategy<Value>>) = (kinds.iter())
+            .enumerate()
+            .map(|(i, &kind)| random_column(i, kind))
+            .unzip();
+        let schema = Schema::new(columns).unwrap();
         let rows = proptest::collection::vec(cells.prop_map(Row::new), 0..120);
         let page_size = prop_oneof![Just(256usize), Just(1024)];
         (rows, page_size).prop_map(move |(rows, page_size)| {
@@ -440,6 +453,75 @@ fn held_sample_table() -> impl Strategy<Value = (Table, usize)> {
         })
     };
     proptest::collection::vec(0u8..5, 2..11).prop_flat_map(table)
+}
+
+/// Rows for the progressive estimator's sums route: one to ten
+/// [`random_column`]s and up to 300 rows, each with a stratum tag (of three)
+/// and the batch (of four) it was drawn in.
+fn tagged_rows() -> impl Strategy<Value = (Schema, Vec<(Row, u8, u8)>)> {
+    let rows = |kinds: Vec<u8>| {
+        let (columns, cells): (Vec<Column>, Vec<BoxedStrategy<Value>>) = (kinds.iter())
+            .enumerate()
+            .map(|(i, &kind)| random_column(i, kind))
+            .unzip();
+        let row = (cells.prop_map(Row::new), 0u8..3, 0u8..4);
+        (
+            Just(Schema::new(columns).unwrap()),
+            proptest::collection::vec(row, 0..300),
+        )
+    };
+    proptest::collection::vec(0u8..5, 1..11).prop_flat_map(rows)
+}
+
+/// What no sums can be priced for, the sizer refuses as the builder does: a
+/// page size out of range or a record too large for the page, before any
+/// row is read; and pricing meets the single-separator internal page where
+/// packing does.
+#[test]
+fn cell_sums_are_refused_or_fail_as_the_builder_does() {
+    let schema = |width| Schema::new(vec![Column::new("w", DataType::Char(width))]).unwrap();
+    let rows = |n: usize| -> Vec<(Rid, Row)> {
+        #[allow(clippy::cast_possible_truncation)]
+        (0..n)
+            .map(|i| (Rid::new(0, i as u16), Row::new(vec![Value::str("w")])))
+            .collect()
+    };
+    let nonclustered = IndexSpec::nonclustered("i", ["w"]).unwrap();
+    let clustered = IndexSpec::clustered("i", ["w"]).unwrap();
+    // A page size out of range; a 60-byte record on a 64-byte page.
+    for (builder, width, spec) in [
+        (IndexBuilder::new().page_size(32), 8, &nonclustered),
+        (IndexBuilder::new().page_size(64), 60, &nonclustered),
+    ] {
+        let schema = schema(width);
+        let refused = builder.sizer(&schema, spec).map(drop);
+        assert!(refused.is_err());
+        assert_eq!(
+            refused,
+            builder.build_from_rows(&schema, &[], spec).map(drop)
+        );
+    }
+    // A clustered `char(13)` record fits a 64-byte page twice, its 25-byte
+    // separator once: past one leaf, no internal level can narrow.
+    let (schema, tiny) = (schema(13), IndexBuilder::new().page_size(64));
+    let sizer = tiny.sizer(&schema, &clustered).unwrap();
+    let costs = NullSuppression.cell_costs().unwrap();
+    for n in [2, 3, 5] {
+        let mut sums = [sizer.empty_cell_costs()];
+        sizer
+            .add_cell_costs(&rows(n), &costs, &mut sums, |_| 0)
+            .unwrap();
+        let priced = sizer.price(&NullSuppression, &costs, &sums[0], None);
+        let packed = tiny.build_from_rows(&schema, &rows(n), &clustered);
+        let packed = packed.and_then(|tree| measure_index(&tree, &NullSuppression));
+        assert_eq!(priced, packed, "{n} rows");
+        assert_eq!(
+            priced.is_err(),
+            n > 2,
+            "{n} rows: {:?}",
+            priced.map(|r| r.leaf_pages)
+        );
+    }
 }
 
 /// Strategy for one row of a NULL-heavy, variable-length fuzz schema:
@@ -552,6 +634,80 @@ proptest! {
         let builder = IndexBuilder::new().page_size(table.page_size()).threads(threads);
         let tag = format!("{} rows, {}, {kind:?}", sample.len(), spec);
         assert_walk_equals_packed_route(&sample, &spec, &builder, &tag);
+    }
+
+    /// The progressive estimator's sums route — rows encoded once, unsorted,
+    /// into per-column cell costs by stratum and by batch, then priced — is
+    /// the packed tree, as a whole report or as the builder's error: for the
+    /// pooled rows, each stratum's and each all-but-one-batch set, under
+    /// `none` and null suppression.  Random one- to ten-column schemas, one-
+    /// and two-column keys, clustered and not, the empty set included; at
+    /// 256-byte pages wide keys meet the single-separator internal page.
+    #[test]
+    fn cell_sums_price_the_packed_tree_of_every_stratum_and_leave_one_out(
+        (schema, tagged) in tagged_rows(),
+        (first, second) in (0usize..64, 0usize..64),
+        clustered in any::<bool>(),
+        page_size in prop_oneof![Just(256usize), Just(1024), Just(8192)],
+        fill_factor in prop_oneof![Just(0.5f64), Just(1.0)],
+    ) {
+        const STRATA: usize = 3;
+        const BATCHES: usize = 4;
+        let arity = schema.arity();
+        let (first, second) = (first % arity, second % (arity + 1));
+        let mut key = vec![format!("c{first}")];
+        if second < arity && second != first {
+            key.push(format!("c{second}"));
+        }
+        let spec = if clustered {
+            IndexSpec::clustered("priced", key).unwrap()
+        } else {
+            IndexSpec::nonclustered("priced", key).unwrap()
+        };
+        let builder = IndexBuilder::new().page_size(page_size).fill_factor(fill_factor);
+        #[allow(clippy::cast_possible_truncation)]
+        let rows: Vec<(Rid, Row)> = (tagged.iter().enumerate())
+            .map(|(i, (row, _, _))| (Rid::new((i / 64) as u32, (i % 64) as u16), row.clone()))
+            .collect();
+        let sizer = match builder.sizer(&schema, &spec) {
+            Ok(sizer) => sizer,
+            Err(err) => {
+                prop_assert_eq!(Err(err), builder.build_from_rows(&schema, &rows, &spec).map(drop));
+                return Ok(());
+            }
+        };
+        let packed = |keep: &dyn Fn(usize, usize) -> bool, scheme: &dyn CompressionScheme| {
+            let kept: Vec<(Rid, Row)> = (rows.iter().zip(&tagged))
+                .filter(|(_, (_, tag, batch))| keep(usize::from(*tag), usize::from(*batch)))
+                .map(|(row, _)| row.clone())
+                .collect();
+            let tree = builder.build_from_rows(&schema, &kept, &spec)?;
+            measure_index(&tree, scheme)
+        };
+        let schemes: [&dyn CompressionScheme; 2] = [&Uncompressed, &NullSuppression];
+        for scheme in schemes {
+            let costs = scheme.cell_costs().expect("cell-additive");
+            let mut strata = vec![sizer.empty_cell_costs(); STRATA];
+            let mut batches = vec![sizer.empty_cell_costs(); BATCHES];
+            let tag = |i: usize| usize::from(tagged[i].1);
+            sizer.add_cell_costs(&rows, &costs, &mut strata, tag).unwrap();
+            let batch = |i: usize| usize::from(tagged[i].2);
+            sizer.add_cell_costs(&rows, &costs, &mut batches, batch).unwrap();
+            let mut pooled = sizer.empty_cell_costs();
+            batches.iter().for_each(|sum| pooled.merge(sum));
+            let price = |sums, excluded| sizer.price(scheme, &costs, sums, excluded);
+
+            let name = scheme.name();
+            prop_assert_eq!(price(&pooled, None), packed(&|_, _| true, scheme), "{} pooled", name);
+            for (s, stratum) in strata.iter().enumerate() {
+                let tree = packed(&|tag, _| tag == s, scheme);
+                prop_assert_eq!(price(stratum, None), tree, "{} stratum {}", name, s);
+            }
+            for (b, excluded) in batches.iter().enumerate() {
+                let tree = packed(&|_, batch| batch != b, scheme);
+                prop_assert_eq!(price(&pooled, Some(excluded)), tree, "{} all but {}", name, b);
+            }
+        }
     }
 
     /// An arbitrary thread count never changes the built tree: the radix

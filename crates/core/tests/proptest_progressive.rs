@@ -19,14 +19,17 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use samplecf_compression::{scheme_by_name, scheme_names};
+use samplecf_compression::{
+    scheme_by_name, scheme_names, CompressionScheme, NullSuppression, Uncompressed,
+};
 use samplecf_core::{
-    grouped_jackknife_variance, theory, ProgressiveCf, ProgressiveConfig, SampleCf,
+    grouped_jackknife_variance, measure_rows, ns_row_statistic, theory, weighted_combine,
+    MomentSketch, ProgressiveCf, ProgressiveConfig, SampleCf, VarianceNode,
 };
 use samplecf_datagen::presets;
 use samplecf_index::{measure_index, IndexBuilder, IndexSpec};
-use samplecf_sampling::{BatchSchedule, CountingSource, SamplerKind};
-use samplecf_storage::{DiskTable, Table, TableSource};
+use samplecf_sampling::{Allocation, BatchSchedule, CountingSource, SamplerKind, StrataMode};
+use samplecf_storage::{DiskTable, Rid, Row, Table, TableSource};
 
 /// A disk copy of `table` in a unique temp file, removed on drop.
 struct TempDisk {
@@ -333,6 +336,156 @@ proptest! {
                         threads
                     );
                 }
+            }
+        }
+    }
+}
+
+/// What a fresh stream of `kind` draws from `source` under `schedule` and
+/// `seed`: its batches, each row beside its stratum tag (0 unstratified),
+/// and the strata's population weights (none unstratified).
+type Drawn = (Vec<Vec<((Rid, Row), u32)>>, Vec<f64>);
+
+fn drain_batches(
+    kind: SamplerKind,
+    schedule: BatchSchedule,
+    seed: u64,
+    source: &dyn TableSource,
+) -> Drawn {
+    let mut stream = kind.stream(schedule).expect("streaming kind");
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut batches = Vec::new();
+    loop {
+        let batch = stream.next_batch(source, &mut rng).expect("draw succeeds");
+        if batch.is_empty() {
+            break;
+        }
+        let tags = stream
+            .batch_strata()
+            .map_or(vec![0; batch.len()], <[u32]>::to_vec);
+        batches.push(batch.into_iter().zip(tags).collect());
+    }
+    (batches, stream.strata_weights().unwrap_or_default())
+}
+
+proptest! {
+    // Each case runs 2 schemes × 5 kinds × 2 backends × 2 thread counts,
+    // and the oracle packs a tree per checkpoint and per leave-one-out.
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Every checkpoint of a run priced from cell sums (`none`, null
+    /// suppression) against an oracle that shares none of that pricing:
+    /// [`measure_rows`] — a tree packed from decoded rows — over the first
+    /// `b` batches a fresh stream draws with the same seed and schedule; for
+    /// stratified kinds, their per-stratum `measure_rows` combined by the
+    /// population weights.  A jackknifed checkpoint's standard error is
+    /// [`grouped_jackknife_variance`] over `measure_rows` of each
+    /// all-but-one-batch row set, a stratified one the algebra over the
+    /// rows' per-stratum NS statistics.  Over `Table` and `DiskTable`, at
+    /// one and two threads.
+    #[test]
+    fn every_cell_sum_checkpoint_equals_measure_rows_over_its_batches(
+        rows in 600usize..1400,
+        distinct in 1usize..200,
+        seed in 0u64..1000,
+        fraction_pct in 5u32..25,
+        initial_permille in 5u32..40,
+        growth_tenths in 13u32..30,
+    ) {
+        let fraction = f64::from(fraction_pct) / 100.0;
+        let table = presets::variable_length_table("t", rows, 24, distinct, 4, 20, seed)
+            .generate()
+            .expect("generation succeeds")
+            .table;
+        let disk = TempDisk::materialize(&table, seed.wrapping_mul(43).wrapping_add(rows as u64));
+        let spec = IndexSpec::nonclustered("idx_a", ["a"]).expect("valid spec");
+        let builder = IndexBuilder::new();
+        let schedule = BatchSchedule::new(
+            f64::from(initial_permille) / 1000.0,
+            f64::from(growth_tenths) / 10.0,
+        )
+        .expect("valid schedule");
+        let config = ProgressiveConfig { target_error: 0.0, confidence: 0.95, schedule };
+        let stratified = |mode| SamplerKind::Stratified {
+            fraction,
+            strata: 4,
+            alloc: Allocation::Proportional,
+            mode,
+        };
+        let kinds = [
+            SamplerKind::UniformWithReplacement(fraction),
+            SamplerKind::Block(fraction),
+            SamplerKind::Reservoir((rows / 10).max(5)),
+            stratified(StrataMode::EquiWidth),
+            stratified(StrataMode::EquiDepth),
+        ];
+        let key_width = table.schema().column_at(0).datatype.uncompressed_width();
+        let memory: &dyn TableSource = &table;
+        let backends: [(&str, &dyn TableSource); 2] = [("memory", memory), ("disk", disk.source())];
+        let schemes: [&dyn CompressionScheme; 2] = [&Uncompressed, &NullSuppression];
+
+        let cases = backends.iter().flat_map(|backend| schemes.map(|scheme| (backend, scheme)));
+        for ((backend, source), scheme, kind) in
+            cases.flat_map(|(backend, scheme)| kinds.map(|kind| (backend, scheme, kind)))
+        {
+            let (batches, weights) = drain_batches(kind, schedule, seed, *source);
+            let measured = |keep: &dyn Fn(usize, u32) -> bool| {
+                let kept: Vec<(Rid, Row)> = (batches.iter().enumerate())
+                    .flat_map(|(b, batch)| batch.iter().filter(move |(_, tag)| keep(b, *tag)))
+                    .map(|(row, _)| row.clone())
+                    .collect();
+                let label = kind.label();
+                measure_rows(source.schema(), &kept, &spec, scheme, &builder, label)
+                    .expect("oracle measures")
+            };
+            for threads in [1, 2] {
+                let report = ProgressiveCf::new(kind, config)
+                    .seed(seed)
+                    .threads(threads)
+                    .run(*source, &spec, scheme)
+                    .expect("progressive run succeeds");
+                let tag = format!("{backend}/{}/{kind:?}/threads {threads}", scheme.name());
+                prop_assert_eq!(report.checkpoints.len(), batches.len(), "{}", &tag);
+                let bits = |x: Option<f64>| x.map(f64::to_bits);
+
+                for (c, cp) in report.checkpoints.iter().enumerate() {
+                    let tag = format!("{tag} checkpoint {c}");
+                    let upto = |b: usize| b <= c;
+                    let pooled = measured(&|b, _| upto(b));
+                    let (cf, std_error) = if weights.is_empty() {
+                        let sizes: Vec<usize> = batches[..=c].iter().map(Vec::len).collect();
+                        let leave_one_out: Vec<f64> = (0..=c)
+                            .map(|skip| measured(&|b, _| upto(b) && b != skip).cf)
+                            .collect();
+                        let variance = grouped_jackknife_variance(pooled.cf, &leave_one_out, &sizes);
+                        (pooled.cf, variance.map(f64::sqrt))
+                    } else {
+                        let strata: Vec<Option<f64>> = (0..weights.len() as u32)
+                            .map(|s| {
+                                let stratum = measured(&|b, tag| upto(b) && tag == s);
+                                (stratum.data.rows > 0).then_some(stratum.cf)
+                            })
+                            .collect();
+                        let sketches = (0..weights.len() as u32).map(|s| {
+                            let mut sketch = MomentSketch::new();
+                            for ((_, row), _) in (batches[..=c].iter().flatten())
+                                .filter(|(_, tag)| *tag == s)
+                            {
+                                sketch.observe(ns_row_statistic(row.value(0), key_width));
+                            }
+                            sketch
+                        });
+                        let node = VarianceNode::stratified(weights.clone(), sketches.collect());
+                        let cf = weighted_combine(&weights, &strata).expect("a sampled stratum");
+                        (cf, node.variance().map(f64::sqrt))
+                    };
+                    prop_assert_eq!(cp.cf.to_bits(), cf.to_bits(), "cf: {}", &tag);
+                    prop_assert_eq!(bits(cp.std_error), bits(std_error), "std_error: {}", &tag);
+                    prop_assert_eq!(cp.rows, pooled.data.rows, "rows: {}", &tag);
+                }
+                let all = measured(&|_, _| true);
+                prop_assert_eq!(&report.measurement.report, &all.report, "report: {}", &tag);
+                prop_assert_eq!(&report.measurement.data, &all.data, "data: {}", &tag);
             }
         }
     }

@@ -489,15 +489,20 @@ impl<'a> EntryLayout<'a> {
     /// Append one entry per row to `out`.
     fn encode_rows(&self, rows: &[(Rid, Row)], out: &mut Vec<u8>) -> IndexResult<()> {
         let start = out.len();
-        let datatype = |i: usize| &self.schema.column_at(i).datatype;
         for (rid, row) in rows {
-            self.schema.validate_row(row.values())?;
-            let cell = |i, out: &mut Vec<u8>| Ok(encode_cell(row.value(i), datatype(i), out)?);
-            self.encode_entry(*rid, |i| row.value(i).is_null(), cell, out)?;
+            self.encode_row(*rid, row, out)?;
         }
         // Were a cell ever not its declared width, all stride arithmetic breaks.
         assert_eq!(out.len() - start, rows.len() * self.stride());
         Ok(())
+    }
+
+    /// Append the entry of one row, validated against the schema, to `out`.
+    pub(crate) fn encode_row(&self, rid: Rid, row: &Row, out: &mut Vec<u8>) -> IndexResult<()> {
+        self.schema.validate_row(row.values())?;
+        let datatype = |i: usize| &self.schema.column_at(i).datatype;
+        let cell = |i, out: &mut Vec<u8>| Ok(encode_cell(row.value(i), datatype(i), out)?);
+        self.encode_entry(rid, |i| row.value(i).is_null(), cell, out)
     }
 
     /// Append one entry per borrowed heap record to `out`: cells already
@@ -1182,27 +1187,42 @@ mod tests {
     }
 
     /// Both size-only routes against the route they replaced, kept as the
-    /// oracle: pack `kept` — a merge of the batches `pooled` holds besides
-    /// `excluded` — into a tree and measure it.  Every scheme is walked;
-    /// those that declare cell costs are also priced by arithmetic.
+    /// oracle: pack `kept` — the rows of every batch but `batches[skip]` —
+    /// into a tree and measure it.  Every scheme is walked through the
+    /// merge of the batches' runs, skipping `skip`'s; those that declare cell
+    /// costs are also priced, whole report and all, from the batches' sums.
     fn assert_sized_as_packed(
         builder: &IndexBuilder,
         schema: &Schema,
         spec: &IndexSpec,
-        (pooled, excluded): (&SortedRun, &SortedRun),
+        (batches, skip): (&[&[(Rid, Row)]], usize),
         kept: &BTreeIndex,
     ) {
+        let runs: Vec<SortedRun> = (batches.iter())
+            .map(|rows| SortedRun::from_rows(schema, rows, spec).unwrap())
+            .collect();
+        let pooled_run = fold_merge(&runs);
         let sizer = builder.sizer(schema, spec).unwrap();
         for name in scheme_names() {
             let scheme = scheme_by_name(name).unwrap();
-            let packed = measure_index(kept, scheme.as_ref()).unwrap().outcome();
-            let walked = sizer.measure_excluding(pooled, excluded, scheme.as_ref());
-            assert_eq!(walked, Ok(packed), "{name}: walk of {}", spec.name());
+            let packed = measure_index(kept, scheme.as_ref()).unwrap();
+            let walked = sizer.measure_excluding(&pooled_run, &runs[skip], scheme.as_ref());
+            assert_eq!(
+                walked,
+                Ok(packed.outcome()),
+                "{name}: walk of {}",
+                spec.name()
+            );
             if let Some(costs) = scheme.cell_costs() {
-                let pooled = sizer.cell_costs(pooled, &costs).unwrap();
-                let excluded = sizer.cell_costs(excluded, &costs).unwrap();
-                let closed = sizer.outcome_excluding(&costs, &pooled, &excluded);
-                assert_eq!(closed, packed, "{name}: closed form of {}", spec.name());
+                let mut sums = vec![sizer.empty_cell_costs(); batches.len()];
+                for (rows, sum) in batches.iter().zip(&mut sums) {
+                    let sum = std::slice::from_mut(sum);
+                    sizer.add_cell_costs(rows, &costs, sum, |_| 0).unwrap();
+                }
+                let mut pooled = sizer.empty_cell_costs();
+                sums.iter().for_each(|sum| pooled.merge(sum));
+                let priced = sizer.price(scheme.as_ref(), &costs, &pooled, Some(&sums[skip]));
+                assert_eq!(priced, Ok(packed), "{name}: cell sums of {}", spec.name());
             }
         }
     }
@@ -1231,8 +1251,8 @@ mod tests {
         let t = table(900);
         let spec = IndexSpec::nonclustered("i", ["name", "id"]).unwrap();
         let rows: Vec<(Rid, Row)> = t.scan().collect();
-        let batches: Vec<SortedRun> = rows
-            .chunks(250)
+        let chunks: Vec<&[(Rid, Row)]> = rows.chunks(250).collect();
+        let batches: Vec<SortedRun> = (chunks.iter())
             .map(|c| SortedRun::from_rows(t.schema(), c, &spec).unwrap())
             .collect();
         let all = fold_merge(&batches);
@@ -1245,15 +1265,16 @@ mod tests {
         for skip in 0..batches.len() {
             let partial = fold_merge(all_but(&batches, skip));
             assert_eq!(partial.len(), all.len() - batches[skip].len());
-            let pair = (&all, &batches[skip]);
-            assert_sized_as_packed(&builder, t.schema(), &spec, pair, &build(&partial));
+            let split = (&chunks[..], skip);
+            assert_sized_as_packed(&builder, t.schema(), &spec, split, &build(&partial));
         }
         // A run with everything excluded is sized as the empty single-leaf
         // tree an empty run builds; excluding nothing changes nothing.
         let empty = build(&SortedRun::new());
         assert_eq!((empty.num_entries(), empty.num_leaf_pages()), (0, 1));
-        assert_sized_as_packed(&builder, t.schema(), &spec, (&all, &all), &empty);
-        let nothing = (&all, &SortedRun::new());
+        let everything = (&[&rows[..]][..], 0);
+        assert_sized_as_packed(&builder, t.schema(), &spec, everything, &empty);
+        let nothing = (&[&rows[..], &[]][..], 1);
         assert_sized_as_packed(&builder, t.schema(), &spec, nothing, &build(&all));
     }
 
@@ -1323,13 +1344,13 @@ mod tests {
                     .iter()
                     .map(|rows| SortedRun::from_rows(t.schema(), rows, &spec).unwrap())
                     .collect();
-                let pooled = fold_merge(&runs);
                 let builder = IndexBuilder::new().page_size(page_size);
+                let rows: Vec<&[(Rid, Row)]> = batch_rows.iter().map(Vec::as_slice).collect();
                 for skip in 0..batches {
                     let expected = builder
                         .build_from_sorted_run(t.schema(), &spec, &fold_merge(all_but(&runs, skip)))
                         .unwrap();
-                    assert_sized_as_packed(&builder, t.schema(), &spec, (&pooled, &runs[skip]), &expected);
+                    assert_sized_as_packed(&builder, t.schema(), &spec, (&rows, skip), &expected);
                 }
             }
         }
@@ -1552,11 +1573,12 @@ mod tests {
                     );
                     // Sizing the pooled run minus any one batch is sizing the
                     // oracle's tree over the other batches' rows.
+                    let batch_rows: Vec<&[(Rid, Row)]> = batches.iter().map(Vec::as_slice).collect();
                     for skip in 0..batches.len() {
                         let others = [&batches[..skip], &batches[skip + 1..]].concat().concat();
                         let kept =
                             oracle::tree(&builder, schema, &spec, oracle::encode_rows(schema, &others, &spec));
-                        assert_sized_as_packed(&builder, schema, &spec, (&pooled, &runs[skip]), &kept);
+                        assert_sized_as_packed(&builder, schema, &spec, (&batch_rows, skip), &kept);
                         // ... and so is walking the one order filtered to them.
                         let skipped = batches[..skip].iter().map(Vec::len).sum::<usize>();
                         let skipped = skipped..skipped + batches[skip].len();
@@ -1738,18 +1760,15 @@ mod tests {
         // Same key columns, other kind: the keys agree, the records do not.
         let clustered = IndexSpec::clustered("i", ["name"]).unwrap();
         refused(build(&clustered, &run).map(drop));
-        // Either side of an exclusion is checked, and so is a run whose cell
-        // costs are asked for.
+        // Either side of an exclusion is checked.
         let other = SortedRun::from_rows(t.schema(), &rows[..10], &by_id).unwrap();
-        let costs = NullSuppression.cell_costs().unwrap();
-        for (spec, wrong) in [(&by_name, &other), (&by_id, &run)] {
+        for spec in [&by_name, &by_id] {
             let sizer = builder.sizer(t.schema(), spec).unwrap();
             refused(
                 sizer
                     .measure_excluding(&run, &other, &NullSuppression)
                     .map(drop),
             );
-            refused(sizer.cell_costs(wrong, &costs).map(drop));
         }
         // An empty run was built for nothing in particular: it matches any
         // spec, whether it was never filled or encoded from no rows.
@@ -1761,10 +1780,6 @@ mod tests {
             let sizer = builder.sizer(t.schema(), &by_name).unwrap();
             let whole = sizer.measure_excluding(&run, &empty, &Uncompressed);
             assert_eq!(whole.unwrap().uncompressed_bytes, 300 * 12);
-            let of_run = sizer.cell_costs(&run, &costs).unwrap();
-            let mut both = of_run.clone();
-            both.merge(&sizer.cell_costs(&empty, &costs).unwrap());
-            assert_eq!(both, of_run);
             // ... and merges with any run, as a copy or a move of the other.
             assert_eq!(empty.merge(&run).len(), 300);
             assert_eq!(run.merge(&empty).len(), 300);

@@ -12,7 +12,7 @@ use samplecf_compression::{
     CellChunk, CellCosts, ColumnChunk, CompressionOutcome, CompressionScheme,
 };
 use samplecf_storage::{
-    cell_logical_len, CellRef, DataType, Rid, Schema, PAGE_HEADER_SIZE, SLOT_SIZE,
+    cell_logical_len, CellRef, DataType, Rid, Row, Schema, PAGE_HEADER_SIZE, SLOT_SIZE,
 };
 use std::ops::Range;
 
@@ -189,7 +189,7 @@ pub fn compress_index(
 /// the zero-copy counterpart of [`compress_index`].
 ///
 /// Instead of decoding leaf entries into owned
-/// [`Row`](samplecf_storage::Row)s and running the byte-producing codec,
+/// [`Row`]s and running the byte-producing codec,
 /// this borrows each stored cell in place (leaf records keep cells at fixed,
 /// schema-determined offsets) and asks the scheme for its exact output size
 /// via the batch measure kernels.  The returned report is identical, field
@@ -277,26 +277,28 @@ fn stored_cells(schema: &Schema, stored: &[usize]) -> Vec<StoredCell> {
     stored.iter().enumerate().map(cell_at).collect()
 }
 
-/// Sizes entries in key order as the tree [`IndexBuilder`](crate::IndexBuilder)
-/// would pack from them and [`measure_index`] would report — without the tree.
+/// Sizes entries as the tree [`IndexBuilder`](crate::IndexBuilder) would pack
+/// from them and [`measure_index`] would report — without the tree.
 ///
 /// Leaf records are one length and the fill rule is arithmetic: leaf `p`
-/// holds entries `p × entries_per_leaf ..` of the sequence, whichever they
-/// are, and the levels above are [`IndexSizeEstimate::internal_pages`].  So
-/// one walk of the entries cuts each leaf's cells — borrowed from the
-/// entries' arena; no page, slot directory or separator — once, prices them
-/// under any number of schemes, and reads the first key column's statistics
-/// off the order on the way (the private `walk`).  It serves two callers:
+/// holds entries `p × entries_per_leaf ..` of the key order, whichever they
+/// are, and the levels above are [`IndexSizeEstimate::internal_pages`].  Two
+/// ways follow, by what the scheme declares:
 ///
-/// * the held-sample measure — an [`OrderedEntries`] walks all its entries,
-///   or those of one stratum, for a slice of schemes, one whole
-///   [`CompressedIndexReport`] each;
-/// * the progressive jackknife, which reads one number off each
-///   delete-one-batch index — [`measure_excluding`](Self::measure_excluding)
-///   walks a [`SortedRun`] minus one batch; for a scheme that declares
-///   [`cell_costs`](CompressionScheme::cell_costs) the size is arithmetic on
-///   per-run sums instead ([`cell_costs`](Self::cell_costs),
-///   [`outcome_excluding`](Self::outcome_excluding)).
+/// * any scheme — one walk of the entries in key order cuts each leaf's
+///   cells (borrowed from the entries' arena; no page, slot directory or
+///   separator) once, prices them under any number of schemes, and reads the
+///   first key column's statistics off the order on the way (the private
+///   `walk`).  An [`OrderedEntries`] walks a held sample's entries, or one
+///   stratum's; [`measure_excluding`](Self::measure_excluding) walks a
+///   [`SortedRun`] minus one batch, for the progressive jackknife;
+/// * a scheme that declares [`cell_costs`](CompressionScheme::cell_costs) —
+///   no order at all.  Each leaf's size is a header fixed by its length plus
+///   its cells' costs, so a column's size over *any* entries is one header
+///   per leaf plus the entries' costs summed.  Rows are encoded once, in
+///   any order, into those sums ([`add_cell_costs`](Self::add_cell_costs));
+///   sums merge and subtract; [`price`](Self::price) turns them into the
+///   whole report.
 ///
 /// Either way every size equals, byte count for byte count, that of the
 /// packed and measured tree.
@@ -324,7 +326,8 @@ pub struct FirstKeyStats {
 }
 
 /// Per stored column, a cell-additive scheme's [`CellCosts::cell`] summed
-/// over the entries of a run ([`RunSizer::cell_costs`]).
+/// over some entries ([`RunSizer::add_cell_costs`]) — all
+/// [`RunSizer::price`] needs of them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunCellCosts {
     entries: usize,
@@ -332,7 +335,13 @@ pub struct RunCellCosts {
 }
 
 impl RunCellCosts {
-    /// Add `other`'s entries: the costs of the two runs merged.
+    /// Number of entries summed.
+    #[must_use]
+    pub fn entries(&self) -> usize {
+        self.entries
+    }
+
+    /// Add `other`'s entries: the costs of the two sets together.
     ///
     /// # Panics
     /// If the two were summed for different stored columns (by sizers of
@@ -428,35 +437,51 @@ impl<'a> RunSizer<'a> {
 
         let shape = self.shape.with_entries(kept);
         let internal_bytes = shape.internal_pages()? * shape.page_size;
-        let rid_bytes = if self.layout.rid_in_record {
-            kept * Rid::ENCODED_LEN
-        } else {
-            0
-        };
-        let mut reports: Vec<CompressedIndexReport> = (schemes.iter())
-            .map(|scheme| CompressedIndexReport {
-                scheme: scheme.name().to_string(),
-                num_entries: kept,
-                leaf_pages: shape.leaf_pages,
-                page_size: shape.page_size,
-                per_column: Vec::with_capacity(self.cells.len()),
-                rid_bytes,
-                bitmap_bytes: kept * self.cells.len().div_ceil(8),
-                internal_bytes,
+        let reports = (schemes.iter())
+            .map(|scheme| {
+                let column = |pos: usize| Ok(scheme.measure_chunks(&columns[pos])?);
+                self.report(scheme.name(), shape, internal_bytes, column)
             })
-            .collect();
+            .collect::<IndexResult<_>>()?;
+        Ok((reports, stats))
+    }
+
+    /// The report of the tree of `shape` — `shape.num_entries` entries of
+    /// this layout, `internal_bytes` above its leaves — under the scheme
+    /// named `scheme`, its stored column `pos` compressed to `compressed(pos)`
+    /// bytes.
+    fn report(
+        &self,
+        scheme: &str,
+        shape: IndexSizeEstimate,
+        internal_bytes: usize,
+        mut compressed: impl FnMut(usize) -> IndexResult<usize>,
+    ) -> IndexResult<CompressedIndexReport> {
+        let kept = shape.num_entries;
         let names =
             (self.layout.stored_indexes.iter()).map(|&i| &self.layout.schema.column_at(i).name);
-        for ((cell, chunks), name) in self.cells.iter().zip(&columns).zip(names) {
-            for (scheme, report) in schemes.iter().zip(&mut reports) {
-                report.per_column.push(ColumnCompressionStat {
-                    column: name.clone(),
-                    uncompressed_bytes: kept * cell.datatype.uncompressed_width(),
-                    compressed_bytes: scheme.measure_chunks(chunks)?,
-                });
-            }
+        let mut per_column = Vec::with_capacity(self.cells.len());
+        for ((pos, cell), name) in self.cells.iter().enumerate().zip(names) {
+            per_column.push(ColumnCompressionStat {
+                column: name.clone(),
+                uncompressed_bytes: kept * cell.datatype.uncompressed_width(),
+                compressed_bytes: compressed(pos)?,
+            });
         }
-        Ok((reports, stats))
+        Ok(CompressedIndexReport {
+            scheme: scheme.to_string(),
+            num_entries: kept,
+            leaf_pages: shape.leaf_pages,
+            page_size: shape.page_size,
+            per_column,
+            rid_bytes: if self.layout.rid_in_record {
+                kept * Rid::ENCODED_LEN
+            } else {
+                0
+            },
+            bitmap_bytes: kept * self.cells.len().div_ceil(8),
+            internal_bytes,
+        })
     }
 
     /// The size of the index over `run` minus (as a multiset) `excluded` —
@@ -496,59 +521,94 @@ impl<'a> RunSizer<'a> {
         Ok(reports[0].outcome())
     }
 
-    /// Sum `costs.cell` over `run`'s entries, per stored column — once per
-    /// batch, whatever the number of samples the batch is later left out of.
-    ///
-    /// # Errors
-    /// [`IndexError::InvalidSpec`] for a run of another layout.
-    pub fn cell_costs(&self, run: &SortedRun, costs: &CellCosts) -> IndexResult<RunCellCosts> {
-        self.layout.admit(run)?;
-        let mut per_column = vec![0; self.cells.len()];
-        for entry in run.entries() {
-            let record = &entry[self.layout.key_len..];
-            for (cell, sum) in self.cells.iter().zip(&mut per_column) {
-                *sum += (costs.cell)(cell.of(record), &cell.datatype);
-            }
+    /// Sums of no entries, for this sizer's stored columns: what
+    /// [`add_cell_costs`](Self::add_cell_costs) adds to.
+    #[must_use]
+    pub fn empty_cell_costs(&self) -> RunCellCosts {
+        RunCellCosts {
+            entries: 0,
+            per_column: vec![0; self.cells.len()],
         }
-        Ok(RunCellCosts {
-            entries: run.len(),
-            per_column,
-        })
     }
 
-    /// [`measure_excluding`](Self::measure_excluding) for the scheme that
-    /// declared `costs`, as arithmetic: `pooled` are the summed costs of a
-    /// run, `excluded` those of a batch merged into it.  A column of the
-    /// kept entries costs their cells' costs — the pooled sum minus the
-    /// batch's — plus one chunk header per leaf, and the fill rule gives the
-    /// leaves' lengths without a walk.
+    /// Encode each of `rows` as an entry of this layout — once, in the
+    /// order given, into one reused buffer — and add `costs.cell` of its
+    /// stored cells to `sums[group(i)]` for row `i`: one group for a batch,
+    /// say, or one per stratum tag.  Nothing is sorted or kept.
+    ///
+    /// # Errors
+    /// A row that does not match the schema is [`IndexError::Storage`], as
+    /// when building; the sums may then hold the rows before it.
+    ///
+    /// # Panics
+    /// If `group` names no member of `sums`, or `sums` were made by a sizer
+    /// of other stored columns.
+    pub fn add_cell_costs(
+        &self,
+        rows: &[(Rid, Row)],
+        costs: &CellCosts,
+        sums: &mut [RunCellCosts],
+        group: impl Fn(usize) -> usize,
+    ) -> IndexResult<()> {
+        assert!((sums.iter()).all(|sum| sum.per_column.len() == self.cells.len()));
+        let mut entry = Vec::with_capacity(self.layout.stride());
+        for (i, (rid, row)) in rows.iter().enumerate() {
+            entry.clear();
+            self.layout.encode_row(*rid, row, &mut entry)?;
+            let record = &entry[self.layout.key_len..];
+            let sum = &mut sums[group(i)];
+            sum.entries += 1;
+            for (cell, total) in self.cells.iter().zip(&mut sum.per_column) {
+                *total += (costs.cell)(cell.of(record), &cell.datatype);
+            }
+        }
+        Ok(())
+    }
+
+    /// The report [`measure_index`] gives, under `scheme` — which declared
+    /// `costs` — on the tree over the entries summed in `pooled`, less those
+    /// summed in `excluded` if given: the progressive estimator's pooled
+    /// sample, a stratum, a delete-one-batch sample.  Arithmetic, field for
+    /// field; no entry is read.
+    ///
+    /// A column of `kept` entries costs its cells' costs — the pooled sum
+    /// minus the excluded one — plus one chunk header per leaf, the leaves'
+    /// lengths by the fill rule (an empty tree is one empty leaf); leaf and
+    /// internal page counts are the size model's.
+    ///
+    /// # Errors
+    /// A page so small that an internal page holds a single separator key is
+    /// [`IndexError::InvalidSpec`], as when building.
     ///
     /// # Panics
     /// If `excluded` holds more than `pooled` does.  Sums cannot show a
-    /// foreign batch the way the walk's cursor does: `pooled` must be a
-    /// [`merge`](RunCellCosts::merge) that `excluded` went into.
-    #[must_use]
-    pub fn outcome_excluding(
+    /// foreign batch the way the walk's cursor does: `excluded` must have
+    /// been [`merge`](RunCellCosts::merge)d into `pooled`.
+    pub fn price(
         &self,
+        scheme: &dyn CompressionScheme,
         costs: &CellCosts,
         pooled: &RunCellCosts,
-        excluded: &RunCellCosts,
-    ) -> CompressionOutcome {
+        excluded: Option<&RunCellCosts>,
+    ) -> IndexResult<CompressedIndexReport> {
         let part_of = "`excluded` was merged into `pooled`";
-        let kept = pooled.entries.checked_sub(excluded.entries).expect(part_of);
-        let per_leaf = self.shape.entries_per_leaf;
+        let kept = (pooled
+            .entries
+            .checked_sub(excluded.map_or(0, |x| x.entries)))
+        .expect(part_of);
+        let shape = self.shape.with_entries(kept);
+        let per_leaf = shape.entries_per_leaf;
         let (full, rest) = (kept / per_leaf, kept % per_leaf);
         let mut headers = full * (costs.chunk_header)(per_leaf);
         if rest > 0 || full == 0 {
             headers += (costs.chunk_header)(rest);
         }
-        let mut outcome = CompressionOutcome::new(0, 0);
-        for (pos, cell) in self.cells.iter().enumerate() {
-            outcome.uncompressed_bytes += kept * cell.datatype.uncompressed_width();
-            let cell_costs = pooled.per_column[pos].checked_sub(excluded.per_column[pos]);
-            outcome.compressed_bytes += headers + cell_costs.expect(part_of);
-        }
-        outcome
+        let column = |pos: usize| {
+            let excluded = excluded.map_or(0, |x| x.per_column[pos]);
+            Ok(headers + pooled.per_column[pos].checked_sub(excluded).expect(part_of))
+        };
+        let internal_bytes = shape.internal_pages()? * shape.page_size;
+        self.report(scheme.name(), shape, internal_bytes, column)
     }
 }
 

@@ -25,8 +25,11 @@
 //!   and reads the first key column's [`FirstKeyStats`] off the order.  A
 //!   held sample is ordered once ([`IndexBuilder::order_records`]) and walked
 //!   — whole, or a stratum at a time; the progressive jackknife walks a
-//!   [`SortedRun`] minus one of the batches merged into it, or, for a
-//!   cell-additive scheme, does arithmetic on per-batch [`RunCellCosts`].
+//!   [`SortedRun`] minus one of the batches merged into it.  For a
+//!   cell-additive scheme no order is needed: rows are summed, unsorted, into
+//!   [`RunCellCosts`] and [`RunSizer::price`] turns any sum — a progressive
+//!   run's pooled sample, a stratum, a delete-one-batch sample — into the
+//!   whole report by arithmetic.
 //!
 //! ## Quickstart
 //!

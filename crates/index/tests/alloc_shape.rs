@@ -4,9 +4,10 @@
 //! and merging a run cost a handful of allocations however many rows there
 //! are; entries in key order — a held sample's, or a pooled run's minus one
 //! batch — are sized by a walk that allocates per leaf page, not per entry
-//! or per distinct value, whatever the number of schemes; and a
-//! delete-one-batch sample under a cell-additive scheme is sized by
-//! arithmetic that allocates nothing but its result.  A counting
+//! or per distinct value, whatever the number of schemes; under a
+//! cell-additive scheme rows are summed into cell costs through one reused
+//! entry buffer, and any sample — pooled, a stratum, all but one batch — is
+//! priced by arithmetic that allocates nothing but its report.  A counting
 //! `#[global_allocator]` (this test binary only) holds that shape in place
 //! — a per-entry `Vec` coming back shows up here as tens of thousands of
 //! allocations, long before it shows up as a slowdown.
@@ -210,45 +211,64 @@ fn sizing_a_held_sample_allocates_per_leaf_page_whatever_the_schemes_and_distinc
 }
 
 #[test]
-fn closed_form_leave_one_outs_allocate_only_their_output() {
+fn summing_cell_costs_allocates_one_buffer_whatever_the_rows() {
+    let schema = schema();
+    let spec = IndexSpec::clustered("i", ["name"]).unwrap();
+    let sizer = IndexBuilder::new().sizer(&schema, &spec).unwrap();
+    let costs = NullSuppression.cell_costs().expect("cell-additive");
+    // Four groups, as a batch's rows go to their strata.
+    let summed = |rows: &[(Rid, Row)]| {
+        let mut sums = vec![sizer.empty_cell_costs(); 4];
+        let (count, added) =
+            allocations(|| sizer.add_cell_costs(rows, &costs, &mut sums, |i| i % 4));
+        added.unwrap();
+        let entries: usize = sums.iter().map(RunCellCosts::entries).sum();
+        assert_eq!(entries, rows.len());
+        count
+    };
+    for distinct in [10, 5_000] {
+        let rows = rows_of(distinct);
+        for n in [ROWS / 10, ROWS] {
+            let count = summed(&rows[..n]);
+            assert_eq!(
+                count, 1,
+                "{n} rows, {distinct} distinct: {count} allocations"
+            );
+        }
+    }
+}
+
+#[test]
+fn pricing_a_checkpoint_or_a_leave_one_out_allocates_only_its_report() {
     let (schema, rows) = (schema(), rows());
     let spec = IndexSpec::clustered("i", ["name"]).unwrap();
-    let sizer = IndexBuilder::new()
-        .page_size(1024)
-        .sizer(&schema, &spec)
-        .unwrap();
-    let batches: Vec<SortedRun> = rows
-        .chunks(ROWS / 8)
-        .map(|batch| SortedRun::from_rows(&schema, batch, &spec).unwrap())
-        .collect();
-    let pooled_run = batches
-        .iter()
-        .fold(SortedRun::new(), |pooled, batch| pooled.into_merged(batch));
+    let builder = IndexBuilder::new().page_size(1024);
+    let sizer = builder.sizer(&schema, &spec).unwrap();
     let costs = NullSuppression.cell_costs().expect("cell-additive");
-
-    // Summing a batch's cell costs allocates the sums, nothing per entry.
-    let batch_costs: Vec<RunCellCosts> = batches
-        .iter()
-        .map(|batch| {
-            let (count, sums) = allocations(|| sizer.cell_costs(batch, &costs).unwrap());
-            assert_eq!(count, 1, "cell costs of {} entries", batch.len());
-            sums
-        })
-        .collect();
-    let mut pooled = batch_costs[0].clone();
-    for batch in &batch_costs[1..] {
-        pooled.merge(batch);
+    let batches: Vec<&[(Rid, Row)]> = rows.chunks(ROWS / 8).collect();
+    let mut sums = vec![sizer.empty_cell_costs(); batches.len()];
+    for (batch, sum) in batches.iter().zip(&mut sums) {
+        let sum = std::slice::from_mut(sum);
+        sizer.add_cell_costs(batch, &costs, sum, |_| 0).unwrap();
     }
-    assert_eq!(pooled, sizer.cell_costs(&pooled_run, &costs).unwrap());
+    let mut pooled = sizer.empty_cell_costs();
+    sums.iter().for_each(|sum| pooled.merge(sum));
+    // The report's scheme name, its column list and a name per column.
+    let report = 2 + 2;
+    let packed = |rows: &[(Rid, Row)]| {
+        let tree = builder.build_from_rows(&schema, rows, &spec).unwrap();
+        measure_index(&tree, &NullSuppression).unwrap()
+    };
 
-    let (count, sizes) = allocations(|| {
-        let leave_one_out = |batch| sizer.outcome_excluding(&costs, &pooled, batch);
-        batch_costs.iter().map(leave_one_out).collect::<Vec<_>>()
-    });
-    assert_eq!(count, 1, "{} leave-one-outs", sizes.len());
-    for (size, batch) in sizes.iter().zip(&batches) {
-        let walked = sizer.measure_excluding(&pooled_run, batch, &NullSuppression);
-        assert_eq!(walked.as_ref(), Ok(size));
+    let price = |excluded| sizer.price(&NullSuppression, &costs, &pooled, excluded);
+    let (count, checkpoint) = allocations(|| price(None).unwrap());
+    assert_eq!(count, report, "a checkpoint");
+    assert_eq!(checkpoint, packed(&rows));
+    for (skip, batch) in sums.iter().enumerate() {
+        let (count, left_out) = allocations(|| price(Some(batch)).unwrap());
+        assert_eq!(count, report, "leaving out batch {skip}");
+        let others = [&batches[..skip], &batches[skip + 1..]].concat().concat();
+        assert_eq!(left_out, packed(&others));
     }
 }
 

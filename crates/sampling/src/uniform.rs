@@ -207,7 +207,7 @@ impl KeepRule {
                 let start = rng.gen_range(0..step.min(n));
                 let mut i = 0usize;
                 scan_keeping(source, |kept| {
-                    let keep = i >= start && (i - start) % step == 0;
+                    let keep = i >= start && (i - start).is_multiple_of(step);
                     i += 1;
                     keep.then_some(kept)
                 })

@@ -597,6 +597,31 @@ mod tests {
             0,
             "progressive bypasses the cache"
         );
+
+        // Every checkpoint is counted under the route its scheme picked:
+        // null suppression (the default) prices cell sums, a dictionary
+        // packs trees.
+        let priced = |route: &str| {
+            let name = format!("samplecf_progressive_pricing_total{{route=\"{route}\"}}");
+            match state.metrics.snapshot().get(&name) {
+                Some(samplecf_obs::MetricValue::Counter(n)) => *n,
+                other => panic!("{name} is not a counter: {other:?}"),
+            }
+        };
+        assert_eq!(
+            (priced("cell_sums"), priced("tree")),
+            (checkpoints.len() as u64, 0)
+        );
+        let reply = ok(
+            &state,
+            r#"{"op":"estimate_progressive","table":"svc_t","sampler":"block","fraction":0.2,"target_error":0.2,"scheme":"dictionary-paged","seed":4}"#,
+        );
+        let result = reply.get("result").unwrap();
+        let paged = result.get("checkpoints").and_then(Json::as_array).unwrap();
+        assert_eq!(
+            (priced("cell_sums"), priced("tree")),
+            (checkpoints.len() as u64, paged.len() as u64)
+        );
     }
 
     #[test]

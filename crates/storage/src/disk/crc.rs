@@ -160,52 +160,38 @@ mod clmul {
     ///
     /// # Safety
     /// The CPU must support `pclmulqdq` and `sse4.1`.
-    // The register-only intrinsics are `unsafe fn` up to Rust 1.86 and safe
-    // inside a matching `#[target_feature]` function after it: the block is
-    // required at the workspace's minimum toolchain and redundant later.
-    #[allow(unused_unsafe)]
     #[inline]
     #[target_feature(enable = "pclmulqdq,sse4.1")]
     unsafe fn fold_onto(acc: __m128i, next: __m128i, keys: __m128i) -> __m128i {
-        // SAFETY: `pclmulqdq` is this function's own precondition (its
-        // callers sit behind `detected()`); the XORs are baseline SSE2.
-        unsafe {
-            let lo = _mm_clmulepi64_si128::<0x00>(acc, keys);
-            let hi = _mm_clmulepi64_si128::<0x11>(acc, keys);
-            _mm_xor_si128(_mm_xor_si128(next, lo), hi)
-        }
+        let lo = _mm_clmulepi64_si128::<0x00>(acc, keys);
+        let hi = _mm_clmulepi64_si128::<0x11>(acc, keys);
+        _mm_xor_si128(_mm_xor_si128(next, lo), hi)
     }
 
     /// Reduce the last 128-bit remainder to the 32-bit raw register.
     ///
     /// # Safety
     /// The CPU must support `pclmulqdq` and `sse4.1`.
-    #[allow(unused_unsafe)] // as on `fold_onto`
     #[inline]
     #[target_feature(enable = "pclmulqdq,sse4.1")]
     unsafe fn reduce(x: __m128i) -> u32 {
-        // SAFETY: `pclmulqdq` and `sse4.1` (`_mm_extract_epi32`) are this
-        // function's own preconditions, met behind `detected()`; everything
-        // else is baseline SSE2.
-        unsafe {
-            let low32 = _mm_set_epi32(0, 0, 0, !0);
-            // 128 → 96 bits: the low half moves 64 bits forward onto the high.
-            let x = _mm_xor_si128(
-                _mm_clmulepi64_si128::<0x00>(x, _mm_set_epi64x(0, K4)),
-                _mm_srli_si128::<8>(x),
-            );
-            // 96 → 64 bits: the low word moves 32 bits forward.
-            let x = _mm_xor_si128(
-                _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5)),
-                _mm_srli_si128::<4>(x),
-            );
-            // Barrett, reflected form: T1 = (x mod x^32) · μ, T2 = (T1 mod
-            // x^32) · P, and the register is bits 32..64 of x ⊕ T2.
-            let p_mu = _mm_set_epi64x(MU, P);
-            let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), p_mu);
-            let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), p_mu);
-            _mm_extract_epi32::<1>(_mm_xor_si128(x, t2)) as u32
-        }
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        // 128 → 96 bits: the low half moves 64 bits forward onto the high.
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(x, _mm_set_epi64x(0, K4)),
+            _mm_srli_si128::<8>(x),
+        );
+        // 96 → 64 bits: the low word moves 32 bits forward.
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5)),
+            _mm_srli_si128::<4>(x),
+        );
+        // Barrett, reflected form: T1 = (x mod x^32) · μ, T2 = (T1 mod
+        // x^32) · P, and the register is bits 32..64 of x ⊕ T2.
+        let p_mu = _mm_set_epi64x(MU, P);
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), p_mu);
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), p_mu);
+        _mm_extract_epi32::<1>(_mm_xor_si128(x, t2)) as u32
     }
 
     /// The kernel behind [`fold`].
