@@ -1,4 +1,4 @@
-//! Regenerates the `block_sampling` experiment (see DESIGN.md §5 and EXPERIMENTS.md).
+//! Regenerates the `block_sampling` experiment (see `crates/bench/README.md`).
 //! Pass `--quick` (or set `SAMPLECF_QUICK=1`) for a fast, reduced-size run.
 
 fn main() {

@@ -3,7 +3,14 @@
 //! Experiments run at a scale that finishes in seconds on a laptop.  The
 //! paper's guarantees are stated in terms of the sampling fraction `f` and
 //! the distinct-value ratio `d/n`, so the *shape* of every result is
-//! preserved at this scale (see `DESIGN.md` §2 for the substitution note).
+//! preserved at this scale.
+//!
+//! The substitution: seeded synthetic tables (`samplecf_datagen` presets)
+//! of tens of thousands of rows stand in for production-sized ones, with
+//! `f` and `d/n` held at the values an analysis names.  What the smaller
+//! `n` changes is the sample size `r = f·n`, so spreads are wider by the
+//! `1/(2√r)` factor of Theorem 1; the experiments whose subject is `n`
+//! itself (`exp_theorem1`, `exp_dc_regimes`) sweep it explicitly.
 
 use samplecf_datagen::{presets, GeneratedTable, TableSpec};
 

@@ -8,15 +8,14 @@
 //! sampling the base data — so the winning strategy is to amortize one
 //! sample across every candidate drawn from the same configuration.
 //!
-//! This module implements that batch workflow:
+//! The advisor draws nothing: its caller holds the samples (the `samplecfd`
+//! service in its concurrent cache, a batch tool through
+//! [`MaterializedSample::draw`] over a
+//! [`CountingSource`](samplecf_storage::CountingSource)) and hands
+//! [`CompressionAdvisor::plan`] one entry per sample — the sample, the pages
+//! its draw cost, and the candidates to price on it.  The plan then:
 //!
-//! 1. **Group** candidates through a [`SampleCache`] keyed by (table
-//!    source, sampler kind + fraction, seed): the first candidate of a
-//!    group draws one [`MaterializedSample`], so a disk-resident table
-//!    pays its block I/O exactly once per group (accounted by a
-//!    [`CountingSource`](samplecf_storage::CountingSource)
-//!    and reported in the plan); every later candidate is a cache hit.
-//! 2. **Fan out** candidate evaluation across threads, a *key shape* at a
+//! 1. **Fans out** candidate evaluation across threads, a *key shape* at a
 //!    time: candidates on one sample whose indexes agree in kind and key
 //!    columns (whatever their names) order that sample's entries the same
 //!    way, so they share one sort and one walk that sizes every one of
@@ -25,96 +24,28 @@
 //!    Each candidate adds an analytic (I/O-free) uncompressed size from
 //!    [`IndexSizeModel`].  Results are deterministic whatever the thread
 //!    count.
-//! 3. **Choose** what to compress: a saving threshold first, then a greedy
+//! 2. **Chooses** what to compress: a saving threshold first, then a greedy
 //!    budget pass (largest estimated saving first) if a storage budget is
-//!    set.
+//!    set — across every sample of the plan, so one budget spans many
+//!    tables (the paper's capacity-planning application).
 //!
 //! The output is an [`AdvisorPlan`]: per-candidate [`Recommendation`]s plus
-//! plan-level accounting (samples drawn, pages read, key orders sorted,
-//! wall-clock, and the estimated page cost a naive re-sample-per-candidate
+//! plan-level accounting (samples used, pages their draws read, key orders
+//! sorted, wall-clock, and the page cost a naive re-sample-per-candidate
 //! run would have paid).
 
-use crate::cache::SampleCache;
 use crate::error::{CoreError, CoreResult};
 use crate::estimator::measure_sample_schemes;
 use samplecf_compression::CompressionScheme;
 use samplecf_index::{IndexBuilder, IndexKind, IndexSizeModel, IndexSpec};
 use samplecf_parallel::parallel_indexed_map;
-use samplecf_sampling::{MaterializedSample, SamplerKind};
-use samplecf_storage::{SharedSource, TableSource};
-use std::sync::Arc;
+use samplecf_sampling::MaterializedSample;
 use std::time::{Duration, Instant};
 
-/// A candidate index the advisor reasons about: where the data lives, the
-/// index to (potentially) build compressed, and the compression scheme under
+/// The candidates a plan prices on one held sample: each an index to
+/// (potentially) build compressed and the compression scheme under
 /// consideration.
-///
-/// The source is a [`SharedSource`] handle — wrap a concrete
-/// [`Table`](samplecf_storage::Table) or
-/// [`DiskTable`](samplecf_storage::DiskTable) once via
-/// [`IntoShared`](samplecf_storage::IntoShared) and pass the handle to every
-/// candidate on it.  Candidates holding clones of one handle with the same
-/// sampler configuration share one materialized sample.
-#[derive(Clone)]
-pub struct Candidate<'a> {
-    /// The base table (in-memory or disk-resident).
-    pub source: SharedSource,
-    /// The index to (potentially) build compressed.
-    pub spec: &'a IndexSpec,
-    /// The compression scheme to evaluate for this candidate.
-    pub scheme: &'a dyn CompressionScheme,
-    /// Override of the advisor-wide sampler (None = use the config's).
-    pub sampler: Option<SamplerKind>,
-    /// Override of the advisor-wide sample seed (None = use the config's).
-    pub seed: Option<u64>,
-}
-
-impl<'a> Candidate<'a> {
-    /// A candidate using the advisor-wide sampler configuration.  The
-    /// handle is cloned (one atomic increment), so one `SharedSource` feeds
-    /// any number of candidates.
-    #[must_use]
-    pub fn new(
-        source: &SharedSource,
-        spec: &'a IndexSpec,
-        scheme: &'a dyn CompressionScheme,
-    ) -> Self {
-        Candidate {
-            source: Arc::clone(source),
-            spec,
-            scheme,
-            sampler: None,
-            seed: None,
-        }
-    }
-
-    /// Use a specific sampler for this candidate (placing it in its own
-    /// sample group unless other candidates use the same one).
-    #[must_use]
-    pub fn sampler(mut self, sampler: SamplerKind) -> Self {
-        self.sampler = Some(sampler);
-        self
-    }
-
-    /// Use a specific sample seed for this candidate.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
-        self
-    }
-}
-
-impl std::fmt::Debug for Candidate<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Candidate")
-            .field("table", &self.source.name())
-            .field("index", &self.spec.name())
-            .field("scheme", &self.scheme.name())
-            .field("sampler", &self.sampler)
-            .field("seed", &self.seed)
-            .finish()
-    }
-}
+pub type Candidates = [(IndexSpec, Box<dyn CompressionScheme>)];
 
 /// The advisor's verdict for one candidate.
 #[derive(Debug, Clone, PartialEq)]
@@ -162,8 +93,8 @@ impl Recommendation {
     }
 }
 
-/// One shared sample the plan drew: which configuration it came from, how
-/// many candidates reused it, and what it cost.
+/// One held sample the plan priced candidates on: which configuration it
+/// came from, how many candidates shared it, and what its draw cost.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampleGroup {
     /// Name of the table the sample was drawn from.
@@ -176,7 +107,8 @@ pub struct SampleGroup {
     pub candidates: usize,
     /// Rows in the sample.
     pub sample_rows: usize,
-    /// Physical pages read from the source to draw the sample.
+    /// Physical pages read from the source to draw the sample, as its
+    /// holder reported them.
     pub pages_read: u64,
 }
 
@@ -184,9 +116,10 @@ pub struct SampleGroup {
 /// producing them.
 #[derive(Debug, Clone)]
 pub struct AdvisorPlan {
-    /// Per-candidate recommendations, in input order.
+    /// Per-candidate recommendations, in input order: the first sample's
+    /// candidates, then the second's, and so on.
     pub recommendations: Vec<Recommendation>,
-    /// The shared samples that were drawn, in first-use order.
+    /// One group per input sample, in input order.
     pub groups: Vec<SampleGroup>,
     /// The storage budget that was targeted, if any.
     pub budget_bytes: Option<usize>,
@@ -227,7 +160,7 @@ impl AdvisorPlan {
             .is_none_or(|b| self.total_chosen_bytes() <= b)
     }
 
-    /// Number of samples materialized (one per group).
+    /// Number of samples the plan priced candidates on (one per group).
     #[must_use]
     pub fn samples_drawn(&self) -> usize {
         self.groups.len()
@@ -254,11 +187,6 @@ impl AdvisorPlan {
 /// Configuration of the advisor.
 #[derive(Debug, Clone, Copy)]
 pub struct AdvisorConfig {
-    /// Sampler (and fraction) used for the SampleCF estimates; candidates
-    /// may override it per candidate.
-    pub sampler: SamplerKind,
-    /// RNG seed for the shared samples.
-    pub seed: u64,
     /// Minimum space saving (as a fraction of the uncompressed size)
     /// required before compressing an index is considered worthwhile — this
     /// models the CPU cost of decompression that the paper's introduction
@@ -275,8 +203,6 @@ pub struct AdvisorConfig {
 impl Default for AdvisorConfig {
     fn default() -> Self {
         AdvisorConfig {
-            sampler: SamplerKind::UniformWithReplacement(0.01),
-            seed: 0,
             min_saving_fraction: 0.10,
             budget_bytes: None,
             threads: 0,
@@ -285,22 +211,8 @@ impl Default for AdvisorConfig {
 }
 
 impl AdvisorConfig {
-    /// The paper's canonical configuration: uniform row sampling with
-    /// replacement at fraction `f`, defaults otherwise.
-    #[must_use]
-    pub fn with_fraction(fraction: f64) -> Self {
-        AdvisorConfig {
-            sampler: SamplerKind::UniformWithReplacement(fraction),
-            ..Default::default()
-        }
-    }
-}
-
-impl AdvisorConfig {
-    /// Check the configuration without drawing anything: the sampler's
-    /// parameters (e.g. fraction in (0, 1]) and the saving threshold.
+    /// Check the configuration: the saving threshold must be in [0, 1].
     pub fn validate(&self) -> CoreResult<()> {
-        self.sampler.validate()?;
         if !(0.0..=1.0).contains(&self.min_saving_fraction) {
             return Err(CoreError::InvalidConfig(format!(
                 "min saving fraction must be in [0, 1], got {}",
@@ -324,98 +236,52 @@ impl CompressionAdvisor {
         Ok(CompressionAdvisor { config })
     }
 
-    /// Produce a plan for a set of candidate indexes.
+    /// Produce a plan over samples the caller already holds: one entry per
+    /// sample, `(sample, draw_pages, candidates)`, where `draw_pages` is
+    /// what a fresh draw of that sample costs (the unit of the plan's
+    /// naive re-sample-per-candidate baseline).
     ///
-    /// Each distinct (source, sampler, seed) group draws exactly one sample;
-    /// every candidate in the group is estimated from it.  Candidate
-    /// evaluation fans out across threads, but the recommendations are
-    /// byte-identical to a single-threaded run with the same seeds.
-    pub fn plan(&self, candidates: &[Candidate<'_>]) -> CoreResult<AdvisorPlan> {
-        let started = Instant::now();
-
-        // Phase 1: resolve every candidate against the sample cache.  The
-        // cache draws one sample per (source identity, sampler, seed) key —
-        // paying and accounting the source I/O exactly once per key, with
-        // distinct groups drawn concurrently — and hands back a dense
-        // group id.
-        let mut requests = Vec::with_capacity(candidates.len());
-        for c in candidates {
-            let kind = c.sampler.unwrap_or(self.config.sampler);
-            // Validate per-candidate overrides the same way `new` validates
-            // the default.
-            kind.validate()?;
-            requests.push((
-                Arc::clone(&c.source),
-                kind,
-                c.seed.unwrap_or(self.config.seed),
-            ));
-        }
-        let mut cache = SampleCache::new();
-        let group_of = cache.get_or_draw_batch(&requests, self.config.threads)?;
-
-        // Phase 2: evaluate the candidates against their groups' shared
-        // samples, a key shape at a time; evaluation is pure, so the outcome
-        // does not depend on the thread count.
-        let evaluated: Vec<Evaluated<'_>> = (candidates.iter().zip(&group_of))
-            .map(|(c, &group)| Evaluated {
-                source: c.source.as_ref(),
-                group,
-                spec: c.spec,
-                scheme: c.scheme,
-            })
-            .collect();
-        let samples: Vec<&MaterializedSample> =
-            cache.entries().iter().map(|e| &**e.sample()).collect();
-        let (recommendations, key_sorts) = self.evaluate(&evaluated, &samples)?;
-
-        let groups = cache
-            .entries()
-            .iter()
-            .map(|e| SampleGroup {
-                table: e.source().name().to_string(),
-                sampler: e.kind().label(),
-                seed: e.seed(),
-                candidates: e.uses(),
-                sample_rows: e.sample().len(),
-                pages_read: e.pages_read(),
-            })
-            .collect();
-        Ok(self.decide(recommendations, groups, key_sorts, started))
-    }
-
-    /// Plan `candidates` against one sample the caller already holds — the
-    /// entry for hosts that own their sample cache (the `samplecfd` service
-    /// serving `advise` from its concurrent cache).  `sample` must be the
-    /// draw of this advisor's `(sampler, seed)` over `source`, and
-    /// `draw_pages` what that draw cost; the result is the one-group plan
-    /// [`plan`](Self::plan) returns for the same candidates, recommendation
-    /// for recommendation.
-    pub fn plan_shared_sample(
+    /// Every candidate is estimated from its entry's sample, so its
+    /// `estimated_cf` is what [`SampleCf::estimate`](crate::SampleCf::estimate)
+    /// reports for the sample's `(sampler, seed)`.  The saving threshold and
+    /// the budget then apply across all entries.  Candidate evaluation fans
+    /// out across threads, but the recommendations are byte-identical to a
+    /// single-threaded run.
+    pub fn plan(
         &self,
-        source: &dyn TableSource,
-        candidates: &[(IndexSpec, Box<dyn CompressionScheme>)],
-        sample: &MaterializedSample,
-        draw_pages: u64,
+        samples: &[(&MaterializedSample, u64, &Candidates)],
     ) -> CoreResult<AdvisorPlan> {
         let started = Instant::now();
-        let evaluated: Vec<Evaluated<'_>> = (candidates.iter())
-            .map(|(spec, scheme)| Evaluated {
-                source,
-                group: 0,
-                spec,
-                scheme: scheme.as_ref(),
+        let candidates: Vec<Evaluated<'_>> = (samples.iter().enumerate())
+            .flat_map(|(group, (_, _, candidates))| {
+                candidates.iter().map(move |(spec, scheme)| Evaluated {
+                    group,
+                    spec,
+                    scheme: scheme.as_ref(),
+                })
             })
             .collect();
-        let (recommendations, key_sorts) = self.evaluate(&evaluated, &[sample])?;
-        let group = SampleGroup {
-            table: source.name().to_string(),
-            sampler: self.config.sampler.label(),
-            seed: self.config.seed,
-            candidates: candidates.len(),
-            sample_rows: sample.len(),
-            pages_read: draw_pages,
-        };
-        Ok(self.decide(recommendations, vec![group], key_sorts, started))
+        let held: Vec<&MaterializedSample> = samples.iter().map(|(sample, ..)| *sample).collect();
+        let (mut recommendations, key_sorts) = self.evaluate(&candidates, &held)?;
+        apply_saving_threshold(&mut recommendations, self.config.min_saving_fraction);
+        apply_budget(&mut recommendations, self.config.budget_bytes);
+        let groups = (samples.iter())
+            .map(|&(sample, draw_pages, candidates)| SampleGroup {
+                table: sample.source_name().to_string(),
+                sampler: sample.kind().label(),
+                seed: sample.seed(),
+                candidates: candidates.len(),
+                sample_rows: sample.len(),
+                pages_read: draw_pages,
+            })
+            .collect();
+        Ok(AdvisorPlan {
+            recommendations,
+            groups,
+            budget_bytes: self.config.budget_bytes,
+            key_sorts,
+            elapsed: started.elapsed(),
+        })
     }
 
     /// Evaluate `candidates`, each against the one of `samples` its group
@@ -455,31 +321,11 @@ impl CompressionAdvisor {
         let in_request_order = recommendations.into_iter().flatten().collect();
         Ok((in_request_order, shapes.len()))
     }
-
-    /// Phase 3: the saving threshold first, then the greedy budget pass.
-    fn decide(
-        &self,
-        mut recommendations: Vec<Recommendation>,
-        groups: Vec<SampleGroup>,
-        key_sorts: usize,
-        started: Instant,
-    ) -> AdvisorPlan {
-        apply_saving_threshold(&mut recommendations, self.config.min_saving_fraction);
-        apply_budget(&mut recommendations, self.config.budget_bytes);
-        AdvisorPlan {
-            recommendations,
-            groups,
-            budget_bytes: self.config.budget_bytes,
-            key_sorts,
-            elapsed: started.elapsed(),
-        }
-    }
 }
 
-/// One candidate as the evaluation sees it, from either planning entry.
+/// One candidate as the evaluation sees it.
 #[derive(Clone, Copy)]
 struct Evaluated<'c> {
-    source: &'c dyn TableSource,
     /// Number of the candidate's sample group.
     group: usize,
     spec: &'c IndexSpec,
@@ -508,11 +354,11 @@ fn evaluate_shared(
     (candidates.iter().zip(measurements))
         .map(|(c, measurement)| {
             let uncompressed = IndexSizeModel::new()
-                .estimate(c.source.schema(), c.spec, c.source.num_rows())?
+                .estimate(sample.table().schema(), c.spec, sample.source_rows())?
                 .leaf_bytes();
             let leaf_cf = measurement.cf_with_pointers.min(1.0);
             Ok(Recommendation {
-                table: c.source.name().to_string(),
+                table: sample.source_name().to_string(),
                 index: c.spec.name().to_string(),
                 scheme: c.scheme.name().to_string(),
                 uncompressed_bytes: uncompressed,
@@ -585,42 +431,60 @@ mod tests {
     use crate::estimator::SampleCf;
     use samplecf_compression::{DictionaryCompression, NullSuppression};
     use samplecf_datagen::presets;
-    use samplecf_storage::IntoShared;
+    use samplecf_sampling::SamplerKind;
+    use samplecf_storage::{CountingSource, Table};
 
-    fn compressible_table(seed: u64) -> SharedSource {
+    fn compressible_table(seed: u64) -> Table {
         // Few distinct, short values in wide columns: compresses very well.
         presets::single_char_table("compressible", 5_000, 40, 20, 6, seed)
             .generate()
             .unwrap()
             .table
-            .into_shared()
     }
 
-    fn incompressible_table(seed: u64) -> SharedSource {
+    fn incompressible_table(seed: u64) -> Table {
         // All-distinct values filling the whole column width.
         presets::single_char_table("incompressible", 5_000, 12, 5_000, 12, seed)
             .generate()
             .unwrap()
             .table
-            .into_shared()
     }
 
-    fn advisor(fraction: f64) -> CompressionAdvisor {
-        CompressionAdvisor::new(AdvisorConfig::with_fraction(fraction)).unwrap()
+    /// What a holder passes the plan: the sample and the pages its draw
+    /// read.
+    fn draw(source: &Table, kind: SamplerKind, seed: u64) -> (MaterializedSample, u64) {
+        let counting = CountingSource::new(source);
+        let sample = MaterializedSample::draw(&counting, kind, seed).unwrap();
+        (sample, counting.pages_read())
+    }
+
+    /// A 5% uniform sample with replacement, the paper's canonical draw.
+    fn uniform(source: &Table, seed: u64) -> (MaterializedSample, u64) {
+        draw(source, SamplerKind::UniformWithReplacement(0.05), seed)
+    }
+
+    fn candidate(
+        spec: &IndexSpec,
+        scheme: impl CompressionScheme + 'static,
+    ) -> (IndexSpec, Box<dyn CompressionScheme>) {
+        (spec.clone(), Box::new(scheme))
+    }
+
+    fn advisor() -> CompressionAdvisor {
+        CompressionAdvisor::new(AdvisorConfig::default()).unwrap()
     }
 
     #[test]
     fn advisor_compresses_only_worthwhile_indexes() {
-        let good = compressible_table(1);
-        let bad = incompressible_table(2);
+        let (good, pages_good) = uniform(&compressible_table(1), 0);
+        let (bad, pages_bad) = uniform(&incompressible_table(2), 0);
         let spec_good = IndexSpec::nonclustered("idx_good", ["a"]).unwrap();
         let spec_bad = IndexSpec::nonclustered("idx_bad", ["a"]).unwrap();
-        let scheme = DictionaryCompression::default();
-        let candidates = vec![
-            Candidate::new(&good, &spec_good, &scheme),
-            Candidate::new(&bad, &spec_bad, &scheme),
-        ];
-        let plan = advisor(0.05).plan(&candidates).unwrap();
+        let on_good = [candidate(&spec_good, DictionaryCompression::default())];
+        let on_bad = [candidate(&spec_bad, DictionaryCompression::default())];
+        let plan = advisor()
+            .plan(&[(&good, pages_good, &on_good), (&bad, pages_bad, &on_bad)])
+            .unwrap();
         assert_eq!(plan.recommendations.len(), 2);
         assert!(
             plan.recommendations[0].compress,
@@ -636,30 +500,32 @@ mod tests {
         assert!(plan.fits_budget());
         // Two distinct tables, one sample each.
         assert_eq!(plan.samples_drawn(), 2);
+        assert_eq!(plan.pages_read(), pages_good + pages_bad);
     }
 
     #[test]
     fn budget_forces_additional_compression() {
-        let good = compressible_table(3);
+        let (good, pages_good) = uniform(&compressible_table(3), 0);
         let mid = presets::single_char_table("mid", 5_000, 24, 200, 10, 4)
             .generate()
             .unwrap()
-            .table
-            .into_shared();
+            .table;
+        let (mid, pages_mid) = uniform(&mid, 0);
         let spec_a = IndexSpec::nonclustered("idx_a", ["a"]).unwrap();
         let spec_b = IndexSpec::nonclustered("idx_b", ["a"]).unwrap();
-        let scheme = DictionaryCompression::default();
-        let candidates = vec![
-            Candidate::new(&good, &spec_a, &scheme),
-            Candidate::new(&mid, &spec_b, &scheme),
+        let on_good = [candidate(&spec_a, DictionaryCompression::default())];
+        let on_mid = [candidate(&spec_b, DictionaryCompression::default())];
+        let samples = [
+            (&good, pages_good, &on_good[..]),
+            (&mid, pages_mid, &on_mid),
         ];
         // With an absurdly high saving threshold nothing is compressed...
         let lazy = CompressionAdvisor::new(AdvisorConfig {
             min_saving_fraction: 0.99,
-            ..AdvisorConfig::with_fraction(0.05)
+            ..Default::default()
         })
         .unwrap();
-        let plan = lazy.plan(&candidates).unwrap();
+        let plan = lazy.plan(&samples).unwrap();
         assert!(plan.recommendations.iter().all(|r| !r.compress));
 
         // ...but a tight budget forces the advisor to compress anyway.
@@ -667,10 +533,10 @@ mod tests {
         let constrained = CompressionAdvisor::new(AdvisorConfig {
             min_saving_fraction: 0.99,
             budget_bytes: Some(budget),
-            ..AdvisorConfig::with_fraction(0.05)
+            ..Default::default()
         })
         .unwrap();
-        let plan = constrained.plan(&candidates).unwrap();
+        let plan = constrained.plan(&samples).unwrap();
         assert!(plan.recommendations.iter().any(|r| r.compress));
         assert_eq!(plan.budget_bytes, Some(budget));
     }
@@ -680,21 +546,36 @@ mod tests {
         let t = compressible_table(5);
         let spec_a = IndexSpec::nonclustered("idx_plain", ["a"]).unwrap();
         let spec_b = IndexSpec::clustered("idx_clustered", ["a"]).unwrap();
-        let dict = DictionaryCompression::default();
-        let ns = NullSuppression;
-        // Four candidates on one table: 3 share the default group, 1 opts
-        // into its own seed.
-        let candidates = vec![
-            Candidate::new(&t, &spec_a, &dict),
-            Candidate::new(&t, &spec_a, &ns),
-            Candidate::new(&t, &spec_b, &dict),
-            Candidate::new(&t, &spec_b, &dict).seed(99),
+        // Four candidates on one table: 3 share the seed-0 sample, 1 is
+        // priced on a sample of its own seed.
+        let (shared, pages_shared) = uniform(&t, 0);
+        let (own, pages_own) = uniform(&t, 99);
+        let on_shared = [
+            candidate(&spec_a, DictionaryCompression::default()),
+            candidate(&spec_a, NullSuppression),
+            candidate(&spec_b, DictionaryCompression::default()),
         ];
-        let plan = advisor(0.05).plan(&candidates).unwrap();
+        let on_own = [candidate(&spec_b, DictionaryCompression::default())];
+        let plan = advisor()
+            .plan(&[
+                (&shared, pages_shared, &on_shared),
+                (&own, pages_own, &on_own),
+            ])
+            .unwrap();
         assert_eq!(plan.samples_drawn(), 2);
         assert_eq!(plan.groups[0].candidates, 3);
         assert_eq!(plan.groups[1].candidates, 1);
         assert_eq!(plan.groups[1].seed, 99);
+        assert_eq!(
+            (
+                plan.groups[0].table.as_str(),
+                plan.groups[0].sampler.as_str()
+            ),
+            (
+                "compressible",
+                SamplerKind::UniformWithReplacement(0.05).label().as_str()
+            )
+        );
         assert_eq!(plan.recommendations[0].group, 0);
         assert_eq!(plan.recommendations[3].group, 1);
         // Naive baseline would have drawn the first group's sample 3 times.
@@ -706,65 +587,60 @@ mod tests {
 
     #[test]
     fn plan_is_deterministic_across_thread_counts() {
-        let t = compressible_table(6);
-        let other = incompressible_table(7);
+        let (t, pages_t) = uniform(&compressible_table(6), 0);
+        let (other, pages_other) = uniform(&incompressible_table(7), 0);
         let specs: Vec<IndexSpec> = (0..6)
             .map(|i| IndexSpec::nonclustered(format!("idx{i}"), ["a"]).unwrap())
             .collect();
-        let dict = DictionaryCompression::default();
-        let ns = NullSuppression;
-        let schemes: [&dyn samplecf_compression::CompressionScheme; 2] = [&dict, &ns];
-        let candidates: Vec<Candidate<'_>> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                let source = if i % 3 == 0 { &other } else { &t };
-                Candidate::new(source, spec, schemes[i % 2])
-            })
-            .collect();
-        let single = CompressionAdvisor::new(AdvisorConfig {
-            threads: 1,
-            ..AdvisorConfig::with_fraction(0.05)
-        })
-        .unwrap()
-        .plan(&candidates)
-        .unwrap();
-        let multi = CompressionAdvisor::new(AdvisorConfig {
-            threads: 4,
-            ..AdvisorConfig::with_fraction(0.05)
-        })
-        .unwrap()
-        .plan(&candidates)
-        .unwrap();
-        assert_eq!(single.recommendations, multi.recommendations);
-        // Groups agree on everything but wall-clock.
-        assert_eq!(single.groups.len(), multi.groups.len());
-        for (a, b) in single.groups.iter().zip(&multi.groups) {
-            assert_eq!(
-                (a.table.as_str(), a.sampler.as_str(), a.seed, a.candidates),
-                (b.table.as_str(), b.sampler.as_str(), b.seed, b.candidates)
-            );
-            assert_eq!((a.sample_rows, a.pages_read), (b.sample_rows, b.pages_read));
+        let scheme = |i: usize| -> Box<dyn CompressionScheme> {
+            if i.is_multiple_of(2) {
+                Box::new(DictionaryCompression::default())
+            } else {
+                Box::new(NullSuppression)
+            }
+        };
+        let (mut on_t, mut on_other) = (Vec::new(), Vec::new());
+        for (i, spec) in specs.iter().enumerate() {
+            let held = if i % 3 == 0 { &mut on_other } else { &mut on_t };
+            held.push((spec.clone(), scheme(i)));
         }
+        let samples = [(&t, pages_t, &on_t[..]), (&other, pages_other, &on_other)];
+        let plan = |threads| {
+            CompressionAdvisor::new(AdvisorConfig {
+                threads,
+                ..Default::default()
+            })
+            .unwrap()
+            .plan(&samples)
+            .unwrap()
+        };
+        let (single, multi) = (plan(1), plan(4));
+        assert_eq!(single.recommendations, multi.recommendations);
+        assert_eq!(single.groups, multi.groups);
+        assert_eq!(single.key_sorts, multi.key_sorts);
     }
 
     #[test]
     fn shared_estimates_match_direct_estimator_runs() {
         let t = compressible_table(8);
         let spec = IndexSpec::nonclustered("idx", ["a"]).unwrap();
-        let dict = DictionaryCompression::default();
+        let kind = SamplerKind::UniformWithReplacement(0.05);
+        let (sample, pages) = draw(&t, kind, 21);
         let config = AdvisorConfig {
-            seed: 21,
             min_saving_fraction: 0.0,
-            ..AdvisorConfig::with_fraction(0.05)
+            ..Default::default()
         };
         let plan = CompressionAdvisor::new(config)
             .unwrap()
-            .plan(&[Candidate::new(&t, &spec, &dict)])
+            .plan(&[(
+                &sample,
+                pages,
+                &[candidate(&spec, DictionaryCompression::default())],
+            )])
             .unwrap();
-        let direct = SampleCf::new(config.sampler)
+        let direct = SampleCf::new(kind)
             .seed(21)
-            .estimate(&t, &spec, &dict)
+            .estimate(&t, &spec, &DictionaryCompression::default())
             .unwrap();
         let advised = &plan.recommendations[0];
         assert_eq!(advised.estimated_cf, direct.cf);
@@ -791,8 +667,7 @@ mod tests {
         let t = presets::clustered_variable_table("clustered", 6_000, 32, 12, 5)
             .generate()
             .unwrap()
-            .table
-            .into_shared();
+            .table;
         let spec = IndexSpec::nonclustered("idx", ["a"]).unwrap();
         for alloc in [
             samplecf_sampling::Allocation::Proportional,
@@ -804,20 +679,15 @@ mod tests {
                 alloc,
                 mode: samplecf_sampling::StrataMode::EquiWidth,
             };
-            let config = AdvisorConfig {
-                sampler,
-                seed: 11,
-                ..Default::default()
-            };
+            let (sample, pages) = draw(&t, sampler, 11);
             for scheme_name in ["rle", "dictionary-paged", "null-suppression"] {
                 let scheme = samplecf_compression::scheme_by_name(scheme_name).unwrap();
-                let plan = CompressionAdvisor::new(config)
-                    .unwrap()
-                    .plan(&[Candidate::new(&t, &spec, scheme.as_ref())])
-                    .unwrap();
                 let direct = SampleCf::new(sampler)
                     .seed(11)
                     .estimate(&t, &spec, scheme.as_ref())
+                    .unwrap();
+                let plan = advisor()
+                    .plan(&[(&sample, pages, &[(spec.clone(), scheme)])])
                     .unwrap();
                 assert_eq!(
                     plan.recommendations[0].estimated_cf, direct.cf,
@@ -832,13 +702,11 @@ mod tests {
     /// [`measure_sample`](crate::measure_sample), each.
     fn per_candidate_plan(
         advisor: &CompressionAdvisor,
-        source: &SharedSource,
-        candidates: &[(IndexSpec, Box<dyn CompressionScheme>)],
+        candidates: &Candidates,
         sample: &MaterializedSample,
     ) -> Vec<Recommendation> {
         let alone = |(spec, scheme): &(IndexSpec, Box<dyn CompressionScheme>)| {
             let candidate = Evaluated {
-                source: source.as_ref(),
                 group: 0,
                 spec,
                 scheme: scheme.as_ref(),
@@ -856,8 +724,7 @@ mod tests {
         let t = presets::orders_table("orders", 4_000, 13)
             .generate()
             .unwrap()
-            .table
-            .into_shared();
+            .table;
         // Two key shapes × three schemes, interleaved; every candidate
         // under a name of its own, and one of them listed twice.
         let by_status = |name: &str| IndexSpec::nonclustered(name, ["status"]).unwrap();
@@ -872,10 +739,6 @@ mod tests {
             (by_customer("c_ns"), scheme("null-suppression")),
             (by_status("s_ns"), scheme("null-suppression")),
         ];
-        let borrowed: Vec<Candidate<'_>> = candidates
-            .iter()
-            .map(|(spec, scheme)| Candidate::new(&t, spec, scheme.as_ref()))
-            .collect();
         for sampler in [
             SamplerKind::Block(0.1),
             SamplerKind::Stratified {
@@ -885,11 +748,9 @@ mod tests {
                 mode: samplecf_sampling::StrataMode::EquiWidth,
             },
         ] {
-            let sample = MaterializedSample::draw(t.as_ref(), sampler, 3).unwrap();
+            let sample = MaterializedSample::draw(&t, sampler, 3).unwrap();
             for threads in [1, 2, 4] {
                 let advisor = CompressionAdvisor::new(AdvisorConfig {
-                    sampler,
-                    seed: 3,
                     threads,
                     // Null suppression saves too little on either key; the
                     // budget then forces it onto the larger index.
@@ -897,7 +758,7 @@ mod tests {
                     budget_bytes: Some(1_000_000),
                 })
                 .unwrap();
-                let oracle = per_candidate_plan(&advisor, &t, &candidates, &sample);
+                let oracle = per_candidate_plan(&advisor, &candidates, &sample);
                 let names: Vec<&str> = oracle.iter().map(|r| r.index.as_str()).collect();
                 assert_eq!(
                     names,
@@ -907,17 +768,12 @@ mod tests {
                 let compressed: Vec<bool> = oracle.iter().map(|r| r.compress).collect();
                 assert_eq!(compressed, [true, true, false, true, true, true, false]);
 
-                let planned = advisor.plan(&borrowed).unwrap();
-                let shared = advisor
-                    .plan_shared_sample(t.as_ref(), &candidates, &sample, 0)
-                    .unwrap();
-                for plan in [&planned, &shared] {
-                    assert_eq!(
-                        plan.recommendations, oracle,
-                        "{sampler:?}, {threads} threads"
-                    );
-                    assert_eq!((plan.key_sorts, plan.samples_drawn()), (2, 1));
-                }
+                let plan = advisor.plan(&[(&sample, 0, &candidates)]).unwrap();
+                assert_eq!(
+                    plan.recommendations, oracle,
+                    "{sampler:?}, {threads} threads"
+                );
+                assert_eq!((plan.key_sorts, plan.samples_drawn()), (2, 1));
             }
         }
     }
@@ -925,44 +781,52 @@ mod tests {
     #[test]
     fn key_orders_are_counted_per_sample_group_and_key_shape() {
         let t = compressible_table(5);
-        let other = incompressible_table(6);
+        let (shared, pages_shared) = uniform(&t, 0);
+        let (reseeded, pages_reseeded) = uniform(&t, 99);
+        let (other, pages_other) = uniform(&incompressible_table(6), 0);
         let plain = IndexSpec::nonclustered("plain", ["a"]).unwrap();
         let renamed = IndexSpec::nonclustered("renamed", ["a"]).unwrap();
         let clustered = IndexSpec::clustered("clustered", ["a"]).unwrap();
-        let (dict, ns) = (DictionaryCompression::default(), NullSuppression);
-        let candidates = vec![
-            Candidate::new(&t, &plain, &dict),
+        let on_shared = [
+            candidate(&plain, DictionaryCompression::default()),
             // Another name and scheme on the same key: the same order.
-            Candidate::new(&t, &renamed, &ns),
+            candidate(&renamed, NullSuppression),
             // Another kind, another sample, another table: three more.
-            Candidate::new(&t, &clustered, &dict),
-            Candidate::new(&t, &plain, &dict).seed(99),
-            Candidate::new(&other, &plain, &dict),
+            candidate(&clustered, DictionaryCompression::default()),
         ];
-        let plan = advisor(0.05).plan(&candidates).unwrap();
+        let plain_dict = [candidate(&plain, DictionaryCompression::default())];
+        let plan = advisor()
+            .plan(&[
+                (&shared, pages_shared, &on_shared),
+                (&reseeded, pages_reseeded, &plain_dict),
+                (&other, pages_other, &plain_dict),
+            ])
+            .unwrap();
         assert_eq!((plan.samples_drawn(), plan.key_sorts), (3, 4));
-        assert_eq!(advisor(0.05).plan(&[]).unwrap().key_sorts, 0);
+        assert_eq!(advisor().plan(&[]).unwrap().key_sorts, 0);
     }
 
     #[test]
     fn invalid_configs_are_rejected() {
-        assert!(CompressionAdvisor::new(AdvisorConfig::with_fraction(0.0)).is_err());
-        assert!(CompressionAdvisor::new(AdvisorConfig {
-            min_saving_fraction: 1.5,
-            ..Default::default()
-        })
-        .is_err());
-        // Invalid per-candidate override is caught at plan time.
-        let t = compressible_table(9);
-        let spec = IndexSpec::nonclustered("idx", ["a"]).unwrap();
-        let scheme = NullSuppression;
-        let bad = Candidate::new(&t, &spec, &scheme).sampler(SamplerKind::Block(2.0));
-        assert!(advisor(0.05).plan(&[bad]).is_err());
+        for min_saving_fraction in [1.5, -0.1, f64::NAN] {
+            assert!(CompressionAdvisor::new(AdvisorConfig {
+                min_saving_fraction,
+                ..Default::default()
+            })
+            .is_err());
+        }
+        for min_saving_fraction in [0.0, 1.0] {
+            assert!(CompressionAdvisor::new(AdvisorConfig {
+                min_saving_fraction,
+                ..Default::default()
+            })
+            .is_ok());
+        }
     }
 
     #[test]
     fn empty_candidate_list_yields_an_empty_plan() {
-        let plan = advisor(0.05).plan(&[]).unwrap();
+        let plan = advisor().plan(&[]).unwrap();
         assert!(plan.recommendations.is_empty());
         assert!(plan.groups.is_empty());
         assert_eq!(plan.pages_read(), 0);

@@ -24,12 +24,12 @@
 //!   Shlosser, naive scale-up) used as baselines against SampleCF for
 //!   dictionary compression,
 //! * [`advisor`] — the two applications the paper motivates,
-//!   compression-aware physical design and capacity planning, in one batch
-//!   planner built on [`cache::SampleCache`]: candidates grouped by (table,
-//!   sampler, seed) share one materialized sample, so a disk-resident table
-//!   pays its sampling I/O once per group however many candidates are
-//!   evaluated, and the plan's totals are the compressed footprint a
-//!   capacity plan asks for.
+//!   compression-aware physical design and capacity planning, in one
+//!   planner over samples its caller holds: every candidate on a held
+//!   [`MaterializedSample`](samplecf_sampling::MaterializedSample) is priced
+//!   from it, so a disk-resident table pays its sampling I/O once per sample
+//!   however many candidates are evaluated, and the plan's totals are the
+//!   compressed footprint a capacity plan asks for.
 //!
 //! ## Quickstart
 //!
@@ -57,7 +57,6 @@
 
 pub mod advisor;
 pub mod algebra;
-pub mod cache;
 pub mod distinct;
 pub mod error;
 pub mod estimator;
@@ -67,10 +66,9 @@ pub mod theory;
 pub mod trials;
 
 pub use advisor::{
-    AdvisorConfig, AdvisorPlan, Candidate, CompressionAdvisor, Recommendation, SampleGroup,
+    AdvisorConfig, AdvisorPlan, Candidates, CompressionAdvisor, Recommendation, SampleGroup,
 };
 pub use algebra::{ns_row_statistic, weighted_combine, MomentSketch, VarianceNode};
-pub use cache::{CachedSample, SampleCache};
 pub use distinct::{
     all_estimators, Chao84, DistinctEstimator, FrequencyHistogram, GuaranteedErrorEstimator,
     NaiveScaleUp, SampleDistinct, Shlosser,

@@ -1,7 +1,13 @@
-//! The shared, evicting, **sharded** sample cache behind `samplecfd`.
+//! The shared, evicting, **sharded** sample cache behind `samplecfd` — the
+//! one place a sample is held between requests.
 //!
-//! One [`CachedSample`] per *(table identity, sampler kind + fraction,
-//! seed)* group, shared by every request that asks for that configuration:
+//! Nirkhiwale et al. (*A Sampling Algebra for Aggregate Estimation*)
+//! motivate treating a sample as a first-class object with its own
+//! lifecycle; a [`CachedSample`] is that object: one drawn
+//! [`MaterializedSample`], what its draw cost, and the live stream that can
+//! still deepen it.  The cache holds one per *(table identity, sampler
+//! kind and fraction, seed)* group, shared by every request that asks for
+//! that configuration:
 //!
 //! * **Hits are lock-light and zero-I/O** — a request that finds its group
 //!   `Ready` leaves with an [`Arc`] snapshot of the drawn sample; the
@@ -42,13 +48,176 @@
 //!   of thundering every coalesced request in the server.
 
 use crate::protocol::CacheDisposition;
-use samplecf_core::{CachedSample, CoreError, CoreResult};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use samplecf_core::{CoreError, CoreResult};
 use samplecf_obs::{Counter, Gauge, MetricsRegistry};
-use samplecf_sampling::{MaterializedSample, SamplerKind};
-use samplecf_storage::SharedSource;
+use samplecf_sampling::{BatchSchedule, MaterializedSample, SampleStream, SamplerKind};
+use samplecf_storage::{CountingSource, Rid, SharedSource};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+
+/// One held sample plus its cost accounting.
+///
+/// The entry holds the sample in its one form — a [`MaterializedSample`]
+/// (heap pages + source rids + stratum tags) behind an [`Arc`], so
+/// concurrent requests can keep an immutable snapshot and measure it with
+/// [`measure_sample`](samplecf_core::measure_sample) outside any lock.
+/// Entries are [`draw`](Self::draw)n and [`deepen`](Self::deepen)ed in
+/// place; [`ConcurrentSampleCache`] keys, locks and evicts them.
+pub struct CachedSample {
+    /// The source the sample was drawn from, kept to deepen it.
+    source: SharedSource,
+    kind: SamplerKind,
+    seed: u64,
+    /// Behind an [`Arc`] so a snapshot handed out earlier survives a later
+    /// [`deepen`](Self::deepen): deepening extends in place when the entry
+    /// is the only holder and copies the pages first when it is not.
+    sample: Arc<MaterializedSample>,
+    pages_read: u64,
+    /// Live draw state, held only while the stream can still be extended
+    /// ([`SampleStream::extendable`]): keeping the stream and its RNG is
+    /// what allows the entry to be deepened later at only the delta's I/O
+    /// cost.
+    stream: Option<(Box<dyn SampleStream>, StdRng)>,
+}
+
+impl CachedSample {
+    /// Draw and materialize one sample, accounting its I/O.
+    ///
+    /// The draw goes through a [`CountingSource`], so
+    /// [`pages_read`](Self::pages_read) records exactly how many physical
+    /// pages it cost.  The live stream is kept in the entry while it can
+    /// still be extended, so a later request for a *deeper* fraction of the
+    /// same (source, family, seed) can [`deepen`](Self::deepen) the draw
+    /// instead of redrawing; a scan sampler's stream is finished after its
+    /// one scan and is dropped here, with the rows it held.
+    pub fn draw(source: &SharedSource, kind: SamplerKind, seed: u64) -> CoreResult<CachedSample> {
+        let counting = CountingSource::new(source.as_ref());
+        let mut stream = kind.stream(BatchSchedule::one_shot())?;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sample = MaterializedSample::from_stream(&counting, stream.as_mut(), &mut rng, seed)?;
+        let pages_read = counting.pages_read();
+        Ok(CachedSample {
+            source: Arc::clone(source),
+            kind,
+            seed,
+            sample: Arc::new(sample),
+            pages_read,
+            stream: stream.extendable().then_some((stream, rng)),
+        })
+    }
+
+    /// Whether [`deepen`](Self::deepen) to `kind` can extend this entry:
+    /// the live stream is still held, the family matches, and the requested
+    /// fraction is strictly deeper than the current one.
+    #[must_use]
+    pub fn deepenable_to(&self, kind: SamplerKind) -> bool {
+        self.stream.is_some()
+            && self.kind.family() == kind.family()
+            && matches!(
+                (self.kind.fraction(), kind.fraction()),
+                (Some(have), Some(want)) if have < want
+            )
+    }
+
+    /// Extend this entry's sample in place to the deeper configuration
+    /// `kind`, paying only the delta's I/O.  Returns the pages read for the
+    /// delta, or `None` when the entry cannot be deepened (sealed, wrong
+    /// family, or not strictly deeper) — in which case it is untouched.
+    ///
+    /// Prefix-stable streams make deepening lossless: afterwards the entry
+    /// holds exactly the rows a fresh draw at the deeper fraction with the
+    /// same seed would hold (as a multiset — batches arrive rid-sorted per
+    /// chunk), and its cumulative [`pages_read`](Self::pages_read) equals
+    /// that fresh draw's cost.
+    pub fn deepen(&mut self, kind: SamplerKind) -> CoreResult<Option<u64>> {
+        if !self.deepenable_to(kind) {
+            return Ok(None);
+        }
+        let (stream, rng) = self
+            .stream
+            .as_mut()
+            .expect("deepenable_to checked the stream");
+        if !stream.extend_cap(kind) {
+            return Ok(None);
+        }
+        let counting = CountingSource::new(self.source.as_ref());
+        Arc::make_mut(&mut self.sample).extend_from_stream(&counting, stream.as_mut(), rng)?;
+        let delta = counting.pages_read();
+        self.pages_read += delta;
+        self.kind = kind;
+        Ok(Some(delta))
+    }
+
+    /// Drop the live stream state, fixing the entry's fraction for good.
+    ///
+    /// An extendable entry keeps its stream (and, for uniform draws, the
+    /// stream's page cache — every page the draw touched) so that a later,
+    /// deeper request costs only the delta.  When no deeper fraction is
+    /// coming, sealing releases that memory; the materialized sample itself
+    /// is untouched and keeps serving hits.
+    pub fn seal(&mut self) {
+        self.stream = None;
+    }
+
+    /// The sampler configuration of this entry.
+    #[must_use]
+    pub fn kind(&self) -> SamplerKind {
+        self.kind
+    }
+
+    /// The RNG seed of this entry.
+    #[must_use]
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// The materialized sample itself.  Clone the handle to keep a
+    /// snapshot: it is immutable, so holders keep reading exactly the rows
+    /// of the fraction they asked for through any later
+    /// [`deepen`](Self::deepen).
+    #[must_use]
+    pub fn sample(&self) -> &Arc<MaterializedSample> {
+        &self.sample
+    }
+
+    /// Physical pages read from the source to draw (and deepen) this sample.
+    #[must_use]
+    pub fn pages_read(&self) -> u64 {
+        self.pages_read
+    }
+
+    /// This entry's resident size in bytes — exactly what it retains: the
+    /// sample's heap pages, its source-rid vector and stratum tags, and any
+    /// state the live stream holds for deepening (rid frame, cached
+    /// pages).  This is the unit the cache's byte budget evicts against;
+    /// [`seal`](Self::seal)ing releases the stream's share.
+    #[must_use]
+    pub fn approx_bytes(&self) -> usize {
+        let table = self.sample.table();
+        table.num_pages() * table.page_size()
+            + self.sample.len() * std::mem::size_of::<Rid>()
+            + std::mem::size_of_val(self.sample.row_strata())
+            + self.stream.as_ref().map_or(0, |(stream, _)| {
+                stream.approx_retained_bytes(table.codec().record_size())
+            })
+    }
+}
+
+impl std::fmt::Debug for CachedSample {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CachedSample")
+            .field("source", &self.source.name())
+            .field("kind", &self.kind)
+            .field("seed", &self.seed)
+            .field("rows", &self.sample.len())
+            .field("pages_read", &self.pages_read)
+            .field("extendable", &self.stream.is_some())
+            .finish()
+    }
+}
 
 /// Default byte budget: generous for tests and laptop use, small enough to
 /// matter under sustained many-table traffic.
@@ -60,6 +229,10 @@ pub const DEFAULT_CACHE_SHARDS: usize = 8;
 
 type GroupKey = (usize, String, u64);
 
+/// Identity of a source handle.  Two requests share a group only when their
+/// handles point at the *same* allocation (clones of one [`SharedSource`]),
+/// so distinct tables never alias — not even two handles to byte-identical
+/// data.
 fn source_id(source: &SharedSource) -> usize {
     Arc::as_ptr(source).cast::<()>() as usize
 }
@@ -577,6 +750,116 @@ mod tests {
         let counting = Arc::new(SharedCountingSource::new(table.into_shared()));
         let shared = Arc::clone(&counting) as SharedSource;
         (counting, shared)
+    }
+
+    fn table(name: &str, seed: u64) -> SharedSource {
+        presets::single_char_table(name, 2_000, 16, 50, 8, seed)
+            .generate()
+            .unwrap()
+            .table
+            .into_shared()
+    }
+
+    #[test]
+    fn identical_tables_behind_distinct_handles_do_not_alias() {
+        let a = table("same", 7);
+        let cache = ConcurrentSampleCache::new(DEFAULT_CACHE_BUDGET_BYTES);
+        let kind = SamplerKind::Block(0.1);
+        let drawn = cache.acquire(&a, kind, 0).unwrap();
+        assert_eq!(drawn.disposition, CacheDisposition::Miss);
+        // A clone of the same handle aliases...
+        let a2 = Arc::clone(&a);
+        let hit = cache.acquire(&a2, kind, 0).unwrap();
+        assert_eq!(hit.disposition, CacheDisposition::Hit);
+        // ...but a fresh handle to byte-identical data never does.
+        let b = table("same", 7);
+        let fresh = cache.acquire(&b, kind, 0).unwrap();
+        assert_eq!(
+            fresh.disposition,
+            CacheDisposition::Miss,
+            "identity is the allocation, not the name"
+        );
+        assert_eq!(fresh.sample.rows().unwrap(), drawn.sample.rows().unwrap());
+        assert_eq!(cache.stats().entries, 2);
+    }
+
+    #[test]
+    fn standalone_entries_draw_and_deepen_without_a_cache() {
+        // The concurrent cache builds directly on CachedSample; this pins
+        // the standalone contract it relies on.
+        let t = table("t", 31);
+        // (family, bytes its live stream holds per drawn row: the
+        // without-replacement shuffle's displaced slots)
+        type Family = fn(f64) -> SamplerKind;
+        let families: [(Family, usize); 2] = [
+            (SamplerKind::UniformWithReplacement, 0),
+            (
+                SamplerKind::UniformWithoutReplacement,
+                2 * std::mem::size_of::<usize>(),
+            ),
+        ];
+        for (family, shuffle_bytes_per_row) in families {
+            let (shallow, deep) = (family(0.02), family(0.08));
+            let mut entry = CachedSample::draw(&t, shallow, 9).unwrap();
+            assert!(entry.deepenable_to(deep));
+            assert!(!entry.deepenable_to(shallow), "not strictly deeper");
+            assert!(!entry.deepenable_to(SamplerKind::Block(0.5)), "family");
+            let before = entry.pages_read();
+            let delta = entry.deepen(deep).unwrap().expect("deepenable");
+            assert_eq!(entry.pages_read(), before + delta);
+            assert_eq!(entry.kind(), deep);
+            // Cumulative rows equal a fresh deep draw's rows (as multisets).
+            let fresh = CachedSample::draw(&t, deep, 9).unwrap();
+            let mut a = entry.sample().rows().unwrap();
+            let mut b = fresh.sample().rows().unwrap();
+            a.sort_by_key(|(rid, _)| *rid);
+            b.sort_by_key(|(rid, _)| *rid);
+            assert_eq!(a, b, "{deep:?}");
+            assert_eq!(entry.pages_read(), fresh.pages_read());
+            // The live stream's retained state is priced into the entry at
+            // what it holds — the rid frame plus one source page per physical
+            // read — and sealing releases exactly that.
+            let bytes_with_stream = entry.approx_bytes();
+            entry.seal();
+            assert_eq!(
+                bytes_with_stream - entry.approx_bytes(),
+                t.num_rows() * std::mem::size_of::<Rid>()
+                    + entry.pages_read() as usize * t.page_size()
+                    + entry.sample().len() * shuffle_bytes_per_row
+            );
+            assert!(!entry.deepenable_to(family(0.2)));
+            assert_eq!(entry.deepen(family(0.2)).unwrap(), None);
+            assert_eq!(entry.sample().len(), fresh.sample().len());
+        }
+    }
+
+    #[test]
+    fn a_sealed_entry_prices_exactly_its_pages_and_rids() {
+        // No per-row decoded term: a sealed, unstratified entry retains its
+        // heap pages and one source rid per row, nothing else.
+        let t = table("t", 37);
+        let pages_and_rids = |entry: &CachedSample| {
+            let sample = entry.sample();
+            sample.table().num_pages() * sample.table().page_size()
+                + sample.len() * std::mem::size_of::<Rid>()
+        };
+        let mut entry = CachedSample::draw(&t, SamplerKind::Block(0.2), 5).unwrap();
+        assert!(entry.approx_bytes() > pages_and_rids(&entry), "live stream");
+        entry.seal();
+        assert_eq!(entry.approx_bytes(), pages_and_rids(&entry));
+        // A scan sampler's stream is finished by its one scan: the entry
+        // never keeps it — nor the decoded rows it held — and can never be
+        // picked to deepen.
+        for (kind, deeper) in [
+            (SamplerKind::Reservoir(100), SamplerKind::Reservoir(400)),
+            (SamplerKind::Bernoulli(0.05), SamplerKind::Bernoulli(0.1)),
+            (SamplerKind::Systematic(0.05), SamplerKind::Systematic(0.1)),
+        ] {
+            let mut drawn = CachedSample::draw(&t, kind, 5).unwrap();
+            assert_eq!(drawn.approx_bytes(), pages_and_rids(&drawn), "{kind:?}");
+            assert!(!drawn.deepenable_to(deeper), "{kind:?}");
+            assert_eq!(drawn.deepen(deeper).unwrap(), None);
+        }
     }
 
     #[test]

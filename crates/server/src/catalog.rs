@@ -11,24 +11,16 @@
 //! name is a no-op (the common case of a reconnecting client), while trying
 //! to rebind a name to a different file is refused.
 //!
-//! The registry is **sharded by name hash**: each shard is an independent
-//! `RwLock<HashMap>`, so lookups of unrelated tables never touch the same
-//! lock and a `register` (write lock) on one table cannot stall `get`s on
-//! the rest of the catalog.  Whole-catalog views (`names`, `len`) walk the
-//! shards one at a time.
+//! The registry is one `RwLock<HashMap>`: lookups share the read lock, and
+//! only a `register` takes the write lock.
 
 use crate::protocol::{codes, ApiError};
 use parking_lot::RwLock;
 use samplecf_obs::{Counter, Gauge, MetricsRegistry};
 use samplecf_storage::{DiskTable, SharedSource};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::path::Path;
 use std::sync::Arc;
-
-/// Default shard count; a handful is plenty for a name registry whose
-/// entries are small and whose hot path is read-mostly.
-pub const DEFAULT_CATALOG_SHARDS: usize = 8;
 
 /// One registered table: the typed handle (for metadata the [`DiskTable`]
 /// API exposes) and the erased handle (for samplers and the cache).
@@ -56,44 +48,36 @@ impl std::fmt::Debug for CatalogEntry {
     }
 }
 
-/// A concurrent name → table registry, sharded by name hash.
+/// A concurrent name → table registry.
 pub struct TableCatalog {
-    shards: Vec<RwLock<HashMap<String, CatalogEntry>>>,
+    tables: RwLock<HashMap<String, CatalogEntry>>,
     hits: Counter,
     misses: Counter,
-    tables: Gauge,
+    registered: Gauge,
 }
 
 impl Default for TableCatalog {
     fn default() -> Self {
-        Self::with_shards(DEFAULT_CATALOG_SHARDS)
+        Self::with_registry(&MetricsRegistry::new())
     }
 }
 
 impl TableCatalog {
-    /// An empty catalog with [`DEFAULT_CATALOG_SHARDS`] shards.
+    /// An empty catalog feeding a private metrics registry.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty catalog with an explicit shard count (clamped to ≥ 1),
-    /// feeding a private metrics registry.
+    /// An empty catalog whose hit/miss counters and table-count gauge feed
+    /// `registry` (see `docs/OBSERVABILITY.md` for the metric names).
     #[must_use]
-    pub fn with_shards(shards: usize) -> Self {
-        Self::with_registry(shards, &MetricsRegistry::new())
-    }
-
-    /// An empty catalog with an explicit shard count whose hit/miss
-    /// counters and table-count gauge feed `registry` (see
-    /// `docs/OBSERVABILITY.md` for the metric names).
-    #[must_use]
-    pub fn with_registry(shards: usize, registry: &MetricsRegistry) -> Self {
+    pub fn with_registry(registry: &MetricsRegistry) -> Self {
         TableCatalog {
-            shards: (0..shards.max(1)).map(|_| RwLock::default()).collect(),
+            tables: RwLock::default(),
             hits: registry.counter("samplecf_catalog_hits_total"),
             misses: registry.counter("samplecf_catalog_misses_total"),
-            tables: registry.gauge("samplecf_catalog_tables"),
+            registered: registry.gauge("samplecf_catalog_tables"),
         }
     }
 
@@ -107,18 +91,6 @@ impl TableCatalog {
     #[must_use]
     pub fn misses(&self) -> u64 {
         self.misses.get()
-    }
-
-    /// Number of independent shards.
-    #[must_use]
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard(&self, name: &str) -> &RwLock<HashMap<String, CatalogEntry>> {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        name.hash(&mut hasher);
-        &self.shards[(hasher.finish() % self.shards.len() as u64) as usize]
     }
 
     /// Open the table file at `path` and register it under `name` (or under
@@ -138,9 +110,7 @@ impl TableCatalog {
             .unwrap_or_else(|| samplecf_storage::TableSource::name(&table))
             .to_string();
 
-        // Only the shard owning this name is write-locked; registrations
-        // and lookups of other tables proceed untouched.
-        let mut tables = self.shard(&name).write();
+        let mut tables = self.tables.write();
         if let Some(existing) = tables.get(&name) {
             if existing.path == canonical {
                 return Ok(existing.clone());
@@ -160,14 +130,14 @@ impl TableCatalog {
             path: canonical,
         };
         tables.insert(name, entry.clone());
-        // Incremental rather than recount: `len()` would re-lock this shard.
-        self.tables.add(1);
+        // Incremental rather than recount: `len()` would re-lock the map.
+        self.registered.add(1);
         Ok(entry)
     }
 
     /// Look up a registered table by name.
     pub fn get(&self, name: &str) -> Result<CatalogEntry, ApiError> {
-        match self.shard(name).read().get(name).cloned() {
+        match self.tables.read().get(name).cloned() {
             Some(entry) => {
                 self.hits.inc();
                 Ok(entry)
@@ -185,11 +155,7 @@ impl TableCatalog {
     /// Names of all registered tables, sorted for deterministic output.
     #[must_use]
     pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .shards
-            .iter()
-            .flat_map(|shard| shard.read().keys().cloned().collect::<Vec<_>>())
-            .collect();
+        let mut names: Vec<String> = self.tables.read().keys().cloned().collect();
         names.sort();
         names
     }
@@ -197,20 +163,19 @@ impl TableCatalog {
     /// Number of registered tables.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|shard| shard.read().len()).sum()
+        self.tables.read().len()
     }
 
     /// Whether the catalog is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|shard| shard.read().is_empty())
+        self.tables.read().is_empty()
     }
 }
 
 impl std::fmt::Debug for TableCatalog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TableCatalog")
-            .field("shards", &self.shards.len())
             .field("tables", &self.names())
             .finish()
     }
@@ -294,7 +259,7 @@ mod tests {
     fn lookups_feed_the_metrics_registry() {
         let (path, _cleanup) = temp_table("metrics", 200);
         let registry = samplecf_obs::MetricsRegistry::new();
-        let catalog = TableCatalog::with_registry(4, &registry);
+        let catalog = TableCatalog::with_registry(&registry);
         catalog
             .register(&path.to_string_lossy(), Some("t"))
             .unwrap();
@@ -312,24 +277,19 @@ mod tests {
     }
 
     #[test]
-    fn whole_catalog_views_cross_all_shards() {
+    fn whole_catalog_views_count_and_sort_every_table() {
         let (path, _cleanup) = temp_table("views", 200);
         let path_str = path.to_string_lossy().into_owned();
-        // Even a 1-shard catalog behaves identically (shard count is an
-        // internal concurrency knob, not a semantic one).
-        for shards in [1, 4, DEFAULT_CATALOG_SHARDS] {
-            let catalog = TableCatalog::with_shards(shards);
-            assert!(catalog.is_empty());
-            for name in ["a", "b", "c", "d", "e", "f", "g", "h", "i"] {
-                catalog.register(&path_str, Some(name)).unwrap();
-            }
-            assert_eq!(catalog.len(), 9);
-            assert!(!catalog.is_empty());
-            let names = catalog.names();
-            assert_eq!(names.len(), 9);
-            assert!(names.windows(2).all(|w| w[0] < w[1]), "sorted: {names:?}");
-            assert!(catalog.get("e").is_ok());
+        let catalog = TableCatalog::new();
+        assert!(catalog.is_empty());
+        for name in ["e", "b", "i", "a", "g", "c", "h", "d", "f"] {
+            catalog.register(&path_str, Some(name)).unwrap();
         }
-        assert_eq!(TableCatalog::with_shards(0).num_shards(), 1);
+        assert_eq!(catalog.len(), 9);
+        assert!(!catalog.is_empty());
+        let names = catalog.names();
+        assert_eq!(names.len(), 9);
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "sorted: {names:?}");
+        assert!(catalog.get("e").is_ok());
     }
 }

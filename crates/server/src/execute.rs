@@ -144,12 +144,7 @@ impl ServiceState {
             .acquire(&entry.shared, sample.sampler, sample.seed)
             .map_err(estimate_failed)?;
         let plan = advisor
-            .plan_shared_sample(
-                entry.shared.as_ref(),
-                &candidates,
-                &acquired.sample,
-                acquired.entry_pages_total,
-            )
+            .plan(&[(&acquired.sample, acquired.entry_pages_total, &candidates)])
             .map_err(estimate_failed)?;
         self.gauges.advisor_pages_read.add(acquired.pages_read);
         self.gauges.advisor_naive_pages.add(plan.naive_pages_read());

@@ -15,14 +15,14 @@
 //!   [`DiskTable`](samplecf_storage::DiskTable)s, handed out as
 //!   [`SharedSource`](samplecf_storage::SharedSource) handles so every
 //!   request for a table shares one identity, and
-//! * a [`ConcurrentSampleCache`]: one
-//!   materialized sample per *(table, sampler, fraction, seed)* group,
+//! * a [`ConcurrentSampleCache`], the one place a sample is held: one
+//!   [`CachedSample`] per *(table, sampler, fraction, seed)* group,
 //!   with duplicate in-flight requests coalesced onto one draw,
 //!   progressive deepening of shallow samples
-//!   ([`CachedSample::deepen`](samplecf_core::CachedSample::deepen) under
-//!   concurrency: the deepest extendable entry of the same source, family
-//!   and seed is extended at the delta's I/O cost), and LRU eviction
-//!   against a byte budget, and
+//!   ([`CachedSample::deepen`] under concurrency: the deepest extendable
+//!   entry of the same source, family and seed is extended at the delta's
+//!   I/O cost), and LRU eviction against a byte budget — `estimate` and
+//!   `advise` both measure its snapshots, and
 //! * one [`MetricsRegistry`] per server, threaded through every layer:
 //!   request/error counters, per-kind and per-stage latency histograms
 //!   (accept → parse → queue-wait → execute → serialize → drain → write), cache
@@ -59,7 +59,9 @@ pub mod response;
 pub mod server;
 pub mod service;
 
-pub use cache::{AcquiredSample, CacheStats, ConcurrentSampleCache, DEFAULT_CACHE_BUDGET_BYTES};
+pub use cache::{
+    AcquiredSample, CacheStats, CachedSample, ConcurrentSampleCache, DEFAULT_CACHE_BUDGET_BYTES,
+};
 pub use catalog::{CatalogEntry, TableCatalog};
 pub use json::Json;
 pub use protocol::{

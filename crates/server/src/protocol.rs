@@ -422,8 +422,6 @@ impl SampleSpec {
         default_threads: usize,
     ) -> Result<CompressionAdvisor, ApiError> {
         CompressionAdvisor::new(AdvisorConfig {
-            sampler: self.sampler,
-            seed: self.seed,
             min_saving_fraction: min_saving,
             budget_bytes: budget,
             threads: self.threads.unwrap_or(default_threads),
@@ -576,6 +574,7 @@ impl Request {
             RequestKind::Advise => {
                 let sample = f.sample_spec()?;
                 let (min_saving, budget) = (f.num(&MIN_SAVING), f.int(&BUDGET).map(|b| b as usize));
+                sample.sampler.validate().map_err(bad)?;
                 sample.advisor(min_saving, budget, 0)?;
                 let entries = f.get(&CANDIDATES);
                 let entries = entries

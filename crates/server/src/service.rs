@@ -185,7 +185,7 @@ impl ServiceState {
     pub fn with_shards(cache_budget_bytes: usize, cache_shards: usize) -> Self {
         let registry = MetricsRegistry::new();
         ServiceState {
-            catalog: TableCatalog::with_registry(crate::catalog::DEFAULT_CATALOG_SHARDS, &registry),
+            catalog: TableCatalog::with_registry(&registry),
             cache: ConcurrentSampleCache::with_registry(
                 cache_budget_bytes,
                 cache_shards,
@@ -398,7 +398,7 @@ impl std::fmt::Debug for ServiceState {
 mod tests {
     use super::*;
     use crate::cache::DEFAULT_CACHE_BUDGET_BYTES;
-    use samplecf_compression::scheme_by_name;
+    use samplecf_compression::{scheme_by_name, CompressionScheme};
     use samplecf_core::SampleCf;
     use samplecf_datagen::presets;
     use samplecf_index::IndexSpec;
@@ -503,6 +503,25 @@ mod tests {
         );
     }
 
+    /// The candidates of the `advise` requests below (`idx_dict`, `idx_ns`,
+    /// `pk`), as the in-process advisor takes them.
+    fn three_candidates() -> Vec<(IndexSpec, Box<dyn CompressionScheme>)> {
+        vec![
+            (
+                IndexSpec::nonclustered("idx_dict", ["a"]).unwrap(),
+                scheme_by_name("dictionary-global").unwrap(),
+            ),
+            (
+                IndexSpec::nonclustered("idx_ns", ["a"]).unwrap(),
+                scheme_by_name("null-suppression").unwrap(),
+            ),
+            (
+                IndexSpec::clustered("pk", ["a"]).unwrap(),
+                scheme_by_name("rle").unwrap(),
+            ),
+        ]
+    }
+
     #[test]
     fn advise_matches_the_in_process_advisor_and_reports_naive_baseline() {
         let (path, _cleanup) = scratch_table("advise", 10_000);
@@ -519,33 +538,18 @@ mod tests {
             .unwrap();
         assert_eq!(recs.len(), 3);
 
-        // Equal to CompressionAdvisor::plan over the same configuration.
-        use samplecf_core::{AdvisorConfig, Candidate, CompressionAdvisor};
-        use samplecf_storage::IntoShared;
-        let disk = DiskTable::open(&path).unwrap().into_shared();
-        let specs = [
-            IndexSpec::nonclustered("idx_dict", ["a"]).unwrap(),
-            IndexSpec::nonclustered("idx_ns", ["a"]).unwrap(),
-            IndexSpec::clustered("pk", ["a"]).unwrap(),
-        ];
-        let schemes = [
-            scheme_by_name("dictionary-global").unwrap(),
-            scheme_by_name("null-suppression").unwrap(),
-            scheme_by_name("rle").unwrap(),
-        ];
-        let candidates: Vec<Candidate<'_>> = specs
-            .iter()
-            .zip(&schemes)
-            .map(|(spec, scheme)| Candidate::new(&disk, spec, scheme.as_ref()))
-            .collect();
-        let plan = CompressionAdvisor::new(AdvisorConfig {
-            sampler: SamplerKind::Block(0.05),
-            seed: 2,
-            ..Default::default()
-        })
-        .unwrap()
-        .plan(&candidates)
-        .unwrap();
+        // Equal to CompressionAdvisor::plan over the same sample, held.
+        use samplecf_core::{AdvisorConfig, CompressionAdvisor};
+        use samplecf_sampling::MaterializedSample;
+        use samplecf_storage::CountingSource;
+        let disk = DiskTable::open(&path).unwrap();
+        let candidates = three_candidates();
+        let counting = CountingSource::new(&disk);
+        let sample = MaterializedSample::draw(&counting, SamplerKind::Block(0.05), 2).unwrap();
+        let plan = CompressionAdvisor::new(AdvisorConfig::default())
+            .unwrap()
+            .plan(&[(&sample, counting.pages_read(), &candidates)])
+            .unwrap();
         for (rec, json) in plan.recommendations.iter().zip(recs) {
             assert_eq!(
                 json.get("index").and_then(Json::as_str),
@@ -574,6 +578,109 @@ mod tests {
             acc.get("naive_pages_read").and_then(Json::as_u64),
             Some(pages * 3)
         );
+    }
+
+    #[test]
+    fn served_advise_equals_the_held_sample_plan_for_every_cache_disposition() {
+        use crate::protocol::CacheDisposition;
+        use crate::response::{Accounting, Measured, Response};
+        use samplecf_core::{AdvisorConfig, CompressionAdvisor};
+        use samplecf_sampling::{Allocation, MaterializedSample, StrataMode};
+        use samplecf_storage::CountingSource;
+        let (path, _cleanup) = scratch_table("dispositions", 10_000);
+        let state = ServiceState::new(DEFAULT_CACHE_BUDGET_BYTES);
+        ok(&state, &format!(r#"{{"op":"register","path":"{path}"}}"#));
+        let disk = DiskTable::open(&path).unwrap();
+        let listed = r#"[{"index":"idx_dict","scheme":"dictionary-global"},{"index":"idx_ns","scheme":"null-suppression"},{"index":"pk","scheme":"rle","clustered":true}]"#;
+        let candidates = three_candidates();
+        type Family = fn(f64) -> SamplerKind;
+        let neyman: Family = |fraction| SamplerKind::Stratified {
+            fraction,
+            strata: 4,
+            alloc: Allocation::Neyman,
+            mode: StrataMode::EquiWidth,
+        };
+        let families: [(&str, Family); 4] = [
+            (r#""sampler":"block""#, SamplerKind::Block),
+            (
+                r#""sampler":"uniform""#,
+                SamplerKind::UniformWithReplacement,
+            ),
+            (
+                r#""sampler":"uniform-wor""#,
+                SamplerKind::UniformWithoutReplacement,
+            ),
+            (
+                r#""sampler":"stratified","strata":4,"alloc":"neyman""#,
+                neyman,
+            ),
+        ];
+        for (fields, family) in families {
+            let request = |op: &str, fraction: f64, rest: &str| {
+                ok(
+                    &state,
+                    &format!(
+                        r#"{{"op":"{op}","table":"svc_t",{fields},"fraction":{fraction},"seed":2{rest}}}"#
+                    ),
+                )
+            };
+            let advise =
+                |fraction| request("advise", fraction, &format!(r#","candidates":{listed}"#));
+            // The served reply against the plan over a fresh draw at the
+            // same fraction and seed, rendered the one way a plan renders.
+            let check = |reply: Json, fraction: f64, disposition: &str| {
+                let kind = family(fraction);
+                let counting = CountingSource::new(&disk);
+                let sample = MaterializedSample::draw(&counting, kind, 2).unwrap();
+                let fresh_pages = counting.pages_read();
+                let plan = CompressionAdvisor::new(AdvisorConfig::default())
+                    .unwrap()
+                    .plan(&[(&sample, fresh_pages, &candidates)])
+                    .unwrap();
+                let expected = Response::Advise {
+                    sample: Measured {
+                        table: "svc_t".into(),
+                        sampler: kind,
+                        seed: 2,
+                    },
+                    plan,
+                    accounting: Accounting {
+                        pages_read: 0,
+                        cache: CacheDisposition::Hit,
+                        sample_rows: None,
+                    },
+                }
+                .to_json();
+                assert_eq!(
+                    reply.get("result"),
+                    expected.get("result"),
+                    "{kind:?}, {disposition}"
+                );
+                let acc = reply.get("accounting").unwrap();
+                assert_eq!(
+                    acc.get("cache").and_then(Json::as_str),
+                    Some(disposition),
+                    "{kind:?}"
+                );
+                assert_eq!(
+                    acc.get("naive_pages_read").and_then(Json::as_u64),
+                    Some(3 * fresh_pages),
+                    "{kind:?}, {disposition}"
+                );
+            };
+            check(advise(0.05), 0.05, "miss");
+            check(advise(0.05), 0.05, "hit");
+            let estimate = request("estimate", 0.05, "");
+            assert_eq!(
+                estimate
+                    .get("accounting")
+                    .and_then(|a| a.get("cache"))
+                    .and_then(Json::as_str),
+                Some("hit"),
+                "{fields}"
+            );
+            check(advise(0.1), 0.1, "deepened");
+        }
     }
 
     #[test]

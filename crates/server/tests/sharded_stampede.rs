@@ -3,11 +3,13 @@
 //! estimator, and eviction pressure in one shard must not disturb entries
 //! resident in the others.
 
-use samplecf_core::{CachedSample, SampleCf};
+use samplecf_core::SampleCf;
 use samplecf_datagen::presets;
 use samplecf_index::IndexSpec;
 use samplecf_sampling::SamplerKind;
-use samplecf_server::{CacheDisposition, ConcurrentSampleCache, DEFAULT_CACHE_BUDGET_BYTES};
+use samplecf_server::{
+    CacheDisposition, CachedSample, ConcurrentSampleCache, DEFAULT_CACHE_BUDGET_BYTES,
+};
 use samplecf_storage::{IntoShared, SharedCountingSource, SharedSource, TableSource};
 use std::sync::{Arc, Barrier};
 

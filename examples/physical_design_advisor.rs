@@ -4,8 +4,9 @@
 //! This is the application that motivates the paper (Section I): automated
 //! physical design tools need cheap, accurate estimates of compressed index
 //! sizes in order to meet a storage bound.  The advisor evaluates candidates
-//! in batch: candidates on the same table share one materialized sample, so
-//! the per-candidate cost is CPU over an in-memory sample, not fresh I/O.
+//! in batch over samples the tool holds: one sample per table, drawn once,
+//! so the per-candidate cost is CPU over an in-memory sample, not fresh I/O
+//! — and a second plan over the same samples draws nothing at all.
 //!
 //! Run with: `cargo run --release --example physical_design_advisor`
 
@@ -46,39 +47,48 @@ fn print_plan(title: &str, plan: &AdvisorPlan) {
     println!();
 }
 
+/// Draw a 1% uniform sample of `table`, counting the pages the draw reads.
+fn draw(table: &Table, seed: u64) -> Result<(MaterializedSample, u64), Box<dyn std::error::Error>> {
+    let counting = CountingSource::new(table);
+    let kind = SamplerKind::UniformWithReplacement(0.01);
+    let sample = MaterializedSample::draw(&counting, kind, seed)?;
+    Ok((sample, counting.pages_read()))
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // A small schema: a fact table plus an archive table, moved into shared
-    // handles so one table can feed several candidates.
-    let orders = presets::orders_table("orders", 30_000, 1)
-        .generate()?
-        .table
-        .into_shared();
+    // A small schema: a fact table plus an archive table.
+    let orders = presets::orders_table("orders", 30_000, 1).generate()?.table;
     let archive = presets::variable_length_table("archive", 20_000, 64, 400, 6, 24, 2)
         .generate()?
-        .table
-        .into_shared();
+        .table;
 
-    let pk = IndexSpec::clustered("orders_pk", ["order_id"])?;
-    let by_status = IndexSpec::nonclustered("orders_by_status", ["status"])?;
-    let by_customer = IndexSpec::nonclustered("orders_by_customer", ["customer"])?;
-    let archive_by_a = IndexSpec::nonclustered("archive_by_a", ["a"])?;
-    let scheme = DictionaryCompression::default();
-
-    // Four candidates, two tables: the advisor draws exactly two samples.
-    let candidates = vec![
-        Candidate::new(&orders, &pk, &scheme),
-        Candidate::new(&orders, &by_status, &scheme),
-        Candidate::new(&orders, &by_customer, &scheme),
-        Candidate::new(&archive, &archive_by_a, &scheme),
+    // Four candidates, two tables: exactly two samples.
+    let (orders_sample, orders_pages) = draw(&orders, 3)?;
+    let (archive_sample, archive_pages) = draw(&archive, 3)?;
+    let dict = || -> Box<dyn CompressionScheme> { Box::new(DictionaryCompression::default()) };
+    let on_orders = [
+        (IndexSpec::clustered("orders_pk", ["order_id"])?, dict()),
+        (
+            IndexSpec::nonclustered("orders_by_status", ["status"])?,
+            dict(),
+        ),
+        (
+            IndexSpec::nonclustered("orders_by_customer", ["customer"])?,
+            dict(),
+        ),
+    ];
+    let on_archive = [(IndexSpec::nonclustered("archive_by_a", ["a"])?, dict())];
+    let samples: [(&MaterializedSample, u64, &Candidates); 2] = [
+        (&orders_sample, orders_pages, &on_orders),
+        (&archive_sample, archive_pages, &on_archive),
     ];
 
     // Pass 1: no budget — compress whatever saves at least 20%.
     let advisor = CompressionAdvisor::new(AdvisorConfig {
         min_saving_fraction: 0.20,
-        seed: 3,
-        ..AdvisorConfig::with_fraction(0.01)
+        ..Default::default()
     })?;
-    let unconstrained = advisor.plan(&candidates)?;
+    let unconstrained = advisor.plan(&samples)?;
     print_plan(
         "No storage budget (compress when saving ≥ 20%)",
         &unconstrained,
@@ -88,11 +98,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let budget = unconstrained.total_uncompressed_bytes() * 6 / 10;
     let constrained = CompressionAdvisor::new(AdvisorConfig {
         min_saving_fraction: 0.20,
-        seed: 3,
         budget_bytes: Some(budget),
-        ..AdvisorConfig::with_fraction(0.01)
+        ..Default::default()
     })?;
-    let constrained_plan = constrained.plan(&candidates)?;
+    let constrained_plan = constrained.plan(&samples)?;
     print_plan(
         &format!("Storage budget of {budget} bytes (60% of uncompressed)"),
         &constrained_plan,

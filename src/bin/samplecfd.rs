@@ -4,7 +4,7 @@
 //! protocol specified in `docs/API.md` (`register`, `estimate`,
 //! `estimate_progressive`, `advise`, `info`, `stats`, `metrics`,
 //! `shutdown`), backed
-//! by a sharded table catalog and a sharded, evicting sample cache so
+//! by a table catalog and a sharded, evicting sample cache so
 //! concurrent clients reuse one sample per (table, sampler, fraction,
 //! seed) group.  Connections are owned by a nonblocking readiness loop —
 //! thousands of idle clients cost file descriptors, not threads — and

@@ -64,9 +64,10 @@ pub mod prelude {
     };
     pub use samplecf_core::{
         absolute_error, all_estimators, ratio_error, relative_error, theory, AdvisorConfig,
-        AdvisorPlan, Candidate, CfCheckpoint, CfMeasurement, CompressionAdvisor, DistinctEstimator,
-        ExactCf, FrequencyHistogram, ProgressiveCf, ProgressiveConfig, ProgressiveReport,
-        Recommendation, SampleCache, SampleCf, SampleGroup, SummaryStats, TrialConfig, TrialRunner,
+        AdvisorPlan, Candidates, CfCheckpoint, CfMeasurement, CompressionAdvisor,
+        DistinctEstimator, ExactCf, FrequencyHistogram, ProgressiveCf, ProgressiveConfig,
+        ProgressiveReport, Recommendation, SampleCf, SampleGroup, SummaryStats, TrialConfig,
+        TrialRunner,
     };
     pub use samplecf_datagen::{
         presets, ColumnSpec, FrequencyDistribution, LengthDistribution, RowLayout, TableSpec,

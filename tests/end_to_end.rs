@@ -223,11 +223,11 @@ fn block_sampling_on_disk_reads_only_the_sampled_pages() {
 
 #[test]
 fn shared_sample_advisor_reads_sampled_pages_exactly_once_on_disk() {
-    // The acceptance test for the batch advisor: k candidates sharing one
-    // (sampler, fraction, seed) group over a disk-backed table cost
+    // The acceptance test for the batch advisor: k candidates priced on one
+    // held (sampler, fraction, seed) sample of a disk-backed table cost
     // round(f · num_pages) physical page reads *in total*, not per
-    // candidate — and the recommendations are byte-identical to the serial
-    // single-threaded path.
+    // candidate — and the recommendations are byte-identical at any thread
+    // count.
     let mem = demo_table(24_000, 800, 31);
     let file = TempTableFile::new("advisor_shared");
     let disk = DiskTable::materialize(&file.0, &mem).unwrap();
@@ -235,48 +235,32 @@ fn shared_sample_advisor_reads_sampled_pages_exactly_once_on_disk() {
     assert!(num_pages > 20, "need a multi-page table, got {num_pages}");
     let disk = disk.into_shared();
 
-    let fraction = 0.05;
+    let (kind, seed) = (SamplerKind::Block(0.05), 9);
     let specs = [
         IndexSpec::nonclustered("by_a", ["a"]).unwrap(),
         IndexSpec::clustered("cl_a", ["a"]).unwrap(),
     ];
-    let schemes: Vec<Box<dyn CompressionScheme>> = ["null-suppression", "dictionary-global", "rle"]
+    // k = 6 candidates: every (spec × scheme) pair, all on one sample.
+    let candidates: Vec<(IndexSpec, Box<dyn CompressionScheme>)> = specs
         .iter()
-        .map(|n| scheme_by_name(n).unwrap())
+        .flat_map(|spec| {
+            ["null-suppression", "dictionary-global", "rle"]
+                .map(|name| (spec.clone(), scheme_by_name(name).unwrap()))
+        })
         .collect();
-    // k = 6 candidates: every (spec × scheme) pair, all in one group.
-    fn candidates_for<'a>(
-        source: &SharedSource,
-        specs: &'a [IndexSpec],
-        schemes: &'a [Box<dyn CompressionScheme>],
-    ) -> Vec<Candidate<'a>> {
-        specs
-            .iter()
-            .flat_map(|spec| {
-                schemes
-                    .iter()
-                    .map(move |scheme| Candidate::new(source, spec, scheme.as_ref()))
-            })
-            .collect()
-    }
-    let candidates = candidates_for(&disk, &specs, &schemes);
     assert_eq!(candidates.len(), 6);
 
-    let config = AdvisorConfig {
-        sampler: SamplerKind::Block(fraction),
-        seed: 9,
-        ..Default::default()
-    };
-    let counting = std::sync::Arc::new(SharedCountingSource::new(disk.clone()));
-    let counted: SharedSource = std::sync::Arc::clone(&counting) as SharedSource;
-    let counted_candidates = candidates_for(&counted, &specs, &schemes);
-    let plan = CompressionAdvisor::new(config)
+    let counting = SharedCountingSource::new(disk.clone());
+    let sample = MaterializedSample::draw(&counting, kind, seed).unwrap();
+    let draw_pages = counting.pages_read();
+    let plan = CompressionAdvisor::new(AdvisorConfig::default())
         .unwrap()
-        .plan(&counted_candidates)
+        .plan(&[(&sample, draw_pages, &candidates)])
         .unwrap();
 
-    // One group, one sample, round(f·N) pages — once, total.
-    let expected_pages = ((num_pages as f64 * fraction).round() as u64).max(1);
+    // One group, one sample, round(f·N) pages — once, total: planning
+    // reads nothing.
+    let expected_pages = ((num_pages as f64 * 0.05).round() as u64).max(1);
     assert_eq!(counting.pages_read(), expected_pages);
     assert_eq!(plan.samples_drawn(), 1);
     assert_eq!(plan.pages_read(), expected_pages);
@@ -284,22 +268,24 @@ fn shared_sample_advisor_reads_sampled_pages_exactly_once_on_disk() {
     // The naive baseline would have paid that six times over.
     assert_eq!(plan.naive_pages_read(), expected_pages * 6);
 
-    // Byte-identical to the serial single-threaded path, and to running the
-    // plan straight over the un-counted disk table.
+    // Byte-identical to the serial single-threaded path.
     for threads in [1, 4] {
-        let serial = CompressionAdvisor::new(AdvisorConfig { threads, ..config })
-            .unwrap()
-            .plan(&candidates)
-            .unwrap();
+        let serial = CompressionAdvisor::new(AdvisorConfig {
+            threads,
+            ..Default::default()
+        })
+        .unwrap()
+        .plan(&[(&sample, draw_pages, &candidates)])
+        .unwrap();
         assert_eq!(serial.recommendations, plan.recommendations);
     }
 
     // And each shared estimate equals a direct estimator run with the same
     // sampler and seed.
-    for (c, r) in candidates.iter().zip(&plan.recommendations) {
-        let direct = SampleCf::new(config.sampler)
-            .seed(config.seed)
-            .estimate(&disk, c.spec, c.scheme)
+    for ((spec, scheme), r) in candidates.iter().zip(&plan.recommendations) {
+        let direct = SampleCf::new(kind)
+            .seed(seed)
+            .estimate(&disk, spec, scheme.as_ref())
             .unwrap();
         assert_eq!(r.estimated_cf, direct.cf, "{}/{}", r.index, r.scheme);
         assert_eq!(r.sample_rows, direct.data.rows);
