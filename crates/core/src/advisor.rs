@@ -15,12 +15,14 @@
 //! [`CompressionAdvisor::plan`] one entry per sample — the sample, the pages
 //! its draw cost, and the candidates to price on it.  The plan then:
 //!
-//! 1. **Fans out** candidate evaluation across threads, a *key shape* at a
-//!    time: candidates on one sample whose indexes agree in kind and key
-//!    columns (whatever their names) order that sample's entries the same
-//!    way, so they share one sort and one walk that sizes every one of
-//!    their schemes ([`measure_sample_schemes`]) — cost per (index,
-//!    compression) pair, not per sort, is what bounds a design search.
+//! 1. **Fans out** candidate evaluation across threads, a *key* at a time:
+//!    candidates on one sample whose indexes agree in key columns (whatever
+//!    their kinds and names) order that sample's entries the same way, so
+//!    they share one sort, and each index kind among them one walk that
+//!    sizes every one of its schemes ([`measure_sample_schemes`]) — cost
+//!    per (index, compression) pair, not per sort, is what bounds a design
+//!    search.  The sample keeps the order, so a later plan over it, or a
+//!    later estimate, sorts nothing.
 //!    Each candidate adds an analytic (I/O-free) uncompressed size from
 //!    [`IndexSizeModel`].  Results are deterministic whatever the thread
 //!    count.
@@ -31,11 +33,11 @@
 //!
 //! The output is an [`AdvisorPlan`]: per-candidate [`Recommendation`]s plus
 //! plan-level accounting (samples used, pages their draws read, key orders
-//! sorted, wall-clock, and the page cost a naive re-sample-per-candidate
-//! run would have paid).
+//! sorted and reused, wall-clock, and the page cost a naive
+//! re-sample-per-candidate run would have paid).
 
 use crate::error::{CoreError, CoreResult};
-use crate::estimator::measure_sample_schemes;
+use crate::estimator::{measure_sample_schemes, KeyOrderSource};
 use samplecf_compression::CompressionScheme;
 use samplecf_index::{IndexBuilder, IndexKind, IndexSizeModel, IndexSpec};
 use samplecf_parallel::parallel_indexed_map;
@@ -123,12 +125,17 @@ pub struct AdvisorPlan {
     pub groups: Vec<SampleGroup>,
     /// The storage budget that was targeted, if any.
     pub budget_bytes: Option<usize>,
-    /// Key orders computed: one sort of a sample per distinct (sample group,
-    /// index kind, key columns) among the candidates — the CPU twin of
-    /// [`pages_read`](Self::pages_read) against
-    /// [`naive_pages_read`](Self::naive_pages_read), whose naive count is
-    /// one per candidate.
+    /// Key orders sorted: at most one sort of a sample per distinct key
+    /// columns among its candidates, none for a key whose order the sample
+    /// already held — the CPU twin of [`pages_read`](Self::pages_read)
+    /// against [`naive_pages_read`](Self::naive_pages_read), whose naive
+    /// count is one per candidate.
     pub key_sorts: usize,
+    /// Measures that walked a key order the sample already held, sorted by
+    /// an earlier request or by another index kind's measure in this plan:
+    /// one per distinct (sample group, index kind, key columns), less the
+    /// [`key_sorts`](Self::key_sorts).
+    pub key_orders_held: usize,
     /// Total wall-clock time for the whole plan.
     pub elapsed: Duration,
 }
@@ -262,7 +269,10 @@ impl CompressionAdvisor {
             })
             .collect();
         let held: Vec<&MaterializedSample> = samples.iter().map(|(sample, ..)| *sample).collect();
-        let (mut recommendations, key_sorts) = self.evaluate(&candidates, &held)?;
+        let (mut recommendations, sources) = self.evaluate(&candidates, &held)?;
+        let key_sorts = (sources.iter())
+            .filter(|&&source| source == KeyOrderSource::Sorted)
+            .count();
         apply_saving_threshold(&mut recommendations, self.config.min_saving_fraction);
         apply_budget(&mut recommendations, self.config.budget_bytes);
         let groups = (samples.iter())
@@ -280,46 +290,50 @@ impl CompressionAdvisor {
             groups,
             budget_bytes: self.config.budget_bytes,
             key_sorts,
+            key_orders_held: sources.len() - key_sorts,
             elapsed: started.elapsed(),
         })
     }
 
     /// Evaluate `candidates`, each against the one of `samples` its group
-    /// names: recommendations in `candidates`' order, and the number of key
-    /// orders that took.
+    /// names: recommendations in `candidates`' order, and where the key
+    /// orders they were walked through came from.
     ///
     /// Candidates are grouped by what decides the order of a sample's
-    /// entries — the sample, the index kind and the key columns; *not* the
-    /// whole [`IndexSpec`], whose name orders nothing — and each such shape
-    /// is one [`evaluate_shared`] call, the shapes fanned across strided
+    /// entries — the sample and the key columns; *not* the whole
+    /// [`IndexSpec`], whose kind and name order nothing — and each such key
+    /// is one [`evaluate_shared`] call, the keys fanned across strided
     /// workers.
     fn evaluate(
         &self,
         candidates: &[Evaluated<'_>],
         samples: &[&MaterializedSample],
-    ) -> CoreResult<(Vec<Recommendation>, usize)> {
-        type Shape<'c> = (usize, IndexKind, &'c [String]);
-        let mut shapes: Vec<(Shape<'_>, Vec<usize>)> = Vec::new();
+    ) -> CoreResult<(Vec<Recommendation>, Vec<KeyOrderSource>)> {
+        type Key<'c> = (usize, &'c [String]);
+        let mut keys: Vec<(Key<'_>, Vec<usize>)> = Vec::new();
         for (i, c) in candidates.iter().enumerate() {
-            let shape = (c.group, c.spec.kind(), c.spec.key_columns());
-            match shapes.iter_mut().find(|(known, _)| *known == shape) {
+            let key = (c.group, c.spec.key_columns());
+            match keys.iter_mut().find(|(known, _)| *known == key) {
                 Some((_, members)) => members.push(i),
-                None => shapes.push((shape, vec![i])),
+                None => keys.push((key, vec![i])),
             }
         }
-        let per_shape = parallel_indexed_map(shapes.len(), self.config.threads, |g| {
-            let ((group, ..), members) = &shapes[g];
+        let per_key = parallel_indexed_map(keys.len(), self.config.threads, |g| {
+            let ((group, _), members) = &keys[g];
             let members: Vec<Evaluated<'_>> = members.iter().map(|&i| candidates[i]).collect();
             evaluate_shared(samples[*group], &members)
         });
         let mut recommendations = vec![None; candidates.len()];
-        for ((_, members), evaluated) in shapes.iter().zip(per_shape) {
-            for (&i, recommendation) in members.iter().zip(evaluated?) {
+        let mut sources = Vec::new();
+        for ((_, members), evaluated) in keys.iter().zip(per_key) {
+            let (evaluated, key_sources) = evaluated?;
+            for (&i, recommendation) in members.iter().zip(evaluated) {
                 recommendations[i] = Some(recommendation);
             }
+            sources.extend(key_sources);
         }
         let in_request_order = recommendations.into_iter().flatten().collect();
-        Ok((in_request_order, shapes.len()))
+        Ok((in_request_order, sources))
     }
 }
 
@@ -332,14 +346,16 @@ struct Evaluated<'c> {
     scheme: &'c dyn CompressionScheme,
 }
 
-/// Evaluate candidates of one key shape — one sample group, indexes of one
-/// kind over the same key columns — against that group's already-drawn
-/// `sample`, in order, with `compress` left `false` pending the decision
-/// pass.
+/// Evaluate candidates over one key — one sample group, indexes over the
+/// same key columns — against that group's already-drawn `sample`, in
+/// order, with `compress` left `false` pending the decision pass; and
+/// where each index kind's measure found its key order.
 ///
 /// Each uncompressed size comes from the analytic [`IndexSizeModel`] (no
-/// I/O); the compressed sizes all come from one [`measure_sample_schemes`]
-/// call — one sort of the sample, one walk sizing every candidate's scheme —
+/// I/O); the compressed sizes come from one [`measure_sample_schemes`] call
+/// per index kind among the candidates — one walk sizing every scheme of
+/// that kind, the kinds in turn, so that the first sorts the sample (unless
+/// it already held the key's order) and the second walks the same order —
 /// so a candidate's `estimated_cf` equals
 /// [`SampleCf::estimate`](crate::SampleCf::estimate) for the sample's
 /// `(sampler, seed)`, stratified draws included, and what a
@@ -347,11 +363,27 @@ struct Evaluated<'c> {
 fn evaluate_shared(
     sample: &MaterializedSample,
     candidates: &[Evaluated<'_>],
-) -> CoreResult<Vec<Recommendation>> {
-    let shape = candidates[0].spec;
-    let schemes: Vec<&dyn CompressionScheme> = candidates.iter().map(|c| c.scheme).collect();
-    let measurements = measure_sample_schemes(sample, shape, &schemes, &IndexBuilder::new())?;
-    (candidates.iter().zip(measurements))
+) -> CoreResult<(Vec<Recommendation>, Vec<KeyOrderSource>)> {
+    let mut measurements = vec![None; candidates.len()];
+    let mut sources = Vec::new();
+    for kind in [IndexKind::NonClustered, IndexKind::Clustered] {
+        let of_kind: Vec<usize> = (0..candidates.len())
+            .filter(|&i| candidates[i].spec.kind() == kind)
+            .collect();
+        let Some(&first) = of_kind.first() else {
+            continue;
+        };
+        let schemes: Vec<&dyn CompressionScheme> =
+            of_kind.iter().map(|&i| candidates[i].scheme).collect();
+        let spec = candidates[first].spec;
+        let (measured, source) =
+            measure_sample_schemes(sample, spec, &schemes, &IndexBuilder::new())?;
+        for (&i, measurement) in of_kind.iter().zip(measured) {
+            measurements[i] = Some(measurement);
+        }
+        sources.push(source);
+    }
+    let recommendations = (candidates.iter().zip(measurements.into_iter().flatten()))
         .map(|(c, measurement)| {
             let uncompressed = IndexSizeModel::new()
                 .estimate(sample.table().schema(), c.spec, sample.source_rows())?
@@ -369,7 +401,8 @@ fn evaluate_shared(
                 compress: false,
             })
         })
-        .collect()
+        .collect::<CoreResult<_>>()?;
+    Ok((recommendations, sources))
 }
 
 /// Pass 1: compress whatever clears the saving threshold.
@@ -617,7 +650,10 @@ mod tests {
         let (single, multi) = (plan(1), plan(4));
         assert_eq!(single.recommendations, multi.recommendations);
         assert_eq!(single.groups, multi.groups);
-        assert_eq!(single.key_sorts, multi.key_sorts);
+        // The second plan walks the orders the first one left with each
+        // sample.
+        assert_eq!((single.key_sorts, single.key_orders_held), (2, 0));
+        assert_eq!((multi.key_sorts, multi.key_orders_held), (0, 2));
     }
 
     #[test]
@@ -699,7 +735,8 @@ mod tests {
 
     /// Today's grouped evaluation against yesterday's, kept here as the
     /// oracle: every candidate evaluated alone — one sort, one one-scheme
-    /// [`measure_sample`](crate::measure_sample), each.
+    /// [`measure_sample`](crate::measure_sample), each, on a copy of the
+    /// sample that holds no key order.
     fn per_candidate_plan(
         advisor: &CompressionAdvisor,
         candidates: &Candidates,
@@ -711,7 +748,9 @@ mod tests {
                 spec,
                 scheme: scheme.as_ref(),
             };
-            evaluate_shared(sample, &[candidate]).unwrap().remove(0)
+            let (mut evaluated, sources) = evaluate_shared(&sample.clone(), &[candidate]).unwrap();
+            assert_eq!(sources, [KeyOrderSource::Sorted]);
+            evaluated.remove(0)
         };
         let mut recommendations: Vec<Recommendation> = candidates.iter().map(alone).collect();
         apply_saving_threshold(&mut recommendations, advisor.config.min_saving_fraction);
@@ -748,8 +787,9 @@ mod tests {
                 mode: samplecf_sampling::StrataMode::EquiWidth,
             },
         ] {
-            let sample = MaterializedSample::draw(&t, sampler, 3).unwrap();
+            let drawn = MaterializedSample::draw(&t, sampler, 3).unwrap();
             for threads in [1, 2, 4] {
+                let sample = drawn.clone();
                 let advisor = CompressionAdvisor::new(AdvisorConfig {
                     threads,
                     // Null suppression saves too little on either key; the
@@ -774,6 +814,10 @@ mod tests {
                     "{sampler:?}, {threads} threads"
                 );
                 assert_eq!((plan.key_sorts, plan.samples_drawn()), (2, 1));
+                // Planned again, the sample sorts nothing: the same advice.
+                let again = advisor.plan(&[(&sample, 0, &candidates)]).unwrap();
+                assert_eq!(again.recommendations, oracle);
+                assert_eq!((again.key_sorts, again.key_orders_held), (0, 2));
             }
         }
     }
@@ -789,21 +833,27 @@ mod tests {
         let clustered = IndexSpec::clustered("clustered", ["a"]).unwrap();
         let on_shared = [
             candidate(&plain, DictionaryCompression::default()),
-            // Another name and scheme on the same key: the same order.
+            // Another name and scheme on the same key: the same walk.
             candidate(&renamed, NullSuppression),
-            // Another kind, another sample, another table: three more.
+            // Another kind on the same key: another walk, the same order.
             candidate(&clustered, DictionaryCompression::default()),
         ];
+        // Another sample, another table: two more sorts.
         let plain_dict = [candidate(&plain, DictionaryCompression::default())];
-        let plan = advisor()
-            .plan(&[
-                (&shared, pages_shared, &on_shared),
-                (&reseeded, pages_reseeded, &plain_dict),
-                (&other, pages_other, &plain_dict),
-            ])
-            .unwrap();
-        assert_eq!((plan.samples_drawn(), plan.key_sorts), (3, 4));
-        assert_eq!(advisor().plan(&[]).unwrap().key_sorts, 0);
+        let samples = [
+            (&shared, pages_shared, &on_shared[..]),
+            (&reseeded, pages_reseeded, &plain_dict),
+            (&other, pages_other, &plain_dict),
+        ];
+        let plan = advisor().plan(&samples).unwrap();
+        assert_eq!(plan.samples_drawn(), 3);
+        assert_eq!((plan.key_sorts, plan.key_orders_held), (3, 1));
+        // Each sample now holds its order: planning again sorts nothing.
+        let again = advisor().plan(&samples).unwrap();
+        assert_eq!(again.recommendations, plan.recommendations);
+        assert_eq!((again.key_sorts, again.key_orders_held), (0, 4));
+        let empty = advisor().plan(&[]).unwrap();
+        assert_eq!((empty.key_sorts, empty.key_orders_held), (0, 0));
     }
 
     #[test]

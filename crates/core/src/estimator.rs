@@ -21,6 +21,7 @@ use samplecf_parallel::parallel_indexed_map;
 use samplecf_sampling::{MaterializedSample, SamplerKind};
 use samplecf_storage::{Schema, TableSource, Value};
 use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Statistics about the sample (or full table) the compression fraction was
@@ -195,24 +196,49 @@ pub fn measure_sample(
     scheme: &dyn CompressionScheme,
     builder: &IndexBuilder,
 ) -> CoreResult<CfMeasurement> {
-    let mut measured = measure_sample_schemes(sample, spec, &[scheme], builder)?;
+    let (mut measured, _) = measure_sample_schemes(sample, spec, &[scheme], builder)?;
     Ok(measured.pop().expect("one measurement per scheme"))
 }
 
-/// Measure one held sample under every one of `schemes`: one encode, one key
-/// order, one walk of the entries through that order — one measurement per
-/// scheme, in `schemes`' order.
+/// Where a measure of a held sample found the key order it walked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KeyOrderSource {
+    /// The sample held it, sorted by an earlier measure of the same rows by
+    /// the same key columns: the measure encoded and walked, no sort.
+    Held,
+    /// The measure sorted the sample, and the sample now holds the order.
+    Sorted,
+}
+
+impl KeyOrderSource {
+    /// The metric label: `held` or `sorted`.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            KeyOrderSource::Held => "held",
+            KeyOrderSource::Sorted => "sorted",
+        }
+    }
+}
+
+/// Measure one held sample under every one of `schemes`: one encode, one
+/// walk of the entries through their key order — one measurement per
+/// scheme, in `schemes`' order — and where that order came from.
 ///
 /// Sort keys and stored cells are sliced straight out of the sample's heap
-/// records and ordered once
-/// ([`IndexBuilder::order_records`](samplecf_index::IndexBuilder::order_records));
-/// no tree is packed.  One walk through the order cuts each leaf's cells
-/// once and sizes them under every scheme with the batch measure kernels,
-/// leaf and internal page counts coming from the size model, and reads the
-/// [`DataStats`] off the same pass — equal first-key cells are adjacent in
-/// key order, so no [`Value`] is decoded and nothing is hashed.  The order
-/// depends on `spec`'s kind and key columns alone, not on its name:
-/// candidates that share those share this call.
+/// records; no tree is packed.  The order is sorted at most once per key
+/// columns over the sample's rows: the first measure by a key sorts
+/// ([`IndexBuilder::order_records`](samplecf_index::IndexBuilder::order_records))
+/// and leaves the [`KeyOrder`](samplecf_index::KeyOrder) with the sample
+/// ([`MaterializedSample::hold_key_order`]); every later one walks through it
+/// ([`IndexBuilder::encode_in_order`](samplecf_index::IndexBuilder::encode_in_order)).
+/// One walk cuts each leaf's cells once and sizes them under every scheme
+/// with the batch measure kernels, leaf and internal page counts coming
+/// from the size model, and reads the [`DataStats`] off the same pass —
+/// equal first-key cells are adjacent in key order, so no [`Value`] is
+/// decoded and nothing is hashed.  The order depends on `spec`'s key
+/// columns alone, not on its kind or name: every candidate index over them
+/// shares it.
 ///
 /// A sample that carries stratum tags is measured as the weighted
 /// per-stratum combination `Σ W_s·CF_s` — each stratum's sub-index is the
@@ -228,11 +254,22 @@ pub fn measure_sample_schemes(
     spec: &IndexSpec,
     schemes: &[&dyn CompressionScheme],
     builder: &IndexBuilder,
-) -> CoreResult<Vec<CfMeasurement>> {
+) -> CoreResult<(Vec<CfMeasurement>, KeyOrderSource)> {
     let schema = sample.table().schema();
     let records = sample.records()?;
     let start = Instant::now();
-    let ordered = builder.order_records(schema, &records, spec)?;
+    let held = sample.key_order(&spec.key_indexes(schema)?);
+    let (ordered, source) = match held {
+        Some(order) => (
+            builder.encode_in_order(schema, &records, spec, order)?,
+            KeyOrderSource::Held,
+        ),
+        None => {
+            let ordered = builder.order_records(schema, &records, spec)?;
+            sample.hold_key_order(Arc::clone(ordered.key_order()));
+            (ordered, KeyOrderSource::Sorted)
+        }
+    };
     let (reports, first_key) = ordered.measure(schemes)?;
     let elapsed = start.elapsed();
     let data = DataStats {
@@ -269,7 +306,10 @@ pub fn measure_sample_schemes(
             report,
         }
     };
-    Ok(reports.into_iter().enumerate().map(measure).collect())
+    Ok((
+        reports.into_iter().enumerate().map(measure).collect(),
+        source,
+    ))
 }
 
 /// The stratified CF triple `(cf, cf_with_pointers, cf_pages)`: each

@@ -76,7 +76,7 @@ pub use distinct::{
 pub use error::{CoreError, CoreResult};
 pub use estimator::{
     measure_rows, measure_sample, measure_sample_schemes, CfMeasurement, DataStats,
-    DataStatsAccumulator, ExactCf, SampleCf,
+    DataStatsAccumulator, ExactCf, KeyOrderSource, SampleCf,
 };
 pub use metrics::{
     absolute_error, grouped_jackknife_variance, ratio_error, relative_error, SummaryStats,

@@ -29,6 +29,7 @@ use samplecf_compression::{scheme_by_name, scheme_names};
 use samplecf_compression::{CompressionScheme, NullSuppression, Uncompressed};
 use samplecf_core::{
     measure_rows, measure_sample, measure_sample_schemes, weighted_combine, CfMeasurement,
+    KeyOrderSource,
 };
 use samplecf_index::{compress_index, measure_index, IndexBuilder, IndexSpec};
 use samplecf_sampling::{Allocation, MaterializedSample, SamplerKind, Strata, StrataMode};
@@ -170,7 +171,8 @@ fn assert_same_measurement(measured: &CfMeasurement, oracle: &CfMeasurement, tag
 /// The held-sample route against the packed one, on one sample and index:
 /// under every scheme — each on its own and all six in one walk —
 /// `measure_sample`'s whole measurement (`leaf_pages`, `internal_bytes`
-/// and the first-key statistics included) is the decoded-row oracle's.
+/// and the first-key statistics included) is the decoded-row oracle's,
+/// whether the walk sorted its key order or found it held.
 fn assert_walk_equals_packed_route(
     sample: &MaterializedSample,
     spec: &IndexSpec,
@@ -182,8 +184,11 @@ fn assert_walk_equals_packed_route(
         .map(|name| scheme_by_name(name).unwrap())
         .collect();
     let schemes: Vec<&dyn CompressionScheme> = schemes.iter().map(AsRef::as_ref).collect();
-    let together = measure_sample_schemes(sample, spec, &schemes, builder).unwrap();
+    let (together, _) = measure_sample_schemes(sample, spec, &schemes, builder).unwrap();
     assert_eq!(together.len(), schemes.len());
+    // From here on every measure walks the order `together` held or found.
+    let held = measure_sample_schemes(sample, spec, &schemes[..1], builder).unwrap();
+    assert_eq!(held.1, KeyOrderSource::Held, "{tag}");
     for (scheme, together) in schemes.into_iter().zip(&together) {
         let tag = format!("{tag}/{}", scheme.name());
         let packed = oracle_measure(sample, &rows, spec, scheme, builder);

@@ -44,7 +44,7 @@ use samplecf_storage::{
     DEFAULT_PAGE_SIZE,
 };
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// One decoded leaf entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -165,14 +165,13 @@ impl IndexBuilder {
         Ok((EntryLayout::new(schema, spec)?, shape))
     }
 
-    /// Encode `len` inputs into one arena (a contiguous chunk per worker)
-    /// and order it by key.
-    fn order_encoded(
+    /// Encode `len` inputs into one arena (a contiguous chunk per worker).
+    fn encode(
         &self,
         layout: &EntryLayout,
         len: usize,
         encode_chunk: impl Fn(&EntryLayout, Range<usize>, &mut Vec<u8>) -> IndexResult<()> + Sync,
-    ) -> IndexResult<(Vec<u8>, KeyOrder)> {
+    ) -> IndexResult<Vec<u8>> {
         let stride = layout.stride();
         let workers = self.workers(len);
         let mut parts = parallel_indexed_map(workers, workers, |w| {
@@ -182,16 +181,14 @@ impl IndexBuilder {
         })
         .into_iter()
         .collect::<IndexResult<Vec<Vec<u8>>>>()?;
-        let arena = match parts.len() {
+        Ok(match parts.len() {
             1 => parts.swap_remove(0),
             _ => parts.concat(),
-        };
-        let order = key_order(&arena, layout, workers)?;
-        Ok((arena, order))
+        })
     }
 
-    /// [`order_encoded`](Self::order_encoded), then pack the leaves
-    /// *through* the permutation.
+    /// [`encode`](Self::encode), sort, then pack the leaves *through* the
+    /// permutation.
     fn build_encoded(
         &self,
         schema: &Schema,
@@ -200,7 +197,8 @@ impl IndexBuilder {
         encode_chunk: impl Fn(&EntryLayout, Range<usize>, &mut Vec<u8>) -> IndexResult<()> + Sync,
     ) -> IndexResult<BTreeIndex> {
         let (layout, shape) = self.plan(schema, spec)?;
-        let (arena, order) = self.order_encoded(&layout, len, encode_chunk)?;
+        let arena = self.encode(&layout, len, encode_chunk)?;
+        let order = key_order(&arena, &layout, self.workers(len))?;
         let stride = layout.stride();
         let entry = |i: usize| &arena[order[i].1 as usize * stride..][..stride];
         self.pack(spec, layout, shape.entries_per_leaf, len, entry)
@@ -285,9 +283,11 @@ impl IndexBuilder {
     }
 
     /// Encode borrowed heap records as
-    /// [`build_from_records`](Self::build_from_records) does and order them
+    /// [`build_from_records`](Self::build_from_records) does and sort them
     /// by key — and stop there: the [`OrderedEntries`] sizes the index over
-    /// them, under any number of schemes, without packing it.
+    /// them, under any number of schemes, without packing it, and hands out
+    /// the [`KeyOrder`] it sorted, for
+    /// [`encode_in_order`](Self::encode_in_order) to reuse.
     ///
     /// # Errors
     /// As [`build_from_records`](Self::build_from_records), less what only
@@ -302,14 +302,49 @@ impl IndexBuilder {
         spec: &IndexSpec,
     ) -> IndexResult<OrderedEntries<'a>> {
         let (layout, shape) = self.plan(schema, spec)?;
-        let (arena, order) = self.order_encoded(&layout, records.len(), |layout, range, out| {
+        let arena = self.encode_records(&layout, records)?;
+        let order = KeyOrder {
+            entries: (key_order(&arena, &layout, self.workers(records.len()))?.into_iter())
+                .map(|(_, i)| i)
+                .collect(),
+            key_columns: layout.key_indexes.clone(),
+        };
+        let sizer = RunSizer::new(layout, shape);
+        Ok(OrderedEntries::new(sizer, arena, Arc::new(order)))
+    }
+
+    /// [`order_records`](Self::order_records) without the sort: encode the
+    /// records and walk them through `order`, which an earlier
+    /// `order_records` over the same records sorted — for an index of any
+    /// kind over the same key columns.
+    ///
+    /// # Errors
+    /// An `order` sorted for other key columns, or over another number of
+    /// records, is [`IndexError::InvalidSpec`], checked before any record is
+    /// read; otherwise as [`order_records`](Self::order_records).
+    pub fn encode_in_order<'a>(
+        &self,
+        schema: &'a Schema,
+        records: &[(Rid, &[u8])],
+        spec: &IndexSpec,
+        order: Arc<KeyOrder>,
+    ) -> IndexResult<OrderedEntries<'a>> {
+        let (layout, shape) = self.plan(schema, spec)?;
+        layout.admit_order(&order, records.len())?;
+        let arena = self.encode_records(&layout, records)?;
+        let sizer = RunSizer::new(layout, shape);
+        Ok(OrderedEntries::new(sizer, arena, order))
+    }
+
+    /// [`encode`](Self::encode) borrowed heap records.
+    fn encode_records(
+        &self,
+        layout: &EntryLayout,
+        records: &[(Rid, &[u8])],
+    ) -> IndexResult<Vec<u8>> {
+        self.encode(layout, records.len(), |layout, range, out| {
             layout.encode_records(&records[range], out)
-        })?;
-        Ok(OrderedEntries::new(
-            RunSizer::new(layout, shape),
-            arena,
-            order,
-        ))
+        })
     }
 
     /// What sizes a sorted run as the index this builder would load from it,
@@ -455,6 +490,22 @@ impl<'a> EntryLayout<'a> {
         )))
     }
 
+    /// An order handed in beside `(schema, spec)` was sorted by this key
+    /// over `entries` inputs.  Rows are only ever appended to a sample, so
+    /// an order sorted before its rows changed is one of another length.
+    fn admit_order(&self, order: &KeyOrder, entries: usize) -> IndexResult<()> {
+        if (&order.key_columns, order.len()) == (&self.key_indexes, entries) {
+            return Ok(());
+        }
+        Err(IndexError::InvalidSpec(format!(
+            "key order of {} entries by columns {:?}, these are {} entries by columns {:?}",
+            order.len(),
+            order.key_columns,
+            entries,
+            self.key_indexes
+        )))
+    }
+
     /// Append one `[key | record]` entry to `out` — the one writer of the
     /// layout.  `cell(i, out)` appends column `i`'s fixed-width encoding.
     fn encode_entry(
@@ -522,8 +573,53 @@ impl<'a> EntryLayout<'a> {
     }
 }
 
-/// An arena's entry numbers in key order, each behind its key's prefix.
-pub(crate) type KeyOrder = Vec<(u64, u32)>;
+/// The entry numbers of some records' entries in the order a bulk load puts
+/// them — sorted by key, the key cells and then the RID — with what they
+/// were sorted for, as a [`SortedRun`] knows its lengths: the key columns
+/// and the entry count.
+///
+/// The key alone decides the order, not the index kind or the other stored
+/// columns, so one order serves every index over its key columns.  Made by
+/// [`IndexBuilder::order_records`]; [`IndexBuilder::encode_in_order`] walks
+/// the same records through it again, without sorting, and refuses it for
+/// other key columns or another number of records.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KeyOrder {
+    /// Schema positions of the key columns, in key order.
+    key_columns: Vec<usize>,
+    /// Entry (input) numbers in key order.
+    entries: Vec<u32>,
+}
+
+impl KeyOrder {
+    /// Schema positions of the key columns the entries were sorted by.
+    #[must_use]
+    pub fn key_columns(&self) -> &[usize] {
+        &self.key_columns
+    }
+
+    /// Number of entries ordered.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether no entries were ordered.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Bytes the permutation holds: four per entry.
+    #[must_use]
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of_val(self.entries.as_slice())
+    }
+
+    pub(crate) fn entries(&self) -> &[u32] {
+        &self.entries
+    }
+}
 
 /// The key order of an arena of `layout`'s entries, as sorted `(key prefix,
 /// entry number)` pairs (order-exact: see the [module docs](self)); callers
@@ -531,7 +627,7 @@ pub(crate) type KeyOrder = Vec<(u64, u32)>;
 /// counting-sorted by leading key byte into buckets — disjoint key ranges
 /// in byte order — and each bucket is then sorted on its own, over `workers`
 /// threads; a total order, so the same permutation for every worker count.
-fn key_order(arena: &[u8], layout: &EntryLayout, workers: usize) -> IndexResult<KeyOrder> {
+fn key_order(arena: &[u8], layout: &EntryLayout, workers: usize) -> IndexResult<Vec<(u64, u32)>> {
     let (key_len, stride) = (layout.key_len, layout.stride());
     let n = u32::try_from(arena.len() / stride).map_err(|_| {
         IndexError::InvalidSpec("more entries than one bulk load sorts (2^32 - 1)".into())
@@ -1533,6 +1629,9 @@ mod tests {
                 .threads(threads);
 
             for keys in SHAPED_KEYS {
+                // The key alone orders the entries: one sort serves both kinds.
+                let by_key = IndexSpec::nonclustered("k", keys.iter().copied()).unwrap();
+                let sorted = builder.order_records(schema, &records, &by_key).unwrap();
                 for spec in [
                     IndexSpec::nonclustered("i", keys.iter().copied()).unwrap(),
                     IndexSpec::clustered("i", keys.iter().copied()).unwrap(),
@@ -1552,6 +1651,10 @@ mod tests {
                     // against a decode of every row.
                     let ordered = builder.order_records(schema, &records, &spec).unwrap();
                     assert_walked_as_packed(&ordered, |_| true, &expected);
+                    assert_eq!(ordered.key_order(), sorted.key_order());
+                    let reused = Arc::clone(sorted.key_order());
+                    let held = builder.encode_in_order(schema, &records, &spec, reused).unwrap();
+                    assert_walked_as_packed(&held, |_| true, &expected);
                     let first_key = spec.key_indexes(schema).unwrap()[0];
                     let values = || rows.iter().map(|(_, row)| row.value(first_key));
                     let stats = FirstKeyStats {
@@ -1785,6 +1888,50 @@ mod tests {
             assert_eq!(run.merge(&empty).len(), 300);
             assert_eq!(empty.into_merged(&run).len(), 300);
         }
+    }
+
+    #[test]
+    fn a_key_order_for_other_keys_or_other_records_is_refused_not_walked() {
+        let (schema, rows) = (schema(), table(300).scan().collect::<Vec<_>>());
+        let by_name = IndexSpec::nonclustered("i", ["name"]).unwrap();
+        let builder = IndexBuilder::new();
+        with_heap_records(&schema, &rows, |records| {
+            let sorted = builder.order_records(&schema, records, &by_name).unwrap();
+            let order = sorted.key_order();
+            assert_eq!((order.key_columns(), order.len()), (&[0][..], 300));
+            assert_eq!(order.bytes(), 4 * 300);
+            let refused = |spec: &IndexSpec, records: &[(Rid, &[u8])]| {
+                let reused = Arc::clone(order);
+                let result = builder.encode_in_order(&schema, records, spec, reused);
+                let result = result.map(|ordered| ordered.len());
+                assert!(
+                    matches!(&result, Err(IndexError::InvalidSpec(msg)) if msg.contains("key order")),
+                    "{result:?}"
+                );
+            };
+            // Sorted by other key columns...
+            refused(&IndexSpec::nonclustered("i", ["id"]).unwrap(), records);
+            refused(&IndexSpec::clustered("i", ["name", "id"]).unwrap(), records);
+            // ...or over other records: a sample's rows are only ever
+            // appended to, so a stale order is one of another length.
+            let grown = [records, &records[..1]].concat();
+            refused(&by_name, &grown);
+            refused(&by_name, &records[..299]);
+            // The other kind over the same key walks the order as if it had
+            // sorted it itself.
+            let clustered = IndexSpec::clustered("c", ["name"]).unwrap();
+            let reused = Arc::clone(order);
+            let held = builder
+                .encode_in_order(&schema, records, &clustered, reused)
+                .unwrap();
+            let fresh = builder.order_records(&schema, records, &clustered).unwrap();
+            assert_eq!(held.key_order(), fresh.key_order());
+            let schemes: [&dyn CompressionScheme; 2] = [&NullSuppression, &Uncompressed];
+            assert_eq!(
+                held.measure(&schemes).unwrap(),
+                fresh.measure(&schemes).unwrap()
+            );
+        });
     }
 
     #[test]

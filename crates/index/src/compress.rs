@@ -15,6 +15,7 @@ use samplecf_storage::{
     cell_logical_len, CellRef, DataType, Rid, Row, Schema, PAGE_HEADER_SIZE, SLOT_SIZE,
 };
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Per-column compression statistics.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -613,23 +614,26 @@ impl<'a> RunSizer<'a> {
 }
 
 /// One input's entries — a held sample's records — encoded once and ordered
-/// once by key: every scheme's size, every stratum's and the first key
-/// column's statistics are walks through this one order, and no tree is
-/// packed for any of them (see [`RunSizer`]).
+/// by key: every scheme's size, every stratum's and the first key column's
+/// statistics are walks through this one order, and no tree is packed for
+/// any of them (see [`RunSizer`]).
 ///
-/// Made by [`IndexBuilder::order_records`](crate::IndexBuilder::order_records).
-/// The order depends on the index kind and key columns alone, so it serves
-/// every candidate index of that shape, whatever its name.
+/// Made by [`IndexBuilder::order_records`](crate::IndexBuilder::order_records),
+/// which sorts, or
+/// [`IndexBuilder::encode_in_order`](crate::IndexBuilder::encode_in_order),
+/// which reuses a [`KeyOrder`] that call sorted.  The order depends on the
+/// key columns alone, so it serves every candidate index over them,
+/// whatever its kind or name.
 pub struct OrderedEntries<'a> {
     sizer: RunSizer<'a>,
     /// The entries as encoded: entry `i` is input `i`.
     arena: Vec<u8>,
     /// `arena`'s entry numbers, sorted by key.
-    order: KeyOrder,
+    order: Arc<KeyOrder>,
 }
 
 impl<'a> OrderedEntries<'a> {
-    pub(crate) fn new(sizer: RunSizer<'a>, arena: Vec<u8>, order: KeyOrder) -> Self {
+    pub(crate) fn new(sizer: RunSizer<'a>, arena: Vec<u8>, order: Arc<KeyOrder>) -> Self {
         OrderedEntries {
             sizer,
             arena,
@@ -647,6 +651,13 @@ impl<'a> OrderedEntries<'a> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.order.is_empty()
+    }
+
+    /// The order the entries are walked in — to hold beside the records and
+    /// hand back to [`IndexBuilder::encode_in_order`](crate::IndexBuilder::encode_in_order).
+    #[must_use]
+    pub fn key_order(&self) -> &Arc<KeyOrder> {
+        &self.order
     }
 
     /// Size the index over all entries under every one of `schemes`, in one
@@ -676,8 +687,8 @@ impl<'a> OrderedEntries<'a> {
         schemes: &[&dyn CompressionScheme],
     ) -> IndexResult<(Vec<CompressedIndexReport>, FirstKeyStats)> {
         let stride = self.sizer.layout.stride();
-        let kept = self.order.iter().filter(|(_, i)| keep(*i as usize));
-        let entries = kept.map(|(_, i)| &self.arena[*i as usize * stride..][..stride]);
+        let kept = self.order.entries().iter().filter(|&&i| keep(i as usize));
+        let entries = kept.map(|&i| &self.arena[i as usize * stride..][..stride]);
         self.sizer.walk(self.len(), entries, schemes)
     }
 }

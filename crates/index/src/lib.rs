@@ -23,8 +23,10 @@
 //! * [`OrderedEntries`] / [`RunSizer`] — the same reports without the tree:
 //!   one walk of entries in key order sizes them under any number of schemes
 //!   and reads the first key column's [`FirstKeyStats`] off the order.  A
-//!   held sample is ordered once ([`IndexBuilder::order_records`]) and walked
-//!   — whole, or a stratum at a time; the progressive jackknife walks a
+//!   held sample is sorted once per key ([`IndexBuilder::order_records`]),
+//!   keeps that [`KeyOrder`] beside its rows, and is walked through it —
+//!   whole, or a stratum at a time, re-encoded but never re-sorted
+//!   ([`IndexBuilder::encode_in_order`]); the progressive jackknife walks a
 //!   [`SortedRun`] minus one of the batches merged into it.  For a
 //!   cell-additive scheme no order is needed: rows are summed, unsorted, into
 //!   [`RunCellCosts`] and [`RunSizer::price`] turns any sum — a progressive
@@ -62,7 +64,7 @@ pub mod error;
 pub mod size;
 pub mod spec;
 
-pub use btree::{BTreeIndex, IndexBuilder, IndexEntry, SortedRun};
+pub use btree::{BTreeIndex, IndexBuilder, IndexEntry, KeyOrder, SortedRun};
 pub use compress::{
     compress_index, measure_index, ColumnCompressionStat, CompressedIndexReport, FirstKeyStats,
     OrderedEntries, RunCellCosts, RunSizer,

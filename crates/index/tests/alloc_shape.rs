@@ -7,30 +7,43 @@
 //! or per distinct value, whatever the number of schemes; under a
 //! cell-additive scheme rows are summed into cell costs through one reused
 //! entry buffer, and any sample — pooled, a stratum, all but one batch — is
-//! priced by arithmetic that allocates nothing but its report.  A counting
-//! `#[global_allocator]` (this test binary only) holds that shape in place
-//! — a per-entry `Vec` coming back shows up here as tens of thousands of
-//! allocations, long before it shows up as a slowdown.
+//! priced by arithmetic that allocates nothing but its report; and a held
+//! sample walked again through the key order it keeps allocates its arena
+//! and no sort buffer.  A counting `#[global_allocator]` (this test binary
+//! only) holds that shape in place — a per-entry `Vec` coming back shows up
+//! here as tens of thousands of allocations, long before it shows up as a
+//! slowdown.
 
 use samplecf_compression::{CompressionScheme, NullSuppression, RunLengthEncoding};
-use samplecf_index::{measure_index, BTreeIndex, IndexBuilder, IndexSpec, RunCellCosts, SortedRun};
+use samplecf_index::{
+    leaf_record_bytes, measure_index, BTreeIndex, IndexBuilder, IndexSpec, RunCellCosts, SortedRun,
+};
 use samplecf_storage::{Column, DataType, Rid, Row, RowCodec, Schema, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 thread_local! {
     /// Allocations made by this thread (tests run on threads of their own).
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes those allocations asked for.
+    static BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Count one allocation of `bytes` bytes on this thread.
+fn count(bytes: usize) {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    BYTES.with(|n| n.set(n.get() + bytes));
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the only addition is a bump of a const-initialised,
-// destructor-free thread-local `Cell`, which neither allocates nor unwinds.
+// `GlobalAlloc` contract; the only addition is a bump of const-initialised,
+// destructor-free thread-local `Cell`s, which neither allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        count(layout.size());
         // SAFETY: the caller's `layout` is passed through as given.
         unsafe { System.alloc(layout) }
     }
@@ -41,7 +54,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        count(new_size);
         // SAFETY: `ptr` came from `System` with this `layout`; `new_size` is
         // the caller's, under the caller's guarantees.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -56,6 +69,14 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (usize, T) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+/// Bytes the allocations (and reallocations) `f` makes on this thread ask
+/// for.
+fn allocated_bytes<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (BYTES.with(Cell::get) - before, out)
 }
 
 const ROWS: usize = 10_000;
@@ -208,6 +229,45 @@ fn sizing_a_held_sample_allocates_per_leaf_page_whatever_the_schemes_and_distinc
         count
     };
     assert_eq!(walk_of(997), walk_of(9_973));
+}
+
+#[test]
+fn a_measure_through_a_held_order_allocates_no_sort_buffer() {
+    let (schema, rows) = (schema(), rows());
+    let codec = RowCodec::new(schema.clone());
+    let encoded: Vec<Vec<u8>> = (rows.iter())
+        .map(|(_, row)| codec.encode(row).unwrap())
+        .collect();
+    let records: Vec<(Rid, &[u8])> = (rows.iter().zip(&encoded))
+        .map(|((rid, _), record)| (*rid, &record[..]))
+        .collect();
+    let spec = IndexSpec::clustered("i", ["name"]).unwrap();
+    let builder = IndexBuilder::new().page_size(1024);
+    // The arena: one `[key | record]` entry per row, the key a `char(12)`
+    // cell and the RID.
+    let entry = 12 + Rid::ENCODED_LEN + leaf_record_bytes(&schema, &spec).unwrap();
+    let arena = ROWS * entry;
+    let (sorting, sorted) =
+        allocated_bytes(|| builder.order_records(&schema, &records, &spec).unwrap());
+    let held = Arc::clone(sorted.key_order());
+    let (walking, reused) =
+        allocated_bytes(|| (builder.encode_in_order(&schema, &records, &spec, held)).unwrap());
+    // Beyond its arena, the walk through a held order allocates less than
+    // the bare `u32` permutation would take — let alone the sort's
+    // `(prefix, entry)` pairs the sorting call pays for.
+    assert!(walking >= arena, "{walking} bytes, an arena of {arena}");
+    assert!(
+        walking - arena < ROWS * std::mem::size_of::<u32>(),
+        "{} bytes beside the arena",
+        walking - arena
+    );
+    let sort_buffers = ROWS * (std::mem::size_of::<(u64, u32)>() + std::mem::size_of::<u32>());
+    assert!(sorting - walking >= sort_buffers, "{sorting} vs {walking}");
+    let schemes: [&dyn CompressionScheme; 2] = [&RunLengthEncoding, &NullSuppression];
+    assert_eq!(
+        reused.measure(&schemes).unwrap(),
+        sorted.measure(&schemes).unwrap()
+    );
 }
 
 #[test]

@@ -17,6 +17,11 @@
 //! pages; [`rows`](MaterializedSample::rows) decodes the exact `(Rid, Row)`
 //! sequence the sampler produced — same rows, same order, same duplicates —
 //! for oracles and tests that need owned rows.
+//!
+//! Beside the rows a sample keeps the [`KeyOrder`]s its measures sorted, at
+//! most one per key: sorting the entries into index order is step 2 of
+//! SampleCF, and a sample whose rows have not changed need not pay it twice
+//! ([`key_order`](MaterializedSample::key_order)).
 
 use crate::error::SamplingResult;
 use crate::kind::SamplerKind;
@@ -24,7 +29,9 @@ use crate::sampler::SampledRow;
 use crate::stream::{BatchSchedule, SampleStream};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
+use samplecf_index::KeyOrder;
 use samplecf_storage::{Rid, Table, TableSource};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// An owned, in-memory copy of one drawn sample, tagged with everything
 /// needed to reproduce or share it.
@@ -43,6 +50,38 @@ pub struct MaterializedSample {
     /// Population weights `W_s = N_s/N` in tag order.  Empty for
     /// unstratified draws.
     strata_weights: Vec<f64>,
+    key_orders: HeldOrders,
+}
+
+/// The key orders sorted over a sample's current rows, at most one per key.
+/// Behind a lock because measures share the sample by reference; a clone
+/// starts empty, as it only ever precedes an
+/// [`extend_from_stream`](MaterializedSample::extend_from_stream), which
+/// drops them anyway.
+#[derive(Default)]
+struct HeldOrders(Mutex<Vec<Arc<KeyOrder>>>);
+
+impl HeldOrders {
+    /// A holder that panicked left the list whole: under the lock it is
+    /// only ever pushed to.
+    fn lock(&self) -> MutexGuard<'_, Vec<Arc<KeyOrder>>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for HeldOrders {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl std::fmt::Debug for HeldOrders {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let held = self.lock();
+        f.debug_list()
+            .entries(held.iter().map(|order| order.key_columns()))
+            .finish()
+    }
 }
 
 impl MaterializedSample {
@@ -87,6 +126,7 @@ impl MaterializedSample {
             seed,
             row_strata: Vec::new(),
             strata_weights: Vec::new(),
+            key_orders: HeldOrders::default(),
         })
     }
 
@@ -115,12 +155,14 @@ impl MaterializedSample {
     /// (`SampleStream::extend_cap`), then extend — the source only pays the
     /// I/O of the delta, and thanks to prefix-stable draws the result holds
     /// exactly the rows a fresh, deeper draw with the same seed would hold.
+    /// The key orders held for the old rows are dropped.
     pub fn extend_from_stream(
         &mut self,
         source: &dyn TableSource,
         stream: &mut dyn SampleStream,
         rng: &mut dyn RngCore,
     ) -> SamplingResult<usize> {
+        self.key_orders = HeldOrders::default();
         let before = self.source_rids.len();
         loop {
             let batch = stream.next_batch(source, rng)?;
@@ -191,6 +233,41 @@ impl MaterializedSample {
             .zip(self.table.heap().scan())
             .map(|(&source_rid, (_, record))| (source_rid, record))
             .collect())
+    }
+
+    /// The key order of these rows' [`records`](Self::records) by the key
+    /// columns `key_columns` (schema positions), if one is held: sorted by
+    /// an earlier measure since the rows last changed.
+    #[must_use]
+    pub fn key_order(&self, key_columns: &[usize]) -> Option<Arc<KeyOrder>> {
+        let held = self.key_orders.lock();
+        held.iter()
+            .find(|order| order.key_columns() == key_columns)
+            .cloned()
+    }
+
+    /// Hold `order`, a key order of these rows' records, for later measures
+    /// by the same key columns.  Of two orders for one key — two measures
+    /// that sorted at once — the first held stays; they are equal.
+    ///
+    /// # Panics
+    /// If `order` does not order exactly this sample's rows.
+    pub fn hold_key_order(&self, order: Arc<KeyOrder>) {
+        assert_eq!(order.len(), self.len(), "a key order of other rows");
+        let mut held = self.key_orders.lock();
+        if held.iter().all(|o| o.key_columns() != order.key_columns()) {
+            held.push(order);
+        }
+    }
+
+    /// Bytes the held key orders take: four per row per key held.
+    #[must_use]
+    pub fn key_order_bytes(&self) -> usize {
+        self.key_orders
+            .lock()
+            .iter()
+            .map(|order| order.bytes())
+            .sum()
     }
 
     /// Number of sampled rows (duplicates counted, as drawn).
@@ -388,6 +465,56 @@ mod tests {
         a.sort_by_key(|(rid, _)| *rid);
         b.sort_by_key(|(rid, _)| *rid);
         assert_eq!(a, b, "extension == fresh draw at the deeper fraction");
+    }
+
+    #[test]
+    fn a_held_key_order_lasts_until_the_rows_change() {
+        use samplecf_index::{IndexBuilder, IndexSpec};
+        let t = table(2_000);
+        let mut stream = SamplerKind::Block(0.05)
+            .stream(BatchSchedule::one_shot())
+            .unwrap();
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut sample = MaterializedSample::from_stream(&t, stream.as_mut(), &mut rng, 4).unwrap();
+        let spec = IndexSpec::nonclustered("i", ["a"]).unwrap();
+        let records = sample.records().unwrap();
+        let sorted = IndexBuilder::new()
+            .order_records(sample.table().schema(), &records, &spec)
+            .unwrap();
+        let order = Arc::clone(sorted.key_order());
+        assert!(sample.key_order(&[0]).is_none());
+        sample.hold_key_order(Arc::clone(&order));
+        // A second order for the same key (two measures that sorted at
+        // once) leaves the first in place.
+        sample.hold_key_order(Arc::new((*order).clone()));
+        let held = sample.key_order(&[0]).expect("held");
+        assert!(Arc::ptr_eq(&held, &order));
+        assert_eq!(sample.key_order_bytes(), 4 * sample.len());
+        // A copy starts without orders: it is only made to be extended.
+        assert_eq!(sample.clone().key_order_bytes(), 0);
+        // Deepening changes the rows: their orders go.
+        drop((records, sorted, held));
+        assert!(stream.extend_cap(SamplerKind::Block(0.1)));
+        let added = sample
+            .extend_from_stream(&t, stream.as_mut(), &mut rng)
+            .unwrap();
+        assert!(added > 0);
+        assert!(sample.key_order(&[0]).is_none());
+        assert_eq!(sample.key_order_bytes(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a key order of other rows")]
+    fn an_order_of_other_rows_is_not_held() {
+        use samplecf_index::{IndexBuilder, IndexSpec};
+        let t = table(2_000);
+        let sample = MaterializedSample::draw(&t, SamplerKind::Block(0.05), 4).unwrap();
+        let records = sample.records().unwrap();
+        let spec = IndexSpec::nonclustered("i", ["a"]).unwrap();
+        let fewer = IndexBuilder::new()
+            .order_records(sample.table().schema(), &records[1..], &spec)
+            .unwrap();
+        sample.hold_key_order(Arc::clone(fewer.key_order()));
     }
 
     #[test]

@@ -25,10 +25,15 @@
 //!   and unaffected (a deepen copies the sample's pages first only while
 //!   some request still holds the shallower snapshot).
 //! * **A byte budget bounds residency** — every entry is priced by
-//!   [`CachedSample::approx_bytes`]; when a shard's total exceeds its
-//!   budget the least-recently-used `Ready` entries *of that shard* are
-//!   evicted (never in-flight draws, never the entry just used).  Evicted
-//!   groups simply miss again.
+//!   [`CachedSample::approx_bytes`], the key orders its measures left with
+//!   the sample included, and re-priced under the shard lock at each
+//!   acquisition; when a shard's total exceeds its budget the
+//!   least-recently-used `Ready` entries *of that shard* are evicted (never
+//!   in-flight draws, never the entry just used).  Evicted groups simply
+//!   miss again.
+//! * **A panicking draw fails alone** — the in-flight marker is owned by a
+//!   guard that removes it and wakes the coalesced waiters if the draw
+//!   unwinds instead of publishing; one of them then draws for itself.
 //!
 //! ## Sharding
 //!
@@ -50,7 +55,7 @@
 use crate::protocol::CacheDisposition;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use samplecf_core::{CoreError, CoreResult};
+use samplecf_core::CoreResult;
 use samplecf_obs::{Counter, Gauge, MetricsRegistry};
 use samplecf_sampling::{BatchSchedule, MaterializedSample, SampleStream, SamplerKind};
 use samplecf_storage::{CountingSource, Rid, SharedSource};
@@ -124,14 +129,16 @@ impl CachedSample {
 
     /// Extend this entry's sample in place to the deeper configuration
     /// `kind`, paying only the delta's I/O.  Returns the pages read for the
-    /// delta, or `None` when the entry cannot be deepened (sealed, wrong
-    /// family, or not strictly deeper) — in which case it is untouched.
+    /// delta, or `None` when the entry cannot be deepened (it holds no live
+    /// stream — a scan sampler's never does — or the family differs, or
+    /// `kind` is not strictly deeper) — in which case it is untouched.
     ///
     /// Prefix-stable streams make deepening lossless: afterwards the entry
     /// holds exactly the rows a fresh draw at the deeper fraction with the
     /// same seed would hold (as a multiset — batches arrive rid-sorted per
     /// chunk), and its cumulative [`pages_read`](Self::pages_read) equals
-    /// that fresh draw's cost.
+    /// that fresh draw's cost.  The key orders held for the shallower rows
+    /// are dropped.
     pub fn deepen(&mut self, kind: SamplerKind) -> CoreResult<Option<u64>> {
         if !self.deepenable_to(kind) {
             return Ok(None);
@@ -149,17 +156,6 @@ impl CachedSample {
         self.pages_read += delta;
         self.kind = kind;
         Ok(Some(delta))
-    }
-
-    /// Drop the live stream state, fixing the entry's fraction for good.
-    ///
-    /// An extendable entry keeps its stream (and, for uniform draws, the
-    /// stream's page cache — every page the draw touched) so that a later,
-    /// deeper request costs only the delta.  When no deeper fraction is
-    /// coming, sealing releases that memory; the materialized sample itself
-    /// is untouched and keeps serving hits.
-    pub fn seal(&mut self) {
-        self.stream = None;
     }
 
     /// The sampler configuration of this entry.
@@ -190,16 +186,17 @@ impl CachedSample {
     }
 
     /// This entry's resident size in bytes — exactly what it retains: the
-    /// sample's heap pages, its source-rid vector and stratum tags, and any
+    /// sample's heap pages, its source-rid vector and stratum tags, the key
+    /// orders measures left with it (four bytes per row per key), and any
     /// state the live stream holds for deepening (rid frame, cached
-    /// pages).  This is the unit the cache's byte budget evicts against;
-    /// [`seal`](Self::seal)ing releases the stream's share.
+    /// pages).  This is the unit the cache's byte budget evicts against.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
         let table = self.sample.table();
         table.num_pages() * table.page_size()
             + self.sample.len() * std::mem::size_of::<Rid>()
             + std::mem::size_of_val(self.sample.row_strata())
+            + self.sample.key_order_bytes()
             + self.stream.as_ref().map_or(0, |(stream, _)| {
                 stream.approx_retained_bytes(table.codec().record_size())
             })
@@ -305,7 +302,9 @@ struct ReadyGroup {
     /// deepener takes the whole group out of the shard first, so the entry
     /// is only ever mutated by its exclusive owner.
     entry: CachedSample,
-    /// `entry.approx_bytes()` as charged against the shard budget.
+    /// `entry.approx_bytes()` as charged against the shard budget when it
+    /// was last acquired — its readers' measures may have left key orders
+    /// with the sample since.
     bytes: usize,
     last_used: u64,
 }
@@ -516,6 +515,12 @@ impl Shard {
                         entry_pages_total: group.entry.pages_read(),
                         disposition: CacheDisposition::Hit,
                     };
+                    // Re-price: the last readers may have left key orders.
+                    let bytes = group.entry.approx_bytes();
+                    let charged = std::mem::replace(&mut group.bytes, bytes);
+                    state.total_bytes = state.total_bytes - charged + bytes;
+                    self.evict_over_budget(&mut state, &key);
+                    state.sync_gauges();
                     state.metrics.hits.inc();
                     return Ok(acquired);
                 }
@@ -535,34 +540,34 @@ impl Shard {
         // goes in-flight so concurrent requests coalesce onto this one.
         let deepen_from = Self::pick_deepen_victim(&mut state, &key, kind, seed);
         state.slots.insert(key.clone(), Slot::InFlight);
-
-        if let Some(base) = deepen_from {
-            state.total_bytes -= base.bytes;
-            drop(state);
-            return self.deepen_into(key, base, source, kind, seed);
+        match &deepen_from {
+            Some(base) => state.total_bytes -= base.bytes,
+            None => state.metrics.misses.inc(),
         }
-
-        state.metrics.misses.inc();
+        // Only now: the marker's drop takes the shard lock.
         drop(state);
-        self.draw_into(key, source, kind, seed)
+        let marker = InFlight {
+            shard: self,
+            key: Some(key),
+        };
+        match deepen_from {
+            Some(base) => self.deepen_into(marker, base, source, kind, seed),
+            None => self.draw_into(marker, source, kind, seed),
+        }
     }
 
-    /// Draw a fresh entry outside the shard lock and publish it under `key`
-    /// (already marked in-flight), or clear the marker if the draw fails.
+    /// Draw a fresh entry outside the shard lock and publish it under its
+    /// in-flight `marker`; if the draw fails, dropping the marker clears it.
     fn draw_into(
         &self,
-        key: GroupKey,
+        marker: InFlight<'_>,
         source: &SharedSource,
         kind: SamplerKind,
         seed: u64,
     ) -> CoreResult<AcquiredSample> {
-        match CachedSample::draw(source, kind, seed) {
-            Ok(entry) => {
-                let pages = entry.pages_read();
-                Ok(self.publish(key, entry, pages, CacheDisposition::Miss))
-            }
-            Err(e) => Err(self.abort_inflight(&key, e)),
-        }
+        let entry = CachedSample::draw(source, kind, seed)?;
+        let pages = entry.pages_read();
+        Ok(self.publish(marker, entry, pages, CacheDisposition::Miss))
     }
 
     /// Under the shard lock: find, remove and return the deepest `Ready`
@@ -599,12 +604,12 @@ impl Shard {
         }
     }
 
-    /// Extend `base` to `kind` and publish it under `key` (which is already
-    /// marked in-flight).  Falls back to a fresh draw if the stream refuses
-    /// the extension after all.
+    /// Extend `base` to `kind` and publish it under its in-flight `marker`.
+    /// Falls back to a fresh draw if the stream refuses the extension after
+    /// all.
     fn deepen_into(
         &self,
-        key: GroupKey,
+        marker: InFlight<'_>,
         base: ReadyGroup,
         source: &SharedSource,
         kind: SamplerKind,
@@ -613,16 +618,14 @@ impl Shard {
         // The entry extends its sample in place unless a request still reads
         // the shallow snapshot, in which case it copies the pages first.
         let mut entry = base.entry;
-        match entry.deepen(kind) {
-            Ok(Some(delta)) => Ok(self.publish(key, entry, delta, CacheDisposition::Deepened)),
-            Ok(None) => {
-                // The stream refused (e.g. sealed between check and use —
-                // cannot happen today, but cheap to stay correct about):
-                // draw fresh under the in-flight marker we already hold.
+        match entry.deepen(kind)? {
+            Some(delta) => Ok(self.publish(marker, entry, delta, CacheDisposition::Deepened)),
+            None => {
+                // The stream refused the new cap after `deepenable_to`
+                // admitted it: draw fresh under the marker we already hold.
                 lock_state(&self.state).metrics.misses.inc();
-                self.draw_into(key, source, kind, seed)
+                self.draw_into(marker, source, kind, seed)
             }
-            Err(e) => Err(self.abort_inflight(&key, e)),
         }
     }
 
@@ -631,11 +634,12 @@ impl Shard {
     /// coalesced waiters of this shard.
     fn publish(
         &self,
-        key: GroupKey,
+        marker: InFlight<'_>,
         entry: CachedSample,
         acquisition_pages: u64,
         disposition: CacheDisposition,
     ) -> AcquiredSample {
+        let key = marker.publish();
         let acquired = AcquiredSample {
             sample: Arc::clone(entry.sample()),
             kind: entry.kind(),
@@ -666,17 +670,6 @@ impl Shard {
         drop(state);
         self.ready.notify_all();
         acquired
-    }
-
-    /// Remove the in-flight marker after a failed draw and wake waiters so
-    /// one of them can retry (and surface its own error if it also fails).
-    fn abort_inflight(&self, key: &GroupKey, error: CoreError) -> CoreError {
-        let mut state = lock_state(&self.state);
-        state.slots.remove(key);
-        state.sync_gauges();
-        drop(state);
-        self.ready.notify_all();
-        error
     }
 
     /// Evict least-recently-used `Ready` entries until the shard's budget
@@ -719,6 +712,34 @@ impl Shard {
     }
 }
 
+/// A group's in-flight marker, owned by the request drawing (or deepening)
+/// it.  [`publish`](Self::publish) hands the key over to the `Ready` entry;
+/// dropped any other way — the draw failed, or panicked and is unwinding —
+/// the marker removes itself and wakes the shard's waiters, so one of them
+/// can draw instead (and surface its own error if that fails too).
+struct InFlight<'s> {
+    shard: &'s Shard,
+    /// `None` once published.
+    key: Option<GroupKey>,
+}
+
+impl InFlight<'_> {
+    fn publish(mut self) -> GroupKey {
+        self.key.take().expect("a marker is published once")
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        let Some(key) = self.key.take() else { return };
+        let mut state = lock_state(&self.shard.state);
+        state.slots.remove(&key);
+        state.sync_gauges();
+        drop(state);
+        self.shard.ready.notify_all();
+    }
+}
+
 impl std::fmt::Debug for ConcurrentSampleCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let stats = self.stats();
@@ -734,13 +755,61 @@ impl std::fmt::Debug for ConcurrentSampleCache {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use samplecf_core::SampleCf;
+    use samplecf_compression::NullSuppression;
+    use samplecf_core::{measure_sample, SampleCf};
     use samplecf_datagen::presets;
-    use samplecf_index::IndexSpec;
-    use samplecf_storage::{IntoShared, SharedCountingSource};
+    use samplecf_index::{IndexBuilder, IndexSpec};
+    use samplecf_storage::{
+        IntoShared, Page, PageId, RowCodec, Schema, SharedCountingSource, StorageResult,
+        TableSource,
+    };
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Barrier;
+    use std::time::Duration;
+
+    /// A source whose first page read panics once `released` is raised (so
+    /// a test can line requests up behind the read first); every later read
+    /// passes through.
+    pub(crate) struct PanickingReads {
+        pub(crate) inner: SharedSource,
+        pub(crate) armed: AtomicBool,
+        pub(crate) released: AtomicBool,
+    }
+
+    impl TableSource for PanickingReads {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn schema(&self) -> &Schema {
+            self.inner.schema()
+        }
+        fn codec(&self) -> &RowCodec {
+            self.inner.codec()
+        }
+        fn num_rows(&self) -> usize {
+            self.inner.num_rows()
+        }
+        fn num_pages(&self) -> usize {
+            self.inner.num_pages()
+        }
+        fn page_size(&self) -> usize {
+            self.inner.page_size()
+        }
+        fn read_page(&self, id: PageId) -> StorageResult<Page> {
+            if self.armed.swap(false, Ordering::SeqCst) {
+                while !self.released.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                panic!("injected page-read panic");
+            }
+            self.inner.read_page(id)
+        }
+        fn rids(&self) -> StorageResult<Vec<Rid>> {
+            self.inner.rids()
+        }
+    }
 
     fn counted_table(rows: usize, seed: u64) -> (Arc<SharedCountingSource>, SharedSource) {
         let table = presets::single_char_table("t", rows, 24, 40, 8, seed)
@@ -818,38 +887,34 @@ mod tests {
             assert_eq!(entry.pages_read(), fresh.pages_read());
             // The live stream's retained state is priced into the entry at
             // what it holds — the rid frame plus one source page per physical
-            // read — and sealing releases exactly that.
-            let bytes_with_stream = entry.approx_bytes();
-            entry.seal();
+            // read — beside the sample's pages and rids.
             assert_eq!(
-                bytes_with_stream - entry.approx_bytes(),
+                entry.approx_bytes() - pages_and_rids(&entry),
                 t.num_rows() * std::mem::size_of::<Rid>()
                     + entry.pages_read() as usize * t.page_size()
                     + entry.sample().len() * shuffle_bytes_per_row
             );
-            assert!(!entry.deepenable_to(family(0.2)));
-            assert_eq!(entry.deepen(family(0.2)).unwrap(), None);
             assert_eq!(entry.sample().len(), fresh.sample().len());
         }
     }
 
+    /// What an unstratified entry without a stream or key orders retains:
+    /// its heap pages and one source rid per row.
+    fn pages_and_rids(entry: &CachedSample) -> usize {
+        let sample = entry.sample();
+        sample.table().num_pages() * sample.table().page_size()
+            + sample.len() * std::mem::size_of::<Rid>()
+    }
+
     #[test]
     fn a_sealed_entry_prices_exactly_its_pages_and_rids() {
-        // No per-row decoded term: a sealed, unstratified entry retains its
-        // heap pages and one source rid per row, nothing else.
-        let t = table("t", 37);
-        let pages_and_rids = |entry: &CachedSample| {
-            let sample = entry.sample();
-            sample.table().num_pages() * sample.table().page_size()
-                + sample.len() * std::mem::size_of::<Rid>()
-        };
-        let mut entry = CachedSample::draw(&t, SamplerKind::Block(0.2), 5).unwrap();
-        assert!(entry.approx_bytes() > pages_and_rids(&entry), "live stream");
-        entry.seal();
-        assert_eq!(entry.approx_bytes(), pages_and_rids(&entry));
         // A scan sampler's stream is finished by its one scan: the entry
-        // never keeps it — nor the decoded rows it held — and can never be
+        // never keeps it — nor the decoded rows it held — so it is priced
+        // at its pages and rids, no per-row decoded term, and can never be
         // picked to deepen.
+        let t = table("t", 37);
+        let live = CachedSample::draw(&t, SamplerKind::Block(0.2), 5).unwrap();
+        assert!(live.approx_bytes() > pages_and_rids(&live), "live stream");
         for (kind, deeper) in [
             (SamplerKind::Reservoir(100), SamplerKind::Reservoir(400)),
             (SamplerKind::Bernoulli(0.05), SamplerKind::Bernoulli(0.1)),
@@ -1092,6 +1157,147 @@ mod tests {
             cache.acquire(&shared, kind, 1).unwrap().disposition,
             CacheDisposition::Miss
         );
+    }
+
+    #[test]
+    fn a_draw_that_panics_clears_its_marker_and_wakes_its_waiters() {
+        let source = Arc::new(PanickingReads {
+            inner: table("t", 43),
+            armed: AtomicBool::new(true),
+            released: AtomicBool::new(false),
+        });
+        let shared = Arc::clone(&source) as SharedSource;
+        let cache = Arc::new(ConcurrentSampleCache::with_shards(
+            DEFAULT_CACHE_BUDGET_BYTES,
+            1,
+        ));
+        let kind = SamplerKind::Block(0.1);
+        // Two requests for one group: one draws and blocks in its first
+        // page read, the other waits on its in-flight marker.  Results come
+        // back over a channel with a deadline, so a waiter that is never
+        // woken fails the test instead of hanging it.
+        let (sender, results) = std::sync::mpsc::channel();
+        let requests: Vec<_> = (0..2)
+            .map(|_| {
+                let (cache, shared, sender) =
+                    (Arc::clone(&cache), Arc::clone(&shared), sender.clone());
+                std::thread::spawn(move || {
+                    let acquire = std::panic::AssertUnwindSafe(|| cache.acquire(&shared, kind, 1));
+                    let acquired = std::panic::catch_unwind(acquire);
+                    sender
+                        .send(acquired.map(|a| a.unwrap().disposition))
+                        .unwrap();
+                })
+            })
+            .collect();
+        while cache.stats().coalesced_waits == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // The read panics: the drawer unwinds, the waiter draws for itself.
+        source.released.store(true, Ordering::SeqCst);
+        let outcomes: Vec<_> = (0..2)
+            .map(|_| {
+                results
+                    .recv_timeout(Duration::from_secs(60))
+                    .expect("woken")
+            })
+            .map(|outcome| outcome.ok())
+            .collect();
+        for request in requests {
+            request.join().expect("the panic was caught in the thread");
+        }
+        assert!(outcomes.contains(&None), "one draw panicked");
+        assert!(outcomes.contains(&Some(CacheDisposition::Miss)), "one drew");
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.entries, stats.misses, stats.coalesced_waits),
+            (1, 2, 1)
+        );
+        let again = cache.acquire(&shared, kind, 1).unwrap();
+        assert_eq!(again.disposition, CacheDisposition::Hit);
+    }
+
+    fn orders(rows: usize, seed: u64) -> SharedSource {
+        presets::orders_table("orders", rows, seed)
+            .generate()
+            .unwrap()
+            .table
+            .into_shared()
+    }
+
+    fn measure(sample: &MaterializedSample, spec: &IndexSpec) {
+        measure_sample(sample, spec, &NullSuppression, &IndexBuilder::new()).unwrap();
+    }
+
+    #[test]
+    fn an_entry_is_repriced_for_its_key_orders_at_each_acquisition() {
+        let shared = orders(6_000, 5);
+        let cache = ConcurrentSampleCache::with_shards(DEFAULT_CACHE_BUDGET_BYTES, 1);
+        let (shallow, deep) = (SamplerKind::Block(0.2), SamplerKind::Block(0.4));
+        let charged = || cache.stats().bytes;
+        let acquire = |kind| cache.acquire(&shared, kind, 1).unwrap();
+        let by_status = IndexSpec::nonclustered("s", ["status"]).unwrap();
+
+        let drawn = acquire(shallow);
+        let base = CachedSample::draw(&shared, shallow, 1)
+            .unwrap()
+            .approx_bytes();
+        assert_eq!(charged(), base);
+        let rows = drawn.sample.len();
+        measure(&drawn.sample, &by_status);
+        assert_eq!(charged(), base, "priced at the next acquisition");
+        assert_eq!(acquire(shallow).disposition, CacheDisposition::Hit);
+        assert_eq!(charged(), base + 4 * rows);
+        // Another kind over the same key walks the same order...
+        measure(
+            &drawn.sample,
+            &IndexSpec::clustered("c", ["status"]).unwrap(),
+        );
+        acquire(shallow);
+        assert_eq!(charged(), base + 4 * rows);
+        // ...another key holds one more.
+        let by_two = IndexSpec::clustered("cs", ["customer", "status"]).unwrap();
+        measure(&drawn.sample, &by_two);
+        acquire(shallow);
+        assert_eq!(charged(), base + 8 * rows);
+
+        // A deepen changes the rows, and drops their orders.
+        drop(drawn);
+        let deepened = acquire(deep);
+        assert_eq!(deepened.disposition, CacheDisposition::Deepened);
+        let deep_base = CachedSample::draw(&shared, deep, 1).unwrap().approx_bytes();
+        assert_eq!(charged(), deep_base);
+        measure(&deepened.sample, &by_status);
+        assert_eq!(acquire(deep).disposition, CacheDisposition::Hit);
+        assert_eq!(charged(), deep_base + 4 * deepened.sample.len());
+    }
+
+    #[test]
+    fn held_key_orders_count_against_the_budget() {
+        let shared = orders(6_000, 7);
+        let kind = SamplerKind::Block(0.2);
+        let bytes_of = |seed| {
+            CachedSample::draw(&shared, kind, seed)
+                .unwrap()
+                .approx_bytes()
+        };
+        let (a, b) = (bytes_of(1), bytes_of(2));
+        // Room for both entries, not for a key order more.
+        let cache = ConcurrentSampleCache::with_shards(a + b + 1, 1);
+        let first = cache.acquire(&shared, kind, 1).unwrap();
+        cache.acquire(&shared, kind, 2).unwrap();
+        assert_eq!(cache.stats().entries, 2);
+        measure(
+            &first.sample,
+            &IndexSpec::nonclustered("s", ["status"]).unwrap(),
+        );
+        // Touching the first re-prices it over the budget: the second, least
+        // recently used, goes.
+        let again = cache.acquire(&shared, kind, 1).unwrap();
+        assert_eq!(again.disposition, CacheDisposition::Hit);
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.evictions), (1, 1));
+        assert_eq!(stats.bytes, a + 4 * first.sample.len());
     }
 
     #[test]

@@ -135,6 +135,13 @@ impl TableCatalog {
         Ok(entry)
     }
 
+    /// Bind `name` to `entry` as is — how a test puts a source other than
+    /// the entry's file (a fault-injecting one, say) behind a name.
+    #[cfg(test)]
+    pub(crate) fn insert(&self, name: &str, entry: CatalogEntry) {
+        self.tables.write().insert(name.to_string(), entry);
+    }
+
     /// Look up a registered table by name.
     pub fn get(&self, name: &str) -> Result<CatalogEntry, ApiError> {
         match self.tables.read().get(name).cloned() {

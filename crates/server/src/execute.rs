@@ -5,15 +5,17 @@
 //! directly.  A failure here is a failure of a *valid* request:
 //! `no_such_table`, `storage`, a spec that does not fit the table's schema
 //! (`bad_request`, decided before the sample cache is touched), or
-//! `estimate_failed`.
+//! `estimate_failed`.  A panic while answering is caught here and answered
+//! `internal`.
 
 use crate::catalog::CatalogEntry;
 use crate::protocol::{codes, ApiError, IndexChoice, Request, SampleSpec, StoppingSpec};
 use crate::response::{Accounting, Measured, Response};
 use crate::service::ServiceState;
-use samplecf_core::{measure_sample, ProgressiveCf};
+use samplecf_core::{measure_sample_schemes, KeyOrderSource, ProgressiveCf};
 use samplecf_index::IndexBuilder;
 use samplecf_storage::{CountingSource, TableSource};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn estimate_failed(e: impl std::fmt::Display) -> ApiError {
     ApiError::new(codes::ESTIMATE_FAILED, e.to_string())
@@ -27,9 +29,30 @@ fn measured(entry: &CatalogEntry, sample: &SampleSpec) -> Measured {
     }
 }
 
+/// What a caught panic carried, when it is a message.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    (payload.downcast_ref::<&str>().copied())
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a non-string payload")
+}
+
 impl ServiceState {
     /// Answer one request.
+    ///
+    /// A panic while answering — a bug, or a table source that panics
+    /// mid-read — fails this request alone: it is answered `internal` and
+    /// counted in `samplecf_panics_total`, the calling worker lives on, and
+    /// a draw it cut short leaves no in-flight marker in the cache (the
+    /// marker's guard clears it and wakes the requests coalesced on it).
     pub fn execute(&self, request: &Request) -> Result<Response, ApiError> {
+        catch_unwind(AssertUnwindSafe(|| self.dispatch(request))).unwrap_or_else(|payload| {
+            self.gauges.panics.inc();
+            let message = format!("request panicked: {}", panic_message(payload.as_ref()));
+            Err(ApiError::new(codes::INTERNAL, message))
+        })
+    }
+
+    fn dispatch(&self, request: &Request) -> Result<Response, ApiError> {
         match request {
             Request::Register { path, name } => Ok(Response::Register(
                 self.catalog.register(path, name.as_deref())?,
@@ -73,8 +96,11 @@ impl ServiceState {
         // weighted per-stratum combination there and the pooled CF
         // otherwise — `SampleCf::estimate` bit-for-bit either way.
         let builder = IndexBuilder::new().threads(self.threads(sample));
-        let measurement = measure_sample(&acquired.sample, &spec, scheme.as_ref(), &builder)
-            .map_err(estimate_failed)?;
+        let (mut measurements, source) =
+            measure_sample_schemes(&acquired.sample, &spec, &[scheme.as_ref()], &builder)
+                .map_err(estimate_failed)?;
+        self.gauges.key_orders(source).inc();
+        let measurement = measurements.pop().expect("one measurement per scheme");
         Ok(Response::Estimate {
             sample: measured(&entry, sample),
             scheme: scheme.name().to_string(),
@@ -152,6 +178,9 @@ impl ServiceState {
             .advisor_candidates
             .add(plan.recommendations.len() as u64);
         self.gauges.advisor_key_sorts.add(plan.key_sorts as u64);
+        let orders = |source| self.gauges.key_orders(source);
+        orders(KeyOrderSource::Sorted).add(plan.key_sorts as u64);
+        orders(KeyOrderSource::Held).add(plan.key_orders_held as u64);
         Ok(Response::Advise {
             sample: measured(&entry, sample),
             plan,

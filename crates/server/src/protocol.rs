@@ -37,6 +37,9 @@ pub mod codes {
     pub const STORAGE: &str = "storage";
     /// A valid request failed while sampling or measuring.
     pub const ESTIMATE_FAILED: &str = "estimate_failed";
+    /// Answering a valid request panicked: a bug, caught.  The request
+    /// failed alone; the server, its workers and its cache carry on.
+    pub const INTERNAL: &str = "internal";
     /// The server is saturated: the bounded request queue (or the
     /// connection limit) rejected this request.  Back off and retry.
     pub const BUSY: &str = "busy";

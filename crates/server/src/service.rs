@@ -13,6 +13,7 @@ use crate::cache::ConcurrentSampleCache;
 use crate::catalog::TableCatalog;
 use crate::json::Json;
 use crate::protocol::{codes, error_response, ApiError, Request, RequestKind};
+use samplecf_core::KeyOrderSource;
 use samplecf_obs::{
     Counter, Gauge, Histogram, HwmGauge, MetricsRegistry, Span, Stage, StageTimings,
 };
@@ -51,8 +52,15 @@ pub struct Instruments {
     pub(crate) advisor_naive_pages: Counter,
     /// Candidates evaluated by `advise` requests.
     pub(crate) advisor_candidates: Counter,
-    /// Key orders those evaluations sorted: one per key shape per request.
+    /// Key orders those evaluations sorted: at most one per key per
+    /// request, none for a key whose order the sample held.
     pub(crate) advisor_key_sorts: Counter,
+    /// Measures of a held sample by where their key order came from
+    /// (`samplecf_key_orders_total{outcome="held"|"sorted"}`), in
+    /// [`KeyOrderSource`] order: `estimate` and `advise` alike.
+    key_orders: [Counter; 2],
+    /// Requests whose answering panicked (`samplecf_panics_total`).
+    pub(crate) panics: Counter,
     // The connection plane, maintained by the event loop.
     pub(crate) open_connections: Gauge,
     pub(crate) connections_accepted: Counter,
@@ -105,6 +113,13 @@ impl Instruments {
             advisor_naive_pages: registry.counter("samplecf_advisor_naive_pages_total"),
             advisor_candidates: registry.counter("samplecf_advisor_evaluated_candidates_total"),
             advisor_key_sorts: registry.counter("samplecf_advisor_key_sorts_total"),
+            key_orders: [KeyOrderSource::Held, KeyOrderSource::Sorted].map(|source| {
+                registry.counter(&format!(
+                    "samplecf_key_orders_total{{outcome=\"{}\"}}",
+                    source.label()
+                ))
+            }),
+            panics: registry.counter("samplecf_panics_total"),
             open_connections: registry.gauge("samplecf_connections_open"),
             connections_accepted: registry.counter("samplecf_connections_accepted_total"),
             connections_rejected: registry.counter("samplecf_connections_rejected_total"),
@@ -113,6 +128,11 @@ impl Instruments {
             queue_capacity: registry.gauge("samplecf_queue_capacity"),
             max_connections: registry.gauge("samplecf_max_connections"),
         }
+    }
+
+    /// The counter of measures whose key order came from `source`.
+    pub(crate) fn key_orders(&self, source: KeyOrderSource) -> &Counter {
+        &self.key_orders[source as usize]
     }
 
     /// The request queue's current depth (set by enqueue/dequeue sites;
@@ -1194,6 +1214,78 @@ mod tests {
             advise(r#","threads":1"#).get("result"),
             advise(r#","threads":4"#).get("result")
         );
+    }
+
+    #[test]
+    fn a_panicking_request_is_answered_internal_and_its_worker_lives_on() {
+        use crate::cache::tests::PanickingReads;
+        use crate::catalog::CatalogEntry;
+        use crate::server::{Server, ServerConfig};
+        use std::io::{BufRead, BufReader, Write};
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+        let (path, _cleanup) = scratch_table("panic", 4_000);
+        // One worker: if the panic took it, nothing would answer again.
+        let config = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let handle = Server::bind("127.0.0.1:0", config).unwrap();
+        let state = Arc::clone(handle.state());
+        let entry = state.catalog.register(&path, None).unwrap();
+        let panicking = PanickingReads {
+            inner: Arc::clone(&entry.shared),
+            armed: AtomicBool::new(true),
+            released: AtomicBool::new(true),
+        };
+        let shared: samplecf_storage::SharedSource = Arc::new(panicking);
+        state
+            .catalog
+            .insert("boom", CatalogEntry { shared, ..entry });
+
+        let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+        // A worker lost to the panic would leave the reply unwritten.
+        let deadline = Some(std::time::Duration::from_secs(30));
+        stream.set_read_timeout(deadline).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut call = |line: &str| {
+            (&stream).write_all(format!("{line}\n").as_bytes()).unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            Json::parse(reply.trim()).unwrap()
+        };
+        let estimate = |table: &str| {
+            format!(
+                r#"{{"op":"estimate","table":"{table}","sampler":"block","fraction":0.1,"seed":1}}"#
+            )
+        };
+        let failed = call(&estimate("boom"));
+        let error = failed.get("error").unwrap();
+        assert_eq!(
+            error.get("code").and_then(Json::as_str),
+            Some(codes::INTERNAL)
+        );
+        let message = error.get("message").and_then(Json::as_str).unwrap();
+        assert!(message.contains("injected page-read panic"), "{message}");
+        // The one worker answers again, on the same connection: the table
+        // that panicked (its draw left no in-flight marker) and another.
+        for table in ["boom", "svc_t"] {
+            let reply = call(&estimate(table));
+            assert_eq!(
+                reply.get("ok").and_then(Json::as_bool),
+                Some(true),
+                "{reply}"
+            );
+            let acc = reply.get("accounting").unwrap();
+            assert_eq!(acc.get("cache").and_then(Json::as_str), Some("miss"));
+        }
+        let panics = state.metrics.snapshot();
+        assert_eq!(
+            panics.get("samplecf_panics_total"),
+            Some(&samplecf_obs::MetricValue::Counter(1))
+        );
+        drop(stream);
+        handle.shutdown();
     }
 
     #[test]

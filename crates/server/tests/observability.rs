@@ -91,7 +91,8 @@ fn every_request_kind_is_observable_and_stage_sums_stay_under_totals() {
 
     // Drive one (or more) of every classifiable request kind over the
     // socket.  `invalid` is reached twice — a parse error and an unknown
-    // op — and `shutdown` goes last.
+    // op — `advise` twice on one sample, and `shutdown` goes last.
+    let advise = r#"{"op":"advise","table":"t","sampler":"block","fraction":0.05,"seed":3,"candidates":[{"index":"i1","scheme":"rle"},{"index":"i2","scheme":"dictionary-global"},{"index":"i3","scheme":"null-suppression"}]}"#;
     let requests = [
         format!(r#"{{"op":"register","path":"{path}","name":"t"}}"#),
         r#"{"op":"info","table":"t"}"#.to_string(),
@@ -99,8 +100,8 @@ fn every_request_kind_is_observable_and_stage_sums_stay_under_totals() {
             .to_string(),
         r#"{"op":"estimate_progressive","table":"t","sampler":"uniform","fraction":0.2,"target_error":0.25,"scheme":"rle","seed":2}"#
             .to_string(),
-        r#"{"op":"advise","table":"t","sampler":"block","fraction":0.05,"seed":3,"candidates":[{"index":"i1","scheme":"rle"},{"index":"i2","scheme":"dictionary-global"},{"index":"i3","scheme":"null-suppression"}]}"#
-            .to_string(),
+        advise.to_string(),
+        advise.to_string(),
         r#"{"op":"stats"}"#.to_string(),
         r#"{"op":"metrics"}"#.to_string(),
         "this is not json".to_string(),
@@ -143,13 +144,20 @@ fn every_request_kind_is_observable_and_stage_sums_stay_under_totals() {
         );
     }
 
-    // The one `advise` named three candidates on one key: three
-    // evaluations off a single sort of the shared sample.
+    // Each `advise` named three candidates on one key: six evaluations off
+    // a single sort of the shared sample — the repeat walked the order the
+    // first left with it.  The `estimate` sorted its own sample.
     let advised = |name: &str| counter(&state.metrics, &format!("samplecf_advisor_{name}_total"));
     assert_eq!(
         (advised("evaluated_candidates"), advised("key_sorts")),
-        (3, 1)
+        (6, 1)
     );
+    let orders = |outcome: &str| {
+        let name = format!("samplecf_key_orders_total{{outcome=\"{outcome}\"}}");
+        counter(&state.metrics, &name)
+    };
+    assert_eq!((orders("sorted"), orders("held")), (2, 1));
+    assert_eq!(counter(&state.metrics, "samplecf_panics_total"), 0);
 
     // Every socket-driven request was observed exactly once, through the
     // same path the daemon uses (queue → worker → completion drain).
