@@ -15,17 +15,16 @@
 //! [`CompressionAdvisor::plan`] one entry per sample — the sample, the pages
 //! its draw cost, and the candidates to price on it.  The plan then:
 //!
-//! 1. **Fans out** candidate evaluation across threads, a *key* at a time:
-//!    candidates on one sample whose indexes agree in key columns (whatever
-//!    their kinds and names) order that sample's entries the same way, so
-//!    they share one sort, and each index kind among them one walk that
-//!    sizes every one of its schemes ([`measure_sample_schemes`]) — cost
-//!    per (index, compression) pair, not per sort, is what bounds a design
-//!    search.  The sample keeps the order, so a later plan over it, or a
-//!    later estimate, sorts nothing.
+//! 1. **Evaluates** the candidates a *key* at a time: candidates on one
+//!    sample whose indexes agree in key columns (whatever their kinds and
+//!    names) order that sample's entries the same way, so they share one
+//!    sort, and each index kind among them one walk that sizes every one of
+//!    its schemes ([`measure_sample_schemes`]) — cost per (index,
+//!    compression) pair, not per sort, is what bounds a design search.  The
+//!    sample keeps the order, so a later plan over it, or a later estimate,
+//!    sorts nothing.
 //!    Each candidate adds an analytic (I/O-free) uncompressed size from
-//!    [`IndexSizeModel`].  Results are deterministic whatever the thread
-//!    count.
+//!    [`IndexSizeModel`].
 //! 2. **Chooses** what to compress: a saving threshold first, then a greedy
 //!    budget pass (largest estimated saving first) if a storage budget is
 //!    set — across every sample of the plan, so one budget spans many
@@ -40,7 +39,6 @@ use crate::error::{CoreError, CoreResult};
 use crate::estimator::{measure_sample_schemes, KeyOrderSource};
 use samplecf_compression::CompressionScheme;
 use samplecf_index::{IndexBuilder, IndexKind, IndexSizeModel, IndexSpec};
-use samplecf_parallel::parallel_indexed_map;
 use samplecf_sampling::MaterializedSample;
 use std::time::{Duration, Instant};
 
@@ -202,9 +200,6 @@ pub struct AdvisorConfig {
     /// Optional storage budget in bytes.  When set, the advisor compresses
     /// greedily (largest estimated saving first) until the total fits.
     pub budget_bytes: Option<usize>,
-    /// Worker threads for candidate evaluation (0 = all available
-    /// parallelism).  The recommendations do not depend on this.
-    pub threads: usize,
 }
 
 impl Default for AdvisorConfig {
@@ -212,7 +207,6 @@ impl Default for AdvisorConfig {
         AdvisorConfig {
             min_saving_fraction: 0.10,
             budget_bytes: None,
-            threads: 0,
         }
     }
 }
@@ -251,9 +245,7 @@ impl CompressionAdvisor {
     /// Every candidate is estimated from its entry's sample, so its
     /// `estimated_cf` is what [`SampleCf::estimate`](crate::SampleCf::estimate)
     /// reports for the sample's `(sampler, seed)`.  The saving threshold and
-    /// the budget then apply across all entries.  Candidate evaluation fans
-    /// out across threads, but the recommendations are byte-identical to a
-    /// single-threaded run.
+    /// the budget then apply across all entries.
     pub fn plan(
         &self,
         samples: &[(&MaterializedSample, u64, &Candidates)],
@@ -269,7 +261,7 @@ impl CompressionAdvisor {
             })
             .collect();
         let held: Vec<&MaterializedSample> = samples.iter().map(|(sample, ..)| *sample).collect();
-        let (mut recommendations, sources) = self.evaluate(&candidates, &held)?;
+        let (mut recommendations, sources) = evaluate(&candidates, &held)?;
         let key_sorts = (sources.iter())
             .filter(|&&source| source == KeyOrderSource::Sorted)
             .count();
@@ -294,47 +286,41 @@ impl CompressionAdvisor {
             elapsed: started.elapsed(),
         })
     }
+}
 
-    /// Evaluate `candidates`, each against the one of `samples` its group
-    /// names: recommendations in `candidates`' order, and where the key
-    /// orders they were walked through came from.
-    ///
-    /// Candidates are grouped by what decides the order of a sample's
-    /// entries — the sample and the key columns; *not* the whole
-    /// [`IndexSpec`], whose kind and name order nothing — and each such key
-    /// is one [`evaluate_shared`] call, the keys fanned across strided
-    /// workers.
-    fn evaluate(
-        &self,
-        candidates: &[Evaluated<'_>],
-        samples: &[&MaterializedSample],
-    ) -> CoreResult<(Vec<Recommendation>, Vec<KeyOrderSource>)> {
-        type Key<'c> = (usize, &'c [String]);
-        let mut keys: Vec<(Key<'_>, Vec<usize>)> = Vec::new();
-        for (i, c) in candidates.iter().enumerate() {
-            let key = (c.group, c.spec.key_columns());
-            match keys.iter_mut().find(|(known, _)| *known == key) {
-                Some((_, members)) => members.push(i),
-                None => keys.push((key, vec![i])),
-            }
+/// Evaluate `candidates`, each against the one of `samples` its group
+/// names: recommendations in `candidates`' order, and where the key
+/// orders they were walked through came from.
+///
+/// Candidates are grouped by what decides the order of a sample's
+/// entries — the sample and the key columns; *not* the whole
+/// [`IndexSpec`], whose kind and name order nothing — and each such key
+/// is one [`evaluate_shared`] call.
+fn evaluate(
+    candidates: &[Evaluated<'_>],
+    samples: &[&MaterializedSample],
+) -> CoreResult<(Vec<Recommendation>, Vec<KeyOrderSource>)> {
+    type Key<'c> = (usize, &'c [String]);
+    let mut keys: Vec<(Key<'_>, Vec<usize>)> = Vec::new();
+    for (i, c) in candidates.iter().enumerate() {
+        let key = (c.group, c.spec.key_columns());
+        match keys.iter_mut().find(|(known, _)| *known == key) {
+            Some((_, members)) => members.push(i),
+            None => keys.push((key, vec![i])),
         }
-        let per_key = parallel_indexed_map(keys.len(), self.config.threads, |g| {
-            let ((group, _), members) = &keys[g];
-            let members: Vec<Evaluated<'_>> = members.iter().map(|&i| candidates[i]).collect();
-            evaluate_shared(samples[*group], &members)
-        });
-        let mut recommendations = vec![None; candidates.len()];
-        let mut sources = Vec::new();
-        for ((_, members), evaluated) in keys.iter().zip(per_key) {
-            let (evaluated, key_sources) = evaluated?;
-            for (&i, recommendation) in members.iter().zip(evaluated) {
-                recommendations[i] = Some(recommendation);
-            }
-            sources.extend(key_sources);
-        }
-        let in_request_order = recommendations.into_iter().flatten().collect();
-        Ok((in_request_order, sources))
     }
+    let mut recommendations = vec![None; candidates.len()];
+    let mut sources = Vec::new();
+    for ((group, _), members) in &keys {
+        let shared: Vec<Evaluated<'_>> = members.iter().map(|&i| candidates[i]).collect();
+        let (evaluated, key_sources) = evaluate_shared(samples[*group], &shared)?;
+        for (&i, recommendation) in members.iter().zip(evaluated) {
+            recommendations[i] = Some(recommendation);
+        }
+        sources.extend(key_sources);
+    }
+    let in_request_order = recommendations.into_iter().flatten().collect();
+    Ok((in_request_order, sources))
 }
 
 /// One candidate as the evaluation sees it.
@@ -566,7 +552,6 @@ mod tests {
         let constrained = CompressionAdvisor::new(AdvisorConfig {
             min_saving_fraction: 0.99,
             budget_bytes: Some(budget),
-            ..Default::default()
         })
         .unwrap();
         let plan = constrained.plan(&samples).unwrap();
@@ -616,44 +601,6 @@ mod tests {
             plan.naive_pages_read(),
             plan.groups[0].pages_read * 3 + plan.groups[1].pages_read
         );
-    }
-
-    #[test]
-    fn plan_is_deterministic_across_thread_counts() {
-        let (t, pages_t) = uniform(&compressible_table(6), 0);
-        let (other, pages_other) = uniform(&incompressible_table(7), 0);
-        let specs: Vec<IndexSpec> = (0..6)
-            .map(|i| IndexSpec::nonclustered(format!("idx{i}"), ["a"]).unwrap())
-            .collect();
-        let scheme = |i: usize| -> Box<dyn CompressionScheme> {
-            if i.is_multiple_of(2) {
-                Box::new(DictionaryCompression::default())
-            } else {
-                Box::new(NullSuppression)
-            }
-        };
-        let (mut on_t, mut on_other) = (Vec::new(), Vec::new());
-        for (i, spec) in specs.iter().enumerate() {
-            let held = if i % 3 == 0 { &mut on_other } else { &mut on_t };
-            held.push((spec.clone(), scheme(i)));
-        }
-        let samples = [(&t, pages_t, &on_t[..]), (&other, pages_other, &on_other)];
-        let plan = |threads| {
-            CompressionAdvisor::new(AdvisorConfig {
-                threads,
-                ..Default::default()
-            })
-            .unwrap()
-            .plan(&samples)
-            .unwrap()
-        };
-        let (single, multi) = (plan(1), plan(4));
-        assert_eq!(single.recommendations, multi.recommendations);
-        assert_eq!(single.groups, multi.groups);
-        // The second plan walks the orders the first one left with each
-        // sample.
-        assert_eq!((single.key_sorts, single.key_orders_held), (2, 0));
-        assert_eq!((multi.key_sorts, multi.key_orders_held), (0, 2));
     }
 
     #[test]
@@ -787,38 +734,31 @@ mod tests {
                 mode: samplecf_sampling::StrataMode::EquiWidth,
             },
         ] {
-            let drawn = MaterializedSample::draw(&t, sampler, 3).unwrap();
-            for threads in [1, 2, 4] {
-                let sample = drawn.clone();
-                let advisor = CompressionAdvisor::new(AdvisorConfig {
-                    threads,
-                    // Null suppression saves too little on either key; the
-                    // budget then forces it onto the larger index.
-                    min_saving_fraction: 0.55,
-                    budget_bytes: Some(1_000_000),
-                })
-                .unwrap();
-                let oracle = per_candidate_plan(&advisor, &candidates, &sample);
-                let names: Vec<&str> = oracle.iter().map(|r| r.index.as_str()).collect();
-                assert_eq!(
-                    names,
-                    ["s_dict", "c_rle", "s_ns", "c_dict", "s_rle", "c_ns", "s_ns"]
-                );
-                assert_eq!(oracle[2], oracle[6], "the candidate listed twice");
-                let compressed: Vec<bool> = oracle.iter().map(|r| r.compress).collect();
-                assert_eq!(compressed, [true, true, false, true, true, true, false]);
+            let sample = MaterializedSample::draw(&t, sampler, 3).unwrap();
+            let advisor = CompressionAdvisor::new(AdvisorConfig {
+                // Null suppression saves too little on either key; the
+                // budget then forces it onto the larger index.
+                min_saving_fraction: 0.55,
+                budget_bytes: Some(1_000_000),
+            })
+            .unwrap();
+            let oracle = per_candidate_plan(&advisor, &candidates, &sample);
+            let names: Vec<&str> = oracle.iter().map(|r| r.index.as_str()).collect();
+            assert_eq!(
+                names,
+                ["s_dict", "c_rle", "s_ns", "c_dict", "s_rle", "c_ns", "s_ns"]
+            );
+            assert_eq!(oracle[2], oracle[6], "the candidate listed twice");
+            let compressed: Vec<bool> = oracle.iter().map(|r| r.compress).collect();
+            assert_eq!(compressed, [true, true, false, true, true, true, false]);
 
-                let plan = advisor.plan(&[(&sample, 0, &candidates)]).unwrap();
-                assert_eq!(
-                    plan.recommendations, oracle,
-                    "{sampler:?}, {threads} threads"
-                );
-                assert_eq!((plan.key_sorts, plan.samples_drawn()), (2, 1));
-                // Planned again, the sample sorts nothing: the same advice.
-                let again = advisor.plan(&[(&sample, 0, &candidates)]).unwrap();
-                assert_eq!(again.recommendations, oracle);
-                assert_eq!((again.key_sorts, again.key_orders_held), (0, 2));
-            }
+            let plan = advisor.plan(&[(&sample, 0, &candidates)]).unwrap();
+            assert_eq!(plan.recommendations, oracle, "{sampler:?}");
+            assert_eq!((plan.key_sorts, plan.samples_drawn()), (2, 1));
+            // Planned again, the sample sorts nothing: the same advice.
+            let again = advisor.plan(&[(&sample, 0, &candidates)]).unwrap();
+            assert_eq!(again.recommendations, oracle);
+            assert_eq!((again.key_sorts, again.key_orders_held), (0, 2));
         }
     }
 

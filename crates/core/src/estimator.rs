@@ -17,7 +17,6 @@ use crate::error::{CoreError, CoreResult};
 use crate::metrics::ratio_error;
 use samplecf_compression::CompressionScheme;
 use samplecf_index::{measure_index, CompressedIndexReport, IndexBuilder, IndexSpec};
-use samplecf_parallel::parallel_indexed_map;
 use samplecf_sampling::{MaterializedSample, SamplerKind};
 use samplecf_storage::{Schema, TableSource, Value};
 use std::collections::HashSet;
@@ -279,16 +278,12 @@ pub fn measure_sample_schemes(
         null_first_key: first_key.nulls,
     };
 
-    // One walk per stratum serves every scheme; strata are independent, so
-    // they fan out as `weighted_strata_cf` fans them.
+    // One walk per stratum serves every scheme.
     let tags = sample.row_strata();
     let weights = sample.strata_weights();
-    let strata = parallel_indexed_map(weights.len(), builder.workers(records.len()), |s| {
-        let (reports, _) = ordered.measure_where(|i| tags[i] as usize == s, schemes)?;
-        Ok(reports)
-    })
-    .into_iter()
-    .collect::<CoreResult<Vec<_>>>()?;
+    let strata = (0..weights.len())
+        .map(|s| Ok(ordered.measure_where(|i| tags[i] as usize == s, schemes)?.0))
+        .collect::<CoreResult<Vec<_>>>()?;
 
     let measure = |(j, report): (usize, CompressedIndexReport)| {
         let per_stratum = (strata.iter())
@@ -312,47 +307,16 @@ pub fn measure_sample_schemes(
     ))
 }
 
-/// The stratified CF triple `(cf, cf_with_pointers, cf_pages)`: each
-/// stratum's sub-index is built and sized on its own by `measure_stratum`
-/// (`None` for a stratum with no sampled rows), and the per-stratum CFs are
-/// combined by [`combine_strata`].
-///
-/// Strata are independent, so they fan out over `builder`'s worker pool —
-/// one worker per [`IndexBuilder::MIN_ENTRIES_PER_WORKER`] of the `entries`
-/// the strata hold between them, as a bulk load would get, so sample-sized
-/// strata are measured on the calling thread at any thread count;
-/// `measure_stratum` receives a serial builder so strata × sort workers
-/// cannot oversubscribe, and results are reassembled in stratum order, which
-/// keeps the combination thread-count independent.
-pub(crate) fn weighted_strata_cf(
-    weights: &[f64],
-    entries: usize,
-    builder: &IndexBuilder,
-    measure_stratum: impl Fn(usize, &IndexBuilder) -> CoreResult<Option<CompressedIndexReport>> + Sync,
-) -> CoreResult<Option<(f64, f64, f64)>> {
-    let inner = builder.threads(1);
-    let per_stratum = parallel_indexed_map(weights.len(), builder.workers(entries), |s| {
-        measure_stratum(s, &inner)
-    })
-    .into_iter()
-    .collect::<CoreResult<Vec<_>>>()?;
-    Ok(combine_strata(
-        weights,
-        per_stratum.iter().map(Option::as_ref),
-    ))
-}
-
 /// `Σ W_s·CF_s` over per-stratum reports, in tag order (`None` for a stratum
 /// with no sampled rows), for each member of the CF triple:
 /// [`weighted_combine`](crate::algebra::weighted_combine) over the population
 /// `weights`, renormalised over sampled strata.  `None` when no stratum has
 /// rows — including the unstratified case of no weights at all.
 ///
-/// This is the one place the arithmetic lives: [`measure_sample_schemes`]
-/// and the progressive estimator's checkpoints (through
-/// [`weighted_strata_cf`]) both come here, so a cached stratified sample and
-/// [`SampleCf::estimate`] agree bit for bit.
-fn combine_strata<'r>(
+/// This is the one stratified combine: [`measure_sample_schemes`] and the
+/// progressive estimator's checkpoints both come here, so a cached
+/// stratified sample and [`SampleCf::estimate`] agree bit for bit.
+pub(crate) fn combine_strata<'r>(
     weights: &[f64],
     per_stratum: impl Iterator<Item = Option<&'r CompressedIndexReport>>,
 ) -> Option<(f64, f64, f64)> {
@@ -462,23 +426,17 @@ impl SampleCf {
         self
     }
 
-    /// Worker threads for the estimator's compute kernels (0 = all
-    /// available parallelism, 1 = serial; the default).
+    /// Worker threads for the bulk load (0 = all available parallelism,
+    /// 1 = serial; the default).
     ///
-    /// Shorthand for configuring the index builder's thread count: the bulk
-    /// load's radix sort and leaf packing, the per-stratum sub-index builds
-    /// and the progressive checkpoint kernels all fan out over the same
-    /// strided pool.  Estimates are byte-identical for every thread count.
+    /// Shorthand for the index builder's thread count: the radix sort and
+    /// leaf pack are the estimator's one intra-request fan-out; strata and
+    /// checkpoint kernels run on the calling thread.  Estimates are
+    /// byte-identical for every thread count.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.builder = self.builder.threads(threads);
         self
-    }
-
-    /// The configured worker thread count (0 = all available parallelism).
-    #[must_use]
-    pub fn thread_count(&self) -> usize {
-        self.builder.thread_count()
     }
 
     /// The configured sampler kind.

@@ -36,8 +36,7 @@
 //!   each stratum's, and prices the `B − 1` older leave-one-outs by
 //!   size-only walks of the pooled run that skip batch `i`'s entries
 //!   ([`RunSizer::measure_excluding`]) — the pooled run minus a batch's run
-//!   is exactly the merge of the others — fanned over the worker pool once
-//!   there is a worker's worth of entries to walk.
+//!   is exactly the merge of the others.
 //!
 //! Both are bit-identical to packing and measuring every tree from the
 //! rows.  The delete-*last*-batch estimate is free: it is the previous
@@ -54,7 +53,7 @@
 
 use crate::algebra::{self, MomentSketch, VarianceNode};
 use crate::error::{CoreError, CoreResult};
-use crate::estimator::{weighted_strata_cf, CfMeasurement, DataStatsAccumulator};
+use crate::estimator::{combine_strata, CfMeasurement, DataStatsAccumulator};
 use crate::metrics::grouped_jackknife_variance;
 use crate::theory;
 use rand::rngs::StdRng;
@@ -65,7 +64,6 @@ use samplecf_index::{
     SortedRun,
 };
 use samplecf_obs::{Counter, Histogram, MetricsRegistry, Timer};
-use samplecf_parallel::parallel_indexed_map;
 use samplecf_sampling::{BatchSchedule, SamplerKind};
 use samplecf_storage::{CountingSource, Rid, Row, Schema, TableSource};
 use std::time::Instant;
@@ -341,26 +339,16 @@ impl ProgressiveCf {
         self
     }
 
-    /// Worker threads for the checkpoint kernels (0 = all available
-    /// parallelism, 1 = serial; the default).  Only the tree route has
-    /// kernels to split: this configures the index builder's thread count,
-    /// and the per-stratum sub-index builds and the jackknife's size-only
-    /// walks fan out over the same pool, by the same rule as a bulk load —
-    /// one worker per [`IndexBuilder::MIN_ENTRIES_PER_WORKER`] entries they
-    /// cover — so a sample-sized checkpoint stays on the calling thread.  A
-    /// checkpoint priced from cell sums is one pass over the batch plus
-    /// arithmetic, always on the calling thread.  Reports are byte-identical
-    /// for every thread count.
+    /// Worker threads for the tree route's bulk loads (0 = all available
+    /// parallelism, 1 = serial; the default): the index builder's thread
+    /// count, which splits a pack only past
+    /// [`IndexBuilder::MIN_ENTRIES_PER_WORKER`] entries per worker.  Strata,
+    /// jackknife walks and cell sums run on the calling thread.  Reports are
+    /// byte-identical for every thread count.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.builder = self.builder.threads(threads);
         self
-    }
-
-    /// The configured worker thread count (0 = all available parallelism).
-    #[must_use]
-    pub fn thread_count(&self) -> usize {
-        self.builder.thread_count()
     }
 
     /// The configured sampler kind.
@@ -503,22 +491,19 @@ impl ProgressiveCf {
             priced.inc();
 
             // Stratified draws estimate CF as Σ W_s·CF_s over per-stratum
-            // sub-indexes — the same `weighted_strata_cf` a cached sample is
+            // sub-indexes — the same `combine_strata` a cached sample is
             // measured with, so the two paths agree bit-for-bit.  Unstratified
             // draws have no weights, hence no strata to combine.
-            let stratified = weighted_strata_cf(
-                &strata_weights,
-                pooled.to_pack(),
-                &self.builder,
-                |s, inner| {
-                    if strata_rows[s] == 0 {
-                        return Ok(None);
-                    }
-                    Ok(Some(pooled.stratum_report(s, inner)?))
-                },
-            )?;
-            let (cf, cf_with_pointers, cf_pages) = stratified
-                .unwrap_or_else(|| (report.cf(), report.cf_with_pointers(), report.cf_pages()));
+            let strata = (0..strata_weights.len())
+                .map(|s| {
+                    (strata_rows[s] > 0)
+                        .then(|| pooled.stratum_report(s))
+                        .transpose()
+                })
+                .collect::<CoreResult<Vec<_>>>()?;
+            let (cf, cf_with_pointers, cf_pages) =
+                combine_strata(&strata_weights, strata.iter().map(Option::as_ref))
+                    .unwrap_or_else(|| (report.cf(), report.cf_with_pointers(), report.cf_pages()));
 
             // Estimator variance: closed-form algebra for stratified draws,
             // grouped jackknife over batches otherwise.
@@ -763,41 +748,25 @@ impl<'a> Pooled<'a> {
             Route::CellSums { costs, pooled, .. } => {
                 Ok(self.sizer.price(self.scheme, costs, pooled, None)?)
             }
-            Route::Tree { merged, .. } => self.measure(self.builder, merged),
+            Route::Tree { merged, .. } => self.measure(merged),
         }
     }
 
-    /// The report of the index over stratum `s`'s rows; a tree is packed by
-    /// `builder`.
-    fn stratum_report(
-        &self,
-        s: usize,
-        builder: &IndexBuilder,
-    ) -> CoreResult<CompressedIndexReport> {
+    /// The report of the index over stratum `s`'s rows.
+    fn stratum_report(&self, s: usize) -> CoreResult<CompressedIndexReport> {
         match &self.route {
             Route::CellSums { costs, strata, .. } => {
                 Ok(self.sizer.price(self.scheme, costs, &strata[s], None)?)
             }
-            Route::Tree { strata, .. } => self.measure(builder, &strata[s]),
+            Route::Tree { strata, .. } => self.measure(&strata[s]),
         }
     }
 
-    fn measure(
-        &self,
-        builder: &IndexBuilder,
-        run: &SortedRun,
-    ) -> CoreResult<CompressedIndexReport> {
-        let index = builder.build_from_sorted_run(self.schema, self.spec, run)?;
+    fn measure(&self, run: &SortedRun) -> CoreResult<CompressedIndexReport> {
+        let index = self
+            .builder
+            .build_from_sorted_run(self.schema, self.spec, run)?;
         Ok(measure_index(&index, self.scheme)?)
-    }
-
-    /// Entries the strata's trees pack between them — what a fan-out over
-    /// the strata covers; none when they are priced from sums.
-    fn to_pack(&self) -> usize {
-        match &self.route {
-            Route::CellSums { .. } => 0,
-            Route::Tree { merged, .. } => merged.len(),
-        }
     }
 
     /// The CFs of the samples that leave out one of the older batches
@@ -806,9 +775,7 @@ impl<'a> Pooled<'a> {
     ///
     /// From cell sums each is [`RunSizer::price`] of the pooled sums minus
     /// the batch's.  On the tree route, one size-only walk of the pooled run
-    /// per left-out batch ([`RunSizer::measure_excluding`]), independent of
-    /// each other, so fanned over the pool — given a worker's worth of
-    /// entries to walk each — and reassembled in batch order.
+    /// per left-out batch ([`RunSizer::measure_excluding`]).
     fn leave_one_out(&self, metrics: &ProgressiveMetrics) -> CoreResult<Vec<f64>> {
         match &self.route {
             Route::CellSums {
@@ -825,16 +792,11 @@ impl<'a> Pooled<'a> {
             Route::Tree {
                 merged, batches, ..
             } => {
-                let older = batches.len() - 1;
-                metrics.leave_one_out_walk.add(older as u64);
-                let workers = self.builder.workers(older * merged.len());
-                let walk = |skip: usize| {
-                    let outcome =
-                        (self.sizer).measure_excluding(merged, &batches[skip], self.scheme)?;
-                    Ok(outcome.compression_fraction())
-                };
-                parallel_indexed_map(older, workers, walk)
-                    .into_iter()
+                let older = &batches[..batches.len() - 1];
+                metrics.leave_one_out_walk.add(older.len() as u64);
+                let walk = |batch| self.sizer.measure_excluding(merged, batch, self.scheme);
+                (older.iter())
+                    .map(|batch| Ok(walk(batch)?.compression_fraction()))
                     .collect()
             }
         }
@@ -1209,47 +1171,6 @@ mod tests {
         assert_eq!(disabled.leave_one_out_closed_form.get(), 0);
         assert_eq!(disabled.pricing_cell_sums.get(), 0);
         assert_eq!(disabled.variance_ns.snapshot().count, 0);
-    }
-
-    #[test]
-    fn fan_outs_go_by_the_entries_they_cover_and_reports_do_not_move() {
-        use samplecf_compression::RunLengthEncoding;
-        type Work = fn(&CfCheckpoint) -> usize;
-        // Runs big enough that their last checkpoints split: the older
-        // batches' walks of the pooled run, and the strata's builds, cover
-        // at least two workers' worth of entries.
-        let t = spread_table(40_000);
-        let cases: [(SamplerKind, Work); 2] = [
-            (SamplerKind::Block(0.2), |last| (last.batch - 1) * last.rows),
-            (
-                SamplerKind::Stratified {
-                    fraction: 0.9,
-                    strata: 4,
-                    alloc: samplecf_sampling::Allocation::Neyman,
-                    mode: samplecf_sampling::StrataMode::EquiWidth,
-                },
-                |last| last.rows,
-            ),
-        ];
-        for (kind, work) in cases {
-            let run = |threads: usize| {
-                let config = ProgressiveConfig {
-                    target_error: 0.0,
-                    ..ProgressiveConfig::default()
-                };
-                ProgressiveCf::new(kind, config)
-                    .seed(3)
-                    .threads(threads)
-                    .run(&t, &spec(), &RunLengthEncoding)
-                    .unwrap()
-            };
-            let serial = run(1);
-            let covered = work(serial.final_checkpoint().unwrap());
-            assert!(covered >= 2 * IndexBuilder::MIN_ENTRIES_PER_WORKER);
-            for threads in [2, 0] {
-                assert_eq!(run(threads).checkpoints, serial.checkpoints, "{kind:?}");
-            }
-        }
     }
 
     #[test]

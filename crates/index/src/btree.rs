@@ -135,18 +135,9 @@ impl IndexBuilder {
         self
     }
 
-    /// The configured worker thread count (0 = all available parallelism).
-    #[must_use]
-    pub fn thread_count(&self) -> usize {
-        self.threads
-    }
-
     /// Workers for a load of `entries` entries — one count for its encode,
-    /// sort and pack stages alike, and the count for any other fan-out that
-    /// covers `entries` entries of comparable per-entry work (an estimator's
-    /// per-stratum builds, the jackknife's size-only walks).
-    #[must_use]
-    pub fn workers(&self, entries: usize) -> usize {
+    /// sort and pack stages alike.
+    fn workers(&self, entries: usize) -> usize {
         resolve_threads(self.threads, entries / Self::MIN_ENTRIES_PER_WORKER)
     }
 

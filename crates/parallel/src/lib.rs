@@ -1,9 +1,8 @@
 //! # samplecf-parallel
 //!
-//! The shared strided-worker fan-out used by every parallel stage in the
-//! workspace: the trial runner, the advisor's per-candidate evaluation,
-//! batch sample draws, the per-stratum measure kernels, and the index
-//! bulk loader's radix-partitioned sort.
+//! The shared strided-worker fan-out behind the workspace's two parallel
+//! stages: the index bulk loader's encode, radix-partitioned sort and leaf
+//! pack, and the offline trial runner.  Nothing else in a request fans out.
 //!
 //! Worker `w` of `t` handles jobs `w, w + t, w + 2t, …`; results are
 //! reassembled in job order, so as long as the per-job function is pure the

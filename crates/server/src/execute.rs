@@ -79,12 +79,6 @@ impl ServiceState {
         }
     }
 
-    /// The effective thread count of one request: its own, falling back to
-    /// the service default.
-    fn threads(&self, sample: &SampleSpec) -> usize {
-        sample.threads.unwrap_or(self.estimator_threads())
-    }
-
     fn estimate(&self, sample: &SampleSpec, index: &IndexChoice) -> Result<Response, ApiError> {
         let entry = self.catalog.get(&sample.table)?;
         let (spec, scheme) = index.resolve(entry.shared.schema())?;
@@ -95,7 +89,7 @@ impl ServiceState {
         // A stratified sample carries its tags and weights, so this is the
         // weighted per-stratum combination there and the pooled CF
         // otherwise — `SampleCf::estimate` bit-for-bit either way.
-        let builder = IndexBuilder::new().threads(self.threads(sample));
+        let builder = IndexBuilder::new().threads(self.estimator_threads());
         let (mut measurements, source) =
             measure_sample_schemes(&acquired.sample, &spec, &[scheme.as_ref()], &builder)
                 .map_err(estimate_failed)?;
@@ -130,7 +124,7 @@ impl ServiceState {
             CountingSource::observed(entry.shared.as_ref(), self.gauges.progressive_pages.clone());
         let report = ProgressiveCf::new(sample.sampler, stopping)
             .seed(sample.seed)
-            .threads(self.threads(sample))
+            .threads(self.estimator_threads())
             .metrics(self.gauges.progressive.clone())
             .run(&counting, &spec, scheme.as_ref())
             .map_err(estimate_failed)?;
@@ -149,7 +143,7 @@ impl ServiceState {
         budget: Option<usize>,
     ) -> Result<Response, ApiError> {
         let entry = self.catalog.get(&sample.table)?;
-        let advisor = sample.advisor(min_saving, budget, self.estimator_threads())?;
+        let advisor = sample.advisor(min_saving, budget)?;
         let candidates = candidates
             .iter()
             .enumerate()

@@ -366,7 +366,6 @@ mod fields {
     pub const SCHEME: Field = f("scheme", Str, Value("null-suppression"), "one of none, null-suppression, dictionary-paged, dictionary-global, rle, prefix");
     pub const COLUMNS: Field = Field { alias: "column", ..f("columns", StrList, Computed("first column"), "index key columns") };
     pub const SEED: Field = f("seed", Int, Value("0"), "RNG seed");
-    pub const THREADS: Field = f("threads", Int, Computed("server default"), "worker threads for this request (0 = all cores); never changes a result byte");
     pub const TARGET_ERROR: Field = f("target_error", Num, Required, "stop once the CI half-width is at most this fraction of the estimate (>= 0)");
     pub const CONFIDENCE: Field = f("confidence", Num, Value("0.95"), "confidence level 1 - delta of the interval, in (0, 1]");
     pub const INITIAL_FRACTION: Field = f("initial_fraction", Num, Value("0.01"), "first checkpoint fraction, in (0, 1]");
@@ -379,15 +378,15 @@ mod fields {
 
     pub const REGISTER: &[Field] = &[PATH, NAME];
     pub const INFO: &[Field] = &[TABLE];
-    pub const ESTIMATE: &[Field] = &[TABLE, SAMPLER, FRACTION, SIZE, STRATA, ALLOC, STRATA_MODE, SCHEME, COLUMNS, SEED, THREADS];
+    pub const ESTIMATE: &[Field] = &[TABLE, SAMPLER, FRACTION, SIZE, STRATA, ALLOC, STRATA_MODE, SCHEME, COLUMNS, SEED];
     pub const PROGRESSIVE: &[Field] = &[
         TABLE,
         Field { doc: "a sampler with a validated interval: uniform, block, reservoir or stratified", ..SAMPLER },
         Field { default: Value("0.1"), alias: "max-fraction", doc: "sampling-fraction cap (the page budget), in (0, 1]", ..FRACTION },
-        SIZE, STRATA, ALLOC, STRATA_MODE, TARGET_ERROR, CONFIDENCE, INITIAL_FRACTION, GROWTH, SCHEME, COLUMNS, SEED, THREADS,
+        SIZE, STRATA, ALLOC, STRATA_MODE, TARGET_ERROR, CONFIDENCE, INITIAL_FRACTION, GROWTH, SCHEME, COLUMNS, SEED,
     ];
     pub const ADVISE: &[Field] = &[
-        TABLE, Field { default: Value("block"), ..SAMPLER }, FRACTION, SIZE, STRATA, ALLOC, STRATA_MODE, SEED, THREADS,
+        TABLE, Field { default: Value("block"), ..SAMPLER }, FRACTION, SIZE, STRATA, ALLOC, STRATA_MODE, SEED,
         MIN_SAVING, BUDGET, CANDIDATES,
     ];
     /// One entry of `advise`'s `candidates` array.
@@ -402,7 +401,7 @@ pub use fields::CANDIDATE as CANDIDATE_FIELDS;
 const SINGLE_INDEX_NAME: &str = "idx";
 
 /// Which sample a request measures: the (table, sampler, seed) group the
-/// sample cache keys on, plus the request's thread budget.
+/// sample cache keys on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampleSpec {
     /// The registered table name.
@@ -411,23 +410,18 @@ pub struct SampleSpec {
     pub sampler: SamplerKind,
     /// The RNG seed.
     pub seed: u64,
-    /// Worker threads for this request (`None` = the service default).
-    pub threads: Option<usize>,
 }
 
 impl SampleSpec {
-    /// The advisor an `advise` request over this sample configures;
-    /// `default_threads` applies when the request names no thread count.
+    /// The advisor an `advise` request over this sample configures.
     pub fn advisor(
         &self,
         min_saving: f64,
         budget: Option<usize>,
-        default_threads: usize,
     ) -> Result<CompressionAdvisor, ApiError> {
         CompressionAdvisor::new(AdvisorConfig {
             min_saving_fraction: min_saving,
             budget_bytes: budget,
-            threads: self.threads.unwrap_or(default_threads),
         })
         .map_err(bad)
     }
@@ -578,7 +572,7 @@ impl Request {
                 let sample = f.sample_spec()?;
                 let (min_saving, budget) = (f.num(&MIN_SAVING), f.int(&BUDGET).map(|b| b as usize));
                 sample.sampler.validate().map_err(bad)?;
-                sample.advisor(min_saving, budget, 0)?;
+                sample.advisor(min_saving, budget)?;
                 let entries = f.get(&CANDIDATES);
                 let entries = entries
                     .as_ref()
@@ -718,7 +712,7 @@ impl<'a> Fields<'a> {
         self.get(field)?.as_u64()
     }
 
-    /// The (table, sampler, seed, threads) block every sampling op shares.
+    /// The (table, sampler, seed) block every sampling op shares.
     #[allow(clippy::cast_possible_truncation)]
     fn sample_spec(&self) -> Result<SampleSpec, ApiError> {
         use fields::*;
@@ -736,7 +730,6 @@ impl<'a> Fields<'a> {
             table: self.str(&TABLE),
             sampler,
             seed: self.int(&SEED).unwrap_or_default(),
-            threads: self.int(&THREADS).map(|t| t as usize),
         })
     }
 
@@ -911,7 +904,7 @@ mod tests {
         };
         // Given fields are read, absent ones take the table's default.
         assert_eq!(sample.sampler, SamplerKind::UniformWithReplacement(0.5));
-        assert_eq!((sample.seed, sample.threads), (7, None));
+        assert_eq!(sample.seed, 7);
         assert_eq!(
             index,
             IndexChoice {

@@ -70,12 +70,12 @@ pub struct ServerConfig {
     /// How many parsed-but-unserved requests one connection may pipeline
     /// before the loop stops reading its socket (TCP backpressure).
     pub max_pipelined: usize,
-    /// Default inner parallelism of one estimation request (0 = all
-    /// cores); a request's `"threads"` field overrides it.  The default
-    /// of 1 composes with `workers`: the pool is the parallel axis under
-    /// concurrent load, so `workers × estimator_threads` should not
-    /// exceed the core count by much.  Raise this (and lower `workers`)
-    /// for a latency-oriented daemon serving few large requests.
+    /// Bulk-load threads of one estimation request (0 = all cores), the
+    /// one intra-request fan-out.  The default of 1 composes with
+    /// `workers`: the pool is the parallel axis under concurrent load, so
+    /// `workers × estimator_threads` should not exceed the core count by
+    /// much.  Raise this (and lower `workers`) for a latency-oriented
+    /// daemon serving few large requests.
     pub estimator_threads: usize,
     /// A request whose end-to-end wall time exceeds this many milliseconds
     /// is counted in `samplecf_slow_requests_total` and logged as one

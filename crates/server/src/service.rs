@@ -181,11 +181,11 @@ pub struct ServiceState {
     /// hood, so an in-process load harness can clone the handle and assert
     /// on it.
     pub metrics: MetricsRegistry,
-    /// Default inner parallelism of one estimation request (0 = all
-    /// cores); a request's `"threads"` field overrides it.  The daemon
-    /// keeps this at 1 by default because the worker pool is already the
-    /// parallel axis — `workers` requests run concurrently, and fanning
-    /// each of them over every core would oversubscribe the machine.
+    /// Bulk-load threads of one estimation request (0 = all cores) — the
+    /// one intra-request fan-out.  The daemon keeps this at 1 by default
+    /// because the worker pool is already the parallel axis — `workers`
+    /// requests run concurrently, and fanning each of them over every core
+    /// would oversubscribe the machine.
     estimator_threads: usize,
     started: Instant,
     shutdown: AtomicBool,
@@ -219,7 +219,7 @@ impl ServiceState {
         }
     }
 
-    /// Set the default per-request estimator parallelism (0 = all cores).
+    /// Set the per-request bulk-load parallelism (0 = all cores).
     /// Estimates are byte-identical at any thread count, so this is a
     /// throughput-vs-latency dial, not a semantic one.
     #[must_use]
@@ -228,7 +228,7 @@ impl ServiceState {
         self
     }
 
-    /// The configured default per-request estimator parallelism.
+    /// The configured per-request bulk-load parallelism.
     #[must_use]
     pub fn estimator_threads(&self) -> usize {
         self.estimator_threads
@@ -1165,54 +1165,6 @@ mod tests {
                 .and_then(Json::as_array)
                 .map(<[Json]>::len),
             Some(1)
-        );
-    }
-
-    #[test]
-    fn request_thread_counts_do_not_change_any_response_byte() {
-        // `"threads"` is a throughput dial: estimate and advise replies
-        // must be byte-identical whether a request runs serially, on a
-        // fixed pool, or on every core.
-        let (path, _cleanup) = scratch_table("threads", 9_000);
-        let state = ServiceState::new(DEFAULT_CACHE_BUDGET_BYTES).with_estimator_threads(2);
-        assert_eq!(state.estimator_threads(), 2);
-        ok(&state, &format!(r#"{{"op":"register","path":"{path}"}}"#));
-
-        // Only `result` is compared: the cache accounting legitimately
-        // flips from miss to hit between otherwise-identical requests.
-        let estimate = |threads: &str| {
-            ok(
-                &state,
-                &format!(
-                    r#"{{"op":"estimate","table":"svc_t","sampler":"stratified","fraction":0.1,"strata":4,"seed":9{threads}}}"#
-                ),
-            )
-        };
-        let baseline = estimate(r#","threads":1"#);
-        let baseline = baseline.get("result").unwrap();
-        assert_eq!(
-            Some(baseline),
-            estimate("").get("result"),
-            "daemon default matches serial"
-        );
-        assert_eq!(Some(baseline), estimate(r#","threads":8"#).get("result"));
-        assert_eq!(
-            Some(baseline),
-            estimate(r#","threads":0"#).get("result"),
-            "0 = all cores"
-        );
-
-        let advise = |threads: &str| {
-            ok(
-                &state,
-                &format!(
-                    r#"{{"op":"advise","table":"svc_t","sampler":"block","fraction":0.05,"seed":3{threads},"candidates":[{{"index":"i1","scheme":"dictionary-global"}},{{"index":"i2","scheme":"null-suppression"}},{{"index":"i3","scheme":"rle"}}]}}"#
-                ),
-            )
-        };
-        assert_eq!(
-            advise(r#","threads":1"#).get("result"),
-            advise(r#","threads":4"#).get("result")
         );
     }
 

@@ -14,7 +14,7 @@
 //!
 //! Reads are **concurrent**: on Unix each page read is one positional
 //! `pread` that never touches the shared file cursor, so any number of
-//! threads (the `samplecfd` worker pool, parallel advisor draws) can read
+//! threads (the `samplecfd` worker pool, the trial runner) can read
 //! pages of one open file simultaneously with no lock held.  On other
 //! platforms reads fall back to seek-then-read under a
 //! [`parking_lot::Mutex`] guarding the cursor.  Writes always take that

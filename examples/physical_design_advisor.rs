@@ -99,7 +99,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let constrained = CompressionAdvisor::new(AdvisorConfig {
         min_saving_fraction: 0.20,
         budget_bytes: Some(budget),
-        ..Default::default()
     })?;
     let constrained_plan = constrained.plan(&samples)?;
     print_plan(

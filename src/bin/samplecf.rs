@@ -53,7 +53,7 @@ USAGE:
 sent (docs/API.md) on an in-process service: flag --strata-mode is request
 field strata_mode, with the same defaults and the same checks.  --json
 prints the service's response object, byte for byte what the daemon
-answers; `--threads` defaults to all cores here.
+answers.
 
 GEN OPTIONS:
   --out FILE          output path (required)
@@ -284,8 +284,8 @@ fn cmd_gen(mut args: Args) -> Result<(), String> {
 }
 
 /// An in-process service with the table file at `path` registered — what
-/// a `samplecfd --table PATH` holds, without the sockets and threads.
-/// Requests run on all cores unless they say otherwise.
+/// a `samplecfd --table PATH` holds, without the sockets and threads.  Its
+/// bulk loads may use every core (`samplecfd --estimator-threads 0`).
 fn local_service(path: &str) -> Result<(ServiceState, CatalogEntry), String> {
     let state = ServiceState::new(DEFAULT_CACHE_BUDGET_BYTES).with_estimator_threads(0);
     let entry = state
@@ -362,7 +362,7 @@ fn cmd_estimate(mut args: Args) -> Result<(), String> {
             outln!("  with ptrs    {:.4}", measurement.cf_with_pointers);
             outln!("  page-level   {:.4}", measurement.cf_pages);
             outln!(
-                "pages read     {} of {num_pages} ({:.1}% per trial)",
+                "pages read     {} of {num_pages} ({:.1}%)",
                 accounting.pages_read,
                 100.0 * accounting.pages_read as f64 / num_pages.max(1) as f64
             );
@@ -375,9 +375,9 @@ fn cmd_estimate(mut args: Args) -> Result<(), String> {
             let label = format!("{} (progressive)", sample.sampler.label());
             print_estimate_header(&entry, &label, scheme, index, sample.seed);
             outln!(
-                "target         half-width <= {:.1}% of CF at {:.0}% confidence",
+                "target         half-width <= {:.1}% of CF at {}% confidence",
                 100.0 * report.target_error,
-                100.0 * report.confidence
+                percent(report.confidence)
             );
             outln!();
             outln!(
@@ -406,8 +406,8 @@ fn cmd_estimate(mut args: Args) -> Result<(), String> {
             outln!("estimated CF   {:.4}", report.measurement.cf);
             if let Some((lo, hi)) = report.ci() {
                 outln!(
-                    "  95%-style CI [{lo:.4}, {hi:.4}] (Chebyshev at {:.0}%)",
-                    100.0 * report.confidence
+                    "  {}% CI [{lo:.4}, {hi:.4}] (Chebyshev)",
+                    percent(report.confidence)
                 );
             }
             outln!(
@@ -438,6 +438,13 @@ fn cmd_estimate(mut args: Args) -> Result<(), String> {
     Ok(())
 }
 
+/// A fraction as a percentage, as precise as it was given: 0.9 is `90`,
+/// 0.975 is `97.5`.
+fn percent(fraction: f64) -> String {
+    let text = format!("{:.2}", 100.0 * fraction);
+    text.trim_end_matches('0').trim_end_matches('.').to_string()
+}
+
 /// `estimate --trials T`: the spread of T independent estimates of the
 /// request's (sampler, index, scheme), seeds derived from its seed.
 fn run_trials(
@@ -463,9 +470,7 @@ fn run_trials(
     let started = Instant::now();
     let label = sample.sampler.label();
     print_estimate_header(entry, &label, scheme.name(), index, sample.seed);
-    let config = TrialConfig::new(trials)
-        .base_seed(sample.seed)
-        .threads(sample.threads.unwrap_or(0));
+    let config = TrialConfig::new(trials).base_seed(sample.seed);
     let estimates = TrialRunner::new(config)
         .run_estimates(&counting, &spec, scheme.as_ref(), sample.sampler)
         .map_err(|e| e.to_string())?;

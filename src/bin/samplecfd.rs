@@ -29,10 +29,9 @@ OPTIONS:
   --workers N            estimation worker threads      [default: 8]
                          (compute pool only; connection capacity is
                          --max-connections)
-  --estimator-threads N  default inner parallelism of one request
-                         (0 = all cores; a request's \"threads\" field
-                         overrides it).  Keep workers x this near the
-                         core count                     [default: 1]
+  --estimator-threads N  bulk-load threads of one request (0 = all
+                         cores).  Keep workers x this near the core
+                         count                          [default: 1]
   --max-connections N    open-connection limit; further connects are
                          answered busy and closed      [default: 10240]
   --queue-depth N        bounded request queue between the event loop

@@ -854,6 +854,119 @@ fn both_ends_reject_the_same_malformed_specs_before_touching_the_cache() {
 }
 
 #[test]
+fn a_threads_member_or_flag_is_refused_on_every_sampling_op() {
+    use samplecf_server::{RequestKind, ServiceState};
+    let dir = TempDir::new("threads");
+    let table = dir.path("t.scf");
+    samplecf(&["gen", "--out", &table, "--rows", "2000", "--distinct", "40"]);
+    let state = ServiceState::new(16 << 20);
+    state.catalog.register(&table, None).expect("registers");
+
+    // (op, its other required fields as JSON, the CLI invocation).
+    let cases: [(RequestKind, &str, &[&str]); 3] = [
+        (RequestKind::Estimate, "", &["estimate"]),
+        (
+            RequestKind::EstimateProgressive,
+            r#","target_error":0.1"#,
+            &["estimate", "--target-error", "0.1"],
+        ),
+        (
+            RequestKind::Advise,
+            r#","candidates":[{"index":"idx","scheme":"rle"}]"#,
+            &["advise", "--scheme", "rle"],
+        ),
+    ];
+    for (kind, fields, command) in cases {
+        let op = kind.name();
+        let reply = state.handle_line(&format!(
+            r#"{{"op":"{op}","table":"t","threads":2{fields}}}"#
+        ));
+        let reply = Json::parse(&reply).expect("structured reply");
+        let error = reply.key("error");
+        assert_eq!(error.key("code"), &Json::Str("bad_request".to_string()));
+        let accepted: Vec<&str> = kind.fields().iter().map(|f| f.name).collect();
+        let expected = format!(
+            "unknown field \"threads\" (accepted: {})",
+            accepted.join(", ")
+        );
+        assert_eq!(error.key("message"), &Json::Str(expected), "{op}");
+
+        let stderr = samplecf_fails(&[command, &["--table", &table, "--threads", "2"]].concat());
+        assert!(
+            stderr.contains("unknown field \"threads\" (flag --threads"),
+            "{op}: {stderr}"
+        );
+    }
+    let cache = state.cache.stats();
+    assert_eq!((cache.misses, cache.hits, cache.pages_read), (0, 0, 0));
+}
+
+#[test]
+fn text_reports_state_their_own_parameters() {
+    let dir = TempDir::new("text");
+    let table = dir.path("const.scf");
+    samplecf(&[
+        "gen",
+        "--out",
+        &table,
+        "--rows",
+        "30000",
+        "--distinct",
+        "1",
+        "--len-min",
+        "8",
+        "--len-max",
+        "8",
+        "--seed",
+        "3",
+    ]);
+    let line = |output: &str, label: &str| -> String {
+        let found = output.lines().find(|l| l.trim_start().starts_with(label));
+        found
+            .unwrap_or_else(|| panic!("no `{label}` line in:\n{output}"))
+            .to_string()
+    };
+
+    // The interval is reported at the confidence the run was given.
+    let progressive = samplecf(&[
+        "estimate",
+        "--table",
+        &table,
+        "--sampler",
+        "block",
+        "--target-error",
+        "0.1",
+        "--max-fraction",
+        "0.1",
+        "--confidence",
+        "0.9",
+        "--seed",
+        "5",
+    ]);
+    assert!(
+        line(&progressive, "target").ends_with("at 90% confidence"),
+        "{progressive}"
+    );
+    let ci = line(&progressive, "90% CI [");
+    assert!(ci.ends_with("] (Chebyshev)"), "{ci}");
+    assert!(!progressive.contains("95%"), "{progressive}");
+
+    // "per trial" belongs to `--trials` alone.
+    let estimate = ["estimate", "--table", &table, "--sampler", "block"];
+    let single = samplecf(&estimate);
+    let pages = line(&single, "pages read");
+    assert!(
+        pages.ends_with("%)") && !pages.contains("per trial"),
+        "{pages}"
+    );
+    let trials = samplecf(&[&estimate[..], &["--trials", "3"]].concat());
+    assert!(
+        line(&trials, "pages read").ends_with("% per trial)"),
+        "{trials}"
+    );
+}
+
+#[test]
 fn a_closed_stdout_pipe_ends_the_report_quietly() {
     let dir = TempDir::new("epipe");
     let table = dir.path("t.scf");
