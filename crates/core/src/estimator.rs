@@ -9,14 +9,17 @@
 //! ```
 //!
 //! The estimator is deliberately agnostic to the compression scheme: steps 2
-//! and 3 reuse exactly the same index-build and compression code paths as the
-//! exact computation, just over the sample instead of the full table.
+//! and 3 are the exact computation's key-order walk, just over the sample
+//! instead of the full table.  Neither packs the tree; [`measure_rows`]
+//! does, as the differential oracle.
 
 use crate::algebra::weighted_combine;
-use crate::error::{CoreError, CoreResult};
+use crate::error::CoreResult;
 use crate::metrics::ratio_error;
 use samplecf_compression::CompressionScheme;
-use samplecf_index::{measure_index, CompressedIndexReport, IndexBuilder, IndexSpec};
+use samplecf_index::{
+    measure_index, CompressedIndexReport, FirstKeyStats, IndexBuilder, IndexSpec, SortedRun,
+};
 use samplecf_sampling::{MaterializedSample, SamplerKind};
 use samplecf_storage::{Schema, TableSource, Value};
 use std::collections::HashSet;
@@ -39,25 +42,14 @@ pub struct DataStats {
 }
 
 impl DataStats {
-    fn from_rows<'a>(values: impl Iterator<Item = &'a Value>) -> Self {
-        let mut rows = 0usize;
-        let mut sum = 0usize;
-        let mut nulls = 0usize;
-        let mut distinct: HashSet<&Value> = HashSet::new();
-        for v in values {
-            rows += 1;
-            sum += v.logical_len();
-            if v.is_null() {
-                nulls += 1;
-            } else {
-                distinct.insert(v);
-            }
-        }
+    /// The stats of `rows` rows whose first key column a walk of their key
+    /// order read off as `first_key`.
+    fn off_the_order(rows: usize, first_key: FirstKeyStats) -> Self {
         DataStats {
             rows,
-            distinct_first_key: distinct.len(),
-            sum_logical_len_first_key: sum,
-            null_first_key: nulls,
+            distinct_first_key: first_key.distinct,
+            sum_logical_len_first_key: first_key.logical_len_sum,
+            null_first_key: first_key.nulls,
         }
     }
 }
@@ -130,8 +122,9 @@ pub struct CfMeasurement {
     pub sampler: String,
     /// Statistics of the rows the measurement was taken over.
     pub data: DataStats,
-    /// Wall-clock time of the measurement: building and compressing the
-    /// index (sizing it, for a held sample); for
+    /// Wall-clock time of the measurement: sizing the index — sorting and
+    /// walking its entries ([`ExactCf`]), walking a held sample's, or
+    /// building and measuring the tree ([`measure_rows`]); for
     /// [`SampleCf::estimate`] and a progressive run, the whole run — draw
     /// included — whichever way its checkpoints were priced.
     pub elapsed: Duration,
@@ -140,6 +133,25 @@ pub struct CfMeasurement {
 }
 
 impl CfMeasurement {
+    /// The measurement `report` gives of the rows `data` describes.
+    pub(crate) fn of(
+        report: CompressedIndexReport,
+        sampler: String,
+        data: DataStats,
+        elapsed: Duration,
+    ) -> Self {
+        CfMeasurement {
+            cf: report.cf(),
+            cf_with_pointers: report.cf_with_pointers(),
+            cf_pages: report.cf_pages(),
+            scheme: report.scheme.clone(),
+            sampler,
+            data,
+            elapsed,
+            report,
+        }
+    }
+
     /// Ratio error of this measurement against a reference (usually the exact
     /// CF of the full index).
     #[must_use]
@@ -149,12 +161,12 @@ impl CfMeasurement {
 }
 
 /// Build and compress an index over an explicit decoded row set and report
-/// its CF: the entry for callers that hold owned rows — [`ExactCf`] (a full
-/// scan) and the differential oracle.  A held sample is measured by
-/// [`measure_sample`] instead.  For rows drawn with a given
-/// `(sampler, seed)`, the measurement is byte-identical to
-/// [`SampleCf::estimate`] with that configuration (the rows *are* the
-/// estimate; building and compressing them is deterministic).
+/// its CF: the paper's Figure 2 read literally, and the differential oracle
+/// — the one caller of the tree packer in this crate; every estimator walks
+/// a key order instead.  For rows drawn with a given `(sampler, seed)`, the
+/// measurement is byte-identical to [`SampleCf::estimate`] with that
+/// configuration (the rows *are* the estimate; building and compressing
+/// them is deterministic).
 pub fn measure_rows(
     schema: &Schema,
     rows: &[(samplecf_storage::Rid, samplecf_storage::Row)],
@@ -168,23 +180,18 @@ pub fn measure_rows(
     let report = measure_index(&index, scheme)?;
     let elapsed = start.elapsed();
 
-    let first_key = spec
-        .key_indexes(schema)?
-        .first()
-        .copied()
-        .ok_or_else(|| CoreError::InvalidConfig("index has no key columns".to_string()))?;
-    let data = DataStats::from_rows(rows.iter().map(|(_, r)| r.value(first_key)));
-
-    Ok(CfMeasurement {
-        cf: report.cf(),
-        cf_with_pointers: report.cf_with_pointers(),
-        cf_pages: report.cf_pages(),
-        scheme: report.scheme.clone(),
-        sampler: sampler_label,
-        data,
-        elapsed,
+    // An index spec has at least one key column.
+    let first_key = spec.key_indexes(schema)?[0];
+    let mut stats = DataStatsAccumulator::new();
+    for (_, row) in rows {
+        stats.observe(row.value(first_key));
+    }
+    Ok(CfMeasurement::of(
         report,
-    })
+        sampler_label,
+        stats.snapshot(),
+        elapsed,
+    ))
 }
 
 /// Measure one held sample under one scheme — steps 2–4 of SampleCF over an
@@ -271,12 +278,7 @@ pub fn measure_sample_schemes(
     };
     let (reports, first_key) = ordered.measure(schemes)?;
     let elapsed = start.elapsed();
-    let data = DataStats {
-        rows: records.len(),
-        distinct_first_key: first_key.distinct,
-        sum_logical_len_first_key: first_key.logical_len_sum,
-        null_first_key: first_key.nulls,
-    };
+    let data = DataStats::off_the_order(records.len(), first_key);
 
     // One walk per stratum serves every scheme.
     let tags = sample.row_strata();
@@ -294,11 +296,7 @@ pub fn measure_sample_schemes(
             cf,
             cf_with_pointers,
             cf_pages,
-            scheme: report.scheme.clone(),
-            sampler: sample.kind().label(),
-            data: data.clone(),
-            elapsed,
-            report,
+            ..CfMeasurement::of(report, sample.kind().label(), data.clone(), elapsed)
         }
     };
     Ok((
@@ -339,8 +337,8 @@ pub(crate) fn combine_strata<'r>(
         .map(|((cf, cfwp), cfp)| (cf, cfwp, cfp))
 }
 
-/// Exact computation of the compression fraction: build and compress the full
-/// index (the expensive baseline SampleCF avoids).
+/// Exact computation of the compression fraction: size and compress the
+/// full index (the expensive baseline SampleCF avoids).
 #[derive(Debug, Clone, Default)]
 pub struct ExactCf {
     builder: IndexBuilder,
@@ -353,13 +351,16 @@ impl ExactCf {
         Self::default()
     }
 
-    /// Use a custom index builder (page size / fill factor).
+    /// Size the index as `builder` would load it (page size / fill factor).
+    /// Its thread count has no effect: nothing here loads a tree.
     #[must_use]
     pub fn with_builder(builder: IndexBuilder) -> Self {
         ExactCf { builder }
     }
 
-    /// Build the full index, compress it, and report the true CF.
+    /// Report the true CF of the full index: every row's entry sorted and
+    /// walked once, the [`DataStats`] read off the same walk — bit for bit
+    /// [`measure_rows`] over the same rows, with no tree packed.
     ///
     /// Works over any [`TableSource`]; on a disk-resident table this scans
     /// every page — exactly the cost SampleCF exists to avoid.
@@ -369,15 +370,20 @@ impl ExactCf {
         spec: &IndexSpec,
         scheme: &dyn CompressionScheme,
     ) -> CoreResult<CfMeasurement> {
+        let schema = source.schema();
         let rows = source.scan_rows()?;
-        measure_rows(
-            source.schema(),
-            &rows,
-            spec,
-            scheme,
-            &self.builder,
+        let start = Instant::now();
+        let sizer = self.builder.sizer(schema, spec)?;
+        let run = SortedRun::from_rows(schema, &rows, spec)?;
+        let (mut reports, first_key) = sizer.measure_run(&run, None, |_| true, &[scheme])?;
+        let report = reports.pop().expect("one report per scheme");
+        let data = DataStats::off_the_order(rows.len(), first_key);
+        Ok(CfMeasurement::of(
+            report,
             "exact".to_string(),
-        )
+            data,
+            start.elapsed(),
+        ))
     }
 }
 
@@ -426,16 +432,11 @@ impl SampleCf {
         self
     }
 
-    /// Worker threads for the bulk load (0 = all available parallelism,
-    /// 1 = serial; the default).
-    ///
-    /// Shorthand for the index builder's thread count: the radix sort and
-    /// leaf pack are the estimator's one intra-request fan-out; strata and
-    /// checkpoint kernels run on the calling thread.  Estimates are
-    /// byte-identical for every thread count.
+    /// Has no effect: an estimate is one progressive checkpoint, which
+    /// sums, merges and walks on the calling thread whatever the thread
+    /// count.  Kept for callers that still set it (perfbench).
     #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.builder = self.builder.threads(threads);
+    pub fn threads(self, _threads: usize) -> Self {
         self
     }
 

@@ -30,18 +30,19 @@
 //!   pooled report, each stratum's and each leave-one-out (pooled sums less
 //!   the batch's) come from [`RunSizer::price`].  No run, merge, tree or
 //!   walk.
-//! * **tree**, for any other scheme.  Each batch is encoded and sorted into
-//!   a [`SortedRun`] and merged (never re-sorted) into the pooled run and
-//!   its strata's runs; a checkpoint packs and measures the pooled tree and
-//!   each stratum's, and prices the `B − 1` older leave-one-outs by
-//!   size-only walks of the pooled run that skip batch `i`'s entries
-//!   ([`RunSizer::measure_excluding`]) — the pooled run minus a batch's run
-//!   is exactly the merge of the others.
+//! * **tree** (the metric's label), for any other scheme: merge and walk.
+//!   Each batch is encoded and sorted into a [`SortedRun`] and merged
+//!   (never re-sorted) into the pooled run; every size is a walk of it
+//!   ([`RunSizer::measure_run`]) — whole, filtered to a stratum's pages by
+//!   RID, or skipping batch `i`'s entries for each of the `B − 1` older
+//!   leave-one-outs (the pooled run minus a batch's run is exactly the
+//!   merge of the others).  No tree is packed.
 //!
 //! Both are bit-identical to packing and measuring every tree from the
-//! rows.  The delete-*last*-batch estimate is free: it is the previous
-//! checkpoint's CF.  No leave-one-out is priced before a second checkpoint
-//! asks for a variance, so a one-checkpoint run pays for none.
+//! rows, the differential oracle.  The delete-*last*-batch estimate is
+//! free: it is the previous checkpoint's CF.  No leave-one-out is priced
+//! before a second checkpoint asks for a variance, so a one-checkpoint run
+//! pays for none.
 //!
 //! On low-variance data the stop comes after a tiny fraction of the pages a
 //! fixed-`f` run would read; on adversarial data the run simply continues
@@ -60,12 +61,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use samplecf_compression::{CellCosts, CompressionScheme};
 use samplecf_index::{
-    measure_index, CompressedIndexReport, IndexBuilder, IndexSpec, RunCellCosts, RunSizer,
-    SortedRun,
+    CompressedIndexReport, IndexBuilder, IndexSpec, RunCellCosts, RunSizer, SortedRun,
 };
 use samplecf_obs::{Counter, Histogram, MetricsRegistry, Timer};
 use samplecf_sampling::{BatchSchedule, SamplerKind};
-use samplecf_storage::{CountingSource, Rid, Row, Schema, TableSource};
+use samplecf_storage::{CountingSource, PageId, Rid, Row, Schema, TableSource};
 use std::time::Instant;
 
 /// Registry-backed instruments for progressive runs.  A default-constructed
@@ -88,8 +88,8 @@ pub struct ProgressiveMetrics {
     draw_ns: Histogram,
     /// Per-checkpoint measure wall time — taking in the batch and pricing
     /// the sample, its strata and the variance estimate: cell-cost sums and
-    /// arithmetic for a cell-additive scheme, sorted runs, packed trees and
-    /// walks for any other (`samplecf_progressive_measure_ns`).
+    /// arithmetic for a cell-additive scheme, sorted runs, a merge and walks
+    /// for any other (`samplecf_progressive_measure_ns`).
     measure_ns: Histogram,
     /// Checkpoints whose variance came from the grouped jackknife
     /// (`samplecf_progressive_variance_total{source="jackknife"}`).
@@ -110,8 +110,9 @@ pub struct ProgressiveMetrics {
     /// Checkpoints priced from per-column cell-cost sums
     /// (`samplecf_progressive_pricing_total{route="cell_sums"}`).
     pricing_cell_sums: Counter,
-    /// Checkpoints priced by packing and measuring trees
-    /// (`samplecf_progressive_pricing_total{route="tree"}`).
+    /// Checkpoints priced by merging sorted runs and walking them
+    /// (`samplecf_progressive_pricing_total{route="tree"}`; the label
+    /// predates the walk).
     pricing_tree: Counter,
 }
 
@@ -332,22 +333,20 @@ impl ProgressiveCf {
         self
     }
 
-    /// Use a custom index builder for the checkpoint indexes.
+    /// Size the checkpoint indexes as `builder` would load them (page size,
+    /// fill factor).  Its thread count has no effect: no checkpoint loads a
+    /// tree.
     #[must_use]
     pub fn builder(mut self, builder: IndexBuilder) -> Self {
         self.builder = builder;
         self
     }
 
-    /// Worker threads for the tree route's bulk loads (0 = all available
-    /// parallelism, 1 = serial; the default): the index builder's thread
-    /// count, which splits a pack only past
-    /// [`IndexBuilder::MIN_ENTRIES_PER_WORKER`] entries per worker.  Strata,
-    /// jackknife walks and cell sums run on the calling thread.  Reports are
-    /// byte-identical for every thread count.
+    /// Has no effect: a run sums, merges and walks on the calling thread,
+    /// whatever the thread count.  Kept for callers that still set it
+    /// (perfbench).
     #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.builder = self.builder.threads(threads);
+    pub fn threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -414,11 +413,8 @@ impl ProgressiveCf {
             Self::supports_checkpoints(self.sampler)?;
         }
         let schema = source.schema().clone();
-        let first_key = spec
-            .key_indexes(&schema)?
-            .first()
-            .copied()
-            .ok_or_else(|| CoreError::InvalidConfig("index has no key columns".to_string()))?;
+        // An index spec has at least one key column.
+        let first_key = spec.key_indexes(&schema)?[0];
         let z = theory::chebyshev_z(self.config.confidence);
         let counting = CountingSource::new(source);
         let mut stream = self.sampler.stream(self.config.schedule)?;
@@ -450,7 +446,7 @@ impl ProgressiveCf {
 
         self.metrics.runs.inc();
         loop {
-            let mut batch = {
+            let batch = {
                 let _draw = Timer::start(&self.metrics.draw_ns);
                 stream.next_batch(&counting, &mut rng)?
             };
@@ -485,7 +481,7 @@ impl ProgressiveCf {
                     strata_rows[t as usize] += 1;
                 }
             }
-            pooled.add(&mut batch, tags, strata_weights.len())?;
+            pooled.add(&batch, tags, strata_weights.len())?;
 
             let report = pooled.report()?;
             priced.inc();
@@ -596,15 +592,12 @@ impl ProgressiveCf {
         // its per-column detail).
         let (cf, cf_with_pointers, cf_pages) = last_cf_triple
             .unwrap_or_else(|| (report.cf(), report.cf_with_pointers(), report.cf_pages()));
+        let (sampler, elapsed) = (self.sampler.label(), started.elapsed());
         let measurement = CfMeasurement {
             cf,
             cf_with_pointers,
             cf_pages,
-            scheme: report.scheme.clone(),
-            sampler: self.sampler.label(),
-            data: stats.snapshot(),
-            elapsed: started.elapsed(),
-            report,
+            ..CfMeasurement::of(report, sampler, stats.snapshot(), elapsed)
         };
         Ok(ProgressiveReport {
             measurement,
@@ -626,7 +619,6 @@ impl ProgressiveCf {
 /// and per stratum — by the route the scheme's own declaration picks (see
 /// the [module docs](self)).
 struct Pooled<'a> {
-    builder: &'a IndexBuilder,
     schema: &'a Schema,
     spec: &'a IndexSpec,
     scheme: &'a dyn CompressionScheme,
@@ -645,17 +637,21 @@ enum Route {
         strata: Vec<RunCellCosts>,
     },
     /// Any other scheme: sorted runs — the pooled one merged, never
-    /// re-sorted — packed into trees and measured.
+    /// re-sorted — walked, whole or in part.
     Tree {
         merged: SortedRun,
         batches: Vec<SortedRun>,
-        strata: Vec<SortedRun>,
+        /// Per stratum, the first and last page its drawn rows lie on.
+        /// Strata are contiguous page ranges
+        /// ([`Strata`](samplecf_sampling::Strata)), so these spans are
+        /// disjoint and an entry's RID page names its stratum.
+        stratum_pages: Vec<(PageId, PageId)>,
     },
 }
 
 impl<'a> Pooled<'a> {
     fn new(
-        builder: &'a IndexBuilder,
+        builder: &IndexBuilder,
         schema: &'a Schema,
         spec: &'a IndexSpec,
         scheme: &'a dyn CompressionScheme,
@@ -671,11 +667,10 @@ impl<'a> Pooled<'a> {
             None => Route::Tree {
                 merged: SortedRun::new(),
                 batches: Vec::new(),
-                strata: Vec::new(),
+                stratum_pages: Vec::new(),
             },
         };
         Ok(Pooled {
-            builder,
             schema,
             spec,
             scheme,
@@ -685,15 +680,12 @@ impl<'a> Pooled<'a> {
     }
 
     /// Take in one batch: `tags` are its rows' strata, of `strata` — both
-    /// empty for an unstratified run.  Only a stratified run on the tree
-    /// route moves the rows out of `batch` (into its strata); otherwise the
-    /// caller keeps them until the checkpoint is priced, as the tree route
-    /// always has.  (Freeing them before the tree is packed lets the
-    /// dictionary kernels' long-lived scratch table land in their hole rather
-    /// than atop the heap, and glibc then trims and re-faults ~2 MB per
-    /// tree checkpoint.)
-    fn add(&mut self, batch: &mut Vec<(Rid, Row)>, tags: &[u32], strata: usize) -> CoreResult<()> {
-        let (schema, spec, sizer) = (self.schema, self.spec, &self.sizer);
+    /// empty for an unstratified run.  The caller keeps the rows until the
+    /// checkpoint is priced.  (Freeing them first lets the dictionary
+    /// kernels' long-lived scratch table land in their hole rather than atop
+    /// the heap, and glibc then trims and re-faults ~2 MB per checkpoint.)
+    fn add(&mut self, batch: &[(Rid, Row)], tags: &[u32], strata: usize) -> CoreResult<()> {
+        let sizer = &self.sizer;
         match &mut self.route {
             Route::CellSums {
                 costs,
@@ -716,26 +708,17 @@ impl<'a> Pooled<'a> {
             Route::Tree {
                 merged,
                 batches,
-                strata: runs,
+                stratum_pages,
             } => {
-                let run = SortedRun::from_rows(schema, batch, spec)?;
+                let run = SortedRun::from_rows(self.schema, batch, self.spec)?;
                 *merged = std::mem::take(merged).into_merged(&run);
                 if tags.is_empty() {
                     batches.push(run);
-                    return Ok(());
                 }
-                runs.resize_with(strata, SortedRun::new);
-                // The pooled run is done with the batch, so its rows move —
-                // in draw order — into their strata.
-                let mut groups: Vec<Vec<_>> = vec![Vec::new(); strata];
-                for (row, &t) in std::mem::take(batch).into_iter().zip(tags) {
-                    groups[t as usize].push(row);
-                }
-                for (run_s, group) in runs.iter_mut().zip(&groups) {
-                    if !group.is_empty() {
-                        let batch_s = SortedRun::from_rows(schema, group, spec)?;
-                        *run_s = std::mem::take(run_s).into_merged(&batch_s);
-                    }
+                stratum_pages.resize(strata, (PageId::MAX, 0));
+                for ((rid, _), &t) in batch.iter().zip(tags) {
+                    let (first, last) = &mut stratum_pages[t as usize];
+                    (*first, *last) = ((*first).min(rid.page), (*last).max(rid.page));
                 }
             }
         }
@@ -748,7 +731,7 @@ impl<'a> Pooled<'a> {
             Route::CellSums { costs, pooled, .. } => {
                 Ok(self.sizer.price(self.scheme, costs, pooled, None)?)
             }
-            Route::Tree { merged, .. } => self.measure(merged),
+            Route::Tree { merged, .. } => self.walk(merged, None, |_| true),
         }
     }
 
@@ -758,15 +741,27 @@ impl<'a> Pooled<'a> {
             Route::CellSums { costs, strata, .. } => {
                 Ok(self.sizer.price(self.scheme, costs, &strata[s], None)?)
             }
-            Route::Tree { strata, .. } => self.measure(&strata[s]),
+            Route::Tree {
+                merged,
+                stratum_pages,
+                ..
+            } => {
+                let (first, last) = stratum_pages[s];
+                self.walk(merged, None, |rid| (first..=last).contains(&rid.page))
+            }
         }
     }
 
-    fn measure(&self, run: &SortedRun) -> CoreResult<CompressedIndexReport> {
-        let index = self
-            .builder
-            .build_from_sorted_run(self.schema, self.spec, run)?;
-        Ok(measure_index(&index, self.scheme)?)
+    /// The report of the index over `run`'s entries, less `excluded`'s,
+    /// that `keep` admits ([`RunSizer::measure_run`]).
+    fn walk(
+        &self,
+        run: &SortedRun,
+        excluded: Option<&SortedRun>,
+        keep: impl Fn(Rid) -> bool,
+    ) -> CoreResult<CompressedIndexReport> {
+        let (mut reports, _) = (self.sizer).measure_run(run, excluded, keep, &[self.scheme])?;
+        Ok(reports.pop().expect("one report per scheme"))
     }
 
     /// The CFs of the samples that leave out one of the older batches
@@ -774,8 +769,8 @@ impl<'a> Pooled<'a> {
     /// building their trees.
     ///
     /// From cell sums each is [`RunSizer::price`] of the pooled sums minus
-    /// the batch's.  On the tree route, one size-only walk of the pooled run
-    /// per left-out batch ([`RunSizer::measure_excluding`]).
+    /// the batch's.  On the tree route, one walk of the pooled run per
+    /// left-out batch, skipping its entries.
     fn leave_one_out(&self, metrics: &ProgressiveMetrics) -> CoreResult<Vec<f64>> {
         match &self.route {
             Route::CellSums {
@@ -794,9 +789,8 @@ impl<'a> Pooled<'a> {
             } => {
                 let older = &batches[..batches.len() - 1];
                 metrics.leave_one_out_walk.add(older.len() as u64);
-                let walk = |batch| self.sizer.measure_excluding(merged, batch, self.scheme);
                 (older.iter())
-                    .map(|batch| Ok(walk(batch)?.compression_fraction()))
+                    .map(|batch| Ok(self.walk(merged, Some(batch), |_| true)?.cf()))
                     .collect()
             }
         }

@@ -19,19 +19,23 @@
 //! sample's entries once and walks them, packing no tree and decoding no
 //! value — so its whole [`CfMeasurement`], page counts and first-key
 //! statistics included, is pinned here against the packed, decoded-row
-//! oracle too, over random schemas and key shapes.  So is the fourth, the
-//! progressive estimator's for a cell-additive scheme: rows summed unsorted
-//! into cell costs and priced by arithmetic
-//! ([`RunSizer::price`](samplecf_index::RunSizer::price)).
+//! oracle too, over random schemas and key shapes.  So are the progressive
+//! estimator's two: for a cell-additive scheme, rows summed unsorted into
+//! cell costs and priced by arithmetic
+//! ([`RunSizer::price`](samplecf_index::RunSizer::price)); for any other,
+//! batches' sorted runs merged and walked
+//! ([`RunSizer::measure_run`](samplecf_index::RunSizer::measure_run)).  The
+//! exact CF walks the whole table's run the same way; `ExactCf` is pinned to
+//! [`measure_rows`] here too.
 
 use proptest::prelude::*;
 use samplecf_compression::{scheme_by_name, scheme_names};
 use samplecf_compression::{CompressionScheme, NullSuppression, Uncompressed};
 use samplecf_core::{
-    measure_rows, measure_sample, measure_sample_schemes, weighted_combine, CfMeasurement,
+    measure_rows, measure_sample, measure_sample_schemes, weighted_combine, CfMeasurement, ExactCf,
     KeyOrderSource,
 };
-use samplecf_index::{compress_index, measure_index, IndexBuilder, IndexSpec};
+use samplecf_index::{compress_index, measure_index, IndexBuilder, IndexSpec, SortedRun};
 use samplecf_sampling::{Allocation, MaterializedSample, SamplerKind, Strata, StrataMode};
 use samplecf_storage::{
     Column, DataType, DiskTable, Rid, Row, RowCodec, Schema, Table, TableBuilder, TableSource,
@@ -285,6 +289,54 @@ fn batch_kernels_equal_the_byte_path_on_disk_sources() {
     let disk = DiskTable::materialize(&path, &t).unwrap();
     for kind in samplers() {
         assert_differential(&disk, kind, "disk");
+    }
+    drop(disk);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// `ExactCf` sorts the whole table's entries into one run and walks it;
+/// the oracle, [`measure_rows`] over the same scan, packs the tree and
+/// hashes the first-key values.  Every field but the clock agrees — report,
+/// CF triple and first-key stats — under every scheme, for a nullable first
+/// key and two-column keys, at two page shapes, over `Table` and
+/// `DiskTable`.
+#[test]
+fn exact_cf_is_measure_rows_over_the_scan() {
+    let t = mixed_table(2_000, 1024);
+    let path = std::env::temp_dir().join(format!("samplecf_exact_cf_{}.scf", std::process::id()));
+    let disk = DiskTable::materialize(&path, &t).unwrap();
+    let sources: [(&str, &dyn TableSource); 2] = [("memory", &t), ("disk", &disk)];
+    for (backend, source) in sources {
+        let rows = source.scan_rows().unwrap();
+        for spec in [
+            IndexSpec::nonclustered("idx", ["a"]).unwrap(),
+            IndexSpec::clustered("pk", ["b", "a"]).unwrap(),
+            IndexSpec::nonclustered("cb", ["c", "b"]).unwrap(),
+        ] {
+            for builder in [
+                IndexBuilder::new(),
+                IndexBuilder::new().page_size(512).fill_factor(0.7),
+            ] {
+                for name in scheme_names() {
+                    let scheme = scheme_by_name(name).unwrap();
+                    let exact = ExactCf::with_builder(builder)
+                        .compute(source, &spec, scheme.as_ref())
+                        .unwrap();
+                    let label = "exact".to_string();
+                    let oracle = measure_rows(
+                        source.schema(),
+                        &rows,
+                        &spec,
+                        scheme.as_ref(),
+                        &builder,
+                        label,
+                    )
+                    .unwrap();
+                    let tag = format!("{backend}/{}/{name}/{builder:?}", spec.name());
+                    assert_same_measurement(&exact, &oracle, &tag);
+                }
+            }
+        }
     }
     drop(disk);
     let _ = std::fs::remove_file(&path);
@@ -641,13 +693,16 @@ proptest! {
         assert_walk_equals_packed_route(&sample, &spec, &builder, &tag);
     }
 
-    /// The progressive estimator's sums route — rows encoded once, unsorted,
-    /// into per-column cell costs by stratum and by batch, then priced — is
-    /// the packed tree, as a whole report or as the builder's error: for the
-    /// pooled rows, each stratum's and each all-but-one-batch set, under
-    /// `none` and null suppression.  Random one- to ten-column schemas, one-
-    /// and two-column keys, clustered and not, the empty set included; at
-    /// 256-byte pages wide keys meet the single-separator internal page.
+    /// The progressive estimator's two routes are the packed tree, as a
+    /// whole report or as the builder's error: for the pooled rows, each
+    /// stratum's and each all-but-one-batch set.  The sums route — rows
+    /// encoded once, unsorted, into per-column cell costs by stratum and by
+    /// batch, then priced — under `none` and null suppression; the tree
+    /// route — each batch's sorted run merged into one, walked whole,
+    /// filtered by RID to a stratum, or skipping a batch's run — under all
+    /// six schemes.  Random one- to ten-column schemas, one- and two-column
+    /// keys, clustered and not, the empty set included; at 256-byte pages
+    /// wide keys meet the single-separator internal page.
     #[test]
     fn cell_sums_price_the_packed_tree_of_every_stratum_and_leave_one_out(
         (schema, tagged) in tagged_rows(),
@@ -711,6 +766,35 @@ proptest! {
             for (b, excluded) in batches.iter().enumerate() {
                 let tree = packed(&|_, batch| batch != b, scheme);
                 prop_assert_eq!(price(&pooled, Some(excluded)), tree, "{} all but {}", name, b);
+            }
+        }
+
+        let runs: Vec<SortedRun> = (0..BATCHES)
+            .map(|b| {
+                let batch: Vec<(Rid, Row)> = (rows.iter().zip(&tagged))
+                    .filter(|(_, (_, _, batch))| usize::from(*batch) == b)
+                    .map(|(row, _)| row.clone())
+                    .collect();
+                SortedRun::from_rows(&schema, &batch, &spec).unwrap()
+            })
+            .collect();
+        let merged = (runs.iter()).fold(SortedRun::new(), |pooled, run| pooled.into_merged(run));
+        let stratum_of = |rid: Rid| usize::from(tagged[rid.page as usize * 64 + usize::from(rid.slot)].1);
+        for name in scheme_names() {
+            let scheme = scheme_by_name(name).unwrap();
+            let walk = |excluded, keep: &dyn Fn(Rid) -> bool| {
+                let walked = sizer.measure_run(&merged, excluded, keep, &[scheme.as_ref()]);
+                walked.map(|(mut reports, _)| reports.remove(0))
+            };
+            let tree = |keep: &dyn Fn(usize, usize) -> bool| packed(keep, scheme.as_ref());
+            prop_assert_eq!(walk(None, &|_| true), tree(&|_, _| true), "{} walked", name);
+            for s in 0..STRATA {
+                let stratum = walk(None, &|rid| stratum_of(rid) == s);
+                prop_assert_eq!(stratum, tree(&|tag, _| tag == s), "{} stratum {} walked", name, s);
+            }
+            for (b, excluded) in runs.iter().enumerate() {
+                let others = walk(Some(excluded), &|_| true);
+                prop_assert_eq!(others, tree(&|_, batch| batch != b), "{} all but {} walked", name, b);
             }
         }
     }

@@ -13,15 +13,12 @@
 //! equal, bit for bit, a jackknife recomputed the slow way — a from-scratch
 //! index over the rows of the other batches for every deleted batch, packed
 //! and measured — under every scheme, whichever way the run priced its
-//! leave-one-outs (arithmetic on per-cell costs or a size-only walk), and
-//! must not depend on the thread count.
+//! leave-one-outs (arithmetic on per-cell costs or a size-only walk).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use samplecf_compression::{
-    scheme_by_name, scheme_names, CompressionScheme, NullSuppression, Uncompressed,
-};
+use samplecf_compression::{scheme_by_name, scheme_names, CompressionScheme};
 use samplecf_core::{
     grouped_jackknife_variance, measure_rows, ns_row_statistic, theory, weighted_combine,
     MomentSketch, ProgressiveCf, ProgressiveConfig, SampleCf, VarianceNode,
@@ -208,7 +205,7 @@ proptest! {
     }
 
     #[test]
-    fn checkpoint_intervals_equal_a_from_scratch_jackknife_at_every_thread_count(
+    fn checkpoint_intervals_equal_a_from_scratch_jackknife(
         rows in 600usize..1600,
         distinct in 1usize..200,
         seed in 0u64..1000,
@@ -271,15 +268,11 @@ proptest! {
                 SamplerKind::Block(fraction),
                 SamplerKind::Reservoir((rows / 10).max(5)),
             ] {
-                let run = |threads: usize| {
-                    ProgressiveCf::new(kind, config)
-                        .builder(*builder)
-                        .seed(seed)
-                        .threads(threads)
-                        .run(*table, spec, scheme.as_ref())
-                        .expect("progressive run succeeds")
-                };
-                let report = run(1);
+                let report = ProgressiveCf::new(kind, config)
+                    .builder(*builder)
+                    .seed(seed)
+                    .run(*table, spec, scheme.as_ref())
+                    .expect("progressive run succeeds");
 
                 // The batches the run drew: same stream, same seed.
                 let mut stream = kind.stream(schedule).expect("streaming kind");
@@ -326,16 +319,6 @@ proptest! {
                         &tag
                     );
                 }
-
-                for threads in [2, 0] {
-                    prop_assert_eq!(
-                        &run(threads).checkpoints,
-                        &report.checkpoints,
-                        "{:?} at threads {}",
-                        kind,
-                        threads
-                    );
-                }
             }
         }
     }
@@ -369,22 +352,22 @@ fn drain_batches(
 }
 
 proptest! {
-    // Each case runs 2 schemes × 5 kinds × 2 backends × 2 thread counts,
-    // and the oracle packs a tree per checkpoint and per leave-one-out.
+    // Each case runs 6 schemes × 5 kinds × 2 backends, and the oracle packs
+    // a tree per checkpoint, per stratum and per leave-one-out.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Every checkpoint of a run priced from cell sums (`none`, null
-    /// suppression) against an oracle that shares none of that pricing:
+    /// Every checkpoint of a run, under every scheme — priced from cell
+    /// sums (`none`, null suppression) or by merged, walked sorted runs (the
+    /// rest) — against an oracle that shares none of that pricing:
     /// [`measure_rows`] — a tree packed from decoded rows — over the first
     /// `b` batches a fresh stream draws with the same seed and schedule; for
     /// stratified kinds, their per-stratum `measure_rows` combined by the
     /// population weights.  A jackknifed checkpoint's standard error is
     /// [`grouped_jackknife_variance`] over `measure_rows` of each
     /// all-but-one-batch row set, a stratified one the algebra over the
-    /// rows' per-stratum NS statistics.  Over `Table` and `DiskTable`, at
-    /// one and two threads.
+    /// rows' per-stratum NS statistics.  Over `Table` and `DiskTable`.
     #[test]
-    fn every_cell_sum_checkpoint_equals_measure_rows_over_its_batches(
+    fn every_checkpoint_equals_measure_rows_over_its_batches(
         rows in 600usize..1400,
         distinct in 1usize..200,
         seed in 0u64..1000,
@@ -422,9 +405,12 @@ proptest! {
         let key_width = table.schema().column_at(0).datatype.uncompressed_width();
         let memory: &dyn TableSource = &table;
         let backends: [(&str, &dyn TableSource); 2] = [("memory", memory), ("disk", disk.source())];
-        let schemes: [&dyn CompressionScheme; 2] = [&Uncompressed, &NullSuppression];
+        let schemes: Vec<Box<dyn CompressionScheme>> = (scheme_names().into_iter())
+            .map(|name| scheme_by_name(name).expect("known scheme"))
+            .collect();
 
-        let cases = backends.iter().flat_map(|backend| schemes.map(|scheme| (backend, scheme)));
+        let cases = (backends.iter())
+            .flat_map(|backend| schemes.iter().map(move |scheme| (backend, scheme.as_ref())));
         for ((backend, source), scheme, kind) in
             cases.flat_map(|(backend, scheme)| kinds.map(|kind| (backend, scheme, kind)))
         {
@@ -438,55 +424,52 @@ proptest! {
                 measure_rows(source.schema(), &kept, &spec, scheme, &builder, label)
                     .expect("oracle measures")
             };
-            for threads in [1, 2] {
-                let report = ProgressiveCf::new(kind, config)
-                    .seed(seed)
-                    .threads(threads)
-                    .run(*source, &spec, scheme)
-                    .expect("progressive run succeeds");
-                let tag = format!("{backend}/{}/{kind:?}/threads {threads}", scheme.name());
-                prop_assert_eq!(report.checkpoints.len(), batches.len(), "{}", &tag);
-                let bits = |x: Option<f64>| x.map(f64::to_bits);
+            let report = ProgressiveCf::new(kind, config)
+                .seed(seed)
+                .run(*source, &spec, scheme)
+                .expect("progressive run succeeds");
+            let tag = format!("{backend}/{}/{kind:?}", scheme.name());
+            prop_assert_eq!(report.checkpoints.len(), batches.len(), "{}", &tag);
+            let bits = |x: Option<f64>| x.map(f64::to_bits);
 
-                for (c, cp) in report.checkpoints.iter().enumerate() {
-                    let tag = format!("{tag} checkpoint {c}");
-                    let upto = |b: usize| b <= c;
-                    let pooled = measured(&|b, _| upto(b));
-                    let (cf, std_error) = if weights.is_empty() {
-                        let sizes: Vec<usize> = batches[..=c].iter().map(Vec::len).collect();
-                        let leave_one_out: Vec<f64> = (0..=c)
-                            .map(|skip| measured(&|b, _| upto(b) && b != skip).cf)
-                            .collect();
-                        let variance = grouped_jackknife_variance(pooled.cf, &leave_one_out, &sizes);
-                        (pooled.cf, variance.map(f64::sqrt))
-                    } else {
-                        let strata: Vec<Option<f64>> = (0..weights.len() as u32)
-                            .map(|s| {
-                                let stratum = measured(&|b, tag| upto(b) && tag == s);
-                                (stratum.data.rows > 0).then_some(stratum.cf)
-                            })
-                            .collect();
-                        let sketches = (0..weights.len() as u32).map(|s| {
-                            let mut sketch = MomentSketch::new();
-                            for ((_, row), _) in (batches[..=c].iter().flatten())
-                                .filter(|(_, tag)| *tag == s)
-                            {
-                                sketch.observe(ns_row_statistic(row.value(0), key_width));
-                            }
-                            sketch
-                        });
-                        let node = VarianceNode::stratified(weights.clone(), sketches.collect());
-                        let cf = weighted_combine(&weights, &strata).expect("a sampled stratum");
-                        (cf, node.variance().map(f64::sqrt))
-                    };
-                    prop_assert_eq!(cp.cf.to_bits(), cf.to_bits(), "cf: {}", &tag);
-                    prop_assert_eq!(bits(cp.std_error), bits(std_error), "std_error: {}", &tag);
-                    prop_assert_eq!(cp.rows, pooled.data.rows, "rows: {}", &tag);
-                }
-                let all = measured(&|_, _| true);
-                prop_assert_eq!(&report.measurement.report, &all.report, "report: {}", &tag);
-                prop_assert_eq!(&report.measurement.data, &all.data, "data: {}", &tag);
+            for (c, cp) in report.checkpoints.iter().enumerate() {
+                let tag = format!("{tag} checkpoint {c}");
+                let upto = |b: usize| b <= c;
+                let pooled = measured(&|b, _| upto(b));
+                let (cf, std_error) = if weights.is_empty() {
+                    let sizes: Vec<usize> = batches[..=c].iter().map(Vec::len).collect();
+                    let leave_one_out: Vec<f64> = (0..=c)
+                        .map(|skip| measured(&|b, _| upto(b) && b != skip).cf)
+                        .collect();
+                    let variance = grouped_jackknife_variance(pooled.cf, &leave_one_out, &sizes);
+                    (pooled.cf, variance.map(f64::sqrt))
+                } else {
+                    let strata: Vec<Option<f64>> = (0..weights.len() as u32)
+                        .map(|s| {
+                            let stratum = measured(&|b, tag| upto(b) && tag == s);
+                            (stratum.data.rows > 0).then_some(stratum.cf)
+                        })
+                        .collect();
+                    let sketches = (0..weights.len() as u32).map(|s| {
+                        let mut sketch = MomentSketch::new();
+                        for ((_, row), _) in (batches[..=c].iter().flatten())
+                            .filter(|(_, tag)| *tag == s)
+                        {
+                            sketch.observe(ns_row_statistic(row.value(0), key_width));
+                        }
+                        sketch
+                    });
+                    let node = VarianceNode::stratified(weights.clone(), sketches.collect());
+                    let cf = weighted_combine(&weights, &strata).expect("a sampled stratum");
+                    (cf, node.variance().map(f64::sqrt))
+                };
+                prop_assert_eq!(cp.cf.to_bits(), cf.to_bits(), "cf: {}", &tag);
+                prop_assert_eq!(bits(cp.std_error), bits(std_error), "std_error: {}", &tag);
+                prop_assert_eq!(cp.rows, pooled.data.rows, "rows: {}", &tag);
             }
+            let all = measured(&|_, _| true);
+            prop_assert_eq!(&report.measurement.report, &all.report, "report: {}", &tag);
+            prop_assert_eq!(&report.measurement.data, &all.data, "data: {}", &tag);
         }
     }
 }

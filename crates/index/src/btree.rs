@@ -247,14 +247,10 @@ impl IndexBuilder {
         })
     }
 
-    /// Build an index from an already-sorted run of encoded entries — the
-    /// checkpoint-friendly path progressive estimation uses.
-    ///
-    /// A [`SortedRun`] accumulated over several sample batches is merged
-    /// (linear time), never re-sorted, so re-measuring the CF after each
-    /// batch costs `O(r)` per checkpoint instead of `O(r log r)`.  The tree
-    /// is byte-identical to [`build_from_rows`](Self::build_from_rows) over
-    /// the concatenation of the batches.
+    /// Build an index from an already-sorted run of encoded entries: the
+    /// tree a walk of the run ([`RunSizer::measure_run`]) is pinned to,
+    /// byte-identical to [`build_from_rows`](Self::build_from_rows) over the
+    /// rows of every batch merged into it.
     ///
     /// # Errors
     /// A non-empty run whose key or record length is not what `(schema,
@@ -662,20 +658,16 @@ fn key_order(arena: &[u8], layout: &EntryLayout, workers: usize) -> IndexResult<
 /// the [module docs](self)) plus the two lengths it was encoded with — so a
 /// run knows what it was built for.
 ///
-/// Progressive estimation re-measures the CF of a growing sample at every
-/// checkpoint; a from-scratch rebuild would re-sort all prior batches each
-/// time.  Instead each new batch is encoded and sorted on its own
-/// (`O(b log b)` for `b` new rows) and merged in, in linear time.  Merging
-/// copies chunks, it never clones entries: a two-cursor walk appends
-/// stride-sized slices of either arena to one new arena, and merging with
-/// an empty run is a move or a single `memcpy`.
-/// [`IndexBuilder::build_from_sorted_run`] over the run gives a tree
-/// byte-identical to [`IndexBuilder::build_from_rows`] over the same rows:
-/// the `(key bytes, RID)` sort key fully determines the entry order, so how
-/// the rows arrived cannot show.  Read backwards, the pooled run minus one
-/// batch's run *is* the merge of the others — how a
-/// [`RunSizer`] prices a delete-one-batch index without merging any run
-/// twice, or building anything.
+/// Progressive estimation re-sizes a growing sample at every checkpoint:
+/// each new batch is encoded and sorted on its own (`O(b log b)` for `b` new
+/// rows) and merged in, in linear time — a two-cursor walk appending
+/// stride-sized slices of either arena to one new arena (a move or a single
+/// `memcpy` when one side is empty).  The `(key bytes, RID)` sort key fully
+/// determines the entry order, so how the rows arrived cannot show: a
+/// [`RunSizer`] walk of the run sizes the tree
+/// [`IndexBuilder::build_from_rows`] would build from the same rows, whole,
+/// one stratum's RIDs, or — the pooled run minus one batch's run *is* the
+/// merge of the others — all but one batch.
 #[derive(Debug, Clone, Default)]
 pub struct SortedRun {
     /// `len × (key_len + record_len)` bytes, entries in key order.
@@ -1293,10 +1285,10 @@ mod tests {
         for name in scheme_names() {
             let scheme = scheme_by_name(name).unwrap();
             let packed = measure_index(kept, scheme.as_ref()).unwrap();
-            let walked = sizer.measure_excluding(&pooled_run, &runs[skip], scheme.as_ref());
+            let walked = sizer.measure_run(&pooled_run, Some(&runs[skip]), |_| true, &[&*scheme]);
             assert_eq!(
-                walked,
-                Ok(packed.outcome()),
+                walked.map(|(reports, _)| reports),
+                Ok(vec![packed.clone()]),
                 "{name}: walk of {}",
                 spec.name()
             );
@@ -1377,8 +1369,8 @@ mod tests {
         // Entries kept: the one stored column, `name`, is twelve bytes wide.
         let exclude = |excluded: &SortedRun| {
             sizer
-                .measure_excluding(&pooled, excluded, &Uncompressed)
-                .map(|kept| kept.uncompressed_bytes / 12)
+                .measure_run(&pooled, Some(excluded), |_| true, &[&Uncompressed])
+                .map(|(kept, _)| kept[0].uncompressed_data_bytes() / 12)
         };
         assert_eq!(exclude(&first), Ok(200));
         // A foreign run: none of its entries is in the pooled run.
@@ -1860,7 +1852,7 @@ mod tests {
             let sizer = builder.sizer(t.schema(), spec).unwrap();
             refused(
                 sizer
-                    .measure_excluding(&run, &other, &NullSuppression)
+                    .measure_run(&run, Some(&other), |_| true, &[&NullSuppression])
                     .map(drop),
             );
         }
@@ -1872,8 +1864,9 @@ mod tests {
         ] {
             assert_eq!(build(&by_id, &empty).unwrap().num_entries(), 0);
             let sizer = builder.sizer(t.schema(), &by_name).unwrap();
-            let whole = sizer.measure_excluding(&run, &empty, &Uncompressed);
-            assert_eq!(whole.unwrap().uncompressed_bytes, 300 * 12);
+            let (whole, _) =
+                (sizer.measure_run(&run, Some(&empty), |_| true, &[&Uncompressed])).unwrap();
+            assert_eq!(whole[0].uncompressed_data_bytes(), 300 * 12);
             // ... and merges with any run, as a copy or a move of the other.
             assert_eq!(empty.merge(&run).len(), 300);
             assert_eq!(run.merge(&empty).len(), 300);

@@ -291,8 +291,9 @@ fn stored_cells(schema: &Schema, stored: &[usize]) -> Vec<StoredCell> {
 ///   separator) once, prices them under any number of schemes, and reads the
 ///   first key column's statistics off the order on the way (the private
 ///   `walk`).  An [`OrderedEntries`] walks a held sample's entries, or one
-///   stratum's; [`measure_excluding`](Self::measure_excluding) walks a
-///   [`SortedRun`] minus one batch, for the progressive jackknife;
+///   stratum's; [`measure_run`](Self::measure_run) walks a [`SortedRun`] —
+///   a progressive checkpoint's pooled sample, one stratum of it, or all
+///   of it but one batch — or the whole table's, for the exact CF;
 /// * a scheme that declares [`cell_costs`](CompressionScheme::cell_costs) —
 ///   no order at all.  Each leaf's size is a header fixed by its length plus
 ///   its cells' costs, so a column's size over *any* entries is one header
@@ -485,41 +486,46 @@ impl<'a> RunSizer<'a> {
         })
     }
 
-    /// The size of the index over `run` minus (as a multiset) `excluded` —
-    /// how the progressive jackknife prices a delete-one-batch sample under
-    /// any scheme.
-    ///
-    /// `excluded` must be a sorted sub-multiset of `run`, as a batch's run
-    /// is of the pooled run it was merged into.  One walk of `run` with a
-    /// cursor over `excluded` keeps every entry the cursor does not match.
-    /// Entries with equal keys are fully equal (the RID is part of the key),
-    /// so which of several the cursor consumes cannot show: the kept entries
-    /// are, byte for byte, a merge of the other batches' runs.
+    /// Size the index over `run`'s entries, less (as a multiset) those of
+    /// `excluded`, that `keep` admits by RID — under every one of `schemes`,
+    /// in one walk: per scheme the report [`measure_index`] gives on the tree
+    /// packed from the same entries, and the first key column's statistics.
+    /// A stratum keeps its pages' RIDs (a subsequence of a sorted run is
+    /// sorted); a delete-one-batch sample excludes that batch's run, a sorted
+    /// sub-multiset of `run` that a cursor consumes.  Equal keys are equal
+    /// entries (the RID is part of the key), so which of several the cursor
+    /// takes cannot show.
     ///
     /// # Errors
     /// Entries left on the cursor mean `excluded` was not drawn from `run`:
-    /// [`IndexError::ExclusionMismatch`], never a silently wrong size.  A
-    /// run whose entry lengths are not those of `(schema, spec)` is
-    /// [`IndexError::InvalidSpec`].
-    pub fn measure_excluding(
+    /// [`IndexError::ExclusionMismatch`], never a silently wrong size.  A run
+    /// whose entry lengths are not those of `(schema, spec)` is
+    /// [`IndexError::InvalidSpec`]; otherwise as [`OrderedEntries::measure`].
+    pub fn measure_run(
         &self,
         run: &SortedRun,
-        excluded: &SortedRun,
-        scheme: &dyn CompressionScheme,
-    ) -> IndexResult<CompressionOutcome> {
+        excluded: Option<&SortedRun>,
+        keep: impl Fn(Rid) -> bool,
+        schemes: &[&dyn CompressionScheme],
+    ) -> IndexResult<(Vec<CompressedIndexReport>, FirstKeyStats)> {
         self.layout.admit(run)?;
-        self.layout.admit(excluded)?;
+        excluded.map_or(Ok(()), |x| self.layout.admit(x))?;
         let key_len = self.layout.key_len;
-        let mut cursor = excluded.entries().map(|x| &x[..key_len]).peekable();
-        let kept = (run.entries()).filter(|entry| cursor.next_if_eq(&&entry[..key_len]).is_none());
-        // What the walk keeps if `excluded` is what it must be.
-        let expected = run.len().saturating_sub(excluded.len());
-        let (reports, _) = self.walk(expected, kept, &[scheme])?;
-        let left_over = cursor.count();
-        if left_over > 0 {
-            return Err(IndexError::ExclusionMismatch { left_over });
+        let mut cursor = (excluded.into_iter().flat_map(SortedRun::entries))
+            .map(|x| &x[..key_len])
+            .peekable();
+        let kept = (run.entries())
+            .filter(|entry| cursor.next_if_eq(&&entry[..key_len]).is_none())
+            .filter(|entry| {
+                let rid = &entry[key_len - Rid::ENCODED_LEN..key_len];
+                keep(Rid::decode(rid.try_into().expect("a key ends in its RID")))
+            });
+        let at_most = run.len().saturating_sub(excluded.map_or(0, SortedRun::len));
+        let walked = self.walk(at_most, kept, schemes)?;
+        match cursor.count() {
+            0 => Ok(walked),
+            left_over => Err(IndexError::ExclusionMismatch { left_over }),
         }
-        Ok(reports[0].outcome())
     }
 
     /// Sums of no entries, for this sizer's stored columns: what

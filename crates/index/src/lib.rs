@@ -5,29 +5,29 @@
 //! The SampleCF estimator's procedure (paper Figure 2) is: draw a random
 //! sample of rows, *build an index on the sample*, *compress that index*, and
 //! return the observed compression fraction.  This crate provides those two
-//! middle steps:
+//! middle steps — literally, as the differential oracle (the first four
+//! below), and as the size-only walk every estimator runs:
 //!
 //! * [`IndexSpec`] / [`IndexBuilder`] / [`BTreeIndex`] — bulk-loaded B+-trees
 //!   (clustered and non-clustered) over real slotted pages,
 //! * [`IndexSizeReport`] — where the uncompressed index's bytes go,
-//! * [`IndexSizeModel`] — the same leaf-level accounting predicted
-//!   analytically from schema + row count, without building (how the
-//!   advisor prices the uncompressed side of a candidate for free),
 //! * [`compress_index`] / [`CompressedIndexReport`] — per-column, per-page
 //!   compression of the leaf level with any
 //!   [`CompressionScheme`](samplecf_compression::CompressionScheme), and the
 //!   resulting compression fraction,
-//! * [`measure_index`] — the zero-copy hot path: the same report computed by
-//!   the batch measure kernels over cells borrowed in place from the leaf
-//!   pages, without materialising a single compressed byte,
+//! * [`measure_index`] — the same report by the batch measure kernels over
+//!   cells borrowed in place from the leaf pages,
+//! * [`IndexSizeModel`] — the same leaf-level accounting predicted
+//!   analytically from schema + row count, without building (how the
+//!   advisor prices the uncompressed side of a candidate for free),
 //! * [`OrderedEntries`] / [`RunSizer`] — the same reports without the tree:
 //!   one walk of entries in key order sizes them under any number of schemes
 //!   and reads the first key column's [`FirstKeyStats`] off the order.  A
 //!   held sample is sorted once per key ([`IndexBuilder::order_records`]),
 //!   keeps that [`KeyOrder`] beside its rows, and is walked through it —
 //!   whole, or a stratum at a time, re-encoded but never re-sorted
-//!   ([`IndexBuilder::encode_in_order`]); the progressive jackknife walks a
-//!   [`SortedRun`] minus one of the batches merged into it.  For a
+//!   ([`IndexBuilder::encode_in_order`]); a progressive checkpoint or the
+//!   exact CF walks a [`SortedRun`] ([`RunSizer::measure_run`]).  For a
 //!   cell-additive scheme no order is needed: rows are summed, unsorted, into
 //!   [`RunCellCosts`] and [`RunSizer::price`] turns any sum — a progressive
 //!   run's pooled sample, a stratum, a delete-one-batch sample — into the

@@ -176,9 +176,9 @@ fn a_delete_one_batch_walk_allocates_per_leaf_page_not_per_entry() {
             .unwrap();
         measure_index(&tree, &scheme).unwrap()
     });
-    let (count, walked) =
-        allocations(|| sizer.measure_excluding(&pooled, &batch, &scheme).unwrap());
-    assert_eq!(walked, packed.outcome());
+    let (count, (walked, _)) =
+        allocations(|| (sizer.measure_run(&pooled, Some(&batch), |_| true, &[&scheme])).unwrap());
+    assert_eq!(walked, std::slice::from_ref(&packed));
     assert!(
         packed.leaf_pages * 20 < packed.num_entries,
         "the bound below must separate pages from entries"

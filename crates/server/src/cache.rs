@@ -115,12 +115,32 @@ impl CachedSample {
     }
 
     /// Whether [`deepen`](Self::deepen) to `kind` can extend this entry:
-    /// the live stream is still held, the family matches, and the requested
-    /// fraction is strictly deeper than the current one.
+    /// the live stream is still held, `kind` is this entry's kind in every
+    /// parameter but the fraction — a stratified kind's strata, allocation
+    /// and mode included — and the requested fraction is strictly deeper
+    /// than the current one.
     #[must_use]
     pub fn deepenable_to(&self, kind: SamplerKind) -> bool {
+        let same_but_fraction = match (self.kind, kind) {
+            (
+                SamplerKind::Stratified {
+                    strata,
+                    alloc,
+                    mode,
+                    ..
+                },
+                SamplerKind::Stratified {
+                    strata: want_strata,
+                    alloc: want_alloc,
+                    mode: want_mode,
+                    ..
+                },
+            ) => (strata, alloc, mode) == (want_strata, want_alloc, want_mode),
+            // Every other kind's one parameter is its fraction or a size.
+            (have, want) => have.family() == want.family(),
+        };
         self.stream.is_some()
-            && self.kind.family() == kind.family()
+            && same_but_fraction
             && matches!(
                 (self.kind.fraction(), kind.fraction()),
                 (Some(have), Some(want)) if have < want
@@ -130,8 +150,9 @@ impl CachedSample {
     /// Extend this entry's sample in place to the deeper configuration
     /// `kind`, paying only the delta's I/O.  Returns the pages read for the
     /// delta, or `None` when the entry cannot be deepened (it holds no live
-    /// stream — a scan sampler's never does — or the family differs, or
-    /// `kind` is not strictly deeper) — in which case it is untouched.
+    /// stream — a scan sampler's never does — or `kind` differs in more than
+    /// its fraction, or is not strictly deeper) — in which case it is
+    /// untouched.
     ///
     /// Prefix-stable streams make deepening lossless: afterwards the entry
     /// holds exactly the rows a fresh draw at the deeper fraction with the
@@ -536,7 +557,8 @@ impl Shard {
         }
 
         // Miss.  Prefer deepening the deepest extendable entry of the same
-        // (source, family, seed); otherwise draw fresh.  Either way the key
+        // source, seed and kind but its fraction — one entry per fraction,
+        // so no tie to break; otherwise draw fresh.  Either way the key
         // goes in-flight so concurrent requests coalesce onto this one.
         let deepen_from = Self::pick_deepen_victim(&mut state, &key, kind, seed);
         state.slots.insert(key.clone(), Slot::InFlight);
@@ -1076,6 +1098,57 @@ pub(crate) mod tests {
         }
         let stats = cache.stats();
         assert_eq!((stats.entries, stats.misses, stats.deepened), (2, 2, 0));
+    }
+
+    #[test]
+    fn a_stratified_request_deepens_only_an_entry_of_its_own_kind() {
+        // Two stratified entries at one fraction that differ only in their
+        // allocation.  A victim chosen by sampler family alone could be
+        // either — whichever the shard's map met first — and the stream's
+        // refusal then dropped it and drew afresh.  Fresh caches re-seed
+        // that map order, so repeat.
+        use samplecf_sampling::{Allocation, StrataMode};
+        let (_counting, shared) = counted_table(4_000, 23);
+        let kind = |fraction, strata, alloc, mode| SamplerKind::Stratified {
+            fraction,
+            strata,
+            alloc,
+            mode,
+        };
+        let width = StrataMode::EquiWidth;
+        let allocs = [Allocation::Proportional, Allocation::Neyman];
+        let rows = |sample: &MaterializedSample| {
+            let mut rows = sample.rows().unwrap();
+            rows.sort_by_key(|(rid, _)| *rid);
+            rows
+        };
+        for round in 0..8 {
+            let cache = ConcurrentSampleCache::with_shards(DEFAULT_CACHE_BUDGET_BYTES, 1);
+            let acquire = |wanted| cache.acquire(&shared, wanted, 3).unwrap();
+            for alloc in allocs {
+                let drawn = acquire(kind(0.05, 4, alloc, width));
+                assert_eq!(drawn.disposition, CacheDisposition::Miss);
+            }
+            let (mine, other) = (allocs[round % 2], allocs[1 - round % 2]);
+            let deeper = kind(0.1, 4, mine, width);
+            let deepened = acquire(deeper);
+            assert_eq!(deepened.disposition, CacheDisposition::Deepened, "{round}");
+            let fresh = CachedSample::draw(&shared, deeper, 3).unwrap();
+            assert_eq!(rows(&deepened.sample), rows(fresh.sample()), "{round}");
+            // Another configuration — mode or stratum count — is a miss that
+            // takes out neither entry.
+            for third in [
+                kind(0.2, 4, mine, StrataMode::EquiDepth),
+                kind(0.2, 8, mine, width),
+            ] {
+                assert_eq!(acquire(third).disposition, CacheDisposition::Miss);
+            }
+            for kept in [deeper, kind(0.05, 4, other, width)] {
+                assert_eq!(acquire(kept).disposition, CacheDisposition::Hit, "{kept:?}");
+            }
+            let stats = cache.stats();
+            assert_eq!((stats.entries, stats.misses, stats.deepened), (4, 4, 1));
+        }
     }
 
     #[test]

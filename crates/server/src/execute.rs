@@ -124,7 +124,6 @@ impl ServiceState {
             CountingSource::observed(entry.shared.as_ref(), self.gauges.progressive_pages.clone());
         let report = ProgressiveCf::new(sample.sampler, stopping)
             .seed(sample.seed)
-            .threads(self.estimator_threads())
             .metrics(self.gauges.progressive.clone())
             .run(&counting, &spec, scheme.as_ref())
             .map_err(estimate_failed)?;

@@ -70,12 +70,14 @@ pub struct ServerConfig {
     /// How many parsed-but-unserved requests one connection may pipeline
     /// before the loop stops reading its socket (TCP backpressure).
     pub max_pipelined: usize,
-    /// Bulk-load threads of one estimation request (0 = all cores), the
-    /// one intra-request fan-out.  The default of 1 composes with
-    /// `workers`: the pool is the parallel axis under concurrent load, so
-    /// `workers × estimator_threads` should not exceed the core count by
-    /// much.  Raise this (and lower `workers`) for a latency-oriented
-    /// daemon serving few large requests.
+    /// Threads of one request's held-sample sort — encoding and sorting a
+    /// cached sample's entries the first time it is measured by a key (0 =
+    /// all cores) — the one intra-request fan-out; `estimate_progressive`
+    /// and everything else run on the worker thread.  The default of 1
+    /// composes with `workers`: the pool is the parallel axis under
+    /// concurrent load, so `workers × estimator_threads` should not exceed
+    /// the core count by much.  Raise this (and lower `workers`) for a
+    /// latency-oriented daemon serving few large samples.
     pub estimator_threads: usize,
     /// A request whose end-to-end wall time exceeds this many milliseconds
     /// is counted in `samplecf_slow_requests_total` and logged as one

@@ -181,11 +181,12 @@ pub struct ServiceState {
     /// hood, so an in-process load harness can clone the handle and assert
     /// on it.
     pub metrics: MetricsRegistry,
-    /// Bulk-load threads of one estimation request (0 = all cores) — the
-    /// one intra-request fan-out.  The daemon keeps this at 1 by default
-    /// because the worker pool is already the parallel axis — `workers`
-    /// requests run concurrently, and fanning each of them over every core
-    /// would oversubscribe the machine.
+    /// Threads that encode and sort a held sample's entries the first time
+    /// a request measures it by a key (0 = all cores) — the one
+    /// intra-request fan-out; nothing else a request runs reads it.  The
+    /// daemon keeps this at 1 by default because the worker pool is already
+    /// the parallel axis — `workers` requests run concurrently, and fanning
+    /// each of them over every core would oversubscribe the machine.
     estimator_threads: usize,
     started: Instant,
     shutdown: AtomicBool,
@@ -219,16 +220,16 @@ impl ServiceState {
         }
     }
 
-    /// Set the per-request bulk-load parallelism (0 = all cores).
-    /// Estimates are byte-identical at any thread count, so this is a
-    /// throughput-vs-latency dial, not a semantic one.
+    /// Set the per-request parallelism of the held-sample sort (0 = all
+    /// cores).  Estimates are byte-identical at any thread count, so this
+    /// is a throughput-vs-latency dial, not a semantic one.
     #[must_use]
     pub fn with_estimator_threads(mut self, threads: usize) -> Self {
         self.estimator_threads = threads;
         self
     }
 
-    /// The configured per-request bulk-load parallelism.
+    /// The configured per-request parallelism of the held-sample sort.
     #[must_use]
     pub fn estimator_threads(&self) -> usize {
         self.estimator_threads
@@ -727,7 +728,7 @@ mod tests {
 
         // Every checkpoint is counted under the route its scheme picked:
         // null suppression (the default) prices cell sums, a dictionary
-        // packs trees.
+        // merges and walks sorted runs (`tree`).
         let priced = |route: &str| {
             let name = format!("samplecf_progressive_pricing_total{{route=\"{route}\"}}");
             match state.metrics.snapshot().get(&name) {

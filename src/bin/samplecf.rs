@@ -285,7 +285,7 @@ fn cmd_gen(mut args: Args) -> Result<(), String> {
 
 /// An in-process service with the table file at `path` registered — what
 /// a `samplecfd --table PATH` holds, without the sockets and threads.  Its
-/// bulk loads may use every core (`samplecfd --estimator-threads 0`).
+/// held-sample sorts may use every core (`samplecfd --estimator-threads 0`).
 fn local_service(path: &str) -> Result<(ServiceState, CatalogEntry), String> {
     let state = ServiceState::new(DEFAULT_CACHE_BUDGET_BYTES).with_estimator_threads(0);
     let entry = state
