@@ -1,5 +1,5 @@
-//! The shared, evicting, **sharded** sample cache behind `samplecfd` — the
-//! one place a sample is held between requests.
+//! The shared, evicting sample cache behind `samplecfd` — the one place a
+//! sample is held between requests.
 //!
 //! Nirkhiwale et al. (*A Sampling Algebra for Aggregate Estimation*)
 //! motivate treating a sample as a first-class object with its own
@@ -26,31 +26,17 @@
 //!   some request still holds the shallower snapshot).
 //! * **A byte budget bounds residency** — every entry is priced by
 //!   [`CachedSample::approx_bytes`], the key orders its measures left with
-//!   the sample included, and re-priced under the shard lock at each
-//!   acquisition; when a shard's total exceeds its budget the
-//!   least-recently-used `Ready` entries *of that shard* are evicted (never
-//!   in-flight draws, never the entry just used).  Evicted groups simply
-//!   miss again.
+//!   the sample included, and re-priced under the cache lock at each
+//!   acquisition; when the total exceeds the budget the least-recently-used
+//!   `Ready` entries are evicted (never in-flight draws, never the entry
+//!   just used).  Evicted groups simply miss again.
 //! * **A panicking draw fails alone** — the in-flight marker is owned by a
 //!   guard that removes it and wakes the coalesced waiters if the draw
 //!   unwinds instead of publishing; one of them then draws for itself.
 //!
-//! ## Sharding
-//!
-//! The cache is split into [`ConcurrentSampleCache::num_shards`] independent
-//! shards, each with its own lock, condvar, LRU clock and byte budget (an
-//! equal division of the configured total).  A group's shard is chosen by
-//! hashing its *(table identity, seed)* — deliberately **not** the sampler
-//! kind — so every fraction and family of one table+seed lands in the same
-//! shard and deepening still finds its shallow victim, while requests
-//! against unrelated tables touch disjoint locks and never contend:
-//!
-//! * a stampede on table A coalesces inside A's shard without blocking a
-//!   hit on table B,
-//! * an eviction scan in one shard walks only that shard's entries
-//!   (`O(entries / shards)` per insert instead of `O(entries)`),
-//! * a publish wakes only the waiters of its own shard's condvar instead
-//!   of thundering every coalesced request in the server.
+//! One lock, one condvar, one LRU and one budget: draws, deepenings and
+//! measures all run outside the lock, which is held only for map
+//! bookkeeping, so the daemon's worker pool is its only parallel axis.
 
 use crate::protocol::CacheDisposition;
 use rand::rngs::StdRng;
@@ -60,7 +46,6 @@ use samplecf_obs::{Counter, Gauge, MetricsRegistry};
 use samplecf_sampling::{BatchSchedule, MaterializedSample, SampleStream, SamplerKind};
 use samplecf_storage::{CountingSource, Rid, SharedSource};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// One held sample plus its cost accounting.
@@ -241,10 +226,6 @@ impl std::fmt::Debug for CachedSample {
 /// matter under sustained many-table traffic.
 pub const DEFAULT_CACHE_BUDGET_BYTES: usize = 256 * 1024 * 1024;
 
-/// Default shard count: enough that unrelated tables rarely share a lock,
-/// small enough that a per-shard budget still holds useful samples.
-pub const DEFAULT_CACHE_SHARDS: usize = 8;
-
 type GroupKey = (usize, String, u64);
 
 /// Identity of a source handle.  Two requests share a group only when their
@@ -283,20 +264,6 @@ pub struct CacheStats {
     pub pages_read: u64,
 }
 
-impl CacheStats {
-    fn accumulate(&mut self, other: &CacheStats) {
-        self.entries += other.entries;
-        self.bytes += other.bytes;
-        self.budget_bytes += other.budget_bytes;
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.deepened += other.deepened;
-        self.evictions += other.evictions;
-        self.coalesced_waits += other.coalesced_waits;
-        self.pages_read += other.pages_read;
-    }
-}
-
 /// What a request leaves the cache with: an immutable snapshot of the drawn
 /// sample plus this acquisition's accounting.
 #[derive(Clone)]
@@ -320,10 +287,10 @@ pub struct AcquiredSample {
 
 struct ReadyGroup {
     /// The live entry.  Readers leave with a clone of its sample handle; a
-    /// deepener takes the whole group out of the shard first, so the entry
+    /// deepener takes the whole group out of the cache first, so the entry
     /// is only ever mutated by its exclusive owner.
     entry: CachedSample,
-    /// `entry.approx_bytes()` as charged against the shard budget when it
+    /// `entry.approx_bytes()` as charged against the budget when it
     /// was last acquired — its readers' measures may have left key orders
     /// with the sample since.
     bytes: usize,
@@ -336,11 +303,11 @@ enum Slot {
     Ready(ReadyGroup),
 }
 
-/// Per-shard instruments, registry-backed so the daemon's `metrics`
-/// exposition sees cache behavior live; `label`ed by shard index.  The
-/// counters live under the shard's mutex, so increments are uncontended
-/// relaxed stores — the registry handle is the storage, not a copy.
-struct ShardMetrics {
+/// The cache's instruments, registry-backed so the daemon's `metrics`
+/// exposition sees cache behavior live.  The counters live under the
+/// cache's mutex, so increments are uncontended relaxed stores — the
+/// registry handle is the storage, not a copy.
+struct CacheMetrics {
     hits: Counter,
     misses: Counter,
     deepened: Counter,
@@ -351,10 +318,10 @@ struct ShardMetrics {
     entries: Gauge,
 }
 
-impl ShardMetrics {
-    fn register(registry: &MetricsRegistry, shard: usize) -> Self {
-        let name = |metric: &str| format!("samplecf_cache_{metric}{{shard=\"{shard}\"}}");
-        ShardMetrics {
+impl CacheMetrics {
+    fn register(registry: &MetricsRegistry) -> Self {
+        let name = |metric: &str| format!("samplecf_cache_{metric}");
+        CacheMetrics {
             hits: registry.counter(&name("hits_total")),
             misses: registry.counter(&name("misses_total")),
             deepened: registry.counter(&name("deepened_total")),
@@ -371,11 +338,11 @@ struct State {
     slots: HashMap<GroupKey, Slot>,
     clock: u64,
     total_bytes: usize,
-    metrics: ShardMetrics,
+    metrics: CacheMetrics,
 }
 
 impl State {
-    fn new(metrics: ShardMetrics) -> Self {
+    fn new(metrics: CacheMetrics) -> Self {
         State {
             slots: HashMap::new(),
             clock: 0,
@@ -398,16 +365,12 @@ impl State {
     }
 }
 
-/// One independent shard: its own lock, condvar and byte budget.
-struct Shard {
+/// The concurrent, evicting sample cache (see the module docs).
+pub struct ConcurrentSampleCache {
     budget_bytes: usize,
     state: Mutex<State>,
+    /// Woken when an in-flight draw publishes or is abandoned.
     ready: Condvar,
-}
-
-/// The concurrent, sharded, evicting sample cache (see the module docs).
-pub struct ConcurrentSampleCache {
-    shards: Vec<Shard>,
 }
 
 /// Recover from a poisoned lock the way `parking_lot` would: the data is a
@@ -417,61 +380,30 @@ fn lock_state(m: &Mutex<State>) -> MutexGuard<'_, State> {
 }
 
 impl ConcurrentSampleCache {
-    /// A cache with [`DEFAULT_CACHE_SHARDS`] shards splitting `budget_bytes`
-    /// (use [`DEFAULT_CACHE_BUDGET_BYTES`] when in doubt).  A budget of 0
-    /// means "cache nothing beyond the entry currently in use".
+    /// A cache holding at most `budget_bytes` (use
+    /// [`DEFAULT_CACHE_BUDGET_BYTES`] when in doubt).  A budget of 0 means
+    /// "cache nothing beyond the entry currently in use".  Counters feed a
+    /// private metrics registry; use [`Self::with_registry`] to share the
+    /// daemon's.
     #[must_use]
     pub fn new(budget_bytes: usize) -> Self {
-        Self::with_shards(budget_bytes, DEFAULT_CACHE_SHARDS)
+        Self::with_registry(budget_bytes, &MetricsRegistry::new())
     }
 
-    /// A cache with an explicit shard count (clamped to ≥ 1).  The budget
-    /// is divided evenly across shards; the first `budget % shards` shards
-    /// absorb the remainder byte each, so the per-shard budgets always sum
-    /// to exactly `budget_bytes`.  Counters feed a private metrics
-    /// registry; use [`Self::with_registry`] to share the daemon's.
+    /// As [`Self::new`], with the hit/miss/deepen/evict counters and the
+    /// byte/entry gauges registered in `registry` under `samplecf_cache_*`
+    /// names.
     #[must_use]
-    pub fn with_shards(budget_bytes: usize, shards: usize) -> Self {
-        Self::with_registry(budget_bytes, shards, &MetricsRegistry::new())
-    }
-
-    /// As [`Self::with_shards`], with every shard's hit/miss/deepen/evict
-    /// counters and byte/entry gauges registered in `registry` under
-    /// `samplecf_cache_*{shard="i"}` names.
-    #[must_use]
-    pub fn with_registry(budget_bytes: usize, shards: usize, registry: &MetricsRegistry) -> Self {
-        let shards = shards.max(1);
-        let base = budget_bytes / shards;
-        let remainder = budget_bytes % shards;
+    pub fn with_registry(budget_bytes: usize, registry: &MetricsRegistry) -> Self {
         ConcurrentSampleCache {
-            shards: (0..shards)
-                .map(|i| Shard {
-                    budget_bytes: base + usize::from(i < remainder),
-                    state: Mutex::new(State::new(ShardMetrics::register(registry, i))),
-                    ready: Condvar::new(),
-                })
-                .collect(),
+            budget_bytes,
+            state: Mutex::new(State::new(CacheMetrics::register(registry))),
+            ready: Condvar::new(),
         }
     }
 
-    /// Number of independent shards.
-    #[must_use]
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard a *(table, seed)* pair maps to.  Deterministic for the
-    /// lifetime of the source handle; exposed so stress tests can construct
-    /// workloads that provably hit distinct (or identical) shards.
-    #[must_use]
-    pub fn shard_of(&self, source: &SharedSource, seed: u64) -> usize {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        (source_id(source), seed).hash(&mut hasher);
-        (hasher.finish() % self.shards.len() as u64) as usize
-    }
-
     /// Serve one sample request: hit, deepen, or draw — coalescing with any
-    /// concurrent request for the same group, all inside the group's shard.
+    /// concurrent request for the same group.
     ///
     /// The returned snapshot holds exactly the rows a fresh
     /// [`CachedSample::draw`] (equivalently, a single-shot
@@ -487,35 +419,6 @@ impl ConcurrentSampleCache {
         // Validate the sampler before touching shared state, so a malformed
         // request can never leave an in-flight marker behind.
         kind.validate()?;
-        let shard = &self.shards[self.shard_of(source, seed)];
-        shard.acquire(source, kind, seed)
-    }
-
-    /// A consistent snapshot of the cache counters, summed over shards.
-    #[must_use]
-    pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for shard in &self.shards {
-            total.accumulate(&shard.stats());
-        }
-        total
-    }
-
-    /// Per-shard counter snapshots, in shard order (the `stats` op reports
-    /// these so hot-shard skew is observable from the outside).
-    #[must_use]
-    pub fn per_shard_stats(&self) -> Vec<CacheStats> {
-        self.shards.iter().map(Shard::stats).collect()
-    }
-}
-
-impl Shard {
-    fn acquire(
-        &self,
-        source: &SharedSource,
-        kind: SamplerKind,
-        seed: u64,
-    ) -> CoreResult<AcquiredSample> {
         let key = group_key(source, kind, seed);
 
         let mut state = lock_state(&self.state);
@@ -566,10 +469,10 @@ impl Shard {
             Some(base) => state.total_bytes -= base.bytes,
             None => state.metrics.misses.inc(),
         }
-        // Only now: the marker's drop takes the shard lock.
+        // Only now: the marker's drop takes the lock.
         drop(state);
         let marker = InFlight {
-            shard: self,
+            cache: self,
             key: Some(key),
         };
         match deepen_from {
@@ -578,7 +481,7 @@ impl Shard {
         }
     }
 
-    /// Draw a fresh entry outside the shard lock and publish it under its
+    /// Draw a fresh entry outside the lock and publish it under its
     /// in-flight `marker`; if the draw fails, dropping the marker clears it.
     fn draw_into(
         &self,
@@ -592,12 +495,10 @@ impl Shard {
         Ok(self.publish(marker, entry, pages, CacheDisposition::Miss))
     }
 
-    /// Under the shard lock: find, remove and return the deepest `Ready`
-    /// entry this request may extend.  Removing it up front gives the
-    /// deepener exclusive ownership; later requests for the retired
-    /// shallow key redraw it.
-    /// Every fraction of one *(source, seed)* hashes to the same shard, so
-    /// a shard-local search sees every possible victim.
+    /// Under the lock: find, remove and return the deepest `Ready` entry
+    /// this request may extend.  Removing it up front gives the deepener
+    /// exclusive ownership; later requests for the retired shallow key
+    /// redraw it.
     fn pick_deepen_victim(
         state: &mut State,
         key: &GroupKey,
@@ -653,7 +554,7 @@ impl Shard {
 
     /// Publish a finished (drawn or deepened) entry under its in-flight key,
     /// account the pages this acquisition read, evict as needed, and wake
-    /// coalesced waiters of this shard.
+    /// coalesced waiters.
     fn publish(
         &self,
         marker: InFlight<'_>,
@@ -694,8 +595,8 @@ impl Shard {
         acquired
     }
 
-    /// Evict least-recently-used `Ready` entries until the shard's budget
-    /// fits, never touching in-flight draws or the entry just used
+    /// Evict least-recently-used `Ready` entries until the budget fits,
+    /// never touching in-flight draws or the entry just used
     /// (`protect`).  If the protected entry alone exceeds the budget it
     /// stays — the cache must still serve it; it will be the first victim
     /// of the next insert.
@@ -718,7 +619,9 @@ impl Shard {
         }
     }
 
-    fn stats(&self) -> CacheStats {
+    /// A consistent snapshot of the cache counters.
+    #[must_use]
+    pub fn stats(&self) -> CacheStats {
         let state = lock_state(&self.state);
         CacheStats {
             entries: state.ready_entries(),
@@ -737,10 +640,10 @@ impl Shard {
 /// A group's in-flight marker, owned by the request drawing (or deepening)
 /// it.  [`publish`](Self::publish) hands the key over to the `Ready` entry;
 /// dropped any other way — the draw failed, or panicked and is unwinding —
-/// the marker removes itself and wakes the shard's waiters, so one of them
-/// can draw instead (and surface its own error if that fails too).
-struct InFlight<'s> {
-    shard: &'s Shard,
+/// the marker removes itself and wakes the waiters, so one of them can draw
+/// instead (and surface its own error if that fails too).
+struct InFlight<'c> {
+    cache: &'c ConcurrentSampleCache,
     /// `None` once published.
     key: Option<GroupKey>,
 }
@@ -754,11 +657,11 @@ impl InFlight<'_> {
 impl Drop for InFlight<'_> {
     fn drop(&mut self) {
         let Some(key) = self.key.take() else { return };
-        let mut state = lock_state(&self.shard.state);
+        let mut state = lock_state(&self.cache.state);
         state.slots.remove(&key);
         state.sync_gauges();
         drop(state);
-        self.shard.ready.notify_all();
+        self.cache.ready.notify_all();
     }
 }
 
@@ -766,7 +669,6 @@ impl std::fmt::Debug for ConcurrentSampleCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let stats = self.stats();
         f.debug_struct("ConcurrentSampleCache")
-            .field("shards", &self.shards.len())
             .field("entries", &stats.entries)
             .field("bytes", &stats.bytes)
             .field("budget_bytes", &stats.budget_bytes)
@@ -999,11 +901,6 @@ pub(crate) mod tests {
         assert_eq!(stats.hits as usize, THREADS - 1);
         assert_eq!(stats.pages_read, expected_pages);
         assert_eq!(stats.entries, 1);
-        // The whole group lives in exactly one shard.
-        let shard = cache.shard_of(&shared, 3);
-        let per_shard = cache.per_shard_stats();
-        assert_eq!(per_shard[shard].entries, 1);
-        assert_eq!(per_shard[shard].misses, 1);
     }
 
     #[test]
@@ -1104,7 +1001,7 @@ pub(crate) mod tests {
     fn a_stratified_request_deepens_only_an_entry_of_its_own_kind() {
         // Two stratified entries at one fraction that differ only in their
         // allocation.  A victim chosen by sampler family alone could be
-        // either — whichever the shard's map met first — and the stream's
+        // either — whichever the cache's map met first — and the stream's
         // refusal then dropped it and drew afresh.  Fresh caches re-seed
         // that map order, so repeat.
         use samplecf_sampling::{Allocation, StrataMode};
@@ -1123,7 +1020,7 @@ pub(crate) mod tests {
             rows
         };
         for round in 0..8 {
-            let cache = ConcurrentSampleCache::with_shards(DEFAULT_CACHE_BUDGET_BYTES, 1);
+            let cache = ConcurrentSampleCache::new(DEFAULT_CACHE_BUDGET_BYTES);
             let acquire = |wanted| cache.acquire(&shared, wanted, 3).unwrap();
             for alloc in allocs {
                 let drawn = acquire(kind(0.05, 4, alloc, width));
@@ -1167,8 +1064,7 @@ pub(crate) mod tests {
         let (_counting, shared) = counted_table(4_000, 11);
         // Price the three entries the test will draw (per-seed sizes vary
         // by up to a tail page), then budget for exactly two of them: A+B
-        // and A+C fit, A+B+C overflows.  One shard, so all three seeds
-        // compete for one LRU list regardless of how they hash.
+        // and A+C fit, A+B+C overflows.
         let bytes_of = |seed: u64| {
             CachedSample::draw(&shared, kind, seed)
                 .unwrap()
@@ -1176,7 +1072,7 @@ pub(crate) mod tests {
         };
         let (b1, b2, b3) = (bytes_of(1), bytes_of(2), bytes_of(3));
         let budget = (b1 + b2).max(b1 + b3).max(b2 + b3) + 1;
-        let cache = ConcurrentSampleCache::with_shards(budget, 1);
+        let cache = ConcurrentSampleCache::new(budget);
 
         cache.acquire(&shared, kind, 1).unwrap(); // A
         cache.acquire(&shared, kind, 2).unwrap(); // B
@@ -1214,7 +1110,7 @@ pub(crate) mod tests {
     #[test]
     fn a_zero_budget_cache_still_serves_but_retains_nothing_else() {
         let (_counting, shared) = counted_table(2_000, 13);
-        let cache = ConcurrentSampleCache::with_shards(0, 1);
+        let cache = ConcurrentSampleCache::new(0);
         let kind = SamplerKind::Block(0.2);
         let first = cache.acquire(&shared, kind, 1).unwrap();
         assert_eq!(first.disposition, CacheDisposition::Miss);
@@ -1240,10 +1136,7 @@ pub(crate) mod tests {
             released: AtomicBool::new(false),
         });
         let shared = Arc::clone(&source) as SharedSource;
-        let cache = Arc::new(ConcurrentSampleCache::with_shards(
-            DEFAULT_CACHE_BUDGET_BYTES,
-            1,
-        ));
+        let cache = Arc::new(ConcurrentSampleCache::new(DEFAULT_CACHE_BUDGET_BYTES));
         let kind = SamplerKind::Block(0.1);
         // Two requests for one group: one draws and blocks in its first
         // page read, the other waits on its in-flight marker.  Results come
@@ -1305,7 +1198,7 @@ pub(crate) mod tests {
     #[test]
     fn an_entry_is_repriced_for_its_key_orders_at_each_acquisition() {
         let shared = orders(6_000, 5);
-        let cache = ConcurrentSampleCache::with_shards(DEFAULT_CACHE_BUDGET_BYTES, 1);
+        let cache = ConcurrentSampleCache::new(DEFAULT_CACHE_BUDGET_BYTES);
         let (shallow, deep) = (SamplerKind::Block(0.2), SamplerKind::Block(0.4));
         let charged = || cache.stats().bytes;
         let acquire = |kind| cache.acquire(&shared, kind, 1).unwrap();
@@ -1356,7 +1249,7 @@ pub(crate) mod tests {
         };
         let (a, b) = (bytes_of(1), bytes_of(2));
         // Room for both entries, not for a key order more.
-        let cache = ConcurrentSampleCache::with_shards(a + b + 1, 1);
+        let cache = ConcurrentSampleCache::new(a + b + 1);
         let first = cache.acquire(&shared, kind, 1).unwrap();
         cache.acquire(&shared, kind, 2).unwrap();
         assert_eq!(cache.stats().entries, 2);
@@ -1390,22 +1283,66 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn shard_budgets_sum_to_the_configured_total_and_routing_is_stable() {
-        let cache = ConcurrentSampleCache::with_shards(1_000_003, 8);
-        assert_eq!(cache.num_shards(), 8);
-        let total: usize = cache.per_shard_stats().iter().map(|s| s.budget_bytes).sum();
-        assert_eq!(total, 1_000_003);
-        assert_eq!(cache.stats().budget_bytes, 1_000_003);
-
-        // Routing depends only on (table identity, seed): every fraction
-        // and sampler family of one table+seed shares a shard, so
-        // deepening always finds its shallow victim.
-        let (_c, shared) = counted_table(500, 1);
-        let home = cache.shard_of(&shared, 42);
-        for _ in 0..3 {
-            assert_eq!(cache.shard_of(&shared, 42), home);
+    fn the_whole_budget_serves_every_group() {
+        // Two groups of one (table, seed), each about 0.3 of the budget:
+        // together they fit, so neither pushes the other out.  An entry is
+        // held against the one configured budget, not a slice of it.
+        let t = table("t", 47);
+        let (block, uniform) = (
+            SamplerKind::Block(0.3),
+            SamplerKind::UniformWithReplacement(0.3),
+        );
+        let bytes_of = |kind| CachedSample::draw(&t, kind, 5).unwrap().approx_bytes();
+        let largest = bytes_of(block).max(bytes_of(uniform));
+        let budget = largest * 10 / 3;
+        let cache = ConcurrentSampleCache::new(budget);
+        assert_eq!(cache.stats().budget_bytes, budget);
+        for kind in [block, uniform] {
+            let drawn = cache.acquire(&t, kind, 5).unwrap();
+            assert_eq!(drawn.disposition, CacheDisposition::Miss, "{kind:?}");
         }
-        // A zero-shard request is clamped rather than panicking.
-        assert_eq!(ConcurrentSampleCache::with_shards(64, 0).num_shards(), 1);
+        let again = cache.acquire(&t, block, 5).unwrap();
+        assert_eq!(again.disposition, CacheDisposition::Hit);
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.evictions), (2, 0));
+        assert!(stats.bytes <= budget);
+    }
+
+    #[test]
+    fn eviction_takes_the_least_recently_used_entry_of_any_table() {
+        // Three tables filled and touched in a known order, then one more
+        // group: the one entry evicted is the least recently used overall,
+        // whichever table it belongs to.
+        let kind = SamplerKind::Block(0.1);
+        let (a, b, c) = (table("a", 51), table("b", 52), table("c", 53));
+        let bytes_of =
+            |t: &SharedSource, seed| CachedSample::draw(t, kind, seed).unwrap().approx_bytes();
+        let (ab, c_bytes, d_bytes) = (
+            bytes_of(&a, 1) + bytes_of(&b, 1),
+            bytes_of(&c, 1),
+            bytes_of(&a, 2),
+        );
+        // A, B and C fit; adding D overflows; A, B and D fit.
+        let cache = ConcurrentSampleCache::new(ab + c_bytes.max(d_bytes));
+        let acquire = |t: &SharedSource, seed| cache.acquire(t, kind, seed).unwrap().disposition;
+        for t in [&c, &a, &b] {
+            assert_eq!(acquire(t, 1), CacheDisposition::Miss);
+        }
+        // Touch A, then B: C is now the least recently used.
+        for t in [&a, &b] {
+            assert_eq!(acquire(t, 1), CacheDisposition::Hit);
+        }
+        assert_eq!(acquire(&a, 2), CacheDisposition::Miss);
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.evictions), (3, 1));
+        for (t, seed) in [(&a, 1), (&b, 1), (&a, 2)] {
+            assert_eq!(
+                acquire(t, seed),
+                CacheDisposition::Hit,
+                "{}/{seed}",
+                t.name()
+            );
+        }
+        assert_eq!(acquire(&c, 1), CacheDisposition::Miss, "C was evicted");
     }
 }

@@ -89,10 +89,13 @@ impl ServiceState {
         // A stratified sample carries its tags and weights, so this is the
         // weighted per-stratum combination there and the pooled CF
         // otherwise — `SampleCf::estimate` bit-for-bit either way.
-        let builder = IndexBuilder::new().threads(self.estimator_threads());
-        let (mut measurements, source) =
-            measure_sample_schemes(&acquired.sample, &spec, &[scheme.as_ref()], &builder)
-                .map_err(estimate_failed)?;
+        let (mut measurements, source) = measure_sample_schemes(
+            &acquired.sample,
+            &spec,
+            &[scheme.as_ref()],
+            &IndexBuilder::new(),
+        )
+        .map_err(estimate_failed)?;
         self.gauges.key_orders(source).inc();
         let measurement = measurements.pop().expect("one measurement per scheme");
         Ok(Response::Estimate {

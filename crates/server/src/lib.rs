@@ -21,8 +21,8 @@
 //!   progressive deepening of shallow samples
 //!   ([`CachedSample::deepen`] under concurrency: the deepest extendable
 //!   entry of the same source, family and seed is extended at the delta's
-//!   I/O cost), and LRU eviction against a byte budget — `estimate` and
-//!   `advise` both measure its snapshots, and
+//!   I/O cost), and LRU eviction against one byte budget under one lock —
+//!   `estimate` and `advise` both measure its snapshots, and
 //! * one [`MetricsRegistry`] per server, threaded through every layer:
 //!   request/error counters, per-kind and per-stage latency histograms
 //!   (accept → parse → queue-wait → execute → serialize → drain → write), cache
@@ -30,7 +30,8 @@
 //!   The `metrics` op exposes it all in Prometheus-style text; `samplecf
 //!   top ADDR` renders a live view over `stats`.
 //!
-//! Results are **byte-identical to the single-shot `samplecf` CLI**
+//! The daemon's worker pool is its only parallelism; a request never fans
+//! out.  Results are **byte-identical to the single-shot `samplecf` CLI**
 //! seed-for-seed — the cache serves exactly the rows a fresh draw would
 //! produce — and every response reports what the request physically cost
 //! (`pages_read`, cache hit/miss/deepened, sample rows).

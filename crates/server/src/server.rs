@@ -4,8 +4,9 @@
 //! thread owns the listener and every connection through the
 //! crate-private `poll` readiness abstraction (epoll/kqueue, no async
 //! runtime); `workers` threads own the CPU-and-I/O-heavy protocol work
-//! (sampling, estimation) behind a **bounded request queue**.  The
-//! division of labor:
+//! (sampling, estimation) behind a **bounded request queue**.  The worker
+//! pool is the daemon's only parallelism: a request runs on one worker from
+//! start to end and never fans out.  The division of labor:
 //!
 //! * the event loop accepts, reads, frames request lines, writes response
 //!   bytes, and never blocks — so 10k idle or slow connections cost file
@@ -31,7 +32,7 @@
 //! [`addr`](ServerHandle::addr) over real sockets, and call
 //! [`shutdown`](ServerHandle::shutdown) when done.
 
-use crate::cache::{DEFAULT_CACHE_BUDGET_BYTES, DEFAULT_CACHE_SHARDS};
+use crate::cache::DEFAULT_CACHE_BUDGET_BYTES;
 use crate::json::Json;
 use crate::poll::{Event, Interest, Poller, Waker};
 use crate::protocol::RequestKind;
@@ -48,15 +49,13 @@ use std::time::{Duration, Instant};
 /// Tunables of one daemon instance.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Worker threads running estimation requests.  This sizes the
-    /// *compute* pool only — connection capacity is `max_connections`;
-    /// an idle connection never occupies a worker.
+    /// Worker threads running estimation requests — the daemon's only
+    /// parallel axis: each request runs on one worker from start to end.
+    /// This sizes the *compute* pool only — connection capacity is
+    /// `max_connections`; an idle connection never occupies a worker.
     pub workers: usize,
     /// Byte budget of the shared sample cache.
     pub cache_budget_bytes: usize,
-    /// Shard count of the sample cache (the byte budget is divided evenly
-    /// across shards).
-    pub cache_shards: usize,
     /// Maximum simultaneously open connections; connection number
     /// `max_connections + 1` is answered `busy` and closed at accept.
     pub max_connections: usize,
@@ -70,15 +69,6 @@ pub struct ServerConfig {
     /// How many parsed-but-unserved requests one connection may pipeline
     /// before the loop stops reading its socket (TCP backpressure).
     pub max_pipelined: usize,
-    /// Threads of one request's held-sample sort — encoding and sorting a
-    /// cached sample's entries the first time it is measured by a key (0 =
-    /// all cores) — the one intra-request fan-out; `estimate_progressive`
-    /// and everything else run on the worker thread.  The default of 1
-    /// composes with `workers`: the pool is the parallel axis under
-    /// concurrent load, so `workers × estimator_threads` should not exceed
-    /// the core count by much.  Raise this (and lower `workers`) for a
-    /// latency-oriented daemon serving few large samples.
-    pub estimator_threads: usize,
     /// A request whose end-to-end wall time exceeds this many milliseconds
     /// is counted in `samplecf_slow_requests_total` and logged as one
     /// structured JSON line on stderr (op, total, per-stage breakdown).
@@ -91,12 +81,10 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 8,
             cache_budget_bytes: DEFAULT_CACHE_BUDGET_BYTES,
-            cache_shards: DEFAULT_CACHE_SHARDS,
             max_connections: 10_240,
             queue_depth: 1_024,
             max_line_bytes: 1024 * 1024,
             max_pipelined: 64,
-            estimator_threads: 1,
             slow_request_ms: 1_000,
         }
     }
@@ -618,10 +606,7 @@ impl Server {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
-        let state = Arc::new(
-            ServiceState::with_shards(config.cache_budget_bytes, config.cache_shards)
-                .with_estimator_threads(config.estimator_threads),
-        );
+        let state = Arc::new(ServiceState::new(config.cache_budget_bytes));
         let gauges = &state.gauges;
         gauges.max_connections.set(config.max_connections as u64);
         gauges.queue_capacity.set(config.queue_depth as u64);

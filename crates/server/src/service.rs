@@ -1,8 +1,10 @@
 //! The shared state of one service instance, and its line-level front.
 //!
 //! [`ServiceState`] is everything a `samplecfd` shares across connections —
-//! the table catalog, the concurrent sample cache, the one instrument set
-//! and the shutdown flag.  [`ServiceState::handle_line`] is the whole
+//! the table catalog, the concurrent sample cache (one lock, one byte
+//! budget), the one instrument set and the shutdown flag.  Nothing here
+//! starts a thread: a request runs on its caller's, so the daemon's worker
+//! pool is its only parallelism.  [`ServiceState::handle_line`] is the whole
 //! protocol state machine, independent of any transport: parse the line
 //! into a typed [`Request`], [`execute`](ServiceState::execute) it, render
 //! the typed [`Response`](crate::Response).  The TCP layer
@@ -176,63 +178,28 @@ pub struct ServiceState {
     /// estimator's, and the transport gauges the event loop maintains.
     pub gauges: Instruments,
     /// The daemon-wide metrics registry.  Every layer's instruments —
-    /// catalog, cache shards, [`Instruments`] — registers here, and the
-    /// `metrics` op renders it as text exposition.  `Arc`-shared under the
-    /// hood, so an in-process load harness can clone the handle and assert
-    /// on it.
+    /// catalog, cache, [`Instruments`] — registers here, and the `metrics`
+    /// op renders it as text exposition.  `Arc`-shared under the hood, so an
+    /// in-process load harness can clone the handle and assert on it.
     pub metrics: MetricsRegistry,
-    /// Threads that encode and sort a held sample's entries the first time
-    /// a request measures it by a key (0 = all cores) — the one
-    /// intra-request fan-out; nothing else a request runs reads it.  The
-    /// daemon keeps this at 1 by default because the worker pool is already
-    /// the parallel axis — `workers` requests run concurrently, and fanning
-    /// each of them over every core would oversubscribe the machine.
-    estimator_threads: usize,
     started: Instant,
     shutdown: AtomicBool,
 }
 
 impl ServiceState {
-    /// Fresh state with an empty catalog and a cache of the given budget
-    /// (default shard counts; see [`Self::with_shards`]).
+    /// Fresh state with an empty catalog and a cache of the given budget.
+    /// Builds the [`MetricsRegistry`] every layer's instruments feed.
     #[must_use]
     pub fn new(cache_budget_bytes: usize) -> Self {
-        Self::with_shards(cache_budget_bytes, crate::cache::DEFAULT_CACHE_SHARDS)
-    }
-
-    /// Fresh state with an explicit cache shard count.  Builds the
-    /// [`MetricsRegistry`] every layer's instruments feed.
-    #[must_use]
-    pub fn with_shards(cache_budget_bytes: usize, cache_shards: usize) -> Self {
         let registry = MetricsRegistry::new();
         ServiceState {
             catalog: TableCatalog::with_registry(&registry),
-            cache: ConcurrentSampleCache::with_registry(
-                cache_budget_bytes,
-                cache_shards,
-                &registry,
-            ),
+            cache: ConcurrentSampleCache::with_registry(cache_budget_bytes, &registry),
             gauges: Instruments::register_in(&registry),
-            estimator_threads: 1,
             metrics: registry,
             started: Instant::now(),
             shutdown: AtomicBool::new(false),
         }
-    }
-
-    /// Set the per-request parallelism of the held-sample sort (0 = all
-    /// cores).  Estimates are byte-identical at any thread count, so this
-    /// is a throughput-vs-latency dial, not a semantic one.
-    #[must_use]
-    pub fn with_estimator_threads(mut self, threads: usize) -> Self {
-        self.estimator_threads = threads;
-        self
-    }
-
-    /// The configured per-request parallelism of the held-sample sort.
-    #[must_use]
-    pub fn estimator_threads(&self) -> usize {
-        self.estimator_threads
     }
 
     /// Whether a `shutdown` request has been accepted.
@@ -343,14 +310,6 @@ impl ServiceState {
     /// instrument set.
     pub(crate) fn stats_json(&self) -> Json {
         let cache = self.cache.stats();
-        let shards = self.cache.per_shard_stats().into_iter().map(|s| {
-            Json::obj()
-                .field("entries", s.entries)
-                .field("bytes", s.bytes)
-                .field("hits", s.hits)
-                .field("misses", s.misses)
-                .field("evictions", s.evictions)
-        });
         let g = &self.gauges;
         let server = Json::obj()
             .field("open_connections", g.open_connections.get())
@@ -391,8 +350,7 @@ impl ServiceState {
             .field("deepened", cache.deepened)
             .field("evictions", cache.evictions)
             .field("coalesced_waits", cache.coalesced_waits)
-            .field("pages_read", cache.pages_read)
-            .field("shards", Json::Arr(shards.collect()));
+            .field("pages_read", cache.pages_read);
         let tables = self.catalog.names().into_iter().map(Json::Str);
         Json::obj()
             .field("uptime_seconds", self.started.elapsed().as_secs_f64())
@@ -1338,7 +1296,7 @@ mod tests {
             "samplecf_requests_total{op=\"estimate\"} 1",
             "samplecf_request_duration_ns_count{op=\"estimate\"} 1",
             "samplecf_stage_duration_ns_count{stage=\"execute\"} 2",
-            "samplecf_cache_misses_total{shard=",
+            "samplecf_cache_misses_total 1\n",
             "samplecf_catalog_hits_total",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");

@@ -6,7 +6,7 @@
 //! responses rather than hangs.
 
 use samplecf_datagen::presets;
-use samplecf_server::{Json, Server, ServerConfig, ServerHandle};
+use samplecf_server::{Json, Server, ServerConfig, ServerHandle, DEFAULT_CACHE_BUDGET_BYTES};
 use samplecf_storage::DiskTable;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -400,13 +400,12 @@ fn stats_reports_the_server_gauges_live() {
         field("queue_depth"),
     );
 
-    // The cache object breaks its counters down per shard.
-    let shards = stats
-        .get("cache")
-        .and_then(|c| c.get("shards"))
-        .and_then(Json::as_array)
-        .expect("stats carries cache.shards");
-    assert_eq!(shards.len(), 8);
+    // The cache reports its one budget, the configured default.
+    let cache = stats.get("cache").expect("stats carries a cache object");
+    assert_eq!(
+        cache.get("budget_bytes").and_then(Json::as_u64),
+        Some(DEFAULT_CACHE_BUDGET_BYTES as u64)
+    );
 
     drop((reader, writer));
     await_open_connections(&handle, 0);

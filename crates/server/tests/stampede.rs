@@ -1,8 +1,11 @@
-//! Stress tests for the **sharded** sample cache: a cross-table stampede
-//! must still draw once per group and agree byte-for-byte with the serial
-//! estimator, and eviction pressure in one shard must not disturb entries
-//! resident in the others.
+//! Stress tests for the sample cache: a cross-table stampede must still
+//! draw once per group and agree byte-for-byte with the serial estimator, a
+//! stampede under a tight budget must stay within it and never wedge, and
+//! the cache's decisions must not depend on where a table handle happens to
+//! be allocated.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use samplecf_core::SampleCf;
 use samplecf_datagen::presets;
 use samplecf_index::IndexSpec;
@@ -60,7 +63,7 @@ fn a_cross_table_stampede_draws_once_per_group_and_matches_serial() {
 
     // 16 threads sweep all 16 groups, each starting at a different
     // rotation so every group sees genuine cross-thread contention.
-    let cache = ConcurrentSampleCache::with_shards(DEFAULT_CACHE_BUDGET_BYTES, 8);
+    let cache = ConcurrentSampleCache::new(DEFAULT_CACHE_BUDGET_BYTES);
     let barrier = Barrier::new(THREADS);
     let groups = serial.clone();
     let acquired: Vec<Vec<(usize, samplecf_server::AcquiredSample)>> =
@@ -106,24 +109,12 @@ fn a_cross_table_stampede_draws_once_per_group_and_matches_serial() {
         assert_eq!(counting.pages_read(), *expected);
     }
 
-    // Cache accounting: one miss per group, everything else hits, and the
-    // per-shard breakdown sums to the totals.
+    // Cache accounting: one miss per group, everything else hits.
     let stats = cache.stats();
     assert_eq!(stats.misses, groups.len() as u64);
     assert_eq!(stats.hits, (THREADS * groups.len() - groups.len()) as u64);
     assert_eq!(stats.entries, groups.len());
     assert_eq!(stats.evictions, 0);
-    let per_shard = cache.per_shard_stats();
-    assert_eq!(per_shard.len(), 8);
-    assert_eq!(
-        per_shard.iter().map(|s| s.entries).sum::<usize>(),
-        stats.entries
-    );
-    assert_eq!(
-        per_shard.iter().map(|s| s.misses).sum::<u64>(),
-        stats.misses
-    );
-    assert_eq!(per_shard.iter().map(|s| s.hits).sum::<u64>(), stats.hits);
 
     // And estimates measured from a cached sample are byte-identical to
     // the single-shot estimator, seed for seed.
@@ -148,90 +139,16 @@ fn a_cross_table_stampede_draws_once_per_group_and_matches_serial() {
 }
 
 #[test]
-fn eviction_pressure_in_one_shard_leaves_the_others_untouched() {
-    let tables = counted_tables(1, 4_000);
-    let (_, shared) = &tables[0];
-    let kind = SamplerKind::Block(0.1);
-
-    // Bucket seeds by the shard they route to (the routing is public
-    // precisely so tests can aim load at one shard).
-    let probe = ConcurrentSampleCache::with_shards(1, 8);
-    let mut by_shard: Vec<Vec<u64>> = vec![Vec::new(); 8];
-    for seed in 0..256u64 {
-        by_shard[probe.shard_of(shared, seed)].push(seed);
-    }
-    let hot = by_shard
-        .iter()
-        .position(|seeds| seeds.len() >= 8)
-        .expect("some shard collects 8 of 256 seeds");
-    let cold = (0..8)
-        .find(|&s| s != hot && by_shard[s].len() >= 2)
-        .expect("another shard collects 2 seeds");
-
-    // Budget: every shard holds about two entries.  Block draws differ in
-    // byte size seed to seed (variable-length values), and which seeds land
-    // where changes run to run (routing hashes the source *address*), so
-    // size the budget from the largest entry this test will actually insert
-    // — otherwise an unlucky pair of large cold-shard entries overflows the
-    // 2.5-entry budget and evicts without "pressure".
-    let entry_bytes = [by_shard[cold][0], by_shard[cold][1], by_shard[hot][0]]
-        .iter()
-        .map(|&seed| {
-            CachedSample::draw(shared, kind, seed)
-                .expect("probe draw")
-                .approx_bytes()
-        })
-        .max()
-        .expect("non-empty");
-    let cache = ConcurrentSampleCache::with_shards((2 * entry_bytes + entry_bytes / 2) * 8, 8);
-
-    // Two residents in the cold shard...
-    let cold_seeds = [by_shard[cold][0], by_shard[cold][1]];
-    for seed in cold_seeds {
-        assert_eq!(
-            cache.acquire(shared, kind, seed).expect("fill").disposition,
-            CacheDisposition::Miss
-        );
-    }
-    // ...then eviction pressure aimed entirely at the hot shard.
-    for &seed in by_shard[hot].iter().take(8) {
-        cache.acquire(shared, kind, seed).expect("hot acquire");
-    }
-
-    let per_shard = cache.per_shard_stats();
-    assert!(
-        per_shard[hot].evictions >= 4,
-        "hot shard should be evicting: {:?}",
-        per_shard[hot]
-    );
-    for (s, stats) in per_shard.iter().enumerate() {
-        if s != hot {
-            assert_eq!(stats.evictions, 0, "shard {s} evicted without pressure");
-        }
-    }
-    // The cold shard's residents are still hits.
-    for seed in cold_seeds {
-        assert_eq!(
-            cache
-                .acquire(shared, kind, seed)
-                .expect("cold hit")
-                .disposition,
-            CacheDisposition::Hit,
-            "cold-shard entry for seed {seed} was lost"
-        );
-    }
-}
-
-#[test]
-fn a_tight_budget_stampede_stays_within_shard_budgets_and_never_wedges() {
+fn a_tight_budget_stampede_stays_within_the_budget_and_never_wedges() {
     const THREADS: usize = 16;
     let tables = counted_tables(4, 2_000);
     let kind = SamplerKind::Block(0.2);
     let entry_bytes = CachedSample::draw(&tables[0].1, kind, 0)
         .expect("probe draw")
         .approx_bytes();
-    // Roughly three entries per shard — constant eviction churn.
-    let cache = ConcurrentSampleCache::with_shards(entry_bytes * 3 * 8, 8);
+    // Room for about eight entries: the revisited working set alone fills
+    // it, so every fresh group evicts.
+    let cache = ConcurrentSampleCache::new(entry_bytes * 8);
 
     let barrier = Barrier::new(THREADS);
     std::thread::scope(|scope| {
@@ -261,14 +178,77 @@ fn a_tight_budget_stampede_stays_within_shard_budgets_and_never_wedges() {
     let stats = cache.stats();
     assert_eq!(stats.hits + stats.misses, (THREADS * 200) as u64);
     assert!(stats.evictions > 0, "the budget was never under pressure");
-    // Each shard respects its own budget (one in-flight protected entry
-    // of slack, same as the single-lock contract).
-    for (s, shard) in cache.per_shard_stats().iter().enumerate() {
+    // The one budget holds (two entries of slack: the protected entry just
+    // used, and per-seed size differences).
+    assert!(
+        stats.bytes <= stats.budget_bytes + entry_bytes * 2,
+        "the cache exceeded its budget: {} > {} + slack",
+        stats.bytes,
+        stats.budget_bytes
+    );
+}
+
+/// One step of [`a_replayed_sequence_is_independent_of_the_handle_address`]:
+/// what the cache did with the request and its eviction count after it.
+type Step = (CacheDisposition, u64);
+
+fn replay(source: &SharedSource, requests: &[(SamplerKind, u64)], budget: usize) -> Vec<Step> {
+    let cache = ConcurrentSampleCache::new(budget);
+    requests
+        .iter()
+        .map(|&(kind, seed)| {
+            let acquired = cache.acquire(source, kind, seed).expect("acquire");
+            (acquired.disposition, cache.stats().evictions)
+        })
+        .collect()
+}
+
+#[test]
+fn a_replayed_sequence_is_independent_of_the_handle_address() {
+    // Two separately allocated handles of one table, each behind its own
+    // cache, serve one fixed 200-request sequence: every hit, miss,
+    // deepening and eviction lands at the same step.  (A cache routed by
+    // the handle's address would not promise this.)
+    let handle = || {
+        presets::single_char_table("replay", 3_000, 24, 40, 8, 77)
+            .generate()
+            .expect("generation succeeds")
+            .table
+            .into_shared()
+    };
+    let (first, second) = (handle(), handle());
+    assert!(!Arc::ptr_eq(&first, &second));
+
+    let mut rng = StdRng::seed_from_u64(2024);
+    let families: [fn(f64) -> SamplerKind; 2] =
+        [SamplerKind::Block, SamplerKind::UniformWithReplacement];
+    let requests: Vec<(SamplerKind, u64)> = (0..200)
+        .map(|_| {
+            let family = families[rng.gen_range(0..families.len())];
+            let fraction = [0.05, 0.1, 0.2][rng.gen_range(0..3usize)];
+            (family(fraction), rng.gen_range(0..4u64))
+        })
+        .collect();
+    // About five shallow entries fit: deeper ones push several out.
+    let budget = CachedSample::draw(&first, SamplerKind::Block(0.05), 0)
+        .expect("probe draw")
+        .approx_bytes()
+        * 5;
+
+    let steps = replay(&first, &requests, budget);
+    assert_eq!(steps, replay(&second, &requests, budget));
+    for disposition in [
+        CacheDisposition::Hit,
+        CacheDisposition::Miss,
+        CacheDisposition::Deepened,
+    ] {
         assert!(
-            shard.bytes <= shard.budget_bytes + entry_bytes * 2,
-            "shard {s} exceeded its budget: {} > {} + slack",
-            shard.bytes,
-            shard.budget_bytes
+            steps.iter().any(|(d, _)| *d == disposition),
+            "the sequence never produced a {disposition:?}"
         );
     }
+    assert!(
+        steps.last().expect("200 steps").1 > 0,
+        "nothing was evicted"
+    );
 }

@@ -284,10 +284,10 @@ fn cmd_gen(mut args: Args) -> Result<(), String> {
 }
 
 /// An in-process service with the table file at `path` registered — what
-/// a `samplecfd --table PATH` holds, without the sockets and threads.  Its
-/// held-sample sorts may use every core (`samplecfd --estimator-threads 0`).
+/// a `samplecfd --table PATH` holds, without the sockets and threads.  A
+/// request runs on the calling thread, as on a daemon worker.
 fn local_service(path: &str) -> Result<(ServiceState, CatalogEntry), String> {
-    let state = ServiceState::new(DEFAULT_CACHE_BUDGET_BYTES).with_estimator_threads(0);
+    let state = ServiceState::new(DEFAULT_CACHE_BUDGET_BYTES);
     let entry = state
         .catalog
         .register(path, None)

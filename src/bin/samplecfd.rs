@@ -4,12 +4,13 @@
 //! protocol specified in `docs/API.md` (`register`, `estimate`,
 //! `estimate_progressive`, `advise`, `info`, `stats`, `metrics`,
 //! `shutdown`), backed
-//! by a table catalog and a sharded, evicting sample cache so
-//! concurrent clients reuse one sample per (table, sampler, fraction,
-//! seed) group.  Connections are owned by a nonblocking readiness loop —
-//! thousands of idle clients cost file descriptors, not threads — and
-//! estimation work runs on a bounded worker pool with explicit `busy`
-//! backpressure.
+//! by a table catalog and one evicting sample cache (one lock, one byte
+//! budget) so concurrent clients reuse one sample per (table, sampler,
+//! fraction, seed) group.  Connections are owned by a nonblocking readiness
+//! loop — thousands of idle clients cost file descriptors, not threads —
+//! and estimation work runs on a bounded worker pool with explicit `busy`
+//! backpressure.  That pool is the daemon's only parallelism: a request
+//! runs on one worker and never fans out.
 //!
 //! Talk to it with `samplecf client <addr> <request-json>` or any
 //! newline-framed TCP client.
@@ -26,13 +27,10 @@ OPTIONS:
   --addr ADDR            listen address                 [default: 127.0.0.1:7878]
                          (use port 0 for an ephemeral port; the bound
                          address is printed on the first stdout line)
-  --workers N            estimation worker threads      [default: 8]
+  --workers N            estimation worker threads, the daemon's only
+                         parallelism: a request runs on one worker
                          (compute pool only; connection capacity is
-                         --max-connections)
-  --estimator-threads N  threads of one request's held-sample sort, the
-                         only work it parallelises (0 = all cores).
-                         Keep workers x this near the core
-                         count                          [default: 1]
+                         --max-connections)             [default: 8]
   --max-connections N    open-connection limit; further connects are
                          answered busy and closed      [default: 10240]
   --queue-depth N        bounded request queue between the event loop
@@ -40,13 +38,17 @@ OPTIONS:
                          answered busy                 [default: 1024]
   --cache-budget BYTES   sample-cache byte budget before LRU eviction
                                                        [default: 268435456]
-  --cache-shards N       sample-cache shard count (the budget divides
-                         evenly across shards)         [default: 8]
   --slow-request-ms MS   requests slower than this are counted in
                          samplecf_slow_requests_total and logged as one
                          structured JSON line on stderr (0 disables the
                          log)                          [default: 1000]
   --table FILE           pre-register a table file (repeatable)
+  --cache-shards 1       fixed at 1: the cache has one lock and one
+                         budget; any other value is an error
+  --estimator-threads 1  fixed at 1: a request never fans out; any other
+                         value is an error
+                         (both accepted only for existing scripts, and
+                         deleted with ROADMAP item 1)
 
 PROTOCOL (one JSON object per line over TCP; see docs/API.md):
   {\"op\":\"register\",\"path\":\"/data/t.scf\"}
@@ -93,9 +95,10 @@ fn run() -> Result<(), String> {
             }
             "--addr" => addr = value("--addr")?,
             "--workers" => config.workers = parse("--workers", value("--workers")?)?,
-            "--estimator-threads" => {
-                config.estimator_threads =
-                    parse("--estimator-threads", value("--estimator-threads")?)?;
+            fixed @ ("--cache-shards" | "--estimator-threads") => {
+                if parse(fixed, value(fixed)?)? != 1 {
+                    return Err(format!("{fixed} is fixed at 1 (see --help)"));
+                }
             }
             "--max-connections" => {
                 config.max_connections = parse("--max-connections", value("--max-connections")?)?;
@@ -105,9 +108,6 @@ fn run() -> Result<(), String> {
             }
             "--cache-budget" => {
                 config.cache_budget_bytes = parse("--cache-budget", value("--cache-budget")?)?;
-            }
-            "--cache-shards" => {
-                config.cache_shards = parse("--cache-shards", value("--cache-shards")?)?;
             }
             "--slow-request-ms" => {
                 config.slow_request_ms = value("--slow-request-ms")?
@@ -125,13 +125,9 @@ fn run() -> Result<(), String> {
     // bind port 0 and scrape the real address from here.
     println!("samplecfd listening on {}", handle.addr());
     println!("workers          {}", config.workers);
-    println!("estimator thr.   {}", config.estimator_threads);
     println!("max connections  {}", config.max_connections);
     println!("queue depth      {}", config.queue_depth);
-    println!(
-        "cache budget     {} B across {} shards",
-        config.cache_budget_bytes, config.cache_shards
-    );
+    println!("cache budget     {} B", config.cache_budget_bytes);
     for path in &tables {
         let entry = handle
             .state()

@@ -481,10 +481,10 @@ fn info_json_matches_the_server_table_shape() {
     assert_eq!(field_value(&text, "pages") as u64, pages);
 }
 
-/// Spawn `samplecfd` on an ephemeral port and return (child, addr, reader).
-/// The daemon prints its bound address on the first stdout line; the
-/// returned reader must stay alive for the daemon's lifetime (dropping the
-/// pipe would break its later prints).
+/// Spawn `samplecfd` with exactly `args` (which bind an ephemeral port) and
+/// return (child, addr, reader).  The daemon prints its bound address on
+/// the first stdout line; the returned reader must stay alive for the
+/// daemon's lifetime (dropping the pipe would break its later prints).
 fn spawn_daemon(
     args: &[&str],
 ) -> (
@@ -494,7 +494,6 @@ fn spawn_daemon(
 ) {
     use std::io::BufRead;
     let mut child = Command::new(env!("CARGO_BIN_EXE_samplecfd"))
-        .args(["--addr", "127.0.0.1:0"])
         .args(args)
         .stdout(std::process::Stdio::piped())
         .spawn()
@@ -546,7 +545,7 @@ fn daemon_register_estimate_stats_loop_matches_the_oneshot_cli() {
         "9",
     ]);
 
-    let (mut child, addr, _daemon_stdout) = spawn_daemon(&[]);
+    let (mut child, addr, _daemon_stdout) = spawn_daemon(&["--addr", "127.0.0.1:0"]);
     // Wrap the rest so the daemon is killed even on assertion failure.
     let result = std::panic::catch_unwind(|| {
         let registered = client(&addr, &format!(r#"{{"op":"register","path":"{table}"}}"#));
@@ -709,6 +708,49 @@ fn daemon_register_estimate_stats_loop_matches_the_oneshot_cli() {
     }
     let status = child.wait().expect("daemon exits");
     assert!(status.success(), "daemon exited non-zero");
+}
+
+#[test]
+fn the_daemon_accepts_its_fixed_flags_at_one_and_refuses_any_other_value() {
+    // The exact argument list the benchmark harness starts the daemon with.
+    let (mut child, addr, _daemon_stdout) = spawn_daemon(&[
+        "--addr",
+        "127.0.0.1:0",
+        "--workers",
+        "2",
+        "--estimator-threads",
+        "1",
+        "--slow-request-ms",
+        "0",
+        "--cache-budget",
+        "33554432",
+        "--cache-shards",
+        "1",
+    ]);
+    let result = std::panic::catch_unwind(|| {
+        assert!(addr.parse::<std::net::SocketAddr>().is_ok(), "{addr:?}");
+        let stats = client(&addr, r#"{"op":"stats"}"#);
+        let cache = stats.key("stats").key("cache");
+        assert_eq!(cache.key("budget_bytes").num() as u64, 33_554_432);
+        assert!(cache.get("shards").is_none(), "{cache}");
+        client(&addr, r#"{"op":"shutdown"}"#);
+    });
+    if let Err(panic) = result {
+        let _ = child.kill();
+        let _ = child.wait();
+        std::panic::resume_unwind(panic);
+    }
+    assert!(child.wait().expect("daemon exits").success());
+
+    for (flag, value) in [("--cache-shards", "8"), ("--estimator-threads", "0")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_samplecfd"))
+            .args(["--addr", "127.0.0.1:0", flag, value])
+            .output()
+            .expect("daemon runs");
+        assert!(!out.status.success(), "{flag} {value} was accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
+    }
 }
 
 #[test]
