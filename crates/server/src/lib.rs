@@ -50,6 +50,9 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("samplecf-server needs Linux: the event loop polls sockets with epoll");
+
 pub mod cache;
 pub mod catalog;
 mod execute;

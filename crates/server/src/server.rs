@@ -2,7 +2,7 @@
 //!
 //! `samplecfd` is a std-only **event-driven** server.  One event-loop
 //! thread owns the listener and every connection through the
-//! crate-private `poll` readiness abstraction (epoll/kqueue, no async
+//! crate-private `poll` readiness poller (Linux epoll, no async
 //! runtime); `workers` threads own the CPU-and-I/O-heavy protocol work
 //! (sampling, estimation) behind a **bounded request queue**.  The worker
 //! pool is the daemon's only parallelism: a request runs on one worker from
@@ -508,7 +508,7 @@ impl EventLoop {
 
     fn close_conn(&mut self, idx: usize) {
         if let Some(conn) = self.conns.get_mut(idx).and_then(Option::take) {
-            let _ = self.poller.deregister(&conn.stream, idx);
+            let _ = self.poller.deregister(&conn.stream);
             drop(conn);
             self.free.push(idx);
             self.open -= 1;
@@ -562,7 +562,7 @@ impl EventLoop {
     /// then drop everything.
     fn wind_down(&mut self) {
         self.draining = true;
-        let _ = self.poller.deregister(&self.listener, LISTENER_TOKEN);
+        let _ = self.poller.deregister(&self.listener);
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut events: Vec<Event> = Vec::new();
         loop {

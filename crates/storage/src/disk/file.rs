@@ -12,13 +12,11 @@
 //! (Section II-C) is about.  (The only cached page is the unflushed tail
 //! while a writer is appending.)
 //!
-//! Reads are **concurrent**: on Unix each page read is one positional
-//! `pread` that never touches the shared file cursor, so any number of
-//! threads (the `samplecfd` worker pool, the trial runner) can read
-//! pages of one open file simultaneously with no lock held.  On other
-//! platforms reads fall back to seek-then-read under a
-//! [`parking_lot::Mutex`] guarding the cursor.  Writes always take that
-//! lock; they also require `&mut self`, so they never race reads.
+//! All I/O is **positional**: each page read is one `pread` and each write
+//! one `pwrite`, and the shared file cursor is never moved, so any number
+//! of threads (the `samplecfd` worker pool, the trial runner) can read
+//! pages of one open file simultaneously with no lock held.  Writes
+//! require `&mut self`, so they never race reads.
 
 use crate::disk::format::{self, FileHeader, FILE_HEADER_SIZE};
 use crate::error::{StorageError, StorageResult};
@@ -26,18 +24,14 @@ use crate::page::{max_record_len, validate_page_size, Page};
 use crate::pool::PagePool;
 use crate::rid::{PageId, Rid};
 use crate::source::PageRead;
-use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 /// An append-only heap file persisted to disk, page by page.
 #[derive(Debug)]
 pub struct DiskHeapFile {
     file: File,
-    /// Guards the file cursor for seek-based access (writes everywhere,
-    /// reads on non-Unix platforms).  Unix reads bypass it via `pread`.
-    cursor: Mutex<()>,
     path: PathBuf,
     page_size: usize,
     data_offset: u64,
@@ -80,7 +74,6 @@ impl DiskHeapFile {
             .open(path.as_ref())?;
         let mut this = DiskHeapFile {
             file,
-            cursor: Mutex::new(()),
             path: path.as_ref().to_path_buf(),
             page_size,
             data_offset: format::align_up(FILE_HEADER_SIZE + meta.len(), page_size) as u64,
@@ -100,12 +93,12 @@ impl DiskHeapFile {
     /// lazily on the first [`append`](DiskHeapFile::append), so read-only
     /// consumers (`samplecf info`, estimation) never pay for it.
     pub fn open(path: impl AsRef<Path>) -> StorageResult<DiskHeapFile> {
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .open(path.as_ref())?;
         let mut fixed = vec![0u8; FILE_HEADER_SIZE];
-        file.read_exact(&mut fixed)
+        file.read_exact_at(&mut fixed, 0)
             .map_err(|e| StorageError::InvalidFormat(format!("cannot read file header: {e}")))?;
         let header = format::decode_file_header(&fixed)?;
 
@@ -123,15 +116,13 @@ impl DiskHeapFile {
         }
 
         let mut region = vec![0u8; header.data_offset as usize];
-        file.seek(SeekFrom::Start(0))?;
-        file.read_exact(&mut region)
+        file.read_exact_at(&mut region, 0)
             .map_err(|e| StorageError::InvalidFormat(format!("metadata region truncated: {e}")))?;
         format::verify_metadata_crc(&region)?;
         let meta = region[FILE_HEADER_SIZE..FILE_HEADER_SIZE + header.meta_len].to_vec();
 
         Ok(DiskHeapFile {
             file,
-            cursor: Mutex::new(()),
             path: path.as_ref().to_path_buf(),
             page_size: header.page_size,
             data_offset: header.data_offset,
@@ -154,47 +145,23 @@ impl DiskHeapFile {
         }
     }
 
-    /// Read exactly `buf.len()` bytes at `offset`.  On Unix this is one
-    /// positional `pread` with no lock — the concurrent-read fast path; the
-    /// portable fallback serialises on the cursor lock.
-    fn read_exact_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
-        #[cfg(unix)]
-        {
-            use std::os::unix::fs::FileExt;
-            self.file.read_exact_at(buf, offset)
-        }
-        #[cfg(not(unix))]
-        {
-            let _cursor = self.cursor.lock();
-            let mut file = &self.file;
-            file.seek(SeekFrom::Start(offset))?;
-            file.read_exact(buf)
-        }
-    }
-
-    /// Write `bytes` at `offset`, holding the cursor lock for the seek.
-    fn write_all_at(&self, offset: u64, bytes: &[u8]) -> std::io::Result<()> {
-        let _cursor = self.cursor.lock();
-        let mut file = &self.file;
-        file.seek(SeekFrom::Start(offset))?;
-        file.write_all(bytes)
-    }
-
     fn write_metadata(&mut self) -> StorageResult<()> {
         let region = format::encode_metadata(&self.header(), &self.meta);
-        self.write_all_at(0, &region)?;
+        self.file.write_all_at(&region, 0)?;
         Ok(())
     }
 
     fn write_page(&self, page: &Page) -> StorageResult<()> {
         let block = format::encode_page(page);
-        self.write_all_at(self.header().page_offset(page.id()), &block)?;
+        self.file
+            .write_all_at(&block, self.header().page_offset(page.id()))?;
         Ok(())
     }
 
     fn read_page_at(&self, id: PageId, header: &FileHeader) -> StorageResult<Page> {
         let mut block = self.pool.acquire(header.page_stride() as usize);
-        self.read_exact_at(header.page_offset(id), &mut block)
+        self.file
+            .read_exact_at(&mut block, header.page_offset(id))
             .map_err(|e| StorageError::Io(format!("reading page {id}: {e}")))?;
         format::decode_page(id, self.page_size, &block)
     }

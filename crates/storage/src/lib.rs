@@ -59,6 +59,9 @@
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+#[cfg(not(unix))]
+compile_error!("samplecf-storage needs unix: heap files read and write pages by position");
+
 pub mod cell;
 pub mod counting;
 pub mod datatype;
