@@ -373,8 +373,8 @@ pub struct ConcurrentSampleCache {
     ready: Condvar,
 }
 
-/// Recover from a poisoned lock the way `parking_lot` would: the data is a
-/// cache, a panicked drawer's partial state was never published.
+/// Recover from a poisoned lock: the data is a cache, a panicked drawer's
+/// partial state was never published.
 fn lock_state(m: &Mutex<State>) -> MutexGuard<'_, State> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -686,8 +686,7 @@ pub(crate) mod tests {
     use samplecf_datagen::presets;
     use samplecf_index::{IndexBuilder, IndexSpec};
     use samplecf_storage::{
-        IntoShared, Page, PageId, RowCodec, Schema, SharedCountingSource, StorageResult,
-        TableSource,
+        IntoShared, Page, PageId, RowCodec, Schema, StorageResult, TableSource,
     };
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Barrier;
@@ -735,12 +734,12 @@ pub(crate) mod tests {
         }
     }
 
-    fn counted_table(rows: usize, seed: u64) -> (Arc<SharedCountingSource>, SharedSource) {
+    fn counted_table(rows: usize, seed: u64) -> (Arc<CountingSource<SharedSource>>, SharedSource) {
         let table = presets::single_char_table("t", rows, 24, 40, 8, seed)
             .generate()
             .unwrap()
             .table;
-        let counting = Arc::new(SharedCountingSource::new(table.into_shared()));
+        let counting = Arc::new(CountingSource::new(table.into_shared()));
         let shared = Arc::clone(&counting) as SharedSource;
         (counting, shared)
     }

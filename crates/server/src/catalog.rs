@@ -15,12 +15,13 @@
 //! only a `register` takes the write lock.
 
 use crate::protocol::{codes, ApiError};
-use parking_lot::RwLock;
 use samplecf_obs::{Counter, Gauge, MetricsRegistry};
 use samplecf_storage::{DiskTable, SharedSource};
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+type Tables = HashMap<String, CatalogEntry>;
 
 /// One registered table: the typed handle (for metadata the [`DiskTable`]
 /// API exposes) and the erased handle (for samplers and the cache).
@@ -50,7 +51,7 @@ impl std::fmt::Debug for CatalogEntry {
 
 /// A concurrent name → table registry.
 pub struct TableCatalog {
-    tables: RwLock<HashMap<String, CatalogEntry>>,
+    tables: RwLock<Tables>,
     hits: Counter,
     misses: Counter,
     registered: Gauge,
@@ -79,6 +80,18 @@ impl TableCatalog {
             misses: registry.counter("samplecf_catalog_misses_total"),
             registered: registry.gauge("samplecf_catalog_tables"),
         }
+    }
+
+    // A panic under the write lock cannot leave the map half-updated (a
+    // `register` changes it by one `insert`), so a poisoned lock is
+    // recovered, not propagated: one panicking request must not turn every
+    // later lookup into a panic.
+    fn read(&self) -> RwLockReadGuard<'_, Tables> {
+        self.tables.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Tables> {
+        self.tables.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Lookups that found their table since start.
@@ -110,7 +123,7 @@ impl TableCatalog {
             .unwrap_or_else(|| samplecf_storage::TableSource::name(&table))
             .to_string();
 
-        let mut tables = self.tables.write();
+        let mut tables = self.write();
         if let Some(existing) = tables.get(&name) {
             if existing.path == canonical {
                 return Ok(existing.clone());
@@ -139,12 +152,12 @@ impl TableCatalog {
     /// the entry's file (a fault-injecting one, say) behind a name.
     #[cfg(test)]
     pub(crate) fn insert(&self, name: &str, entry: CatalogEntry) {
-        self.tables.write().insert(name.to_string(), entry);
+        self.write().insert(name.to_string(), entry);
     }
 
     /// Look up a registered table by name.
     pub fn get(&self, name: &str) -> Result<CatalogEntry, ApiError> {
-        match self.tables.read().get(name).cloned() {
+        match self.read().get(name).cloned() {
             Some(entry) => {
                 self.hits.inc();
                 Ok(entry)
@@ -162,7 +175,7 @@ impl TableCatalog {
     /// Names of all registered tables, sorted for deterministic output.
     #[must_use]
     pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.tables.read().keys().cloned().collect();
+        let mut names: Vec<String> = self.read().keys().cloned().collect();
         names.sort();
         names
     }
@@ -170,13 +183,13 @@ impl TableCatalog {
     /// Number of registered tables.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.tables.read().len()
+        self.read().len()
     }
 
     /// Whether the catalog is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.tables.read().is_empty()
+        self.read().is_empty()
     }
 }
 
@@ -298,5 +311,24 @@ mod tests {
         assert_eq!(names.len(), 9);
         assert!(names.windows(2).all(|w| w[0] < w[1]), "sorted: {names:?}");
         assert!(catalog.get("e").is_ok());
+    }
+
+    #[test]
+    fn the_catalog_survives_a_panic_under_its_lock() {
+        let (path, _cleanup) = temp_table("poison", 200);
+        let path_str = path.to_string_lossy().into_owned();
+        let catalog = TableCatalog::new();
+        catalog.register(&path_str, Some("before")).unwrap();
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _guard = catalog.write();
+                panic!("injected panic under the catalog's write lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(catalog.tables.is_poisoned());
+        assert_eq!(catalog.get("before").unwrap().shared.num_rows(), 200);
+        catalog.register(&path_str, Some("after")).unwrap();
+        assert_eq!(catalog.names(), ["after", "before"]);
     }
 }

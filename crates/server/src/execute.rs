@@ -14,7 +14,7 @@ use crate::response::{Accounting, Measured, Response};
 use crate::service::ServiceState;
 use samplecf_core::{measure_sample_schemes, KeyOrderSource, ProgressiveCf};
 use samplecf_index::IndexBuilder;
-use samplecf_storage::{CountingSource, TableSource};
+use samplecf_storage::TableSource;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn estimate_failed(e: impl std::fmt::Display) -> ApiError {
@@ -123,13 +123,12 @@ impl ServiceState {
         // Progressive runs stream their own pages and bypass the sample
         // cache: their stopping point depends on the data, not on a fixed
         // fraction a later request could share.
-        let counting =
-            CountingSource::observed(entry.shared.as_ref(), self.gauges.progressive_pages.clone());
         let report = ProgressiveCf::new(sample.sampler, stopping)
             .seed(sample.seed)
             .metrics(self.gauges.progressive.clone())
-            .run(&counting, &spec, scheme.as_ref())
+            .run(entry.shared.as_ref(), &spec, scheme.as_ref())
             .map_err(estimate_failed)?;
+        self.gauges.progressive_pages.record(report.pages_read);
         Ok(Response::EstimateProgressive {
             sample: measured(&entry, sample),
             scheme: scheme.name().to_string(),

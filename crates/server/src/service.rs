@@ -43,8 +43,8 @@ pub struct Instruments {
     /// Requests slower than the configured threshold
     /// (`samplecf_slow_requests_total`).
     pub(crate) slow_requests: Counter,
-    /// Pages-read distribution of progressive runs
-    /// (`samplecf_source_pages_read{source="progressive"}`).
+    /// Pages-read distribution of progressive runs, one sample per
+    /// completed run (`samplecf_source_pages_read{source="progressive"}`).
     pub(crate) progressive_pages: Histogram,
     /// Progressive estimator instruments, shared with the core crate.
     pub(crate) progressive: samplecf_core::ProgressiveMetrics,

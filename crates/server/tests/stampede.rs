@@ -13,10 +13,13 @@ use samplecf_sampling::SamplerKind;
 use samplecf_server::{
     CacheDisposition, CachedSample, ConcurrentSampleCache, DEFAULT_CACHE_BUDGET_BYTES,
 };
-use samplecf_storage::{IntoShared, SharedCountingSource, SharedSource, TableSource};
+use samplecf_storage::{CountingSource, IntoShared, SharedSource, TableSource};
 use std::sync::{Arc, Barrier};
 
-fn counted_tables(count: usize, rows: usize) -> Vec<(Arc<SharedCountingSource>, SharedSource)> {
+fn counted_tables(
+    count: usize,
+    rows: usize,
+) -> Vec<(Arc<CountingSource<SharedSource>>, SharedSource)> {
     (0..count)
         .map(|i| {
             let table =
@@ -24,7 +27,7 @@ fn counted_tables(count: usize, rows: usize) -> Vec<(Arc<SharedCountingSource>, 
                     .generate()
                     .expect("generation succeeds")
                     .table;
-            let counting = Arc::new(SharedCountingSource::new(table.into_shared()));
+            let counting = Arc::new(CountingSource::new(table.into_shared()));
             let shared = Arc::clone(&counting) as SharedSource;
             (counting, shared)
         })

@@ -19,43 +19,31 @@ use crate::page::Page;
 use crate::rid::{PageId, Rid};
 use crate::row::RowCodec;
 use crate::schema::Schema;
-use crate::source::{PageRead, SharedSource, TableSource};
-use samplecf_obs::Histogram;
+use crate::source::{PageRead, TableSource};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A [`TableSource`] decorator that counts page reads.
 ///
-/// Optionally carries a metrics [`Histogram`] observer
-/// ([`CountingSource::observed`]): when the wrapper drops, the final
-/// counter value is recorded as one histogram sample, so every counting
-/// session (a sample draw, a progressive run) feeds a per-source
-/// pages-read distribution without its owner writing any accounting code.
-pub struct CountingSource<'a> {
-    inner: &'a dyn TableSource,
+/// Generic over the handle it wraps: a borrow (`&dyn TableSource`,
+/// `&Table`) for a counting session on the stack, or an owned
+/// [`SharedSource`](crate::source::SharedSource), so that an
+/// `Arc<CountingSource<SharedSource>>` can itself be erased into a
+/// `SharedSource` and handed to `'static` consumers (the sample cache, a
+/// server catalog) while the caller keeps a second `Arc` to read the
+/// counter from.
+pub struct CountingSource<S> {
+    inner: S,
     pages_read: AtomicU64,
-    observer: Histogram,
 }
 
-impl<'a> CountingSource<'a> {
+impl<S: Deref<Target: TableSource>> CountingSource<S> {
     /// Wrap a source, starting the counter at zero.
     #[must_use]
-    pub fn new(inner: &'a dyn TableSource) -> Self {
+    pub fn new(inner: S) -> Self {
         CountingSource {
             inner,
             pages_read: AtomicU64::new(0),
-            observer: Histogram::disabled(),
-        }
-    }
-
-    /// Wrap a source and record the session's final page count into
-    /// `observer` when the wrapper drops.  A disabled histogram handle
-    /// makes this identical to [`CountingSource::new`].
-    #[must_use]
-    pub fn observed(inner: &'a dyn TableSource, observer: Histogram) -> Self {
-        CountingSource {
-            inner,
-            pages_read: AtomicU64::new(0),
-            observer,
         }
     }
 
@@ -70,21 +58,14 @@ impl<'a> CountingSource<'a> {
         self.pages_read.store(0, Ordering::Relaxed);
     }
 
-    /// The wrapped source.
+    /// The wrapped handle.
     #[must_use]
-    pub fn inner(&self) -> &'a dyn TableSource {
-        self.inner
+    pub fn inner(&self) -> &S {
+        &self.inner
     }
 }
 
-impl Drop for CountingSource<'_> {
-    fn drop(&mut self) {
-        // One sample per counting session; a disabled observer is a branch.
-        self.observer.record(self.pages_read());
-    }
-}
-
-impl std::fmt::Debug for CountingSource<'_> {
+impl<S: Deref<Target: TableSource>> std::fmt::Debug for CountingSource<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
@@ -95,7 +76,7 @@ impl std::fmt::Debug for CountingSource<'_> {
     }
 }
 
-impl TableSource for CountingSource<'_> {
+impl<S: Deref<Target: TableSource> + Send + Sync> TableSource for CountingSource<S> {
     fn name(&self) -> &str {
         self.inner.name()
     }
@@ -142,103 +123,11 @@ impl TableSource for CountingSource<'_> {
     }
 }
 
-/// The owning counterpart of [`CountingSource`]: wraps a [`SharedSource`]
-/// handle instead of a borrow, so the counted source can itself be erased
-/// into a `SharedSource` and handed to `'static` consumers (the owned sample
-/// cache, advisor candidates, a server catalog) while the caller keeps a
-/// second [`Arc`](std::sync::Arc) to read the counter from.
-pub struct SharedCountingSource {
-    inner: SharedSource,
-    pages_read: AtomicU64,
-}
-
-impl SharedCountingSource {
-    /// Wrap a shared handle, starting the counter at zero.
-    #[must_use]
-    pub fn new(inner: SharedSource) -> Self {
-        SharedCountingSource {
-            inner,
-            pages_read: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of pages read through this wrapper so far.
-    #[must_use]
-    pub fn pages_read(&self) -> u64 {
-        self.pages_read.load(Ordering::Relaxed)
-    }
-
-    /// Reset the counter to zero (e.g. between measurement phases).
-    pub fn reset(&self) {
-        self.pages_read.store(0, Ordering::Relaxed);
-    }
-
-    /// The wrapped handle.
-    #[must_use]
-    pub fn inner(&self) -> &SharedSource {
-        &self.inner
-    }
-}
-
-impl std::fmt::Debug for SharedCountingSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "SharedCountingSource({}, pages_read = {})",
-            self.inner.name(),
-            self.pages_read()
-        )
-    }
-}
-
-impl TableSource for SharedCountingSource {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn schema(&self) -> &Schema {
-        self.inner.schema()
-    }
-
-    fn codec(&self) -> &RowCodec {
-        self.inner.codec()
-    }
-
-    fn num_rows(&self) -> usize {
-        self.inner.num_rows()
-    }
-
-    fn num_pages(&self) -> usize {
-        self.inner.num_pages()
-    }
-
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-
-    fn read_page(&self, id: PageId) -> StorageResult<Page> {
-        self.pages_read.fetch_add(1, Ordering::Relaxed);
-        self.inner.read_page(id)
-    }
-
-    fn read_page_ref(&self, id: PageId) -> StorageResult<PageRead<'_>> {
-        self.pages_read.fetch_add(1, Ordering::Relaxed);
-        self.inner.read_page_ref(id)
-    }
-
-    // As in `CountingSource`: row access funnels through the page-read
-    // methods so it is accounted, the frame is metadata and is not.
-
-    fn rids(&self) -> StorageResult<Vec<Rid>> {
-        self.inner.rids()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::row::Row;
-    use crate::source::IntoShared;
+    use crate::source::{IntoShared, SharedSource};
     use crate::table::{Table, TableBuilder};
     use crate::value::Value;
     use std::sync::Arc;
@@ -278,7 +167,7 @@ mod tests {
     fn shared_counting_source_counts_through_an_erased_handle() {
         let t = table(400);
         let num_pages = t.num_pages() as u64;
-        let counting = Arc::new(SharedCountingSource::new(t.into_shared()));
+        let counting = Arc::new(CountingSource::new(t.into_shared()));
         // The counted wrapper erases into a SharedSource like any table...
         let erased: SharedSource = Arc::clone(&counting) as SharedSource;
         assert_eq!(erased.scan_rows().unwrap().len(), 400);
@@ -299,33 +188,15 @@ mod tests {
         assert!(read.is_borrowed(), "counting must not force a page copy");
         drop(read);
         assert_eq!(counting.pages_read(), 1);
-        let shared = SharedCountingSource::new(table(100).into_shared());
+        let shared = CountingSource::new(table(100).into_shared());
         assert!(shared.read_page_ref(0).unwrap().is_borrowed());
         assert_eq!(shared.pages_read(), 1);
     }
 
     #[test]
-    fn observer_records_one_sample_per_session() {
-        let registry = samplecf_obs::MetricsRegistry::new();
-        let hist = registry.histogram("pages{source=\"t\"}");
-        let t = table(300);
-        let num_pages = t.num_pages() as u64;
-        {
-            let counting = CountingSource::observed(&t, hist.clone());
-            counting.scan_rows().unwrap();
-        }
-        let snap = hist.snapshot();
-        assert_eq!(snap.count, 1, "drop records exactly one sample");
-        assert_eq!(snap.sum, num_pages);
-        // A plain wrapper still works with no observer attached.
-        drop(CountingSource::new(&t));
-        assert_eq!(hist.snapshot().count, 1);
-    }
-
-    #[test]
     fn metadata_is_delegated() {
         let t = table(100);
-        let counting = CountingSource::new(&t);
+        let counting = CountingSource::new(&t as &dyn TableSource);
         assert_eq!(counting.name(), "t");
         assert_eq!(counting.num_rows(), 100);
         assert_eq!(counting.num_pages(), t.num_pages());

@@ -21,7 +21,6 @@
 use crate::disk::format::{self, FileHeader, FILE_HEADER_SIZE};
 use crate::error::{StorageError, StorageResult};
 use crate::page::{max_record_len, validate_page_size, Page};
-use crate::pool::PagePool;
 use crate::rid::{PageId, Rid};
 use crate::source::PageRead;
 use std::fs::{File, OpenOptions};
@@ -45,9 +44,6 @@ pub struct DiskHeapFile {
     tail: Option<Page>,
     /// Whether `tail` or the header counts differ from the file contents.
     dirty: bool,
-    /// Scratch buffers for physical page reads, recycled across reads so the
-    /// hot sampling path does not allocate one stride per page.
-    pool: PagePool,
 }
 
 impl DiskHeapFile {
@@ -82,7 +78,6 @@ impl DiskHeapFile {
             num_pages: 0,
             tail: None,
             dirty: false,
-            pool: PagePool::default(),
         };
         this.write_metadata()?;
         Ok(this)
@@ -131,7 +126,6 @@ impl DiskHeapFile {
             num_pages: header.num_pages,
             tail: None,
             dirty: false,
-            pool: PagePool::default(),
         })
     }
 
@@ -159,11 +153,11 @@ impl DiskHeapFile {
     }
 
     fn read_page_at(&self, id: PageId, header: &FileHeader) -> StorageResult<Page> {
-        let mut block = self.pool.acquire(header.page_stride() as usize);
+        let mut block = vec![0u8; header.page_stride() as usize];
         self.file
             .read_exact_at(&mut block, header.page_offset(id))
             .map_err(|e| StorageError::Io(format!("reading page {id}: {e}")))?;
-        format::decode_page(id, self.page_size, &block)
+        format::decode_page(id, self.page_size, block)
     }
 
     /// The path this heap file lives at.
@@ -258,18 +252,9 @@ impl DiskHeapFile {
             }
             self.write_metadata()?;
             self.dirty = false;
-            // The file layout may have grown: fence the scratch pool so any
-            // buffer acquired against the old layout is retired, not reused.
-            self.pool.bump_generation();
         }
         self.file.sync_all()?;
         Ok(())
-    }
-
-    /// The scratch-buffer pool physical reads draw from (for inspection).
-    #[must_use]
-    pub fn pool(&self) -> &PagePool {
-        &self.pool
     }
 
     /// Read one page.  This is a physical file read, with one exception:
@@ -453,49 +438,37 @@ mod tests {
     }
 
     #[test]
-    fn physical_reads_recycle_pooled_buffers() {
-        let path = temp_path("pool");
-        let _cleanup = Cleanup(path.clone());
-        {
-            let mut h = DiskHeapFile::create(&path, 256, b"").unwrap();
-            for i in 0..60u8 {
-                h.append(&[i; 24]).unwrap();
-            }
-            h.sync().unwrap();
-        }
-        let h = DiskHeapFile::open(&path).unwrap();
-        assert_eq!(h.pool().pooled(), 0);
-        h.read_page(0).unwrap();
-        assert_eq!(h.pool().pooled(), 1, "scratch buffer returns to the pool");
-        let generation = h.pool().generation();
-        for pid in 0..h.num_pages() {
-            h.read_page(pid as PageId).unwrap();
-        }
-        // Serial reads reuse one scratch buffer instead of growing the pool.
-        assert_eq!(h.pool().pooled(), 1);
-        assert_eq!(h.pool().generation(), generation);
-    }
-
-    #[test]
-    fn sync_fences_the_scratch_pool() {
-        let path = temp_path("pool_fence");
+    fn one_handle_reads_back_every_append_across_syncs() {
+        // Each round grows the file by whole pages and rewrites its tail and
+        // header, then reads every page back from the file through the same
+        // handle: no read may see a stale or short page.
+        let path = temp_path("rounds");
         let _cleanup = Cleanup(path.clone());
         let mut h = DiskHeapFile::create(&path, 256, b"").unwrap();
-        for i in 0..60u8 {
-            h.append(&[i; 24]).unwrap();
+        let mut appended: Vec<(Rid, Vec<u8>)> = Vec::new();
+        for round in 0..5u8 {
+            let pages_before = h.num_pages();
+            for i in 0..30u8 {
+                let record = vec![round.wrapping_mul(31) ^ i; 20 + usize::from(i % 5)];
+                appended.push((h.append(&record).unwrap(), record));
+            }
+            assert!(h.num_pages() > pages_before + 1, "round {round} adds pages");
+            h.sync().unwrap();
+            let header = h.header();
+            for pid in 0..h.num_pages() as PageId {
+                let page = h.read_page_at(pid, &header).unwrap();
+                let expected: Vec<&[u8]> = appended
+                    .iter()
+                    .filter(|(rid, _)| rid.page == pid)
+                    .map(|(_, record)| record.as_slice())
+                    .collect();
+                assert_eq!(
+                    page.records().collect::<Vec<_>>(),
+                    expected,
+                    "round {round}, page {pid}"
+                );
+            }
         }
-        h.sync().unwrap();
-        let generation = h.pool().generation();
-        h.read_page(0).unwrap();
-        assert_eq!(h.pool().pooled(), 1);
-        h.append(&[61u8; 24]).unwrap();
-        h.sync().unwrap();
-        // The layout changed: pooled scratch buffers were retired.
-        assert!(h.pool().generation() > generation);
-        assert_eq!(h.pool().pooled(), 0);
-        // Reads keep working (and repopulate the pool) afterwards.
-        h.read_page(0).unwrap();
-        assert_eq!(h.pool().pooled(), 1);
     }
 
     #[test]

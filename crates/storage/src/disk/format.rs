@@ -197,11 +197,17 @@ pub fn encode_page(page: &Page) -> Vec<u8> {
 }
 
 /// Parse and verify one on-disk page block produced by [`encode_page`].
+/// The block's own buffer becomes the page, with the disk header drained,
+/// so a physical read allocates once.
 ///
 /// # Errors
 /// Fails on a checksum mismatch (any single-byte corruption), a page-id or
 /// size mismatch, or a structurally invalid slotted page.
-pub fn decode_page(expected_id: PageId, page_size: usize, bytes: &[u8]) -> StorageResult<Page> {
+pub fn decode_page(
+    expected_id: PageId,
+    page_size: usize,
+    mut bytes: Vec<u8>,
+) -> StorageResult<Page> {
     if bytes.len() != DISK_PAGE_HEADER_SIZE + page_size {
         return Err(StorageError::InvalidFormat(format!(
             "page block of {} bytes, expected {}",
@@ -209,26 +215,27 @@ pub fn decode_page(expected_id: PageId, page_size: usize, bytes: &[u8]) -> Stora
             DISK_PAGE_HEADER_SIZE + page_size
         )));
     }
-    let stored_crc = read_u32(bytes, 0);
+    let stored_crc = read_u32(&bytes, 0);
     let actual_crc = crc32(&bytes[4..]);
     if stored_crc != actual_crc {
         return Err(StorageError::PageCorruption(format!(
             "checksum mismatch on page {expected_id}: stored {stored_crc:08x}, computed {actual_crc:08x}"
         )));
     }
-    let stored_id = read_u32(bytes, 4);
+    let stored_id = read_u32(&bytes, 4);
     if stored_id != expected_id {
         return Err(StorageError::PageCorruption(format!(
             "disk header stores page id {stored_id}, expected {expected_id}"
         )));
     }
-    let stored_len = read_u32(bytes, 8) as usize;
+    let stored_len = read_u32(&bytes, 8) as usize;
     if stored_len != page_size {
         return Err(StorageError::InvalidFormat(format!(
             "disk header stores page size {stored_len}, expected {page_size}"
         )));
     }
-    Page::from_bytes(expected_id, bytes[DISK_PAGE_HEADER_SIZE..].to_vec())
+    bytes.drain(..DISK_PAGE_HEADER_SIZE);
+    Page::from_bytes(expected_id, bytes)
 }
 
 // Data-type tags used by the schema serialisation.
@@ -437,12 +444,12 @@ mod tests {
         // constant cannot cancel the way it could over a few lanes.
         let (id, page_size, records, rec_len, stored) = FULL_BLOCK;
         let mut block = patterned_block(id, page_size, records, rec_len);
-        decode_page(id, page_size, &block).unwrap();
+        decode_page(id, page_size, block.clone()).unwrap();
         let kernels = kernels();
         for bit in 0..block.len() * 8 {
             block[bit / 8] ^= 1 << (bit % 8);
             assert!(
-                decode_page(id, page_size, &block).is_err(),
+                decode_page(id, page_size, block.clone()).is_err(),
                 "flip of bit {bit} went unnoticed"
             );
             // Past the stored CRC itself, every kernel sees the flip.
@@ -509,7 +516,7 @@ mod tests {
         page.insert(b"fraction").unwrap();
         let block = encode_page(&page);
         assert_eq!(block.len(), DISK_PAGE_HEADER_SIZE + 512);
-        let decoded = decode_page(5, 512, &block).unwrap();
+        let decoded = decode_page(5, 512, block).unwrap();
         assert_eq!(decoded.raw(), page.raw());
         assert_eq!(decoded.get(0).unwrap(), b"compression");
     }
@@ -523,7 +530,7 @@ mod tests {
             let mut corrupt = block.clone();
             corrupt[pos] ^= 0x01;
             assert!(
-                decode_page(2, 256, &corrupt).is_err(),
+                decode_page(2, 256, corrupt).is_err(),
                 "flip at byte {pos} went unnoticed"
             );
         }
@@ -533,8 +540,8 @@ mod tests {
     fn page_id_and_size_mismatches_are_rejected() {
         let page = Page::new(1, 128).unwrap();
         let block = encode_page(&page);
-        assert!(decode_page(2, 128, &block).is_err());
-        assert!(decode_page(1, 256, &block).is_err());
+        assert!(decode_page(2, 128, block.clone()).is_err());
+        assert!(decode_page(1, 256, block).is_err());
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //!   [`SharedSource`], its reference-counted `Send + Sync` handle form
 //!   (via [`IntoShared`]) that the owned sample cache and the `samplecfd`
 //!   catalog share across threads,
-//! * [`CountingSource`] / [`SharedCountingSource`] — decorators that count
-//!   physical page reads, the accounting behind every "pages read" figure
-//!   the CLI, the server, the advisor and the experiments report,
+//! * [`CountingSource`] — the decorator that counts physical page reads
+//!   through a borrowed or a shared handle, the accounting behind every
+//!   "pages read" figure the CLI, the server, the advisor and the
+//!   experiments report,
 //! * [`disk`] — the persistent counterpart: checksummed page files,
 //!   [`DiskHeapFile`] and [`DiskTable`], where block sampling's "read only
 //!   the selected pages" is physically true.
@@ -69,7 +70,6 @@ pub mod disk;
 pub mod error;
 pub mod heap;
 pub mod page;
-pub mod pool;
 pub mod rid;
 pub mod row;
 pub mod schema;
@@ -78,7 +78,7 @@ pub mod table;
 pub mod value;
 
 pub use cell::{CellRef, RowRef};
-pub use counting::{CountingSource, SharedCountingSource};
+pub use counting::CountingSource;
 pub use datatype::DataType;
 pub use disk::{DiskHeapFile, DiskTable};
 pub use error::{StorageError, StorageResult};
@@ -86,7 +86,6 @@ pub use heap::HeapFile;
 pub use page::{
     Page, DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE, MIN_PAGE_SIZE, PAGE_HEADER_SIZE, SLOT_SIZE,
 };
-pub use pool::{PageLease, PagePool, DEFAULT_POOL_CAPACITY};
 pub use rid::{PageId, Rid};
 pub use row::{cell_logical_len, decode_cell, encode_cell, Row, RowCodec, CHAR_PAD};
 pub use schema::{Column, Schema};

@@ -174,7 +174,7 @@ proptest! {
         }
         let block = disk::format::encode_page(&page);
         prop_assert_eq!(block.len(), disk::DISK_PAGE_HEADER_SIZE + page_size);
-        let decoded = disk::format::decode_page(id, page_size, &block).unwrap();
+        let decoded = disk::format::decode_page(id, page_size, block).unwrap();
         // Byte-identical payload and identical record content.
         prop_assert_eq!(decoded.raw(), page.raw());
         prop_assert_eq!(decoded.slot_count(), page.slot_count());
@@ -202,11 +202,11 @@ proptest! {
         let mut corrupted = block.clone();
         corrupted[pos] ^= corrupt_mask;
         prop_assert!(
-            disk::format::decode_page(id, page_size, &corrupted).is_err(),
+            disk::format::decode_page(id, page_size, corrupted).is_err(),
             "flipping byte {} with mask {:#04x} went unnoticed", pos, corrupt_mask
         );
         // The pristine block still decodes.
-        prop_assert!(disk::format::decode_page(id, page_size, &block).is_ok());
+        prop_assert!(disk::format::decode_page(id, page_size, block).is_ok());
     }
 
     #[test]

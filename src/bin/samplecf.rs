@@ -780,14 +780,16 @@ fn cmd_top(mut args: Args) -> Result<(), String> {
 
         let hits = top_u64(&stats, &["cache", "hits"]);
         let misses = top_u64(&stats, &["cache", "misses"]);
-        let lookups = hits + misses;
+        // A deepening is counted only as `deepened`: it is a lookup too.
+        let deepened = top_u64(&stats, &["cache", "deepened"]);
+        let lookups = hits + misses + deepened;
         let hit_ratio = if lookups == 0 {
             0.0
         } else {
             hits as f64 / lookups as f64 * 100.0
         };
         outln!(
-            "cache     {hit_ratio:5.1}% hit ({hits}/{lookups})   {} B in {} entries   {} evictions",
+            "cache     {hit_ratio:5.1}% hit ({hits}/{lookups})   {deepened} deepened   {} B in {} entries   {} evictions",
             top_u64(&stats, &["cache", "bytes"]),
             top_u64(&stats, &["cache", "entries"]),
             top_u64(&stats, &["cache", "evictions"]),

@@ -551,6 +551,23 @@ fn daemon_register_estimate_stats_loop_matches_the_oneshot_cli() {
         let registered = client(&addr, &format!(r#"{{"op":"register","path":"{table}"}}"#));
         assert_eq!(registered.key("table").key("rows").num() as u64, 16_000);
 
+        // A miss, a deepening of the same family and seed, then a hit:
+        // `top` counts the deepening as a lookup that was not a hit.
+        for (fraction, disposition) in [("0.05", "miss"), ("0.1", "deepened"), ("0.1", "hit")] {
+            let served = client(
+                &addr,
+                &format!(
+                    r#"{{"op":"estimate","table":"t","sampler":"block","fraction":{fraction},"seed":11}}"#
+                ),
+            );
+            assert_eq!(
+                served.key("accounting").key("cache"),
+                &Json::Str(disposition.to_string())
+            );
+        }
+        let top = samplecf(&["top", &addr, "--plain", "--iterations", "1"]);
+        assert!(top.contains("33.3% hit (1/3)   1 deepened"), "{top}");
+
         // One control path: for every request shape, the one-shot CLI's
         // `--json` prints the very response the daemon serves — the whole
         // `result` object at full f64 precision, and the same page cost on
@@ -675,8 +692,13 @@ fn daemon_register_estimate_stats_loop_matches_the_oneshot_cli() {
         // matches `samplecf info --json` byte for byte (same shape).
         let stats = client(&addr, r#"{"op":"stats"}"#);
         let cache = stats.key("stats").key("cache");
-        assert_eq!(cache.key("misses").num() as u64, 4, "one per sampled shape");
-        assert_eq!(cache.key("hits").num() as u64, 2);
+        assert_eq!(
+            cache.key("misses").num() as u64,
+            5,
+            "the seed-11 draw and one per sampled shape"
+        );
+        assert_eq!(cache.key("hits").num() as u64, 3);
+        assert_eq!(cache.key("deepened").num() as u64, 1);
         let daemon_info = client(&addr, r#"{"op":"info","table":"t"}"#);
         let local_info = samplecf(&["info", "--table", &table, "--json"]);
         let local_info = Json::parse(&local_info).expect("valid JSON");

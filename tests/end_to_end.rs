@@ -249,7 +249,7 @@ fn shared_sample_advisor_reads_sampled_pages_exactly_once_on_disk() {
         .collect();
     assert_eq!(candidates.len(), 6);
 
-    let counting = SharedCountingSource::new(disk.clone());
+    let counting = CountingSource::new(disk.clone());
     let sample = MaterializedSample::draw(&counting, kind, seed).unwrap();
     let draw_pages = counting.pages_read();
     let plan = CompressionAdvisor::new(AdvisorConfig::default())
