@@ -472,6 +472,71 @@ mod tests {
     }
 
     #[test]
+    fn physical_reads_recycle_pooled_buffers() {
+        // Reads share no buffer pool: on a freshly opened file every read is
+        // a physical read into a buffer of its own, so changing one returned
+        // page can leak into neither a later read nor the file.
+        let path = temp_path("pool");
+        let _cleanup = Cleanup(path.clone());
+        {
+            let mut h = DiskHeapFile::create(&path, 256, b"").unwrap();
+            for i in 0..60u8 {
+                h.append(&[i; 24]).unwrap();
+            }
+            h.sync().unwrap();
+        }
+        let h = DiskHeapFile::open(&path).unwrap();
+        for pid in 0..h.num_pages() as PageId {
+            assert!(!h.read_page_ref(pid).unwrap().is_borrowed(), "page {pid}");
+        }
+        let last = h.num_pages() as PageId - 1;
+        let mut first = h.read_page(last).unwrap();
+        let before = first.raw().to_vec();
+        let slot = first
+            .insert(b"scribble")
+            .unwrap()
+            .expect("tail page has room");
+        assert_eq!(first.get(slot).unwrap(), b"scribble");
+        let second = h.read_page(last).unwrap();
+        assert_eq!(second.raw(), before.as_slice());
+        assert_ne!(second.raw(), first.raw());
+    }
+
+    #[test]
+    fn sync_fences_the_scratch_pool() {
+        // A handle that has already read a page physically, then appends to
+        // that page and syncs, must read the new contents back afterwards.
+        let path = temp_path("pool_fence");
+        let _cleanup = Cleanup(path.clone());
+        {
+            let mut h = DiskHeapFile::create(&path, 256, b"").unwrap();
+            for i in 0..3u8 {
+                h.append(&[i; 24]).unwrap();
+            }
+            h.sync().unwrap();
+        }
+        let mut h = DiskHeapFile::open(&path).unwrap();
+        assert_eq!(h.read_page(0).unwrap().records().count(), 3);
+        h.append(&[61u8; 24]).unwrap();
+        h.sync().unwrap();
+        let header = h.header();
+        let page = h.read_page_at(0, &header).unwrap();
+        assert_eq!(page.records().count(), 4);
+        assert_eq!(page.get(3).unwrap(), &[61u8; 24]);
+        // Appends that flush page 0 and start page 1 are visible too.
+        for i in 0..20u8 {
+            h.append(&[100 + i; 24]).unwrap();
+        }
+        h.sync().unwrap();
+        let header = h.header();
+        assert!(header.num_pages > 1);
+        let total: usize = (0..header.num_pages as PageId)
+            .map(|pid| h.read_page_at(pid, &header).unwrap().records().count())
+            .sum();
+        assert_eq!(total, 24);
+    }
+
+    #[test]
     fn drop_syncs_pending_writes() {
         let path = temp_path("drop");
         let _cleanup = Cleanup(path.clone());
