@@ -368,7 +368,7 @@ impl ProgressiveCf {
     /// validated only for the four kinds progressive estimation has always
     /// run.  A Bernoulli or systematic prefix is the head of a storage-order
     /// scan, not a sample, and no interval has been validated for
-    /// uniform-wor (the coverage matrix of ROADMAP item 2 decides that);
+    /// uniform-wor (the coverage matrix of ROADMAP item 4 decides that);
     /// those run to their cap in one checkpoint
     /// ([`one_checkpoint`](Self::one_checkpoint)) or not at all.
     pub fn supports_checkpoints(sampler: SamplerKind) -> CoreResult<()> {

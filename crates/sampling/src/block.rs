@@ -15,7 +15,7 @@
 
 use crate::error::SamplingResult;
 use crate::kind::SamplerKind;
-use crate::sampler::{target_page_count, validate_fraction, SampledRow};
+use crate::sampler::{target_size, SampledRow};
 use crate::stream::{BatchPlan, BatchSchedule, IncrementalFisherYates, SampleStream};
 use rand::RngCore;
 use samplecf_storage::{PageId, TableSource};
@@ -30,7 +30,6 @@ pub struct BlockStream {
     schedule: BatchSchedule,
     /// Bound on first use: the shuffle over pages and the page targets.
     state: Option<(IncrementalFisherYates, BatchPlan)>,
-    rows_drawn: usize,
 }
 
 impl BlockStream {
@@ -39,7 +38,6 @@ impl BlockStream {
             fraction,
             schedule,
             state: None,
-            rows_drawn: 0,
         }
     }
 }
@@ -56,7 +54,7 @@ impl SampleStream for BlockStream {
     ) -> SamplingResult<Vec<SampledRow>> {
         let (fy, plan) = self.state.get_or_insert_with(|| {
             let num_pages = source.num_pages();
-            let max_pages = target_page_count(num_pages, self.fraction);
+            let max_pages = target_size(num_pages, self.fraction);
             (
                 IncrementalFisherYates::new(num_pages),
                 BatchPlan::new(self.schedule, num_pages, max_pages),
@@ -75,13 +73,8 @@ impl SampleStream for BlockStream {
         for pid in page_ids {
             batch.extend(source.page_rows(pid)?);
         }
-        self.rows_drawn += batch.len();
         plan.advance();
         Ok(batch)
-    }
-
-    fn rows_drawn(&self) -> usize {
-        self.rows_drawn
     }
 
     fn exhausted(&self) -> bool {
@@ -89,20 +82,17 @@ impl SampleStream for BlockStream {
     }
 
     fn extend_cap(&mut self, kind: SamplerKind) -> bool {
-        let SamplerKind::Block(f) = kind else {
+        let Some(f) = self.kind().deepened_to(kind) else {
             return false;
         };
-        if f < self.fraction || validate_fraction(f).is_err() {
-            return false;
-        }
         self.fraction = f;
         if let Some((fy, plan)) = self.state.as_mut() {
-            plan.raise_cap(target_page_count(fy.length(), f), fy.drawn());
+            plan.raise_cap(target_size(fy.length(), f), fy.drawn());
         }
         true
     }
 
-    fn approx_retained_bytes(&self, _row_bytes: usize) -> usize {
+    fn approx_retained_bytes(&self) -> usize {
         // Only the displaced-slot map of the partial shuffle.
         (self.state.as_ref()).map_or(0, |(fy, _)| fy.retained_bytes())
     }

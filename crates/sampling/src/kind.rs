@@ -99,7 +99,7 @@ pub enum SamplerKind {
         /// Total row fraction across all strata.
         fraction: f64,
         /// Number of contiguous page-range strata (clamped to the page
-        /// count; `1` degenerates to plain uniform-with-replacement).
+        /// count; `1` is the uniform-with-replacement draw itself).
         strata: usize,
         /// Per-stratum budget allocation policy.
         alloc: Allocation,
@@ -129,19 +129,40 @@ impl SamplerKind {
         }
     }
 
-    /// The sampler family name, without parameters — the part of the
-    /// identity that survives deepening.
+    /// The same sampler at fraction `f`, every other parameter kept —
+    /// what a deepened draw of this sampler is.  `None` for
+    /// [`Reservoir`](Self::Reservoir), which has no fraction.
     #[must_use]
-    pub fn family(&self) -> &'static str {
-        match self {
-            SamplerKind::UniformWithReplacement(_) => "uniform-wr",
-            SamplerKind::UniformWithoutReplacement(_) => "uniform-wor",
-            SamplerKind::Bernoulli(_) => "bernoulli",
-            SamplerKind::Systematic(_) => "systematic",
-            SamplerKind::Reservoir(_) => "reservoir",
-            SamplerKind::Block(_) => "block",
-            SamplerKind::Stratified { .. } => "stratified",
-        }
+    pub fn with_fraction(&self, f: f64) -> Option<SamplerKind> {
+        Some(match *self {
+            SamplerKind::UniformWithReplacement(_) => SamplerKind::UniformWithReplacement(f),
+            SamplerKind::UniformWithoutReplacement(_) => SamplerKind::UniformWithoutReplacement(f),
+            SamplerKind::Bernoulli(_) => SamplerKind::Bernoulli(f),
+            SamplerKind::Systematic(_) => SamplerKind::Systematic(f),
+            SamplerKind::Block(_) => SamplerKind::Block(f),
+            SamplerKind::Stratified {
+                strata,
+                alloc,
+                mode,
+                ..
+            } => SamplerKind::Stratified {
+                fraction: f,
+                strata,
+                alloc,
+                mode,
+            },
+            SamplerKind::Reservoir(_) => return None,
+        })
+    }
+
+    /// The fraction a draw of this sampler deepens to when asked for `to`:
+    /// `Some(f)` when `to` is this sampler [`with_fraction`](Self::with_fraction)
+    /// `f`, and `f` is valid and no shallower than this sampler's.
+    #[must_use]
+    pub fn deepened_to(&self, to: SamplerKind) -> Option<f64> {
+        let f = to.fraction()?;
+        (self.with_fraction(f) == Some(to) && f >= self.fraction()? && validate_fraction(f).is_ok())
+            .then_some(f)
     }
 
     /// The sampling fraction, for fraction-parameterised kinds.
@@ -199,30 +220,71 @@ mod tests {
     #[test]
     fn every_kind_builds_its_sampler() {
         // A kind's sampler is its stream, and the stream says which kind
-        // it draws for.
+        // it draws for; the same sampler at another fraction keeps every
+        // other parameter, and a reservoir has no other fraction.
+        let stratified = |fraction| SamplerKind::Stratified {
+            fraction,
+            strata: 4,
+            alloc: Allocation::Proportional,
+            mode: StrataMode::EquiDepth,
+        };
         let cases = [
-            (SamplerKind::UniformWithReplacement(0.1), "uniform-wr"),
-            (SamplerKind::UniformWithoutReplacement(0.1), "uniform-wor"),
-            (SamplerKind::Bernoulli(0.1), "bernoulli"),
-            (SamplerKind::Systematic(0.1), "systematic"),
-            (SamplerKind::Reservoir(10), "reservoir"),
-            (SamplerKind::Block(0.1), "block"),
             (
-                SamplerKind::Stratified {
-                    fraction: 0.1,
-                    strata: 4,
-                    alloc: Allocation::Proportional,
-                    mode: StrataMode::EquiWidth,
-                },
-                "stratified",
+                SamplerKind::UniformWithReplacement(0.1),
+                "uniform-wr",
+                Some(SamplerKind::UniformWithReplacement(0.5)),
             ),
+            (
+                SamplerKind::UniformWithoutReplacement(0.1),
+                "uniform-wor",
+                Some(SamplerKind::UniformWithoutReplacement(0.5)),
+            ),
+            (
+                SamplerKind::Bernoulli(0.1),
+                "bernoulli",
+                Some(SamplerKind::Bernoulli(0.5)),
+            ),
+            (
+                SamplerKind::Systematic(0.1),
+                "systematic",
+                Some(SamplerKind::Systematic(0.5)),
+            ),
+            (SamplerKind::Reservoir(10), "reservoir", None),
+            (
+                SamplerKind::Block(0.1),
+                "block",
+                Some(SamplerKind::Block(0.5)),
+            ),
+            (stratified(0.1), "stratified", Some(stratified(0.5))),
         ];
-        for (kind, family) in cases {
+        for (kind, label, deeper) in cases {
             let stream = kind.stream(crate::BatchSchedule::default()).unwrap();
             assert_eq!(stream.kind(), kind);
-            assert_eq!(kind.family(), family);
-            assert!(kind.label().starts_with(family), "{}", kind.label());
+            assert!(kind.label().starts_with(label), "{}", kind.label());
+            assert_eq!(kind.with_fraction(0.5), deeper, "{kind:?}");
+            assert_eq!(kind.deepened_to(kind), kind.fraction(), "{kind:?}");
+            if let Some(deeper) = deeper {
+                assert_eq!(kind.deepened_to(deeper), Some(0.5));
+                assert_eq!(deeper.deepened_to(kind), None, "shallower");
+            }
         }
+        // Another sampler, or the same one at an invalid fraction, is no
+        // deepening.
+        let block = SamplerKind::Block(0.1);
+        assert_eq!(
+            block.deepened_to(SamplerKind::UniformWithReplacement(0.5)),
+            None
+        );
+        assert_eq!(block.deepened_to(SamplerKind::Block(1.5)), None);
+        assert_eq!(
+            stratified(0.1).deepened_to(SamplerKind::Stratified {
+                fraction: 0.5,
+                strata: 4,
+                alloc: Allocation::Proportional,
+                mode: StrataMode::EquiWidth,
+            }),
+            None
+        );
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub use error::{SamplingError, SamplingResult};
 pub use io::CountingSource;
 pub use kind::{Allocation, SamplerKind, StrataMode};
 pub use materialize::MaterializedSample;
-pub use sampler::{target_page_count, target_size, validate_fraction, SampledRow};
+pub use sampler::{target_size, validate_fraction, SampledRow};
 pub use strata::Strata;
 pub use stream::{
     fetch_positions_coalesced, BatchSchedule, IncrementalFisherYates, PageCache, SampleStream,

@@ -132,7 +132,8 @@ impl MaterializedSample {
 
     /// Drive `stream` to exhaustion and materialize everything it drew — the
     /// lossless conversion from a finished [`SampleStream`] into the owned
-    /// in-memory form the advisor's cache shares.
+    /// in-memory form a holder shares (the server's sample cache, the
+    /// advisor's callers).
     ///
     /// `seed` must be the seed `rng` was created from; it is recorded so the
     /// sample stays reproducible from its metadata alone.

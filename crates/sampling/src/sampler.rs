@@ -16,9 +16,10 @@ pub fn validate_fraction(fraction: f64) -> SamplingResult<f64> {
     Ok(fraction)
 }
 
-/// The sample size `r = max(1, round(f·n))` used by fraction-based samplers:
-/// at least one row whenever the table is non-empty, exactly `n` at
-/// `fraction == 1.0`, and zero for an empty table.
+/// The sample size `r = max(1, round(f·n))` of fraction-based samplers, in
+/// the sampler's unit (rows, or pages for block sampling): at least one
+/// unit whenever the table has any, exactly `n` at `fraction == 1.0`, and
+/// zero for an empty table.
 #[must_use]
 pub fn target_size(n: usize, fraction: f64) -> usize {
     if n == 0 {
@@ -26,15 +27,6 @@ pub fn target_size(n: usize, fraction: f64) -> usize {
     } else {
         ((n as f64 * fraction).round() as usize).clamp(1, n)
     }
-}
-
-/// The page count `max(1, round(f·num_pages))` used by page-level samplers.
-///
-/// Same edge behaviour as [`target_size`], in page units: zero pages for an
-/// empty table, at least one otherwise, all of them at `fraction == 1.0`.
-#[must_use]
-pub fn target_page_count(num_pages: usize, fraction: f64) -> usize {
-    target_size(num_pages, fraction)
 }
 
 #[cfg(test)]
@@ -58,16 +50,10 @@ mod tests {
         assert_eq!(target_size(1000, 1.0), 1000);
         assert_eq!(target_size(0, 0.5), 0);
         assert_eq!(target_size(3, 0.99), 3);
-    }
-
-    #[test]
-    fn target_page_count_mirrors_target_size() {
-        // The unified edge behaviour: empty → 0, tiny fraction → 1,
-        // fraction 1.0 → everything.
-        assert_eq!(target_page_count(0, 0.5), 0);
-        assert_eq!(target_page_count(0, 1.0), 0);
-        assert_eq!(target_page_count(40, 0.0001), 1);
-        assert_eq!(target_page_count(40, 1.0), 40);
-        assert_eq!(target_page_count(40, 0.25), 10);
+        // Empty → 0, tiny fraction → 1, fraction 1.0 → everything.
+        assert_eq!(target_size(0, 1.0), 0);
+        assert_eq!(target_size(40, 0.0001), 1);
+        assert_eq!(target_size(40, 1.0), 40);
+        assert_eq!(target_size(40, 0.25), 10);
     }
 }

@@ -1,14 +1,29 @@
-//! Stratified uniform sampling over contiguous page-range strata.
+//! Row-position draws: uniform and stratified sampling over contiguous
+//! page-range strata.
 //!
-//! A [`StratifiedStream`] splits the row budget `round(f·n)` across the
-//! strata of a [`Strata`] partition and draws uniformly **with replacement
-//! within each stratum**.  Each stratum's draw is an independent,
-//! prefix-stable substream: stratum `s` owns its own RNG (seeded from one
-//! `next_u64` of the shared stream RNG at bind time, in stratum order), so
-//! the *rows stratum `s` contributes* depend only on *how many* rows it was
-//! asked for — never on how the other strata were scheduled.  That is the
-//! property that lets Neyman allocation re-split the budget between batches
-//! without perturbing any stratum's draw sequence.
+//! A [`StratifiedStream`] is the one stream that draws *positions* of the
+//! RID frame.  It splits the row budget `round(f·n)` across the strata of
+//! a [`Strata`] partition and draws uniformly within each stratum, fetching
+//! the drawn positions page-coalesced through one [`PageCache`].
+//!
+//! **The uniform draws are its one-stratum case.**  With one stratum there
+//! is nothing to allocate, so positions come straight from the shared
+//! stream RNG, one call per row: `gen_range(0..n)` for uniform-wr (the
+//! procedure the paper's analysis assumes, Section II-C) and for
+//! `stratified(k=1)`, which is therefore the same draw seed for seed; the
+//! next element of an [`IncrementalFisherYates`] shuffle of the frame
+//! (≡ `rand::seq::index::sample` for every prefix) for uniform-wor.  Only
+//! [`SamplerKind::Stratified`] reports stratum tags and weights: to its
+//! consumers a uniform draw is unstratified.
+//!
+//! **With k ≥ 2 strata** each stratum draws with replacement from an
+//! independent, prefix-stable substream: stratum `s` owns its own RNG
+//! (seeded from one `next_u64` of the shared stream RNG at bind time, in
+//! stratum order), so the *rows stratum `s` contributes* depend only on
+//! *how many* rows it was asked for — never on how the other strata were
+//! scheduled.  That is the property that lets Neyman allocation re-split
+//! the budget between batches without perturbing any stratum's draw
+//! sequence.
 //!
 //! Budget splitting is **house monotone**: conceptually the draws are
 //! assigned one at a time, each to the stratum whose allocation lags its
@@ -24,19 +39,15 @@
 //! deliberately breaks schedule independence — adapting the allocation to
 //! what was measured *is the point* — so the cache paths, which never feed
 //! back, stay deterministic, while `ProgressiveCf` adapts.)
-//!
-//! **Degenerate single-stratum case:** with one stratum there is nothing to
-//! allocate, so the stream draws positions directly from the shared RNG —
-//! exactly the call sequence of
-//! [`UniformStream`](crate::uniform::UniformStream) with replacement —
-//! making `stratified(k=1)` byte-identical to `uniform-wr` seed-for-seed
-//! (pinned by the proptest suite).
 
 use crate::error::SamplingResult;
 use crate::kind::{Allocation, SamplerKind, StrataMode};
-use crate::sampler::{target_size, validate_fraction, SampledRow};
+use crate::sampler::{target_size, SampledRow};
 use crate::strata::Strata;
-use crate::stream::{fetch_positions_coalesced, BatchPlan, BatchSchedule, PageCache, SampleStream};
+use crate::stream::{
+    fetch_positions_coalesced, BatchPlan, BatchSchedule, IncrementalFisherYates, PageCache,
+    SampleStream,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use samplecf_storage::{Rid, TableSource};
@@ -46,15 +57,26 @@ use samplecf_storage::{Rid, TableSource};
 /// instead of being starved forever on a possibly-premature estimate.
 const SD_FLOOR: f64 = 1e-9;
 
+/// Where a bound stream's row positions come from.
+enum Positions {
+    /// The shared stream RNG, one `gen_range` per row: the one-stratum
+    /// with-replacement draw (uniform-wr, and stratified with one stratum).
+    Shared,
+    /// The next elements of a shuffle of the frame, on the shared RNG:
+    /// uniform-wor.
+    Shuffle(IncrementalFisherYates),
+    /// One RNG per stratum, derived from the shared RNG at bind time:
+    /// stratified with k ≥ 2 strata.
+    PerStratum(Vec<StdRng>),
+}
+
 /// State bound on the first batch, once the stream has seen the source.
 struct BoundFrame {
     rids: Vec<Rid>,
     strata: Strata,
     /// Cumulative row targets from the batch schedule.
     plan: BatchPlan,
-    /// Per-stratum RNGs (empty in the single-stratum degenerate case,
-    /// which draws from the shared RNG directly).
-    rngs: Vec<StdRng>,
+    positions: Positions,
     /// Rows drawn per stratum so far.
     counts: Vec<usize>,
     /// Per-stratum standard-deviation estimates for Neyman allocation
@@ -79,10 +101,14 @@ impl BoundFrame {
     /// Advance the house-monotone assignment from the current total to
     /// `target` rows, returning how many *new* draws each stratum gets.
     fn assign_up_to(&mut self, target: usize, alloc: Allocation) -> Vec<usize> {
+        let mut drawn: usize = self.counts.iter().sum();
+        if self.counts.len() == 1 {
+            // One stratum: nothing to allocate.
+            return vec![target - drawn];
+        }
         let weights = self.alloc_weights(alloc);
         let total_weight: f64 = weights.iter().sum();
         let mut delta = vec![0usize; self.counts.len()];
-        let mut drawn: usize = self.counts.iter().sum();
         while drawn < target {
             let t = (drawn + 1) as f64;
             let mut best: Option<(usize, f64)> = None;
@@ -108,14 +134,33 @@ impl BoundFrame {
         }
         delta
     }
+
+    /// The frame positions of `count` more draws in stratum `s`.
+    fn draw_positions(&mut self, s: usize, count: usize, rng: &mut dyn RngCore) -> Vec<usize> {
+        let range = self.strata.row_range(s);
+        let span = range.len();
+        match &mut self.positions {
+            Positions::Shared => (0..count)
+                .map(|_| range.start + rng.gen_range(0..span))
+                .collect(),
+            Positions::Shuffle(shuffle) => (0..count)
+                .map(|_| range.start + shuffle.next(rng).expect("targets never exceed the frame"))
+                .collect(),
+            Positions::PerStratum(rngs) => {
+                let stratum_rng = &mut rngs[s];
+                (0..count)
+                    .map(|_| range.start + stratum_rng.gen_range(0..span))
+                    .collect()
+            }
+        }
+    }
 }
 
-/// Streaming stratified draw (see the module docs for the contract).
+/// The row-position stream (see the module docs for the contract): draws
+/// uniform-wr, uniform-wor and stratified kinds.
 pub struct StratifiedStream {
-    fraction: f64,
-    requested_strata: usize,
-    alloc: Allocation,
-    mode: StrataMode,
+    /// The kind drawn, with its current cap.
+    kind: SamplerKind,
     schedule: BatchSchedule,
     frame: Option<BoundFrame>,
     drawn: usize,
@@ -125,20 +170,11 @@ pub struct StratifiedStream {
 }
 
 impl StratifiedStream {
-    /// A stream drawing up to `round(fraction·n)` rows across `strata`
-    /// contiguous page-range strata, cut per `mode`.
-    pub(crate) fn new(
-        fraction: f64,
-        strata: usize,
-        alloc: Allocation,
-        mode: StrataMode,
-        schedule: BatchSchedule,
-    ) -> Self {
+    /// A stream drawing up to `round(fraction·n)` rows for `kind`, one of
+    /// the row-position kinds.
+    pub(crate) fn new(kind: SamplerKind, schedule: BatchSchedule) -> Self {
         StratifiedStream {
-            fraction,
-            requested_strata: strata,
-            alloc,
-            mode,
+            kind,
             schedule,
             frame: None,
             drawn: 0,
@@ -147,39 +183,62 @@ impl StratifiedStream {
         }
     }
 
+    /// The requested stratum count, allocation and cut of the draw: a
+    /// uniform kind is the one-stratum draw.
+    fn design(&self) -> (usize, Allocation, StrataMode) {
+        match self.kind {
+            SamplerKind::Stratified {
+                strata,
+                alloc,
+                mode,
+                ..
+            } => (strata, alloc, mode),
+            _ => (1, Allocation::Proportional, StrataMode::EquiWidth),
+        }
+    }
+
+    fn is_stratified(&self) -> bool {
+        matches!(self.kind, SamplerKind::Stratified { .. })
+    }
+
     fn bind(&mut self, source: &dyn TableSource, rng: &mut dyn RngCore) -> SamplingResult<()> {
         if self.frame.is_some() {
             return Ok(());
         }
         let rids = source.rids()?;
-        let strata = match self.mode {
+        let (count, _, mode) = self.design();
+        let strata = match mode {
             StrataMode::EquiWidth => {
-                Strata::equi_width_from_frame(&rids, source.num_pages(), self.requested_strata)?
+                Strata::equi_width_from_frame(&rids, source.num_pages(), count)?
             }
             StrataMode::EquiDepth => {
-                Strata::equi_depth_from_frame(&rids, source.num_pages(), self.requested_strata)?
+                Strata::equi_depth_from_frame(&rids, source.num_pages(), count)?
             }
         };
-        let max_rows = target_size(rids.len(), self.fraction);
+        let fraction = (self.kind.fraction()).expect("row-position kinds have a fraction");
+        let max_rows = target_size(rids.len(), fraction);
         let plan = BatchPlan::new(self.schedule, rids.len(), max_rows);
         // Multi-stratum draws get independent per-stratum RNGs, derived
         // from the shared RNG in stratum order at bind time: one next_u64
         // each, so the derivation itself is part of the deterministic
-        // prefix.  The single-stratum case derives nothing and consumes
-        // the shared RNG exactly like a with-replacement UniformStream.
-        let rngs: Vec<StdRng> = if strata.len() > 1 {
-            (0..strata.len())
-                .map(|_| StdRng::seed_from_u64(rng.next_u64()))
-                .collect()
+        // prefix.  A one-stratum draw derives nothing.
+        let positions = if matches!(self.kind, SamplerKind::UniformWithoutReplacement(_)) {
+            Positions::Shuffle(IncrementalFisherYates::new(rids.len()))
+        } else if strata.len() > 1 {
+            Positions::PerStratum(
+                (0..strata.len())
+                    .map(|_| StdRng::seed_from_u64(rng.next_u64()))
+                    .collect(),
+            )
         } else {
-            Vec::new()
+            Positions::Shared
         };
         let count = strata.len();
         self.frame = Some(BoundFrame {
             rids,
             strata,
             plan,
-            rngs,
+            positions,
             counts: vec![0; count],
             sds: vec![1.0; count],
         });
@@ -189,12 +248,7 @@ impl StratifiedStream {
 
 impl SampleStream for StratifiedStream {
     fn kind(&self) -> SamplerKind {
-        SamplerKind::Stratified {
-            fraction: self.fraction,
-            strata: self.requested_strata,
-            alloc: self.alloc,
-            mode: self.mode,
-        }
+        self.kind
     }
 
     fn next_batch(
@@ -203,35 +257,33 @@ impl SampleStream for StratifiedStream {
         rng: &mut dyn RngCore,
     ) -> SamplingResult<Vec<SampledRow>> {
         self.bind(source, rng)?;
-        let alloc = self.alloc;
+        let (_, alloc, _) = self.design();
+        let tagged = self.is_stratified();
         let frame = self.frame.as_mut().expect("frame bound above");
+        self.last_tags.clear();
         let Some(target) = frame.plan.next_target() else {
-            self.last_tags.clear();
             return Ok(Vec::new());
         };
         let delta = frame.assign_up_to(target, alloc);
-        let mut batch = Vec::with_capacity(target - self.drawn);
-        self.last_tags.clear();
+        let mut batch = Vec::new();
         for (s, &extra) in delta.iter().enumerate() {
             if extra == 0 {
                 continue;
             }
-            let range = frame.strata.row_range(s);
-            let span = range.len();
-            let positions: Vec<usize> = if frame.rngs.is_empty() {
-                // Degenerate single stratum: the shared RNG, exactly like
-                // a with-replacement UniformStream.
-                (0..extra).map(|_| rng.gen_range(0..span)).collect()
-            } else {
-                let stratum_rng = &mut frame.rngs[s];
-                (0..extra)
-                    .map(|_| range.start + stratum_rng.gen_range(0..span))
-                    .collect()
-            };
+            let positions = frame.draw_positions(s, extra, rng);
             let rows = fetch_positions_coalesced(source, &frame.rids, &positions, &mut self.cache)?;
-            self.last_tags
-                .extend(std::iter::repeat_n(s as u32, rows.len()));
-            batch.extend(rows);
+            if tagged {
+                self.last_tags
+                    .extend(std::iter::repeat_n(s as u32, rows.len()));
+            }
+            if batch.is_empty() {
+                // The first stratum's rows become the batch, with room for
+                // the rest.
+                batch = rows;
+                batch.reserve(target - self.drawn - batch.len());
+            } else {
+                batch.extend(rows);
+            }
             frame.counts[s] += extra;
         }
         self.drawn = target;
@@ -239,46 +291,43 @@ impl SampleStream for StratifiedStream {
         Ok(batch)
     }
 
-    fn rows_drawn(&self) -> usize {
-        self.drawn
-    }
-
     fn exhausted(&self) -> bool {
         (self.frame.as_ref()).is_some_and(|frame| frame.plan.exhausted())
     }
 
     fn extend_cap(&mut self, kind: SamplerKind) -> bool {
-        let SamplerKind::Stratified {
-            fraction,
-            strata,
-            alloc,
-            mode,
-        } = kind
-        else {
+        let Some(fraction) = self.kind.deepened_to(kind) else {
             return false;
         };
-        if strata != self.requested_strata
-            || alloc != self.alloc
-            || mode != self.mode
-            || fraction < self.fraction
-            || validate_fraction(fraction).is_err()
-        {
-            return false;
-        }
-        self.fraction = fraction;
+        self.kind = kind;
         if let Some(frame) = self.frame.as_mut() {
+            // Re-plan from the rows already drawn: one batch to the new cap.
             let max_rows = target_size(frame.rids.len(), fraction);
             frame.plan.raise_cap(max_rows, self.drawn);
         }
         true
     }
 
+    fn approx_retained_bytes(&self) -> usize {
+        // The rid frame, a shuffle's displaced slots and every page the
+        // page cache holds.
+        let frame = self.frame.as_ref().map_or(0, |frame| {
+            let shuffle = match &frame.positions {
+                Positions::Shuffle(shuffle) => shuffle.retained_bytes(),
+                Positions::Shared | Positions::PerStratum(_) => 0,
+            };
+            frame.rids.len() * std::mem::size_of::<Rid>() + shuffle
+        });
+        frame + self.cache.bytes_cached()
+    }
+
     fn batch_strata(&self) -> Option<&[u32]> {
-        Some(&self.last_tags)
+        self.is_stratified().then_some(self.last_tags.as_slice())
     }
 
     fn strata_weights(&self) -> Option<Vec<f64>> {
-        self.frame.as_ref().map(|f| f.strata.weights())
+        let frame = self.frame.as_ref().filter(|_| self.is_stratified())?;
+        Some(frame.strata.weights())
     }
 
     fn update_stratum_variances(&mut self, sds: &[f64]) {
@@ -289,14 +338,6 @@ impl SampleStream for StratifiedStream {
                 }
             }
         }
-    }
-
-    fn approx_retained_bytes(&self, _row_bytes: usize) -> usize {
-        let frame = self
-            .frame
-            .as_ref()
-            .map_or(0, |f| f.rids.len() * std::mem::size_of::<Rid>());
-        frame + self.cache.bytes_cached()
     }
 }
 
@@ -391,10 +432,7 @@ mod tests {
     fn proportional_allocation_tracks_stratum_sizes() {
         let t = table(4_000);
         let mut stream = StratifiedStream::new(
-            0.1,
-            4,
-            Allocation::Proportional,
-            StrataMode::EquiWidth,
+            kind(0.1, 4, Allocation::Proportional),
             BatchSchedule::one_shot(),
         );
         let rows = stream.drain(&t, &mut StdRng::seed_from_u64(1)).unwrap();
@@ -413,10 +451,7 @@ mod tests {
     fn neyman_feedback_shifts_the_allocation() {
         let t = table(4_000);
         let mut stream = StratifiedStream::new(
-            0.1,
-            4,
-            Allocation::Neyman,
-            StrataMode::EquiWidth,
+            kind(0.1, 4, Allocation::Neyman),
             BatchSchedule::new(0.02, 2.0).unwrap(),
         );
         let mut rng = StdRng::seed_from_u64(3);
@@ -528,6 +563,5 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         assert!(stream.next_batch(&t, &mut rng).unwrap().is_empty());
         assert!(stream.exhausted());
-        assert_eq!(stream.rows_drawn(), 0);
     }
 }

@@ -14,10 +14,14 @@
 //!
 //! Prefix stability holds per sampler for different reasons:
 //!
-//! * **Uniform row draws** ([`UniformStream`]) generate row positions one
-//!   RNG call at a time — `gen_range(0..n)` with replacement, the next
-//!   element of an [`IncrementalFisherYates`] shuffle of the frame without
-//!   — so any prefix of the position sequence is itself a uniform draw.
+//! * **Row-position draws** ([`StratifiedStream`]) split the row budget
+//!   across contiguous page-range strata under a house-monotone rule and
+//!   generate positions one RNG call at a time, so any prefix of the
+//!   position sequence is itself the draw at that size.  **The uniform
+//!   draws are the one-stratum case:** `gen_range(0..n)` on the shared RNG
+//!   with replacement, the next element of an [`IncrementalFisherYates`]
+//!   shuffle of the frame without; with k ≥ 2 strata each stratum is its own
+//!   with-replacement substream (see [`stratified`](crate::stratified)).
 //!   Fetches are page-coalesced through a per-stream [`PageCache`], which
 //!   holds each verified page it read and decodes only the drawn slots, so
 //!   the pages physically read are the distinct pages of the rows drawn so
@@ -32,9 +36,6 @@
 //!   the whole scan on the first batch and then emits slices of what it
 //!   kept; progressive stopping saves no I/O for them, only wall-clock on
 //!   the measurement side.
-//! * **Stratified draws** ([`StratifiedStream`]) are one
-//!   uniform-with-replacement substream per stratum under a house-monotone
-//!   budget split (see [`stratified`](crate::stratified)).
 //!
 //! Batch boundaries come from a [`BatchSchedule`] fixed at construction:
 //! geometrically growing row targets capped at the sampler's fraction (or
@@ -48,7 +49,7 @@ use crate::error::{SamplingError, SamplingResult};
 use crate::kind::SamplerKind;
 use crate::sampler::{target_size, validate_fraction, SampledRow};
 use crate::stratified::StratifiedStream;
-use crate::uniform::{KeepRule, ScanStream, UniformStream};
+use crate::uniform::{KeepRule, ScanStream};
 use rand::{Rng, RngCore};
 use samplecf_storage::{Page, PageId, Rid, TableSource};
 use std::collections::hash_map::Entry;
@@ -170,8 +171,9 @@ impl BatchPlan {
 /// A batch-extendable sample draw (see the module docs for the prefix
 /// stability contract).
 ///
-/// `Send + Sync` so that holders (the advisor's sample cache) can still be
-/// shared across evaluation threads; drawing itself requires `&mut self`.
+/// `Send + Sync` so that a holder (the server's sample cache) can keep a
+/// live stream in an entry that request workers share; drawing itself
+/// requires `&mut self`.
 pub trait SampleStream: Send + Sync {
     /// The sampler configuration this stream draws for, with its *current*
     /// cap (deepening via [`extend_cap`](Self::extend_cap) updates it).
@@ -203,19 +205,16 @@ pub trait SampleStream: Send + Sync {
         }
     }
 
-    /// Total rows drawn so far (duplicates counted).
-    fn rows_drawn(&self) -> usize;
-
     /// Whether the stream has reached its cap.  `false` for a stream that
     /// has not drawn anything yet (the cap is only known once the stream
     /// has seen the source).
     fn exhausted(&self) -> bool;
 
-    /// Raise the stream's cap to a deeper configuration of the same
-    /// sampler family, so further `next_batch` calls extend the existing
-    /// draw instead of redrawing.  Returns `false` when the stream cannot
-    /// be deepened (different family, shallower target, or a scan-based
-    /// sampler, whose draw is complete after its one scan).
+    /// Raise the stream's cap to its sampler at a deeper fraction
+    /// ([`SamplerKind::deepened_to`]), so further `next_batch` calls extend
+    /// the existing draw instead of redrawing.  Returns `false` when the
+    /// stream cannot be deepened (another sampler, a shallower target, or
+    /// a scan-based sampler, whose draw is complete after its one scan).
     fn extend_cap(&mut self, kind: SamplerKind) -> bool;
 
     /// Whether [`extend_cap`](Self::extend_cap) can ever succeed on this
@@ -225,14 +224,13 @@ pub trait SampleStream: Send + Sync {
         true
     }
 
-    /// Approximate bytes of state this stream retains between batches (rid
-    /// frames, cached pages, scanned rows not yet emitted); `row_bytes` is
-    /// the price of one decoded row a stream holds.  Holders with a memory
-    /// budget (the server's sample cache) charge this against the entry;
-    /// dropping the stream releases it.  The default is for streams that
-    /// retain nothing worth counting.
-    fn approx_retained_bytes(&self, row_bytes: usize) -> usize {
-        let _ = row_bytes;
+    /// Approximate bytes of state this stream retains between batches for
+    /// a later deepening (rid frame, shuffle, cached pages).  Holders with
+    /// a memory budget (the server's sample cache) charge this against the
+    /// entry; dropping the stream releases it.  Only an
+    /// [`extendable`](Self::extendable) stream is held, so a stream that
+    /// cannot be deepened keeps the default.
+    fn approx_retained_bytes(&self) -> usize {
         0
     }
 
@@ -263,12 +261,7 @@ pub trait SampleStream: Send + Sync {
 
 impl std::fmt::Debug for dyn SampleStream + '_ {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "SampleStream({}, {} rows drawn)",
-            self.kind().label(),
-            self.rows_drawn()
-        )
+        write!(f, "SampleStream({})", self.kind().label())
     }
 }
 
@@ -280,12 +273,9 @@ impl SamplerKind {
     pub fn stream(&self, schedule: BatchSchedule) -> SamplingResult<Box<dyn SampleStream>> {
         self.validate()?;
         Ok(match *self {
-            SamplerKind::UniformWithReplacement(f) => {
-                Box::new(UniformStream::new(f, true, schedule))
-            }
-            SamplerKind::UniformWithoutReplacement(f) => {
-                Box::new(UniformStream::new(f, false, schedule))
-            }
+            SamplerKind::UniformWithReplacement(_)
+            | SamplerKind::UniformWithoutReplacement(_)
+            | SamplerKind::Stratified { .. } => Box::new(StratifiedStream::new(*self, schedule)),
             SamplerKind::Bernoulli(p) => {
                 Box::new(ScanStream::new(KeepRule::Bernoulli(p), schedule))
             }
@@ -296,14 +286,6 @@ impl SamplerKind {
                 Box::new(ScanStream::new(KeepRule::Reservoir(size), schedule))
             }
             SamplerKind::Block(f) => Box::new(BlockStream::new(f, schedule)),
-            SamplerKind::Stratified {
-                fraction,
-                strata,
-                alloc,
-                mode,
-            } => Box::new(StratifiedStream::new(
-                fraction, strata, alloc, mode, schedule,
-            )),
         })
     }
 }
@@ -555,7 +537,6 @@ pub(crate) mod tests {
             assert!(!stream.exhausted(), "expected several geometric batches");
             drained.extend(stream.drain(&t, &mut rng).unwrap());
             assert_eq!(drained.len(), 200);
-            assert_eq!(stream.rows_drawn(), 200);
             assert!(stream.exhausted());
             assert_eq!(sorted(drained), sorted(rows_at(&t, &positions)), "{kind:?}");
             // A drained stream keeps returning empty batches.
@@ -690,7 +671,6 @@ pub(crate) mod tests {
             assert_eq!(stream.kind(), kind);
             let rows = stream.drain(&t, &mut rng(1)).unwrap();
             assert!(!rows.is_empty(), "{kind:?}");
-            assert_eq!(stream.rows_drawn(), rows.len());
             assert!(stream.exhausted());
             // Only a scan sampler's draw is final after its one scan.
             let scans = matches!(
@@ -709,7 +689,6 @@ pub(crate) mod tests {
             let mut rng = rng(1);
             assert!(stream.next_batch(&t, &mut rng).unwrap().is_empty());
             assert!(stream.exhausted(), "{kind:?}");
-            assert_eq!(stream.rows_drawn(), 0);
         }
     }
 }

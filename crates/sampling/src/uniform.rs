@@ -1,138 +1,18 @@
-//! Row-level samplers: uniform position draws and single-scan keep-rules.
+//! Row-level samplers that scan: one stream for the single-scan keep-rules.
 //!
-//! Two streams cover the five row-level kinds.  A [`UniformStream`] draws
-//! *positions* of the RID frame — with replacement (the procedure the
-//! paper's analysis assumes, Section II-C) or without — and fetches them
-//! page-coalesced.  A [`ScanStream`] reads the table once and keeps what a
-//! [`KeepRule`] selects: Bernoulli, systematic or reservoir.
+//! A [`ScanStream`] reads the table once and keeps what a [`KeepRule`]
+//! selects: Bernoulli, systematic or reservoir.  The uniform row draws pick
+//! positions instead: they are the one-stratum case of the
+//! [`StratifiedStream`](crate::stratified::StratifiedStream), and the tests
+//! here pin what every row-level kind draws one-shot.
 
 use crate::error::SamplingResult;
 use crate::kind::SamplerKind;
 use crate::reservoir;
-use crate::sampler::{target_size, validate_fraction, SampledRow};
-use crate::stream::{
-    fetch_positions_coalesced, BatchPlan, BatchSchedule, IncrementalFisherYates, PageCache,
-    SampleStream,
-};
+use crate::sampler::SampledRow;
+use crate::stream::{BatchPlan, BatchSchedule, SampleStream};
 use rand::{Rng, RngCore};
 use samplecf_storage::{PageId, Rid, TableSource};
-
-/// What a [`UniformStream`] binds on first use.
-struct Frame {
-    rids: Vec<Rid>,
-    plan: BatchPlan,
-    /// The shuffle positions come out of when drawing without replacement.
-    shuffle: Option<IncrementalFisherYates>,
-}
-
-/// Uniform random sampling of `round(fraction · n)` rows, with or without
-/// replacement: one position stream with two position sources.  Positions
-/// are generated one RNG call at a time — `gen_range(0..n)` with
-/// replacement, the next element of an [`IncrementalFisherYates`] shuffle
-/// of the frame (≡ `rand::seq::index::sample` for every prefix) without —
-/// and fetched page-coalesced through a persistent [`PageCache`], so every
-/// distinct page is read exactly once however many drawn rows land on it
-/// and however the draw is batched.
-pub struct UniformStream {
-    fraction: f64,
-    with_replacement: bool,
-    schedule: BatchSchedule,
-    frame: Option<Frame>,
-    drawn: usize,
-    cache: PageCache,
-}
-
-impl UniformStream {
-    pub(crate) fn new(fraction: f64, with_replacement: bool, schedule: BatchSchedule) -> Self {
-        UniformStream {
-            fraction,
-            with_replacement,
-            schedule,
-            frame: None,
-            drawn: 0,
-            cache: PageCache::new(),
-        }
-    }
-
-    fn kind_at(&self, fraction: f64) -> SamplerKind {
-        if self.with_replacement {
-            SamplerKind::UniformWithReplacement(fraction)
-        } else {
-            SamplerKind::UniformWithoutReplacement(fraction)
-        }
-    }
-}
-
-impl SampleStream for UniformStream {
-    fn kind(&self) -> SamplerKind {
-        self.kind_at(self.fraction)
-    }
-
-    fn next_batch(
-        &mut self,
-        source: &dyn TableSource,
-        rng: &mut dyn RngCore,
-    ) -> SamplingResult<Vec<SampledRow>> {
-        if self.frame.is_none() {
-            let rids = source.rids()?;
-            let n = rids.len();
-            self.frame = Some(Frame {
-                plan: BatchPlan::new(self.schedule, n, target_size(n, self.fraction)),
-                shuffle: (!self.with_replacement).then(|| IncrementalFisherYates::new(n)),
-                rids,
-            });
-        }
-        let frame = self.frame.as_mut().expect("frame bound above");
-        let Some(target) = frame.plan.next_target() else {
-            return Ok(Vec::new());
-        };
-        let n = frame.rids.len();
-        let positions: Vec<usize> = (self.drawn..target)
-            .map(|_| match frame.shuffle.as_mut() {
-                Some(shuffle) => shuffle.next(rng).expect("targets never exceed the frame"),
-                None => rng.gen_range(0..n),
-            })
-            .collect();
-        let batch = fetch_positions_coalesced(source, &frame.rids, &positions, &mut self.cache)?;
-        self.drawn = target;
-        frame.plan.advance();
-        Ok(batch)
-    }
-
-    fn rows_drawn(&self) -> usize {
-        self.drawn
-    }
-
-    fn exhausted(&self) -> bool {
-        (self.frame.as_ref()).is_some_and(|frame| frame.plan.exhausted())
-    }
-
-    fn extend_cap(&mut self, kind: SamplerKind) -> bool {
-        let Some(f) = kind.fraction() else {
-            return false;
-        };
-        if kind != self.kind_at(f) || f < self.fraction || validate_fraction(f).is_err() {
-            return false;
-        }
-        self.fraction = f;
-        if let Some(frame) = self.frame.as_mut() {
-            // Re-plan from the rows already drawn: one batch to the new cap.
-            let max_rows = target_size(frame.rids.len(), f);
-            frame.plan.raise_cap(max_rows, self.drawn);
-        }
-        true
-    }
-
-    fn approx_retained_bytes(&self, _row_bytes: usize) -> usize {
-        // The rid frame, the shuffle's displaced slots and every page the
-        // page cache holds.
-        let frame = self.frame.as_ref().map_or(0, |frame| {
-            frame.rids.len() * std::mem::size_of::<Rid>()
-                + (frame.shuffle.as_ref()).map_or(0, IncrementalFisherYates::retained_bytes)
-        });
-        frame + self.cache.bytes_cached()
-    }
-}
 
 /// One scan of the source that decodes only the rows `slot_for` places.
 ///
@@ -278,10 +158,6 @@ impl SampleStream for ScanStream {
         Ok(batch)
     }
 
-    fn rows_drawn(&self) -> usize {
-        self.emitted
-    }
-
     fn exhausted(&self) -> bool {
         (self.scanned.as_ref()).is_some_and(|(_, plan)| plan.exhausted())
     }
@@ -292,13 +168,6 @@ impl SampleStream for ScanStream {
 
     fn extendable(&self) -> bool {
         false
-    }
-
-    fn approx_retained_bytes(&self, row_bytes: usize) -> usize {
-        // The scanned rows not yet sliced out.
-        self.scanned.as_ref().map_or(0, |(rows, _)| {
-            rows.len() * (std::mem::size_of::<SampledRow>() + row_bytes)
-        })
     }
 }
 

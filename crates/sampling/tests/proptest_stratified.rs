@@ -6,9 +6,9 @@
 //! 1. **Partition exactness** — both [`Strata`] constructors produce
 //!    contiguous page ranges that cover every page exactly once and whose
 //!    row ranges cover every row exactly once, with weights summing to 1.
-//! 2. **Single-stratum degeneracy** — `stratified(k=1)` is byte-identical
+//! 2. **Single-stratum identity** — `stratified(k=1)` is byte-identical
 //!    (same rows, same order, same pages) to `uniform-wr` seed-for-seed,
-//!    under every batch schedule.
+//!    under every batch schedule: uniform-wr is the one-stratum draw.
 //! 3. **Prefix stability** — stopping a stratified stream at fraction `f₁`
 //!    and resuming it to `f₂` via `extend_cap` yields the same multiset of
 //!    rows, and the same physical page reads, as a fresh one-shot draw at

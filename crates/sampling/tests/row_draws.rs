@@ -1,7 +1,7 @@
 //! What a row-level draw yields and what it costs.
 //!
-//! The uniform and stratified streams fetch through a [`PageCache`] that
-//! holds verified pages and decodes only the drawn slots.  These tests pin
+//! The row-position stream (uniform and stratified kinds) fetches through a
+//! [`PageCache`] that holds verified pages and decodes only the drawn slots.  These tests pin
 //! the two halves of that contract: the draw is what its position sequence
 //! says (every yielded `(rid, row)` is `source.get(rid)`, RID-sorted within
 //! a batch, one physical read per distinct page, the rows at the positions

@@ -100,36 +100,12 @@ impl CachedSample {
     }
 
     /// Whether [`deepen`](Self::deepen) to `kind` can extend this entry:
-    /// the live stream is still held, `kind` is this entry's kind in every
-    /// parameter but the fraction — a stratified kind's strata, allocation
-    /// and mode included — and the requested fraction is strictly deeper
-    /// than the current one.
+    /// the live stream is still held and `kind` is this entry's sampler at
+    /// a strictly deeper fraction ([`SamplerKind::deepened_to`]) — a
+    /// stratified kind's strata, allocation and mode included.
     #[must_use]
     pub fn deepenable_to(&self, kind: SamplerKind) -> bool {
-        let same_but_fraction = match (self.kind, kind) {
-            (
-                SamplerKind::Stratified {
-                    strata,
-                    alloc,
-                    mode,
-                    ..
-                },
-                SamplerKind::Stratified {
-                    strata: want_strata,
-                    alloc: want_alloc,
-                    mode: want_mode,
-                    ..
-                },
-            ) => (strata, alloc, mode) == (want_strata, want_alloc, want_mode),
-            // Every other kind's one parameter is its fraction or a size.
-            (have, want) => have.family() == want.family(),
-        };
-        self.stream.is_some()
-            && same_but_fraction
-            && matches!(
-                (self.kind.fraction(), kind.fraction()),
-                (Some(have), Some(want)) if have < want
-            )
+        self.stream.is_some() && kind != self.kind && self.kind.deepened_to(kind).is_some()
     }
 
     /// Extend this entry's sample in place to the deeper configuration
@@ -203,9 +179,7 @@ impl CachedSample {
             + self.sample.len() * std::mem::size_of::<Rid>()
             + std::mem::size_of_val(self.sample.row_strata())
             + self.sample.key_order_bytes()
-            + self.stream.as_ref().map_or(0, |(stream, _)| {
-                stream.approx_retained_bytes(table.codec().record_size())
-            })
+            + (self.stream.as_ref()).map_or(0, |(stream, _)| stream.approx_retained_bytes())
     }
 }
 

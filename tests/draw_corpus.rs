@@ -134,7 +134,7 @@ fn corpus(source: &dyn TableSource) -> String {
                     }
                     batch_no += 1;
                     let retained = if stream.extendable() {
-                        stream.approx_retained_bytes(0).to_string()
+                        stream.approx_retained_bytes().to_string()
                     } else {
                         "-".to_string()
                     };
