@@ -33,8 +33,6 @@
 //! estimator, the server's cache-backed measurement) computes the
 //! stratified *point* estimate with bit-identical arithmetic.
 
-use samplecf_storage::Value;
-
 /// Streaming first/second-moment accumulator (Welford's algorithm):
 /// numerically stable mean and sample variance of everything observed, in
 /// O(1) state — the per-stratum building block of the algebra.
@@ -106,11 +104,14 @@ impl MomentSketch {
 
 /// The per-row statistic whose population mean is the null-suppression CF:
 /// null-suppressed length over declared column width, `xᵢ = ℓᵢ/k`
-/// (paper Section III).  `width` is the first key column's
+/// (paper Section III).  `logical_len` is the value's
+/// [`logical_len`](samplecf_storage::Value::logical_len) (0 for NULL), read
+/// off its cell with [`cell_logical_len`](samplecf_storage::cell_logical_len);
+/// `width` is the first key column's
 /// [`uncompressed_width`](samplecf_storage::DataType::uncompressed_width).
 #[must_use]
-pub fn ns_row_statistic(value: &Value, width: usize) -> f64 {
-    value.logical_len() as f64 / width.max(1) as f64
+pub fn ns_row_statistic(logical_len: usize, width: usize) -> f64 {
+    logical_len as f64 / width.max(1) as f64
 }
 
 /// Renormalised weighted combination: `Σ wᵢ·vᵢ / Σ wᵢ` over the entries
@@ -375,8 +376,8 @@ mod tests {
         // ℓᵢ/k for strings and the paper's worst case: a [0,1] variable has
         // s² ≤ 1/4 (+ the n/(n-1) unbiasing factor), so s²/r never exceeds
         // Theorem 1's 1/(4r) bound by more than that factor.
-        assert!((ns_row_statistic(&Value::str("abc"), 8) - 0.375).abs() < 1e-12);
-        assert_eq!(ns_row_statistic(&Value::Null, 8), 0.0);
+        assert!((ns_row_statistic(Value::str("abc").logical_len(), 8) - 0.375).abs() < 1e-12);
+        assert_eq!(ns_row_statistic(Value::Null.logical_len(), 8), 0.0);
         let worst: Vec<f64> = (0..100).map(|i| f64::from(i % 2)).collect();
         let node = VarianceNode::Uniform(sketch(&worst));
         let bound = crate::theory::ns_variance_bound(worst.len(), 1.0);

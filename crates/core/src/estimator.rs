@@ -14,13 +14,15 @@
 //! does, as the differential oracle.
 
 use crate::algebra::weighted_combine;
-use crate::error::CoreResult;
+use crate::error::{CoreError, CoreResult};
 use crate::metrics::ratio_error;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use samplecf_compression::CompressionScheme;
 use samplecf_index::{
     measure_index, CompressedIndexReport, FirstKeyStats, IndexBuilder, IndexSpec, SortedRun,
 };
-use samplecf_sampling::{MaterializedSample, SamplerKind};
+use samplecf_sampling::{BatchSchedule, MaterializedSample, SamplerKind, SamplingError};
 use samplecf_storage::{Schema, TableSource, Value};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -44,7 +46,7 @@ pub struct DataStats {
 impl DataStats {
     /// The stats of `rows` rows whose first key column a walk of their key
     /// order read off as `first_key`.
-    fn off_the_order(rows: usize, first_key: FirstKeyStats) -> Self {
+    pub(crate) fn off_the_order(rows: usize, first_key: FirstKeyStats) -> Self {
         DataStats {
             rows,
             distinct_first_key: first_key.distinct,
@@ -54,15 +56,15 @@ impl DataStats {
     }
 }
 
-/// Running accumulator behind [`DataStats`], for consumers that see the
-/// sample arrive in batches (the progressive estimator) instead of all at
-/// once.
+/// [`DataStats`] of decoded values, observed one by one: how the oracle
+/// ([`measure_rows`]) counts its rows.  The estimators read the same stats
+/// off the records' bytes instead — a walk of the key order, or sums of
+/// first key cells — and never make a [`Value`].
 ///
 /// Observing values one by one and [`snapshot`](Self::snapshot)ting at any
 /// point yields exactly the stats a from-scratch pass over the same values
 /// would produce — the distinct set, length sum and null count are all
-/// order-insensitive — so checkpoint stats cost `O(batch)` instead of
-/// `O(rows so far)`.
+/// order-insensitive.
 #[derive(Debug, Clone, Default)]
 pub struct DataStatsAccumulator {
     rows: usize,
@@ -363,7 +365,9 @@ impl ExactCf {
     /// [`measure_rows`] over the same rows, with no tree packed.
     ///
     /// Works over any [`TableSource`]; on a disk-resident table this scans
-    /// every page — exactly the cost SampleCF exists to avoid.
+    /// every page — exactly the cost SampleCF exists to avoid.  The pages
+    /// are read as a draw reads them: a block sample of every page, whose
+    /// checked records are sliced into the entries, no row decoded.
     pub fn compute(
         &self,
         source: &dyn TableSource,
@@ -371,13 +375,22 @@ impl ExactCf {
         scheme: &dyn CompressionScheme,
     ) -> CoreResult<CfMeasurement> {
         let schema = source.schema();
-        let rows = source.scan_rows()?;
+        let mut every_page = SamplerKind::Block(1.0).stream(BatchSchedule::one_shot())?;
+        // The selection's order is the RNG's, but a batch reads its pages in
+        // page order: the table's records in storage order, whatever the seed.
+        let table = (every_page.next_records(source, &mut StdRng::seed_from_u64(0))).map_err(
+            |e| match e {
+                SamplingError::Storage(e) => CoreError::Storage(e),
+                e => e.into(),
+            },
+        )?;
+        let records = table.records();
         let start = Instant::now();
         let sizer = self.builder.sizer(schema, spec)?;
-        let run = SortedRun::from_rows(schema, &rows, spec)?;
+        let run = SortedRun::from_records(schema, &records, spec)?;
         let (mut reports, first_key) = sizer.measure_run(&run, None, |_| true, &[scheme])?;
         let report = reports.pop().expect("one report per scheme");
-        let data = DataStats::off_the_order(rows.len(), first_key);
+        let data = DataStats::off_the_order(records.len(), first_key);
         Ok(CfMeasurement::of(
             report,
             "exact".to_string(),

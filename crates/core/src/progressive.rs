@@ -8,8 +8,8 @@
 //!
 //! 1. the sample arrives in geometrically growing batches from a
 //!    [`SampleStream`](samplecf_sampling::SampleStream),
-//! 2. after each batch the CF of the sample so far is re-priced and the
-//!    running [`DataStatsAccumulator`] is updated,
+//! 2. after each batch the CF of the sample so far is re-priced, with its
+//!    [`DataStats`] — all from the drawn records' bytes, no row decoded,
 //! 3. the estimate's variance is jackknifed over the batches
 //!    ([`grouped_jackknife_variance`]), giving a distribution-free
 //!    Chebyshev confidence interval ([`theory::chebyshev_z`]),
@@ -24,19 +24,22 @@
 //!   [`cell_costs`](CompressionScheme::cell_costs) (null suppression, none).
 //!   Its size over any rows is one header per leaf plus the rows' cell
 //!   costs — the per-row sums `Σ(ℓᵢ + marker)` Theorem 1 analyses — so key
-//!   order cannot show.  Each batch's rows are encoded once, unsorted, into
+//!   order cannot show.  Each batch's records are read once, unsorted, into
 //!   per-column cost sums (by stratum tag for a stratified draw), and a
 //!   checkpoint with `B` batches costs `O(B + strata)` arithmetic: the
 //!   pooled report, each stratum's and each leave-one-out (pooled sums less
 //!   the batch's) come from [`RunSizer::price`].  No run, merge, tree or
-//!   walk.
+//!   walk.  The [`DataStats`] are sums too — rows, NULLs and `Σ ℓᵢ` of the
+//!   first key — and `d′` counts its distinct non-NULL cells by their bytes.
 //! * **tree** (the metric's label), for any other scheme: merge and walk.
-//!   Each batch is encoded and sorted into a [`SortedRun`] and merged
-//!   (never re-sorted) into the pooled run; every size is a walk of it
-//!   ([`RunSizer::measure_run`]) — whole, filtered to a stratum's pages by
-//!   RID, or skipping batch `i`'s entries for each of the `B − 1` older
+//!   Each batch's records are encoded and sorted into a [`SortedRun`] and
+//!   merged (never re-sorted) into the pooled run; every size is a walk of
+//!   it ([`RunSizer::measure_run`]) — whole, filtered to a stratum's pages
+//!   by RID, or skipping batch `i`'s entries for each of the `B − 1` older
 //!   leave-one-outs (the pooled run minus a batch's run is exactly the
-//!   merge of the others).  No tree is packed.
+//!   merge of the others).  No tree is packed.  The [`DataStats`] are read
+//!   off the whole walk, as [`ExactCf`](crate::estimator::ExactCf) reads
+//!   them.
 //!
 //! Both are bit-identical to packing and measuring every tree from the
 //! rows, the differential oracle.  The delete-*last*-batch estimate is
@@ -54,18 +57,21 @@
 
 use crate::algebra::{self, MomentSketch, VarianceNode};
 use crate::error::{CoreError, CoreResult};
-use crate::estimator::{combine_strata, CfMeasurement, DataStatsAccumulator};
+use crate::estimator::{combine_strata, CfMeasurement, DataStats};
 use crate::metrics::grouped_jackknife_variance;
 use crate::theory;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use samplecf_compression::{CellCosts, CompressionScheme};
+use samplecf_compression::{CellCosts, CompressionScheme, DistinctScratch};
 use samplecf_index::{
-    CompressedIndexReport, IndexBuilder, IndexSpec, RunCellCosts, RunSizer, SortedRun,
+    CompressedIndexReport, FirstKeyStats, IndexBuilder, IndexSpec, RunCellCosts, RunSizer,
+    SortedRun,
 };
 use samplecf_obs::{Counter, Histogram, MetricsRegistry, Timer};
 use samplecf_sampling::{BatchSchedule, SamplerKind};
-use samplecf_storage::{CountingSource, PageId, Rid, Row, Schema, TableSource};
+use samplecf_storage::{
+    CellRef, CountingSource, DataType, PageId, Rid, RowCodec, RowRef, TableSource,
+};
 use std::time::Instant;
 
 /// Registry-backed instruments for progressive runs.  A default-constructed
@@ -412,27 +418,28 @@ impl ProgressiveCf {
         if self.config.schedule != BatchSchedule::one_shot() {
             Self::supports_checkpoints(self.sampler)?;
         }
-        let schema = source.schema().clone();
+        let codec = source.codec();
         // An index spec has at least one key column.
-        let first_key = spec.key_indexes(&schema)?[0];
+        let first_key = spec.key_indexes(codec.schema())?[0];
+        let key_type = codec.schema().column_at(first_key).datatype;
         let z = theory::chebyshev_z(self.config.confidence);
         let counting = CountingSource::new(source);
         let mut stream = self.sampler.stream(self.config.schedule)?;
         let mut rng = StdRng::seed_from_u64(self.seed);
         let is_stratified = matches!(self.sampler, SamplerKind::Stratified { .. });
-        let key_width = schema.column_at(first_key).datatype.uncompressed_width();
+        let key_width = key_type.uncompressed_width();
 
         let started = Instant::now();
-        let mut stats = DataStatsAccumulator::new();
+        let mut rows = 0;
         let mut batch_sizes: Vec<usize> = Vec::new();
-        let mut pooled = Pooled::new(&self.builder, &schema, spec, scheme)?;
+        let mut pooled = Pooled::new(&self.builder, codec, spec, scheme, first_key)?;
         // One count per checkpoint, under the route the scheme picked.
         let priced = match pooled.route {
             Route::CellSums { .. } => &self.metrics.pricing_cell_sums,
             Route::Tree { .. } => &self.metrics.pricing_tree,
         };
         let mut checkpoints: Vec<CfCheckpoint> = Vec::new();
-        let mut last_report: Option<CompressedIndexReport> = None;
+        let mut last_report: Option<(CompressedIndexReport, DataStats)> = None;
         // The stratified estimator's triple from the last checkpoint
         // (weighted across strata; the pooled report alone can't supply it).
         let mut last_cf_triple: Option<(f64, f64, f64)> = None;
@@ -448,12 +455,13 @@ impl ProgressiveCf {
         loop {
             let batch = {
                 let _draw = Timer::start(&self.metrics.draw_ns);
-                stream.next_batch(&counting, &mut rng)?
+                stream.next_records(&counting, &mut rng)?
             };
             if batch.is_empty() {
                 break;
             }
             let measure_timer = Timer::start(&self.metrics.measure_ns);
+            let records = batch.records();
             let tags: &[u32] = if is_stratified {
                 stream
                     .batch_strata()
@@ -461,10 +469,8 @@ impl ProgressiveCf {
             } else {
                 &[]
             };
-            for (_, row) in &batch {
-                stats.observe(row.value(first_key));
-            }
-            batch_sizes.push(batch.len());
+            rows += records.len();
+            batch_sizes.push(records.len());
             if is_stratified {
                 if strata_weights.is_empty() {
                     strata_weights = stream
@@ -475,15 +481,17 @@ impl ProgressiveCf {
                     strata_rows = vec![0; k];
                 }
                 // Each stratum's sketch sees its rows in draw order.
-                for ((_, row), &t) in batch.iter().zip(tags) {
-                    let statistic = algebra::ns_row_statistic(row.value(first_key), key_width);
+                for ((_, record), &t) in records.iter().zip(tags) {
+                    let cell = RowRef::new(codec, record)?.cell(first_key);
+                    let statistic =
+                        algebra::ns_row_statistic(cell.logical_len(&key_type)?, key_width);
                     strata_sketches[t as usize].observe(statistic);
                     strata_rows[t as usize] += 1;
                 }
             }
-            pooled.add(&batch, tags, strata_weights.len())?;
+            pooled.add(&records, tags, strata_weights.len())?;
 
-            let report = pooled.report()?;
+            let (report, data) = pooled.report()?;
             priced.inc();
 
             // Stratified draws estimate CF as Σ W_s·CF_s over per-stratum
@@ -532,7 +540,6 @@ impl ProgressiveCf {
             let std_error = variance.map(f64::sqrt);
             let half_width = std_error.map(|se| z * se);
 
-            let rows = stats.rows();
             let checkpoint = CfCheckpoint {
                 batch: batch_sizes.len(),
                 rows,
@@ -556,7 +563,7 @@ impl ProgressiveCf {
                     .relative_half_width()
                     .is_some_and(|rel| rel <= self.config.target_error);
             checkpoints.push(checkpoint);
-            last_report = Some(report);
+            last_report = Some((report, data));
             if is_stratified {
                 last_cf_triple = Some((cf, cf_with_pointers, cf_pages));
                 // Feed the measured per-stratum spread back so a Neyman
@@ -578,7 +585,7 @@ impl ProgressiveCf {
 
         // Final measurement — for an empty source this measures the empty
         // sample, exactly like the one-shot path.
-        let report = match last_report {
+        let (report, data) = match last_report {
             Some(r) => r,
             None => pooled.report()?,
         };
@@ -597,7 +604,7 @@ impl ProgressiveCf {
             cf,
             cf_with_pointers,
             cf_pages,
-            ..CfMeasurement::of(report, sampler, stats.snapshot(), elapsed)
+            ..CfMeasurement::of(report, sampler, data, elapsed)
         };
         Ok(ProgressiveReport {
             measurement,
@@ -614,12 +621,89 @@ impl ProgressiveCf {
     }
 }
 
+/// The [`DataStats`] of the records summed so far, read off their first key
+/// cells: rows, NULLs and `Σ ℓᵢ` are sums; `d′` counts the distinct
+/// non-NULL cells by their bytes.  The NULL bit decides, not the bytes: a
+/// NULL is stored as zeros, the bytes of `Int32`'s `i32::MIN`.
+struct CellStats {
+    /// The first key's schema position and type.
+    column: usize,
+    datatype: DataType,
+    rows: usize,
+    nulls: usize,
+    logical_len_sum: usize,
+    /// Every distinct cell once, in order of first sight.
+    cells: Vec<u8>,
+    /// The cells' numbers, by their bytes.
+    distinct: DistinctScratch,
+    /// Cells `distinct` holds before it is re-sized.
+    capacity: usize,
+}
+
+impl CellStats {
+    fn new(column: usize, datatype: DataType) -> Self {
+        let capacity = 64;
+        let mut distinct = DistinctScratch::new();
+        distinct.reset(capacity);
+        CellStats {
+            column,
+            datatype,
+            rows: 0,
+            nulls: 0,
+            logical_len_sum: 0,
+            cells: Vec::new(),
+            distinct,
+            capacity,
+        }
+    }
+
+    /// Fold in the first key cells of `records`, heap records of `codec`.
+    fn add(&mut self, codec: &RowCodec, records: &[(Rid, &[u8])]) -> CoreResult<()> {
+        let width = self.datatype.uncompressed_width();
+        for (_, record) in records {
+            let cell = RowRef::new(codec, record)?.cell(self.column);
+            self.rows += 1;
+            if cell.is_null() {
+                self.nulls += 1;
+                continue;
+            }
+            self.logical_len_sum += cell.logical_len(&self.datatype)?;
+            let cells = &self.cells;
+            let held =
+                |number: u64| CellRef::new(false, &cells[number as usize * width..][..width]);
+            if self.distinct.len() == self.capacity {
+                // Full: re-size, and put back what it held.
+                self.capacity *= 2;
+                self.distinct.reset(self.capacity);
+                for (number, cell) in cells.chunks_exact(width).enumerate() {
+                    self.distinct
+                        .insert(CellRef::new(false, cell), number as u64, held);
+                }
+            }
+            let number = self.distinct.len() as u64;
+            if self.distinct.insert(cell, number, held) {
+                self.cells.extend_from_slice(cell.bytes());
+            }
+        }
+        Ok(())
+    }
+
+    fn snapshot(&self) -> DataStats {
+        DataStats {
+            rows: self.rows,
+            distinct_first_key: self.distinct.len(),
+            sum_logical_len_first_key: self.logical_len_sum,
+            null_first_key: self.nulls,
+        }
+    }
+}
+
 /// A run's sample as its checkpoints price it: what is kept of the batches
 /// drawn so far — pooled, per batch (unstratified runs, for the jackknife)
 /// and per stratum — by the route the scheme's own declaration picks (see
 /// the [module docs](self)).
 struct Pooled<'a> {
-    schema: &'a Schema,
+    codec: &'a RowCodec,
     spec: &'a IndexSpec,
     scheme: &'a dyn CompressionScheme,
     sizer: RunSizer<'a>,
@@ -629,12 +713,14 @@ struct Pooled<'a> {
 /// What [`Pooled`] keeps of the batches.
 enum Route {
     /// A scheme with [`cell_costs`](CompressionScheme::cell_costs): the
-    /// rows' cell costs, summed unsorted.  No entry is kept.
+    /// records' cell costs and first key statistics, summed unsorted.  No
+    /// entry is kept.
     CellSums {
         costs: CellCosts,
         pooled: RunCellCosts,
         batches: Vec<RunCellCosts>,
         strata: Vec<RunCellCosts>,
+        stats: CellStats,
     },
     /// Any other scheme: sorted runs — the pooled one merged, never
     /// re-sorted — walked, whole or in part.
@@ -650,12 +736,15 @@ enum Route {
 }
 
 impl<'a> Pooled<'a> {
+    /// `first_key` is the spec's first key column in `codec`'s schema.
     fn new(
         builder: &IndexBuilder,
-        schema: &'a Schema,
+        codec: &'a RowCodec,
         spec: &'a IndexSpec,
         scheme: &'a dyn CompressionScheme,
+        first_key: usize,
     ) -> CoreResult<Self> {
+        let schema = codec.schema();
         let sizer = builder.sizer(schema, spec)?;
         let route = match scheme.cell_costs() {
             Some(costs) => Route::CellSums {
@@ -663,6 +752,7 @@ impl<'a> Pooled<'a> {
                 pooled: sizer.empty_cell_costs(),
                 batches: Vec::new(),
                 strata: Vec::new(),
+                stats: CellStats::new(first_key, schema.column_at(first_key).datatype),
             },
             None => Route::Tree {
                 merged: SortedRun::new(),
@@ -671,7 +761,7 @@ impl<'a> Pooled<'a> {
             },
         };
         Ok(Pooled {
-            schema,
+            codec,
             spec,
             scheme,
             sizer,
@@ -679,12 +769,13 @@ impl<'a> Pooled<'a> {
         })
     }
 
-    /// Take in one batch: `tags` are its rows' strata, of `strata` — both
-    /// empty for an unstratified run.  The caller keeps the rows until the
-    /// checkpoint is priced.  (Freeing them first lets the dictionary
-    /// kernels' long-lived scratch table land in their hole rather than atop
-    /// the heap, and glibc then trims and re-faults ~2 MB per checkpoint.)
-    fn add(&mut self, batch: &[(Rid, Row)], tags: &[u32], strata: usize) -> CoreResult<()> {
+    /// Take in one batch's records: `tags` are their strata, of `strata` —
+    /// both empty for an unstratified run.  The caller keeps the records
+    /// until the checkpoint is priced.  (Freeing them first lets the
+    /// dictionary kernels' long-lived scratch table land in their hole
+    /// rather than atop the heap, and glibc then trims and re-faults ~2 MB
+    /// per checkpoint.)
+    fn add(&mut self, records: &[(Rid, &[u8])], tags: &[u32], strata: usize) -> CoreResult<()> {
         let sizer = &self.sizer;
         match &mut self.route {
             Route::CellSums {
@@ -692,15 +783,17 @@ impl<'a> Pooled<'a> {
                 pooled,
                 batches,
                 strata: sums,
+                stats,
             } => {
+                stats.add(self.codec, records)?;
                 if tags.is_empty() {
                     let mut sum = sizer.empty_cell_costs();
-                    sizer.add_cell_costs(batch, costs, std::slice::from_mut(&mut sum), |_| 0)?;
+                    sizer.add_cell_costs(records, costs, std::slice::from_mut(&mut sum), |_| 0)?;
                     pooled.merge(&sum);
                     batches.push(sum);
                 } else {
                     sums.resize(strata, sizer.empty_cell_costs());
-                    sizer.add_cell_costs(batch, costs, sums, |i| tags[i] as usize)?;
+                    sizer.add_cell_costs(records, costs, sums, |i| tags[i] as usize)?;
                     *pooled = sizer.empty_cell_costs();
                     sums.iter().for_each(|sum| pooled.merge(sum));
                 }
@@ -710,13 +803,13 @@ impl<'a> Pooled<'a> {
                 batches,
                 stratum_pages,
             } => {
-                let run = SortedRun::from_rows(self.schema, batch, self.spec)?;
+                let run = SortedRun::from_records(self.codec.schema(), records, self.spec)?;
                 *merged = std::mem::take(merged).into_merged(&run);
                 if tags.is_empty() {
                     batches.push(run);
                 }
                 stratum_pages.resize(strata, (PageId::MAX, 0));
-                for ((rid, _), &t) in batch.iter().zip(tags) {
+                for ((rid, _), &t) in records.iter().zip(tags) {
                     let (first, last) = &mut stratum_pages[t as usize];
                     (*first, *last) = ((*first).min(rid.page), (*last).max(rid.page));
                 }
@@ -725,13 +818,23 @@ impl<'a> Pooled<'a> {
         Ok(())
     }
 
-    /// The report of the index over the pooled sample.
-    fn report(&self) -> CoreResult<CompressedIndexReport> {
+    /// The report of the index over the pooled sample, and the sample's
+    /// [`DataStats`].
+    fn report(&self) -> CoreResult<(CompressedIndexReport, DataStats)> {
         match &self.route {
-            Route::CellSums { costs, pooled, .. } => {
-                Ok(self.sizer.price(self.scheme, costs, pooled, None)?)
+            Route::CellSums {
+                costs,
+                pooled,
+                stats,
+                ..
+            } => {
+                let report = self.sizer.price(self.scheme, costs, pooled, None)?;
+                Ok((report, stats.snapshot()))
             }
-            Route::Tree { merged, .. } => self.walk(merged, None, |_| true),
+            Route::Tree { merged, .. } => {
+                let (report, first_key) = self.walk(merged, None, |_| true)?;
+                Ok((report, DataStats::off_the_order(merged.len(), first_key)))
+            }
         }
     }
 
@@ -747,21 +850,24 @@ impl<'a> Pooled<'a> {
                 ..
             } => {
                 let (first, last) = stratum_pages[s];
-                self.walk(merged, None, |rid| (first..=last).contains(&rid.page))
+                let walked = self.walk(merged, None, |rid| (first..=last).contains(&rid.page))?;
+                Ok(walked.0)
             }
         }
     }
 
     /// The report of the index over `run`'s entries, less `excluded`'s,
-    /// that `keep` admits ([`RunSizer::measure_run`]).
+    /// that `keep` admits, and their first key statistics
+    /// ([`RunSizer::measure_run`]).
     fn walk(
         &self,
         run: &SortedRun,
         excluded: Option<&SortedRun>,
         keep: impl Fn(Rid) -> bool,
-    ) -> CoreResult<CompressedIndexReport> {
-        let (mut reports, _) = (self.sizer).measure_run(run, excluded, keep, &[self.scheme])?;
-        Ok(reports.pop().expect("one report per scheme"))
+    ) -> CoreResult<(CompressedIndexReport, FirstKeyStats)> {
+        let (mut reports, first_key) =
+            (self.sizer).measure_run(run, excluded, keep, &[self.scheme])?;
+        Ok((reports.pop().expect("one report per scheme"), first_key))
     }
 
     /// The CFs of the samples that leave out one of the older batches
@@ -790,7 +896,7 @@ impl<'a> Pooled<'a> {
                 let older = &batches[..batches.len() - 1];
                 metrics.leave_one_out_walk.add(older.len() as u64);
                 (older.iter())
-                    .map(|batch| Ok(self.walk(merged, Some(batch), |_| true)?.cf()))
+                    .map(|batch| Ok(self.walk(merged, Some(batch), |_| true)?.0.cf()))
                     .collect()
             }
         }

@@ -20,8 +20,9 @@
 //! value — so its whole [`CfMeasurement`], page counts and first-key
 //! statistics included, is pinned here against the packed, decoded-row
 //! oracle too, over random schemas and key shapes.  So are the progressive
-//! estimator's two: for a cell-additive scheme, rows summed unsorted into
-//! cell costs and priced by arithmetic
+//! estimator's two, over heap records as a stream yields them: for a
+//! cell-additive scheme, records summed unsorted into cell costs and priced
+//! by arithmetic
 //! ([`RunSizer::price`](samplecf_index::RunSizer::price)); for any other,
 //! batches' sorted runs merged and walked
 //! ([`RunSizer::measure_run`](samplecf_index::RunSizer::measure_run)).  The
@@ -565,8 +566,9 @@ fn cell_sums_are_refused_or_fail_as_the_builder_does() {
     let costs = NullSuppression.cell_costs().unwrap();
     for n in [2, 3, 5] {
         let mut sums = [sizer.empty_cell_costs()];
+        let encoded = encode(&schema, &rows(n));
         sizer
-            .add_cell_costs(&rows(n), &costs, &mut sums, |_| 0)
+            .add_cell_costs(&records(&encoded), &costs, &mut sums, |_| 0)
             .unwrap();
         let priced = sizer.price(&NullSuppression, &costs, &sums[0], None);
         let packed = tiny.build_from_rows(&schema, &rows(n), &clustered);
@@ -579,6 +581,22 @@ fn cell_sums_are_refused_or_fail_as_the_builder_does() {
             priced.map(|r| r.leaf_pages)
         );
     }
+}
+
+/// `rows` as heap records of `schema`, each beside its RID.
+fn encode(schema: &Schema, rows: &[(Rid, Row)]) -> Vec<(Rid, Vec<u8>)> {
+    let codec = RowCodec::new(schema.clone());
+    (rows.iter())
+        .map(|(rid, row)| (*rid, codec.encode(row).unwrap()))
+        .collect()
+}
+
+/// Borrowed `(rid, record)` pairs of `encoded`, as a stream's batch gives
+/// them.
+fn records(encoded: &[(Rid, Vec<u8>)]) -> Vec<(Rid, &[u8])> {
+    (encoded.iter())
+        .map(|(rid, record)| (*rid, &record[..]))
+        .collect()
 }
 
 /// Strategy for one row of a NULL-heavy, variable-length fuzz schema:
@@ -744,15 +762,17 @@ proptest! {
             let tree = builder.build_from_rows(&schema, &kept, &spec)?;
             measure_index(&tree, scheme)
         };
+        let encoded = encode(&schema, &rows);
+        let records = records(&encoded);
         let schemes: [&dyn CompressionScheme; 2] = [&Uncompressed, &NullSuppression];
         for scheme in schemes {
             let costs = scheme.cell_costs().expect("cell-additive");
             let mut strata = vec![sizer.empty_cell_costs(); STRATA];
             let mut batches = vec![sizer.empty_cell_costs(); BATCHES];
             let tag = |i: usize| usize::from(tagged[i].1);
-            sizer.add_cell_costs(&rows, &costs, &mut strata, tag).unwrap();
+            sizer.add_cell_costs(&records, &costs, &mut strata, tag).unwrap();
             let batch = |i: usize| usize::from(tagged[i].2);
-            sizer.add_cell_costs(&rows, &costs, &mut batches, batch).unwrap();
+            sizer.add_cell_costs(&records, &costs, &mut batches, batch).unwrap();
             let mut pooled = sizer.empty_cell_costs();
             batches.iter().for_each(|sum| pooled.merge(sum));
             let price = |sums, excluded| sizer.price(scheme, &costs, sums, excluded);
@@ -771,11 +791,11 @@ proptest! {
 
         let runs: Vec<SortedRun> = (0..BATCHES)
             .map(|b| {
-                let batch: Vec<(Rid, Row)> = (rows.iter().zip(&tagged))
+                let batch: Vec<(Rid, &[u8])> = (records.iter().zip(&tagged))
                     .filter(|(_, (_, _, batch))| usize::from(*batch) == b)
-                    .map(|(row, _)| row.clone())
+                    .map(|(record, _)| *record)
                     .collect();
-                SortedRun::from_rows(&schema, &batch, &spec).unwrap()
+                SortedRun::from_records(&schema, &batch, &spec).unwrap()
             })
             .collect();
         let merged = (runs.iter()).fold(SortedRun::new(), |pooled, run| pooled.into_merged(run));

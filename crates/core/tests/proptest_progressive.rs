@@ -455,7 +455,7 @@ proptest! {
                         for ((_, row), _) in (batches[..=c].iter().flatten())
                             .filter(|(_, tag)| *tag == s)
                         {
-                            sketch.observe(ns_row_statistic(row.value(0), key_width));
+                            sketch.observe(ns_row_statistic(row.value(0).logical_len(), key_width));
                         }
                         sketch
                     });

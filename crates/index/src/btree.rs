@@ -432,6 +432,8 @@ impl IndexBuilder {
 /// sort key and the leaf record, and the two constant lengths.
 pub(crate) struct EntryLayout<'a> {
     pub(crate) schema: &'a Schema,
+    /// The heap record layout input records are sliced by.
+    pub(crate) codec: RowCodec,
     key_indexes: Vec<usize>,
     /// Key columns first: a record's first cells copy its entry's key cells.
     pub(crate) stored_indexes: Vec<usize>,
@@ -453,6 +455,7 @@ impl<'a> EntryLayout<'a> {
             .map(|&i| schema.column_at(i).datatype.uncompressed_width());
         Ok(EntryLayout {
             schema,
+            codec: RowCodec::new(schema.clone()),
             key_len: key_cells.sum::<usize>() + Rid::ENCODED_LEN,
             record_len: leaf_record_bytes(schema, spec)?,
             rid_in_record: spec.kind() == IndexKind::NonClustered,
@@ -536,7 +539,7 @@ impl<'a> EntryLayout<'a> {
     }
 
     /// Append the entry of one row, validated against the schema, to `out`.
-    pub(crate) fn encode_row(&self, rid: Rid, row: &Row, out: &mut Vec<u8>) -> IndexResult<()> {
+    fn encode_row(&self, rid: Rid, row: &Row, out: &mut Vec<u8>) -> IndexResult<()> {
         self.schema.validate_row(row.values())?;
         let datatype = |i: usize| &self.schema.column_at(i).datatype;
         let cell = |i, out: &mut Vec<u8>| Ok(encode_cell(row.value(i), datatype(i), out)?);
@@ -547,9 +550,8 @@ impl<'a> EntryLayout<'a> {
     /// sit in their fixed-width encoding inside the record, so they are
     /// sliced, not decoded.
     fn encode_records(&self, records: &[(Rid, &[u8])], out: &mut Vec<u8>) -> IndexResult<()> {
-        let codec = RowCodec::new(self.schema.clone());
         for (rid, record) in records {
-            let row = RowRef::new(&codec, record)?;
+            let row = RowRef::new(&self.codec, record)?;
             let cell = |i, out: &mut Vec<u8>| {
                 out.extend_from_slice(row.cell(i).bytes());
                 Ok(())
@@ -685,10 +687,40 @@ impl SortedRun {
 
     /// Encode one batch of rows into a sorted run of its own.
     pub fn from_rows(schema: &Schema, rows: &[(Rid, Row)], spec: &IndexSpec) -> IndexResult<Self> {
+        Self::sorted(schema, spec, rows.len(), |layout, out| {
+            layout.encode_rows(rows, out)
+        })
+    }
+
+    /// Encode one batch of borrowed heap records into a sorted run of its
+    /// own: cells sliced, not decoded, as
+    /// [`IndexBuilder::build_from_records`] does — the run
+    /// [`from_rows`](Self::from_rows) makes of the decoded rows.
+    ///
+    /// # Errors
+    /// A record that is not the schema's record size is
+    /// [`IndexError::Storage`] (`Decode`).
+    pub fn from_records(
+        schema: &Schema,
+        records: &[(Rid, &[u8])],
+        spec: &IndexSpec,
+    ) -> IndexResult<Self> {
+        Self::sorted(schema, spec, records.len(), |layout, out| {
+            layout.encode_records(records, out)
+        })
+    }
+
+    /// The run of the `len` entries `encode` appends, sorted by key.
+    fn sorted(
+        schema: &Schema,
+        spec: &IndexSpec,
+        len: usize,
+        encode: impl FnOnce(&EntryLayout, &mut Vec<u8>) -> IndexResult<()>,
+    ) -> IndexResult<Self> {
         let layout = EntryLayout::new(schema, spec)?;
         let stride = layout.stride();
-        let mut unsorted = Vec::with_capacity(rows.len() * stride);
-        layout.encode_rows(rows, &mut unsorted)?;
+        let mut unsorted = Vec::with_capacity(len * stride);
+        encode(&layout, &mut unsorted)?;
         let mut arena = Vec::with_capacity(unsorted.len());
         for (_, i) in key_order(&unsorted, &layout, 1)? {
             arena.extend_from_slice(&unsorted[i as usize * stride..][..stride]);
@@ -1293,10 +1325,17 @@ mod tests {
                 spec.name()
             );
             if let Some(costs) = scheme.cell_costs() {
+                let codec = RowCodec::new(schema.clone());
                 let mut sums = vec![sizer.empty_cell_costs(); batches.len()];
                 for (rows, sum) in batches.iter().zip(&mut sums) {
+                    let encoded: Vec<Vec<u8>> = (rows.iter())
+                        .map(|(_, row)| codec.encode(row).unwrap())
+                        .collect();
+                    let records: Vec<(Rid, &[u8])> = (rows.iter().zip(&encoded))
+                        .map(|((rid, _), record)| (*rid, &record[..]))
+                        .collect();
                     let sum = std::slice::from_mut(sum);
-                    sizer.add_cell_costs(rows, &costs, sum, |_| 0).unwrap();
+                    sizer.add_cell_costs(&records, &costs, sum, |_| 0).unwrap();
                 }
                 let mut pooled = sizer.empty_cell_costs();
                 sums.iter().for_each(|sum| pooled.merge(sum));

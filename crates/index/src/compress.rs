@@ -12,7 +12,7 @@ use samplecf_compression::{
     CellChunk, CellCosts, ColumnChunk, CompressionOutcome, CompressionScheme,
 };
 use samplecf_storage::{
-    cell_logical_len, CellRef, DataType, Rid, Row, Schema, PAGE_HEADER_SIZE, SLOT_SIZE,
+    cell_logical_len, CellRef, DataType, Rid, RowRef, Schema, PAGE_HEADER_SIZE, SLOT_SIZE,
 };
 use std::ops::Range;
 use std::sync::Arc;
@@ -190,7 +190,7 @@ pub fn compress_index(
 /// the zero-copy counterpart of [`compress_index`].
 ///
 /// Instead of decoding leaf entries into owned
-/// [`Row`]s and running the byte-producing codec,
+/// [`Row`](samplecf_storage::Row)s and running the byte-producing codec,
 /// this borrows each stored cell in place (leaf records keep cells at fixed,
 /// schema-determined offsets) and asks the scheme for its exact output size
 /// via the batch measure kernels.  The returned report is identical, field
@@ -297,8 +297,9 @@ fn stored_cells(schema: &Schema, stored: &[usize]) -> Vec<StoredCell> {
 /// * a scheme that declares [`cell_costs`](CompressionScheme::cell_costs) —
 ///   no order at all.  Each leaf's size is a header fixed by its length plus
 ///   its cells' costs, so a column's size over *any* entries is one header
-///   per leaf plus the entries' costs summed.  Rows are encoded once, in
-///   any order, into those sums ([`add_cell_costs`](Self::add_cell_costs));
+///   per leaf plus the entries' costs summed.  Heap records are summed once,
+///   in any order, their cells read in place
+///   ([`add_cell_costs`](Self::add_cell_costs));
 ///   sums merge and subtract; [`price`](Self::price) turns them into the
 ///   whole report.
 ///
@@ -538,35 +539,35 @@ impl<'a> RunSizer<'a> {
         }
     }
 
-    /// Encode each of `rows` as an entry of this layout — once, in the
-    /// order given, into one reused buffer — and add `costs.cell` of its
-    /// stored cells to `sums[group(i)]` for row `i`: one group for a batch,
-    /// say, or one per stratum tag.  Nothing is sorted or kept.
+    /// Add `costs.cell` of the stored cells of each of `records` — heap
+    /// records of the schema, whose cells a leaf entry copies as they are —
+    /// to `sums[group(i)]` for record `i`: one group for a batch, say, or
+    /// one per stratum tag.  Cells are sliced in place, in the order given;
+    /// nothing is encoded, sorted, kept or allocated.
     ///
     /// # Errors
-    /// A row that does not match the schema is [`IndexError::Storage`], as
-    /// when building; the sums may then hold the rows before it.
+    /// A record that is not the schema's record size is
+    /// [`IndexError::Storage`] (`Decode`); the sums may then hold the
+    /// records before it.
     ///
     /// # Panics
     /// If `group` names no member of `sums`, or `sums` were made by a sizer
     /// of other stored columns.
     pub fn add_cell_costs(
         &self,
-        rows: &[(Rid, Row)],
+        records: &[(Rid, &[u8])],
         costs: &CellCosts,
         sums: &mut [RunCellCosts],
         group: impl Fn(usize) -> usize,
     ) -> IndexResult<()> {
         assert!((sums.iter()).all(|sum| sum.per_column.len() == self.cells.len()));
-        let mut entry = Vec::with_capacity(self.layout.stride());
-        for (i, (rid, row)) in rows.iter().enumerate() {
-            entry.clear();
-            self.layout.encode_row(*rid, row, &mut entry)?;
-            let record = &entry[self.layout.key_len..];
+        let stored = &self.layout.stored_indexes;
+        for (i, (_, record)) in records.iter().enumerate() {
+            let record = RowRef::new(&self.layout.codec, record)?;
             let sum = &mut sums[group(i)];
             sum.entries += 1;
-            for (cell, total) in self.cells.iter().zip(&mut sum.per_column) {
-                *total += (costs.cell)(cell.of(record), &cell.datatype);
+            for ((cell, &column), total) in self.cells.iter().zip(stored).zip(&mut sum.per_column) {
+                *total += (costs.cell)(record.cell(column), &cell.datatype);
             }
         }
         Ok(())

@@ -5,9 +5,10 @@
 //! are; entries in key order — a held sample's, or a pooled run's minus one
 //! batch — are sized by a walk that allocates per leaf page, not per entry
 //! or per distinct value, whatever the number of schemes; under a
-//! cell-additive scheme rows are summed into cell costs through one reused
-//! entry buffer, and any sample — pooled, a stratum, all but one batch — is
-//! priced by arithmetic that allocates nothing but its report; and a held
+//! cell-additive scheme heap records are summed into cell costs in place,
+//! allocating nothing, and any sample — pooled, a stratum, all but one
+//! batch — is priced by arithmetic that allocates nothing but its report;
+//! and a held
 //! sample walked again through the key order it keeps allocates its arena
 //! and no sort buffer.  A counting `#[global_allocator]` (this test binary
 //! only) holds that shape in place — a per-entry `Vec` coming back shows up
@@ -93,6 +94,22 @@ fn rows() -> Vec<(Rid, Row)> {
     rows_of(997)
 }
 
+/// `rows` as heap records of `schema()`, each beside its RID.
+fn encode(rows: &[(Rid, Row)]) -> Vec<(Rid, Vec<u8>)> {
+    let codec = RowCodec::new(schema());
+    (rows.iter())
+        .map(|(rid, row)| (*rid, codec.encode(row).unwrap()))
+        .collect()
+}
+
+/// Borrowed `(rid, record)` pairs of `encoded`, as a stream's batch gives
+/// them.
+fn records(encoded: &[(Rid, Vec<u8>)]) -> Vec<(Rid, &[u8])> {
+    (encoded.iter())
+        .map(|(rid, record)| (*rid, &record[..]))
+        .collect()
+}
+
 /// `ROWS` rows over `distinct` names.
 fn rows_of(distinct: usize) -> Vec<(Rid, Row)> {
     (0..ROWS)
@@ -129,6 +146,15 @@ fn encoding_and_sorting_a_run_allocates_a_handful_of_times_not_per_row() {
         assert!(
             count <= 16,
             "from_rows over {ROWS} rows: {count} allocations"
+        );
+        let encoded = encode(&rows);
+        let records = records(&encoded);
+        let (count, from_records) =
+            allocations(|| SortedRun::from_records(&schema, &records, &spec).unwrap());
+        assert_eq!(from_records.len(), ROWS);
+        assert!(
+            count <= 16,
+            "from_records over {ROWS} records: {count} allocations"
         );
     }
 }
@@ -276,23 +302,26 @@ fn summing_cell_costs_allocates_one_buffer_whatever_the_rows() {
     let spec = IndexSpec::clustered("i", ["name"]).unwrap();
     let sizer = IndexBuilder::new().sizer(&schema, &spec).unwrap();
     let costs = NullSuppression.cell_costs().expect("cell-additive");
-    // Four groups, as a batch's rows go to their strata.
-    let summed = |rows: &[(Rid, Row)]| {
+    // Four groups, as a batch's records go to their strata.  The one buffer
+    // a call may take is the caller's: the borrowed pairs, one per batch.
+    let summed = |encoded: &[(Rid, Vec<u8>)]| {
         let mut sums = vec![sizer.empty_cell_costs(); 4];
-        let (count, added) =
-            allocations(|| sizer.add_cell_costs(rows, &costs, &mut sums, |i| i % 4));
+        let (count, added) = allocations(|| {
+            let records = records(encoded);
+            sizer.add_cell_costs(&records, &costs, &mut sums, |i| i % 4)
+        });
         added.unwrap();
         let entries: usize = sums.iter().map(RunCellCosts::entries).sum();
-        assert_eq!(entries, rows.len());
+        assert_eq!(entries, encoded.len());
         count
     };
     for distinct in [10, 5_000] {
-        let rows = rows_of(distinct);
+        let encoded = encode(&rows_of(distinct));
         for n in [ROWS / 10, ROWS] {
-            let count = summed(&rows[..n]);
+            let count = summed(&encoded[..n]);
             assert_eq!(
                 count, 1,
-                "{n} rows, {distinct} distinct: {count} allocations"
+                "{n} records, {distinct} distinct: {count} allocations"
             );
         }
     }
@@ -309,7 +338,10 @@ fn pricing_a_checkpoint_or_a_leave_one_out_allocates_only_its_report() {
     let mut sums = vec![sizer.empty_cell_costs(); batches.len()];
     for (batch, sum) in batches.iter().zip(&mut sums) {
         let sum = std::slice::from_mut(sum);
-        sizer.add_cell_costs(batch, &costs, sum, |_| 0).unwrap();
+        let encoded = encode(batch);
+        sizer
+            .add_cell_costs(&records(&encoded), &costs, sum, |_| 0)
+            .unwrap();
     }
     let mut pooled = sizer.empty_cell_costs();
     sums.iter().for_each(|sum| pooled.merge(sum));

@@ -13,18 +13,20 @@
 //! count on a disk table and the `samplecf estimate --sampler block` CLI
 //! path reports it.
 
+use crate::batch::RecordBatch;
 use crate::error::SamplingResult;
 use crate::kind::SamplerKind;
-use crate::sampler::{target_size, SampledRow};
+use crate::sampler::target_size;
 use crate::stream::{BatchPlan, BatchSchedule, IncrementalFisherYates, SampleStream};
 use rand::RngCore;
-use samplecf_storage::{PageId, TableSource};
+use samplecf_storage::{PageId, Rid, TableSource};
 
 /// The block (page) sampler: selects `max(1, round(fraction · num_pages))`
 /// pages without replacement and yields every row stored on them.  Pages
 /// come out of an [`IncrementalFisherYates`] permutation, so the page set
 /// after `k` draws equals a one-shot selection of `k` pages with the same
-/// seed.  Each batch reads its new pages in ascending page order.
+/// seed.  Each batch reads its new pages in ascending page order and checks
+/// every record on them.
 pub struct BlockStream {
     fraction: f64,
     schedule: BatchSchedule,
@@ -47,11 +49,11 @@ impl SampleStream for BlockStream {
         SamplerKind::Block(self.fraction)
     }
 
-    fn next_batch(
+    fn next_records(
         &mut self,
         source: &dyn TableSource,
         rng: &mut dyn RngCore,
-    ) -> SamplingResult<Vec<SampledRow>> {
+    ) -> SamplingResult<RecordBatch> {
         let (fy, plan) = self.state.get_or_insert_with(|| {
             let num_pages = source.num_pages();
             let max_pages = target_size(num_pages, self.fraction);
@@ -60,8 +62,10 @@ impl SampleStream for BlockStream {
                 BatchPlan::new(self.schedule, num_pages, max_pages),
             )
         });
+        let codec = source.codec();
+        let mut batch = RecordBatch::new(codec);
         let Some(target) = plan.next_target() else {
-            return Ok(Vec::new());
+            return Ok(batch);
         };
         let mut page_ids: Vec<PageId> = Vec::with_capacity(target - fy.drawn());
         while fy.drawn() < target {
@@ -69,9 +73,11 @@ impl SampleStream for BlockStream {
             page_ids.push(p as PageId);
         }
         page_ids.sort_unstable();
-        let mut batch = Vec::new();
         for pid in page_ids {
-            batch.extend(source.page_rows(pid)?);
+            let page = source.read_page_ref(pid)?;
+            for slot in 0..page.slot_count() {
+                batch.push(codec, Rid::new(pid, slot), page.get(slot)?)?;
+            }
         }
         plan.advance();
         Ok(batch)
@@ -101,6 +107,7 @@ impl SampleStream for BlockStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampler::SampledRow;
     use crate::stream::tests::draw;
     use samplecf_storage::{CountingSource, Row, Schema, Table, TableBuilder, Value};
     use std::collections::HashSet;

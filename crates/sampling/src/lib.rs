@@ -49,6 +49,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+pub mod batch;
 pub mod block;
 pub mod error;
 pub mod io;
@@ -61,6 +62,7 @@ pub mod stratified;
 pub mod stream;
 pub mod uniform;
 
+pub use batch::RecordBatch;
 pub use error::{SamplingError, SamplingResult};
 pub use io::CountingSource;
 pub use kind::{Allocation, SamplerKind, StrataMode};

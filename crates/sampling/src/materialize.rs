@@ -12,17 +12,21 @@
 //!
 //! This is the **only** form a held sample takes: heap pages, the RID each
 //! row came from, and — for stratified draws — each row's stratum tag plus
-//! the population weights.  Consumers measure it through
-//! [`records`](MaterializedSample::records), borrowed slices into those
-//! pages; [`rows`](MaterializedSample::rows) decodes the exact `(Rid, Row)`
-//! sequence the sampler produced — same rows, same order, same duplicates —
-//! for oracles and tests that need owned rows.
+//! the population weights.  The pages hold the checked records the stream
+//! drew, appended as they are: no row is decoded or re-encoded on the way
+//! in, and the bytes are those encoding the decoded rows would store.
+//! Consumers measure it through [`records`](MaterializedSample::records),
+//! borrowed slices into those pages; [`rows`](MaterializedSample::rows)
+//! decodes the exact `(Rid, Row)` sequence the sampler produced — same
+//! rows, same order, same duplicates — for oracles and tests that need
+//! owned rows.
 //!
 //! Beside the rows a sample keeps the [`KeyOrder`]s its measures sorted, at
 //! most one per key: sorting the entries into index order is step 2 of
 //! SampleCF, and a sample whose rows have not changed need not pay it twice
 //! ([`key_order`](MaterializedSample::key_order)).
 
+use crate::batch::RecordBatch;
 use crate::error::SamplingResult;
 use crate::kind::SamplerKind;
 use crate::sampler::SampledRow;
@@ -148,9 +152,10 @@ impl MaterializedSample {
         Ok(sample)
     }
 
-    /// Pull every remaining batch from `stream`, appending the new rows to
-    /// this sample, and adopt the stream's (possibly deepened) sampler
-    /// configuration.  Returns the number of rows appended.
+    /// Pull every remaining batch from `stream`, appending the new records
+    /// to this sample as they are, and adopt the stream's (possibly
+    /// deepened) sampler configuration.  Returns the number of rows
+    /// appended.
     ///
     /// This is what lets a cache *deepen* a sample: raise the stream's cap
     /// (`SampleStream::extend_cap`), then extend — the source only pays the
@@ -166,7 +171,7 @@ impl MaterializedSample {
         self.key_orders = HeldOrders::default();
         let before = self.source_rids.len();
         loop {
-            let batch = stream.next_batch(source, rng)?;
+            let batch = stream.next_records(source, rng)?;
             if batch.is_empty() {
                 break;
             }
@@ -182,12 +187,12 @@ impl MaterializedSample {
         Ok(self.source_rids.len() - before)
     }
 
-    /// Encode `rows` onto the sample's heap pages, remembering their source
-    /// rids.
-    fn append(&mut self, rows: &[SampledRow]) -> SamplingResult<()> {
-        for (rid, row) in rows {
-            self.table.insert(row)?;
-            self.source_rids.push(*rid);
+    /// Store `batch`'s records on the sample's heap pages, remembering
+    /// their source rids.
+    fn append(&mut self, batch: &RecordBatch) -> SamplingResult<()> {
+        for (rid, record) in batch.iter() {
+            self.table.insert_record(record)?;
+            self.source_rids.push(rid);
         }
         Ok(())
     }

@@ -40,9 +40,10 @@
 //! what was measured *is the point* — so the cache paths, which never feed
 //! back, stay deterministic, while `ProgressiveCf` adapts.)
 
+use crate::batch::RecordBatch;
 use crate::error::SamplingResult;
 use crate::kind::{Allocation, SamplerKind, StrataMode};
-use crate::sampler::{target_size, SampledRow};
+use crate::sampler::target_size;
 use crate::strata::Strata;
 use crate::stream::{
     fetch_positions_coalesced, BatchPlan, BatchSchedule, IncrementalFisherYates, PageCache,
@@ -251,38 +252,35 @@ impl SampleStream for StratifiedStream {
         self.kind
     }
 
-    fn next_batch(
+    fn next_records(
         &mut self,
         source: &dyn TableSource,
         rng: &mut dyn RngCore,
-    ) -> SamplingResult<Vec<SampledRow>> {
+    ) -> SamplingResult<RecordBatch> {
         self.bind(source, rng)?;
         let (_, alloc, _) = self.design();
         let tagged = self.is_stratified();
         let frame = self.frame.as_mut().expect("frame bound above");
         self.last_tags.clear();
         let Some(target) = frame.plan.next_target() else {
-            return Ok(Vec::new());
+            return Ok(RecordBatch::new(source.codec()));
         };
+        let mut batch = RecordBatch::with_capacity(source.codec(), target - self.drawn);
         let delta = frame.assign_up_to(target, alloc);
-        let mut batch = Vec::new();
         for (s, &extra) in delta.iter().enumerate() {
             if extra == 0 {
                 continue;
             }
             let positions = frame.draw_positions(s, extra, rng);
-            let rows = fetch_positions_coalesced(source, &frame.rids, &positions, &mut self.cache)?;
+            fetch_positions_coalesced(
+                source,
+                &frame.rids,
+                &positions,
+                &mut self.cache,
+                &mut batch,
+            )?;
             if tagged {
-                self.last_tags
-                    .extend(std::iter::repeat_n(s as u32, rows.len()));
-            }
-            if batch.is_empty() {
-                // The first stratum's rows become the batch, with room for
-                // the rest.
-                batch = rows;
-                batch.reserve(target - self.drawn - batch.len());
-            } else {
-                batch.extend(rows);
+                self.last_tags.resize(batch.len(), s as u32);
             }
             frame.counts[s] += extra;
         }
@@ -344,6 +342,7 @@ impl SampleStream for StratifiedStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampler::SampledRow;
     use crate::stream::tests::draw;
     use samplecf_storage::{CountingSource, Row, Schema, Table, TableBuilder, Value};
 

@@ -3,8 +3,13 @@
 //! A [`SampleStream`] yields one draw in growing batches, so a consumer can
 //! measure after every batch and stop as soon as its accuracy target is met
 //! (the sequential-estimation workflow of Nirkhiwale et al.'s sampling
-//! algebra).  A one-shot draw of fraction `f` is the same stream under the
-//! single-batch schedule, run to its cap:
+//! algebra).  A batch is a [`RecordBatch`]: the RIDs drawn and their heap
+//! records, each checked by the source's codec as it is copied out of its
+//! page — once — and never decoded.  The estimator slices cells out of the
+//! records and a held sample stores them as they are;
+//! [`next_batch`](SampleStream::next_batch) decodes a batch for callers
+//! that want rows.  A one-shot draw of fraction `f` is the same stream
+//! under the single-batch schedule, run to its cap:
 //! `kind.stream(BatchSchedule::one_shot())?.drain(source, rng)`.  The
 //! contract that makes the two interchangeable is **prefix stability**:
 //! stopping a stream after it has drawn `r` rows yields exactly the rows
@@ -23,7 +28,7 @@
 //!   shuffle of the frame without; with k ≥ 2 strata each stratum is its own
 //!   with-replacement substream (see [`stratified`](crate::stratified)).
 //!   Fetches are page-coalesced through a per-stream [`PageCache`], which
-//!   holds each verified page it read and decodes only the drawn slots, so
+//!   holds each verified page it read and checks only the drawn slots, so
 //!   the pages physically read are the distinct pages of the rows drawn so
 //!   far — independent of how the draw was split into batches.
 //! * **Block sampling** ([`BlockStream`]) selects pages by partial
@@ -33,8 +38,8 @@
 //!   incrementally).
 //! * **Scan samplers** — Bernoulli, systematic, reservoir ([`ScanStream`]) —
 //!   need the full scan before their sample is final, so the stream pays
-//!   the whole scan on the first batch and then emits slices of what it
-//!   kept; progressive stopping saves no I/O for them, only wall-clock on
+//!   the whole scan on the first batch and then emits slices of the records
+//!   it kept; progressive stopping saves no I/O for them, only wall-clock on
 //!   the measurement side.
 //!
 //! Batch boundaries come from a [`BatchSchedule`] fixed at construction:
@@ -44,6 +49,7 @@
 //! is what lets `SampleCf::estimate` (one checkpoint) and `ProgressiveCf`
 //! (many checkpoints) share one code path and still agree byte-for-byte.
 
+use crate::batch::RecordBatch;
 use crate::block::BlockStream;
 use crate::error::{SamplingError, SamplingResult};
 use crate::kind::SamplerKind;
@@ -179,17 +185,29 @@ pub trait SampleStream: Send + Sync {
     /// cap (deepening via [`extend_cap`](Self::extend_cap) updates it).
     fn kind(&self) -> SamplerKind;
 
-    /// Draw the next batch of rows.  Returns an empty vector once the
-    /// stream has reached its cap.  The same `source` and a deterministic
-    /// `rng` must be passed on every call.
+    /// Draw the next batch: the RIDs drawn and their heap records, each
+    /// checked by the source's codec ([`RecordBatch`]).  Returns an empty
+    /// batch once the stream has reached its cap.  The same `source` and a
+    /// deterministic `rng` must be passed on every call.
+    fn next_records(
+        &mut self,
+        source: &dyn TableSource,
+        rng: &mut dyn RngCore,
+    ) -> SamplingResult<RecordBatch>;
+
+    /// [`next_records`](Self::next_records), decoded into `(Rid, Row)`
+    /// pairs — the same draw, for callers that want owned rows.
     fn next_batch(
         &mut self,
         source: &dyn TableSource,
         rng: &mut dyn RngCore,
-    ) -> SamplingResult<Vec<SampledRow>>;
+    ) -> SamplingResult<Vec<SampledRow>> {
+        RecordBatch::decode(&self.next_records(source, rng)?, source.codec())
+    }
 
-    /// Draw every remaining batch and return the rows, in batch order.
-    /// Under [`BatchSchedule::one_shot`] this is the one-shot sample.
+    /// Draw every remaining batch and return the rows, decoded, in batch
+    /// order.  Under [`BatchSchedule::one_shot`] this is the one-shot
+    /// sample.
     fn drain(
         &mut self,
         source: &dyn TableSource,
@@ -211,7 +229,7 @@ pub trait SampleStream: Send + Sync {
     fn exhausted(&self) -> bool;
 
     /// Raise the stream's cap to its sampler at a deeper fraction
-    /// ([`SamplerKind::deepened_to`]), so further `next_batch` calls extend
+    /// ([`SamplerKind::deepened_to`]), so further batches extend
     /// the existing draw instead of redrawing.  Returns `false` when the
     /// stream cannot be deepened (another sampler, a shallower target, or
     /// a scan-based sampler, whose draw is complete after its one scan).
@@ -235,8 +253,9 @@ pub trait SampleStream: Send + Sync {
     }
 
     /// Per-row stratum tags of the batch most recently returned by
-    /// [`next_batch`](Self::next_batch), aligned index-for-index with its
-    /// rows.  `None` for unstratified streams (a single implicit stratum).
+    /// [`next_records`](Self::next_records), aligned index-for-index with
+    /// its records.  `None` for unstratified streams (a single implicit
+    /// stratum).
     fn batch_strata(&self) -> Option<&[u32]> {
         None
     }
@@ -294,12 +313,13 @@ impl SamplerKind {
 ///
 /// Row fetches coalesce through it: the first row needed from a page pays
 /// one physical [`read_page_ref`](TableSource::read_page_ref), every later
-/// row on that page is a slot lookup plus one record decode.  Only the
-/// drawn slots are ever decoded, so a draw costs what the sample keeps.
-/// Holding pages trades memory (`page_size` per distinct page the sample
-/// touches) for schedule-independent I/O — the poor man's buffer pool that
-/// makes the pages-read count of a draw depend only on *which* rows were
-/// drawn, not on how the draw was batched.
+/// row on that page is a slot lookup plus one record check.  Only the
+/// drawn slots are ever checked, so a malformed record fails only the draw
+/// that asks for it, and a draw costs what the sample keeps.  Holding
+/// pages trades memory (`page_size` per distinct page the sample touches)
+/// for schedule-independent I/O — the poor man's buffer pool that makes
+/// the pages-read count of a draw depend only on *which* rows were drawn,
+/// not on how the draw was batched.
 #[derive(Debug, Default)]
 pub struct PageCache {
     pages: HashMap<PageId, Page>,
@@ -325,21 +345,27 @@ impl PageCache {
         self.pages.values().map(Page::page_size).sum()
     }
 
-    /// Fetch the row at `rid`, reading (and caching) its page on first use.
-    /// A failed read caches nothing, so a retry reads the page again.
-    pub fn get(&mut self, source: &dyn TableSource, rid: Rid) -> SamplingResult<SampledRow> {
+    /// Append the record at `rid` to `batch`, checked by the source's
+    /// codec, reading (and caching) its page on first use.  A failed read
+    /// caches nothing, so a retry reads the page again.
+    pub fn get(
+        &mut self,
+        source: &dyn TableSource,
+        rid: Rid,
+        batch: &mut RecordBatch,
+    ) -> SamplingResult<()> {
         let page = match self.pages.entry(rid.page) {
             Entry::Occupied(cached) => cached.into_mut(),
             Entry::Vacant(slot) => slot.insert(source.read_page_ref(rid.page)?.into_owned()),
         };
-        Ok((rid, source.codec().decode(page.get(rid.slot)?)?))
+        batch.push(source.codec(), rid, page.get(rid.slot)?)
     }
 }
 
-/// Fetch the rows at the given positions of the RID frame, sorted by RID
-/// and page-coalesced through `cache`.
+/// Append the records at the given positions of the RID frame to `batch`,
+/// sorted by RID and page-coalesced through `cache`.
 ///
-/// The rows come back in RID order (duplicates adjacent) rather than draw
+/// The records come in RID order (duplicates adjacent) rather than draw
 /// order — an order the estimator is insensitive to, since the index bulk
 /// load re-sorts by key anyway — and each distinct page costs exactly one
 /// physical read, however many drawn rows land on it.
@@ -348,13 +374,11 @@ pub fn fetch_positions_coalesced(
     rids: &[Rid],
     positions: &[usize],
     cache: &mut PageCache,
-) -> SamplingResult<Vec<SampledRow>> {
+    batch: &mut RecordBatch,
+) -> SamplingResult<()> {
     let mut sorted: Vec<usize> = positions.to_vec();
     sorted.sort_unstable();
-    sorted
-        .into_iter()
-        .map(|p| cache.get(source, rids[p]))
-        .collect()
+    (sorted.into_iter()).try_for_each(|p| cache.get(source, rids[p], batch))
 }
 
 /// An incremental partial Fisher–Yates shuffle over `0..length`.
@@ -578,8 +602,8 @@ pub(crate) mod tests {
             .map(|p| p as PageId)
             .collect();
         oneshot_ids.sort_unstable();
-        let oneshot: Vec<SampledRow> = (oneshot_ids.iter())
-            .flat_map(|&p| t.page_rows(p).unwrap())
+        let oneshot: Vec<SampledRow> = (t.scan_rows().unwrap().into_iter())
+            .filter(|(rid, _)| oneshot_ids.contains(&rid.page))
             .collect();
 
         let counting = CountingSource::new(&t);

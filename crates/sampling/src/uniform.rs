@@ -6,38 +6,38 @@
 //! [`StratifiedStream`](crate::stratified::StratifiedStream), and the tests
 //! here pin what every row-level kind draws one-shot.
 
+use crate::batch::RecordBatch;
 use crate::error::SamplingResult;
 use crate::kind::SamplerKind;
 use crate::reservoir;
-use crate::sampler::SampledRow;
 use crate::stream::{BatchPlan, BatchSchedule, SampleStream};
 use rand::{Rng, RngCore};
 use samplecf_storage::{PageId, Rid, TableSource};
 
-/// One scan of the source that decodes only the rows `slot_for` places.
+/// One scan of the source that checks only the records `slot_for` places.
 ///
 /// `slot_for` is asked once per row, in storage order, with the number of
-/// rows kept so far, and answers where the row goes in the output: `None`
-/// to skip it, `Some(kept)` to append it, a smaller index to replace the
-/// row held there.  Each page is read once and the records of skipped slots
-/// are never decoded.
+/// records kept so far, and answers where the record goes in the output:
+/// `None` to skip it, `Some(kept)` to append it, a smaller index to replace
+/// the record held there.  Each page is read once and the records of
+/// skipped slots are never checked.
 fn scan_keeping(
     source: &dyn TableSource,
     mut slot_for: impl FnMut(usize) -> Option<usize>,
-) -> SamplingResult<Vec<SampledRow>> {
+) -> SamplingResult<RecordBatch> {
     let codec = source.codec();
-    let mut out = Vec::new();
+    let mut out = RecordBatch::new(codec);
     for pid in 0..source.num_pages() as PageId {
         let page = source.read_page_ref(pid)?;
         for slot in 0..page.slot_count() {
             let Some(at) = slot_for(out.len()) else {
                 continue;
             };
-            let row = (Rid::new(pid, slot), codec.decode(page.get(slot)?)?);
+            let (rid, record) = (Rid::new(pid, slot), page.get(slot)?);
             if at == out.len() {
-                out.push(row);
+                out.push(codec, rid, record)?;
             } else {
-                out[at] = row;
+                out.replace(at, codec, rid, record)?;
             }
         }
     }
@@ -69,11 +69,7 @@ impl KeepRule {
     }
 
     /// Scan `source` once, keeping what the rule selects.
-    fn scan(
-        self,
-        source: &dyn TableSource,
-        rng: &mut dyn RngCore,
-    ) -> SamplingResult<Vec<SampledRow>> {
+    fn scan(self, source: &dyn TableSource, rng: &mut dyn RngCore) -> SamplingResult<RecordBatch> {
         match self {
             KeepRule::Bernoulli(p) => {
                 scan_keeping(source, |kept| (rng.gen::<f64>() < p).then_some(kept))
@@ -81,7 +77,7 @@ impl KeepRule {
             KeepRule::Systematic(f) => {
                 let n = source.num_rows();
                 if n == 0 {
-                    return Ok(Vec::new());
+                    return Ok(RecordBatch::new(source.codec()));
                 }
                 let step = (1.0 / f).round().max(1.0) as usize;
                 let start = rng.gen_range(0..step.min(n));
@@ -106,17 +102,16 @@ impl KeepRule {
 
 /// The scan samplers' stream.  A scan sampler needs the complete scan
 /// before any row's membership is final, so the first batch runs the scan
-/// (paying the full-scan I/O) and later batches emit slices of what it kept
-/// on the stream's schedule.  Progressive consumers still get growing
+/// (paying the full-scan I/O) and later batches emit slices of the records
+/// it kept on the stream's schedule.  Progressive consumers still get growing
 /// sub-samples to measure on, but no I/O is saved by stopping early — the
 /// honest cost model of scan-based samplers — and the draw cannot be
 /// deepened: rows the scan skipped or evicted are gone.
 pub struct ScanStream {
     rule: KeepRule,
     schedule: BatchSchedule,
-    /// Bound by the first batch: the kept rows not yet emitted, and the
-    /// slice targets.
-    scanned: Option<(std::vec::IntoIter<SampledRow>, BatchPlan)>,
+    /// Bound by the first batch: the kept records, and the slice targets.
+    scanned: Option<(RecordBatch, BatchPlan)>,
     emitted: usize,
 }
 
@@ -136,23 +131,28 @@ impl SampleStream for ScanStream {
         self.rule.kind()
     }
 
-    fn next_batch(
+    fn next_records(
         &mut self,
         source: &dyn TableSource,
         rng: &mut dyn RngCore,
-    ) -> SamplingResult<Vec<SampledRow>> {
+    ) -> SamplingResult<RecordBatch> {
         if self.scanned.is_none() {
-            let rows = self.rule.scan(source, rng)?;
+            let kept = self.rule.scan(source, rng)?;
             // Slice targets follow the same row schedule as the other
             // streams, capped at what the scan kept.
-            let plan = BatchPlan::new(self.schedule, source.num_rows(), rows.len());
-            self.scanned = Some((rows.into_iter(), plan));
+            let plan = BatchPlan::new(self.schedule, source.num_rows(), kept.len());
+            self.scanned = Some((kept, plan));
         }
-        let (rows, plan) = self.scanned.as_mut().expect("scanned above");
+        let (kept, plan) = self.scanned.as_mut().expect("scanned above");
         let Some(target) = plan.next_target() else {
-            return Ok(Vec::new());
+            return Ok(RecordBatch::new(source.codec()));
         };
-        let batch = rows.by_ref().take(target - self.emitted).collect();
+        let batch = if self.emitted == 0 && target == kept.len() {
+            // One slice is all of it (the one-shot schedule): hand it over.
+            std::mem::replace(kept, RecordBatch::new(source.codec()))
+        } else {
+            kept.slice(self.emitted..target)
+        };
         self.emitted = target;
         plan.advance();
         Ok(batch)
@@ -174,6 +174,7 @@ impl SampleStream for ScanStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampler::SampledRow;
     use crate::stream::tests::draw;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

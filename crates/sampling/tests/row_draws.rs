@@ -1,12 +1,12 @@
 //! What a row-level draw yields and what it costs.
 //!
 //! The row-position stream (uniform and stratified kinds) fetches through a
-//! [`PageCache`] that holds verified pages and decodes only the drawn slots.  These tests pin
+//! [`PageCache`] that holds verified pages and checks only the drawn slots.  These tests pin
 //! the two halves of that contract: the draw is what its position sequence
 //! says (every yielded `(rid, row)` is `source.get(rid)`, RID-sorted within
 //! a batch, one physical read per distinct page, the rows at the positions
 //! a plain `gen_range` loop / `index::sample` names, seed-for-seed, over
-//! `Table` and `DiskTable` alike), and the decode is
+//! `Table` and `DiskTable` alike), and the check is
 //! lazy (a malformed record only fails the draw that asks for its slot, a
 //! bad rid or a failed read comes back as the storage layer's typed error).
 
@@ -14,8 +14,8 @@ use rand::rngs::StdRng;
 use rand::seq::index;
 use rand::{Rng, SeedableRng};
 use samplecf_sampling::{
-    fetch_positions_coalesced, Allocation, BatchSchedule, CountingSource, PageCache, SampledRow,
-    SamplerKind, SamplingError, StrataMode,
+    fetch_positions_coalesced, Allocation, BatchSchedule, CountingSource, PageCache, RecordBatch,
+    SampledRow, SamplerKind, SamplingError, StrataMode,
 };
 use samplecf_storage::{
     DiskTable, Page, PageId, Rid, Row, RowCodec, Schema, StorageError, StorageResult, Table,
@@ -229,14 +229,17 @@ fn a_malformed_record_only_fails_the_draw_that_asks_for_it() {
     let reads_before = source.reads.load(Ordering::Relaxed);
     let mut cache = PageCache::new();
     // Positions 5..10 are the good rows of the page holding the torn record.
-    let rows = fetch_positions_coalesced(&source, &rids, &[9, 0, 5, 9], &mut cache).unwrap();
+    let mut batch = RecordBatch::new(source.codec());
+    fetch_positions_coalesced(&source, &rids, &[9, 0, 5, 9], &mut cache, &mut batch).unwrap();
     let expected: Vec<SampledRow> = [0usize, 5, 9, 9]
         .iter()
         .map(|&i| (rids[i], row(i)))
         .collect();
-    assert_eq!(rows, expected);
+    assert_eq!(batch.decode(source.codec()).unwrap(), expected);
     // Drawing the torn slot itself is the codec's error, not a panic.
-    let err = fetch_positions_coalesced(&source, &rids, &[5, 10], &mut cache).unwrap_err();
+    let mut batch = RecordBatch::new(source.codec());
+    let err =
+        fetch_positions_coalesced(&source, &rids, &[5, 10], &mut cache, &mut batch).unwrap_err();
     assert!(
         matches!(err, SamplingError::Storage(StorageError::Decode(_))),
         "{err:?}"
@@ -249,9 +252,10 @@ fn a_malformed_record_only_fails_the_draw_that_asks_for_it() {
 fn a_slot_past_the_page_is_the_storage_layers_invalid_rid() {
     let t = table(100);
     let mut cache = PageCache::new();
+    let mut batch = RecordBatch::new(t.codec());
     let slots = t.read_page_ref(0).unwrap().slot_count();
-    assert!(cache.get(&t, Rid::new(0, slots - 1)).is_ok());
-    let err = cache.get(&t, Rid::new(0, slots)).unwrap_err();
+    assert!(cache.get(&t, Rid::new(0, slots - 1), &mut batch).is_ok());
+    let err = cache.get(&t, Rid::new(0, slots), &mut batch).unwrap_err();
     assert_eq!(
         err,
         SamplingError::Storage(StorageError::InvalidRid {
@@ -265,18 +269,24 @@ fn a_slot_past_the_page_is_the_storage_layers_invalid_rid() {
 fn a_failed_page_read_is_not_cached_so_a_retry_reads_again() {
     let source = PagesSource::with_a_malformed_record();
     let mut cache = PageCache::new();
+    let mut batch = RecordBatch::new(source.codec());
     source.fail_next_read.store(true, Ordering::Relaxed);
-    let err = cache.get(&source, Rid::new(0, 2)).unwrap_err();
+    let err = cache.get(&source, Rid::new(0, 2), &mut batch).unwrap_err();
     assert!(
         matches!(err, SamplingError::Storage(StorageError::Io(_))),
         "{err:?}"
     );
     assert_eq!(cache.pages_cached(), 0);
     assert_eq!(cache.bytes_cached(), 0);
+    assert!(batch.is_empty());
     // The retry pays a second physical read and succeeds; a third fetch
     // from the same page is served from the cache.
-    assert_eq!(cache.get(&source, Rid::new(0, 2)).unwrap().1, row(2));
-    assert_eq!(cache.get(&source, Rid::new(0, 4)).unwrap().1, row(4));
+    cache.get(&source, Rid::new(0, 2), &mut batch).unwrap();
+    cache.get(&source, Rid::new(0, 4), &mut batch).unwrap();
+    let rows: Vec<Row> = (batch.decode(source.codec()).unwrap().into_iter())
+        .map(|(_, row)| row)
+        .collect();
+    assert_eq!(rows, [row(2), row(4)]);
     assert_eq!(source.reads.load(Ordering::Relaxed), 2);
     assert_eq!(cache.bytes_cached(), 512);
 }

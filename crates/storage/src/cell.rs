@@ -15,7 +15,7 @@
 //! null bitmap in the record header is authoritative.
 
 use crate::error::{StorageError, StorageResult};
-use crate::row::{decode_cell, Row, RowCodec};
+use crate::row::{cell_logical_len, decode_cell, Row, RowCodec};
 use crate::value::Value;
 use std::hash::{Hash, Hasher};
 
@@ -45,6 +45,19 @@ impl<'a> CellRef<'a> {
     #[must_use]
     pub fn bytes(&self) -> &'a [u8] {
         self.bytes
+    }
+
+    /// [`Value::logical_len`] of the value the cell decodes to — 0 for
+    /// NULL — read off its bytes ([`cell_logical_len`]).
+    ///
+    /// # Errors
+    /// [`cell_logical_len`]'s, for a non-NULL cell.
+    pub fn logical_len(&self, dt: &crate::datatype::DataType) -> StorageResult<usize> {
+        if self.is_null {
+            Ok(0)
+        } else {
+            cell_logical_len(self.bytes, dt)
+        }
     }
 
     /// Decode the cell back into an owned [`Value`].

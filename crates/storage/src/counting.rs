@@ -113,7 +113,7 @@ impl<S: Deref<Target: TableSource> + Send + Sync> TableSource for CountingSource
         self.inner.read_page_ref(id)
     }
 
-    // `get`, `page_rows` and `scan_rows` intentionally use the trait
+    // `get` and `scan_rows` intentionally use the trait
     // defaults so that every row access is accounted as the page read it
     // costs on disk-resident data.
 

@@ -14,6 +14,7 @@ use crate::datatype::DataType;
 use crate::error::{StorageError, StorageResult};
 use crate::schema::Schema;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::fmt;
 
 /// A row of cell values.
@@ -267,26 +268,91 @@ impl RowCodec {
         Ok(out)
     }
 
-    /// Decode record bytes back into a row.
-    pub fn decode(&self, bytes: &[u8]) -> StorageResult<Row> {
-        if bytes.len() != self.record_size() {
+    /// Check record bytes as a record of this schema, and return them in
+    /// canonical form: what [`decode`](Self::decode) and
+    /// [`Schema::validate_row`] accept, with no [`Value`] made.
+    ///
+    /// The canonical form is `encode(decode(record))`: NULL cells and the
+    /// bitmap's bits past the last column are zeros, and a `Bool` cell is 0
+    /// or 1.  Every other byte is kept (a character cell re-encodes to its
+    /// own bytes), so a record [`encode`](Self::encode) wrote comes back
+    /// borrowed, and any other is copied once and fixed.
+    ///
+    /// # Errors
+    /// Exactly those of `decode` and then `validate_row`, in that order: a
+    /// record that is not [`record_size`](Self::record_size) bytes, or the
+    /// first non-NULL character cell (in column order) whose bytes before
+    /// the padding are not UTF-8, is [`StorageError::Decode`]; then the
+    /// first NULL bit on a NOT NULL column is
+    /// [`StorageError::TypeMismatch`].
+    pub fn check<'r>(&self, record: &'r [u8]) -> StorageResult<Cow<'r, [u8]>> {
+        if record.len() != self.record_size() {
             return Err(StorageError::Decode(format!(
                 "record length {} does not match schema record size {}",
-                bytes.len(),
+                record.len(),
                 self.record_size()
             )));
         }
-        let bitmap = &bytes[..self.bitmap_bytes()];
-        let mut offset = self.bitmap_bytes();
+        let is_null = |i: usize| record[i / 8] & (1 << (i % 8)) != 0;
+        let columns = self.schema.columns();
+        let mut canonical = true;
+        // The first NULL on a NOT NULL column: reported only once every
+        // cell has decoded, as `validate_row` runs after `decode`.
+        let mut null_violation = None;
+        for (i, (c, &offset)) in columns.iter().zip(&self.cell_offsets).enumerate() {
+            let cell = &record[offset..offset + c.datatype.uncompressed_width()];
+            if is_null(i) {
+                canonical &= cell.iter().all(|&b| b == 0);
+                null_violation = null_violation.or((!c.nullable).then_some(c));
+                continue;
+            }
+            match c.datatype {
+                // ASCII (the pad included) is UTF-8: the common cell needs
+                // no decoder's check.
+                DataType::Char(_) | DataType::VarChar(_) if !cell.is_ascii() => {
+                    characters(unpadded(cell))?;
+                }
+                DataType::Bool => canonical &= cell[0] <= 1,
+                _ => {}
+            }
+        }
+        if let Some(c) = null_violation {
+            return Err(c.null_violation());
+        }
+        let unused_bits = (8 - columns.len() % 8) % 8;
+        let last_bitmap_byte = self.bitmap_bytes() - 1;
+        canonical &= record[last_bitmap_byte].leading_zeros() as usize >= unused_bits;
+        if canonical {
+            return Ok(Cow::Borrowed(record));
+        }
+        let mut fixed = record.to_vec();
+        fixed[last_bitmap_byte] &= u8::MAX >> unused_bits;
+        for (i, (c, &offset)) in columns.iter().zip(&self.cell_offsets).enumerate() {
+            let cell = &mut fixed[offset..offset + c.datatype.uncompressed_width()];
+            if is_null(i) {
+                cell.fill(0);
+            } else if c.datatype == DataType::Bool {
+                cell[0] = u8::from(cell[0] != 0);
+            }
+        }
+        Ok(Cow::Owned(fixed))
+    }
+
+    /// Decode record bytes back into a row: a record
+    /// [`check`](Self::check) passes, cell by cell.
+    pub fn decode(&self, bytes: &[u8]) -> StorageResult<Row> {
+        let record = self.check(bytes)?;
+        let bitmap = &record[..self.bitmap_bytes()];
         let mut values = Vec::with_capacity(self.schema.arity());
-        for (i, c) in self.schema.columns().iter().enumerate() {
-            let w = c.datatype.uncompressed_width();
+        for (i, (c, &offset)) in (self.schema.columns().iter())
+            .zip(&self.cell_offsets)
+            .enumerate()
+        {
             if bitmap[i / 8] & (1 << (i % 8)) != 0 {
                 values.push(Value::Null);
             } else {
-                values.push(decode_cell(&bytes[offset..offset + w], &c.datatype)?);
+                values.push(decode_cell(&record[offset..], &c.datatype)?);
             }
-            offset += w;
         }
         Ok(Row::new(values))
     }

@@ -38,6 +38,19 @@ impl Column {
     }
 }
 
+impl Column {
+    /// The error for a NULL in this column when it is NOT NULL — one
+    /// message for a row ([`Schema::validate_row`]) and a record
+    /// ([`RowCodec::check`](crate::RowCodec::check)) alike.
+    pub(crate) fn null_violation(&self) -> StorageError {
+        StorageError::TypeMismatch {
+            column: self.name.clone(),
+            expected: format!("{} not null", self.datatype),
+            found: "null".to_string(),
+        }
+    }
+}
+
 impl fmt::Display for Column {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} {}", self.name, self.datatype)?;
@@ -149,11 +162,7 @@ impl Schema {
         }
         for (v, c) in values.iter().zip(self.columns.iter()) {
             if v.is_null() && !c.nullable {
-                return Err(StorageError::TypeMismatch {
-                    column: c.name.clone(),
-                    expected: format!("{} not null", c.datatype),
-                    found: "null".to_string(),
-                });
+                return Err(c.null_violation());
             }
             v.conforms_to(&c.datatype, &c.name)?;
         }

@@ -119,20 +119,14 @@ pub trait TableSource: Send + Sync {
         self.codec().decode(page.get(rid.slot)?)
     }
 
-    /// Read one page and decode every row on it.
-    fn page_rows(&self, id: PageId) -> StorageResult<Vec<(Rid, Row)>> {
-        let page = self.read_page_ref(id)?;
-        let codec = self.codec();
-        (0..page.slot_count())
-            .map(|slot| Ok((Rid::new(id, slot), codec.decode(page.get(slot)?)?)))
-            .collect()
-    }
-
     /// Materialise all `(rid, row)` pairs in storage order (a full scan).
     fn scan_rows(&self) -> StorageResult<Vec<(Rid, Row)>> {
-        let mut out = Vec::with_capacity(self.num_rows());
-        for pid in 0..self.num_pages() {
-            out.extend(self.page_rows(pid as PageId)?);
+        let (codec, mut out) = (self.codec(), Vec::with_capacity(self.num_rows()));
+        for pid in 0..self.num_pages() as PageId {
+            let page = self.read_page_ref(pid)?;
+            for slot in 0..page.slot_count() {
+                out.push((Rid::new(pid, slot), codec.decode(page.get(slot)?)?));
+            }
         }
         Ok(out)
     }
@@ -213,10 +207,6 @@ impl<T: TableSource + ?Sized> TableSource for Arc<T> {
 
     fn get(&self, rid: Rid) -> StorageResult<Row> {
         (**self).get(rid)
-    }
-
-    fn page_rows(&self, id: PageId) -> StorageResult<Vec<(Rid, Row)>> {
-        (**self).page_rows(id)
     }
 
     fn scan_rows(&self) -> StorageResult<Vec<(Rid, Row)>> {
@@ -333,13 +323,11 @@ mod tests {
             let page = s.read_page(pid as PageId).unwrap();
             assert_eq!(page.raw(), t.heap().page(pid as PageId).unwrap().raw());
         }
-        // page_rows decodes the same rows a scan sees.
+        // The default scan (a counting source keeps the trait's) decodes
+        // the same rows a scan sees.
         let scanned: Vec<(Rid, Row)> = t.scan().collect();
-        let mut via_pages = Vec::new();
-        for pid in 0..s.num_pages() {
-            via_pages.extend(s.page_rows(pid as PageId).unwrap());
-        }
-        assert_eq!(scanned, via_pages);
+        let counting = crate::CountingSource::new(&t);
+        assert_eq!(counting.scan_rows().unwrap(), scanned);
         // Point lookups agree too.
         for (rid, row) in &scanned {
             assert_eq!(&TableSource::get(s, *rid).unwrap(), row);

@@ -88,6 +88,15 @@ impl Table {
         self.heap.insert(&bytes)
     }
 
+    /// Insert one heap record of this table's schema as it is: the bytes
+    /// [`RowCodec::check`] returns for it, with no [`Value`] made —
+    /// byte for byte what [`insert`](Self::insert) stores for the row it
+    /// decodes to.
+    pub fn insert_record(&mut self, record: &[u8]) -> StorageResult<Rid> {
+        let record = self.codec.check(record)?;
+        self.heap.insert(&record)
+    }
+
     /// Fetch and decode the row stored at `rid`.
     pub fn get(&self, rid: Rid) -> StorageResult<Row> {
         let bytes = self.heap.get(rid)?;

@@ -1,12 +1,12 @@
 //! Property-based tests for the storage substrate: row codec round-trips,
-//! slotted-page invariants, heap-file accounting, and the on-disk page
+//! the record check against decode-then-validate, slotted-page invariants, heap-file accounting, and the on-disk page
 //! serialisation (round-trip equality, checksum corruption detection, and
 //! schema metadata round-trips).
 
 use proptest::prelude::*;
 use samplecf_storage::{
-    disk, Column, DataType, HeapFile, Page, Row, RowCodec, Schema, Value, MIN_PAGE_SIZE,
-    PAGE_HEADER_SIZE, SLOT_SIZE,
+    decode_cell, disk, Column, DataType, HeapFile, Page, Row, RowCodec, Schema, StorageError,
+    Value, MIN_PAGE_SIZE, PAGE_HEADER_SIZE, SLOT_SIZE,
 };
 
 /// A string value that survives CHAR round-trips (no trailing spaces, ASCII).
@@ -259,5 +259,158 @@ proptest! {
         prop_assert_eq!(table.num_rows(), rows.len());
         let scanned: Vec<Row> = table.scan().map(|(_, r)| r).collect();
         prop_assert_eq!(scanned, rows);
+    }
+}
+
+/// The record check's schema: nullable and NOT NULL columns of every type,
+/// nine in all, so the null bitmap's second byte has seven unused bits.
+fn check_schema() -> Schema {
+    Schema::new(vec![
+        Column::new("c0", DataType::Char(6)),
+        Column::nullable("c1", DataType::VarChar(5)),
+        Column::new("c2", DataType::Int32),
+        Column::nullable("c3", DataType::Int32),
+        Column::new("c4", DataType::Int64),
+        Column::nullable("c5", DataType::Int64),
+        Column::new("c6", DataType::Bool),
+        Column::nullable("c7", DataType::Bool),
+        Column::nullable("c8", DataType::Char(4)),
+    ])
+    .expect("valid schema")
+}
+
+/// A valid row of [`check_schema`]: ASCII and multi-byte strings, NULLs
+/// where the column allows them.
+fn check_row() -> impl Strategy<Value = Row> {
+    let text = |max: usize| {
+        prop_oneof![
+            3 => char_value(max).prop_map(Value::Str),
+            1 => Just(Value::str("é")),
+            1 => Just(Value::str("€a")),
+        ]
+        .boxed()
+    };
+    let nullable =
+        |value: BoxedStrategy<Value>| prop_oneof![3 => value, 1 => Just(Value::Null)].boxed();
+    let int32 = || {
+        (i32::MIN..i32::MAX)
+            .prop_map(|i| Value::Int(i64::from(i)))
+            .boxed()
+    };
+    let int64 = || any::<i64>().prop_map(Value::Int).boxed();
+    let boolean = || any::<bool>().prop_map(Value::Bool).boxed();
+    vec![
+        text(6),
+        nullable(text(5)),
+        int32(),
+        nullable(int32()),
+        int64(),
+        nullable(int64()),
+        boolean(),
+        nullable(boolean()),
+        nullable(text(4)),
+    ]
+    .prop_map(Row::new)
+}
+
+/// One damage done to an encoded record: `(what, where, byte)`.
+type Mutation = (u8, usize, u8);
+
+/// Apply `mutations` to `record` of [`check_schema`]: a random byte
+/// anywhere, a NULL bit set (NOT NULL columns included), a non-UTF-8 byte
+/// in a character cell, non-zero bytes under a NULL bit, a `Bool` byte of
+/// 2–255, or a bitmap bit past the last column.
+fn mutate(codec: &RowCodec, record: &mut [u8], mutations: &[Mutation]) {
+    let arity = codec.schema().arity();
+    let chars = [0usize, 1, 8];
+    let bools = [6usize, 7];
+    let cell = |column: usize, at: usize| {
+        let width = codec
+            .schema()
+            .column_at(column)
+            .datatype
+            .uncompressed_width();
+        codec.cell_offset(column) + at % width
+    };
+    for &(what, at, byte) in mutations {
+        match what % 6 {
+            0 => record[at % record.len()] = byte,
+            1 => record[(at % arity) / 8] |= 1 << ((at % arity) % 8),
+            2 => record[cell(chars[at % 3], at / 3)] = 0x80 | byte,
+            3 => {
+                let column = at % arity;
+                record[column / 8] |= 1 << (column % 8);
+                record[cell(column, at / arity)] = byte | 1;
+            }
+            4 => record[cell(bools[at % 2], 0)] = byte.max(2),
+            _ => record[1] |= 1 << (1 + at % 7),
+        }
+    }
+}
+
+/// What `decode` followed by `Schema::validate_row` made of a record before
+/// the codec had one check — cell by cell with the public [`decode_cell`] —
+/// re-encoded: the canonical record, or the first error.
+fn decode_validate_encode(codec: &RowCodec, record: &[u8]) -> Result<Vec<u8>, StorageError> {
+    if record.len() != codec.record_size() {
+        return Err(StorageError::Decode(format!(
+            "record length {} does not match schema record size {}",
+            record.len(),
+            codec.record_size()
+        )));
+    }
+    let mut values = Vec::new();
+    for (i, column) in codec.schema().columns().iter().enumerate() {
+        values.push(if record[i / 8] & (1 << (i % 8)) != 0 {
+            Value::Null
+        } else {
+            decode_cell(&record[codec.cell_offset(i)..], &column.datatype)?
+        });
+    }
+    codec.schema().validate_row(&values)?;
+    codec.encode(&Row::new(values))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The record check accepts exactly what decoding and validating
+    /// accepted, failing with the same error, and writes the bytes encoding
+    /// the decoded row would: over valid records, damaged ones and random
+    /// bytes of the right and of a wrong length.
+    #[test]
+    fn the_record_check_is_decode_then_validate_then_encode(
+        row in check_row(),
+        mutations in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<u8>()), 0..4),
+        noise in proptest::collection::vec(any::<u8>(), 0..80),
+        source in 0u8..4,
+    ) {
+        let codec = RowCodec::new(check_schema());
+        let encoded = codec.encode(&row).expect("the row is valid");
+        let record = match source {
+            // Mostly damaged valid records; then the valid record itself,
+            // random bytes of its length and random bytes of any length.
+            0 | 1 => {
+                let mut damaged = encoded.clone();
+                mutate(&codec, &mut damaged, &mutations);
+                damaged
+            }
+            2 => encoded.clone(),
+            _ => {
+                let mut bytes = noise.clone();
+                if source == 3 && !mutations.is_empty() {
+                    bytes.resize(codec.record_size(), 0x41);
+                }
+                bytes
+            }
+        };
+        let expected = decode_validate_encode(&codec, &record);
+        let checked = codec.check(&record).map(|c| c.into_owned());
+        prop_assert_eq!(&checked, &expected);
+        if source == 2 {
+            prop_assert_eq!(checked, Ok(encoded));
+        }
+        // `decode` checks first: it accepts what the check accepts.
+        prop_assert_eq!(codec.decode(&record).is_ok(), expected.is_ok());
     }
 }

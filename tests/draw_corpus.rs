@@ -1,8 +1,9 @@
 //! The draw corpus: what every sampler kind draws, batch by batch, pinned as
 //! text in `tests/golden/draws.txt`.
 //!
-//! Each run drains one stream over a 2 000-row table with 512-byte pages and
-//! records, per batch, the RIDs, the stratum tags, the cumulative pages read
+//! Each run drains one stream over a 2 000-row table with 512-byte pages —
+//! through `next_records`, the method every production consumer draws
+//! with — and records, per batch, the RIDs, the stratum tags, the cumulative pages read
 //! and the bytes the stream retains (only an extendable stream is ever held
 //! and priced, so a scan stream records `-`).  An extendable stream is then
 //! deepened once and drained again.  The in-memory `Table` and its
@@ -128,7 +129,7 @@ fn corpus(source: &dyn TableSource) -> String {
                 let mut batch_no = 0usize;
                 let mut drain = |stream: &mut Box<dyn samplecf::sampling::SampleStream>,
                                  out: &mut String| loop {
-                    let batch = stream.next_batch(&counting, &mut rng).unwrap();
+                    let batch = stream.next_records(&counting, &mut rng).unwrap();
                     if batch.is_empty() {
                         return;
                     }

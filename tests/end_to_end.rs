@@ -404,3 +404,104 @@ fn stopping_rules_on_a_disk_table_stop_early_only_with_an_honest_interval() {
         adaptive.pages_read
     );
 }
+
+/// A disk table whose every record holds a character cell that is not
+/// UTF-8, on pages whose checksums are valid: the file reads back, and only
+/// the record check can refuse it.
+fn table_with_invalid_utf8(path: &std::path::Path) -> DiskTable {
+    let schema = Schema::single_char("a", 8);
+    let codec = samplecf::storage::RowCodec::new(schema.clone());
+    DiskTable::create(path, "bad_utf8", schema, 512).unwrap();
+    let mut heap = samplecf::storage::DiskHeapFile::open(path).unwrap();
+    let mut record = codec.encode(&Row::new(vec![Value::str("ok")])).unwrap();
+    record[1] = 0xFF;
+    for _ in 0..120 {
+        heap.append(&record).unwrap();
+    }
+    heap.sync().unwrap();
+    drop(heap);
+    DiskTable::open(path).unwrap()
+}
+
+#[test]
+fn a_record_that_is_not_utf8_fails_the_estimate_that_draws_it_with_a_typed_error() {
+    use samplecf::core::CoreError;
+    use samplecf::sampling::SamplingError;
+    use samplecf::server::{Json, ServiceState, DEFAULT_CACHE_BUDGET_BYTES};
+    use samplecf::storage::StorageError;
+
+    /// Removes the table files when the test ends, pass or fail.
+    struct Cleanup([std::path::PathBuf; 2]);
+    impl Drop for Cleanup {
+        fn drop(&mut self) {
+            for path in &self.0 {
+                let _ = std::fs::remove_file(path);
+            }
+        }
+    }
+    let files = Cleanup(["bad", "good"].map(|name| {
+        let file = format!("samplecf_{name}_utf8_{}.scf", std::process::id());
+        std::env::temp_dir().join(file)
+    }));
+    let [bad_path, good_path] = &files.0;
+    let bad = table_with_invalid_utf8(bad_path);
+    assert!(bad.num_pages() > 1);
+    DiskTable::materialize(good_path, &demo_table(2_000, 50, 4)).unwrap();
+    let spec = IndexSpec::nonclustered("i", ["a"]).unwrap();
+
+    // The library: the draw's check is the decoder's, as a storage error.
+    for sampler in [
+        SamplerKind::Block(0.5),
+        SamplerKind::UniformWithReplacement(0.5),
+    ] {
+        let err = SampleCf::new(sampler)
+            .seed(1)
+            .estimate(&bad, &spec, &NullSuppression)
+            .unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                CoreError::Sampling(SamplingError::Storage(StorageError::Decode(message)))
+                    if message.contains("utf8")
+            ),
+            "{sampler:?}: {err:?}"
+        );
+    }
+
+    // Served: a typed error, twice (nothing is left in flight), and the
+    // cache still serves another table.
+    let state = ServiceState::new(DEFAULT_CACHE_BUDGET_BYTES);
+    let reply = |line: String| Json::parse(&state.handle_line(&line)).unwrap();
+    for (path, name) in [(bad_path, "bad"), (good_path, "good")] {
+        let registered = reply(format!(
+            r#"{{"op":"register","path":"{}","name":"{name}"}}"#,
+            path.display()
+        ));
+        assert_eq!(registered.get("ok").and_then(Json::as_bool), Some(true));
+    }
+    let estimate = |table: &str| {
+        reply(format!(
+            r#"{{"op":"estimate","table":"{table}","sampler":"block","fraction":0.5,"seed":1}}"#
+        ))
+    };
+    for _ in 0..2 {
+        let failed = estimate("bad");
+        assert_eq!(failed.get("ok").and_then(Json::as_bool), Some(false));
+        let error = failed.get("error").unwrap();
+        assert_eq!(
+            error.get("code").and_then(Json::as_str),
+            Some("estimate_failed")
+        );
+        let message = error.get("message").and_then(Json::as_str).unwrap();
+        assert!(message.contains("utf8"), "{message}");
+    }
+    let served = estimate("good");
+    assert_eq!(
+        served.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{served}"
+    );
+    let stats = reply(r#"{"op":"stats"}"#.to_string());
+    let cache = stats.get("stats").and_then(|s| s.get("cache")).unwrap();
+    assert_eq!(cache.get("entries").and_then(Json::as_u64), Some(1));
+}
