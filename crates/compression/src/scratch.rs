@@ -71,14 +71,24 @@ impl DistinctScratch {
     /// Clear the table and make sure it can hold `expected` cells at no more
     /// than half load.  Growth reallocates; a table more than 4x oversized
     /// shrinks back to the requested bound (clearing a huge stale table
-    /// costs more than allocating a right-sized one — a per-page chunk after
+    /// costs more than clearing a right-sized one — a per-page chunk after
     /// a whole-column global-dictionary pass must not memset megabytes);
     /// everything in between is a `fill`.
+    ///
+    /// The shrink is in place: the long-lived thread-local table keeps its
+    /// address.  Moving it every time a per-page chunk follows a global
+    /// pass unpins the top of glibc's heap, and the next op's large buffers
+    /// are then trimmed and re-faulted — a `lib_uniform` p90 tail that
+    /// `MALLOC_TRIM_THRESHOLD_` makes vanish.
     pub fn reset(&mut self, expected: usize) {
         let cap = (expected.max(4) * 2).next_power_of_two();
-        if self.slots.len() < cap || self.slots.len() > cap * 4 {
+        if self.slots.len() < cap {
             self.slots = vec![EMPTY; cap];
         } else {
+            if self.slots.len() > cap * 4 {
+                self.slots.truncate(cap);
+                self.slots.shrink_to_fit();
+            }
             self.slots.fill(EMPTY);
         }
         self.len = 0;
