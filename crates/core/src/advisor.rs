@@ -22,7 +22,7 @@
 //!    its schemes ([`measure_sample_schemes`]) — cost per (index,
 //!    compression) pair, not per sort, is what bounds a design search.  The
 //!    sample keeps the order, so a later plan over it, or a later estimate,
-//!    sorts nothing.
+//!    sorts nothing — or, the sample deepened since, only the new rows.
 //!    Each candidate adds an analytic (I/O-free) uncompressed size from
 //!    [`IndexSizeModel`].
 //! 2. **Chooses** what to compress: a saving threshold first, then a greedy
@@ -36,7 +36,8 @@
 //! re-sample-per-candidate run would have paid).
 
 use crate::error::{CoreError, CoreResult};
-use crate::estimator::{measure_sample_schemes, KeyOrderSource};
+use crate::estimator::measure_sample_schemes;
+use crate::measure::KeyOrderOutcome;
 use samplecf_compression::CompressionScheme;
 use samplecf_index::{IndexBuilder, IndexKind, IndexSizeModel, IndexSpec};
 use samplecf_sampling::MaterializedSample;
@@ -129,10 +130,14 @@ pub struct AdvisorPlan {
     /// against [`naive_pages_read`](Self::naive_pages_read), whose naive
     /// count is one per candidate.
     pub key_sorts: usize,
-    /// Measures that walked a key order the sample already held, sorted by
-    /// an earlier request or by another index kind's measure in this plan:
-    /// one per distinct (sample group, index kind, key columns), less the
-    /// [`key_sorts`](Self::key_sorts).
+    /// Measures that grew a key order the sample held over a prefix of its
+    /// rows — sorted before the sample was deepened — by sorting only the
+    /// rows past it and merging them in.
+    pub key_orders_merged: usize,
+    /// Measures that walked a key order the sample already held over every
+    /// row, sorted by an earlier request or by another index kind's measure
+    /// in this plan.  With the two counts above, one per distinct (sample
+    /// group, index kind, key columns).
     pub key_orders_held: usize,
     /// Total wall-clock time for the whole plan.
     pub elapsed: Duration,
@@ -261,10 +266,8 @@ impl CompressionAdvisor {
             })
             .collect();
         let held: Vec<&MaterializedSample> = samples.iter().map(|(sample, ..)| *sample).collect();
-        let (mut recommendations, sources) = evaluate(&candidates, &held)?;
-        let key_sorts = (sources.iter())
-            .filter(|&&source| source == KeyOrderSource::Sorted)
-            .count();
+        let (mut recommendations, outcomes) = evaluate(&candidates, &held)?;
+        let count = |outcome| outcomes.iter().filter(|&&o| o == outcome).count();
         apply_saving_threshold(&mut recommendations, self.config.min_saving_fraction);
         apply_budget(&mut recommendations, self.config.budget_bytes);
         let groups = (samples.iter())
@@ -281,16 +284,17 @@ impl CompressionAdvisor {
             recommendations,
             groups,
             budget_bytes: self.config.budget_bytes,
-            key_sorts,
-            key_orders_held: sources.len() - key_sorts,
+            key_sorts: count(KeyOrderOutcome::Sorted),
+            key_orders_merged: count(KeyOrderOutcome::Merged),
+            key_orders_held: count(KeyOrderOutcome::Held),
             elapsed: started.elapsed(),
         })
     }
 }
 
 /// Evaluate `candidates`, each against the one of `samples` its group
-/// names: recommendations in `candidates`' order, and where the key
-/// orders they were walked through came from.
+/// names: recommendations in `candidates`' order, and how the key orders
+/// they were walked through came about.
 ///
 /// Candidates are grouped by what decides the order of a sample's
 /// entries — the sample and the key columns; *not* the whole
@@ -299,7 +303,7 @@ impl CompressionAdvisor {
 fn evaluate(
     candidates: &[Evaluated<'_>],
     samples: &[&MaterializedSample],
-) -> CoreResult<(Vec<Recommendation>, Vec<KeyOrderSource>)> {
+) -> CoreResult<(Vec<Recommendation>, Vec<KeyOrderOutcome>)> {
     type Key<'c> = (usize, &'c [String]);
     let mut keys: Vec<(Key<'_>, Vec<usize>)> = Vec::new();
     for (i, c) in candidates.iter().enumerate() {
@@ -310,17 +314,17 @@ fn evaluate(
         }
     }
     let mut recommendations = vec![None; candidates.len()];
-    let mut sources = Vec::new();
+    let mut outcomes = Vec::new();
     for ((group, _), members) in &keys {
         let shared: Vec<Evaluated<'_>> = members.iter().map(|&i| candidates[i]).collect();
-        let (evaluated, key_sources) = evaluate_shared(samples[*group], &shared)?;
+        let (evaluated, key_outcomes) = evaluate_shared(samples[*group], &shared)?;
         for (&i, recommendation) in members.iter().zip(evaluated) {
             recommendations[i] = Some(recommendation);
         }
-        sources.extend(key_sources);
+        outcomes.extend(key_outcomes);
     }
     let in_request_order = recommendations.into_iter().flatten().collect();
-    Ok((in_request_order, sources))
+    Ok((in_request_order, outcomes))
 }
 
 /// One candidate as the evaluation sees it.
@@ -334,14 +338,15 @@ struct Evaluated<'c> {
 
 /// Evaluate candidates over one key — one sample group, indexes over the
 /// same key columns — against that group's already-drawn `sample`, in
-/// order, with `compress` left `false` pending the decision pass; and
-/// where each index kind's measure found its key order.
+/// order, with `compress` left `false` pending the decision pass; and how
+/// each index kind's measure came by its key order.
 ///
 /// Each uncompressed size comes from the analytic [`IndexSizeModel`] (no
 /// I/O); the compressed sizes come from one [`measure_sample_schemes`] call
 /// per index kind among the candidates — one walk sizing every scheme of
-/// that kind, the kinds in turn, so that the first sorts the sample (unless
-/// it already held the key's order) and the second walks the same order —
+/// that kind, the kinds in turn, so that the first sorts the sample
+/// (unless it already held the key's order) and the second walks the same
+/// order —
 /// so a candidate's `estimated_cf` equals
 /// [`SampleCf::estimate`](crate::SampleCf::estimate) for the sample's
 /// `(sampler, seed)`, stratified draws included, and what a
@@ -349,9 +354,9 @@ struct Evaluated<'c> {
 fn evaluate_shared(
     sample: &MaterializedSample,
     candidates: &[Evaluated<'_>],
-) -> CoreResult<(Vec<Recommendation>, Vec<KeyOrderSource>)> {
+) -> CoreResult<(Vec<Recommendation>, Vec<KeyOrderOutcome>)> {
     let mut measurements = vec![None; candidates.len()];
-    let mut sources = Vec::new();
+    let mut outcomes = Vec::new();
     for kind in [IndexKind::NonClustered, IndexKind::Clustered] {
         let of_kind: Vec<usize> = (0..candidates.len())
             .filter(|&i| candidates[i].spec.kind() == kind)
@@ -362,17 +367,17 @@ fn evaluate_shared(
         let schemes: Vec<&dyn CompressionScheme> =
             of_kind.iter().map(|&i| candidates[i].scheme).collect();
         let spec = candidates[first].spec;
-        let (measured, source) =
+        let (measured, outcome) =
             measure_sample_schemes(sample, spec, &schemes, &IndexBuilder::new())?;
         for (&i, measurement) in of_kind.iter().zip(measured) {
             measurements[i] = Some(measurement);
         }
-        sources.push(source);
+        outcomes.push(outcome);
     }
     let recommendations = (candidates.iter().zip(measurements.into_iter().flatten()))
         .map(|(c, measurement)| {
             let uncompressed = IndexSizeModel::new()
-                .estimate(sample.table().schema(), c.spec, sample.source_rows())?
+                .estimate(sample.schema(), c.spec, sample.source_rows())?
                 .leaf_bytes();
             let leaf_cf = measurement.cf_with_pointers.min(1.0);
             Ok(Recommendation {
@@ -388,7 +393,7 @@ fn evaluate_shared(
             })
         })
         .collect::<CoreResult<_>>()?;
-    Ok((recommendations, sources))
+    Ok((recommendations, outcomes))
 }
 
 /// Pass 1: compress whatever clears the saving threshold.
@@ -682,21 +687,23 @@ mod tests {
 
     /// Today's grouped evaluation against yesterday's, kept here as the
     /// oracle: every candidate evaluated alone — one sort, one one-scheme
-    /// [`measure_sample`](crate::measure_sample), each, on a copy of the
-    /// sample that holds no key order.
+    /// [`measure_sample`](crate::measure_sample), each, on a fresh copy of
+    /// the sample, which holds no key order.
     fn per_candidate_plan(
         advisor: &CompressionAdvisor,
         candidates: &Candidates,
+        source: &Table,
         sample: &MaterializedSample,
     ) -> Vec<Recommendation> {
         let alone = |(spec, scheme): &(IndexSpec, Box<dyn CompressionScheme>)| {
+            let sample = MaterializedSample::draw(source, sample.kind(), sample.seed()).unwrap();
             let candidate = Evaluated {
                 group: 0,
                 spec,
                 scheme: scheme.as_ref(),
             };
-            let (mut evaluated, sources) = evaluate_shared(&sample.clone(), &[candidate]).unwrap();
-            assert_eq!(sources, [KeyOrderSource::Sorted]);
+            let (mut evaluated, outcomes) = evaluate_shared(&sample, &[candidate]).unwrap();
+            assert_eq!(outcomes, [KeyOrderOutcome::Sorted]);
             evaluated.remove(0)
         };
         let mut recommendations: Vec<Recommendation> = candidates.iter().map(alone).collect();
@@ -742,7 +749,7 @@ mod tests {
                 budget_bytes: Some(1_000_000),
             })
             .unwrap();
-            let oracle = per_candidate_plan(&advisor, &candidates, &sample);
+            let oracle = per_candidate_plan(&advisor, &candidates, &t, &sample);
             let names: Vec<&str> = oracle.iter().map(|r| r.index.as_str()).collect();
             assert_eq!(
                 names,
@@ -785,15 +792,56 @@ mod tests {
             (&reseeded, pages_reseeded, &plain_dict),
             (&other, pages_other, &plain_dict),
         ];
+        let counts = |plan: &AdvisorPlan| {
+            let AdvisorPlan {
+                key_sorts,
+                key_orders_merged,
+                key_orders_held,
+                ..
+            } = *plan;
+            (key_sorts, key_orders_merged, key_orders_held)
+        };
         let plan = advisor().plan(&samples).unwrap();
         assert_eq!(plan.samples_drawn(), 3);
-        assert_eq!((plan.key_sorts, plan.key_orders_held), (3, 1));
+        assert_eq!(counts(&plan), (3, 0, 1));
         // Each sample now holds its order: planning again sorts nothing.
         let again = advisor().plan(&samples).unwrap();
         assert_eq!(again.recommendations, plan.recommendations);
-        assert_eq!((again.key_sorts, again.key_orders_held), (0, 4));
+        assert_eq!(counts(&again), (0, 0, 4));
         let empty = advisor().plan(&[]).unwrap();
-        assert_eq!((empty.key_sorts, empty.key_orders_held), (0, 0));
+        assert_eq!(counts(&empty), (0, 0, 0));
+        // A held sample is walked through its order whatever the schemes:
+        // cell-additive candidates alone sort it once too, for later plans.
+        let summed = [
+            candidate(&plain, NullSuppression),
+            candidate(&clustered, NullSuppression),
+        ];
+        let (fresh, pages_fresh) = uniform(&t, 7);
+        let plan = advisor().plan(&[(&fresh, pages_fresh, &summed)]).unwrap();
+        assert_eq!(counts(&plan), (1, 0, 1));
+        assert!(fresh.key_order(&[0]).is_some());
+
+        // A deepened sample keeps its order, of the rows drawn before: the
+        // next plan sorts only the new rows and merges them in, once per
+        // key, and the one after walks the grown order.
+        let mut stream = SamplerKind::Block(0.05)
+            .stream(samplecf_sampling::BatchSchedule::one_shot())
+            .unwrap();
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
+        let mut deep = MaterializedSample::from_stream(&t, stream.as_mut(), &mut rng, 1).unwrap();
+        let on_deep = [(&deep, 0, &on_shared[..])];
+        assert_eq!(counts(&advisor().plan(&on_deep).unwrap()), (1, 0, 1));
+        assert!(stream.extend_cap(SamplerKind::Block(0.1)));
+        deep.extend_from_stream(&t, stream.as_mut(), &mut rng)
+            .unwrap();
+        let on_deep = [(&deep, 0, &on_shared[..])];
+        let merged = advisor().plan(&on_deep).unwrap();
+        assert_eq!(counts(&merged), (0, 1, 1));
+        assert_eq!(counts(&advisor().plan(&on_deep).unwrap()), (0, 0, 2));
+        // The same advice as a fresh draw at the deeper fraction.
+        let fresh = MaterializedSample::draw(&t, SamplerKind::Block(0.1), 1).unwrap();
+        let fresh = advisor().plan(&[(&fresh, 0, &on_shared[..])]).unwrap();
+        assert_eq!(merged.recommendations, fresh.recommendations);
     }
 
     #[test]

@@ -9,23 +9,22 @@
 //! ```
 //!
 //! The estimator is deliberately agnostic to the compression scheme: steps 2
-//! and 3 are the exact computation's key-order walk, just over the sample
+//! and 3 are the one measure of a sample (`SampleMeasure`) — cell sums
+//! or a walk of the key order, by what the schemes declare — over the sample
 //! instead of the full table.  Neither packs the tree; [`measure_rows`]
 //! does, as the differential oracle.
 
 use crate::algebra::weighted_combine;
 use crate::error::{CoreError, CoreResult};
+use crate::measure::{KeyOrderOutcome, SampleMeasure, Source};
 use crate::metrics::ratio_error;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use samplecf_compression::CompressionScheme;
-use samplecf_index::{
-    measure_index, CompressedIndexReport, FirstKeyStats, IndexBuilder, IndexSpec, SortedRun,
-};
+use samplecf_index::{measure_index, CompressedIndexReport, IndexBuilder, IndexSpec};
 use samplecf_sampling::{BatchSchedule, MaterializedSample, SamplerKind, SamplingError};
 use samplecf_storage::{Schema, TableSource, Value};
 use std::collections::HashSet;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Statistics about the sample (or full table) the compression fraction was
@@ -41,19 +40,6 @@ pub struct DataStats {
     pub sum_logical_len_first_key: usize,
     /// Number of NULLs in the first key column.
     pub null_first_key: usize,
-}
-
-impl DataStats {
-    /// The stats of `rows` rows whose first key column a walk of their key
-    /// order read off as `first_key`.
-    pub(crate) fn off_the_order(rows: usize, first_key: FirstKeyStats) -> Self {
-        DataStats {
-            rows,
-            distinct_first_key: first_key.distinct,
-            sum_logical_len_first_key: first_key.logical_len_sum,
-            null_first_key: first_key.nulls,
-        }
-    }
 }
 
 /// [`DataStats`] of decoded values, observed one by one: how the oracle
@@ -124,11 +110,11 @@ pub struct CfMeasurement {
     pub sampler: String,
     /// Statistics of the rows the measurement was taken over.
     pub data: DataStats,
-    /// Wall-clock time of the measurement: sizing the index — sorting and
-    /// walking its entries ([`ExactCf`]), walking a held sample's, or
-    /// building and measuring the tree ([`measure_rows`]); for
-    /// [`SampleCf::estimate`] and a progressive run, the whole run — draw
-    /// included — whichever way its checkpoints were priced.
+    /// Wall-clock time of the measurement: sizing the index over the rows
+    /// ([`ExactCf`], [`measure_sample`]), or building and measuring the tree
+    /// ([`measure_rows`]); for [`SampleCf::estimate`] and a progressive run,
+    /// the whole run — draw included — whichever way its checkpoints were
+    /// priced.
     pub elapsed: Duration,
     /// The full per-column compression report.
     pub report: CompressedIndexReport,
@@ -164,8 +150,8 @@ impl CfMeasurement {
 
 /// Build and compress an index over an explicit decoded row set and report
 /// its CF: the paper's Figure 2 read literally, and the differential oracle
-/// — the one caller of the tree packer in this crate; every estimator walks
-/// a key order instead.  For rows drawn with a given `(sampler, seed)`, the
+/// — the one caller of the tree packer in this crate; every estimator sums
+/// cells or walks a key order instead.  For rows drawn with a given `(sampler, seed)`, the
 /// measurement is byte-identical to [`SampleCf::estimate`] with that
 /// configuration (the rows *are* the estimate; building and compressing
 /// them is deterministic).
@@ -208,103 +194,45 @@ pub fn measure_sample(
     Ok(measured.pop().expect("one measurement per scheme"))
 }
 
-/// Where a measure of a held sample found the key order it walked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KeyOrderSource {
-    /// The sample held it, sorted by an earlier measure of the same rows by
-    /// the same key columns: the measure encoded and walked, no sort.
-    Held,
-    /// The measure sorted the sample, and the sample now holds the order.
-    Sorted,
-}
-
-impl KeyOrderSource {
-    /// The metric label: `held` or `sorted`.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            KeyOrderSource::Held => "held",
-            KeyOrderSource::Sorted => "sorted",
-        }
-    }
-}
-
-/// Measure one held sample under every one of `schemes`: one encode, one
-/// walk of the entries through their key order — one measurement per
-/// scheme, in `schemes`' order — and where that order came from.
+/// Measure one held sample under every one of `schemes`: its batches folded
+/// into the one measure of a sample (`SampleMeasure`) — one measurement per
+/// scheme, in `schemes`' order, the weighted per-stratum combination for a
+/// stratified sample — and how the key order walked came about.  Each
+/// measurement is bit-identical to [`SampleCf::estimate`] with the
+/// sample's `(sampler, seed)`.
 ///
-/// Sort keys and stored cells are sliced straight out of the sample's heap
-/// records; no tree is packed.  The order is sorted at most once per key
-/// columns over the sample's rows: the first measure by a key sorts
-/// ([`IndexBuilder::order_records`](samplecf_index::IndexBuilder::order_records))
-/// and leaves the [`KeyOrder`](samplecf_index::KeyOrder) with the sample
-/// ([`MaterializedSample::hold_key_order`]); every later one walks through it
-/// ([`IndexBuilder::encode_in_order`](samplecf_index::IndexBuilder::encode_in_order)).
-/// One walk cuts each leaf's cells once and sizes them under every scheme
-/// with the batch measure kernels, leaf and internal page counts coming
-/// from the size model, and reads the [`DataStats`] off the same pass —
-/// equal first-key cells are adjacent in key order, so no [`Value`] is
-/// decoded and nothing is hashed.  The order depends on `spec`'s key
-/// columns alone, not on its kind or name: every candidate index over them
-/// shares it.
-///
-/// A sample that carries stratum tags is measured as the weighted
-/// per-stratum combination `Σ W_s·CF_s` — each stratum's sub-index is the
-/// same order filtered by tag (a subsequence of a sorted sequence is
-/// sorted), sized on its own under every scheme and combined with
-/// [`weighted_combine`] over the population weights; the pooled report and
-/// stats are kept for their per-column detail.  Either way each measurement
-/// is bit-identical to [`SampleCf::estimate`] with the sample's `(sampler,
-/// seed)`, and — pooled — to [`measure_rows`] over the decoded rows, whose
-/// packed tree stays the oracle (pinned by the differential suite).
+/// A held sample is walked through its key order whatever the schemes, the
+/// cell-additive ones too: the order is sorted at most once per key columns
+/// (not kind or name) over the sample's rows, the first measure by a key
+/// sorting it and leaving the
+/// [`KeyOrder`](samplecf_index::KeyOrder) with the sample
+/// ([`MaterializedSample::hold_key_order`]); a later one walks through it,
+/// or — the sample deepened since — sorts only the rows past it, merges
+/// them in and leaves the grown order in its place.
 pub fn measure_sample_schemes(
     sample: &MaterializedSample,
     spec: &IndexSpec,
     schemes: &[&dyn CompressionScheme],
     builder: &IndexBuilder,
-) -> CoreResult<(Vec<CfMeasurement>, KeyOrderSource)> {
-    let schema = sample.table().schema();
-    let records = sample.records()?;
+) -> CoreResult<(Vec<CfMeasurement>, KeyOrderOutcome)> {
     let start = Instant::now();
-    let held = sample.key_order(&spec.key_indexes(schema)?);
-    let (ordered, source) = match held {
-        Some(order) => (
-            builder.encode_in_order(schema, &records, spec, order)?,
-            KeyOrderSource::Held,
-        ),
-        None => {
-            let ordered = builder.order_records(schema, &records, spec)?;
-            sample.hold_key_order(Arc::clone(ordered.key_order()));
-            (ordered, KeyOrderSource::Sorted)
-        }
-    };
-    let (reports, first_key) = ordered.measure(schemes)?;
-    let elapsed = start.elapsed();
-    let data = DataStats::off_the_order(records.len(), first_key);
-
-    // One walk per stratum serves every scheme.
-    let tags = sample.row_strata();
+    let held = sample.key_order(&spec.key_indexes(sample.schema())?);
+    let source = Source::Held(held);
+    let mut measure = SampleMeasure::new(sample.codec(), spec, schemes, builder, source)?;
     let weights = sample.strata_weights();
-    let strata = (0..weights.len())
-        .map(|s| Ok(ordered.measure_where(|i| tags[i] as usize == s, schemes)?.0))
-        .collect::<CoreResult<Vec<_>>>()?;
-
-    let measure = |(j, report): (usize, CompressedIndexReport)| {
-        let per_stratum = (strata.iter())
-            .map(|reports| Some(&reports[j]).filter(|stratum| stratum.num_entries > 0));
-        let (cf, cf_with_pointers, cf_pages) = combine_strata(weights, per_stratum)
-            .unwrap_or_else(|| (report.cf(), report.cf_with_pointers(), report.cf_pages()));
-        CfMeasurement {
-            cf,
-            cf_with_pointers,
-            cf_pages,
-            ..CfMeasurement::of(report, sample.kind().label(), data.clone(), elapsed)
-        }
-    };
-    Ok((
-        reports.into_iter().enumerate().map(measure).collect(),
-        source,
-    ))
+    let mut tags = sample.row_strata();
+    for batch in sample.batches() {
+        let (batch_tags, rest) = tags.split_at(tags.len().min(batch.len()));
+        measure.fold(batch, batch_tags, weights.len())?;
+        tags = rest;
+    }
+    let walked = "a held sample is walked through its key order";
+    let (outcome, order) = measure.order()?.expect(walked);
+    sample.hold_key_order(order);
+    let mut measured = measure.measurements(weights, &sample.kind().label())?;
+    let elapsed = start.elapsed();
+    measured.iter_mut().for_each(|m| m.elapsed = elapsed);
+    Ok((measured, outcome))
 }
 
 /// `Σ W_s·CF_s` over per-stratum reports, in tag order (`None` for a stratum
@@ -313,9 +241,9 @@ pub fn measure_sample_schemes(
 /// `weights`, renormalised over sampled strata.  `None` when no stratum has
 /// rows — including the unstratified case of no weights at all.
 ///
-/// This is the one stratified combine: [`measure_sample_schemes`] and the
-/// progressive estimator's checkpoints both come here, so a cached
-/// stratified sample and [`SampleCf::estimate`] agree bit for bit.
+/// This is the one stratified combine: every measure of a sample comes here,
+/// so a cached stratified sample and [`SampleCf::estimate`] agree bit for
+/// bit.
 pub(crate) fn combine_strata<'r>(
     weights: &[f64],
     per_stratum: impl Iterator<Item = Option<&'r CompressedIndexReport>>,
@@ -360,21 +288,21 @@ impl ExactCf {
         ExactCf { builder }
     }
 
-    /// Report the true CF of the full index: every row's entry sorted and
-    /// walked once, the [`DataStats`] read off the same walk — bit for bit
-    /// [`measure_rows`] over the same rows, with no tree packed.
+    /// Report the true CF of the full index: the one measure of a sample
+    /// over every row — its entries sorted and walked once, or its cells
+    /// summed, by what the scheme declares — bit for bit [`measure_rows`]
+    /// over the same rows, with no tree packed.
     ///
     /// Works over any [`TableSource`]; on a disk-resident table this scans
     /// every page — exactly the cost SampleCF exists to avoid.  The pages
     /// are read as a draw reads them: a block sample of every page, whose
-    /// checked records are sliced into the entries, no row decoded.
+    /// checked records are folded in as they are, no row decoded.
     pub fn compute(
         &self,
         source: &dyn TableSource,
         spec: &IndexSpec,
         scheme: &dyn CompressionScheme,
     ) -> CoreResult<CfMeasurement> {
-        let schema = source.schema();
         let mut every_page = SamplerKind::Block(1.0).stream(BatchSchedule::one_shot())?;
         // The selection's order is the RNG's, but a batch reads its pages in
         // page order: the table's records in storage order, whatever the seed.
@@ -384,19 +312,15 @@ impl ExactCf {
                 e => e.into(),
             },
         )?;
-        let records = table.records();
         let start = Instant::now();
-        let sizer = self.builder.sizer(schema, spec)?;
-        let run = SortedRun::from_records(schema, &records, spec)?;
-        let (mut reports, first_key) = sizer.measure_run(&run, None, |_| true, &[scheme])?;
-        let report = reports.pop().expect("one report per scheme");
-        let data = DataStats::off_the_order(records.len(), first_key);
-        Ok(CfMeasurement::of(
-            report,
-            "exact".to_string(),
-            data,
-            start.elapsed(),
-        ))
+        let schemes = [scheme];
+        let (codec, builder) = (source.codec(), &self.builder);
+        let mut measure = SampleMeasure::new(codec, spec, &schemes, builder, Source::Stream)?;
+        measure.fold(&table, &[], 0)?;
+        measure.order()?;
+        let mut measured = measure.measurements(&[], "exact")?.remove(0);
+        measured.elapsed = start.elapsed();
+        Ok(measured)
     }
 }
 
@@ -446,7 +370,7 @@ impl SampleCf {
     }
 
     /// Has no effect: an estimate is one progressive checkpoint, which
-    /// sums, merges and walks on the calling thread whatever the thread
+    /// sums, sorts and walks on the calling thread whatever the thread
     /// count.  Kept for callers that still set it (perfbench).
     #[must_use]
     pub fn threads(self, _threads: usize) -> Self {

@@ -60,6 +60,7 @@ pub mod algebra;
 pub mod distinct;
 pub mod error;
 pub mod estimator;
+mod measure;
 pub mod metrics;
 pub mod progressive;
 pub mod theory;
@@ -76,8 +77,9 @@ pub use distinct::{
 pub use error::{CoreError, CoreResult};
 pub use estimator::{
     measure_rows, measure_sample, measure_sample_schemes, CfMeasurement, DataStats,
-    DataStatsAccumulator, ExactCf, KeyOrderSource, SampleCf,
+    DataStatsAccumulator, ExactCf, SampleCf,
 };
+pub use measure::KeyOrderOutcome;
 pub use metrics::{
     absolute_error, grouped_jackknife_variance, ratio_error, relative_error, SummaryStats,
 };

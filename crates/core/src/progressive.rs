@@ -9,43 +9,25 @@
 //! 1. the sample arrives in geometrically growing batches from a
 //!    [`SampleStream`](samplecf_sampling::SampleStream),
 //! 2. after each batch the CF of the sample so far is re-priced, with its
-//!    [`DataStats`] — all from the drawn records' bytes, no row decoded,
+//!    [`DataStats`](crate::DataStats) — all from the drawn records' bytes,
+//!    no row decoded,
 //! 3. the estimate's variance is jackknifed over the batches
 //!    ([`grouped_jackknife_variance`]), giving a distribution-free
 //!    Chebyshev confidence interval ([`theory::chebyshev_z`]),
 //! 4. the run stops as soon as the CI's relative half-width drops below
 //!    `target_error` — or when the sampler's fraction cap is reached.
 //!
-//! Every size a checkpoint takes — the pooled sample's, each stratum's,
-//! each delete-one-batch sample's — goes the one route the scheme's own
-//! declaration picks; no knob decides it:
-//!
-//! * **cell sums**, for a scheme with
-//!   [`cell_costs`](CompressionScheme::cell_costs) (null suppression, none).
-//!   Its size over any rows is one header per leaf plus the rows' cell
-//!   costs — the per-row sums `Σ(ℓᵢ + marker)` Theorem 1 analyses — so key
-//!   order cannot show.  Each batch's records are read once, unsorted, into
-//!   per-column cost sums (by stratum tag for a stratified draw), and a
-//!   checkpoint with `B` batches costs `O(B + strata)` arithmetic: the
-//!   pooled report, each stratum's and each leave-one-out (pooled sums less
-//!   the batch's) come from [`RunSizer::price`].  No run, merge, tree or
-//!   walk.  The [`DataStats`] are sums too — rows, NULLs and `Σ ℓᵢ` of the
-//!   first key — and `d′` counts its distinct non-NULL cells by their bytes.
-//! * **tree** (the metric's label), for any other scheme: merge and walk.
-//!   Each batch's records are encoded and sorted into a [`SortedRun`] and
-//!   merged (never re-sorted) into the pooled run; every size is a walk of
-//!   it ([`RunSizer::measure_run`]) — whole, filtered to a stratum's pages
-//!   by RID, or skipping batch `i`'s entries for each of the `B − 1` older
-//!   leave-one-outs (the pooled run minus a batch's run is exactly the
-//!   merge of the others).  No tree is packed.  The [`DataStats`] are read
-//!   off the whole walk, as [`ExactCf`](crate::estimator::ExactCf) reads
-//!   them.
-//!
-//! Both are bit-identical to packing and measuring every tree from the
-//! rows, the differential oracle.  The delete-*last*-batch estimate is
-//! free: it is the previous checkpoint's CF.  No leave-one-out is priced
-//! before a second checkpoint asks for a variance, so a one-checkpoint run
-//! pays for none.
+//! Every checkpoint is the one measure of a sample (`SampleMeasure`): the
+//! batch is folded in and the prefix drawn so far is priced — the pooled
+//! sample, each stratum, each delete-one-batch sample — by cell sums for a
+//! scheme that declares [`cell_costs`](CompressionScheme::cell_costs)
+//! (`O(B + strata)` arithmetic per checkpoint with `B` batches) and by one
+//! walk of the key order for any other, the order grown by sorting only
+//! the new batch and merging it in.  Both are bit-identical to packing and
+//! measuring every tree from the rows, the differential oracle.  The
+//! delete-*last*-batch estimate is free: it is the previous checkpoint's CF.
+//! No leave-one-out is priced before a second checkpoint asks for a
+//! variance, so a one-checkpoint run pays for none.
 //!
 //! On low-variance data the stop comes after a tiny fraction of the pages a
 //! fixed-`f` run would read; on adversarial data the run simply continues
@@ -57,21 +39,17 @@
 
 use crate::algebra::{self, MomentSketch, VarianceNode};
 use crate::error::{CoreError, CoreResult};
-use crate::estimator::{combine_strata, CfMeasurement, DataStats};
+use crate::estimator::CfMeasurement;
+use crate::measure::{SampleMeasure, Source};
 use crate::metrics::grouped_jackknife_variance;
 use crate::theory;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use samplecf_compression::{CellCosts, CompressionScheme, DistinctScratch};
-use samplecf_index::{
-    CompressedIndexReport, FirstKeyStats, IndexBuilder, IndexSpec, RunCellCosts, RunSizer,
-    SortedRun,
-};
+use samplecf_compression::CompressionScheme;
+use samplecf_index::{IndexBuilder, IndexSpec};
 use samplecf_obs::{Counter, Histogram, MetricsRegistry, Timer};
 use samplecf_sampling::{BatchSchedule, SamplerKind};
-use samplecf_storage::{
-    CellRef, CountingSource, DataType, PageId, Rid, RowCodec, RowRef, TableSource,
-};
+use samplecf_storage::{CountingSource, RowRef, TableSource};
 use std::time::Instant;
 
 /// Registry-backed instruments for progressive runs.  A default-constructed
@@ -92,10 +70,11 @@ pub struct ProgressiveMetrics {
     /// Per-checkpoint batch-draw wall time
     /// (`samplecf_progressive_draw_ns`).
     draw_ns: Histogram,
-    /// Per-checkpoint measure wall time — taking in the batch and pricing
+    /// Per-checkpoint measure wall time — folding in the batch and pricing
     /// the sample, its strata and the variance estimate: cell-cost sums and
-    /// arithmetic for a cell-additive scheme, sorted runs, a merge and walks
-    /// for any other (`samplecf_progressive_measure_ns`).
+    /// arithmetic for a cell-additive scheme, a sorted delta merged into the
+    /// key order and walks for any other
+    /// (`samplecf_progressive_measure_ns`).
     measure_ns: Histogram,
     /// Checkpoints whose variance came from the grouped jackknife
     /// (`samplecf_progressive_variance_total{source="jackknife"}`).
@@ -110,13 +89,13 @@ pub struct ProgressiveMetrics {
     /// Delete-one-batch estimates priced by arithmetic on per-batch cell
     /// costs (`samplecf_progressive_leave_one_out_total{route="closed_form"}`).
     leave_one_out_closed_form: Counter,
-    /// Delete-one-batch estimates priced by a size-only walk of the pooled
-    /// run (`samplecf_progressive_leave_one_out_total{route="walk"}`).
+    /// Delete-one-batch estimates priced by a size-only walk of the key
+    /// order (`samplecf_progressive_leave_one_out_total{route="walk"}`).
     leave_one_out_walk: Counter,
     /// Checkpoints priced from per-column cell-cost sums
     /// (`samplecf_progressive_pricing_total{route="cell_sums"}`).
     pricing_cell_sums: Counter,
-    /// Checkpoints priced by merging sorted runs and walking them
+    /// Checkpoints priced by a walk of the key order
     /// (`samplecf_progressive_pricing_total{route="tree"}`; the label
     /// predates the walk).
     pricing_tree: Counter,
@@ -348,7 +327,7 @@ impl ProgressiveCf {
         self
     }
 
-    /// Has no effect: a run sums, merges and walks on the calling thread,
+    /// Has no effect: a run sums, sorts and walks on the calling thread,
     /// whatever the thread count.  Kept for callers that still set it
     /// (perfbench).
     #[must_use]
@@ -428,21 +407,24 @@ impl ProgressiveCf {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let is_stratified = matches!(self.sampler, SamplerKind::Stratified { .. });
         let key_width = key_type.uncompressed_width();
+        let label = self.sampler.label();
 
         let started = Instant::now();
         let mut rows = 0;
         let mut batch_sizes: Vec<usize> = Vec::new();
-        let mut pooled = Pooled::new(&self.builder, codec, spec, scheme, first_key)?;
-        // One count per checkpoint, under the route the scheme picked.
-        let priced = match pooled.route {
-            Route::CellSums { .. } => &self.metrics.pricing_cell_sums,
-            Route::Tree { .. } => &self.metrics.pricing_tree,
+        let schemes = [scheme];
+        let mut measure = SampleMeasure::new(codec, spec, &schemes, &self.builder, Source::Stream)?;
+        // One count per checkpoint and per leave-one-out, under the route
+        // the scheme picked.
+        let (priced, left_out) = match scheme.cell_costs() {
+            Some(_) => (
+                &self.metrics.pricing_cell_sums,
+                &self.metrics.leave_one_out_closed_form,
+            ),
+            None => (&self.metrics.pricing_tree, &self.metrics.leave_one_out_walk),
         };
         let mut checkpoints: Vec<CfCheckpoint> = Vec::new();
-        let mut last_report: Option<(CompressedIndexReport, DataStats)> = None;
-        // The stratified estimator's triple from the last checkpoint
-        // (weighted across strata; the pooled report alone can't supply it).
-        let mut last_cf_triple: Option<(f64, f64, f64)> = None;
+        let mut last: Option<CfMeasurement> = None;
         let mut target_met = false;
         // Stratified bookkeeping, bound on the first batch: moment sketches
         // of the per-row NS statistic (the algebra's input and Neyman's
@@ -461,7 +443,6 @@ impl ProgressiveCf {
                 break;
             }
             let measure_timer = Timer::start(&self.metrics.measure_ns);
-            let records = batch.records();
             let tags: &[u32] = if is_stratified {
                 stream
                     .batch_strata()
@@ -469,8 +450,8 @@ impl ProgressiveCf {
             } else {
                 &[]
             };
-            rows += records.len();
-            batch_sizes.push(records.len());
+            rows += batch.len();
+            batch_sizes.push(batch.len());
             if is_stratified {
                 if strata_weights.is_empty() {
                     strata_weights = stream
@@ -481,7 +462,7 @@ impl ProgressiveCf {
                     strata_rows = vec![0; k];
                 }
                 // Each stratum's sketch sees its rows in draw order.
-                for ((_, record), &t) in records.iter().zip(tags) {
+                for ((_, record), &t) in batch.iter().zip(tags) {
                     let cell = RowRef::new(codec, record)?.cell(first_key);
                     let statistic =
                         algebra::ns_row_statistic(cell.logical_len(&key_type)?, key_width);
@@ -489,25 +470,19 @@ impl ProgressiveCf {
                     strata_rows[t as usize] += 1;
                 }
             }
-            pooled.add(&records, tags, strata_weights.len())?;
-
-            let (report, data) = pooled.report()?;
-            priced.inc();
-
+            // The batch is kept until the checkpoint is priced.  (Freeing it
+            // first lets the dictionary kernels' long-lived scratch table
+            // land in its hole rather than atop the heap, and glibc then
+            // trims and re-faults ~2 MB per checkpoint.)
+            measure.fold(&batch, tags, strata_weights.len())?;
+            measure.order()?;
             // Stratified draws estimate CF as Σ W_s·CF_s over per-stratum
-            // sub-indexes — the same `combine_strata` a cached sample is
-            // measured with, so the two paths agree bit-for-bit.  Unstratified
-            // draws have no weights, hence no strata to combine.
-            let strata = (0..strata_weights.len())
-                .map(|s| {
-                    (strata_rows[s] > 0)
-                        .then(|| pooled.stratum_report(s))
-                        .transpose()
-                })
-                .collect::<CoreResult<Vec<_>>>()?;
-            let (cf, cf_with_pointers, cf_pages) =
-                combine_strata(&strata_weights, strata.iter().map(Option::as_ref))
-                    .unwrap_or_else(|| (report.cf(), report.cf_with_pointers(), report.cf_pages()));
+            // sub-indexes — the combination a held sample is measured with.
+            // Unstratified draws have no weights, hence no strata to combine.
+            let current = (measure.measurements(&strata_weights, &label)?.pop())
+                .expect("one measurement per scheme");
+            priced.inc();
+            let cf = current.cf;
 
             // Estimator variance: closed-form algebra for stratified draws,
             // grouped jackknife over batches otherwise.
@@ -518,7 +493,11 @@ impl ProgressiveCf {
                 let _variance = Timer::start(&self.metrics.variance_ns);
                 // Deleting the newest batch leaves the previous checkpoint's
                 // sample, whose CF is already measured.
-                let mut leave_one_out = pooled.leave_one_out(&self.metrics)?;
+                let older = batch_sizes.len() - 1;
+                left_out.add(older as u64);
+                let mut leave_one_out = (0..older)
+                    .map(|b| Ok(measure.leave_one_out(b)?[0]))
+                    .collect::<CoreResult<Vec<f64>>>()?;
                 leave_one_out.push(previous.cf);
                 grouped_jackknife_variance(cf, &leave_one_out, &batch_sizes)
             } else {
@@ -563,9 +542,8 @@ impl ProgressiveCf {
                     .relative_half_width()
                     .is_some_and(|rel| rel <= self.config.target_error);
             checkpoints.push(checkpoint);
-            last_report = Some((report, data));
+            last = Some(current);
             if is_stratified {
-                last_cf_triple = Some((cf, cf_with_pointers, cf_pages));
                 // Feed the measured per-stratum spread back so a Neyman
                 // stream re-splits the remaining budget.  Strata still
                 // below two draws report NaN, which the stream ignores
@@ -585,27 +563,17 @@ impl ProgressiveCf {
 
         // Final measurement — for an empty source this measures the empty
         // sample, exactly like the one-shot path.
-        let (report, data) = match last_report {
-            Some(r) => r,
-            None => pooled.report()?,
+        let mut measurement = match last {
+            Some(last) => last,
+            None => (measure.measurements(&strata_weights, &label)?.pop())
+                .expect("one measurement per scheme"),
         };
+        measurement.elapsed = started.elapsed();
         let stopped_early = !stream.exhausted() && !checkpoints.is_empty();
         self.metrics.pages_read.add(counting.pages_read());
         if stopped_early {
             self.metrics.early_stops.inc();
         }
-        // A stratified run's estimate is the weighted combination, not the
-        // pooled report's ratio (the pooled report is still attached for
-        // its per-column detail).
-        let (cf, cf_with_pointers, cf_pages) = last_cf_triple
-            .unwrap_or_else(|| (report.cf(), report.cf_with_pointers(), report.cf_pages()));
-        let (sampler, elapsed) = (self.sampler.label(), started.elapsed());
-        let measurement = CfMeasurement {
-            cf,
-            cf_with_pointers,
-            cf_pages,
-            ..CfMeasurement::of(report, sampler, data, elapsed)
-        };
         Ok(ProgressiveReport {
             measurement,
             checkpoints,
@@ -618,288 +586,6 @@ impl ProgressiveCf {
             source_rows: source.num_rows(),
             source_pages: source.num_pages(),
         })
-    }
-}
-
-/// The [`DataStats`] of the records summed so far, read off their first key
-/// cells: rows, NULLs and `Σ ℓᵢ` are sums; `d′` counts the distinct
-/// non-NULL cells by their bytes.  The NULL bit decides, not the bytes: a
-/// NULL is stored as zeros, the bytes of `Int32`'s `i32::MIN`.
-struct CellStats {
-    /// The first key's schema position and type.
-    column: usize,
-    datatype: DataType,
-    rows: usize,
-    nulls: usize,
-    logical_len_sum: usize,
-    /// Every distinct cell once, in order of first sight.
-    cells: Vec<u8>,
-    /// The cells' numbers, by their bytes.
-    distinct: DistinctScratch,
-    /// Cells `distinct` holds before it is re-sized.
-    capacity: usize,
-}
-
-impl CellStats {
-    fn new(column: usize, datatype: DataType) -> Self {
-        let capacity = 64;
-        let mut distinct = DistinctScratch::new();
-        distinct.reset(capacity);
-        CellStats {
-            column,
-            datatype,
-            rows: 0,
-            nulls: 0,
-            logical_len_sum: 0,
-            cells: Vec::new(),
-            distinct,
-            capacity,
-        }
-    }
-
-    /// Fold in the first key cells of `records`, heap records of `codec`.
-    fn add(&mut self, codec: &RowCodec, records: &[(Rid, &[u8])]) -> CoreResult<()> {
-        let width = self.datatype.uncompressed_width();
-        for (_, record) in records {
-            let cell = RowRef::new(codec, record)?.cell(self.column);
-            self.rows += 1;
-            if cell.is_null() {
-                self.nulls += 1;
-                continue;
-            }
-            self.logical_len_sum += cell.logical_len(&self.datatype)?;
-            let cells = &self.cells;
-            let held =
-                |number: u64| CellRef::new(false, &cells[number as usize * width..][..width]);
-            if self.distinct.len() == self.capacity {
-                // Full: re-size, and put back what it held.
-                self.capacity *= 2;
-                self.distinct.reset(self.capacity);
-                for (number, cell) in cells.chunks_exact(width).enumerate() {
-                    self.distinct
-                        .insert(CellRef::new(false, cell), number as u64, held);
-                }
-            }
-            let number = self.distinct.len() as u64;
-            if self.distinct.insert(cell, number, held) {
-                self.cells.extend_from_slice(cell.bytes());
-            }
-        }
-        Ok(())
-    }
-
-    fn snapshot(&self) -> DataStats {
-        DataStats {
-            rows: self.rows,
-            distinct_first_key: self.distinct.len(),
-            sum_logical_len_first_key: self.logical_len_sum,
-            null_first_key: self.nulls,
-        }
-    }
-}
-
-/// A run's sample as its checkpoints price it: what is kept of the batches
-/// drawn so far — pooled, per batch (unstratified runs, for the jackknife)
-/// and per stratum — by the route the scheme's own declaration picks (see
-/// the [module docs](self)).
-struct Pooled<'a> {
-    codec: &'a RowCodec,
-    spec: &'a IndexSpec,
-    scheme: &'a dyn CompressionScheme,
-    sizer: RunSizer<'a>,
-    route: Route,
-}
-
-/// What [`Pooled`] keeps of the batches.
-enum Route {
-    /// A scheme with [`cell_costs`](CompressionScheme::cell_costs): the
-    /// records' cell costs and first key statistics, summed unsorted.  No
-    /// entry is kept.
-    CellSums {
-        costs: CellCosts,
-        pooled: RunCellCosts,
-        batches: Vec<RunCellCosts>,
-        strata: Vec<RunCellCosts>,
-        stats: CellStats,
-    },
-    /// Any other scheme: sorted runs — the pooled one merged, never
-    /// re-sorted — walked, whole or in part.
-    Tree {
-        merged: SortedRun,
-        batches: Vec<SortedRun>,
-        /// Per stratum, the first and last page its drawn rows lie on.
-        /// Strata are contiguous page ranges
-        /// ([`Strata`](samplecf_sampling::Strata)), so these spans are
-        /// disjoint and an entry's RID page names its stratum.
-        stratum_pages: Vec<(PageId, PageId)>,
-    },
-}
-
-impl<'a> Pooled<'a> {
-    /// `first_key` is the spec's first key column in `codec`'s schema.
-    fn new(
-        builder: &IndexBuilder,
-        codec: &'a RowCodec,
-        spec: &'a IndexSpec,
-        scheme: &'a dyn CompressionScheme,
-        first_key: usize,
-    ) -> CoreResult<Self> {
-        let schema = codec.schema();
-        let sizer = builder.sizer(schema, spec)?;
-        let route = match scheme.cell_costs() {
-            Some(costs) => Route::CellSums {
-                costs,
-                pooled: sizer.empty_cell_costs(),
-                batches: Vec::new(),
-                strata: Vec::new(),
-                stats: CellStats::new(first_key, schema.column_at(first_key).datatype),
-            },
-            None => Route::Tree {
-                merged: SortedRun::new(),
-                batches: Vec::new(),
-                stratum_pages: Vec::new(),
-            },
-        };
-        Ok(Pooled {
-            codec,
-            spec,
-            scheme,
-            sizer,
-            route,
-        })
-    }
-
-    /// Take in one batch's records: `tags` are their strata, of `strata` —
-    /// both empty for an unstratified run.  The caller keeps the records
-    /// until the checkpoint is priced.  (Freeing them first lets the
-    /// dictionary kernels' long-lived scratch table land in their hole
-    /// rather than atop the heap, and glibc then trims and re-faults ~2 MB
-    /// per checkpoint.)
-    fn add(&mut self, records: &[(Rid, &[u8])], tags: &[u32], strata: usize) -> CoreResult<()> {
-        let sizer = &self.sizer;
-        match &mut self.route {
-            Route::CellSums {
-                costs,
-                pooled,
-                batches,
-                strata: sums,
-                stats,
-            } => {
-                stats.add(self.codec, records)?;
-                if tags.is_empty() {
-                    let mut sum = sizer.empty_cell_costs();
-                    sizer.add_cell_costs(records, costs, std::slice::from_mut(&mut sum), |_| 0)?;
-                    pooled.merge(&sum);
-                    batches.push(sum);
-                } else {
-                    sums.resize(strata, sizer.empty_cell_costs());
-                    sizer.add_cell_costs(records, costs, sums, |i| tags[i] as usize)?;
-                    *pooled = sizer.empty_cell_costs();
-                    sums.iter().for_each(|sum| pooled.merge(sum));
-                }
-            }
-            Route::Tree {
-                merged,
-                batches,
-                stratum_pages,
-            } => {
-                let run = SortedRun::from_records(self.codec.schema(), records, self.spec)?;
-                *merged = std::mem::take(merged).into_merged(&run);
-                if tags.is_empty() {
-                    batches.push(run);
-                }
-                stratum_pages.resize(strata, (PageId::MAX, 0));
-                for ((rid, _), &t) in records.iter().zip(tags) {
-                    let (first, last) = &mut stratum_pages[t as usize];
-                    (*first, *last) = ((*first).min(rid.page), (*last).max(rid.page));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The report of the index over the pooled sample, and the sample's
-    /// [`DataStats`].
-    fn report(&self) -> CoreResult<(CompressedIndexReport, DataStats)> {
-        match &self.route {
-            Route::CellSums {
-                costs,
-                pooled,
-                stats,
-                ..
-            } => {
-                let report = self.sizer.price(self.scheme, costs, pooled, None)?;
-                Ok((report, stats.snapshot()))
-            }
-            Route::Tree { merged, .. } => {
-                let (report, first_key) = self.walk(merged, None, |_| true)?;
-                Ok((report, DataStats::off_the_order(merged.len(), first_key)))
-            }
-        }
-    }
-
-    /// The report of the index over stratum `s`'s rows.
-    fn stratum_report(&self, s: usize) -> CoreResult<CompressedIndexReport> {
-        match &self.route {
-            Route::CellSums { costs, strata, .. } => {
-                Ok(self.sizer.price(self.scheme, costs, &strata[s], None)?)
-            }
-            Route::Tree {
-                merged,
-                stratum_pages,
-                ..
-            } => {
-                let (first, last) = stratum_pages[s];
-                let walked = self.walk(merged, None, |rid| (first..=last).contains(&rid.page))?;
-                Ok(walked.0)
-            }
-        }
-    }
-
-    /// The report of the index over `run`'s entries, less `excluded`'s,
-    /// that `keep` admits, and their first key statistics
-    /// ([`RunSizer::measure_run`]).
-    fn walk(
-        &self,
-        run: &SortedRun,
-        excluded: Option<&SortedRun>,
-        keep: impl Fn(Rid) -> bool,
-    ) -> CoreResult<(CompressedIndexReport, FirstKeyStats)> {
-        let (mut reports, first_key) =
-            (self.sizer).measure_run(run, excluded, keep, &[self.scheme])?;
-        Ok((reports.pop().expect("one report per scheme"), first_key))
-    }
-
-    /// The CFs of the samples that leave out one of the older batches
-    /// (every batch but the newest), in batch order, priced without
-    /// building their trees.
-    ///
-    /// From cell sums each is [`RunSizer::price`] of the pooled sums minus
-    /// the batch's.  On the tree route, one walk of the pooled run per
-    /// left-out batch, skipping its entries.
-    fn leave_one_out(&self, metrics: &ProgressiveMetrics) -> CoreResult<Vec<f64>> {
-        match &self.route {
-            Route::CellSums {
-                costs,
-                pooled,
-                batches,
-                ..
-            } => {
-                let older = &batches[..batches.len() - 1];
-                metrics.leave_one_out_closed_form.add(older.len() as u64);
-                let price = |batch| self.sizer.price(self.scheme, costs, pooled, Some(batch));
-                (older.iter()).map(|batch| Ok(price(batch)?.cf())).collect()
-            }
-            Route::Tree {
-                merged, batches, ..
-            } => {
-                let older = &batches[..batches.len() - 1];
-                metrics.leave_one_out_walk.add(older.len() as u64);
-                (older.iter())
-                    .map(|batch| Ok(self.walk(merged, Some(batch), |_| true)?.0.cf()))
-                    .collect()
-            }
-        }
     }
 }
 

@@ -19,14 +19,14 @@
 //! sample's entries once and walks them, packing no tree and decoding no
 //! value — so its whole [`CfMeasurement`], page counts and first-key
 //! statistics included, is pinned here against the packed, decoded-row
-//! oracle too, over random schemas and key shapes.  So are the progressive
-//! estimator's two, over heap records as a stream yields them: for a
+//! oracle too, over random schemas and key shapes.  So are the one measure's
+//! two routes, over heap records as a stream yields them: for a
 //! cell-additive scheme, records summed unsorted into cell costs and priced
 //! by arithmetic
 //! ([`RunSizer::price`](samplecf_index::RunSizer::price)); for any other,
-//! batches' sorted runs merged and walked
-//! ([`RunSizer::measure_run`](samplecf_index::RunSizer::measure_run)).  The
-//! exact CF walks the whole table's run the same way; `ExactCf` is pinned to
+//! each batch's entries sorted and merged into one key order and walked
+//! ([`OrderedEntries::measure_where`](samplecf_index::OrderedEntries::measure_where)).
+//! The exact CF is the same measure over every row; `ExactCf` is pinned to
 //! [`measure_rows`] here too.
 
 use proptest::prelude::*;
@@ -34,9 +34,9 @@ use samplecf_compression::{scheme_by_name, scheme_names};
 use samplecf_compression::{CompressionScheme, NullSuppression, Uncompressed};
 use samplecf_core::{
     measure_rows, measure_sample, measure_sample_schemes, weighted_combine, CfMeasurement, ExactCf,
-    KeyOrderSource,
+    KeyOrderOutcome,
 };
-use samplecf_index::{compress_index, measure_index, IndexBuilder, IndexSpec, SortedRun};
+use samplecf_index::{compress_index, measure_index, IndexBuilder, IndexSpec};
 use samplecf_sampling::{Allocation, MaterializedSample, SamplerKind, Strata, StrataMode};
 use samplecf_storage::{
     Column, DataType, DiskTable, Rid, Row, RowCodec, Schema, Table, TableBuilder, TableSource,
@@ -97,7 +97,7 @@ fn oracle_measure(
     scheme: &dyn CompressionScheme,
     builder: &IndexBuilder,
 ) -> CfMeasurement {
-    let schema = sample.table().schema();
+    let schema = sample.schema();
     let measure = |rows: &[(Rid, Row)]| {
         measure_rows(schema, rows, spec, scheme, builder, sample.kind().label()).unwrap()
     };
@@ -134,7 +134,7 @@ fn assert_differential(source: &dyn TableSource, kind: SamplerKind, tag: &str) {
     let sample = MaterializedSample::draw(source, kind, 97).unwrap();
     let rows = sample.rows().unwrap();
     let records = sample.records().unwrap();
-    let schema = sample.table().schema();
+    let schema = sample.schema();
     let builder = IndexBuilder::new();
     for spec in [
         IndexSpec::nonclustered("idx", ["a"]).unwrap(),
@@ -173,7 +173,7 @@ fn assert_same_measurement(measured: &CfMeasurement, oracle: &CfMeasurement, tag
     assert_eq!(measured.report, oracle.report, "{tag} full report");
 }
 
-/// The held-sample route against the packed one, on one sample and index:
+/// The held-sample routes against the packed one, on one sample and index:
 /// under every scheme — each on its own and all six in one walk —
 /// `measure_sample`'s whole measurement (`leaf_pages`, `internal_bytes`
 /// and the first-key statistics included) is the decoded-row oracle's,
@@ -189,17 +189,23 @@ fn assert_walk_equals_packed_route(
         .map(|name| scheme_by_name(name).unwrap())
         .collect();
     let schemes: Vec<&dyn CompressionScheme> = schemes.iter().map(AsRef::as_ref).collect();
+    // Alone first: the first measure sorts the sample's order by the key
+    // (unless it already holds one) and every later one walks it, all six
+    // schemes in one walk or one at a time.
+    let first: Vec<CfMeasurement> = (schemes.iter())
+        .map(|scheme| measure_sample(sample, spec, *scheme, builder).unwrap())
+        .collect();
     let (together, _) = measure_sample_schemes(sample, spec, &schemes, builder).unwrap();
     assert_eq!(together.len(), schemes.len());
-    // From here on every measure walks the order `together` held or found.
-    let held = measure_sample_schemes(sample, spec, &schemes[..1], builder).unwrap();
-    assert_eq!(held.1, KeyOrderSource::Held, "{tag}");
-    for (scheme, together) in schemes.into_iter().zip(&together) {
+    for ((scheme, together), first) in schemes.into_iter().zip(&together).zip(&first) {
         let tag = format!("{tag}/{}", scheme.name());
         let packed = oracle_measure(sample, &rows, spec, scheme, builder);
-        let alone = measure_sample(sample, spec, scheme, builder).unwrap();
-        assert_same_measurement(&alone, &packed, &tag);
-        assert_same_measurement(together, &alone, &format!("{tag}, in one walk"));
+        let (mut alone, outcome) =
+            measure_sample_schemes(sample, spec, &[scheme], builder).unwrap();
+        assert_eq!(outcome, KeyOrderOutcome::Held, "{tag}");
+        assert_same_measurement(first, &packed, &tag);
+        assert_same_measurement(&alone.remove(0), &packed, &format!("{tag}, walked"));
+        assert_same_measurement(together, &packed, &format!("{tag}, in one walk"));
     }
 }
 
@@ -226,7 +232,7 @@ fn thread_counts_do_not_change_a_single_byte() {
         let sample = MaterializedSample::draw(&t, kind, 97).unwrap();
         let rows = sample.rows().unwrap();
         let records = sample.records().unwrap();
-        let schema = sample.table().schema();
+        let schema = sample.schema();
         for spec in [
             IndexSpec::nonclustered("idx", ["a"]).unwrap(),
             IndexSpec::clustered("pk", ["b", "a"]).unwrap(),
@@ -568,7 +574,7 @@ fn cell_sums_are_refused_or_fail_as_the_builder_does() {
         let mut sums = [sizer.empty_cell_costs()];
         let encoded = encode(&schema, &rows(n));
         sizer
-            .add_cell_costs(&records(&encoded), &costs, &mut sums, |_| 0)
+            .add_cell_costs(records(&encoded).iter().copied(), &costs, &mut sums, |_| 0)
             .unwrap();
         let priced = sizer.price(&NullSuppression, &costs, &sums[0], None);
         let packed = tiny.build_from_rows(&schema, &rows(n), &clustered);
@@ -715,10 +721,10 @@ proptest! {
     /// whole report or as the builder's error: for the pooled rows, each
     /// stratum's and each all-but-one-batch set.  The sums route — rows
     /// encoded once, unsorted, into per-column cell costs by stratum and by
-    /// batch, then priced — under `none` and null suppression; the tree
-    /// route — each batch's sorted run merged into one, walked whole,
-    /// filtered by RID to a stratum, or skipping a batch's run — under all
-    /// six schemes.  Random one- to ten-column schemas, one- and two-column
+    /// batch, then priced — under `none` and null suppression; the walk
+    /// route — each batch's entries sorted and merged into one key order,
+    /// walked whole, filtered by tag to a stratum, or skipping a batch's
+    /// rows — under all six schemes.  Random one- to ten-column schemas, one- and two-column
     /// keys, clustered and not, the empty set included; at 256-byte pages
     /// wide keys meet the single-separator internal page.
     #[test]
@@ -770,9 +776,9 @@ proptest! {
             let mut strata = vec![sizer.empty_cell_costs(); STRATA];
             let mut batches = vec![sizer.empty_cell_costs(); BATCHES];
             let tag = |i: usize| usize::from(tagged[i].1);
-            sizer.add_cell_costs(&records, &costs, &mut strata, tag).unwrap();
+            sizer.add_cell_costs(records.iter().copied(), &costs, &mut strata, tag).unwrap();
             let batch = |i: usize| usize::from(tagged[i].2);
-            sizer.add_cell_costs(&records, &costs, &mut batches, batch).unwrap();
+            sizer.add_cell_costs(records.iter().copied(), &costs, &mut batches, batch).unwrap();
             let mut pooled = sizer.empty_cell_costs();
             batches.iter().for_each(|sum| pooled.merge(sum));
             let price = |sums, excluded| sizer.price(scheme, &costs, sums, excluded);
@@ -789,31 +795,35 @@ proptest! {
             }
         }
 
-        let runs: Vec<SortedRun> = (0..BATCHES)
-            .map(|b| {
-                let batch: Vec<(Rid, &[u8])> = (records.iter().zip(&tagged))
-                    .filter(|(_, (_, _, batch))| usize::from(*batch) == b)
-                    .map(|(record, _)| *record)
-                    .collect();
-                SortedRun::from_records(&schema, &batch, &spec).unwrap()
-            })
-            .collect();
-        let merged = (runs.iter()).fold(SortedRun::new(), |pooled, run| pooled.into_merged(run));
-        let stratum_of = |rid: Rid| usize::from(tagged[rid.page as usize * 64 + usize::from(rid.slot)].1);
+        // The walk: the batches' entries folded in batch by batch, the key
+        // order grown by a sorted delta each time, as a progressive run
+        // grows it.
+        let mut ordered = builder.entries(&schema, &spec, None).unwrap();
+        let mut folded: Vec<usize> = Vec::new();
+        let mut ends = Vec::new();
+        for b in 0..BATCHES {
+            let in_batch = |i: &usize| usize::from(tagged[*i].2) == b;
+            let batch: Vec<usize> = (0..records.len()).filter(in_batch).collect();
+            ordered.extend(batch.iter().map(|&i| records[i])).unwrap();
+            ordered.order().unwrap();
+            folded.extend(batch);
+            ends.push(folded.len());
+        }
         for name in scheme_names() {
             let scheme = scheme_by_name(name).unwrap();
-            let walk = |excluded, keep: &dyn Fn(Rid) -> bool| {
-                let walked = sizer.measure_run(&merged, excluded, keep, &[scheme.as_ref()]);
+            let walk = |keep: &dyn Fn(usize) -> bool| {
+                let walked = ordered.measure_where(keep, &[scheme.as_ref()]);
                 walked.map(|(mut reports, _)| reports.remove(0))
             };
             let tree = |keep: &dyn Fn(usize, usize) -> bool| packed(keep, scheme.as_ref());
-            prop_assert_eq!(walk(None, &|_| true), tree(&|_, _| true), "{} walked", name);
+            prop_assert_eq!(walk(&|_| true), tree(&|_, _| true), "{} walked", name);
             for s in 0..STRATA {
-                let stratum = walk(None, &|rid| stratum_of(rid) == s);
+                let stratum = walk(&|i| usize::from(tagged[folded[i]].1) == s);
                 prop_assert_eq!(stratum, tree(&|tag, _| tag == s), "{} stratum {} walked", name, s);
             }
-            for (b, excluded) in runs.iter().enumerate() {
-                let others = walk(Some(excluded), &|_| true);
+            for b in 0..BATCHES {
+                let start = b.checked_sub(1).map_or(0, |a| ends[a]);
+                let others = walk(&|i| !(start..ends[b]).contains(&i));
                 prop_assert_eq!(others, tree(&|_, batch| batch != b), "{} all but {} walked", name, b);
             }
         }

@@ -137,7 +137,7 @@ impl IndexBuilder {
 
     /// Workers for a load of `entries` entries — one count for its encode,
     /// sort and pack stages alike.
-    fn workers(&self, entries: usize) -> usize {
+    pub(crate) fn workers(&self, entries: usize) -> usize {
         resolve_threads(self.threads, entries / Self::MIN_ENTRIES_PER_WORKER)
     }
 
@@ -243,12 +243,11 @@ impl IndexBuilder {
         spec: &IndexSpec,
     ) -> IndexResult<BTreeIndex> {
         self.build_encoded(schema, spec, records.len(), |layout, range, out| {
-            layout.encode_records(&records[range], out)
+            layout.encode_records(records[range].iter().copied(), out)
         })
     }
 
-    /// Build an index from an already-sorted run of encoded entries: the
-    /// tree a walk of the run ([`RunSizer::measure_run`]) is pinned to,
+    /// Build an index from an already-sorted run of encoded entries:
     /// byte-identical to [`build_from_rows`](Self::build_from_rows) over the
     /// rows of every batch merged into it.
     ///
@@ -269,12 +268,46 @@ impl IndexBuilder {
         self.pack(spec, layout, shape.entries_per_leaf, run.len(), entry)
     }
 
-    /// Encode borrowed heap records as
-    /// [`build_from_records`](Self::build_from_records) does and sort them
-    /// by key — and stop there: the [`OrderedEntries`] sizes the index over
-    /// them, under any number of schemes, without packing it, and hands out
-    /// the [`KeyOrder`] it sorted, for
-    /// [`encode_in_order`](Self::encode_in_order) to reuse.
+    /// Entries of no records yet, for [`OrderedEntries::extend`] to encode
+    /// records into and [`OrderedEntries::order`] to put in key order —
+    /// sized, under any number of schemes, without packing the index.
+    /// `held`, if given, is a [`KeyOrder`] an earlier measure sorted over a
+    /// prefix of the records to come: the entries it covers are not sorted
+    /// again.
+    ///
+    /// # Errors
+    /// Page size, fill factor and record length are checked here, as
+    /// [`build_from_rows`](Self::build_from_rows) checks them before any row
+    /// is read; a `held` order sorted by other key columns is
+    /// [`IndexError::InvalidSpec`].
+    pub fn entries<'a>(
+        &self,
+        schema: &'a Schema,
+        spec: &IndexSpec,
+        held: Option<Arc<KeyOrder>>,
+    ) -> IndexResult<OrderedEntries<'a>> {
+        let (layout, shape) = self.plan(schema, spec)?;
+        let order = match held {
+            Some(order) => {
+                layout.admit_order(&order, order.len())?;
+                order
+            }
+            None => Arc::new(KeyOrder {
+                key_columns: layout.key_indexes.clone(),
+                entries: Vec::new(),
+            }),
+        };
+        Ok(OrderedEntries::new(
+            RunSizer::new(layout, shape),
+            order,
+            *self,
+        ))
+    }
+
+    /// [`entries`](Self::entries) over `records`, encoded and put in key
+    /// order: every scheme's size over them is then a walk
+    /// ([`OrderedEntries::measure`]), and the [`KeyOrder`] sorted is handed
+    /// out ([`OrderedEntries::key_order`]) for a later measure to start from.
     ///
     /// # Errors
     /// As [`build_from_records`](Self::build_from_records), less what only
@@ -288,53 +321,13 @@ impl IndexBuilder {
         records: &[(Rid, &[u8])],
         spec: &IndexSpec,
     ) -> IndexResult<OrderedEntries<'a>> {
-        let (layout, shape) = self.plan(schema, spec)?;
-        let arena = self.encode_records(&layout, records)?;
-        let order = KeyOrder {
-            entries: (key_order(&arena, &layout, self.workers(records.len()))?.into_iter())
-                .map(|(_, i)| i)
-                .collect(),
-            key_columns: layout.key_indexes.clone(),
-        };
-        let sizer = RunSizer::new(layout, shape);
-        Ok(OrderedEntries::new(sizer, arena, Arc::new(order)))
+        let mut entries = self.entries(schema, spec, None)?;
+        entries.extend(records.iter().copied())?;
+        entries.order()?;
+        Ok(entries)
     }
 
-    /// [`order_records`](Self::order_records) without the sort: encode the
-    /// records and walk them through `order`, which an earlier
-    /// `order_records` over the same records sorted — for an index of any
-    /// kind over the same key columns.
-    ///
-    /// # Errors
-    /// An `order` sorted for other key columns, or over another number of
-    /// records, is [`IndexError::InvalidSpec`], checked before any record is
-    /// read; otherwise as [`order_records`](Self::order_records).
-    pub fn encode_in_order<'a>(
-        &self,
-        schema: &'a Schema,
-        records: &[(Rid, &[u8])],
-        spec: &IndexSpec,
-        order: Arc<KeyOrder>,
-    ) -> IndexResult<OrderedEntries<'a>> {
-        let (layout, shape) = self.plan(schema, spec)?;
-        layout.admit_order(&order, records.len())?;
-        let arena = self.encode_records(&layout, records)?;
-        let sizer = RunSizer::new(layout, shape);
-        Ok(OrderedEntries::new(sizer, arena, order))
-    }
-
-    /// [`encode`](Self::encode) borrowed heap records.
-    fn encode_records(
-        &self,
-        layout: &EntryLayout,
-        records: &[(Rid, &[u8])],
-    ) -> IndexResult<Vec<u8>> {
-        self.encode(layout, records.len(), |layout, range, out| {
-            layout.encode_records(&records[range], out)
-        })
-    }
-
-    /// What sizes a sorted run as the index this builder would load from it,
+    /// What sizes entries as the index this builder would load from them,
     /// without loading it (see [`RunSizer`]).
     ///
     /// # Errors
@@ -470,7 +463,7 @@ impl<'a> EntryLayout<'a> {
 
     /// A run handed in beside `(schema, spec)` has its entry lengths, or is
     /// empty (lengths only: same-width columns are indistinguishable here).
-    pub(crate) fn admit(&self, run: &SortedRun) -> IndexResult<()> {
+    fn admit(&self, run: &SortedRun) -> IndexResult<()> {
         if run.is_empty() || (run.key_len, run.record_len) == (self.key_len, self.record_len) {
             return Ok(());
         }
@@ -481,10 +474,11 @@ impl<'a> EntryLayout<'a> {
     }
 
     /// An order handed in beside `(schema, spec)` was sorted by this key
-    /// over `entries` inputs.  Rows are only ever appended to a sample, so
-    /// an order sorted before its rows changed is one of another length.
+    /// over at most `entries` inputs: rows are only ever appended to a
+    /// sample, so an order sorted before its rows grew covers a prefix of
+    /// them, and one longer than them was sorted over other rows.
     fn admit_order(&self, order: &KeyOrder, entries: usize) -> IndexResult<()> {
-        if (&order.key_columns, order.len()) == (&self.key_indexes, entries) {
+        if order.key_columns == self.key_indexes && order.len() <= entries {
             return Ok(());
         }
         Err(IndexError::InvalidSpec(format!(
@@ -549,29 +543,35 @@ impl<'a> EntryLayout<'a> {
     /// Append one entry per borrowed heap record to `out`: cells already
     /// sit in their fixed-width encoding inside the record, so they are
     /// sliced, not decoded.
-    fn encode_records(&self, records: &[(Rid, &[u8])], out: &mut Vec<u8>) -> IndexResult<()> {
+    pub(crate) fn encode_records<'r>(
+        &self,
+        records: impl IntoIterator<Item = (Rid, &'r [u8])>,
+        out: &mut Vec<u8>,
+    ) -> IndexResult<()> {
         for (rid, record) in records {
             let row = RowRef::new(&self.codec, record)?;
             let cell = |i, out: &mut Vec<u8>| {
                 out.extend_from_slice(row.cell(i).bytes());
                 Ok(())
             };
-            self.encode_entry(*rid, |i| row.is_null(i), cell, out)?;
+            self.encode_entry(rid, |i| row.is_null(i), cell, out)?;
         }
         Ok(())
     }
 }
 
 /// The entry numbers of some records' entries in the order a bulk load puts
-/// them — sorted by key, the key cells and then the RID — with what they
-/// were sorted for, as a [`SortedRun`] knows its lengths: the key columns
-/// and the entry count.
+/// them — sorted by key, the key cells and then the RID — with the key
+/// columns they were sorted by: four bytes per entry.
 ///
 /// The key alone decides the order, not the index kind or the other stored
-/// columns, so one order serves every index over its key columns.  Made by
-/// [`IndexBuilder::order_records`]; [`IndexBuilder::encode_in_order`] walks
-/// the same records through it again, without sorting, and refuses it for
-/// other key columns or another number of records.
+/// columns, so one order serves every index over its key columns.  An order
+/// grows as its records do: the entries appended after it are sorted on
+/// their own and merged in, in one pass, which gives the order a sort of
+/// them all from scratch gives (equal keys keep entry-number order either
+/// way).  Made by [`OrderedEntries::order`]; [`IndexBuilder::entries`]
+/// starts from one, and refuses it for other key columns, or at
+/// [`order`](OrderedEntries::order) for more entries than there are.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyOrder {
     /// Schema positions of the key columns, in key order.
@@ -608,6 +608,48 @@ impl KeyOrder {
     pub(crate) fn entries(&self) -> &[u32] {
         &self.entries
     }
+
+    /// This order over all of `arena`'s entries: those past its end sorted
+    /// ([`key_order`] over `workers` threads) and merged in.
+    ///
+    /// # Errors
+    /// An order of more entries than `arena` holds was not sorted over its
+    /// prefix: [`IndexError::InvalidSpec`].  More than `u32::MAX` entries is
+    /// `InvalidSpec` too.
+    pub(crate) fn extended(
+        &self,
+        arena: &[u8],
+        layout: &EntryLayout,
+        workers: usize,
+    ) -> IndexResult<KeyOrder> {
+        let (key_len, stride) = (layout.key_len, layout.stride());
+        let (done, n) = (self.len(), arena.len() / stride);
+        layout.admit_order(self, n)?;
+        let first = u32::try_from(n)
+            .map(|_| done as u32)
+            .map_err(|_| too_many_entries())?;
+        let delta = key_order(&arena[done * stride..], layout, workers)?;
+        let key = |i: u32| &arena[i as usize * stride..][..key_len];
+        let mut entries = Vec::with_capacity(n);
+        let mut delta = (delta.into_iter()).map(|(_, i)| first + i).peekable();
+        for &held in &self.entries {
+            // A new entry goes before a held one only if its key is less:
+            // on equal keys the held one's smaller number comes first.
+            while let Some(new) = delta.next_if(|&new| key(new) < key(held)) {
+                entries.push(new);
+            }
+            entries.push(held);
+        }
+        entries.extend(delta);
+        Ok(KeyOrder {
+            key_columns: self.key_columns.clone(),
+            entries,
+        })
+    }
+}
+
+fn too_many_entries() -> IndexError {
+    IndexError::InvalidSpec("more entries than one bulk load sorts (2^32 - 1)".into())
 }
 
 /// The key order of an arena of `layout`'s entries, as sorted `(key prefix,
@@ -618,9 +660,7 @@ impl KeyOrder {
 /// threads; a total order, so the same permutation for every worker count.
 fn key_order(arena: &[u8], layout: &EntryLayout, workers: usize) -> IndexResult<Vec<(u64, u32)>> {
     let (key_len, stride) = (layout.key_len, layout.stride());
-    let n = u32::try_from(arena.len() / stride).map_err(|_| {
-        IndexError::InvalidSpec("more entries than one bulk load sorts (2^32 - 1)".into())
-    })?;
+    let n = u32::try_from(arena.len() / stride).map_err(|_| too_many_entries())?;
     let head = key_len.min(8);
     let key = |i: u32| &arena[i as usize * stride..][..key_len];
     let mut next = [0usize; 257];
@@ -660,16 +700,15 @@ fn key_order(arena: &[u8], layout: &EntryLayout, workers: usize) -> IndexResult<
 /// the [module docs](self)) plus the two lengths it was encoded with — so a
 /// run knows what it was built for.
 ///
-/// Progressive estimation re-sizes a growing sample at every checkpoint:
-/// each new batch is encoded and sorted on its own (`O(b log b)` for `b` new
-/// rows) and merged in, in linear time — a two-cursor walk appending
-/// stride-sized slices of either arena to one new arena (a move or a single
-/// `memcpy` when one side is empty).  The `(key bytes, RID)` sort key fully
-/// determines the entry order, so how the rows arrived cannot show: a
-/// [`RunSizer`] walk of the run sizes the tree
-/// [`IndexBuilder::build_from_rows`] would build from the same rows, whole,
-/// one stratum's RIDs, or — the pooled run minus one batch's run *is* the
-/// merge of the others — all but one batch.
+/// Each batch is encoded and sorted on its own and merged in, in linear
+/// time — a two-cursor walk appending stride-sized slices of either arena
+/// to one new arena.  The `(key bytes, RID)` sort key fully determines the
+/// entry order, so how the rows arrived cannot show:
+/// [`IndexBuilder::build_from_sorted_run`] packs the tree
+/// [`IndexBuilder::build_from_rows`] would build from the same rows.  No
+/// estimator keeps a run — a measure grows a [`KeyOrder`] instead — so this
+/// is the packed oracle's input, for tests and the benchmark's replay of
+/// the old checkpoint chain.
 #[derive(Debug, Clone, Default)]
 pub struct SortedRun {
     /// `len × (key_len + record_len)` bytes, entries in key order.
@@ -687,40 +726,10 @@ impl SortedRun {
 
     /// Encode one batch of rows into a sorted run of its own.
     pub fn from_rows(schema: &Schema, rows: &[(Rid, Row)], spec: &IndexSpec) -> IndexResult<Self> {
-        Self::sorted(schema, spec, rows.len(), |layout, out| {
-            layout.encode_rows(rows, out)
-        })
-    }
-
-    /// Encode one batch of borrowed heap records into a sorted run of its
-    /// own: cells sliced, not decoded, as
-    /// [`IndexBuilder::build_from_records`] does — the run
-    /// [`from_rows`](Self::from_rows) makes of the decoded rows.
-    ///
-    /// # Errors
-    /// A record that is not the schema's record size is
-    /// [`IndexError::Storage`] (`Decode`).
-    pub fn from_records(
-        schema: &Schema,
-        records: &[(Rid, &[u8])],
-        spec: &IndexSpec,
-    ) -> IndexResult<Self> {
-        Self::sorted(schema, spec, records.len(), |layout, out| {
-            layout.encode_records(records, out)
-        })
-    }
-
-    /// The run of the `len` entries `encode` appends, sorted by key.
-    fn sorted(
-        schema: &Schema,
-        spec: &IndexSpec,
-        len: usize,
-        encode: impl FnOnce(&EntryLayout, &mut Vec<u8>) -> IndexResult<()>,
-    ) -> IndexResult<Self> {
         let layout = EntryLayout::new(schema, spec)?;
         let stride = layout.stride();
-        let mut unsorted = Vec::with_capacity(len * stride);
-        encode(&layout, &mut unsorted)?;
+        let mut unsorted = Vec::with_capacity(rows.len() * stride);
+        layout.encode_rows(rows, &mut unsorted)?;
         let mut arena = Vec::with_capacity(unsorted.len());
         for (_, i) in key_order(&unsorted, &layout, 1)? {
             arena.extend_from_slice(&unsorted[i as usize * stride..][..stride]);
@@ -750,10 +759,6 @@ impl SortedRun {
         (self.key_len + self.record_len).max(1)
     }
 
-    pub(crate) fn entries(&self) -> std::slice::ChunksExact<'_, u8> {
-        self.arena.chunks_exact(self.stride())
-    }
-
     /// Merge two sorted runs into one, in linear time, leaving both intact:
     /// a two-cursor walk that copies stride-sized chunks of either arena
     /// into a new one.  On equal keys this run's entry comes first.
@@ -774,7 +779,7 @@ impl SortedRun {
         // Each of this run's entries follows the stretch of `other` (from
         // byte `copied` on) that sorts before it.
         let mut copied = 0;
-        for entry in self.entries() {
+        for entry in self.arena.chunks_exact(self.stride()) {
             let before = other.arena[copied..]
                 .chunks_exact(stride)
                 .take_while(|x| x[..key_len] < entry[..key_len])
@@ -785,16 +790,6 @@ impl SortedRun {
         }
         arena.extend_from_slice(&other.arena[copied..]);
         SortedRun { arena, ..*lengths }
-    }
-
-    /// [`merge`](Self::merge) — its panic included — for an accumulator done
-    /// with its old value: when `other` is empty this run is moved, not copied.
-    #[must_use]
-    pub fn into_merged(self, other: &SortedRun) -> SortedRun {
-        if other.is_empty() {
-            return self;
-        }
-        self.merge(other)
     }
 }
 
@@ -1299,9 +1294,10 @@ mod tests {
 
     /// Both size-only routes against the route they replaced, kept as the
     /// oracle: pack `kept` — the rows of every batch but `batches[skip]` —
-    /// into a tree and measure it.  Every scheme is walked through the
-    /// merge of the batches' runs, skipping `skip`'s; those that declare cell
-    /// costs are also priced, whole report and all, from the batches' sums.
+    /// into a tree and measure it.  Every scheme is walked through the key
+    /// order of all the batches' entries, grown a batch at a time, skipping
+    /// `skip`'s; those that declare cell costs are also priced, whole report
+    /// and all, from the batches' sums.
     fn assert_sized_as_packed(
         builder: &IndexBuilder,
         schema: &Schema,
@@ -1309,15 +1305,32 @@ mod tests {
         (batches, skip): (&[&[(Rid, Row)]], usize),
         kept: &BTreeIndex,
     ) {
-        let runs: Vec<SortedRun> = (batches.iter())
-            .map(|rows| SortedRun::from_rows(schema, rows, spec).unwrap())
+        let codec = RowCodec::new(schema.clone());
+        let encoded: Vec<Vec<Vec<u8>>> = (batches.iter())
+            .map(|rows| {
+                (rows.iter())
+                    .map(|(_, row)| codec.encode(row).unwrap())
+                    .collect()
+            })
             .collect();
-        let pooled_run = fold_merge(&runs);
+        let records = |b: usize| {
+            (batches[b].iter().zip(&encoded[b])).map(|((rid, _), record)| (*rid, &record[..]))
+        };
+        let mut ordered = builder.entries(schema, spec, None).unwrap();
+        let mut skipped = 0..0;
+        for (b, rows) in batches.iter().enumerate() {
+            let start = ordered.len();
+            ordered.extend(records(b)).unwrap();
+            assert_eq!(ordered.order().unwrap(), rows.len());
+            if b == skip {
+                skipped = start..ordered.len();
+            }
+        }
         let sizer = builder.sizer(schema, spec).unwrap();
         for name in scheme_names() {
             let scheme = scheme_by_name(name).unwrap();
             let packed = measure_index(kept, scheme.as_ref()).unwrap();
-            let walked = sizer.measure_run(&pooled_run, Some(&runs[skip]), |_| true, &[&*scheme]);
+            let walked = ordered.measure_where(|i| !skipped.contains(&i), &[&*scheme]);
             assert_eq!(
                 walked.map(|(reports, _)| reports),
                 Ok(vec![packed.clone()]),
@@ -1325,17 +1338,12 @@ mod tests {
                 spec.name()
             );
             if let Some(costs) = scheme.cell_costs() {
-                let codec = RowCodec::new(schema.clone());
                 let mut sums = vec![sizer.empty_cell_costs(); batches.len()];
-                for (rows, sum) in batches.iter().zip(&mut sums) {
-                    let encoded: Vec<Vec<u8>> = (rows.iter())
-                        .map(|(_, row)| codec.encode(row).unwrap())
-                        .collect();
-                    let records: Vec<(Rid, &[u8])> = (rows.iter().zip(&encoded))
-                        .map(|((rid, _), record)| (*rid, &record[..]))
-                        .collect();
+                for (b, sum) in sums.iter_mut().enumerate() {
                     let sum = std::slice::from_mut(sum);
-                    sizer.add_cell_costs(&records, &costs, sum, |_| 0).unwrap();
+                    sizer
+                        .add_cell_costs(records(b), &costs, sum, |_| 0)
+                        .unwrap();
                 }
                 let mut pooled = sizer.empty_cell_costs();
                 sums.iter().for_each(|sum| pooled.merge(sum));
@@ -1394,44 +1402,6 @@ mod tests {
         assert_sized_as_packed(&builder, t.schema(), &spec, everything, &empty);
         let nothing = (&[&rows[..], &[]][..], 1);
         assert_sized_as_packed(&builder, t.schema(), &spec, nothing, &build(&all));
-    }
-
-    #[test]
-    fn excluding_a_run_that_is_not_part_of_the_run_is_a_typed_error() {
-        let t = table(600);
-        let spec = IndexSpec::nonclustered("i", ["name"]).unwrap();
-        let rows: Vec<(Rid, Row)> = t.scan().collect();
-        let run = |rows: &[(Rid, Row)]| SortedRun::from_rows(t.schema(), rows, &spec).unwrap();
-        let (first, second) = (run(&rows[..200]), run(&rows[200..400]));
-        let pooled = first.merge(&second);
-        let sizer = IndexBuilder::new().sizer(t.schema(), &spec).unwrap();
-        // Entries kept: the one stored column, `name`, is twelve bytes wide.
-        let exclude = |excluded: &SortedRun| {
-            sizer
-                .measure_run(&pooled, Some(excluded), |_| true, &[&Uncompressed])
-                .map(|(kept, _)| kept[0].uncompressed_data_bytes() / 12)
-        };
-        assert_eq!(exclude(&first), Ok(200));
-        // A foreign run: none of its entries is in the pooled run.
-        let foreign = run(&rows[400..]);
-        assert_eq!(
-            exclude(&foreign),
-            Err(IndexError::ExclusionMismatch { left_over: 200 })
-        );
-        // A run that overlaps the pooled run only in part: the walk stalls
-        // on its first entry without a counterpart.
-        assert!(matches!(
-            exclude(&run(&rows[300..450])),
-            Err(IndexError::ExclusionMismatch {
-                left_over: 50..=150
-            })
-        ));
-        // A batch excluded twice: the pooled run holds each entry once, so
-        // the walk stalls on the twin of the first entry it consumed.
-        assert_eq!(
-            exclude(&first.merge(&first)),
-            Err(IndexError::ExclusionMismatch { left_over: 399 })
-        );
     }
 
     proptest! {
@@ -1675,7 +1645,7 @@ mod tests {
                     assert_walked_as_packed(&ordered, |_| true, &expected);
                     assert_eq!(ordered.key_order(), sorted.key_order());
                     let reused = Arc::clone(sorted.key_order());
-                    let held = builder.encode_in_order(schema, &records, &spec, reused).unwrap();
+                    let held = reorder(&builder, schema, &records, &spec, reused).unwrap();
                     assert_walked_as_packed(&held, |_| true, &expected);
                     let first_key = spec.key_indexes(schema).unwrap()[0];
                     let values = || rows.iter().map(|(_, row)| row.value(first_key));
@@ -1691,7 +1661,7 @@ mod tests {
                         .collect();
                     let pooled = runs
                         .iter()
-                        .fold(SortedRun::new(), |pooled, run| pooled.into_merged(run));
+                        .fold(SortedRun::new(), |pooled, run| pooled.merge(run));
                     assert_trees_identical(
                         &expected,
                         &builder.build_from_sorted_run(schema, &spec, &pooled).unwrap(),
@@ -1790,6 +1760,21 @@ mod tests {
         }
     }
 
+    /// `records` encoded and put in key order from `held`, an order of a
+    /// prefix of them — as a held sample is measured again.
+    fn reorder<'a>(
+        builder: &IndexBuilder,
+        schema: &'a Schema,
+        records: &[(Rid, &[u8])],
+        spec: &IndexSpec,
+        held: Arc<KeyOrder>,
+    ) -> IndexResult<OrderedEntries<'a>> {
+        let mut entries = builder.entries(schema, spec, Some(held))?;
+        entries.extend(records.iter().copied())?;
+        entries.order()?;
+        Ok(entries)
+    }
+
     /// `f` over `rows` as a heap holds them: each RID beside its encoded record.
     fn with_heap_records<T>(
         schema: &Schema,
@@ -1885,16 +1870,6 @@ mod tests {
         // Same key columns, other kind: the keys agree, the records do not.
         let clustered = IndexSpec::clustered("i", ["name"]).unwrap();
         refused(build(&clustered, &run).map(drop));
-        // Either side of an exclusion is checked.
-        let other = SortedRun::from_rows(t.schema(), &rows[..10], &by_id).unwrap();
-        for spec in [&by_name, &by_id] {
-            let sizer = builder.sizer(t.schema(), spec).unwrap();
-            refused(
-                sizer
-                    .measure_run(&run, Some(&other), |_| true, &[&NullSuppression])
-                    .map(drop),
-            );
-        }
         // An empty run was built for nothing in particular: it matches any
         // spec, whether it was never filled or encoded from no rows.
         for empty in [
@@ -1902,14 +1877,9 @@ mod tests {
             SortedRun::from_rows(t.schema(), &[], &by_name).unwrap(),
         ] {
             assert_eq!(build(&by_id, &empty).unwrap().num_entries(), 0);
-            let sizer = builder.sizer(t.schema(), &by_name).unwrap();
-            let (whole, _) =
-                (sizer.measure_run(&run, Some(&empty), |_| true, &[&Uncompressed])).unwrap();
-            assert_eq!(whole[0].uncompressed_data_bytes(), 300 * 12);
-            // ... and merges with any run, as a copy or a move of the other.
+            // ... and merges with any run.
             assert_eq!(empty.merge(&run).len(), 300);
             assert_eq!(run.merge(&empty).len(), 300);
-            assert_eq!(empty.into_merged(&run).len(), 300);
         }
     }
 
@@ -1925,7 +1895,7 @@ mod tests {
             assert_eq!(order.bytes(), 4 * 300);
             let refused = |spec: &IndexSpec, records: &[(Rid, &[u8])]| {
                 let reused = Arc::clone(order);
-                let result = builder.encode_in_order(&schema, records, spec, reused);
+                let result = reorder(&builder, &schema, records, spec, reused);
                 let result = result.map(|ordered| ordered.len());
                 assert!(
                     matches!(&result, Err(IndexError::InvalidSpec(msg)) if msg.contains("key order")),
@@ -1936,17 +1906,19 @@ mod tests {
             refused(&IndexSpec::nonclustered("i", ["id"]).unwrap(), records);
             refused(&IndexSpec::clustered("i", ["name", "id"]).unwrap(), records);
             // ...or over other records: a sample's rows are only ever
-            // appended to, so a stale order is one of another length.
-            let grown = [records, &records[..1]].concat();
-            refused(&by_name, &grown);
+            // appended to, so an order longer than the rows is of others.
             refused(&by_name, &records[..299]);
+            // An order of a prefix is grown: the records past it are sorted
+            // and merged in, as a sort of them all would place them.
+            let grown = [records, &records[..1]].concat();
+            let merged = reorder(&builder, &schema, &grown, &by_name, Arc::clone(order)).unwrap();
+            let fresh = builder.order_records(&schema, &grown, &by_name).unwrap();
+            assert_eq!(merged.key_order(), fresh.key_order());
             // The other kind over the same key walks the order as if it had
             // sorted it itself.
             let clustered = IndexSpec::clustered("c", ["name"]).unwrap();
             let reused = Arc::clone(order);
-            let held = builder
-                .encode_in_order(&schema, records, &clustered, reused)
-                .unwrap();
+            let held = reorder(&builder, &schema, records, &clustered, reused).unwrap();
             let fresh = builder.order_records(&schema, records, &clustered).unwrap();
             assert_eq!(held.key_order(), fresh.key_order());
             let schemes: [&dyn CompressionScheme; 2] = [&NullSuppression, &Uncompressed];
@@ -1954,6 +1926,61 @@ mod tests {
                 held.measure(&schemes).unwrap(),
                 fresh.measure(&schemes).unwrap()
             );
+        });
+    }
+
+    #[test]
+    fn a_key_order_grown_by_merging_a_sorted_delta_equals_a_fresh_sort() {
+        // Rows drawn with replacement, so equal keys span the prefix and the
+        // delta, and some entries are equal outright.
+        let t = shaped_table(300, 7);
+        let source: Vec<(Rid, Row)> = t.scan().collect();
+        let rows: Vec<(Rid, Row)> = (0..900).map(|i| source[(i * 37) % 300].clone()).collect();
+        with_heap_records(t.schema(), &rows, |records| {
+            let builder = IndexBuilder::new().page_size(512);
+            for keys in SHAPED_KEYS {
+                let spec = IndexSpec::nonclustered("i", keys.iter().copied()).unwrap();
+                let fresh = builder.order_records(t.schema(), records, &spec).unwrap();
+                for splits in [
+                    &[0, 900][..],
+                    &[1, 900],
+                    &[450, 900],
+                    &[899, 900],
+                    &[7, 100, 101, 900],
+                ] {
+                    // Grow one order a delta at a time, handing it on as a
+                    // held sample does between measures.
+                    let mut held = None;
+                    let mut sorted = 0;
+                    for &end in splits {
+                        let mut grown = builder.entries(t.schema(), &spec, held.take()).unwrap();
+                        grown.extend(records[..end].iter().copied()).unwrap();
+                        sorted += grown.order().unwrap();
+                        held = Some(Arc::clone(grown.key_order()));
+                    }
+                    assert_eq!(sorted, 900, "{keys:?} split at {splits:?}");
+                    assert_eq!(
+                        held.as_deref(),
+                        Some(&**fresh.key_order()),
+                        "{keys:?} {splits:?}"
+                    );
+                }
+                // Nothing past the order's end: nothing sorted, the order kept.
+                let mut again = builder
+                    .entries(t.schema(), &spec, Some(Arc::clone(fresh.key_order())))
+                    .unwrap();
+                again.extend(records.iter().copied()).unwrap();
+                assert_eq!(again.order().unwrap(), 0);
+                assert!(Arc::ptr_eq(again.key_order(), fresh.key_order()));
+                // An order of more entries than there are is refused.
+                let mut fewer = builder
+                    .entries(t.schema(), &spec, Some(Arc::clone(fresh.key_order())))
+                    .unwrap();
+                fewer.extend(records[..899].iter().copied()).unwrap();
+                assert!(
+                    matches!(fewer.order(), Err(IndexError::InvalidSpec(msg)) if msg.contains("key order"))
+                );
+            }
         });
     }
 

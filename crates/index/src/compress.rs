@@ -3,9 +3,15 @@
 //! This is the "Compress index I′ using C" step of the SampleCF algorithm
 //! (paper Figure 2).  Columns are compressed independently, per leaf page,
 //! which matches how the paper describes commercial implementations.
+//!
+//! [`compress_index`] and [`measure_index`] compress a packed tree — the
+//! oracle.  Every estimate sizes the same index without one: a
+//! [`RunSizer`] walks [`OrderedEntries`] — records encoded batch by batch,
+//! their [`KeyOrder`] grown by a sorted delta each time — or prices a
+//! cell-additive scheme's summed cell costs by arithmetic.
 
-use crate::btree::{BTreeIndex, EntryLayout, KeyOrder, SortedRun};
-use crate::error::{IndexError, IndexResult};
+use crate::btree::{BTreeIndex, EntryLayout, IndexBuilder, KeyOrder};
+use crate::error::IndexResult;
 use crate::size::IndexSizeEstimate;
 use crate::spec::IndexKind;
 use samplecf_compression::{
@@ -278,8 +284,8 @@ fn stored_cells(schema: &Schema, stored: &[usize]) -> Vec<StoredCell> {
     stored.iter().enumerate().map(cell_at).collect()
 }
 
-/// Sizes entries as the tree [`IndexBuilder`](crate::IndexBuilder) would pack
-/// from them and [`measure_index`] would report — without the tree.
+/// Sizes entries as the tree [`IndexBuilder`] would pack from them and
+/// [`measure_index`] would report — without the tree.
 ///
 /// Leaf records are one length and the fill rule is arithmetic: leaf `p`
 /// holds entries `p × entries_per_leaf ..` of the key order, whichever they
@@ -290,10 +296,8 @@ fn stored_cells(schema: &Schema, stored: &[usize]) -> Vec<StoredCell> {
 ///   cells (borrowed from the entries' arena; no page, slot directory or
 ///   separator) once, prices them under any number of schemes, and reads the
 ///   first key column's statistics off the order on the way (the private
-///   `walk`).  An [`OrderedEntries`] walks a held sample's entries, or one
-///   stratum's; [`measure_run`](Self::measure_run) walks a [`SortedRun`] —
-///   a progressive checkpoint's pooled sample, one stratum of it, or all
-///   of it but one batch — or the whole table's, for the exact CF;
+///   `walk`).  An [`OrderedEntries`] walks its entries through their
+///   [`KeyOrder`] — all of them, one stratum's, or all but one batch's;
 /// * a scheme that declares [`cell_costs`](CompressionScheme::cell_costs) —
 ///   no order at all.  Each leaf's size is a header fixed by its length plus
 ///   its cells' costs, so a column's size over *any* entries is one header
@@ -384,8 +388,9 @@ impl<'a> RunSizer<'a> {
     ///
     /// # Errors
     /// A first-key cell [`decode_cell`](samplecf_storage::decode_cell) would
-    /// reject is that [`IndexError::Storage`] error; the internal levels'
-    /// are [`IndexSizeEstimate::internal_pages`]'s.
+    /// reject is that [`IndexError::Storage`](crate::IndexError::Storage)
+    /// error; the internal levels' are
+    /// [`IndexSizeEstimate::internal_pages`]'s.
     fn walk<'e>(
         &self,
         at_most: usize,
@@ -487,48 +492,6 @@ impl<'a> RunSizer<'a> {
         })
     }
 
-    /// Size the index over `run`'s entries, less (as a multiset) those of
-    /// `excluded`, that `keep` admits by RID — under every one of `schemes`,
-    /// in one walk: per scheme the report [`measure_index`] gives on the tree
-    /// packed from the same entries, and the first key column's statistics.
-    /// A stratum keeps its pages' RIDs (a subsequence of a sorted run is
-    /// sorted); a delete-one-batch sample excludes that batch's run, a sorted
-    /// sub-multiset of `run` that a cursor consumes.  Equal keys are equal
-    /// entries (the RID is part of the key), so which of several the cursor
-    /// takes cannot show.
-    ///
-    /// # Errors
-    /// Entries left on the cursor mean `excluded` was not drawn from `run`:
-    /// [`IndexError::ExclusionMismatch`], never a silently wrong size.  A run
-    /// whose entry lengths are not those of `(schema, spec)` is
-    /// [`IndexError::InvalidSpec`]; otherwise as [`OrderedEntries::measure`].
-    pub fn measure_run(
-        &self,
-        run: &SortedRun,
-        excluded: Option<&SortedRun>,
-        keep: impl Fn(Rid) -> bool,
-        schemes: &[&dyn CompressionScheme],
-    ) -> IndexResult<(Vec<CompressedIndexReport>, FirstKeyStats)> {
-        self.layout.admit(run)?;
-        excluded.map_or(Ok(()), |x| self.layout.admit(x))?;
-        let key_len = self.layout.key_len;
-        let mut cursor = (excluded.into_iter().flat_map(SortedRun::entries))
-            .map(|x| &x[..key_len])
-            .peekable();
-        let kept = (run.entries())
-            .filter(|entry| cursor.next_if_eq(&&entry[..key_len]).is_none())
-            .filter(|entry| {
-                let rid = &entry[key_len - Rid::ENCODED_LEN..key_len];
-                keep(Rid::decode(rid.try_into().expect("a key ends in its RID")))
-            });
-        let at_most = run.len().saturating_sub(excluded.map_or(0, SortedRun::len));
-        let walked = self.walk(at_most, kept, schemes)?;
-        match cursor.count() {
-            0 => Ok(walked),
-            left_over => Err(IndexError::ExclusionMismatch { left_over }),
-        }
-    }
-
     /// Sums of no entries, for this sizer's stored columns: what
     /// [`add_cell_costs`](Self::add_cell_costs) adds to.
     #[must_use]
@@ -547,22 +510,22 @@ impl<'a> RunSizer<'a> {
     ///
     /// # Errors
     /// A record that is not the schema's record size is
-    /// [`IndexError::Storage`] (`Decode`); the sums may then hold the
-    /// records before it.
+    /// [`IndexError::Storage`](crate::IndexError::Storage) (`Decode`); the
+    /// sums may then hold the records before it.
     ///
     /// # Panics
     /// If `group` names no member of `sums`, or `sums` were made by a sizer
     /// of other stored columns.
-    pub fn add_cell_costs(
+    pub fn add_cell_costs<'r>(
         &self,
-        records: &[(Rid, &[u8])],
+        records: impl IntoIterator<Item = (Rid, &'r [u8])>,
         costs: &CellCosts,
         sums: &mut [RunCellCosts],
         group: impl Fn(usize) -> usize,
     ) -> IndexResult<()> {
         assert!((sums.iter()).all(|sum| sum.per_column.len() == self.cells.len()));
         let stored = &self.layout.stored_indexes;
-        for (i, (_, record)) in records.iter().enumerate() {
+        for (i, (_, record)) in records.into_iter().enumerate() {
             let record = RowRef::new(&self.layout.codec, record)?;
             let sum = &mut sums[group(i)];
             sum.entries += 1;
@@ -586,12 +549,13 @@ impl<'a> RunSizer<'a> {
     ///
     /// # Errors
     /// A page so small that an internal page holds a single separator key is
-    /// [`IndexError::InvalidSpec`], as when building.
+    /// [`IndexError::InvalidSpec`](crate::IndexError::InvalidSpec), as when
+    /// building.
     ///
     /// # Panics
     /// If `excluded` holds more than `pooled` does.  Sums cannot show a
-    /// foreign batch the way the walk's cursor does: `excluded` must have
-    /// been [`merge`](RunCellCosts::merge)d into `pooled`.
+    /// foreign batch: `excluded` must have been
+    /// [`merge`](RunCellCosts::merge)d into `pooled`.
     pub fn price(
         &self,
         scheme: &dyn CompressionScheme,
@@ -620,48 +584,84 @@ impl<'a> RunSizer<'a> {
     }
 }
 
-/// One input's entries — a held sample's records — encoded once and ordered
-/// by key: every scheme's size, every stratum's and the first key column's
-/// statistics are walks through this one order, and no tree is packed for
-/// any of them (see [`RunSizer`]).
+/// Some records' entries, encoded once and put in key order: every
+/// scheme's size, every stratum's, every delete-one-batch sample's and the
+/// first key column's statistics are walks through the one order, and no
+/// tree is packed for any of them (see [`RunSizer`]).
 ///
-/// Made by [`IndexBuilder::order_records`](crate::IndexBuilder::order_records),
-/// which sorts, or
-/// [`IndexBuilder::encode_in_order`](crate::IndexBuilder::encode_in_order),
-/// which reuses a [`KeyOrder`] that call sorted.  The order depends on the
-/// key columns alone, so it serves every candidate index over them,
-/// whatever its kind or name.
+/// Made empty by [`IndexBuilder::entries`], perhaps from a [`KeyOrder`] an
+/// earlier measure sorted over a prefix of the records to come.  Records are [`extend`](Self::extend)ed in, batch by
+/// batch, and [`order`](Self::order) sorts only the entries past the order's
+/// end and merges them in.  The order depends on the key columns alone, so
+/// it serves every candidate index over them, whatever its kind or name.
 pub struct OrderedEntries<'a> {
     sizer: RunSizer<'a>,
     /// The entries as encoded: entry `i` is input `i`.
     arena: Vec<u8>,
-    /// `arena`'s entry numbers, sorted by key.
+    /// Entry numbers sorted by key: all of `arena`'s, once ordered.
     order: Arc<KeyOrder>,
+    /// Whose thread count a sort of new entries may use.
+    builder: IndexBuilder,
 }
 
 impl<'a> OrderedEntries<'a> {
-    pub(crate) fn new(sizer: RunSizer<'a>, arena: Vec<u8>, order: Arc<KeyOrder>) -> Self {
+    pub(crate) fn new(sizer: RunSizer<'a>, order: Arc<KeyOrder>, builder: IndexBuilder) -> Self {
         OrderedEntries {
             sizer,
-            arena,
+            arena: Vec::new(),
             order,
+            builder,
         }
     }
 
     /// Number of entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.arena.len() / self.sizer.layout.stride()
     }
 
     /// Whether there are no entries.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.arena.is_empty()
+    }
+
+    /// Encode `records`, heap records of the schema, as the next entries.
+    /// Until [`order`](Self::order)ed, they are in no order.
+    ///
+    /// # Errors
+    /// A record that is not the schema's record size is
+    /// [`IndexError::Storage`](crate::IndexError::Storage) (`Decode`); the
+    /// entries before it are kept.
+    pub fn extend<'r>(
+        &mut self,
+        records: impl IntoIterator<Item = (Rid, &'r [u8])>,
+    ) -> IndexResult<()> {
+        let records = records.into_iter();
+        let stride = self.sizer.layout.stride();
+        self.arena.reserve(records.size_hint().0 * stride);
+        self.sizer.layout.encode_records(records, &mut self.arena)
+    }
+
+    /// Put every entry in key order: the entries past the order's end are
+    /// sorted and merged in.  Returns how many were sorted — none when the
+    /// order already covered them all.
+    ///
+    /// # Errors
+    /// An order this was made from that covers more entries than there are
+    /// is [`IndexError::InvalidSpec`](crate::IndexError::InvalidSpec); so is
+    /// more than `u32::MAX` entries.
+    pub fn order(&mut self) -> IndexResult<usize> {
+        let sorted = self.len() - self.order.len().min(self.len());
+        if sorted > 0 || self.order.len() > self.len() {
+            let (layout, workers) = (&self.sizer.layout, self.builder.workers(sorted));
+            self.order = Arc::new(self.order.extended(&self.arena, layout, workers)?);
+        }
+        Ok(sorted)
     }
 
     /// The order the entries are walked in — to hold beside the records and
-    /// hand back to [`IndexBuilder::encode_in_order`](crate::IndexBuilder::encode_in_order).
+    /// hand back to [`IndexBuilder::entries`].
     #[must_use]
     pub fn key_order(&self) -> &Arc<KeyOrder> {
         &self.order
@@ -675,9 +675,13 @@ impl<'a> OrderedEntries<'a> {
     ///
     /// # Errors
     /// A first-key cell [`decode_cell`](samplecf_storage::decode_cell)
-    /// rejects is that [`IndexError::Storage`] error; a page so small that
-    /// an internal page holds a single separator key is
-    /// [`IndexError::InvalidSpec`], as when building.
+    /// rejects is that [`IndexError::Storage`](crate::IndexError::Storage)
+    /// error; a page so small that an internal page holds a single
+    /// separator key is [`IndexError::InvalidSpec`](crate::IndexError::InvalidSpec),
+    /// as when building.
+    ///
+    /// # Panics
+    /// If entries were extended in since the last [`order`](Self::order).
     pub fn measure(
         &self,
         schemes: &[&dyn CompressionScheme],
@@ -686,13 +690,14 @@ impl<'a> OrderedEntries<'a> {
     }
 
     /// [`measure`](Self::measure) over the entries whose input number `keep`
-    /// admits — one stratum of a stratified sample, say.  A subsequence of a
-    /// sorted sequence is sorted: nothing is sorted again.
+    /// admits — one stratum of a stratified sample, or all but one batch.  A
+    /// subsequence of a sorted sequence is sorted: nothing is sorted again.
     pub fn measure_where(
         &self,
         keep: impl Fn(usize) -> bool,
         schemes: &[&dyn CompressionScheme],
     ) -> IndexResult<(Vec<CompressedIndexReport>, FirstKeyStats)> {
+        assert_eq!(self.order.len(), self.len(), "entries measured unordered");
         let stride = self.sizer.layout.stride();
         let kept = self.order.entries().iter().filter(|&&i| keep(i as usize));
         let entries = kept.map(|&i| &self.arena[i as usize * stride..][..stride]);

@@ -15,13 +15,6 @@ pub enum IndexError {
     Compression(CompressionError),
     /// The index has no entries where at least one was required.
     Empty(String),
-    /// A run to exclude was not a sub-multiset of the run it was excluded
-    /// from.
-    ExclusionMismatch {
-        /// Entries of the excluded run left over after the walk: the first
-        /// one that had no counterpart, and every entry behind it.
-        left_over: usize,
-    },
 }
 
 impl fmt::Display for IndexError {
@@ -31,10 +24,6 @@ impl fmt::Display for IndexError {
             IndexError::Storage(e) => write!(f, "storage error: {e}"),
             IndexError::Compression(e) => write!(f, "compression error: {e}"),
             IndexError::Empty(msg) => write!(f, "empty index: {msg}"),
-            IndexError::ExclusionMismatch { left_over } => write!(
-                f,
-                "excluded run is not part of the run: {left_over} of its entries were left over"
-            ),
         }
     }
 }
@@ -77,9 +66,9 @@ mod tests {
         assert!(IndexError::InvalidSpec("no keys".into())
             .to_string()
             .contains("no keys"));
-        assert!(IndexError::ExclusionMismatch { left_over: 3 }
+        assert!(IndexError::Empty("no rows".into())
             .to_string()
-            .contains("3 of its entries"));
+            .contains("no rows"));
     }
 
     #[test]

@@ -22,16 +22,17 @@
 //!   advisor prices the uncompressed side of a candidate for free),
 //! * [`OrderedEntries`] / [`RunSizer`] — the same reports without the tree:
 //!   one walk of entries in key order sizes them under any number of schemes
-//!   and reads the first key column's [`FirstKeyStats`] off the order.  A
-//!   held sample is sorted once per key ([`IndexBuilder::order_records`]),
-//!   keeps that [`KeyOrder`] beside its rows, and is walked through it —
-//!   whole, or a stratum at a time, re-encoded but never re-sorted
-//!   ([`IndexBuilder::encode_in_order`]); a progressive checkpoint or the
-//!   exact CF walks a [`SortedRun`] ([`RunSizer::measure_run`]).  For a
-//!   cell-additive scheme no order is needed: rows are summed, unsorted, into
-//!   [`RunCellCosts`] and [`RunSizer::price`] turns any sum — a progressive
-//!   run's pooled sample, a stratum, a delete-one-batch sample — into the
-//!   whole report by arithmetic.
+//!   and reads the first key column's [`FirstKeyStats`] off the order —
+//!   whole, a stratum at a time, or all but one batch.  Entries are encoded
+//!   batch by batch ([`IndexBuilder::entries`], [`OrderedEntries::extend`])
+//!   and their [`KeyOrder`] grows by sorting only the entries past its end
+//!   and merging them in ([`OrderedEntries::order`]), so a held sample that
+//!   keeps its order beside its rows is never sorted twice, deepened or
+//!   not.  For a cell-additive scheme no order is needed: rows are summed,
+//!   unsorted, into [`RunCellCosts`] and [`RunSizer::price`] turns any sum —
+//!   a pooled sample, a stratum, a delete-one-batch sample — into the whole
+//!   report by arithmetic.  ([`SortedRun`] is the packed oracle's
+//!   accumulator; no estimator keeps one.)
 //!
 //! ## Quickstart
 //!

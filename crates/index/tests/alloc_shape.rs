@@ -149,12 +149,16 @@ fn encoding_and_sorting_a_run_allocates_a_handful_of_times_not_per_row() {
         );
         let encoded = encode(&rows);
         let records = records(&encoded);
-        let (count, from_records) =
-            allocations(|| SortedRun::from_records(&schema, &records, &spec).unwrap());
-        assert_eq!(from_records.len(), ROWS);
+        let builder = IndexBuilder::new();
+        let (count, ordered) =
+            allocations(|| builder.order_records(&schema, &records, &spec).unwrap());
+        assert_eq!(ordered.len(), ROWS);
+        // The run's handful, plus what the entries keep to be walked and
+        // grown later: the layout's codec, the sizer's cells, the order's
+        // key columns behind an `Arc`.
         assert!(
-            count <= 16,
-            "from_records over {ROWS} records: {count} allocations"
+            count <= 24,
+            "order_records over {ROWS} records: {count} allocations"
         );
     }
 }
@@ -165,37 +169,56 @@ fn merging_runs_allocates_the_merged_arena_and_nothing_per_entry() {
     let spec = IndexSpec::nonclustered("i", ["name"]).unwrap();
     let (evens, odds): (Vec<_>, Vec<_>) =
         rows.iter().cloned().partition(|(rid, _)| rid.slot % 2 == 0);
-    let evens = SortedRun::from_rows(&schema, &evens, &spec).unwrap();
-    let odds = SortedRun::from_rows(&schema, &odds, &spec).unwrap();
+    let runs = [&evens, &odds].map(|rows| SortedRun::from_rows(&schema, rows, &spec).unwrap());
 
-    // The one-shot estimator's "merge": the first batch into an empty run.
-    let (count, pooled) = allocations(|| SortedRun::new().into_merged(&evens));
+    let (count, pooled) = allocations(|| SortedRun::new().merge(&runs[0]));
     assert_eq!(pooled.len(), evens.len());
     assert!(count <= 4, "merging into an empty run: {count} allocations");
-    let (count, pooled) = allocations(|| pooled.into_merged(&odds));
+    let (count, pooled) = allocations(|| pooled.merge(&runs[1]));
     assert_eq!(pooled.len(), ROWS);
     assert!(
         count <= 4,
         "merging two interleaved runs: {count} allocations"
     );
-    // Nothing to merge in: the accumulator is moved, not copied.
-    let (count, pooled) = allocations(|| pooled.into_merged(&SortedRun::new()));
-    assert_eq!((count, pooled.len()), (0, ROWS));
+
+    // A key order grown by a delta: the delta's sort buffers and the merged
+    // permutation, whatever the entry count.
+    let builder = IndexBuilder::new();
+    let interleaved: Vec<(Rid, Row)> = [evens, odds].concat();
+    let encoded = encode(&interleaved);
+    let records = records(&encoded);
+    let half = builder
+        .order_records(&schema, &records[..ROWS / 2], &spec)
+        .unwrap();
+    let mut grown = builder
+        .entries(&schema, &spec, Some(Arc::clone(half.key_order())))
+        .unwrap();
+    grown.extend(records.iter().copied()).unwrap();
+    let (count, sorted) = allocations(|| grown.order().unwrap());
+    assert_eq!(sorted, ROWS - ROWS / 2);
+    assert!(count <= 8, "merging a sorted delta: {count} allocations");
+    let fresh = builder.order_records(&schema, &records, &spec).unwrap();
+    assert_eq!(grown.key_order(), fresh.key_order());
 }
 
 #[test]
 fn a_delete_one_batch_walk_allocates_per_leaf_page_not_per_entry() {
     let (schema, rows) = (schema(), rows());
     let spec = IndexSpec::clustered("i", ["name"]).unwrap();
-    let batch = SortedRun::from_rows(&schema, &rows[..ROWS / 10], &spec).unwrap();
-    let rest = SortedRun::from_rows(&schema, &rows[ROWS / 10..], &spec).unwrap();
-    let pooled = batch.merge(&rest);
+    let encoded = encode(&rows);
+    let records = records(&encoded);
     let builder = IndexBuilder::new().page_size(1024);
-    let sizer = builder.sizer(&schema, &spec).unwrap();
+    // Two batches, the first a tenth of the rows, ordered as they come.
+    let mut ordered = builder.entries(&schema, &spec, None).unwrap();
+    for batch in [&records[..ROWS / 10], &records[ROWS / 10..]] {
+        ordered.extend(batch.iter().copied()).unwrap();
+        ordered.order().unwrap();
+    }
     // RLE sizes a chunk without allocating, so the counts are the walk's.
     let scheme = RunLengthEncoding;
 
     // The route the walk replaced: pack the kept entries, measure the tree.
+    let rest = SortedRun::from_rows(&schema, &rows[ROWS / 10..], &spec).unwrap();
     let (packing, packed) = allocations(|| {
         let tree = builder
             .build_from_sorted_run(&schema, &spec, &rest)
@@ -203,7 +226,7 @@ fn a_delete_one_batch_walk_allocates_per_leaf_page_not_per_entry() {
         measure_index(&tree, &scheme).unwrap()
     });
     let (count, (walked, _)) =
-        allocations(|| (sizer.measure_run(&pooled, Some(&batch), |_| true, &[&scheme])).unwrap());
+        allocations(|| (ordered.measure_where(|i| i >= ROWS / 10, &[&scheme])).unwrap());
     assert_eq!(walked, std::slice::from_ref(&packed));
     assert!(
         packed.leaf_pages * 20 < packed.num_entries,
@@ -276,8 +299,12 @@ fn a_measure_through_a_held_order_allocates_no_sort_buffer() {
     let (sorting, sorted) =
         allocated_bytes(|| builder.order_records(&schema, &records, &spec).unwrap());
     let held = Arc::clone(sorted.key_order());
-    let (walking, reused) =
-        allocated_bytes(|| (builder.encode_in_order(&schema, &records, &spec, held)).unwrap());
+    let (walking, reused) = allocated_bytes(|| {
+        let mut reused = builder.entries(&schema, &spec, Some(held)).unwrap();
+        reused.extend(records.iter().copied()).unwrap();
+        assert_eq!(reused.order().unwrap(), 0);
+        reused
+    });
     // Beyond its arena, the walk through a held order allocates less than
     // the bare `u32` permutation would take — let alone the sort's
     // `(prefix, entry)` pairs the sorting call pays for.
@@ -308,7 +335,7 @@ fn summing_cell_costs_allocates_one_buffer_whatever_the_rows() {
         let mut sums = vec![sizer.empty_cell_costs(); 4];
         let (count, added) = allocations(|| {
             let records = records(encoded);
-            sizer.add_cell_costs(&records, &costs, &mut sums, |i| i % 4)
+            sizer.add_cell_costs(records.iter().copied(), &costs, &mut sums, |i| i % 4)
         });
         added.unwrap();
         let entries: usize = sums.iter().map(RunCellCosts::entries).sum();
@@ -340,7 +367,7 @@ fn pricing_a_checkpoint_or_a_leave_one_out_allocates_only_its_report() {
         let sum = std::slice::from_mut(sum);
         let encoded = encode(batch);
         sizer
-            .add_cell_costs(&records(&encoded), &costs, sum, |_| 0)
+            .add_cell_costs(records(&encoded).iter().copied(), &costs, sum, |_| 0)
             .unwrap();
     }
     let mut pooled = sizer.empty_cell_costs();

@@ -5,7 +5,8 @@
 //! records.  Every record went through [`RowCodec::check`] on its way in,
 //! so a record in a batch is one the table's codec decodes, in the
 //! canonical form `encode(decode(record))`: the estimator slices its cells
-//! and a held sample stores its bytes without making a [`Row`] of it.
+//! and a held sample keeps the batch as it is, without making a [`Row`] of
+//! it.
 //! [`decode`](RecordBatch::decode) makes the `(Rid, Row)` pairs for the
 //! callers that want owned rows.
 //!
@@ -63,11 +64,17 @@ impl RecordBatch {
         (self.rids.iter().copied()).zip(self.arena.chunks_exact(self.record_len))
     }
 
-    /// [`iter`](Self::iter) collected: the borrowed `(Rid, record)` pairs
-    /// the index's record entry points take.
+    /// Bytes the batch holds on to: its arena's and its RID vector's
+    /// capacity.
     #[must_use]
-    pub fn records(&self) -> Vec<(Rid, &[u8])> {
-        self.iter().collect()
+    pub fn retained_bytes(&self) -> usize {
+        self.arena.capacity() + self.rids.capacity() * std::mem::size_of::<Rid>()
+    }
+
+    /// Give back any capacity past the records held.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.arena.shrink_to_fit();
+        self.rids.shrink_to_fit();
     }
 
     /// Decode every record: the `(Rid, Row)` pairs of the batch, in order.
@@ -158,6 +165,7 @@ mod tests {
         ));
         assert_eq!(batch.len(), 2);
         let sliced = batch.slice(1..2);
-        assert_eq!(sliced.records(), [(Rid::new(0, 1), &canonical[..])]);
+        let sliced: Vec<_> = sliced.iter().collect();
+        assert_eq!(sliced, [(Rid::new(0, 1), &canonical[..])]);
     }
 }

@@ -5,26 +5,24 @@
 //! on a disk-resident table that is real I/O.  Re-sampling per candidate
 //! multiplies that cost for no statistical benefit when the candidates share
 //! a (sampler, fraction, seed) configuration.  A [`MaterializedSample`] pays
-//! the I/O exactly once: it draws through any [`TableSource`] and keeps the
-//! sampled rows as encoded heap pages (an owned in-memory [`Table`]), so
-//! every later consumer (one per candidate index × compression scheme) works
-//! from memory.
+//! the I/O exactly once: it draws through any [`TableSource`] and keeps what
+//! the stream drew, so every later consumer (one per candidate index ×
+//! compression scheme) works from memory.
 //!
-//! This is the **only** form a held sample takes: heap pages, the RID each
-//! row came from, and — for stratified draws — each row's stratum tag plus
-//! the population weights.  The pages hold the checked records the stream
-//! drew, appended as they are: no row is decoded or re-encoded on the way
-//! in, and the bytes are those encoding the decoded rows would store.
-//! Consumers measure it through [`records`](MaterializedSample::records),
-//! borrowed slices into those pages; [`rows`](MaterializedSample::rows)
-//! decodes the exact `(Rid, Row)` sequence the sampler produced — same
-//! rows, same order, same duplicates — for oracles and tests that need
-//! owned rows.
+//! This is the **only** form a held sample takes: the stream's
+//! [`RecordBatch`]es as they were drawn, moved in and never re-packed, and
+//! for stratified draws each row's stratum tag plus the population weights.
+//! A measure folds the [`batches`](MaterializedSample::batches) in as a
+//! progressive run folds a stream's; [`rows`](MaterializedSample::rows)
+//! decodes the exact `(Rid, Row)` sequence the sampler produced, for oracles
+//! and tests.
 //!
 //! Beside the rows a sample keeps the [`KeyOrder`]s its measures sorted, at
 //! most one per key: sorting the entries into index order is step 2 of
-//! SampleCF, and a sample whose rows have not changed need not pay it twice
-//! ([`key_order`](MaterializedSample::key_order)).
+//! SampleCF, and a sample need not pay it twice
+//! ([`key_order`](MaterializedSample::key_order)).  A deepening appends
+//! batches and keeps the orders: each covers a prefix of the rows, and the
+//! next measure by its key sorts only the rows past it and merges them in.
 
 use crate::batch::RecordBatch;
 use crate::error::SamplingResult;
@@ -34,22 +32,26 @@ use crate::stream::{BatchSchedule, SampleStream};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use samplecf_index::KeyOrder;
-use samplecf_storage::{Rid, Table, TableSource};
+use samplecf_storage::{Rid, RowCodec, Schema, Table, TableSource};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// An owned, in-memory copy of one drawn sample, tagged with everything
-/// needed to reproduce or share it.
+/// One drawn sample, held in memory as the stream drew it, tagged with
+/// everything needed to reproduce or share it.
 #[derive(Debug, Clone)]
 pub struct MaterializedSample {
-    table: Table,
-    source_rids: Vec<Rid>,
+    /// The stream's batches, in draw order.
+    batches: Vec<RecordBatch>,
+    /// The source's record layout, which the batches' records follow.
+    codec: RowCodec,
+    /// The source's page size, for [`table`](Self::table).
+    page_size: usize,
     source_name: String,
     source_rows: usize,
     source_pages: usize,
     kind: SamplerKind,
     seed: u64,
-    /// Per-row stratum tags, aligned with `source_rids`.  Empty for
-    /// unstratified draws (one implicit stratum).
+    /// Per-row stratum tags, in draw order.  Empty for unstratified draws
+    /// (one implicit stratum).
     row_strata: Vec<u32>,
     /// Population weights `W_s = N_s/N` in tag order.  Empty for
     /// unstratified draws.
@@ -57,17 +59,16 @@ pub struct MaterializedSample {
     key_orders: HeldOrders,
 }
 
-/// The key orders sorted over a sample's current rows, at most one per key.
-/// Behind a lock because measures share the sample by reference; a clone
-/// starts empty, as it only ever precedes an
-/// [`extend_from_stream`](MaterializedSample::extend_from_stream), which
-/// drops them anyway.
-#[derive(Default)]
+/// The key orders measures sorted over a prefix of a sample's rows, at most
+/// one per key.  Behind a lock because measures share the sample by
+/// reference; a clone holds the same orders, which stay orders of a prefix
+/// of the clone's rows however it is extended.
+#[derive(Debug, Default)]
 struct HeldOrders(Mutex<Vec<Arc<KeyOrder>>>);
 
 impl HeldOrders {
-    /// A holder that panicked left the list whole: under the lock it is
-    /// only ever pushed to.
+    /// A holder that panicked left the list whole: under the lock an order
+    /// is only ever pushed or swapped for a longer one.
     fn lock(&self) -> MutexGuard<'_, Vec<Arc<KeyOrder>>> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -75,16 +76,7 @@ impl HeldOrders {
 
 impl Clone for HeldOrders {
     fn clone(&self) -> Self {
-        Self::default()
-    }
-}
-
-impl std::fmt::Debug for HeldOrders {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let held = self.lock();
-        f.debug_list()
-            .entries(held.iter().map(|order| order.key_columns()))
-            .finish()
+        HeldOrders(Mutex::new(self.lock().clone()))
     }
 }
 
@@ -109,31 +101,6 @@ impl MaterializedSample {
         Self::from_stream(source, stream.as_mut(), &mut rng, seed)
     }
 
-    /// Materialize an empty sample shell for `source`, ready to be filled
-    /// by [`extend_from_stream`](Self::extend_from_stream).
-    pub fn empty(
-        source: &dyn TableSource,
-        kind: SamplerKind,
-        seed: u64,
-    ) -> SamplingResult<MaterializedSample> {
-        Ok(MaterializedSample {
-            table: Table::with_page_size(
-                format!("{}#sample", source.name()),
-                source.schema().clone(),
-                source.page_size(),
-            )?,
-            source_rids: Vec::new(),
-            source_name: source.name().to_string(),
-            source_rows: source.num_rows(),
-            source_pages: source.num_pages(),
-            kind,
-            seed,
-            row_strata: Vec::new(),
-            strata_weights: Vec::new(),
-            key_orders: HeldOrders::default(),
-        })
-    }
-
     /// Drive `stream` to exhaustion and materialize everything it drew — the
     /// lossless conversion from a finished [`SampleStream`] into the owned
     /// in-memory form a holder shares (the server's sample cache, the
@@ -147,103 +114,115 @@ impl MaterializedSample {
         rng: &mut dyn RngCore,
         seed: u64,
     ) -> SamplingResult<MaterializedSample> {
-        let mut sample = Self::empty(source, stream.kind(), seed)?;
+        let mut sample = MaterializedSample {
+            batches: Vec::new(),
+            codec: source.codec().clone(),
+            page_size: source.page_size(),
+            source_name: source.name().to_string(),
+            source_rows: source.num_rows(),
+            source_pages: source.num_pages(),
+            kind: stream.kind(),
+            seed,
+            row_strata: Vec::new(),
+            strata_weights: Vec::new(),
+            key_orders: HeldOrders::default(),
+        };
         sample.extend_from_stream(source, stream, rng)?;
         Ok(sample)
     }
 
-    /// Pull every remaining batch from `stream`, appending the new records
-    /// to this sample as they are, and adopt the stream's (possibly
-    /// deepened) sampler configuration.  Returns the number of rows
-    /// appended.
+    /// Pull every remaining batch from `stream`, appending each to this
+    /// sample as it was drawn, and adopt the stream's (possibly deepened)
+    /// sampler configuration.  Returns the number of rows appended.
     ///
     /// This is what lets a cache *deepen* a sample: raise the stream's cap
     /// (`SampleStream::extend_cap`), then extend — the source only pays the
     /// I/O of the delta, and thanks to prefix-stable draws the result holds
     /// exactly the rows a fresh, deeper draw with the same seed would hold.
-    /// The key orders held for the old rows are dropped.
+    /// The key orders held stay, as orders of the rows drawn before.
     pub fn extend_from_stream(
         &mut self,
         source: &dyn TableSource,
         stream: &mut dyn SampleStream,
         rng: &mut dyn RngCore,
     ) -> SamplingResult<usize> {
-        self.key_orders = HeldOrders::default();
-        let before = self.source_rids.len();
+        let before = self.len();
         loop {
-            let batch = stream.next_records(source, rng)?;
+            let mut batch = stream.next_records(source, rng)?;
             if batch.is_empty() {
                 break;
             }
-            self.append(&batch)?;
             if let Some(tags) = stream.batch_strata() {
                 self.row_strata.extend_from_slice(tags);
             }
+            batch.shrink_to_fit();
+            self.batches.push(batch);
         }
         if let Some(weights) = stream.strata_weights() {
             self.strata_weights = weights;
         }
         self.kind = stream.kind();
-        Ok(self.source_rids.len() - before)
+        Ok(self.len() - before)
     }
 
-    /// Store `batch`'s records on the sample's heap pages, remembering
-    /// their source rids.
-    fn append(&mut self, batch: &RecordBatch) -> SamplingResult<()> {
-        for (rid, record) in batch.iter() {
-            self.table.insert_record(record)?;
-            self.source_rids.push(rid);
-        }
-        Ok(())
+    /// The batches drawn, in draw order: what a measure folds in.
+    #[must_use]
+    pub fn batches(&self) -> &[RecordBatch] {
+        &self.batches
+    }
+
+    /// The schema of the sampled rows (the source's).
+    #[must_use]
+    pub fn schema(&self) -> &Schema {
+        self.codec.schema()
+    }
+
+    /// The record layout of the sampled rows (the source's).
+    #[must_use]
+    pub fn codec(&self) -> &RowCodec {
+        &self.codec
     }
 
     /// The sampled rows as an owned in-memory table (named
-    /// `<source>#sample`).  Because [`Table`] implements [`TableSource`],
-    /// the sample itself can feed any consumer that reads tables.
+    /// `<source>#sample`), built on every call — for callers that want the
+    /// rows behind a [`TableSource`]; no measure reads it.
+    ///
+    /// # Panics
+    /// Never for a sample drawn from a [`TableSource`]: its page size was
+    /// valid and each of its records came off such a page.
     #[must_use]
-    pub fn table(&self) -> &Table {
-        &self.table
+    pub fn table(&self) -> Table {
+        let name = format!("{}#sample", self.source_name);
+        let valid = "a source's page size holds its records";
+        let mut table =
+            Table::with_page_size(name, self.schema().clone(), self.page_size).expect(valid);
+        for (_, record) in self.batches.iter().flat_map(RecordBatch::iter) {
+            table.insert_record(record).expect(valid);
+        }
+        table
     }
 
     /// Decode the exact `(Rid, Row)` pairs the sampler produced, in draw
     /// order, with each row's RID in the *source* table — the owned-row view
-    /// for oracles and tests; measurement goes through
-    /// [`records`](Self::records).
+    /// for oracles and tests; measurement folds the
+    /// [`batches`](Self::batches).
     pub fn rows(&self) -> SamplingResult<Vec<SampledRow>> {
-        // `append` inserts exactly one table row per recorded rid, so the
-        // two sides always align.
-        debug_assert_eq!(self.table.num_rows(), self.source_rids.len());
-        Ok(self
-            .source_rids
-            .iter()
-            .zip(self.table.scan())
-            .map(|(&source_rid, (_, row))| (source_rid, row))
-            .collect())
+        let decoded = self.batches.iter().map(|batch| batch.decode(&self.codec));
+        Ok(decoded.collect::<SamplingResult<Vec<_>>>()?.concat())
     }
 
     /// The sampled rows as *borrowed* encoded heap records, in draw order,
-    /// each tagged with its RID in the source table.
-    ///
-    /// The slices point straight into the sample's in-page storage, so a
-    /// consumer that works on encoded records (index bulk-load, the batch
-    /// measure kernels) runs without decoding a cell or cloning a row.  The
-    /// record layout is the table's
-    /// [`RowCodec`](samplecf_storage::RowCodec) layout — fixed cell widths
-    /// behind a null bitmap — available via
-    /// [`table().codec()`](samplecf_storage::Table::codec).
+    /// each tagged with its RID in the source table: the
+    /// [`batches`](Self::batches) collected.  The record layout is
+    /// [`codec`](Self::codec)'s — fixed cell widths behind a null bitmap.
     pub fn records(&self) -> SamplingResult<Vec<(Rid, &[u8])>> {
-        debug_assert_eq!(self.table.num_rows(), self.source_rids.len());
-        Ok(self
-            .source_rids
-            .iter()
-            .zip(self.table.heap().scan())
-            .map(|(&source_rid, (_, record))| (source_rid, record))
-            .collect())
+        Ok(self.batches.iter().flat_map(RecordBatch::iter).collect())
     }
 
-    /// The key order of these rows' [`records`](Self::records) by the key
-    /// columns `key_columns` (schema positions), if one is held: sorted by
-    /// an earlier measure since the rows last changed.
+    /// The key order by the key columns `key_columns` (schema positions)
+    /// that an earlier measure sorted, if one is held: an order of the
+    /// first [`KeyOrder::len`] rows, all of them unless the sample was
+    /// deepened since.
     #[must_use]
     pub fn key_order(&self, key_columns: &[usize]) -> Option<Arc<KeyOrder>> {
         let held = self.key_orders.lock();
@@ -252,40 +231,50 @@ impl MaterializedSample {
             .cloned()
     }
 
-    /// Hold `order`, a key order of these rows' records, for later measures
-    /// by the same key columns.  Of two orders for one key — two measures
-    /// that sorted at once — the first held stays; they are equal.
+    /// Hold `order`, a key order of the first `order.len()` rows, for later
+    /// measures by the same key columns.  It takes the place of a held order
+    /// for the same key that covers fewer rows; of two that cover as many —
+    /// two measures that sorted at once — the first held stays.
     ///
     /// # Panics
-    /// If `order` does not order exactly this sample's rows.
+    /// If `order` orders more rows than this sample holds.
     pub fn hold_key_order(&self, order: Arc<KeyOrder>) {
-        assert_eq!(order.len(), self.len(), "a key order of other rows");
+        assert!(order.len() <= self.len(), "a key order of other rows");
         let mut held = self.key_orders.lock();
-        if held.iter().all(|o| o.key_columns() != order.key_columns()) {
-            held.push(order);
+        match held
+            .iter_mut()
+            .find(|o| o.key_columns() == order.key_columns())
+        {
+            Some(shorter) if shorter.len() < order.len() => *shorter = order,
+            Some(_) => {}
+            None => held.push(order),
         }
     }
 
-    /// Bytes the held key orders take: four per row per key held.
+    /// Bytes the sample holds on to: its batches' records and RIDs, its
+    /// stratum tags and its key orders (four bytes per row each covers).
     #[must_use]
-    pub fn key_order_bytes(&self) -> usize {
-        self.key_orders
+    pub fn retained_bytes(&self) -> usize {
+        let orders = self
+            .key_orders
             .lock()
             .iter()
-            .map(|order| order.bytes())
-            .sum()
+            .map(|o| o.bytes())
+            .sum::<usize>();
+        let batches = self.batches.iter().map(RecordBatch::retained_bytes);
+        batches.sum::<usize>() + self.row_strata.capacity() * std::mem::size_of::<u32>() + orders
     }
 
     /// Number of sampled rows (duplicates counted, as drawn).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.source_rids.len()
+        self.batches.iter().map(RecordBatch::len).sum()
     }
 
     /// Whether the sample is empty (an empty source yields an empty sample).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.source_rids.is_empty()
+        self.batches.is_empty()
     }
 
     /// Name of the table the sample was drawn from.
@@ -474,7 +463,7 @@ mod tests {
     }
 
     #[test]
-    fn a_held_key_order_lasts_until_the_rows_change() {
+    fn a_held_key_order_outlives_a_deepening_as_an_order_of_a_prefix() {
         use samplecf_index::{IndexBuilder, IndexSpec};
         let t = table(2_000);
         let mut stream = SamplerKind::Block(0.05)
@@ -483,11 +472,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut sample = MaterializedSample::from_stream(&t, stream.as_mut(), &mut rng, 4).unwrap();
         let spec = IndexSpec::nonclustered("i", ["a"]).unwrap();
-        let records = sample.records().unwrap();
-        let sorted = IndexBuilder::new()
-            .order_records(sample.table().schema(), &records, &spec)
-            .unwrap();
-        let order = Arc::clone(sorted.key_order());
+        let builder = IndexBuilder::new();
+        let order_of = |sample: &MaterializedSample| {
+            let records = sample.records().unwrap();
+            let sorted = builder.order_records(sample.schema(), &records, &spec);
+            Arc::clone(sorted.unwrap().key_order())
+        };
+        let order = order_of(&sample);
         assert!(sample.key_order(&[0]).is_none());
         sample.hold_key_order(Arc::clone(&order));
         // A second order for the same key (two measures that sorted at
@@ -495,18 +486,35 @@ mod tests {
         sample.hold_key_order(Arc::new((*order).clone()));
         let held = sample.key_order(&[0]).expect("held");
         assert!(Arc::ptr_eq(&held, &order));
-        assert_eq!(sample.key_order_bytes(), 4 * sample.len());
-        // A copy starts without orders: it is only made to be extended.
-        assert_eq!(sample.clone().key_order_bytes(), 0);
-        // Deepening changes the rows: their orders go.
-        drop((records, sorted, held));
+        // An unstratified sample holds its batches and its orders.
+        let orders = |sample: &MaterializedSample| {
+            let batches = sample.batches().iter().map(RecordBatch::retained_bytes);
+            sample.retained_bytes() - batches.sum::<usize>()
+        };
+        assert_eq!(orders(&sample), 4 * sample.len());
+        // A copy holds the same orders.
+        assert_eq!(orders(&sample.clone()), 4 * sample.len());
+        // Deepening appends rows and keeps the order, now of a prefix...
+        let shallow = sample.len();
         assert!(stream.extend_cap(SamplerKind::Block(0.1)));
         let added = sample
             .extend_from_stream(&t, stream.as_mut(), &mut rng)
             .unwrap();
         assert!(added > 0);
-        assert!(sample.key_order(&[0]).is_none());
-        assert_eq!(sample.key_order_bytes(), 0);
+        let held = sample.key_order(&[0]).expect("still held");
+        assert!(Arc::ptr_eq(&held, &order));
+        assert_eq!(orders(&sample), 4 * shallow);
+        // ...which a measure grows by sorting only the rows past it: the
+        // order a sort of every row gives, taking the shorter one's place.
+        let records = sample.records().unwrap();
+        let mut grown = builder.entries(sample.schema(), &spec, Some(held)).unwrap();
+        grown.extend(records.iter().copied()).unwrap();
+        assert_eq!(grown.order().unwrap(), added);
+        assert_eq!(grown.key_order(), &order_of(&sample));
+        sample.hold_key_order(Arc::clone(grown.key_order()));
+        assert_eq!(orders(&sample), 4 * sample.len());
+        sample.hold_key_order(order);
+        assert_eq!(sample.key_order(&[0]).unwrap().len(), sample.len());
     }
 
     #[test]
@@ -517,10 +525,11 @@ mod tests {
         let sample = MaterializedSample::draw(&t, SamplerKind::Block(0.05), 4).unwrap();
         let records = sample.records().unwrap();
         let spec = IndexSpec::nonclustered("i", ["a"]).unwrap();
-        let fewer = IndexBuilder::new()
-            .order_records(sample.table().schema(), &records[1..], &spec)
+        let more = [&records[..], &records[..1]].concat();
+        let longer = IndexBuilder::new()
+            .order_records(sample.schema(), &more, &spec)
             .unwrap();
-        sample.hold_key_order(Arc::clone(fewer.key_order()));
+        sample.hold_key_order(Arc::clone(longer.key_order()));
     }
 
     #[test]
@@ -576,7 +585,7 @@ mod tests {
         let rows = sample.rows().unwrap();
         let records = sample.records().unwrap();
         assert_eq!(records.len(), rows.len());
-        let codec = sample.table().codec();
+        let codec = sample.codec();
         for ((rec_rid, rec), (row_rid, row)) in records.iter().zip(&rows) {
             assert_eq!(rec_rid, row_rid, "records keep draw order and rids");
             assert_eq!(&codec.decode(rec).unwrap(), row);

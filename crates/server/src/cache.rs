@@ -22,7 +22,7 @@
 //!   of an existing group's family extends the cached sample through its
 //!   live stream ([`CachedSample::deepen`]), paying only the delta's I/O.
 //!   The shallow key retires; snapshots handed out earlier are immutable
-//!   and unaffected (a deepen copies the sample's pages first only while
+//!   and unaffected (a deepen copies the sample's batches first only while
 //!   some request still holds the shallower snapshot).
 //! * **A byte budget bounds residency** — every entry is priced by
 //!   [`CachedSample::approx_bytes`], the key orders its measures left with
@@ -44,14 +44,14 @@ use rand::SeedableRng;
 use samplecf_core::CoreResult;
 use samplecf_obs::{Counter, Gauge, MetricsRegistry};
 use samplecf_sampling::{BatchSchedule, MaterializedSample, SampleStream, SamplerKind};
-use samplecf_storage::{CountingSource, Rid, SharedSource};
+use samplecf_storage::{CountingSource, SharedSource};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// One held sample plus its cost accounting.
 ///
 /// The entry holds the sample in its one form — a [`MaterializedSample`]
-/// (heap pages + source rids + stratum tags) behind an [`Arc`], so
+/// (the drawn batches, stratum tags and key orders) behind an [`Arc`], so
 /// concurrent requests can keep an immutable snapshot and measure it with
 /// [`measure_sample`](samplecf_core::measure_sample) outside any lock.
 /// Entries are [`draw`](Self::draw)n and [`deepen`](Self::deepen)ed in
@@ -63,7 +63,7 @@ pub struct CachedSample {
     seed: u64,
     /// Behind an [`Arc`] so a snapshot handed out earlier survives a later
     /// [`deepen`](Self::deepen): deepening extends in place when the entry
-    /// is the only holder and copies the pages first when it is not.
+    /// is the only holder and copies the batches first when it is not.
     sample: Arc<MaterializedSample>,
     pages_read: u64,
     /// Live draw state, held only while the stream can still be extended
@@ -120,7 +120,7 @@ impl CachedSample {
     /// same seed would hold (as a multiset — batches arrive rid-sorted per
     /// chunk), and its cumulative [`pages_read`](Self::pages_read) equals
     /// that fresh draw's cost.  The key orders held for the shallower rows
-    /// are dropped.
+    /// stay: the next measure by one sorts only the new rows.
     pub fn deepen(&mut self, kind: SamplerKind) -> CoreResult<Option<u64>> {
         if !self.deepenable_to(kind) {
             return Ok(None);
@@ -168,17 +168,13 @@ impl CachedSample {
     }
 
     /// This entry's resident size in bytes — exactly what it retains: the
-    /// sample's heap pages, its source-rid vector and stratum tags, the key
-    /// orders measures left with it (four bytes per row per key), and any
-    /// state the live stream holds for deepening (rid frame, cached
+    /// sample's batches (record arenas and RIDs), its stratum tags, the key
+    /// orders measures left with it (four bytes per row each covers), and
+    /// any state the live stream holds for deepening (rid frame, cached
     /// pages).  This is the unit the cache's byte budget evicts against.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        let table = self.sample.table();
-        table.num_pages() * table.page_size()
-            + self.sample.len() * std::mem::size_of::<Rid>()
-            + std::mem::size_of_val(self.sample.row_strata())
-            + self.sample.key_order_bytes()
+        self.sample.retained_bytes()
             + (self.stream.as_ref()).map_or(0, |(stream, _)| stream.approx_retained_bytes())
     }
 }
@@ -655,12 +651,12 @@ impl std::fmt::Debug for ConcurrentSampleCache {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use samplecf_compression::NullSuppression;
+    use samplecf_compression::RunLengthEncoding;
     use samplecf_core::{measure_sample, SampleCf};
     use samplecf_datagen::presets;
     use samplecf_index::{IndexBuilder, IndexSpec};
     use samplecf_storage::{
-        IntoShared, Page, PageId, RowCodec, Schema, StorageResult, TableSource,
+        IntoShared, Page, PageId, Rid, RowCodec, Schema, StorageResult, TableSource,
     };
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Barrier;
@@ -784,9 +780,9 @@ pub(crate) mod tests {
             assert_eq!(entry.pages_read(), fresh.pages_read());
             // The live stream's retained state is priced into the entry at
             // what it holds — the rid frame plus one source page per physical
-            // read — beside the sample's pages and rids.
+            // read — beside the sample's records and rids.
             assert_eq!(
-                entry.approx_bytes() - pages_and_rids(&entry),
+                entry.approx_bytes() - records_and_rids(&entry),
                 t.num_rows() * std::mem::size_of::<Rid>()
                     + entry.pages_read() as usize * t.page_size()
                     + entry.sample().len() * shuffle_bytes_per_row
@@ -796,29 +792,29 @@ pub(crate) mod tests {
     }
 
     /// What an unstratified entry without a stream or key orders retains:
-    /// its heap pages and one source rid per row.
-    fn pages_and_rids(entry: &CachedSample) -> usize {
+    /// each row's checked record and its source rid, no more — the batches
+    /// are held as drawn, their spare capacity given back.
+    fn records_and_rids(entry: &CachedSample) -> usize {
         let sample = entry.sample();
-        sample.table().num_pages() * sample.table().page_size()
-            + sample.len() * std::mem::size_of::<Rid>()
+        sample.len() * (sample.codec().record_size() + std::mem::size_of::<Rid>())
     }
 
     #[test]
     fn a_sealed_entry_prices_exactly_its_pages_and_rids() {
         // A scan sampler's stream is finished by its one scan: the entry
-        // never keeps it — nor the decoded rows it held — so it is priced
-        // at its pages and rids, no per-row decoded term, and can never be
-        // picked to deepen.
+        // never keeps it — nor the records it held — so it is priced at its
+        // rows' records and rids, no page and no per-row decoded term, and
+        // can never be picked to deepen.
         let t = table("t", 37);
         let live = CachedSample::draw(&t, SamplerKind::Block(0.2), 5).unwrap();
-        assert!(live.approx_bytes() > pages_and_rids(&live), "live stream");
+        assert!(live.approx_bytes() > records_and_rids(&live), "live stream");
         for (kind, deeper) in [
             (SamplerKind::Reservoir(100), SamplerKind::Reservoir(400)),
             (SamplerKind::Bernoulli(0.05), SamplerKind::Bernoulli(0.1)),
             (SamplerKind::Systematic(0.05), SamplerKind::Systematic(0.1)),
         ] {
             let mut drawn = CachedSample::draw(&t, kind, 5).unwrap();
-            assert_eq!(drawn.approx_bytes(), pages_and_rids(&drawn), "{kind:?}");
+            assert_eq!(drawn.approx_bytes(), records_and_rids(&drawn), "{kind:?}");
             assert!(!drawn.deepenable_to(deeper), "{kind:?}");
             assert_eq!(drawn.deepen(deeper).unwrap(), None);
         }
@@ -1164,8 +1160,11 @@ pub(crate) mod tests {
             .into_shared()
     }
 
+    /// A measure that walks a key order (null suppression would sum cell
+    /// costs and hold none).
     fn measure(sample: &MaterializedSample, spec: &IndexSpec) {
-        measure_sample(sample, spec, &NullSuppression, &IndexBuilder::new()).unwrap();
+        let walks = RunLengthEncoding;
+        measure_sample(sample, spec, &walks, &IndexBuilder::new()).unwrap();
     }
 
     #[test]
@@ -1200,15 +1199,16 @@ pub(crate) mod tests {
         acquire(shallow);
         assert_eq!(charged(), base + 8 * rows);
 
-        // A deepen changes the rows, and drops their orders.
+        // A deepen appends rows and keeps both orders, of the rows before.
         drop(drawn);
         let deepened = acquire(deep);
         assert_eq!(deepened.disposition, CacheDisposition::Deepened);
         let deep_base = CachedSample::draw(&shared, deep, 1).unwrap().approx_bytes();
-        assert_eq!(charged(), deep_base);
+        assert_eq!(charged(), deep_base + 8 * rows);
+        // A measure by one key grows its order to every row.
         measure(&deepened.sample, &by_status);
         assert_eq!(acquire(deep).disposition, CacheDisposition::Hit);
-        assert_eq!(charged(), deep_base + 4 * deepened.sample.len());
+        assert_eq!(charged(), deep_base + 4 * deepened.sample.len() + 4 * rows);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::catalog::CatalogEntry;
 use crate::protocol::{codes, ApiError, IndexChoice, Request, SampleSpec, StoppingSpec};
 use crate::response::{Accounting, Measured, Response};
 use crate::service::ServiceState;
-use samplecf_core::{measure_sample_schemes, KeyOrderSource, ProgressiveCf};
+use samplecf_core::{measure_sample_schemes, KeyOrderOutcome, ProgressiveCf};
 use samplecf_index::IndexBuilder;
 use samplecf_storage::TableSource;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -89,14 +89,14 @@ impl ServiceState {
         // A stratified sample carries its tags and weights, so this is the
         // weighted per-stratum combination there and the pooled CF
         // otherwise — `SampleCf::estimate` bit-for-bit either way.
-        let (mut measurements, source) = measure_sample_schemes(
+        let (mut measurements, outcome) = measure_sample_schemes(
             &acquired.sample,
             &spec,
             &[scheme.as_ref()],
             &IndexBuilder::new(),
         )
         .map_err(estimate_failed)?;
-        self.gauges.key_orders(source).inc();
+        self.gauges.key_orders(outcome).inc();
         let measurement = measurements.pop().expect("one measurement per scheme");
         Ok(Response::Estimate {
             sample: measured(&entry, sample),
@@ -172,10 +172,12 @@ impl ServiceState {
         self.gauges
             .advisor_candidates
             .add(plan.recommendations.len() as u64);
-        self.gauges.advisor_key_sorts.add(plan.key_sorts as u64);
-        let orders = |source| self.gauges.key_orders(source);
-        orders(KeyOrderSource::Sorted).add(plan.key_sorts as u64);
-        orders(KeyOrderSource::Held).add(plan.key_orders_held as u64);
+        let sorts = plan.key_sorts + plan.key_orders_merged;
+        self.gauges.advisor_key_sorts.add(sorts as u64);
+        let orders = |outcome| self.gauges.key_orders(outcome);
+        orders(KeyOrderOutcome::Sorted).add(plan.key_sorts as u64);
+        orders(KeyOrderOutcome::Merged).add(plan.key_orders_merged as u64);
+        orders(KeyOrderOutcome::Held).add(plan.key_orders_held as u64);
         Ok(Response::Advise {
             sample: measured(&entry, sample),
             plan,

@@ -15,7 +15,7 @@ use crate::cache::ConcurrentSampleCache;
 use crate::catalog::TableCatalog;
 use crate::json::Json;
 use crate::protocol::{codes, error_response, ApiError, Request, RequestKind};
-use samplecf_core::KeyOrderSource;
+use samplecf_core::KeyOrderOutcome::{self, Held, Merged, Sorted};
 use samplecf_obs::{
     Counter, Gauge, Histogram, HwmGauge, MetricsRegistry, Span, Stage, StageTimings,
 };
@@ -54,13 +54,14 @@ pub struct Instruments {
     pub(crate) advisor_naive_pages: Counter,
     /// Candidates evaluated by `advise` requests.
     pub(crate) advisor_candidates: Counter,
-    /// Key orders those evaluations sorted: at most one per key per
-    /// request, none for a key whose order the sample held.
+    /// Sorts those evaluations made, of every row or of the rows a deepening
+    /// added: at most one per key per request, none for a key whose order
+    /// the sample held over every row.
     pub(crate) advisor_key_sorts: Counter,
-    /// Measures of a held sample by where their key order came from
-    /// (`samplecf_key_orders_total{outcome="held"|"sorted"}`), in
-    /// [`KeyOrderSource`] order: `estimate` and `advise` alike.
-    key_orders: [Counter; 2],
+    /// Measures of a held sample by how they came by their key order
+    /// (`samplecf_key_orders_total{outcome="held"|"merged"|"sorted"}`), in
+    /// [`KeyOrderOutcome`] order: `estimate` and `advise` alike.
+    key_orders: [Counter; 3],
     /// Requests whose answering panicked (`samplecf_panics_total`).
     pub(crate) panics: Counter,
     // The connection plane, maintained by the event loop.
@@ -115,10 +116,10 @@ impl Instruments {
             advisor_naive_pages: registry.counter("samplecf_advisor_naive_pages_total"),
             advisor_candidates: registry.counter("samplecf_advisor_evaluated_candidates_total"),
             advisor_key_sorts: registry.counter("samplecf_advisor_key_sorts_total"),
-            key_orders: [KeyOrderSource::Held, KeyOrderSource::Sorted].map(|source| {
+            key_orders: [Held, Merged, Sorted].map(|outcome: KeyOrderOutcome| {
                 registry.counter(&format!(
                     "samplecf_key_orders_total{{outcome=\"{}\"}}",
-                    source.label()
+                    outcome.label()
                 ))
             }),
             panics: registry.counter("samplecf_panics_total"),
@@ -132,9 +133,9 @@ impl Instruments {
         }
     }
 
-    /// The counter of measures whose key order came from `source`.
-    pub(crate) fn key_orders(&self, source: KeyOrderSource) -> &Counter {
-        &self.key_orders[source as usize]
+    /// The counter of measures whose key order came about as `outcome`.
+    pub(crate) fn key_orders(&self, outcome: KeyOrderOutcome) -> &Counter {
+        &self.key_orders[outcome as usize]
     }
 
     /// The request queue's current depth (set by enqueue/dequeue sites;
@@ -686,7 +687,7 @@ mod tests {
 
         // Every checkpoint is counted under the route its scheme picked:
         // null suppression (the default) prices cell sums, a dictionary
-        // merges and walks sorted runs (`tree`).
+        // walks the key order (`tree`).
         let priced = |route: &str| {
             let name = format!("samplecf_progressive_pricing_total{{route=\"{route}\"}}");
             match state.metrics.snapshot().get(&name) {

@@ -3,13 +3,15 @@
 //!
 //! The cache keeps, beside each sample, the key order every measure of it
 //! sorted, and later measures by the same key columns walk that order
-//! instead of sorting again.  Here every `estimate` and `advise` `result`
+//! instead of sorting again — or, after a deepening, sort only the rows it
+//! added and merge them in.  Here every `estimate` and `advise` `result`
 //! is rendered next to the one `measure_sample` (or
 //! `CompressionAdvisor::plan`) gives over a fresh `MaterializedSample::draw`
 //! that holds no order, and the two must be the same bytes: for all seven
 //! samplers and all six schemes, on a miss, on a hit, on a hit under a
-//! second (multi-column) key, on the deepening that drops the orders, and
-//! on the hits after it — clustered and non-clustered candidates alike.
+//! second (multi-column) key, on the deepening whose next measure by each
+//! key merges, and on the hits after it — clustered and non-clustered
+//! candidates alike.
 
 use samplecf_compression::{scheme_by_name, scheme_names, CompressionScheme};
 use samplecf_core::{measure_sample, AdvisorConfig, CompressionAdvisor};
@@ -245,7 +247,8 @@ fn served_estimates_equal_fresh_draws_through_every_held_order_state() {
             let first = ["miss", sampler.deeper][step];
             // The first request draws (or deepens); every later one hits,
             // under the first key (its order held) and the second (sorted
-            // once, then held).
+            // once, then held).  After a deepening the first measure by each
+            // key merges the new rows into the order held.
             for key in 0..2 {
                 for (i, scheme) in schemes.iter().enumerate() {
                     let cache = if (key, i) == (0, 0) { first } else { "hit" };
@@ -267,9 +270,15 @@ fn served_estimates_equal_fresh_draws_through_every_held_order_state() {
             other => panic!("{name}: {other:?}"),
         }
     };
-    // Per sampler and step, one sort per key; the rest walk held orders.
+    // Per sampler and step, one order per key: sorted on a miss, merged on
+    // a deepening; the rest walk held orders, whatever their schemes.
+    let deepened = samplers().iter().filter(|s| s.deeper == "deepened").count() as u64;
     let served = 7 * 2 * (2 * schemes.len() as u64 + 1);
-    assert_eq!((orders("sorted"), orders("held")), (28, served - 28));
+    let (sorted, merged) = (2 * (7 + 7 - deepened), 2 * deepened);
+    assert_eq!(
+        (orders("sorted"), orders("merged"), orders("held")),
+        (sorted, merged, served - sorted - merged)
+    );
 }
 
 #[test]
@@ -298,10 +307,20 @@ fn served_advice_equals_fresh_draws_through_every_held_order_state() {
         Some(samplecf_obs::MetricValue::Counter(n)) => *n,
         other => panic!("{name}: {other:?}"),
     };
-    // Per sampler and step: each key sorted once, by its first advise's
+    // Per sampler and step: each key sorted once — or, after a deepening,
+    // the new rows sorted and merged once — by its first advise's
     // non-clustered measure; every other measure — the clustered one
     // beside it, and both in each later advise — walks the held order.
+    let deepened = samplers().iter().filter(|s| s.deeper == "deepened").count() as u64;
     assert_eq!(counter("samplecf_advisor_key_sorts_total"), 7 * 2 * 2);
+    assert_eq!(
+        counter("samplecf_key_orders_total{outcome=\"sorted\"}"),
+        2 * (7 + 7 - deepened)
+    );
+    assert_eq!(
+        counter("samplecf_key_orders_total{outcome=\"merged\"}"),
+        2 * deepened
+    );
     assert_eq!(
         counter("samplecf_key_orders_total{outcome=\"held\"}"),
         7 * 2 * (5 * 2 - 2)

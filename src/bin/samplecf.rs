@@ -75,7 +75,7 @@ PROGRESSIVE ESTIMATION (`estimate --target-error E` runs the
 estimate_progressive request instead):
 {progressive}
 The sample grows in geometric batches; after each batch the CF is
-re-measured from the accumulated sorted run and its variance jackknifed
+re-measured from the accumulated key order and its variance jackknifed
 over the batches.  The run stops when the Chebyshev CI at the requested
 confidence is tighter than --target-error, or at --max-fraction.  A run
 that reaches the cap is byte-identical to a one-shot estimate at that
