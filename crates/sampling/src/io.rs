@@ -16,8 +16,8 @@ pub use samplecf_storage::CountingSource;
 mod tests {
     use super::*;
     use crate::stream::tests::draw;
-    use crate::SamplerKind;
-    use samplecf_storage::{Row, Schema, Table, TableBuilder, TableSource, Value};
+    use crate::{SamplerKind, Strata};
+    use samplecf_storage::{Frame, Row, Schema, Table, TableBuilder, Value};
     use std::collections::HashSet;
 
     fn table(n: usize) -> Table {
@@ -77,7 +77,9 @@ mod tests {
     fn sampling_frame_is_metadata_and_costs_no_pages() {
         let t = table(500);
         let counting = CountingSource::new(&t);
-        assert_eq!(TableSource::rids(&counting).unwrap().len(), 500);
+        assert_eq!(Frame::of(&counting).len(), 500);
+        let strata = Strata::equi_depth(&counting, 4).unwrap();
+        assert_eq!(strata.total_rows(), 500);
         assert_eq!(counting.pages_read(), 0);
     }
 }

@@ -20,13 +20,15 @@
 //!   coincide; on ragged fills equi-depth equalises the statistical weight
 //!   `W_s = N_s/N` instead of the physical extent.
 //!
-//! Both are computed from the metadata-backed RID frame
-//! ([`TableSource::rids`]) — no data page is read to build a partition.
+//! Both are computed from the table's [`Frame`] — no data page is read and
+//! nothing the size of the table is built.  A stratum's rows are a range of
+//! frame positions: `row_bounds[s]` is
+//! [`Frame::rows_before`]`(page_bounds[s])`.
 //!
 //! [`SamplerKind::Stratified`]: crate::SamplerKind::Stratified
 
 use crate::error::{SamplingError, SamplingResult};
-use samplecf_storage::{PageId, Rid, TableSource};
+use samplecf_storage::{Frame, PageId, TableSource};
 
 /// A partition of a table's pages into contiguous ranges, with the row
 /// bookkeeping stratified estimators need (per-stratum row counts and
@@ -38,9 +40,8 @@ pub struct Strata {
     /// increasing, starting at 0 and ending at the page count.  Empty for an
     /// empty table (zero strata).
     page_bounds: Vec<usize>,
-    /// Row-frame boundaries: stratum `s` covers frame positions
-    /// `row_bounds[s]..row_bounds[s+1]` of the RID frame the strata were
-    /// built from.
+    /// Frame boundaries: stratum `s` covers frame positions
+    /// `row_bounds[s]..row_bounds[s+1]`.
     row_bounds: Vec<usize>,
 }
 
@@ -50,29 +51,20 @@ impl Strata {
     ///
     /// `count` is clamped to the page count, so every stratum holds at
     /// least one page; an empty table yields zero strata.  Errors only on
-    /// `count == 0` or a failed frame read.
+    /// `count == 0`.
     pub fn equi_width(source: &dyn TableSource, count: usize) -> SamplingResult<Strata> {
-        let rids = source.rids()?;
-        Self::equi_width_from_frame(&rids, source.num_pages(), count)
-    }
-
-    /// [`equi_width`](Self::equi_width) over an already-fetched RID frame
-    /// (which must be in storage order, as [`TableSource::rids`] yields it).
-    pub fn equi_width_from_frame(
-        rids: &[Rid],
-        num_pages: usize,
-        count: usize,
-    ) -> SamplingResult<Strata> {
+        let frame = Frame::of(source);
+        let num_pages = frame.pages();
         let count = validate_count(count, num_pages)?;
         if count == 0 {
-            return Ok(Strata::empty());
+            return Ok(Self::from_page_bounds(frame, Vec::new()));
         }
         // Page boundary s sits at round(s·P/count): ranges differ by at
         // most one page and tile [0, P) exactly.
-        let page_bounds: Vec<usize> = (0..=count)
+        let page_bounds = (0..=count)
             .map(|s| ((s * num_pages) as f64 / count as f64).round() as usize)
             .collect();
-        Ok(Self::from_page_bounds(rids, page_bounds))
+        Ok(Self::from_page_bounds(frame, page_bounds))
     }
 
     /// Partition `source`'s pages into `count` contiguous ranges holding
@@ -81,29 +73,13 @@ impl Strata {
     ///
     /// Same clamping and edge behaviour as [`equi_width`](Self::equi_width).
     pub fn equi_depth(source: &dyn TableSource, count: usize) -> SamplingResult<Strata> {
-        let rids = source.rids()?;
-        Self::equi_depth_from_frame(&rids, source.num_pages(), count)
-    }
-
-    /// [`equi_depth`](Self::equi_depth) over an already-fetched RID frame.
-    pub fn equi_depth_from_frame(
-        rids: &[Rid],
-        num_pages: usize,
-        count: usize,
-    ) -> SamplingResult<Strata> {
+        let frame = Frame::of(source);
+        let num_pages = frame.pages();
         let count = validate_count(count, num_pages)?;
         if count == 0 {
-            return Ok(Strata::empty());
+            return Ok(Self::from_page_bounds(frame, Vec::new()));
         }
-        // Rows at or before each page boundary, from the frame alone.
-        let mut cum_rows = vec![0usize; num_pages + 1];
-        for rid in rids {
-            cum_rows[rid.page as usize + 1] += 1;
-        }
-        for p in 0..num_pages {
-            cum_rows[p + 1] += cum_rows[p];
-        }
-        let total = rids.len() as f64;
+        let total = frame.len() as f64;
         let mut page_bounds = Vec::with_capacity(count + 1);
         page_bounds.push(0usize);
         for s in 1..count {
@@ -114,29 +90,19 @@ impl Strata {
             let hi = num_pages - (count - s);
             let best = (lo..=hi)
                 .min_by(|&a, &b| {
-                    let da = (cum_rows[a] as f64 - ideal).abs();
-                    let db = (cum_rows[b] as f64 - ideal).abs();
+                    let da = (frame.rows_before(a) as f64 - ideal).abs();
+                    let db = (frame.rows_before(b) as f64 - ideal).abs();
                     da.partial_cmp(&db).expect("row counts are finite")
                 })
                 .expect("lo <= hi is guaranteed by count <= num_pages");
             page_bounds.push(best);
         }
         page_bounds.push(num_pages);
-        Ok(Self::from_page_bounds(rids, page_bounds))
+        Ok(Self::from_page_bounds(frame, page_bounds))
     }
 
-    fn empty() -> Strata {
-        Strata {
-            page_bounds: Vec::new(),
-            row_bounds: Vec::new(),
-        }
-    }
-
-    fn from_page_bounds(rids: &[Rid], page_bounds: Vec<usize>) -> Strata {
-        let row_bounds: Vec<usize> = page_bounds
-            .iter()
-            .map(|&p| rids.partition_point(|rid| (rid.page as usize) < p))
-            .collect();
+    fn from_page_bounds(frame: Frame, page_bounds: Vec<usize>) -> Strata {
+        let row_bounds = page_bounds.iter().map(|&p| frame.rows_before(p)).collect();
         Strata {
             page_bounds,
             row_bounds,
@@ -161,8 +127,8 @@ impl Strata {
         self.page_bounds[s]..self.page_bounds[s + 1]
     }
 
-    /// The RID-frame index range of stratum `s` — the contiguous slice of
-    /// the frame the stratum's rows live in.
+    /// The frame positions of stratum `s` — the contiguous range of the
+    /// frame the stratum's rows live in.
     #[must_use]
     pub fn row_range(&self, s: usize) -> std::ops::Range<usize> {
         self.row_bounds[s]..self.row_bounds[s + 1]
@@ -295,13 +261,19 @@ mod tests {
 
     #[test]
     fn equi_width_is_derivable_from_metadata_alone() {
-        // The property the cache/wire path relies on: recomputing the
-        // partition from (frame, page count, k) matches the source-based
-        // constructor.
+        // The property the cache/wire path relies on: the partition is a
+        // function of the frame and k, so a source that only answers the
+        // metadata (and reads no page) cuts the same strata.
         let t = table(700);
-        let rids = samplecf_storage::TableSource::rids(&t).unwrap();
+        let counting = samplecf_storage::CountingSource::new(&t);
         let a = Strata::equi_width(&t, 5).unwrap();
-        let b = Strata::equi_width_from_frame(&rids, t.num_pages(), 5).unwrap();
-        assert_eq!(a, b);
+        assert_eq!(Strata::equi_width(&counting, 5).unwrap(), a);
+        assert_eq!(counting.pages_read(), 0);
+        let frame = Frame::of(&t);
+        for s in 0..a.len() {
+            let pages = a.page_range(s);
+            let rows = frame.rows_before(pages.start)..frame.rows_before(pages.end);
+            assert_eq!(a.row_range(s), rows);
+        }
     }
 }

@@ -2,9 +2,12 @@
 //! page-range strata.
 //!
 //! A [`StratifiedStream`] is the one stream that draws *positions* of the
-//! RID frame.  It splits the row budget `round(f·n)` across the strata of
-//! a [`Strata`] partition and draws uniformly within each stratum, fetching
-//! the drawn positions page-coalesced through one [`PageCache`].
+//! table's [`Frame`].  It splits the row budget `round(f·n)` across the
+//! strata of a [`Strata`] partition and draws uniformly within each stratum,
+//! mapping the drawn positions to RIDs by the frame's arithmetic and
+//! fetching them page-coalesced through one [`PageCache`].  Binding a
+//! stream to its source reads no page and allocates nothing the size of the
+//! table: the frame is two counts and a stratum is a range of positions.
 //!
 //! **The uniform draws are its one-stratum case.**  With one stratum there
 //! is nothing to allocate, so positions come straight from the shared
@@ -51,7 +54,7 @@ use crate::stream::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use samplecf_storage::{Rid, TableSource};
+use samplecf_storage::{Frame, TableSource};
 
 /// Floor for fed-back stratum standard deviations, so a stratum whose
 /// measured variance is (so far) zero keeps receiving a trickle of draws
@@ -73,7 +76,7 @@ enum Positions {
 
 /// State bound on the first batch, once the stream has seen the source.
 struct BoundFrame {
-    rids: Vec<Rid>,
+    frame: Frame,
     strata: Strata,
     /// Cumulative row targets from the batch schedule.
     plan: BatchPlan,
@@ -206,25 +209,21 @@ impl StratifiedStream {
         if self.frame.is_some() {
             return Ok(());
         }
-        let rids = source.rids()?;
+        let frame = Frame::of(source);
         let (count, _, mode) = self.design();
         let strata = match mode {
-            StrataMode::EquiWidth => {
-                Strata::equi_width_from_frame(&rids, source.num_pages(), count)?
-            }
-            StrataMode::EquiDepth => {
-                Strata::equi_depth_from_frame(&rids, source.num_pages(), count)?
-            }
+            StrataMode::EquiWidth => Strata::equi_width(source, count)?,
+            StrataMode::EquiDepth => Strata::equi_depth(source, count)?,
         };
         let fraction = (self.kind.fraction()).expect("row-position kinds have a fraction");
-        let max_rows = target_size(rids.len(), fraction);
-        let plan = BatchPlan::new(self.schedule, rids.len(), max_rows);
+        let max_rows = target_size(frame.len(), fraction);
+        let plan = BatchPlan::new(self.schedule, frame.len(), max_rows);
         // Multi-stratum draws get independent per-stratum RNGs, derived
         // from the shared RNG in stratum order at bind time: one next_u64
         // each, so the derivation itself is part of the deterministic
         // prefix.  A one-stratum draw derives nothing.
         let positions = if matches!(self.kind, SamplerKind::UniformWithoutReplacement(_)) {
-            Positions::Shuffle(IncrementalFisherYates::new(rids.len()))
+            Positions::Shuffle(IncrementalFisherYates::new(frame.len()))
         } else if strata.len() > 1 {
             Positions::PerStratum(
                 (0..strata.len())
@@ -236,7 +235,7 @@ impl StratifiedStream {
         };
         let count = strata.len();
         self.frame = Some(BoundFrame {
-            rids,
+            frame,
             strata,
             plan,
             positions,
@@ -272,13 +271,7 @@ impl SampleStream for StratifiedStream {
                 continue;
             }
             let positions = frame.draw_positions(s, extra, rng);
-            fetch_positions_coalesced(
-                source,
-                &frame.rids,
-                &positions,
-                &mut self.cache,
-                &mut batch,
-            )?;
+            fetch_positions_coalesced(source, frame.frame, positions, &mut self.cache, &mut batch)?;
             if tagged {
                 self.last_tags.resize(batch.len(), s as u32);
             }
@@ -300,23 +293,20 @@ impl SampleStream for StratifiedStream {
         self.kind = kind;
         if let Some(frame) = self.frame.as_mut() {
             // Re-plan from the rows already drawn: one batch to the new cap.
-            let max_rows = target_size(frame.rids.len(), fraction);
+            let max_rows = target_size(frame.frame.len(), fraction);
             frame.plan.raise_cap(max_rows, self.drawn);
         }
         true
     }
 
     fn approx_retained_bytes(&self) -> usize {
-        // The rid frame, a shuffle's displaced slots and every page the
-        // page cache holds.
-        let frame = self.frame.as_ref().map_or(0, |frame| {
-            let shuffle = match &frame.positions {
-                Positions::Shuffle(shuffle) => shuffle.retained_bytes(),
-                Positions::Shared | Positions::PerStratum(_) => 0,
-            };
-            frame.rids.len() * std::mem::size_of::<Rid>() + shuffle
+        // A shuffle's displaced slots and every page the page cache holds;
+        // the frame itself is two counts.
+        let shuffle = (self.frame.as_ref()).map_or(0, |frame| match &frame.positions {
+            Positions::Shuffle(shuffle) => shuffle.retained_bytes(),
+            Positions::Shared | Positions::PerStratum(_) => 0,
         });
-        frame + self.cache.bytes_cached()
+        shuffle + self.cache.bytes_cached()
     }
 
     fn batch_strata(&self) -> Option<&[u32]> {

@@ -57,7 +57,7 @@ use crate::sampler::{target_size, validate_fraction, SampledRow};
 use crate::stratified::StratifiedStream;
 use crate::uniform::{KeepRule, ScanStream};
 use rand::{Rng, RngCore};
-use samplecf_storage::{Page, PageId, Rid, TableSource};
+use samplecf_storage::{Frame, Page, PageId, Rid, TableSource};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -243,9 +243,9 @@ pub trait SampleStream: Send + Sync {
     }
 
     /// Approximate bytes of state this stream retains between batches for
-    /// a later deepening (rid frame, shuffle, cached pages).  Holders with
-    /// a memory budget (the server's sample cache) charge this against the
-    /// entry; dropping the stream releases it.  Only an
+    /// a later deepening (a shuffle's displaced slots, cached pages).
+    /// Holders with a memory budget (the server's sample cache) charge this
+    /// against the entry; dropping the stream releases it.  Only an
     /// [`extendable`](Self::extendable) stream is held, so a stream that
     /// cannot be deepened keeps the default.
     fn approx_retained_bytes(&self) -> usize {
@@ -362,23 +362,23 @@ impl PageCache {
     }
 }
 
-/// Append the records at the given positions of the RID frame to `batch`,
-/// sorted by RID and page-coalesced through `cache`.
+/// Append the records at the given positions of `frame` to `batch`, sorted
+/// by RID and page-coalesced through `cache`.
 ///
-/// The records come in RID order (duplicates adjacent) rather than draw
-/// order — an order the estimator is insensitive to, since the index bulk
-/// load re-sorts by key anyway — and each distinct page costs exactly one
+/// The positions are sorted in place — frame order is RID order — so the
+/// records come in RID order (duplicates adjacent) rather than draw order,
+/// an order the estimator is insensitive to, since the index bulk load
+/// re-sorts by key anyway; and each distinct page costs exactly one
 /// physical read, however many drawn rows land on it.
 pub fn fetch_positions_coalesced(
     source: &dyn TableSource,
-    rids: &[Rid],
-    positions: &[usize],
+    frame: Frame,
+    mut positions: Vec<usize>,
     cache: &mut PageCache,
     batch: &mut RecordBatch,
 ) -> SamplingResult<()> {
-    let mut sorted: Vec<usize> = positions.to_vec();
-    sorted.sort_unstable();
-    (sorted.into_iter()).try_for_each(|p| cache.get(source, rids[p], batch))
+    positions.sort_unstable();
+    (positions.into_iter()).try_for_each(|p| cache.get(source, frame.rid(p), batch))
 }
 
 /// An incremental partial Fisher–Yates shuffle over `0..length`.
@@ -476,12 +476,12 @@ pub(crate) mod tests {
         rows
     }
 
-    /// The rows at `positions` of `source`'s rid frame, one
+    /// The rows at `positions` of `source`'s frame, one
     /// [`TableSource::get`] each.
     fn rows_at(source: &dyn TableSource, positions: &[usize]) -> Vec<SampledRow> {
-        let rids = source.rids().unwrap();
+        let frame = Frame::of(source);
         (positions.iter())
-            .map(|&p| (rids[p], source.get(rids[p]).unwrap()))
+            .map(|&p| (frame.rid(p), source.get(frame.rid(p)).unwrap()))
             .collect()
     }
 

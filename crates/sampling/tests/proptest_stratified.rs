@@ -103,9 +103,8 @@ proptest! {
         // stratum exceeds the ideal share by more than one page of rows
         // (boundaries can only move in whole pages).
         if !depth.is_empty() {
-            let rids = t.rids();
             let mut page_rows = vec![0usize; t.num_pages()];
-            for rid in &rids {
+            for (rid, _) in t.scan() {
                 page_rows[rid.page as usize] += 1;
             }
             let max_page_rows = page_rows.iter().copied().max().unwrap_or(0);

@@ -18,7 +18,7 @@ use samplecf_sampling::{
     SampledRow, SamplerKind, SamplingError, StrataMode,
 };
 use samplecf_storage::{
-    DiskTable, Page, PageId, Rid, Row, RowCodec, Schema, StorageError, StorageResult, Table,
+    DiskTable, Frame, Page, PageId, Rid, Row, RowCodec, Schema, StorageError, StorageResult, Table,
     TableBuilder, TableSource, Value,
 };
 use std::collections::BTreeSet;
@@ -62,13 +62,13 @@ fn drain_batches(
     }
 }
 
-/// The rows at `positions` of the rid frame, in position order, one
+/// The rows at `positions` of the frame, in position order, one
 /// `source.get` each — what a coalesced fetch of them must return.
 fn rows_at(source: &dyn TableSource, mut positions: Vec<usize>) -> Vec<SampledRow> {
-    let rids = source.rids().unwrap();
+    let frame = Frame::of(source);
     positions.sort_unstable();
     (positions.iter())
-        .map(|&p| (rids[p], source.get(rids[p]).unwrap()))
+        .map(|&p| (frame.rid(p), source.get(frame.rid(p)).unwrap()))
         .collect()
 }
 
@@ -159,28 +159,29 @@ struct PagesSource {
 }
 
 impl PagesSource {
-    /// Two pages of five good rows each; page 1 additionally carries a
-    /// record of the wrong length in slot 5.
+    /// A full page of good rows, then a page of five good rows and, in
+    /// slot 5, a record of the wrong length — laid out as the frame says,
+    /// so position `i` holds `row(i)`.
     fn with_a_malformed_record() -> Self {
         let codec = RowCodec::new(Schema::single_char("a", 32));
-        let pages = (0..2u32)
-            .map(|pid| {
-                let mut page = Page::new(pid, 512).unwrap();
-                for i in 0..5 {
-                    let record = codec.encode(&row(pid as usize * 5 + i)).unwrap();
-                    page.insert(&record).unwrap().unwrap();
-                }
-                page
-            })
-            .collect::<Vec<_>>();
-        let mut source = PagesSource {
+        let mut pages = vec![Page::new(0, 512).unwrap(), Page::new(1, 512).unwrap()];
+        let mut i = 0;
+        while let Some(_slot) = pages[0].insert(&codec.encode(&row(i)).unwrap()).unwrap() {
+            i += 1;
+        }
+        for i in i..i + 5 {
+            pages[1]
+                .insert(&codec.encode(&row(i)).unwrap())
+                .unwrap()
+                .unwrap();
+        }
+        pages[1].insert(b"torn").unwrap().unwrap();
+        PagesSource {
             codec,
             pages,
             fail_next_read: AtomicBool::new(false),
             reads: AtomicU64::new(0),
-        };
-        source.pages[1].insert(b"torn").unwrap().unwrap();
-        source
+        }
     }
 }
 
@@ -224,22 +225,32 @@ impl TableSource for PagesSource {
 #[test]
 fn a_malformed_record_only_fails_the_draw_that_asks_for_it() {
     let source = PagesSource::with_a_malformed_record();
-    let rids = source.rids().unwrap();
-    assert_eq!(rids.len(), 11);
+    let frame = Frame::of(&source);
+    let per_page = frame.rows_per_page();
+    assert_eq!(frame.len(), per_page + 6);
     let reads_before = source.reads.load(Ordering::Relaxed);
     let mut cache = PageCache::new();
-    // Positions 5..10 are the good rows of the page holding the torn record.
+    // Positions per_page.. are the good rows of the page holding the torn
+    // record.
+    let (first, last) = (per_page, per_page + 4);
     let mut batch = RecordBatch::new(source.codec());
-    fetch_positions_coalesced(&source, &rids, &[9, 0, 5, 9], &mut cache, &mut batch).unwrap();
-    let expected: Vec<SampledRow> = [0usize, 5, 9, 9]
+    fetch_positions_coalesced(
+        &source,
+        frame,
+        vec![last, 0, first, last],
+        &mut cache,
+        &mut batch,
+    )
+    .unwrap();
+    let expected: Vec<SampledRow> = [0, first, last, last]
         .iter()
-        .map(|&i| (rids[i], row(i)))
+        .map(|&i| (frame.rid(i), row(i)))
         .collect();
     assert_eq!(batch.decode(source.codec()).unwrap(), expected);
     // Drawing the torn slot itself is the codec's error, not a panic.
     let mut batch = RecordBatch::new(source.codec());
-    let err =
-        fetch_positions_coalesced(&source, &rids, &[5, 10], &mut cache, &mut batch).unwrap_err();
+    let torn = vec![first, last + 1];
+    let err = fetch_positions_coalesced(&source, frame, torn, &mut cache, &mut batch).unwrap_err();
     assert!(
         matches!(err, SamplingError::Storage(StorageError::Decode(_))),
         "{err:?}"
@@ -289,4 +300,70 @@ fn a_failed_page_read_is_not_cached_so_a_retry_reads_again() {
     assert_eq!(rows, [row(2), row(4)]);
     assert_eq!(source.reads.load(Ordering::Relaxed), 2);
     assert_eq!(cache.bytes_cached(), 512);
+}
+
+/// A table that reports more rows than its pages hold — what a file header
+/// whose counts disagree would say, had `DiskTable::open` not refused it.
+struct Overcounted<'a> {
+    inner: &'a Table,
+    rows: usize,
+}
+
+impl TableSource for Overcounted<'_> {
+    fn name(&self) -> &str {
+        "overcounted"
+    }
+
+    fn schema(&self) -> &Schema {
+        self.inner.schema()
+    }
+
+    fn codec(&self) -> &RowCodec {
+        self.inner.codec()
+    }
+
+    fn num_rows(&self) -> usize {
+        self.rows
+    }
+
+    fn num_pages(&self) -> usize {
+        self.inner.num_pages()
+    }
+
+    fn page_size(&self) -> usize {
+        self.inner.page_size()
+    }
+
+    fn read_page(&self, id: PageId) -> StorageResult<Page> {
+        self.inner.read_page(id)
+    }
+}
+
+#[test]
+fn a_row_draw_over_counts_that_disagree_is_a_typed_invalid_rid() {
+    let t = table(100);
+    let source = Overcounted {
+        inner: &t,
+        rows: 4 * Frame::of(&t).rows_per_page() * t.num_pages(),
+    };
+    for kind in [
+        SamplerKind::UniformWithReplacement(0.5),
+        SamplerKind::UniformWithoutReplacement(0.5),
+        SamplerKind::Stratified {
+            fraction: 0.5,
+            strata: 4,
+            alloc: Allocation::Neyman,
+            mode: StrataMode::EquiDepth,
+        },
+    ] {
+        let mut stream = kind.stream(BatchSchedule::one_shot()).unwrap();
+        let err = (stream.next_records(&source, &mut StdRng::seed_from_u64(1))).unwrap_err();
+        match err {
+            SamplingError::Storage(StorageError::InvalidRid { page, slot }) => {
+                let rid = Rid::new(page, slot);
+                assert!(t.get(rid).is_err(), "{kind:?}: {rid} is a row");
+            }
+            other => panic!("{kind:?}: expected InvalidRid, got {other:?}"),
+        }
+    }
 }

@@ -170,8 +170,9 @@ impl CachedSample {
     /// This entry's resident size in bytes — exactly what it retains: the
     /// sample's batches (record arenas and RIDs), its stratum tags, the key
     /// orders measures left with it (four bytes per row each covers), and
-    /// any state the live stream holds for deepening (rid frame, cached
-    /// pages).  This is the unit the cache's byte budget evicts against.
+    /// any state the live stream holds for deepening (a shuffle's displaced
+    /// slots, cached pages; the sampling frame is arithmetic and costs
+    /// nothing).  This is the unit the cache's byte budget evicts against.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
         self.sample.retained_bytes()
@@ -699,9 +700,6 @@ pub(crate) mod tests {
             }
             self.inner.read_page(id)
         }
-        fn rids(&self) -> StorageResult<Vec<Rid>> {
-            self.inner.rids()
-        }
     }
 
     fn counted_table(rows: usize, seed: u64) -> (Arc<CountingSource<SharedSource>>, SharedSource) {
@@ -779,12 +777,12 @@ pub(crate) mod tests {
             assert_eq!(a, b, "{deep:?}");
             assert_eq!(entry.pages_read(), fresh.pages_read());
             // The live stream's retained state is priced into the entry at
-            // what it holds — the rid frame plus one source page per physical
-            // read — beside the sample's records and rids.
+            // what it holds — one source page per physical read, and a
+            // shuffle's displaced slots; no frame — beside the sample's
+            // records and rids.
             assert_eq!(
                 entry.approx_bytes() - records_and_rids(&entry),
-                t.num_rows() * std::mem::size_of::<Rid>()
-                    + entry.pages_read() as usize * t.page_size()
+                entry.pages_read() as usize * t.page_size()
                     + entry.sample().len() * shuffle_bytes_per_row
             );
             assert_eq!(entry.sample().len(), fresh.sample().len());
@@ -1020,7 +1018,7 @@ pub(crate) mod tests {
     #[test]
     fn lru_eviction_respects_the_byte_budget() {
         // A block entry is priced by its sample alone; a live uniform entry
-        // also by the rid frame and the pages its stream holds for deepening.
+        // also by the pages its stream holds for deepening.
         for kind in [
             SamplerKind::Block(0.1),
             SamplerKind::UniformWithReplacement(0.1),

@@ -10,13 +10,14 @@
 //! CLI, the advisor's plan report and the page-count tests of
 //! `tests/end_to_end.rs` all read it from this wrapper.
 //!
-//! The sampling frame ([`rids`](TableSource::rids)) and the size metadata
-//! are delegated to the wrapped source uncounted: a real engine answers
-//! those from its catalog and allocation maps, not from data pages.
+//! The size metadata is delegated to the wrapped source uncounted, so the
+//! sampling [`Frame`](crate::source::Frame) computed from it costs no page
+//! read either: a real engine answers those from its catalog and allocation
+//! maps, not from data pages.
 
 use crate::error::StorageResult;
 use crate::page::Page;
-use crate::rid::{PageId, Rid};
+use crate::rid::PageId;
 use crate::row::RowCodec;
 use crate::schema::Schema;
 use crate::source::{PageRead, TableSource};
@@ -116,18 +117,13 @@ impl<S: Deref<Target: TableSource> + Send + Sync> TableSource for CountingSource
     // `get` and `scan_rows` intentionally use the trait
     // defaults so that every row access is accounted as the page read it
     // costs on disk-resident data.
-
-    fn rids(&self) -> StorageResult<Vec<Rid>> {
-        // Metadata, not data pages — answered by the source's own frame.
-        self.inner.rids()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::row::Row;
-    use crate::source::{IntoShared, SharedSource};
+    use crate::source::{Frame, IntoShared, SharedSource};
     use crate::table::{Table, TableBuilder};
     use crate::value::Value;
     use std::sync::Arc;
@@ -149,7 +145,7 @@ mod tests {
         counting.reset();
         assert_eq!(counting.pages_read(), 0);
         // The frame is metadata: it costs no page reads.
-        assert_eq!(counting.rids().unwrap().len(), 500);
+        assert_eq!(Frame::of(&counting).len(), 500);
         assert_eq!(counting.pages_read(), 0);
     }
 
@@ -157,7 +153,7 @@ mod tests {
     fn point_lookup_costs_one_page_read() {
         let t = table(200);
         let counting = CountingSource::new(&t);
-        let rid = t.rids()[17];
+        let rid = Frame::of(&t).rid(17);
         let row = TableSource::get(&counting, rid).unwrap();
         assert_eq!(row.value(0), &Value::str("v000017"));
         assert_eq!(counting.pages_read(), 1);
@@ -175,7 +171,7 @@ mod tests {
         assert_eq!(counting.pages_read(), num_pages);
         counting.reset();
         assert_eq!(counting.pages_read(), 0);
-        assert_eq!(counting.rids().unwrap().len(), 400);
+        assert_eq!(Frame::of(&*counting).len(), 400);
         assert_eq!(counting.pages_read(), 0, "the frame is metadata");
         assert_eq!(counting.inner().name(), "t");
     }

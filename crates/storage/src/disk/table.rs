@@ -10,11 +10,11 @@
 use crate::disk::file::DiskHeapFile;
 use crate::disk::format;
 use crate::error::{StorageError, StorageResult};
-use crate::page::{Page, PAGE_HEADER_SIZE, SLOT_SIZE};
+use crate::page::Page;
 use crate::rid::{PageId, Rid};
 use crate::row::{Row, RowCodec};
 use crate::schema::Schema;
-use crate::source::{PageRead, TableSource};
+use crate::source::{Frame, PageRead, TableSource};
 use crate::table::Table;
 use std::path::Path;
 
@@ -49,11 +49,10 @@ impl DiskTable {
     /// # Errors
     /// Everything [`DiskHeapFile::open`] rejects, an undecodable table meta
     /// block, and — as [`StorageError::InvalidFormat`] — a header whose row
-    /// count its page count cannot hold: records are fixed-width, so
-    /// `num_pages` pages of [`rows_per_page`](DiskTable::rows_per_page) rows
-    /// hold more than `(num_pages − 1) · rows_per_page` rows and at most
-    /// `num_pages · rows_per_page` (no pages, no rows).  The sampling frame
-    /// ([`rids`](TableSource::rids)) is computed from these two counts alone.
+    /// count does not fill exactly its page count: records are fixed-width,
+    /// so the table's [`Frame`] puts `num_rows` rows on
+    /// `ceil(num_rows / rows_per_page)` pages (no pages, no rows).  Row
+    /// draws map positions to RIDs through that frame alone.
     pub fn open(path: impl AsRef<Path>) -> StorageResult<DiskTable> {
         let heap = DiskHeapFile::open(path)?;
         let (name, schema) = format::decode_table_meta(heap.meta())?;
@@ -62,16 +61,12 @@ impl DiskTable {
             codec: RowCodec::new(schema),
             heap,
         };
-        let (rows, pages, per_page) = (table.num_rows(), table.num_pages(), table.rows_per_page());
-        let fewest = match pages.checked_sub(1) {
-            None => 0,
-            Some(full_pages) => full_pages.saturating_mul(per_page).saturating_add(1),
-        };
-        let most = pages.saturating_mul(per_page);
-        if rows < fewest || rows > most {
+        let (rows, pages, frame) = (table.num_rows(), table.num_pages(), Frame::of(&table));
+        if frame.len() != rows || frame.pages() != pages {
             return Err(StorageError::InvalidFormat(format!(
-                "header records {rows} rows, but {pages} pages of {per_page} rows each hold \
-                 {fewest} to {most}"
+                "header records {rows} rows on {pages} pages, but at {} rows a page they fill {}",
+                frame.rows_per_page(),
+                frame.pages()
             )));
         }
         Ok(table)
@@ -126,14 +121,13 @@ impl DiskTable {
         self.heap.file_len()
     }
 
-    /// How many rows fit on one page.  Records are fixed-width
-    /// ([`RowCodec::record_size`]), so this is a constant of the schema and
-    /// page size, and every page except the last is filled to exactly this
-    /// count.
+    /// How many rows fit on one page ([`Frame::rows_per_page`]).  Records
+    /// are fixed-width ([`RowCodec::record_size`]), so this is a constant of
+    /// the schema and page size, and every page except the last is filled
+    /// to exactly this count.
     #[must_use]
     pub fn rows_per_page(&self) -> usize {
-        let per_record = self.codec.record_size() + SLOT_SIZE;
-        (self.heap.page_size() - PAGE_HEADER_SIZE) / per_record
+        Frame::of(self).rows_per_page()
     }
 }
 
@@ -168,24 +162,6 @@ impl TableSource for DiskTable {
 
     fn read_page_ref(&self, id: PageId) -> StorageResult<PageRead<'_>> {
         self.heap.read_page_ref(id)
-    }
-
-    /// The sampling frame, derived from metadata alone (no page reads):
-    /// fixed-width records mean every page but the last holds exactly
-    /// [`rows_per_page`](DiskTable::rows_per_page) rows.
-    fn rids(&self) -> StorageResult<Vec<Rid>> {
-        let n = self.num_rows();
-        let per_page = self.rows_per_page();
-        let pages = self.num_pages();
-        // `open` has checked that the counts agree; taking each page's share
-        // as "what is still owed, at most a page's worth" keeps this loop
-        // bounded by them whatever they are.
-        let mut out = Vec::with_capacity(n.min(pages.saturating_mul(per_page)));
-        for pid in 0..pages {
-            let on_page = per_page.min(n - out.len());
-            out.extend((0..on_page).map(|slot| Rid::new(pid as PageId, slot as u16)));
-        }
-        Ok(out)
     }
 }
 
@@ -265,8 +241,8 @@ mod tests {
         assert_eq!(disk.num_rows(), mem.num_rows());
         assert_eq!(disk.num_pages(), mem.num_pages());
         assert_eq!(disk.page_size(), mem.page_size());
-        // Identical rid frames (same records-per-page packing).
-        assert_eq!(disk.rids().unwrap(), mem.rids());
+        // Identical frames (same records-per-page packing).
+        assert_eq!(Frame::of(&disk), Frame::of(&mem));
         // Identical page payloads, byte for byte.
         for pid in 0..disk.num_pages() {
             let d = disk.read_page(pid as PageId).unwrap();
@@ -292,7 +268,7 @@ mod tests {
                 walked.push(Rid::new(pid as PageId, slot));
             }
         }
-        assert_eq!(t.rids().unwrap(), walked);
+        assert_eq!(Frame::of(&t).iter().collect::<Vec<_>>(), walked);
     }
 
     #[test]
@@ -306,7 +282,7 @@ mod tests {
         let t = DiskTable::open(&path).unwrap();
         assert_eq!(t.num_rows(), 0);
         assert_eq!(t.num_pages(), 0);
-        assert!(t.rids().unwrap().is_empty());
+        assert!(Frame::of(&t).is_empty());
         assert!(t.scan_rows().unwrap().is_empty());
     }
 
@@ -338,8 +314,8 @@ mod tests {
         let path = temp_path("lying_rows");
         let _cleanup = Cleanup(path.clone());
         let (pages, per_page) = hundred_rows(&path);
-        // Never `rids()` on a forged file: before the check existed that
-        // was an unbounded allocation, not a failure.
+        // Asserts on `open`'s result: before the check existed a forged
+        // count was a frame reaching pages the file does not have.
         for (what, forged) in [
             ("too few", 1),
             (
@@ -362,25 +338,44 @@ mod tests {
         for honest in [100, (pages - 1) * per_page + 1, pages * per_page] {
             forge_num_rows(&path, honest);
             let t = DiskTable::open(&path).unwrap();
-            assert_eq!(t.rids().unwrap().len(), honest);
+            assert_eq!(Frame::of(&t).len(), honest);
         }
     }
 
     #[test]
-    fn rids_stay_bounded_on_a_heap_whose_counts_disagree() {
+    fn the_frame_of_a_heap_whose_counts_disagree_reads_a_typed_invalid_rid() {
         let path = temp_path("lying_heap");
         let _cleanup = Cleanup(path.clone());
         let (pages, per_page) = hundred_rows(&path);
-        // Hand `rids()` the heap `open` would have refused.
+        // Hand the frame the heap `open` would have refused.
         let unchecked = |path: &Path| DiskTable {
             name: "t".to_string(),
             codec: RowCodec::new(schema()),
             heap: DiskHeapFile::open(path).unwrap(),
         };
         forge_num_rows(&path, 1);
-        assert_eq!(unchecked(&path).rids().unwrap(), vec![Rid::new(0, 0)]);
-        forge_num_rows(&path, usize::MAX);
-        assert_eq!(unchecked(&path).rids().unwrap().len(), pages * per_page);
+        let t = unchecked(&path);
+        assert_eq!(Frame::of(&t).iter().collect::<Vec<_>>(), [Rid::new(0, 0)]);
+        // A count past the pages is a frame past them: its positions map by
+        // arithmetic alone, and the first one beyond the file is the page
+        // read's typed error, not a panic or another page's row.
+        for forged in [4 * pages * per_page, usize::MAX] {
+            forge_num_rows(&path, forged);
+            let t = unchecked(&path);
+            let frame = Frame::of(&t);
+            assert_eq!((frame.len(), frame.rows_per_page()), (forged, per_page));
+            let past = frame.rid(pages * per_page);
+            assert_eq!(past, Rid::new(pages as PageId, 0));
+            for rid in [past, frame.rid(forged - 1)] {
+                match t.read_page_ref(rid.page) {
+                    Err(StorageError::InvalidRid { page, .. }) => assert_eq!(page, rid.page),
+                    other => panic!("{forged} rows, {rid:?}: expected InvalidRid, got {other:?}"),
+                }
+            }
+        }
+        // A page that holds no row holds no frame.
+        assert!(Frame::new(100, 0).is_empty());
+        assert_eq!(Frame::new(100, 0).pages(), 0);
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! * [`HeapFile`] / [`Table`] — in-memory base tables that samplers draw rows
 //!   and blocks from,
 //! * [`TableSource`] — the read abstraction samplers and the estimator run
-//!   over, implemented by both [`Table`] and [`DiskTable`] — and
+//!   over, implemented by both [`Table`] and [`DiskTable`], with the
+//!   [`Frame`] row samplers draw positions of computed from its metadata —
+//!   and
 //!   [`SharedSource`], its reference-counted `Send + Sync` handle form
 //!   (via [`IntoShared`]) that the owned sample cache and the `samplecfd`
 //!   catalog share across threads,
@@ -89,6 +91,6 @@ pub use page::{
 pub use rid::{PageId, Rid};
 pub use row::{cell_logical_len, decode_cell, encode_cell, Row, RowCodec, CHAR_PAD};
 pub use schema::{Column, Schema};
-pub use source::{IntoShared, PageRead, SharedSource, TableSource};
+pub use source::{Frame, IntoShared, PageRead, SharedSource, TableSource};
 pub use table::{Table, TableBuilder};
 pub use value::Value;

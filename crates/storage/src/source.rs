@@ -8,9 +8,15 @@
 //! [`DiskTable`](crate::disk::DiskTable) — which is what makes the I/O story
 //! of block sampling (paper, Section II-C) real instead of simulated: a
 //! block sample over a `DiskTable` physically reads only the selected pages.
+//!
+//! The sampling frame row samplers draw from is the [`Frame`]: arithmetic
+//! over that metadata, not a list of RIDs.  Records are fixed-width, so
+//! frame position `i` is the row at `(i / rows_per_page, i % rows_per_page)`
+//! of any table, and a row draw maps each position it picks to its RID
+//! without reading a page or allocating anything the size of the table.
 
 use crate::error::StorageResult;
-use crate::page::Page;
+use crate::page::{Page, PAGE_HEADER_SIZE, SLOT_SIZE};
 use crate::rid::{PageId, Rid};
 use crate::row::{Row, RowCodec};
 use crate::schema::Schema;
@@ -70,15 +76,13 @@ impl Deref for PageRead<'_> {
 
 /// A readable source of table pages and rows.
 ///
-/// Required methods describe the table and read one page; everything else
-/// (point lookups, scans, the RID sampling frame) has a default
-/// implementation in terms of [`read_page`](TableSource::read_page), so that
-/// an I/O-counting wrapper which only intercepts `read_page` observes every
-/// physical page access.  Implementations backed by cheap metadata (the
-/// in-memory [`Table`], or [`DiskTable`](crate::disk::DiskTable) with its
-/// fixed-width records) override [`rids`](TableSource::rids) to avoid
-/// touching pages at all — mirroring how a real engine derives the sampling
-/// frame from its allocation map rather than from data pages.
+/// Required methods describe the table and read one page; point lookups and
+/// scans have a default implementation in terms of
+/// [`read_page_ref`](TableSource::read_page_ref), so that an I/O-counting
+/// wrapper which only intercepts the page reads observes every physical page
+/// access.  The sampling frame is no method at all: [`Frame::of`] computes
+/// it from the metadata, the way a real engine derives it from its
+/// allocation map rather than from data pages.
 pub trait TableSource: Send + Sync {
     /// The table name.
     fn name(&self) -> &str;
@@ -131,19 +135,97 @@ pub trait TableSource: Send + Sync {
         Ok(out)
     }
 
-    /// All rids in storage order — the sampling frame row samplers draw from.
+    /// Every RID of the [`Frame`], in storage order, with no page read.
     ///
-    /// The default derives it by reading every page; metadata-backed sources
-    /// override it to answer from bookkeeping alone.
+    /// No library code calls this: a row draw maps the positions it picks
+    /// through [`Frame::rid`] instead.  It stays only for wrappers outside
+    /// the workspace that still forward it.
     fn rids(&self) -> StorageResult<Vec<Rid>> {
-        let mut out = Vec::with_capacity(self.num_rows());
-        for pid in 0..self.num_pages() {
-            let page = self.read_page_ref(pid as PageId)?;
-            for slot in 0..page.slot_count() {
-                out.push(Rid::new(pid as PageId, slot));
-            }
+        Ok(Frame::of(self).iter().collect())
+    }
+}
+
+/// The sampling frame of a table: its rows in storage order, as arithmetic.
+///
+/// Records are fixed-width ([`RowCodec::record_size`]), so a slotted page
+/// holds [`rows_per_page`](Frame::rows_per_page) of them, every page but the
+/// last is full, and frame position `i` is the row at
+/// `(i / rows_per_page, i % rows_per_page)`.  A frame is two counts and
+/// `Copy`; building one reads no page and allocates nothing.
+/// [`DiskTable::open`](crate::disk::DiskTable::open) checks a file header
+/// against the same arithmetic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frame {
+    rows: usize,
+    rows_per_page: usize,
+}
+
+impl Frame {
+    /// A frame of `rows` rows, `rows_per_page` to a page.  A page that
+    /// holds no row holds no frame either: with `rows_per_page == 0` the
+    /// frame is empty.
+    #[must_use]
+    pub(crate) fn new(rows: usize, rows_per_page: usize) -> Frame {
+        let rows = if rows_per_page == 0 { 0 } else { rows };
+        Frame {
+            rows,
+            rows_per_page,
         }
-        Ok(out)
+    }
+
+    /// The frame of `source`, from its metadata alone: its row count, and
+    /// how many records of its codec fit a page of its size.
+    #[must_use]
+    pub fn of<S: TableSource + ?Sized>(source: &S) -> Frame {
+        let per_record = source.codec().record_size() + SLOT_SIZE;
+        let rows_per_page = source.page_size().saturating_sub(PAGE_HEADER_SIZE) / per_record;
+        Frame::new(source.num_rows(), rows_per_page)
+    }
+
+    /// Number of rows (positions) in the frame.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// Whether the frame holds no row.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// How many rows one page holds.
+    #[must_use]
+    pub fn rows_per_page(&self) -> usize {
+        self.rows_per_page
+    }
+
+    /// How many pages the frame's rows fill.
+    #[must_use]
+    pub fn pages(&self) -> usize {
+        self.rows.div_ceil(self.rows_per_page.max(1))
+    }
+
+    /// The RID at frame position `pos` (`pos < len()`).  A page or slot
+    /// number past what a [`Rid`] holds saturates at its maximum, which no
+    /// page holds, so reading it is a typed error rather than another row.
+    #[must_use]
+    pub fn rid(&self, pos: usize) -> Rid {
+        let per_page = self.rows_per_page.max(1);
+        let page = PageId::try_from(pos / per_page).unwrap_or(PageId::MAX);
+        Rid::new(page, u16::try_from(pos % per_page).unwrap_or(u16::MAX))
+    }
+
+    /// Rows on the pages before `page`: the frame position its first row
+    /// sits at, or [`len`](Self::len) past the last page.
+    #[must_use]
+    pub fn rows_before(&self, page: usize) -> usize {
+        page.saturating_mul(self.rows_per_page).min(self.rows)
+    }
+
+    /// Every RID of the frame, in storage order.
+    pub(crate) fn iter(self) -> impl Iterator<Item = Rid> {
+        (0..self.rows).map(move |pos| self.rid(pos))
     }
 }
 
@@ -212,10 +294,6 @@ impl<T: TableSource + ?Sized> TableSource for Arc<T> {
     fn scan_rows(&self) -> StorageResult<Vec<(Rid, Row)>> {
         (**self).scan_rows()
     }
-
-    fn rids(&self) -> StorageResult<Vec<Rid>> {
-        (**self).rids()
-    }
 }
 
 impl std::fmt::Debug for dyn TableSource + '_ {
@@ -270,10 +348,6 @@ impl TableSource for Table {
     fn scan_rows(&self) -> StorageResult<Vec<(Rid, Row)>> {
         Ok(self.scan().collect())
     }
-
-    fn rids(&self) -> StorageResult<Vec<Rid>> {
-        Ok(Table::rids(self))
-    }
 }
 
 #[cfg(test)]
@@ -311,7 +385,7 @@ mod tests {
         assert_eq!(s.num_pages(), t.num_pages());
         assert_eq!(s.page_size(), 256);
         assert_eq!(s.scan_rows().unwrap().len(), 50);
-        assert_eq!(s.rids().unwrap().len(), 50);
+        assert_eq!(Frame::of(s).len(), 50);
     }
 
     #[test]
@@ -348,7 +422,8 @@ mod tests {
         // The handle itself is a TableSource, so `&SharedSource` coerces to
         // `&dyn TableSource` at every existing call site.
         let as_dyn: &dyn TableSource = &shared;
-        assert_eq!(as_dyn.rids().unwrap().len(), 60);
+        assert_eq!(Frame::of(as_dyn), Frame::of(&shared));
+        assert_eq!(Frame::of(as_dyn).len(), 60);
         // Clones share identity (same allocation), fresh handles do not.
         let clone = Arc::clone(&shared);
         assert!(std::ptr::eq(
@@ -358,10 +433,8 @@ mod tests {
     }
 
     #[test]
-    fn default_rids_matches_override() {
-        let t = table(33);
-        let s = as_source(&t);
-        // The trait's page-walking default must agree with Table's override.
+    fn default_rids_are_the_frame_and_read_no_page() {
+        // A wrapper that overrides nothing it may leave to the trait.
         struct DefaultOnly<'a>(&'a Table);
         impl TableSource for DefaultOnly<'_> {
             fn name(&self) -> &str {
@@ -386,9 +459,13 @@ mod tests {
                 self.0.read_page(id)
             }
         }
-        let d = DefaultOnly(&t);
-        assert_eq!(d.rids().unwrap(), s.rids().unwrap());
-        assert_eq!(d.scan_rows().unwrap(), s.scan_rows().unwrap());
+        let t = table(33);
+        let walked: Vec<Rid> = t.scan().map(|(rid, _)| rid).collect();
+        let defaults = DefaultOnly(&t);
+        let counting = crate::CountingSource::new(&defaults as &dyn TableSource);
+        assert_eq!(counting.rids().unwrap(), walked);
+        assert_eq!(counting.pages_read(), 0, "the frame is metadata");
+        assert_eq!(counting.scan_rows().unwrap(), t.scan_rows().unwrap());
     }
 
     #[test]

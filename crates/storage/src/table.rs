@@ -120,12 +120,6 @@ impl Table {
         let idx = self.schema().column_index(column)?;
         Ok(self.scan().map(|(_, row)| row.value(idx).clone()).collect())
     }
-
-    /// All rids in storage order.  Samplers use this as the sampling frame.
-    #[must_use]
-    pub fn rids(&self) -> Vec<Rid> {
-        self.heap.scan().map(|(rid, _)| rid).collect()
-    }
 }
 
 /// Builder for constructing a populated [`Table`].
@@ -231,10 +225,12 @@ mod tests {
 
     #[test]
     fn rids_matches_num_rows() {
-        let t = TableBuilder::new("t", schema())
-            .build_with_rows(rows(25))
-            .unwrap();
-        assert_eq!(t.rids().len(), 25);
+        let mut t = Table::with_page_size("t", schema(), 512).unwrap();
+        let inserted: Vec<Rid> = rows(25).iter().map(|r| t.insert(r).unwrap()).collect();
+        // The frame names every inserted row at its RID, in order.
+        let frame = crate::source::Frame::of(&t);
+        assert_eq!((frame.len(), frame.pages()), (25, t.num_pages()));
+        assert_eq!(frame.iter().collect::<Vec<_>>(), inserted);
     }
 
     #[test]

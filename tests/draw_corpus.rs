@@ -12,8 +12,10 @@
 //!
 //! On a mismatch the test names the first differing line and the run it
 //! belongs to, writes the actual text to `draws.txt` under the cargo target
-//! tmpdir, and fails.  To accept a deliberate change, copy that file over
-//! the committed one and say in the change which runs moved and why.
+//! tmpdir, and fails; `SAMPLECF_BLESS=1` accepts a deliberate change (see
+//! `golden/mod.rs`).
+
+mod golden;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -167,35 +169,6 @@ fn corpus(source: &dyn TableSource) -> String {
     out
 }
 
-/// `None` when equal; otherwise the first differing line (1-based), the run
-/// header it falls under, and both sides of it.
-fn first_difference(expected: &str, actual: &str) -> Option<String> {
-    let mut expected_lines = expected.lines();
-    let mut actual_lines = actual.lines();
-    let mut run = "(before the first run)";
-    for line_no in 1.. {
-        let (want, got) = (expected_lines.next(), actual_lines.next());
-        if want.is_none() && got.is_none() {
-            return None;
-        }
-        if want != got {
-            let clip = |line: Option<&str>| match line {
-                None => "<end of text>".to_string(),
-                Some(line) => line.chars().take(160).collect(),
-            };
-            return Some(format!(
-                "line {line_no}, in `{run}`:\n  expected: {}\n  actual:   {}",
-                clip(want),
-                clip(got)
-            ));
-        }
-        if let Some(line) = got.filter(|line| line.starts_with("run ")) {
-            run = line;
-        }
-    }
-    unreachable!()
-}
-
 /// Removes the table file when the test ends, pass or fail.
 struct TempFile(PathBuf);
 
@@ -213,19 +186,8 @@ fn every_draw_matches_the_committed_corpus() {
     let disk = DiskTable::materialize(&file.0, &memory).unwrap();
 
     let actual = corpus(&memory);
-    if let Some(diff) = first_difference(&actual, &corpus(&disk)) {
+    if let Some(diff) = golden::first_difference(&actual, &corpus(&disk), &["run "]) {
         panic!("the DiskTable copy draws differently from the Table, {diff}");
     }
-
-    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/draws.txt");
-    let expected = std::fs::read_to_string(&golden).unwrap_or_default();
-    if let Some(diff) = first_difference(&expected, &actual) {
-        let written = tmp.join("draws.txt");
-        std::fs::write(&written, &actual).unwrap();
-        panic!(
-            "draws differ from {}, {diff}\nactual text written to {}",
-            golden.display(),
-            written.display()
-        );
-    }
+    golden::check("draws.txt", &actual, &["run "]);
 }

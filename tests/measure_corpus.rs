@@ -12,8 +12,10 @@
 //!
 //! On a mismatch the test names the first differing line and the section
 //! it belongs to, writes the actual text to `measures.txt` under the cargo
-//! target tmpdir, and fails.  To accept a deliberate change, copy that file
-//! over the committed one and say in the change which lines moved and why.
+//! target tmpdir, and fails; `SAMPLECF_BLESS=1` accepts a deliberate change
+//! (see `golden/mod.rs`).
+
+mod golden;
 
 use samplecf::compression::{scheme_by_name, scheme_names, CompressionScheme};
 use samplecf::core::{
@@ -245,37 +247,6 @@ fn corpus(table: &Table, path: &Path) -> String {
     out
 }
 
-/// `None` when equal; otherwise the first differing line (1-based), the
-/// section or run header it falls under, and both sides of it.
-fn first_difference(expected: &str, actual: &str) -> Option<String> {
-    let mut expected_lines = expected.lines();
-    let mut actual_lines = actual.lines();
-    let mut header = "(before the first section)";
-    for line_no in 1.. {
-        let (want, got) = (expected_lines.next(), actual_lines.next());
-        if want.is_none() && got.is_none() {
-            return None;
-        }
-        if want != got {
-            let clip = |line: Option<&str>| match line {
-                None => "<end of text>".to_string(),
-                Some(line) => line.chars().take(200).collect(),
-            };
-            return Some(format!(
-                "line {line_no}, in `{header}`:\n  expected: {}\n  actual:   {}",
-                clip(want),
-                clip(got)
-            ));
-        }
-        if let Some(line) =
-            got.filter(|line| line.starts_with("section ") || line.starts_with("run "))
-        {
-            header = line;
-        }
-    }
-    unreachable!()
-}
-
 /// Removes the table file when the test ends, pass or fail.
 struct TempFile(PathBuf);
 
@@ -293,15 +264,5 @@ fn every_measure_matches_the_committed_corpus() {
     DiskTable::materialize(&file.0, &memory).unwrap();
 
     let actual = corpus(&memory, &file.0);
-    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/measures.txt");
-    let expected = std::fs::read_to_string(&golden).unwrap_or_default();
-    if let Some(diff) = first_difference(&expected, &actual) {
-        let written = tmp.join("measures.txt");
-        std::fs::write(&written, &actual).unwrap();
-        panic!(
-            "measures differ from {}, {diff}\nactual text written to {}",
-            golden.display(),
-            written.display()
-        );
-    }
+    golden::check("measures.txt", &actual, &["section ", "run "]);
 }
