@@ -387,7 +387,7 @@ impl SampleCf {
     /// and return the sample's compression fraction as the estimate.
     ///
     /// Works over any [`TableSource`] — in-memory or disk-resident.  On a
-    /// [`DiskTable`](samplecf_storage::DiskTable) with a block sampler, only
+    /// [`Table`](samplecf_storage::Table) file with a block sampler, only
     /// the sampled pages are physically read.
     ///
     /// Every sampler kind is a stream, so this is

@@ -39,8 +39,7 @@ use samplecf_core::{
 use samplecf_index::{compress_index, measure_index, IndexBuilder, IndexSpec};
 use samplecf_sampling::{Allocation, MaterializedSample, SamplerKind, Strata, StrataMode};
 use samplecf_storage::{
-    Column, DataType, DiskTable, Rid, Row, RowCodec, Schema, Table, TableBuilder, TableSource,
-    Value,
+    Column, DataType, Rid, Row, RowCodec, Schema, Table, TableBuilder, TableSource, Value,
 };
 
 /// A mixed-type table with a nullable, variable-length key column: the
@@ -293,7 +292,7 @@ fn batch_kernels_equal_the_byte_path_on_disk_sources() {
         "samplecf_differential_kernels_{}.scf",
         std::process::id()
     ));
-    let disk = DiskTable::materialize(&path, &t).unwrap();
+    let disk = Table::materialize(&path, &t).unwrap();
     for kind in samplers() {
         assert_differential(&disk, kind, "disk");
     }
@@ -305,13 +304,13 @@ fn batch_kernels_equal_the_byte_path_on_disk_sources() {
 /// the oracle, [`measure_rows`] over the same scan, packs the tree and
 /// hashes the first-key values.  Every field but the clock agrees — report,
 /// CF triple and first-key stats — under every scheme, for a nullable first
-/// key and two-column keys, at two page shapes, over `Table` and
-/// `DiskTable`.
+/// key and two-column keys, at two page shapes, over a `Table` in memory
+/// and in a file.
 #[test]
 fn exact_cf_is_measure_rows_over_the_scan() {
     let t = mixed_table(2_000, 1024);
     let path = std::env::temp_dir().join(format!("samplecf_exact_cf_{}.scf", std::process::id()));
-    let disk = DiskTable::materialize(&path, &t).unwrap();
+    let disk = Table::materialize(&path, &t).unwrap();
     let sources: [(&str, &dyn TableSource); 2] = [("memory", &t), ("disk", &disk)];
     for (backend, source) in sources {
         let rows = source.scan_rows().unwrap();

@@ -26,12 +26,12 @@ use samplecf_core::{
 use samplecf_datagen::presets;
 use samplecf_index::{measure_index, IndexBuilder, IndexSpec};
 use samplecf_sampling::{Allocation, BatchSchedule, CountingSource, SamplerKind, StrataMode};
-use samplecf_storage::{DiskTable, Rid, Row, Table, TableSource};
+use samplecf_storage::{Rid, Row, Table, TableSource};
 
 /// A disk copy of `table` in a unique temp file, removed on drop.
 struct TempDisk {
     path: std::path::PathBuf,
-    disk: Option<DiskTable>,
+    disk: Option<Table>,
 }
 
 impl TempDisk {
@@ -40,7 +40,7 @@ impl TempDisk {
             "samplecf_proptest_prog_{}_{tag}.scf",
             std::process::id()
         ));
-        let disk = DiskTable::materialize(&path, table).expect("materialisation succeeds");
+        let disk = Table::materialize(&path, table).expect("materialisation succeeds");
         TempDisk {
             path,
             disk: Some(disk),
@@ -365,7 +365,7 @@ proptest! {
     /// population weights.  A jackknifed checkpoint's standard error is
     /// [`grouped_jackknife_variance`] over `measure_rows` of each
     /// all-but-one-batch row set, a stratified one the algebra over the
-    /// rows' per-stratum NS statistics.  Over `Table` and `DiskTable`.
+    /// rows' per-stratum NS statistics.  Over a `Table` in memory and in a file.
     #[test]
     fn every_checkpoint_equals_measure_rows_over_its_batches(
         rows in 600usize..1400,

@@ -163,7 +163,7 @@ pub struct ColumnStats {
 }
 
 /// A generated table plus its ground truth.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct GeneratedTable {
     /// The populated table.
     pub table: Table,

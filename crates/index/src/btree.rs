@@ -40,7 +40,7 @@ use crate::size::{leaf_record_bytes, IndexSizeEstimate, IndexSizeModel};
 use crate::spec::{IndexKind, IndexSpec};
 use samplecf_parallel::{parallel_indexed_map, resolve_threads};
 use samplecf_storage::{
-    decode_cell, encode_cell, Page, Rid, Row, RowCodec, RowRef, Schema, Table, Value,
+    decode_cell, encode_cell, Page, Rid, Row, RowCodec, RowRef, Schema, Table, TableSource, Value,
     DEFAULT_PAGE_SIZE,
 };
 use std::ops::Range;
@@ -197,8 +197,7 @@ impl IndexBuilder {
 
     /// Build an index over all rows of a table.
     pub fn build_from_table(&self, table: &Table, spec: &IndexSpec) -> IndexResult<BTreeIndex> {
-        let rows: Vec<(Rid, Row)> = table.scan().collect();
-        self.build_from_rows(table.schema(), &rows, spec)
+        self.build_from_rows(table.schema(), &table.scan_rows()?, spec)
     }
 
     /// Build an index over an explicit set of `(rid, row)` pairs — this is how
@@ -1121,7 +1120,12 @@ mod tests {
             .build_from_table(&t, &spec)
             .unwrap();
         let needle = Value::str("name0042");
-        let expected = t.scan().filter(|(_, r)| r.value(0) == &needle).count();
+        let expected = t
+            .scan_rows()
+            .unwrap()
+            .iter()
+            .filter(|(_, r)| r.value(0) == &needle)
+            .count();
         assert!(expected > 0);
         let found = idx.lookup(std::slice::from_ref(&needle)).unwrap();
         assert_eq!(found.len(), expected);
@@ -1168,7 +1172,7 @@ mod tests {
     #[test]
     fn parallel_builds_are_byte_identical_to_serial_for_every_thread_count() {
         let t = table(4_000);
-        let rows: Vec<(Rid, Row)> = t.scan().collect();
+        let rows: Vec<(Rid, Row)> = t.scan_rows().unwrap();
         for spec in [
             IndexSpec::nonclustered("i", ["name"]).unwrap(),
             IndexSpec::clustered("i", ["id"]).unwrap(),
@@ -1192,7 +1196,7 @@ mod tests {
     fn parallel_build_from_records_matches_serial() {
         use samplecf_storage::RowCodec;
         let t = table(3_000);
-        let rows: Vec<(Rid, Row)> = t.scan().collect();
+        let rows: Vec<(Rid, Row)> = t.scan_rows().unwrap();
         let codec = RowCodec::new(t.schema().clone());
         let encoded: Vec<(Rid, Vec<u8>)> = rows
             .iter()
@@ -1221,7 +1225,7 @@ mod tests {
     fn parallel_packing_respects_the_fill_factor_exactly() {
         let t = table(2_500);
         let spec = IndexSpec::nonclustered("i", ["name"]).unwrap();
-        let rows: Vec<(Rid, Row)> = t.scan().collect();
+        let rows: Vec<(Rid, Row)> = t.scan_rows().unwrap();
         for fill in [0.3, 0.5, 0.75, 1.0] {
             let serial = IndexBuilder::new()
                 .page_size(1024)
@@ -1247,7 +1251,7 @@ mod tests {
         assert_eq!(empty.num_leaf_pages(), 1);
         for n in [1, 2, 7] {
             let t = table(n);
-            let rows: Vec<(Rid, Row)> = t.scan().collect();
+            let rows: Vec<(Rid, Row)> = t.scan_rows().unwrap();
             let serial = IndexBuilder::new()
                 .build_from_rows(t.schema(), &rows, &spec)
                 .unwrap();
@@ -1260,7 +1264,7 @@ mod tests {
     fn sorted_run_accumulation_is_byte_identical_to_a_from_scratch_build() {
         let t = table(3_000);
         let spec = IndexSpec::nonclustered("i", ["name"]).unwrap();
-        let rows: Vec<(Rid, Row)> = t.scan().collect();
+        let rows: Vec<(Rid, Row)> = t.scan_rows().unwrap();
         let builder = IndexBuilder::new().page_size(1024);
         let from_scratch = builder.build_from_rows(t.schema(), &rows, &spec).unwrap();
 
@@ -1376,7 +1380,7 @@ mod tests {
     fn excluding_a_batch_equals_a_fold_merge_of_the_others() {
         let t = table(900);
         let spec = IndexSpec::nonclustered("i", ["name", "id"]).unwrap();
-        let rows: Vec<(Rid, Row)> = t.scan().collect();
+        let rows: Vec<(Rid, Row)> = t.scan_rows().unwrap();
         let chunks: Vec<&[(Rid, Row)]> = rows.chunks(250).collect();
         let batches: Vec<SortedRun> = (chunks.iter())
             .map(|c| SortedRun::from_rows(t.schema(), c, &spec).unwrap())
@@ -1419,7 +1423,7 @@ mod tests {
             page_size in prop_oneof![Just(256usize), Just(512), Just(4096)],
         ) {
             let t = table(150);
-            let source: Vec<(Rid, Row)> = t.scan().collect();
+            let source: Vec<(Rid, Row)> = t.scan_rows().unwrap();
             let mut batch_rows: Vec<Vec<(Rid, Row)>> = vec![Vec::new(); batches];
             for (row, owner) in draws {
                 batch_rows[owner % batches].push(source[row].clone());
@@ -1604,7 +1608,7 @@ mod tests {
             use samplecf_storage::RowCodec;
             let t = shaped_table(table_rows, seed);
             let schema = t.schema();
-            let source: Vec<(Rid, Row)> = t.scan().collect();
+            let source: Vec<(Rid, Row)> = t.scan_rows().unwrap();
             let mut batches: Vec<Vec<(Rid, Row)>> = vec![Vec::new(); 4];
             for (row, batch) in draws {
                 batches[batch].push(source[row % table_rows].clone());
@@ -1688,7 +1692,7 @@ mod tests {
     fn a_page_size_outside_the_supported_range_is_a_typed_error() {
         use samplecf_storage::MAX_PAGE_SIZE;
         let t = table(10);
-        let rows: Vec<(Rid, Row)> = t.scan().collect();
+        let rows: Vec<(Rid, Row)> = t.scan_rows().unwrap();
         let spec = IndexSpec::nonclustered("i", ["name"]).unwrap();
         let run = SortedRun::from_rows(t.schema(), &rows, &spec).unwrap();
         for page_size in [0, 8, 63, MAX_PAGE_SIZE + 1] {
@@ -1730,7 +1734,7 @@ mod tests {
             Err(IndexError::InvalidSpec(msg)) if msg.contains("one separator key")
         ));
         // The walk packs no internal page, and reports the same.
-        let (schema, rows) = (schema(), table(2).scan().collect::<Vec<_>>());
+        let (schema, rows) = (schema(), table(2).scan_rows().unwrap());
         with_heap_records(&schema, &rows, |records| {
             let ordered = |n: usize| tiny.order_records(&schema, &records[..n], &spec).unwrap();
             assert_walked_as_packed(&ordered(1), |_| true, &one);
@@ -1852,7 +1856,7 @@ mod tests {
     #[test]
     fn a_run_built_for_another_spec_is_refused_not_mislabelled() {
         let t = table(300);
-        let rows: Vec<(Rid, Row)> = t.scan().collect();
+        let rows: Vec<(Rid, Row)> = t.scan_rows().unwrap();
         let by_name = IndexSpec::nonclustered("i", ["name"]).unwrap();
         let by_id = IndexSpec::nonclustered("i", ["id"]).unwrap();
         let run = SortedRun::from_rows(t.schema(), &rows, &by_name).unwrap();
@@ -1885,7 +1889,7 @@ mod tests {
 
     #[test]
     fn a_key_order_for_other_keys_or_other_records_is_refused_not_walked() {
-        let (schema, rows) = (schema(), table(300).scan().collect::<Vec<_>>());
+        let (schema, rows) = (schema(), table(300).scan_rows().unwrap());
         let by_name = IndexSpec::nonclustered("i", ["name"]).unwrap();
         let builder = IndexBuilder::new();
         with_heap_records(&schema, &rows, |records| {
@@ -1934,7 +1938,7 @@ mod tests {
         // Rows drawn with replacement, so equal keys span the prefix and the
         // delta, and some entries are equal outright.
         let t = shaped_table(300, 7);
-        let source: Vec<(Rid, Row)> = t.scan().collect();
+        let source: Vec<(Rid, Row)> = t.scan_rows().unwrap();
         let rows: Vec<(Rid, Row)> = (0..900).map(|i| source[(i * 37) % 300].clone()).collect();
         with_heap_records(t.schema(), &rows, |records| {
             let builder = IndexBuilder::new().page_size(512);
@@ -1988,7 +1992,7 @@ mod tests {
     #[should_panic(expected = "one (key, record) entry layout")]
     fn merging_runs_of_different_layouts_panics() {
         let t = table(20);
-        let rows: Vec<(Rid, Row)> = t.scan().collect();
+        let rows: Vec<(Rid, Row)> = t.scan_rows().unwrap();
         let by_name = IndexSpec::nonclustered("i", ["name"]).unwrap();
         let by_id = IndexSpec::nonclustered("i", ["id"]).unwrap();
         let _ = SortedRun::from_rows(t.schema(), &rows, &by_name)

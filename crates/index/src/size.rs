@@ -301,7 +301,8 @@ mod tests {
     use crate::btree::IndexBuilder;
     use crate::spec::IndexSpec;
     use samplecf_storage::{
-        Column, DataType, Row, Schema, TableBuilder, Value, PAGE_HEADER_SIZE, SLOT_SIZE,
+        Column, DataType, Row, Schema, TableBuilder, TableSource, Value, PAGE_HEADER_SIZE,
+        SLOT_SIZE,
     };
 
     fn build(n: usize, kind_clustered: bool) -> BTreeIndex {
@@ -387,16 +388,17 @@ mod tests {
             IndexSpec::nonclustered("nc2", ["a", "b"]).unwrap(),
             IndexSpec::clustered("cl", ["b"]).unwrap(),
         ];
+        let all_rows = table.scan_rows().unwrap();
         for spec in &specs {
             // (128 bytes: three separators a page, seven levels at 1999 rows.)
             for page_size in [128usize, 512, 1024, 8192] {
                 for fill in [1.0, 0.7, 0.5] {
                     for n in [0usize, 1, 7, 500, 1999] {
-                        let rows: Vec<_> = table.scan().take(n).collect();
+                        let rows = &all_rows[..n];
                         let built = IndexBuilder::new()
                             .page_size(page_size)
                             .fill_factor(fill)
-                            .build_from_rows(&schema, &rows, spec)
+                            .build_from_rows(&schema, rows, spec)
                             .unwrap();
                         let measured = IndexSizeReport::measure(&built);
                         let model = IndexSizeModel::new()

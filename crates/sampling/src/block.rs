@@ -131,7 +131,7 @@ mod tests {
         // Every sampled page contributes all of its rows.
         let rows_on_pages: usize = pages_of(&sample)
             .iter()
-            .map(|&p| usize::from(t.heap().page(p).unwrap().slot_count()))
+            .map(|&p| usize::from(t.read_page_ref(p).unwrap().slot_count()))
             .sum();
         assert_eq!(sample.len(), rows_on_pages);
     }

@@ -19,9 +19,9 @@
 //!
 //! Streams draw through the
 //! [`TableSource`](samplecf_storage::TableSource) abstraction, so they run
-//! unchanged over in-memory tables and disk-resident
-//! [`DiskTable`](samplecf_storage::DiskTable)s — where a block sample
-//! physically reads only the selected pages.  Wrap any source in
+//! unchanged over [`Table`](samplecf_storage::Table)s in memory and in
+//! files — where a block sample physically reads only the selected
+//! pages.  Wrap any source in
 //! [`CountingSource`] to measure exactly how many pages a sampling
 //! procedure touches, and draw through [`MaterializedSample`] to pay that
 //! I/O once and share the sample across many consumers (the advisor's

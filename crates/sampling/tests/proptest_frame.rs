@@ -2,7 +2,7 @@
 //!
 //! Over random schemas (nullable columns, `VarChar`, every fixed type),
 //! page sizes and row counts — none, one, an exact multiple of a page and a
-//! ragged last page — an in-memory `Table` and its `DiskTable` copy must
+//! ragged last page — an in-memory `Table` and its copy in a file must
 //! each agree with their own pages: [`Frame::of`] maps position `p` to the
 //! `p`-th slot of a page walk, counts the walk's pages, and puts
 //! [`Frame::rows_before`] page `q` exactly where the walk does.  The strata
@@ -13,8 +13,7 @@
 use proptest::prelude::*;
 use samplecf_sampling::Strata;
 use samplecf_storage::{
-    Column, DataType, DiskTable, Frame, PageId, Rid, Row, Schema, Table, TableBuilder, TableSource,
-    Value,
+    Column, DataType, Frame, PageId, Rid, Row, Schema, Table, TableBuilder, TableSource, Value,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -185,7 +184,7 @@ proptest! {
             std::process::id(),
             CASE.fetch_add(1, Ordering::Relaxed)
         )));
-        let disk = DiskTable::materialize(&file.0, &table).unwrap();
+        let disk = Table::materialize(&file.0, &table).unwrap();
         check_source(&table, &counts, "table");
         check_source(&disk, &counts, "disk");
         prop_assert_eq!(Frame::of(&disk), Frame::of(&table));

@@ -104,7 +104,7 @@ proptest! {
         // (boundaries can only move in whole pages).
         if !depth.is_empty() {
             let mut page_rows = vec![0usize; t.num_pages()];
-            for (rid, _) in t.scan() {
+            for (rid, _) in t.scan_rows().unwrap() {
                 page_rows[rid.page as usize] += 1;
             }
             let max_page_rows = page_rows.iter().copied().max().unwrap_or(0);

@@ -14,7 +14,7 @@ use rand::SeedableRng;
 use samplecf_sampling::{
     Allocation, BatchSchedule, CountingSource, SampledRow, SamplerKind, StrataMode,
 };
-use samplecf_storage::{DiskTable, Row, Schema, Table, TableBuilder, TableSource, Value};
+use samplecf_storage::{Row, Schema, Table, TableBuilder, TableSource, Value};
 
 fn table(rows: usize) -> Table {
     TableBuilder::new("t", Schema::single_char("a", 32))
@@ -93,7 +93,7 @@ proptest! {
             "samplecf_proptest_streams_{}_{rows}_{seed}.scf",
             std::process::id()
         )));
-        let disk = DiskTable::materialize(&file.0, &memory).unwrap();
+        let disk = Table::materialize(&file.0, &memory).unwrap();
         let sources: [&dyn TableSource; 2] = [&memory, &disk];
         for kind in all_kinds(f64::from(fraction_pct) / 100.0, size, strata) {
             let on_memory = drained(kind, BatchSchedule::one_shot(), &memory, seed);

@@ -6,7 +6,7 @@
 //! says (every yielded `(rid, row)` is `source.get(rid)`, RID-sorted within
 //! a batch, one physical read per distinct page, the rows at the positions
 //! a plain `gen_range` loop / `index::sample` names, seed-for-seed, over
-//! `Table` and `DiskTable` alike), and the check is
+//! a `Table` in memory and in a file alike), and the check is
 //! lazy (a malformed record only fails the draw that asks for its slot, a
 //! bad rid or a failed read comes back as the storage layer's typed error).
 
@@ -18,7 +18,7 @@ use samplecf_sampling::{
     SampledRow, SamplerKind, SamplingError, StrataMode,
 };
 use samplecf_storage::{
-    DiskTable, Frame, Page, PageId, Rid, Row, RowCodec, Schema, StorageError, StorageResult, Table,
+    Frame, Page, PageId, Rid, Row, RowCodec, Schema, StorageError, StorageResult, Table,
     TableBuilder, TableSource, Value,
 };
 use std::collections::BTreeSet;
@@ -83,7 +83,7 @@ fn draws_are_identical_and_decodes_are_lazy() {
     let file = TempFile(
         std::env::temp_dir().join(format!("samplecf_row_draws_{}.scf", std::process::id())),
     );
-    let disk = DiskTable::materialize(&file.0, &memory).unwrap();
+    let disk = Table::materialize(&file.0, &memory).unwrap();
     let sources: [&dyn TableSource; 2] = [&memory, &disk];
     // Each kind with the positions its one-shot draw names: a `gen_range`
     // loop with replacement, `index::sample` without; the stratified draw's
@@ -303,7 +303,7 @@ fn a_failed_page_read_is_not_cached_so_a_retry_reads_again() {
 }
 
 /// A table that reports more rows than its pages hold — what a file header
-/// whose counts disagree would say, had `DiskTable::open` not refused it.
+/// whose counts disagree would say, had `Table::open` not refused it.
 struct Overcounted<'a> {
     inner: &'a Table,
     rows: usize,

@@ -1,4 +1,4 @@
-//! The table catalog: named, registered [`DiskTable`]s shared by every
+//! The table catalog: named, registered [`Table`] files shared by every
 //! connection.
 //!
 //! A table is registered once (`register` op) and from then on referenced by
@@ -16,19 +16,19 @@
 
 use crate::protocol::{codes, ApiError};
 use samplecf_obs::{Counter, Gauge, MetricsRegistry};
-use samplecf_storage::{DiskTable, SharedSource};
+use samplecf_storage::{SharedSource, Table};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 type Tables = HashMap<String, CatalogEntry>;
 
-/// One registered table: the typed handle (for metadata the [`DiskTable`]
+/// One registered table: the typed handle (for metadata the [`Table`]
 /// API exposes) and the erased handle (for samplers and the cache).
 #[derive(Clone)]
 pub struct CatalogEntry {
     /// The open table.
-    pub table: Arc<DiskTable>,
+    pub table: Arc<Table>,
     /// The same table, erased to a [`SharedSource`].  All clones alias one
     /// allocation, so cache keys derived from it are stable for the
     /// table's lifetime in the catalog.
@@ -117,7 +117,7 @@ impl TableCatalog {
             .canonicalize()
             .map(|p| p.to_string_lossy().into_owned())
             .unwrap_or_else(|_| path.to_string());
-        let table = DiskTable::open(path)
+        let table = Table::open(path)
             .map_err(|e| ApiError::new(codes::STORAGE, format!("cannot open {path}: {e}")))?;
         let name = name
             .unwrap_or_else(|| samplecf_storage::TableSource::name(&table))
@@ -215,7 +215,7 @@ mod tests {
             .generate()
             .unwrap()
             .table;
-        DiskTable::materialize(&path, &table).unwrap();
+        Table::materialize(&path, &table).unwrap();
         let cleanup = tempfile::Cleanup(path.clone());
         (path, cleanup)
     }

@@ -12,7 +12,7 @@
 //! `shutdown`), backed by
 //!
 //! * a [`TableCatalog`] of registered
-//!   [`DiskTable`](samplecf_storage::DiskTable)s, handed out as
+//!   [`Table`](samplecf_storage::Table) files, handed out as
 //!   [`SharedSource`](samplecf_storage::SharedSource) handles so every
 //!   request for a table shares one identity, and
 //! * a [`ConcurrentSampleCache`], the one place a sample is held: one

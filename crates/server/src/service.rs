@@ -383,7 +383,7 @@ mod tests {
     use samplecf_datagen::presets;
     use samplecf_index::IndexSpec;
     use samplecf_sampling::SamplerKind;
-    use samplecf_storage::{DiskTable, TableSource};
+    use samplecf_storage::Table;
     use std::path::PathBuf;
 
     struct Cleanup(PathBuf);
@@ -400,7 +400,7 @@ mod tests {
             .generate()
             .unwrap()
             .table;
-        DiskTable::materialize(&path, &table).unwrap();
+        Table::materialize(&path, &table).unwrap();
         (path.to_string_lossy().into_owned(), Cleanup(path))
     }
 
@@ -447,7 +447,7 @@ mod tests {
         assert_eq!(acc.get("cache").and_then(Json::as_str), Some("miss"));
 
         // Byte-identical to the single-shot estimator, seed for seed.
-        let disk = DiskTable::open(&path).unwrap();
+        let disk = Table::open(&path).unwrap();
         let spec = IndexSpec::nonclustered("idx", ["a"]).unwrap();
         let scheme = scheme_by_name("dictionary-global").unwrap();
         let direct = SampleCf::new(SamplerKind::Block(0.1))
@@ -522,7 +522,7 @@ mod tests {
         use samplecf_core::{AdvisorConfig, CompressionAdvisor};
         use samplecf_sampling::MaterializedSample;
         use samplecf_storage::CountingSource;
-        let disk = DiskTable::open(&path).unwrap();
+        let disk = Table::open(&path).unwrap();
         let candidates = three_candidates();
         let counting = CountingSource::new(&disk);
         let sample = MaterializedSample::draw(&counting, SamplerKind::Block(0.05), 2).unwrap();
@@ -570,7 +570,7 @@ mod tests {
         let (path, _cleanup) = scratch_table("dispositions", 10_000);
         let state = ServiceState::new(DEFAULT_CACHE_BUDGET_BYTES);
         ok(&state, &format!(r#"{{"op":"register","path":"{path}"}}"#));
-        let disk = DiskTable::open(&path).unwrap();
+        let disk = Table::open(&path).unwrap();
         let listed = r#"[{"index":"idx_dict","scheme":"dictionary-global"},{"index":"idx_ns","scheme":"null-suppression"},{"index":"pk","scheme":"rle","clustered":true}]"#;
         let candidates = three_candidates();
         type Family = fn(f64) -> SamplerKind;
@@ -724,7 +724,7 @@ mod tests {
             .generate()
             .unwrap()
             .table;
-        DiskTable::materialize(&path, &table).unwrap();
+        Table::materialize(&path, &table).unwrap();
         let _cleanup = Cleanup(path.clone());
         let path = path.to_string_lossy().into_owned();
 
@@ -746,7 +746,7 @@ mod tests {
 
         // Bit-identical to the in-process estimator, which routes stratified
         // kinds through the weighted progressive checkpoint.
-        let disk = DiskTable::open(&path).unwrap();
+        let disk = Table::open(&path).unwrap();
         let spec = IndexSpec::nonclustered("idx", ["a"]).unwrap();
         let kind = SamplerKind::Stratified {
             fraction: 0.1,
@@ -866,13 +866,13 @@ mod tests {
             .generate()
             .unwrap()
             .table;
-        DiskTable::materialize(&path, &table).unwrap();
+        Table::materialize(&path, &table).unwrap();
         let _cleanup = Cleanup(path.clone());
         let path = path.to_string_lossy().into_owned();
         let state = ServiceState::new(DEFAULT_CACHE_BUDGET_BYTES);
         ok(&state, &format!(r#"{{"op":"register","path":"{path}"}}"#));
 
-        let disk = DiskTable::open(&path).unwrap();
+        let disk = Table::open(&path).unwrap();
         let spec = IndexSpec::nonclustered("idx", ["a"]).unwrap();
         for (alloc_name, alloc) in [
             ("prop", samplecf_sampling::Allocation::Proportional),
@@ -938,7 +938,7 @@ mod tests {
             .generate()
             .unwrap()
             .table;
-        DiskTable::materialize(&path, &table).unwrap();
+        Table::materialize(&path, &table).unwrap();
         let _cleanup = Cleanup(path.clone());
         let path = path.to_string_lossy().into_owned();
 
@@ -980,7 +980,7 @@ mod tests {
 
         // The reply is bit-identical to the in-process estimator with the
         // equi-depth kind, and carries the de-aliased sampler label.
-        let disk = DiskTable::open(&path).unwrap();
+        let disk = Table::open(&path).unwrap();
         let spec = IndexSpec::nonclustered("idx", ["a"]).unwrap();
         let kind = SamplerKind::Stratified {
             fraction: 0.1,

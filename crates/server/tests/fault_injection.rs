@@ -7,7 +7,7 @@
 
 use samplecf_datagen::presets;
 use samplecf_server::{Json, Server, ServerConfig, ServerHandle, DEFAULT_CACHE_BUDGET_BYTES};
-use samplecf_storage::DiskTable;
+use samplecf_storage::Table;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -27,7 +27,7 @@ fn table_path() -> &'static PathBuf {
             "samplecf_fault_injection_{}.scf",
             std::process::id()
         ));
-        DiskTable::materialize(&path, &generated.table).expect("materialisation succeeds");
+        Table::materialize(&path, &generated.table).expect("materialisation succeeds");
         path
     })
 }

@@ -22,7 +22,7 @@ use samplecf_server::response::Measured;
 use samplecf_server::{
     Accounting, CacheDisposition, Json, Response, ServiceState, DEFAULT_CACHE_BUDGET_BYTES,
 };
-use samplecf_storage::{DiskTable, TableSource};
+use samplecf_storage::Table;
 use std::path::PathBuf;
 
 struct Cleanup(PathBuf);
@@ -93,7 +93,7 @@ fn schemes() -> Vec<Box<dyn CompressionScheme>> {
 
 struct Fixture {
     state: ServiceState,
-    disk: DiskTable,
+    disk: Table,
     _cleanup: Cleanup,
 }
 
@@ -107,13 +107,13 @@ impl Fixture {
             .generate()
             .unwrap()
             .table;
-        DiskTable::materialize(&path, &table).unwrap();
+        Table::materialize(&path, &table).unwrap();
         let state = ServiceState::new(DEFAULT_CACHE_BUDGET_BYTES);
         let register = format!(r#"{{"op":"register","path":"{}"}}"#, path.display());
         assert_ok(&Json::parse(&state.handle_line(&register)).unwrap());
         Fixture {
             state,
-            disk: DiskTable::open(&path).unwrap(),
+            disk: Table::open(&path).unwrap(),
             _cleanup: Cleanup(path),
         }
     }

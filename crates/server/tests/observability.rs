@@ -19,7 +19,7 @@
 
 use samplecf_datagen::presets;
 use samplecf_server::{Json, MetricsRegistry, RequestKind, Server, ServerConfig, ServerHandle};
-use samplecf_storage::DiskTable;
+use samplecf_storage::Table;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -34,7 +34,7 @@ fn table_path() -> &'static PathBuf {
             .expect("generation succeeds");
         let path =
             std::env::temp_dir().join(format!("samplecf_observability_{}.scf", std::process::id()));
-        DiskTable::materialize(&path, &generated.table).expect("materialisation succeeds");
+        Table::materialize(&path, &generated.table).expect("materialisation succeeds");
         path
     })
 }

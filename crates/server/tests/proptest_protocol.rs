@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use samplecf_datagen::presets;
 use samplecf_server::{Json, Server, ServerConfig, ServiceState};
-use samplecf_storage::DiskTable;
+use samplecf_storage::Table;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -26,7 +26,7 @@ fn table_path() -> &'static PathBuf {
             "samplecf_proptest_protocol_{}.scf",
             std::process::id()
         ));
-        DiskTable::materialize(&path, &generated.table).expect("materialisation succeeds");
+        Table::materialize(&path, &generated.table).expect("materialisation succeeds");
         path
     })
 }

@@ -11,7 +11,7 @@ use samplecf_datagen::presets;
 use samplecf_index::IndexSpec;
 use samplecf_sampling::SamplerKind;
 use samplecf_server::{Json, Server, ServerConfig};
-use samplecf_storage::{DiskTable, TableSource};
+use samplecf_storage::Table;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -31,7 +31,7 @@ fn scratch_table(tag: &str, rows: usize) -> (String, Cleanup) {
         .generate()
         .unwrap()
         .table;
-    DiskTable::materialize(&path, &table).unwrap();
+    Table::materialize(&path, &table).unwrap();
     (path.to_string_lossy().into_owned(), Cleanup(path))
 }
 
@@ -105,7 +105,7 @@ fn concurrent_clients_get_byte_identical_results_from_one_page_pass() {
     }
 
     // Byte-identical to the single-shot estimator path, seed for seed.
-    let disk = DiskTable::open(&path).unwrap();
+    let disk = Table::open(&path).unwrap();
     let spec = IndexSpec::nonclustered("idx", ["a"]).unwrap();
     let scheme = samplecf_compression::scheme_by_name("dictionary-global").unwrap();
     let direct = SampleCf::new(SamplerKind::Block(0.1))
@@ -206,7 +206,7 @@ fn a_deeper_request_extends_the_shared_sample_and_stays_exact() {
 
     // The deepened estimate equals a fresh single-shot run at the deeper
     // fraction — deepening is an I/O optimization, never an approximation.
-    let disk = DiskTable::open(&path).unwrap();
+    let disk = Table::open(&path).unwrap();
     let spec = IndexSpec::nonclustered("idx", ["a"]).unwrap();
     let direct = SampleCf::new(SamplerKind::Block(0.2))
         .seed(3)

@@ -2,13 +2,13 @@
 //!
 //! [`CountingSource`] wraps any [`TableSource`] and counts how many pages are
 //! read through it.  Because every row-returning default method of the trait
-//! funnels through [`read_page`](TableSource::read_page), the count is the
-//! number of physical page accesses the wrapped workload performed — the
-//! quantity the paper's block-sampling argument (Section II-C) is about.
-//! Wrapping a [`DiskTable`](crate::disk::DiskTable) makes "block sampling at
-//! fraction `f` reads ≈ `f·N` pages" a measurable assertion; the `samplecf`
-//! CLI, the advisor's plan report and the page-count tests of
-//! `tests/end_to_end.rs` all read it from this wrapper.
+//! funnels through [`read_page_ref`](TableSource::read_page_ref), the count
+//! is the number of physical page accesses the wrapped workload performed —
+//! the quantity the paper's block-sampling argument (Section II-C) is about.
+//! Wrapping a [`Table`](crate::table::Table) opened from a file makes
+//! "block sampling at fraction `f` reads ≈ `f·N` pages" a measurable
+//! assertion; the `samplecf` CLI, the advisor's plan report and the
+//! page-count tests of `tests/end_to_end.rs` all read it from this wrapper.
 //!
 //! The size metadata is delegated to the wrapped source uncounted, so the
 //! sampling [`Frame`](crate::source::Frame) computed from it costs no page

@@ -14,31 +14,30 @@
 //!   compression fraction's denominator counts,
 //! * [`Page`] — slotted pages with explicit header and slot-directory
 //!   overheads,
-//! * [`HeapFile`] / [`Table`] — in-memory base tables that samplers draw rows
-//!   and blocks from,
+//! * [`HeapFile`] / [`Table`] — base tables that samplers draw rows and
+//!   blocks from: one heap of slotted pages whose constructor picks its
+//!   store, in memory or in a table file, where block sampling's "read
+//!   only the selected pages" is physically true,
 //! * [`TableSource`] — the read abstraction samplers and the estimator run
-//!   over, implemented by both [`Table`] and [`DiskTable`], with the
-//!   [`Frame`] row samplers draw positions of computed from its metadata —
-//!   and
-//!   [`SharedSource`], its reference-counted `Send + Sync` handle form
-//!   (via [`IntoShared`]) that the owned sample cache and the `samplecfd`
-//!   catalog share across threads,
+//!   over, implemented by [`Table`], with the [`Frame`] row samplers draw
+//!   positions of computed from its metadata — and [`SharedSource`], its
+//!   reference-counted `Send + Sync` handle form (via [`IntoShared`]) that
+//!   the owned sample cache and the `samplecfd` catalog share across
+//!   threads,
 //! * [`CountingSource`] — the decorator that counts physical page reads
 //!   through a borrowed or a shared handle, the accounting behind every
 //!   "pages read" figure the CLI, the server, the advisor and the
 //!   experiments report,
-//! * [`disk`] — the persistent counterpart: checksummed page files,
-//!   [`DiskHeapFile`] and [`DiskTable`], where block sampling's "read only
-//!   the selected pages" is physically true.
+//! * [`disk`] — the table file format: checksummed pages and headers.
 //!
-//! Everything is deterministic: a table materialised to disk has the same
-//! page layout (and therefore the same sampling frame) as its in-memory
-//! source, so estimates match seed-for-seed across backends.
+//! Everything is deterministic: a table materialised to a file has the same
+//! page bytes (and therefore the same sampling frame) as its in-memory
+//! source, so estimates match seed for seed across stores.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use samplecf_storage::{Column, DataType, Row, Schema, TableBuilder, Value};
+//! use samplecf_storage::{Column, DataType, Row, Schema, TableBuilder, TableSource, Value};
 //!
 //! let schema = Schema::new(vec![
 //!     Column::new("a", DataType::Char(16)),
@@ -53,7 +52,7 @@
 //!
 //! assert_eq!(table.num_rows(), 100);
 //! // Every stored row reads back through the slotted pages.
-//! assert_eq!(table.scan().count(), 100);
+//! assert_eq!(table.scan_rows()?.len(), 100);
 //! # Ok::<(), samplecf_storage::StorageError>(())
 //! ```
 
@@ -82,7 +81,6 @@ pub mod value;
 pub use cell::{CellRef, RowRef};
 pub use counting::CountingSource;
 pub use datatype::DataType;
-pub use disk::{DiskHeapFile, DiskTable};
 pub use error::{StorageError, StorageResult};
 pub use heap::HeapFile;
 pub use page::{
@@ -92,5 +90,5 @@ pub use rid::{PageId, Rid};
 pub use row::{cell_logical_len, decode_cell, encode_cell, Row, RowCodec, CHAR_PAD};
 pub use schema::{Column, Schema};
 pub use source::{Frame, IntoShared, PageRead, SharedSource, TableSource};
-pub use table::{Table, TableBuilder};
+pub use table::{DiskTable, Table, TableBuilder};
 pub use value::Value;

@@ -4,10 +4,10 @@
 //! needs four things from a table: its schema, its row codec, the number of
 //! pages/rows it holds, and the ability to read one page.  Abstracting those
 //! behind a trait lets the samplers and the estimator run identically over
-//! the in-memory [`Table`] and the file-backed
-//! [`DiskTable`](crate::disk::DiskTable) — which is what makes the I/O story
-//! of block sampling (paper, Section II-C) real instead of simulated: a
-//! block sample over a `DiskTable` physically reads only the selected pages.
+//! a [`Table`](crate::table::Table) whose pages live in memory or in a
+//! file — which is what makes the I/O story of block sampling (paper,
+//! Section II-C) real instead of simulated: a block sample over a table
+//! file physically reads only the selected pages.
 //!
 //! The sampling frame row samplers draw from is the [`Frame`]: arithmetic
 //! over that metadata, not a list of RIDs.  Records are fixed-width, so
@@ -20,7 +20,6 @@ use crate::page::{Page, PAGE_HEADER_SIZE, SLOT_SIZE};
 use crate::rid::{PageId, Rid};
 use crate::row::{Row, RowCodec};
 use crate::schema::Schema;
-use crate::table::Table;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -152,7 +151,7 @@ pub trait TableSource: Send + Sync {
 /// last is full, and frame position `i` is the row at
 /// `(i / rows_per_page, i % rows_per_page)`.  A frame is two counts and
 /// `Copy`; building one reads no page and allocates nothing.
-/// [`DiskTable::open`](crate::disk::DiskTable::open) checks a file header
+/// [`Table::open`](crate::table::Table::open) checks a file header
 /// against the same arithmetic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Frame {
@@ -238,7 +237,7 @@ pub type SharedSource = Arc<dyn TableSource + Send + Sync>;
 
 /// Move a concrete table into a [`SharedSource`] handle.
 ///
-/// This is the bridge from single-owner code (`Table`, `DiskTable`) into the
+/// This is the bridge from single-owner code (a `Table`) into the
 /// shared-handle world: `table.into_shared()` reads better at call sites
 /// than the equivalent `Arc::new(table) as SharedSource` coercion.
 pub trait IntoShared {
@@ -286,14 +285,6 @@ impl<T: TableSource + ?Sized> TableSource for Arc<T> {
     fn read_page_ref(&self, id: PageId) -> StorageResult<PageRead<'_>> {
         (**self).read_page_ref(id)
     }
-
-    fn get(&self, rid: Rid) -> StorageResult<Row> {
-        (**self).get(rid)
-    }
-
-    fn scan_rows(&self) -> StorageResult<Vec<(Rid, Row)>> {
-        (**self).scan_rows()
-    }
 }
 
 impl std::fmt::Debug for dyn TableSource + '_ {
@@ -308,54 +299,12 @@ impl std::fmt::Debug for dyn TableSource + '_ {
     }
 }
 
-impl TableSource for Table {
-    fn name(&self) -> &str {
-        Table::name(self)
-    }
-
-    fn schema(&self) -> &Schema {
-        Table::schema(self)
-    }
-
-    fn codec(&self) -> &RowCodec {
-        Table::codec(self)
-    }
-
-    fn num_rows(&self) -> usize {
-        Table::num_rows(self)
-    }
-
-    fn num_pages(&self) -> usize {
-        Table::num_pages(self)
-    }
-
-    fn page_size(&self) -> usize {
-        Table::page_size(self)
-    }
-
-    fn read_page(&self, id: PageId) -> StorageResult<Page> {
-        Ok(self.heap().page(id)?.clone())
-    }
-
-    fn read_page_ref(&self, id: PageId) -> StorageResult<PageRead<'_>> {
-        Ok(PageRead::Borrowed(self.heap().page(id)?))
-    }
-
-    fn get(&self, rid: Rid) -> StorageResult<Row> {
-        Table::get(self, rid)
-    }
-
-    fn scan_rows(&self) -> StorageResult<Vec<(Rid, Row)>> {
-        Ok(self.scan().collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::datatype::DataType;
     use crate::schema::Column;
-    use crate::table::TableBuilder;
+    use crate::table::{Table, TableBuilder};
     use crate::value::Value;
 
     fn table(n: usize) -> Table {
@@ -392,16 +341,18 @@ mod tests {
     fn read_page_and_defaults_agree_with_direct_access() {
         let t = table(40);
         let s = as_source(&t);
-        // Every page read through the trait equals the in-memory page.
+        // Every owned page read equals the borrowed one.
         for pid in 0..s.num_pages() {
             let page = s.read_page(pid as PageId).unwrap();
-            assert_eq!(page.raw(), t.heap().page(pid as PageId).unwrap().raw());
+            assert_eq!(page.raw(), t.read_page_ref(pid as PageId).unwrap().raw());
         }
-        // The default scan (a counting source keeps the trait's) decodes
-        // the same rows a scan sees.
-        let scanned: Vec<(Rid, Row)> = t.scan().collect();
-        let counting = crate::CountingSource::new(&t);
-        assert_eq!(counting.scan_rows().unwrap(), scanned);
+        // The scan decodes the rows that were inserted, in order.
+        let scanned = s.scan_rows().unwrap();
+        let ids: Vec<Value> = scanned
+            .iter()
+            .map(|(_, row)| row.value(1).clone())
+            .collect();
+        assert_eq!(ids, (0..40).map(Value::int).collect::<Vec<_>>());
         // Point lookups agree too.
         for (rid, row) in &scanned {
             assert_eq!(&TableSource::get(s, *rid).unwrap(), row);
@@ -460,7 +411,12 @@ mod tests {
             }
         }
         let t = table(33);
-        let walked: Vec<Rid> = t.scan().map(|(rid, _)| rid).collect();
+        let walked: Vec<Rid> = t
+            .scan_rows()
+            .unwrap()
+            .into_iter()
+            .map(|(rid, _)| rid)
+            .collect();
         let defaults = DefaultOnly(&t);
         let counting = crate::CountingSource::new(&defaults as &dyn TableSource);
         assert_eq!(counting.rids().unwrap(), walked);
@@ -475,11 +431,9 @@ mod tests {
         for pid in 0..s.num_pages() {
             let read = s.read_page_ref(pid as PageId).unwrap();
             assert!(read.is_borrowed(), "Table must lend its page, not copy it");
-            // The borrowed view is literally the heap's page allocation.
-            assert!(std::ptr::eq(
-                read.as_page(),
-                t.heap().page(pid as PageId).unwrap()
-            ));
+            // The borrowed view is the heap's page allocation, every time.
+            let again = s.read_page_ref(pid as PageId).unwrap();
+            assert!(std::ptr::eq(read.as_page(), again.as_page()));
             assert_eq!(read.raw(), s.read_page(pid as PageId).unwrap().raw());
         }
         assert!(s.read_page_ref(9999).is_err());

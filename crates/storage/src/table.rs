@@ -1,24 +1,40 @@
-//! Tables: a schema plus a heap file of encoded rows.
+//! Tables: a name, a row codec and a heap file of encoded rows.
+//!
+//! One [`Table`] serves the in-memory and the file-backed case, and its
+//! constructor picks the [`HeapFile`] store: [`new`](Table::new) and
+//! [`with_page_size`](Table::with_page_size) keep the pages in memory,
+//! [`create`](Table::create), [`open`](Table::open) and
+//! [`materialize`](Table::materialize) in a table file.  Samplers and the
+//! estimator read either through [`TableSource`], so over a file every page
+//! a sample touches is a physical read, which makes pages-read a measured
+//! quantity rather than a simulation.
 
-use crate::error::StorageResult;
+use crate::disk::format;
+use crate::error::{StorageError, StorageResult};
 use crate::heap::HeapFile;
-use crate::page::DEFAULT_PAGE_SIZE;
-use crate::rid::Rid;
+use crate::page::{Page, DEFAULT_PAGE_SIZE};
+use crate::rid::{PageId, Rid};
 use crate::row::{Row, RowCodec};
 use crate::schema::Schema;
+use crate::source::{Frame, PageRead, TableSource};
 use crate::value::Value;
+use std::path::Path;
 
-/// A base table: rows encoded with the uncompressed row codec and stored in a
-/// heap file.
-#[derive(Debug, Clone)]
+/// A base table: rows encoded with the uncompressed row codec and stored in
+/// a heap file, in memory or in a table file.
+#[derive(Debug)]
 pub struct Table {
     name: String,
     codec: RowCodec,
     heap: HeapFile,
 }
 
+/// A [`Table`] over a table file: the name the benchmark harness
+/// (`perfbench/`) opens and materialises tables by.
+pub type DiskTable = Table;
+
 impl Table {
-    /// Create an empty table with the default page size.
+    /// Create an empty in-memory table with the default page size.
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
         Table {
             name: name.into(),
@@ -27,7 +43,7 @@ impl Table {
         }
     }
 
-    /// Create an empty table with a custom page size.
+    /// Create an empty in-memory table with a custom page size.
     pub fn with_page_size(
         name: impl Into<String>,
         schema: Schema,
@@ -38,6 +54,69 @@ impl Table {
             codec: RowCodec::new(schema),
             heap: HeapFile::with_page_size(page_size)?,
         })
+    }
+
+    /// Create a new table file at `path` (truncating any existing file).
+    pub fn create(
+        path: impl AsRef<Path>,
+        name: impl Into<String>,
+        schema: Schema,
+        page_size: usize,
+    ) -> StorageResult<Self> {
+        let name = name.into();
+        let meta = format::encode_table_meta(&name, &schema);
+        Ok(Table {
+            name,
+            codec: RowCodec::new(schema),
+            heap: HeapFile::create(path, page_size, &meta)?,
+        })
+    }
+
+    /// Open an existing table file read-only, restoring its name and schema
+    /// from the file's metadata region.
+    ///
+    /// # Errors
+    /// Everything [`HeapFile::open`] rejects, an undecodable table meta
+    /// block, and — as [`StorageError::InvalidFormat`] — a header whose row
+    /// count does not fill exactly its page count: records are fixed-width,
+    /// so the table's [`Frame`] puts `num_rows` rows on
+    /// `ceil(num_rows / rows_per_page)` pages (no pages, no rows).  Row
+    /// draws map positions to RIDs through that frame alone.
+    pub fn open(path: impl AsRef<Path>) -> StorageResult<Self> {
+        let heap = HeapFile::open(path)?;
+        let (name, schema) = format::decode_table_meta(heap.meta())?;
+        let table = Table {
+            name,
+            codec: RowCodec::new(schema),
+            heap,
+        };
+        let (rows, pages, frame) = (table.num_rows(), table.num_pages(), Frame::of(&table));
+        if frame.len() != rows || frame.pages() != pages {
+            return Err(StorageError::InvalidFormat(format!(
+                "header records {rows} rows on {pages} pages, but at {} rows a page they fill {}",
+                frame.rows_per_page(),
+                frame.pages()
+            )));
+        }
+        Ok(table)
+    }
+
+    /// Write `table` out to a table file at `path` and return it.
+    ///
+    /// Each stored record is copied as it is: [`insert`](Self::insert)
+    /// encodes and [`insert_record`](Self::insert_record) checks, so stored
+    /// records are already canonical.  The copy therefore has the same page
+    /// bytes (same records per page, same RIDs) as `table` — which is what
+    /// makes estimates over the two comparable seed for seed.
+    pub fn materialize(path: impl AsRef<Path>, table: &Table) -> StorageResult<Self> {
+        let mut copy = Table::create(path, &table.name, table.schema().clone(), table.page_size())?;
+        for pid in 0..table.num_pages() as PageId {
+            for record in table.heap.read_page_ref(pid)?.records() {
+                copy.heap.insert(record)?;
+            }
+        }
+        copy.sync()?;
+        Ok(copy)
     }
 
     /// The table name.
@@ -58,12 +137,6 @@ impl Table {
         &self.codec
     }
 
-    /// The underlying heap file.
-    #[must_use]
-    pub fn heap(&self) -> &HeapFile {
-        &self.heap
-    }
-
     /// Number of rows (the paper's `n`).
     #[must_use]
     pub fn num_rows(&self) -> usize {
@@ -82,6 +155,21 @@ impl Table {
         self.heap.page_size()
     }
 
+    /// How many rows fit on one page ([`Frame::rows_per_page`]).  Records
+    /// are fixed-width ([`RowCodec::record_size`]), so this is a constant of
+    /// the schema and page size, and every page except the last is filled
+    /// to exactly this count.
+    #[must_use]
+    pub fn rows_per_page(&self) -> usize {
+        Frame::of(self).rows_per_page()
+    }
+
+    /// Size in bytes of the table file once synced ([`HeapFile::file_len`]).
+    #[must_use]
+    pub fn file_len(&self) -> u64 {
+        self.heap.file_len()
+    }
+
     /// Insert a row, validating it against the schema.
     pub fn insert(&mut self, row: &Row) -> StorageResult<Rid> {
         let bytes = self.codec.encode(row)?;
@@ -97,32 +185,58 @@ impl Table {
         self.heap.insert(&record)
     }
 
-    /// Fetch and decode the row stored at `rid`.
-    pub fn get(&self, rid: Rid) -> StorageResult<Row> {
-        let bytes = self.heap.get(rid)?;
-        self.codec.decode(bytes)
-    }
-
-    /// Iterate over `(rid, row)` pairs in storage order.
-    pub fn scan(&self) -> impl Iterator<Item = (Rid, Row)> + '_ {
-        self.heap.scan().map(move |(rid, bytes)| {
-            (
-                rid,
-                self.codec
-                    .decode(bytes)
-                    .expect("records in the heap were encoded with this codec"),
-            )
-        })
+    /// Persist a table file's pending pages and header, then fsync (see
+    /// [`HeapFile::sync`]).
+    pub fn sync(&mut self) -> StorageResult<()> {
+        self.heap.sync()
     }
 
     /// Collect all values of the named column, in storage order.
     pub fn column_values(&self, column: &str) -> StorageResult<Vec<Value>> {
         let idx = self.schema().column_index(column)?;
-        Ok(self.scan().map(|(_, row)| row.value(idx).clone()).collect())
+        let rows = self.scan_rows()?;
+        Ok(rows
+            .into_iter()
+            .map(|(_, row)| row.value(idx).clone())
+            .collect())
     }
 }
 
-/// Builder for constructing a populated [`Table`].
+impl TableSource for Table {
+    fn name(&self) -> &str {
+        Table::name(self)
+    }
+
+    fn schema(&self) -> &Schema {
+        Table::schema(self)
+    }
+
+    fn codec(&self) -> &RowCodec {
+        Table::codec(self)
+    }
+
+    fn num_rows(&self) -> usize {
+        Table::num_rows(self)
+    }
+
+    fn num_pages(&self) -> usize {
+        Table::num_pages(self)
+    }
+
+    fn page_size(&self) -> usize {
+        Table::page_size(self)
+    }
+
+    fn read_page(&self, id: PageId) -> StorageResult<Page> {
+        Ok(self.heap.read_page_ref(id)?.into_owned())
+    }
+
+    fn read_page_ref(&self, id: PageId) -> StorageResult<PageRead<'_>> {
+        self.heap.read_page_ref(id)
+    }
+}
+
+/// Builder for constructing a populated in-memory [`Table`].
 #[derive(Debug)]
 pub struct TableBuilder {
     name: String,
@@ -193,9 +307,13 @@ mod tests {
         for (i, rid) in rids.iter().enumerate() {
             assert_eq!(t.get(*rid).unwrap().value(1), &Value::int(i as i64));
         }
-        let scanned: Vec<Row> = t.scan().map(|(_, r)| r).collect();
+        let scanned = t.scan_rows().unwrap();
         assert_eq!(scanned.len(), 100);
-        assert_eq!(scanned[7].value(0), &Value::str("row7"));
+        assert_eq!(scanned[7].1.value(0), &Value::str("row7"));
+        assert_eq!(
+            scanned.iter().map(|(rid, _)| *rid).collect::<Vec<_>>(),
+            rids
+        );
     }
 
     #[test]
@@ -228,7 +346,7 @@ mod tests {
         let mut t = Table::with_page_size("t", schema(), 512).unwrap();
         let inserted: Vec<Rid> = rows(25).iter().map(|r| t.insert(r).unwrap()).collect();
         // The frame names every inserted row at its RID, in order.
-        let frame = crate::source::Frame::of(&t);
+        let frame = Frame::of(&t);
         assert_eq!((frame.len(), frame.pages()), (25, t.num_pages()));
         assert_eq!(frame.iter().collect::<Vec<_>>(), inserted);
     }

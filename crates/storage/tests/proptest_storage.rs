@@ -1,13 +1,34 @@
 //! Property-based tests for the storage substrate: row codec round-trips,
-//! the record check against decode-then-validate, slotted-page invariants, heap-file accounting, and the on-disk page
+//! the record check against decode-then-validate, slotted-page invariants,
+//! one append path for in-memory and file heaps, and the on-disk page
 //! serialisation (round-trip equality, checksum corruption detection, and
 //! schema metadata round-trips).
 
 use proptest::prelude::*;
 use samplecf_storage::{
-    decode_cell, disk, Column, DataType, HeapFile, Page, Row, RowCodec, Schema, StorageError,
-    Value, MIN_PAGE_SIZE, PAGE_HEADER_SIZE, SLOT_SIZE,
+    decode_cell, disk, Column, DataType, HeapFile, Page, PageId, Rid, Row, RowCodec, Schema,
+    StorageError, TableSource, Value, MIN_PAGE_SIZE, PAGE_HEADER_SIZE, SLOT_SIZE,
 };
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A fresh path under the temp dir; removed when the guard drops.
+struct TempFile(PathBuf);
+
+impl TempFile {
+    fn new(tag: &str) -> TempFile {
+        static COUNTER: AtomicU64 = AtomicU64::new(0);
+        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+        let name = format!("samplecf_proptest_{tag}_{}_{n}.scf", std::process::id());
+        TempFile(std::env::temp_dir().join(name))
+    }
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
 
 /// A string value that survives CHAR round-trips (no trailing spaces, ASCII).
 fn char_value(max_len: usize) -> impl Strategy<Value = String> {
@@ -138,24 +159,51 @@ proptest! {
         prop_assert_eq!(page.overhead_bytes(), PAGE_HEADER_SIZE + stored.len() * SLOT_SIZE);
     }
 
+    /// One append path for both stores: the same records into an
+    /// in-memory heap and into a file heap that is synced and reopened at
+    /// `split` give the same RIDs, the same page bytes and the same counts.
     #[test]
     fn heap_scan_returns_records_in_insertion_order(
-        records in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..40), 0..300)
+        records in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..40), 0..300),
+        split in any::<usize>()
     ) {
-        let mut heap = HeapFile::with_page_size(256).unwrap();
+        let path = TempFile::new("heap_split");
+        let split = split % (records.len() + 1);
+        let mut memory = HeapFile::with_page_size(256).unwrap();
+        let mut file = HeapFile::create(&path.0, 256, b"").unwrap();
         let mut rids = Vec::new();
-        for rec in &records {
-            rids.push(heap.insert(rec).unwrap());
+        for (i, rec) in records.iter().enumerate() {
+            if i == split {
+                file.sync().unwrap();
+                file = HeapFile::open(&path.0).unwrap();
+            }
+            let rid = memory.insert(rec).unwrap();
+            prop_assert_eq!(file.insert(rec).unwrap(), rid);
+            rids.push(rid);
         }
-        prop_assert_eq!(heap.num_records(), records.len());
-        let scanned: Vec<Vec<u8>> = heap.scan().map(|(_, r)| r.to_vec()).collect();
-        prop_assert_eq!(scanned, records.clone());
-        // Rids resolve to the same bytes.
-        for (rid, rec) in rids.iter().zip(&records) {
-            prop_assert_eq!(heap.get(*rid).unwrap(), rec.as_slice());
+        file.sync().unwrap();
+        let reopened = HeapFile::open(&path.0).unwrap();
+        prop_assert_eq!(std::fs::metadata(&path.0).unwrap().len(), memory.file_len());
+        for heap in [&file, &reopened] {
+            prop_assert_eq!(
+                (heap.num_pages(), heap.num_records(), heap.file_len()),
+                (memory.num_pages(), memory.num_records(), memory.file_len())
+            );
+            for pid in 0..memory.num_pages() as PageId {
+                let page = heap.read_page_ref(pid).unwrap();
+                prop_assert_eq!(page.raw(), memory.read_page_ref(pid).unwrap().raw());
+            }
         }
-        // Page count is consistent with total bytes.
-        prop_assert_eq!(heap.total_bytes(), heap.num_pages() * 256);
+        // Page by page, the records come back in insertion order, each at
+        // the RID its insert returned.
+        let mut scanned = Vec::new();
+        for pid in 0..memory.num_pages() as PageId {
+            let page = memory.read_page_ref(pid).unwrap();
+            for slot in 0..page.slot_count() {
+                scanned.push((Rid::new(pid, slot), page.get(slot).unwrap().to_vec()));
+            }
+        }
+        prop_assert_eq!(scanned, rids.into_iter().zip(records).collect::<Vec<_>>());
     }
 
     #[test]
@@ -257,7 +305,7 @@ proptest! {
             .build_with_rows(rows.clone())
             .unwrap();
         prop_assert_eq!(table.num_rows(), rows.len());
-        let scanned: Vec<Row> = table.scan().map(|(_, r)| r).collect();
+        let scanned: Vec<Row> = table.scan_rows().unwrap().into_iter().map(|(_, r)| r).collect();
         prop_assert_eq!(scanned, rows);
     }
 }

@@ -29,7 +29,7 @@ use samplecf_server::{
     CatalogEntry, IndexChoice, Json, Request, RequestKind, Response, ServiceState,
     DEFAULT_CACHE_BUDGET_BYTES,
 };
-use samplecf_storage::DiskTable;
+use samplecf_storage::Table;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -269,7 +269,7 @@ fn cmd_gen(mut args: Args) -> Result<(), String> {
     }
     .page_size(page_size);
     let generated = spec.generate().map_err(|e| e.to_string())?;
-    let disk = DiskTable::materialize(&out, &generated.table).map_err(|e| e.to_string())?;
+    let disk = Table::materialize(&out, &generated.table).map_err(|e| e.to_string())?;
     let stats = generated.stats_for("a").map_err(|e| e.to_string())?;
 
     outln!("wrote          {out}");
@@ -493,7 +493,7 @@ fn run_trials(
 
 fn cmd_exact(mut args: Args) -> Result<(), String> {
     let path = args.require("table")?;
-    let table = DiskTable::open(&path).map_err(|e| format!("cannot open {path}: {e}"))?;
+    let table = Table::open(&path).map_err(|e| format!("cannot open {path}: {e}"))?;
     let (spec, scheme) = index_choice_from_flags(&args.argv)
         .and_then(|index| index.resolve(table.schema()))
         .map_err(|e| e.to_string())?;

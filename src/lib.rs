@@ -84,8 +84,8 @@ pub mod prelude {
         BatchSchedule, CountingSource, MaterializedSample, SampleStream, SamplerKind,
     };
     pub use samplecf_storage::{
-        Column, DataType, DiskTable, IntoShared, Row, Schema, SharedSource, Table, TableBuilder,
-        TableSource, Value,
+        Column, DataType, IntoShared, Row, Schema, SharedSource, Table, TableBuilder, TableSource,
+        Value,
     };
 }
 

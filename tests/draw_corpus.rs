@@ -6,8 +6,8 @@
 //! with — and records, per batch, the RIDs, the stratum tags, the cumulative pages read
 //! and the bytes the stream retains (only an extendable stream is ever held
 //! and priced, so a scan stream records `-`).  An extendable stream is then
-//! deepened once and drained again.  The in-memory `Table` and its
-//! `DiskTable` copy must produce the same text, and that text must equal the
+//! deepened once and drained again.  The in-memory `Table` and its copy
+//! in a file must produce the same text, and that text must equal the
 //! committed file.
 //!
 //! On a mismatch the test names the first differing line and the run it
@@ -20,7 +20,7 @@ mod golden;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use samplecf::sampling::{Allocation, BatchSchedule, CountingSource, SamplerKind, StrataMode};
-use samplecf::storage::{DiskTable, Row, Schema, Table, TableBuilder, TableSource, Value};
+use samplecf::storage::{Row, Schema, Table, TableBuilder, TableSource, Value};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -183,11 +183,11 @@ fn every_draw_matches_the_committed_corpus() {
     let tmp = Path::new(env!("CARGO_TARGET_TMPDIR"));
     let memory = table();
     let file = TempFile(tmp.join(format!("draw_corpus_{}.scf", std::process::id())));
-    let disk = DiskTable::materialize(&file.0, &memory).unwrap();
+    let disk = Table::materialize(&file.0, &memory).unwrap();
 
     let actual = corpus(&memory);
     if let Some(diff) = golden::first_difference(&actual, &corpus(&disk), &["run "]) {
-        panic!("the DiskTable copy draws differently from the Table, {diff}");
+        panic!("the file copy draws differently from the in-memory table, {diff}");
     }
     golden::check("draws.txt", &actual, &["run "]);
 }

@@ -90,9 +90,10 @@ fn index_lookup_agrees_with_table_scan_after_compression_roundtrip() {
     let index = IndexBuilder::new().build_from_table(&table, &spec).unwrap();
 
     // Pick an existing key and check the index finds all of its rows.
-    let needle = table.scan().nth(17).unwrap().1.value(0).clone();
-    let from_scan = table
-        .scan()
+    let rows = table.scan_rows().unwrap();
+    let needle = rows[17].1.value(0).clone();
+    let from_scan = rows
+        .iter()
         .filter(|(_, row)| row.value(0) == &needle)
         .count();
     let from_index = index.lookup(std::slice::from_ref(&needle)).unwrap();
@@ -150,7 +151,7 @@ impl Drop for TempTableFile {
 fn disk_estimation_matches_in_memory_estimation_seed_for_seed() {
     let mem = demo_table(12_000, 600, 21);
     let file = TempTableFile::new("parity");
-    let disk = DiskTable::materialize(&file.0, &mem).unwrap();
+    let disk = Table::materialize(&file.0, &mem).unwrap();
     let spec = IndexSpec::nonclustered("i", ["a"]).unwrap();
 
     for sampler in [
@@ -193,7 +194,7 @@ fn disk_estimation_matches_in_memory_estimation_seed_for_seed() {
 fn block_sampling_on_disk_reads_only_the_sampled_pages() {
     let mem = demo_table(30_000, 1_000, 22);
     let file = TempTableFile::new("block_io");
-    let disk = DiskTable::materialize(&file.0, &mem).unwrap();
+    let disk = Table::materialize(&file.0, &mem).unwrap();
     let spec = IndexSpec::nonclustered("i", ["a"]).unwrap();
     let num_pages = TableSource::num_pages(&disk);
     assert!(num_pages > 20, "need a multi-page table, got {num_pages}");
@@ -221,6 +222,34 @@ fn block_sampling_on_disk_reads_only_the_sampled_pages() {
     assert_eq!(counting.pages_read(), num_pages as u64);
 }
 
+/// A table file without write permission opens and serves a block
+/// estimate, because `Table::open` asks only for read access.  Root ignores
+/// permission bits, so this test can only fail when run unprivileged, as CI
+/// runs it, or as root without `CAP_DAC_OVERRIDE`: there, opening the file
+/// for writing is `Permission denied`.
+#[test]
+fn a_read_only_table_file_opens_and_serves_a_block_estimate() {
+    use std::os::unix::fs::PermissionsExt;
+    let mem = demo_table(6_000, 300, 23);
+    let file = TempTableFile::new("read_only");
+    let num_pages = Table::materialize(&file.0, &mem).unwrap().num_pages();
+    std::fs::set_permissions(&file.0, std::fs::Permissions::from_mode(0o444)).unwrap();
+
+    let disk = Table::open(&file.0).unwrap();
+    let spec = IndexSpec::nonclustered("i", ["a"]).unwrap();
+    let counting = CountingSource::new(&disk);
+    let sampler = SampleCf::new(SamplerKind::Block(0.1)).seed(9);
+    let on_disk = sampler
+        .estimate(&counting, &spec, &NullSuppression)
+        .unwrap();
+    let on_mem = sampler.estimate(&mem, &spec, &NullSuppression).unwrap();
+    assert_eq!(on_disk.cf, on_mem.cf);
+    assert_eq!(
+        counting.pages_read(),
+        ((num_pages as f64 * 0.1).round() as u64).max(1)
+    );
+}
+
 #[test]
 fn shared_sample_advisor_reads_sampled_pages_exactly_once_on_disk() {
     // The acceptance test for the batch advisor: k candidates priced on one
@@ -229,7 +258,7 @@ fn shared_sample_advisor_reads_sampled_pages_exactly_once_on_disk() {
     // candidate — and each recommendation is the direct estimate.
     let mem = demo_table(24_000, 800, 31);
     let file = TempTableFile::new("advisor_shared");
-    let disk = DiskTable::materialize(&file.0, &mem).unwrap();
+    let disk = Table::materialize(&file.0, &mem).unwrap();
     let num_pages = TableSource::num_pages(&disk);
     assert!(num_pages > 20, "need a multi-page table, got {num_pages}");
     let disk = disk.into_shared();
@@ -283,7 +312,7 @@ fn shared_sample_advisor_reads_sampled_pages_exactly_once_on_disk() {
 fn trial_runner_parallelism_is_deterministic_over_disk_tables() {
     let mem = demo_table(6_000, 300, 23);
     let file = TempTableFile::new("trials");
-    let disk = DiskTable::materialize(&file.0, &mem).unwrap();
+    let disk = Table::materialize(&file.0, &mem).unwrap();
     let spec = IndexSpec::nonclustered("i", ["a"]).unwrap();
 
     let single = TrialRunner::new(TrialConfig::new(8).base_seed(3).threads(1))
@@ -326,14 +355,14 @@ fn stopping_rules_on_a_disk_table_stop_early_only_with_an_honest_interval() {
         confidence: 0.95,
         schedule: BatchSchedule::new(0.002, 3.0).unwrap(),
     };
-    let run = |table: &DiskTable, kind: SamplerKind| {
+    let run = |table: &Table, kind: SamplerKind| {
         ProgressiveCf::new(kind, config)
             .seed(2)
             .run(table, &spec, &NullSuppression)
             .unwrap()
     };
     // Pages a fixed-fraction block draw at the same seed costs, and its CF.
-    let one_shot = |table: &DiskTable, fraction: f64| {
+    let one_shot = |table: &Table, fraction: f64| {
         let counting = CountingSource::new(table);
         let estimate = SampleCf::new(SamplerKind::Block(fraction))
             .seed(2)
@@ -351,7 +380,7 @@ fn stopping_rules_on_a_disk_table_stop_early_only_with_an_honest_interval() {
     let clustered = presets::clustered_variable_table("strat_clustered", 24_000, 64, 8, 9);
     let file = TempTableFile::new("stopping_small_pages");
     let small_pages = clustered.clone().page_size(1024).generate().unwrap().table;
-    let disk = DiskTable::materialize(&file.0, &small_pages).unwrap();
+    let disk = Table::materialize(&file.0, &small_pages).unwrap();
     let exact = ExactCf::new()
         .compute(&disk, &spec, &NullSuppression)
         .unwrap();
@@ -379,7 +408,7 @@ fn stopping_rules_on_a_disk_table_stop_early_only_with_an_honest_interval() {
     // its whole cap — and a fully consumed prefix-stable stream is the
     // one-shot draw, reported with an honest "target not met".
     let file = TempTableFile::new("stopping_clustered");
-    let disk = DiskTable::materialize(&file.0, &clustered.generate().unwrap().table).unwrap();
+    let disk = Table::materialize(&file.0, &clustered.generate().unwrap().table).unwrap();
     let block = run(&disk, SamplerKind::Block(0.2));
     assert!(!block.target_met && !block.stopped_early);
     assert_eq!(
@@ -394,7 +423,7 @@ fn stopping_rules_on_a_disk_table_stop_early_only_with_an_honest_interval() {
         .unwrap()
         .table;
     let file = TempTableFile::new("stopping_constant");
-    let disk = DiskTable::materialize(&file.0, &constant).unwrap();
+    let disk = Table::materialize(&file.0, &constant).unwrap();
     let adaptive = run(&disk, SamplerKind::Block(0.1));
     let (_, fixed_pages) = one_shot(&disk, 0.1);
     assert!(adaptive.target_met);
@@ -408,19 +437,19 @@ fn stopping_rules_on_a_disk_table_stop_early_only_with_an_honest_interval() {
 /// A disk table whose every record holds a character cell that is not
 /// UTF-8, on pages whose checksums are valid: the file reads back, and only
 /// the record check can refuse it.
-fn table_with_invalid_utf8(path: &std::path::Path) -> DiskTable {
+fn table_with_invalid_utf8(path: &std::path::Path) -> Table {
     let schema = Schema::single_char("a", 8);
     let codec = samplecf::storage::RowCodec::new(schema.clone());
-    DiskTable::create(path, "bad_utf8", schema, 512).unwrap();
-    let mut heap = samplecf::storage::DiskHeapFile::open(path).unwrap();
+    Table::create(path, "bad_utf8", schema, 512).unwrap();
+    let mut heap = samplecf::storage::HeapFile::open(path).unwrap();
     let mut record = codec.encode(&Row::new(vec![Value::str("ok")])).unwrap();
     record[1] = 0xFF;
     for _ in 0..120 {
-        heap.append(&record).unwrap();
+        heap.insert(&record).unwrap();
     }
     heap.sync().unwrap();
     drop(heap);
-    DiskTable::open(path).unwrap()
+    Table::open(path).unwrap()
 }
 
 #[test]
@@ -446,7 +475,7 @@ fn a_record_that_is_not_utf8_fails_the_estimate_that_draws_it_with_a_typed_error
     let [bad_path, good_path] = &files.0;
     let bad = table_with_invalid_utf8(bad_path);
     assert!(bad.num_pages() > 1);
-    DiskTable::materialize(good_path, &demo_table(2_000, 50, 4)).unwrap();
+    Table::materialize(good_path, &demo_table(2_000, 50, 4)).unwrap();
     let spec = IndexSpec::nonclustered("i", ["a"]).unwrap();
 
     // The library: the draw's check is the decoder's, as a storage error.

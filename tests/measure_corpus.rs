@@ -25,7 +25,7 @@ use samplecf::datagen::presets;
 use samplecf::index::IndexSpec;
 use samplecf::sampling::{Allocation, BatchSchedule, SamplerKind, StrataMode};
 use samplecf::server::{CachedSample, Json, ServiceState, DEFAULT_CACHE_BUDGET_BYTES};
-use samplecf::storage::{DiskTable, IntoShared, Table};
+use samplecf::storage::{IntoShared, Table};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -215,7 +215,7 @@ fn corpus(table: &Table, path: &Path) -> String {
     );
 
     writeln!(out, "section cache").unwrap();
-    let shared = DiskTable::open(path).unwrap().into_shared();
+    let shared = Table::open(path).unwrap().into_shared();
     let dictionary = scheme_by_name("dictionary-paged").unwrap();
     for (kind, deeper, _) in samplers() {
         let mut entry = CachedSample::draw(&shared, kind, SEED).unwrap();
@@ -261,7 +261,7 @@ fn every_measure_matches_the_committed_corpus() {
     let tmp = Path::new(env!("CARGO_TARGET_TMPDIR"));
     let memory = table();
     let file = TempFile(tmp.join(format!("measure_corpus_{}.scf", std::process::id())));
-    DiskTable::materialize(&file.0, &memory).unwrap();
+    Table::materialize(&file.0, &memory).unwrap();
 
     let actual = corpus(&memory, &file.0);
     golden::check("measures.txt", &actual, &["section ", "run "]);
