@@ -14,7 +14,6 @@
 //! instead of the full table.  Neither packs the tree; [`measure_rows`]
 //! does, as the differential oracle.
 
-use crate::algebra::weighted_combine;
 use crate::error::{CoreError, CoreResult};
 use crate::measure::{KeyOrderOutcome, SampleMeasure, Source};
 use crate::metrics::ratio_error;
@@ -235,9 +234,31 @@ pub fn measure_sample_schemes(
     Ok((measured, outcome))
 }
 
+/// Renormalised weighted combination: `Σ wᵢ·vᵢ / Σ wᵢ` over the entries
+/// that have a value.  `None` when nothing has a value or the live weight
+/// is zero.
+///
+/// This is the stratified point estimator `Σ W_s·x̄_s` with the weights
+/// renormalised over the strata actually sampled — the standard
+/// missing-stratum correction, and the single definition every consumer
+/// shares so stratified CF estimates are bit-identical across code paths.
+#[must_use]
+pub fn weighted_combine(weights: &[f64], values: &[Option<f64>]) -> Option<f64> {
+    debug_assert_eq!(weights.len(), values.len());
+    let mut sum = 0.0;
+    let mut live_weight = 0.0;
+    for (&w, v) in weights.iter().zip(values) {
+        if let Some(v) = v {
+            sum += w * v;
+            live_weight += w;
+        }
+    }
+    (live_weight > 0.0).then(|| sum / live_weight)
+}
+
 /// `Σ W_s·CF_s` over per-stratum reports, in tag order (`None` for a stratum
 /// with no sampled rows), for each member of the CF triple:
-/// [`weighted_combine`](crate::algebra::weighted_combine) over the population
+/// [`weighted_combine`] over the population
 /// `weights`, renormalised over sampled strata.  `None` when no stratum has
 /// rows — including the unstratified case of no weights at all.
 ///
@@ -429,6 +450,20 @@ mod tests {
 
     fn spec() -> IndexSpec {
         IndexSpec::nonclustered("idx_a", ["a"]).unwrap()
+    }
+
+    #[test]
+    fn weighted_combine_renormalises_over_live_entries() {
+        let w = [0.6, 0.3, 0.1];
+        assert_eq!(
+            weighted_combine(&w, &[Some(1.0), Some(1.0), Some(1.0)]),
+            Some(1.0)
+        );
+        let v = weighted_combine(&w, &[Some(0.2), None, Some(0.8)]).unwrap();
+        let expected = (0.6 * 0.2 + 0.1 * 0.8) / 0.7;
+        assert!((v - expected).abs() < 1e-12);
+        assert_eq!(weighted_combine(&w, &[None, None, None]), None);
+        assert_eq!(weighted_combine(&[], &[]), None);
     }
 
     #[test]

@@ -56,7 +56,6 @@
 //! ```
 
 pub mod advisor;
-pub mod algebra;
 pub mod distinct;
 pub mod error;
 pub mod estimator;
@@ -69,20 +68,17 @@ pub mod trials;
 pub use advisor::{
     AdvisorConfig, AdvisorPlan, Candidates, CompressionAdvisor, Recommendation, SampleGroup,
 };
-pub use algebra::{ns_row_statistic, weighted_combine, MomentSketch, VarianceNode};
 pub use distinct::{
     all_estimators, Chao84, DistinctEstimator, FrequencyHistogram, GuaranteedErrorEstimator,
     NaiveScaleUp, SampleDistinct, Shlosser,
 };
 pub use error::{CoreError, CoreResult};
 pub use estimator::{
-    measure_rows, measure_sample, measure_sample_schemes, CfMeasurement, DataStats,
-    DataStatsAccumulator, ExactCf, SampleCf,
+    measure_rows, measure_sample, measure_sample_schemes, weighted_combine, CfMeasurement,
+    DataStats, DataStatsAccumulator, ExactCf, SampleCf,
 };
 pub use measure::KeyOrderOutcome;
-pub use metrics::{
-    absolute_error, grouped_jackknife_variance, ratio_error, relative_error, SummaryStats,
-};
+pub use metrics::{absolute_error, ratio_error, relative_error, SummaryStats};
 pub use progressive::{
     CfCheckpoint, ProgressiveCf, ProgressiveConfig, ProgressiveMetrics, ProgressiveReport,
 };

@@ -4,20 +4,21 @@
 //! A `SampleMeasure` is bound to `(schema, spec, schemes)`.  Batches are
 //! folded in as they were drawn — a progressive run's stream, a held
 //! sample's batches, the exact CF's one read of every page — and the prefix
-//! folded so far is priced under every scheme, whole, a stratum at a time,
-//! or less one batch.  Two routes, and no knob:
+//! folded so far is priced under every scheme, whole or a stratum at a
+//! time.  Two routes, and no knob:
 //!
 //! * **cell sums**, for a stream whose schemes all have
 //!   [`cell_costs`](CompressionScheme::cell_costs) (null suppression, none).
 //!   Such a size over any rows is one header per leaf plus the rows' cell
 //!   costs — the per-row sums `Σ(ℓᵢ + marker)` Theorem 1 analyses — so key
 //!   order cannot show.  Each batch's records are read once, unsorted, into
-//!   per-column cost sums: one per batch, or one per stratum tag for a
-//!   stratified draw.  The whole prefix, a stratum and a delete-one-batch
-//!   sample (the pooled sums less the batch's) are [`RunSizer::price`]
-//!   arithmetic.  The [`DataStats`] are sums too — rows, NULLs and `Σ ℓᵢ`
-//!   of the first key — and `d′` counts its distinct non-NULL cells by their
-//!   bytes.
+//!   per-column cost sums: one for the sample, or one per stratum tag for a
+//!   stratified draw.  The whole prefix and a stratum are
+//!   [`RunSizer::price`] arithmetic.  The same pass keeps the moments of
+//!   each row's and each page's cost, which price the CF's design variance
+//!   ([`design_sums`](SampleMeasure::design_sums)).  The [`DataStats`] are
+//!   sums too — rows, NULLs and `Σ ℓᵢ` of the first key — and `d′` counts
+//!   its distinct non-NULL cells by their bytes.
 //! * **one walk of the key order** for a stream with a scheme that must see
 //!   the order, and for a held sample whatever its schemes: its order is
 //!   sorted once and kept, and a walk through a kept order costs even a
@@ -26,19 +27,20 @@
 //!   one walk sizes every scheme ([`OrderedEntries::measure_where`]).  Each
 //!   batch's entries are encoded, and `order` sorts only the entries past
 //!   the [`KeyOrder`]'s end and merges them in — none at all when the held
-//!   order covers every row.  A stratum keeps the rows its tag names, a
-//!   delete-one-batch sample skips the batch's row range.  The
-//!   [`DataStats`] are read off the walk.
+//!   order covers every row.  A stratum keeps the rows its tag names.  The
+//!   [`DataStats`] are read off the walk.  Such a CF is not a sum of per-row
+//!   terms, so it has no design variance.
 //!
 //! Both are bit-identical to packing and measuring every tree from the
 //! rows, the differential oracle ([`measure_rows`](crate::measure_rows)).
 
 use crate::error::CoreResult;
 use crate::estimator::{combine_strata, CfMeasurement, DataStats};
+use crate::theory::Unit;
 use samplecf_compression::{CellCosts, CompressionScheme, DistinctScratch};
 use samplecf_index::{
     CompressedIndexReport, IndexBuilder, IndexSpec, KeyOrder, OrderedEntries, RunCellCosts,
-    RunSizer,
+    RunSizer, UnitSums,
 };
 use samplecf_sampling::RecordBatch;
 use samplecf_storage::{CellRef, DataType, RowCodec, RowRef};
@@ -77,8 +79,6 @@ pub(crate) struct SampleMeasure<'a> {
     codec: &'a RowCodec,
     schemes: &'a [&'a dyn CompressionScheme],
     route: Route<'a>,
-    /// The row number each folded batch ends at.
-    ends: Vec<usize>,
     /// Each folded row's stratum tag; empty for an unstratified sample.
     tags: Vec<u32>,
 }
@@ -107,10 +107,20 @@ enum Route<'a> {
 struct CellSums {
     costs: CellCosts,
     pooled: RunCellCosts,
-    /// Per batch, for an unstratified sample.
-    batches: Vec<RunCellCosts>,
-    /// Per stratum, for a stratified one.
+    /// Per stratum, for a stratified sample.
     strata: Vec<RunCellCosts>,
+}
+
+/// What a CF's design variance is priced from
+/// ([`theory::design_variance`](crate::theory::design_variance)).
+pub(crate) struct DesignSums {
+    /// Per stratum, or for the whole of an unstratified sample, the sums of
+    /// its units.
+    pub(crate) strata: Vec<UnitSums>,
+    /// Uncompressed bytes of an entry's stored cells.
+    pub(crate) entry_bytes: usize,
+    /// One full leaf's chunk headers.
+    pub(crate) leaf_header: usize,
 }
 
 impl<'a> SampleMeasure<'a> {
@@ -138,7 +148,6 @@ impl<'a> SampleMeasure<'a> {
                     .map(|costs| CellSums {
                         costs,
                         pooled: sizer.empty_cell_costs(),
-                        batches: Vec::new(),
                         strata: Vec::new(),
                     })
                     .collect();
@@ -153,7 +162,6 @@ impl<'a> SampleMeasure<'a> {
             codec,
             schemes,
             route,
-            ends: Vec::new(),
             tags: Vec::new(),
         })
     }
@@ -171,11 +179,8 @@ impl<'a> SampleMeasure<'a> {
             Route::CellSums(sizer, sums, stats) => {
                 for sums in sums {
                     if strata == 0 {
-                        let mut sum = sizer.empty_cell_costs();
-                        let one = std::slice::from_mut(&mut sum);
+                        let one = std::slice::from_mut(&mut sums.pooled);
                         sizer.add_cell_costs(batch.iter(), &sums.costs, one, |_| 0)?;
-                        sums.pooled.merge(&sum);
-                        sums.batches.push(sum);
                     } else {
                         sums.strata.resize(strata, sizer.empty_cell_costs());
                         let group = |i: usize| tags[i] as usize;
@@ -188,7 +193,6 @@ impl<'a> SampleMeasure<'a> {
             }
             Route::Walk(entries) => entries.extend(batch.iter())?,
         }
-        self.ends.push(self.ends.last().unwrap_or(&0) + batch.len());
         Ok(())
     }
 
@@ -214,13 +218,12 @@ impl<'a> SampleMeasure<'a> {
     fn price(
         &self,
         keep: impl Fn(usize) -> bool,
-        sums: impl Fn(&CellSums) -> (&RunCellCosts, Option<&RunCellCosts>),
+        sums: impl Fn(&CellSums) -> &RunCellCosts,
     ) -> CoreResult<(Vec<CompressedIndexReport>, DataStats)> {
         match &self.route {
             Route::CellSums(sizer, all, stats) => {
                 let price = |(scheme, cell_sums): (&&dyn CompressionScheme, &CellSums)| {
-                    let (pooled, excluded) = sums(cell_sums);
-                    Ok(sizer.price(*scheme, &cell_sums.costs, pooled, excluded)?)
+                    Ok(sizer.price(*scheme, &cell_sums.costs, sums(cell_sums))?)
                 };
                 let reports = self.schemes.iter().zip(all).map(price);
                 Ok((reports.collect::<CoreResult<_>>()?, stats.snapshot()))
@@ -245,7 +248,7 @@ impl<'a> SampleMeasure<'a> {
         if !(0..self.tags.len()).any(keep) {
             return Ok(None);
         }
-        Ok(Some(self.price(keep, |sums| (&sums.strata[s], None))?.0))
+        Ok(Some(self.price(keep, |sums| &sums.strata[s])?.0))
     }
 
     /// One measurement per scheme, in `schemes`' order, of the rows folded
@@ -258,7 +261,7 @@ impl<'a> SampleMeasure<'a> {
         weights: &[f64],
         sampler: &str,
     ) -> CoreResult<Vec<CfMeasurement>> {
-        let (reports, data) = self.price(|_| true, |sums| (&sums.pooled, None))?;
+        let (reports, data) = self.price(|_| true, |sums| &sums.pooled)?;
         let strata = (0..weights.len())
             .map(|s| self.stratum(s))
             .collect::<CoreResult<Vec<_>>>()?;
@@ -276,19 +279,29 @@ impl<'a> SampleMeasure<'a> {
         Ok(reports.into_iter().enumerate().map(measure).collect())
     }
 
-    /// Per scheme, the CF of the folded rows less batch `b`'s, priced
-    /// without building its tree: the pooled sums less the batch's, or a
-    /// walk that skips the batch's rows.
-    ///
-    /// # Panics
-    /// For a stratified sample on the cell-sums route, whose sums are kept
-    /// by stratum, not batch.
-    pub(crate) fn leave_one_out(&self, b: usize) -> CoreResult<Vec<f64>> {
-        let start = b.checked_sub(1).map_or(0, |a| self.ends[a]);
-        let skipped = start..self.ends[b];
-        let keep = |i: usize| !skipped.contains(&i);
-        let (reports, _) = self.price(keep, |sums| (&sums.pooled, Some(&sums.batches[b])))?;
-        Ok(reports.iter().map(CompressedIndexReport::cf).collect())
+    /// On the cell-sums route, what the design variance of the first
+    /// scheme's CF is priced from, with `unit` the sampling unit: per
+    /// stratum of a stratified sample, else for the whole sample.  `None` on
+    /// the walk route.
+    pub(crate) fn design_sums(&self, unit: Unit) -> Option<DesignSums> {
+        let Route::CellSums(sizer, all, _) = &self.route else {
+            return None;
+        };
+        let sums = all.first()?;
+        let of = |costs: &RunCellCosts| match unit {
+            Unit::Row => costs.rows(),
+            Unit::Page => costs.pages(),
+        };
+        let strata = if sums.strata.is_empty() {
+            vec![of(&sums.pooled)]
+        } else {
+            sums.strata.iter().map(of).collect()
+        };
+        Some(DesignSums {
+            strata,
+            entry_bytes: sizer.entry_bytes(),
+            leaf_header: sizer.leaf_header(&sums.costs),
+        })
     }
 }
 

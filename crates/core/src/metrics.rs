@@ -90,55 +90,6 @@ impl SummaryStats {
     }
 }
 
-/// Delete-one-group jackknife variance of an estimator computed from
-/// unequal-size groups (Busing, Meijer & van der Leeden's delete-m_j
-/// jackknife).
-///
-/// `theta_hat` is the estimate over all `n` observations; `leave_one_out[b]`
-/// is the same estimator recomputed with group `b` (of `group_sizes[b]`
-/// observations) removed.  With `h_b = n / m_b`, the pseudo-values are
-/// `θ̃_b = h_b·θ̂ − (h_b − 1)·θ̂₍₋b₎` and the variance estimate is
-///
-/// ```text
-/// v = (1/k) · Σ_b (θ̃_b − θ̄)² / (h_b − 1),    θ̄ = (1/k) Σ_b θ̃_b
-/// ```
-///
-/// which reduces to the classical delete-one jackknife when all groups are
-/// the same size.  This is how the progressive estimator turns its
-/// geometric sample batches into an honest variance for the CF estimate.
-/// Returns `None` with fewer than two groups (no variance information) or
-/// mismatched inputs.
-#[must_use]
-pub fn grouped_jackknife_variance(
-    theta_hat: f64,
-    leave_one_out: &[f64],
-    group_sizes: &[usize],
-) -> Option<f64> {
-    let k = leave_one_out.len();
-    if k < 2 || group_sizes.len() != k || group_sizes.contains(&0) {
-        return None;
-    }
-    let n: usize = group_sizes.iter().sum();
-    let h: Vec<f64> = group_sizes.iter().map(|&m| n as f64 / m as f64).collect();
-    if h.iter().any(|&hb| hb <= 1.0) {
-        // A group holding every observation leaves nothing to delete.
-        return None;
-    }
-    let pseudo: Vec<f64> = leave_one_out
-        .iter()
-        .zip(&h)
-        .map(|(&loo, &hb)| hb * theta_hat - (hb - 1.0) * loo)
-        .collect();
-    let pseudo_mean = pseudo.iter().sum::<f64>() / k as f64;
-    let v = pseudo
-        .iter()
-        .zip(&h)
-        .map(|(&p, &hb)| (p - pseudo_mean).powi(2) / (hb - 1.0))
-        .sum::<f64>()
-        / k as f64;
-    Some(v)
-}
-
 fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
     if sorted.len() == 1 {
         return sorted[0];
@@ -183,53 +134,6 @@ mod tests {
         assert!((s.median - 3.0).abs() < 1e-12);
         assert!(s.p95 >= 4.0 && s.p95 <= 5.0);
         assert!((s.population_variance() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn grouped_jackknife_matches_the_classical_formula_for_equal_groups() {
-        // Estimator: the mean of 3 equal-size groups of observations.
-        let groups: Vec<Vec<f64>> = vec![
-            vec![1.0, 2.0, 3.0],
-            vec![2.0, 4.0, 6.0],
-            vec![1.5, 2.5, 3.5],
-        ];
-        let all: Vec<f64> = groups.iter().flatten().copied().collect();
-        let mean = all.iter().sum::<f64>() / all.len() as f64;
-        let loo: Vec<f64> = (0..groups.len())
-            .map(|skip| {
-                let rest: Vec<f64> = groups
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| *i != skip)
-                    .flat_map(|(_, g)| g.iter().copied())
-                    .collect();
-                rest.iter().sum::<f64>() / rest.len() as f64
-            })
-            .collect();
-        let sizes = [3usize, 3, 3];
-        let v = grouped_jackknife_variance(mean, &loo, &sizes).unwrap();
-        // Classical delete-one jackknife over the k group means:
-        // v = (k-1)/k · Σ (θ̂₍₋b₎ − mean(θ̂₍₋·₎))².
-        let loo_mean = loo.iter().sum::<f64>() / loo.len() as f64;
-        let classical = loo.iter().map(|x| (x - loo_mean).powi(2)).sum::<f64>() * 2.0 / 3.0;
-        assert!((v - classical).abs() < 1e-12, "{v} vs {classical}");
-        assert!(v > 0.0);
-    }
-
-    #[test]
-    fn grouped_jackknife_handles_unequal_groups_and_degenerate_input() {
-        // A constant estimator has zero estimated variance whatever the
-        // group sizes.
-        let v = grouped_jackknife_variance(0.5, &[0.5, 0.5, 0.5], &[10, 20, 40]).unwrap();
-        assert!(v.abs() < 1e-18);
-        // Fewer than two groups, size mismatch, or empty groups: no answer.
-        assert!(grouped_jackknife_variance(0.5, &[0.5], &[10]).is_none());
-        assert!(grouped_jackknife_variance(0.5, &[0.5, 0.6], &[10]).is_none());
-        assert!(grouped_jackknife_variance(0.5, &[0.5, 0.6], &[10, 0]).is_none());
-        // More spread between leave-one-out estimates means more variance.
-        let tight = grouped_jackknife_variance(0.5, &[0.49, 0.51], &[10, 10]).unwrap();
-        let wide = grouped_jackknife_variance(0.5, &[0.4, 0.6], &[10, 10]).unwrap();
-        assert!(wide > tight);
     }
 
     #[test]

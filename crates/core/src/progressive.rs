@@ -11,45 +11,46 @@
 //! 2. after each batch the CF of the sample so far is re-priced, with its
 //!    [`DataStats`](crate::DataStats) — all from the drawn records' bytes,
 //!    no row decoded,
-//! 3. the estimate's variance is jackknifed over the batches
-//!    ([`grouped_jackknife_variance`]), giving a distribution-free
+//! 3. where that CF is a sum of per-row cell costs — a scheme that declares
+//!    [`cell_costs`](CompressionScheme::cell_costs): `none`, null
+//!    suppression — its variance is the sampling design's
+//!    ([`theory::design_variance`]), from moments of the row and page costs
+//!    folded in the pass that sums the cells, giving a distribution-free
 //!    Chebyshev confidence interval ([`theory::chebyshev_z`]),
 //! 4. the run stops as soon as the CI's relative half-width drops below
 //!    `target_error` — or when the sampler's fraction cap is reached.
 //!
 //! Every checkpoint is the one measure of a sample (`SampleMeasure`): the
 //! batch is folded in and the prefix drawn so far is priced — the pooled
-//! sample, each stratum, each delete-one-batch sample — by cell sums for a
-//! scheme that declares [`cell_costs`](CompressionScheme::cell_costs)
-//! (`O(B + strata)` arithmetic per checkpoint with `B` batches) and by one
-//! walk of the key order for any other, the order grown by sorting only
-//! the new batch and merging it in.  Both are bit-identical to packing and
-//! measuring every tree from the rows, the differential oracle.  The
-//! delete-*last*-batch estimate is free: it is the previous checkpoint's CF.
-//! No leave-one-out is priced before a second checkpoint asks for a
-//! variance, so a one-checkpoint run pays for none.
+//! sample and each stratum — by cell sums for a cell-additive scheme
+//! (`O(strata)` arithmetic per checkpoint) and by one walk of the key order
+//! for any other, the order grown by sorting only the new batch and merging
+//! it in.  Both are bit-identical to packing and measuring every tree from
+//! the rows, the differential oracle.
+//!
+//! A walked scheme's CF (dictionary, RLE, prefix) is not a sum of per-row
+//! terms: its error is the bias Theorems 2–3 describe, which no sampling
+//! variance prices.  Its checkpoints report no interval, so its run goes to
+//! the cap and answers what [`SampleCf`](crate::estimator::SampleCf) does.
 //!
 //! On low-variance data the stop comes after a tiny fraction of the pages a
 //! fixed-`f` run would read; on adversarial data the run simply continues
-//! to the cap and returns exactly the fixed-`f` answer, with honest error
-//! bars either way.  Prefix-stable streams make that exactness literal: a
+//! to the cap and returns exactly the fixed-`f` answer.  Prefix-stable streams make that exactness literal: a
 //! progressive run that reaches its cap is byte-identical — CF, data stats
 //! and pages read — to [`SampleCf`](crate::estimator::SampleCf) at the same
 //! fraction and seed.
 
-use crate::algebra::{self, MomentSketch, VarianceNode};
 use crate::error::{CoreError, CoreResult};
 use crate::estimator::CfMeasurement;
 use crate::measure::{SampleMeasure, Source};
-use crate::metrics::grouped_jackknife_variance;
-use crate::theory;
+use crate::theory::{self, Design, Unit};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use samplecf_compression::CompressionScheme;
 use samplecf_index::{IndexBuilder, IndexSpec};
 use samplecf_obs::{Counter, Histogram, MetricsRegistry, Timer};
 use samplecf_sampling::{BatchSchedule, SamplerKind};
-use samplecf_storage::{CountingSource, RowRef, TableSource};
+use samplecf_storage::{CountingSource, TableSource};
 use std::time::Instant;
 
 /// Registry-backed instruments for progressive runs.  A default-constructed
@@ -76,22 +77,13 @@ pub struct ProgressiveMetrics {
     /// key order and walks for any other
     /// (`samplecf_progressive_measure_ns`).
     measure_ns: Histogram,
-    /// Checkpoints whose variance came from the grouped jackknife
-    /// (`samplecf_progressive_variance_total{source="jackknife"}`).
-    variance_jackknife: Counter,
-    /// Checkpoints whose variance came from the closed-form stratified
-    /// algebra (`samplecf_progressive_variance_total{source="algebra"}`).
-    variance_algebra: Counter,
-    /// Per-checkpoint wall time producing the variance, jackknife or
-    /// algebra — a part of the `measure_ns` interval
-    /// (`samplecf_progressive_variance_ns`).
+    /// Checkpoints with a design variance
+    /// (`samplecf_progressive_variance_total{source="design"}`).
+    variance_design: Counter,
+    /// Per-checkpoint wall time pricing the design variance from the summed
+    /// moments, on the cell-sums route — a part of the `measure_ns`
+    /// interval (`samplecf_progressive_variance_ns`).
     variance_ns: Histogram,
-    /// Delete-one-batch estimates priced by arithmetic on per-batch cell
-    /// costs (`samplecf_progressive_leave_one_out_total{route="closed_form"}`).
-    leave_one_out_closed_form: Counter,
-    /// Delete-one-batch estimates priced by a size-only walk of the key
-    /// order (`samplecf_progressive_leave_one_out_total{route="walk"}`).
-    leave_one_out_walk: Counter,
     /// Checkpoints priced from per-column cell-cost sums
     /// (`samplecf_progressive_pricing_total{route="cell_sums"}`).
     pricing_cell_sums: Counter,
@@ -112,15 +104,9 @@ impl ProgressiveMetrics {
             pages_read: registry.counter("samplecf_progressive_pages_read_total"),
             draw_ns: registry.histogram("samplecf_progressive_draw_ns"),
             measure_ns: registry.histogram("samplecf_progressive_measure_ns"),
-            variance_jackknife: registry
-                .counter("samplecf_progressive_variance_total{source=\"jackknife\"}"),
-            variance_algebra: registry
-                .counter("samplecf_progressive_variance_total{source=\"algebra\"}"),
+            variance_design: registry
+                .counter("samplecf_progressive_variance_total{source=\"design\"}"),
             variance_ns: registry.histogram("samplecf_progressive_variance_ns"),
-            leave_one_out_closed_form: registry
-                .counter("samplecf_progressive_leave_one_out_total{route=\"closed_form\"}"),
-            leave_one_out_walk: registry
-                .counter("samplecf_progressive_leave_one_out_total{route=\"walk\"}"),
             pricing_cell_sums: registry
                 .counter("samplecf_progressive_pricing_total{route=\"cell_sums\"}"),
             pricing_tree: registry.counter("samplecf_progressive_pricing_total{route=\"tree\"}"),
@@ -183,9 +169,12 @@ pub struct CfCheckpoint {
     pub fraction: f64,
     /// The CF estimate at this checkpoint.
     pub cf: f64,
-    /// Jackknife standard error of the estimate (needs ≥ 2 batches).
+    /// Design standard error of the estimate: only for a cell-additive
+    /// scheme, from at least [`theory::MIN_DESIGN_UNITS`] units.
     pub std_error: Option<f64>,
-    /// Chebyshev CI half-width at the configured confidence.
+    /// CI half-width at the configured confidence: the Chebyshev `z` times
+    /// `std_error`, plus the slack of partial last leaves
+    /// ([`theory::design_variance`]).
     pub half_width: Option<f64>,
     /// Lower CI bound (clamped at 0).
     pub ci_low: Option<f64>,
@@ -196,10 +185,9 @@ pub struct CfCheckpoint {
     pub ns_stddev_bound: f64,
     /// Cumulative physical pages read from the source.
     pub pages_read: u64,
-    /// Which machinery produced `std_error`: `"jackknife"` (grouped
-    /// leave-one-out over batches) or `"algebra"` (the closed-form
-    /// [`VarianceNode`] for stratified
-    /// draws).  `None` when no variance was available yet.
+    /// What produced `std_error`: `"design"`, the sampling design's
+    /// variance of a sum of cell costs.  `None` with no interval — a walked
+    /// scheme, or too few units yet.
     pub variance_source: Option<&'static str>,
     /// Rows drawn per stratum so far, for stratified runs (`None`
     /// otherwise).
@@ -359,18 +347,37 @@ impl ProgressiveCf {
     pub fn supports_checkpoints(sampler: SamplerKind) -> CoreResult<()> {
         match sampler {
             SamplerKind::UniformWithReplacement(_)
+            | SamplerKind::UniformWithoutReplacement(_)
             | SamplerKind::Block(_)
             | SamplerKind::Reservoir(_)
             | SamplerKind::Stratified { .. } => Ok(()),
-            SamplerKind::UniformWithoutReplacement(_)
-            | SamplerKind::Bernoulli(_)
-            | SamplerKind::Systematic(_) => Err(CoreError::InvalidConfig(format!(
-                "no confidence interval has been validated for sampler {} \
-                 (progressive estimation supports uniform-wr, block, reservoir \
-                 and stratified)",
-                sampler.label()
-            ))),
+            SamplerKind::Bernoulli(_) | SamplerKind::Systematic(_) => {
+                Err(CoreError::InvalidConfig(format!(
+                    "no confidence interval has been validated for sampler {} \
+                     (progressive estimation supports uniform, uniform-wor, block, \
+                     reservoir and stratified)",
+                    sampler.label()
+                )))
+            }
         }
+    }
+
+    /// The sampling design a checkpoint of `sampler`'s draw from `source` is
+    /// priced under: rows, or a block sample's pages; with replacement, or
+    /// without from the source's rows or pages.  `None` for Bernoulli and
+    /// systematic draws, which report no interval.
+    fn design(sampler: SamplerKind, source: &dyn TableSource) -> Option<Design> {
+        let (unit, population) = match sampler {
+            SamplerKind::UniformWithReplacement(_) | SamplerKind::Stratified { .. } => {
+                (Unit::Row, None)
+            }
+            SamplerKind::UniformWithoutReplacement(_) | SamplerKind::Reservoir(_) => {
+                (Unit::Row, Some(source.num_rows()))
+            }
+            SamplerKind::Block(_) => (Unit::Page, Some(source.num_pages())),
+            SamplerKind::Bernoulli(_) | SamplerKind::Systematic(_) => return None,
+        };
+        Some(Design { unit, population })
     }
 
     /// Run the progressive estimation loop over `source`.
@@ -381,12 +388,12 @@ impl ProgressiveCf {
     ///
     /// For a stratified sampler the checkpoint machinery changes in three
     /// ways: the CF estimate is the weighted per-stratum combination
-    /// `Σ W_s·CF_s` ([`weighted_combine`](crate::algebra::weighted_combine)),
-    /// the variance comes from the closed-form
-    /// [`VarianceNode::StratifiedConcat`](crate::algebra::VarianceNode)
-    /// instead of the grouped jackknife, and after every checkpoint the
-    /// measured per-stratum spreads are fed back to the stream so Neyman
-    /// allocation steers the remaining budget toward the noisy strata.
+    /// `Σ W_s·CF_s` ([`weighted_combine`](crate::estimator::weighted_combine)),
+    /// the design variance sums each stratum's with the same weights, and
+    /// after every checkpoint of a cell-additive scheme each stratum's
+    /// measured spread of row costs is fed back to the stream so Neyman
+    /// allocation steers the remaining budget toward the noisy strata.  A
+    /// walked scheme has no such spread: its stream keeps its initial split.
     pub fn run(
         &self,
         source: &dyn TableSource,
@@ -398,39 +405,29 @@ impl ProgressiveCf {
             Self::supports_checkpoints(self.sampler)?;
         }
         let codec = source.codec();
-        // An index spec has at least one key column.
-        let first_key = spec.key_indexes(codec.schema())?[0];
-        let key_type = codec.schema().column_at(first_key).datatype;
         let z = theory::chebyshev_z(self.config.confidence);
+        let design = Self::design(self.sampler, source);
         let counting = CountingSource::new(source);
         let mut stream = self.sampler.stream(self.config.schedule)?;
         let mut rng = StdRng::seed_from_u64(self.seed);
         let is_stratified = matches!(self.sampler, SamplerKind::Stratified { .. });
-        let key_width = key_type.uncompressed_width();
         let label = self.sampler.label();
 
         let started = Instant::now();
-        let mut rows = 0;
-        let mut batch_sizes: Vec<usize> = Vec::new();
+        let (mut rows, mut batches) = (0, 0);
         let schemes = [scheme];
         let mut measure = SampleMeasure::new(codec, spec, &schemes, &self.builder, Source::Stream)?;
-        // One count per checkpoint and per leave-one-out, under the route
-        // the scheme picked.
-        let (priced, left_out) = match scheme.cell_costs() {
-            Some(_) => (
-                &self.metrics.pricing_cell_sums,
-                &self.metrics.leave_one_out_closed_form,
-            ),
-            None => (&self.metrics.pricing_tree, &self.metrics.leave_one_out_walk),
+        // One count per checkpoint, under the route the scheme picked.
+        let priced = match scheme.cell_costs() {
+            Some(_) => &self.metrics.pricing_cell_sums,
+            None => &self.metrics.pricing_tree,
         };
         let mut checkpoints: Vec<CfCheckpoint> = Vec::new();
         let mut last: Option<CfMeasurement> = None;
         let mut target_met = false;
-        // Stratified bookkeeping, bound on the first batch: moment sketches
-        // of the per-row NS statistic (the algebra's input and Neyman's
-        // feedback signal) and draw counts.
+        // Stratified bookkeeping, bound on the first batch: the population
+        // weights and draw counts.
         let mut strata_weights: Vec<f64> = Vec::new();
-        let mut strata_sketches: Vec<MomentSketch> = Vec::new();
         let mut strata_rows: Vec<usize> = Vec::new();
 
         self.metrics.runs.inc();
@@ -451,24 +448,15 @@ impl ProgressiveCf {
                 &[]
             };
             rows += batch.len();
-            batch_sizes.push(batch.len());
+            batches += 1;
             if is_stratified {
                 if strata_weights.is_empty() {
                     strata_weights = stream
                         .strata_weights()
                         .expect("a stratified stream that drew rows is bound");
-                    let k = strata_weights.len();
-                    strata_sketches = vec![MomentSketch::new(); k];
-                    strata_rows = vec![0; k];
+                    strata_rows = vec![0; strata_weights.len()];
                 }
-                // Each stratum's sketch sees its rows in draw order.
-                for ((_, record), &t) in batch.iter().zip(tags) {
-                    let cell = RowRef::new(codec, record)?.cell(first_key);
-                    let statistic =
-                        algebra::ns_row_statistic(cell.logical_len(&key_type)?, key_width);
-                    strata_sketches[t as usize].observe(statistic);
-                    strata_rows[t as usize] += 1;
-                }
+                tags.iter().for_each(|&t| strata_rows[t as usize] += 1);
             }
             // The batch is kept until the checkpoint is priced.  (Freeing it
             // first lets the dictionary kernels' long-lived scratch table
@@ -484,43 +472,28 @@ impl ProgressiveCf {
             priced.inc();
             let cf = current.cf;
 
-            // Estimator variance: closed-form algebra for stratified draws,
-            // grouped jackknife over batches otherwise.
-            let variance = if is_stratified {
+            // The design variance, where the CF is a sum of cell costs.
+            let sums = design.and_then(|design| Some((design, measure.design_sums(design.unit)?)));
+            let interval = sums.as_ref().and_then(|(design, sums)| {
                 let _variance = Timer::start(&self.metrics.variance_ns);
-                VarianceNode::stratified(strata_weights.clone(), strata_sketches.clone()).variance()
-            } else if let Some(previous) = checkpoints.last() {
-                let _variance = Timer::start(&self.metrics.variance_ns);
-                // Deleting the newest batch leaves the previous checkpoint's
-                // sample, whose CF is already measured.
-                let older = batch_sizes.len() - 1;
-                left_out.add(older as u64);
-                let mut leave_one_out = (0..older)
-                    .map(|b| Ok(measure.leave_one_out(b)?[0]))
-                    .collect::<CoreResult<Vec<f64>>>()?;
-                leave_one_out.push(previous.cf);
-                grouped_jackknife_variance(cf, &leave_one_out, &batch_sizes)
-            } else {
-                None
-            };
+                let weights = if is_stratified {
+                    &strata_weights[..]
+                } else {
+                    &[1.0]
+                };
+                let (entry_bytes, leaf_header) = (sums.entry_bytes, sums.leaf_header);
+                theory::design_variance(*design, weights, &sums.strata, entry_bytes, leaf_header)
+            });
             drop(measure_timer);
-            let variance_source = match variance {
-                Some(_) if is_stratified => {
-                    self.metrics.variance_algebra.inc();
-                    Some("algebra")
-                }
-                Some(_) => {
-                    self.metrics.variance_jackknife.inc();
-                    Some("jackknife")
-                }
-                None => None,
-            };
+            if interval.is_some() {
+                self.metrics.variance_design.inc();
+            }
             self.metrics.checkpoints.inc();
-            let std_error = variance.map(f64::sqrt);
-            let half_width = std_error.map(|se| z * se);
+            let std_error = interval.map(|(variance, _)| variance.sqrt());
+            let half_width = interval.map(|(variance, slack)| z * variance.sqrt() + slack);
 
             let checkpoint = CfCheckpoint {
-                batch: batch_sizes.len(),
+                batch: batches,
                 rows,
                 fraction: if source.num_rows() == 0 {
                     0.0
@@ -534,7 +507,7 @@ impl ProgressiveCf {
                 ci_high: half_width.map(|hw| cf + hw),
                 ns_stddev_bound: theory::ns_stddev_bound_for_sample(rows),
                 pages_read: counting.pages_read(),
-                variance_source,
+                variance_source: interval.map(|_| "design"),
                 strata_rows: is_stratified.then(|| strata_rows.clone()),
             };
             let stop = self.config.target_error > 0.0
@@ -543,15 +516,15 @@ impl ProgressiveCf {
                     .is_some_and(|rel| rel <= self.config.target_error);
             checkpoints.push(checkpoint);
             last = Some(current);
-            if is_stratified {
-                // Feed the measured per-stratum spread back so a Neyman
-                // stream re-splits the remaining budget.  Strata still
+            if let Some((_, sums)) = sums.as_ref().filter(|_| is_stratified) {
+                // Feed each stratum's measured spread of row costs back so a
+                // Neyman stream re-splits the remaining budget.  Strata still
                 // below two draws report NaN, which the stream ignores
                 // (keeping their initial weight, so they aren't starved on
                 // no evidence).
-                let sds: Vec<f64> = strata_sketches
-                    .iter()
-                    .map(|m| m.sample_stddev().unwrap_or(f64::NAN))
+                let spread = |stratum| theory::unit_ratio_variance(stratum, sums.entry_bytes);
+                let sds: Vec<f64> = (sums.strata.iter())
+                    .map(|stratum| spread(stratum).map_or(f64::NAN, f64::sqrt))
                     .collect();
                 stream.update_stratum_variances(&sds);
             }
@@ -712,7 +685,8 @@ mod tests {
             "CI [{lo}, {hi}] must cover the exact CF {}",
             exact.cf
         );
-        // The jackknife says much less than Theorem 1's worst case here.
+        // The design variance says much less than Theorem 1's worst case
+        // here.
         let last = report.final_checkpoint().unwrap();
         assert!(last.std_error.unwrap() < last.ns_stddev_bound);
     }
@@ -720,14 +694,22 @@ mod tests {
     #[test]
     fn one_checkpoint_config_measures_exactly_once() {
         let t = spread_table(4_000);
-        let report = ProgressiveCf::one_checkpoint(SamplerKind::Block(0.05))
-            .seed(3)
-            .run(&t, &spec(), &NullSuppression)
-            .unwrap();
-        assert_eq!(report.checkpoints.len(), 1);
-        let only = &report.checkpoints[0];
-        assert!(only.std_error.is_none(), "one batch has no variance info");
-        assert!(!report.stopped_early);
+        let one = |kind| {
+            let report = ProgressiveCf::one_checkpoint(kind)
+                .seed(3)
+                .run(&t, &spec(), &NullSuppression)
+                .unwrap();
+            assert_eq!(report.checkpoints.len(), 1);
+            assert!(!report.stopped_early);
+            report.checkpoints[0].clone()
+        };
+        // One batch of rows is enough units for an interval...
+        let rows = one(SamplerKind::UniformWithReplacement(0.05));
+        assert_eq!(rows.variance_source, Some("design"));
+        assert!(rows.std_error.is_some());
+        // ...a page or two of a block sample is not.
+        let pages = one(SamplerKind::Block(0.05));
+        assert!(pages.std_error.is_none(), "too few pages for a variance");
     }
 
     #[test]
@@ -752,7 +734,7 @@ mod tests {
     }
 
     #[test]
-    fn stratified_checkpoints_use_the_algebra_variance() {
+    fn stratified_checkpoints_use_the_design_variance() {
         use samplecf_sampling::Allocation;
         let t = spread_table(8_000);
         let report = ProgressiveCf::new(
@@ -772,7 +754,7 @@ mod tests {
         .unwrap();
         assert!(report.checkpoints.len() > 1);
         for cp in &report.checkpoints {
-            assert_eq!(cp.variance_source, cp.std_error.map(|_| "algebra"));
+            assert_eq!(cp.variance_source, cp.std_error.map(|_| "design"));
             let rows = cp.strata_rows.as_ref().expect("stratified runs tag rows");
             assert_eq!(rows.len(), 4);
             assert_eq!(rows.iter().sum::<usize>(), cp.rows);
@@ -789,9 +771,9 @@ mod tests {
 
     #[test]
     fn stratified_neyman_stops_earlier_on_clustered_data_than_uniform() {
-        // The tentpole claim in miniature: on a value-clustered table the
-        // within-stratum CF variance collapses, so the algebra CI tightens
-        // at a fraction of the rows the pooled jackknife needs.
+        // The stratified claim in miniature: on a value-clustered table the
+        // within-stratum CF variance collapses, so the stratified design
+        // interval tightens at a fraction of the rows the pooled one needs.
         let t = presets::clustered_variable_table("clustered", 24_000, 40, 16, 9)
             .generate()
             .unwrap()
@@ -828,9 +810,9 @@ mod tests {
 
     #[test]
     fn single_stratum_stratified_matches_uniform_rows_and_pages() {
-        // k = 1 degenerates to uniform-wr byte-for-byte on the draw side;
-        // the estimate side differs only in bookkeeping (algebra CI over
-        // one stratum), so rows and pages must match exactly.
+        // k = 1 degenerates to uniform-wr byte-for-byte on the draw side,
+        // and one stratum of weight 1 is the unstratified design: rows,
+        // pages and intervals match exactly.
         use samplecf_sampling::Allocation;
         let t = spread_table(6_000);
         let config = ProgressiveConfig {
@@ -856,19 +838,21 @@ mod tests {
         assert_eq!(strat.measurement.cf, uni.measurement.cf);
         assert_eq!(strat.measurement.data, uni.measurement.data);
         assert_eq!(strat.pages_read, uni.pages_read);
+        for (s, u) in strat.checkpoints.iter().zip(&uni.checkpoints) {
+            assert_eq!((s.std_error, s.half_width), (u.std_error, u.half_width));
+        }
     }
 
     /// One capped run (so every batch is drawn) with live instruments:
-    /// the report, the two leave-one-out route counters (closed form, walk),
-    /// the variance clock and the two checkpoint pricing route counters
-    /// (cell sums, tree).
+    /// the report, the design variance counter, the variance clock and the
+    /// two checkpoint pricing route counters (cell sums, tree).
     fn instrumented(
         estimator: ProgressiveCf,
         table: &Table,
         scheme: &dyn CompressionScheme,
     ) -> (
         ProgressiveReport,
-        (u64, u64),
+        u64,
         samplecf_obs::HistogramSnapshot,
         (u64, u64),
     ) {
@@ -877,12 +861,9 @@ mod tests {
             .metrics(metrics.clone())
             .run(table, &spec(), scheme)
             .unwrap();
-        let routes = (
-            metrics.leave_one_out_closed_form.get(),
-            metrics.leave_one_out_walk.get(),
-        );
         let pricing = (metrics.pricing_cell_sums.get(), metrics.pricing_tree.get());
-        (report, routes, metrics.variance_ns.snapshot(), pricing)
+        let design = metrics.variance_design.get();
+        (report, design, metrics.variance_ns.snapshot(), pricing)
     }
 
     #[test]
@@ -896,31 +877,32 @@ mod tests {
             };
             ProgressiveCf::new(kind, config).seed(7)
         };
-        let block = || capped(SamplerKind::Block(0.1));
-        // B batches: checkpoint b > 1 prices b − 1 leave-one-outs.
-        let jackknifed = |report: &ProgressiveReport| {
-            let b = report.checkpoints.len() as u64;
-            assert!(b > 2);
-            (b - 1, b * (b - 1) / 2)
+        let with_interval = |report: &ProgressiveReport| {
+            let checkpoints = report.checkpoints.iter();
+            checkpoints.filter(|c| c.std_error.is_some()).count()
         };
 
-        // What the scheme declares picks the route of every checkpoint and
-        // every leave-one-out, nothing else.
-        let (report, routes, clock, pricing) = instrumented(block(), &t, &NullSuppression);
-        let (variances, leave_one_outs) = jackknifed(&report);
-        assert_eq!(routes, (leave_one_outs, 0));
-        assert_eq!(clock.count, variances);
-        assert_eq!(pricing, (variances + 1, 0));
+        // What the scheme declares picks the route of every checkpoint, and
+        // whether it has a design variance, nothing else: every cell-sums
+        // checkpoint is clocked, and counted once it has enough units.
+        let block = || capped(SamplerKind::Block(0.5));
+        let (report, design, clock, pricing) = instrumented(block(), &t, &NullSuppression);
+        let checkpoints = report.checkpoints.len() as u64;
+        assert!(checkpoints > 2);
+        assert_eq!(design, with_interval(&report) as u64);
+        assert!(
+            design > 0 && design < checkpoints,
+            "the first pages are too few"
+        );
+        assert_eq!(clock.count, checkpoints);
+        assert_eq!(pricing, (checkpoints, 0));
         let dictionary = DictionaryCompression::default();
-        let (report, routes, clock, pricing) = instrumented(block(), &t, &dictionary);
-        let (variances, leave_one_outs) = jackknifed(&report);
-        assert_eq!(routes, (0, leave_one_outs));
-        assert_eq!(clock.count, variances);
-        assert_eq!(pricing, (0, variances + 1));
+        let (report, design, clock, pricing) = instrumented(block(), &t, &dictionary);
+        assert_eq!((design, clock.count), (0, 0));
+        assert_eq!(with_interval(&report), 0, "a walked scheme has no interval");
+        assert_eq!(pricing, (0, report.checkpoints.len() as u64));
 
-        // The stratified algebra prices no delete-one-batch sample, and a
-        // variance at every checkpoint; the strata are priced as the pooled
-        // sample is.
+        // The strata are priced as the pooled sample is.
         let stratified = || {
             capped(SamplerKind::Stratified {
                 fraction: 0.1,
@@ -929,20 +911,19 @@ mod tests {
                 mode: samplecf_sampling::StrataMode::EquiWidth,
             })
         };
-        let (report, routes, clock, pricing) = instrumented(stratified(), &t, &NullSuppression);
+        let (report, design, clock, pricing) = instrumented(stratified(), &t, &NullSuppression);
         let checkpoints = report.checkpoints.len() as u64;
-        assert_eq!(routes, (0, 0));
-        assert_eq!(clock.count, checkpoints);
+        assert_eq!((design, clock.count), (checkpoints, checkpoints));
         assert_eq!(pricing, (checkpoints, 0));
-        let (report, _, _, pricing) = instrumented(stratified(), &t, &dictionary);
+        let (report, design, _, pricing) = instrumented(stratified(), &t, &dictionary);
+        assert_eq!(design, 0);
         assert_eq!(pricing, (0, report.checkpoints.len() as u64));
 
-        // One checkpoint asks for no variance: no leave-one-out is priced,
-        // so a one-shot estimate pays only for its one checkpoint.
-        let one_shot = ProgressiveCf::one_checkpoint(SamplerKind::Block(0.1)).seed(7);
-        let (report, routes, clock, pricing) = instrumented(one_shot, &t, &NullSuppression);
+        // A one-shot estimate has its interval from its one checkpoint.
+        let one_shot = ProgressiveCf::one_checkpoint(SamplerKind::Block(0.5)).seed(7);
+        let (report, design, clock, pricing) = instrumented(one_shot, &t, &NullSuppression);
         assert_eq!(report.checkpoints.len(), 1);
-        assert_eq!((routes, clock.count, pricing), ((0, 0), 0, (1, 0)));
+        assert_eq!((design, clock.count, pricing), (1, 1, (1, 0)));
 
         // The default set is disabled — every record one branch on a `None`
         // handle — and the report does not depend on which set is carried.
@@ -954,7 +935,7 @@ mod tests {
             .unwrap();
         let (live, _, _, _) = instrumented(block(), &t, &NullSuppression);
         assert_eq!(plain.checkpoints, live.checkpoints);
-        assert_eq!(disabled.leave_one_out_closed_form.get(), 0);
+        assert_eq!(disabled.variance_design.get(), 0);
         assert_eq!(disabled.pricing_cell_sums.get(), 0);
         assert_eq!(disabled.variance_ns.snapshot().count, 0);
     }
@@ -962,11 +943,7 @@ mod tests {
     #[test]
     fn non_streaming_kinds_and_bad_configs_are_rejected() {
         let t = spread_table(1_000);
-        for kind in [
-            SamplerKind::UniformWithoutReplacement(0.1),
-            SamplerKind::Bernoulli(0.1),
-            SamplerKind::Systematic(0.1),
-        ] {
+        for kind in [SamplerKind::Bernoulli(0.1), SamplerKind::Systematic(0.1)] {
             // Checkpoints short of the cap are refused...
             let err = ProgressiveCf::new(kind, ProgressiveConfig::default())
                 .run(&t, &spec(), &NullSuppression)
@@ -981,6 +958,7 @@ mod tests {
         }
         for kind in [
             SamplerKind::UniformWithReplacement(0.1),
+            SamplerKind::UniformWithoutReplacement(0.1),
             SamplerKind::Block(0.1),
             SamplerKind::Reservoir(50),
         ] {

@@ -13,9 +13,12 @@
 //!
 //! Besides the worst-case bounds, this module provides the *expected-value*
 //! model of the dictionary-compression estimate under uniform value
-//! frequencies, which the experiments compare against measurements.
+//! frequencies, which the experiments compare against measurements, and the
+//! *design variance* a progressive run measures in place of Theorem 1's
+//! worst case ([`design_variance`]).
 
 use samplecf_compression::model::{global_dictionary_cf, TableModel};
+use samplecf_index::UnitSums;
 
 /// Theorem 1: upper bound on the standard deviation of the Null-Suppression
 /// estimate, as a function of the sample size `r`.
@@ -70,6 +73,105 @@ pub fn chebyshev_z(confidence: f64) -> f64 {
     1.0 / delta.sqrt()
 }
 
+/// Fewest sampling units a design variance is estimated from.  The
+/// estimate's own noise is what lets a stopping rule fire early: from two
+/// units — a block sample's first pages — it comes out small often enough
+/// that block null suppression's intervals covered 0.78–0.94 at 95%
+/// nominal (20 000-row tables on 8 KiB pages); from ten units on, every
+/// cell of the coverage matrix (`crates/core/tests/coverage.rs`) holds.  A
+/// rule, not a knob.
+pub const MIN_DESIGN_UNITS: u64 = 10;
+
+/// What a sample's units are, for its design variance.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Unit {
+    /// Each drawn row: uniform, reservoir and stratified draws.
+    Row,
+    /// Each drawn heap page with all its rows: a block sample is a cluster
+    /// sample of pages (Nirkhiwale et al.'s sampling algebra).
+    Page,
+}
+
+/// How a sample was drawn, as far as its design variance cares: the unit,
+/// and for a draw without replacement how many units it drew from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Design {
+    /// The sampling unit.
+    pub unit: Unit,
+    /// The population's units `M` for a draw without replacement, whose
+    /// variance shrinks by the finite-population correction `1 − m/M`;
+    /// `None` for draws with replacement (uniform-wr, the strata).
+    pub population: Option<usize>,
+}
+
+/// The spread of one unit's ratio in a sample of `m ≥ 2` units with costs
+/// `Y_u` over `X_u = x·n_u` uncompressed bytes (`x = entry_bytes`):
+/// `Σ(Y_u − R̂·X_u)² / ((m − 1)·X̄²)` with `R̂ = ΣY/ΣX`.  For rows this is
+/// the sample variance of `y/x`.  `None` below two units or with nothing
+/// summed.
+///
+/// `(Σn)²·Σ(Y_u − R̂·X_u)²` is computed in integers, so it is exact and
+/// never negative.
+#[must_use]
+pub fn unit_ratio_variance(sums: &UnitSums, entry_bytes: usize) -> Option<f64> {
+    if sums.units < 2 || sums.entries == 0 || entry_bytes == 0 {
+        return None;
+    }
+    let (n, y) = (i128::from(sums.entries), i128::from(sums.cost));
+    let scaled = n * n * i128::from(sums.cost_sq) - 2 * y * n * i128::from(sums.entries_cost)
+        + y * y * i128::from(sums.entries_sq);
+    let m = sums.units as f64;
+    let mean_x = entry_bytes as f64 * n as f64 / m;
+    Some(scaled as f64 / (n as f64 * n as f64) / (m - 1.0) / (mean_x * mean_x))
+}
+
+/// The design variance of a ratio estimator of the CF, and the slack its
+/// interval adds for the partial last leaf: per stratum `s` with live
+/// weight `W_s` (renormalised over the strata with units, as
+/// [`weighted_combine`](crate::estimator::weighted_combine) renormalises the
+/// estimate),
+///
+/// ```text
+/// v = Σ W_s² · fpc_s · Σ(Y_u − R̂_s·X_u)² / ((m_s − 1)·m_s·X̄_s²)
+/// slack = Σ W_s · leaf_header / (x · Σn_s)
+/// ```
+///
+/// with `fpc_s = 1 − m_s/M` for a draw without replacement from `M` units
+/// and 1 with replacement.  An unstratified sample is one stratum of weight
+/// one.  The slack bounds how far a partial last leaf's chunk headers move
+/// the priced CF from the ratio of summed cell costs, in the sample and in
+/// the population alike: `leaf_header` is one full leaf's headers.
+///
+/// `None` — no interval — below [`MIN_DESIGN_UNITS`] units in all, or when
+/// a stratum with units has fewer than two.
+#[must_use]
+pub fn design_variance(
+    design: Design,
+    weights: &[f64],
+    strata: &[UnitSums],
+    entry_bytes: usize,
+    leaf_header: usize,
+) -> Option<(f64, f64)> {
+    debug_assert_eq!(weights.len(), strata.len());
+    let live = || (weights.iter().zip(strata)).filter(|(_, sums)| sums.units > 0);
+    let live_weight: f64 = live().map(|(w, _)| w).sum();
+    let units: u64 = strata.iter().map(|sums| sums.units).sum();
+    if units < MIN_DESIGN_UNITS || live_weight <= 0.0 {
+        return None;
+    }
+    let (mut variance, mut slack) = (0.0, 0.0);
+    for (w, sums) in live() {
+        let w = w / live_weight;
+        let m = sums.units as f64;
+        let fpc = design
+            .population
+            .map_or(1.0, |all| (1.0 - m / all as f64).max(0.0));
+        variance += w * w * fpc * unit_ratio_variance(sums, entry_bytes)? / m;
+        slack += w * leaf_header as f64 / (entry_bytes as f64 * sums.entries as f64);
+    }
+    Some((variance, slack))
+}
+
 /// Theorem 1 run backwards: the sample size `r` that guarantees
 /// `P(|CF′_NS − CF_NS| ≥ ε) ≤ δ` for Null Suppression.
 ///
@@ -77,8 +179,8 @@ pub fn chebyshev_z(confidence: f64) -> f64 {
 /// `P(|CF′ − CF| ≥ ε) ≤ 1/(4·r·ε²)`; solving `1/(4·r·ε²) ≤ δ` gives
 /// `r ≥ 1/(4·ε²·δ)`.  This is the worst-case answer to "how big must the
 /// sample be" — the progressive estimator's stopping rule replaces the
-/// worst-case `1/4` with the measured jackknife variance and so usually
-/// stops much earlier.
+/// worst-case `1/4` with the measured design variance
+/// ([`design_variance`]) and so usually stops much earlier.
 #[must_use]
 pub fn ns_sample_size_for(epsilon: f64, delta: f64) -> usize {
     if epsilon <= 0.0 || delta <= 0.0 {
@@ -172,6 +274,122 @@ pub fn dc_ratio_error_bound_large_d(distinct_ratio: f64, width: u64, pointer_byt
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The sums of units given as `(entries, cost)`.
+    fn sums(units: &[(u64, u64)]) -> UnitSums {
+        let mut sums = UnitSums::default();
+        units.iter().for_each(|&(n, y)| sums.add(n, y));
+        sums
+    }
+
+    /// Row units of the given costs.
+    fn rows(costs: &[u64]) -> UnitSums {
+        sums(&costs.iter().map(|&y| (1, y)).collect::<Vec<_>>())
+    }
+
+    const ROWS: Design = Design {
+        unit: Unit::Row,
+        population: None,
+    };
+
+    #[test]
+    fn design_variance_matches_the_two_pass_formula() {
+        // Pages of 3, 5, 4, 6, 2, ... entries, `x` = 8 bytes an entry.
+        let pages: Vec<(u64, u64)> = (0..12).map(|i| (2 + i % 5, 5 + 7 * i % 23)).collect();
+        let x = 8.0;
+        let ratio = pages.iter().map(|p| p.1).sum::<u64>() as f64
+            / (x * pages.iter().map(|p| p.0).sum::<u64>() as f64);
+        let m = pages.len() as f64;
+        let mean_x = x * pages.iter().map(|p| p.0 as f64).sum::<f64>() / m;
+        let residuals: f64 = (pages.iter())
+            .map(|&(n, y)| (y as f64 - ratio * x * n as f64).powi(2))
+            .sum();
+        let spread = residuals / ((m - 1.0) * mean_x * mean_x);
+        let units = sums(&pages);
+        let got = unit_ratio_variance(&units, 8).unwrap();
+        assert!((got - spread).abs() < 1e-12 * spread, "{got} vs {spread}");
+        // With replacement the variance is the spread over m; drawn without
+        // replacement from 48 pages it shrinks by 1 − 12/48.
+        let design = |population| Design {
+            unit: Unit::Page,
+            population,
+        };
+        let (with, slack) = design_variance(design(None), &[1.0], &[units], 8, 6).unwrap();
+        assert!((with - spread / m).abs() < 1e-12 * with);
+        let n = pages.iter().map(|p| p.0).sum::<u64>() as f64;
+        assert!((slack - 6.0 / (x * n)).abs() < 1e-15);
+        let (without, _) = design_variance(design(Some(48)), &[1.0], &[units], 8, 6).unwrap();
+        assert!((without - with * 0.75).abs() < 1e-12 * with);
+        // Rows are pages of one entry: the sample variance of y/x.
+        let costs = [3, 9, 4, 4, 7, 1, 8, 2, 6, 5];
+        let mean = costs.iter().sum::<u64>() as f64 / 10.0;
+        let s2 = costs
+            .iter()
+            .map(|&y| (y as f64 - mean).powi(2))
+            .sum::<f64>()
+            / 9.0;
+        let got = unit_ratio_variance(&rows(&costs), 4).unwrap();
+        assert!((got - s2 / 16.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn missing_and_thin_strata_gate_the_variance() {
+        let ten = rows(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+        assert!(design_variance(ROWS, &[1.0], &[ten], 16, 2).is_some());
+        // Fewer than the minimum of units: no interval.
+        let nine = rows(&[1, 2, 3, 4, 5, 6, 7, 8, 9]);
+        assert_eq!(design_variance(ROWS, &[1.0], &[nine], 16, 2), None);
+        // An unsampled stratum renormalises away; a sampled stratum of one
+        // unit has no spread, so no interval.
+        let empty = UnitSums::default();
+        let weights = [0.5, 0.3, 0.2];
+        let thin = design_variance(ROWS, &weights, &[ten, empty, rows(&[4])], 16, 2);
+        assert_eq!(thin, None, "a thin sampled stratum gates");
+        let two = rows(&[4, 6]);
+        let (variance, slack) = design_variance(ROWS, &weights, &[ten, empty, two], 16, 2).unwrap();
+        let (w1, w3) = (0.5 / 0.7, 0.2 / 0.7);
+        let v = |sums: &UnitSums| unit_ratio_variance(sums, 16).unwrap() / sums.units as f64;
+        let expected = w1 * w1 * v(&ten) + w3 * w3 * v(&two);
+        assert!((variance - expected).abs() < 1e-15);
+        let expected = w1 * 2.0 / (16.0 * 10.0) + w3 * 2.0 / (16.0 * 2.0);
+        assert!((slack - expected).abs() < 1e-15);
+        // Nothing sampled at all.
+        assert_eq!(design_variance(ROWS, &[1.0], &[empty], 16, 2), None);
+    }
+
+    #[test]
+    fn a_single_stratum_is_the_unstratified_design() {
+        let costs = rows(&[2, 6, 3, 8, 1, 5, 5, 7, 2, 9, 4]);
+        assert_eq!(
+            design_variance(ROWS, &[1.0], &[costs], 24, 3),
+            design_variance(ROWS, &[0.25], &[costs], 24, 3)
+        );
+    }
+
+    #[test]
+    fn homogeneous_strata_beat_the_pooled_variance() {
+        // Two internally near-constant strata with very different costs:
+        // pooled, the spread is huge; stratified, it all but vanishes.
+        let low: Vec<u64> = (0..50).map(|i| 10 + i % 2).collect();
+        let high: Vec<u64> = (0..50).map(|i| 90 - i % 2).collect();
+        let pooled = rows(&[low.clone(), high.clone()].concat());
+        let (pooled, _) = design_variance(ROWS, &[1.0], &[pooled], 100, 0).unwrap();
+        let strata = [rows(&low), rows(&high)];
+        let (stratified, _) = design_variance(ROWS, &[0.5, 0.5], &strata, 100, 0).unwrap();
+        assert!(stratified < pooled / 100.0, "{stratified} vs {pooled}");
+    }
+
+    #[test]
+    fn design_variance_meets_theorem_one_worst_case() {
+        // A row's cost over its width lies in [0, 1], so its variance is at
+        // most 1/4 (times the n/(n − 1) of the unbiased form): the design
+        // variance of `r` rows never passes Theorem 1's 1/(4r) by more.
+        let worst: Vec<u64> = (0..100).map(|i| 8 * (i % 2)).collect();
+        let (variance, _) = design_variance(ROWS, &[1.0], &[rows(&worst)], 8, 0).unwrap();
+        let bound = ns_variance_bound(worst.len(), 1.0);
+        assert!(variance <= bound * 100.0 / 99.0 + 1e-12);
+        assert!(variance > bound * 0.9);
+    }
 
     #[test]
     fn theorem1_example_from_the_paper() {

@@ -10,23 +10,23 @@
 //! hold however the progressive run batches its draw.
 //!
 //! The variance side has its own oracle: every checkpoint's interval must
-//! equal, bit for bit, a jackknife recomputed the slow way — a from-scratch
-//! index over the rows of the other batches for every deleted batch, packed
-//! and measured — under every scheme, whichever way the run priced its
-//! leave-one-outs (arithmetic on per-cell costs or a size-only walk).
+//! equal a design variance recomputed the slow way — each drawn row's cost
+//! from the real codec, one cell at a time, grouped into the draw's units
+//! and strata and put through the ratio estimator's formula in floating
+//! point — for a cell-additive scheme, and be absent for any other.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use samplecf_compression::{scheme_by_name, scheme_names, CompressionScheme};
+use samplecf_compression::{scheme_by_name, scheme_names, ColumnChunk, CompressionScheme};
 use samplecf_core::{
-    grouped_jackknife_variance, measure_rows, ns_row_statistic, theory, weighted_combine,
-    MomentSketch, ProgressiveCf, ProgressiveConfig, SampleCf, VarianceNode,
+    measure_rows, theory, weighted_combine, ProgressiveCf, ProgressiveConfig, SampleCf,
 };
 use samplecf_datagen::presets;
 use samplecf_index::{measure_index, IndexBuilder, IndexSpec};
 use samplecf_sampling::{Allocation, BatchSchedule, CountingSource, SamplerKind, StrataMode};
-use samplecf_storage::{Rid, Row, Table, TableSource};
+use samplecf_storage::{Rid, Row, Schema, Table, TableSource};
+use std::collections::BTreeMap;
 
 /// A disk copy of `table` in a unique temp file, removed on drop.
 struct TempDisk {
@@ -205,7 +205,7 @@ proptest! {
     }
 
     #[test]
-    fn checkpoint_intervals_equal_a_from_scratch_jackknife(
+    fn checkpoint_intervals_equal_a_from_scratch_design_variance(
         rows in 600usize..1600,
         distinct in 1usize..200,
         seed in 0u64..1000,
@@ -254,80 +254,179 @@ proptest! {
             .flat_map(|setup| scheme_names().into_iter().map(move |name| (setup, name)))
         {
             let scheme = scheme_by_name(scheme_name).expect("known scheme");
-            // The CF of a from-scratch index over the given batches' rows.
-            let cf_of = |batches: &[&Vec<_>]| {
-                let rows: Vec<_> = batches.iter().flat_map(|b| b.iter().cloned()).collect();
+            // The CF of a from-scratch index over the given rows.
+            let cf_of = |rows: &[(Rid, Row)]| {
                 let index = builder
-                    .build_from_rows(table.schema(), &rows, spec)
+                    .build_from_rows(table.schema(), rows, spec)
                     .expect("build succeeds");
                 measure_index(&index, scheme.as_ref()).expect("measure succeeds").cf()
             };
+            // Entries a full leaf holds: the first leaf of the whole table's
+            // packed tree.
+            let whole = builder
+                .build_from_rows(table.schema(), &table.scan_rows().expect("scan"), spec)
+                .expect("build succeeds");
+            prop_assert!(whole.num_leaf_pages() > 1);
+            let per_leaf = usize::from(whole.leaf_pages()[0].slot_count());
 
             for kind in [
                 SamplerKind::UniformWithReplacement(fraction),
+                SamplerKind::UniformWithoutReplacement(fraction),
                 SamplerKind::Block(fraction),
                 SamplerKind::Reservoir((rows / 10).max(5)),
+                SamplerKind::Stratified {
+                    fraction,
+                    strata: 4,
+                    alloc: Allocation::Proportional,
+                    mode: StrataMode::EquiWidth,
+                },
             ] {
                 let report = ProgressiveCf::new(kind, config)
                     .builder(*builder)
                     .seed(seed)
                     .run(*table, spec, scheme.as_ref())
                     .expect("progressive run succeeds");
-
-                // The batches the run drew: same stream, same seed.
-                let mut stream = kind.stream(schedule).expect("streaming kind");
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut batches = Vec::new();
-                loop {
-                    let batch = stream.next_batch(*table, &mut rng).expect("draw succeeds");
-                    if batch.is_empty() {
-                        break;
-                    }
-                    batches.push(batch);
-                }
+                let (batches, weights) = drain_batches(kind, schedule, seed, *table);
                 prop_assert_eq!(batches.len(), report.checkpoints.len(), "{:?}", kind);
 
-                for (c, cp) in report.checkpoints.iter().enumerate() {
+                let mut drawn: Vec<Tagged> = Vec::new();
+                for (c, (cp, batch)) in report.checkpoints.iter().zip(&batches).enumerate() {
                     let tag = format!("{}/{kind:?}/{scheme_name} checkpoint {c}", spec.name());
-                    let drawn: Vec<&Vec<_>> = batches[..=c].iter().collect();
-                    prop_assert_eq!(cp.cf.to_bits(), cf_of(&drawn).to_bits(), "cf: {}", &tag);
-                    let leave_one_out: Vec<f64> = (0..=c)
-                        .map(|skip| {
-                            let mut others = drawn.clone();
-                            others.remove(skip);
-                            cf_of(&others)
-                        })
-                        .collect();
-                    let sizes: Vec<usize> = drawn.iter().map(|b| b.len()).collect();
-                    let std_error =
-                        grouped_jackknife_variance(cp.cf, &leave_one_out, &sizes).map(f64::sqrt);
-                    let half_width = std_error.map(|se| z * se);
-                    let bits = |x: Option<f64>| x.map(f64::to_bits);
-                    prop_assert_eq!(std_error.is_some(), c > 0, "{}", &tag);
-                    prop_assert_eq!(bits(cp.std_error), bits(std_error), "std_error: {}", &tag);
-                    prop_assert_eq!(bits(cp.half_width), bits(half_width), "half_width: {}", &tag);
-                    prop_assert_eq!(
-                        bits(cp.ci_low),
-                        bits(half_width.map(|hw| (cp.cf - hw).max(0.0))),
-                        "ci_low: {}",
-                        &tag
+                    drawn.extend(batch.iter().cloned());
+                    let rows_of = |keep: &dyn Fn(u32) -> bool| -> Vec<(Rid, Row)> {
+                        (drawn.iter())
+                            .filter(|(_, tag)| keep(*tag))
+                            .map(|(row, _)| row.clone())
+                            .collect()
+                    };
+                    let cf = if weights.is_empty() {
+                        cf_of(&rows_of(&|_| true))
+                    } else {
+                        let strata: Vec<Option<f64>> = (0..weights.len() as u32)
+                            .map(|s| Some(rows_of(&|tag| tag == s)).filter(|rows| !rows.is_empty()))
+                            .map(|rows| rows.map(|rows| cf_of(&rows)))
+                            .collect();
+                        weighted_combine(&weights, &strata).expect("a sampled stratum")
+                    };
+                    prop_assert_eq!(cp.cf.to_bits(), cf.to_bits(), "cf: {}", &tag);
+                    let expected = design_oracle(
+                        kind,
+                        *table,
+                        spec,
+                        scheme.as_ref(),
+                        &drawn,
+                        &weights,
+                        per_leaf,
                     );
-                    prop_assert_eq!(
-                        bits(cp.ci_high),
-                        bits(half_width.map(|hw| cp.cf + hw)),
-                        "ci_high: {}",
-                        &tag
-                    );
+                    match expected {
+                        Some((variance, slack)) => {
+                            let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1e-12);
+                            let std_error = cp.std_error.expect("an interval");
+                            prop_assert!(close(std_error, variance.sqrt()), "std_error: {}", &tag);
+                            let half_width = cp.half_width.expect("an interval");
+                            let expected_half = z * variance.sqrt() + slack;
+                            prop_assert!(close(half_width, expected_half), "half_width: {}", &tag);
+                            prop_assert_eq!(cp.variance_source, Some("design"), "{}", &tag);
+                            prop_assert_eq!(cp.ci_low, Some((cp.cf - half_width).max(0.0)));
+                            prop_assert_eq!(cp.ci_high, Some(cp.cf + half_width));
+                        }
+                        None => {
+                            prop_assert_eq!(cp.std_error, None, "std_error: {}", &tag);
+                            prop_assert_eq!(cp.half_width, None, "half_width: {}", &tag);
+                            prop_assert_eq!(cp.variance_source, None, "{}", &tag);
+                        }
+                    }
                 }
             }
         }
     }
 }
 
+/// The design variance of a checkpoint and its partial-leaf slack, from
+/// scratch: `None` for a scheme that declares no cell costs, and below
+/// [`theory::MIN_DESIGN_UNITS`] units or a stratum of one.  A row's cost is
+/// its stored cells', each the length of a one-cell chunk the scheme
+/// compresses less that chunk's declared header; a block draw's unit is the
+/// page, every other draw's the row.
+fn design_oracle(
+    kind: SamplerKind,
+    source: &dyn TableSource,
+    spec: &IndexSpec,
+    scheme: &dyn CompressionScheme,
+    drawn: &[Tagged],
+    weights: &[f64],
+    per_leaf: usize,
+) -> Option<(f64, f64)> {
+    let costs = scheme.cell_costs()?;
+    let schema: &Schema = source.schema();
+    let stored = spec.stored_column_indexes(schema).expect("stored columns");
+    let width = |c: usize| schema.column_at(c).datatype.uncompressed_width();
+    let x = stored.iter().map(|&c| width(c)).sum::<usize>() as f64;
+    let cost = |row: &Row| -> f64 {
+        let cell = |&c: &usize| {
+            let chunk = ColumnChunk::new(schema.column_at(c).datatype, vec![row.value(c).clone()])
+                .expect("a chunk");
+            let compressed = scheme.compress_chunk(&chunk).expect("compresses");
+            compressed.bytes().len() - (costs.chunk_header)(1)
+        };
+        stored.iter().map(cell).sum::<usize>() as f64
+    };
+    let (by_page, population) = match kind {
+        SamplerKind::UniformWithReplacement(_) | SamplerKind::Stratified { .. } => (false, None),
+        SamplerKind::Block(_) => (true, Some(source.num_pages() as f64)),
+        _ => (false, Some(source.num_rows() as f64)),
+    };
+    let weights = if weights.is_empty() {
+        &[1.0][..]
+    } else {
+        weights
+    };
+    // Per stratum, each unit's (entries, cost).
+    let mut strata: Vec<BTreeMap<usize, (f64, f64)>> = vec![BTreeMap::new(); weights.len()];
+    for (i, ((rid, row), tag)) in drawn.iter().enumerate() {
+        let unit = if by_page { rid.page as usize } else { i };
+        let entry = strata[*tag as usize].entry(unit).or_default();
+        entry.0 += 1.0;
+        entry.1 += cost(row);
+    }
+    let units: usize = strata.iter().map(BTreeMap::len).sum();
+    if (units as u64) < theory::MIN_DESIGN_UNITS {
+        return None;
+    }
+    let live: f64 = (weights.iter().zip(&strata))
+        .filter(|(_, u)| !u.is_empty())
+        .map(|(w, _)| w)
+        .sum();
+    let header = (stored.len() * (costs.chunk_header)(per_leaf)) as f64;
+    let (mut variance, mut slack) = (0.0, 0.0);
+    for (w, units) in weights.iter().zip(&strata).filter(|(_, u)| !u.is_empty()) {
+        let m = units.len() as f64;
+        if m < 2.0 {
+            return None;
+        }
+        let n: f64 = units.values().map(|(n, _)| n).sum();
+        let y: f64 = units.values().map(|(_, y)| y).sum();
+        let ratio = y / (x * n);
+        let residuals: f64 = units
+            .values()
+            .map(|(n, y)| (y - ratio * x * n).powi(2))
+            .sum();
+        let mean_x = x * n / m;
+        let fpc = population.map_or(1.0, |all| 1.0 - m / all);
+        let w = w / live;
+        variance += w * w * fpc * residuals / ((m - 1.0) * m * mean_x * mean_x);
+        slack += w * header / (x * n);
+    }
+    Some((variance, slack))
+}
+
 /// What a fresh stream of `kind` draws from `source` under `schedule` and
 /// `seed`: its batches, each row beside its stratum tag (0 unstratified),
 /// and the strata's population weights (none unstratified).
-type Drawn = (Vec<Vec<((Rid, Row), u32)>>, Vec<f64>);
+type Drawn = (Vec<Vec<Tagged>>, Vec<f64>);
+
+/// A drawn row beside its stratum tag.
+type Tagged = ((Rid, Row), u32);
 
 fn drain_batches(
     kind: SamplerKind,
@@ -353,7 +452,7 @@ fn drain_batches(
 
 proptest! {
     // Each case runs 6 schemes × 5 kinds × 2 backends, and the oracle packs
-    // a tree per checkpoint, per stratum and per leave-one-out.
+    // a tree per checkpoint and per stratum.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Every checkpoint of a run, under every scheme — priced from cell
@@ -362,10 +461,7 @@ proptest! {
     /// [`measure_rows`] — a tree packed from decoded rows — over the first
     /// `b` batches a fresh stream draws with the same seed and schedule; for
     /// stratified kinds, their per-stratum `measure_rows` combined by the
-    /// population weights.  A jackknifed checkpoint's standard error is
-    /// [`grouped_jackknife_variance`] over `measure_rows` of each
-    /// all-but-one-batch row set, a stratified one the algebra over the
-    /// rows' per-stratum NS statistics.  Over a `Table` in memory and in a file.
+    /// population weights.  Over a `Table` in memory and in a file.
     #[test]
     fn every_checkpoint_equals_measure_rows_over_its_batches(
         rows in 600usize..1400,
@@ -402,7 +498,6 @@ proptest! {
             stratified(StrataMode::EquiWidth),
             stratified(StrataMode::EquiDepth),
         ];
-        let key_width = table.schema().column_at(0).datatype.uncompressed_width();
         let memory: &dyn TableSource = &table;
         let backends: [(&str, &dyn TableSource); 2] = [("memory", memory), ("disk", disk.source())];
         let schemes: Vec<Box<dyn CompressionScheme>> = (scheme_names().into_iter())
@@ -430,19 +525,12 @@ proptest! {
                 .expect("progressive run succeeds");
             let tag = format!("{backend}/{}/{kind:?}", scheme.name());
             prop_assert_eq!(report.checkpoints.len(), batches.len(), "{}", &tag);
-            let bits = |x: Option<f64>| x.map(f64::to_bits);
-
             for (c, cp) in report.checkpoints.iter().enumerate() {
                 let tag = format!("{tag} checkpoint {c}");
                 let upto = |b: usize| b <= c;
                 let pooled = measured(&|b, _| upto(b));
-                let (cf, std_error) = if weights.is_empty() {
-                    let sizes: Vec<usize> = batches[..=c].iter().map(Vec::len).collect();
-                    let leave_one_out: Vec<f64> = (0..=c)
-                        .map(|skip| measured(&|b, _| upto(b) && b != skip).cf)
-                        .collect();
-                    let variance = grouped_jackknife_variance(pooled.cf, &leave_one_out, &sizes);
-                    (pooled.cf, variance.map(f64::sqrt))
+                let cf = if weights.is_empty() {
+                    pooled.cf
                 } else {
                     let strata: Vec<Option<f64>> = (0..weights.len() as u32)
                         .map(|s| {
@@ -450,21 +538,9 @@ proptest! {
                             (stratum.data.rows > 0).then_some(stratum.cf)
                         })
                         .collect();
-                    let sketches = (0..weights.len() as u32).map(|s| {
-                        let mut sketch = MomentSketch::new();
-                        for ((_, row), _) in (batches[..=c].iter().flatten())
-                            .filter(|(_, tag)| *tag == s)
-                        {
-                            sketch.observe(ns_row_statistic(row.value(0).logical_len(), key_width));
-                        }
-                        sketch
-                    });
-                    let node = VarianceNode::stratified(weights.clone(), sketches.collect());
-                    let cf = weighted_combine(&weights, &strata).expect("a sampled stratum");
-                    (cf, node.variance().map(f64::sqrt))
+                    weighted_combine(&weights, &strata).expect("a sampled stratum")
                 };
                 prop_assert_eq!(cp.cf.to_bits(), cf.to_bits(), "cf: {}", &tag);
-                prop_assert_eq!(bits(cp.std_error), bits(std_error), "std_error: {}", &tag);
                 prop_assert_eq!(cp.rows, pooled.data.rows, "rows: {}", &tag);
             }
             let all = measured(&|_, _| true);

@@ -1003,7 +1003,7 @@ impl BTreeIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compress::{measure_index, FirstKeyStats};
+    use crate::compress::{measure_index, FirstKeyStats, RunCellCosts};
     use proptest::prelude::*;
     use samplecf_compression::{
         scheme_by_name, scheme_names, CompressionScheme, NullSuppression, Uncompressed,
@@ -1296,12 +1296,18 @@ mod tests {
             .map(|(_, r)| r)
     }
 
+    fn all_but_sums(sums: &[RunCellCosts], skip: usize) -> impl Iterator<Item = &RunCellCosts> {
+        (sums.iter().enumerate())
+            .filter(move |(i, _)| *i != skip)
+            .map(|(_, sum)| sum)
+    }
+
     /// Both size-only routes against the route they replaced, kept as the
     /// oracle: pack `kept` — the rows of every batch but `batches[skip]` —
     /// into a tree and measure it.  Every scheme is walked through the key
     /// order of all the batches' entries, grown a batch at a time, skipping
     /// `skip`'s; those that declare cell costs are also priced, whole report
-    /// and all, from the batches' sums.
+    /// and all, from the other batches' sums merged.
     fn assert_sized_as_packed(
         builder: &IndexBuilder,
         schema: &Schema,
@@ -1349,9 +1355,9 @@ mod tests {
                         .add_cell_costs(records(b), &costs, sum, |_| 0)
                         .unwrap();
                 }
-                let mut pooled = sizer.empty_cell_costs();
-                sums.iter().for_each(|sum| pooled.merge(sum));
-                let priced = sizer.price(scheme.as_ref(), &costs, &pooled, Some(&sums[skip]));
+                let mut others = sizer.empty_cell_costs();
+                all_but_sums(&sums, skip).for_each(|sum| others.merge(sum));
+                let priced = sizer.price(scheme.as_ref(), &costs, &others);
                 assert_eq!(priced, Ok(packed), "{name}: cell sums of {}", spec.name());
             }
         }

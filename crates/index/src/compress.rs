@@ -18,7 +18,7 @@ use samplecf_compression::{
     CellChunk, CellCosts, ColumnChunk, CompressionOutcome, CompressionScheme,
 };
 use samplecf_storage::{
-    cell_logical_len, CellRef, DataType, Rid, RowRef, Schema, PAGE_HEADER_SIZE, SLOT_SIZE,
+    cell_logical_len, CellRef, DataType, PageId, Rid, RowRef, Schema, PAGE_HEADER_SIZE, SLOT_SIZE,
 };
 use std::ops::Range;
 use std::sync::Arc;
@@ -251,7 +251,8 @@ pub fn measure_index(
     })
 }
 
-/// Where one stored column's cell sits in every leaf record, and its type.
+/// Where one stored column's cell sits in every leaf (or heap) record, and
+/// its type.
 struct StoredCell {
     datatype: DataType,
     /// Its bit of the record's null bitmap: its place among the stored cells.
@@ -297,15 +298,15 @@ fn stored_cells(schema: &Schema, stored: &[usize]) -> Vec<StoredCell> {
 ///   separator) once, prices them under any number of schemes, and reads the
 ///   first key column's statistics off the order on the way (the private
 ///   `walk`).  An [`OrderedEntries`] walks its entries through their
-///   [`KeyOrder`] — all of them, one stratum's, or all but one batch's;
+///   [`KeyOrder`] — all of them, or one stratum's;
 /// * a scheme that declares [`cell_costs`](CompressionScheme::cell_costs) —
 ///   no order at all.  Each leaf's size is a header fixed by its length plus
 ///   its cells' costs, so a column's size over *any* entries is one header
 ///   per leaf plus the entries' costs summed.  Heap records are summed once,
 ///   in any order, their cells read in place
 ///   ([`add_cell_costs`](Self::add_cell_costs));
-///   sums merge and subtract; [`price`](Self::price) turns them into the
-///   whole report.
+///   sums merge, and [`price`](Self::price) turns them into the whole
+///   report.
 ///
 /// Either way every size equals, byte count for byte count, that of the
 /// packed and measured tree.
@@ -316,6 +317,9 @@ pub struct RunSizer<'a> {
     /// The tree's shape by the size model, whatever the entry count.
     shape: IndexSizeEstimate,
     cells: Vec<StoredCell>,
+    /// The same stored cells where a heap record holds them: its null bit
+    /// is the column's schema position, its bytes the codec's offset.
+    heap_cells: Vec<StoredCell>,
 }
 
 /// The first key column over the entries of one walk: the inputs of the
@@ -334,11 +338,64 @@ pub struct FirstKeyStats {
 
 /// Per stored column, a cell-additive scheme's [`CellCosts::cell`] summed
 /// over some entries ([`RunSizer::add_cell_costs`]) — all
-/// [`RunSizer::price`] needs of them.
+/// [`RunSizer::price`] needs of them — and the moments of an entry's cost
+/// `y`, its cells' costs summed, by row and by heap page: what a ratio
+/// estimator's design variance needs of them ([`rows`](Self::rows),
+/// [`pages`](Self::pages)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunCellCosts {
     entries: usize,
     per_column: Vec<usize>,
+    /// `Σ y²` over the entries.
+    cost_sq: u64,
+    /// The pages closed so far.
+    pages: UnitSums,
+    /// The page being summed: its number, entries and cost.  A page closes
+    /// when an entry of another page follows it, so a page's entries must
+    /// arrive together, as a page draw yields them.
+    open: (PageId, u64, u64),
+}
+
+/// Integer sums over the units of a sample — rows, or heap pages — of each
+/// unit's entry count `n` and cost `Y`: what a ratio estimator `ΣY / ΣX`,
+/// `X = x·n` for a constant `x` bytes an entry, needs for its design
+/// variance.  A row is the unit with `n = 1`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct UnitSums {
+    /// Units `m`.
+    pub units: u64,
+    /// `Σ n`: entries.
+    pub entries: u64,
+    /// `Σ n²`.
+    pub entries_sq: u64,
+    /// `Σ Y`: cost.
+    pub cost: u64,
+    /// `Σ n·Y`.
+    pub entries_cost: u64,
+    /// `Σ Y²`.
+    pub cost_sq: u64,
+}
+
+impl UnitSums {
+    /// Add one unit of `n` entries and cost `y`.
+    pub fn add(&mut self, n: u64, y: u64) {
+        self.units += 1;
+        self.entries += n;
+        self.entries_sq += n * n;
+        self.cost += y;
+        self.entries_cost += n * y;
+        self.cost_sq += y * y;
+    }
+
+    /// Add `other`'s units.
+    pub fn merge(&mut self, other: &UnitSums) {
+        self.units += other.units;
+        self.entries += other.entries;
+        self.entries_sq += other.entries_sq;
+        self.cost += other.cost;
+        self.entries_cost += other.entries_cost;
+        self.cost_sq += other.cost_sq;
+    }
 }
 
 impl RunCellCosts {
@@ -348,7 +405,9 @@ impl RunCellCosts {
         self.entries
     }
 
-    /// Add `other`'s entries: the costs of the two sets together.
+    /// Add `other`'s entries: the costs of the two sets together.  Each
+    /// set's open page is closed first, so entries summed into the merge
+    /// later start a page of their own.
     ///
     /// # Panics
     /// If the two were summed for different stored columns (by sizers of
@@ -359,13 +418,73 @@ impl RunCellCosts {
         for (sum, cost) in self.per_column.iter_mut().zip(&other.per_column) {
             *sum += cost;
         }
+        self.cost_sq += other.cost_sq;
+        self.pages = self.pages();
+        self.pages.merge(&other.pages());
+        self.open = (0, 0, 0);
+    }
+
+    /// The sums with every entry its own unit: a row draw's.
+    #[must_use]
+    pub fn rows(&self) -> UnitSums {
+        let (n, cost) = (
+            self.entries as u64,
+            self.per_column.iter().sum::<usize>() as u64,
+        );
+        UnitSums {
+            units: n,
+            entries: n,
+            entries_sq: n,
+            cost,
+            entries_cost: cost,
+            cost_sq: self.cost_sq,
+        }
+    }
+
+    /// The sums with each heap page's entries one unit: a page draw's.
+    #[must_use]
+    pub fn pages(&self) -> UnitSums {
+        let mut pages = self.pages;
+        let (_, n, cost) = self.open;
+        if n > 0 {
+            pages.add(n, cost);
+        }
+        pages
+    }
+
+    /// Count one more entry, of heap page `page`, costing `y`.
+    fn add(&mut self, page: PageId, y: u64) {
+        self.entries += 1;
+        self.cost_sq += y * y;
+        match &mut self.open {
+            (open, n, cost) if *open == page && *n > 0 => {
+                *n += 1;
+                *cost += y;
+            }
+            open => {
+                if open.1 > 0 {
+                    self.pages.add(open.1, open.2);
+                }
+                *open = (page, 1, y);
+            }
+        }
     }
 }
 
 impl<'a> RunSizer<'a> {
     pub(crate) fn new(layout: EntryLayout<'a>, shape: IndexSizeEstimate) -> Self {
+        let heap_cell = |&i: &usize| {
+            let datatype = layout.schema.column_at(i).datatype;
+            let offset = layout.codec.cell_offset(i);
+            StoredCell {
+                datatype,
+                null_bit: i,
+                bytes: offset..offset + datatype.uncompressed_width(),
+            }
+        };
         RunSizer {
             cells: stored_cells(layout.schema, &layout.stored_indexes),
+            heap_cells: layout.stored_indexes.iter().map(heap_cell).collect(),
             layout,
             shape,
         }
@@ -499,14 +618,18 @@ impl<'a> RunSizer<'a> {
         RunCellCosts {
             entries: 0,
             per_column: vec![0; self.cells.len()],
+            cost_sq: 0,
+            pages: UnitSums::default(),
+            open: (0, 0, 0),
         }
     }
 
     /// Add `costs.cell` of the stored cells of each of `records` — heap
     /// records of the schema, whose cells a leaf entry copies as they are —
-    /// to `sums[group(i)]` for record `i`: one group for a batch, say, or
-    /// one per stratum tag.  Cells are sliced in place, in the order given;
-    /// nothing is encoded, sorted, kept or allocated.
+    /// to `sums[group(i)]` for record `i`: one group for a sample, say, or
+    /// one per stratum tag.  Each record's cost over its cells, and its heap
+    /// page, go to the moments too.  Cells are sliced in place, in the order
+    /// given; nothing is encoded, sorted, kept or allocated.
     ///
     /// # Errors
     /// A record that is not the schema's record size is
@@ -524,50 +647,58 @@ impl<'a> RunSizer<'a> {
         group: impl Fn(usize) -> usize,
     ) -> IndexResult<()> {
         assert!((sums.iter()).all(|sum| sum.per_column.len() == self.cells.len()));
-        let stored = &self.layout.stored_indexes;
-        for (i, (_, record)) in records.into_iter().enumerate() {
-            let record = RowRef::new(&self.layout.codec, record)?;
+        for (i, (rid, record)) in records.into_iter().enumerate() {
+            let record = RowRef::new(&self.layout.codec, record)?.record();
             let sum = &mut sums[group(i)];
-            sum.entries += 1;
-            for ((cell, &column), total) in self.cells.iter().zip(stored).zip(&mut sum.per_column) {
-                *total += (costs.cell)(record.cell(column), &cell.datatype);
+            let mut y = 0;
+            for (cell, total) in self.heap_cells.iter().zip(&mut sum.per_column) {
+                let cost = (costs.cell)(cell.of(record), &cell.datatype);
+                *total += cost;
+                y += cost;
             }
+            sum.add(rid.page, y as u64);
         }
         Ok(())
     }
 
+    /// Uncompressed bytes of an entry's stored cells: the constant `x` of
+    /// the ratio `ΣY / ΣX` the summed costs estimate.
+    #[must_use]
+    pub fn entry_bytes(&self) -> usize {
+        (self.cells.iter())
+            .map(|cell| cell.datatype.uncompressed_width())
+            .sum()
+    }
+
+    /// The chunk headers of one full leaf, over every stored column, under a
+    /// scheme that declared `costs`: the most a partial last leaf can move
+    /// a priced CF from the ratio of its summed costs.
+    #[must_use]
+    pub fn leaf_header(&self, costs: &CellCosts) -> usize {
+        self.cells.len() * (costs.chunk_header)(self.shape.entries_per_leaf)
+    }
+
     /// The report [`measure_index`] gives, under `scheme` — which declared
-    /// `costs` — on the tree over the entries summed in `pooled`, less those
-    /// summed in `excluded` if given: the progressive estimator's pooled
-    /// sample, a stratum, a delete-one-batch sample.  Arithmetic, field for
-    /// field; no entry is read.
+    /// `costs` — on the tree over the entries summed in `sums`: the
+    /// progressive estimator's pooled sample, or a stratum.  Arithmetic,
+    /// field for field; no entry is read.
     ///
-    /// A column of `kept` entries costs its cells' costs — the pooled sum
-    /// minus the excluded one — plus one chunk header per leaf, the leaves'
-    /// lengths by the fill rule (an empty tree is one empty leaf); leaf and
-    /// internal page counts are the size model's.
+    /// A column of `kept` entries costs its cells' costs plus one chunk
+    /// header per leaf, the leaves' lengths by the fill rule (an empty tree
+    /// is one empty leaf); leaf and internal page counts are the size
+    /// model's.
     ///
     /// # Errors
     /// A page so small that an internal page holds a single separator key is
     /// [`IndexError::InvalidSpec`](crate::IndexError::InvalidSpec), as when
     /// building.
-    ///
-    /// # Panics
-    /// If `excluded` holds more than `pooled` does.  Sums cannot show a
-    /// foreign batch: `excluded` must have been
-    /// [`merge`](RunCellCosts::merge)d into `pooled`.
     pub fn price(
         &self,
         scheme: &dyn CompressionScheme,
         costs: &CellCosts,
-        pooled: &RunCellCosts,
-        excluded: Option<&RunCellCosts>,
+        sums: &RunCellCosts,
     ) -> IndexResult<CompressedIndexReport> {
-        let part_of = "`excluded` was merged into `pooled`";
-        let kept = (pooled
-            .entries
-            .checked_sub(excluded.map_or(0, |x| x.entries)))
-        .expect(part_of);
+        let kept = sums.entries;
         let shape = self.shape.with_entries(kept);
         let per_leaf = shape.entries_per_leaf;
         let (full, rest) = (kept / per_leaf, kept % per_leaf);
@@ -575,19 +706,16 @@ impl<'a> RunSizer<'a> {
         if rest > 0 || full == 0 {
             headers += (costs.chunk_header)(rest);
         }
-        let column = |pos: usize| {
-            let excluded = excluded.map_or(0, |x| x.per_column[pos]);
-            Ok(headers + pooled.per_column[pos].checked_sub(excluded).expect(part_of))
-        };
+        let column = |pos: usize| Ok(headers + sums.per_column[pos]);
         let internal_bytes = shape.internal_pages()? * shape.page_size;
         self.report(scheme.name(), shape, internal_bytes, column)
     }
 }
 
 /// Some records' entries, encoded once and put in key order: every
-/// scheme's size, every stratum's, every delete-one-batch sample's and the
-/// first key column's statistics are walks through the one order, and no
-/// tree is packed for any of them (see [`RunSizer`]).
+/// scheme's size, every stratum's and the first key column's statistics
+/// are walks through the one order, and no tree is packed for any of them
+/// (see [`RunSizer`]).
 ///
 /// Made empty by [`IndexBuilder::entries`], perhaps from a [`KeyOrder`] an
 /// earlier measure sorted over a prefix of the records to come.  Records are [`extend`](Self::extend)ed in, batch by
@@ -690,8 +818,8 @@ impl<'a> OrderedEntries<'a> {
     }
 
     /// [`measure`](Self::measure) over the entries whose input number `keep`
-    /// admits — one stratum of a stratified sample, or all but one batch.  A
-    /// subsequence of a sorted sequence is sorted: nothing is sorted again.
+    /// admits — one stratum of a stratified sample.  A subsequence of a
+    /// sorted sequence is sorted: nothing is sorted again.
     pub fn measure_where(
         &self,
         keep: impl Fn(usize) -> bool,
@@ -713,7 +841,9 @@ mod tests {
     use samplecf_compression::{
         DictionaryCompression, GlobalDictionaryCompression, NullSuppression, Uncompressed,
     };
-    use samplecf_storage::{Column, DataType, Row, Schema, Table, TableBuilder, Value};
+    use samplecf_storage::{
+        Column, DataType, Row, Schema, Table, TableBuilder, TableSource, Value,
+    };
 
     fn table(n: usize, distinct: usize, value_len: usize, k: u16) -> Table {
         let schema = Schema::new(vec![
@@ -897,6 +1027,45 @@ mod tests {
                 scheme.name()
             );
         }
+    }
+
+    #[test]
+    fn merged_cell_costs_equal_one_combined_sum() {
+        let t = table(600, 40, 8, 24);
+        let spec = IndexSpec::nonclustered("i", ["a"]).unwrap();
+        let sizer = IndexBuilder::new().sizer(t.schema(), &spec).unwrap();
+        let costs = NullSuppression.cell_costs().unwrap();
+        let codec = samplecf_storage::RowCodec::new(t.schema().clone());
+        let encoded: Vec<(Rid, Vec<u8>)> = (t.scan_rows().unwrap().into_iter())
+            .map(|(rid, row)| (rid, codec.encode(&row).unwrap()))
+            .collect();
+        let records: Vec<(Rid, &[u8])> = encoded.iter().map(|(r, e)| (*r, &e[..])).collect();
+        let sum = |records: &[(Rid, &[u8])]| {
+            let mut sums = vec![sizer.empty_cell_costs()];
+            sizer
+                .add_cell_costs(records.iter().copied(), &costs, &mut sums, |_| 0)
+                .unwrap();
+            sums.remove(0)
+        };
+        // Split where a heap page ends: a page is one unit either way.
+        let split = records.iter().position(|(rid, _)| rid.page == 1).unwrap();
+        let mut merged = sum(&records[..split]);
+        merged.merge(&sum(&records[split..]));
+        let whole = sum(&records);
+        assert_eq!(merged.rows(), whole.rows());
+        assert_eq!(merged.pages(), whole.pages());
+        assert_eq!(
+            whole.pages().units,
+            u64::from(records.last().unwrap().0.page) + 1
+        );
+        let price = |sums| sizer.price(&NullSuppression, &costs, sums).unwrap();
+        assert_eq!(price(&merged), price(&whole));
+        // Merging nothing changes nothing.
+        merged.merge(&sizer.empty_cell_costs());
+        assert_eq!(
+            (merged.rows(), merged.pages()),
+            (whole.rows(), whole.pages())
+        );
     }
 
     #[test]

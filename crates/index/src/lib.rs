@@ -23,15 +23,16 @@
 //! * [`OrderedEntries`] / [`RunSizer`] — the same reports without the tree:
 //!   one walk of entries in key order sizes them under any number of schemes
 //!   and reads the first key column's [`FirstKeyStats`] off the order —
-//!   whole, a stratum at a time, or all but one batch.  Entries are encoded
+//!   whole, or a stratum at a time.  Entries are encoded
 //!   batch by batch ([`IndexBuilder::entries`], [`OrderedEntries::extend`])
 //!   and their [`KeyOrder`] grows by sorting only the entries past its end
 //!   and merging them in ([`OrderedEntries::order`]), so a held sample that
 //!   keeps its order beside its rows is never sorted twice, deepened or
 //!   not.  For a cell-additive scheme no order is needed: rows are summed,
 //!   unsorted, into [`RunCellCosts`] and [`RunSizer::price`] turns any sum —
-//!   a pooled sample, a stratum, a delete-one-batch sample — into the whole
-//!   report by arithmetic.  ([`SortedRun`] is the packed oracle's
+//!   a pooled sample, a stratum — into the whole report by arithmetic; the
+//!   same pass keeps the [`UnitSums`] of each row's and each page's cost
+//!   that a design variance is priced from.  ([`SortedRun`] is the packed oracle's
 //!   accumulator; no estimator keeps one.)
 //!
 //! ## Quickstart
@@ -68,7 +69,7 @@ pub mod spec;
 pub use btree::{BTreeIndex, IndexBuilder, IndexEntry, KeyOrder, SortedRun};
 pub use compress::{
     compress_index, measure_index, ColumnCompressionStat, CompressedIndexReport, FirstKeyStats,
-    OrderedEntries, RunCellCosts, RunSizer,
+    OrderedEntries, RunCellCosts, RunSizer, UnitSums,
 };
 pub use error::{IndexError, IndexResult};
 pub use size::{leaf_record_bytes, IndexSizeEstimate, IndexSizeModel, IndexSizeReport};

@@ -2,12 +2,12 @@
 //!
 //! An index entry is bytes in one arena, not two `Vec`s: encoding, sorting
 //! and merging a run cost a handful of allocations however many rows there
-//! are; entries in key order — a held sample's, or a pooled run's minus one
-//! batch — are sized by a walk that allocates per leaf page, not per entry
+//! are; entries in key order — a held sample's, or a pooled run's — are
+//! sized by a walk that allocates per leaf page, not per entry
 //! or per distinct value, whatever the number of schemes; under a
-//! cell-additive scheme heap records are summed into cell costs in place,
-//! allocating nothing, and any sample — pooled, a stratum, all but one
-//! batch — is priced by arithmetic that allocates nothing but its report;
+//! cell-additive scheme heap records are summed into cell costs and their
+//! moments in place, allocating nothing, and any sample — pooled or a
+//! stratum — is priced by arithmetic that allocates nothing but its report;
 //! and a held
 //! sample walked again through the key order it keeps allocates its arena
 //! and no sort buffer.  A counting `#[global_allocator]` (this test binary
@@ -355,17 +355,17 @@ fn summing_cell_costs_allocates_one_buffer_whatever_the_rows() {
 }
 
 #[test]
-fn pricing_a_checkpoint_or_a_leave_one_out_allocates_only_its_report() {
+fn pricing_a_checkpoint_or_a_stratum_allocates_only_its_report() {
     let (schema, rows) = (schema(), rows());
     let spec = IndexSpec::clustered("i", ["name"]).unwrap();
     let builder = IndexBuilder::new().page_size(1024);
     let sizer = builder.sizer(&schema, &spec).unwrap();
     let costs = NullSuppression.cell_costs().expect("cell-additive");
-    let batches: Vec<&[(Rid, Row)]> = rows.chunks(ROWS / 8).collect();
-    let mut sums = vec![sizer.empty_cell_costs(); batches.len()];
-    for (batch, sum) in batches.iter().zip(&mut sums) {
+    let strata: Vec<&[(Rid, Row)]> = rows.chunks(ROWS / 8).collect();
+    let mut sums = vec![sizer.empty_cell_costs(); strata.len()];
+    for (stratum, sum) in strata.iter().zip(&mut sums) {
         let sum = std::slice::from_mut(sum);
-        let encoded = encode(batch);
+        let encoded = encode(stratum);
         sizer
             .add_cell_costs(records(&encoded).iter().copied(), &costs, sum, |_| 0)
             .unwrap();
@@ -379,16 +379,20 @@ fn pricing_a_checkpoint_or_a_leave_one_out_allocates_only_its_report() {
         measure_index(&tree, &NullSuppression).unwrap()
     };
 
-    let price = |excluded| sizer.price(&NullSuppression, &costs, &pooled, excluded);
-    let (count, checkpoint) = allocations(|| price(None).unwrap());
+    let price = |sums| sizer.price(&NullSuppression, &costs, sums);
+    let (count, checkpoint) = allocations(|| price(&pooled).unwrap());
     assert_eq!(count, report, "a checkpoint");
     assert_eq!(checkpoint, packed(&rows));
-    for (skip, batch) in sums.iter().enumerate() {
-        let (count, left_out) = allocations(|| price(Some(batch)).unwrap());
-        assert_eq!(count, report, "leaving out batch {skip}");
-        let others = [&batches[..skip], &batches[skip + 1..]].concat().concat();
-        assert_eq!(left_out, packed(&others));
+    for (s, (sum, stratum)) in sums.iter().zip(&strata).enumerate() {
+        let (count, priced) = allocations(|| price(sum).unwrap());
+        assert_eq!(count, report, "stratum {s}");
+        assert_eq!(priced, packed(stratum));
     }
+    // The design moments are read off the sums: no allocation at all.
+    let (count, units) = allocations(|| (pooled.rows(), pooled.pages()));
+    assert_eq!(count, 0, "the moments");
+    assert_eq!(units.0.units, ROWS as u64);
+    assert!(units.1.units > 0 && units.1.entries == ROWS as u64);
 }
 
 #[test]

@@ -14,6 +14,7 @@
 
 use crate::error::SamplingResult;
 use crate::sampler::SampledRow;
+use rand::{Rng, RngCore};
 use samplecf_storage::{Rid, RowCodec};
 
 /// One batch of a draw: RIDs and their checked heap records, record `i` at
@@ -110,6 +111,20 @@ impl RecordBatch {
         self.arena[i * self.record_len..][..self.record_len].copy_from_slice(&record);
         self.rids[i] = rid;
         Ok(())
+    }
+
+    /// Put the records in a uniformly random order: Fisher–Yates, one
+    /// `gen_range(0..=i)` per record from the last down.
+    pub(crate) fn shuffle(&mut self, rng: &mut dyn RngCore) {
+        let len = self.record_len;
+        for i in (1..self.len()).rev() {
+            let j = rng.gen_range(0..=i);
+            if j != i {
+                self.rids.swap(i, j);
+                let (head, tail) = self.arena.split_at_mut(i * len);
+                head[j * len..][..len].swap_with_slice(&mut tail[..len]);
+            }
+        }
     }
 
     /// Records `range` of this batch, copied into a batch of their own.

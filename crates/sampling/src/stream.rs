@@ -644,10 +644,43 @@ pub(crate) mod tests {
         // The scan was paid once, on the first batch.
         assert_eq!(counting.pages_read() as usize, t.num_pages());
         drained.extend(stream.drain(&counting, &mut rng).unwrap());
-        assert_eq!(drained, reference, "slices concatenate to the reservoir");
+        // Shuffled: the slices hold the reservoir's rows, in another order.
+        assert_ne!(drained, reference);
+        assert_eq!(
+            sorted(drained),
+            sorted(reference.clone()),
+            "slices are the reservoir"
+        );
         assert_eq!(counting.pages_read() as usize, t.num_pages());
         assert!(!stream.extendable());
         assert!(!stream.extend_cap(SamplerKind::Reservoir(500)));
+        // One slice is the reservoir in slot order, as Algorithm R left it.
+        let one_shot = draw(SamplerKind::Reservoir(120), &t, 2);
+        assert_eq!(one_shot, reference);
+    }
+
+    #[test]
+    fn a_reservoir_slice_can_hold_any_row() {
+        // Algorithm R fills slot `j` with row `j` and later evicts it only
+        // for a row past the reservoir: in slot order a prefix of `m` slots
+        // never holds a row of `[m, size)`.  Shuffled, the first slice of a
+        // sorted table holds some.
+        let t = table(1_500);
+        let size = 1_000;
+        let stream_of = || {
+            SamplerKind::Reservoir(size)
+                .stream(BatchSchedule::new(0.01, 2.0).unwrap())
+                .unwrap()
+        };
+        for seed in 0..5 {
+            let first = stream_of().next_batch(&t, &mut rng(seed)).unwrap();
+            let m = first.len();
+            assert!(m < size);
+            // Row `i` holds "v{i:06}".
+            let position = |row: &Row| row.value(0).as_str().unwrap()[1..].parse().unwrap();
+            let inside = (first.iter()).filter(|(_, row)| (m..size).contains(&position(row)));
+            assert!(inside.count() > 0, "seed {seed}: no row of [{m}, {size})");
+        }
     }
 
     #[test]

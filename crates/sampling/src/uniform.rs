@@ -103,7 +103,8 @@ impl KeepRule {
 /// The scan samplers' stream.  A scan sampler needs the complete scan
 /// before any row's membership is final, so the first batch runs the scan
 /// (paying the full-scan I/O) and later batches emit slices of the records
-/// it kept on the stream's schedule.  Progressive consumers still get growing
+/// it kept on the stream's schedule — a reservoir's in a random order, so
+/// that each slice prefix is itself a uniform sample.  Progressive consumers still get growing
 /// sub-samples to measure on, but no I/O is saved by stopping early — the
 /// honest cost model of scan-based samplers — and the draw cannot be
 /// deepened: rows the scan skipped or evicted are gone.
@@ -137,10 +138,18 @@ impl SampleStream for ScanStream {
         rng: &mut dyn RngCore,
     ) -> SamplingResult<RecordBatch> {
         if self.scanned.is_none() {
-            let kept = self.rule.scan(source, rng)?;
+            let mut kept = self.rule.scan(source, rng)?;
             // Slice targets follow the same row schedule as the other
             // streams, capped at what the scan kept.
             let plan = BatchPlan::new(self.schedule, source.num_rows(), kept.len());
+            // Algorithm R's slot `j` holds row `j` unless a later row evicted
+            // it, so a prefix of `m` slots never holds a row of `[m, size)`:
+            // shuffled once, every prefix is a uniform sample.  A one-slice
+            // draw keeps the reservoir's order.
+            let sliced = plan.next_target().is_some_and(|first| first < kept.len());
+            if sliced && matches!(self.rule, KeepRule::Reservoir(_)) {
+                kept.shuffle(rng);
+            }
             self.scanned = Some((kept, plan));
         }
         let (kept, plan) = self.scanned.as_mut().expect("scanned above");

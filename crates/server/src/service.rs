@@ -1047,16 +1047,27 @@ mod tests {
         for c in checkpoints {
             assert_eq!(
                 c.get("variance_source").and_then(Json::as_str),
-                Some("algebra"),
-                "stratified checkpoints carry the algebra variance: {c}"
+                Some("design"),
+                "stratified null-suppression checkpoints carry the design variance: {c}"
             );
             let strata_rows = c.get("strata_rows").and_then(Json::as_array).unwrap();
             assert_eq!(strata_rows.len(), 4);
             let sum: u64 = strata_rows.iter().filter_map(Json::as_u64).sum();
             assert_eq!(c.get("rows").and_then(Json::as_u64), Some(sum));
         }
-        // Unstratified runs keep the jackknife label (or null for a single
-        // batch) and a null strata_rows.
+        // A walked scheme's CF is not a sum of row costs: no interval, so
+        // no variance source, at any checkpoint.
+        let dictionary = ok(
+            &state,
+            r#"{"op":"estimate_progressive","table":"svc_t","sampler":"stratified","fraction":0.2,"strata":4,"alloc":"neyman","scheme":"dictionary-paged","target_error":0.2,"seed":6}"#,
+        );
+        let checkpoints = dictionary.get("result").unwrap().get("checkpoints");
+        for c in checkpoints.and_then(Json::as_array).unwrap() {
+            assert_eq!(c.get("variance_source"), Some(&Json::Null), "{c}");
+            assert_eq!(c.get("half_width"), Some(&Json::Null), "{c}");
+        }
+        // Unstratified runs carry the same design label and a null
+        // strata_rows.
         let uni = ok(
             &state,
             r#"{"op":"estimate_progressive","table":"svc_t","sampler":"uniform","fraction":0.2,"target_error":0.2,"seed":6}"#,
@@ -1069,10 +1080,7 @@ mod tests {
             .unwrap();
         for c in checkpoints {
             let source = c.get("variance_source").unwrap();
-            assert!(
-                matches!(source.as_str(), Some("jackknife") | None),
-                "unexpected variance source {source}"
-            );
+            assert_eq!(source.as_str(), Some("design"), "{source}");
             assert_eq!(c.get("strata_rows"), Some(&Json::Null));
         }
     }

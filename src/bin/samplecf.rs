@@ -75,14 +75,16 @@ PROGRESSIVE ESTIMATION (`estimate --target-error E` runs the
 estimate_progressive request instead):
 {progressive}
 The sample grows in geometric batches; after each batch the CF is
-re-measured from the accumulated key order and its variance jackknifed
-over the batches.  The run stops when the Chebyshev CI at the requested
-confidence is tighter than --target-error, or at --max-fraction.  A run
-that reaches the cap is byte-identical to a one-shot estimate at that
-fraction and seed.  With --sampler stratified the CF is the weighted
-per-stratum combination, the CI comes from the closed-form stratified
-variance algebra instead of the jackknife, and --alloc neyman re-splits
-the remaining budget toward high-variance strata after every checkpoint.
+re-measured.  For none and null-suppression the CF is a sum of per-row
+cell costs, and its variance is the sampling design's: rows are the units
+of a row draw, pages of a block sample, and ten units are the fewest an
+interval is priced from.  The run stops when the Chebyshev CI at the
+requested confidence is tighter than --target-error, or at --max-fraction.
+The other schemes report no CI and run to the cap.  A run that reaches the
+cap is byte-identical to a one-shot estimate at that fraction and seed.
+With --sampler stratified the CF is the weighted per-stratum combination,
+its variance the weighted sum of the strata's, and --alloc neyman
+re-splits the remaining budget toward strata whose row costs spread most.
 
 EXACT OPTIONS:
   --table FILE          table file (required)

@@ -368,7 +368,8 @@ fn progressive_estimate_stops_early_and_reports_a_ci() {
     let dir = TempDir::new("progressive");
     let table = dir.path("const.scf");
     // An all-equal column: zero estimator variance, so the adaptive run
-    // must stop long before the 10% cap.
+    // must stop long before the 50% cap — as soon as a block sample has
+    // the pages a design variance needs.
     let gen = samplecf(&[
         "gen",
         "--out",
@@ -395,7 +396,7 @@ fn progressive_estimate_stops_early_and_reports_a_ci() {
         "--target-error",
         "0.1",
         "--max-fraction",
-        "0.1",
+        "0.5",
         "--seed",
         "5",
         "--json",
@@ -409,7 +410,7 @@ fn progressive_estimate_stops_early_and_reports_a_ci() {
     let (lo, hi) = (json.key("ci_low").num(), json.key("ci_high").num());
     assert!(lo <= cf && cf <= hi, "CI [{lo}, {hi}] must bracket cf {cf}");
     let adaptive_pages = json.key("pages_read").num() as u64;
-    let fixed_pages = ((pages as f64) * 0.1).round() as u64;
+    let fixed_pages = ((pages as f64) * 0.5).round() as u64;
     assert!(
         adaptive_pages < fixed_pages,
         "adaptive read {adaptive_pages} pages, fixed f = 0.1 would read {fixed_pages}"
@@ -430,7 +431,7 @@ fn progressive_estimate_stops_early_and_reports_a_ci() {
         "--target-error",
         "0.1",
         "--max-fraction",
-        "0.1",
+        "0.5",
         "--seed",
         "5",
     ]);

@@ -372,9 +372,9 @@ fn stopping_rules_on_a_disk_table_stop_early_only_with_an_honest_interval() {
     };
 
     // (a) Value-clustered variable-length rows.  Strata aligned with the
-    // value runs leave almost no within-stratum variance and the closed-form
-    // algebra prices it at the first checkpoint; uniform rows see the whole
-    // between-run spread and have no variance before the second.  Small
+    // value runs leave almost no within-stratum variance, which the design
+    // variance prices stratum by stratum; uniform rows see the whole
+    // between-run spread.  Small
     // pages keep the page count well above the sampled row count, so
     // pages-to-target tracks rows-to-target instead of saturating the table.
     let clustered = presets::clustered_variable_table("strat_clustered", 24_000, 64, 8, 9);
@@ -417,8 +417,11 @@ fn stopping_rules_on_a_disk_table_stop_early_only_with_an_honest_interval() {
     );
 
     // (c) On all-equal rows the same rule stops long before a fixed
-    // f = 0.1 draw would.
+    // f = 0.1 draw would — once the sample holds the pages a design
+    // variance needs (`theory::MIN_DESIGN_UNITS`), which small pages put
+    // well inside the cap.
     let constant = presets::constant_table("const", 24_000, 24, 8, 41)
+        .page_size(1024)
         .generate()
         .unwrap()
         .table;
