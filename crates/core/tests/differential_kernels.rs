@@ -34,7 +34,7 @@ use samplecf_compression::{scheme_by_name, scheme_names};
 use samplecf_compression::{CompressionScheme, NullSuppression, Uncompressed};
 use samplecf_core::{
     measure_rows, measure_sample, measure_sample_schemes, weighted_combine, CfMeasurement, ExactCf,
-    KeyOrderOutcome,
+    KeyOrderOutcome, SampleCf,
 };
 use samplecf_index::{compress_index, measure_index, IndexBuilder, IndexSpec};
 use samplecf_sampling::{Allocation, MaterializedSample, SamplerKind, Strata, StrataMode};
@@ -420,6 +420,7 @@ fn a_null_first_key_shares_its_key_bytes_with_i32_min_and_interleaves_with_it() 
         assert_eq!(data.sum_logical_len_first_key, 32 * 8);
         let builder = IndexBuilder::new().page_size(256);
         assert_walk_equals_packed_route(&sample, &spec, &builder, spec.name());
+        assert_summed_route_equals_packed_route(&t, &sample, 5, &spec, &builder, spec.name());
     }
 }
 
@@ -458,6 +459,45 @@ fn the_first_keys_null_bit_is_bit_zero_of_the_leaf_record_not_its_heap_bit() {
         IndexSpec::clustered("i", ["k", "c0"]).unwrap(),
     ] {
         assert_walk_equals_packed_route(&sample, &spec, &builder, spec.name());
+        assert_summed_route_equals_packed_route(&t, &sample, 5, &spec, &builder, spec.name());
+    }
+}
+
+/// The summed route against the packed one, on the traps' tables: under
+/// `none` and null suppression, [`ExactCf`] over `t` and a one-shot
+/// [`SampleCf`] with `sample`'s sampler and `seed` — each of which sums
+/// cells and reads its first-key statistics off the records, in no key
+/// order — give the decoded-row oracle's measurement, its `DataStats`
+/// included.
+fn assert_summed_route_equals_packed_route(
+    t: &Table,
+    sample: &MaterializedSample,
+    seed: u64,
+    spec: &IndexSpec,
+    builder: &IndexBuilder,
+    tag: &str,
+) {
+    let (table_rows, sample_rows) = (t.scan_rows().unwrap(), sample.rows().unwrap());
+    let schemes: [&dyn CompressionScheme; 2] = [&Uncompressed, &NullSuppression];
+    for scheme in schemes {
+        let tag = format!("{tag}/{}", scheme.name());
+        let oracle = |rows: &[(Rid, Row)], label: String| {
+            measure_rows(t.schema(), rows, spec, scheme, builder, label).unwrap()
+        };
+        let exact = ExactCf::with_builder(*builder)
+            .compute(t, spec, scheme)
+            .unwrap();
+        let packed = oracle(&table_rows, "exact".to_string());
+        assert_eq!(exact.data, packed.data, "{tag}, exact stats");
+        assert_same_measurement(&exact, &packed, &format!("{tag}, exact"));
+        let estimated = SampleCf::new(sample.kind())
+            .seed(seed)
+            .builder(*builder)
+            .estimate(t, spec, scheme)
+            .unwrap();
+        let packed = oracle(&sample_rows, sample.kind().label());
+        assert_eq!(estimated.data, packed.data, "{tag}, one-shot stats");
+        assert_same_measurement(&estimated, &packed, &format!("{tag}, one-shot"));
     }
 }
 

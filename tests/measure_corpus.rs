@@ -7,7 +7,9 @@
 //! `ExactCf` for each scheme, the served `estimate` as a miss, a hit and a
 //! deepening (a redraw for a scan sampler), one budgeted `advise`, and the
 //! bytes a cache entry is priced at when drawn, once measured, and once
-//! deepened and measured again.  Floats print with `{:?}`, which
+//! deepened and measured again.  A last section repeats the one-shot and
+//! exact runs, and a served miss and hit, on an index keyed on a column
+//! with NULLs.  Floats print with `{:?}`, which
 //! round-trips; wall-clock times are left out.
 //!
 //! On a mismatch the test names the first differing line and the section
@@ -165,28 +167,13 @@ fn corpus(table: &Table, path: &Path) -> String {
     }
 
     writeln!(out, "section served").unwrap();
-    let state = ServiceState::new(DEFAULT_CACHE_BUDGET_BYTES);
-    let serve = |out: &mut String, line: &str| {
-        let reply = Json::parse(&state.handle_line(line)).unwrap();
-        assert_eq!(
-            reply.get("ok").and_then(Json::as_bool),
-            Some(true),
-            "{reply}"
-        );
-        let field = |name| reply.get(name).unwrap().to_string();
-        writeln!(out, "request {line}").unwrap();
-        writeln!(out, "accounting {}", field("accounting")).unwrap();
-        writeln!(out, "result {}", field("result")).unwrap();
-    };
-    // The registration names the file, which moves from run to run.
-    let register = format!(r#"{{"op":"register","path":"{}"}}"#, path.display());
-    let registered = Json::parse(&state.handle_line(&register)).unwrap();
-    assert_eq!(registered.get("ok").and_then(Json::as_bool), Some(true));
+    let state = registered(path);
     for (_, _, fields) in samplers() {
         for field in &fields {
             for scheme in ["null-suppression", "rle", "dictionary-global"] {
                 // A miss (or a deepening) on the first scheme, hits after.
                 serve(
+                    &state,
                     &mut out,
                     &format!(
                         r#"{{"op":"estimate","table":"orders",{},"seed":{SEED},"columns":["customer","status"],"scheme":"{scheme}"}}"#,
@@ -207,6 +194,7 @@ fn corpus(table: &Table, path: &Path) -> String {
         })
         .collect();
     serve(
+        &state,
         &mut out,
         &format!(
             r#"{{"op":"advise","table":"orders","sampler":"block","fraction":0.1,"seed":{SEED},"budget":120000,"candidates":[{}]}}"#,
@@ -244,7 +232,70 @@ fn corpus(table: &Table, path: &Path) -> String {
         )
         .unwrap();
     }
+
+    nullable(&mut out, table, path);
     out
+}
+
+/// The section keyed on the nullable `comment` column (5% NULL): its first
+/// key cell is NULL in some records, which every route must count as NULL
+/// and never as a value.
+fn nullable(out: &mut String, table: &Table, path: &Path) {
+    writeln!(out, "section nullable").unwrap();
+    let spec = IndexSpec::nonclustered("idx_comment", ["comment"]).unwrap();
+    let names = ["none", "null-suppression", "dictionary-global"];
+    for (kind, ..) in samplers() {
+        for name in names {
+            let scheme = scheme_by_name(name).unwrap();
+            let m = SampleCf::new(kind)
+                .seed(SEED)
+                .estimate(table, &spec, scheme.as_ref())
+                .unwrap();
+            writeln!(out, "estimate {}", measurement(&m)).unwrap();
+        }
+    }
+    for name in names {
+        let scheme = scheme_by_name(name).unwrap();
+        let m = ExactCf::new()
+            .compute(table, &spec, scheme.as_ref())
+            .unwrap();
+        writeln!(out, "exact {}", measurement(&m)).unwrap();
+    }
+    // A state of its own, so that the first request misses.
+    let state = registered(path);
+    for name in ["null-suppression", "dictionary-global"] {
+        serve(
+            &state,
+            out,
+            &format!(
+                r#"{{"op":"estimate","table":"orders","sampler":"uniform","fraction":0.05,"seed":{SEED},"columns":["comment"],"scheme":"{name}"}}"#
+            ),
+        );
+    }
+}
+
+/// A service state with the table file at `path` registered.
+fn registered(path: &Path) -> ServiceState {
+    let state = ServiceState::new(DEFAULT_CACHE_BUDGET_BYTES);
+    // The registration names the file, which moves from run to run.
+    let register = format!(r#"{{"op":"register","path":"{}"}}"#, path.display());
+    let registered = Json::parse(&state.handle_line(&register)).unwrap();
+    assert_eq!(registered.get("ok").and_then(Json::as_bool), Some(true));
+    state
+}
+
+/// Serve `line`, and write it with the reply's accounting and result.
+fn serve(state: &ServiceState, out: &mut String, line: &str) {
+    let reply = Json::parse(&state.handle_line(line)).unwrap();
+    assert_eq!(
+        reply.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{reply}"
+    );
+    let field = |name| reply.get(name).unwrap().to_string();
+    writeln!(out, "request {line}").unwrap();
+    writeln!(out, "accounting {}", field("accounting")).unwrap();
+    writeln!(out, "result {}", field("result")).unwrap();
 }
 
 /// Removes the table file when the test ends, pass or fail.
