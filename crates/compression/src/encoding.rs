@@ -149,15 +149,6 @@ pub fn read_ns_cell(bytes: &[u8], offset: &mut usize, dt: &DataType) -> Compress
     Ok(value)
 }
 
-/// Size in bytes that [`write_ns_cell`] will produce for a value.
-pub fn ns_cell_size(value: &Value, dt: &DataType) -> CompressionResult<usize> {
-    let width = marker_width(dt);
-    if value.is_null() {
-        return Ok(width);
-    }
-    Ok(width + ns_payload(value, dt)?.len())
-}
-
 /// Trim SQL `CHAR` padding from a byte slice (used when compressing raw
 /// fixed-width cells directly).
 #[must_use]
@@ -192,6 +183,16 @@ pub fn ns_payload_from_raw<'a>(raw: &'a [u8], dt: &DataType) -> &'a [u8] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CompressionScheme, NullSuppression};
+    use samplecf_storage::{encode_cell, CellRef};
+
+    /// Null suppression's declared cost of `value`'s stored bytes.
+    fn declared_cost(value: &Value, dt: &DataType) -> usize {
+        let mut raw = Vec::new();
+        encode_cell(value, dt, &mut raw).unwrap();
+        let cell = CellRef::new(value.is_null(), &raw);
+        (NullSuppression.cell_costs().unwrap().cell)(cell, dt)
+    }
 
     #[test]
     fn marker_width_accounts_for_null_sentinel() {
@@ -260,12 +261,9 @@ mod tests {
         // The order-preserving encoding flips the sign bit, so typical values
         // keep their full width (only values near i64::MIN gain from zero
         // suppression); the payload must never exceed width + marker though.
-        assert_eq!(
-            ns_cell_size(&Value::int(5), &DataType::Int64).unwrap(),
-            1 + 8
-        );
-        assert!(ns_cell_size(&Value::int(i64::MIN), &DataType::Int64).unwrap() < 1 + 8);
-        assert!(ns_cell_size(&Value::int(-7), &DataType::Int32).unwrap() <= 1 + 4);
+        assert_eq!(declared_cost(&Value::int(5), &DataType::Int64), 1 + 8);
+        assert!(declared_cost(&Value::int(i64::MIN), &DataType::Int64) < 1 + 8);
+        assert!(declared_cost(&Value::int(-7), &DataType::Int32) <= 1 + 4);
     }
 
     #[test]
@@ -274,7 +272,7 @@ mod tests {
         for v in [Value::str("hello"), Value::Null, Value::str("")] {
             let mut out = Vec::new();
             write_ns_cell(&mut out, &v, &dt).unwrap();
-            assert_eq!(out.len(), ns_cell_size(&v, &dt).unwrap());
+            assert_eq!(out.len(), declared_cost(&v, &dt));
         }
     }
 
@@ -294,7 +292,6 @@ mod tests {
 
     #[test]
     fn raw_payload_matches_value_payload() {
-        use samplecf_storage::encode_cell;
         let cases = [
             (Value::str("hi"), DataType::Char(8)),
             (Value::str(""), DataType::Char(8)),

@@ -96,8 +96,7 @@ impl<'a> CellChunk<'a> {
 }
 
 /// Size in bytes that [`write_ns_cell`](crate::encoding::write_ns_cell)
-/// produces for a raw cell — the zero-copy counterpart of
-/// [`ns_cell_size`](crate::encoding::ns_cell_size).
+/// produces for a raw cell: null suppression's one size formula.
 #[must_use]
 pub fn ns_cell_size_raw(cell: CellRef<'_>, dt: &DataType) -> usize {
     let width = marker_width(dt);

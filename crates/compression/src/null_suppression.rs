@@ -7,7 +7,7 @@
 //! paper.
 
 use crate::chunk::{ColumnChunk, CompressedChunk};
-use crate::encoding::{ns_cell_size, read_ns_cell, write_ns_cell};
+use crate::encoding::{read_ns_cell, write_ns_cell};
 use crate::error::{CompressionError, CompressionResult};
 use crate::measure::{ns_cell_size_raw, CellCosts};
 use crate::scheme::CompressionScheme;
@@ -18,20 +18,6 @@ use samplecf_storage::Value;
 /// Null suppression: store actual lengths instead of padded fixed widths.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullSuppression;
-
-impl NullSuppression {
-    /// Exact compressed size in bytes this scheme will produce for a chunk,
-    /// without materialising the compressed bytes.  Used by the analytic
-    /// model tests to cross-check the codec against the formula.
-    pub fn predicted_chunk_bytes(chunk: &ColumnChunk) -> CompressionResult<usize> {
-        let dt = chunk.datatype();
-        let mut total = 2usize; // cell count
-        for v in chunk.values() {
-            total += ns_cell_size(v, &dt)?;
-        }
-        Ok(total)
-    }
-}
 
 impl CompressionScheme for NullSuppression {
     fn name(&self) -> &'static str {
@@ -85,6 +71,19 @@ impl CompressionScheme for NullSuppression {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use samplecf_storage::{encode_cell, CellRef};
+
+    /// The chunk's size by the declared cell costs, over each value's
+    /// stored bytes.
+    fn declared_bytes(chunk: &ColumnChunk) -> usize {
+        let (costs, dt) = (NullSuppression.cell_costs().unwrap(), chunk.datatype());
+        let cost = |value: &Value| {
+            let mut raw = Vec::new();
+            encode_cell(value, &dt, &mut raw).unwrap();
+            (costs.cell)(CellRef::new(value.is_null(), &raw), &dt)
+        };
+        (costs.chunk_header)(chunk.len()) + chunk.values().iter().map(cost).sum::<usize>()
+    }
 
     fn char_chunk(k: u16, strings: &[&str]) -> ColumnChunk {
         ColumnChunk::new(
@@ -121,10 +120,7 @@ mod tests {
         let c = NullSuppression.compress_chunk(&chunk).unwrap();
         // 2-byte count + 100 * (1-byte marker + 3 bytes payload)
         assert_eq!(c.compressed_bytes(), 2 + 100 * 4);
-        assert_eq!(
-            NullSuppression::predicted_chunk_bytes(&chunk).unwrap(),
-            c.compressed_bytes()
-        );
+        assert_eq!(declared_bytes(&chunk), c.compressed_bytes());
     }
 
     #[test]

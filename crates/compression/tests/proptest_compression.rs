@@ -8,7 +8,7 @@ use samplecf_compression::{
     DictionaryCompression, GlobalDictionaryCompression, NullSuppression, PrefixCompression,
     RunLengthEncoding,
 };
-use samplecf_storage::{DataType, Value};
+use samplecf_storage::{encode_cell, CellRef, DataType, Value};
 
 fn char_value(max_len: usize) -> impl Strategy<Value = String> {
     // Trailing spaces are not significant under SQL CHAR semantics (the
@@ -136,10 +136,14 @@ proptest! {
     #[test]
     fn null_suppression_size_matches_prediction(chunk in char_chunk()) {
         let compressed = NullSuppression.compress_chunk(&chunk).unwrap();
-        prop_assert_eq!(
-            compressed.compressed_bytes(),
-            NullSuppression::predicted_chunk_bytes(&chunk).unwrap()
-        );
+        let (costs, dt) = (NullSuppression.cell_costs().unwrap(), chunk.datatype());
+        let cost = |value: &Value| {
+            let mut raw = Vec::new();
+            encode_cell(value, &dt, &mut raw).unwrap();
+            (costs.cell)(CellRef::new(value.is_null(), &raw), &dt)
+        };
+        let declared = (costs.chunk_header)(chunk.len()) + chunk.values().iter().map(cost).sum::<usize>();
+        prop_assert_eq!(compressed.compressed_bytes(), declared);
         // NS size is bounded: count + per cell (marker + at most width bytes).
         let upper = 2 + chunk.len() * (1 + 32);
         prop_assert!(compressed.compressed_bytes() <= upper);

@@ -15,7 +15,7 @@
 //! does, as the differential oracle.
 
 use crate::error::{CoreError, CoreResult};
-use crate::measure::{KeyOrderOutcome, SampleMeasure, Source};
+use crate::measure::{KeyOrderOutcome, SampleMeasure};
 use crate::metrics::ratio_error;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -216,8 +216,7 @@ pub fn measure_sample_schemes(
 ) -> CoreResult<(Vec<CfMeasurement>, KeyOrderOutcome)> {
     let start = Instant::now();
     let held = sample.key_order(&spec.key_indexes(sample.schema())?);
-    let source = Source::Held(held);
-    let mut measure = SampleMeasure::new(sample.codec(), spec, schemes, builder, source)?;
+    let mut measure = SampleMeasure::held(sample.schema(), spec, schemes, builder, held)?;
     let weights = sample.strata_weights();
     let mut tags = sample.row_strata();
     for batch in sample.batches() {
@@ -334,9 +333,7 @@ impl ExactCf {
             },
         )?;
         let start = Instant::now();
-        let schemes = [scheme];
-        let (codec, builder) = (source.codec(), &self.builder);
-        let mut measure = SampleMeasure::new(codec, spec, &schemes, builder, Source::Stream)?;
+        let mut measure = SampleMeasure::stream(source.schema(), spec, &scheme, &self.builder)?;
         measure.fold(&table, &[], 0)?;
         measure.order()?;
         let mut measured = measure.measurements(&[], "exact")?.remove(0);

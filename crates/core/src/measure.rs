@@ -1,13 +1,15 @@
 //! The one measure of a sample: steps 2–4 of SampleCF over the batches
 //! drawn so far.
 //!
-//! A `SampleMeasure` is bound to `(schema, spec, schemes)`.  Batches are
-//! folded in as they were drawn — a progressive run's stream, a held
-//! sample's batches, the exact CF's one read of every page — and the prefix
-//! folded so far is priced under every scheme, whole or a stratum at a
-//! time.  Two routes, and no knob:
+//! A `SampleMeasure` is bound to `(schema, spec, schemes)`: one scheme for
+//! a stream ([`stream`](SampleMeasure::stream)), any number for a held
+//! sample ([`held`](SampleMeasure::held)).  Batches are folded in as they
+//! were drawn — a progressive run's stream, a held sample's batches, the
+//! exact CF's one read of every page — and the prefix folded so far is
+//! priced under every scheme, whole or a stratum at a time.  Two routes,
+//! and no knob:
 //!
-//! * **cell sums**, for a stream whose schemes all have
+//! * **cell sums**, for a stream whose scheme has
 //!   [`cell_costs`](CompressionScheme::cell_costs) (null suppression, none).
 //!   Such a size over any rows is one header per leaf plus the rows' cell
 //!   costs — the per-row sums `Σ(ℓᵢ + marker)` Theorem 1 analyses — so key
@@ -16,9 +18,10 @@
 //!   stratified draw.  The whole prefix and a stratum are
 //!   [`RunSizer::price`] arithmetic.  The same pass keeps the moments of
 //!   each row's and each page's cost, which price the CF's design variance
-//!   ([`design_sums`](SampleMeasure::design_sums)).  The [`DataStats`] are
-//!   sums too — rows, NULLs and `Σ ℓᵢ` of the first key — and `d′` counts
-//!   its distinct non-NULL cells by their bytes.
+//!   ([`design_sums`](SampleMeasure::design_sums)), and hands out each
+//!   record's first key cell: the [`DataStats`] are counted from those —
+//!   NULLs and `Σ ℓᵢ` are sums, and `d′` counts the distinct non-NULL
+//!   cells by their bytes.
 //! * **one walk of the key order** for a stream with a scheme that must see
 //!   the order, and for a held sample whatever its schemes: its order is
 //!   sorted once and kept, and a walk through a kept order costs even a
@@ -31,19 +34,21 @@
 //!   [`DataStats`] are read off the walk.  Such a CF is not a sum of per-row
 //!   terms, so it has no design variance.
 //!
-//! Both are bit-identical to packing and measuring every tree from the
-//! rows, the differential oracle ([`measure_rows`](crate::measure_rows)).
+//! Both routes build the [`DataStats`] in one place, from the
+//! [`FirstKeyStats`] and a row count, and both are bit-identical to
+//! packing and measuring every tree from the rows, the differential oracle
+//! ([`measure_rows`](crate::measure_rows)).
 
 use crate::error::CoreResult;
 use crate::estimator::{combine_strata, CfMeasurement, DataStats};
 use crate::theory::Unit;
 use samplecf_compression::{CellCosts, CompressionScheme, DistinctScratch};
 use samplecf_index::{
-    CompressedIndexReport, IndexBuilder, IndexSpec, KeyOrder, OrderedEntries, RunCellCosts,
-    RunSizer, UnitSums,
+    CompressedIndexReport, FirstKeyStats, IndexBuilder, IndexSpec, KeyOrder, OrderedEntries,
+    RunCellCosts, RunSizer, UnitSums,
 };
 use samplecf_sampling::RecordBatch;
-use samplecf_storage::{CellRef, DataType, RowCodec, RowRef};
+use samplecf_storage::{CellRef, DataType, Schema, StorageResult};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -76,29 +81,17 @@ impl KeyOrderOutcome {
 /// The measure of a sample's batches under a set of schemes (see the
 /// [module docs](self)).
 pub(crate) struct SampleMeasure<'a> {
-    codec: &'a RowCodec,
     schemes: &'a [&'a dyn CompressionScheme],
     route: Route<'a>,
     /// Each folded row's stratum tag; empty for an unstratified sample.
     tags: Vec<u32>,
 }
 
-/// What a measure's batches come from, and so its key order.
-pub(crate) enum Source {
-    /// A stream: its order is sorted as its batches arrive, and only if a
-    /// scheme must see it.
-    Stream,
-    /// A held sample, with the key order it holds by the key, if any: its
-    /// order is walked, grown or sorted whatever the schemes, so that a
-    /// later measure can reuse it.
-    Held(Option<Arc<KeyOrder>>),
-}
-
 /// What a [`SampleMeasure`] keeps of the folded rows.
 enum Route<'a> {
-    /// Per scheme, in `schemes`' order, its costs and sums, and what prices
-    /// them; the first key's statistics, summed.
-    CellSums(RunSizer<'a>, Vec<CellSums>, CellStats),
+    /// The one scheme's costs and sums, and what prices them; the first
+    /// key's statistics, counted in the same pass.
+    CellSums(RunSizer<'a>, CellSums, CellStats),
     /// The entries of every folded row, and their key order.
     Walk(OrderedEntries<'a>),
 }
@@ -124,46 +117,53 @@ pub(crate) struct DesignSums {
 }
 
 impl<'a> SampleMeasure<'a> {
-    /// A measure of no rows yet, of `codec`'s records under `spec`, sized as
-    /// `builder` would load the index, of batches from `source`.  A held
-    /// order is one by `spec`'s key columns that an earlier measure sorted
-    /// over a prefix of the rows to be folded.
-    pub(crate) fn new(
-        codec: &'a RowCodec,
+    /// A measure of no rows yet of a stream's batches — records of
+    /// `schema` — under `scheme` alone, sized as `builder` would load the
+    /// index by `spec`: its cells summed if it declares
+    /// [`cell_costs`](CompressionScheme::cell_costs), else its entries
+    /// sorted as the batches arrive and walked.
+    pub(crate) fn stream(
+        schema: &'a Schema,
+        spec: &IndexSpec,
+        scheme: &'a &'a dyn CompressionScheme,
+        builder: &IndexBuilder,
+    ) -> CoreResult<Self> {
+        let route = match scheme.cell_costs() {
+            Some(costs) => {
+                let sizer = builder.sizer(schema, spec)?;
+                let sums = CellSums {
+                    costs,
+                    pooled: sizer.empty_cell_costs(),
+                    strata: Vec::new(),
+                };
+                Route::CellSums(sizer, sums, CellStats::new())
+            }
+            None => Route::Walk(builder.entries(schema, spec, None)?),
+        };
+        Ok(Self::of(std::slice::from_ref(scheme), route))
+    }
+
+    /// A measure of no rows yet of a held sample's batches under every one
+    /// of `schemes`, walked whatever they are, so that a later measure can
+    /// reuse the order: `held` is an order by `spec`'s key columns that an
+    /// earlier measure sorted over a prefix of the rows to be folded.
+    pub(crate) fn held(
+        schema: &'a Schema,
         spec: &IndexSpec,
         schemes: &'a [&'a dyn CompressionScheme],
         builder: &IndexBuilder,
-        source: Source,
+        held: Option<Arc<KeyOrder>>,
     ) -> CoreResult<Self> {
-        let schema = codec.schema();
-        let costs: Option<Vec<CellCosts>> = schemes.iter().map(|s| s.cell_costs()).collect();
-        let (costs, held) = match source {
-            Source::Stream => (costs, None),
-            Source::Held(held) => (None, held),
-        };
-        let route = match costs {
-            Some(costs) => {
-                let sizer = builder.sizer(schema, spec)?;
-                let sums = (costs.into_iter())
-                    .map(|costs| CellSums {
-                        costs,
-                        pooled: sizer.empty_cell_costs(),
-                        strata: Vec::new(),
-                    })
-                    .collect();
-                // An index spec has at least one key column.
-                let first_key = spec.key_indexes(schema)?[0];
-                let stats = CellStats::new(first_key, schema.column_at(first_key).datatype);
-                Route::CellSums(sizer, sums, stats)
-            }
-            None => Route::Walk(builder.entries(schema, spec, held)?),
-        };
-        Ok(SampleMeasure {
-            codec,
+        let route = Route::Walk(builder.entries(schema, spec, held)?);
+        Ok(Self::of(schemes, route))
+    }
+
+    fn of(schemes: &'a [&'a dyn CompressionScheme], route: Route<'a>) -> Self {
+        SampleMeasure {
             schemes,
             route,
             tags: Vec::new(),
-        })
+        }
     }
 
     /// Fold in the next batch drawn: `tags` are its rows' strata, of
@@ -177,19 +177,19 @@ impl<'a> SampleMeasure<'a> {
         self.tags.extend_from_slice(tags);
         match &mut self.route {
             Route::CellSums(sizer, sums, stats) => {
-                for sums in sums {
-                    if strata == 0 {
-                        let one = std::slice::from_mut(&mut sums.pooled);
-                        sizer.add_cell_costs(batch.iter(), &sums.costs, one, |_| 0)?;
-                    } else {
-                        sums.strata.resize(strata, sizer.empty_cell_costs());
-                        let group = |i: usize| tags[i] as usize;
-                        sizer.add_cell_costs(batch.iter(), &sums.costs, &mut sums.strata, group)?;
-                        sums.pooled = sizer.empty_cell_costs();
-                        sums.strata.iter().for_each(|sum| sums.pooled.merge(sum));
-                    }
+                let first_key =
+                    |cell: CellRef<'_>, datatype: &DataType| Ok(stats.add(cell, datatype)?);
+                if strata == 0 {
+                    let one = std::slice::from_mut(&mut sums.pooled);
+                    sizer.add_cell_costs(batch.iter(), &sums.costs, one, |_| 0, first_key)?;
+                } else {
+                    sums.strata.resize(strata, sizer.empty_cell_costs());
+                    let (costs, strata) = (&sums.costs, &mut sums.strata);
+                    let group = |i: usize| tags[i] as usize;
+                    sizer.add_cell_costs(batch.iter(), costs, strata, group, first_key)?;
+                    sums.pooled = sizer.empty_cell_costs();
+                    sums.strata.iter().for_each(|sum| sums.pooled.merge(sum));
                 }
-                stats.add(self.codec, batch)?;
             }
             Route::Walk(entries) => entries.extend(batch.iter())?,
         }
@@ -213,32 +213,32 @@ impl<'a> SampleMeasure<'a> {
     }
 
     /// Per scheme, in `schemes`' order, the report of the index over the
-    /// folded rows `keep` admits, by row number — priced from `sums(scheme)`
-    /// on the cell-sums route — and their first key statistics.
+    /// folded rows `keep` admits, by row number — priced from `sums` on the
+    /// cell-sums route — and the first key statistics: of the rows walked,
+    /// or of every folded row on the cell-sums route.
     fn price(
         &self,
         keep: impl Fn(usize) -> bool,
         sums: impl Fn(&CellSums) -> &RunCellCosts,
     ) -> CoreResult<(Vec<CompressedIndexReport>, DataStats)> {
-        match &self.route {
-            Route::CellSums(sizer, all, stats) => {
-                let price = |(scheme, cell_sums): (&&dyn CompressionScheme, &CellSums)| {
-                    Ok(sizer.price(*scheme, &cell_sums.costs, sums(cell_sums))?)
-                };
-                let reports = self.schemes.iter().zip(all).map(price);
-                Ok((reports.collect::<CoreResult<_>>()?, stats.snapshot()))
+        let (reports, rows, first_key) = match &self.route {
+            Route::CellSums(sizer, cell_sums, stats) => {
+                let report = sizer.price(self.schemes[0], &cell_sums.costs, sums(cell_sums))?;
+                (vec![report], cell_sums.pooled.entries(), stats.first_key())
             }
             Route::Walk(entries) => {
                 let (reports, first_key) = entries.measure_where(keep, self.schemes)?;
-                let stats = DataStats {
-                    rows: reports.first().map_or(0, |report| report.num_entries),
-                    distinct_first_key: first_key.distinct,
-                    sum_logical_len_first_key: first_key.logical_len_sum,
-                    null_first_key: first_key.nulls,
-                };
-                Ok((reports, stats))
+                let rows = reports.first().map_or(0, |report| report.num_entries);
+                (reports, rows, first_key)
             }
-        }
+        };
+        let stats = DataStats {
+            rows,
+            distinct_first_key: first_key.distinct,
+            sum_logical_len_first_key: first_key.logical_len_sum,
+            null_first_key: first_key.nulls,
+        };
+        Ok((reports, stats))
     }
 
     /// Per scheme, the report of the index over stratum `s`'s rows, or
@@ -279,15 +279,14 @@ impl<'a> SampleMeasure<'a> {
         Ok(reports.into_iter().enumerate().map(measure).collect())
     }
 
-    /// On the cell-sums route, what the design variance of the first
-    /// scheme's CF is priced from, with `unit` the sampling unit: per
+    /// On the cell-sums route, what the design variance of the scheme's CF
+    /// is priced from, with `unit` the sampling unit: per
     /// stratum of a stratified sample, else for the whole sample.  `None` on
     /// the walk route.
     pub(crate) fn design_sums(&self, unit: Unit) -> Option<DesignSums> {
-        let Route::CellSums(sizer, all, _) = &self.route else {
+        let Route::CellSums(sizer, sums, _) = &self.route else {
             return None;
         };
-        let sums = all.first()?;
         let of = |costs: &RunCellCosts| match unit {
             Unit::Row => costs.rows(),
             Unit::Page => costs.pages(),
@@ -305,17 +304,13 @@ impl<'a> SampleMeasure<'a> {
     }
 }
 
-/// The [`DataStats`] of the records summed so far, read off their first key
-/// cells: rows, NULLs and `Σ ℓᵢ` are sums; `d′` counts the distinct
-/// non-NULL cells by their bytes.  The NULL bit decides, not the bytes: a
-/// NULL is stored as zeros, the bytes of `Int32`'s `i32::MIN`.
+/// The first key statistics of the cells counted so far: NULLs and `Σ ℓᵢ`
+/// are sums; `d′` counts the distinct non-NULL cells by their bytes.  The
+/// NULL bit decides, not the bytes: a NULL is stored as zeros, the bytes of
+/// `Int32`'s `i32::MIN`.
 struct CellStats {
-    /// The first key's schema position and type.
-    column: usize,
-    datatype: DataType,
-    rows: usize,
-    nulls: usize,
-    logical_len_sum: usize,
+    /// NULLs and `Σ ℓᵢ`; `distinct` is `distinct`'s length.
+    counted: FirstKeyStats,
     /// Every distinct cell once, in order of first sight.
     cells: Vec<u8>,
     /// The cells' numbers, by their bytes.
@@ -325,59 +320,48 @@ struct CellStats {
 }
 
 impl CellStats {
-    fn new(column: usize, datatype: DataType) -> Self {
+    fn new() -> Self {
         let capacity = 64;
         let mut distinct = DistinctScratch::new();
         distinct.reset(capacity);
         CellStats {
-            column,
-            datatype,
-            rows: 0,
-            nulls: 0,
-            logical_len_sum: 0,
+            counted: FirstKeyStats::default(),
             cells: Vec::new(),
             distinct,
             capacity,
         }
     }
 
-    /// Fold in the first key cells of `batch`, heap records of `codec`.
-    fn add(&mut self, codec: &RowCodec, batch: &RecordBatch) -> CoreResult<()> {
-        let width = self.datatype.uncompressed_width();
-        for (_, record) in batch.iter() {
-            let cell = RowRef::new(codec, record)?.cell(self.column);
-            self.rows += 1;
-            if cell.is_null() {
-                self.nulls += 1;
-                continue;
+    /// Count one first key cell, of type `datatype`.
+    fn add(&mut self, cell: CellRef<'_>, datatype: &DataType) -> StorageResult<()> {
+        if cell.is_null() {
+            self.counted.nulls += 1;
+            return Ok(());
+        }
+        self.counted.logical_len_sum += cell.logical_len(datatype)?;
+        let width = cell.bytes().len();
+        let cells = &self.cells;
+        let held = |number: u64| CellRef::new(false, &cells[number as usize * width..][..width]);
+        if self.distinct.len() == self.capacity {
+            // Full: re-size, and put back what it held.
+            self.capacity *= 2;
+            self.distinct.reset(self.capacity);
+            for (number, cell) in cells.chunks_exact(width).enumerate() {
+                self.distinct
+                    .insert(CellRef::new(false, cell), number as u64, held);
             }
-            self.logical_len_sum += cell.logical_len(&self.datatype)?;
-            let cells = &self.cells;
-            let held =
-                |number: u64| CellRef::new(false, &cells[number as usize * width..][..width]);
-            if self.distinct.len() == self.capacity {
-                // Full: re-size, and put back what it held.
-                self.capacity *= 2;
-                self.distinct.reset(self.capacity);
-                for (number, cell) in cells.chunks_exact(width).enumerate() {
-                    self.distinct
-                        .insert(CellRef::new(false, cell), number as u64, held);
-                }
-            }
-            let number = self.distinct.len() as u64;
-            if self.distinct.insert(cell, number, held) {
-                self.cells.extend_from_slice(cell.bytes());
-            }
+        }
+        let number = self.distinct.len() as u64;
+        if self.distinct.insert(cell, number, held) {
+            self.cells.extend_from_slice(cell.bytes());
         }
         Ok(())
     }
 
-    fn snapshot(&self) -> DataStats {
-        DataStats {
-            rows: self.rows,
-            distinct_first_key: self.distinct.len(),
-            sum_logical_len_first_key: self.logical_len_sum,
-            null_first_key: self.nulls,
+    fn first_key(&self) -> FirstKeyStats {
+        FirstKeyStats {
+            distinct: self.distinct.len(),
+            ..self.counted
         }
     }
 }

@@ -42,7 +42,7 @@
 
 use crate::error::{CoreError, CoreResult};
 use crate::estimator::CfMeasurement;
-use crate::measure::{SampleMeasure, Source};
+use crate::measure::SampleMeasure;
 use crate::theory::{self, Design, Unit};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -338,10 +338,10 @@ impl ProgressiveCf {
     /// Whether checkpoints short of the cap are supported for `sampler` —
     /// the one place that tells sampler kinds apart.  Every kind streams,
     /// but the interval and stopping rule of a checkpoint have been
-    /// validated only for the four kinds progressive estimation has always
-    /// run.  A Bernoulli or systematic prefix is the head of a storage-order
-    /// scan, not a sample, and no interval has been validated for
-    /// uniform-wor (the coverage matrix of ROADMAP item 4 decides that);
+    /// validated only for the kinds the coverage matrix
+    /// (`crates/core/tests/coverage.rs`) holds: uniform with and without
+    /// replacement, block, reservoir and stratified.  A Bernoulli or
+    /// systematic prefix is the head of a storage-order scan, not a sample;
     /// those run to their cap in one checkpoint
     /// ([`one_checkpoint`](Self::one_checkpoint)) or not at all.
     pub fn supports_checkpoints(sampler: SamplerKind) -> CoreResult<()> {
@@ -404,7 +404,6 @@ impl ProgressiveCf {
         if self.config.schedule != BatchSchedule::one_shot() {
             Self::supports_checkpoints(self.sampler)?;
         }
-        let codec = source.codec();
         let z = theory::chebyshev_z(self.config.confidence);
         let design = Self::design(self.sampler, source);
         let counting = CountingSource::new(source);
@@ -415,8 +414,7 @@ impl ProgressiveCf {
 
         let started = Instant::now();
         let (mut rows, mut batches) = (0, 0);
-        let schemes = [scheme];
-        let mut measure = SampleMeasure::new(codec, spec, &schemes, &self.builder, Source::Stream)?;
+        let mut measure = SampleMeasure::stream(source.schema(), spec, &scheme, &self.builder)?;
         // One count per checkpoint, under the route the scheme picked.
         let priced = match scheme.cell_costs() {
             Some(_) => &self.metrics.pricing_cell_sums,

@@ -33,13 +33,13 @@ use proptest::prelude::*;
 use samplecf_compression::{scheme_by_name, scheme_names};
 use samplecf_compression::{CompressionScheme, NullSuppression, Uncompressed};
 use samplecf_core::{
-    measure_rows, measure_sample, measure_sample_schemes, weighted_combine, CfMeasurement, ExactCf,
-    KeyOrderOutcome, SampleCf,
+    measure_rows, measure_sample, measure_sample_schemes, weighted_combine, CfMeasurement,
+    DataStats, DataStatsAccumulator, ExactCf, KeyOrderOutcome, SampleCf,
 };
 use samplecf_index::{compress_index, measure_index, IndexBuilder, IndexSpec};
 use samplecf_sampling::{Allocation, MaterializedSample, SamplerKind, Strata, StrataMode};
 use samplecf_storage::{
-    Column, DataType, Rid, Row, RowCodec, Schema, Table, TableBuilder, TableSource, Value,
+    CellRef, Column, DataType, Rid, Row, RowCodec, Schema, Table, TableBuilder, TableSource, Value,
 };
 
 /// A mixed-type table with a nullable, variable-length key column: the
@@ -613,7 +613,13 @@ fn cell_sums_are_refused_or_fail_as_the_builder_does() {
         let mut sums = [sizer.empty_cell_costs()];
         let encoded = encode(&schema, &rows(n));
         sizer
-            .add_cell_costs(records(&encoded).iter().copied(), &costs, &mut sums, |_| 0)
+            .add_cell_costs(
+                records(&encoded).iter().copied(),
+                &costs,
+                &mut sums,
+                |_| 0,
+                |_, _| Ok(()),
+            )
             .unwrap();
         let priced = sizer.price(&NullSuppression, &costs, &sums[0]);
         let packed = tiny.build_from_rows(&schema, &rows(n), &clustered);
@@ -761,9 +767,11 @@ proptest! {
     /// stratum's.  The sums route — rows encoded once, unsorted, into
     /// per-column cell costs by stratum and by batch, merged, then priced —
     /// under `none` and null suppression, whose row moments agree however
-    /// the rows were grouped; the walk route — each batch's entries sorted
-    /// and merged into one key order, walked whole or filtered by tag to a
-    /// stratum — under all six schemes.  Random one- to ten-column schemas, one- and two-column
+    /// the rows were grouped, and whose pass hands out first key cells that
+    /// decode to the walk's first-key statistics and row count; the walk
+    /// route — each batch's entries sorted and merged into one key order,
+    /// walked whole or filtered by tag to a stratum — under all six
+    /// schemes.  Random one- to ten-column schemas, one- and two-column
     /// keys, clustered and not, the empty set included; at 256-byte pages
     /// wide keys meet the single-separator internal page.
     #[test]
@@ -810,14 +818,23 @@ proptest! {
         let encoded = encode(&schema, &rows);
         let records = records(&encoded);
         let schemes: [&dyn CompressionScheme; 2] = [&Uncompressed, &NullSuppression];
+        // Per scheme, the first key cells its pass handed out, decoded.
+        let mut first_keys = Vec::new();
         for scheme in schemes {
             let costs = scheme.cell_costs().expect("cell-additive");
             let mut strata = vec![sizer.empty_cell_costs(); STRATA];
             let mut batches = vec![sizer.empty_cell_costs(); BATCHES];
+            let mut first_key = DataStatsAccumulator::new();
+            let decode = |cell: CellRef<'_>, datatype: &DataType| {
+                first_key.observe(&cell.to_value(datatype)?);
+                Ok(())
+            };
             let tag = |i: usize| usize::from(tagged[i].1);
-            sizer.add_cell_costs(records.iter().copied(), &costs, &mut strata, tag).unwrap();
+            sizer.add_cell_costs(records.iter().copied(), &costs, &mut strata, tag, decode).unwrap();
+            first_keys.push(first_key.snapshot());
             let batch = |i: usize| usize::from(tagged[i].2);
-            sizer.add_cell_costs(records.iter().copied(), &costs, &mut batches, batch).unwrap();
+            let ignore = |_: CellRef<'_>, _: &DataType| Ok(());
+            sizer.add_cell_costs(records.iter().copied(), &costs, &mut batches, batch, ignore).unwrap();
             let mut pooled = sizer.empty_cell_costs();
             batches.iter().for_each(|sum| pooled.merge(sum));
             let mut by_strata = sizer.empty_cell_costs();
@@ -844,6 +861,16 @@ proptest! {
             ordered.extend(batch.iter().map(|&i| records[i])).unwrap();
             ordered.order().unwrap();
             folded.extend(batch);
+        }
+        let (_, walked) = ordered.measure(&[]).unwrap();
+        let walked = DataStats {
+            rows: ordered.len(),
+            distinct_first_key: walked.distinct,
+            sum_logical_len_first_key: walked.logical_len_sum,
+            null_first_key: walked.nulls,
+        };
+        for (scheme, summed) in schemes.iter().zip(first_keys) {
+            prop_assert_eq!(&summed, &walked, "{} first key", scheme.name());
         }
         for name in scheme_names() {
             let scheme = scheme_by_name(name).unwrap();

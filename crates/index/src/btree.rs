@@ -296,11 +296,7 @@ impl IndexBuilder {
                 entries: Vec::new(),
             }),
         };
-        Ok(OrderedEntries::new(
-            RunSizer::new(layout, shape),
-            order,
-            *self,
-        ))
+        Ok(OrderedEntries::new(RunSizer::new(layout, shape), order))
     }
 
     /// [`entries`](Self::entries) over `records`, encoded and put in key
@@ -609,25 +605,20 @@ impl KeyOrder {
     }
 
     /// This order over all of `arena`'s entries: those past its end sorted
-    /// ([`key_order`] over `workers` threads) and merged in.
+    /// ([`key_order`], on the calling thread) and merged in.
     ///
     /// # Errors
     /// An order of more entries than `arena` holds was not sorted over its
     /// prefix: [`IndexError::InvalidSpec`].  More than `u32::MAX` entries is
     /// `InvalidSpec` too.
-    pub(crate) fn extended(
-        &self,
-        arena: &[u8],
-        layout: &EntryLayout,
-        workers: usize,
-    ) -> IndexResult<KeyOrder> {
+    pub(crate) fn extended(&self, arena: &[u8], layout: &EntryLayout) -> IndexResult<KeyOrder> {
         let (key_len, stride) = (layout.key_len, layout.stride());
         let (done, n) = (self.len(), arena.len() / stride);
         layout.admit_order(self, n)?;
         let first = u32::try_from(n)
             .map(|_| done as u32)
             .map_err(|_| too_many_entries())?;
-        let delta = key_order(&arena[done * stride..], layout, workers)?;
+        let delta = key_order(&arena[done * stride..], layout, 1)?;
         let key = |i: u32| &arena[i as usize * stride..][..key_len];
         let mut entries = Vec::with_capacity(n);
         let mut delta = (delta.into_iter()).map(|(_, i)| first + i).peekable();
@@ -1282,8 +1273,8 @@ mod tests {
         assert_trees_identical(&from_scratch, &incremental);
     }
 
-    /// The route the jackknife used to take, kept as the oracle: a left fold
-    /// of pairwise merges that clones every entry at every step.
+    /// A left fold of pairwise merges that clones every entry at every step,
+    /// kept as the oracle of a merge of several runs.
     fn fold_merge<'a>(runs: impl IntoIterator<Item = &'a SortedRun>) -> SortedRun {
         runs.into_iter()
             .fold(SortedRun::new(), |acc, run| acc.merge(run))
@@ -1352,7 +1343,7 @@ mod tests {
                 for (b, sum) in sums.iter_mut().enumerate() {
                     let sum = std::slice::from_mut(sum);
                     sizer
-                        .add_cell_costs(records(b), &costs, sum, |_| 0)
+                        .add_cell_costs(records(b), &costs, sum, |_| 0, |_, _| Ok(()))
                         .unwrap();
                 }
                 let mut others = sizer.empty_cell_costs();
@@ -1417,7 +1408,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// The jackknife's contract: for any split of a sample into batches
+        /// Leaving one batch out: for any split of a sample into batches
         /// — rows drawn with replacement, so the same `(key, RID)` entry
         /// turns up in several batches and several times in one — skipping
         /// batch `i` in the pooled run sizes, to the byte and under every

@@ -10,7 +10,7 @@
 //! their [`KeyOrder`] grown by a sorted delta each time — or prices a
 //! cell-additive scheme's summed cell costs by arithmetic.
 
-use crate::btree::{BTreeIndex, EntryLayout, IndexBuilder, KeyOrder};
+use crate::btree::{BTreeIndex, EntryLayout, KeyOrder};
 use crate::error::IndexResult;
 use crate::size::IndexSizeEstimate;
 use crate::spec::IndexKind;
@@ -285,8 +285,8 @@ fn stored_cells(schema: &Schema, stored: &[usize]) -> Vec<StoredCell> {
     stored.iter().enumerate().map(cell_at).collect()
 }
 
-/// Sizes entries as the tree [`IndexBuilder`] would pack from them and
-/// [`measure_index`] would report — without the tree.
+/// Sizes entries as the tree [`IndexBuilder`](crate::IndexBuilder) would
+/// pack from them and [`measure_index`] would report — without the tree.
 ///
 /// Leaf records are one length and the fill rule is arithmetic: leaf `p`
 /// holds entries `p × entries_per_leaf ..` of the key order, whichever they
@@ -303,10 +303,10 @@ fn stored_cells(schema: &Schema, stored: &[usize]) -> Vec<StoredCell> {
 ///   no order at all.  Each leaf's size is a header fixed by its length plus
 ///   its cells' costs, so a column's size over *any* entries is one header
 ///   per leaf plus the entries' costs summed.  Heap records are summed once,
-///   in any order, their cells read in place
-///   ([`add_cell_costs`](Self::add_cell_costs));
-///   sums merge, and [`price`](Self::price) turns them into the whole
-///   report.
+///   in any order, their cells read in place, and the same pass hands out
+///   each first key cell for the first key column's statistics
+///   ([`add_cell_costs`](Self::add_cell_costs)); sums merge, and
+///   [`price`](Self::price) turns them into the whole report.
 ///
 /// Either way every size equals, byte count for byte count, that of the
 /// packed and measured tree.
@@ -322,9 +322,11 @@ pub struct RunSizer<'a> {
     heap_cells: Vec<StoredCell>,
 }
 
-/// The first key column over the entries of one walk: the inputs of the
-/// paper's analysis (`d'`, `Σ ℓᵢ`), which a key order holds for free — equal
-/// first-key cells are adjacent.
+/// The first key column over some entries: the inputs of the paper's
+/// analysis (`d'`, `Σ ℓᵢ`).  A walk reads them off the key order for free —
+/// equal first-key cells are adjacent; a pass of cell sums hands out the
+/// first key cells for its caller to count
+/// ([`add_cell_costs`](RunSizer::add_cell_costs)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FirstKeyStats {
     /// Entries whose first key cell is NULL.
@@ -628,13 +630,17 @@ impl<'a> RunSizer<'a> {
     /// records of the schema, whose cells a leaf entry copies as they are —
     /// to `sums[group(i)]` for record `i`: one group for a sample, say, or
     /// one per stratum tag.  Each record's cost over its cells, and its heap
-    /// page, go to the moments too.  Cells are sliced in place, in the order
-    /// given; nothing is encoded, sorted, kept or allocated.
+    /// page, go to the moments too.  The same pass hands each record's first
+    /// key cell, with its type, to `first_key`, which reads the first key
+    /// column's statistics off it: each record is checked and sliced once.
+    /// Cells are sliced in place, in the order given; nothing is encoded,
+    /// sorted, kept or allocated.
     ///
     /// # Errors
     /// A record that is not the schema's record size is
-    /// [`IndexError::Storage`](crate::IndexError::Storage) (`Decode`); the
-    /// sums may then hold the records before it.
+    /// [`IndexError::Storage`](crate::IndexError::Storage) (`Decode`), and
+    /// an error of `first_key` is returned as it is; the sums may then hold
+    /// the records before that one.
     ///
     /// # Panics
     /// If `group` names no member of `sums`, or `sums` were made by a sizer
@@ -645,10 +651,14 @@ impl<'a> RunSizer<'a> {
         costs: &CellCosts,
         sums: &mut [RunCellCosts],
         group: impl Fn(usize) -> usize,
+        mut first_key: impl FnMut(CellRef<'_>, &DataType) -> IndexResult<()>,
     ) -> IndexResult<()> {
         assert!((sums.iter()).all(|sum| sum.per_column.len() == self.cells.len()));
+        // Key columns are stored first: the first key is the first cell.
+        let key = &self.heap_cells[0];
         for (i, (rid, record)) in records.into_iter().enumerate() {
             let record = RowRef::new(&self.layout.codec, record)?.record();
+            first_key(key.of(record), &key.datatype)?;
             let sum = &mut sums[group(i)];
             let mut y = 0;
             for (cell, total) in self.heap_cells.iter().zip(&mut sum.per_column) {
@@ -717,10 +727,11 @@ impl<'a> RunSizer<'a> {
 /// are walks through the one order, and no tree is packed for any of them
 /// (see [`RunSizer`]).
 ///
-/// Made empty by [`IndexBuilder::entries`], perhaps from a [`KeyOrder`] an
-/// earlier measure sorted over a prefix of the records to come.  Records are [`extend`](Self::extend)ed in, batch by
+/// Made empty by [`IndexBuilder::entries`](crate::IndexBuilder::entries),
+/// perhaps from a [`KeyOrder`] an earlier measure sorted over a prefix of the
+/// records to come.  Records are [`extend`](Self::extend)ed in, batch by
 /// batch, and [`order`](Self::order) sorts only the entries past the order's
-/// end and merges them in.  The order depends on the key columns alone, so
+/// end, on the calling thread, and merges them in.  The order depends on the key columns alone, so
 /// it serves every candidate index over them, whatever its kind or name.
 pub struct OrderedEntries<'a> {
     sizer: RunSizer<'a>,
@@ -728,17 +739,14 @@ pub struct OrderedEntries<'a> {
     arena: Vec<u8>,
     /// Entry numbers sorted by key: all of `arena`'s, once ordered.
     order: Arc<KeyOrder>,
-    /// Whose thread count a sort of new entries may use.
-    builder: IndexBuilder,
 }
 
 impl<'a> OrderedEntries<'a> {
-    pub(crate) fn new(sizer: RunSizer<'a>, order: Arc<KeyOrder>, builder: IndexBuilder) -> Self {
+    pub(crate) fn new(sizer: RunSizer<'a>, order: Arc<KeyOrder>) -> Self {
         OrderedEntries {
             sizer,
             arena: Vec::new(),
             order,
-            builder,
         }
     }
 
@@ -782,14 +790,13 @@ impl<'a> OrderedEntries<'a> {
     pub fn order(&mut self) -> IndexResult<usize> {
         let sorted = self.len() - self.order.len().min(self.len());
         if sorted > 0 || self.order.len() > self.len() {
-            let (layout, workers) = (&self.sizer.layout, self.builder.workers(sorted));
-            self.order = Arc::new(self.order.extended(&self.arena, layout, workers)?);
+            self.order = Arc::new(self.order.extended(&self.arena, &self.sizer.layout)?);
         }
         Ok(sorted)
     }
 
     /// The order the entries are walked in — to hold beside the records and
-    /// hand back to [`IndexBuilder::entries`].
+    /// hand back to [`IndexBuilder::entries`](crate::IndexBuilder::entries).
     #[must_use]
     pub fn key_order(&self) -> &Arc<KeyOrder> {
         &self.order
@@ -1043,7 +1050,13 @@ mod tests {
         let sum = |records: &[(Rid, &[u8])]| {
             let mut sums = vec![sizer.empty_cell_costs()];
             sizer
-                .add_cell_costs(records.iter().copied(), &costs, &mut sums, |_| 0)
+                .add_cell_costs(
+                    records.iter().copied(),
+                    &costs,
+                    &mut sums,
+                    |_| 0,
+                    |_, _| Ok(()),
+                )
                 .unwrap();
             sums.remove(0)
         };

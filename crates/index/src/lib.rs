@@ -30,10 +30,12 @@
 //!   keeps its order beside its rows is never sorted twice, deepened or
 //!   not.  For a cell-additive scheme no order is needed: rows are summed,
 //!   unsorted, into [`RunCellCosts`] and [`RunSizer::price`] turns any sum —
-//!   a pooled sample, a stratum — into the whole report by arithmetic; the
+//!   a pooled sample, a stratum — into the whole report by arithmetic.  The
 //!   same pass keeps the [`UnitSums`] of each row's and each page's cost
-//!   that a design variance is priced from.  ([`SortedRun`] is the packed oracle's
-//!   accumulator; no estimator keeps one.)
+//!   that a design variance is priced from, and hands each row's first key
+//!   cell to its caller, who counts the [`FirstKeyStats`] from them
+//!   ([`RunSizer::add_cell_costs`]): each row is read once.  ([`SortedRun`]
+//!   is the packed oracle's accumulator; no estimator keeps one.)
 //!
 //! ## Quickstart
 //!

@@ -19,7 +19,7 @@ use samplecf_compression::{CompressionScheme, NullSuppression, RunLengthEncoding
 use samplecf_index::{
     leaf_record_bytes, measure_index, BTreeIndex, IndexBuilder, IndexSpec, RunCellCosts, SortedRun,
 };
-use samplecf_storage::{Column, DataType, Rid, Row, RowCodec, Schema, Value};
+use samplecf_storage::{CellRef, Column, DataType, Rid, Row, RowCodec, Schema, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -329,13 +329,15 @@ fn summing_cell_costs_allocates_one_buffer_whatever_the_rows() {
     let spec = IndexSpec::clustered("i", ["name"]).unwrap();
     let sizer = IndexBuilder::new().sizer(&schema, &spec).unwrap();
     let costs = NullSuppression.cell_costs().expect("cell-additive");
-    // Four groups, as a batch's records go to their strata.  The one buffer
-    // a call may take is the caller's: the borrowed pairs, one per batch.
+    // Four groups, as a batch's records go to their strata, and first key
+    // cells handed to a sink that keeps nothing.  The one buffer a call may
+    // take is the caller's: the borrowed pairs, one per batch.
     let summed = |encoded: &[(Rid, Vec<u8>)]| {
         let mut sums = vec![sizer.empty_cell_costs(); 4];
         let (count, added) = allocations(|| {
             let records = records(encoded);
-            sizer.add_cell_costs(records.iter().copied(), &costs, &mut sums, |i| i % 4)
+            let (group, first_key) = (|i| i % 4, |_: CellRef<'_>, _: &DataType| Ok(()));
+            sizer.add_cell_costs(records.iter().copied(), &costs, &mut sums, group, first_key)
         });
         added.unwrap();
         let entries: usize = sums.iter().map(RunCellCosts::entries).sum();
@@ -367,7 +369,13 @@ fn pricing_a_checkpoint_or_a_stratum_allocates_only_its_report() {
         let sum = std::slice::from_mut(sum);
         let encoded = encode(stratum);
         sizer
-            .add_cell_costs(records(&encoded).iter().copied(), &costs, sum, |_| 0)
+            .add_cell_costs(
+                records(&encoded).iter().copied(),
+                &costs,
+                sum,
+                |_| 0,
+                |_, _| Ok(()),
+            )
             .unwrap();
     }
     let mut pooled = sizer.empty_cell_costs();

@@ -1033,7 +1033,7 @@ mod tests {
     }
 
     #[test]
-    fn stratified_progressive_reports_algebra_variance_per_checkpoint() {
+    fn stratified_progressive_reports_design_variance_per_checkpoint() {
         let (path, _cleanup) = scratch_table("strat_prog", 10_000);
         let state = ServiceState::new(DEFAULT_CACHE_BUDGET_BYTES);
         ok(&state, &format!(r#"{{"op":"register","path":"{path}"}}"#));
