@@ -309,8 +309,8 @@ impl<'a> SampleMeasure<'a> {
 /// NULL bit decides, not the bytes: a NULL is stored as zeros, the bytes of
 /// `Int32`'s `i32::MIN`.
 struct CellStats {
-    /// NULLs and `Σ ℓᵢ`; `distinct` is `distinct`'s length.
-    counted: FirstKeyStats,
+    nulls: usize,
+    logical_len_sum: usize,
     /// Every distinct cell once, in order of first sight.
     cells: Vec<u8>,
     /// The cells' numbers, by their bytes.
@@ -325,7 +325,8 @@ impl CellStats {
         let mut distinct = DistinctScratch::new();
         distinct.reset(capacity);
         CellStats {
-            counted: FirstKeyStats::default(),
+            nulls: 0,
+            logical_len_sum: 0,
             cells: Vec::new(),
             distinct,
             capacity,
@@ -335,10 +336,10 @@ impl CellStats {
     /// Count one first key cell, of type `datatype`.
     fn add(&mut self, cell: CellRef<'_>, datatype: &DataType) -> StorageResult<()> {
         if cell.is_null() {
-            self.counted.nulls += 1;
+            self.nulls += 1;
             return Ok(());
         }
-        self.counted.logical_len_sum += cell.logical_len(datatype)?;
+        self.logical_len_sum += cell.logical_len(datatype)?;
         let width = cell.bytes().len();
         let cells = &self.cells;
         let held = |number: u64| CellRef::new(false, &cells[number as usize * width..][..width]);
@@ -360,8 +361,9 @@ impl CellStats {
 
     fn first_key(&self) -> FirstKeyStats {
         FirstKeyStats {
+            nulls: self.nulls,
             distinct: self.distinct.len(),
-            ..self.counted
+            logical_len_sum: self.logical_len_sum,
         }
     }
 }

@@ -488,7 +488,6 @@ fn assert_summed_route_equals_packed_route(
             .compute(t, spec, scheme)
             .unwrap();
         let packed = oracle(&table_rows, "exact".to_string());
-        assert_eq!(exact.data, packed.data, "{tag}, exact stats");
         assert_same_measurement(&exact, &packed, &format!("{tag}, exact"));
         let estimated = SampleCf::new(sample.kind())
             .seed(seed)
@@ -496,7 +495,6 @@ fn assert_summed_route_equals_packed_route(
             .estimate(t, spec, scheme)
             .unwrap();
         let packed = oracle(&sample_rows, sample.kind().label());
-        assert_eq!(estimated.data, packed.data, "{tag}, one-shot stats");
         assert_same_measurement(&estimated, &packed, &format!("{tag}, one-shot"));
     }
 }

@@ -731,8 +731,9 @@ impl<'a> RunSizer<'a> {
 /// perhaps from a [`KeyOrder`] an earlier measure sorted over a prefix of the
 /// records to come.  Records are [`extend`](Self::extend)ed in, batch by
 /// batch, and [`order`](Self::order) sorts only the entries past the order's
-/// end, on the calling thread, and merges them in.  The order depends on the key columns alone, so
-/// it serves every candidate index over them, whatever its kind or name.
+/// end, on the calling thread, and merges them in.  The order depends on the
+/// key columns alone, so it serves every candidate index over them, whatever
+/// its kind or name.
 pub struct OrderedEntries<'a> {
     sizer: RunSizer<'a>,
     /// The entries as encoded: entry `i` is input `i`.
