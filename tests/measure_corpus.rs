@@ -5,12 +5,12 @@
 //! one-shot `SampleCf::estimate` for each sampler × scheme, capped and
 //! target-stopped `ProgressiveCf::run`s with every checkpoint field,
 //! `ExactCf` for each scheme, the served `estimate` as a miss, a hit and a
-//! deepening (a redraw for a scan sampler), one budgeted `advise`, and the
-//! bytes a cache entry is priced at when drawn, once measured, and once
-//! deepened and measured again.  A last section repeats the one-shot and
-//! exact runs, and a served miss and hit, on an index keyed on a column
-//! with NULLs.  Floats print with `{:?}`, which
-//! round-trips; wall-clock times are left out.
+//! deepening (a redraw for a scan sampler), one budgeted `advise`, a served
+//! `estimate_progressive` on each pricing route, and the bytes a cache
+//! entry is priced at when drawn, once measured, and once deepened and
+//! measured again.  A last section repeats the one-shot and exact runs, and
+//! a served miss and hit, on an index keyed on a column with NULLs.  Floats
+//! print with `{:?}`, which round-trips; wall-clock times are left out.
 //!
 //! On a mismatch the test names the first differing line and the section
 //! it belongs to, writes the actual text to `measures.txt` under the cargo
@@ -201,6 +201,17 @@ fn corpus(table: &Table, path: &Path) -> String {
             candidates.join(",")
         ),
     );
+    // A progressive run on each pricing route (summed, walked): the requests
+    // CI's daemon smoke step diffs against the CLI.
+    for scheme in ["null-suppression", "dictionary-paged"] {
+        serve(
+            &state,
+            &mut out,
+            &format!(
+                r#"{{"op":"estimate_progressive","table":"orders","sampler":"block","fraction":0.1,"target_error":0.05,"seed":{SEED},"columns":["customer","status"],"scheme":"{scheme}"}}"#
+            ),
+        );
+    }
 
     writeln!(out, "section cache").unwrap();
     let shared = Table::open(path).unwrap().into_shared();
