@@ -6,6 +6,10 @@
 //! under `results/`.  See `crates/bench/README.md` for the full
 //! experiment-to-paper mapping.
 //!
+//! [`distinct`] holds the classical distinct-value estimators that
+//! `exp_dv_baselines` sets beside SampleCF; the shipped library needs none
+//! of them.
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -25,6 +29,7 @@
 //! assert!(report.to_markdown().contains("rows"));
 //! ```
 
+pub mod distinct;
 pub mod experiments;
 pub mod report;
 pub mod workloads;

@@ -413,9 +413,12 @@ mod tests {
 
     #[test]
     fn pointer_width_resolution() {
+        assert_eq!(PointerWidth::Auto.resolve(0).unwrap(), 1);
         assert_eq!(PointerWidth::Auto.resolve(1).unwrap(), 1);
         assert_eq!(PointerWidth::Auto.resolve(256).unwrap(), 1);
         assert_eq!(PointerWidth::Auto.resolve(257).unwrap(), 2);
+        assert_eq!(PointerWidth::Auto.resolve(65_536).unwrap(), 2);
+        assert_eq!(PointerWidth::Auto.resolve(65_537).unwrap(), 3);
         assert_eq!(PointerWidth::Auto.resolve(70_000).unwrap(), 3);
         assert_eq!(PointerWidth::Fixed(2).resolve(100).unwrap(), 2);
         assert!(PointerWidth::Fixed(1).resolve(300).is_err());

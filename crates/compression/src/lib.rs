@@ -20,8 +20,8 @@
 //! All schemes implement [`CompressionScheme`] and are *real* codecs — they
 //! produce byte streams that decompress back to the original values — so the
 //! sizes the estimator sees are the sizes an engine would actually write.
-//! The closed-form size models from Section III of the paper live in
-//! [`model`].
+//! The closed-form CF model of Section III that the paper's theorems reason
+//! about lives beside them, in `samplecf_core::theory`.
 //!
 //! ## Quickstart
 //!
@@ -47,7 +47,6 @@ pub mod dictionary;
 pub mod encoding;
 pub mod error;
 pub mod measure;
-pub mod model;
 pub mod none;
 pub mod null_suppression;
 pub mod prefix;

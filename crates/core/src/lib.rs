@@ -20,9 +20,6 @@
 //! * [`metrics`] — the ratio-error metric and summary statistics,
 //! * [`trials`] — a parallel repeated-trial runner that measures bias,
 //!   variance and ratio errors empirically,
-//! * [`distinct`] — classical distinct-value estimators (GEE, Chao84,
-//!   Shlosser, naive scale-up) used as baselines against SampleCF for
-//!   dictionary compression,
 //! * [`advisor`] — the two applications the paper motivates,
 //!   compression-aware physical design and capacity planning, in one
 //!   planner over samples its caller holds: every candidate on a held
@@ -56,7 +53,6 @@
 //! ```
 
 pub mod advisor;
-pub mod distinct;
 pub mod error;
 pub mod estimator;
 mod measure;
@@ -68,17 +64,13 @@ pub mod trials;
 pub use advisor::{
     AdvisorConfig, AdvisorPlan, Candidates, CompressionAdvisor, Recommendation, SampleGroup,
 };
-pub use distinct::{
-    all_estimators, Chao84, DistinctEstimator, FrequencyHistogram, GuaranteedErrorEstimator,
-    NaiveScaleUp, SampleDistinct, Shlosser,
-};
 pub use error::{CoreError, CoreResult};
 pub use estimator::{
     measure_rows, measure_sample, measure_sample_schemes, weighted_combine, CfMeasurement,
     DataStats, DataStatsAccumulator, ExactCf, SampleCf,
 };
 pub use measure::KeyOrderOutcome;
-pub use metrics::{absolute_error, ratio_error, relative_error, SummaryStats};
+pub use metrics::{ratio_error, SummaryStats};
 pub use progressive::{
     CfCheckpoint, ProgressiveCf, ProgressiveConfig, ProgressiveMetrics, ProgressiveReport,
 };

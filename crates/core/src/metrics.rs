@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates estimators by their **ratio error**
 //! `max(CF'/CF, CF/CF')` (Section II-C) and by bias/variance (Theorem 1).
-//! This module provides those metrics plus the summary statistics the trial
+//! This module provides the ratio error plus the summary statistics the trial
 //! runner reports.
 
 /// The ratio error `max(est/truth, truth/est)` used throughout the paper.
@@ -15,21 +15,6 @@ pub fn ratio_error(estimate: f64, truth: f64) -> f64 {
         return f64::INFINITY;
     }
     (estimate / truth).max(truth / estimate)
-}
-
-/// Signed relative error `(est - truth) / truth`.
-#[must_use]
-pub fn relative_error(estimate: f64, truth: f64) -> f64 {
-    if truth == 0.0 {
-        return f64::INFINITY;
-    }
-    (estimate - truth) / truth
-}
-
-/// Absolute error `|est - truth|`.
-#[must_use]
-pub fn absolute_error(estimate: f64, truth: f64) -> f64 {
-    (estimate - truth).abs()
 }
 
 /// Summary statistics over a set of observations (estimates from repeated
@@ -113,14 +98,6 @@ mod tests {
         assert_eq!(ratio_error(0.0, 0.5), f64::INFINITY);
         assert_eq!(ratio_error(0.5, 0.0), f64::INFINITY);
         assert_eq!(ratio_error(f64::NAN, 0.5), f64::INFINITY);
-    }
-
-    #[test]
-    fn relative_and_absolute_errors() {
-        assert!((relative_error(0.25, 0.2) - 0.25).abs() < 1e-12);
-        assert!((relative_error(0.15, 0.2) + 0.25).abs() < 1e-12);
-        assert_eq!(relative_error(0.1, 0.0), f64::INFINITY);
-        assert!((absolute_error(0.25, 0.2) - 0.05).abs() < 1e-12);
     }
 
     #[test]

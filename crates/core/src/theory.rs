@@ -17,7 +17,6 @@
 //! *design variance* a progressive run measures in place of Theorem 1's
 //! worst case ([`design_variance`]).
 
-use samplecf_compression::model::{global_dictionary_cf, TableModel};
 use samplecf_index::UnitSums;
 
 /// Theorem 1: upper bound on the standard deviation of the Null-Suppression
@@ -217,13 +216,29 @@ pub fn dc_expected_estimate(
 ) -> f64 {
     let r = ((rows as f64 * fraction).round() as u64).max(1);
     let d_prime = expected_sample_distinct(distinct, r);
-    (r as f64 * pointer_bytes as f64 + d_prime * width as f64) / (r as f64 * width as f64)
+    dictionary_cf(r as f64, d_prime, width as f64, pointer_bytes as f64)
 }
 
 /// The true dictionary-compression fraction under the simplified model.
 #[must_use]
 pub fn dc_true_cf(rows: u64, distinct: u64, width: u64, pointer_bytes: u64) -> f64 {
-    global_dictionary_cf(TableModel::new(rows, width), distinct, pointer_bytes)
+    dictionary_cf(
+        rows as f64,
+        distinct as f64,
+        width as f64,
+        pointer_bytes as f64,
+    )
+}
+
+/// The simplified (global-dictionary) model of Section III-B: `n` rows of
+/// `char(k)` holding `d` distinct values, each row a `p`-byte pointer into
+/// one dictionary, give `CF_DC = (n·p + d·k) / (n·k)`.  No rows or no width
+/// is 1 (nothing to compress).
+fn dictionary_cf(rows: f64, distinct: f64, width: f64, pointer_bytes: f64) -> f64 {
+    if rows == 0.0 || width == 0.0 {
+        return 1.0;
+    }
+    (rows * pointer_bytes + distinct * width) / (rows * width)
 }
 
 /// Expected ratio error of SampleCF for dictionary compression under the
@@ -443,6 +458,26 @@ mod tests {
         let e = expected_sample_distinct(1_000_000, 100);
         assert!(e > 99.9 && e <= 100.0);
         assert_eq!(expected_sample_distinct(0, 10), 0.0);
+    }
+
+    #[test]
+    fn dc_cf_matches_hand_computation() {
+        // n=100, d=10, k=20, p=2: (200 + 200)/2000 = 0.2
+        assert!((dc_true_cf(100, 10, 20, 2) - 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn dc_cf_grows_with_distinct_values() {
+        let low = dc_true_cf(1000, 10, 20, 2);
+        let high = dc_true_cf(1000, 900, 20, 2);
+        assert!(low < high);
+        assert!(high > 0.9);
+    }
+
+    #[test]
+    fn dc_cf_degenerate_cases() {
+        assert_eq!(dc_true_cf(0, 0, 20, 2), 1.0);
+        assert_eq!(dc_true_cf(10, 3, 0, 2), 1.0);
     }
 
     #[test]

@@ -63,11 +63,9 @@ pub mod prelude {
         RunLengthEncoding, Uncompressed,
     };
     pub use samplecf_core::{
-        absolute_error, all_estimators, ratio_error, relative_error, theory, AdvisorConfig,
-        AdvisorPlan, Candidates, CfCheckpoint, CfMeasurement, CompressionAdvisor,
-        DistinctEstimator, ExactCf, FrequencyHistogram, ProgressiveCf, ProgressiveConfig,
-        ProgressiveReport, Recommendation, SampleCf, SampleGroup, SummaryStats, TrialConfig,
-        TrialRunner,
+        ratio_error, theory, AdvisorConfig, AdvisorPlan, Candidates, CfCheckpoint, CfMeasurement,
+        CompressionAdvisor, ExactCf, ProgressiveCf, ProgressiveConfig, ProgressiveReport,
+        Recommendation, SampleCf, SampleGroup, SummaryStats, TrialConfig, TrialRunner,
     };
     pub use samplecf_datagen::{
         presets, ColumnSpec, FrequencyDistribution, LengthDistribution, RowLayout, TableSpec,
