@@ -138,7 +138,10 @@ impl<'a> RowRef<'a> {
     }
 
     /// Borrow the cell at column index `idx`.
+    // Called per cell of every record a key order encodes: the hint keeps it
+    // inlined across crates whatever thin LTO's partitioning of its callers.
     #[must_use]
+    #[inline]
     pub fn cell(&self, idx: usize) -> CellRef<'a> {
         let offset = self.codec.cell_offset(idx);
         let width = self
