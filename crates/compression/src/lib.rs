@@ -20,8 +20,8 @@
 //! All schemes implement [`CompressionScheme`] and are *real* codecs — they
 //! produce byte streams that decompress back to the original values — so the
 //! sizes the estimator sees are the sizes an engine would actually write.
-//! The closed-form CF model of Section III that the paper's theorems reason
-//! about lives beside them, in `samplecf_core::theory`.
+//! The closed-form CF model of Section III lives with the theorems that
+//! reason about it, in `samplecf_core::theory`.
 //!
 //! ## Quickstart
 //!
