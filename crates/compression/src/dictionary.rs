@@ -413,17 +413,26 @@ mod tests {
 
     #[test]
     fn pointer_width_resolution() {
+        assert_eq!(PointerWidth::Auto.resolve(1).unwrap(), 1);
+        assert_eq!(PointerWidth::Auto.resolve(256).unwrap(), 1);
+        assert_eq!(PointerWidth::Auto.resolve(257).unwrap(), 2);
+        assert_eq!(PointerWidth::Auto.resolve(70_000).unwrap(), 3);
+        assert_eq!(PointerWidth::Fixed(2).resolve(100).unwrap(), 2);
+        assert!(PointerWidth::Fixed(1).resolve(300).is_err());
+        assert!(PointerWidth::Fixed(0).resolve(10).is_err());
+        assert!(PointerWidth::Fixed(9).resolve(10).is_err());
+    }
+
+    #[test]
+    fn auto_pointer_width_matches_log() {
+        // The fewest bytes that address `distinct` dictionary slots:
+        // ceil(log256(distinct)), and one byte for an empty dictionary.
         assert_eq!(PointerWidth::Auto.resolve(0).unwrap(), 1);
         assert_eq!(PointerWidth::Auto.resolve(1).unwrap(), 1);
         assert_eq!(PointerWidth::Auto.resolve(256).unwrap(), 1);
         assert_eq!(PointerWidth::Auto.resolve(257).unwrap(), 2);
         assert_eq!(PointerWidth::Auto.resolve(65_536).unwrap(), 2);
         assert_eq!(PointerWidth::Auto.resolve(65_537).unwrap(), 3);
-        assert_eq!(PointerWidth::Auto.resolve(70_000).unwrap(), 3);
-        assert_eq!(PointerWidth::Fixed(2).resolve(100).unwrap(), 2);
-        assert!(PointerWidth::Fixed(1).resolve(300).is_err());
-        assert!(PointerWidth::Fixed(0).resolve(10).is_err());
-        assert!(PointerWidth::Fixed(9).resolve(10).is_err());
     }
 
     #[test]
