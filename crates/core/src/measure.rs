@@ -99,8 +99,7 @@ enum Route<'a> {
 /// A cell-additive scheme's sums over the folded rows.
 struct CellSums {
     costs: CellCosts,
-    pooled: RunCellCosts,
-    /// Per stratum, for a stratified sample.
+    /// Per stratum of a stratified sample; the one member of any other.
     strata: Vec<RunCellCosts>,
 }
 
@@ -133,8 +132,7 @@ impl<'a> SampleMeasure<'a> {
                 let sizer = builder.sizer(schema, spec)?;
                 let sums = CellSums {
                     costs,
-                    pooled: sizer.empty_cell_costs(),
-                    strata: Vec::new(),
+                    strata: vec![sizer.empty_cell_costs()],
                 };
                 Route::CellSums(sizer, sums, CellStats::new())
             }
@@ -179,17 +177,12 @@ impl<'a> SampleMeasure<'a> {
             Route::CellSums(sizer, sums, stats) => {
                 let first_key =
                     |cell: CellRef<'_>, datatype: &DataType| Ok(stats.add(cell, datatype)?);
-                if strata == 0 {
-                    let one = std::slice::from_mut(&mut sums.pooled);
-                    sizer.add_cell_costs(batch.iter(), &sums.costs, one, |_| 0, first_key)?;
-                } else {
-                    sums.strata.resize(strata, sizer.empty_cell_costs());
-                    let (costs, strata) = (&sums.costs, &mut sums.strata);
-                    let group = |i: usize| tags[i] as usize;
-                    sizer.add_cell_costs(batch.iter(), costs, strata, group, first_key)?;
-                    sums.pooled = sizer.empty_cell_costs();
-                    sums.strata.iter().for_each(|sum| sums.pooled.merge(sum));
-                }
+                // Grows once, at a stratified stream's first batch.
+                sums.strata
+                    .resize_with(strata.max(1), || sizer.empty_cell_costs());
+                let group = |i: usize| tags.get(i).map_or(0, |&tag| tag as usize);
+                let (costs, strata) = (&sums.costs, &mut sums.strata);
+                sizer.add_cell_costs(batch.iter(), costs, strata, group, first_key)?;
             }
             Route::Walk(entries) => entries.extend(batch.iter())?,
         }
@@ -213,18 +206,29 @@ impl<'a> SampleMeasure<'a> {
     }
 
     /// Per scheme, in `schemes`' order, the report of the index over the
-    /// folded rows `keep` admits, by row number — priced from `sums` on the
-    /// cell-sums route — and the first key statistics: of the rows walked,
-    /// or of every folded row on the cell-sums route.
+    /// folded rows `keep` admits, by row number — on the cell-sums route,
+    /// `stratum`'s, or all of them — and the first key statistics: of the
+    /// rows walked, or of every folded row on the cell-sums route.
     fn price(
         &self,
         keep: impl Fn(usize) -> bool,
-        sums: impl Fn(&CellSums) -> &RunCellCosts,
+        stratum: Option<usize>,
     ) -> CoreResult<(Vec<CompressedIndexReport>, DataStats)> {
         let (reports, rows, first_key) = match &self.route {
-            Route::CellSums(sizer, cell_sums, stats) => {
-                let report = sizer.price(self.schemes[0], &cell_sums.costs, sums(cell_sums))?;
-                (vec![report], cell_sums.pooled.entries(), stats.first_key())
+            Route::CellSums(sizer, sums, stats) => {
+                let mut pooled = None;
+                let priced = match stratum {
+                    Some(s) => &sums.strata[s],
+                    None => {
+                        // Every stratum's sums, merged in stratum order.
+                        let pooled = pooled.insert(sizer.empty_cell_costs());
+                        sums.strata.iter().for_each(|sum| pooled.merge(sum));
+                        pooled
+                    }
+                };
+                let report = sizer.price(self.schemes[0], &sums.costs, priced)?;
+                let rows = sums.strata.iter().map(RunCellCosts::entries).sum();
+                (vec![report], rows, stats.first_key())
             }
             Route::Walk(entries) => {
                 let (reports, first_key) = entries.measure_where(keep, self.schemes)?;
@@ -248,7 +252,7 @@ impl<'a> SampleMeasure<'a> {
         if !(0..self.tags.len()).any(keep) {
             return Ok(None);
         }
-        Ok(Some(self.price(keep, |sums| &sums.strata[s])?.0))
+        Ok(Some(self.price(keep, Some(s))?.0))
     }
 
     /// One measurement per scheme, in `schemes`' order, of the rows folded
@@ -261,7 +265,7 @@ impl<'a> SampleMeasure<'a> {
         weights: &[f64],
         sampler: &str,
     ) -> CoreResult<Vec<CfMeasurement>> {
-        let (reports, data) = self.price(|_| true, |sums| &sums.pooled)?;
+        let (reports, data) = self.price(|_| true, None)?;
         let strata = (0..weights.len())
             .map(|s| self.stratum(s))
             .collect::<CoreResult<Vec<_>>>()?;
@@ -291,13 +295,8 @@ impl<'a> SampleMeasure<'a> {
             Unit::Row => costs.rows(),
             Unit::Page => costs.pages(),
         };
-        let strata = if sums.strata.is_empty() {
-            vec![of(&sums.pooled)]
-        } else {
-            sums.strata.iter().map(of).collect()
-        };
         Some(DesignSums {
-            strata,
+            strata: sums.strata.iter().map(of).collect(),
             entry_bytes: sizer.entry_bytes(),
             leaf_header: sizer.leaf_header(&sums.costs),
         })

@@ -819,12 +819,6 @@ impl BTreeIndex {
         &self.stored_indexes
     }
 
-    /// Number of key columns (a prefix of the stored columns).
-    #[must_use]
-    pub fn key_column_count(&self) -> usize {
-        self.key_count
-    }
-
     /// Number of leaf entries (one per indexed row).
     #[must_use]
     pub fn num_entries(&self) -> usize {

@@ -348,12 +348,6 @@ impl MetricsRegistry {
         MetricsRegistry { inner: None }
     }
 
-    /// Whether this registry records anything.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     fn slot(&self, name: &str, make: impl FnOnce() -> Slot) -> Option<Slot> {
         let inner = self.inner.as_ref()?;
         let mut metrics = inner

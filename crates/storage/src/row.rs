@@ -53,12 +53,6 @@ impl Row {
     pub fn project(&self, indexes: &[usize]) -> Row {
         Row::new(indexes.iter().map(|&i| self.values[i].clone()).collect())
     }
-
-    /// Consume the row, returning its values.
-    #[must_use]
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
-    }
 }
 
 impl fmt::Display for Row {

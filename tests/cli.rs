@@ -1,8 +1,11 @@
 //! Integration tests that shell out to the `samplecf` binary: the full
 //! gen → info → estimate → exact → advise loop on a temp directory, checking
-//! the reported fields for estimate/exact parity, that `--json` prints the
-//! response object a `samplecfd` serves for the same request, and that both
-//! ends reject the same malformed requests the same way.
+//! the reported fields for estimate/exact parity, the daemon's register →
+//! estimate → stats → info loop, and that both ends reject the same
+//! malformed requests the same way.  That `--json` prints the `result` a
+//! `samplecfd` serves for the same request is asserted, request shape by
+//! request shape, by the measure corpus (`tests/measure_corpus.rs`, its
+//! `cli` section).
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -263,67 +266,6 @@ fn advise_json_is_valid_and_accounts_shared_sample_io() {
 }
 
 #[test]
-fn advise_and_estimate_report_the_same_cf_for_a_stratified_sample() {
-    // One (table, sampler, seed, index, scheme) has one SampleCF estimate:
-    // `advise` must report the weighted per-stratum CF `estimate` documents
-    // for stratified draws, not the pooled ratio of the same rows.
-    let dir = TempDir::new("stratadvise");
-    let table = dir.path("demo.scf");
-    samplecf(&[
-        "gen",
-        "--out",
-        &table,
-        "--rows",
-        "60000",
-        "--distinct",
-        "600",
-        "--seed",
-        "3",
-    ]);
-    let schemes = ["rle", "dictionary-paged", "null-suppression"];
-    let cands = dir.path("candidates.txt");
-    std::fs::write(&cands, schemes.map(|s| format!("idx_{s} a {s}\n")).concat()).unwrap();
-    for alloc in ["prop", "neyman"] {
-        let sampler = [
-            "--sampler",
-            "stratified",
-            "--alloc",
-            alloc,
-            "--fraction",
-            "0.05",
-            "--seed",
-            "7",
-            "--json",
-        ];
-        let advise = samplecf(
-            &[
-                &["advise", "--table", &table, "--candidates", &cands],
-                &sampler[..],
-            ]
-            .concat(),
-        );
-        let advise = Json::parse(&advise).expect("advise --json emits valid JSON");
-        let recs = advise.key("result").key("recommendations").arr();
-        assert_eq!(recs.len(), schemes.len());
-        for (rec, scheme) in recs.iter().zip(schemes) {
-            let estimate = samplecf(
-                &[
-                    &["estimate", "--table", &table, "--scheme", scheme],
-                    &sampler[..],
-                ]
-                .concat(),
-            );
-            let estimate = Json::parse(&estimate).expect("estimate --json emits valid JSON");
-            assert_eq!(
-                rec.key("estimated_cf").num(),
-                estimate.key("result").key("cf").num(),
-                "{alloc}/{scheme}"
-            );
-        }
-    }
-}
-
-#[test]
 fn estimate_json_reports_the_seed_actually_used() {
     let dir = TempDir::new("estjson");
     let table = dir.path("demo.scf");
@@ -569,118 +511,11 @@ fn daemon_register_estimate_stats_loop_matches_the_oneshot_cli() {
         let top = samplecf(&["top", &addr, "--plain", "--iterations", "1"]);
         assert!(top.contains("33.3% hit (1/3)   1 deepened"), "{top}");
 
-        // One control path: for every request shape, the one-shot CLI's
-        // `--json` prints the very response the daemon serves — the whole
-        // `result` object at full f64 precision, and the same page cost on
-        // a cold cache.
-        let cands = dir.path("candidates.txt");
-        std::fs::write(
-            &cands,
-            "idx_dict a dictionary-global\nidx_ns a null-suppression\n\
-             idx_rle a rle\npk_all a prefix clustered\n",
-        )
-        .unwrap();
-        let candidates = r#"[{"index":"idx_dict","columns":["a"],"scheme":"dictionary-global"},
-            {"index":"idx_ns","columns":["a"],"scheme":"null-suppression"},
-            {"index":"idx_rle","columns":["a"],"scheme":"rle"},
-            {"index":"pk_all","columns":["a"],"scheme":"prefix","clustered":true}]"#;
-        let shapes: [(&str, String, Vec<&str>); 5] = [
-            (
-                "estimate",
-                r#""sampler":"block","fraction":0.1,"scheme":"dictionary-global","seed":6"#.into(),
-                vec![
-                    "--sampler",
-                    "block",
-                    "--fraction",
-                    "0.1",
-                    "--scheme",
-                    "dictionary-global",
-                    "--seed",
-                    "6",
-                ],
-            ),
-            (
-                "estimate",
-                r#""sampler":"uniform","fraction":0.02,"scheme":"rle","seed":7"#.into(),
-                vec![
-                    "--sampler",
-                    "uniform",
-                    "--fraction",
-                    "0.02",
-                    "--scheme",
-                    "rle",
-                    "--seed",
-                    "7",
-                ],
-            ),
-            (
-                "estimate",
-                r#""sampler":"stratified","alloc":"neyman","strata":6,"fraction":0.05,"seed":8"#
-                    .into(),
-                vec![
-                    "--sampler",
-                    "stratified",
-                    "--alloc",
-                    "neyman",
-                    "--strata",
-                    "6",
-                    "--fraction",
-                    "0.05",
-                    "--seed",
-                    "8",
-                ],
-            ),
-            (
-                "estimate_progressive",
-                r#""sampler":"block","target_error":0.05,"fraction":0.3,"seed":9"#.into(),
-                vec![
-                    "--sampler",
-                    "block",
-                    "--target-error",
-                    "0.05",
-                    "--max-fraction",
-                    "0.3",
-                    "--seed",
-                    "9",
-                ],
-            ),
-            (
-                "advise",
-                format!(r#""sampler":"block","fraction":0.05,"seed":10,"candidates":{candidates}"#),
-                vec![
-                    "--candidates",
-                    &cands,
-                    "--sampler",
-                    "block",
-                    "--fraction",
-                    "0.05",
-                    "--seed",
-                    "10",
-                ],
-            ),
-        ];
-        for (op, fields, flags) in &shapes {
-            let served = client(&addr, &format!(r#"{{"op":"{op}","table":"t",{fields}}}"#));
-            let command = if *op == "advise" {
-                "advise"
-            } else {
-                "estimate"
-            };
-            let oneshot = samplecf(&[&[command, "--table", &table, "--json"], &flags[..]].concat());
-            let oneshot = Json::parse(&oneshot).expect("valid JSON");
-            assert_eq!(oneshot.key("op"), served.key("op"), "{op} {fields}");
-            assert_eq!(oneshot.key("result"), served.key("result"), "{op} {fields}");
-            assert_eq!(
-                oneshot.key("accounting").key("pages_read"),
-                served.key("accounting").key("pages_read"),
-                "{op} {fields}"
-            );
-        }
-
+        // Another seed's draw; a repeat of the same request is a cache hit
+        // with zero I/O.
         let request = r#"{"op":"estimate","table":"t","sampler":"block","fraction":0.1,"scheme":"dictionary-global","seed":6}"#;
         let result = &client(&addr, request).key("result").clone();
 
-        // A repeat of the same request is a cache hit with zero I/O.
         let again = client(&addr, request);
         assert_eq!(
             again.key("accounting").key("cache"),
@@ -695,10 +530,10 @@ fn daemon_register_estimate_stats_loop_matches_the_oneshot_cli() {
         let cache = stats.key("stats").key("cache");
         assert_eq!(
             cache.key("misses").num() as u64,
-            5,
-            "the seed-11 draw and one per sampled shape"
+            2,
+            "the seed-11 draw and the seed-6 one"
         );
-        assert_eq!(cache.key("hits").num() as u64, 3);
+        assert_eq!(cache.key("hits").num() as u64, 2);
         assert_eq!(cache.key("deepened").num() as u64, 1);
         let daemon_info = client(&addr, r#"{"op":"info","table":"t"}"#);
         let local_info = samplecf(&["info", "--table", &table, "--json"]);
