@@ -14,15 +14,6 @@
 
 use samplecf_datagen::{presets, GeneratedTable, TableSpec};
 
-/// Default number of rows used by the sweep experiments.
-pub const DEFAULT_ROWS: usize = 50_000;
-
-/// Default column width (`char(k)`).
-pub const DEFAULT_WIDTH: u16 = 40;
-
-/// Default sampling fraction (the 1% the paper's example uses).
-pub const DEFAULT_FRACTION: f64 = 0.01;
-
 /// A named workload regime from the paper's analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PaperWorkload {

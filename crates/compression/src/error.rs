@@ -2,38 +2,20 @@
 
 use std::fmt;
 
-/// Errors produced while compressing or decompressing column chunks.
+/// Errors produced while sizing column chunks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompressionError {
-    /// A value in the chunk does not conform to the chunk's declared data type.
-    TypeMismatch {
-        /// Declared data type of the chunk.
-        expected: String,
-        /// Runtime kind of the offending value.
-        found: String,
-    },
-    /// The compressed byte stream was malformed.
+    /// A borrowed cell did not have its column's declared width.
     Corrupt(String),
     /// A configuration parameter was invalid (e.g. zero-width pointers).
     InvalidConfig(String),
-    /// The shared (global) dictionary required to decode a chunk was missing.
-    MissingSharedState(&'static str),
 }
 
 impl fmt::Display for CompressionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CompressionError::TypeMismatch { expected, found } => {
-                write!(
-                    f,
-                    "type mismatch: chunk declared {expected}, found {found} value"
-                )
-            }
             CompressionError::Corrupt(msg) => write!(f, "corrupt compressed data: {msg}"),
             CompressionError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
-            CompressionError::MissingSharedState(what) => {
-                write!(f, "missing shared state: {what}")
-            }
         }
     }
 }
@@ -49,16 +31,11 @@ mod tests {
 
     #[test]
     fn display_mentions_details() {
-        let e = CompressionError::TypeMismatch {
-            expected: "char(4)".into(),
-            found: "integer".into(),
-        };
-        assert!(e.to_string().contains("char(4)"));
         assert!(CompressionError::Corrupt("truncated".into())
             .to_string()
             .contains("truncated"));
-        assert!(CompressionError::MissingSharedState("dictionary")
+        assert!(CompressionError::InvalidConfig("pointer width".into())
             .to_string()
-            .contains("dictionary"));
+            .contains("pointer width"));
     }
 }

@@ -17,32 +17,42 @@
 //! algorithm, so the benchmark suite also measures how it behaves on schemes
 //! whose effectiveness depends on value ordering or shared structure.
 //!
-//! All schemes implement [`CompressionScheme`] and are *real* codecs — they
-//! produce byte streams that decompress back to the original values — so the
-//! sizes the estimator sees are the sizes an engine would actually write.
-//! The closed-form CF model of Section III lives with the theorems that
-//! reason about it, in `samplecf_core::theory`.
+//! All schemes implement [`CompressionScheme`], which is a scheme's *size*:
+//! [`measure_cells`] prices a column of cells borrowed straight out of page
+//! records at the byte count the scheme's codec would write, without writing
+//! it.  The codecs themselves — byte streams that decompress back to the
+//! original values — are the reference those sizes are tested against and
+//! live in the dev-only `samplecf-oracle` crate.  The closed-form CF model of
+//! Section III lives with the theorems that reason about it, in
+//! `samplecf_core::theory`.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use samplecf_compression::{ColumnChunk, CompressionScheme, NullSuppression};
-//! use samplecf_storage::{DataType, Value};
+//! use samplecf_compression::{measure_cells, CellChunk, NullSuppression};
+//! use samplecf_storage::{encode_cell, CellRef, DataType, Value};
 //!
-//! // A chunk of char(12) values that are shorter than their padded width.
-//! let values: Vec<Value> = (0..200).map(|i| Value::str(format!("v{}", i % 20))).collect();
-//! let chunk = ColumnChunk::new(DataType::Char(12), values)?;
+//! // A page of char(12) cells, each stored space-padded to its full width.
+//! let dt = DataType::Char(12);
+//! let stored: Vec<Vec<u8>> = (0..200)
+//!     .map(|i| {
+//!         let mut raw = Vec::new();
+//!         encode_cell(&Value::str(format!("v{}", i % 20)), &dt, &mut raw).unwrap();
+//!         raw
+//!     })
+//!     .collect();
+//! let cells = stored.iter().map(|raw| CellRef::new(false, raw)).collect();
+//! let page = CellChunk::new(dt, cells)?;
 //!
-//! let compressed = NullSuppression.compress_chunk(&chunk)?;
-//! assert!(compressed.compressed_bytes() < chunk.uncompressed_bytes());
-//!
-//! // Schemes are real codecs: the bytes decompress back to the same chunk.
-//! let back = NullSuppression.decompress_chunk(&compressed, DataType::Char(12))?;
-//! assert_eq!(back, chunk);
+//! // Null suppression writes a 2-byte count, then a 1-byte length marker and
+//! // the unpadded payload of every cell: "v0".."v9" are 2 bytes, the rest 3.
+//! let outcome = measure_cells(&NullSuppression, &[page])?;
+//! assert_eq!(outcome.uncompressed_bytes, 200 * 12);
+//! assert_eq!(outcome.compressed_bytes, 2 + 100 * (1 + 2) + 100 * (1 + 3));
+//! assert!(outcome.compression_fraction() < 0.3);
 //! # Ok::<(), samplecf_compression::CompressionError>(())
 //! ```
 
-pub mod chunk;
 pub mod dictionary;
 pub mod encoding;
 pub mod error;
@@ -55,7 +65,6 @@ pub mod rle;
 pub mod scheme;
 pub mod scratch;
 
-pub use chunk::{ColumnChunk, CompressedChunk, CompressedColumn};
 pub use dictionary::{
     DictionaryCompression, DictionaryConfig, GlobalDictionaryCompression, PointerWidth,
 };
@@ -66,5 +75,5 @@ pub use null_suppression::NullSuppression;
 pub use prefix::PrefixCompression;
 pub use registry::{scheme_by_name, scheme_names};
 pub use rle::RunLengthEncoding;
-pub use scheme::{measure_column, CompressionOutcome, CompressionScheme};
+pub use scheme::{CompressionOutcome, CompressionScheme};
 pub use scratch::{with_distinct_scratch, DistinctScratch};

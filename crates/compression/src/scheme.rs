@@ -1,49 +1,24 @@
 //! The [`CompressionScheme`] trait.
 //!
-//! A scheme knows how to compress the values of one column.  The per-chunk
-//! methods operate on a single page's worth of values; the column-level
-//! methods compress a whole column segment (one chunk per page) and exist so
-//! that schemes with cross-page shared state — the paper's simplified
-//! *global* dictionary model — can be expressed.  The default column-level
-//! implementations simply map the per-chunk methods, which is the behaviour
-//! of real page-local compression.
+//! A scheme is its size: how many bytes it would write for the values of one
+//! column.  The per-chunk method sizes a single page's worth of cells; the
+//! column-level method sizes a whole column segment (one chunk per page) and
+//! exists so that schemes with cross-page shared state — the paper's
+//! simplified *global* dictionary model — can be expressed.  The default
+//! column-level implementation sums the per-chunk sizes, which is the
+//! behaviour of real page-local compression.
 
-use crate::chunk::{ColumnChunk, CompressedChunk, CompressedColumn};
 use crate::error::{CompressionError, CompressionResult};
 use crate::measure::{CellChunk, CellCosts};
-use samplecf_storage::DataType;
 
-/// A column compression algorithm.
+/// A column compression algorithm, known by the bytes it writes.
 ///
-/// Implementations must be deterministic: compressing the same chunk twice
-/// yields byte-identical output.  This matters because SampleCF compares
+/// Implementations must be deterministic: sizing the same chunk twice
+/// yields the same count.  This matters because SampleCF compares
 /// compressed sizes between a sample and the full data set.
 pub trait CompressionScheme: Send + Sync {
     /// Short stable name of the scheme (used in reports and the registry).
     fn name(&self) -> &'static str;
-
-    /// Compress a single chunk (one column within one page).
-    fn compress_chunk(&self, chunk: &ColumnChunk) -> CompressionResult<CompressedChunk>;
-
-    /// Decompress a chunk produced by [`compress_chunk`](Self::compress_chunk).
-    fn decompress_chunk(
-        &self,
-        chunk: &CompressedChunk,
-        datatype: DataType,
-    ) -> CompressionResult<ColumnChunk>;
-
-    /// Compress a whole column segment (one chunk per page).
-    ///
-    /// The default implementation compresses each chunk independently, which
-    /// models page-local compression.  Schemes with shared state (a global
-    /// dictionary) override this.
-    fn compress_column(&self, chunks: &[ColumnChunk]) -> CompressionResult<CompressedColumn> {
-        let compressed = chunks
-            .iter()
-            .map(|c| self.compress_chunk(c))
-            .collect::<CompressionResult<Vec<_>>>()?;
-        Ok(CompressedColumn::from_chunks(compressed))
-    }
 
     /// The scheme's per-cell costs, if it is *cell-additive*: a chunk's size
     /// is a header that depends only on how many cells the chunk holds, plus
@@ -74,22 +49,22 @@ pub trait CompressionScheme: Send + Sync {
     /// Exact compressed size in bytes of one chunk of borrowed cells,
     /// computed without materialising the compressed byte stream.
     ///
-    /// The default reads it off the declared [`cell_costs`](Self::cell_costs);
-    /// for a scheme that declares none it decodes the cells and runs the
-    /// byte-producing [`compress_chunk`](Self::compress_chunk) — correct for
-    /// any scheme, and the oracle the batch kernels are verified against.
-    /// Every other built-in scheme overrides this with a closed-form size
-    /// computation over the raw cell bytes.
+    /// The default reads it off the declared [`cell_costs`](Self::cell_costs).
+    /// Every built-in scheme that declares none overrides this with a
+    /// closed-form size computation over the raw cell bytes; a scheme that
+    /// does neither cannot be sized and says so.
     fn measure_chunk(&self, chunk: &CellChunk<'_>) -> CompressionResult<usize> {
         match self.cell_costs() {
             Some(costs) => Ok(costs.chunk_bytes(chunk)),
-            None => Ok(self.compress_chunk(&chunk.decode()?)?.compressed_bytes()),
+            None => Err(CompressionError::InvalidConfig(format!(
+                "scheme `{}` declares neither cell costs nor a chunk size",
+                self.name()
+            ))),
         }
     }
 
     /// Exact compressed size in bytes of a whole column segment of borrowed
-    /// cells (one chunk per page) — the measure counterpart of
-    /// [`compress_column`](Self::compress_column).
+    /// cells (one chunk per page).
     ///
     /// The default sums per-chunk sizes, which models page-local
     /// compression; schemes with shared column state (the global dictionary)
@@ -100,26 +75,6 @@ pub trait CompressionScheme: Send + Sync {
             total += self.measure_chunk(c)?;
         }
         Ok(total)
-    }
-
-    /// Decompress a column segment produced by
-    /// [`compress_column`](Self::compress_column).
-    fn decompress_column(
-        &self,
-        column: &CompressedColumn,
-        datatype: DataType,
-    ) -> CompressionResult<Vec<ColumnChunk>> {
-        if !column.shared.is_empty() {
-            return Err(CompressionError::Corrupt(format!(
-                "scheme `{}` does not produce shared column state",
-                self.name()
-            )));
-        }
-        column
-            .chunks
-            .iter()
-            .map(|c| self.decompress_chunk(c, datatype))
-            .collect()
     }
 }
 
@@ -162,12 +117,6 @@ impl CompressionOutcome {
         }
     }
 
-    /// Space saved as a fraction of the original size (1 - CF).
-    #[must_use]
-    pub fn space_saving(&self) -> f64 {
-        1.0 - self.compression_fraction()
-    }
-
     /// Combine two outcomes (sizes add).
     #[must_use]
     pub fn merge(&self, other: &CompressionOutcome) -> CompressionOutcome {
@@ -178,16 +127,6 @@ impl CompressionOutcome {
     }
 }
 
-/// Compress a column segment and report its sizes.
-pub fn measure_column(
-    scheme: &dyn CompressionScheme,
-    chunks: &[ColumnChunk],
-) -> CompressionResult<CompressionOutcome> {
-    let uncompressed: usize = chunks.iter().map(ColumnChunk::uncompressed_bytes).sum();
-    let compressed = scheme.compress_column(chunks)?.compressed_bytes();
-    Ok(CompressionOutcome::new(uncompressed, compressed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,7 +135,6 @@ mod tests {
     fn compression_fraction_math() {
         let o = CompressionOutcome::new(100, 25);
         assert!((o.compression_fraction() - 0.25).abs() < 1e-12);
-        assert!((o.space_saving() - 0.75).abs() < 1e-12);
         let empty = CompressionOutcome::new(0, 0);
         assert_eq!(empty.compression_fraction(), 1.0);
     }
@@ -208,5 +146,18 @@ mod tests {
         let m = a.merge(&b);
         assert_eq!(m.uncompressed_bytes, 150);
         assert_eq!(m.compressed_bytes, 50);
+    }
+
+    #[test]
+    fn a_scheme_with_neither_cell_costs_nor_a_chunk_size_cannot_be_sized() {
+        struct Unsized;
+        impl CompressionScheme for Unsized {
+            fn name(&self) -> &'static str {
+                "unsized"
+            }
+        }
+        let chunk = CellChunk::new(samplecf_storage::DataType::Int32, vec![]).unwrap();
+        let err = Unsized.measure_chunk(&chunk).unwrap_err();
+        assert!(err.to_string().contains("`unsized`"), "{err}");
     }
 }

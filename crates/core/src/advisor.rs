@@ -72,17 +72,6 @@ pub struct Recommendation {
 }
 
 impl Recommendation {
-    /// Bytes saved if the recommendation is followed.
-    #[must_use]
-    pub fn estimated_saving(&self) -> usize {
-        if self.compress {
-            self.uncompressed_bytes
-                .saturating_sub(self.estimated_compressed_bytes)
-        } else {
-            0
-        }
-    }
-
     /// The size this index will occupy under the recommendation.
     #[must_use]
     pub fn chosen_bytes(&self) -> usize {
@@ -885,13 +874,11 @@ mod tests {
             group: 0,
             compress: true,
         };
-        assert_eq!(r.estimated_saving(), 600);
         assert_eq!(r.chosen_bytes(), 400);
         let r2 = Recommendation {
             compress: false,
             ..r
         };
-        assert_eq!(r2.estimated_saving(), 0);
         assert_eq!(r2.chosen_bytes(), 1000);
     }
 }

@@ -16,7 +16,6 @@
 
 use crate::error::{CoreError, CoreResult};
 use crate::measure::{KeyOrderOutcome, SampleMeasure};
-use crate::metrics::ratio_error;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use samplecf_compression::CompressionScheme;
@@ -137,13 +136,6 @@ impl CfMeasurement {
             elapsed,
             report,
         }
-    }
-
-    /// Ratio error of this measurement against a reference (usually the exact
-    /// CF of the full index).
-    #[must_use]
-    pub fn ratio_error_vs(&self, truth: &CfMeasurement) -> f64 {
-        ratio_error(self.cf, truth.cf)
     }
 }
 
@@ -432,6 +424,7 @@ impl SampleCf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::ratio_error;
     use samplecf_compression::{
         DictionaryCompression, GlobalDictionaryCompression, NullSuppression, Uncompressed,
     };
@@ -491,7 +484,7 @@ mod tests {
             "expected 5% of 20k rows, got {}",
             est.data.rows
         );
-        let err = est.ratio_error_vs(&exact);
+        let err = ratio_error(est.cf, exact.cf);
         assert!(err < 1.05, "ratio error {err} too large for NS");
     }
 
@@ -506,7 +499,7 @@ mod tests {
             .seed(11)
             .estimate(&t, &spec(), &scheme)
             .unwrap();
-        let err = est.ratio_error_vs(&exact);
+        let err = ratio_error(est.cf, exact.cf);
         assert!(err < 1.25, "ratio error {err} too large for small-d DC");
     }
 
@@ -672,7 +665,7 @@ mod tests {
             .estimate(&g.table, &spec, &NullSuppression)
             .unwrap();
         assert!(exact.cf > 0.0 && est.cf > 0.0);
-        assert!(est.ratio_error_vs(&exact) < 1.3);
+        assert!(ratio_error(est.cf, exact.cf) < 1.3);
         assert_eq!(exact.report.per_column.len(), 4);
     }
 }

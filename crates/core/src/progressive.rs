@@ -564,6 +564,7 @@ impl ProgressiveCf {
 mod tests {
     use super::*;
     use crate::estimator::{ExactCf, SampleCf};
+    use crate::metrics::ratio_error;
     use samplecf_compression::NullSuppression;
     use samplecf_datagen::presets;
     use samplecf_index::IndexSpec;
@@ -615,7 +616,7 @@ mod tests {
         let exact = ExactCf::new()
             .compute(&t, &spec(), &NullSuppression)
             .unwrap();
-        assert!(report.measurement.ratio_error_vs(&exact) < 1.01);
+        assert!(ratio_error(report.measurement.cf, exact.cf) < 1.01);
         // Checkpoints are monotone in rows and pages.
         for w in report.checkpoints.windows(2) {
             assert!(w[1].rows > w[0].rows);
@@ -762,7 +763,7 @@ mod tests {
         let exact = ExactCf::new()
             .compute(&t, &spec(), &NullSuppression)
             .unwrap();
-        assert!(report.measurement.ratio_error_vs(&exact) < 1.1);
+        assert!(ratio_error(report.measurement.cf, exact.cf) < 1.1);
         let last = report.final_checkpoint().unwrap();
         assert_eq!(last.cf, report.measurement.cf);
     }
@@ -926,7 +927,8 @@ mod tests {
         // The default set is disabled — every record one branch on a `None`
         // handle — and the report does not depend on which set is carried.
         let disabled = ProgressiveMetrics::default();
-        assert!(!disabled.variance_ns.is_enabled());
+        disabled.variance_ns.record(1);
+        assert_eq!(disabled.variance_ns.snapshot().count, 0);
         let plain = block()
             .metrics(disabled.clone())
             .run(&t, &spec(), &NullSuppression)

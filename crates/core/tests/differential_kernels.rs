@@ -3,8 +3,8 @@
 //! Two independent implementations exist for every (scheme, sample) pair:
 //!
 //! * the **byte-producing oracle** — decode rows, bulk-load the index from
-//!   [`Row`]s, materialise every compressed column
-//!   ([`compress_index`]), and
+//!   [`Row`]s, materialise every compressed column through the scheme's
+//!   real codec (`samplecf_oracle`'s [`compress_index`]), and
 //! * the **batch kernels** — bulk-load from borrowed encoded records
 //!   ([`IndexBuilder::build_from_records`]) and compute encoded sizes
 //!   without materialising a byte ([`measure_index`]).
@@ -36,7 +36,8 @@ use samplecf_core::{
     measure_rows, measure_sample, measure_sample_schemes, weighted_combine, CfMeasurement,
     DataStats, DataStatsAccumulator, ExactCf, KeyOrderOutcome, SampleCf,
 };
-use samplecf_index::{compress_index, measure_index, IndexBuilder, IndexSpec};
+use samplecf_index::{measure_index, IndexBuilder, IndexSpec};
+use samplecf_oracle::{codec_by_name, compress_index};
 use samplecf_sampling::{Allocation, MaterializedSample, SamplerKind, Strata, StrataMode};
 use samplecf_storage::{
     CellRef, Column, DataType, Rid, Row, RowCodec, Schema, Table, TableBuilder, TableSource, Value,
@@ -145,7 +146,8 @@ fn assert_differential(source: &dyn TableSource, kind: SamplerKind, tag: &str) {
             let scheme = scheme_by_name(name).unwrap();
             // Layer 1: the measure kernels equal the byte-producing oracle,
             // field for field, across the two build paths.
-            let oracle = compress_index(&from_rows, scheme.as_ref()).unwrap();
+            let codec = codec_by_name(name).unwrap();
+            let oracle = compress_index(&from_rows, codec.as_ref()).unwrap();
             let measured = measure_index(&from_records, scheme.as_ref()).unwrap();
             assert_eq!(measured, oracle, "{tag}/{name}/{}", spec.name());
 
@@ -712,9 +714,9 @@ proptest! {
         let from_rows = builder.build_from_rows(&schema, &pairs, &spec).unwrap();
         let from_records = builder.build_from_records(&schema, &records, &spec).unwrap();
         for name in scheme_names() {
-            let scheme = scheme_by_name(name).unwrap();
-            let oracle = compress_index(&from_rows, scheme.as_ref()).unwrap();
-            let measured = measure_index(&from_records, scheme.as_ref()).unwrap();
+            let codec = codec_by_name(name).unwrap();
+            let oracle = compress_index(&from_rows, codec.as_ref()).unwrap();
+            let measured = measure_index(&from_records, codec.as_ref()).unwrap();
             prop_assert_eq!(measured, oracle, "scheme {}", name);
         }
     }

@@ -18,12 +18,13 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use samplecf_compression::{scheme_by_name, scheme_names, ColumnChunk, CompressionScheme};
+use samplecf_compression::{scheme_by_name, scheme_names, CompressionScheme};
 use samplecf_core::{
     measure_rows, theory, weighted_combine, ProgressiveCf, ProgressiveConfig, SampleCf,
 };
 use samplecf_datagen::presets;
 use samplecf_index::{measure_index, IndexBuilder, IndexSpec};
+use samplecf_oracle::{codec_by_name, ColumnChunk};
 use samplecf_sampling::{Allocation, BatchSchedule, CountingSource, SamplerKind, StrataMode};
 use samplecf_storage::{Rid, Row, Schema, Table, TableSource};
 use std::collections::BTreeMap;
@@ -358,6 +359,7 @@ fn design_oracle(
     per_leaf: usize,
 ) -> Option<(f64, f64)> {
     let costs = scheme.cell_costs()?;
+    let codec = codec_by_name(scheme.name()).expect("a codec");
     let schema: &Schema = source.schema();
     let stored = spec.stored_column_indexes(schema).expect("stored columns");
     let width = |c: usize| schema.column_at(c).datatype.uncompressed_width();
@@ -366,7 +368,7 @@ fn design_oracle(
         let cell = |&c: &usize| {
             let chunk = ColumnChunk::new(schema.column_at(c).datatype, vec![row.value(c).clone()])
                 .expect("a chunk");
-            let compressed = scheme.compress_chunk(&chunk).expect("compresses");
+            let compressed = codec.compress_chunk(&chunk).expect("compresses");
             compressed.bytes().len() - (costs.chunk_header)(1)
         };
         stored.iter().map(cell).sum::<usize>() as f64

@@ -43,24 +43,6 @@ pub enum ColumnSpec {
 }
 
 impl ColumnSpec {
-    /// Convenience constructor for the paper's canonical `char(k)` column with
-    /// uniform frequencies and a fixed value length.
-    pub fn char_uniform(
-        name: impl Into<String>,
-        width: u16,
-        distinct: usize,
-        value_len: usize,
-    ) -> Self {
-        ColumnSpec::Char {
-            name: name.into(),
-            width,
-            distinct,
-            length: LengthDistribution::Constant(value_len),
-            frequency: FrequencyDistribution::Uniform,
-            null_fraction: 0.0,
-        }
-    }
-
     /// The column name.
     #[must_use]
     pub fn name(&self) -> &str {
@@ -201,9 +183,21 @@ mod tests {
         StdRng::seed_from_u64(seed)
     }
 
+    /// A `char(width)` column of `distinct` uniform values of one length.
+    fn char_uniform(width: u16, distinct: usize, value_len: usize) -> ColumnSpec {
+        ColumnSpec::Char {
+            name: "a".into(),
+            width,
+            distinct,
+            length: LengthDistribution::Constant(value_len),
+            frequency: FrequencyDistribution::Uniform,
+            null_fraction: 0.0,
+        }
+    }
+
     #[test]
     fn char_column_generates_values_from_its_pool() {
-        let spec = ColumnSpec::char_uniform("a", 16, 20, 8);
+        let spec = char_uniform(16, 20, 8);
         let mut r = rng(1);
         let mut gen = spec.build(&mut r).unwrap();
         assert_eq!(gen.domain_size(), Some(20));
@@ -275,9 +269,7 @@ mod tests {
     #[test]
     fn schema_columns_have_expected_types() {
         assert_eq!(
-            ColumnSpec::char_uniform("a", 12, 3, 4)
-                .schema_column()
-                .datatype,
+            char_uniform(12, 3, 4).schema_column().datatype,
             DataType::Char(12)
         );
         assert_eq!(

@@ -113,13 +113,6 @@ impl ValuePool {
     pub fn value(&self, index: usize) -> &str {
         &self.values[index]
     }
-
-    /// Sum of the null-suppressed lengths of the pool values (useful for
-    /// analytic cross-checks when frequencies are uniform).
-    #[must_use]
-    pub fn total_length(&self) -> usize {
-        self.values.iter().map(String::len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -153,7 +146,6 @@ mod tests {
         let pool =
             ValuePool::generate(2000, 40, &LengthDistribution::Constant(10), &mut rng(2)).unwrap();
         assert!(pool.values().iter().all(|v| v.len() == 10));
-        assert_eq!(pool.total_length(), 20_000);
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! (paper Figure 2).  Columns are compressed independently, per leaf page,
 //! which matches how the paper describes commercial implementations.
 //!
-//! [`compress_index`] and [`measure_index`] compress a packed tree — the
-//! oracle.  Every estimate sizes the same index without one: a
+//! [`measure_index`] sizes a packed tree — the oracle (its own reference,
+//! the byte-producing `compress_index`, lives in the dev-only
+//! `samplecf-oracle` crate).  Every estimate sizes the same index without
+//! one: a
 //! [`RunSizer`] walks [`OrderedEntries`] — records encoded batch by batch,
 //! their [`KeyOrder`] grown by a sorted delta each time — or prices a
 //! cell-additive scheme's summed cell costs by arithmetic.
@@ -14,9 +16,7 @@ use crate::btree::{BTreeIndex, EntryLayout, KeyOrder};
 use crate::error::IndexResult;
 use crate::size::IndexSizeEstimate;
 use crate::spec::IndexKind;
-use samplecf_compression::{
-    CellChunk, CellCosts, ColumnChunk, CompressionOutcome, CompressionScheme,
-};
+use samplecf_compression::{CellChunk, CellCosts, CompressionOutcome, CompressionScheme};
 use samplecf_storage::{
     cell_logical_len, CellRef, DataType, PageId, Rid, RowRef, Schema, PAGE_HEADER_SIZE, SLOT_SIZE,
 };
@@ -133,75 +133,14 @@ impl CompressedIndexReport {
     }
 }
 
-/// Compress every stored column of the index's leaf level with `scheme` and
-/// report the resulting sizes.
-pub fn compress_index(
-    index: &BTreeIndex,
-    scheme: &dyn CompressionScheme,
-) -> IndexResult<CompressedIndexReport> {
-    let schema = index.table_schema();
-    let stored = index.stored_column_indexes();
-
-    // Decode each leaf page once, then slice per column.
-    let mut per_page_entries = Vec::with_capacity(index.num_leaf_pages());
-    for page in index.leaf_pages() {
-        per_page_entries.push(index.leaf_entries(page)?);
-    }
-
-    let mut per_column = Vec::with_capacity(stored.len());
-    for (pos, &col_idx) in stored.iter().enumerate() {
-        let column = schema.column_at(col_idx);
-        let chunks: Vec<ColumnChunk> = per_page_entries
-            .iter()
-            .map(|entries| {
-                ColumnChunk::new(
-                    column.datatype,
-                    entries
-                        .iter()
-                        .map(|e| e.stored.value(pos).clone())
-                        .collect(),
-                )
-            })
-            .collect::<Result<_, _>>()?;
-        let uncompressed_bytes: usize = chunks.iter().map(ColumnChunk::uncompressed_bytes).sum();
-        let compressed_bytes = scheme.compress_column(&chunks)?.compressed_bytes();
-        per_column.push(ColumnCompressionStat {
-            column: column.name.clone(),
-            uncompressed_bytes,
-            compressed_bytes,
-        });
-    }
-
-    let n = index.num_entries();
-    let rid_bytes = if index.spec().kind() == IndexKind::NonClustered {
-        n * Rid::ENCODED_LEN
-    } else {
-        0
-    };
-    let bitmap_bytes = n * stored.len().div_ceil(8);
-
-    Ok(CompressedIndexReport {
-        scheme: scheme.name().to_string(),
-        num_entries: n,
-        leaf_pages: index.num_leaf_pages(),
-        page_size: index.page_size(),
-        per_column,
-        rid_bytes,
-        bitmap_bytes,
-        internal_bytes: index.num_internal_pages() * index.page_size(),
-    })
-}
-
-/// Measure every stored column of the index's leaf level with `scheme` —
-/// the zero-copy counterpart of [`compress_index`].
+/// Measure every stored column of the index's leaf level with `scheme`.
 ///
-/// Instead of decoding leaf entries into owned
-/// [`Row`](samplecf_storage::Row)s and running the byte-producing codec,
-/// this borrows each stored cell in place (leaf records keep cells at fixed,
-/// schema-determined offsets) and asks the scheme for its exact output size
-/// via the batch measure kernels.  The returned report is identical, field
-/// for field, to what [`compress_index`] produces on the same index — the
-/// differential test suite pins this down for every scheme.
+/// This borrows each stored cell in place (leaf records keep cells at
+/// fixed, schema-determined offsets) and asks the scheme for its exact
+/// output size via the batch measure kernels — no leaf entry is decoded and
+/// no codec runs.  The returned report is identical, field for field, to
+/// what the oracle crate's byte-producing `compress_index` produces on the
+/// same index; its tests pin this down for every scheme.
 pub fn measure_index(
     index: &BTreeIndex,
     scheme: &dyn CompressionScheme,
@@ -881,7 +820,7 @@ mod tests {
     fn uncompressed_scheme_gives_cf_near_one() {
         let t = table(2000, 50, 8, 30);
         let idx = build(&t);
-        let report = compress_index(&idx, &Uncompressed).unwrap();
+        let report = measure_index(&idx, &Uncompressed).unwrap();
         assert_eq!(report.uncompressed_data_bytes(), 2000 * 30);
         let cf = report.cf();
         assert!(cf > 0.99 && cf < 1.05, "cf = {cf}");
@@ -892,7 +831,7 @@ mod tests {
         // Values are 8 characters wide stored in char(32): CF ≈ (8 + 1)/32.
         let t = table(3000, 3000, 8, 32);
         let idx = build(&t);
-        let report = compress_index(&idx, &NullSuppression).unwrap();
+        let report = measure_index(&idx, &NullSuppression).unwrap();
         let cf = report.cf();
         let expected = 9.0 / 32.0;
         assert!(
@@ -905,11 +844,11 @@ mod tests {
     fn dictionary_compression_benefits_from_few_distinct_values() {
         let few = {
             let t = table(4000, 10, 10, 20);
-            compress_index(&build(&t), &DictionaryCompression::default()).unwrap()
+            measure_index(&build(&t), &DictionaryCompression::default()).unwrap()
         };
         let many = {
             let t = table(4000, 4000, 10, 20);
-            compress_index(&build(&t), &DictionaryCompression::default()).unwrap()
+            measure_index(&build(&t), &DictionaryCompression::default()).unwrap()
         };
         assert!(few.cf() < many.cf());
         assert!(few.cf() < 0.3, "cf = {}", few.cf());
@@ -920,8 +859,8 @@ mod tests {
     fn global_dictionary_is_never_worse_than_paged() {
         let t = table(5000, 40, 12, 24);
         let idx = build(&t);
-        let paged = compress_index(&idx, &DictionaryCompression::default()).unwrap();
-        let global = compress_index(&idx, &GlobalDictionaryCompression::default()).unwrap();
+        let paged = measure_index(&idx, &DictionaryCompression::default()).unwrap();
+        let global = measure_index(&idx, &GlobalDictionaryCompression::default()).unwrap();
         assert!(global.compressed_data_bytes() <= paged.compressed_data_bytes());
     }
 
@@ -933,7 +872,7 @@ mod tests {
             .page_size(2048)
             .build_from_table(&t, &spec)
             .unwrap();
-        let report = compress_index(&idx, &NullSuppression).unwrap();
+        let report = measure_index(&idx, &NullSuppression).unwrap();
         assert_eq!(report.per_column.len(), 2);
         assert_eq!(report.per_column[0].column, "a");
         assert_eq!(report.per_column[1].column, "id");
@@ -947,7 +886,7 @@ mod tests {
     fn page_estimates_shrink_for_compressible_data() {
         let t = table(5000, 5, 4, 40);
         let idx = build(&t);
-        let report = compress_index(&idx, &DictionaryCompression::default()).unwrap();
+        let report = measure_index(&idx, &DictionaryCompression::default()).unwrap();
         assert!(report.estimated_compressed_leaf_pages() < report.leaf_pages);
         assert!(report.cf_pages() < 1.0);
         assert!(report.cf_with_pointers() < 1.0);
@@ -961,80 +900,10 @@ mod tests {
         let idx = IndexBuilder::new()
             .build_from_rows(&schema, &[], &spec)
             .unwrap();
-        let report = compress_index(&idx, &NullSuppression).unwrap();
+        let report = measure_index(&idx, &NullSuppression).unwrap();
         assert_eq!(report.cf(), 1.0);
         assert_eq!(report.cf_pages(), 1.0);
         assert_eq!(report.estimated_compressed_leaf_pages(), 1);
-    }
-
-    fn all_schemes() -> Vec<Box<dyn CompressionScheme>> {
-        vec![
-            Box::new(Uncompressed),
-            Box::new(NullSuppression),
-            Box::new(samplecf_compression::RunLengthEncoding),
-            Box::new(samplecf_compression::PrefixCompression),
-            Box::new(DictionaryCompression::default()),
-            Box::new(GlobalDictionaryCompression::default()),
-        ]
-    }
-
-    #[test]
-    fn measure_index_matches_compress_index_for_every_scheme() {
-        let t = table(3000, 40, 8, 24);
-        for spec in [
-            IndexSpec::nonclustered("i", ["a"]).unwrap(),
-            IndexSpec::clustered("i", ["a"]).unwrap(),
-        ] {
-            let idx = IndexBuilder::new()
-                .page_size(2048)
-                .build_from_table(&t, &spec)
-                .unwrap();
-            for scheme in all_schemes() {
-                let compressed = compress_index(&idx, scheme.as_ref()).unwrap();
-                let measured = measure_index(&idx, scheme.as_ref()).unwrap();
-                assert_eq!(
-                    measured,
-                    compressed,
-                    "scheme {} report mismatch",
-                    scheme.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn measure_index_matches_compress_index_with_nulls() {
-        let schema = Schema::new(vec![
-            Column::nullable("a", DataType::Char(10)),
-            Column::new("b", DataType::Int32),
-        ])
-        .unwrap();
-        let rows: Vec<(samplecf_storage::Rid, Row)> = (0..800)
-            .map(|i| {
-                let v = if i % 3 == 0 {
-                    Value::Null
-                } else {
-                    Value::str(format!("v{}", i % 25))
-                };
-                (
-                    samplecf_storage::Rid::new(i / 100, (i % 100) as u16),
-                    Row::new(vec![v, Value::int(i64::from(i))]),
-                )
-            })
-            .collect();
-        let spec = IndexSpec::nonclustered("i", ["a"]).unwrap();
-        let idx = IndexBuilder::new()
-            .page_size(1024)
-            .build_from_rows(&schema, &rows, &spec)
-            .unwrap();
-        for scheme in all_schemes() {
-            assert_eq!(
-                measure_index(&idx, scheme.as_ref()).unwrap(),
-                compress_index(&idx, scheme.as_ref()).unwrap(),
-                "scheme {} report mismatch on NULL-heavy index",
-                scheme.name()
-            );
-        }
     }
 
     #[test]
@@ -1080,20 +949,5 @@ mod tests {
             (merged.rows(), merged.pages()),
             (whole.rows(), whole.pages())
         );
-    }
-
-    #[test]
-    fn measure_index_handles_the_empty_tree() {
-        let schema = Schema::single_char("a", 8);
-        let spec = IndexSpec::nonclustered("i", ["a"]).unwrap();
-        let idx = IndexBuilder::new()
-            .build_from_rows(&schema, &[], &spec)
-            .unwrap();
-        for scheme in all_schemes() {
-            assert_eq!(
-                measure_index(&idx, scheme.as_ref()).unwrap(),
-                compress_index(&idx, scheme.as_ref()).unwrap()
-            );
-        }
     }
 }

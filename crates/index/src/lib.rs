@@ -5,18 +5,16 @@
 //! The SampleCF estimator's procedure (paper Figure 2) is: draw a random
 //! sample of rows, *build an index on the sample*, *compress that index*, and
 //! return the observed compression fraction.  This crate provides those two
-//! middle steps — literally, as the differential oracle (the first four
+//! middle steps — literally, as the differential oracle (the first two
 //! below), and as the size-only walk every estimator runs:
 //!
 //! * [`IndexSpec`] / [`IndexBuilder`] / [`BTreeIndex`] — bulk-loaded B+-trees
 //!   (clustered and non-clustered) over real slotted pages,
-//! * [`IndexSizeReport`] — where the uncompressed index's bytes go,
-//! * [`compress_index`] / [`CompressedIndexReport`] — per-column, per-page
-//!   compression of the leaf level with any
-//!   [`CompressionScheme`](samplecf_compression::CompressionScheme), and the
-//!   resulting compression fraction,
-//! * [`measure_index`] — the same report by the batch measure kernels over
-//!   cells borrowed in place from the leaf pages,
+//! * [`measure_index`] / [`CompressedIndexReport`] — per-column, per-page
+//!   compressed sizes of the leaf level under any
+//!   [`CompressionScheme`](samplecf_compression::CompressionScheme), by the
+//!   batch measure kernels over cells borrowed in place from the leaf pages,
+//!   and the resulting compression fraction,
 //! * [`IndexSizeModel`] — the same leaf-level accounting predicted
 //!   analytically from schema + row count, without building (how the
 //!   advisor prices the uncompressed side of a candidate for free),
@@ -41,7 +39,7 @@
 //!
 //! ```
 //! use samplecf_compression::NullSuppression;
-//! use samplecf_index::{compress_index, IndexBuilder, IndexSpec};
+//! use samplecf_index::{measure_index, IndexBuilder, IndexSpec};
 //! use samplecf_storage::{Column, DataType, Row, Schema, TableBuilder, Value};
 //!
 //! let schema = Schema::new(vec![Column::new("a", DataType::Char(12))])?;
@@ -50,11 +48,11 @@
 //!     .collect();
 //! let table = TableBuilder::new("t", schema).build_with_rows(rows)?;
 //!
-//! // Bulk-load a non-clustered B+-tree on column "a", then compress its
-//! // leaf level with Null Suppression.
+//! // Bulk-load a non-clustered B+-tree on column "a", then size its leaf
+//! // level under Null Suppression.
 //! let spec = IndexSpec::nonclustered("idx_a", ["a"])?;
 //! let index = IndexBuilder::new().build_from_table(&table, &spec)?;
-//! let report = compress_index(&index, &NullSuppression)?;
+//! let report = measure_index(&index, &NullSuppression)?;
 //!
 //! assert_eq!(index.num_entries(), 500);
 //! // "val-000" stores 7 of its 12 padded bytes, so CF is well below 1.
@@ -70,9 +68,9 @@ pub mod spec;
 
 pub use btree::{BTreeIndex, IndexBuilder, IndexEntry, KeyOrder, SortedRun};
 pub use compress::{
-    compress_index, measure_index, ColumnCompressionStat, CompressedIndexReport, FirstKeyStats,
-    OrderedEntries, RunCellCosts, RunSizer, UnitSums,
+    measure_index, ColumnCompressionStat, CompressedIndexReport, FirstKeyStats, OrderedEntries,
+    RunCellCosts, RunSizer, UnitSums,
 };
 pub use error::{IndexError, IndexResult};
-pub use size::{leaf_record_bytes, IndexSizeEstimate, IndexSizeModel, IndexSizeReport};
+pub use size::{leaf_record_bytes, IndexSizeEstimate, IndexSizeModel};
 pub use spec::{IndexKind, IndexSpec};

@@ -118,27 +118,14 @@ impl HistogramCore {
     }
 }
 
-/// A handle to a registered histogram.  Cloning is an `Arc` clone; a handle
-/// from a disabled registry records nothing (one branch per call).
+/// A handle to a registered histogram.  Cloning is an `Arc` clone; a
+/// default (unregistered) handle records nothing (one branch per call).
 #[derive(Debug, Clone, Default)]
 pub struct Histogram {
     pub(crate) core: Option<Arc<HistogramCore>>,
 }
 
 impl Histogram {
-    /// A detached no-op handle, equal in behavior to one handed out by a
-    /// disabled registry.
-    #[must_use]
-    pub fn disabled() -> Self {
-        Histogram { core: None }
-    }
-
-    /// Whether recording into this handle does anything.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.core.is_some()
-    }
-
     /// Record one observation.
     #[inline]
     pub fn record(&self, v: u64) {
@@ -191,25 +178,6 @@ impl HistogramSnapshot {
             sum: 0,
             count: 0,
         }
-    }
-
-    /// Merge another snapshot into this one (element-wise add).  Merging is
-    /// associative and commutative, so per-thread or per-shard snapshots
-    /// can be combined in any order.  Additions wrap on overflow, exactly
-    /// like the underlying `fetch_add` recording path.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b = b.wrapping_add(*o);
-        }
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.count = self.count.wrapping_add(other.count);
-    }
-
-    /// The merged copy of two snapshots.
-    #[must_use]
-    pub fn merged(mut self, other: &HistogramSnapshot) -> Self {
-        self.merge(other);
-        self
     }
 
     /// The arithmetic mean of recorded values (0.0 when empty).

@@ -10,13 +10,13 @@
 //!   high-watermark gauges ([`HwmGauge`]) and fixed-bucket log₂-scale
 //!   [`Histogram`]s.  Registration takes a short-lived lock; **recording is
 //!   lock-free** (relaxed atomics on pre-registered `Arc` handles), and a
-//!   registry constructed with [`MetricsRegistry::disabled`] hands out
-//!   no-op handles behind the *same* API so instrumented code pays a single
-//!   branch when telemetry is off.
+//!   default handle that was never registered records nothing behind the
+//!   *same* API, so instrumented code pays a single branch when it carries
+//!   no registry.
 //! * Snapshots — [`HistogramSnapshot`] and [`RegistrySnapshot`] are plain
-//!   data: mergeable (element-wise, associative), quantile-queryable
-//!   (within-bucket linear interpolation), and renderable as
-//!   Prometheus-style text exposition via [`RegistrySnapshot::expose`].
+//!   data: quantile-queryable (within-bucket linear interpolation) and
+//!   renderable as Prometheus-style text exposition via
+//!   [`RegistrySnapshot::expose`].
 //! * Spans — [`Stage`], [`StageTimings`] and the RAII [`Span`] record where
 //!   a request's wall-clock time goes (parse vs. queue wait vs. execute vs.
 //!   serialize vs. drain vs. write), cheaply enough to run on every request.

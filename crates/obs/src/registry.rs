@@ -4,10 +4,9 @@
 //! e.g. `samplecf_requests_total{op="estimate"}`) to atomic instruments.
 //! The map itself sits behind a mutex that is touched only at registration
 //! and snapshot time; hot-path recording goes through pre-registered `Arc`
-//! handles and is lock-free.  A registry built with
-//! [`MetricsRegistry::disabled`] hands out handles whose inner `Arc` is
-//! absent, so every instrumented call site pays exactly one branch when
-//! telemetry is off — the same API, no `#[cfg]`s, measurable overhead.
+//! handles and is lock-free.  A default (unregistered) handle has no inner
+//! `Arc` and records nothing, so code that carries instruments it may never
+//! register pays one branch per call — the same API, no `#[cfg]`s.
 
 use crate::histogram::{bucket_le, Histogram, HistogramCore, HistogramSnapshot};
 use std::collections::BTreeMap;
@@ -22,12 +21,6 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// A detached no-op handle.
-    #[must_use]
-    pub fn disabled() -> Self {
-        Counter { cell: None }
-    }
-
     /// Increment by one.
     #[inline]
     pub fn inc(&self) {
@@ -56,12 +49,6 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    /// A detached no-op handle.
-    #[must_use]
-    pub fn disabled() -> Self {
-        Gauge { cell: None }
-    }
-
     /// Set the gauge.
     #[inline]
     pub fn set(&self, v: u64) {
@@ -111,12 +98,6 @@ pub struct HwmGauge {
 }
 
 impl HwmGauge {
-    /// A detached no-op handle.
-    #[must_use]
-    pub fn disabled() -> Self {
-        HwmGauge { core: None }
-    }
-
     /// Publish a new current value, raising the watermark if it is higher.
     #[inline]
     pub fn set(&self, v: u64) {
@@ -222,33 +203,6 @@ impl RegistrySnapshot {
             .map(|i| &self.entries[i].value)
     }
 
-    /// Merge another snapshot into this one: counters/histograms add,
-    /// gauges take the other's value when present on both sides, and
-    /// metrics unique to either side are kept.  Associative, so snapshots
-    /// from many workers can be folded in any order.
-    pub fn merge(&mut self, other: &RegistrySnapshot) {
-        for entry in &other.entries {
-            match self
-                .entries
-                .binary_search_by(|e| e.name.as_str().cmp(&entry.name))
-            {
-                Ok(i) => {
-                    let mine = &mut self.entries[i].value;
-                    match (mine, &entry.value) {
-                        (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
-                        (MetricValue::Histogram(a), MetricValue::Histogram(b)) => a.merge(b),
-                        (MetricValue::Hwm(c, m), MetricValue::Hwm(oc, om)) => {
-                            *c = (*c).max(*oc);
-                            *m = (*m).max(*om);
-                        }
-                        (mine, theirs) => *mine = theirs.clone(),
-                    }
-                }
-                Err(i) => self.entries.insert(i, entry.clone()),
-            }
-        }
-    }
-
     /// Render the snapshot as Prometheus-style text exposition.
     ///
     /// Counters and gauges render as `name value`; a high-watermark gauge
@@ -329,33 +283,23 @@ struct Inner {
 /// same registry.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    inner: Option<Arc<Inner>>,
+    inner: Arc<Inner>,
 }
 
 impl MetricsRegistry {
-    /// An enabled registry.
+    /// An empty registry.
     #[must_use]
     pub fn new() -> Self {
-        MetricsRegistry {
-            inner: Some(Arc::new(Inner::default())),
-        }
+        Self::default()
     }
 
-    /// A disabled registry: every instrument it hands out is a no-op
-    /// behind the identical API, and [`Self::snapshot`] is empty.
-    #[must_use]
-    pub fn disabled() -> Self {
-        MetricsRegistry { inner: None }
-    }
-
-    fn slot(&self, name: &str, make: impl FnOnce() -> Slot) -> Option<Slot> {
-        let inner = self.inner.as_ref()?;
-        let mut metrics = inner
+    fn slot(&self, name: &str, make: impl FnOnce() -> Slot) -> Slot {
+        let mut metrics = self
+            .inner
             .metrics
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let slot = metrics.entry(name.to_string()).or_insert_with(make).clone();
-        Some(slot)
+        metrics.entry(name.to_string()).or_insert_with(make).clone()
     }
 
     /// Get or register the counter `name`.  Re-registering the same name
@@ -366,9 +310,8 @@ impl MetricsRegistry {
     #[must_use]
     pub fn counter(&self, name: &str) -> Counter {
         match self.slot(name, || Slot::Counter(Arc::new(AtomicU64::new(0)))) {
-            Some(Slot::Counter(cell)) => Counter { cell: Some(cell) },
-            Some(other) => panic!("metric `{name}` already registered as {}", other.kind()),
-            None => Counter::disabled(),
+            Slot::Counter(cell) => Counter { cell: Some(cell) },
+            other => panic!("metric `{name}` already registered as {}", other.kind()),
         }
     }
 
@@ -377,9 +320,8 @@ impl MetricsRegistry {
     #[must_use]
     pub fn gauge(&self, name: &str) -> Gauge {
         match self.slot(name, || Slot::Gauge(Arc::new(AtomicU64::new(0)))) {
-            Some(Slot::Gauge(cell)) => Gauge { cell: Some(cell) },
-            Some(other) => panic!("metric `{name}` already registered as {}", other.kind()),
-            None => Gauge::disabled(),
+            Slot::Gauge(cell) => Gauge { cell: Some(cell) },
+            other => panic!("metric `{name}` already registered as {}", other.kind()),
         }
     }
 
@@ -394,9 +336,8 @@ impl MetricsRegistry {
             }))
         };
         match self.slot(name, make) {
-            Some(Slot::Hwm(core)) => HwmGauge { core: Some(core) },
-            Some(other) => panic!("metric `{name}` already registered as {}", other.kind()),
-            None => HwmGauge::disabled(),
+            Slot::Hwm(core) => HwmGauge { core: Some(core) },
+            other => panic!("metric `{name}` already registered as {}", other.kind()),
         }
     }
 
@@ -405,9 +346,8 @@ impl MetricsRegistry {
     #[must_use]
     pub fn histogram(&self, name: &str) -> Histogram {
         match self.slot(name, || Slot::Histogram(Arc::new(HistogramCore::new()))) {
-            Some(Slot::Histogram(core)) => Histogram { core: Some(core) },
-            Some(other) => panic!("metric `{name}` already registered as {}", other.kind()),
-            None => Histogram::disabled(),
+            Slot::Histogram(core) => Histogram { core: Some(core) },
+            other => panic!("metric `{name}` already registered as {}", other.kind()),
         }
     }
 
@@ -415,10 +355,8 @@ impl MetricsRegistry {
     /// registration lock briefly; recording proceeds concurrently.
     #[must_use]
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let Some(inner) = self.inner.as_ref() else {
-            return RegistrySnapshot::default();
-        };
-        let metrics = inner
+        let metrics = self
+            .inner
             .metrics
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -450,25 +388,6 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disabled_registry_is_inert() {
-        let r = MetricsRegistry::disabled();
-        let c = r.counter("c");
-        let g = r.gauge("g");
-        let h = r.histogram("h");
-        let w = r.hwm_gauge("w");
-        c.inc();
-        g.set(7);
-        h.record(42);
-        w.set(9);
-        assert_eq!(c.get(), 0);
-        assert_eq!(g.get(), 0);
-        assert_eq!(h.snapshot().count, 0);
-        assert_eq!(w.take_max(), 0);
-        assert!(r.snapshot().entries.is_empty());
-        assert!(r.expose().is_empty());
-    }
 
     #[test]
     fn registration_is_idempotent() {
@@ -523,23 +442,5 @@ mod tests {
         assert!(text.contains("samplecf_latency_ns_bucket{op=\"info\",le=\"+Inf\"} 3\n"));
         assert!(text.contains("samplecf_latency_ns_sum{op=\"info\"} 8\n"));
         assert!(text.contains("samplecf_latency_ns_count{op=\"info\"} 3\n"));
-    }
-
-    #[test]
-    fn snapshot_lookup_and_merge() {
-        let r = MetricsRegistry::new();
-        r.counter("a").add(1);
-        r.histogram("h").record(10);
-        let mut s1 = r.snapshot();
-        r.counter("a").add(2);
-        r.counter("b").inc();
-        let s2 = r.snapshot();
-        s1.merge(&s2);
-        assert_eq!(s1.get("a"), Some(&MetricValue::Counter(4)));
-        assert_eq!(s1.get("b"), Some(&MetricValue::Counter(1)));
-        match s1.get("h") {
-            Some(MetricValue::Histogram(h)) => assert_eq!(h.count, 2),
-            other => panic!("unexpected: {other:?}"),
-        }
     }
 }

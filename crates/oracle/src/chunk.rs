@@ -4,9 +4,10 @@
 //! *per column within a page* (the paper, Section II-A: "each column is
 //! compressed independently" and "commercial systems typically apply this
 //! technique at a page level").  A [`ColumnChunk`] is exactly that unit: the
-//! values of one column for the entries of one index (or heap) page.
+//! values of one column for the entries of one index (or heap) page, as the
+//! codecs read and write them.
 
-use crate::error::{CompressionError, CompressionResult};
+use crate::error::{CodecError, CodecResult};
 use samplecf_storage::{DataType, Value};
 
 /// The values of one column within one page.
@@ -18,10 +19,10 @@ pub struct ColumnChunk {
 
 impl ColumnChunk {
     /// Create a chunk, validating every value against the data type.
-    pub fn new(datatype: DataType, values: Vec<Value>) -> CompressionResult<Self> {
+    pub fn new(datatype: DataType, values: Vec<Value>) -> CodecResult<Self> {
         for v in &values {
             v.conforms_to(&datatype, "<chunk>")
-                .map_err(|_| CompressionError::TypeMismatch {
+                .map_err(|_| CodecError::TypeMismatch {
                     expected: datatype.sql_name(),
                     found: v.kind_name().to_string(),
                 })?;
@@ -67,20 +68,10 @@ impl ColumnChunk {
     pub fn logical_bytes(&self) -> usize {
         self.values.iter().map(Value::logical_len).sum()
     }
-
-    /// Number of distinct values in the chunk.
-    #[must_use]
-    pub fn distinct_count(&self) -> usize {
-        let mut set = std::collections::HashSet::with_capacity(self.values.len());
-        for v in &self.values {
-            set.insert(v);
-        }
-        set.len()
-    }
 }
 
 /// A compressed column chunk: opaque bytes produced by a
-/// [`CompressionScheme`](crate::scheme::CompressionScheme).
+/// [`Codec`](crate::Codec).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompressedChunk {
     bytes: Vec<u8>,
@@ -160,17 +151,6 @@ mod tests {
         assert_eq!(c.len(), 3);
         assert_eq!(c.uncompressed_bytes(), 30);
         assert_eq!(c.logical_bytes(), 7);
-        assert_eq!(c.distinct_count(), 3);
-    }
-
-    #[test]
-    fn distinct_count_collapses_duplicates() {
-        let c = ColumnChunk::new(
-            DataType::Char(5),
-            vec![Value::str("x"), Value::str("x"), Value::str("y")],
-        )
-        .unwrap();
-        assert_eq!(c.distinct_count(), 2);
     }
 
     #[test]
@@ -178,7 +158,6 @@ mod tests {
         let c = ColumnChunk::new(DataType::Int64, vec![]).unwrap();
         assert!(c.is_empty());
         assert_eq!(c.uncompressed_bytes(), 0);
-        assert_eq!(c.distinct_count(), 0);
     }
 
     #[test]

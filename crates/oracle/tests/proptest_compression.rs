@@ -4,10 +4,10 @@
 
 use proptest::prelude::*;
 use samplecf_compression::{
-    measure_column, scheme_by_name, scheme_names, ColumnChunk, CompressionScheme,
-    DictionaryCompression, GlobalDictionaryCompression, NullSuppression, PrefixCompression,
-    RunLengthEncoding,
+    scheme_names, CompressionScheme, DictionaryCompression, GlobalDictionaryCompression,
+    NullSuppression, PrefixCompression, RunLengthEncoding,
 };
+use samplecf_oracle::{codec_by_name, measure_column, Codec, ColumnChunk, CompressedChunk};
 use samplecf_storage::{encode_cell, CellRef, DataType, Value};
 
 fn char_value(max_len: usize) -> impl Strategy<Value = String> {
@@ -90,7 +90,7 @@ fn all_equal_chunk() -> impl Strategy<Value = ColumnChunk> {
     })
 }
 
-fn roundtrip(scheme: &dyn CompressionScheme, chunk: &ColumnChunk) -> Result<(), TestCaseError> {
+fn roundtrip(scheme: &dyn Codec, chunk: &ColumnChunk) -> Result<(), TestCaseError> {
     let compressed = scheme.compress_chunk(chunk).expect("compression succeeds");
     let decompressed = scheme
         .decompress_chunk(&compressed, chunk.datatype())
@@ -110,7 +110,7 @@ proptest! {
     #[test]
     fn every_scheme_roundtrips_char_chunks(chunk in char_chunk()) {
         for name in scheme_names() {
-            let scheme = scheme_by_name(name).unwrap();
+            let scheme = codec_by_name(name).unwrap();
             roundtrip(scheme.as_ref(), &chunk)?;
         }
     }
@@ -118,7 +118,7 @@ proptest! {
     #[test]
     fn every_scheme_roundtrips_integer_chunks(chunk in int_chunk()) {
         for name in scheme_names() {
-            let scheme = scheme_by_name(name).unwrap();
+            let scheme = codec_by_name(name).unwrap();
             roundtrip(scheme.as_ref(), &chunk)?;
         }
     }
@@ -126,7 +126,7 @@ proptest! {
     #[test]
     fn compression_is_deterministic(chunk in char_chunk()) {
         for name in scheme_names() {
-            let scheme = scheme_by_name(name).unwrap();
+            let scheme = codec_by_name(name).unwrap();
             let a = scheme.compress_chunk(&chunk).unwrap();
             let b = scheme.compress_chunk(&chunk).unwrap();
             prop_assert_eq!(a.bytes(), b.bytes(), "scheme {} is not deterministic", name);
@@ -152,7 +152,7 @@ proptest! {
     #[test]
     fn compression_fraction_is_finite_and_positive(chunks in proptest::collection::vec(char_chunk(), 0..4)) {
         for name in scheme_names() {
-            let scheme = scheme_by_name(name).unwrap();
+            let scheme = codec_by_name(name).unwrap();
             let outcome = measure_column(scheme.as_ref(), &chunks).unwrap();
             let cf = outcome.compression_fraction();
             prop_assert!(cf.is_finite() && cf > 0.0, "scheme {name}: cf = {cf}");
@@ -218,11 +218,11 @@ proptest! {
 
     #[test]
     fn rle_and_prefix_reject_corrupt_trailing_bytes(chunk in char_chunk()) {
-        for scheme in [&RunLengthEncoding as &dyn CompressionScheme, &PrefixCompression] {
+        for scheme in [&RunLengthEncoding as &dyn Codec, &PrefixCompression] {
             let compressed = scheme.compress_chunk(&chunk).unwrap();
             let mut bytes = compressed.bytes().to_vec();
             bytes.push(0xAB);
-            let tampered = samplecf_compression::CompressedChunk::new(bytes);
+            let tampered = CompressedChunk::new(bytes);
             prop_assert!(
                 scheme.decompress_chunk(&tampered, chunk.datatype()).is_err(),
                 "{} accepted trailing garbage",

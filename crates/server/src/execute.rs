@@ -9,10 +9,10 @@
 //! `internal`.
 
 use crate::catalog::CatalogEntry;
-use crate::protocol::{codes, ApiError, IndexChoice, Request, SampleSpec, StoppingSpec};
+use crate::protocol::{codes, ApiError, IndexChoice, Request, SampleSpec};
 use crate::response::{Accounting, Measured, Response};
 use crate::service::ServiceState;
-use samplecf_core::{measure_sample_schemes, KeyOrderOutcome, ProgressiveCf};
+use samplecf_core::{measure_sample_schemes, KeyOrderOutcome, ProgressiveCf, ProgressiveConfig};
 use samplecf_index::IndexBuilder;
 use samplecf_storage::TableSource;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -116,7 +116,7 @@ impl ServiceState {
         &self,
         sample: &SampleSpec,
         index: &IndexChoice,
-        stopping: StoppingSpec,
+        stopping: ProgressiveConfig,
     ) -> Result<Response, ApiError> {
         let entry = self.catalog.get(&sample.table)?;
         let (spec, scheme) = index.resolve(entry.shared.schema())?;

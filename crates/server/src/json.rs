@@ -284,6 +284,12 @@ struct Parser<'a> {
 }
 
 impl Parser<'_> {
+    /// The byte at the cursor as an error names it: `'x'` (escaped if need be) or `end of input`.
+    fn found(&self) -> String {
+        let byte = self.bytes.get(self.pos);
+        byte.map_or("end of input".to_string(), |&b| format!("{:?}", b as char))
+    }
+
     fn skip_ws(&mut self) {
         while self
             .bytes
@@ -300,10 +306,10 @@ impl Parser<'_> {
             Ok(())
         } else {
             Err(format!(
-                "expected {:?} at offset {}, found {:?}",
+                "expected {:?} at offset {}, found {}",
                 b as char,
                 self.pos,
-                self.bytes.get(self.pos).map(|&c| c as char)
+                self.found()
             ))
         }
     }
@@ -410,7 +416,7 @@ impl Parser<'_> {
                             let c = char::from_u32(code).ok_or("invalid \\u escape")?;
                             out.extend_from_slice(c.to_string().as_bytes());
                         }
-                        other => return Err(format!("invalid escape {other:?}")),
+                        _ => return Err(format!("invalid escape: {}", self.found())),
                     }
                     self.pos += 1;
                 }
@@ -444,7 +450,7 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Json::Obj(members));
                 }
-                other => return Err(format!("expected , or }} in object, got {other:?}")),
+                _ => return Err(format!("expected , or }} in object, got {}", self.found())),
             }
         }
     }
@@ -466,7 +472,7 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Json::Arr(items));
                 }
-                other => return Err(format!("expected , or ] in array, got {other:?}")),
+                _ => return Err(format!("expected , or ] in array, got {}", self.found())),
             }
         }
     }
@@ -550,6 +556,51 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn an_expected_byte_error_names_the_byte_found_or_the_end_of_input() {
+        assert_eq!(
+            Json::parse("{\"a\":1,").unwrap_err(),
+            "expected '\"' at offset 7, found end of input"
+        );
+        assert_eq!(
+            Json::parse("{\"a\" 1}").unwrap_err(),
+            "expected ':' at offset 5, found '1'"
+        );
+    }
+
+    #[test]
+    fn an_object_error_names_the_byte_found_not_its_number() {
+        assert_eq!(
+            Json::parse("{\"a\":1 x}").unwrap_err(),
+            "expected , or } in object, got 'x'"
+        );
+        assert_eq!(
+            Json::parse("{\"a\":1").unwrap_err(),
+            "expected , or } in object, got end of input"
+        );
+    }
+
+    #[test]
+    fn an_array_error_names_the_byte_found_not_its_number() {
+        assert_eq!(
+            Json::parse("[1\n2]").unwrap_err(),
+            "expected , or ] in array, got '2'"
+        );
+        assert_eq!(
+            Json::parse("[1").unwrap_err(),
+            "expected , or ] in array, got end of input"
+        );
+    }
+
+    #[test]
+    fn an_escape_error_names_the_byte_after_the_backslash() {
+        assert_eq!(Json::parse("\"a\\q\"").unwrap_err(), "invalid escape: 'q'");
+        assert_eq!(
+            Json::parse("\"a\\").unwrap_err(),
+            "invalid escape: end of input"
+        );
     }
 
     #[test]

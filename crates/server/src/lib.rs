@@ -68,9 +68,7 @@ pub use cache::{
 };
 pub use catalog::{CatalogEntry, TableCatalog};
 pub use json::Json;
-pub use protocol::{
-    ApiError, CacheDisposition, IndexChoice, Request, RequestKind, SampleSpec, StoppingSpec,
-};
+pub use protocol::{ApiError, CacheDisposition, IndexChoice, Request, RequestKind, SampleSpec};
 pub use response::{Accounting, Response};
 pub use samplecf_obs::{MetricsRegistry, RegistrySnapshot, Stage, StageTimings};
 pub use server::{Server, ServerConfig, ServerHandle};

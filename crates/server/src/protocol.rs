@@ -470,10 +470,6 @@ impl IndexChoice {
     }
 }
 
-/// When a progressive run stops: the accuracy target, the confidence level
-/// and the checkpoint schedule.  (The cap is the sampler's own fraction.)
-pub type StoppingSpec = ProgressiveConfig;
-
 /// One parsed, validated protocol request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -502,8 +498,8 @@ pub enum Request {
         sample: SampleSpec,
         /// The index and scheme to measure.
         index: IndexChoice,
-        /// The stopping rule.
-        stopping: StoppingSpec,
+        /// The stopping rule (the cap is the sampler's own fraction).
+        stopping: ProgressiveConfig,
     },
     /// Evaluate many candidates from one shared sample.
     Advise {

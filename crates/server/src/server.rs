@@ -22,7 +22,7 @@
 //! one connection stay strictly in request order because at most one
 //! request per connection is in flight; further pipelined lines wait in
 //! the connection's pending list, and once that list reaches
-//! `max_pipelined` the loop simply stops reading from the socket — TCP
+//! `MAX_PIPELINED` the loop simply stops reading from the socket — TCP
 //! flow control pushes back on the pipeliner without costing anyone else
 //! anything.
 //!
@@ -66,9 +66,6 @@ pub struct ServerConfig {
     /// Longest accepted request line in bytes; longer lines are discarded
     /// and answered with a `too_large` error.
     pub max_line_bytes: usize,
-    /// How many parsed-but-unserved requests one connection may pipeline
-    /// before the loop stops reading its socket (TCP backpressure).
-    pub max_pipelined: usize,
     /// A request whose end-to-end wall time exceeds this many milliseconds
     /// is counted in `samplecf_slow_requests_total` and logged as one
     /// structured JSON line on stderr (op, total, per-stage breakdown).
@@ -84,7 +81,6 @@ impl Default for ServerConfig {
             max_connections: 10_240,
             queue_depth: 1_024,
             max_line_bytes: 1024 * 1024,
-            max_pipelined: 64,
             slow_request_ms: 1_000,
         }
     }
@@ -247,6 +243,8 @@ const LISTENER_TOKEN: usize = usize::MAX - 1;
 /// polling re-reports whatever is left).
 const READ_CHUNK: usize = 16 * 1024;
 const MAX_CHUNKS_PER_EVENT: usize = 8;
+/// Parsed-but-unserved requests a connection may pipeline before its socket is not read.
+const MAX_PIPELINED: usize = 64;
 
 fn busy_line(message: &str) -> String {
     error_response(&ApiError::new(codes::BUSY, message)).to_line()
@@ -497,7 +495,7 @@ impl EventLoop {
         }
 
         let desired = Interest {
-            readable: !conn.peer_closed && conn.pending.len() < self.config.max_pipelined,
+            readable: !conn.peer_closed && conn.pending.len() < MAX_PIPELINED,
             writable: !conn.flushed(),
         };
         if desired != conn.interest {

@@ -89,7 +89,7 @@ impl Instruments {
             .set(1);
         Instruments {
             requests: RequestKind::ALL.map(|kind| match kind {
-                RequestKind::Invalid => Counter::disabled(),
+                RequestKind::Invalid => Counter::default(),
                 kind => registry.counter(&format!(
                     "samplecf_requests_total{{op=\"{}\"}}",
                     kind.name()

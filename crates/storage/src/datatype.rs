@@ -45,34 +45,6 @@ impl DataType {
         }
     }
 
-    /// Whether cells of this type are character data that null suppression
-    /// can shrink by trimming padding.
-    #[must_use]
-    pub fn is_character(&self) -> bool {
-        matches!(self, DataType::Char(_) | DataType::VarChar(_))
-    }
-
-    /// Whether the type has a fixed width independent of the stored value.
-    #[must_use]
-    pub fn is_fixed_width(&self) -> bool {
-        !matches!(self, DataType::VarChar(_))
-    }
-
-    /// Number of bytes needed to record the length of a null-suppressed cell
-    /// of this type (⌈log2(k+1)/8⌉, at least one byte).  The paper's model
-    /// charges this bookkeeping cost to the compressed representation.
-    #[must_use]
-    pub fn length_marker_bytes(&self) -> usize {
-        let k = self.uncompressed_width();
-        let mut bytes = 1usize;
-        let mut max = 0xFFusize;
-        while k > max {
-            bytes += 1;
-            max = (max << 8) | 0xFF;
-        }
-        bytes
-    }
-
     /// A human readable SQL-ish name, e.g. `char(20)`.
     #[must_use]
     pub fn sql_name(&self) -> String {
@@ -103,29 +75,6 @@ mod tests {
         assert_eq!(DataType::Int32.uncompressed_width(), 4);
         assert_eq!(DataType::Int64.uncompressed_width(), 8);
         assert_eq!(DataType::Bool.uncompressed_width(), 1);
-    }
-
-    #[test]
-    fn character_classification() {
-        assert!(DataType::Char(1).is_character());
-        assert!(DataType::VarChar(1).is_character());
-        assert!(!DataType::Int32.is_character());
-        assert!(!DataType::Bool.is_character());
-    }
-
-    #[test]
-    fn fixed_width_classification() {
-        assert!(DataType::Char(8).is_fixed_width());
-        assert!(!DataType::VarChar(8).is_fixed_width());
-        assert!(DataType::Int64.is_fixed_width());
-    }
-
-    #[test]
-    fn length_marker_is_one_byte_up_to_255() {
-        assert_eq!(DataType::Char(1).length_marker_bytes(), 1);
-        assert_eq!(DataType::Char(255).length_marker_bytes(), 1);
-        assert_eq!(DataType::Char(256).length_marker_bytes(), 2);
-        assert_eq!(DataType::VarChar(65535).length_marker_bytes(), 2);
     }
 
     #[test]

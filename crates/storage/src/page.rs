@@ -247,16 +247,6 @@ impl Page {
         RowRef::new(codec, self.get(slot)?)
     }
 
-    /// Iterate over every record in slot order as borrowed [`RowRef`]s.
-    ///
-    /// # Errors
-    /// Fails if any record's length does not match the codec's record size.
-    pub fn row_refs<'a>(&'a self, codec: &'a RowCodec) -> StorageResult<Vec<RowRef<'a>>> {
-        (0..self.slot_count())
-            .map(|slot| self.row_ref(slot, codec))
-            .collect()
-    }
-
     /// Borrow the raw backing bytes of the page.
     #[must_use]
     pub fn raw(&self) -> &[u8] {
@@ -407,7 +397,9 @@ mod tests {
         for row in &rows {
             p.insert(&codec.encode(row).unwrap()).unwrap().unwrap();
         }
-        let refs = p.row_refs(&codec).unwrap();
+        let refs: Vec<RowRef<'_>> = (0..p.slot_count())
+            .map(|slot| p.row_ref(slot, &codec).unwrap())
+            .collect();
         assert_eq!(refs.len(), 2);
         for (r, row) in refs.iter().zip(&rows) {
             // Each record view points into the page's own buffer.

@@ -47,12 +47,6 @@ impl Row {
     pub fn arity(&self) -> usize {
         self.values.len()
     }
-
-    /// Project the row onto the given column indexes (in that order).
-    #[must_use]
-    pub fn project(&self, indexes: &[usize]) -> Row {
-        Row::new(indexes.iter().map(|&i| self.values[i].clone()).collect())
-    }
 }
 
 impl fmt::Display for Row {
@@ -350,17 +344,6 @@ impl RowCodec {
         }
         Ok(Row::new(values))
     }
-
-    /// Encode only the cells of the given column indexes (no null bitmap),
-    /// producing the order-preserving key bytes used by indexes.
-    pub fn encode_key(&self, row: &Row, column_indexes: &[usize]) -> StorageResult<Vec<u8>> {
-        let mut out = Vec::new();
-        for &i in column_indexes {
-            let c = self.schema.column_at(i);
-            encode_cell(row.value(i), &c.datatype, &mut out)?;
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -480,25 +463,10 @@ mod tests {
     }
 
     #[test]
-    fn key_encoding_uses_selected_columns_only() {
-        let codec = RowCodec::new(schema());
-        let row = Row::new(vec![
-            Value::str("abc"),
-            Value::int(7),
-            Value::int(9),
-            Value::Bool(true),
-        ]);
-        let key = codec.encode_key(&row, &[2, 0]).unwrap();
-        assert_eq!(key.len(), 8 + 12);
-    }
-
-    #[test]
     fn row_projection_and_accessors() {
         let row = Row::new(vec![Value::int(1), Value::str("x"), Value::int(3)]);
         assert_eq!(row.arity(), 3);
         assert_eq!(row.value(1), &Value::str("x"));
-        let p = row.project(&[2, 0]);
-        assert_eq!(p.values(), &[Value::int(3), Value::int(1)]);
         assert_eq!(row.to_string(), "(1, 'x', 3)");
     }
 }

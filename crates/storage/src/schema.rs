@@ -168,16 +168,6 @@ impl Schema {
         }
         Ok(())
     }
-
-    /// Project this schema onto a subset of columns (used to derive the key
-    /// schema of an index).  Column order follows the order of `names`.
-    pub fn project(&self, names: &[&str]) -> StorageResult<Schema> {
-        let mut cols = Vec::with_capacity(names.len());
-        for name in names {
-            cols.push(self.column(name)?.clone());
-        }
-        Schema::new(cols)
-    }
 }
 
 impl fmt::Display for Schema {
@@ -248,15 +238,6 @@ mod tests {
         assert!(s
             .validate_row(&[Value::str("way too long for ten"), Value::int(1)])
             .is_err());
-    }
-
-    #[test]
-    fn projection_reorders_and_errors_on_unknown() {
-        let s = two_col_schema();
-        let p = s.project(&["b", "a"]).unwrap();
-        assert_eq!(p.column_at(0).name, "b");
-        assert_eq!(p.column_at(1).name, "a");
-        assert!(s.project(&["nope"]).is_err());
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! * [`obs`] — metrics registry, histograms, per-stage request spans
 //!   ([`samplecf_obs`]),
 //! * [`storage`] — slotted pages, heap files, schemas, tables ([`samplecf_storage`]),
-//! * [`compression`] — null suppression, dictionary (paged & global), RLE,
-//!   prefix ([`samplecf_compression`]),
-//! * [`index`] — B+-tree bulk build and per-column leaf compression
+//! * [`compression`] — the exact compressed sizes of null suppression,
+//!   dictionary (paged & global), RLE and prefix ([`samplecf_compression`]),
+//! * [`index`] — B+-tree bulk build and per-column leaf sizes
 //!   ([`samplecf_index`]),
 //! * [`sampling`] — uniform/Bernoulli/reservoir/block samplers
 //!   ([`samplecf_sampling`]),
@@ -58,9 +58,9 @@ pub use samplecf_storage as storage;
 /// Everything needed to use the estimator end to end.
 pub mod prelude {
     pub use samplecf_compression::{
-        scheme_by_name, scheme_names, ColumnChunk, CompressionOutcome, CompressionScheme,
-        DictionaryCompression, GlobalDictionaryCompression, NullSuppression, PrefixCompression,
-        RunLengthEncoding, Uncompressed,
+        scheme_by_name, scheme_names, CompressionOutcome, CompressionScheme, DictionaryCompression,
+        GlobalDictionaryCompression, NullSuppression, PrefixCompression, RunLengthEncoding,
+        Uncompressed,
     };
     pub use samplecf_core::{
         ratio_error, theory, AdvisorConfig, AdvisorPlan, Candidates, CfCheckpoint, CfMeasurement,
@@ -71,8 +71,7 @@ pub mod prelude {
         presets, ColumnSpec, FrequencyDistribution, LengthDistribution, RowLayout, TableSpec,
     };
     pub use samplecf_index::{
-        compress_index, BTreeIndex, CompressedIndexReport, IndexBuilder, IndexKind, IndexSizeModel,
-        IndexSizeReport, IndexSpec,
+        BTreeIndex, CompressedIndexReport, IndexBuilder, IndexKind, IndexSizeModel, IndexSpec,
     };
     pub use samplecf_obs::{
         Histogram, HistogramSnapshot, MetricValue, MetricsRegistry, RegistrySnapshot, Span, Stage,
