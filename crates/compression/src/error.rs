@@ -6,7 +6,7 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompressionError {
     /// A borrowed cell did not have its column's declared width.
-    Corrupt(String),
+    CellWidth(String),
     /// A configuration parameter was invalid (e.g. zero-width pointers).
     InvalidConfig(String),
 }
@@ -14,7 +14,7 @@ pub enum CompressionError {
 impl fmt::Display for CompressionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CompressionError::Corrupt(msg) => write!(f, "corrupt compressed data: {msg}"),
+            CompressionError::CellWidth(msg) => f.write_str(msg),
             CompressionError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
         }
     }
@@ -31,9 +31,12 @@ mod tests {
 
     #[test]
     fn display_mentions_details() {
-        assert!(CompressionError::Corrupt("truncated".into())
-            .to_string()
-            .contains("truncated"));
+        let width =
+            CompressionError::CellWidth("cell of 3 bytes in a column of declared width 4".into());
+        assert_eq!(
+            width.to_string(),
+            "cell of 3 bytes in a column of declared width 4"
+        );
         assert!(CompressionError::InvalidConfig("pointer width".into())
             .to_string()
             .contains("pointer width"));

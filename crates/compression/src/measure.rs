@@ -37,7 +37,7 @@ impl<'a> CellChunk<'a> {
         let width = datatype.uncompressed_width();
         for c in &cells {
             if c.bytes().len() != width {
-                return Err(CompressionError::Corrupt(format!(
+                return Err(CompressionError::CellWidth(format!(
                     "cell of {} bytes in a column of declared width {width}",
                     c.bytes().len()
                 )));

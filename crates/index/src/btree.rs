@@ -3,8 +3,11 @@
 //! The estimator's procedure is "build an index on the sample, compress it".
 //! This module provides the index: a bulk-loaded B+-tree whose leaf level is
 //! made of real slotted [`Page`]s, so that page counts, slot overheads and
-//! fill factors are all measurable.  Internal levels store separator keys and
-//! child page numbers.
+//! fill factors are all measurable.  Only the leaves are packed: separator
+//! records are one length, so the levels above them are a count
+//! ([`IndexSizeEstimate::internal_pages`]), taken once per build.  Nothing
+//! here navigates or decodes a tree; the dev-only `samplecf-oracle` crate
+//! decodes leaf entries and packs real separator pages to check that count.
 //!
 //! # An entry is bytes
 //!
@@ -40,34 +43,23 @@ use crate::size::{leaf_record_bytes, IndexSizeEstimate, IndexSizeModel};
 use crate::spec::{IndexKind, IndexSpec};
 use samplecf_parallel::{parallel_indexed_map, resolve_threads};
 use samplecf_storage::{
-    decode_cell, encode_cell, Page, Rid, Row, RowCodec, RowRef, Schema, Table, TableSource, Value,
-    DEFAULT_PAGE_SIZE,
+    encode_cell, Page, Rid, Row, RowCodec, RowRef, Schema, Table, TableSource, DEFAULT_PAGE_SIZE,
 };
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-/// One decoded leaf entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexEntry {
-    /// Stored column values, in stored-column order (key columns first).
-    pub stored: Row,
-    /// Row pointer back into the base table (present for non-clustered
-    /// indexes; clustered leaves *are* the rows).
-    pub rid: Option<Rid>,
-}
-
-/// A bulk-loaded B+-tree.
+/// A bulk-loaded B+-tree: its leaf pages, and the size model's shape of
+/// the levels above them.
 #[derive(Debug, Clone)]
 pub struct BTreeIndex {
     spec: IndexSpec,
     table_schema: Schema,
     stored_indexes: Vec<usize>,
-    key_count: usize,
-    page_size: usize,
     leaf_pages: Vec<Page>,
-    /// Internal levels from the level just above the leaves up to the root.
-    internal_levels: Vec<Vec<Page>>,
-    num_entries: usize,
+    /// Entries, leaf pages, page size and separator width.
+    shape: IndexSizeEstimate,
+    /// `shape.internal_pages()`, taken when the tree was built.
+    internal_pages: usize,
 }
 
 /// Builder configuring page size, fill factor and worker threads for bulk
@@ -192,7 +184,7 @@ impl IndexBuilder {
         let order = key_order(&arena, &layout, self.workers(len))?;
         let stride = layout.stride();
         let entry = |i: usize| &arena[order[i].1 as usize * stride..][..stride];
-        self.pack(spec, layout, shape.entries_per_leaf, len, entry)
+        self.pack(spec, layout, shape.with_entries(len), entry)
     }
 
     /// Build an index over all rows of a table.
@@ -211,7 +203,8 @@ impl IndexBuilder {
     /// thread count.  While loading: a row that does not match the schema
     /// is [`IndexError::Storage`]; more than `u32::MAX` entries, or a page
     /// so small that an internal page holds a single separator key, is
-    /// `InvalidSpec`.
+    /// `InvalidSpec`, and one that holds none is `Storage`
+    /// (`RecordTooLarge`) — [`IndexSizeEstimate::internal_pages`]'s errors.
     pub fn build_from_rows(
         &self,
         schema: &Schema,
@@ -229,8 +222,9 @@ impl IndexBuilder {
     /// Heap records keep every cell in the canonical fixed-width encoding an
     /// index entry uses (NULL cells too: all-zero placeholders on both
     /// sides, the null bitmap authoritative), so entries are byte-sliced
-    /// straight into the arena — no [`Value`] is decoded or re-encoded — and
-    /// the tree is byte-identical to `build_from_rows` over the decoded rows.
+    /// straight into the arena — no [`Value`](samplecf_storage::Value) is
+    /// decoded or re-encoded — and the tree is byte-identical to
+    /// `build_from_rows` over the decoded rows.
     ///
     /// # Errors
     /// As [`build_from_rows`](Self::build_from_rows); a record that is not
@@ -264,7 +258,7 @@ impl IndexBuilder {
         let (layout, shape) = self.plan(schema, spec)?;
         layout.admit(run)?;
         let entry = |i: usize| &run.arena[i * run.stride()..][..run.stride()];
-        self.pack(spec, layout, shape.entries_per_leaf, run.len(), entry)
+        self.pack(spec, layout, shape.with_entries(run.len()), entry)
     }
 
     /// Entries of no records yet, for [`OrderedEntries::extend`] to encode
@@ -333,21 +327,22 @@ impl IndexBuilder {
         Ok(RunSizer::new(layout, shape))
     }
 
-    /// Pack `n` sorted entries — `entry(i)` is a slice of some arena — into
-    /// leaf pages and build the internal levels over them.  Records are one
-    /// length, so the fill rule is arithmetic: page `p` holds entries
-    /// `p × per_leaf ..`, an empty build one empty leaf; pages fill independently.
+    /// Pack `shape.num_entries` sorted entries — `entry(i)` is a slice of
+    /// some arena — into leaf pages, and count the internal pages above
+    /// them ([`IndexSizeEstimate::internal_pages`]: a tree whose levels
+    /// cannot narrow fails here).  Records are one length, so the fill rule
+    /// is arithmetic: page `p` holds entries `p × per_leaf ..`, an empty
+    /// build one empty leaf; pages fill independently.
     fn pack<'a>(
         &self,
         spec: &IndexSpec,
         layout: EntryLayout<'_>,
-        per_leaf: usize,
-        n: usize,
+        shape: IndexSizeEstimate,
         entry: impl Fn(usize) -> &'a [u8] + Sync,
     ) -> IndexResult<BTreeIndex> {
-        let key_len = layout.key_len;
-        let pages = n.div_ceil(per_leaf).max(1);
-        let workers = self.workers(n);
+        let internal_pages = shape.internal_pages()?;
+        let (key_len, per_leaf, n) = (layout.key_len, shape.entries_per_leaf, shape.num_entries);
+        let (pages, workers) = (shape.leaf_pages, self.workers(n));
         let leaf_pages = parallel_indexed_map(pages, workers, |p| -> IndexResult<Page> {
             let mut page = Page::new(p as u32, self.page_size)?;
             for i in p * per_leaf..((p + 1) * per_leaf).min(n) {
@@ -358,61 +353,14 @@ impl IndexBuilder {
         })
         .into_iter()
         .collect::<IndexResult<Vec<Page>>>()?;
-
-        // Separator keys are borrowed; only the internal records copy them.
-        let first_keys = (0..pages.min(n)).map(|p| &entry(p * per_leaf)[..key_len]);
-        let internal_levels = self.internal_levels(first_keys.collect())?;
-
         Ok(BTreeIndex {
             spec: spec.clone(),
             table_schema: layout.schema.clone(),
-            key_count: layout.key_indexes.len(),
             stored_indexes: layout.stored_indexes,
-            page_size: self.page_size,
             leaf_pages,
-            internal_levels,
-            num_entries: n,
+            shape,
+            internal_pages,
         })
-    }
-
-    /// Build the internal levels bottom-up over the leaf pages' first keys,
-    /// each entry `[2-byte key length][separator key][4-byte child page]`.
-    fn internal_levels(&self, first_keys: Vec<&[u8]>) -> IndexResult<Vec<Vec<Page>>> {
-        let mut internal_levels: Vec<Vec<Page>> = Vec::new();
-        let mut level_children: Vec<(&[u8], u32)> = first_keys
-            .into_iter()
-            .enumerate()
-            .map(|(i, k)| (k, i as u32))
-            .collect();
-        while level_children.len() > 1 {
-            let mut pages: Vec<Page> = Vec::new();
-            let mut page = Page::new(0, self.page_size)?;
-            let mut next_children: Vec<(&[u8], u32)> = Vec::new();
-            let mut first_key_of_page: Option<&[u8]> = None;
-            for (key, child) in &level_children {
-                let rec = encode_internal_record(key, *child);
-                if !page.fits(rec.len()) {
-                    next_children
-                        .push((first_key_of_page.take().unwrap_or(&[]), pages.len() as u32));
-                    pages.push(page);
-                    page = Page::new(pages.len() as u32, self.page_size)?;
-                }
-                if first_key_of_page.is_none() {
-                    first_key_of_page = Some(key);
-                }
-                page.insert(&rec)?
-                    .ok_or_else(|| IndexError::InvalidSpec("internal entry does not fit".into()))?;
-            }
-            next_children.push((first_key_of_page.unwrap_or(&[]), pages.len() as u32));
-            pages.push(page);
-            if pages.len() == level_children.len() {
-                let why = "an internal page holds one separator key: no level can narrow";
-                return Err(IndexError::InvalidSpec(why.into()));
-            }
-            internal_levels.push(pages);
-            level_children = next_children;
-        }
-        Ok(internal_levels)
     }
 }
 
@@ -783,22 +731,6 @@ impl SortedRun {
     }
 }
 
-fn encode_internal_record(key: &[u8], child: u32) -> Vec<u8> {
-    let mut out = Vec::with_capacity(2 + key.len() + 4);
-    out.extend_from_slice(&(key.len() as u16).to_be_bytes());
-    out.extend_from_slice(key);
-    out.extend_from_slice(&child.to_be_bytes());
-    out
-}
-
-fn decode_internal_record(bytes: &[u8]) -> (Vec<u8>, u32) {
-    let len = u16::from_be_bytes([bytes[0], bytes[1]]) as usize;
-    let key = bytes[2..2 + len].to_vec();
-    let mut child = [0u8; 4];
-    child.copy_from_slice(&bytes[2 + len..2 + len + 4]);
-    (key, u32::from_be_bytes(child))
-}
-
 impl BTreeIndex {
     /// The index specification this tree was built from.
     #[must_use]
@@ -822,13 +754,13 @@ impl BTreeIndex {
     /// Number of leaf entries (one per indexed row).
     #[must_use]
     pub fn num_entries(&self) -> usize {
-        self.num_entries
+        self.shape.num_entries
     }
 
     /// Page size in bytes.
     #[must_use]
     pub fn page_size(&self) -> usize {
-        self.page_size
+        self.shape.page_size
     }
 
     /// The leaf pages.
@@ -843,145 +775,11 @@ impl BTreeIndex {
         self.leaf_pages.len()
     }
 
-    /// Number of internal (non-leaf) pages across all levels.
+    /// Number of internal (non-leaf) pages across all levels, by
+    /// [`IndexSizeEstimate::internal_pages`] over this tree's leaves.
     #[must_use]
     pub fn num_internal_pages(&self) -> usize {
-        self.internal_levels.iter().map(Vec::len).sum()
-    }
-
-    /// Tree height: 1 for a single leaf level, plus one per internal level.
-    #[must_use]
-    pub fn height(&self) -> usize {
-        1 + self.internal_levels.len()
-    }
-
-    /// Total size of the index in bytes (all pages at full page size).
-    #[must_use]
-    pub fn total_bytes(&self) -> usize {
-        (self.num_leaf_pages() + self.num_internal_pages()) * self.page_size
-    }
-
-    /// Width in bytes of one uncompressed leaf entry's *stored cells*
-    /// (excluding the null bitmap and RID pointer).
-    #[must_use]
-    pub fn stored_cell_bytes_per_entry(&self) -> usize {
-        self.stored_indexes
-            .iter()
-            .map(|&i| self.table_schema.column_at(i).datatype.uncompressed_width())
-            .sum()
-    }
-
-    /// Decode all entries of one leaf page.
-    pub fn leaf_entries(&self, page: &Page) -> IndexResult<Vec<IndexEntry>> {
-        let bitmap_len = self.stored_indexes.len().div_ceil(8);
-        let mut out = Vec::with_capacity(usize::from(page.slot_count()));
-        for record in page.records() {
-            let bitmap = &record[..bitmap_len];
-            let mut offset = bitmap_len;
-            let mut values = Vec::with_capacity(self.stored_indexes.len());
-            for (pos, &i) in self.stored_indexes.iter().enumerate() {
-                let dt = self.table_schema.column_at(i).datatype;
-                let w = dt.uncompressed_width();
-                if bitmap[pos / 8] & (1 << (pos % 8)) != 0 {
-                    values.push(Value::Null);
-                } else {
-                    values.push(decode_cell(&record[offset..offset + w], &dt)?);
-                }
-                offset += w;
-            }
-            let rid = if self.spec.kind() == IndexKind::NonClustered {
-                let mut buf = [0u8; Rid::ENCODED_LEN];
-                buf.copy_from_slice(&record[offset..offset + Rid::ENCODED_LEN]);
-                Some(Rid::decode(&buf))
-            } else {
-                None
-            };
-            out.push(IndexEntry {
-                stored: Row::new(values),
-                rid,
-            });
-        }
-        Ok(out)
-    }
-
-    /// Iterate over all leaf entries in key order.
-    pub fn all_entries(&self) -> IndexResult<Vec<IndexEntry>> {
-        let mut out = Vec::with_capacity(self.num_entries);
-        for page in &self.leaf_pages {
-            out.extend(self.leaf_entries(page)?);
-        }
-        Ok(out)
-    }
-
-    /// Look up all entries whose key columns equal `key` exactly.
-    ///
-    /// Walks the tree from the root to locate the first candidate leaf, then
-    /// scans forward while keys match.  Intended for validation and examples,
-    /// not as a high-performance access path.
-    pub fn lookup(&self, key: &[Value]) -> IndexResult<Vec<IndexEntry>> {
-        if key.len() != self.key_count {
-            return Err(IndexError::InvalidSpec(format!(
-                "lookup key has {} values but the index has {} key columns",
-                key.len(),
-                self.key_count
-            )));
-        }
-        let mut key_bytes = Vec::new();
-        for (pos, v) in key.iter().enumerate() {
-            let col = self.table_schema.column_at(self.stored_indexes[pos]);
-            encode_cell(v, &col.datatype, &mut key_bytes)?;
-        }
-
-        // Descend internal levels (from root down) to find the starting leaf.
-        let mut child: u32 = 0;
-        for level in self.internal_levels.iter().rev() {
-            let page = &level[child as usize];
-            // Descend to the last child whose separator is strictly below the
-            // search key (duplicates of the key may start in that child); if
-            // every separator is >= the key, take the first child.
-            let mut chosen: Option<u32> = None;
-            for rec in page.records() {
-                let (sep, c) = decode_internal_record(rec);
-                let sep_prefix = &sep[..sep.len().min(key_bytes.len())];
-                if chosen.is_none() || sep_prefix < key_bytes.as_slice() {
-                    chosen = Some(c);
-                }
-                if sep_prefix >= key_bytes.as_slice() {
-                    break;
-                }
-            }
-            child = chosen.unwrap_or(0);
-        }
-
-        // Scan from the chosen leaf forward.
-        let mut results = Vec::new();
-        let mut leaf_idx = child as usize;
-        let mut passed_matches = false;
-        while leaf_idx < self.leaf_pages.len() {
-            let entries = self.leaf_entries(&self.leaf_pages[leaf_idx])?;
-            let mut any_le = false;
-            for e in entries {
-                let entry_key: Vec<Value> = (0..self.key_count)
-                    .map(|i| e.stored.value(i).clone())
-                    .collect();
-                match entry_key.as_slice().cmp(key) {
-                    std::cmp::Ordering::Less => any_le = true,
-                    std::cmp::Ordering::Equal => {
-                        any_le = true;
-                        passed_matches = true;
-                        results.push(e);
-                    }
-                    std::cmp::Ordering::Greater => {
-                        return Ok(results);
-                    }
-                }
-            }
-            if passed_matches && !any_le {
-                break;
-            }
-            leaf_idx += 1;
-        }
-        Ok(results)
+        self.internal_pages
     }
 }
 
@@ -993,7 +791,7 @@ mod tests {
     use samplecf_compression::{
         scheme_by_name, scheme_names, CompressionScheme, NullSuppression, Uncompressed,
     };
-    use samplecf_storage::{Column, DataType, StorageError, TableBuilder};
+    use samplecf_storage::{decode_cell, Column, DataType, StorageError, TableBuilder, Value};
     use std::collections::HashSet;
 
     fn schema() -> Schema {
@@ -1016,46 +814,6 @@ mod tests {
     }
 
     #[test]
-    fn bulk_load_preserves_entry_count_and_order() {
-        let t = table(1000);
-        let spec = IndexSpec::nonclustered("i", ["name"]).unwrap();
-        let idx = IndexBuilder::new().build_from_table(&t, &spec).unwrap();
-        assert_eq!(idx.num_entries(), 1000);
-        let entries = idx.all_entries().unwrap();
-        assert_eq!(entries.len(), 1000);
-        for w in entries.windows(2) {
-            assert!(
-                w[0].stored.value(0) <= w[1].stored.value(0),
-                "leaf order violated"
-            );
-        }
-        // Non-clustered entries carry RIDs that resolve back to the table.
-        for e in entries.iter().take(20) {
-            let rid = e.rid.expect("nonclustered entries carry rids");
-            let row = t.get(rid).unwrap();
-            assert_eq!(row.value(0), e.stored.value(0));
-        }
-    }
-
-    #[test]
-    fn clustered_index_stores_all_columns_without_rids() {
-        let t = table(200);
-        let spec = IndexSpec::clustered("i", ["id"]).unwrap();
-        let idx = IndexBuilder::new()
-            .page_size(1024)
-            .build_from_table(&t, &spec)
-            .unwrap();
-        let entries = idx.all_entries().unwrap();
-        assert_eq!(entries.len(), 200);
-        assert!(entries.iter().all(|e| e.rid.is_none()));
-        assert_eq!(entries[0].stored.arity(), 2);
-        // Ordered by id.
-        for (i, e) in entries.iter().enumerate() {
-            assert_eq!(e.stored.value(0), &Value::int(i as i64));
-        }
-    }
-
-    #[test]
     fn multi_page_trees_have_internal_levels() {
         let t = table(5000);
         let spec = IndexSpec::nonclustered("i", ["name", "id"]).unwrap();
@@ -1064,16 +822,7 @@ mod tests {
             .build_from_table(&t, &spec)
             .unwrap();
         assert!(idx.num_leaf_pages() > 10);
-        assert!(
-            idx.height() >= 2,
-            "expected internal levels, height = {}",
-            idx.height()
-        );
         assert!(idx.num_internal_pages() >= 1);
-        assert_eq!(
-            idx.total_bytes(),
-            (idx.num_leaf_pages() + idx.num_internal_pages()) * 512
-        );
     }
 
     #[test]
@@ -1097,31 +846,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_finds_all_matching_rows() {
-        let t = table(3000);
-        let spec = IndexSpec::nonclustered("i", ["name"]).unwrap();
-        let idx = IndexBuilder::new()
-            .page_size(512)
-            .build_from_table(&t, &spec)
-            .unwrap();
-        let needle = Value::str("name0042");
-        let expected = t
-            .scan_rows()
-            .unwrap()
-            .iter()
-            .filter(|(_, r)| r.value(0) == &needle)
-            .count();
-        assert!(expected > 0);
-        let found = idx.lookup(std::slice::from_ref(&needle)).unwrap();
-        assert_eq!(found.len(), expected);
-        assert!(found.iter().all(|e| e.stored.value(0) == &needle));
-        // Missing key returns nothing.
-        assert!(idx.lookup(&[Value::str("zzzz")]).unwrap().is_empty());
-        // Wrong arity is an error.
-        assert!(idx.lookup(&[]).is_err());
-    }
-
-    #[test]
     fn empty_input_builds_an_empty_single_leaf_tree() {
         let spec = IndexSpec::nonclustered("i", ["name"]).unwrap();
         let idx = IndexBuilder::new()
@@ -1129,28 +853,18 @@ mod tests {
             .unwrap();
         assert_eq!(idx.num_entries(), 0);
         assert_eq!(idx.num_leaf_pages(), 1);
-        assert_eq!(idx.height(), 1);
-        assert!(idx.all_entries().unwrap().is_empty());
+        assert_eq!(idx.leaf_pages()[0].slot_count(), 0);
+        assert_eq!(idx.num_internal_pages(), 0);
     }
 
-    /// Compare two trees page-by-page at the byte level, leaves and
-    /// internal levels alike.
+    /// Compare two trees page by page at the byte level, and the internal
+    /// page counts above their leaves.
     fn assert_trees_identical(a: &BTreeIndex, b: &BTreeIndex) {
         assert_eq!(a.num_entries(), b.num_entries());
         assert_eq!(a.num_leaf_pages(), b.num_leaf_pages());
-        assert_eq!(a.height(), b.height());
+        assert_eq!(a.num_internal_pages(), b.num_internal_pages());
         for (pa, pb) in a.leaf_pages().iter().zip(b.leaf_pages()) {
             assert_eq!(pa.raw(), pb.raw(), "leaf pages must match byte-for-byte");
-        }
-        for (la, lb) in a.internal_levels.iter().zip(&b.internal_levels) {
-            assert_eq!(la.len(), lb.len());
-            for (pa, pb) in la.iter().zip(lb) {
-                assert_eq!(
-                    pa.raw(),
-                    pb.raw(),
-                    "internal pages must match byte-for-byte"
-                );
-            }
         }
     }
 
@@ -1442,9 +1156,9 @@ mod tests {
     /// The representation this module replaced, kept as the oracle: one
     /// `(sort key, leaf record)` pair of `Vec`s per entry, a stable
     /// comparison sort on the key `Vec`s, and the serial fill loop that
-    /// walked the sorted pairs carrying the fill rule with it.  Only the
-    /// internal levels go through the builder — they are built from the
-    /// oracle's own leaves and first keys.
+    /// walked the sorted pairs carrying the fill rule with it.  The levels
+    /// above are the size model's count over the oracle's own leaf pages
+    /// (`samplecf-oracle` packs real separator pages to check that count).
     mod oracle {
         use super::super::*;
         use samplecf_storage::{PAGE_HEADER_SIZE, SLOT_SIZE};
@@ -1490,10 +1204,9 @@ mod tests {
             let usable = builder.page_size - PAGE_HEADER_SIZE;
             let target_fill = (usable as f64 * builder.fill_factor) as usize;
             let mut leaf_pages: Vec<Page> = Vec::new();
-            let mut first_keys: Vec<&[u8]> = Vec::new();
             let mut current = Page::new(0, builder.page_size).unwrap();
             let mut current_used = 0usize;
-            for (key, record) in &entries {
+            for (_, record) in &entries {
                 let needed = record.len() + SLOT_SIZE;
                 let over_fill = current_used + needed > target_fill && current.slot_count() > 0;
                 if over_fill || !current.fits(record.len()) {
@@ -1501,25 +1214,25 @@ mod tests {
                     current = Page::new(leaf_pages.len() as u32, builder.page_size).unwrap();
                     current_used = 0;
                 }
-                if current.slot_count() == 0 {
-                    first_keys.push(key);
-                }
                 current.insert(record).unwrap().expect("the record fits");
                 current_used += needed;
             }
             if current.slot_count() > 0 || leaf_pages.is_empty() {
                 leaf_pages.push(current);
             }
-            first_keys.resize(leaf_pages.len(), &[]);
+            let (_, shape) = builder.plan(schema, spec).unwrap();
+            let shape = IndexSizeEstimate {
+                num_entries: entries.len(),
+                leaf_pages: leaf_pages.len(),
+                ..shape
+            };
             BTreeIndex {
                 spec: spec.clone(),
                 table_schema: schema.clone(),
                 stored_indexes: spec.stored_column_indexes(schema).unwrap(),
-                key_count: spec.key_indexes(schema).unwrap().len(),
-                page_size: builder.page_size,
-                internal_levels: builder.internal_levels(first_keys).unwrap(),
                 leaf_pages,
-                num_entries: entries.len(),
+                internal_pages: shape.internal_pages().unwrap(),
+                shape,
             }
         }
     }
@@ -1717,7 +1430,7 @@ mod tests {
         let spec = IndexSpec::clustered("i", ["name"]).unwrap();
         let tiny = IndexBuilder::new().page_size(64);
         let one = tiny.build_from_table(&table(1), &spec).unwrap();
-        assert_eq!((one.num_leaf_pages(), one.height()), (1, 1));
+        assert_eq!((one.num_leaf_pages(), one.num_internal_pages()), (1, 0));
         // Two leaves need a root, and a 64-byte internal page holds a single
         // 18-byte separator: levels would never narrow.
         assert!(matches!(
@@ -2042,47 +1755,5 @@ mod tests {
         assert!(builder
             .build_from_records(&schema, &[(Rid::new(0, 0), &[0u8; 3][..])], &spec)
             .is_err());
-    }
-
-    #[test]
-    fn stored_cell_bytes_per_entry_matches_schema() {
-        let spec_nc = IndexSpec::nonclustered("i", ["name"]).unwrap();
-        let spec_cl = IndexSpec::clustered("i", ["name"]).unwrap();
-        let t = table(10);
-        let nc = IndexBuilder::new().build_from_table(&t, &spec_nc).unwrap();
-        let cl = IndexBuilder::new().build_from_table(&t, &spec_cl).unwrap();
-        assert_eq!(nc.stored_cell_bytes_per_entry(), 12);
-        assert_eq!(cl.stored_cell_bytes_per_entry(), 20);
-    }
-
-    #[test]
-    fn nulls_roundtrip_through_leaf_records() {
-        let schema = Schema::new(vec![
-            Column::nullable("a", DataType::Char(6)),
-            Column::new("b", DataType::Int32),
-        ])
-        .unwrap();
-        let rows: Vec<(Rid, Row)> = (0..50)
-            .map(|i| {
-                let v = if i % 3 == 0 {
-                    Value::Null
-                } else {
-                    Value::str(format!("v{i}"))
-                };
-                (Rid::new(0, i as u16), Row::new(vec![v, Value::int(i)]))
-            })
-            .collect();
-        let spec = IndexSpec::nonclustered("i", ["a"]).unwrap();
-        let idx = IndexBuilder::new()
-            .build_from_rows(&schema, &rows, &spec)
-            .unwrap();
-        let entries = idx.all_entries().unwrap();
-        assert_eq!(
-            entries
-                .iter()
-                .filter(|e| e.stored.value(0).is_null())
-                .count(),
-            17
-        );
     }
 }

@@ -61,7 +61,7 @@ mod tests {
     fn conversions_and_display() {
         let e: IndexError = StorageError::UnknownColumn("x".into()).into();
         assert!(e.to_string().contains("storage error"));
-        let e: IndexError = CompressionError::Corrupt("bad".into()).into();
+        let e: IndexError = CompressionError::CellWidth("bad".into()).into();
         assert!(e.to_string().contains("compression error"));
         assert!(IndexError::InvalidSpec("no keys".into())
             .to_string()

@@ -9,7 +9,8 @@
 //! below), and as the size-only walk every estimator runs:
 //!
 //! * [`IndexSpec`] / [`IndexBuilder`] / [`BTreeIndex`] — bulk-loaded B+-trees
-//!   (clustered and non-clustered) over real slotted pages,
+//!   (clustered and non-clustered): real slotted leaf pages, and the levels
+//!   above them counted ([`IndexSizeEstimate::internal_pages`]), not packed,
 //! * [`measure_index`] / [`CompressedIndexReport`] — per-column, per-page
 //!   compressed sizes of the leaf level under any
 //!   [`CompressionScheme`](samplecf_compression::CompressionScheme), by the
@@ -66,7 +67,7 @@ pub mod error;
 pub mod size;
 pub mod spec;
 
-pub use btree::{BTreeIndex, IndexBuilder, IndexEntry, KeyOrder, SortedRun};
+pub use btree::{BTreeIndex, IndexBuilder, KeyOrder, SortedRun};
 pub use compress::{
     measure_index, ColumnCompressionStat, CompressedIndexReport, FirstKeyStats, OrderedEntries,
     RunCellCosts, RunSizer, UnitSums,

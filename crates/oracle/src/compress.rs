@@ -1,6 +1,7 @@
 //! A packed tree's leaf level through the real codec: the reference for
 //! [`measure_index`](samplecf_index::measure_index).
 
+use crate::btree::{leaf_entries, separator_levels};
 use crate::chunk::ColumnChunk;
 use crate::codec::Codec;
 use crate::error::CodecResult;
@@ -10,7 +11,9 @@ use samplecf_storage::Rid;
 /// Compress every stored column of the index's leaf level with `codec` and
 /// report the resulting sizes — the reference for
 /// [`measure_index`](samplecf_index::measure_index), which must return the
-/// same report field for field.
+/// same report field for field.  Leaves are decoded by [`leaf_entries`],
+/// and `internal_bytes` are the separator pages [`separator_levels`]
+/// packs above them.
 pub fn compress_index(index: &BTreeIndex, codec: &dyn Codec) -> CodecResult<CompressedIndexReport> {
     let schema = index.table_schema();
     let stored = index.stored_column_indexes();
@@ -18,7 +21,7 @@ pub fn compress_index(index: &BTreeIndex, codec: &dyn Codec) -> CodecResult<Comp
     // Decode each leaf page once, then slice per column.
     let mut per_page_entries = Vec::with_capacity(index.num_leaf_pages());
     for page in index.leaf_pages() {
-        per_page_entries.push(index.leaf_entries(page)?);
+        per_page_entries.push(leaf_entries(index, page)?);
     }
 
     let mut per_column = Vec::with_capacity(stored.len());
@@ -52,6 +55,7 @@ pub fn compress_index(index: &BTreeIndex, codec: &dyn Codec) -> CodecResult<Comp
         0
     };
     let bitmap_bytes = n * stored.len().div_ceil(8);
+    let internal_pages: usize = separator_levels(index)?.iter().map(Vec::len).sum();
 
     Ok(CompressedIndexReport {
         scheme: codec.name().to_string(),
@@ -61,7 +65,7 @@ pub fn compress_index(index: &BTreeIndex, codec: &dyn Codec) -> CodecResult<Comp
         per_column,
         rid_bytes,
         bitmap_bytes,
-        internal_bytes: index.num_internal_pages() * index.page_size(),
+        internal_bytes: internal_pages * index.page_size(),
     })
 }
 

@@ -20,6 +20,12 @@
 //! * [`IndexSizeReport`] — where a built tree's uncompressed bytes go, the
 //!   reference for the analytic
 //!   [`IndexSizeModel`](samplecf_index::IndexSizeModel).
+//! * [`pack_separators`] / [`separator_levels`] — the separator pages a
+//!   B+-tree keeps above its leaves, packed for real: the reference for
+//!   [`IndexSizeEstimate::internal_pages`](samplecf_index::IndexSizeEstimate::internal_pages),
+//!   which is all a shipped tree keeps of them.
+//! * [`leaf_entries`] / [`LeafEntry`] — a leaf page decoded back into
+//!   stored values and RIDs, for tests that read a tree's entries.
 //!
 //! ## Quickstart
 //!
@@ -42,6 +48,7 @@
 //! # Ok::<(), samplecf_oracle::CodecError>(())
 //! ```
 
+pub mod btree;
 pub mod chunk;
 pub mod codec;
 pub mod compress;
@@ -55,6 +62,7 @@ pub mod prefix;
 pub mod rle;
 pub mod size;
 
+pub use btree::{leaf_entries, pack_separators, separator_levels, LeafEntry};
 pub use chunk::{ColumnChunk, CompressedChunk, CompressedColumn};
 pub use codec::{codec_by_name, Codec};
 pub use compress::compress_index;

@@ -476,12 +476,16 @@ pub(crate) mod tests {
         rows
     }
 
-    /// The rows at `positions` of `source`'s frame, one
-    /// [`TableSource::get`] each.
+    /// The rows at `positions` of `source`'s frame, one page read and
+    /// decode each.
     fn rows_at(source: &dyn TableSource, positions: &[usize]) -> Vec<SampledRow> {
         let frame = Frame::of(source);
+        let row = |rid: Rid| {
+            let page = source.read_page_ref(rid.page).unwrap();
+            source.codec().decode(page.get(rid.slot).unwrap()).unwrap()
+        };
         (positions.iter())
-            .map(|&p| (frame.rid(p), source.get(frame.rid(p)).unwrap()))
+            .map(|&p| (frame.rid(p), row(frame.rid(p))))
             .collect()
     }
 

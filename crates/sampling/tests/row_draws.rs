@@ -3,7 +3,7 @@
 //! The row-position stream (uniform and stratified kinds) fetches through a
 //! [`PageCache`] that holds verified pages and checks only the drawn slots.  These tests pin
 //! the two halves of that contract: the draw is what its position sequence
-//! says (every yielded `(rid, row)` is `source.get(rid)`, RID-sorted within
+//! says (every yielded `(rid, row)` is the record at `rid` decoded, RID-sorted within
 //! a batch, one physical read per distinct page, the rows at the positions
 //! a plain `gen_range` loop / `index::sample` names, seed-for-seed, over
 //! a `Table` in memory and in a file alike), and the check is
@@ -62,13 +62,19 @@ fn drain_batches(
     }
 }
 
-/// The rows at `positions` of the frame, in position order, one
-/// `source.get` each — what a coalesced fetch of them must return.
+/// The row stored at `rid`: its page read, its record decoded.
+fn row_at(source: &dyn TableSource, rid: Rid) -> Row {
+    let page = source.read_page_ref(rid.page).unwrap();
+    source.codec().decode(page.get(rid.slot).unwrap()).unwrap()
+}
+
+/// The rows at `positions` of the frame, in position order, one page read
+/// each — what a coalesced fetch of them must return.
 fn rows_at(source: &dyn TableSource, mut positions: Vec<usize>) -> Vec<SampledRow> {
     let frame = Frame::of(source);
     positions.sort_unstable();
     (positions.iter())
-        .map(|&p| (frame.rid(p), source.get(frame.rid(p)).unwrap()))
+        .map(|&p| (frame.rid(p), row_at(source, frame.rid(p))))
         .collect()
 }
 
@@ -131,7 +137,7 @@ fn draws_are_identical_and_decodes_are_lazy() {
                     // RID-sorted, duplicates adjacent.
                     assert!(batch.windows(2).all(|w| w[0].0 <= w[1].0));
                     for (rid, row) in batch {
-                        assert_eq!(row, &source.get(*rid).unwrap(), "{rid}");
+                        assert_eq!(row, &row_at(source, *rid), "{rid}");
                     }
                 }
                 let drawn: Vec<SampledRow> = batches.concat();
@@ -361,7 +367,10 @@ fn a_row_draw_over_counts_that_disagree_is_a_typed_invalid_rid() {
         match err {
             SamplingError::Storage(StorageError::InvalidRid { page, slot }) => {
                 let rid = Rid::new(page, slot);
-                assert!(t.get(rid).is_err(), "{kind:?}: {rid} is a row");
+                let record = t
+                    .read_page_ref(rid.page)
+                    .map(|page| page.get(rid.slot).is_ok());
+                assert!(!record.unwrap_or(false), "{kind:?}: {rid} is a row");
             }
             other => panic!("{kind:?}: expected InvalidRid, got {other:?}"),
         }

@@ -33,9 +33,9 @@ pub mod codes {
     pub const NO_SUCH_TABLE: &str = "no_such_table";
     /// A different table file is already registered under this name.
     pub const TABLE_EXISTS: &str = "table_exists";
-    /// The table file could not be opened or read.
+    /// The table file could not be opened at `register`.
     pub const STORAGE: &str = "storage";
-    /// A valid request failed while sampling or measuring.
+    /// A valid request failed while sampling or measuring, a page read too.
     pub const ESTIMATE_FAILED: &str = "estimate_failed";
     /// Answering a valid request panicked: a bug, caught.  The request
     /// failed alone; the server, its workers and its cache carry on.

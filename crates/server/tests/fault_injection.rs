@@ -1,13 +1,15 @@
 //! Fault injection against a live `samplecfd`: stalled writers,
-//! mid-response disconnects, garbage pipeliners, and saturation.  The
-//! properties under test are the event loop's isolation guarantees — a
-//! misbehaving client must not block other clients, every connection slot
-//! must be reclaimed, and overload must surface as structured `busy`
-//! responses rather than hangs.
+//! mid-response disconnects, garbage pipeliners, saturation, and a table
+//! file cut short under it.  The properties under test are the event loop's
+//! isolation guarantees — a misbehaving client must not block other
+//! clients, every connection slot must be reclaimed, overload must surface
+//! as structured `busy` responses rather than hangs — and that a failed
+//! page read fails its own request alone.
 
 use samplecf_datagen::presets;
 use samplecf_server::{Json, Server, ServerConfig, ServerHandle, DEFAULT_CACHE_BUDGET_BYTES};
 use samplecf_storage::Table;
+use std::fs::OpenOptions;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -408,6 +410,119 @@ fn stats_reports_the_server_gauges_live() {
     );
 
     drop((reader, writer));
+    await_open_connections(&handle, 0);
+    handle.shutdown();
+}
+
+/// A table file of one test's own, removed when dropped.
+struct OwnTable {
+    path: PathBuf,
+    pages: usize,
+}
+
+impl OwnTable {
+    fn new(tag: &str, seed: u64) -> OwnTable {
+        let generated = presets::single_char_table(tag, 20_000, 24, 100, 8, seed)
+            .generate()
+            .expect("generation succeeds");
+        let path =
+            std::env::temp_dir().join(format!("samplecf_fault_{tag}_{}.scf", std::process::id()));
+        Table::materialize(&path, &generated.table).expect("materialisation succeeds");
+        let pages = generated.table.num_pages();
+        OwnTable { path, pages }
+    }
+}
+
+impl Drop for OwnTable {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
+/// What the daemon does, today, when a registered table's file loses its
+/// second half while it runs: the open handle and the header read at
+/// `register` stay, so `num_pages` still names the lost pages.
+#[test]
+fn a_table_file_cut_short_fails_only_the_reads_past_the_cut() {
+    let (t, u) = (OwnTable::new("shrink_t", 41), OwnTable::new("shrink_u", 42));
+    let handle = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind succeeds");
+    for (table, name) in [(&t, "t"), (&u, "u")] {
+        let path = table.path.to_string_lossy();
+        (handle.state().catalog.register(&path, Some(name))).expect("register succeeds");
+    }
+    let addr = handle.addr();
+    let estimate = |table: &str, fraction: f64, seed: u64| {
+        format!(
+            r#"{{"op":"estimate","table":"{table}","sampler":"block","fraction":{fraction},"seed":{seed}}}"#
+        )
+    };
+    let cache = |reply: &Json| {
+        let accounting = reply.get("accounting").and_then(|a| a.get("cache"));
+        accounting.and_then(Json::as_str).map(str::to_owned)
+    };
+    let errors = || {
+        let reply = roundtrip(addr, r#"{"op":"stats"}"#);
+        let stats = reply.get("stats").and_then(|s| s.get("errors"));
+        stats.and_then(Json::as_u64).expect("stats.errors")
+    };
+    // The failure is the storage error's message, typed `estimate_failed`
+    // (`storage` is only a file that cannot be opened at `register`).
+    let assert_read_past_the_cut = |reply: &Json| {
+        assert_eq!(
+            reply.get("ok").and_then(Json::as_bool),
+            Some(false),
+            "{reply}"
+        );
+        let error = reply.get("error").expect("an error object");
+        let code = error.get("code").and_then(Json::as_str);
+        assert_eq!(code, Some("estimate_failed"), "{reply}");
+        let message = error.get("message").and_then(Json::as_str).unwrap();
+        let page = (message.strip_prefix("storage error: i/o error: reading page "))
+            .and_then(|rest| rest.strip_suffix(": failed to fill whole buffer"))
+            .and_then(|page| page.parse::<usize>().ok())
+            .unwrap_or_else(|| panic!("not a short page read: {message}"));
+        assert!(page + 1 >= t.pages / 2 && page < t.pages, "page {page}");
+    };
+
+    // A group of `t` cached before the cut.
+    let cached = estimate("t", 0.05, 1);
+    let before = roundtrip(addr, &cached);
+    assert_ok(&before);
+    assert_eq!(cache(&before).as_deref(), Some("miss"));
+
+    let file = OpenOptions::new().write(true).open(&t.path).expect("open");
+    let len = file.metadata().expect("metadata").len();
+    file.set_len(len / 2).expect("truncate");
+    drop(file);
+    let errors_before = errors();
+
+    // A miss on `t` that reaches a page past the cut fails, naming it.
+    let deep = estimate("t", 0.9, 2);
+    assert_read_past_the_cut(&roundtrip(addr, &deep));
+    // The group cached before the cut is a snapshot: still a hit, and the
+    // same result byte for byte.
+    let after = roundtrip(addr, &cached);
+    assert_eq!(cache(&after).as_deref(), Some("hit"));
+    assert_eq!(
+        after.get("result").map(Json::to_string),
+        before.get("result").map(Json::to_string)
+    );
+    // The other table keeps answering.
+    assert_ok(&roundtrip(addr, &estimate("u", 0.9, 2)));
+    // A progressive run streams its own pages into the same error.
+    let progressive = r#"{"op":"estimate_progressive","table":"t","sampler":"block","fraction":0.9,"target_error":0,"seed":3}"#;
+    assert_read_past_the_cut(&roundtrip(addr, progressive));
+    // The failed draw left nothing in flight: asked again, it fails the
+    // same way, promptly.
+    let started = Instant::now();
+    assert_read_past_the_cut(&roundtrip(addr, &deep));
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "{:?}",
+        started.elapsed()
+    );
+    assert_eq!(errors() - errors_before, 3);
+
     await_open_connections(&handle, 0);
     handle.shutdown();
 }

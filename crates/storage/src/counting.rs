@@ -1,8 +1,10 @@
 //! Physical-I/O accounting for table sources.
 //!
 //! [`CountingSource`] wraps any [`TableSource`] and counts how many pages are
-//! read through it.  Because every row-returning default method of the trait
-//! funnels through [`read_page_ref`](TableSource::read_page_ref), the count
+//! read through it.  Rows are only ever read out of pages — the trait's one
+//! row-returning default, the full scan, funnels through
+//! [`read_page_ref`](TableSource::read_page_ref), and there is no point read
+//! by RID — so the count
 //! is the number of physical page accesses the wrapped workload performed —
 //! the quantity the paper's block-sampling argument (Section II-C) is about.
 //! Wrapping a [`Table`](crate::table::Table) opened from a file makes
@@ -154,7 +156,11 @@ mod tests {
         let t = table(200);
         let counting = CountingSource::new(&t);
         let rid = Frame::of(&t).rid(17);
-        let row = TableSource::get(&counting, rid).unwrap();
+        let page = counting.read_page_ref(rid.page).unwrap();
+        let row = counting
+            .codec()
+            .decode(page.get(rid.slot).unwrap())
+            .unwrap();
         assert_eq!(row.value(0), &Value::str("v000017"));
         assert_eq!(counting.pages_read(), 1);
     }

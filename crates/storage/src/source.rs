@@ -75,11 +75,13 @@ impl Deref for PageRead<'_> {
 
 /// A readable source of table pages and rows.
 ///
-/// Required methods describe the table and read one page; point lookups and
-/// scans have a default implementation in terms of
+/// Required methods describe the table and read one page; the full scan has
+/// a default implementation in terms of
 /// [`read_page_ref`](TableSource::read_page_ref), so that an I/O-counting
 /// wrapper which only intercepts the page reads observes every physical page
-/// access.  The sampling frame is no method at all: [`Frame::of`] computes
+/// access.  There is no point read by RID: a row draw reads the pages its
+/// rows land on and slices the records out of them
+/// ([`Page::get`], then [`RowCodec::decode`] where a value is wanted).  The sampling frame is no method at all: [`Frame::of`] computes
 /// it from the metadata, the way a real engine derives it from its
 /// allocation map rather than from data pages.
 pub trait TableSource: Send + Sync {
@@ -111,15 +113,6 @@ pub trait TableSource: Send + Sync {
     /// stay correct; sources that can borrow override it.
     fn read_page_ref(&self, id: PageId) -> StorageResult<PageRead<'_>> {
         Ok(PageRead::Owned(self.read_page(id)?))
-    }
-
-    /// Fetch and decode the row stored at `rid`.
-    ///
-    /// The default reads the whole containing page, which is what fetching a
-    /// single row costs on a disk-resident table without a buffer pool.
-    fn get(&self, rid: Rid) -> StorageResult<Row> {
-        let page = self.read_page_ref(rid.page)?;
-        self.codec().decode(page.get(rid.slot)?)
     }
 
     /// Materialise all `(rid, row)` pairs in storage order (a full scan).
@@ -353,9 +346,10 @@ mod tests {
             .map(|(_, row)| row.value(1).clone())
             .collect();
         assert_eq!(ids, (0..40).map(Value::int).collect::<Vec<_>>());
-        // Point lookups agree too.
+        // Each RID's record decodes to the row scanned at it.
         for (rid, row) in &scanned {
-            assert_eq!(&TableSource::get(s, *rid).unwrap(), row);
+            let page = s.read_page_ref(rid.page).unwrap();
+            assert_eq!(&s.codec().decode(page.get(rid.slot).unwrap()).unwrap(), row);
         }
         assert!(s.read_page(9999).is_err());
     }

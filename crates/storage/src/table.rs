@@ -17,7 +17,6 @@ use crate::rid::{PageId, Rid};
 use crate::row::{Row, RowCodec};
 use crate::schema::Schema;
 use crate::source::{Frame, PageRead, TableSource};
-use crate::value::Value;
 use std::path::Path;
 
 /// A base table: rows encoded with the uncompressed row codec and stored in
@@ -177,7 +176,7 @@ impl Table {
     }
 
     /// Insert one heap record of this table's schema as it is: the bytes
-    /// [`RowCodec::check`] returns for it, with no [`Value`] made —
+    /// [`RowCodec::check`] returns for it, with no [`Value`](crate::Value) made —
     /// byte for byte what [`insert`](Self::insert) stores for the row it
     /// decodes to.
     pub fn insert_record(&mut self, record: &[u8]) -> StorageResult<Rid> {
@@ -189,16 +188,6 @@ impl Table {
     /// [`HeapFile::sync`]).
     pub fn sync(&mut self) -> StorageResult<()> {
         self.heap.sync()
-    }
-
-    /// Collect all values of the named column, in storage order.
-    pub fn column_values(&self, column: &str) -> StorageResult<Vec<Value>> {
-        let idx = self.schema().column_index(column)?;
-        let rows = self.scan_rows()?;
-        Ok(rows
-            .into_iter()
-            .map(|(_, row)| row.value(idx).clone())
-            .collect())
     }
 }
 
@@ -284,6 +273,7 @@ mod tests {
     use super::*;
     use crate::datatype::DataType;
     use crate::schema::Column;
+    use crate::value::Value;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -305,7 +295,9 @@ mod tests {
         let rids: Vec<Rid> = rows(100).iter().map(|r| t.insert(r).unwrap()).collect();
         assert_eq!(t.num_rows(), 100);
         for (i, rid) in rids.iter().enumerate() {
-            assert_eq!(t.get(*rid).unwrap().value(1), &Value::int(i as i64));
+            let page = t.read_page_ref(rid.page).unwrap();
+            let row = t.codec().decode(page.get(rid.slot).unwrap()).unwrap();
+            assert_eq!(row.value(1), &Value::int(i as i64));
         }
         let scanned = t.scan_rows().unwrap();
         assert_eq!(scanned.len(), 100);
@@ -328,17 +320,6 @@ mod tests {
             t.num_pages() > 1,
             "64 rows of 29 bytes cannot fit one 512B page"
         );
-    }
-
-    #[test]
-    fn column_values_projects_one_column() {
-        let t = TableBuilder::new("t", schema())
-            .build_with_rows(rows(10))
-            .unwrap();
-        let vals = t.column_values("id").unwrap();
-        assert_eq!(vals.len(), 10);
-        assert_eq!(vals[3], Value::int(3));
-        assert!(t.column_values("missing").is_err());
     }
 
     #[test]
