@@ -570,7 +570,6 @@ mod tests {
             SamplerKind::UniformWithReplacement(0.05),
             SamplerKind::UniformWithoutReplacement(0.05),
             SamplerKind::Bernoulli(0.05),
-            SamplerKind::Systematic(0.05),
             SamplerKind::Reservoir(150),
             SamplerKind::Block(0.05),
         ] {
@@ -595,7 +594,6 @@ mod tests {
             SamplerKind::UniformWithReplacement(0.05),
             SamplerKind::UniformWithoutReplacement(0.05),
             SamplerKind::Bernoulli(0.05),
-            SamplerKind::Systematic(0.05),
             SamplerKind::Reservoir(400),
             SamplerKind::Block(0.05),
             SamplerKind::Stratified {

@@ -43,7 +43,7 @@
 use crate::error::{CoreError, CoreResult};
 use crate::estimator::CfMeasurement;
 use crate::measure::SampleMeasure;
-use crate::theory::{self, Design, Unit};
+use crate::theory::{self, Design};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use samplecf_compression::CompressionScheme;
@@ -335,56 +335,7 @@ impl ProgressiveCf {
         self.config
     }
 
-    /// Whether checkpoints short of the cap are supported for `sampler` —
-    /// the one place that tells sampler kinds apart.  Every kind streams,
-    /// but the interval and stopping rule of a checkpoint have been
-    /// validated only for the kinds the coverage matrix
-    /// (`crates/core/tests/coverage.rs`) holds: uniform with and without
-    /// replacement, block, reservoir and stratified.  A Bernoulli or
-    /// systematic prefix is the head of a storage-order scan, not a sample;
-    /// those run to their cap in one checkpoint
-    /// ([`one_checkpoint`](Self::one_checkpoint)) or not at all.
-    pub fn supports_checkpoints(sampler: SamplerKind) -> CoreResult<()> {
-        match sampler {
-            SamplerKind::UniformWithReplacement(_)
-            | SamplerKind::UniformWithoutReplacement(_)
-            | SamplerKind::Block(_)
-            | SamplerKind::Reservoir(_)
-            | SamplerKind::Stratified { .. } => Ok(()),
-            SamplerKind::Bernoulli(_) | SamplerKind::Systematic(_) => {
-                Err(CoreError::InvalidConfig(format!(
-                    "no confidence interval has been validated for sampler {} \
-                     (progressive estimation supports uniform, uniform-wor, block, \
-                     reservoir and stratified)",
-                    sampler.label()
-                )))
-            }
-        }
-    }
-
-    /// The sampling design a checkpoint of `sampler`'s draw from `source` is
-    /// priced under: rows, or a block sample's pages; with replacement, or
-    /// without from the source's rows or pages.  `None` for Bernoulli and
-    /// systematic draws, which report no interval.
-    fn design(sampler: SamplerKind, source: &dyn TableSource) -> Option<Design> {
-        let (unit, population) = match sampler {
-            SamplerKind::UniformWithReplacement(_) | SamplerKind::Stratified { .. } => {
-                (Unit::Row, None)
-            }
-            SamplerKind::UniformWithoutReplacement(_) | SamplerKind::Reservoir(_) => {
-                (Unit::Row, Some(source.num_rows()))
-            }
-            SamplerKind::Block(_) => (Unit::Page, Some(source.num_pages())),
-            SamplerKind::Bernoulli(_) | SamplerKind::Systematic(_) => return None,
-        };
-        Some(Design { unit, population })
-    }
-
     /// Run the progressive estimation loop over `source`.
-    ///
-    /// A schedule of more than one batch requires a sampler kind that
-    /// [`supports_checkpoints`](Self::supports_checkpoints); under
-    /// [`BatchSchedule::one_shot`] every kind runs.
     ///
     /// For a stratified sampler the checkpoint machinery changes in three
     /// ways: the CF estimate is the weighted per-stratum combination
@@ -401,11 +352,8 @@ impl ProgressiveCf {
         scheme: &dyn CompressionScheme,
     ) -> CoreResult<ProgressiveReport> {
         self.config.validate()?;
-        if self.config.schedule != BatchSchedule::one_shot() {
-            Self::supports_checkpoints(self.sampler)?;
-        }
         let z = theory::chebyshev_z(self.config.confidence);
-        let design = Self::design(self.sampler, source);
+        let design = Design::of(self.sampler, source);
         let counting = CountingSource::new(source);
         let mut stream = self.sampler.stream(self.config.schedule)?;
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -471,8 +419,8 @@ impl ProgressiveCf {
             let cf = current.cf;
 
             // The design variance, where the CF is a sum of cell costs.
-            let sums = design.and_then(|design| Some((design, measure.design_sums(design.unit)?)));
-            let interval = sums.as_ref().and_then(|(design, sums)| {
+            let sums = measure.design_sums(design.unit);
+            let interval = sums.as_ref().and_then(|sums| {
                 let _variance = Timer::start(&self.metrics.variance_ns);
                 let weights = if is_stratified {
                     &strata_weights[..]
@@ -480,7 +428,7 @@ impl ProgressiveCf {
                     &[1.0]
                 };
                 let (entry_bytes, leaf_header) = (sums.entry_bytes, sums.leaf_header);
-                theory::design_variance(*design, weights, &sums.strata, entry_bytes, leaf_header)
+                theory::design_variance(design, weights, &sums.strata, entry_bytes, leaf_header)
             });
             drop(measure_timer);
             if interval.is_some() {
@@ -514,7 +462,7 @@ impl ProgressiveCf {
                     .is_some_and(|rel| rel <= self.config.target_error);
             checkpoints.push(checkpoint);
             last = Some(current);
-            if let Some((_, sums)) = sums.as_ref().filter(|_| is_stratified) {
+            if let Some(sums) = sums.as_ref().filter(|_| is_stratified) {
                 // Feed each stratum's measured spread of row costs back so a
                 // Neyman stream re-splits the remaining budget.  Strata still
                 // below two draws report NaN, which the stream ignores
@@ -632,6 +580,7 @@ mod tests {
         let t = spread_table(8_000);
         for kind in [
             SamplerKind::UniformWithReplacement(0.08),
+            SamplerKind::Bernoulli(0.08),
             SamplerKind::Block(0.1),
             SamplerKind::Reservoir(400),
         ] {
@@ -941,28 +890,30 @@ mod tests {
     }
 
     #[test]
-    fn non_streaming_kinds_and_bad_configs_are_rejected() {
-        let t = spread_table(1_000);
-        for kind in [SamplerKind::Bernoulli(0.1), SamplerKind::Systematic(0.1)] {
-            // Checkpoints short of the cap are refused...
-            let err = ProgressiveCf::new(kind, ProgressiveConfig::default())
-                .run(&t, &spec(), &NullSuppression)
-                .unwrap_err();
-            assert!(err.to_string().contains("no confidence interval"), "{err}");
-            assert_eq!(ProgressiveCf::supports_checkpoints(kind), Err(err));
-            // ...the one checkpoint at the cap is `SampleCf::estimate`.
-            let report = ProgressiveCf::one_checkpoint(kind)
-                .run(&t, &spec(), &NullSuppression)
-                .unwrap();
-            assert_eq!(report.checkpoints.len(), 1);
-        }
+    fn every_kind_runs_checkpoints_and_bad_configs_are_rejected() {
+        // Every kind has a design: a capped run of a cell-additive scheme
+        // checkpoints more than once and ends with an interval.
+        let t = spread_table(4_000);
         for kind in [
             SamplerKind::UniformWithReplacement(0.1),
             SamplerKind::UniformWithoutReplacement(0.1),
-            SamplerKind::Block(0.1),
-            SamplerKind::Reservoir(50),
+            SamplerKind::Bernoulli(0.1),
+            SamplerKind::Block(0.5),
+            SamplerKind::Reservoir(400),
         ] {
-            assert_eq!(ProgressiveCf::supports_checkpoints(kind), Ok(()));
+            let report = ProgressiveCf::new(
+                kind,
+                ProgressiveConfig {
+                    target_error: 0.0,
+                    ..ProgressiveConfig::default()
+                },
+            )
+            .seed(3)
+            .run(&t, &spec(), &NullSuppression)
+            .unwrap();
+            assert!(report.checkpoints.len() > 1, "{kind:?}");
+            let last = report.final_checkpoint().unwrap();
+            assert_eq!(last.variance_source, Some("design"), "{kind:?}");
         }
         for bad in [
             ProgressiveConfig {

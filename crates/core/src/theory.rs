@@ -18,6 +18,8 @@
 //! worst case ([`design_variance`]).
 
 use samplecf_index::UnitSums;
+use samplecf_sampling::SamplerKind;
+use samplecf_storage::TableSource;
 
 /// Theorem 1: upper bound on the standard deviation of the Null-Suppression
 /// estimate, as a function of the sample size `r`.
@@ -84,7 +86,7 @@ pub const MIN_DESIGN_UNITS: u64 = 10;
 /// What a sample's units are, for its design variance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Unit {
-    /// Each drawn row: uniform, reservoir and stratified draws.
+    /// Each drawn row: uniform, Bernoulli, reservoir and stratified draws.
     Row,
     /// Each drawn heap page with all its rows: a block sample is a cluster
     /// sample of pages (Nirkhiwale et al.'s sampling algebra).
@@ -101,6 +103,27 @@ pub struct Design {
     /// variance shrinks by the finite-population correction `1 − m/M`;
     /// `None` for draws with replacement (uniform-wr, the strata).
     pub population: Option<usize>,
+}
+
+impl Design {
+    /// The design a checkpoint of `sampler`'s draw from `source` is priced
+    /// under: rows, or a block sample's pages; with replacement, or without
+    /// from the source's rows or pages.  Every kind has one: a Bernoulli
+    /// sample given its size is a uniform sample without replacement, and
+    /// every prefix of a drawn reservoir is one too.
+    #[must_use]
+    pub fn of(sampler: SamplerKind, source: &dyn TableSource) -> Design {
+        let (unit, population) = match sampler {
+            SamplerKind::UniformWithReplacement(_) | SamplerKind::Stratified { .. } => {
+                (Unit::Row, None)
+            }
+            SamplerKind::UniformWithoutReplacement(_)
+            | SamplerKind::Bernoulli(_)
+            | SamplerKind::Reservoir(_) => (Unit::Row, Some(source.num_rows())),
+            SamplerKind::Block(_) => (Unit::Page, Some(source.num_pages())),
+        };
+        Design { unit, population }
+    }
 }
 
 /// The spread of one unit's ratio in a sample of `m ≥ 2` units with costs

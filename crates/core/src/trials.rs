@@ -82,6 +82,34 @@ pub struct TrialSummary {
 }
 
 impl TrialSummary {
+    /// The summary of `estimates` against the exact measurement `truth`,
+    /// labelled with the sampler that drew them and `scheme`.
+    pub fn of(
+        truth: CfMeasurement,
+        estimates: Vec<f64>,
+        sampler: String,
+        scheme: &dyn CompressionScheme,
+    ) -> CoreResult<Self> {
+        let ratio_errors: Vec<f64> = estimates
+            .iter()
+            .map(|&e| ratio_error(e, truth.cf))
+            .collect();
+        let estimate_stats = SummaryStats::from_values(&estimates)
+            .ok_or_else(|| CoreError::InvalidConfig("no estimates produced".to_string()))?;
+        let ratio_error_stats = SummaryStats::from_values(&ratio_errors)
+            .ok_or_else(|| CoreError::InvalidConfig("no ratio errors produced".to_string()))?;
+        let bias = estimate_stats.mean - truth.cf;
+        Ok(TrialSummary {
+            truth,
+            estimates,
+            estimate_stats,
+            ratio_error_stats,
+            bias,
+            sampler,
+            scheme: scheme.name().to_string(),
+        })
+    }
+
     /// The true compression fraction.
     #[must_use]
     pub fn true_cf(&self) -> f64 {
@@ -148,26 +176,7 @@ impl TrialRunner {
         }
         let truth = ExactCf::new().compute(source, spec, scheme)?;
         let estimates = self.run_estimates(source, spec, scheme, sampler)?;
-
-        let ratio_errors: Vec<f64> = estimates
-            .iter()
-            .map(|&e| ratio_error(e, truth.cf))
-            .collect();
-        let estimate_stats = SummaryStats::from_values(&estimates)
-            .ok_or_else(|| CoreError::InvalidConfig("no estimates produced".to_string()))?;
-        let ratio_error_stats = SummaryStats::from_values(&ratio_errors)
-            .ok_or_else(|| CoreError::InvalidConfig("no ratio errors produced".to_string()))?;
-        let bias = estimate_stats.mean - truth.cf;
-
-        Ok(TrialSummary {
-            truth,
-            estimates,
-            estimate_stats,
-            ratio_error_stats,
-            bias,
-            sampler: sampler.label(),
-            scheme: scheme.name().to_string(),
-        })
+        TrialSummary::of(truth, estimates, sampler.label(), scheme)
     }
 
     /// Run only the estimator trials (no exact baseline), returning the raw
@@ -304,7 +313,6 @@ mod tests {
             SamplerKind::UniformWithReplacement(0.05),
             SamplerKind::UniformWithoutReplacement(0.05),
             SamplerKind::Bernoulli(0.05),
-            SamplerKind::Systematic(0.05),
             SamplerKind::Reservoir(150),
             SamplerKind::Block(0.05),
             SamplerKind::Stratified {

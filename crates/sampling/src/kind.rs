@@ -83,10 +83,12 @@ pub enum SamplerKind {
     UniformWithReplacement(f64),
     /// Uniform row sampling without replacement at the given fraction.
     UniformWithoutReplacement(f64),
-    /// Bernoulli sampling with the given inclusion probability.
+    /// Bernoulli sampling with the given inclusion probability: a sample
+    /// of `M ~ Binomial(n, p)` rows, which conditioned on `M` is a uniform
+    /// sample without replacement — so it is drawn as one, at a cap of `M`
+    /// ([`bernoulli_size`](crate::bernoulli_size)).  It is not deepened
+    /// ([`with_fraction`](Self::with_fraction)).
     Bernoulli(f64),
-    /// Systematic sampling at the given fraction.
-    Systematic(f64),
     /// Fixed-size reservoir sampling.
     Reservoir(usize),
     /// Page-level sampling at the given page fraction
@@ -131,14 +133,15 @@ impl SamplerKind {
 
     /// The same sampler at fraction `f`, every other parameter kept —
     /// what a deepened draw of this sampler is.  `None` for
-    /// [`Reservoir`](Self::Reservoir), which has no fraction.
+    /// [`Reservoir`](Self::Reservoir), which has no fraction, and for
+    /// [`Bernoulli`](Self::Bernoulli), whose draw is not deepened: a fresh
+    /// draw at a deeper `p` counts its own cap on the RNG before its first
+    /// position, so no continuation of a shallower draw equals it.
     #[must_use]
     pub fn with_fraction(&self, f: f64) -> Option<SamplerKind> {
         Some(match *self {
             SamplerKind::UniformWithReplacement(_) => SamplerKind::UniformWithReplacement(f),
             SamplerKind::UniformWithoutReplacement(_) => SamplerKind::UniformWithoutReplacement(f),
-            SamplerKind::Bernoulli(_) => SamplerKind::Bernoulli(f),
-            SamplerKind::Systematic(_) => SamplerKind::Systematic(f),
             SamplerKind::Block(_) => SamplerKind::Block(f),
             SamplerKind::Stratified {
                 strata,
@@ -151,7 +154,7 @@ impl SamplerKind {
                 alloc,
                 mode,
             },
-            SamplerKind::Reservoir(_) => return None,
+            SamplerKind::Reservoir(_) | SamplerKind::Bernoulli(_) => return None,
         })
     }
 
@@ -172,7 +175,6 @@ impl SamplerKind {
             SamplerKind::UniformWithReplacement(f)
             | SamplerKind::UniformWithoutReplacement(f)
             | SamplerKind::Bernoulli(f)
-            | SamplerKind::Systematic(f)
             | SamplerKind::Block(f)
             | SamplerKind::Stratified { fraction: f, .. } => Some(f),
             SamplerKind::Reservoir(_) => None,
@@ -186,7 +188,6 @@ impl SamplerKind {
             SamplerKind::UniformWithReplacement(f) => format!("uniform-wr(f={f})"),
             SamplerKind::UniformWithoutReplacement(f) => format!("uniform-wor(f={f})"),
             SamplerKind::Bernoulli(f) => format!("bernoulli(p={f})"),
-            SamplerKind::Systematic(f) => format!("systematic(f={f})"),
             SamplerKind::Reservoir(r) => format!("reservoir(r={r})"),
             SamplerKind::Block(f) => format!("block(f={f})"),
             SamplerKind::Stratified {
@@ -221,7 +222,8 @@ mod tests {
     fn every_kind_builds_its_sampler() {
         // A kind's sampler is its stream, and the stream says which kind
         // it draws for; the same sampler at another fraction keeps every
-        // other parameter, and a reservoir has no other fraction.
+        // other parameter, a reservoir has no other fraction, and a
+        // Bernoulli draw deepens to none.
         let stratified = |fraction| SamplerKind::Stratified {
             fraction,
             strata: 4,
@@ -239,16 +241,7 @@ mod tests {
                 "uniform-wor",
                 Some(SamplerKind::UniformWithoutReplacement(0.5)),
             ),
-            (
-                SamplerKind::Bernoulli(0.1),
-                "bernoulli",
-                Some(SamplerKind::Bernoulli(0.5)),
-            ),
-            (
-                SamplerKind::Systematic(0.1),
-                "systematic",
-                Some(SamplerKind::Systematic(0.5)),
-            ),
+            (SamplerKind::Bernoulli(0.1), "bernoulli", None),
             (SamplerKind::Reservoir(10), "reservoir", None),
             (
                 SamplerKind::Block(0.1),
@@ -262,7 +255,7 @@ mod tests {
             assert_eq!(stream.kind(), kind);
             assert!(kind.label().starts_with(label), "{}", kind.label());
             assert_eq!(kind.with_fraction(0.5), deeper, "{kind:?}");
-            assert_eq!(kind.deepened_to(kind), kind.fraction(), "{kind:?}");
+            assert_eq!(kind.deepened_to(kind), deeper.and(kind.fraction()));
             if let Some(deeper) = deeper {
                 assert_eq!(kind.deepened_to(deeper), Some(0.5));
                 assert_eq!(deeper.deepened_to(kind), None, "shallower");
@@ -299,7 +292,7 @@ mod tests {
             SamplerKind::UniformWithReplacement(0.0),
             SamplerKind::UniformWithoutReplacement(f64::NAN),
             SamplerKind::Bernoulli(-0.1),
-            SamplerKind::Systematic(2.0),
+            SamplerKind::Bernoulli(2.0),
             SamplerKind::Reservoir(0),
             SamplerKind::Block(1.5),
             stratified(0.0, 4),

@@ -6,10 +6,13 @@
 //! ([`SamplerKind::UniformWithReplacement`]); commercial systems typically
 //! use **block-level sampling** ([`SamplerKind::Block`]), which the paper
 //! leaves to future work.  Both — plus without-replacement, Bernoulli,
-//! systematic, reservoir and stratified variants — are one family of draw
-//! over one frame: every [`SamplerKind`] is a [`SampleStream`]
+//! reservoir and stratified variants — are one family of draw over one
+//! frame: every [`SamplerKind`] is a [`SampleStream`]
 //! ([`SamplerKind::stream`]), so the estimator and the experiment harness
-//! swap them freely and there is one way to draw a sample.
+//! swap them freely and there is one way to draw a sample.  Every kind but
+//! the reservoir draws by position — rows of the frame, or a block sample's
+//! pages — and reads only the pages its draw lands on; the reservoir is the
+//! one scan.
 //!
 //! A stream's draw is prefix-stable and arrives in geometrically growing
 //! batches (see [`BatchSchedule`]), so a consumer can measure after every
@@ -60,14 +63,14 @@ pub mod sampler;
 pub mod strata;
 pub mod stratified;
 pub mod stream;
-pub mod uniform;
+mod uniform;
 
 pub use batch::RecordBatch;
 pub use error::{SamplingError, SamplingResult};
 pub use io::CountingSource;
 pub use kind::{Allocation, SamplerKind, StrataMode};
 pub use materialize::MaterializedSample;
-pub use sampler::{target_size, validate_fraction, SampledRow};
+pub use sampler::{bernoulli_size, target_size, validate_fraction, SampledRow};
 pub use strata::Strata;
 pub use stream::{
     fetch_positions_coalesced, BatchSchedule, IncrementalFisherYates, PageCache, SampleStream,

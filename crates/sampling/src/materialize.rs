@@ -341,7 +341,6 @@ mod tests {
             SamplerKind::UniformWithReplacement(0.05),
             SamplerKind::UniformWithoutReplacement(0.05),
             SamplerKind::Bernoulli(0.05),
-            SamplerKind::Systematic(0.05),
             SamplerKind::Reservoir(97),
             SamplerKind::Block(0.05),
             SamplerKind::Stratified {
@@ -414,7 +413,6 @@ mod tests {
             SamplerKind::UniformWithReplacement(0.08),
             SamplerKind::UniformWithoutReplacement(0.08),
             SamplerKind::Bernoulli(0.08),
-            SamplerKind::Systematic(0.08),
             SamplerKind::Block(0.1),
             SamplerKind::Reservoir(130),
         ] {

@@ -3,25 +3,135 @@
 //! Draws a fixed-size uniform sample without replacement in a single pass
 //! over the table, without knowing the number of rows in advance — the
 //! classical technique referenced by the paper (\[5\] J.S. Vitter, "Random
-//! Sampling with a Reservoir").  It runs as the
-//! [`KeepRule::Reservoir`](crate::uniform::KeepRule::Reservoir) of a
-//! [`ScanStream`](crate::uniform::ScanStream): memory stays O(reservoir +
-//! one page), which is the whole point of reservoir sampling on large
-//! (disk-resident) tables, and only the rows that enter the reservoir are
-//! ever decoded.
+//! Sampling with a Reservoir").  It is the one sampler that scans: its
+//! [`ScanStream`] keeps memory at O(reservoir + one page), which is the
+//! whole point of reservoir sampling on large (disk-resident) tables, and
+//! checks only the records that enter the reservoir.
 
+use crate::batch::RecordBatch;
+use crate::error::SamplingResult;
+use crate::kind::SamplerKind;
+use crate::stream::{BatchPlan, BatchSchedule, SampleStream};
 use rand::{Rng, RngCore};
+use samplecf_storage::{PageId, Rid, TableSource};
 
 /// Algorithm R's decision for the next scanned row: which slot of a
 /// reservoir of `size` rows it takes, given that `seen` rows came before
 /// it.  The first `size` rows fill the reservoir in order; row `seen` then
 /// replaces a uniformly chosen slot with probability `size / (seen + 1)` —
 /// one `gen_range(0..=seen)` per such row.
-pub(crate) fn slot_for(size: usize, seen: usize, rng: &mut dyn RngCore) -> Option<usize> {
+fn slot_for(size: usize, seen: usize, rng: &mut dyn RngCore) -> Option<usize> {
     if seen < size {
         return Some(seen);
     }
     Some(rng.gen_range(0..=seen)).filter(|&j| j < size)
+}
+
+/// One scan of `source` through Algorithm R: each page is read once, in
+/// storage order, and only the records that take a slot are checked.
+fn scan(
+    source: &dyn TableSource,
+    size: usize,
+    rng: &mut dyn RngCore,
+) -> SamplingResult<RecordBatch> {
+    let codec = source.codec();
+    let mut kept = RecordBatch::new(codec);
+    let mut seen = 0;
+    for pid in 0..source.num_pages() as PageId {
+        let page = source.read_page_ref(pid)?;
+        for slot in 0..page.slot_count() {
+            let at = slot_for(size, seen, rng);
+            seen += 1;
+            let Some(at) = at else {
+                continue;
+            };
+            let (rid, record) = (Rid::new(pid, slot), page.get(slot)?);
+            if at == kept.len() {
+                kept.push(codec, rid, record)?;
+            } else {
+                kept.replace(at, codec, rid, record)?;
+            }
+        }
+    }
+    Ok(kept)
+}
+
+/// The reservoir's stream.  The reservoir is final only after the complete
+/// scan, so the first batch runs the scan (paying the full-scan I/O) and
+/// later batches emit slices of it on the stream's schedule, in a random
+/// order, so that each slice prefix is itself a uniform sample.
+/// Progressive consumers still get growing sub-samples to measure on, but
+/// no I/O is saved by stopping early — the honest cost model of a scan —
+/// and the draw cannot be deepened: rows the scan evicted are gone.
+pub struct ScanStream {
+    size: usize,
+    schedule: BatchSchedule,
+    /// Bound by the first batch: the reservoir, and the slice targets.
+    scanned: Option<(RecordBatch, BatchPlan)>,
+    emitted: usize,
+}
+
+impl ScanStream {
+    pub(crate) fn new(size: usize, schedule: BatchSchedule) -> Self {
+        ScanStream {
+            size,
+            schedule,
+            scanned: None,
+            emitted: 0,
+        }
+    }
+}
+
+impl SampleStream for ScanStream {
+    fn kind(&self) -> SamplerKind {
+        SamplerKind::Reservoir(self.size)
+    }
+
+    fn next_records(
+        &mut self,
+        source: &dyn TableSource,
+        rng: &mut dyn RngCore,
+    ) -> SamplingResult<RecordBatch> {
+        if self.scanned.is_none() {
+            let mut kept = scan(source, self.size, rng)?;
+            // Slice targets follow the same row schedule as the other
+            // streams, capped at what the scan kept.
+            let plan = BatchPlan::new(self.schedule, source.num_rows(), kept.len());
+            // Algorithm R's slot `j` holds row `j` unless a later row evicted
+            // it, so a prefix of `m` slots never holds a row of `[m, size)`:
+            // shuffled once, every prefix is a uniform sample.  A one-slice
+            // draw keeps the reservoir's order.
+            if plan.next_target().is_some_and(|first| first < kept.len()) {
+                kept.shuffle(rng);
+            }
+            self.scanned = Some((kept, plan));
+        }
+        let (kept, plan) = self.scanned.as_mut().expect("scanned above");
+        let Some(target) = plan.next_target() else {
+            return Ok(RecordBatch::new(source.codec()));
+        };
+        let batch = if self.emitted == 0 && target == kept.len() {
+            // One slice is all of it (the one-shot schedule): hand it over.
+            std::mem::replace(kept, RecordBatch::new(source.codec()))
+        } else {
+            kept.slice(self.emitted..target)
+        };
+        self.emitted = target;
+        plan.advance();
+        Ok(batch)
+    }
+
+    fn exhausted(&self) -> bool {
+        (self.scanned.as_ref()).is_some_and(|(_, plan)| plan.exhausted())
+    }
+
+    fn extend_cap(&mut self, _kind: SamplerKind) -> bool {
+        false
+    }
+
+    fn extendable(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

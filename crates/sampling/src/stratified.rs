@@ -1,5 +1,5 @@
-//! Row-position draws: uniform and stratified sampling over contiguous
-//! page-range strata.
+//! Row-position draws: uniform, Bernoulli and stratified sampling over
+//! contiguous page-range strata.
 //!
 //! A [`StratifiedStream`] is the one stream that draws *positions* of the
 //! table's [`Frame`].  It splits the row budget `round(f·n)` across the
@@ -15,9 +15,13 @@
 //! procedure the paper's analysis assumes, Section II-C) and for
 //! `stratified(k=1)`, which is therefore the same draw seed for seed; the
 //! next element of an [`IncrementalFisherYates`] shuffle of the frame
-//! (≡ `rand::seq::index::sample` for every prefix) for uniform-wor.  Only
-//! [`SamplerKind::Stratified`] reports stratum tags and weights: to its
-//! consumers a uniform draw is unstratified.
+//! (≡ `rand::seq::index::sample` for every prefix) for uniform-wor.
+//! Bernoulli(`p`) is uniform-wor at a random cap: binding counts
+//! `M ~ Binomial(n, p)` on the shared RNG by geometric skips
+//! ([`bernoulli_size`]), reading no page, and the draw is the first `M`
+//! elements of the same shuffle.  Only [`SamplerKind::Stratified`] reports
+//! stratum tags and weights: to its consumers a uniform or Bernoulli draw
+//! is unstratified.
 //!
 //! **With k ≥ 2 strata** each stratum draws with replacement from an
 //! independent, prefix-stable substream: stratum `s` owns its own RNG
@@ -46,7 +50,7 @@
 use crate::batch::RecordBatch;
 use crate::error::SamplingResult;
 use crate::kind::{Allocation, SamplerKind, StrataMode};
-use crate::sampler::target_size;
+use crate::sampler::{bernoulli_size, target_size};
 use crate::strata::Strata;
 use crate::stream::{
     fetch_positions_coalesced, BatchPlan, BatchSchedule, IncrementalFisherYates, PageCache,
@@ -67,7 +71,7 @@ enum Positions {
     /// with-replacement draw (uniform-wr, and stratified with one stratum).
     Shared,
     /// The next elements of a shuffle of the frame, on the shared RNG:
-    /// uniform-wor.
+    /// uniform-wor and Bernoulli.
     Shuffle(IncrementalFisherYates),
     /// One RNG per stratum, derived from the shared RNG at bind time:
     /// stratified with k ≥ 2 strata.
@@ -161,7 +165,7 @@ impl BoundFrame {
 }
 
 /// The row-position stream (see the module docs for the contract): draws
-/// uniform-wr, uniform-wor and stratified kinds.
+/// uniform-wr, uniform-wor, Bernoulli and stratified kinds.
 pub struct StratifiedStream {
     /// The kind drawn, with its current cap.
     kind: SamplerKind,
@@ -215,14 +219,19 @@ impl StratifiedStream {
             StrataMode::EquiWidth => Strata::equi_width(source, count)?,
             StrataMode::EquiDepth => Strata::equi_depth(source, count)?,
         };
-        let fraction = (self.kind.fraction()).expect("row-position kinds have a fraction");
-        let max_rows = target_size(frame.len(), fraction);
+        let max_rows = match self.kind {
+            SamplerKind::Bernoulli(p) => bernoulli_size(frame.len(), p, rng),
+            kind => target_size(frame.len(), kind.fraction().expect("a row fraction")),
+        };
         let plan = BatchPlan::new(self.schedule, frame.len(), max_rows);
         // Multi-stratum draws get independent per-stratum RNGs, derived
         // from the shared RNG in stratum order at bind time: one next_u64
         // each, so the derivation itself is part of the deterministic
         // prefix.  A one-stratum draw derives nothing.
-        let positions = if matches!(self.kind, SamplerKind::UniformWithoutReplacement(_)) {
+        let positions = if matches!(
+            self.kind,
+            SamplerKind::UniformWithoutReplacement(_) | SamplerKind::Bernoulli(_)
+        ) {
             Positions::Shuffle(IncrementalFisherYates::new(frame.len()))
         } else if strata.len() > 1 {
             Positions::PerStratum(
@@ -297,6 +306,11 @@ impl SampleStream for StratifiedStream {
             frame.plan.raise_cap(max_rows, self.drawn);
         }
         true
+    }
+
+    /// A Bernoulli draw is not ([`SamplerKind::with_fraction`]).
+    fn extendable(&self) -> bool {
+        !matches!(self.kind, SamplerKind::Bernoulli(_))
     }
 
     fn approx_retained_bytes(&self) -> usize {

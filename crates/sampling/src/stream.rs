@@ -25,8 +25,10 @@
 //!   position sequence is itself the draw at that size.  **The uniform
 //!   draws are the one-stratum case:** `gen_range(0..n)` on the shared RNG
 //!   with replacement, the next element of an [`IncrementalFisherYates`]
-//!   shuffle of the frame without; with k ≥ 2 strata each stratum is its own
-//!   with-replacement substream (see [`stratified`](crate::stratified)).
+//!   shuffle of the frame without; Bernoulli is the without-replacement
+//!   draw capped at a binomial count made when the stream binds; with
+//!   k ≥ 2 strata each stratum is its own with-replacement substream (see
+//!   [`stratified`](crate::stratified)).
 //!   Fetches are page-coalesced through a per-stream [`PageCache`], which
 //!   holds each verified page it read and checks only the drawn slots, so
 //!   the pages physically read are the distinct pages of the rows drawn so
@@ -36,11 +38,10 @@
 //!   the first `k` pages of a longer selection equal a selection of `k`
 //!   pages ([`IncrementalFisherYates`] replays the same sequence
 //!   incrementally).
-//! * **Scan samplers** — Bernoulli, systematic, reservoir ([`ScanStream`]) —
-//!   need the full scan before their sample is final, so the stream pays
-//!   the whole scan on the first batch and then emits slices of the records
-//!   it kept; progressive stopping saves no I/O for them, only wall-clock on
-//!   the measurement side.
+//! * **Reservoir sampling** ([`ScanStream`]) needs the full scan before
+//!   its sample is final, so the stream pays the whole scan on the first
+//!   batch and then emits shuffled slices of the reservoir; progressive
+//!   stopping saves no I/O for it, only wall-clock on the measurement side.
 //!
 //! Batch boundaries come from a [`BatchSchedule`] fixed at construction:
 //! geometrically growing row targets capped at the sampler's fraction (or
@@ -53,9 +54,9 @@ use crate::batch::RecordBatch;
 use crate::block::BlockStream;
 use crate::error::{SamplingError, SamplingResult};
 use crate::kind::SamplerKind;
+use crate::reservoir::ScanStream;
 use crate::sampler::{target_size, validate_fraction, SampledRow};
 use crate::stratified::StratifiedStream;
-use crate::uniform::{KeepRule, ScanStream};
 use rand::{Rng, RngCore};
 use samplecf_storage::{Frame, Page, PageId, Rid, TableSource};
 use std::collections::hash_map::Entry;
@@ -231,8 +232,9 @@ pub trait SampleStream: Send + Sync {
     /// Raise the stream's cap to its sampler at a deeper fraction
     /// ([`SamplerKind::deepened_to`]), so further batches extend
     /// the existing draw instead of redrawing.  Returns `false` when the
-    /// stream cannot be deepened (another sampler, a shallower target, or
-    /// a scan-based sampler, whose draw is complete after its one scan).
+    /// stream cannot be deepened (another sampler, a shallower target, a
+    /// Bernoulli draw, whose cap was counted for its `p`, or a reservoir,
+    /// whose draw is complete after its one scan).
     fn extend_cap(&mut self, kind: SamplerKind) -> bool;
 
     /// Whether [`extend_cap`](Self::extend_cap) can ever succeed on this
@@ -294,16 +296,9 @@ impl SamplerKind {
         Ok(match *self {
             SamplerKind::UniformWithReplacement(_)
             | SamplerKind::UniformWithoutReplacement(_)
+            | SamplerKind::Bernoulli(_)
             | SamplerKind::Stratified { .. } => Box::new(StratifiedStream::new(*self, schedule)),
-            SamplerKind::Bernoulli(p) => {
-                Box::new(ScanStream::new(KeepRule::Bernoulli(p), schedule))
-            }
-            SamplerKind::Systematic(f) => {
-                Box::new(ScanStream::new(KeepRule::Systematic(f), schedule))
-            }
-            SamplerKind::Reservoir(size) => {
-                Box::new(ScanStream::new(KeepRule::Reservoir(size), schedule))
-            }
+            SamplerKind::Reservoir(size) => Box::new(ScanStream::new(size, schedule)),
             SamplerKind::Block(f) => Box::new(BlockStream::new(f, schedule)),
         })
     }
@@ -489,12 +484,11 @@ pub(crate) mod tests {
             .collect()
     }
 
-    fn all_kinds() -> [SamplerKind; 7] {
+    fn all_kinds() -> [SamplerKind; 6] {
         [
             SamplerKind::UniformWithReplacement(0.1),
             SamplerKind::UniformWithoutReplacement(0.1),
             SamplerKind::Bernoulli(0.1),
-            SamplerKind::Systematic(0.1),
             SamplerKind::Reservoir(5),
             SamplerKind::Block(0.1),
             SamplerKind::Stratified {
@@ -733,12 +727,14 @@ pub(crate) mod tests {
             let rows = stream.drain(&t, &mut rng(1)).unwrap();
             assert!(!rows.is_empty(), "{kind:?}");
             assert!(stream.exhausted());
-            // Only a scan sampler's draw is final after its one scan.
-            let scans = matches!(
-                kind,
-                SamplerKind::Bernoulli(_) | SamplerKind::Systematic(_) | SamplerKind::Reservoir(_)
+            // A reservoir's draw is final after its one scan, and a
+            // Bernoulli draw's cap was counted for its `p`.
+            let sealed = matches!(kind, SamplerKind::Bernoulli(_) | SamplerKind::Reservoir(_));
+            assert_eq!(stream.extendable(), !sealed, "{kind:?}");
+            assert_eq!(
+                stream.extend_cap(kind.with_fraction(0.5).unwrap_or(kind)),
+                !sealed
             );
-            assert_eq!(stream.extendable(), !scans, "{kind:?}");
         }
     }
 

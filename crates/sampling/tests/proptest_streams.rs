@@ -1,7 +1,7 @@
 //! Prefix stability for every sampler kind.
 //!
 //! One contract over arbitrary table sizes, seeds, parameters and batch
-//! schedules, for all seven [`SamplerKind`]s and both storage backends: a
+//! schedules, for all six [`SamplerKind`]s and both storage backends: a
 //! stream drained under any [`BatchSchedule`] yields the same multiset of
 //! `(rid, row)` pairs, at the same number of physical page reads, as the
 //! same stream drained under the one-shot schedule.  (What the one-shot
@@ -35,12 +35,11 @@ impl Drop for TempFile {
     }
 }
 
-fn all_kinds(fraction: f64, size: usize, strata: usize) -> [SamplerKind; 7] {
+fn all_kinds(fraction: f64, size: usize, strata: usize) -> [SamplerKind; 6] {
     [
         SamplerKind::UniformWithReplacement(fraction),
         SamplerKind::UniformWithoutReplacement(fraction),
         SamplerKind::Bernoulli(fraction),
-        SamplerKind::Systematic(fraction),
         SamplerKind::Reservoir(size),
         SamplerKind::Block(fraction),
         SamplerKind::Stratified {

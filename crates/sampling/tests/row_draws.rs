@@ -1,11 +1,12 @@
 //! What a row-level draw yields and what it costs.
 //!
-//! The row-position stream (uniform and stratified kinds) fetches through a
+//! The row-position stream (uniform, Bernoulli and stratified kinds) fetches through a
 //! [`PageCache`] that holds verified pages and checks only the drawn slots.  These tests pin
 //! the two halves of that contract: the draw is what its position sequence
 //! says (every yielded `(rid, row)` is the record at `rid` decoded, RID-sorted within
 //! a batch, one physical read per distinct page, the rows at the positions
-//! a plain `gen_range` loop / `index::sample` names, seed-for-seed, over
+//! a plain `gen_range` loop / `index::sample` (after a binomial count, for
+//! Bernoulli) names, seed-for-seed, over
 //! a `Table` in memory and in a file alike), and the check is
 //! lazy (a malformed record only fails the draw that asks for its slot, a
 //! bad rid or a failed read comes back as the storage layer's typed error).
@@ -14,8 +15,8 @@ use rand::rngs::StdRng;
 use rand::seq::index;
 use rand::{Rng, SeedableRng};
 use samplecf_sampling::{
-    fetch_positions_coalesced, Allocation, BatchSchedule, CountingSource, PageCache, RecordBatch,
-    SampledRow, SamplerKind, SamplingError, StrataMode,
+    bernoulli_size, fetch_positions_coalesced, Allocation, BatchSchedule, CountingSource,
+    PageCache, RecordBatch, SampledRow, SamplerKind, SamplingError, StrataMode,
 };
 use samplecf_storage::{
     Frame, Page, PageId, Rid, Row, RowCodec, Schema, StorageError, StorageResult, Table,
@@ -92,20 +93,27 @@ fn draws_are_identical_and_decodes_are_lazy() {
     let disk = Table::materialize(&file.0, &memory).unwrap();
     let sources: [&dyn TableSource; 2] = [&memory, &disk];
     // Each kind with the positions its one-shot draw names: a `gen_range`
-    // loop with replacement, `index::sample` without; the stratified draw's
-    // oracle is its own one-batch drain (the proptests pin k = 1 to
-    // uniform-wr).
+    // loop with replacement, `index::sample` without, and for Bernoulli
+    // `index::sample` of as many positions as the binomial count names on
+    // the same RNG; the stratified draw's oracle is its own one-batch drain
+    // (the proptests pin k = 1 to uniform-wr).
     let with_replacement: Vec<usize> = {
         let mut rng = StdRng::seed_from_u64(11);
         (0..150).map(|_| rng.gen_range(0..3_000)).collect()
     };
     let without = index::sample(&mut StdRng::seed_from_u64(11), 3_000, 150).into_vec();
+    let bernoulli = {
+        let mut rng = StdRng::seed_from_u64(11);
+        let size = bernoulli_size(3_000, 0.05, &mut rng);
+        index::sample(&mut rng, 3_000, size).into_vec()
+    };
     let kinds = [
         (
             SamplerKind::UniformWithReplacement(0.05),
             Some(with_replacement),
         ),
         (SamplerKind::UniformWithoutReplacement(0.05), Some(without)),
+        (SamplerKind::Bernoulli(0.05), Some(bernoulli)),
         (
             SamplerKind::Stratified {
                 fraction: 0.05,
@@ -129,7 +137,7 @@ fn draws_are_identical_and_decodes_are_lazy() {
                 Some(positions) => rows_at(source, positions.clone()),
                 None => drain_batches(kind, BatchSchedule::one_shot(), source, 11).concat(),
             };
-            assert_eq!(oneshot.len(), 150);
+            assert_eq!(oneshot.len(), positions.as_ref().map_or(150, Vec::len));
             for schedule in schedules {
                 let counting = CountingSource::new(source);
                 let batches = drain_batches(kind, schedule, &counting, 11);

@@ -81,8 +81,9 @@ impl CachedSample {
     /// pages it cost.  The live stream is kept in the entry while it can
     /// still be extended, so a later request for a *deeper* fraction of the
     /// same (source, family, seed) can [`deepen`](Self::deepen) the draw
-    /// instead of redrawing; a scan sampler's stream is finished after its
-    /// one scan and is dropped here, with the rows it held.
+    /// instead of redrawing; a stream that cannot be deepened (a
+    /// reservoir's, finished by its one scan, or a Bernoulli draw's) is
+    /// dropped here, with the rows and pages it held.
     pub fn draw(source: &SharedSource, kind: SamplerKind, seed: u64) -> CoreResult<CachedSample> {
         let counting = CountingSource::new(source.as_ref());
         let mut stream = kind.stream(BatchSchedule::one_shot())?;
@@ -111,9 +112,9 @@ impl CachedSample {
     /// Extend this entry's sample in place to the deeper configuration
     /// `kind`, paying only the delta's I/O.  Returns the pages read for the
     /// delta, or `None` when the entry cannot be deepened (it holds no live
-    /// stream — a scan sampler's never does — or `kind` differs in more than
-    /// its fraction, or is not strictly deeper) — in which case it is
-    /// untouched.
+    /// stream — a reservoir's or a Bernoulli draw's never does — or `kind`
+    /// differs in more than its fraction, or is not strictly deeper) — in
+    /// which case it is untouched.
     ///
     /// Prefix-stable streams make deepening lossless: afterwards the entry
     /// holds exactly the rows a fresh draw at the deeper fraction with the
@@ -799,8 +800,9 @@ pub(crate) mod tests {
 
     #[test]
     fn a_sealed_entry_prices_exactly_its_pages_and_rids() {
-        // A scan sampler's stream is finished by its one scan: the entry
-        // never keeps it — nor the records it held — so it is priced at its
+        // A reservoir's stream is finished by its one scan, and a Bernoulli
+        // draw's cap was counted for its `p`: the entry never keeps either
+        // stream — nor the records or pages it held — so it is priced at its
         // rows' records and rids, no page and no per-row decoded term, and
         // can never be picked to deepen.
         let t = table("t", 37);
@@ -809,7 +811,6 @@ pub(crate) mod tests {
         for (kind, deeper) in [
             (SamplerKind::Reservoir(100), SamplerKind::Reservoir(400)),
             (SamplerKind::Bernoulli(0.05), SamplerKind::Bernoulli(0.1)),
-            (SamplerKind::Systematic(0.05), SamplerKind::Systematic(0.1)),
         ] {
             let mut drawn = CachedSample::draw(&t, kind, 5).unwrap();
             assert_eq!(drawn.approx_bytes(), records_and_rids(&drawn), "{kind:?}");
@@ -945,9 +946,10 @@ pub(crate) mod tests {
 
     #[test]
     fn a_scan_sample_is_never_taken_to_deepen() {
-        // A scan sampler's entry holds no stream, so a deeper request of its
-        // family must not remove it as a deepening victim only to be refused
-        // and redraw: the deeper draw is a plain miss and both stay resident.
+        // A Bernoulli entry holds no stream, as a reservoir's scan does not,
+        // so a deeper request of its family must not remove it as a
+        // deepening victim only to be refused and redraw: the deeper draw is
+        // a plain miss and both stay resident.
         let (_counting, shared) = counted_table(4_000, 19);
         let cache = ConcurrentSampleCache::new(DEFAULT_CACHE_BUDGET_BYTES);
         let (shallow, deep) = (SamplerKind::Bernoulli(0.05), SamplerKind::Bernoulli(0.1));

@@ -14,7 +14,7 @@
 
 use crate::json::Json;
 use samplecf_compression::{scheme_by_name, CompressionScheme};
-use samplecf_core::{AdvisorConfig, CompressionAdvisor, ProgressiveCf, ProgressiveConfig};
+use samplecf_core::{AdvisorConfig, CompressionAdvisor, ProgressiveConfig};
 use samplecf_index::IndexSpec;
 use samplecf_sampling::{Allocation, BatchSchedule, SamplerKind, StrataMode};
 use samplecf_storage::Schema;
@@ -340,7 +340,7 @@ impl Field {
 /// The sampler vocabulary, as error messages and docs list it.
 macro_rules! sampler_names {
     () => {
-        "block, uniform, uniform-wor, bernoulli, systematic, reservoir, stratified"
+        "block, uniform, uniform-wor, bernoulli, reservoir, stratified"
     };
 }
 
@@ -381,7 +381,7 @@ mod fields {
     pub const ESTIMATE: &[Field] = &[TABLE, SAMPLER, FRACTION, SIZE, STRATA, ALLOC, STRATA_MODE, SCHEME, COLUMNS, SEED];
     pub const PROGRESSIVE: &[Field] = &[
         TABLE,
-        Field { doc: "a sampler with a validated interval: uniform, block, reservoir or stratified", ..SAMPLER },
+        SAMPLER,
         Field { default: Value("0.1"), alias: "max-fraction", doc: "sampling-fraction cap (the page budget), in (0, 1]", ..FRACTION },
         SIZE, STRATA, ALLOC, STRATA_MODE, TARGET_ERROR, CONFIDENCE, INITIAL_FRACTION, GROWTH, SCHEME, COLUMNS, SEED,
     ];
@@ -557,7 +557,6 @@ impl Request {
                 };
                 stopping.validate().map_err(bad)?;
                 sample.sampler.validate().map_err(bad)?;
-                ProgressiveCf::supports_checkpoints(sample.sampler).map_err(bad)?;
                 Request::EstimateProgressive {
                     sample,
                     index: f.index_choice(),
@@ -614,7 +613,6 @@ pub fn sampler_by_name(
         "uniform" | "uniform-wr" => SamplerKind::UniformWithReplacement(fraction),
         "uniform-wor" => SamplerKind::UniformWithoutReplacement(fraction),
         "bernoulli" => SamplerKind::Bernoulli(fraction),
-        "systematic" => SamplerKind::Systematic(fraction),
         "reservoir" => SamplerKind::Reservoir(size),
         "block" => SamplerKind::Block(fraction),
         "stratified" => SamplerKind::Stratified {

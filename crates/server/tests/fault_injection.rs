@@ -526,3 +526,72 @@ fn a_table_file_cut_short_fails_only_the_reads_past_the_cut() {
     await_open_connections(&handle, 0);
     handle.shutdown();
 }
+
+/// What the daemon does, today, when a registered table's file is deleted
+/// while it runs: the catalog keeps the handle it opened at `register`,
+/// and an unlinked file stays readable through an open handle, so every
+/// request answers as it did before the delete.
+#[test]
+fn a_deleted_table_file_is_still_read_through_its_open_handle() {
+    let (t, u) = (OwnTable::new("gone_t", 43), OwnTable::new("gone_u", 44));
+    let handle = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind succeeds");
+    for (table, name) in [(&t, "t"), (&u, "u")] {
+        let path = table.path.to_string_lossy();
+        (handle.state().catalog.register(&path, Some(name))).expect("register succeeds");
+    }
+    let addr = handle.addr();
+    let estimate = |table: &str, fraction: f64, seed: u64| {
+        format!(
+            r#"{{"op":"estimate","table":"{table}","sampler":"block","fraction":{fraction},"seed":{seed}}}"#
+        )
+    };
+    let cache = |reply: &Json| {
+        let accounting = reply.get("accounting").and_then(|a| a.get("cache"));
+        accounting.and_then(Json::as_str).map(str::to_owned)
+    };
+    let errors = || {
+        let reply = roundtrip(addr, r#"{"op":"stats"}"#);
+        let stats = reply.get("stats").and_then(|s| s.get("errors"));
+        stats.and_then(Json::as_u64).expect("stats.errors")
+    };
+    let result = |reply: &Json| reply.get("result").map(Json::to_string);
+    let progressive = r#"{"op":"estimate_progressive","table":"t","sampler":"block","fraction":0.9,"target_error":0,"seed":3}"#;
+
+    // A cached group, and the answers a miss and a progressive run give
+    // while the file is there.
+    let cached = estimate("t", 0.05, 1);
+    let before = roundtrip(addr, &cached);
+    assert_eq!(cache(&before).as_deref(), Some("miss"));
+    let miss = estimate("t", 0.9, 2);
+    let miss_before = roundtrip(addr, &miss);
+    assert_ok(&miss_before);
+    let progressive_before = roundtrip(addr, progressive);
+    assert_ok(&progressive_before);
+
+    std::fs::remove_file(&t.path).expect("delete the table file");
+    assert!(!t.path.exists());
+    let errors_before = errors();
+
+    // The cached group is still a hit with the same result.
+    let after = roundtrip(addr, &cached);
+    assert_eq!(cache(&after).as_deref(), Some("hit"));
+    assert_eq!(result(&after), result(&before));
+    // A miss draws from the deleted file's pages: a new seed misses and
+    // succeeds, and the group drawn before the delete is a hit.
+    let fresh = roundtrip(addr, &estimate("t", 0.9, 4));
+    assert_ok(&fresh);
+    assert_eq!(cache(&fresh).as_deref(), Some("miss"));
+    let again = roundtrip(addr, &miss);
+    assert_eq!(cache(&again).as_deref(), Some("hit"));
+    assert_eq!(result(&again), result(&miss_before));
+    // A progressive run reads every page it read before, to the same end.
+    let progressive_after = roundtrip(addr, progressive);
+    assert_ok(&progressive_after);
+    assert_eq!(result(&progressive_after), result(&progressive_before));
+    // The other table keeps answering, and nothing counted as an error.
+    assert_ok(&roundtrip(addr, &estimate("u", 0.9, 2)));
+    assert_eq!(errors() - errors_before, 0);
+
+    await_open_connections(&handle, 0);
+    handle.shutdown();
+}

@@ -35,7 +35,8 @@ impl Drop for Cleanup {
 
 /// One sampler at a shallow and a deeper setting: its request fields, the
 /// kind each draws, and how the cache serves the deeper one after the
-/// shallow one (a scan sampler's entry keeps no stream, so it redraws).
+/// shallow one (a Bernoulli or reservoir entry keeps no stream, so it
+/// redraws).
 struct Sampler {
     fields: [String; 2],
     kinds: [SamplerKind; 2],
@@ -69,7 +70,6 @@ fn samplers() -> Vec<Sampler> {
             deeper: "deepened",
         },
         fraction("bernoulli", SamplerKind::Bernoulli, "miss"),
-        fraction("systematic", SamplerKind::Systematic, "miss"),
         Sampler {
             fields: [150, 300].map(|n| format!(r#""sampler":"reservoir","size":{n}"#)),
             kinds: [SamplerKind::Reservoir(150), SamplerKind::Reservoir(300)],
@@ -272,9 +272,10 @@ fn served_estimates_equal_fresh_draws_through_every_held_order_state() {
     };
     // Per sampler and step, one order per key: sorted on a miss, merged on
     // a deepening; the rest walk held orders, whatever their schemes.
+    let kinds = samplers().len() as u64;
     let deepened = samplers().iter().filter(|s| s.deeper == "deepened").count() as u64;
-    let served = 7 * 2 * (2 * schemes.len() as u64 + 1);
-    let (sorted, merged) = (2 * (7 + 7 - deepened), 2 * deepened);
+    let served = kinds * 2 * (2 * schemes.len() as u64 + 1);
+    let (sorted, merged) = (2 * (kinds + kinds - deepened), 2 * deepened);
     assert_eq!(
         (orders("sorted"), orders("merged"), orders("held")),
         (sorted, merged, served - sorted - merged)
@@ -311,11 +312,12 @@ fn served_advice_equals_fresh_draws_through_every_held_order_state() {
     // the new rows sorted and merged once — by its first advise's
     // non-clustered measure; every other measure — the clustered one
     // beside it, and both in each later advise — walks the held order.
+    let kinds = samplers().len() as u64;
     let deepened = samplers().iter().filter(|s| s.deeper == "deepened").count() as u64;
-    assert_eq!(counter("samplecf_advisor_key_sorts_total"), 7 * 2 * 2);
+    assert_eq!(counter("samplecf_advisor_key_sorts_total"), kinds * 2 * 2);
     assert_eq!(
         counter("samplecf_key_orders_total{outcome=\"sorted\"}"),
-        2 * (7 + 7 - deepened)
+        2 * (kinds + kinds - deepened)
     );
     assert_eq!(
         counter("samplecf_key_orders_total{outcome=\"merged\"}"),
@@ -323,6 +325,6 @@ fn served_advice_equals_fresh_draws_through_every_held_order_state() {
     );
     assert_eq!(
         counter("samplecf_key_orders_total{outcome=\"held\"}"),
-        7 * 2 * (5 * 2 - 2)
+        kinds * 2 * (5 * 2 - 2)
     );
 }

@@ -132,9 +132,10 @@ TOP OPTIONS:
   appends frames without clearing the screen (for logs and CI).
 
 The estimate report includes `pages read`: with `--sampler block` this is
-round(fraction x pages) physical page reads, while row samplers pay roughly
-one page read per sampled row — the I/O gap the paper's Section II-C is
-about.",
+round(fraction x pages) physical page reads, while a row draw (uniform,
+uniform-wor, bernoulli, stratified) pays roughly one page read per sampled
+row — the I/O gap the paper's Section II-C is about — and reservoir, the one
+scan, reads every page.",
         estimate = flag_help(RequestKind::Estimate),
         progressive = flag_help(RequestKind::EstimateProgressive),
         advise = flag_help(RequestKind::Advise),

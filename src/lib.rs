@@ -15,7 +15,8 @@
 //!   dictionary (paged & global), RLE and prefix ([`samplecf_compression`]),
 //! * [`index`] — B+-tree bulk build and per-column leaf sizes
 //!   ([`samplecf_index`]),
-//! * [`sampling`] — uniform/Bernoulli/reservoir/block samplers
+//! * [`sampling`] — uniform (with and without replacement), Bernoulli,
+//!   stratified, block and reservoir samplers
 //!   ([`samplecf_sampling`]),
 //! * [`datagen`] — seeded synthetic workloads ([`samplecf_datagen`]),
 //! * [`core`] — the SampleCF estimator, theory, trial runner, advisor and

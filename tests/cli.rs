@@ -700,8 +700,8 @@ fn both_ends_reject_the_same_malformed_specs_before_touching_the_cache() {
         ),
         (
             "estimate_progressive",
-            r#""target_error":0.1,"sampler":"bernoulli""#,
-            &["--target-error", "0.1", "--sampler", "bernoulli"],
+            r#""target_error":0.1,"sampler":"systematic""#,
+            &["--target-error", "0.1", "--sampler", "systematic"],
         ),
         (
             "advise",

@@ -54,7 +54,6 @@ fn runs() -> Vec<Run> {
         run("uniform-wr", SamplerKind::UniformWithReplacement, false),
         run("uniform-wor", SamplerKind::UniformWithoutReplacement, false),
         run("bernoulli", SamplerKind::Bernoulli, false),
-        run("systematic", SamplerKind::Systematic, false),
         run("reservoir", |_| SamplerKind::Reservoir(100), false),
         run("block", SamplerKind::Block, false),
         run(

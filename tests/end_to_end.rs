@@ -19,7 +19,6 @@ fn every_scheme_and_sampler_combination_produces_a_sane_estimate() {
         SamplerKind::UniformWithReplacement(0.05),
         SamplerKind::UniformWithoutReplacement(0.05),
         SamplerKind::Bernoulli(0.05),
-        SamplerKind::Systematic(0.05),
         SamplerKind::Reservoir(400),
         SamplerKind::Block(0.05),
     ];
@@ -165,7 +164,6 @@ fn disk_estimation_matches_in_memory_estimation_seed_for_seed() {
         SamplerKind::UniformWithReplacement(0.05),
         SamplerKind::UniformWithoutReplacement(0.05),
         SamplerKind::Bernoulli(0.05),
-        SamplerKind::Systematic(0.05),
         SamplerKind::Reservoir(500),
         SamplerKind::Block(0.05),
     ] {

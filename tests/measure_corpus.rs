@@ -5,7 +5,7 @@
 //! one-shot `SampleCf::estimate` for each sampler × scheme, capped and
 //! target-stopped `ProgressiveCf::run`s with every checkpoint field,
 //! `ExactCf` for each scheme, the served `estimate` as a miss, a hit and a
-//! deepening (a redraw for a scan sampler), one budgeted `advise`, a served
+//! deepening (a redraw for a Bernoulli or reservoir entry), one budgeted `advise`, a served
 //! `estimate_progressive` on each pricing route, and the bytes a cache
 //! entry is priced at when drawn, once measured, and once deepened and
 //! measured again.  A section repeats the one-shot and exact runs, and a
@@ -79,7 +79,6 @@ fn samplers() -> Vec<(SamplerKind, SamplerKind, [String; 2])> {
         at("uniform", SamplerKind::UniformWithReplacement),
         at("uniform-wor", SamplerKind::UniformWithoutReplacement),
         at("bernoulli", SamplerKind::Bernoulli),
-        at("systematic", SamplerKind::Systematic),
         (
             SamplerKind::Reservoir(150),
             SamplerKind::Reservoir(300),
