@@ -11,7 +11,7 @@ use crate::workloads::paper_table;
 use samplecf_compression::{CompressionScheme, GlobalDictionaryCompression, NullSuppression};
 use samplecf_core::{theory, TrialConfig, TrialRunner};
 use samplecf_index::IndexSpec;
-use samplecf_sampling::SamplerKind;
+use samplecf_sampling::{target_size, SamplerKind};
 
 struct Cell {
     scheme: &'static str,
@@ -123,11 +123,22 @@ pub fn run(quick: bool) -> Report {
             ratio_bound,
         ]);
     }
-    table.note(
-        "Expected shape (paper Table II): null suppression is unbiased with variance below the \
-         Theorem-1 bound in both regimes; dictionary compression is biased, with ratio error \
-         close to 1 for small d and bounded by a constant for large d.",
+    let small_d_bound = theory::dc_ratio_error_bound_small_d(
+        rows as u64,
+        small_d as u64,
+        u64::from(width),
+        1,
+        fraction,
     );
+    table.note(format!(
+        "Expected shape (paper Table II): null suppression is unbiased with variance below the \
+         Theorem-1 bound in both regimes; dictionary compression is biased, its ratio error \
+         bounded by a constant for large d and, for small d, nearing 1 only as the sample size \
+         r outgrows d (Theorem 2 bounds it by 1 + d·k/(r·p), {} at r = {}, d = {small_d}, \
+         k = {width}; exp_dc_regimes' model expects 1.316 at 10^8 rows with d = sqrt(n)).",
+        fmt(small_d_bound),
+        target_size(rows, fraction),
+    ));
 
     let mut report = Report::new("exp_table2");
     report.add(table);

@@ -16,12 +16,10 @@
 
 use crate::error::{CoreError, CoreResult};
 use crate::measure::{KeyOrderOutcome, SampleMeasure};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use samplecf_compression::CompressionScheme;
 use samplecf_index::{measure_index, CompressedIndexReport, IndexBuilder, IndexSpec};
-use samplecf_sampling::{BatchSchedule, MaterializedSample, SamplerKind, SamplingError};
-use samplecf_storage::{Schema, TableSource, Value};
+use samplecf_sampling::{MaterializedSample, RecordBatch, SamplerKind, SamplingError};
+use samplecf_storage::{PageId, Schema, TableSource, Value};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
@@ -307,26 +305,25 @@ impl ExactCf {
     ///
     /// Works over any [`TableSource`]; on a disk-resident table this scans
     /// every page — exactly the cost SampleCF exists to avoid.  The pages
-    /// are read as a draw reads them: a block sample of every page, whose
-    /// checked records are folded in as they are, no row decoded.
+    /// are read one at a time in page order, the table's records in storage
+    /// order, and each page's checked records are folded in and dropped, no
+    /// row decoded: a scheme whose cells are summed costs one page of
+    /// memory, a walked scheme its entries.
     pub fn compute(
         &self,
         source: &dyn TableSource,
         spec: &IndexSpec,
         scheme: &dyn CompressionScheme,
     ) -> CoreResult<CfMeasurement> {
-        let mut every_page = SamplerKind::Block(1.0).stream(BatchSchedule::one_shot())?;
-        // The selection's order is the RNG's, but a batch reads its pages in
-        // page order: the table's records in storage order, whatever the seed.
-        let table = (every_page.next_records(source, &mut StdRng::seed_from_u64(0))).map_err(
-            |e| match e {
-                SamplingError::Storage(e) => CoreError::Storage(e),
-                e => e.into(),
-            },
-        )?;
         let start = Instant::now();
         let mut measure = SampleMeasure::stream(source.schema(), spec, &scheme, &self.builder)?;
-        measure.fold(&table, &[], 0)?;
+        for pid in 0..source.num_pages() as PageId {
+            let page = RecordBatch::of_page(source, pid).map_err(|e| match e {
+                SamplingError::Storage(e) => CoreError::Storage(e),
+                e => e.into(),
+            })?;
+            measure.fold(&page, &[], 0)?;
+        }
         measure.order()?;
         let mut measured = measure.measurements(&[], "exact")?.remove(0);
         measured.elapsed = start.elapsed();

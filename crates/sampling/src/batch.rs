@@ -15,7 +15,7 @@
 use crate::error::SamplingResult;
 use crate::sampler::SampledRow;
 use rand::{Rng, RngCore};
-use samplecf_storage::{Rid, RowCodec};
+use samplecf_storage::{Page, PageId, Rid, RowCodec, TableSource};
 
 /// One batch of a draw: RIDs and their checked heap records, record `i` at
 /// `i × record_len` of one arena (see the [module docs](self)).
@@ -95,6 +95,31 @@ impl RecordBatch {
         let record = codec.check(record)?;
         self.arena.extend_from_slice(&record);
         self.rids.push(rid);
+        Ok(())
+    }
+
+    /// The checked records of page `pid` of `source`, in slot order: one
+    /// physical read, nothing decoded.  Folding a table's pages one at a
+    /// time in page order reads its records in storage order while holding
+    /// one page's worth of them.
+    pub fn of_page(source: &dyn TableSource, pid: PageId) -> SamplingResult<RecordBatch> {
+        let page = source.read_page_ref(pid)?;
+        let mut batch = RecordBatch::with_capacity(source.codec(), usize::from(page.slot_count()));
+        batch.push_page(source.codec(), pid, &page)?;
+        Ok(batch)
+    }
+
+    /// Check and append every record of `page`, page `pid` of a source of
+    /// `codec`'s schema, in slot order.
+    pub(crate) fn push_page(
+        &mut self,
+        codec: &RowCodec,
+        pid: PageId,
+        page: &Page,
+    ) -> SamplingResult<()> {
+        for slot in 0..page.slot_count() {
+            self.push(codec, Rid::new(pid, slot), page.get(slot)?)?;
+        }
         Ok(())
     }
 

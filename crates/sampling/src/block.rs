@@ -19,7 +19,7 @@ use crate::kind::SamplerKind;
 use crate::sampler::target_size;
 use crate::stream::{BatchPlan, BatchSchedule, IncrementalFisherYates, SampleStream};
 use rand::RngCore;
-use samplecf_storage::{PageId, Rid, TableSource};
+use samplecf_storage::{PageId, TableSource};
 
 /// The block (page) sampler: selects `max(1, round(fraction · num_pages))`
 /// pages without replacement and yields every row stored on them.  Pages
@@ -74,10 +74,7 @@ impl SampleStream for BlockStream {
         }
         page_ids.sort_unstable();
         for pid in page_ids {
-            let page = source.read_page_ref(pid)?;
-            for slot in 0..page.slot_count() {
-                batch.push(codec, Rid::new(pid, slot), page.get(slot)?)?;
-            }
+            batch.push_page(codec, pid, &*source.read_page_ref(pid)?)?;
         }
         plan.advance();
         Ok(batch)

@@ -5,9 +5,15 @@
 //! table's [`Frame`].  It splits the row budget `round(f·n)` across the
 //! strata of a [`Strata`] partition and draws uniformly within each stratum,
 //! mapping the drawn positions to RIDs by the frame's arithmetic and
-//! fetching them page-coalesced through one [`PageCache`].  Binding a
-//! stream to its source reads no page and allocates nothing the size of the
-//! table: the frame is two counts and a stratum is a range of positions.
+//! fetching them page-coalesced.  Each batch but the plan's last keeps the
+//! pages it read in the stream's [`PageCache`], for the batches after it;
+//! the last batch (the only one of a one-shot draw) reads those from the
+//! cache, passes every other page through one slot and drops the cache
+//! when it returns, so a stream at its cap holds no page and a deepening
+//! re-reads the pages its new rows land on.  Binding a stream to its source
+//! reads no page and allocates nothing the size of the table: the frame is
+//! two counts and a stratum is a range of positions, and a one-shot draw
+//! holds, besides its records, one page at a time.
 //!
 //! **The uniform draws are its one-stratum case.**  With one stratum there
 //! is nothing to allocate, so positions come straight from the shared
@@ -274,17 +280,31 @@ impl SampleStream for StratifiedStream {
             return Ok(RecordBatch::new(source.codec()));
         };
         let mut batch = RecordBatch::with_capacity(source.codec(), target - self.drawn);
+        // Only a later batch can need a page again: the last batch takes
+        // the pages kept so far, and they go when it returns.
+        let keep = !frame.plan.is_last();
+        let mut cache = std::mem::take(&mut self.cache);
         let delta = frame.assign_up_to(target, alloc);
         for (s, &extra) in delta.iter().enumerate() {
             if extra == 0 {
                 continue;
             }
             let positions = frame.draw_positions(s, extra, rng);
-            fetch_positions_coalesced(source, frame.frame, positions, &mut self.cache, &mut batch)?;
+            fetch_positions_coalesced(
+                source,
+                frame.frame,
+                positions,
+                &mut cache,
+                keep,
+                &mut batch,
+            )?;
             if tagged {
                 self.last_tags.resize(batch.len(), s as u32);
             }
             frame.counts[s] += extra;
+        }
+        if keep {
+            self.cache = cache;
         }
         self.drawn = target;
         frame.plan.advance();
@@ -314,8 +334,8 @@ impl SampleStream for StratifiedStream {
     }
 
     fn approx_retained_bytes(&self) -> usize {
-        // A shuffle's displaced slots and every page the page cache holds;
-        // the frame itself is two counts.
+        // A shuffle's displaced slots and the pages kept for a later batch
+        // of the plan (none at the cap); the frame itself is two counts.
         let shuffle = (self.frame.as_ref()).map_or(0, |frame| match &frame.positions {
             Positions::Shuffle(shuffle) => shuffle.retained_bytes(),
             Positions::Shared | Positions::PerStratum(_) => 0,
@@ -553,7 +573,7 @@ mod tests {
                 .unwrap();
             pages.push(counting.pages_read());
         }
-        assert_eq!(pages[0], pages[1], "page cache must erase batch boundaries");
+        assert_eq!(pages[0], pages[1], "held pages must erase batch boundaries");
         assert_eq!(pages[0], pages[2]);
     }
 

@@ -29,10 +29,16 @@
 //!   draw capped at a binomial count made when the stream binds; with
 //!   k ≥ 2 strata each stratum is its own with-replacement substream (see
 //!   [`stratified`](crate::stratified)).
-//!   Fetches are page-coalesced through a per-stream [`PageCache`], which
-//!   holds each verified page it read and checks only the drawn slots, so
-//!   the pages physically read are the distinct pages of the rows drawn so
-//!   far — independent of how the draw was split into batches.
+//!   Fetches are page-coalesced and check only the drawn slots.  A page
+//!   is held ([`PageCache`]) only while a later batch of the same stream
+//!   can still need it: every batch but the last keeps the pages it read,
+//!   and the last batch reads those from the cache, passes every other
+//!   page through one slot, and drops the cache when it returns.  So the
+//!   pages physically read are the distinct pages of the rows drawn so far
+//!   — independent of how the draw was split into batches — and a
+//!   finished stream holds no page.  A deepening is a new last batch: it
+//!   reads each distinct page of its new rows once, pages the shallower
+//!   draw read included.
 //! * **Block sampling** ([`BlockStream`]) selects pages by partial
 //!   Fisher–Yates, which consumes exactly one RNG call per selected page;
 //!   the first `k` pages of a longer selection equal a selection of `k`
@@ -58,7 +64,7 @@ use crate::reservoir::ScanStream;
 use crate::sampler::{target_size, validate_fraction, SampledRow};
 use crate::stratified::StratifiedStream;
 use rand::{Rng, RngCore};
-use samplecf_storage::{Frame, Page, PageId, Rid, TableSource};
+use samplecf_storage::{Frame, Page, PageId, PageRead, Rid, TableSource};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -155,6 +161,12 @@ impl BatchPlan {
         self.targets.get(self.next).copied()
     }
 
+    /// Whether the next batch is the plan's last: no later batch can need
+    /// what it reads (until a deepening plans another).
+    pub(crate) fn is_last(&self) -> bool {
+        self.next + 1 == self.targets.len()
+    }
+
     /// The batch up to [`next_target`](Self::next_target) has been drawn.
     pub(crate) fn advance(&mut self) {
         self.next += 1;
@@ -245,7 +257,9 @@ pub trait SampleStream: Send + Sync {
     }
 
     /// Approximate bytes of state this stream retains between batches for
-    /// a later deepening (a shuffle's displaced slots, cached pages).
+    /// a later deepening (a shuffle's displaced slots; pages only while a
+    /// batch of the plan is still to come, none once the stream is at its
+    /// cap).
     /// Holders with a memory budget (the server's sample cache) charge this
     /// against the entry; dropping the stream releases it.  Only an
     /// [`extendable`](Self::extendable) stream is held, so a stream that
@@ -304,17 +318,19 @@ impl SamplerKind {
     }
 }
 
-/// A per-stream cache of verified pages, keyed by page id.
+/// The verified pages a row-position stream keeps for its later batches,
+/// keyed by page id.
 ///
 /// Row fetches coalesce through it: the first row needed from a page pays
 /// one physical [`read_page_ref`](TableSource::read_page_ref), every later
 /// row on that page is a slot lookup plus one record check.  Only the
 /// drawn slots are ever checked, so a malformed record fails only the draw
-/// that asks for it, and a draw costs what the sample keeps.  Holding
-/// pages trades memory (`page_size` per distinct page the sample touches)
-/// for schedule-independent I/O — the poor man's buffer pool that makes
-/// the pages-read count of a draw depend only on *which* rows were drawn,
-/// not on how the draw was batched.
+/// that asks for it.  A stream keeps its cache only while a later batch
+/// can need a page of it ([`fetch_positions_coalesced`]): holding pages
+/// across batches is what makes the pages-read count of a draw depend only
+/// on *which* rows were drawn, not on how the draw was batched, and
+/// dropping them with the last batch is what makes a finished draw cost
+/// what the sample keeps.
 #[derive(Debug, Default)]
 pub struct PageCache {
     pages: HashMap<PageId, Page>,
@@ -327,7 +343,8 @@ impl PageCache {
         Self::default()
     }
 
-    /// Number of distinct pages cached (== physical reads paid so far).
+    /// Number of distinct pages cached (== physical reads paid through
+    /// [`get`](Self::get)).
     #[must_use]
     pub fn pages_cached(&self) -> usize {
         self.pages.len()
@@ -358,22 +375,39 @@ impl PageCache {
 }
 
 /// Append the records at the given positions of `frame` to `batch`, sorted
-/// by RID and page-coalesced through `cache`.
+/// by RID and page-coalesced.
 ///
 /// The positions are sorted in place — frame order is RID order — so the
 /// records come in RID order (duplicates adjacent) rather than draw order,
 /// an order the estimator is insensitive to, since the index bulk load
 /// re-sorts by key anyway; and each distinct page costs exactly one
-/// physical read, however many drawn rows land on it.
+/// physical read, however many drawn rows land on it.  With `keep` every
+/// page read stays in `cache` for a later batch.  Without it (a stream's
+/// last batch) a page `cache` holds is read from there and every other
+/// page passes through one slot, gone when this returns: sorted, the
+/// positions need each page in one run.
 pub fn fetch_positions_coalesced(
     source: &dyn TableSource,
     frame: Frame,
     mut positions: Vec<usize>,
     cache: &mut PageCache,
+    keep: bool,
     batch: &mut RecordBatch,
 ) -> SamplingResult<()> {
     positions.sort_unstable();
-    (positions.into_iter()).try_for_each(|p| cache.get(source, frame.rid(p), batch))
+    let mut slot: Option<(PageId, PageRead<'_>)> = None;
+    for rid in positions.into_iter().map(|p| frame.rid(p)) {
+        if keep || cache.pages.contains_key(&rid.page) {
+            cache.get(source, rid, batch)?;
+            continue;
+        }
+        if slot.as_ref().is_none_or(|(id, _)| *id != rid.page) {
+            slot = Some((rid.page, source.read_page_ref(rid.page)?));
+        }
+        let (_, page) = slot.as_ref().expect("the slot holds the rid's page");
+        batch.push(source.codec(), rid, page.get(rid.slot)?)?;
+    }
+    Ok(())
 }
 
 /// An incremental partial Fisher–Yates shuffle over `0..length`.
@@ -584,7 +618,7 @@ pub(crate) mod tests {
                 stream.drain(&counting, &mut rng(3)).unwrap();
                 pages.push(counting.pages_read());
             }
-            assert_eq!(pages[0], pages[1], "page cache must erase batch boundaries");
+            assert_eq!(pages[0], pages[1], "held pages must erase batch boundaries");
             assert_eq!(pages[0], pages[2]);
         }
     }

@@ -11,8 +11,8 @@
 //!    under every batch schedule: uniform-wr is the one-stratum draw.
 //! 3. **Prefix stability** — stopping a stratified stream at fraction `f₁`
 //!    and resuming it to `f₂` via `extend_cap` yields the same multiset of
-//!    rows, and the same physical page reads, as a fresh one-shot draw at
-//!    `f₂` with the same seed.
+//!    rows as a fresh one-shot draw at `f₂` with the same seed; each of the
+//!    two draws reads the distinct pages of its own rows once.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -46,6 +46,12 @@ fn stratified_kind(f: f64, k: usize, alloc: Allocation, mode: StrataMode) -> Sam
         alloc,
         mode,
     }
+}
+
+/// The distinct pages `rows` lie on.
+fn distinct_pages(rows: &[SampledRow]) -> u64 {
+    let pages: std::collections::BTreeSet<_> = rows.iter().map(|(rid, _)| rid.page).collect();
+    pages.len() as u64
 }
 
 /// Check that `strata` is an exact partition of `source`'s pages and rows.
@@ -181,6 +187,7 @@ proptest! {
         let mut stream = stratified_kind(f1, strata, alloc, mode).stream(schedule).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut rows_drawn = stream.drain(&resumed_counting, &mut rng).unwrap();
+        let (shallow_rows, shallow_pages) = (rows_drawn.len(), resumed_counting.pages_read());
         prop_assert!(stream.extend_cap(stratified_kind(f2, strata, alloc, mode)));
         rows_drawn.extend(stream.drain(&resumed_counting, &mut rng).unwrap());
 
@@ -192,8 +199,16 @@ proptest! {
             .drain(&oneshot_counting, &mut StdRng::seed_from_u64(seed))
             .unwrap();
 
+        // Each draw reads the distinct pages of its rows once: a stream at
+        // its cap holds no page, so the resumed draw re-reads those of its
+        // new rows.
+        prop_assert_eq!(oneshot_counting.pages_read(), distinct_pages(&oneshot_rows));
+        prop_assert_eq!(shallow_pages, distinct_pages(&rows_drawn[..shallow_rows]));
+        prop_assert_eq!(
+            resumed_counting.pages_read() - shallow_pages,
+            distinct_pages(&rows_drawn[shallow_rows..])
+        );
         prop_assert_eq!(sorted(rows_drawn), sorted(oneshot_rows));
-        prop_assert_eq!(resumed_counting.pages_read(), oneshot_counting.pages_read());
 
         // Shallower or incompatible extensions are refused, with the
         // stream left usable.

@@ -1,7 +1,8 @@
 //! What a row-level draw yields and what it costs.
 //!
-//! The row-position stream (uniform, Bernoulli and stratified kinds) fetches through a
-//! [`PageCache`] that holds verified pages and checks only the drawn slots.  These tests pin
+//! The row-position stream (uniform, Bernoulli and stratified kinds) fetches verified pages
+//! — held in a [`PageCache`] for the stream's later batches, passed through one slot by
+//! its last — and checks only the drawn slots.  These tests pin
 //! the two halves of that contract: the draw is what its position sequence
 //! says (every yielded `(rid, row)` is the record at `rid` decoded, RID-sorted within
 //! a batch, one physical read per distinct page, the rows at the positions
@@ -253,6 +254,7 @@ fn a_malformed_record_only_fails_the_draw_that_asks_for_it() {
         frame,
         vec![last, 0, first, last],
         &mut cache,
+        true,
         &mut batch,
     )
     .unwrap();
@@ -264,13 +266,67 @@ fn a_malformed_record_only_fails_the_draw_that_asks_for_it() {
     // Drawing the torn slot itself is the codec's error, not a panic.
     let mut batch = RecordBatch::new(source.codec());
     let torn = vec![first, last + 1];
-    let err = fetch_positions_coalesced(&source, frame, torn, &mut cache, &mut batch).unwrap_err();
+    let err =
+        fetch_positions_coalesced(&source, frame, torn, &mut cache, true, &mut batch).unwrap_err();
     assert!(
         matches!(err, SamplingError::Storage(StorageError::Decode(_))),
         "{err:?}"
     );
     assert_eq!(cache.pages_cached(), 2);
     assert_eq!(source.reads.load(Ordering::Relaxed) - reads_before, 2);
+}
+
+#[test]
+fn a_last_batch_reads_each_page_once_and_keeps_none() {
+    let source = PagesSource::with_a_malformed_record();
+    let frame = Frame::of(&source);
+    let per_page = frame.rows_per_page();
+    let reads = || source.reads.load(Ordering::Relaxed);
+    // An earlier batch kept page 0.
+    let mut cache = PageCache::new();
+    let mut batch = RecordBatch::new(source.codec());
+    fetch_positions_coalesced(&source, frame, vec![1], &mut cache, true, &mut batch).unwrap();
+    assert_eq!((cache.pages_cached(), reads()), (1, 1));
+    // The last batch reads page 0 from the cache and page 1 once, through
+    // its slot, without keeping it.
+    let positions = vec![per_page + 4, 0, per_page, 2, per_page + 4];
+    let expected: Vec<SampledRow> = [0, 2, per_page, per_page + 4, per_page + 4]
+        .iter()
+        .map(|&i| (frame.rid(i), row(i)))
+        .collect();
+    for (held, reads_paid) in [(cache, 1), (PageCache::new(), 2)] {
+        let mut held = held;
+        let (kept, before) = (held.pages_cached(), reads());
+        let mut batch = RecordBatch::new(source.codec());
+        fetch_positions_coalesced(
+            &source,
+            frame,
+            positions.clone(),
+            &mut held,
+            false,
+            &mut batch,
+        )
+        .unwrap();
+        assert_eq!(batch.decode(source.codec()).unwrap(), expected);
+        assert_eq!(reads() - before, reads_paid);
+        assert_eq!(held.pages_cached(), kept);
+    }
+    // The torn slot is still the codec's error.
+    let mut batch = RecordBatch::new(source.codec());
+    let torn = vec![per_page, per_page + 5];
+    let err = fetch_positions_coalesced(
+        &source,
+        frame,
+        torn,
+        &mut PageCache::new(),
+        false,
+        &mut batch,
+    )
+    .unwrap_err();
+    assert!(
+        matches!(err, SamplingError::Storage(StorageError::Decode(_))),
+        "{err:?}"
+    );
 }
 
 #[test]

@@ -20,7 +20,9 @@
 //!   than a race.
 //! * **Deepening reuses shallow draws** — a request for a deeper fraction
 //!   of an existing group's family extends the cached sample through its
-//!   live stream ([`CachedSample::deepen`]), paying only the delta's I/O.
+//!   live stream ([`CachedSample::deepen`]), drawing only the new rows: a
+//!   block sample reads only its new pages, a row draw each distinct page
+//!   its new rows land on (a finished row stream holds no page).
 //!   The shallow key retires; snapshots handed out earlier are immutable
 //!   and unaffected (a deepen copies the sample's batches first only while
 //!   some request still holds the shallower snapshot).
@@ -43,8 +45,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use samplecf_core::CoreResult;
 use samplecf_obs::{Counter, Gauge, MetricsRegistry};
-use samplecf_sampling::{BatchSchedule, MaterializedSample, SampleStream, SamplerKind};
-use samplecf_storage::{CountingSource, SharedSource};
+use samplecf_sampling::{
+    BatchSchedule, MaterializedSample, RecordBatch, SampleStream, SamplerKind,
+};
+use samplecf_storage::{CountingSource, PageId, SharedSource};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -65,11 +69,12 @@ pub struct CachedSample {
     /// [`deepen`](Self::deepen): deepening extends in place when the entry
     /// is the only holder and copies the batches first when it is not.
     sample: Arc<MaterializedSample>,
+    /// What one fresh draw at this entry's configuration reads.
     pages_read: u64,
     /// Live draw state, held only while the stream can still be extended
     /// ([`SampleStream::extendable`]): keeping the stream and its RNG is
-    /// what allows the entry to be deepened later at only the delta's I/O
-    /// cost.
+    /// what allows the entry to be deepened later by drawing only the new
+    /// rows.
     stream: Option<(Box<dyn SampleStream>, StdRng)>,
 }
 
@@ -110,8 +115,11 @@ impl CachedSample {
     }
 
     /// Extend this entry's sample in place to the deeper configuration
-    /// `kind`, paying only the delta's I/O.  Returns the pages read for the
-    /// delta, or `None` when the entry cannot be deepened (it holds no live
+    /// `kind`, drawing only the new rows.  Returns the pages physically read
+    /// for them — a block sample's new pages, or each distinct page a row
+    /// draw's new rows land on, once, whether or not the shallower draw read
+    /// it (a finished row stream holds no page) — or `None` when the entry
+    /// cannot be deepened (it holds no live
     /// stream — a reservoir's or a Bernoulli draw's never does — or `kind`
     /// differs in more than its fraction, or is not strictly deeper) — in
     /// which case it is untouched.
@@ -119,9 +127,10 @@ impl CachedSample {
     /// Prefix-stable streams make deepening lossless: afterwards the entry
     /// holds exactly the rows a fresh draw at the deeper fraction with the
     /// same seed would hold (as a multiset — batches arrive rid-sorted per
-    /// chunk), and its cumulative [`pages_read`](Self::pages_read) equals
-    /// that fresh draw's cost.  The key orders held for the shallower rows
-    /// stay: the next measure by one sorts only the new rows.
+    /// chunk), and its [`pages_read`](Self::pages_read) is counted afresh
+    /// as that fresh draw's cost: the distinct pages of its rows.  The key
+    /// orders held for the shallower rows stay: the next measure by one
+    /// sorts only the new rows.
     pub fn deepen(&mut self, kind: SamplerKind) -> CoreResult<Option<u64>> {
         if !self.deepenable_to(kind) {
             return Ok(None);
@@ -135,10 +144,9 @@ impl CachedSample {
         }
         let counting = CountingSource::new(self.source.as_ref());
         Arc::make_mut(&mut self.sample).extend_from_stream(&counting, stream.as_mut(), rng)?;
-        let delta = counting.pages_read();
-        self.pages_read += delta;
+        self.pages_read = distinct_pages(&self.sample);
         self.kind = kind;
-        Ok(Some(delta))
+        Ok(Some(counting.pages_read()))
     }
 
     /// The sampler configuration of this entry.
@@ -162,7 +170,10 @@ impl CachedSample {
         &self.sample
     }
 
-    /// Physical pages read from the source to draw (and deepen) this sample.
+    /// What one fresh draw at this entry's configuration reads from the
+    /// source: the pages its draw read, and after a deepening the distinct
+    /// pages of its rows (a block sample's pages, each page a row draw's
+    /// rows land on), not the sum of the reads that built it.
     #[must_use]
     pub fn pages_read(&self) -> u64 {
         self.pages_read
@@ -172,13 +183,24 @@ impl CachedSample {
     /// sample's batches (record arenas and RIDs), its stratum tags, the key
     /// orders measures left with it (four bytes per row each covers), and
     /// any state the live stream holds for deepening (a shuffle's displaced
-    /// slots, cached pages; the sampling frame is arithmetic and costs
-    /// nothing).  This is the unit the cache's byte budget evicts against.
+    /// slots; a stream at its cap holds no page, and the sampling frame is
+    /// arithmetic and costs nothing).  This is the unit the cache's byte
+    /// budget evicts against.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
         self.sample.retained_bytes()
             + (self.stream.as_ref()).map_or(0, |(stream, _)| stream.approx_retained_bytes())
     }
+}
+
+/// The distinct pages `sample`'s rows lie on: what one fresh draw of those
+/// rows by pages or by positions reads.
+fn distinct_pages(sample: &MaterializedSample) -> u64 {
+    let rids = sample.batches().iter().flat_map(RecordBatch::iter);
+    let mut pages: Vec<PageId> = rids.map(|(rid, _)| rid.page).collect();
+    pages.sort_unstable();
+    pages.dedup();
+    pages.len() as u64
 }
 
 impl std::fmt::Debug for CachedSample {
@@ -246,12 +268,13 @@ pub struct AcquiredSample {
     pub kind: SamplerKind,
     /// The seed served.
     pub seed: u64,
-    /// Pages physically read *by this acquisition* (0 on a hit, the delta
-    /// on a deepening, the full draw on a miss).
+    /// Pages physically read *by this acquisition* (0 on a hit, the new
+    /// rows' pages on a deepening, the full draw on a miss).
     pub pages_read: u64,
-    /// Cumulative draw cost of the entry — equal to what one fresh draw at
-    /// this configuration costs, which makes it the per-request unit of the
-    /// naive no-cache baseline.
+    /// What one fresh draw at this configuration costs
+    /// ([`CachedSample::pages_read`]), not the sum of the acquisitions that
+    /// built the entry: the per-request unit of the naive no-cache
+    /// baseline.
     pub entry_pages_total: u64,
     /// How the cache served this request.
     pub disposition: CacheDisposition,
@@ -765,10 +788,24 @@ pub(crate) mod tests {
             assert!(entry.deepenable_to(deep));
             assert!(!entry.deepenable_to(shallow), "not strictly deeper");
             assert!(!entry.deepenable_to(SamplerKind::Block(0.5)), "family");
-            let before = entry.pages_read();
+            // A finished row stream holds no page: a shallow entry is
+            // priced at its records and rids and the shuffle's slots.
+            let shallow_rows = entry.sample().len();
+            assert_eq!(
+                entry.approx_bytes() - records_and_rids(&entry),
+                shallow_rows * shuffle_bytes_per_row
+            );
             let delta = entry.deepen(deep).unwrap().expect("deepenable");
-            assert_eq!(entry.pages_read(), before + delta);
             assert_eq!(entry.kind(), deep);
+            // The deepening read each distinct page of its new rows once,
+            // pages the shallow draw read included.
+            let records = entry.sample().records().unwrap();
+            let mut new_pages: Vec<_> = (records[shallow_rows..].iter())
+                .map(|(rid, _)| rid.page)
+                .collect();
+            new_pages.sort_unstable();
+            new_pages.dedup();
+            assert_eq!(delta, new_pages.len() as u64, "{deep:?}");
             // Cumulative rows equal a fresh deep draw's rows (as multisets).
             let fresh = CachedSample::draw(&t, deep, 9).unwrap();
             let mut a = entry.sample().rows().unwrap();
@@ -776,15 +813,14 @@ pub(crate) mod tests {
             a.sort_by_key(|(rid, _)| *rid);
             b.sort_by_key(|(rid, _)| *rid);
             assert_eq!(a, b, "{deep:?}");
+            // The entry's cost is still that of one fresh deep draw.
             assert_eq!(entry.pages_read(), fresh.pages_read());
             // The live stream's retained state is priced into the entry at
-            // what it holds — one source page per physical read, and a
-            // shuffle's displaced slots; no frame — beside the sample's
-            // records and rids.
+            // what it holds — a shuffle's displaced slots; no page, no
+            // frame — beside the sample's records and rids.
             assert_eq!(
                 entry.approx_bytes() - records_and_rids(&entry),
-                entry.pages_read() as usize * t.page_size()
-                    + entry.sample().len() * shuffle_bytes_per_row
+                entry.sample().len() * shuffle_bytes_per_row
             );
             assert_eq!(entry.sample().len(), fresh.sample().len());
         }

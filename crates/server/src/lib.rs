@@ -20,8 +20,8 @@
 //!   with duplicate in-flight requests coalesced onto one draw,
 //!   progressive deepening of shallow samples
 //!   ([`CachedSample::deepen`] under concurrency: the deepest extendable
-//!   entry of the same source, family and seed is extended at the delta's
-//!   I/O cost), and LRU eviction against one byte budget under one lock —
+//!   entry of the same source, family and seed is extended by drawing
+//!   only the new rows), and LRU eviction against one byte budget under one lock —
 //!   `estimate` and `advise` both measure its snapshots, and
 //! * one [`MetricsRegistry`] per server, threaded through every layer:
 //!   request/error counters, per-kind and per-stage latency histograms

@@ -118,7 +118,8 @@ pub fn error_response(error: &ApiError) -> Json {
 pub enum CacheDisposition {
     /// Served entirely from a cached sample: zero pages read.
     Hit,
-    /// A cached shallower sample was extended; only the delta was read.
+    /// A cached shallower sample was extended; only its new rows were
+    /// drawn.
     Deepened,
     /// No usable cached sample: a fresh draw paid the full page cost.
     Miss,

@@ -18,7 +18,8 @@ use samplecf_storage::TableSource;
 /// the `accounting` object of every data-touching response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Accounting {
-    /// Pages this request read (0 on a hit, the delta on a deepening).
+    /// Pages this request read (0 on a hit, the new rows' pages on a
+    /// deepening).
     pub pages_read: u64,
     /// How the sample cache served the request.
     pub cache: CacheDisposition,
