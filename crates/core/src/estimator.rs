@@ -19,7 +19,7 @@ use crate::measure::{KeyOrderOutcome, SampleMeasure};
 use samplecf_compression::CompressionScheme;
 use samplecf_index::{measure_index, CompressedIndexReport, IndexBuilder, IndexSpec};
 use samplecf_sampling::{MaterializedSample, RecordBatch, SamplerKind, SamplingError};
-use samplecf_storage::{PageId, Schema, TableSource, Value};
+use samplecf_storage::{PageId, Schema, TableSource, Value, MAX_RUN_PAGES};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
@@ -305,10 +305,10 @@ impl ExactCf {
     ///
     /// Works over any [`TableSource`]; on a disk-resident table this scans
     /// every page — exactly the cost SampleCF exists to avoid.  The pages
-    /// are read one at a time in page order, the table's records in storage
-    /// order, and each page's checked records are folded in and dropped, no
-    /// row decoded: a scheme whose cells are summed costs one page of
-    /// memory, a walked scheme its entries.
+    /// are read in page order, a run of [`MAX_RUN_PAGES`] at a time, the
+    /// table's records in storage order, and each run's checked records are
+    /// folded in and dropped, no row decoded: a scheme whose cells are
+    /// summed costs a few pages of memory, a walked scheme its entries.
     pub fn compute(
         &self,
         source: &dyn TableSource,
@@ -317,12 +317,15 @@ impl ExactCf {
     ) -> CoreResult<CfMeasurement> {
         let start = Instant::now();
         let mut measure = SampleMeasure::stream(source.schema(), spec, &scheme, &self.builder)?;
-        for pid in 0..source.num_pages() as PageId {
-            let page = RecordBatch::of_page(source, pid).map_err(|e| match e {
-                SamplingError::Storage(e) => CoreError::Storage(e),
-                e => e.into(),
-            })?;
-            measure.fold(&page, &[], 0)?;
+        let pages = source.num_pages();
+        for first in (0..pages).step_by(MAX_RUN_PAGES) {
+            let count = MAX_RUN_PAGES.min(pages - first);
+            let run =
+                RecordBatch::of_pages(source, first as PageId, count).map_err(|e| match e {
+                    SamplingError::Storage(e) => CoreError::Storage(e),
+                    e => e.into(),
+                })?;
+            measure.fold(&run, &[], 0)?;
         }
         measure.order()?;
         let mut measured = measure.measurements(&[], "exact")?.remove(0);

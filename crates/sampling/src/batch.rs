@@ -15,7 +15,7 @@
 use crate::error::SamplingResult;
 use crate::sampler::SampledRow;
 use rand::{Rng, RngCore};
-use samplecf_storage::{Page, PageId, Rid, RowCodec, TableSource};
+use samplecf_storage::{PageId, PageView, Rid, RowCodec, StorageResult, TableSource};
 
 /// One batch of a draw: RIDs and their checked heap records, record `i` at
 /// `i × record_len` of one arena (see the [module docs](self)).
@@ -91,34 +91,34 @@ impl RecordBatch {
 
     /// Check `record` with `codec` and append it, in canonical form, as
     /// drawn at `rid`.  A record the check rejects appends nothing.
-    pub(crate) fn push(&mut self, codec: &RowCodec, rid: Rid, record: &[u8]) -> SamplingResult<()> {
+    pub(crate) fn push(&mut self, codec: &RowCodec, rid: Rid, record: &[u8]) -> StorageResult<()> {
         let record = codec.check(record)?;
         self.arena.extend_from_slice(&record);
         self.rids.push(rid);
         Ok(())
     }
 
-    /// The checked records of page `pid` of `source`, in slot order: one
-    /// physical read, nothing decoded.  Folding a table's pages one at a
-    /// time in page order reads its records in storage order while holding
-    /// one page's worth of them.
-    pub fn of_page(source: &dyn TableSource, pid: PageId) -> SamplingResult<RecordBatch> {
-        let page = source.read_page_ref(pid)?;
-        let mut batch = RecordBatch::with_capacity(source.codec(), usize::from(page.slot_count()));
-        batch.push_page(source.codec(), pid, &page)?;
+    /// The checked records of the `count` pages from `first` of `source`,
+    /// in storage order: one run read
+    /// ([`read_pages`](TableSource::read_pages)), nothing decoded.  Folding
+    /// a table a few pages at a time in page order reads its records in
+    /// storage order while holding a few pages' worth of them.
+    pub fn of_pages(
+        source: &dyn TableSource,
+        first: PageId,
+        count: usize,
+    ) -> SamplingResult<RecordBatch> {
+        let codec = source.codec();
+        let mut batch = RecordBatch::new(codec);
+        source.read_pages(first, count, &mut |page| batch.push_page(codec, page))?;
         Ok(batch)
     }
 
-    /// Check and append every record of `page`, page `pid` of a source of
+    /// Check and append every record of `page`, a page of a source of
     /// `codec`'s schema, in slot order.
-    pub(crate) fn push_page(
-        &mut self,
-        codec: &RowCodec,
-        pid: PageId,
-        page: &Page,
-    ) -> SamplingResult<()> {
+    pub(crate) fn push_page(&mut self, codec: &RowCodec, page: PageView<'_>) -> StorageResult<()> {
         for slot in 0..page.slot_count() {
-            self.push(codec, Rid::new(pid, slot), page.get(slot)?)?;
+            self.push(codec, Rid::new(page.id(), slot), page.get(slot)?)?;
         }
         Ok(())
     }
@@ -131,7 +131,7 @@ impl RecordBatch {
         codec: &RowCodec,
         rid: Rid,
         record: &[u8],
-    ) -> SamplingResult<()> {
+    ) -> StorageResult<()> {
         let record = codec.check(record)?;
         self.arena[i * self.record_len..][..self.record_len].copy_from_slice(&record);
         self.rids[i] = rid;
@@ -199,10 +199,7 @@ mod tests {
         // A record the check rejects is not appended.
         record[1] = 0xFF;
         let err = batch.push(&codec, Rid::new(0, 2), &record).unwrap_err();
-        assert!(matches!(
-            err,
-            crate::SamplingError::Storage(StorageError::Decode(_))
-        ));
+        assert!(matches!(err, StorageError::Decode(_)));
         assert_eq!(batch.len(), 2);
         let sliced = batch.slice(1..2);
         let sliced: Vec<_> = sliced.iter().collect();

@@ -7,9 +7,9 @@
 //! the paper flags as future work for the accuracy analysis.
 //!
 //! Because the stream draws through [`TableSource`], the I/O claim is
-//! literal for disk-backed tables: a draw issues exactly one
-//! [`read_page_ref`](TableSource::read_page_ref) per selected page and
-//! touches nothing else in the file.  `tests/end_to_end.rs` asserts the page
+//! literal for disk-backed tables: a draw reads each selected page once —
+//! adjacent selected pages in one [`read_pages`](TableSource::read_pages)
+//! run — and touches nothing else in the file.  `tests/end_to_end.rs` asserts the page
 //! count on a disk table and the `samplecf estimate --sampler block` CLI
 //! path reports it.
 
@@ -25,8 +25,8 @@ use samplecf_storage::{PageId, TableSource};
 /// pages without replacement and yields every row stored on them.  Pages
 /// come out of an [`IncrementalFisherYates`] permutation, so the page set
 /// after `k` draws equals a one-shot selection of `k` pages with the same
-/// seed.  Each batch reads its new pages in ascending page order and checks
-/// every record on them.
+/// seed.  Each batch reads its new pages in ascending page order, a run of
+/// adjacent ones at a time, and checks every record on them.
 pub struct BlockStream {
     fraction: f64,
     schedule: BatchSchedule,
@@ -73,8 +73,8 @@ impl SampleStream for BlockStream {
             page_ids.push(p as PageId);
         }
         page_ids.sort_unstable();
-        for pid in page_ids {
-            batch.push_page(codec, pid, &*source.read_page_ref(pid)?)?;
+        for run in page_ids.chunk_by(|a, b| a + 1 == *b) {
+            source.read_pages(run[0], run.len(), &mut |page| batch.push_page(codec, page))?;
         }
         plan.advance();
         Ok(batch)

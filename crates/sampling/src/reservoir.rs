@@ -13,7 +13,7 @@ use crate::error::SamplingResult;
 use crate::kind::SamplerKind;
 use crate::stream::{BatchPlan, BatchSchedule, SampleStream};
 use rand::{Rng, RngCore};
-use samplecf_storage::{PageId, Rid, TableSource};
+use samplecf_storage::{Rid, TableSource};
 
 /// Algorithm R's decision for the next scanned row: which slot of a
 /// reservoir of `size` rows it takes, given that `seen` rows came before
@@ -27,8 +27,9 @@ fn slot_for(size: usize, seen: usize, rng: &mut dyn RngCore) -> Option<usize> {
     Some(rng.gen_range(0..=seen)).filter(|&j| j < size)
 }
 
-/// One scan of `source` through Algorithm R: each page is read once, in
-/// storage order, and only the records that take a slot are checked.
+/// One scan of `source` through Algorithm R: the table is one run of
+/// pages, each read once, in storage order, and only the records that take
+/// a slot are checked.
 fn scan(
     source: &dyn TableSource,
     size: usize,
@@ -37,22 +38,22 @@ fn scan(
     let codec = source.codec();
     let mut kept = RecordBatch::new(codec);
     let mut seen = 0;
-    for pid in 0..source.num_pages() as PageId {
-        let page = source.read_page_ref(pid)?;
+    source.read_pages(0, source.num_pages(), &mut |page| {
         for slot in 0..page.slot_count() {
             let at = slot_for(size, seen, rng);
             seen += 1;
             let Some(at) = at else {
                 continue;
             };
-            let (rid, record) = (Rid::new(pid, slot), page.get(slot)?);
+            let (rid, record) = (Rid::new(page.id(), slot), page.get(slot)?);
             if at == kept.len() {
                 kept.push(codec, rid, record)?;
             } else {
                 kept.replace(at, codec, rid, record)?;
             }
         }
-    }
+        Ok(())
+    })?;
     Ok(kept)
 }
 

@@ -8,12 +8,13 @@
 //! fetching them page-coalesced.  Each batch but the plan's last keeps the
 //! pages it read in the stream's [`PageCache`], for the batches after it;
 //! the last batch (the only one of a one-shot draw) reads those from the
-//! cache, passes every other page through one slot and drops the cache
-//! when it returns, so a stream at its cap holds no page and a deepening
-//! re-reads the pages its new rows land on.  Binding a stream to its source
-//! reads no page and allocates nothing the size of the table: the frame is
-//! two counts and a stratum is a range of positions, and a one-shot draw
-//! holds, besides its records, one page at a time.
+//! cache, lends every other page it needs from a run read of adjacent
+//! pages and drops the cache when it returns, so a stream at its cap holds
+//! no page and a deepening re-reads the pages its new rows land on.
+//! Binding a stream to its source reads no page and allocates nothing the
+//! size of the table: the frame is two counts and a stratum is a range of
+//! positions, and a one-shot draw holds, besides its records, one run of
+//! at most four pages at a time.
 //!
 //! **The uniform draws are its one-stratum case.**  With one stratum there
 //! is nothing to allocate, so positions come straight from the shared

@@ -29,14 +29,14 @@
 //!   draw capped at a binomial count made when the stream binds; with
 //!   k ≥ 2 strata each stratum is its own with-replacement substream (see
 //!   [`stratified`](crate::stratified)).
-//!   Fetches are page-coalesced and check only the drawn slots.  A page
-//!   is held ([`PageCache`]) only while a later batch of the same stream
-//!   can still need it: every batch but the last keeps the pages it read,
-//!   and the last batch reads those from the cache, passes every other
-//!   page through one slot, and drops the cache when it returns.  So the
-//!   pages physically read are the distinct pages of the rows drawn so far
-//!   — independent of how the draw was split into batches — and a
-//!   finished stream holds no page.  A deepening is a new last batch: it
+//!   Fetches are page-coalesced, read runs of adjacent needed pages, and
+//!   check only the drawn slots.  A page is held ([`PageCache`]) only
+//!   while a later batch of the same stream can still need it: every batch
+//!   but the last keeps the pages it read, and the last batch reads those
+//!   from the cache, lends every other page from its run's read, and drops
+//!   the cache when it returns.  So the pages physically read are the
+//!   distinct pages of the rows drawn so far — independent of how the draw
+//!   was split into batches — and a finished stream holds no page.  A deepening is a new last batch: it
 //!   reads each distinct page of its new rows once, pages the shallower
 //!   draw read included.
 //! * **Block sampling** ([`BlockStream`]) selects pages by partial
@@ -64,8 +64,7 @@ use crate::reservoir::ScanStream;
 use crate::sampler::{target_size, validate_fraction, SampledRow};
 use crate::stratified::StratifiedStream;
 use rand::{Rng, RngCore};
-use samplecf_storage::{Frame, Page, PageId, PageRead, Rid, TableSource};
-use std::collections::hash_map::Entry;
+use samplecf_storage::{Frame, Page, PageId, PageView, RowCodec, StorageResult, TableSource};
 use std::collections::HashMap;
 
 /// The geometric batch schedule of a stream: the first batch targets
@@ -322,10 +321,10 @@ impl SamplerKind {
 /// keyed by page id.
 ///
 /// Row fetches coalesce through it: the first row needed from a page pays
-/// one physical [`read_page_ref`](TableSource::read_page_ref), every later
-/// row on that page is a slot lookup plus one record check.  Only the
-/// drawn slots are ever checked, so a malformed record fails only the draw
-/// that asks for it.  A stream keeps its cache only while a later batch
+/// its read (a page of a [`read_pages`](TableSource::read_pages) run, copied
+/// in), every later row on that page is a slot lookup plus one record
+/// check.  Only the drawn slots are ever checked, so a malformed record
+/// fails only the draw that asks for it.  A stream keeps its cache only while a later batch
 /// can need a page of it ([`fetch_positions_coalesced`]): holding pages
 /// across batches is what makes the pages-read count of a draw depend only
 /// on *which* rows were drawn, not on how the draw was batched, and
@@ -343,8 +342,8 @@ impl PageCache {
         Self::default()
     }
 
-    /// Number of distinct pages cached (== physical reads paid through
-    /// [`get`](Self::get)).
+    /// Number of distinct pages cached (== the page reads that kept a
+    /// page, through [`fetch_positions_coalesced`]).
     #[must_use]
     pub fn pages_cached(&self) -> usize {
         self.pages.len()
@@ -356,22 +355,6 @@ impl PageCache {
     pub fn bytes_cached(&self) -> usize {
         self.pages.values().map(Page::page_size).sum()
     }
-
-    /// Append the record at `rid` to `batch`, checked by the source's
-    /// codec, reading (and caching) its page on first use.  A failed read
-    /// caches nothing, so a retry reads the page again.
-    pub fn get(
-        &mut self,
-        source: &dyn TableSource,
-        rid: Rid,
-        batch: &mut RecordBatch,
-    ) -> SamplingResult<()> {
-        let page = match self.pages.entry(rid.page) {
-            Entry::Occupied(cached) => cached.into_mut(),
-            Entry::Vacant(slot) => slot.insert(source.read_page_ref(rid.page)?.into_owned()),
-        };
-        batch.push(source.codec(), rid, page.get(rid.slot)?)
-    }
 }
 
 /// Append the records at the given positions of `frame` to `batch`, sorted
@@ -380,12 +363,13 @@ impl PageCache {
 /// The positions are sorted in place — frame order is RID order — so the
 /// records come in RID order (duplicates adjacent) rather than draw order,
 /// an order the estimator is insensitive to, since the index bulk load
-/// re-sorts by key anyway; and each distinct page costs exactly one
-/// physical read, however many drawn rows land on it.  With `keep` every
-/// page read stays in `cache` for a later batch.  Without it (a stream's
-/// last batch) a page `cache` holds is read from there and every other
-/// page passes through one slot, gone when this returns: sorted, the
-/// positions need each page in one run.
+/// re-sorts by key anyway; and each distinct page is read exactly once,
+/// however many drawn rows land on it.  A page `cache` holds is read from
+/// there.  The other pages the positions need are read a run of adjacent
+/// ones at a time ([`read_pages`](TableSource::read_pages)), and no page
+/// they do not need is read.  With `keep` each page read is copied into
+/// `cache` for a later batch.  Without it (a stream's last batch) the pages
+/// are only lent, and gone when their run's read returns.
 pub fn fetch_positions_coalesced(
     source: &dyn TableSource,
     frame: Frame,
@@ -395,17 +379,55 @@ pub fn fetch_positions_coalesced(
     batch: &mut RecordBatch,
 ) -> SamplingResult<()> {
     positions.sort_unstable();
-    let mut slot: Option<(PageId, PageRead<'_>)> = None;
-    for rid in positions.into_iter().map(|p| frame.rid(p)) {
-        if keep || cache.pages.contains_key(&rid.page) {
-            cache.get(source, rid, batch)?;
+    let codec = source.codec();
+    // The positions on pages up to `page` are those below this bound.
+    let end_of = |page: PageId| frame.rows_before(page as usize + 1);
+    let mut rest = &positions[..];
+    while let Some(&pos) = rest.first() {
+        let first = frame.rid(pos).page;
+        // How many of the remaining positions lie on pages up to `last`.
+        let up_to = |last: PageId| rest.partition_point(|&p| p < end_of(last));
+        if let Some(page) = cache.pages.get(&first) {
+            let (here, later) = rest.split_at(up_to(first));
+            push_positions(codec, frame, page.view(), here, batch)?;
+            rest = later;
             continue;
         }
-        if slot.as_ref().is_none_or(|(id, _)| *id != rid.page) {
-            slot = Some((rid.page, source.read_page_ref(rid.page)?));
+        // The run: the adjacent pages from `first` that the positions need
+        // and the cache does not hold.
+        let mut last = first;
+        while let Some(&pos) = rest.get(up_to(last)) {
+            let next = frame.rid(pos).page;
+            if next != last + 1 || cache.pages.contains_key(&next) {
+                break;
+            }
+            last = next;
         }
-        let (_, page) = slot.as_ref().expect("the slot holds the rid's page");
-        batch.push(source.codec(), rid, page.get(rid.slot)?)?;
+        let (mut run, later) = rest.split_at(up_to(last));
+        let count = (last - first) as usize + 1;
+        source.read_pages(first, count, &mut |page| {
+            let (here, after) = run.split_at(run.partition_point(|&p| p < end_of(page.id())));
+            run = after;
+            if keep {
+                cache.pages.insert(page.id(), page.to_page());
+            }
+            push_positions(codec, frame, page, here, batch)
+        })?;
+        rest = later;
+    }
+    Ok(())
+}
+
+/// Append the records at `positions` of `frame`, all on `page`, to `batch`.
+fn push_positions(
+    codec: &RowCodec,
+    frame: Frame,
+    page: PageView<'_>,
+    positions: &[usize],
+    batch: &mut RecordBatch,
+) -> StorageResult<()> {
+    for rid in positions.iter().map(|&p| frame.rid(p)) {
+        batch.push(codec, rid, page.get(rid.slot)?)?;
     }
     Ok(())
 }
@@ -448,11 +470,18 @@ impl IncrementalFisherYates {
         self.next_index
     }
 
-    /// What the displaced-slot map is priced at: two words per element
-    /// drawn so far.
+    /// What the displaced-slot map holds: the table std's `HashMap`
+    /// allocates for its capacity.  That is a power of two of buckets with
+    /// at least an eighth of them spare, each bucket an entry and a control
+    /// byte, plus one trailing group of 16 control bytes.
     #[must_use]
     pub fn retained_bytes(&self) -> usize {
-        self.next_index * 2 * std::mem::size_of::<usize>()
+        let capacity = self.swaps.capacity();
+        if capacity == 0 {
+            return 0;
+        }
+        let buckets = (capacity * 8 / 7).next_power_of_two();
+        buckets * (std::mem::size_of::<(usize, usize)>() + 1) + 16
     }
 
     /// Draw the next element of the shuffle; `None` once all `length`
@@ -478,7 +507,7 @@ pub(crate) mod tests {
     use rand::rngs::StdRng;
     use rand::seq::index;
     use rand::SeedableRng;
-    use samplecf_storage::{CountingSource, Row, Schema, Table, TableBuilder, Value};
+    use samplecf_storage::{CountingSource, Rid, Row, Schema, Table, TableBuilder, Value};
 
     fn table(n: usize) -> Table {
         TableBuilder::new("t", Schema::single_char("a", 32))

@@ -7,8 +7,8 @@
 //! the largest single allocation of a 0.1% draw from a 200 000-row table is
 //! sized by the sample and the pages it touches — never by `n`.  And a page
 //! is held only while a later batch of the same stream can need it: a
-//! one-shot draw has one page in flight, and a stream at its cap holds
-//! none.  A counting `#[global_allocator]` (this test binary only) holds
+//! one-shot draw has one run of at most four pages in flight, and a stream
+//! at its cap holds none.  A counting `#[global_allocator]` (this test binary only) holds
 //! both in place: a materialised frame of `n` RIDs coming back shows up as
 //! one allocation of `n × size_of::<Rid>()` bytes, and a draw that keeps
 //! every page it touches as a live-heap high-water mark of hundreds of
@@ -16,7 +16,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use samplecf_sampling::{Allocation, BatchSchedule, RecordBatch, SamplerKind, StrataMode};
+use samplecf_sampling::{
+    Allocation, BatchSchedule, IncrementalFisherYates, RecordBatch, SamplerKind, StrataMode,
+};
 use samplecf_storage::{Column, DataType, Rid, Row, Schema, Table, TableBuilder, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -208,6 +210,28 @@ fn a_row_draw_holds_its_rows_not_the_tables_pages() {
             heap.left < 2 * sample + few_pages,
             "{kind:?}: a drained stream and its batches hold {} live bytes, the sample {sample}",
             heap.left
+        );
+    }
+}
+
+#[test]
+fn a_shuffle_is_priced_at_what_its_slot_map_holds() {
+    // What a cached uniform-wor or block entry is charged for its live
+    // stream: the shuffle's displaced-slot map, at no less than it holds
+    // and at most half again.
+    for drawn in [100, 2_000, 20_000] {
+        let mut rng = StdRng::seed_from_u64(7);
+        let (heap, shuffle) = measured(|| {
+            let mut shuffle = IncrementalFisherYates::new(ROWS);
+            for _ in 0..drawn {
+                shuffle.next(&mut rng).unwrap();
+            }
+            shuffle
+        });
+        let (price, live) = (shuffle.retained_bytes() as isize, heap.left);
+        assert!(
+            live <= price && 2 * price <= 3 * live,
+            "{drawn} drawn: priced at {price} bytes, holds {live}"
         );
     }
 }

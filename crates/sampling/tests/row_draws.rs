@@ -1,7 +1,7 @@
 //! What a row-level draw yields and what it costs.
 //!
 //! The row-position stream (uniform, Bernoulli and stratified kinds) fetches verified pages
-//! — held in a [`PageCache`] for the stream's later batches, passed through one slot by
+//! — held in a [`PageCache`] for the stream's later batches, lent from a run read by
 //! its last — and checks only the drawn slots.  These tests pin
 //! the two halves of that contract: the draw is what its position sequence
 //! says (every yielded `(rid, row)` is the record at `rid` decoded, RID-sorted within
@@ -332,15 +332,29 @@ fn a_last_batch_reads_each_page_once_and_keeps_none() {
 #[test]
 fn a_slot_past_the_page_is_the_storage_layers_invalid_rid() {
     let t = table(100);
-    let mut cache = PageCache::new();
-    let mut batch = RecordBatch::new(t.codec());
-    let slots = t.read_page_ref(0).unwrap().slot_count();
-    assert!(cache.get(&t, Rid::new(0, slots - 1), &mut batch).is_ok());
-    let err = cache.get(&t, Rid::new(0, slots), &mut batch).unwrap_err();
+    let (frame, last) = (Frame::of(&t), t.num_pages() - 1);
+    let slots = t.read_page_ref(last as PageId).unwrap().slot_count();
+    assert!(
+        usize::from(slots) < frame.rows_per_page(),
+        "the last page has room"
+    );
+    // A frame that counts the last page full has a position at each slot
+    // past its records.
+    let source = Overcounted {
+        inner: &t,
+        rows: t.num_pages() * frame.rows_per_page(),
+    };
+    let at = frame.rows_before(last) + usize::from(slots);
+    let fetch = |position: usize| {
+        let mut batch = RecordBatch::new(t.codec());
+        let (full, mut cache) = (Frame::of(&source), PageCache::new());
+        fetch_positions_coalesced(&source, full, vec![position], &mut cache, true, &mut batch)
+    };
+    assert!(fetch(at - 1).is_ok());
     assert_eq!(
-        err,
+        fetch(at).unwrap_err(),
         SamplingError::Storage(StorageError::InvalidRid {
-            page: 0,
+            page: last as PageId,
             slot: slots
         })
     );
@@ -349,21 +363,25 @@ fn a_slot_past_the_page_is_the_storage_layers_invalid_rid() {
 #[test]
 fn a_failed_page_read_is_not_cached_so_a_retry_reads_again() {
     let source = PagesSource::with_a_malformed_record();
+    let frame = Frame::of(&source);
     let mut cache = PageCache::new();
     let mut batch = RecordBatch::new(source.codec());
+    let mut fetch = |position: usize, cache: &mut PageCache| {
+        fetch_positions_coalesced(&source, frame, vec![position], cache, true, &mut batch)
+    };
     source.fail_next_read.store(true, Ordering::Relaxed);
-    let err = cache.get(&source, Rid::new(0, 2), &mut batch).unwrap_err();
+    let err = fetch(2, &mut cache).unwrap_err();
     assert!(
         matches!(err, SamplingError::Storage(StorageError::Io(_))),
         "{err:?}"
     );
     assert_eq!(cache.pages_cached(), 0);
     assert_eq!(cache.bytes_cached(), 0);
-    assert!(batch.is_empty());
     // The retry pays a second physical read and succeeds; a third fetch
     // from the same page is served from the cache.
-    cache.get(&source, Rid::new(0, 2), &mut batch).unwrap();
-    cache.get(&source, Rid::new(0, 4), &mut batch).unwrap();
+    fetch(2, &mut cache).unwrap();
+    fetch(4, &mut cache).unwrap();
+    assert!(batch.len() == 2, "the failed fetch appended nothing");
     let rows: Vec<Row> = (batch.decode(source.codec()).unwrap().into_iter())
         .map(|(_, row)| row)
         .collect();

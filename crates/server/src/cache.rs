@@ -680,6 +680,7 @@ pub(crate) mod tests {
     use samplecf_core::{measure_sample, SampleCf};
     use samplecf_datagen::presets;
     use samplecf_index::{IndexBuilder, IndexSpec};
+    use samplecf_sampling::IncrementalFisherYates;
     use samplecf_storage::{
         IntoShared, Page, PageId, Rid, RowCodec, Schema, StorageResult, TableSource,
     };
@@ -772,17 +773,23 @@ pub(crate) mod tests {
         // The concurrent cache builds directly on CachedSample; this pins
         // the standalone contract it relies on.
         let t = table("t", 31);
-        // (family, bytes its live stream holds per drawn row: the
-        // without-replacement shuffle's displaced slots)
+        // What a without-replacement stream holds after `rows` draws: its
+        // shuffle's displaced-slot map, replayed on the entry's seed.
+        let shuffle_bytes = |rows: usize| {
+            let mut shuffle = IncrementalFisherYates::new(t.num_rows());
+            let mut rng = StdRng::seed_from_u64(9);
+            for _ in 0..rows {
+                shuffle.next(&mut rng).unwrap();
+            }
+            shuffle.retained_bytes()
+        };
+        // (family, bytes its live stream holds after so many rows)
         type Family = fn(f64) -> SamplerKind;
-        let families: [(Family, usize); 2] = [
-            (SamplerKind::UniformWithReplacement, 0),
-            (
-                SamplerKind::UniformWithoutReplacement,
-                2 * std::mem::size_of::<usize>(),
-            ),
+        let families: [(Family, &dyn Fn(usize) -> usize); 2] = [
+            (SamplerKind::UniformWithReplacement, &|_| 0),
+            (SamplerKind::UniformWithoutReplacement, &shuffle_bytes),
         ];
-        for (family, shuffle_bytes_per_row) in families {
+        for (family, stream_bytes) in families {
             let (shallow, deep) = (family(0.02), family(0.08));
             let mut entry = CachedSample::draw(&t, shallow, 9).unwrap();
             assert!(entry.deepenable_to(deep));
@@ -793,7 +800,7 @@ pub(crate) mod tests {
             let shallow_rows = entry.sample().len();
             assert_eq!(
                 entry.approx_bytes() - records_and_rids(&entry),
-                shallow_rows * shuffle_bytes_per_row
+                stream_bytes(shallow_rows)
             );
             let delta = entry.deepen(deep).unwrap().expect("deepenable");
             assert_eq!(entry.kind(), deep);
@@ -820,7 +827,7 @@ pub(crate) mod tests {
             // frame — beside the sample's records and rids.
             assert_eq!(
                 entry.approx_bytes() - records_and_rids(&entry),
-                entry.sample().len() * shuffle_bytes_per_row
+                stream_bytes(entry.sample().len())
             );
             assert_eq!(entry.sample().len(), fresh.sample().len());
         }

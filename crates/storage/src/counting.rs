@@ -18,7 +18,7 @@
 //! maps, not from data pages.
 
 use crate::error::StorageResult;
-use crate::page::Page;
+use crate::page::{Page, PageView};
 use crate::rid::PageId;
 use crate::row::RowCodec;
 use crate::schema::Schema;
@@ -116,9 +116,30 @@ impl<S: Deref<Target: TableSource> + Send + Sync> TableSource for CountingSource
         self.inner.read_page_ref(id)
     }
 
-    // `get` and `scan_rows` intentionally use the trait
-    // defaults so that every row access is accounted as the page read it
-    // costs on disk-resident data.
+    fn read_pages(
+        &self,
+        first: PageId,
+        count: usize,
+        visit: &mut dyn FnMut(PageView<'_>) -> StorageResult<()>,
+    ) -> StorageResult<()> {
+        // Delegated whole, so a run is still one read underneath, and
+        // counted a page at a time: each page visited, and the page whose
+        // read failed, as one `read_page_ref` each would have been.
+        let mut refused = false;
+        let read = self.inner.read_pages(first, count, &mut |page| {
+            self.pages_read.fetch_add(1, Ordering::Relaxed);
+            let seen = visit(page);
+            refused = seen.is_err();
+            seen
+        });
+        if read.is_err() && !refused {
+            self.pages_read.fetch_add(1, Ordering::Relaxed);
+        }
+        read
+    }
+
+    // `scan_rows` intentionally uses the trait default so that every row
+    // access is accounted as the page read it costs on disk-resident data.
 }
 
 #[cfg(test)]

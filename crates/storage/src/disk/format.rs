@@ -18,7 +18,7 @@
 
 use crate::datatype::DataType;
 use crate::error::{StorageError, StorageResult};
-use crate::page::Page;
+use crate::page::{Page, PageView};
 use crate::rid::PageId;
 use crate::schema::{Column, Schema};
 
@@ -196,46 +196,62 @@ pub fn encode_page(page: &Page) -> Vec<u8> {
     out
 }
 
-/// Parse and verify one on-disk page block produced by [`encode_page`].
-/// The block's own buffer becomes the page, with the disk header drained,
-/// so a physical read allocates once.
+/// Verify one on-disk page block produced by [`encode_page`] where it
+/// lies, and view its page: the checks a page passes before anything reads
+/// it, whether it is then copied out ([`decode_page`]) or lent from a run
+/// buffer ([`TableSource::read_pages`](crate::source::TableSource::read_pages)).
 ///
 /// # Errors
 /// Fails on a checksum mismatch (any single-byte corruption), a page-id or
 /// size mismatch, or a structurally invalid slotted page.
-pub fn decode_page(
+pub fn check_page(
     expected_id: PageId,
     page_size: usize,
-    mut bytes: Vec<u8>,
-) -> StorageResult<Page> {
-    if bytes.len() != DISK_PAGE_HEADER_SIZE + page_size {
+    block: &[u8],
+) -> StorageResult<PageView<'_>> {
+    if block.len() != DISK_PAGE_HEADER_SIZE + page_size {
         return Err(StorageError::InvalidFormat(format!(
             "page block of {} bytes, expected {}",
-            bytes.len(),
+            block.len(),
             DISK_PAGE_HEADER_SIZE + page_size
         )));
     }
-    let stored_crc = read_u32(&bytes, 0);
-    let actual_crc = crc32(&bytes[4..]);
+    let stored_crc = read_u32(block, 0);
+    let actual_crc = crc32(&block[4..]);
     if stored_crc != actual_crc {
         return Err(StorageError::PageCorruption(format!(
             "checksum mismatch on page {expected_id}: stored {stored_crc:08x}, computed {actual_crc:08x}"
         )));
     }
-    let stored_id = read_u32(&bytes, 4);
+    let stored_id = read_u32(block, 4);
     if stored_id != expected_id {
         return Err(StorageError::PageCorruption(format!(
             "disk header stores page id {stored_id}, expected {expected_id}"
         )));
     }
-    let stored_len = read_u32(&bytes, 8) as usize;
+    let stored_len = read_u32(block, 8) as usize;
     if stored_len != page_size {
         return Err(StorageError::InvalidFormat(format!(
             "disk header stores page size {stored_len}, expected {page_size}"
         )));
     }
+    PageView::new(expected_id, &block[DISK_PAGE_HEADER_SIZE..])
+}
+
+/// Parse and verify one on-disk page block produced by [`encode_page`]
+/// ([`check_page`]).  The block's own buffer becomes the page, with the
+/// disk header drained, so a physical read allocates once.
+///
+/// # Errors
+/// As [`check_page`].
+pub fn decode_page(
+    expected_id: PageId,
+    page_size: usize,
+    mut bytes: Vec<u8>,
+) -> StorageResult<Page> {
+    check_page(expected_id, page_size, &bytes)?;
     bytes.drain(..DISK_PAGE_HEADER_SIZE);
-    Page::from_bytes(expected_id, bytes)
+    Ok(Page::checked(expected_id, bytes))
 }
 
 // Data-type tags used by the schema serialisation.

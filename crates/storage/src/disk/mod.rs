@@ -435,6 +435,7 @@ mod table {
     mod tests {
         use super::super::format;
         use super::super::testing::{header_of, TempFile};
+        use crate::counting::CountingSource;
         use crate::datatype::DataType;
         use crate::error::StorageError;
         use crate::heap::HeapFile;
@@ -629,6 +630,118 @@ mod table {
             // A page that holds no row holds no frame.
             assert!(Frame::new(100, 0).is_empty());
             assert_eq!(Frame::new(100, 0).pages(), 0);
+        }
+
+        /// A lent page: its id and its records.
+        type Lent = (PageId, Vec<Vec<u8>>);
+
+        /// The pages `read_pages` lends from `first`, and how the call
+        /// ended.
+        fn lent(
+            source: &dyn TableSource,
+            first: PageId,
+            count: usize,
+        ) -> (Vec<Lent>, Result<(), StorageError>) {
+            let mut pages = Vec::new();
+            let end = source.read_pages(first, count, &mut |page| {
+                pages.push((page.id(), page.records().map(<[u8]>::to_vec).collect()));
+                Ok(())
+            });
+            (pages, end)
+        }
+
+        #[test]
+        fn a_bad_checksum_inside_a_run_fails_that_page_and_lends_nothing_of_it() {
+            let path = TempFile::new("run_crc");
+            let (pages, _) = hundred_rows(&path.0);
+            assert!(pages >= 4);
+            let at = header_of(&path.0).page_offset(2) + 100;
+            let mut bytes = std::fs::read(&path.0).unwrap();
+            bytes[at as usize] ^= 0xFF;
+            std::fs::write(&path.0, bytes).unwrap();
+
+            let t = Table::open(&path.0).unwrap();
+            let counting = CountingSource::new(&t);
+            let (seen, end) = lent(&counting, 0, 4);
+            match end {
+                Err(StorageError::PageCorruption(msg)) => assert!(msg.contains("page 2"), "{msg}"),
+                other => panic!("expected a checksum failure, got {other:?}"),
+            }
+            // Pages 0 and 1 came whole; page 2 gave no record, and page 3,
+            // read in the same run, was never lent.
+            let ids: Vec<PageId> = seen.iter().map(|(id, _)| *id).collect();
+            assert_eq!(ids, [0, 1]);
+            for (id, records) in &seen {
+                let page = t.read_page_ref(*id).unwrap();
+                assert_eq!(
+                    records,
+                    &page.records().map(<[u8]>::to_vec).collect::<Vec<_>>()
+                );
+            }
+            // Counted as one read a page would have been: 0, 1, and 2.
+            assert_eq!(counting.pages_read(), 3);
+        }
+
+        #[test]
+        fn a_file_cut_inside_a_run_names_the_first_page_missing() {
+            let path = TempFile::new("run_cut");
+            let (pages, _) = hundred_rows(&path.0);
+            assert!(pages >= 5);
+            let t = Table::open(&path.0).unwrap();
+            let cut = header_of(&path.0).page_offset(3) + 100;
+            let file = std::fs::OpenOptions::new()
+                .write(true)
+                .open(&path.0)
+                .unwrap();
+            file.set_len(cut).unwrap();
+            drop(file);
+
+            let counting = CountingSource::new(&t);
+            let (seen, end) = lent(&counting, 1, 4);
+            match end {
+                Err(StorageError::Io(msg)) => {
+                    assert!(msg.starts_with("reading page 3: "), "{msg}");
+                }
+                other => panic!("expected a short read, got {other:?}"),
+            }
+            let ids: Vec<PageId> = seen.iter().map(|(id, _)| *id).collect();
+            assert_eq!(ids, [1, 2]);
+            assert_eq!(counting.pages_read(), 3);
+            // The pages before the cut still read alone.
+            assert!(t.read_page_ref(2).is_ok());
+        }
+
+        #[test]
+        fn a_run_that_reaches_the_unsynced_tail_lends_the_tail() {
+            // One append leaves the file a stale copy of the tail; twenty
+            // retire it and start a tail the file does not have at all.
+            for appended in [1, 20] {
+                let path = TempFile::new("run_tail");
+                hundred_rows(&path.0);
+                let mut t = Table::open(&path.0).unwrap();
+                for row in rows(100 + appended).into_iter().skip(100) {
+                    t.insert(&row).unwrap();
+                }
+                let last = t.num_pages() as PageId - 1;
+                let tail = t.read_page_ref(last).unwrap();
+                assert!(tail.is_borrowed());
+                let tail_bytes = tail.raw().as_ptr_range();
+
+                let mut lent_tail = false;
+                let mut records = Vec::new();
+                t.read_pages(0, t.num_pages(), &mut |page| {
+                    lent_tail |= page.id() == last && tail_bytes.contains(&page.raw().as_ptr());
+                    records.extend(page.records().map(<[u8]>::to_vec));
+                    Ok(())
+                })
+                .unwrap();
+                assert!(lent_tail, "{appended} appended: the tail must be lent");
+                let scanned: Vec<Vec<u8>> = (t.scan_rows().unwrap().iter())
+                    .map(|(_, row)| t.codec().encode(row).unwrap())
+                    .collect();
+                assert_eq!(records.len(), 100 + appended);
+                assert_eq!(records, scanned, "{appended} appended");
+            }
         }
 
         #[test]

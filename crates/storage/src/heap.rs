@@ -13,13 +13,18 @@
 //!
 //! [`read_page_ref`](HeapFile::read_page_ref) lends the tail and every
 //! in-memory page with no copy.  Any other page of a file is one positional
-//! read (`pread`) into a buffer that becomes the returned page: there is
-//! deliberately no buffer pool, so on a freshly opened file every page read
-//! is one physical read, which is exactly the cost model the paper's
-//! block-sampling discussion (Section II-C) is about.  The file cursor is
-//! never moved, so any number of threads (the `samplecfd` worker pool, the
-//! trial runner) can read one open file at once with no lock held; writes
-//! need `&mut self`, so they never race reads.
+//! read (`pread`) into a buffer that becomes the returned page.
+//! [`read_pages`](HeapFile::read_pages) reads a run of adjacent file pages
+//! with one positional read per [`MAX_RUN_PAGES`] of them, into a buffer
+//! the reading thread keeps for its next run, checks each page where it
+//! lies and lends it to the caller.  There is deliberately no buffer pool —
+//! no page is kept for a later read — so on a freshly opened file every
+//! page is read from the file each time it is asked for, which is exactly
+//! the cost model the paper's block-sampling discussion (Section II-C) is
+//! about: a page costs a read, and adjacent pages share one.  The file
+//! cursor is never moved, so any number of threads (the `samplecfd` worker
+//! pool, the trial runner) can read one open file at once with no lock
+//! held; writes need `&mut self`, so they never race reads.
 //!
 //! A file is opened read-only, so a table file without write permission
 //! serves every read.  The first append through a handle reopens the file
@@ -27,12 +32,32 @@
 
 use crate::disk::format::{self, FileHeader, FILE_HEADER_SIZE};
 use crate::error::{StorageError, StorageResult};
-use crate::page::{max_record_len, validate_page_size, Page, DEFAULT_PAGE_SIZE};
+use crate::page::{max_record_len, validate_page_size, Page, PageView, DEFAULT_PAGE_SIZE};
 use crate::rid::{PageId, Rid};
 use crate::source::PageRead;
+use std::cell::Cell;
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+
+/// The most adjacent pages of a file one positional read takes in
+/// [`HeapFile::read_pages`]: a run buffer holds this many page blocks
+/// (≈ 32 KiB at the default page size).  Four pages keep a one-shot row
+/// draw's live heap within the few pages
+/// `crates/sampling/tests/alloc_frame.rs` allows it besides its sample;
+/// sixteen do not.
+pub const MAX_RUN_PAGES: usize = 4;
+
+thread_local! {
+    /// The buffer this thread's run reads go into, kept from one
+    /// [`HeapFile::read_pages`] call to the next: after a thread's first
+    /// run, a run read allocates nothing, and page blocks of every size of
+    /// run land in the same place, which a fresh buffer per call sized to
+    /// its run did not (it raised a block draw's peak heap by about
+    /// 0.4 MiB).  It grows to the largest run read, and no page outlives
+    /// the visit it was lent to: a later run overwrites it.
+    static RUN_BUFFER: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
 
 /// An append-only heap of slotted [`Page`]s, in memory or in a file.
 ///
@@ -317,7 +342,9 @@ impl HeapFile {
 
     /// Read one page without forcing a copy: the tail and every in-memory
     /// page are *borrowed*, while any other page of a file is physically
-    /// read (one `pread`, checksum verified) and returned owned.
+    /// read (one `pread` of its own, checksum verified) and returned owned.
+    /// A run of adjacent pages is cheaper through
+    /// [`read_pages`](Self::read_pages).
     pub fn read_page_ref(&self, id: PageId) -> StorageResult<PageRead<'_>> {
         if id as usize >= self.num_pages {
             return Err(StorageError::InvalidRid { page: id, slot: 0 });
@@ -337,6 +364,82 @@ impl HeapFile {
                 )?))
             }
         }
+    }
+
+    /// Lend `count` adjacent pages from `first` to `visit`, in page order.
+    /// In memory, and for a file's loaded tail, the page is lent as it is.
+    /// Any other page of a file is read in runs of at most
+    /// [`MAX_RUN_PAGES`], one `pread` each, into the calling thread's run
+    /// buffer, and checked where it lies — checksum, ids, size and slot
+    /// directory, as [`read_page_ref`](Self::read_page_ref) checks it —
+    /// before it is visited.  A run read that fails or comes back short is
+    /// read again a page at a time, so the error names the page lost.
+    ///
+    /// # Errors
+    /// The first failed read, check or visit; every page before it has been
+    /// visited, and none after.
+    pub fn read_pages(
+        &self,
+        first: PageId,
+        count: usize,
+        visit: &mut dyn FnMut(PageView<'_>) -> StorageResult<()>,
+    ) -> StorageResult<()> {
+        let Store::File { file, .. } = &self.store else {
+            for id in (first..).take(count) {
+                visit(self.read_page_ref(id)?.view())?;
+            }
+            return Ok(());
+        };
+        // Taken for the call and handed back after it: a nested call, from
+        // inside a visit, reads into a buffer of its own.
+        let mut buf = RUN_BUFFER.take();
+        let stride = self.header().page_stride() as usize;
+        buf.resize(buf.len().max(count.min(MAX_RUN_PAGES) * stride), 0);
+        let read = self.read_file_pages(file, &mut buf, first, count, visit);
+        RUN_BUFFER.set(buf);
+        read
+    }
+
+    /// [`read_pages`](Self::read_pages) from `file`, runs read into `buf`.
+    fn read_file_pages(
+        &self,
+        file: &File,
+        buf: &mut [u8],
+        first: PageId,
+        count: usize,
+        visit: &mut dyn FnMut(PageView<'_>) -> StorageResult<()>,
+    ) -> StorageResult<()> {
+        let header = self.header();
+        let stride = header.page_stride() as usize;
+        // Pages before a loaded tail are read from the file; the tail is
+        // lent, and a page past the end is `read_page_ref`'s error.
+        let in_file = self
+            .tail
+            .as_ref()
+            .map_or(self.num_pages, |t| t.id() as usize);
+        let end = (first as usize).saturating_add(count);
+        let mut id = first as usize;
+        while id < end {
+            let pid = id as PageId;
+            let run = end.min(id + MAX_RUN_PAGES).min(in_file).saturating_sub(id);
+            if run == 0 {
+                visit(self.read_page_ref(pid)?.view())?;
+                id += 1;
+                continue;
+            }
+            let blocks = &mut buf[..run * stride];
+            if file.read_exact_at(blocks, header.page_offset(pid)).is_ok() {
+                for (k, block) in (0..).zip(blocks.chunks_exact(stride)) {
+                    visit(format::check_page(pid + k, self.page_size, block)?)?;
+                }
+            } else {
+                for k in 0..run as PageId {
+                    visit(self.read_page_ref(pid + k)?.view())?;
+                }
+            }
+            id += run;
+        }
+        Ok(())
     }
 }
 

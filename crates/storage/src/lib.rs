@@ -13,7 +13,8 @@
 //!   values and the fixed-width uncompressed row representation whose size the
 //!   compression fraction's denominator counts,
 //! * [`Page`] — slotted pages with explicit header and slot-directory
-//!   overheads,
+//!   overheads, and [`PageView`], a page's read half lent from wherever its
+//!   bytes lie,
 //! * [`HeapFile`] / [`Table`] — base tables that samplers draw rows and
 //!   blocks from: one heap of slotted pages whose constructor picks its
 //!   store, in memory or in a table file, where block sampling's "read
@@ -82,9 +83,9 @@ pub use cell::{CellRef, RowRef};
 pub use counting::CountingSource;
 pub use datatype::DataType;
 pub use error::{StorageError, StorageResult};
-pub use heap::HeapFile;
+pub use heap::{HeapFile, MAX_RUN_PAGES};
 pub use page::{
-    Page, DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE, MIN_PAGE_SIZE, PAGE_HEADER_SIZE, SLOT_SIZE,
+    Page, PageView, DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE, MIN_PAGE_SIZE, PAGE_HEADER_SIZE, SLOT_SIZE,
 };
 pub use rid::{PageId, Rid};
 pub use row::{cell_logical_len, decode_cell, encode_cell, Row, RowCodec, CHAR_PAD};

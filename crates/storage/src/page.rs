@@ -54,37 +54,36 @@ pub fn max_record_len(page_size: usize) -> usize {
     page_size.saturating_sub(PAGE_HEADER_SIZE + SLOT_SIZE)
 }
 
-/// A slotted page holding variable-length records.
+/// A slotted page holding variable-length records: its own buffer, which
+/// appends fill.  Its record accessors are its [`view`](Page::view)'s.
 #[derive(Debug, Clone)]
 pub struct Page {
     id: PageId,
     data: Vec<u8>,
 }
 
-impl Page {
-    /// Create an empty page with the given id and size.
-    ///
-    /// # Errors
-    /// Fails if `page_size` is outside the supported range.
-    pub fn new(id: PageId, page_size: usize) -> StorageResult<Self> {
-        validate_page_size(page_size)?;
-        let mut page = Page {
-            id,
-            data: vec![0u8; page_size],
-        };
-        page.write_header(0, PAGE_HEADER_SIZE as u32);
-        page.data[..4].copy_from_slice(&id.to_be_bytes());
-        Ok(page)
-    }
+/// The read half of a [`Page`]: a page id and the page's bytes, borrowed
+/// from wherever they live — a [`Page`], or a buffer of a run read whose
+/// checks they passed ([`TableSource::read_pages`]).  Built only through
+/// [`Page::view`] or [`PageView::new`], so its slot directory is always
+/// the one [`PageView::new`] accepts.
+///
+/// [`TableSource::read_pages`]: crate::source::TableSource::read_pages
+#[derive(Debug, Clone, Copy)]
+pub struct PageView<'a> {
+    id: PageId,
+    data: &'a [u8],
+}
 
-    /// Reconstruct a page from its raw backing bytes (as produced by
-    /// [`Page::raw`]), validating every structural invariant so that corrupt
-    /// or truncated buffers are rejected instead of causing panics later.
+impl<'a> PageView<'a> {
+    /// View `data` as page `expected_id`, validating every structural
+    /// invariant so that corrupt or truncated bytes are rejected instead of
+    /// causing panics later.
     ///
     /// # Errors
     /// Fails if the buffer size is unsupported, the stored page id does not
     /// match `expected_id`, or the slot directory is inconsistent.
-    pub fn from_bytes(expected_id: PageId, data: Vec<u8>) -> StorageResult<Self> {
+    pub fn new(expected_id: PageId, data: &'a [u8]) -> StorageResult<Self> {
         validate_page_size(data.len())?;
         let stored_id = PageId::from_be_bytes([data[0], data[1], data[2], data[3]]);
         if stored_id != expected_id {
@@ -92,14 +91,14 @@ impl Page {
                 "page header stores id {stored_id}, expected {expected_id}"
             )));
         }
-        let page = Page {
+        let view = PageView {
             id: stored_id,
             data,
         };
-        let free_ptr = page.free_ptr();
-        let slot_count = page.slot_count();
-        let dir_start = page
-            .page_size()
+        let free_ptr = view.free_ptr();
+        let slot_count = view.slot_count();
+        let dir_start = data
+            .len()
             .checked_sub(usize::from(slot_count) * SLOT_SIZE)
             .ok_or_else(|| {
                 StorageError::PageCorruption(format!(
@@ -111,24 +110,28 @@ impl Page {
                 "free pointer {free_ptr} outside the valid range [{PAGE_HEADER_SIZE}, {dir_start}]"
             )));
         }
-        // The directory grows backward from the end of the page, so slot 0
-        // is its last entry: one reverse walk of one slice.
-        for (slot, entry) in page.data[dir_start..].rchunks_exact(SLOT_SIZE).enumerate() {
-            let offset = usize::from(u16::from_be_bytes([entry[0], entry[1]]));
-            let len = usize::from(u16::from_be_bytes([entry[2], entry[3]]));
-            if offset < PAGE_HEADER_SIZE || offset + len > free_ptr {
-                return Err(StorageError::PageCorruption(format!(
-                    "slot {slot} spans [{offset}, {}) outside the record area",
-                    offset + len
-                )));
-            }
+        // Each entry is a big-endian `offset << 16 | len`.  One pass with no
+        // early exit (so the compiler can vectorise it) decides; only a page
+        // that fails walks the directory again for the slot to name.  The
+        // directory grows backward from the end of the page, so slot 0 is
+        // its last entry.
+        let span = |entry: &[u8]| {
+            let entry = u32::from_be_bytes([entry[0], entry[1], entry[2], entry[3]]);
+            (entry >> 16, (entry >> 16) + (entry & 0xFFFF))
+        };
+        let outside = |(offset, end): (u32, u32)| {
+            (offset < PAGE_HEADER_SIZE as u32) | (end as usize > free_ptr)
+        };
+        let directory = data[dir_start..].chunks_exact(SLOT_SIZE);
+        if !directory.fold(false, |bad, entry| bad | outside(span(entry))) {
+            return Ok(view);
         }
-        Ok(page)
-    }
-
-    fn write_header(&mut self, slot_count: u16, free_ptr: u32) {
-        self.data[4..6].copy_from_slice(&slot_count.to_be_bytes());
-        self.data[8..12].copy_from_slice(&free_ptr.to_be_bytes());
+        let slots = data[dir_start..].rchunks_exact(SLOT_SIZE).map(span);
+        let (slot, (offset, end)) = (slots.enumerate().find(|&(_, span)| outside(span)))
+            .expect("the pass above found an entry outside");
+        Err(StorageError::PageCorruption(format!(
+            "slot {slot} spans [{offset}, {end}) outside the record area"
+        )))
     }
 
     /// The page identifier.
@@ -153,22 +156,6 @@ impl Page {
         u32::from_be_bytes([self.data[8], self.data[9], self.data[10], self.data[11]]) as usize
     }
 
-    fn slot_dir_start(&self) -> usize {
-        self.page_size() - usize::from(self.slot_count()) * SLOT_SIZE
-    }
-
-    /// Bytes still available for a new record (including its slot entry).
-    #[must_use]
-    pub fn free_space(&self) -> usize {
-        self.slot_dir_start().saturating_sub(self.free_ptr())
-    }
-
-    /// Whether a record of `record_len` bytes fits in this page.
-    #[must_use]
-    pub fn fits(&self, record_len: usize) -> bool {
-        self.free_space() >= record_len + SLOT_SIZE
-    }
-
     /// Number of payload bytes currently stored (sum of record lengths).
     #[must_use]
     pub fn payload_bytes(&self) -> usize {
@@ -184,6 +171,7 @@ impl Page {
         PAGE_HEADER_SIZE + usize::from(self.slot_count()) * SLOT_SIZE
     }
 
+    #[inline(always)]
     fn slot(&self, slot: u16) -> Option<(usize, usize)> {
         if slot >= self.slot_count() {
             return None;
@@ -192,6 +180,149 @@ impl Page {
         let offset = u16::from_be_bytes([self.data[pos], self.data[pos + 1]]) as usize;
         let len = u16::from_be_bytes([self.data[pos + 2], self.data[pos + 3]]) as usize;
         Some((offset, len))
+    }
+
+    /// Get the record stored in `slot`.
+    // Called per drawn record of every page a draw reads: forced inline so
+    // that no caller pays a call for it, whatever thin LTO's partitioning.
+    #[inline(always)]
+    pub fn get(&self, slot: u16) -> StorageResult<&'a [u8]> {
+        match self.slot(slot) {
+            Some((offset, len)) if offset + len <= self.page_size() => {
+                Ok(&self.data[offset..offset + len])
+            }
+            held => Err(self.no_record(slot, held.is_some())),
+        }
+    }
+
+    /// Why [`get`](Self::get) found no record in `slot`: a slot the page
+    /// does not have, or one whose entry points outside it.
+    #[cold]
+    fn no_record(&self, slot: u16, held: bool) -> StorageError {
+        if held {
+            StorageError::PageCorruption(format!("slot {slot} points outside the page"))
+        } else {
+            StorageError::InvalidRid {
+                page: self.id,
+                slot,
+            }
+        }
+    }
+
+    /// Iterate over all records in slot order.
+    pub fn records(&self) -> impl Iterator<Item = &'a [u8]> + 'a {
+        let view = *self;
+        (0..self.slot_count()).map(move |s| view.get(s).expect("slot within slot_count is valid"))
+    }
+
+    /// The raw bytes of the page.
+    #[must_use]
+    pub fn raw(&self) -> &'a [u8] {
+        self.data
+    }
+
+    /// Copy the viewed bytes into a page of their own.
+    #[must_use]
+    pub fn to_page(&self) -> Page {
+        Page {
+            id: self.id,
+            data: self.data.to_vec(),
+        }
+    }
+}
+
+impl Page {
+    /// Create an empty page with the given id and size.
+    ///
+    /// # Errors
+    /// Fails if `page_size` is outside the supported range.
+    pub fn new(id: PageId, page_size: usize) -> StorageResult<Self> {
+        validate_page_size(page_size)?;
+        let mut page = Page {
+            id,
+            data: vec![0u8; page_size],
+        };
+        page.write_header(0, PAGE_HEADER_SIZE as u32);
+        page.data[..4].copy_from_slice(&id.to_be_bytes());
+        Ok(page)
+    }
+
+    /// Reconstruct a page from its raw backing bytes (as produced by
+    /// [`Page::raw`]), checked as [`PageView::new`] checks them.
+    ///
+    /// # Errors
+    /// Fails if the buffer size is unsupported, the stored page id does not
+    /// match `expected_id`, or the slot directory is inconsistent.
+    pub fn from_bytes(expected_id: PageId, data: Vec<u8>) -> StorageResult<Self> {
+        PageView::new(expected_id, &data)?;
+        Ok(Page {
+            id: expected_id,
+            data,
+        })
+    }
+
+    /// A page of bytes that [`PageView::new`] has accepted as page `id`.
+    pub(crate) fn checked(id: PageId, data: Vec<u8>) -> Self {
+        Page { id, data }
+    }
+
+    fn write_header(&mut self, slot_count: u16, free_ptr: u32) {
+        self.data[4..6].copy_from_slice(&slot_count.to_be_bytes());
+        self.data[8..12].copy_from_slice(&free_ptr.to_be_bytes());
+    }
+
+    /// The read half of the page, borrowed.
+    #[inline]
+    #[must_use]
+    pub fn view(&self) -> PageView<'_> {
+        PageView {
+            id: self.id,
+            data: &self.data,
+        }
+    }
+
+    /// The page identifier.
+    #[must_use]
+    pub fn id(&self) -> PageId {
+        self.id
+    }
+
+    /// Total size of the page in bytes.
+    #[must_use]
+    pub fn page_size(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Number of records stored in the page.
+    #[must_use]
+    pub fn slot_count(&self) -> u16 {
+        self.view().slot_count()
+    }
+
+    /// Bytes still available for a new record (including its slot entry).
+    #[must_use]
+    pub fn free_space(&self) -> usize {
+        let dir_start = self.page_size() - usize::from(self.slot_count()) * SLOT_SIZE;
+        dir_start.saturating_sub(self.view().free_ptr())
+    }
+
+    /// Whether a record of `record_len` bytes fits in this page.
+    #[must_use]
+    pub fn fits(&self, record_len: usize) -> bool {
+        self.free_space() >= record_len + SLOT_SIZE
+    }
+
+    /// Number of payload bytes currently stored (sum of record lengths).
+    #[must_use]
+    pub fn payload_bytes(&self) -> usize {
+        self.view().payload_bytes()
+    }
+
+    /// Bytes of the page that are pure bookkeeping overhead
+    /// (header + slot directory).
+    #[must_use]
+    pub fn overhead_bytes(&self) -> usize {
+        self.view().overhead_bytes()
     }
 
     /// Insert a record, returning its slot number, or `None` if it does not fit.
@@ -209,7 +340,7 @@ impl Page {
             return Ok(None);
         }
         let slot = self.slot_count();
-        let offset = self.free_ptr();
+        let offset = self.view().free_ptr();
         self.data[offset..offset + record.len()].copy_from_slice(record);
         let pos = self.page_size() - (usize::from(slot) + 1) * SLOT_SIZE;
         self.data[pos..pos + 2].copy_from_slice(&(offset as u16).to_be_bytes());
@@ -219,22 +350,14 @@ impl Page {
     }
 
     /// Get the record stored in `slot`.
+    #[inline]
     pub fn get(&self, slot: u16) -> StorageResult<&[u8]> {
-        let (offset, len) = self.slot(slot).ok_or(StorageError::InvalidRid {
-            page: self.id,
-            slot,
-        })?;
-        if offset + len > self.page_size() {
-            return Err(StorageError::PageCorruption(format!(
-                "slot {slot} points outside the page"
-            )));
-        }
-        Ok(&self.data[offset..offset + len])
+        self.view().get(slot)
     }
 
     /// Iterate over all records in slot order.
     pub fn records(&self) -> impl Iterator<Item = &[u8]> + '_ {
-        (0..self.slot_count()).map(move |s| self.get(s).expect("slot within slot_count is valid"))
+        self.view().records()
     }
 
     /// Borrow the record in `slot` as a [`RowRef`] — a zero-copy view whose
@@ -366,6 +489,22 @@ mod tests {
         assert!(Page::from_bytes(3, data).is_err());
         // Unsupported buffer size.
         assert!(Page::from_bytes(3, vec![0u8; 8]).is_err());
+        // A slot entry outside the record area is named by its slot: slot 1
+        // runs past the free pointer, slot 2 starts inside the header.
+        p.insert(b"de").unwrap();
+        p.insert(b"fgh").unwrap();
+        for (slot, offset, message) in [
+            (1, 30u16, "slot 1 spans [30, 32) outside the record area"),
+            (2, 4, "slot 2 spans [4, 7) outside the record area"),
+        ] {
+            let mut data = p.raw().to_vec();
+            let at = data.len() - (slot + 1) * SLOT_SIZE;
+            data[at..at + 2].copy_from_slice(&offset.to_be_bytes());
+            match Page::from_bytes(3, data) {
+                Err(StorageError::PageCorruption(m)) => assert_eq!(m, message),
+                other => panic!("slot {slot}: expected PageCorruption, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! without reading a page or allocating anything the size of the table.
 
 use crate::error::StorageResult;
-use crate::page::{Page, PAGE_HEADER_SIZE, SLOT_SIZE};
+use crate::page::{Page, PageView, PAGE_HEADER_SIZE, SLOT_SIZE};
 use crate::rid::{PageId, Rid};
 use crate::row::{Row, RowCodec};
 use crate::schema::Schema;
@@ -27,9 +27,10 @@ use std::sync::Arc;
 /// source's own storage when it lives in memory, or owned when it had to be
 /// read (and decoded) from disk.
 ///
-/// This is the zero-copy contract of the hot path: in-memory sources hand out
-/// `Borrowed` views with no byte copied, while disk sources return the
-/// `Owned` page they just materialised from the file.  Dereferences to
+/// This is the zero-copy contract of a one-page read: in-memory sources hand
+/// out `Borrowed` views with no byte copied, while disk sources return the
+/// `Owned` page they just materialised from the file (a run of pages is
+/// lent instead, by [`TableSource::read_pages`]).  Dereferences to
 /// [`Page`], so consumers that only read can ignore the distinction.
 #[derive(Debug)]
 pub enum PageRead<'a> {
@@ -75,15 +76,20 @@ impl Deref for PageRead<'_> {
 
 /// A readable source of table pages and rows.
 ///
-/// Required methods describe the table and read one page; the full scan has
-/// a default implementation in terms of
-/// [`read_page_ref`](TableSource::read_page_ref), so that an I/O-counting
-/// wrapper which only intercepts the page reads observes every physical page
-/// access.  There is no point read by RID: a row draw reads the pages its
-/// rows land on and slices the records out of them
-/// ([`Page::get`], then [`RowCodec::decode`] where a value is wanted).  The sampling frame is no method at all: [`Frame::of`] computes
-/// it from the metadata, the way a real engine derives it from its
-/// allocation map rather than from data pages.
+/// Required methods describe the table and read one page.  A run of
+/// adjacent pages is [`read_pages`](TableSource::read_pages), whose default
+/// reads them one [`read_page_ref`](TableSource::read_page_ref) at a time
+/// and which a file-backed [`Table`](crate::table::Table) overrides with
+/// one positional read per few pages; the full scan has a default in terms
+/// of `read_page_ref` too.  So a wrapper which only intercepts the one-page
+/// reads observes every page access, and one that forwards `read_pages`
+/// as well ([`CountingSource`](crate::CountingSource)) still counts pages,
+/// not reads.  There is no point read by RID: a row draw reads the pages
+/// its rows land on and slices the records out of them ([`Page::get`] or
+/// [`PageView::get`], then [`RowCodec::decode`] where a value is wanted).
+/// The sampling frame is no method at all: [`Frame::of`] computes it from
+/// the metadata, the way a real engine derives it from its allocation map
+/// rather than from data pages.
 pub trait TableSource: Send + Sync {
     /// The table name.
     fn name(&self) -> &str;
@@ -113,6 +119,26 @@ pub trait TableSource: Send + Sync {
     /// stay correct; sources that can borrow override it.
     fn read_page_ref(&self, id: PageId) -> StorageResult<PageRead<'_>> {
         Ok(PageRead::Owned(self.read_page(id)?))
+    }
+
+    /// Lend `count` adjacent pages from `first` to `visit`, in page order,
+    /// each checked as [`read_page_ref`](TableSource::read_page_ref) checks
+    /// it.  The default reads them one `read_page_ref` at a time; a source
+    /// that can read several pages at once overrides it.
+    ///
+    /// # Errors
+    /// The first failed read or visit; every page before it has been
+    /// visited, and none after.
+    fn read_pages(
+        &self,
+        first: PageId,
+        count: usize,
+        visit: &mut dyn FnMut(PageView<'_>) -> StorageResult<()>,
+    ) -> StorageResult<()> {
+        for id in (first..).take(count) {
+            visit(self.read_page_ref(id)?.view())?;
+        }
+        Ok(())
     }
 
     /// Materialise all `(rid, row)` pairs in storage order (a full scan).
@@ -277,6 +303,15 @@ impl<T: TableSource + ?Sized> TableSource for Arc<T> {
 
     fn read_page_ref(&self, id: PageId) -> StorageResult<PageRead<'_>> {
         (**self).read_page_ref(id)
+    }
+
+    fn read_pages(
+        &self,
+        first: PageId,
+        count: usize,
+        visit: &mut dyn FnMut(PageView<'_>) -> StorageResult<()>,
+    ) -> StorageResult<()> {
+        (**self).read_pages(first, count, visit)
     }
 }
 

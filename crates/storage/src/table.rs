@@ -12,7 +12,7 @@
 use crate::disk::format;
 use crate::error::{StorageError, StorageResult};
 use crate::heap::HeapFile;
-use crate::page::{Page, DEFAULT_PAGE_SIZE};
+use crate::page::{Page, PageView, DEFAULT_PAGE_SIZE};
 use crate::rid::{PageId, Rid};
 use crate::row::{Row, RowCodec};
 use crate::schema::Schema;
@@ -222,6 +222,15 @@ impl TableSource for Table {
 
     fn read_page_ref(&self, id: PageId) -> StorageResult<PageRead<'_>> {
         self.heap.read_page_ref(id)
+    }
+
+    fn read_pages(
+        &self,
+        first: PageId,
+        count: usize,
+        visit: &mut dyn FnMut(PageView<'_>) -> StorageResult<()>,
+    ) -> StorageResult<()> {
+        self.heap.read_pages(first, count, visit)
     }
 }
 
