@@ -110,7 +110,7 @@ impl Design {
     /// under: rows, or a block sample's pages; with replacement, or without
     /// from the source's rows or pages.  Every kind has one: a Bernoulli
     /// sample given its size is a uniform sample without replacement, and
-    /// every prefix of a drawn reservoir is one too.
+    /// a reservoir is drawn as one.
     #[must_use]
     pub fn of(sampler: SamplerKind, source: &dyn TableSource) -> Design {
         let (unit, population) = match sampler {

@@ -240,13 +240,9 @@ fn a_one_shot_draw_reads_one_run_per_stretch_of_adjacent_pages_it_needs() {
             single.is_empty(),
             "{kind:?} read pages one at a time: {single:?}"
         );
-        let needed: BTreeSet<PageId> = match kind {
-            // The scan needs every page, drawn from or not.
-            SamplerKind::Reservoir(_) => (0..table.num_pages() as PageId).collect(),
-            _ => (batches.iter().flat_map(RecordBatch::iter))
-                .map(|(rid, _)| rid.page)
-                .collect(),
-        };
+        let needed: BTreeSet<PageId> = (batches.iter().flat_map(RecordBatch::iter))
+            .map(|(rid, _)| rid.page)
+            .collect();
         // A stratum's draw is fetched on its own, so a run ends at its
         // stratum's last page.
         let strata = match kind {

@@ -14,7 +14,6 @@
 
 use crate::error::SamplingResult;
 use crate::sampler::SampledRow;
-use rand::{Rng, RngCore};
 use samplecf_storage::{PageId, PageView, Rid, RowCodec, StorageResult, TableSource};
 
 /// One batch of a draw: RIDs and their checked heap records, record `i` at
@@ -122,45 +121,6 @@ impl RecordBatch {
         }
         Ok(())
     }
-
-    /// Check `record` with `codec` and put it in place of record `i`, as
-    /// drawn at `rid`.
-    pub(crate) fn replace(
-        &mut self,
-        i: usize,
-        codec: &RowCodec,
-        rid: Rid,
-        record: &[u8],
-    ) -> StorageResult<()> {
-        let record = codec.check(record)?;
-        self.arena[i * self.record_len..][..self.record_len].copy_from_slice(&record);
-        self.rids[i] = rid;
-        Ok(())
-    }
-
-    /// Put the records in a uniformly random order: Fisher–Yates, one
-    /// `gen_range(0..=i)` per record from the last down.
-    pub(crate) fn shuffle(&mut self, rng: &mut dyn RngCore) {
-        let len = self.record_len;
-        for i in (1..self.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            if j != i {
-                self.rids.swap(i, j);
-                let (head, tail) = self.arena.split_at_mut(i * len);
-                head[j * len..][..len].swap_with_slice(&mut tail[..len]);
-            }
-        }
-    }
-
-    /// Records `range` of this batch, copied into a batch of their own.
-    pub(crate) fn slice(&self, range: std::ops::Range<usize>) -> RecordBatch {
-        let bytes = range.start * self.record_len..range.end * self.record_len;
-        RecordBatch {
-            rids: self.rids[range].to_vec(),
-            arena: self.arena[bytes].to_vec(),
-            record_len: self.record_len,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -201,8 +161,5 @@ mod tests {
         let err = batch.push(&codec, Rid::new(0, 2), &record).unwrap_err();
         assert!(matches!(err, StorageError::Decode(_)));
         assert_eq!(batch.len(), 2);
-        let sliced = batch.slice(1..2);
-        let sliced: Vec<_> = sliced.iter().collect();
-        assert_eq!(sliced, [(Rid::new(0, 1), &canonical[..])]);
     }
 }

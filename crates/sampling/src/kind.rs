@@ -89,7 +89,11 @@ pub enum SamplerKind {
     /// ([`bernoulli_size`](crate::bernoulli_size)).  It is not deepened
     /// ([`with_fraction`](Self::with_fraction)).
     Bernoulli(f64),
-    /// Fixed-size reservoir sampling.
+    /// Fixed-size reservoir sampling: a uniform sample without
+    /// replacement of this many rows (every row of a smaller table).  The
+    /// row count is known up front, so it is drawn as uniform-wor at a cap
+    /// of `min(k, n)`, not by a scan.  It is not deepened
+    /// ([`with_fraction`](Self::with_fraction)).
     Reservoir(usize),
     /// Page-level sampling at the given page fraction
     /// (what commercial systems actually do).

@@ -1,5 +1,5 @@
-//! Row-position draws: uniform, Bernoulli and stratified sampling over
-//! contiguous page-range strata.
+//! Row-position draws: uniform, Bernoulli, reservoir and stratified
+//! sampling over contiguous page-range strata.
 //!
 //! A [`StratifiedStream`] is the one stream that draws *positions* of the
 //! table's [`Frame`].  It splits the row budget `round(f·n)` across the
@@ -26,9 +26,16 @@
 //! Bernoulli(`p`) is uniform-wor at a random cap: binding counts
 //! `M ~ Binomial(n, p)` on the shared RNG by geometric skips
 //! ([`bernoulli_size`]), reading no page, and the draw is the first `M`
-//! elements of the same shuffle.  Only [`SamplerKind::Stratified`] reports
-//! stratum tags and weights: to its consumers a uniform or Bernoulli draw
-//! is unstratified.
+//! elements of the same shuffle.  A reservoir of `k` rows is uniform-wor at
+//! the fixed cap `min(k, n)`: Vitter's Algorithm R scans because it does
+//! not know `n`, but the frame is arithmetic, so `n` is known before the
+//! first position and the first `k` elements of the shuffle have the
+//! reservoir's inclusion probabilities (`k/n` for a row, `k(k−1)/(n(n−1))`
+//! for a pair).  It consumes no randomness before the shuffle, so it draws
+//! the rows of uniform-wor at that cap, seed for seed, and reads only the
+//! pages they land on.  Only [`SamplerKind::Stratified`] reports stratum
+//! tags and weights: to its consumers a uniform, Bernoulli or reservoir
+//! draw is unstratified.
 //!
 //! **With k ≥ 2 strata** each stratum draws with replacement from an
 //! independent, prefix-stable substream: stratum `s` owns its own RNG
@@ -78,7 +85,7 @@ enum Positions {
     /// with-replacement draw (uniform-wr, and stratified with one stratum).
     Shared,
     /// The next elements of a shuffle of the frame, on the shared RNG:
-    /// uniform-wor and Bernoulli.
+    /// uniform-wor, Bernoulli and the reservoir.
     Shuffle(IncrementalFisherYates),
     /// One RNG per stratum, derived from the shared RNG at bind time:
     /// stratified with k ≥ 2 strata.
@@ -172,7 +179,7 @@ impl BoundFrame {
 }
 
 /// The row-position stream (see the module docs for the contract): draws
-/// uniform-wr, uniform-wor, Bernoulli and stratified kinds.
+/// uniform-wr, uniform-wor, Bernoulli, reservoir and stratified kinds.
 pub struct StratifiedStream {
     /// The kind drawn, with its current cap.
     kind: SamplerKind,
@@ -228,6 +235,7 @@ impl StratifiedStream {
         };
         let max_rows = match self.kind {
             SamplerKind::Bernoulli(p) => bernoulli_size(frame.len(), p, rng),
+            SamplerKind::Reservoir(size) => size.min(frame.len()),
             kind => target_size(frame.len(), kind.fraction().expect("a row fraction")),
         };
         let plan = BatchPlan::new(self.schedule, frame.len(), max_rows);
@@ -237,7 +245,9 @@ impl StratifiedStream {
         // prefix.  A one-stratum draw derives nothing.
         let positions = if matches!(
             self.kind,
-            SamplerKind::UniformWithoutReplacement(_) | SamplerKind::Bernoulli(_)
+            SamplerKind::UniformWithoutReplacement(_)
+                | SamplerKind::Bernoulli(_)
+                | SamplerKind::Reservoir(_)
         ) {
             Positions::Shuffle(IncrementalFisherYates::new(frame.len()))
         } else if strata.len() > 1 {
@@ -329,9 +339,12 @@ impl SampleStream for StratifiedStream {
         true
     }
 
-    /// A Bernoulli draw is not ([`SamplerKind::with_fraction`]).
+    /// A Bernoulli or reservoir draw is not ([`SamplerKind::with_fraction`]).
     fn extendable(&self) -> bool {
-        !matches!(self.kind, SamplerKind::Bernoulli(_))
+        !matches!(
+            self.kind,
+            SamplerKind::Bernoulli(_) | SamplerKind::Reservoir(_)
+        )
     }
 
     fn approx_retained_bytes(&self) -> usize {

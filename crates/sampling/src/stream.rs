@@ -26,9 +26,11 @@
 //!   draws are the one-stratum case:** `gen_range(0..n)` on the shared RNG
 //!   with replacement, the next element of an [`IncrementalFisherYates`]
 //!   shuffle of the frame without; Bernoulli is the without-replacement
-//!   draw capped at a binomial count made when the stream binds; with
-//!   k ≥ 2 strata each stratum is its own with-replacement substream (see
-//!   [`stratified`](crate::stratified)).
+//!   draw capped at a binomial count made when the stream binds, and a
+//!   reservoir of `k` rows the same draw capped at `min(k, n)` — the frame
+//!   knows `n`, so no scan is needed to draw `k` rows uniformly without
+//!   replacement; with k ≥ 2 strata each stratum is its own
+//!   with-replacement substream (see [`stratified`](crate::stratified)).
 //!   Fetches are page-coalesced, read runs of adjacent needed pages, and
 //!   check only the drawn slots.  A page is held ([`PageCache`]) only
 //!   while a later batch of the same stream can still need it: every batch
@@ -44,10 +46,6 @@
 //!   the first `k` pages of a longer selection equal a selection of `k`
 //!   pages ([`IncrementalFisherYates`] replays the same sequence
 //!   incrementally).
-//! * **Reservoir sampling** ([`ScanStream`]) needs the full scan before
-//!   its sample is final, so the stream pays the whole scan on the first
-//!   batch and then emits shuffled slices of the reservoir; progressive
-//!   stopping saves no I/O for it, only wall-clock on the measurement side.
 //!
 //! Batch boundaries come from a [`BatchSchedule`] fixed at construction:
 //! geometrically growing row targets capped at the sampler's fraction (or
@@ -60,7 +58,6 @@ use crate::batch::RecordBatch;
 use crate::block::BlockStream;
 use crate::error::{SamplingError, SamplingResult};
 use crate::kind::SamplerKind;
-use crate::reservoir::ScanStream;
 use crate::sampler::{target_size, validate_fraction, SampledRow};
 use crate::stratified::StratifiedStream;
 use rand::{Rng, RngCore};
@@ -245,7 +242,7 @@ pub trait SampleStream: Send + Sync {
     /// the existing draw instead of redrawing.  Returns `false` when the
     /// stream cannot be deepened (another sampler, a shallower target, a
     /// Bernoulli draw, whose cap was counted for its `p`, or a reservoir,
-    /// whose draw is complete after its one scan).
+    /// whose cap is its size).
     fn extend_cap(&mut self, kind: SamplerKind) -> bool;
 
     /// Whether [`extend_cap`](Self::extend_cap) can ever succeed on this
@@ -310,8 +307,8 @@ impl SamplerKind {
             SamplerKind::UniformWithReplacement(_)
             | SamplerKind::UniformWithoutReplacement(_)
             | SamplerKind::Bernoulli(_)
+            | SamplerKind::Reservoir(_)
             | SamplerKind::Stratified { .. } => Box::new(StratifiedStream::new(*self, schedule)),
-            SamplerKind::Reservoir(size) => Box::new(ScanStream::new(size, schedule)),
             SamplerKind::Block(f) => Box::new(BlockStream::new(f, schedule)),
         })
     }
@@ -680,71 +677,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn reservoir_stream_emits_the_one_shot_reservoir_in_slices() {
-        let t = table(1_500);
-        // The reference: Algorithm R over a decoded scan.
-        let mut reference: Vec<SampledRow> = Vec::new();
-        let mut r = rng(2);
-        for (seen, row) in t.scan_rows().unwrap().into_iter().enumerate() {
-            if reference.len() < 120 {
-                reference.push(row);
-            } else {
-                let j = r.gen_range(0..=seen);
-                if j < 120 {
-                    reference[j] = row;
-                }
-            }
-        }
-        let counting = CountingSource::new(&t);
-        let mut stream = SamplerKind::Reservoir(120)
-            .stream(BatchSchedule::default())
-            .unwrap();
-        let mut rng = rng(2);
-        let mut drained = stream.next_batch(&counting, &mut rng).unwrap();
-        assert!(drained.len() < 120, "the reservoir arrives in slices");
-        // The scan was paid once, on the first batch.
-        assert_eq!(counting.pages_read() as usize, t.num_pages());
-        drained.extend(stream.drain(&counting, &mut rng).unwrap());
-        // Shuffled: the slices hold the reservoir's rows, in another order.
-        assert_ne!(drained, reference);
-        assert_eq!(
-            sorted(drained),
-            sorted(reference.clone()),
-            "slices are the reservoir"
-        );
-        assert_eq!(counting.pages_read() as usize, t.num_pages());
-        assert!(!stream.extendable());
-        assert!(!stream.extend_cap(SamplerKind::Reservoir(500)));
-        // One slice is the reservoir in slot order, as Algorithm R left it.
-        let one_shot = draw(SamplerKind::Reservoir(120), &t, 2);
-        assert_eq!(one_shot, reference);
-    }
-
-    #[test]
-    fn a_reservoir_slice_can_hold_any_row() {
-        // Algorithm R fills slot `j` with row `j` and later evicts it only
-        // for a row past the reservoir: in slot order a prefix of `m` slots
-        // never holds a row of `[m, size)`.  Shuffled, the first slice of a
-        // sorted table holds some.
-        let t = table(1_500);
-        let size = 1_000;
-        let stream_of = || {
-            SamplerKind::Reservoir(size)
-                .stream(BatchSchedule::new(0.01, 2.0).unwrap())
-                .unwrap()
-        };
-        for seed in 0..5 {
-            let first = stream_of().next_batch(&t, &mut rng(seed)).unwrap();
-            let m = first.len();
-            assert!(m < size);
-            // Row `i` holds "v{i:06}".
-            let position = |row: &Row| row.value(0).as_str().unwrap()[1..].parse().unwrap();
-            let inside = (first.iter()).filter(|(_, row)| (m..size).contains(&position(row)));
-            assert!(inside.count() > 0, "seed {seed}: no row of [{m}, {size})");
-        }
-    }
-
-    #[test]
     fn extending_the_cap_continues_the_draw_prefix() {
         let t = table(2_000);
         type Family = fn(f64) -> SamplerKind;
@@ -790,8 +722,8 @@ pub(crate) mod tests {
             let rows = stream.drain(&t, &mut rng(1)).unwrap();
             assert!(!rows.is_empty(), "{kind:?}");
             assert!(stream.exhausted());
-            // A reservoir's draw is final after its one scan, and a
-            // Bernoulli draw's cap was counted for its `p`.
+            // A reservoir's cap is its size, and a Bernoulli draw's cap
+            // was counted for its `p`.
             let sealed = matches!(kind, SamplerKind::Bernoulli(_) | SamplerKind::Reservoir(_));
             assert_eq!(stream.extendable(), !sealed, "{kind:?}");
             assert_eq!(

@@ -1,17 +1,20 @@
 //! What every row-position kind draws one-shot: uniform with and without
-//! replacement and Bernoulli, each a draw of the
+//! replacement, Bernoulli and the reservoir, each a draw of the
 //! [`StratifiedStream`](crate::stratified::StratifiedStream) (Bernoulli is
-//! uniform-wor at a binomial cap).  Only the tests live here.
+//! uniform-wor at a binomial cap, a reservoir uniform-wor at its size).
+//! Only the tests live here.
 
 #[cfg(test)]
 mod tests {
     use crate::sampler::{bernoulli_size, SampledRow};
     use crate::stream::tests::draw;
-    use crate::{BatchSchedule, SamplerKind};
+    use crate::{BatchSchedule, RecordBatch, SamplerKind};
     use rand::rngs::StdRng;
     use rand::seq::index;
     use rand::SeedableRng;
-    use samplecf_storage::{Frame, Row, Schema, Table, TableBuilder, TableSource, Value};
+    use samplecf_storage::{
+        CountingSource, Frame, Row, Schema, Table, TableBuilder, TableSource, Value,
+    };
     use std::collections::HashSet;
 
     fn table(n: usize) -> Table {
@@ -22,6 +25,35 @@ mod tests {
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
+    }
+
+    /// The rows at `positions` of `t`'s frame, in frame order, decoded.
+    fn rows_at(t: &Table, mut positions: Vec<usize>) -> Vec<SampledRow> {
+        let frame = Frame::of(t);
+        positions.sort_unstable();
+        (positions.into_iter())
+            .map(|pos| {
+                let rid = frame.rid(pos);
+                let page = t.read_page_ref(rid.page).unwrap();
+                (rid, t.codec().decode(page.get(rid.slot).unwrap()).unwrap())
+            })
+            .collect()
+    }
+
+    /// Every batch of `kind` under the default schedule, and the pages the
+    /// draw read.
+    fn batches(kind: SamplerKind, t: &Table, seed: u64) -> (Vec<RecordBatch>, u64) {
+        let counting = CountingSource::new(t);
+        let mut stream = kind.stream(BatchSchedule::default()).unwrap();
+        let mut rng = rng(seed);
+        let mut batches = Vec::new();
+        loop {
+            let batch = stream.next_records(&counting, &mut rng).unwrap();
+            if batch.is_empty() {
+                return (batches, counting.pages_read());
+            }
+            batches.push(batch);
+        }
     }
 
     fn distinct_rids(sample: &[SampledRow]) -> usize {
@@ -58,24 +90,48 @@ mod tests {
         // The reference counts the binomial cap, then takes `index::sample`
         // of that many positions on the same RNG, and decodes them.
         let t = table(3_000);
-        let frame = Frame::of(&t);
         for seed in [0u64, 1, 42] {
             for p in [0.01, 0.3, 1.0] {
                 let mut r = rng(seed);
                 let size = bernoulli_size(t.num_rows(), p, &mut r);
-                let mut positions = index::sample(&mut r, t.num_rows(), size).into_vec();
-                positions.sort_unstable();
-                let reference: Vec<SampledRow> = (positions.into_iter())
-                    .map(|pos| {
-                        let rid = frame.rid(pos);
-                        let page = t.read_page_ref(rid.page).unwrap();
-                        (rid, t.codec().decode(page.get(rid.slot).unwrap()).unwrap())
-                    })
-                    .collect();
+                let reference = rows_at(&t, index::sample(&mut r, t.num_rows(), size).into_vec());
                 let sample = draw(SamplerKind::Bernoulli(p), &t, seed);
                 assert_eq!(sample, reference, "bernoulli p={p} seed={seed}");
             }
         }
+    }
+
+    #[test]
+    fn reservoir_is_uniform_wor_at_a_fixed_cap_seed_for_seed() {
+        // A reservoir of `k` rows is uniform-wor at `round(f·n) = k`: the
+        // same records and RIDs, in the same batches, from the same pages;
+        // and both are the `index::sample(n, k)` prefix on the same RNG.
+        let t = table(3_000);
+        let n = t.num_rows();
+        for seed in [0u64, 1, 42, 2_024] {
+            for k in [1, 37, 100, 1_500, n] {
+                let uniform_wor = SamplerKind::UniformWithoutReplacement(k as f64 / n as f64);
+                let (reservoir, reservoir_pages) = batches(SamplerKind::Reservoir(k), &t, seed);
+                let (wor, wor_pages) = batches(uniform_wor, &t, seed);
+                assert_eq!(reservoir, wor, "k={k} seed={seed}");
+                assert_eq!(reservoir_pages, wor_pages, "k={k} seed={seed}");
+                let sample = draw(SamplerKind::Reservoir(k), &t, seed);
+                assert_eq!(sample.len(), k);
+                assert_eq!(distinct_rids(&sample), k, "without replacement");
+                let reference = index::sample(&mut rng(seed), n, k).into_vec();
+                assert_eq!(sample, rows_at(&t, reference), "k={k} seed={seed}");
+            }
+        }
+        // A reservoir larger than the table holds all of it; an empty
+        // table gives an empty sample.
+        let small = table(5);
+        let whole = draw(SamplerKind::Reservoir(50), &small, 2);
+        assert_eq!(whole, small.scan_rows().unwrap());
+        assert_eq!(
+            whole,
+            draw(SamplerKind::UniformWithoutReplacement(1.0), &small, 2)
+        );
+        assert!(draw(SamplerKind::Reservoir(10), &table(0), 9).is_empty());
     }
 
     #[test]
@@ -96,6 +152,7 @@ mod tests {
             SamplerKind::UniformWithReplacement(0.1),
             SamplerKind::UniformWithoutReplacement(0.1),
             SamplerKind::Bernoulli(0.1),
+            SamplerKind::Reservoir(10),
         ] {
             assert!(draw(kind, &t, 6).is_empty(), "{kind:?}");
         }

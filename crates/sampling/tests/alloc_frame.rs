@@ -103,10 +103,13 @@ fn table() -> Table {
         .unwrap()
 }
 
-fn row_kinds(fraction: f64) -> [SamplerKind; 3] {
+/// Every row-position kind drawing `fraction` of the table's rows: a
+/// reservoir of that many rows is uniform-wor at that cap.
+fn row_kinds(fraction: f64) -> [SamplerKind; 4] {
     [
         SamplerKind::UniformWithReplacement(fraction),
         SamplerKind::UniformWithoutReplacement(fraction),
+        SamplerKind::Reservoir((ROWS as f64 * fraction).round() as usize),
         SamplerKind::Stratified {
             fraction,
             strata: 16,
@@ -163,7 +166,9 @@ fn a_row_draw_holds_its_rows_not_the_tables_pages() {
     let kept = |kind: SamplerKind, batches: &[RecordBatch]| {
         let rows: usize = batches.iter().map(RecordBatch::len).sum();
         let slots = match kind {
-            SamplerKind::UniformWithoutReplacement(_) => rows * 2 * std::mem::size_of::<usize>(),
+            SamplerKind::UniformWithoutReplacement(_) | SamplerKind::Reservoir(_) => {
+                rows * 2 * std::mem::size_of::<usize>()
+            }
             _ => 0,
         };
         (batches

@@ -1,13 +1,13 @@
 //! What a row-level draw yields and what it costs.
 //!
-//! The row-position stream (uniform, Bernoulli and stratified kinds) fetches verified pages
+//! The row-position stream (uniform, Bernoulli, reservoir and stratified kinds) fetches verified pages
 //! — held in a [`PageCache`] for the stream's later batches, lent from a run read by
 //! its last — and checks only the drawn slots.  These tests pin
 //! the two halves of that contract: the draw is what its position sequence
 //! says (every yielded `(rid, row)` is the record at `rid` decoded, RID-sorted within
 //! a batch, one physical read per distinct page, the rows at the positions
 //! a plain `gen_range` loop / `index::sample` (after a binomial count, for
-//! Bernoulli) names, seed-for-seed, over
+//! Bernoulli; capped at its size, for a reservoir) names, seed-for-seed, over
 //! a `Table` in memory and in a file alike), and the check is
 //! lazy (a malformed record only fails the draw that asks for its slot, a
 //! bad rid or a failed read comes back as the storage layer's typed error).
@@ -94,10 +94,11 @@ fn draws_are_identical_and_decodes_are_lazy() {
     let disk = Table::materialize(&file.0, &memory).unwrap();
     let sources: [&dyn TableSource; 2] = [&memory, &disk];
     // Each kind with the positions its one-shot draw names: a `gen_range`
-    // loop with replacement, `index::sample` without, and for Bernoulli
-    // `index::sample` of as many positions as the binomial count names on
-    // the same RNG; the stratified draw's oracle is its own one-batch drain
-    // (the proptests pin k = 1 to uniform-wr).
+    // loop with replacement, `index::sample` without (a reservoir of 150
+    // rows too), and for Bernoulli `index::sample` of as many positions as
+    // the binomial count names on the same RNG; the stratified draw's
+    // oracle is its own one-batch drain (the proptests pin k = 1 to
+    // uniform-wr).
     let with_replacement: Vec<usize> = {
         let mut rng = StdRng::seed_from_u64(11);
         (0..150).map(|_| rng.gen_range(0..3_000)).collect()
@@ -113,7 +114,11 @@ fn draws_are_identical_and_decodes_are_lazy() {
             SamplerKind::UniformWithReplacement(0.05),
             Some(with_replacement),
         ),
-        (SamplerKind::UniformWithoutReplacement(0.05), Some(without)),
+        (
+            SamplerKind::UniformWithoutReplacement(0.05),
+            Some(without.clone()),
+        ),
+        (SamplerKind::Reservoir(150), Some(without)),
         (SamplerKind::Bernoulli(0.05), Some(bernoulli)),
         (
             SamplerKind::Stratified {

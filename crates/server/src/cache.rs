@@ -87,7 +87,7 @@ impl CachedSample {
     /// still be extended, so a later request for a *deeper* fraction of the
     /// same (source, family, seed) can [`deepen`](Self::deepen) the draw
     /// instead of redrawing; a stream that cannot be deepened (a
-    /// reservoir's, finished by its one scan, or a Bernoulli draw's) is
+    /// reservoir's, whose cap is its size, or a Bernoulli draw's) is
     /// dropped here, with the rows and pages it held.
     pub fn draw(source: &SharedSource, kind: SamplerKind, seed: u64) -> CoreResult<CachedSample> {
         let counting = CountingSource::new(source.as_ref());
@@ -843,8 +843,8 @@ pub(crate) mod tests {
 
     #[test]
     fn a_sealed_entry_prices_exactly_its_pages_and_rids() {
-        // A reservoir's stream is finished by its one scan, and a Bernoulli
-        // draw's cap was counted for its `p`: the entry never keeps either
+        // A reservoir's cap is its size, and a Bernoulli draw's cap was
+        // counted for its `p`: the entry never keeps either
         // stream — nor the records or pages it held — so it is priced at its
         // rows' records and rids, no page and no per-row decoded term, and
         // can never be picked to deepen.
@@ -989,7 +989,7 @@ pub(crate) mod tests {
 
     #[test]
     fn a_scan_sample_is_never_taken_to_deepen() {
-        // A Bernoulli entry holds no stream, as a reservoir's scan does not,
+        // A Bernoulli entry holds no stream, as a reservoir's does not,
         // so a deeper request of its family must not remove it as a
         // deepening victim only to be refused and redraw: the deeper draw is
         // a plain miss and both stay resident.

@@ -18,10 +18,8 @@
 //! Each slot entry is 4 bytes: a 2-byte record offset and a 2-byte record
 //! length.
 
-use crate::cell::RowRef;
 use crate::error::{StorageError, StorageResult};
 use crate::rid::PageId;
-use crate::row::RowCodec;
 
 /// Default page size used throughout the library (8 KiB, as in SQL Server).
 pub const DEFAULT_PAGE_SIZE: usize = 8192;
@@ -360,16 +358,6 @@ impl Page {
         self.view().records()
     }
 
-    /// Borrow the record in `slot` as a [`RowRef`] — a zero-copy view whose
-    /// cells are subslices of this page's buffer.
-    ///
-    /// # Errors
-    /// Fails if the slot does not exist or the record length does not match
-    /// the codec's fixed record size.
-    pub fn row_ref<'a>(&'a self, slot: u16, codec: &'a RowCodec) -> StorageResult<RowRef<'a>> {
-        RowRef::new(codec, self.get(slot)?)
-    }
-
     /// Borrow the raw backing bytes of the page.
     #[must_use]
     pub fn raw(&self) -> &[u8] {
@@ -516,8 +504,9 @@ mod tests {
 
     #[test]
     fn row_refs_borrow_records_in_place() {
+        use crate::cell::RowRef;
         use crate::datatype::DataType;
-        use crate::row::Row;
+        use crate::row::{Row, RowCodec};
         use crate::schema::{Column, Schema};
         use crate::value::Value;
 
@@ -537,7 +526,7 @@ mod tests {
             p.insert(&codec.encode(row).unwrap()).unwrap().unwrap();
         }
         let refs: Vec<RowRef<'_>> = (0..p.slot_count())
-            .map(|slot| p.row_ref(slot, &codec).unwrap())
+            .map(|slot| RowRef::new(&codec, p.get(slot).unwrap()).unwrap())
             .collect();
         assert_eq!(refs.len(), 2);
         for (r, row) in refs.iter().zip(&rows) {
@@ -550,6 +539,6 @@ mod tests {
         // A record whose length disagrees with the codec is rejected.
         let mut bad = Page::new(0, 256).unwrap();
         bad.insert(b"short").unwrap().unwrap();
-        assert!(bad.row_ref(0, &codec).is_err());
+        assert!(RowRef::new(&codec, bad.get(0).unwrap()).is_err());
     }
 }

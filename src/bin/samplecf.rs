@@ -133,9 +133,10 @@ TOP OPTIONS:
 
 The estimate report includes `pages read`: with `--sampler block` this is
 round(fraction x pages) physical page reads, while a row draw (uniform,
-uniform-wor, bernoulli, stratified) pays roughly one page read per sampled
-row — the I/O gap the paper's Section II-C is about — and reservoir, the one
-scan, reads every page.",
+uniform-wor, bernoulli, reservoir, stratified) pays roughly one page read per
+sampled row — the I/O gap the paper's Section II-C is about.  A reservoir of
+--size k rows is a k-row uniform-wor draw: the table's row count is known, so
+it needs no scan.",
         estimate = flag_help(RequestKind::Estimate),
         progressive = flag_help(RequestKind::EstimateProgressive),
         advise = flag_help(RequestKind::Advise),
